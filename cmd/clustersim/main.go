@@ -53,12 +53,12 @@ func main() {
 	duration := flag.Duration("duration", time.Hour, "simulated duration")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "parallel tick workers (0 = GOMAXPROCS); output is identical at any value")
-	shards := flag.Int("shards", 0, "spec-tier aggregator shards over a consistent-hash ring (0/1 = single aggregator); output is identical at any value")
+	shards := flag.Int("shards", 0, "spec-tier aggregator shards, the members of the consistent-hash ring (0 = 1); output is identical at any value")
 	reportOnly := flag.Bool("report-only", false, "disable automatic capping")
 	feedback := flag.Bool("feedback", false, "enable §9 feedback-driven adaptive throttling")
 	query := flag.String("query", "", "extra forensics query to run at the end")
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address for live /metrics during the run (empty: disabled)")
-	chaos := flag.String("chaos", "", "fault plan, e.g. \"blackout=20m+10m,loss=0.05,crash=machine-0003@30m\" (empty: no faults)")
+	chaos := flag.String("chaos", "", "fault plan, e.g. \"blackout=20m+10m,loss=0.05,crash=machine-0003@30m\" (empty: nothing injected)")
 	identifier := flag.String("identifier", "",
 		fmt.Sprintf("antagonist identifier: %v (empty: %s)", core.IdentifierNames(), core.IdentifierCorrelation))
 	flag.Parse()
@@ -69,13 +69,11 @@ func main() {
 		log.Fatalf("clustersim: -identifier: %v", err)
 	}
 
-	var faults *cluster.FaultPlan
-	if *chaos != "" {
-		var err error
-		faults, err = cluster.ParseFaultPlan(*chaos)
-		if err != nil {
-			log.Fatalf("clustersim: -chaos: %v", err)
-		}
+	// An empty -chaos is the empty plan: same sample path, nothing
+	// injected.
+	faults, err := cluster.ParseFaultPlan(*chaos)
+	if err != nil {
+		log.Fatalf("clustersim: -chaos: %v", err)
 	}
 
 	reg := obs.NewRegistry()
@@ -162,7 +160,7 @@ func main() {
 		len(incs), actions[core.ActionCap], actions[core.ActionReport], actions[core.ActionNone])
 	exits, restarts := c.Stats()
 	fmt.Printf("task churn: %d exits, %d restarts\n", exits, restarts)
-	if faults != nil {
+	if *chaos != "" {
 		fs := c.FaultStats()
 		fmt.Printf("faults (%s): %d batches lost, %d spooled→replayed, %d spool-dropped, %d still spooled,\n"+
 			"        %d blackout ticks, %d shard-blackout ticks, %d reshards (%d keys handed off),\n"+

@@ -29,7 +29,8 @@
 // were started with (-shard-id/-ring), so each sample batch is
 // partitioned to the shard owning its job×platform key, and each shard
 // gets its own redialer and spool — a dead shard costs spec staleness
-// for its keys only, while publishing to the others continues.
+// for its keys only, while publishing to the others continues. A single
+// address is the same path over a ring of one.
 //
 // Samples published while an aggregator is unreachable spool in a
 // bounded in-memory buffer (-spool-batches/-spool-bytes per shard,
@@ -192,30 +193,26 @@ func main() {
 			spoolers = append(spoolers, sp)
 			return sp
 		}
-		if len(endpoints) == 1 && endpoints[0].name == "" {
-			sink = newChain(endpoints[0])
-		} else {
-			// Sharded spec tier: hash each batch over the shard-name ring
-			// (the same ring the aggregators run) so every sample reaches
-			// exactly the shard owning its job×platform key. A dead shard
-			// spools its own keys only; the rest keep flowing.
-			names := make([]string, len(endpoints))
-			for i, ep := range endpoints {
-				names[i] = ep.name
+		// Hash each batch over the ring of shard names (the same ring the
+		// aggregators run) so every sample reaches exactly the shard
+		// owning its job×platform key. A dead shard spools its own keys
+		// only; the rest keep flowing. A bare address has no shard name:
+		// it is the one member of its ring, under its address.
+		members := make([]string, len(endpoints))
+		sinks := make(map[string]pipeline.SampleSink, len(endpoints))
+		for i, ep := range endpoints {
+			members[i] = ep.name
+			if ep.name == "" {
+				members[i] = ep.addr
 			}
-			ring := pipeline.NewRing(names, 0)
-			sinks := make(map[string]pipeline.SampleSink, len(endpoints))
-			for _, ep := range endpoints {
-				sinks[ep.name] = newChain(ep)
-			}
-			router, err := pipeline.NewRouter(ring, sinks)
-			if err != nil {
-				log.Fatalf("cpi2agent: -aggregator: %v", err)
-			}
-			sink = router
-			log.Printf("cpi2agent: sharded spec tier: %d shards (%s)",
-				len(endpoints), strings.Join(names, ", "))
+			sinks[members[i]] = newChain(ep)
 		}
+		router, err := pipeline.NewRouter(pipeline.NewRing(members, 0), sinks)
+		if err != nil {
+			log.Fatalf("cpi2agent: -aggregator: %v", err)
+		}
+		sink = router
+		log.Printf("cpi2agent: spec tier: ring of %d (%s)", len(members), strings.Join(members, ", "))
 		defer func() {
 			for _, sp := range spoolers {
 				sp.Close()

@@ -68,10 +68,9 @@ func RunCase(mc *MachineClass, cs *Case, opts RunOptions) (*Verdict, error) {
 			ReportOnly:        cs.ReportOnly,
 		},
 		Registry: reg,
-		// Faults is always installed (an empty plan is a valid plan):
-		// every case runs with spool, quarantine, and fault accounting,
-		// so the spool-drop and quarantine budgets always measure
-		// something real.
+		// Every run has spools, ingress quarantine and fault accounting,
+		// whatever the plan holds, so the spool-drop and quarantine
+		// budgets always measure something real.
 		Faults: faults,
 	})
 	defer c.Close()

@@ -480,11 +480,10 @@ var (
 // not-yet-elapsed reconnect backoff — so the spool buffers them, and
 // silently loses a SampleLoss fraction otherwise. It is only invoked
 // from the serial commit phase, so it may touch cluster-shared fault
-// state and its per-machine RNG without locks — and stays
+// state and its machine's fault RNG without locks — and stays
 // deterministic at any worker count.
 type chaosLink struct {
 	c       *Cluster
-	rng     *rand.Rand
 	machine int
 	shard   int
 }
@@ -494,15 +493,13 @@ func (l *chaosLink) Publish(samples []model.Sample) error {
 	if c.blackout {
 		return errAggregatorDown
 	}
-	if c.shardDown != nil && l.shard < len(c.shardDown) && c.shardDown[l.shard] {
+	if c.shardDown[l.shard] {
 		return errShardDown
 	}
-	if c.reconnectUntil != nil {
-		if until := c.reconnectUntil[l.machine*c.shards+l.shard]; c.now.Before(until) {
-			return errReconnectBackoff
-		}
+	if c.now.Before(c.reconnectUntil[l.machine*c.shards+l.shard]) {
+		return errReconnectBackoff
 	}
-	if p := c.cfg.Faults.SampleLoss; p > 0 && l.rng.Float64() < p {
+	if p := c.cfg.Faults.SampleLoss; p > 0 && c.faultRNG(l.machine).Float64() < p {
 		c.fstats.LostBatches++
 		return nil // eaten by the pipe: at-most-once, loss is not an error
 	}
@@ -636,7 +633,7 @@ func (c *Cluster) applyFaultTimeline(now time.Time) {
 		if down {
 			c.fstats.ShardBlackoutTicks++
 		}
-		if down != c.prevShardDown[s] {
+		if down != c.shardDown[s] {
 			typ := "shard_blackout_end"
 			if down {
 				typ = "shard_blackout_start"
@@ -648,13 +645,12 @@ func (c *Cluster) applyFaultTimeline(now time.Time) {
 					spread = 5 * time.Second
 				}
 				for i := range c.machs {
-					d := pipeline.FullJitterBackoff(0, spread, spread, c.faultRNGs[i].Float64())
+					d := pipeline.FullJitterBackoff(0, spread, spread, c.faultRNG(i).Float64())
 					c.reconnectUntil[i*c.shards+s] = now.Add(d)
 				}
 			}
 		}
 		c.shardDown[s] = down
-		c.prevShardDown[s] = down
 	}
 
 	for c.crashIdx < len(c.crashes) && c.crashes[c.crashIdx].At <= offset {
@@ -759,8 +755,22 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 	return len(ad), len(or)
 }
 
-// FaultStats returns the cumulative fault accounting for this run
-// (zero value when no FaultPlan is configured).
+// faultRNG returns machine i's fault stream ("fault/<machine>"),
+// creating it on first draw: a stream is a pure function of (cluster
+// seed, name), so when it is created cannot change its sequence, and a
+// run that never draws — every run without loss, corruption or shard
+// blackouts — never pays for the generator state. Serial commit phase
+// only.
+func (c *Cluster) faultRNG(i int) *rand.Rand {
+	if c.faultRNGs[i] == nil {
+		c.faultRNGs[i] = c.rng.Stream("fault/" + c.machs[i].Name())
+	}
+	return c.faultRNGs[i]
+}
+
+// FaultStats returns the cumulative fault accounting for this run.
+// Spool and quarantine accounting is live on every run, fault plan or
+// not.
 func (c *Cluster) FaultStats() FaultStats {
 	st := c.fstats
 	for _, sp := range c.spools {
@@ -769,8 +779,6 @@ func (c *Cluster) FaultStats() FaultStats {
 		st.SpoolReplayed += s.Replayed
 		st.SpooledBatches += int64(s.Batches)
 	}
-	if v := c.buses[0].Validator(); v != nil {
-		st.Quarantined = v.Quarantine.Total()
-	}
+	st.Quarantined = c.validator.Quarantine.Total()
 	return st
 }

@@ -55,13 +55,13 @@ type Config struct {
 	// task capped that many times is killed and restarted on a
 	// different machine ("our version of task migration").
 	AutoMigrateAfterCaps int
-	// Shards is the number of spec-aggregator shards (default 1). With
-	// N > 1 the spec tier splits behind a consistent-hash ring over
-	// job×platform keys: each shard runs its own SpecBuilder and bus,
-	// owns a stable subset of keys, and fails independently — a
-	// blacked-out shard degrades only its own jobs' specs. Because every
-	// per-key aggregate is independent, the merged spec table is
-	// byte-identical to a single-shard run at any shard count.
+	// Shards is the number of spec-aggregator shards (default 1). The
+	// spec tier always sits behind a consistent-hash ring over
+	// job×platform keys, with one member per shard: each shard runs its
+	// own SpecBuilder and bus, owns a stable subset of keys, and fails
+	// independently — a blacked-out shard degrades only its own jobs'
+	// specs. Because every per-key aggregate is independent, the merged
+	// spec table is byte-identical at any shard count.
 	Shards int
 	// Workers is the number of goroutines ticking machines in
 	// parallel during Step's parallel phase (default GOMAXPROCS).
@@ -80,10 +80,11 @@ type Config struct {
 	// phase drains them in machine-index order, so the log is
 	// byte-identical at any worker count.
 	Events *obs.EventLog
-	// Faults, when non-nil, injects the failure timeline (aggregator
-	// blackouts, lossy links, delayed spec pushes, machine crashes) and
-	// routes every machine's samples through a bounded spool. The plan
-	// must pass Validate; New panics otherwise.
+	// Faults is the failure timeline to inject (aggregator blackouts,
+	// lossy links, delayed spec pushes, machine crashes). Nil means the
+	// empty plan: the sample path — bounded spools and ingress validation
+	// included — is the same on every run, a plan only decides what goes
+	// wrong on it. The plan must pass Validate; New panics otherwise.
 	Faults *FaultPlan
 	// TraceCapacity bounds each machine's causal-trace span ring
 	// (0 selects the trace package default of 4096; rings grow lazily
@@ -115,6 +116,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.Faults == nil {
+		c.Faults = &FaultPlan{}
 	}
 	c.Params = c.Params.Sanitize()
 	return c
@@ -158,20 +162,22 @@ type Cluster struct {
 	jobs  map[model.JobName]*JobDef
 	now   time.Time
 
-	// Sharded spec tier: buses[s] is shard s's aggregator (bus + spec
-	// builder). shards is the LIVE shard count — a reshard event changes
-	// it mid-run. ring maps spec keys to shard indices (nil when shards
-	// == 1: everything goes to buses[0] with no hashing on the hot
-	// path); shardByKey memoizes ring lookups and is dropped whenever
-	// the ring changes. validator is shared across every bus so
-	// quarantine accounting stays fleet-wide. pipeCarryRecv/Drop carry
-	// the Stats of buses retired by a shrink reshard.
+	// The sample path, the same on every run: machine i's agent
+	// publishes into queues[i]; the commit phase drains that into
+	// routers[i], which partitions by ring owner into the machine's
+	// per-shard spools (flattened [machine][shard]: spools[i*shards+s]);
+	// each spool forwards through a chaosLink to buses[s], shard s's
+	// aggregator (bus + spec builder). ring has one member per shard,
+	// named shardName(s); shards is the LIVE shard count — a reshard
+	// event swaps the ring, routers and spools mid-run. validator is
+	// shared across every bus so quarantine accounting stays fleet-wide.
+	// pipeCarryRecv/Drop carry the Stats of buses retired by a shrink
+	// reshard.
 	buses         []*pipeline.Bus
 	shards        int
 	ring          *pipeline.Ring
-	shardByKey    map[model.SpecKey]int
-	routers       []shardRouter
-	routeScratch  [][]model.Sample
+	routers       []*pipeline.Router
+	spools        []*pipeline.Spooler
 	validator     *core.SampleValidator
 	pipeCarryRecv int64
 	pipeCarryDrop int64
@@ -214,21 +220,15 @@ type Cluster struct {
 	agentShared *agent.Metrics
 	coreShared  *core.Metrics
 
-	// Chaos state (nil/zero without Config.Faults). Mutated only from
-	// the serial commit phase. spools is flattened [machine][shard]:
-	// machine i's spool toward shard s is spools[i*shards+s] (with
-	// shards == 1 that degenerates to the old one-spool-per-machine
-	// layout, spools[i]).
-	spools   []*pipeline.Spooler
+	// Chaos state, mutated only from the serial commit phase.
 	blackout bool
 	// shardDown[s] mirrors the plan's ShardBlackouts for the current
-	// tick; prevShardDown detects transitions. reconnectUntil, indexed
-	// like spools, holds each (machine, shard) link's full-jitter
-	// reconnect deadline after a shard blackout lifts — links refuse
-	// traffic (spooling it) until their deadline, so a fleet does not
-	// thunder back into a freshly recovered shard in lockstep.
+	// tick. reconnectUntil, indexed like spools, holds each (machine,
+	// shard) link's full-jitter reconnect deadline after a shard
+	// blackout lifts — links refuse traffic (spooling it) until their
+	// deadline, so a fleet does not thunder back into a freshly
+	// recovered shard in lockstep.
 	shardDown      []bool
-	prevShardDown  []bool
 	reconnectUntil []time.Time
 	reshards       []ReshardEvent // sorted by At
 	reshardIdx     int
@@ -238,10 +238,10 @@ type Cluster struct {
 	delayed        []delayedSpecs
 	// journals hold each machine's cap journal (crash-safe actuation:
 	// restartAgent reconciles a fresh agent against its machine's
-	// journal). faultRNGs are the per-machine fault streams shared with
-	// the chaosLinks; midx maps machine name → fleet index. skewByIdx
-	// is each agent's constant clock offset (read from the parallel
-	// phase, written only at New — no races).
+	// journal). faultRNGs are the per-machine fault streams, created on
+	// first draw (see faultRNG); midx maps machine name → fleet index.
+	// skewByIdx is each agent's constant clock offset (read from the
+	// parallel phase, written only at New — no races).
 	journals      []*core.MemCapJournal
 	faultRNGs     []*rand.Rand
 	midx          map[string]int
@@ -304,33 +304,26 @@ func New(cfg Config) *Cluster {
 		c.agentShards = make([]*agent.Metrics, cfg.Machines)
 		c.coreShards = make([]*core.Metrics, cfg.Machines)
 	}
-	if cfg.Faults != nil {
-		// Ingress defense in depth, same shape as cmd/cpi2aggregator:
-		// hostile samples (CorruptRate) quarantine at the bus before
-		// they can poison spec statistics. One validator is shared by
-		// every shard so quarantine totals stay fleet-wide.
-		c.validator = core.NewSampleValidator("aggregator", 256)
-		if cfg.Registry != nil {
-			c.validator.Metrics = core.NewMetrics(cfg.Registry)
-		}
-		c.reshards = cfg.Faults.sortedReshards()
-		// A reshard chain must be continuous: each event's From matches
-		// the live shard count at its offset. A broken chain means the
-		// plan is wrong — fail loudly, like Validate.
-		liveShards := cfg.Shards
-		for _, ev := range c.reshards {
-			if ev.From != liveShards {
-				panic(fmt.Sprintf("cluster: reshard %d>%d at %s, but the cluster has %d shards then",
-					ev.From, ev.To, ev.At, liveShards))
-			}
-			liveShards = ev.To
-		}
+	// Ingress defense in depth, same shape as cmd/cpi2aggregator:
+	// hostile samples (CorruptRate) quarantine at the bus before they
+	// can poison spec statistics. One validator is shared by every
+	// shard so quarantine totals stay fleet-wide.
+	c.validator = core.NewSampleValidator("aggregator", 256)
+	if cfg.Registry != nil {
+		c.validator.Metrics = core.NewMetrics(cfg.Registry)
 	}
-	c.buses = make([]*pipeline.Bus, cfg.Shards)
-	for s := range c.buses {
-		c.buses[s] = c.newShardBus(s, cfg.Shards > 1)
+	c.reshards = cfg.Faults.sortedReshards()
+	// A reshard chain must be continuous: each event's From matches
+	// the live shard count at its offset. A broken chain means the
+	// plan is wrong — fail loudly, like Validate.
+	liveShards := cfg.Shards
+	for _, ev := range c.reshards {
+		if ev.From != liveShards {
+			panic(fmt.Sprintf("cluster: reshard %d>%d at %s, but the cluster has %d shards then",
+				ev.From, ev.To, ev.At, liveShards))
+		}
+		liveShards = ev.To
 	}
-	c.initRouting()
 	if cfg.Workers > 1 {
 		c.pool = newPool(cfg.Workers - 1)
 	}
@@ -342,18 +335,12 @@ func New(cfg Config) *Cluster {
 	if cfg.Events != nil {
 		c.eventBufs = make([]*obs.EventBuffer, cfg.Machines)
 	}
-	if cfg.Faults != nil {
-		c.spools = make([]*pipeline.Spooler, cfg.Machines*cfg.Shards)
-		c.shardDown = make([]bool, cfg.Shards)
-		c.prevShardDown = make([]bool, cfg.Shards)
-		c.reconnectUntil = make([]time.Time, cfg.Machines*cfg.Shards)
-		c.crashes = cfg.Faults.sortedCrashes()
-		c.agentRestarts = cfg.Faults.sortedRestarts()
-		c.journals = make([]*core.MemCapJournal, cfg.Machines)
-		c.faultRNGs = make([]*rand.Rand, cfg.Machines)
-		c.midx = make(map[string]int, cfg.Machines)
-		c.skewByIdx = make([]time.Duration, cfg.Machines)
-	}
+	c.crashes = cfg.Faults.sortedCrashes()
+	c.agentRestarts = cfg.Faults.sortedRestarts()
+	c.journals = make([]*core.MemCapJournal, cfg.Machines)
+	c.faultRNGs = make([]*rand.Rand, cfg.Machines)
+	c.midx = make(map[string]int, cfg.Machines)
+	c.skewByIdx = make([]time.Duration, cfg.Machines)
 	for i := 0; i < cfg.Machines; i++ {
 		name := fmt.Sprintf("machine-%04d", i)
 		platform := model.PlatformA
@@ -398,40 +385,25 @@ func New(cfg Config) *Cluster {
 		if sink != nil {
 			a.Manager().SetEvents(sink)
 		}
-		if cfg.Faults != nil {
-			// machine queue → (per-shard) spool → lossy/blackout link →
-			// shard bus. The spools are drained passively from the commit
-			// phase (never Started), so the whole chain stays
-			// deterministic. No registry instrumentation here: many spools
-			// sharing one gauge would fight over Set; FaultStats
-			// aggregates instead.
-			c.faultRNGs[i] = rng.Stream("fault/" + name)
-			for s := 0; s < cfg.Shards; s++ {
-				c.spools[i*cfg.Shards+s] = c.newShardSpool(i, s)
-			}
-			// Every enforcement decision journals; restartAgent replays
-			// this against live cgroup state after an agent restart.
-			c.journals[i] = &core.MemCapJournal{}
-			a.Manager().SetJournal(c.journals[i])
-			c.midx[name] = i
-		}
+		// Every enforcement decision journals; restartAgent replays
+		// this against live cgroup state after an agent restart.
+		c.journals[i] = &core.MemCapJournal{}
+		a.Manager().SetJournal(c.journals[i])
+		c.midx[name] = i
 		c.mach[name] = m
 		c.agent[name] = a
 		c.machs[i] = m
 		c.agents[i] = a
 		c.queues[i] = q
-		for _, bus := range c.buses {
-			bus.Watch(a)
-		}
 		if err := c.sched.AddMachine(name, platform, float64(cfg.CPUsPerMachine)); err != nil {
 			panic(err) // unique generated names: cannot happen
 		}
 	}
-	if cfg.Faults != nil {
-		for _, sk := range cfg.Faults.Skews {
-			if i, ok := c.midx[sk.Machine]; ok {
-				c.skewByIdx[i] = sk.Offset // last directive wins
-			}
+	c.growBuses(cfg.Shards)
+	c.wireSamplePath(cfg.Shards)
+	for _, sk := range cfg.Faults.Skews {
+		if i, ok := c.midx[sk.Machine]; ok {
+			c.skewByIdx[i] = sk.Offset // last directive wins
 		}
 	}
 	return c
@@ -460,10 +432,6 @@ func (c *Cluster) ShardBus(s int) *pipeline.Bus {
 	return c.buses[s]
 }
 
-// Ring returns the live consistent-hash ring over spec keys (nil with
-// a single shard — no hashing happens then).
-func (c *Cluster) Ring() *pipeline.Ring { return c.ring }
-
 // PipelineStats sums (received, dropped) across every live shard bus,
 // plus the totals of buses retired by shrink reshards.
 func (c *Cluster) PipelineStats() (received, dropped int64) {
@@ -480,9 +448,6 @@ func (c *Cluster) PipelineStats() (received, dropped int64) {
 // sorted by (job, platform) — the same order a single-shard builder
 // publishes, so sharded and unsharded runs compare byte-for-byte.
 func (c *Cluster) AllSpecs() []model.Spec {
-	if c.shards == 1 {
-		return c.buses[0].Builder().Specs()
-	}
 	var out []model.Spec
 	for _, bus := range c.buses {
 		out = append(out, bus.Builder().Specs()...)
@@ -739,9 +704,7 @@ func (c *Cluster) Step() {
 	}
 
 	// Commit phase: machine-index order, single goroutine.
-	if c.cfg.Faults != nil {
-		c.applyFaultTimeline(now)
-	}
+	c.applyFaultTimeline(now)
 	for i := 0; i < n; i++ {
 		slot := &c.slots[i]
 		for _, id := range slot.exited {
@@ -753,41 +716,28 @@ func (c *Cluster) Step() {
 				}
 			}
 		}
-		if c.spools != nil {
-			// Replay any spooled backlog first, then this tick's samples
-			// behind it — arrival order at each shard bus stays publish
-			// order. TryDrainAt (not TryDrain) so replayed batches get
-			// spool spans recording how long the outage delayed them.
-			if c.shards == 1 {
-				_, _ = c.spools[i].TryDrainAt(now)
-				_ = c.queues[i].DrainTo(c.spools[i])
-			} else {
-				base := i * c.shards
-				for s := 0; s < c.shards; s++ {
-					_, _ = c.spools[base+s].TryDrainAt(now)
-				}
-				_ = c.queues[i].DrainTo(&c.routers[i])
+		// Replay any spooled backlog first, then this tick's samples
+		// behind it — arrival order at each shard bus stays publish
+		// order. TryDrainAt (not TryDrain) so replayed batches get
+		// spool spans recording how long the outage delayed them.
+		for _, sp := range c.spools[i*c.shards : (i+1)*c.shards] {
+			_, _ = sp.TryDrainAt(now)
+		}
+		_ = c.queues[i].DrainTo(c.routers[i])
+		// Hostile-writer injection: with probability CorruptRate a
+		// garbage batch arrives at the bus claiming to be from this
+		// machine. It bypasses the spool (a hostile writer doesn't
+		// queue politely) but not ingress validation, which must
+		// quarantine every sample. Skipped during blackouts — an
+		// unreachable aggregator is unreachable to attackers too,
+		// which includes the one shard owning the garbage key.
+		if p := c.cfg.Faults.CorruptRate; p > 0 && !c.blackout && c.faultRNG(i).Float64() < p {
+			g := garbageSample(c.faultRNG(i), c.machs[i].Name(), now)
+			target := c.ShardOf(model.SpecKey{Job: g.Job, Platform: g.Platform})
+			if !c.shardDown[target] {
+				c.fstats.CorruptBatches++
+				_ = c.buses[target].Publish([]model.Sample{g})
 			}
-			// Hostile-writer injection: with probability CorruptRate a
-			// garbage batch arrives at the bus claiming to be from this
-			// machine. It bypasses the spool (a hostile writer doesn't
-			// queue politely) but not ingress validation, which must
-			// quarantine every sample. Skipped during blackouts — an
-			// unreachable aggregator is unreachable to attackers too,
-			// which with sharding includes the one shard owning the
-			// garbage key.
-			if p := c.cfg.Faults.CorruptRate; p > 0 && !c.blackout && c.faultRNGs[i].Float64() < p {
-				g := garbageSample(c.faultRNGs[i], c.machs[i].Name(), now)
-				target := c.shardOf(model.SpecKey{Job: g.Job, Platform: g.Platform})
-				if c.shardDown == nil || !c.shardDown[target] {
-					c.fstats.CorruptBatches++
-					_ = c.buses[target].Publish([]model.Sample{g})
-				}
-			}
-		} else if c.shards == 1 {
-			_ = c.queues[i].DrainTo(c.buses[0])
-		} else {
-			_ = c.queues[i].DrainTo(&c.routers[i])
 		}
 		for _, inc := range slot.incidents {
 			c.incidents = append(c.incidents, inc)
@@ -823,21 +773,15 @@ func (c *Cluster) Step() {
 // freshly computed specs back before machines see them. Shards are
 // visited in index order, so spec-push ordering is deterministic.
 func (c *Cluster) maybeRecompute(now time.Time) {
-	f := c.cfg.Faults
-	if f == nil {
-		for _, bus := range c.buses {
-			bus.MaybeRecompute(now)
-		}
-		return
-	}
 	if c.blackout {
 		return // aggregator is down; staleness grows with the blackout
 	}
+	delay := c.cfg.Faults.SpecPushDelay
 	for s, bus := range c.buses {
-		if c.shardDown != nil && c.shardDown[s] {
+		if c.shardDown[s] {
 			continue // this shard is down; only ITS keys go stale
 		}
-		if f.SpecPushDelay <= 0 {
+		if delay <= 0 {
 			bus.MaybeRecompute(now)
 			continue
 		}
@@ -846,7 +790,7 @@ func (c *Cluster) maybeRecompute(now time.Time) {
 		}
 		specs := bus.Builder().Recompute(now)
 		if len(specs) > 0 {
-			c.delayed = append(c.delayed, delayedSpecs{at: now.Add(f.SpecPushDelay), specs: specs, shard: s})
+			c.delayed = append(c.delayed, delayedSpecs{at: now.Add(delay), specs: specs, shard: s})
 		}
 	}
 }
@@ -866,11 +810,7 @@ func (c *Cluster) tickMachine(i int, now time.Time, dt time.Duration) {
 	// A skewed agent runs its whole cycle — sample timestamps, window
 	// boundaries, cap expiry — on its broken clock; the hardware stays
 	// on cluster time.
-	agentNow := now
-	if c.skewByIdx != nil {
-		agentNow = now.Add(c.skewByIdx[i])
-	}
-	incs := a.Tick(agentNow)
+	incs := a.Tick(now.Add(c.skewByIdx[i]))
 	slot := &c.slots[i]
 	slot.exited = append(slot.exited[:0], exited...)
 	slot.incidents = append(slot.incidents[:0], incs...)
@@ -900,9 +840,6 @@ func (c *Cluster) Run(d time.Duration) {
 // hours. The returned union is sorted by (job, platform), matching
 // what a single-shard recompute returns.
 func (c *Cluster) RecomputeSpecs() []model.Spec {
-	if c.shards == 1 {
-		return c.buses[0].Recompute(c.now)
-	}
 	var out []model.Spec
 	for _, bus := range c.buses {
 		out = append(out, bus.Recompute(c.now)...)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -10,22 +12,36 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Sharded spec tier. With Config.Shards == N > 1 the aggregator splits
-// into N shards behind a consistent-hash ring over job×platform keys:
-// each shard runs its own bus + SpecBuilder and owns a stable subset
-// of keys. Failure domains shrink accordingly — a shard blackout stalls
-// only its own keys' specs — and a reshard event (N→M) hands off
-// exactly the moved keys' builder state through the checkpoint-format
-// handoff frame (core.ExportKeys/ImportCheckpoint), which preserves
-// byte-identical specs across the split.
+// The spec tier. The aggregator is Config.Shards ≥ 1 shards behind a
+// consistent-hash ring over job×platform keys: each shard runs its own
+// bus + SpecBuilder and owns a stable subset of keys. Failure domains
+// shrink with the shard count — a shard blackout stalls only its own
+// keys' specs — and a reshard event (N→M) hands off exactly the moved
+// keys' builder state through the checkpoint-format handoff frame
+// (core.ExportKeys/ImportCheckpoint), which preserves byte-identical
+// specs across the split.
 //
 // Everything here runs in the serial commit phase, so routing, ring
 // swaps, and handoffs are as worker-count-independent as the rest of
 // the cluster.
 
-// shardName is the ring member name for shard s — the sim's analogue
-// of an aggregator address.
-func shardName(s int) string { return fmt.Sprintf("shard-%d", s) }
+// shardPrefix + number is a shard's ring member name — the sim's
+// analogue of an aggregator address, and the names a real deployment's
+// -ring flag would carry.
+const shardPrefix = "shard-"
+
+func shardName(s int) string { return shardPrefix + strconv.Itoa(s) }
+
+// ShardOf returns the number of the shard owning key under the live
+// ring: the s of ShardBus(s) and of shardblackout=s@…. The ring orders
+// members as strings ("shard-10" before "shard-2"), so a member's
+// position in Ring().Members() is not its shard number; everything in
+// the sim goes from key to shard through the member NAME, here.
+func (c *Cluster) ShardOf(key model.SpecKey) int {
+	// Members are shardName(s) by construction, so this cannot fail.
+	s, _ := strconv.Atoi(strings.TrimPrefix(c.ring.Owner(key), shardPrefix))
+	return s
+}
 
 // shardMembers builds the ring membership for n shards.
 func shardMembers(n int) []string {
@@ -36,150 +52,84 @@ func shardMembers(n int) []string {
 	return out
 }
 
-// newShardBus builds one shard's bus + builder with the cluster's
-// trace/metrics/validator wiring. Shard identity (span Shard fields,
-// by-shard metric series) is only stamped when the tier is actually
-// sharded, so single-shard runs stay byte-identical to the pre-shard
-// code.
-func (c *Cluster) newShardBus(s int, sharded bool) *pipeline.Bus {
-	bus := pipeline.NewBus(core.NewSpecBuilder(c.cfg.Params))
-	bus.SetTrace(c.aggTrace)
-	if c.cfg.Registry != nil {
-		bus.SetMetrics(pipeline.NewMetrics(c.cfg.Registry))
-		bus.Builder().SetMetrics(core.NewMetrics(c.cfg.Registry))
-	}
-	if sharded {
-		bus.SetShard(shardName(s))
-	}
-	if c.validator != nil {
+// growBuses adds shard aggregators (bus + builder, with the cluster's
+// trace/metrics/validator wiring, watched by every agent) until there
+// are n. A shard joining a running tier adopts the recompute cadence of
+// shard 0, so every shard keeps recomputing on the same ticks — the
+// spec-equivalence guarantee depends on a shared recompute schedule;
+// adoption goes through an empty handoff frame, exercising the same
+// ImportCheckpoint path a real shard bootstrap uses.
+func (c *Cluster) growBuses(n int) {
+	for len(c.buses) < n {
+		bus := pipeline.NewBus(core.NewSpecBuilder(c.cfg.Params))
+		bus.SetTrace(c.aggTrace)
+		if c.cfg.Registry != nil {
+			bus.SetMetrics(pipeline.NewMetrics(c.cfg.Registry))
+			bus.Builder().SetMetrics(core.NewMetrics(c.cfg.Registry))
+		}
 		bus.SetValidator(c.validator)
+		if len(c.buses) > 0 {
+			if last := c.buses[0].Builder().LastRecompute(); !last.IsZero() {
+				cp := core.Checkpoint{Version: core.CheckpointVersion, LastRecompute: last}
+				if err := bus.Builder().ImportCheckpoint(cp); err != nil {
+					panic(fmt.Sprintf("cluster: reshard cadence adoption: %v", err))
+				}
+			}
+		}
+		for _, a := range c.agents {
+			bus.Watch(a)
+		}
+		c.buses = append(c.buses, bus)
 	}
-	return bus
+	// Shard identity (span Shard fields, by-shard metric series) is
+	// stamped only when there is more than one shard: a single-aggregator
+	// run's spans and metrics carry no shard label. This is the one place
+	// the shard count changes what is built.
+	if len(c.buses) > 1 {
+		for s, bus := range c.buses {
+			bus.SetShard(shardName(s))
+		}
+	}
 }
 
-// newShardSpool builds machine i's spool toward shard s: queue →
-// spool → chaos link → shard bus. Spool-replay spans land in the
-// owning machine's store; replay runs in the serial commit phase, so
-// span order is deterministic at any worker count.
-func (c *Cluster) newShardSpool(i, s int) *pipeline.Spooler {
-	link := &chaosLink{c: c, rng: c.faultRNGs[i], machine: i, shard: s}
-	sp := pipeline.NewSpooler(link, pipeline.SpoolConfig{
-		MaxBatches: c.cfg.Faults.SpoolBatches,
-		MaxBytes:   c.cfg.Faults.SpoolBytes,
-	})
-	sp.SetTrace(c.traces[i])
-	return sp
-}
-
-// initRouting builds the ring, the per-machine routers, and the
-// partition scratch for the current shard count. With one shard and no
-// reshard events in the plan, none of it is needed and none of it is
-// allocated — the hot path stays the direct queue→bus drain.
-func (c *Cluster) initRouting() {
-	mayShard := c.shards > 1
-	if c.cfg.Faults != nil && len(c.reshards) > 0 {
-		mayShard = true
-	}
-	if !mayShard {
-		return
-	}
-	if c.shards > 1 {
-		c.ring = pipeline.NewRing(shardMembers(c.shards), pipeline.DefaultVnodes)
-	}
-	c.shardByKey = make(map[model.SpecKey]int)
-	c.routers = make([]shardRouter, c.cfg.Machines)
+// wireSamplePath builds the ring over n shards and, for every machine,
+// the router → per-shard spool → chaos link → shard bus chain behind
+// its queue. New and applyReshard both call it, so a resharded fleet is
+// wired exactly as one that started with n shards. The spools are
+// drained passively from the commit phase (never Started), so the whole
+// chain stays deterministic; spool-replay spans land in the owning
+// machine's store. No registry instrumentation on the spools: many
+// spools sharing one gauge would fight over Set; FaultStats aggregates
+// instead.
+func (c *Cluster) wireSamplePath(n int) {
+	c.shards = n
+	members := shardMembers(n)
+	c.ring = pipeline.NewRing(members, pipeline.DefaultVnodes)
+	c.spools = make([]*pipeline.Spooler, c.cfg.Machines*n)
+	c.routers = make([]*pipeline.Router, c.cfg.Machines)
+	// Reconnect windows belong to links, and these links are new.
+	c.reconnectUntil = make([]time.Time, c.cfg.Machines*n)
+	// Surviving shards keep their blackout state; new ones start up.
+	down := make([]bool, n)
+	copy(down, c.shardDown)
+	c.shardDown = down
 	for i := range c.routers {
-		c.routers[i] = shardRouter{c: c, machine: i}
-	}
-	c.routeScratch = make([][]model.Sample, c.shards)
-}
-
-// shardOf returns the shard index owning key under the live ring,
-// memoized until the next reshard.
-func (c *Cluster) shardOf(key model.SpecKey) int {
-	if c.shards == 1 {
-		return 0
-	}
-	if s, ok := c.shardByKey[key]; ok {
-		return s
-	}
-	s := c.ring.OwnerIndex(key)
-	if s < 0 {
-		s = 0 // empty ring cannot happen with shards > 1; stay safe
-	}
-	c.shardByKey[key] = s
-	return s
-}
-
-// shardRouter fans one machine's sample batches out to the shard
-// owning each sample's key. It implements BatchSink so Queue.DrainTo
-// hands it the whole tick's backlog at once. Only the serial commit
-// phase invokes it, which is why one shared partition scratch
-// (c.routeScratch) is safe: downstream sinks copy per the SampleSink
-// contract, so the scratch is reusable immediately.
-type shardRouter struct {
-	c       *Cluster
-	machine int
-}
-
-// sink resolves the downstream for (r.machine, shard s) lazily — via
-// the live spool table when faults are on, the live bus otherwise — so
-// routers survive resharding without rebuilds.
-func (r *shardRouter) sink(s int) pipeline.SampleSink {
-	c := r.c
-	if c.spools != nil {
-		return c.spools[r.machine*c.shards+s]
-	}
-	return c.buses[s]
-}
-
-// Publish implements SampleSink.
-func (r *shardRouter) Publish(samples []model.Sample) error {
-	return r.PublishBatches([][]model.Sample{samples})
-}
-
-// PublishBatches implements BatchSink. Batches from one agent are
-// usually single-job (one sampling window per task), so the common
-// case is "whole batch → one shard" with no partitioning at all.
-func (r *shardRouter) PublishBatches(batches [][]model.Sample) error {
-	c := r.c
-	var firstErr error
-	for _, samples := range batches {
-		if len(samples) == 0 {
-			continue
+		sinks := make(map[string]pipeline.SampleSink, n)
+		for s := 0; s < n; s++ {
+			sp := pipeline.NewSpooler(&chaosLink{c: c, machine: i, shard: s}, pipeline.SpoolConfig{
+				MaxBatches: c.cfg.Faults.SpoolBatches,
+				MaxBytes:   c.cfg.Faults.SpoolBytes,
+			})
+			sp.SetTrace(c.traces[i])
+			c.spools[i*n+s] = sp
+			sinks[members[s]] = sp
 		}
-		s0 := c.shardOf(model.SpecKey{Job: samples[0].Job, Platform: samples[0].Platform})
-		uniform := true
-		for i := 1; i < len(samples); i++ {
-			if c.shardOf(model.SpecKey{Job: samples[i].Job, Platform: samples[i].Platform}) != s0 {
-				uniform = false
-				break
-			}
+		router, err := pipeline.NewRouter(c.ring, sinks)
+		if err != nil {
+			panic(err) // one sink per member by construction: cannot happen
 		}
-		if uniform {
-			if err := r.sink(s0).Publish(samples); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		scratch := c.routeScratch
-		for i := range scratch {
-			scratch[i] = scratch[i][:0]
-		}
-		for _, smp := range samples {
-			s := c.shardOf(model.SpecKey{Job: smp.Job, Platform: smp.Platform})
-			scratch[s] = append(scratch[s], smp)
-		}
-		for s, part := range scratch {
-			if len(part) == 0 {
-				continue
-			}
-			if err := r.sink(s).Publish(part); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+		c.routers[i] = router
 	}
-	return firstErr
 }
 
 // sortSpecsByKey sorts specs by (job, platform) — the publish order of
@@ -196,75 +146,40 @@ func sortSpecsByKey(specs []model.Spec) {
 // applyReshard executes one live reshard event (From→To shards) in the
 // serial commit phase:
 //
-//  1. New shards (grow) get fresh buses; they adopt the tier's
-//     recompute cadence from shard 0 so every shard keeps recomputing
-//     on the same ticks — the spec-equivalence guarantee depends on a
-//     shared recompute schedule.
-//  2. The ring is rebuilt and ONLY moved keys' builder state is handed
-//     off, shard-by-shard in index order, via ExportKeys →
-//     ImportCheckpoint (the checkpoint machinery). An import error is
-//     a bug (split-brain ownership) and panics.
+//  1. New shards (grow) get fresh buses (see growBuses).
+//  2. The sample path is rewired over the new ring, and ONLY moved
+//     keys' builder state is handed off, shard-by-shard in index order,
+//     via ExportKeys → ImportCheckpoint (the checkpoint machinery). An
+//     import error is a bug (split-brain ownership) and panics.
 //  3. Retiring shards (shrink) hand off everything; their pipeline
 //     stats carry over so fleet totals never go backwards.
-//  4. Spooled-but-undelivered batches are lifted out of the old spool
-//     layout and re-routed through the new ring in machine-index
-//     order, preserving per-key arrival order (the only order specs
-//     depend on). They count as neither replayed nor dropped.
+//  4. Spooled-but-undelivered batches are lifted out of the old spools
+//     and re-routed through the new routers in machine-index order,
+//     preserving per-key arrival order (the only order specs depend
+//     on). They count as neither replayed nor dropped; a batch whose
+//     new shard is down simply spools there.
 func (c *Cluster) applyReshard(ev ReshardEvent) {
-	oldShards := c.shards
-	newShards := ev.To
+	oldShards, newShards := c.shards, ev.To
 	nowT := c.now
 
-	// Phase 1: grow the bus set. Cadence adoption goes through an
-	// empty handoff frame, exercising the same ImportCheckpoint path a
-	// real shard bootstrap uses.
-	lastRecompute := c.buses[0].Builder().LastRecompute()
-	for s := oldShards; s < newShards; s++ {
-		bus := c.newShardBus(s, true)
-		if !lastRecompute.IsZero() {
-			cp := core.Checkpoint{Version: core.CheckpointVersion, LastRecompute: lastRecompute}
-			if err := bus.Builder().ImportCheckpoint(cp); err != nil {
-				panic(fmt.Sprintf("cluster: reshard cadence adoption: %v", err))
-			}
-		}
-		for _, a := range c.agents {
-			bus.Watch(a)
-		}
-		c.buses = append(c.buses, bus)
-	}
-	if newShards > 1 {
-		for s := 0; s < newShards; s++ {
-			c.buses[s].SetShard(shardName(s))
-		}
-	}
+	// Phase 1: grow the bus set.
+	c.growBuses(newShards)
 
-	// Phase 2: rebuild the ring and hand off moved keys. Old shards are
-	// visited in index order and Keys() is sorted, so the handoff
-	// sequence is deterministic.
-	var newRing *pipeline.Ring
-	if newShards > 1 {
-		newRing = pipeline.NewRing(shardMembers(newShards), pipeline.DefaultVnodes)
-	}
-	ownerNew := func(key model.SpecKey) int {
-		if newShards == 1 {
-			return 0
-		}
-		return newRing.OwnerIndex(key)
-	}
+	// Phase 2: swap in the new ring's sample path and hand off moved
+	// keys. Old shards are visited in index order and Keys() is sorted,
+	// so the handoff sequence is deterministic.
+	oldSpools := c.spools
+	c.wireSamplePath(newShards)
 	moved := 0
 	for os := 0; os < oldShards; os++ {
 		b := c.buses[os].Builder()
-		keys := b.Keys()
-		byDest := make(map[int][]model.SpecKey)
-		for _, k := range keys {
-			d := ownerNew(k)
-			if d == os && os < newShards {
-				continue // stays home
+		byDest := make([][]model.SpecKey, newShards)
+		for _, k := range b.Keys() {
+			if d := c.ShardOf(k); d != os {
+				byDest[d] = append(byDest[d], k)
 			}
-			byDest[d] = append(byDest[d], k)
 		}
-		for d := 0; d < newShards; d++ {
-			ks := byDest[d]
+		for d, ks := range byDest {
 			if len(ks) == 0 {
 				continue
 			}
@@ -284,63 +199,15 @@ func (c *Cluster) applyReshard(ev ReshardEvent) {
 	}
 	c.buses = c.buses[:newShards]
 
-	// Phase 4: swap the routing tables, then re-route spooled backlog
-	// through the new ring. Swapping first lets the re-route go through
-	// the ordinary router path against the NEW spools; a batch whose
-	// new shard is down (or in reconnect backoff) simply spools there.
-	var oldSpools []*pipeline.Spooler
-	if c.spools != nil {
-		oldSpools = c.spools
-		c.spools = make([]*pipeline.Spooler, c.cfg.Machines*newShards)
-	}
-	c.ring = newRing
-	c.shards = newShards
-	if c.shardByKey == nil {
-		c.shardByKey = make(map[model.SpecKey]int)
-	} else {
-		for k := range c.shardByKey {
-			delete(c.shardByKey, k)
-		}
-	}
-	if c.routers == nil {
-		c.routers = make([]shardRouter, c.cfg.Machines)
-		for i := range c.routers {
-			c.routers[i] = shardRouter{c: c, machine: i}
-		}
-	}
-	if cap(c.routeScratch) >= newShards {
-		c.routeScratch = c.routeScratch[:newShards]
-	} else {
-		c.routeScratch = make([][]model.Sample, newShards)
-	}
-	if c.shardDown != nil {
-		oldDown, oldPrev := c.shardDown, c.prevShardDown
-		c.shardDown = make([]bool, newShards)
-		c.prevShardDown = make([]bool, newShards)
-		copy(c.shardDown, oldDown)
-		copy(c.prevShardDown, oldPrev)
-		// Reconnect windows are keyed by (machine, shard) under the OLD
-		// layout; after a reshard the links are new, so they start clean.
-		c.reconnectUntil = make([]time.Time, c.cfg.Machines*newShards)
-	}
-	if oldSpools != nil {
-		for i := 0; i < c.cfg.Machines; i++ {
-			for s := 0; s < newShards; s++ {
-				c.spools[i*newShards+s] = c.newShardSpool(i, s)
-			}
-		}
-		for i := 0; i < c.cfg.Machines; i++ {
-			for s := 0; s < oldShards; s++ {
-				old := oldSpools[i*oldShards+s]
-				st := old.Stats()
-				// The retired spool's lifetime counters fold into the
-				// cumulative stats so FaultStats never goes backwards.
-				c.fstats.SpoolDropped += st.Dropped
-				c.fstats.SpoolReplayed += st.Replayed
-				for _, batch := range old.TakeAll() {
-					_ = c.routers[i].Publish(batch)
-				}
-			}
+	// Phase 4: re-route the old spools' backlog.
+	for j, old := range oldSpools {
+		// The retired spool's lifetime counters fold into the
+		// cumulative stats so FaultStats never goes backwards.
+		st := old.Stats()
+		c.fstats.SpoolDropped += st.Dropped
+		c.fstats.SpoolReplayed += st.Replayed
+		for _, batch := range old.TakeAll() {
+			_ = c.routers[j/oldShards].Publish(batch)
 		}
 	}
 	c.fstats.ReshardsApplied++

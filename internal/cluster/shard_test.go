@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -93,10 +94,6 @@ func TestShardRoutingMatchesRing(t *testing.T) {
 	if c.Bus() != c.ShardBus(0) {
 		t.Error("Bus() must alias shard 0")
 	}
-	ring := c.Ring()
-	if ring == nil {
-		t.Fatal("sharded cluster has no ring")
-	}
 	owner := make(map[model.SpecKey]int)
 	total := 0
 	for s := 0; s < c.NumShards(); s++ {
@@ -106,7 +103,7 @@ func TestShardRoutingMatchesRing(t *testing.T) {
 				t.Errorf("key %v owned by both shard %d and shard %d", k, prev, s)
 			}
 			owner[k] = s
-			if want := ring.OwnerIndex(k); want != s {
+			if want := c.ShardOf(k); want != s {
 				t.Errorf("key %v on shard %d, but the ring assigns shard %d", k, s, want)
 			}
 		}
@@ -126,6 +123,96 @@ func TestShardRoutingMatchesRing(t *testing.T) {
 	}
 	if recv == 0 || recv != sum {
 		t.Errorf("per-shard received sums to %d, PipelineStats says %d", sum, recv)
+	}
+}
+
+// pushLog is a spec watcher recording every push's UpdatedAt per key.
+// Pushes happen in the serial commit phase, so it needs no lock.
+type pushLog map[model.SpecKey][]time.Time
+
+func (p pushLog) WantSpec(model.SpecKey) bool { return true }
+func (p pushLog) DeliverSpec(spec model.Spec) {
+	p[spec.Key()] = append(p[spec.Key()], spec.UpdatedAt)
+}
+
+// TestShardNumbersFollowMemberNames runs twelve shards, where the
+// ring's member order (sorted as strings: shard-0, shard-1, shard-10,
+// shard-11, shard-2, …) stops matching shard numbers. Shard s must
+// still be the ring member NAMED shard-s: every key sits in the bus
+// whose label equals Ring.Owner(key), and shardblackout=10 stales
+// exactly the keys shard-10 owns — the same keys a cpi2aggregator
+// started as -shard-id shard-10 would own.
+func TestShardNumbersFollowMemberNames(t *testing.T) {
+	const shards, down = 12, 10
+	warm, interval, blackoutLen := 12*time.Minute, 2*time.Minute, 5*time.Minute
+	bl := Window{From: warm + 3*time.Minute, To: warm + 3*time.Minute + blackoutLen}
+
+	// The ring is a pure function of membership, so job names can be
+	// picked ahead of the run: one on the shard to black out, one on a
+	// shard whose number and sorted position also differ.
+	ring := pipeline.NewRing(shardMembers(shards), 0)
+	jobOn := func(member string) string {
+		for i := 0; ; i++ {
+			job := fmt.Sprintf("svc-%d", i)
+			if ring.Owner(model.SpecKey{Job: model.JobName(job), Platform: model.PlatformA}) == member {
+				return job
+			}
+		}
+	}
+	c := New(Config{
+		Seed:           7,
+		Machines:       8,
+		CPUsPerMachine: 16,
+		Shards:         shards,
+		Params:         core.Params{MinSamplesPerTask: 5, SpecRecomputeInterval: interval},
+		Faults:         &FaultPlan{ShardBlackouts: []ShardBlackoutEvent{{Shard: down, Window: bl}}},
+	})
+	defer c.Close()
+	pushes := pushLog{}
+	for s := 0; s < shards; s++ {
+		c.ShardBus(s).Watch(pushes)
+	}
+	for _, member := range []string{shardName(down), shardName(2)} {
+		if err := c.AddJob(QuietServiceJob(jobOn(member), 16, 0.8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := WarmUpSpecs(c, warm); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(14 * time.Minute)
+
+	keys := 0
+	for s := 0; s < shards; s++ {
+		bus := c.ShardBus(s)
+		if bus.Shard() != shardName(s) {
+			t.Errorf("bus %d is labelled %q, want %q", s, bus.Shard(), shardName(s))
+		}
+		for _, k := range bus.Builder().Keys() {
+			keys++
+			if owner := ring.Owner(k); owner != bus.Shard() {
+				t.Errorf("key %v sits in the bus labelled %s, but the ring's owner is %s", k, bus.Shard(), owner)
+			}
+			if got := c.ShardOf(k); got != s {
+				t.Errorf("key %v sits in bus %d, but ShardOf says %d", k, s, got)
+			}
+		}
+	}
+	if keys != 2 || len(pushes) != 2 {
+		t.Fatalf("%d keys in builders, %d keys pushed; want 2 and 2", keys, len(pushes))
+	}
+	for k, times := range pushes {
+		var worst time.Duration
+		for i := 1; i < len(times); i++ {
+			if gap := times[i].Sub(times[i-1]); gap > worst {
+				worst = gap
+			}
+		}
+		stale, want := worst >= blackoutLen, ring.Owner(k) == shardName(down)
+		if stale != want {
+			t.Errorf("key %v (owner %s): worst push gap %v, blackout %v of shard %d; stale=%v, want %v",
+				k, ring.Owner(k), worst, blackoutLen, down, stale, want)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func extShardLoss(o Options) (*Report, error) {
 	// one-machine probe cluster reads the ownership map cheaply.
 	probe := cluster.New(cluster.Config{Seed: o.Seed, Machines: 1, Shards: shards})
 	epoch := probe.Now()
-	down := probe.Ring().OwnerIndex(model.SpecKey{Job: "bigtable", Platform: model.PlatformA})
+	down := probe.ShardOf(model.SpecKey{Job: "bigtable", Platform: model.PlatformA})
 	probe.Close()
 
 	run := func(faults *cluster.FaultPlan) (*cluster.Cluster, error) {
@@ -104,7 +104,7 @@ func extShardLoss(o Options) (*Report, error) {
 			continue
 		}
 		key := model.SpecKey{Job: inc.VictimJob, Platform: chaos.Machine(inc.Machine).Platform()}
-		byShard[chaos.Ring().OwnerIndex(key)]++
+		byShard[chaos.ShardOf(key)]++
 	}
 	onDead, onHealthy := byShard[down], 0
 	for s, n := range byShard {

@@ -151,13 +151,6 @@ func (b *Bus) SetValidator(v *core.SampleValidator) {
 	b.mu.Unlock()
 }
 
-// Validator returns the installed ingress validator (nil if none).
-func (b *Bus) Validator() *core.SampleValidator {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.validator
-}
-
 // Publish implements SampleSink: invalid samples are counted and
 // dropped, valid ones are folded into the builder.
 func (b *Bus) Publish(samples []model.Sample) error {

@@ -101,8 +101,9 @@ func (r *Ring) Owner(key model.SpecKey) string {
 }
 
 // OwnerIndex returns the owning member's index into Members() (-1 on
-// an empty ring). The cluster simulator uses the index directly as the
-// shard number.
+// an empty ring). Members() is sorted as strings, so the index says
+// nothing about a member's name ("shard-10" sorts before "shard-2"):
+// it is for tables built in Members() order, as Router's sinks are.
 func (r *Ring) OwnerIndex(key model.SpecKey) int {
 	if len(r.points) == 0 {
 		return -1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -102,6 +103,11 @@ type Spooler struct {
 	replayed int64
 	closed   bool
 
+	// depth mirrors len(q) so the caller-paced drain of an empty spool —
+	// every machine, every tick, in the cluster simulation — is one
+	// atomic load instead of a lock round-trip.
+	depth atomic.Int64
+
 	started bool
 	kick    chan struct{}
 	stop    chan struct{}
@@ -113,7 +119,7 @@ func NewSpooler(next SampleSink, cfg SpoolConfig) *Spooler {
 	return &Spooler{
 		next:    next,
 		cfg:     cfg.Sanitize(),
-		metrics: &Metrics{},
+		metrics: noMetrics,
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -123,12 +129,11 @@ func NewSpooler(next SampleSink, cfg SpoolConfig) *Spooler {
 // SetMetrics instruments the spooler (nil disables).
 func (s *Spooler) SetMetrics(m *Metrics) {
 	if m == nil {
-		m = &Metrics{}
+		m = noMetrics
 	}
 	s.mu.Lock()
 	s.metrics = m
-	m.SpooledBatches.Set(float64(len(s.q)))
-	m.SpooledBytes.Set(float64(s.qBytes))
+	s.depthChangedLocked()
 	s.mu.Unlock()
 }
 
@@ -184,8 +189,7 @@ func (s *Spooler) enqueueLocked(samples []model.Sample) {
 		s.metrics.SpillDropped.Inc()
 		s.metrics.DroppedBatches.Inc()
 	}
-	s.metrics.SpooledBatches.Set(float64(len(s.q)))
-	s.metrics.SpooledBytes.Set(float64(s.qBytes))
+	s.depthChangedLocked()
 }
 
 // TryDrain replays spooled batches in order until the spool is empty
@@ -202,13 +206,16 @@ func (s *Spooler) TryDrain() (int, error) { return s.TryDrainAt(time.Time{}) }
 // visible in the causal trace. The cluster simulation passes its
 // deterministic commit-phase clock; callers without one use TryDrain.
 func (s *Spooler) TryDrainAt(now time.Time) (int, error) {
+	if s.depth.Load() == 0 {
+		return 0, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for len(s.q) > 0 {
 		head := s.q[0]
 		if err := s.next.Publish(head.samples); err != nil {
-			s.metricsUpdateLocked()
+			s.depthChangedLocked()
 			return n, err
 		}
 		s.q[0].samples = nil
@@ -241,7 +248,7 @@ func (s *Spooler) TryDrainAt(now time.Time) (int, error) {
 	if len(s.q) == 0 {
 		s.q = nil // release the backing array after a full drain
 	}
-	s.metricsUpdateLocked()
+	s.depthChangedLocked()
 	return n, nil
 }
 
@@ -264,21 +271,20 @@ func (s *Spooler) TakeAll() [][]model.Sample {
 	}
 	s.q = nil
 	s.qBytes = 0
-	s.metricsUpdateLocked()
+	s.depthChangedLocked()
 	return out
 }
 
-func (s *Spooler) metricsUpdateLocked() {
+// depthChangedLocked republishes the spool depth after s.q changed.
+// Caller holds s.mu.
+func (s *Spooler) depthChangedLocked() {
+	s.depth.Store(int64(len(s.q)))
 	s.metrics.SpooledBatches.Set(float64(len(s.q)))
 	s.metrics.SpooledBytes.Set(float64(s.qBytes))
 }
 
 // Len returns the number of batches currently spooled.
-func (s *Spooler) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.q)
-}
+func (s *Spooler) Len() int { return int(s.depth.Load()) }
 
 // SpoolStats is a point-in-time snapshot of spool activity.
 type SpoolStats struct {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"net"
@@ -92,13 +93,23 @@ func TestClientCountsWireErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	// The fake server consumes the client's hello before it answers (a
+	// close with unread input turns into an RST, which the client would
+	// classify as "read") and holds the garbage back until the test has
+	// installed its metrics and event log (the read loop starts inside
+	// Dial, so an earlier frame could be counted against nothing).
+	instrumented := make(chan struct{}, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+			return
+		}
+		<-instrumented
 		_, _ = conn.Write([]byte("this is not a wire frame\n"))
-		conn.Close()
 	}()
 
 	client, err := Dial(context.Background(), ln.Addr().String(), nil)
@@ -111,6 +122,7 @@ func TestClientCountsWireErrors(t *testing.T) {
 	client.SetMetrics(cm)
 	events := obs.NewEventLog(16, nil)
 	client.SetEvents(events)
+	instrumented <- struct{}{}
 
 	<-client.Done()
 	if got := cm.WireErrors.With("decode").Value(); got != 1 {

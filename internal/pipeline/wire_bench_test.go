@@ -1,0 +1,125 @@
+package pipeline
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"repro/internal/model"
+)
+
+// The codec numbers ROADMAP item 3 asks for before one data-plane
+// framing is deleted: the same two messages — a 16-sample batch (one
+// machine's sampling window) and one spec push — through the JSON
+// framing and the binary v2 framing, codec only (no socket, no bufio).
+//
+//	go test -run '^$' -bench 'BenchmarkWire' -benchmem ./internal/pipeline
+
+var wireBenchMsgs = []struct {
+	name    string
+	msg     wireMsg
+	samples int
+}{
+	{"samples16", wireMsg{Type: msgSamples, Samples: wireBenchSamples(16)}, 16},
+	{"spec", wireMsg{Type: msgSpec, TraceID: "5f1d6c0a9b3e4d27", Spec: &model.Spec{
+		Job: "websearch-leaf", Platform: model.PlatformA, NumSamples: 48211, NumTasks: 640,
+		CPUUsageMean: 1.37, CPIMean: 1.8234, CPIStddev: 0.2117, UpdatedAt: day0.Add(36 * time.Hour),
+	}}, 0},
+}
+
+func wireBenchSamples(n int) []model.Sample {
+	out := make([]model.Sample, n)
+	for i := range out {
+		out[i] = model.Sample{
+			Job:       "websearch-leaf",
+			Task:      model.TaskID{Job: "websearch-leaf", Index: 100 + i},
+			Platform:  model.PlatformA,
+			Timestamp: day0.Add(90 * time.Minute),
+			CPUUsage:  0.8 + float64(i)*0.013,
+			CPI:       1.7 + float64(i)*0.0171,
+			Machine:   "machine-0421",
+			TraceID:   "9c41e07ab2d85f63",
+		}
+	}
+	return out
+}
+
+// wireBenchSink keeps the compiler from eliding the measured calls.
+var wireBenchSink int
+
+func jsonFrame(tb testing.TB, msg wireMsg) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(msg); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reportFrame adds the frame size to a finished benchmark's results
+// (after the loop: ResetTimer discards reported metrics).
+func reportFrame(b *testing.B, frame []byte, samples int) {
+	b.SetBytes(int64(len(frame)))
+	b.ReportMetric(float64(len(frame)), "frame_B")
+	if samples > 0 {
+		b.ReportMetric(float64(len(frame))/float64(samples), "B/sample")
+	}
+	b.ReportAllocs()
+}
+
+func BenchmarkWireEncode(b *testing.B) {
+	for _, m := range wireBenchMsgs {
+		b.Run(m.name+"/json", func(b *testing.B) {
+			// As Client.send and serverConn do: one long-lived encoder.
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := enc.Encode(m.msg); err != nil {
+					b.Fatal(err)
+				}
+				wireBenchSink += buf.Len()
+			}
+			reportFrame(b, buf.Bytes(), m.samples)
+		})
+		b.Run(m.name+"/binary", func(b *testing.B) {
+			var buf []byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = appendBinaryFrame(buf[:0], m.msg)
+				wireBenchSink += len(buf)
+			}
+			reportFrame(b, buf, m.samples)
+		})
+	}
+}
+
+func BenchmarkWireDecode(b *testing.B) {
+	for _, m := range wireBenchMsgs {
+		b.Run(m.name+"/json", func(b *testing.B) {
+			frame := jsonFrame(b, m.msg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				msg, err := decodeFrame(frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wireBenchSink += len(msg.Samples)
+			}
+			reportFrame(b, frame, m.samples)
+		})
+		b.Run(m.name+"/binary", func(b *testing.B) {
+			frame := appendBinaryFrame(nil, m.msg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				msg, err := decodeBinaryPayload(frame[binHeaderLen:])
+				if err != nil {
+					b.Fatal(err)
+				}
+				wireBenchSink += len(msg.Samples)
+			}
+			reportFrame(b, frame, m.samples)
+		})
+	}
+}
