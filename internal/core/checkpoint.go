@@ -113,9 +113,9 @@ func (b *SpecBuilder) checkpointLocked(now time.Time, only map[model.SpecKey]boo
 			Oldest:   agg.oldest,
 			Newest:   agg.newest,
 		}
-		for task, n := range agg.tasks {
+		agg.tasks.each(key.Job, func(task model.TaskID, n int64) {
 			p.Tasks = append(p.Tasks, CheckpointTask{Task: task, Samples: n})
-		}
+		})
 		sort.Slice(p.Tasks, func(i, j int) bool {
 			return p.Tasks[i].Task.String() < p.Tasks[j].Task.String()
 		})
@@ -198,18 +198,18 @@ func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.S
 		agg := &pendingAgg{
 			cpi:      stats.MomentsFromState(p.CPI),
 			cpuUsage: stats.MomentsFromState(p.CPUUsage),
-			tasks:    make(map[model.TaskID]int64, len(p.Tasks)),
 			oldest:   p.Oldest,
 			newest:   p.Newest,
 		}
 		for _, t := range p.Tasks {
-			if t.Samples < 0 {
-				return nil, nil, nil, fmt.Errorf("core: checkpoint pending for %s/%s: negative samples for %v", p.Job, p.Platform, t.Task)
+			// A counted task has at least one sample; zero would be
+			// indistinguishable from a task never seen.
+			if t.Samples <= 0 {
+				return nil, nil, nil, fmt.Errorf("core: checkpoint pending for %s/%s: %d samples for %v", p.Job, p.Platform, t.Samples, t.Task)
 			}
-			if _, dup := agg.tasks[t.Task]; dup {
+			if agg.tasks.add(p.Job, t.Task, t.Samples) != 0 {
 				return nil, nil, nil, fmt.Errorf("core: checkpoint pending for %s/%s: duplicate task %v", p.Job, p.Platform, t.Task)
 			}
-			agg.tasks[t.Task] = t.Samples
 		}
 		pending[key] = agg
 	}

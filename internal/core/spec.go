@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"time"
@@ -37,10 +39,77 @@ type SpecBuilder struct {
 type pendingAgg struct {
 	cpi      stats.Moments
 	cpuUsage stats.Moments
-	tasks    map[model.TaskID]int64 // samples per task
+	tasks    taskCounts // samples per task
 	// oldest/newest bound the sample timestamps in the interval; the
 	// age of oldest at recompute time is the sample-to-spec SLI.
 	oldest, newest time.Time
+}
+
+// taskPageLen counters make one page of taskCounts, and indexes below
+// maxDenseTask are counted in pages: whatever its index, one sample makes
+// a key allocate at most the page table (maxDenseTask/taskPageLen
+// pointers, 8 KiB) plus one page.
+const (
+	taskPageLen  = 64
+	maxDenseTask = 1 << 16
+)
+
+// taskCounts counts one key's samples per task. A task of the key's own
+// job with an index in [0, maxDenseTask) — all a well-behaved agent
+// reports — is counted by index in lazily allocated pages, so the fold
+// hashes nothing; a foreign Task.Job or any other index goes to a map.
+type taskCounts struct {
+	pages  []*[taskPageLen]int64 // pages[i/taskPageLen][i%taskPageLen] = samples of task i; 0 = not seen
+	paged  int                   // tasks with a non-zero paged counter
+	sparse map[model.TaskID]int64
+}
+
+// add counts n more samples (n > 0) for t under a key of job own, and
+// returns the task's count before the call.
+func (c *taskCounts) add(own model.JobName, t model.TaskID, n int64) (prev int64) {
+	if t.Job != own || uint(t.Index) >= maxDenseTask {
+		if c.sparse == nil {
+			c.sparse = make(map[model.TaskID]int64)
+		}
+		prev = c.sparse[t]
+		c.sparse[t] = prev + n
+		return prev
+	}
+	p := t.Index / taskPageLen
+	if p >= len(c.pages) {
+		c.pages = append(c.pages, make([]*[taskPageLen]int64, p+1-len(c.pages))...)
+	}
+	if c.pages[p] == nil {
+		c.pages[p] = new([taskPageLen]int64)
+	}
+	slot := &c.pages[p][t.Index%taskPageLen]
+	prev = *slot
+	if prev == 0 {
+		c.paged++
+	}
+	*slot = prev + n
+	return prev
+}
+
+// len returns the number of distinct tasks counted.
+func (c *taskCounts) len() int { return c.paged + len(c.sparse) }
+
+// each calls f for every counted task of a key of job own, in no
+// particular order.
+func (c *taskCounts) each(own model.JobName, f func(model.TaskID, int64)) {
+	for p, page := range c.pages {
+		if page == nil {
+			continue
+		}
+		for i, n := range page {
+			if n != 0 {
+				f(model.TaskID{Job: own, Index: p*taskPageLen + i}, n)
+			}
+		}
+	}
+	for t, n := range c.sparse {
+		f(t, n)
+	}
 }
 
 // specHistory is the age-weighted carry-over from prior intervals.
@@ -91,36 +160,107 @@ func (b *SpecBuilder) SetShard(shard string) {
 	b.mu.Unlock()
 }
 
-// AddSample folds one sample into the pending aggregation. Invalid
-// samples are rejected. Samples from tasks using almost no CPU are
-// still aggregated — the spec describes the job's whole population —
-// but near-zero-CPI garbage (no instructions retired) is dropped.
+// Why the fold refuses a sample. The errors are sentinels and the fold
+// formats nothing, so a flood of refused samples costs no allocation.
+var (
+	ErrSampleIncomplete = errors.New("core: sample missing job, platform or timestamp")
+	ErrSampleNegative   = errors.New("core: sample with negative cpu usage or cpi")
+	ErrSampleZeroCPI    = errors.New("core: sample with zero cpi")
+)
+
+// unfoldable returns why s may not enter a spec, or nil: the rules of
+// model.Sample.Validate, plus zero-CPI garbage (no instructions retired).
+// Samples from tasks using almost no CPU are still aggregated — the
+// spec describes the job's whole population.
+func unfoldable(s *model.Sample) error {
+	switch {
+	case s.Job == "" || s.Platform == "" || s.Timestamp.IsZero():
+		return ErrSampleIncomplete
+	case s.CPUUsage < 0 || s.CPI < 0:
+		return ErrSampleNegative
+	case s.CPI == 0:
+		return ErrSampleZeroCPI
+	}
+	return nil
+}
+
+// AddSample folds one sample into the pending aggregation — the batch
+// fold on a batch of one. A refused sample returns one of the
+// ErrSample sentinels.
 func (b *SpecBuilder) AddSample(s model.Sample) error {
-	if err := s.Validate(); err != nil {
+	if err := unfoldable(&s); err != nil {
 		return err
 	}
-	if s.CPI == 0 {
-		return fmt.Errorf("core: sample with zero CPI for %v", s.Task)
+	b.foldChunk([]model.Sample{s}, 0)
+	return nil
+}
+
+// foldChunkLen is how many samples AddBatch judges and then folds per
+// acquisition of the builder lock: one verdict bit each.
+const foldChunkLen = 64
+
+// AddBatch folds a batch into the pending aggregation, taking the
+// builder lock once (once per foldChunkLen samples for larger batches).
+// admit, when non-nil, is asked about every sample first — outside the
+// lock — and a sample it refuses is skipped; one it admits must still
+// pass the fold's own structural check. AddBatch returns how many
+// samples were folded and the index of the first one (-1 if none).
+// samples is only read, and not retained.
+func (b *SpecBuilder) AddBatch(samples []model.Sample, admit func(*model.Sample) bool) (folded, first int) {
+	first = -1
+	for base := 0; base < len(samples); base += foldChunkLen {
+		chunk := samples[base:min(base+foldChunkLen, len(samples))]
+		var skip uint64
+		for i := range chunk {
+			if s := &chunk[i]; admit != nil && !admit(s) || unfoldable(s) != nil {
+				skip |= 1 << i
+			}
+		}
+		n := len(chunk) - bits.OnesCount64(skip)
+		if n == 0 {
+			continue
+		}
+		if first < 0 {
+			first = base + bits.TrailingZeros64(^skip)
+		}
+		b.foldChunk(chunk, skip)
+		folded += n
 	}
+	return folded, first
+}
+
+// foldChunk folds the samples of chunk (at most foldChunkLen of them, not
+// all skipped) whose bit in skip is clear, under one lock acquisition.
+func (b *SpecBuilder) foldChunk(chunk []model.Sample, skip uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	key := model.SpecKey{Job: s.Job, Platform: s.Platform}
-	agg, ok := b.pending[key]
-	if !ok {
-		agg = &pendingAgg{tasks: make(map[model.TaskID]int64)}
-		b.pending[key] = agg
+	var key model.SpecKey
+	var agg *pendingAgg
+	for i := range chunk {
+		if skip&(1<<i) != 0 {
+			continue
+		}
+		s := &chunk[i]
+		// Batches come in runs of one key (a machine's tasks of one
+		// job); look the aggregate up once per run.
+		if agg == nil || s.Job != key.Job || s.Platform != key.Platform {
+			key = model.SpecKey{Job: s.Job, Platform: s.Platform}
+			if agg = b.pending[key]; agg == nil {
+				agg = &pendingAgg{}
+				b.pending[key] = agg
+			}
+		}
+		agg.cpi.Add(s.CPI)
+		agg.cpuUsage.Add(s.CPUUsage)
+		agg.tasks.add(key.Job, s.Task, 1)
+		if agg.oldest.IsZero() || s.Timestamp.Before(agg.oldest) {
+			agg.oldest = s.Timestamp
+		}
+		if s.Timestamp.After(agg.newest) {
+			agg.newest = s.Timestamp
+		}
 	}
-	agg.cpi.Add(s.CPI)
-	agg.cpuUsage.Add(s.CPUUsage)
-	agg.tasks[s.Task]++
-	if agg.oldest.IsZero() || s.Timestamp.Before(agg.oldest) {
-		agg.oldest = s.Timestamp
-	}
-	if s.Timestamp.After(agg.newest) {
-		agg.newest = s.Timestamp
-	}
-	b.metrics.SpecBacklog.Inc()
-	return nil
+	b.metrics.SpecBacklog.Add(float64(len(chunk) - bits.OnesCount64(skip)))
 }
 
 // PendingSamples returns how many samples are queued for key in the
@@ -203,7 +343,7 @@ func (b *SpecBuilder) Recompute(now time.Time) []model.Spec {
 		h.variance = variance
 		h.weight = tot
 		h.usageMean = (w*h.usageMean + n*agg.cpuUsage.Mean()) / tot
-		h.tasks = len(agg.tasks)
+		h.tasks = agg.tasks.len()
 	}
 	// Decay history for keys with no fresh samples too, so an idle
 	// job's stale spec loses influence over time.

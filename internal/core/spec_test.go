@@ -226,15 +226,24 @@ func TestSpecBuilderConcurrentAdds(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
+			// Odd workers fold batches of 100 (two lock acquisitions
+			// each), even ones a sample at a time.
+			var batch []model.Sample
 			for i := 0; i < 500; i++ {
-				_ = b.AddSample(model.Sample{
+				s := model.Sample{
 					Job:       "conc",
 					Task:      model.TaskID{Job: "conc", Index: w},
 					Platform:  model.PlatformA,
 					Timestamp: day0.Add(time.Duration(i) * time.Second),
 					CPUUsage:  1,
 					CPI:       1.5,
-				})
+				}
+				if w%2 == 0 {
+					_ = b.AddSample(s)
+				} else if batch = append(batch, s); len(batch) == 100 {
+					b.AddBatch(batch, nil)
+					batch = batch[:0]
+				}
 			}
 		}(w)
 	}

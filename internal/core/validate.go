@@ -139,7 +139,10 @@ func NewSampleValidator(source string, quarantineCap int) *SampleValidator {
 
 // Check classifies a sample, returning "" when it is acceptable or a
 // stable reason label otherwise. Pure: no quarantine, no metrics.
-func (v *SampleValidator) Check(s model.Sample) string {
+func (v *SampleValidator) Check(s model.Sample) string { return v.check(&s) }
+
+// check is Check without the 128-byte copy; it only reads s.
+func (v *SampleValidator) check(s *model.Sample) string {
 	if s.Job == "" || s.Platform == "" {
 		return "missing_field"
 	}
@@ -194,10 +197,10 @@ func (v *SampleValidator) Check(s model.Sample) string {
 	return ""
 }
 
-// Admit checks a sample, quarantining and counting it on rejection.
-// It reports whether the sample may proceed.
-func (v *SampleValidator) Admit(s model.Sample) bool {
-	reason := v.Check(s)
+// Admit checks a sample, quarantining (a copy) and counting it on
+// rejection. It reports whether the sample may proceed; s is only read.
+func (v *SampleValidator) Admit(s *model.Sample) bool {
+	reason := v.check(s)
 	if reason == "" {
 		return true
 	}
@@ -210,7 +213,7 @@ func (v *SampleValidator) Admit(s model.Sample) bool {
 			at = v.Now()
 		}
 		v.Quarantine.Add(QuarantinedSample{
-			Sample: s, Reason: reason, Source: v.Source, Time: at,
+			Sample: *s, Reason: reason, Source: v.Source, Time: at,
 		})
 	}
 	return false
@@ -220,9 +223,9 @@ func (v *SampleValidator) Admit(s model.Sample) bool {
 // The input slice is reused; callers must not retain it.
 func (v *SampleValidator) Filter(in []model.Sample) []model.Sample {
 	out := in[:0]
-	for _, s := range in {
-		if v.Admit(s) {
-			out = append(out, s)
+	for i := range in {
+		if v.Admit(&in[i]) {
+			out = append(out, in[i])
 		}
 	}
 	return out

@@ -95,14 +95,15 @@ func TestSampleValidatorAdmitQuarantinesAndCounts(t *testing.T) {
 	v := NewSampleValidator("agent", 4)
 	v.Metrics = NewMetrics(reg)
 
-	if !v.Admit(goodSample(j0)) {
+	good := goodSample(j0)
+	if !v.Admit(&good) {
 		t.Fatal("good sample rejected")
 	}
 	bad := goodSample(j0)
 	bad.CPI = math.NaN()
 	for i := 0; i < 6; i++ {
 		bad.Task.Index = i
-		if v.Admit(bad) {
+		if v.Admit(&bad) {
 			t.Fatal("bad sample admitted")
 		}
 	}
@@ -172,7 +173,7 @@ func FuzzSampleValidator(f *testing.F) {
 		if unix != 0 {
 			s.Timestamp = time.Unix(unix, 0).UTC()
 		}
-		if v.Admit(s) {
+		if v.Admit(&s) {
 			if s.Job == "" || s.Platform == "" || s.Timestamp.IsZero() {
 				t.Fatalf("admitted structurally invalid sample %+v", s)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -173,22 +174,77 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	f.Add([]byte{binMagic, 99, 0, 0, 0, 0})
 	f.Add(appendBinaryFrame(nil, wireMsg{Type: "unknown-future-type"}))
 	f.Add(append(appendBinaryFrame(nil, wireMsg{Type: msgSubscribe}), []byte("{\"type\":\"subscribe\"}\n")...))
+	// The decoder carries state from frame to frame (reused sample slots,
+	// string memos), so every input also goes through a reader that has
+	// already decoded an unrelated frame sharing some of its strings; the
+	// two readers must agree message for message.
+	warm := sample
+	warm.Task.Job, warm.Machine, warm.TraceID = "elsewhere", "m0", "0123456701234567"
+	prelude := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{warm, sample, warm}})
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
+		used := newFrameReader(io.MultiReader(bytes.NewReader(prelude), bytes.NewReader(stream)))
+		if msg, err := used.next(); err != nil || len(msg.Samples) != 3 {
+			t.Fatalf("prelude frame: %d samples, %v", len(msg.Samples), err)
+		}
 		for i := 0; i < 64; i++ { // bound work per input
 			msg, err := fr.next()
+			umsg, uerr := used.next()
+			if (err == nil) != (uerr == nil) || wireErrorReason(err) != wireErrorReason(uerr) {
+				t.Fatalf("frame %d: fresh reader: %v, used reader: %v", i, err, uerr)
+			}
 			if err != nil {
 				return
 			}
-			if msg.Type == "" {
-				// Unknown frame type: ignored, keep reading.
+			if !sameWireMsg(msg, umsg) {
+				t.Fatalf("frame %d: fresh reader decoded %+v, used reader %+v", i, msg, umsg)
+			}
+			data := msg.Type == msgSamples || msg.Type == msgSubscribe || msg.Type == msgSpec && msg.Spec != nil
+			if !data {
+				// Unknown frame type (ignored by the read loops), or a JSON
+				// frame with no binary encoding: keep reading.
 				continue
 			}
-			if _, err := json.Marshal(msg); err != nil {
-				t.Fatalf("decoded frame does not re-encode: %v", err)
+			// What decoded must survive the binary encoding again. (Not
+			// JSON: a binary frame can carry NaN and years past 9999.)
+			again, err := newFrameReader(bytes.NewReader(appendBinaryFrame(nil, msg))).next()
+			if err != nil || !sameWireMsg(msg, again) {
+				t.Fatalf("frame %d does not re-encode: %+v became %+v, %v", i, msg, again, err)
 			}
 		}
 	})
+}
+
+// sameSample compares bit for bit (NaN equals NaN; reflect.DeepEqual
+// would not say so).
+func sameSample(a, b model.Sample) bool {
+	return a.Job == b.Job && a.Task == b.Task && a.Platform == b.Platform &&
+		a.Timestamp.Equal(b.Timestamp) && a.Machine == b.Machine && a.TraceID == b.TraceID &&
+		floatEq(a.CPUUsage, b.CPUUsage) && floatEq(a.CPI, b.CPI)
+}
+
+func sameWireMsg(a, b wireMsg) bool {
+	if a.Type != b.Type || a.TraceID != b.TraceID || a.Wire != b.Wire ||
+		len(a.Samples) != len(b.Samples) || len(a.Jobs) != len(b.Jobs) || (a.Spec == nil) != (b.Spec == nil) {
+		return false
+	}
+	for i := range a.Jobs {
+		if a.Jobs[i] != b.Jobs[i] {
+			return false
+		}
+	}
+	for i := range a.Samples {
+		if !sameSample(a.Samples[i], b.Samples[i]) {
+			return false
+		}
+	}
+	if a.Spec == nil {
+		return true
+	}
+	sa, sb := *a.Spec, *b.Spec
+	return sa.Job == sb.Job && sa.Platform == sb.Platform && sa.NumSamples == sb.NumSamples &&
+		sa.NumTasks == sb.NumTasks && sa.UpdatedAt.Equal(sb.UpdatedAt) && floatEq(sa.CPUUsageMean, sb.CPUUsageMean) &&
+		floatEq(sa.CPIMean, sb.CPIMean) && floatEq(sa.CPIStddev, sb.CPIStddev)
 }
 
 // TestBinaryRoundTrip pins encode→decode equality for every message
@@ -222,31 +278,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", want.Type, err)
 		}
-		if got.Type != want.Type || got.TraceID != want.TraceID ||
-			len(got.Samples) != len(want.Samples) || len(got.Jobs) != len(want.Jobs) {
-			t.Fatalf("%s: round-trip mismatch: %+v", want.Type, got)
-		}
-		for i := range want.Samples {
-			w, g := want.Samples[i], got.Samples[i]
-			same := g.Job == w.Job && g.Task == w.Task && g.Platform == w.Platform &&
-				g.Timestamp.Equal(w.Timestamp) && g.Machine == w.Machine && g.TraceID == w.TraceID &&
-				floatEq(g.CPUUsage, w.CPUUsage) && floatEq(g.CPI, w.CPI)
-			if !same {
-				t.Errorf("%s sample %d: got %+v want %+v", want.Type, i, g, w)
-			}
-		}
-		for i := range want.Jobs {
-			if got.Jobs[i] != want.Jobs[i] {
-				t.Errorf("subscribe key %d: got %+v", i, got.Jobs[i])
-			}
-		}
-		if want.Spec != nil {
-			w, g := *want.Spec, *got.Spec
-			if g.Job != w.Job || g.Platform != w.Platform || g.NumSamples != w.NumSamples ||
-				g.NumTasks != w.NumTasks || g.CPUUsageMean != w.CPUUsageMean ||
-				g.CPIMean != w.CPIMean || g.CPIStddev != w.CPIStddev || !g.UpdatedAt.Equal(w.UpdatedAt) {
-				t.Errorf("spec round-trip: got %+v want %+v", g, w)
-			}
+		if !sameWireMsg(got, want) {
+			t.Errorf("%s: round-trip mismatch: got %+v want %+v", want.Type, got, want)
 		}
 	}
 }

@@ -6,10 +6,11 @@
 // Two transports are provided over the same aggregation code:
 //
 //   - In-process (Bus): the cluster simulator's fast path.
-//   - TCP (Server/Client): newline-delimited JSON over real sockets,
-//     used by cmd/cpi2agent and cmd/cpi2aggregator, so the distributed
-//     path is exercised honestly — batching, reconnects, and partial
-//     failure included.
+//   - TCP (Server/Client): length-prefixed binary v2 frames over real
+//     sockets (wirebin.go; JSON lines for the hello and for pre-v2
+//     peers), used by cmd/cpi2agent and cmd/cpi2aggregator, so the
+//     distributed path is exercised honestly — batching, reconnects,
+//     and partial failure included.
 //
 // Delivery is at-most-once, like the real system's monitoring pipe:
 // losing a CPI sample is harmless (the spec is statistical, and local
@@ -19,6 +20,7 @@ package pipeline
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -76,6 +78,11 @@ type Bus struct {
 	validator *core.SampleValidator
 	// owns, when set, is the shard-ownership filter (see SetOwner).
 	owns func(model.SpecKey) bool
+	// detail is the last ingest span's Detail, for detailOf = {admitted,
+	// batch size}: batch after batch admits the same n of n, so the
+	// string is built once, not per batch.
+	detail   string
+	detailOf [2]int
 }
 
 // NewBus creates a pipeline around the given spec builder.
@@ -157,42 +164,44 @@ func (b *Bus) Publish(samples []model.Sample) error {
 	return b.PublishBatches([][]model.Sample{samples})
 }
 
-// PublishBatches implements BatchSink: every sample across all batches
-// is folded into the builder, then the stats and metrics are updated
-// once — one b.mu acquisition per drain instead of one per batch.
+// PublishBatches implements BatchSink: each batch goes through the
+// builder's batch fold (one builder lock per batch) with the owner and
+// validator filter, then the stats and metrics are updated once — one
+// b.mu acquisition per drain instead of one per batch.
 func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 	b.mu.Lock()
 	v, tracer, shard, owns := b.validator, b.tracer, b.shard, b.owns
+	detail, detailOf := b.detail, b.detailOf
 	b.mu.Unlock()
 	var received, dropped, misrouted int64
-	for _, samples := range batches {
-		var admitted int
-		for _, s := range samples {
+	var admit func(*model.Sample) bool
+	if owns != nil || v != nil {
+		admit = func(s *model.Sample) bool {
 			if owns != nil && !owns(model.SpecKey{Job: s.Job, Platform: s.Platform}) {
 				misrouted++
-				dropped++
-				continue
+				return false
 			}
-			if v != nil && !v.Admit(s) {
-				dropped++
-				continue
-			}
-			if err := b.builder.AddSample(s); err != nil {
-				dropped++
-				continue
-			}
-			received++
-			admitted++
+			return v == nil || v.Admit(s)
 		}
+	}
+	for _, samples := range batches {
+		admitted, first := b.builder.AddBatch(samples, admit)
+		received += int64(admitted)
+		dropped += int64(len(samples) - admitted)
 		if tracer != nil && admitted > 0 {
-			first := samples[0]
+			// Stamped from the first sample that got in: a refused one
+			// may carry a forged timestamp or trace id.
+			from := &samples[first]
+			if of := [2]int{admitted, len(samples)}; of != detailOf {
+				detail, detailOf = strconv.Itoa(admitted)+"/"+strconv.Itoa(len(samples))+" samples admitted", of
+			}
 			tracer.Add(trace.Span{
-				TraceID: first.TraceID,
+				TraceID: from.TraceID,
 				Stage:   trace.StageIngest,
-				Machine: first.Machine,
+				Machine: from.Machine,
 				Shard:   shard,
-				Time:    first.Timestamp,
-				Detail:  fmt.Sprintf("%d/%d samples admitted", admitted, len(samples)),
+				Time:    from.Timestamp,
+				Detail:  detail,
 			})
 		}
 	}
@@ -202,6 +211,7 @@ func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 	b.mu.Lock()
 	b.received += received
 	b.dropped += dropped
+	b.detail, b.detailOf = detail, detailOf
 	m := b.metrics
 	b.mu.Unlock()
 	m.SamplesIn.Add(float64(received))

@@ -60,9 +60,11 @@ func decodeFrame(line []byte) (wireMsg, error) {
 // the hello exchange is JSON, everything after may be binary).
 type frameReader struct {
 	br *bufio.Reader
-	// line and payload are the reusable frame buffers.
+	// hdr, line and payload are the reusable frame buffers.
+	hdr     [binHeaderLen]byte
 	line    []byte
 	payload []byte
+	dec     decoder
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -70,6 +72,8 @@ func newFrameReader(r io.Reader) *frameReader {
 }
 
 // next returns the next decoded message. Blank JSON lines are skipped.
+// A binary samples message is valid until the following call: its
+// Samples slice is the decoder's, reused frame after frame.
 // On any error the stream must be abandoned: io.EOF means the peer
 // closed cleanly between frames; everything else is classified by
 // wireErrorReason for the drop accounting.
@@ -126,8 +130,8 @@ func (fr *frameReader) readLine() ([]byte, error) {
 // magic). A declared payload length over MaxFrameBytes is rejected
 // before any payload is read — the same oversize path as JSON lines.
 func (fr *frameReader) readBinary() (wireMsg, error) {
-	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.br, hdr); err != nil {
 		return wireMsg{}, truncated(err)
 	}
 	if hdr[0] != binMagic || hdr[1] != binVersion {
@@ -144,7 +148,7 @@ func (fr *frameReader) readBinary() (wireMsg, error) {
 	if _, err := io.ReadFull(fr.br, payload); err != nil {
 		return wireMsg{}, truncated(err)
 	}
-	return decodeBinaryPayload(payload)
+	return fr.dec.decode(payload)
 }
 
 // truncated normalizes a short read inside a frame: io.EOF mid-frame

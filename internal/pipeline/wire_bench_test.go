@@ -3,9 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -111,9 +113,10 @@ func BenchmarkWireDecode(b *testing.B) {
 		})
 		b.Run(m.name+"/binary", func(b *testing.B) {
 			frame := appendBinaryFrame(nil, m.msg)
+			dec := new(decoder) // as frameReader: one per connection
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				msg, err := decodeBinaryPayload(frame[binHeaderLen:])
+				msg, err := dec.decode(frame[binHeaderLen:])
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -122,4 +125,46 @@ func BenchmarkWireDecode(b *testing.B) {
 			reportFrame(b, frame, m.samples)
 		})
 	}
+}
+
+// ingestFrames encodes n 16-sample batches that differ in trace id, as
+// consecutive frames on a connection do, and in machine when machines
+// is set, as on a connection that multiplexes machines.
+func ingestFrames(n int, machines bool) [][]byte {
+	frames := make([][]byte, n)
+	for i := range frames {
+		samples := wireBenchSamples(16)
+		for j := range samples {
+			samples[j].TraceID = fmt.Sprintf("9c41e07ab2d85f6%d", i)
+			if machines {
+				samples[j].Machine = fmt.Sprintf("machine-%04d", i)
+			}
+		}
+		frames[i] = appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: samples})
+	}
+	return frames
+}
+
+// BenchmarkIngestBatch is the aggregator's cost of one 16-sample batch
+// once its frame is in memory: decode, owner/validator filter, fold.
+// Every fourth frame is a different machine's, with its own trace id,
+// so the per-batch string copies are paid as on a real connection.
+func BenchmarkIngestBatch(b *testing.B) {
+	frames := ingestFrames(4, true)
+	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
+	bus.SetValidator(core.NewSampleValidator("aggregator", 16))
+	dec := new(decoder)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		msg, err := dec.decode(frames[i%len(frames)][binHeaderLen:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = bus.Publish(msg.Samples) // the bus counts rejects; it never errors
+	}
+	b.StopTimer()
+	if got, _ := bus.Stats(); got != int64(16*b.N) {
+		b.Fatalf("folded %d samples, want %d", got, 16*b.N)
+	}
+	reportFrame(b, frames[0], 16)
 }

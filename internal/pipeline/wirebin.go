@@ -19,8 +19,9 @@ package pipeline
 // and nanoseconds (u32), decoded in UTC.
 //
 // Encoding is append-style into caller-owned buffers and decoding is
-// cursor-based over the payload slice, so a steady-state sender and
-// receiver allocate only for the decoded message contents.
+// cursor-based over the payload slice into a per-connection decoder
+// (below), so a steady-state sender allocates nothing and a receiver
+// only for strings it has not just seen: the per-batch trace id.
 //
 // Negotiation is send-side only (see tcp.go): a v2 client announces
 // itself with a JSON {"type":"hello","wire":2} frame; a v2 server acks
@@ -191,18 +192,22 @@ func (r *binReader) f64() float64 {
 	return math.Float64frombits(r.u64())
 }
 
-func (r *binReader) str() string {
+// bytes returns the next length-prefixed string as a view of the
+// payload, valid only until the payload buffer is reused.
+func (r *binReader) bytes() []byte {
 	n := int(r.u32())
 	// The length check against the remaining payload is what keeps a
 	// length/payload mismatch from turning into a huge allocation.
 	if r.err != nil || n < 0 || r.off+n > len(r.b) {
 		r.fail()
-		return ""
+		return nil
 	}
-	v := string(r.b[r.off : r.off+n])
+	v := r.b[r.off : r.off+n]
 	r.off += n
 	return v
 }
+
+func (r *binReader) str() string { return string(r.bytes()) }
 
 func (r *binReader) time() time.Time {
 	switch r.u8() {
@@ -219,20 +224,6 @@ func (r *binReader) time() time.Time {
 		r.fail()
 		return time.Time{}
 	}
-}
-
-func (r *binReader) sample() model.Sample {
-	var s model.Sample
-	s.Job = model.JobName(r.str())
-	s.Task.Job = model.JobName(r.str())
-	s.Task.Index = int(r.u64())
-	s.Platform = model.Platform(r.str())
-	s.Timestamp = r.time()
-	s.CPUUsage = r.f64()
-	s.CPI = r.f64()
-	s.Machine = r.str()
-	s.TraceID = r.str()
-	return s
 }
 
 func (r *binReader) spec() model.Spec {
@@ -253,26 +244,90 @@ func (r *binReader) spec() model.Spec {
 // byte. Used to bound the element-count preallocation below.
 const minBinSampleLen = 5*4 + 8 + 2*8 + 1
 
-// decodeBinaryPayload parses one v2 payload (the bytes after the
-// 6-byte frame header). Malformed input returns an error wrapping
-// errBadFrame and never panics — FuzzWireDecodeBinary enforces this.
-// Unknown message types decode to a zero wireMsg, which the read loops
-// ignore (forward compatibility, like unknown JSON "type" values).
-func decodeBinaryPayload(p []byte) (wireMsg, error) {
+// A decoder's job-name table holds at most jobMemoMax names of at most
+// maxMemoNameLen bytes; like the Router's memo it is flushed when full,
+// because names arrive from outside.
+const (
+	jobMemoMax     = 1024
+	maxMemoNameLen = 128
+)
+
+// decoder decodes the binary payloads of one connection. Samples are
+// decoded in place into one reused slice, valid until the next decode —
+// which SampleSink's "must not retain" already requires of consumers.
+// Strings are real copies, never views of the payload buffer, but a
+// repeated one is copied once: machine, platform and trace id are
+// compared with the previous sample's, Task.Job with the Job just
+// decoded, and job names go through the bounded table.
+type decoder struct {
+	samples  []model.Sample
+	jobs     map[string]model.JobName
+	machine  string
+	platform string
+	traceID  string
+}
+
+// same returns last when b spells it, and a copy of b otherwise.
+func same(last string, b []byte) string {
+	if string(b) == last {
+		return last
+	}
+	return string(b)
+}
+
+func (d *decoder) job(b []byte) model.JobName {
+	if j, ok := d.jobs[string(b)]; ok {
+		return j
+	}
+	j := model.JobName(b)
+	if len(b) <= maxMemoNameLen {
+		if d.jobs == nil || len(d.jobs) >= jobMemoMax {
+			d.jobs = make(map[string]model.JobName)
+		}
+		d.jobs[string(j)] = j
+	}
+	return j
+}
+
+// sample decodes the next sample into s, overwriting every field.
+func (d *decoder) sample(r *binReader, s *model.Sample) {
+	s.Job = d.job(r.bytes())
+	if tj := r.bytes(); string(tj) == string(s.Job) {
+		s.Task.Job = s.Job
+	} else {
+		s.Task.Job = d.job(tj)
+	}
+	s.Task.Index = int(r.u64())
+	d.platform = same(d.platform, r.bytes())
+	s.Platform = model.Platform(d.platform)
+	s.Timestamp = r.time()
+	s.CPUUsage = r.f64()
+	s.CPI = r.f64()
+	d.machine = same(d.machine, r.bytes())
+	s.Machine = d.machine
+	d.traceID = same(d.traceID, r.bytes())
+	s.TraceID = d.traceID
+}
+
+// decode parses one v2 payload (the bytes after the 6-byte frame
+// header). Malformed input returns an error wrapping errBadFrame and
+// never panics — FuzzWireDecodeBinary enforces this. Unknown message
+// types decode to a zero wireMsg, which the read loops ignore (forward
+// compatibility, like unknown JSON "type" values).
+func (d *decoder) decode(p []byte) (wireMsg, error) {
 	r := binReader{b: p}
 	var msg wireMsg
 	switch t := r.u8(); t {
 	case binMsgSamples:
-		count := int(r.u32())
 		// An adversarial count can exceed what the payload could hold;
-		// cap the preallocation by the bytes actually present.
-		capN := count
-		if max := len(p)/minBinSampleLen + 1; capN > max {
-			capN = max
+		// stop at the samples the bytes actually present could encode.
+		count := int(min(int64(r.u32()), int64(len(p)/minBinSampleLen+1)))
+		if cap(d.samples) < count {
+			d.samples = make([]model.Sample, count)
 		}
-		samples := make([]model.Sample, 0, capN)
+		samples := d.samples[:count]
 		for i := 0; i < count && r.err == nil; i++ {
-			samples = append(samples, r.sample())
+			d.sample(&r, &samples[i])
 		}
 		if r.err == nil {
 			msg.Type = msgSamples
