@@ -214,10 +214,11 @@ func writeClusterStepJSON() {
 		WarmupSteps int `json:"warmup_steps"`
 		// Results is the (workers, machines) matrix, machines-major.
 		Results []clusterStepResult `json:"results"`
-		// Speedup is machines/sec at workers=4, machines=1000 (the CI
-		// gate; the highest measured worker count if 4 was not run) over
-		// workers=1 at the same fleet size. 0 when the 1k rows were not
-		// measured in this run.
+		// Speedup is the median step time at workers=1, machines=1000
+		// over the median at workers=4 (the CI gate; the highest measured
+		// worker count if 4 was not run) at the same fleet size — medians,
+		// not the run means behind machines_per_sec, which one stalled
+		// step can move. 0 when the 1k rows were not measured in this run.
 		Speedup float64 `json:"speedup"`
 	}{
 		SchemaVersion: 3,
@@ -249,8 +250,8 @@ func writeClusterStepJSON() {
 		}
 	}
 	base, okBase := benchStepResults[benchKey{1, speedupMachines}]
-	if top, ok := benchStepResults[gate]; ok && okBase && gate.workers > 1 && base.MachinesPerSec > 0 {
-		out.Speedup = top.MachinesPerSec / base.MachinesPerSec
+	if top, ok := benchStepResults[gate]; ok && okBase && gate.workers > 1 && top.P50StepNs > 0 {
+		out.Speedup = base.P50StepNs / top.P50StepNs
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -35,7 +35,9 @@
 // Samples published while an aggregator is unreachable spool in a
 // bounded in-memory buffer (-spool-batches/-spool-bytes per shard,
 // drop-oldest) and replay in order when the redialer reconnects, so an
-// aggregator outage costs nothing but spec staleness.
+// aggregator outage costs nothing but spec staleness. An aggregator
+// that does not speak wire protocol v2 is refused: the connection drops
+// with a wire_error event (reason "decode") naming the version.
 //
 // The admin HTTP server on -metrics-addr serves /metrics (Prometheus
 // text format), /healthz, /buildinfo, /debug/incidents, /debug/specs,

@@ -14,7 +14,8 @@
 // default here is hourly. The admin HTTP server on -metrics-addr
 // serves /metrics, /healthz, /buildinfo, /debug/specs (the current
 // spec table), /debug/events (structured events, including wire_error
-// drops), /debug/ring (shard identity, ring membership, per-member
+// drops — an agent that does not speak wire protocol v2 is refused
+// with reason "decode"), /debug/ring (shard identity, ring membership, per-member
 // key counts, checkpoint age, last push/recompute timestamps), and
 // /debug/trace (aggregator-side causal spans: ingest, spec_build,
 // spec_push; ?id=<trace> for one chain, ?n=<count> for the most

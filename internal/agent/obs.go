@@ -25,10 +25,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 }
 
 // NewLocalMetrics returns an agent metric set backed by standalone
-// (unregistered) cells — a per-machine shard. Agents ticking on
-// concurrent goroutines each write their own shard instead of
+// (unregistered) cells — a per-machine local set. Agents ticking on
+// concurrent goroutines each write their own local set instead of
 // hammering the shared registry series' cache lines; a serial
-// coordinator folds shards into the registered set with DrainTo. The
+// coordinator folds local sets into the registered one with DrainTo. The
 // cluster does this once per machine per commit phase.
 func NewLocalMetrics() *Metrics {
 	return &Metrics{
@@ -70,7 +70,7 @@ func (a *Agent) SetMetrics(m *Metrics) {
 // Instrument points the agent directly at the shared registry series —
 // right for a daemon running one agent per process (cmd/cpi2agent).
 // A simulator ticking many agents in parallel should instead give each
-// agent a NewLocalMetrics shard and drain the shards serially, as
+// agent a NewLocalMetrics set and drain the sets serially, as
 // internal/cluster does.
 func (a *Agent) Instrument(reg *obs.Registry, events core.EventSink) {
 	a.SetMetrics(NewMetrics(reg))

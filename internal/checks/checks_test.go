@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -78,12 +79,12 @@ func TestLoadTreeErrors(t *testing.T) {
 		t.Error("empty tree loaded without error")
 	}
 
-	// A class whose machine.yaml name disagrees with its directory.
+	// A class whose machine.json name disagrees with its directory.
 	cdir := filepath.Join(dir, "classa")
 	if err := os.MkdirAll(filepath.Join(cdir, "cases"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(cdir, "machine.yaml"), []byte("name: classb\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(cdir, "machine.json"), []byte(`{"name": "classb"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadTree(dir); err == nil {
@@ -91,11 +92,31 @@ func TestLoadTreeErrors(t *testing.T) {
 	}
 
 	// Fixed name but zero cases.
-	if err := os.WriteFile(filepath.Join(cdir, "machine.yaml"), []byte("name: classa\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(cdir, "machine.json"), []byte(`{"name": "classa"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadTree(dir); err == nil {
 		t.Error("class with zero cases loaded without error")
+	}
+
+	// A file the strict decoder refuses is named in the error, with the
+	// key at fault.
+	casePath := filepath.Join(cdir, "cases", "demo", "case.json")
+	if err := os.MkdirAll(filepath.Dir(casePath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, src, key string }{
+		{casePath, string(caseSrc(minimalCase, `"wramup": "1m"`)), "wramup"},
+		{casePath, string(caseSrc(minimalCase, `"seed": 1, "seed": 2`)), "seed"},
+		{filepath.Join(cdir, "machine.json"), `{"min_cpus": 1, "min_cpus": 2}`, "min_cpus"},
+	} {
+		if err := os.WriteFile(tc.path, []byte(tc.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadTree(dir)
+		if err == nil || !strings.Contains(err.Error(), tc.path) || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s: error %v does not name the file and %q", tc.src, err, tc.key)
+		}
 	}
 }
 

@@ -1,34 +1,96 @@
 package checks
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 )
 
-// MachineClass is the decoded machine.yaml: the resource envelope a
+// decodeStrict decodes the one JSON document in src into v, refusing
+// what encoding/json lets through by default: a key v has no field
+// for, a key an object names twice (the last would win silently), and
+// anything after the document.
+func decodeStrict(src []byte, v any) error {
+	if err := checkDuplicateKeys(src); err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(src))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON document")
+	}
+	return nil
+}
+
+// checkDuplicateKeys walks src token by token and fails on the first
+// object that names a key twice.
+func checkDuplicateKeys(src []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(src))
+	var open []map[string]bool // per open container: an object's keys so far, nil for an array
+	key := false               // the next string is an object key, not a value
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		switch tok := tok.(type) {
+		case json.Delim:
+			switch tok {
+			case '{':
+				open = append(open, map[string]bool{})
+			case '[':
+				open = append(open, nil)
+			default:
+				open = open[:len(open)-1]
+			}
+		case string:
+			if key {
+				if open[len(open)-1][tok] {
+					return fmt.Errorf("duplicate key %q", tok)
+				}
+				open[len(open)-1][tok] = true
+				key = false
+				continue
+			}
+		}
+		// A value just ended; inside an object, a key (or '}') follows.
+		key = len(open) > 0 && open[len(open)-1] != nil
+	}
+}
+
+// MachineClass is the decoded machine.json: the resource envelope a
 // class of hosts offers, and the defaults its cases inherit.
 type MachineClass struct {
 	// Name identifies the class (defaults to the directory name; when
 	// both are present they must agree).
-	Name string
+	Name string `json:"name"`
 	// Description is free-form prose for humans.
-	Description string
+	Description string `json:"description"`
 	// MinCPUs is the smallest logical CPU count a host needs to count
-	// as this class. `cpi2bench check` auto-selects the most demanding
-	// class the host satisfies.
-	MinCPUs int
+	// as this class (default 1). `cpi2bench check` auto-selects the
+	// most demanding class the host satisfies.
+	MinCPUs int `json:"min_cpus"`
 	// GOMAXPROCS, when > 0, pins the Go scheduler while this class's
 	// cases run — a 4-core class measured on a 64-core build host must
 	// not borrow the extra cores.
-	GOMAXPROCS int
+	GOMAXPROCS int `json:"gomaxprocs"`
 	// MaxPeakRSSMB, when > 0, is the class-wide default for the
 	// max_peak_rss_mb budget, inherited by cases that do not set their
 	// own.
-	MaxPeakRSSMB float64
+	MaxPeakRSSMB float64 `json:"max_peak_rss_mb"`
 }
 
 // Validate checks structural sanity.
@@ -42,20 +104,25 @@ func (mc *MachineClass) Validate() error {
 	return nil
 }
 
-// decodeMachineClass decodes a parsed machine.yaml tree.
-func decodeMachineClass(n yNode) (*MachineClass, error) {
-	d, err := newDec("", n)
-	if err != nil {
+// named settles a decoded file's name against the directory that holds
+// it: the directory names it, and a name in the file must agree
+// (guards against copy-paste drift between file and directory).
+func named(name *string, dirName string) error {
+	if *name == "" {
+		*name = dirName
+	} else if dirName != "" && *name != dirName {
+		return fmt.Errorf("name %q does not match directory %q", *name, dirName)
+	}
+	return nil
+}
+
+// decodeMachineClass decodes a machine.json held in directory dirName.
+func decodeMachineClass(dirName string, src []byte) (*MachineClass, error) {
+	mc := &MachineClass{MinCPUs: 1}
+	if err := decodeStrict(src, mc); err != nil {
 		return nil, err
 	}
-	mc := &MachineClass{
-		Name:         d.str("name", ""),
-		Description:  d.str("description", ""),
-		MinCPUs:      d.intval("min_cpus", 1),
-		GOMAXPROCS:   d.intval("gomaxprocs", 0),
-		MaxPeakRSSMB: d.float("max_peak_rss_mb", 0),
-	}
-	if err := d.finish(); err != nil {
+	if err := named(&mc.Name, dirName); err != nil {
 		return nil, err
 	}
 	return mc, mc.Validate()
@@ -63,16 +130,17 @@ func decodeMachineClass(n yNode) (*MachineClass, error) {
 
 // Fleet is the simulated cluster shape a case runs against.
 type Fleet struct {
-	Machines          int
-	CPUsPerMachine    int
-	PlatformBFraction float64
+	Machines int `json:"machines"`
+	// CPUsPerMachine defaults to 16.
+	CPUsPerMachine    int     `json:"cpus_per_machine"`
+	PlatformBFraction float64 `json:"platform_b_fraction"`
 	// Workers is the cluster's parallel tick width (0 = GOMAXPROCS).
-	Workers int
+	Workers int `json:"workers"`
 	// Shards is the number of spec-tier aggregator shards the fleet
 	// hashes job×platform keys over (0 or 1 = the classic single
 	// aggregator). Needed by cases whose chaos plan blacks out or
 	// reshards the spec tier.
-	Shards int
+	Shards int `json:"shards"`
 }
 
 // WorkloadEntry is one declarative element of a case's workload mix,
@@ -86,28 +154,38 @@ type Fleet struct {
 //	antagonist     heavy cache-thrashing batch (Tasks, CPU); implicitly
 //	               expected to be capped
 type WorkloadEntry struct {
-	Kind string
+	Kind string `json:"kind"`
 	// Name is the job name (websearch entries derive -leaf/-mixer/-root
 	// job names from it). Must be unique within the case.
-	Name string
+	Name string `json:"name"`
 	// Tasks is the task count for single-job kinds.
-	Tasks int
+	Tasks int `json:"tasks"`
 	// CPU is the per-task CPU request where the kind takes one.
-	CPU float64
+	CPU float64 `json:"cpu"`
 	// Leaves/Mixers/Roots size the websearch kind.
-	Leaves, Mixers, Roots int
+	Leaves int `json:"leaves"`
+	Mixers int `json:"mixers"`
+	Roots  int `json:"roots"`
 	// AfterWarmup delays placement until after the warmup phase and
 	// spec push — the canonical "antagonist lands on a warmed fleet"
-	// shape. Default true for antagonist, false otherwise.
-	AfterWarmup bool
+	// shape. Unset (see flag): true for antagonist, false otherwise.
+	AfterWarmup *bool `json:"after_warmup"`
 	// ExpectCaps marks this job's tasks as legitimate cap targets:
 	// caps on any other job count against the false-cap budget.
-	// Default true for antagonist, false otherwise.
-	ExpectCaps bool
+	// Unset: true for antagonist, false otherwise.
+	ExpectCaps *bool `json:"expect_caps"`
+}
+
+// flag resolves one of the entry's optional flags.
+func (w *WorkloadEntry) flag(set *bool) bool {
+	if set != nil {
+		return *set
+	}
+	return w.Kind == "antagonist"
 }
 
 // Budgets are the per-case pass/fail limits. Every field is optional:
-// nil means "not checked". Field names mirror the YAML keys.
+// nil means "not checked".
 type Budgets struct {
 	// MinStepsPerSec is the floor on simulation throughput (wall-clock
 	// Steps per second over the measured run).
@@ -141,32 +219,63 @@ type Budgets struct {
 	MinIncidents *float64 `json:"min_incidents,omitempty"`
 }
 
-// Case is one decoded case.yaml.
+// Case is one decoded case.json.
 type Case struct {
 	// Name is the case name (the cases/<name>/ directory).
-	Name        string
-	Description string
+	Name        string `json:"name"`
+	Description string `json:"description"`
 	// Seed roots all randomness (default 1).
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Fleet is the cluster shape.
-	Fleet Fleet
+	Fleet Fleet `json:"fleet"`
 	// Warmup runs (and then forces a spec recompute) before measuring.
-	Warmup time.Duration
+	// The three durations are written as strings: "10m".
+	Warmup time.Duration `json:"warmup"`
 	// Duration is the measured simulated run length.
-	Duration time.Duration
+	Duration time.Duration `json:"duration"`
 	// Tick is the simulation step (default 1s).
-	Tick time.Duration
+	Tick time.Duration `json:"tick"`
 	// Chaos is a cluster.FaultPlan in the -chaos directive syntax
 	// (empty: no faults; the plan is still installed so spool/quarantine
 	// accounting exists).
-	Chaos string
-	// MinSamplesPerTask / ReportOnly feed core.Params.
-	MinSamplesPerTask int64
-	ReportOnly        bool
+	Chaos string `json:"chaos"`
+	// MinSamplesPerTask (default 8) / ReportOnly feed core.Params.
+	MinSamplesPerTask int64 `json:"min_samples_per_task"`
+	ReportOnly        bool  `json:"report_only"`
 	// Workload is the mix.
-	Workload []WorkloadEntry
+	Workload []WorkloadEntry `json:"workload"`
 	// Budgets are the verdict limits.
-	Budgets Budgets
+	Budgets Budgets `json:"budgets"`
+}
+
+// UnmarshalJSON decodes a case as its field tags say, except that the
+// durations are Go duration strings. Fields the document does not name
+// keep the values cs came with.
+func (cs *Case) UnmarshalJSON(b []byte) error {
+	type fields Case // the same fields without this method
+	raw := struct {
+		*fields
+		Warmup   string `json:"warmup"`
+		Duration string `json:"duration"`
+		Tick     string `json:"tick"`
+	}{fields: (*fields)(cs)}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields() // a decoder's setting does not reach a custom unmarshaler
+	if err := dec.Decode(&raw); err != nil {
+		return err
+	}
+	set := func(key, val string, into *time.Duration) (err error) {
+		if val != "" {
+			if *into, err = time.ParseDuration(val); err != nil {
+				err = fmt.Errorf("%s: %v", key, err)
+			}
+		}
+		return err
+	}
+	return errors.Join(
+		set("warmup", raw.Warmup, &cs.Warmup),
+		set("duration", raw.Duration, &cs.Duration),
+		set("tick", raw.Tick, &cs.Tick))
 }
 
 // faultPlan parses the case's chaos directives (always non-nil so
@@ -179,7 +288,7 @@ func (cs *Case) faultPlan() (*cluster.FaultPlan, error) {
 func (cs *Case) expectedCapJobs() map[string]bool {
 	out := map[string]bool{}
 	for _, w := range cs.Workload {
-		if w.ExpectCaps {
+		if w.flag(w.ExpectCaps) {
 			out[w.Name] = true
 		}
 	}
@@ -268,94 +377,17 @@ func (cs *Case) Validate() error {
 	if len(errs) == 0 {
 		return nil
 	}
-	sortStrings(errs)
+	sort.Strings(errs) // the budgets above are visited in map order
 	return errors.New(strings.Join(errs, "; "))
 }
 
-// decodeCase decodes a parsed case.yaml tree. dirName is the
-// cases/<name>/ directory, which names the case; a `name:` key in the
-// file must agree (guards against copy-paste drift between file and
-// directory).
-func decodeCase(dirName string, n yNode) (*Case, error) {
-	d, err := newDec("", n)
-	if err != nil {
+// decodeCase decodes a case.json held in directory dirName.
+func decodeCase(dirName string, src []byte) (*Case, error) {
+	cs := &Case{Seed: 1, Tick: time.Second, MinSamplesPerTask: 8, Fleet: Fleet{CPUsPerMachine: 16}}
+	if err := decodeStrict(src, cs); err != nil {
 		return nil, err
 	}
-	cs := &Case{
-		Name:              dirName,
-		Description:       d.str("description", ""),
-		Seed:              d.int64val("seed", 1),
-		Warmup:            d.duration("warmup", 0),
-		Duration:          d.duration("duration", 0),
-		Tick:              d.duration("tick", time.Second),
-		Chaos:             d.str("chaos", ""),
-		MinSamplesPerTask: d.int64val("min_samples_per_task", 8),
-		ReportOnly:        d.boolean("report_only", false),
-	}
-	if name := d.str("name", ""); name != "" && dirName != "" && name != dirName {
-		d.errf("name", "%q does not match case directory %q", name, dirName)
-	} else if cs.Name == "" {
-		cs.Name = name
-	}
-	if fd, ok := d.sub("fleet"); ok {
-		cs.Fleet = Fleet{
-			Machines:          fd.intval("machines", 0),
-			CPUsPerMachine:    fd.intval("cpus_per_machine", 16),
-			PlatformBFraction: fd.float("platform_b_fraction", 0),
-			Workers:           fd.intval("workers", 0),
-			Shards:            fd.intval("shards", 0),
-		}
-		if err := fd.finish(); err != nil {
-			d.errs = append(d.errs, err)
-		}
-	} else {
-		d.errf("fleet", "missing required block")
-	}
-	if ws, ok := d.seq("workload"); ok {
-		for i, wn := range ws {
-			wd, err := newDec(fmt.Sprintf("workload[%d]", i), wn)
-			if err != nil {
-				d.errs = append(d.errs, err)
-				continue
-			}
-			kind := wd.str("kind", "")
-			w := WorkloadEntry{
-				Kind:        kind,
-				Name:        wd.str("name", ""),
-				Tasks:       wd.intval("tasks", 0),
-				CPU:         wd.float("cpu", 0),
-				Leaves:      wd.intval("leaves", 0),
-				Mixers:      wd.intval("mixers", 0),
-				Roots:       wd.intval("roots", 0),
-				AfterWarmup: wd.boolean("after_warmup", kind == "antagonist"),
-				ExpectCaps:  wd.boolean("expect_caps", kind == "antagonist"),
-			}
-			if err := wd.finish(); err != nil {
-				d.errs = append(d.errs, err)
-			}
-			cs.Workload = append(cs.Workload, w)
-		}
-	} else {
-		d.errf("workload", "missing required list")
-	}
-	if bd, ok := d.sub("budgets"); ok {
-		cs.Budgets = Budgets{
-			MinStepsPerSec:             bd.optFloat("min_steps_per_sec"),
-			MinRealtimeFactor:          bd.optFloat("min_realtime_factor"),
-			MaxAllocsPerStep:           bd.optFloat("max_allocs_per_step"),
-			MaxPeakRSSMB:               bd.optFloat("max_peak_rss_mb"),
-			MaxSpoolDrops:              bd.optFloat("max_spool_drops"),
-			MaxFalseCaps:               bd.optFloat("max_false_caps"),
-			MaxQuarantined:             bd.optFloat("max_quarantined"),
-			MinQuarantined:             bd.optFloat("min_quarantined"),
-			MaxSpecStalenessP95Seconds: bd.optFloat("max_spec_staleness_p95_seconds"),
-			MinIncidents:               bd.optFloat("min_incidents"),
-		}
-		if err := bd.finish(); err != nil {
-			d.errs = append(d.errs, err)
-		}
-	}
-	if err := d.finish(); err != nil {
+	if err := named(&cs.Name, dirName); err != nil {
 		return nil, err
 	}
 	return cs, cs.Validate()

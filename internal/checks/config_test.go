@@ -6,29 +6,17 @@ import (
 	"time"
 )
 
-const minimalCase = `
-description: demo
-duration: 2m
-fleet:
-  machines: 4
-workload:
-  - kind: quiet_service
-    name: svc
-    tasks: 4
-    cpu: 0.5
-`
+// minimalCase is the smallest valid case, as the members of a JSON
+// object; caseSrc wraps them (and any more) in the braces.
+const minimalCase = `"description": "demo", "duration": "2m", "fleet": {"machines": 4},
+	"workload": [{"kind": "quiet_service", "name": "svc", "tasks": 4, "cpu": 0.5}]`
 
-func decodeCaseSrc(t *testing.T, dirName, src string) (*Case, error) {
-	t.Helper()
-	n, err := parseYAML(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return decodeCase(dirName, n)
+func caseSrc(members ...string) []byte {
+	return []byte("{" + strings.Join(members, ", ") + "}")
 }
 
 func TestDecodeCaseDefaults(t *testing.T) {
-	cs, err := decodeCaseSrc(t, "demo", minimalCase)
+	cs, err := decodeCase("demo", caseSrc(minimalCase))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,80 +29,62 @@ func TestDecodeCaseDefaults(t *testing.T) {
 	if cs.MinSamplesPerTask != 8 {
 		t.Errorf("min_samples_per_task default = %d", cs.MinSamplesPerTask)
 	}
+	if cs.Duration != 2*time.Minute || cs.Warmup != 0 {
+		t.Errorf("durations: duration=%v warmup=%v", cs.Duration, cs.Warmup)
+	}
 	w := cs.Workload[0]
-	if w.AfterWarmup || w.ExpectCaps {
-		t.Errorf("quiet_service defaults: after_warmup=%v expect_caps=%v", w.AfterWarmup, w.ExpectCaps)
+	if w.flag(w.AfterWarmup) || w.flag(w.ExpectCaps) {
+		t.Errorf("quiet_service defaults: after_warmup=%v expect_caps=%v", w.flag(w.AfterWarmup), w.flag(w.ExpectCaps))
 	}
 }
 
 func TestDecodeCaseAntagonistDefaults(t *testing.T) {
-	cs, err := decodeCaseSrc(t, "demo", `
-duration: 1m
-fleet:
-  machines: 2
-workload:
-  - kind: antagonist
-    name: video
-    tasks: 2
-    cpu: 7
-`)
+	cs, err := decodeCase("demo", caseSrc(`"duration": "1m", "fleet": {"machines": 2}, "workload": [
+		{"kind": "antagonist", "name": "video", "tasks": 2, "cpu": 7},
+		{"kind": "antagonist", "name": "tame", "tasks": 2, "cpu": 7, "after_warmup": false, "expect_caps": false}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := cs.Workload[0]
-	if !w.AfterWarmup || !w.ExpectCaps {
-		t.Errorf("antagonist defaults: after_warmup=%v expect_caps=%v", w.AfterWarmup, w.ExpectCaps)
+	if !w.flag(w.AfterWarmup) || !w.flag(w.ExpectCaps) {
+		t.Errorf("antagonist defaults: after_warmup=%v expect_caps=%v", w.flag(w.AfterWarmup), w.flag(w.ExpectCaps))
 	}
-	if !cs.expectedCapJobs()["video"] {
-		t.Error("video not in expected cap set")
+	if w = cs.Workload[1]; w.flag(w.AfterWarmup) || w.flag(w.ExpectCaps) {
+		t.Errorf("antagonist with both flags set false: after_warmup=%v expect_caps=%v", w.flag(w.AfterWarmup), w.flag(w.ExpectCaps))
+	}
+	if got := cs.expectedCapJobs(); !got["video"] || got["tame"] {
+		t.Errorf("expected cap set = %v, want video only", got)
 	}
 }
 
 func TestDecodeCaseErrors(t *testing.T) {
+	const fleet2 = `"duration": "1m", "fleet": {"machines": 2}`
 	cases := []struct {
-		name, src, wantErr string
+		name    string
+		src     []byte
+		wantErr string
 	}{
-		{"name mismatch", "name: other\n" + minimalCase, "does not match"},
-		{"missing fleet", "duration: 1m\nworkload:\n  - kind: bimodal\n    name: b\n    tasks: 1\n", "fleet"},
-		{"missing workload", "duration: 1m\nfleet:\n  machines: 2\n", "workload"},
-		{"unknown budget", minimalCase + "budgets:\n  max_typo: 3\n", "max_typo"},
-		{"bad chaos", minimalCase + "chaos: frobnicate=1\n", "chaos"},
-		{"zero machines", "duration: 1m\nfleet:\n  machines: 0\nworkload:\n  - kind: bimodal\n    name: b\n    tasks: 1\n", "machines"},
-		{"negative budget", minimalCase + "budgets:\n  max_false_caps: -1\n", "negative"},
-		{"duplicate job", `
-duration: 1m
-fleet:
-  machines: 2
-workload:
-  - kind: bimodal
-    name: b
-    tasks: 1
-  - kind: batch
-    name: b
-    tasks: 1
-    cpu: 0.5
-`, "duplicate"},
-		{"unknown kind", `
-duration: 1m
-fleet:
-  machines: 2
-workload:
-  - kind: mystery
-    name: m
-    tasks: 1
-`, "unknown workload kind"},
-		{"websearch needs tiers", `
-duration: 1m
-fleet:
-  machines: 2
-workload:
-  - kind: websearch
-    name: ws
-`, "leaves"},
+		{"name mismatch", caseSrc(`"name": "other"`, minimalCase), "does not match"},
+		{"missing fleet", caseSrc(`"duration": "1m", "workload": [{"kind": "bimodal", "name": "b", "tasks": 1}]`), "fleet"},
+		{"missing workload", caseSrc(fleet2), "workload"},
+		{"unknown budget", caseSrc(minimalCase, `"budgets": {"max_typo": 3}`), "max_typo"},
+		{"unknown key", caseSrc(minimalCase, `"wramup": "1m"`), "wramup"},
+		{"duplicate key", caseSrc(minimalCase, `"seed": 1, "seed": 2`), `duplicate key "seed"`},
+		{"duplicate nested key", caseSrc(minimalCase, `"budgets": {"max_false_caps": 0, "max_false_caps": 9}`), `duplicate key "max_false_caps"`},
+		{"bad duration", caseSrc(minimalCase, `"warmup": "ten minutes"`), "warmup"},
+		{"bare duration", caseSrc(minimalCase, `"warmup": 600`), "warmup"},
+		{"trailing data", append(caseSrc(minimalCase), "{}"...), "after"},
+		{"bad chaos", caseSrc(minimalCase, `"chaos": "frobnicate=1"`), "chaos"},
+		{"zero machines", caseSrc(`"duration": "1m", "fleet": {"machines": 0}, "workload": [{"kind": "bimodal", "name": "b", "tasks": 1}]`), "machines"},
+		{"negative budget", caseSrc(minimalCase, `"budgets": {"max_false_caps": -1}`), "negative"},
+		{"duplicate job", caseSrc(fleet2, `"workload": [{"kind": "bimodal", "name": "b", "tasks": 1},
+			{"kind": "batch", "name": "b", "tasks": 1, "cpu": 0.5}]`), "duplicate"},
+		{"unknown kind", caseSrc(fleet2, `"workload": [{"kind": "mystery", "name": "m", "tasks": 1}]`), "unknown workload kind"},
+		{"websearch needs tiers", caseSrc(fleet2, `"workload": [{"kind": "websearch", "name": "ws"}]`), "leaves"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeCaseSrc(t, "demo", tc.src)
+			_, err := decodeCase("demo", tc.src)
 			if err == nil {
 				t.Fatalf("decode succeeded, want error about %q", tc.wantErr)
 			}
@@ -125,9 +95,48 @@ workload:
 	}
 }
 
+// The machine-class file goes through the same strict decoder.
+func TestDecUnknownKeyRejected(t *testing.T) {
+	if _, err := decodeMachineClass("x", []byte(`{"name": "x", "bogus_key": 1}`)); err == nil || !strings.Contains(err.Error(), "bogus_key") {
+		t.Errorf("unknown key not rejected: %v", err)
+	}
+}
+
+// Every kind of value a file can hold lands in its typed field, and a
+// key the file leaves out keeps its default.
+func TestDecTypedAccess(t *testing.T) {
+	cs, err := decodeCase("demo", caseSrc(`"seed": 7, "tick": "90s", "duration": "3m", "report_only": true,
+		"chaos": "corrupt=0.5", "fleet": {"machines": 2, "platform_b_fraction": 0.25},
+		"workload": [{"kind": "batch", "name": "b", "tasks": 1, "cpu": 2.5, "expect_caps": true}],
+		"budgets": {"max_false_caps": 0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cs.Workload[0]
+	if cs.Seed != 7 || cs.Tick != 90*time.Second || !cs.ReportOnly || cs.Chaos != "corrupt=0.5" ||
+		cs.Fleet.PlatformBFraction != 0.25 || w.CPU != 2.5 || !w.flag(w.ExpectCaps) || w.flag(w.AfterWarmup) {
+		t.Errorf("decoded %+v, workload %+v", cs, w)
+	}
+	if b := cs.Budgets; b.MaxFalseCaps == nil || *b.MaxFalseCaps != 0 || b.MaxQuarantined != nil {
+		t.Errorf("budgets: a 0 limit must be set and an absent one nil: %+v", b)
+	}
+	if cs.MinSamplesPerTask != 8 || cs.Fleet.CPUsPerMachine != 16 {
+		t.Errorf("absent keys lost their defaults: %+v", cs)
+	}
+}
+
+func TestDecTypeMismatch(t *testing.T) {
+	if _, err := decodeMachineClass("x", []byte(`{"min_cpus": "notanumber"}`)); err == nil || !strings.Contains(err.Error(), "min_cpus") {
+		t.Errorf("non-integer min_cpus accepted: %v", err)
+	}
+	if _, err := decodeCase("demo", caseSrc(minimalCase, `"seed": 1.5`)); err == nil || !strings.Contains(err.Error(), "seed") {
+		t.Errorf("fractional seed accepted: %v", err)
+	}
+}
+
 func TestInheritDefaults(t *testing.T) {
 	mc := &MachineClass{Name: "c", MaxPeakRSSMB: 512}
-	cs, err := decodeCaseSrc(t, "demo", minimalCase)
+	cs, err := decodeCase("demo", caseSrc(minimalCase))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +146,7 @@ func TestInheritDefaults(t *testing.T) {
 	}
 
 	own := 64.0
-	cs2, err := decodeCaseSrc(t, "demo", minimalCase+"budgets:\n  max_peak_rss_mb: 64\n")
+	cs2, err := decodeCase("demo", caseSrc(minimalCase, `"budgets": {"max_peak_rss_mb": 64}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func RunCase(mc *MachineClass, cs *Case, opts RunOptions) (*Verdict, error) {
 // flag matches afterWarmup.
 func addWorkload(c *cluster.Cluster, cs *Case, afterWarmup bool) error {
 	for _, w := range cs.Workload {
-		if w.AfterWarmup != afterWarmup {
+		if w.flag(w.AfterWarmup) != afterWarmup {
 			continue
 		}
 		switch w.Kind {

@@ -23,10 +23,11 @@ type Tree struct {
 
 // LoadTree loads a checks/ directory:
 //
-//	checks/<machine-class>/machine.yaml
-//	checks/<machine-class>/cases/<name>/case.yaml
+//	checks/<machine-class>/machine.json
+//	checks/<machine-class>/cases/<name>/case.json
 //
-// Every file must parse, validate, and agree with its directory name;
+// Every file must decode strictly (no unknown or repeated key),
+// validate, and agree with its directory name;
 // a tree with zero classes or a class with zero cases is an error
 // (an empty regression surface should not look like a passing one).
 func LoadTree(dir string) (*Tree, error) {
@@ -54,23 +55,14 @@ func LoadTree(dir string) (*Tree, error) {
 }
 
 func loadClass(dir, name string) (*Class, error) {
-	mpath := filepath.Join(dir, "machine.yaml")
+	mpath := filepath.Join(dir, "machine.json")
 	src, err := os.ReadFile(mpath)
 	if err != nil {
 		return nil, fmt.Errorf("checks: %w", err)
 	}
-	node, err := parseYAML(string(src))
+	mc, err := decodeMachineClass(name, src)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %v", mpath, err)
-	}
-	mc, err := decodeMachineClass(node)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", mpath, err)
-	}
-	if mc.Name == "" {
-		mc.Name = name
-	} else if mc.Name != name {
-		return nil, fmt.Errorf("%s: class name %q does not match directory %q", mpath, mc.Name, name)
 	}
 	cl := &Class{Machine: mc}
 
@@ -83,16 +75,12 @@ func loadClass(dir, name string) (*Class, error) {
 		if !e.IsDir() {
 			continue
 		}
-		cpath := filepath.Join(casesDir, e.Name(), "case.yaml")
+		cpath := filepath.Join(casesDir, e.Name(), "case.json")
 		src, err := os.ReadFile(cpath)
 		if err != nil {
 			return nil, fmt.Errorf("checks: %w", err)
 		}
-		node, err := parseYAML(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", cpath, err)
-		}
-		cs, err := decodeCase(e.Name(), node)
+		cs, err := decodeCase(e.Name(), src)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", cpath, err)
 		}

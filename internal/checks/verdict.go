@@ -49,7 +49,7 @@ type Measured struct {
 
 // BudgetCheck is one budget's judgment.
 type BudgetCheck struct {
-	// Budget is the YAML key, e.g. "min_steps_per_sec".
+	// Budget is the case file's key, e.g. "min_steps_per_sec".
 	Budget string `json:"budget"`
 	// Limit is the declared bound; Measured the observed value;
 	// Pass whether Measured respects Limit in the budget's direction.

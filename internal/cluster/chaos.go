@@ -723,16 +723,16 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 	if c.eventBufs != nil {
 		a.Manager().SetEvents(c.eventBufs[i])
 	}
-	if c.coreShards != nil {
-		a.SetMetrics(c.agentShards[i])
-		a.Manager().SetMetrics(c.coreShards[i])
-		a.Validator().Metrics = c.coreShards[i]
+	if c.coreLocal != nil {
+		a.SetMetrics(c.agentLocal[i])
+		a.Manager().SetMetrics(c.coreLocal[i])
+		a.Validator().Metrics = c.coreLocal[i]
 		// The old agent's task registrations and active caps died with
 		// it, but their contribution has already been drained into the
 		// shared gauges; re-registration and re-adoption below would
 		// double-count them, so cancel the stale contribution first.
-		c.agentShards[i].Tasks.Add(-float64(len(m.Tasks())))
-		c.coreShards[i].CapsActive.Add(-float64(len(old.Manager().Enforcer().ActiveCaps())))
+		c.agentLocal[i].Tasks.Add(-float64(len(m.Tasks())))
+		c.coreLocal[i].CapsActive.Add(-float64(len(old.Manager().Enforcer().ActiveCaps())))
 	}
 	for _, id := range m.Tasks() {
 		a.RegisterTask(id, m.Task(id).Job)

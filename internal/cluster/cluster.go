@@ -210,13 +210,13 @@ type Cluster struct {
 	stepDt  time.Duration
 
 	// Metric staging (nil without Config.Registry): each machine's agent
-	// and manager write a private shard during the parallel phase; the
-	// commit phase folds shards into the shared registry series in
+	// and manager write a private local set during the parallel phase; the
+	// commit phase folds the local sets into the shared registry series in
 	// machine-index order — same staging idea as eventBufs, applied to
 	// metrics, so concurrently ticking machines never contend on (or
 	// reorder float additions into) the shared series.
-	agentShards []*agent.Metrics
-	coreShards  []*core.Metrics
+	agentLocal  []*agent.Metrics
+	coreLocal   []*core.Metrics
 	agentShared *agent.Metrics
 	coreShared  *core.Metrics
 
@@ -301,8 +301,8 @@ func New(cfg Config) *Cluster {
 	if cfg.Registry != nil {
 		c.agentShared = agent.NewMetrics(cfg.Registry)
 		c.coreShared = core.NewMetrics(cfg.Registry)
-		c.agentShards = make([]*agent.Metrics, cfg.Machines)
-		c.coreShards = make([]*core.Metrics, cfg.Machines)
+		c.agentLocal = make([]*agent.Metrics, cfg.Machines)
+		c.coreLocal = make([]*core.Metrics, cfg.Machines)
 	}
 	// Ingress defense in depth, same shape as cmd/cpi2aggregator:
 	// hostile samples (CorruptRate) quarantine at the bus before they
@@ -375,12 +375,12 @@ func New(cfg Config) *Cluster {
 			// shared registry series, which every concurrently ticking
 			// machine would then hammer (the shared atomics were one of
 			// the negative-scaling culprits). Each machine gets a private
-			// shard, drained serially at commit.
-			c.agentShards[i] = agent.NewLocalMetrics()
-			a.SetMetrics(c.agentShards[i])
-			c.coreShards[i] = core.NewLocalMetrics()
-			a.Manager().SetMetrics(c.coreShards[i])
-			a.Validator().Metrics = c.coreShards[i]
+			// local set, drained serially at commit.
+			c.agentLocal[i] = agent.NewLocalMetrics()
+			a.SetMetrics(c.agentLocal[i])
+			c.coreLocal[i] = core.NewLocalMetrics()
+			a.Manager().SetMetrics(c.coreLocal[i])
+			a.Validator().Metrics = c.coreLocal[i]
 		}
 		if sink != nil {
 			a.Manager().SetEvents(sink)
@@ -747,9 +747,9 @@ func (c *Cluster) Step() {
 		if c.eventBufs != nil {
 			c.eventBufs[i].DrainTo(c.cfg.Events)
 		}
-		if c.coreShards != nil {
-			c.agentShards[i].DrainTo(c.agentShared)
-			c.coreShards[i].DrainTo(c.coreShared)
+		if c.coreLocal != nil {
+			c.agentLocal[i].DrainTo(c.agentShared)
+			c.coreLocal[i].DrainTo(c.coreShared)
 		}
 		// Truncate, don't nil: the slot buffers are refilled by the next
 		// parallel phase. Incidents are zeroed first so their suspect

@@ -32,8 +32,8 @@ type fingerprint struct {
 	Dropped    int64
 	AvoidPairs int
 	Migrations int64
-	// Shared registry series fed by the per-machine metric shards. The
-	// commit phase drains shards in machine-index order, so these float
+	// Shared registry series fed by the per-machine local metric sets.
+	// The commit phase drains them in machine-index order, so these float
 	// sums must be bit-identical at any worker count. (Wall-clock
 	// histograms are deliberately absent: timing is nondeterministic by
 	// nature.)
@@ -185,7 +185,7 @@ func TestStepDeterminismAcrossWorkerCounts(t *testing.T) {
 		t.Errorf("determinism run saw no churn: exits=%d restarts=%d", fp.Exits, fp.Restarts)
 	}
 	if fp.MetricSamples == 0 || fp.MetricAnalyses == 0 {
-		t.Errorf("metric shards drained nothing: samples=%v analyses=%v",
+		t.Errorf("local metric sets drained nothing: samples=%v analyses=%v",
 			fp.MetricSamples, fp.MetricAnalyses)
 	}
 	for _, stage := range []string{trace.StageSample, trace.StageIngest, trace.StageSpecBuild,

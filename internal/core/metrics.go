@@ -114,10 +114,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 }
 
 // NewLocalMetrics returns a core metric set backed by standalone
-// (unregistered) cells — the per-machine shard of the cluster's staged
-// metrics design. Managers running on concurrently ticking machines
-// each update a private shard (uncontended cache lines); the cluster's
-// serial commit phase folds every shard into the shared registry
+// (unregistered) cells — the per-machine local set of the cluster's
+// staged metrics design. Managers running on concurrently ticking
+// machines each update a private local set (uncontended cache lines);
+// the cluster's serial commit phase folds every one into the shared registry
 // series with DrainTo, in machine-index order, so the aggregated
 // values are identical at any worker count.
 func NewLocalMetrics() *Metrics {
@@ -149,8 +149,8 @@ func NewLocalMetrics() *Metrics {
 // DrainTo moves everything accumulated in m into dst and resets m.
 // Gauges move as deltas (CapsActive only ever Incs/Decs, so the shared
 // gauge converges on the fleet total); SpecBacklog is Set-based and
-// only used by the spec builder, which is never sharded — its shard
-// cell stays zero and the drain is a no-op.
+// only used by the spec builder, which never gets a local set — its
+// local cell stays zero and the drain is a no-op.
 func (m *Metrics) DrainTo(dst *Metrics) {
 	if m == nil || dst == nil {
 		return

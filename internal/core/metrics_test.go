@@ -182,26 +182,26 @@ func TestSpecBuilderMetrics(t *testing.T) {
 	}
 }
 
-// TestLocalMetricsDrainTo checks the shard → shared fold the cluster's
+// TestLocalMetricsDrainTo checks the local → shared fold the cluster's
 // commit phase performs: every counter, the latency histogram, the
 // labelled incident vec, and the active-caps gauge delta all land in
-// the registered series, and the shard is empty afterwards.
+// the registered series, and the local set is empty afterwards.
 func TestLocalMetricsDrainTo(t *testing.T) {
 	reg := obs.NewRegistry()
 	shared := NewMetrics(reg)
-	shard := NewLocalMetrics()
+	local := NewLocalMetrics()
 
-	shard.SamplesObserved.Add(10)
-	shard.Outliers.Inc()
-	shard.Anomalies.Inc()
-	shard.CorrelationSeconds.Observe(0.0001)
-	shard.CorrelationSeconds.Observe(0.0002)
-	shard.Incidents.With("cap").Inc()
-	shard.Incidents.With("none").Add(2)
-	shard.CapsApplied.Inc()
-	shard.CapsActive.Inc()
+	local.SamplesObserved.Add(10)
+	local.Outliers.Inc()
+	local.Anomalies.Inc()
+	local.CorrelationSeconds.Observe(0.0001)
+	local.CorrelationSeconds.Observe(0.0002)
+	local.Incidents.With("cap").Inc()
+	local.Incidents.With("none").Add(2)
+	local.CapsApplied.Inc()
+	local.CapsActive.Inc()
 
-	shard.DrainTo(shared)
+	local.DrainTo(shared)
 
 	if got := shared.SamplesObserved.Value(); got != 10 {
 		t.Errorf("SamplesObserved = %v, want 10", got)
@@ -218,18 +218,18 @@ func TestLocalMetricsDrainTo(t *testing.T) {
 	if got := shared.CapsActive.Value(); got != 1 {
 		t.Errorf("CapsActive = %v, want 1", got)
 	}
-	if got := shard.SamplesObserved.Value(); got != 0 {
-		t.Errorf("shard SamplesObserved after drain = %v, want 0", got)
+	if got := local.SamplesObserved.Value(); got != 0 {
+		t.Errorf("local SamplesObserved after drain = %v, want 0", got)
 	}
-	if got := shard.CorrelationSeconds.Count(); got != 0 {
-		t.Errorf("shard CorrelationSeconds after drain = %v, want 0", got)
+	if got := local.CorrelationSeconds.Count(); got != 0 {
+		t.Errorf("local CorrelationSeconds after drain = %v, want 0", got)
 	}
 
-	// A capped task releasing later decrements the shard; the delta
+	// A capped task releasing later decrements the local; the delta
 	// drain keeps the shared gauge consistent.
-	shard.CapsActive.Dec()
-	shard.CapsExpired.Inc()
-	shard.DrainTo(shared)
+	local.CapsActive.Dec()
+	local.CapsExpired.Inc()
+	local.DrainTo(shared)
 	if got := shared.CapsActive.Value(); got != 0 {
 		t.Errorf("CapsActive after release drain = %v, want 0", got)
 	}
@@ -238,15 +238,16 @@ func TestLocalMetricsDrainTo(t *testing.T) {
 	}
 }
 
-// TestManagerOnLocalMetrics runs a manager against a shard and checks
-// observations are all recoverable through a drain — i.e. a sharded
-// manager loses nothing relative to direct registry instrumentation.
+// TestManagerOnLocalMetrics runs a manager against a local set and
+// checks observations are all recoverable through a drain — i.e. a
+// manager on staged metrics loses nothing relative to direct registry
+// instrumentation.
 func TestManagerOnLocalMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	shared := NewMetrics(reg)
-	shard := NewLocalMetrics()
+	local := NewLocalMetrics()
 	m := NewManager("m0", Params{}, newFakeCapper())
-	m.SetMetrics(shard)
+	m.SetMetrics(local)
 
 	day0 := time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
 	task := model.TaskID{Job: "j", Index: 0}
@@ -257,7 +258,7 @@ func TestManagerOnLocalMetrics(t *testing.T) {
 			CPUUsage:  1, CPI: 1.2, Machine: "m0",
 		})
 	}
-	shard.DrainTo(shared)
+	local.DrainTo(shared)
 	if got := shared.SamplesObserved.Value(); got != 5 {
 		t.Errorf("SamplesObserved = %v, want 5", got)
 	}

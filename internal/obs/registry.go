@@ -73,9 +73,9 @@ func (c *Counter) Value() float64 {
 
 // Drain atomically moves everything accumulated in c into dst and
 // resets c to zero. It is the metric analogue of EventBuffer.DrainTo:
-// concurrent writers each increment a private (uncontended) shard, and
-// a serial coordinator folds the shards into the shared registry series
-// in a fixed order. Nil c or dst is a no-op.
+// concurrent writers each increment a private (uncontended) local
+// cell, and a serial coordinator folds the local cells into the shared
+// registry series in a fixed order. Nil c or dst is a no-op.
 func (c *Counter) Drain(dst *Counter) {
 	if c == nil || dst == nil {
 		return
@@ -119,10 +119,10 @@ func (g *Gauge) Value() float64 {
 }
 
 // Drain atomically moves the delta accumulated in g (via Inc/Dec/Add)
-// into dst and resets g to zero. A gauge shard therefore holds the
+// into dst and resets g to zero. A local gauge therefore holds the
 // *change* since the last drain, and the shared gauge holds the fleet
-// total. Shards must only use the relative mutators — Set does not
-// compose across shards. Nil g or dst is a no-op.
+// total. Local gauges must only use the relative mutators — Set does
+// not compose across them. Nil g or dst is a no-op.
 func (g *Gauge) Drain(dst *Gauge) {
 	if g == nil || dst == nil {
 		return
@@ -166,8 +166,8 @@ var ReactionBuckets = []float64{
 
 // NewHistogram creates a standalone histogram with the given bucket
 // upper bounds (sorted ascending; +Inf implicit), not attached to any
-// registry. Standalone histograms are the per-machine shards of the
-// cluster's staged-metrics design: each concurrent context observes
+// registry. Standalone histograms are the per-machine local cells of
+// the cluster's staged-metrics design: each concurrent context observes
 // into its own instance, and a serial coordinator Drains them into the
 // registered series.
 func NewHistogram(bounds []float64) *Histogram {
@@ -205,8 +205,8 @@ func (h *Histogram) Sum() float64 {
 
 // Drain atomically moves every observation accumulated in h into dst
 // and resets h to empty. Both histograms must share the same bucket
-// layout (Drain panics otherwise — shards are always built from the
-// same bounds as the series they fold into). The check-then-drain is
+// layout (Drain panics otherwise — local cells are always built from
+// the same bounds as the series they fold into). The check-then-drain is
 // cheap when h is empty: one atomic load. Nil h or dst is a no-op.
 func (h *Histogram) Drain(dst *Histogram) {
 	if h == nil || dst == nil {
@@ -434,7 +434,7 @@ func (v *CounterVec) With(values ...string) *Counter {
 
 // NewCounterVec creates a standalone labelled counter family, not
 // attached to any registry — the vec analogue of NewHistogram, for
-// per-machine shards of labelled series.
+// per-machine local cells of labelled series.
 func NewCounterVec(labels ...string) *CounterVec {
 	return &CounterVec{fam: &family{
 		typ:    "counter",
@@ -490,7 +490,7 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 
 // NewHistogramVec creates a standalone labelled histogram family, not
 // attached to any registry — the vec analogue of NewHistogram, for
-// per-machine shards of labelled latency series.
+// per-machine local cells of labelled latency series.
 func NewHistogramVec(bounds []float64, labels ...string) *HistogramVec {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)

@@ -324,69 +324,69 @@ func TestVecLabelCardinality(t *testing.T) {
 func TestCounterDrain(t *testing.T) {
 	r := NewRegistry()
 	shared := r.Counter("drain_total", "")
-	shard := &Counter{}
-	shard.Add(5)
-	shard.Drain(shared)
+	local := &Counter{}
+	local.Add(5)
+	local.Drain(shared)
 	if got := shared.Value(); got != 5 {
 		t.Errorf("shared = %v, want 5", got)
 	}
-	if got := shard.Value(); got != 0 {
-		t.Errorf("shard after drain = %v, want 0", got)
+	if got := local.Value(); got != 0 {
+		t.Errorf("local after drain = %v, want 0", got)
 	}
-	shard.Drain(shared) // empty drain is a no-op
+	local.Drain(shared) // empty drain is a no-op
 	if got := shared.Value(); got != 5 {
 		t.Errorf("shared after empty drain = %v, want 5", got)
 	}
 	var nilC *Counter
-	nilC.Drain(shared) // nil shard
-	shard.Drain(nil)   // nil destination
+	nilC.Drain(shared) // nil local
+	local.Drain(nil)   // nil destination
 }
 
 func TestGaugeDrainMovesDelta(t *testing.T) {
 	r := NewRegistry()
 	shared := r.Gauge("drain_gauge", "")
 	shared.Set(10)
-	shard := &Gauge{}
-	shard.Inc()
-	shard.Inc()
-	shard.Dec()
-	shard.Drain(shared)
+	local := &Gauge{}
+	local.Inc()
+	local.Inc()
+	local.Dec()
+	local.Drain(shared)
 	if got := shared.Value(); got != 11 {
 		t.Errorf("shared = %v, want 11", got)
 	}
-	shard.Add(-3)
-	shard.Drain(shared) // negative deltas move too
+	local.Add(-3)
+	local.Drain(shared) // negative deltas move too
 	if got := shared.Value(); got != 8 {
 		t.Errorf("shared after negative drain = %v, want 8", got)
 	}
-	if got := shard.Value(); got != 0 {
-		t.Errorf("shard after drain = %v, want 0", got)
+	if got := local.Value(); got != 0 {
+		t.Errorf("local after drain = %v, want 0", got)
 	}
 }
 
 func TestHistogramDrain(t *testing.T) {
 	r := NewRegistry()
 	shared := r.Histogram("drain_seconds", "", []float64{1, 10})
-	shard := NewHistogram([]float64{1, 10})
-	shard.Observe(0.5)
-	shard.Observe(5)
-	shard.Observe(100)
-	shard.Drain(shared)
+	local := NewHistogram([]float64{1, 10})
+	local.Observe(0.5)
+	local.Observe(5)
+	local.Observe(100)
+	local.Drain(shared)
 	if got := shared.Count(); got != 3 {
 		t.Errorf("shared count = %d, want 3", got)
 	}
 	if got := shared.Sum(); got != 105.5 {
 		t.Errorf("shared sum = %v, want 105.5", got)
 	}
-	if got := shard.Count(); got != 0 {
-		t.Errorf("shard count after drain = %d, want 0", got)
+	if got := local.Count(); got != 0 {
+		t.Errorf("local count after drain = %d, want 0", got)
 	}
-	if got := shard.Sum(); got != 0 {
-		t.Errorf("shard sum after drain = %v, want 0", got)
+	if got := local.Sum(); got != 0 {
+		t.Errorf("local sum after drain = %v, want 0", got)
 	}
 	// Draining repeatedly accumulates.
-	shard.Observe(2)
-	shard.Drain(shared)
+	local.Observe(2)
+	local.Drain(shared)
 	if got := shared.Count(); got != 4 {
 		t.Errorf("shared count after second drain = %d, want 4", got)
 	}
@@ -407,32 +407,32 @@ func TestHistogramDrainBucketMismatchPanics(t *testing.T) {
 func TestCounterVecDrain(t *testing.T) {
 	r := NewRegistry()
 	shared := r.CounterVec("drain_vec_total", "", "action")
-	shard := NewCounterVec("action")
-	shard.With("cap").Add(3)
-	shard.With("none").Add(7)
-	shard.Drain(shared)
+	local := NewCounterVec("action")
+	local.With("cap").Add(3)
+	local.With("none").Add(7)
+	local.Drain(shared)
 	if got := shared.With("cap").Value(); got != 3 {
 		t.Errorf(`shared{action="cap"} = %v, want 3`, got)
 	}
 	if got := shared.With("none").Value(); got != 7 {
 		t.Errorf(`shared{action="none"} = %v, want 7`, got)
 	}
-	if got := shard.With("cap").Value(); got != 0 {
-		t.Errorf("shard after drain = %v, want 0", got)
+	if got := local.With("cap").Value(); got != 0 {
+		t.Errorf("local after drain = %v, want 0", got)
 	}
 	var nilV *CounterVec
 	nilV.Drain(shared)
-	shard.Drain(nil)
+	local.Drain(nil)
 }
 
 // TestDrainUnderConcurrentWriters is the usage pattern the cluster
-// relies on: shards written from worker goroutines, drained serially,
+// relies on: local cells written from worker goroutines, drained serially,
 // with no update lost.
 func TestDrainUnderConcurrentWriters(t *testing.T) {
 	r := NewRegistry()
 	shared := r.Counter("drain_conc_total", "")
-	const shards, per = 8, 1000
-	locals := make([]*Counter, shards)
+	const writers, per = 8, 1000
+	locals := make([]*Counter, writers)
 	var wg sync.WaitGroup
 	for i := range locals {
 		locals[i] = &Counter{}
@@ -448,8 +448,8 @@ func TestDrainUnderConcurrentWriters(t *testing.T) {
 	for _, c := range locals {
 		c.Drain(shared)
 	}
-	if got := shared.Value(); got != shards*per {
-		t.Errorf("shared = %v, want %d", got, shards*per)
+	if got := shared.Value(); got != writers*per {
+		t.Errorf("shared = %v, want %d", got, writers*per)
 	}
 }
 

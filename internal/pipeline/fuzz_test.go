@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -13,39 +12,20 @@ import (
 	"repro/internal/model"
 )
 
-// FuzzWireDecode hammers the newline-delimited JSON wire protocol's
-// frame decoder with arbitrary bytes: any input must produce a message
-// or an error, never a panic — an agent connection carries
-// attacker-shaped data as far as the decoder is concerned. CI runs
-// this as a short fuzz smoke on every push.
+// FuzzWireDecode feeds the frame reader what a peer that is not wire v2
+// sends — the corpus is the v1 newline-delimited JSON framing, frames
+// well-formed and not — and arbitrary bytes grown from it: a stream
+// must produce messages or an error, never a panic; an error never
+// comes with a message; and a stream whose first byte is not the magic
+// is refused there and then, with an error wrapping errBadFrame.
 func FuzzWireDecode(f *testing.F) {
-	// Valid frames of each message type, as the encoder produces them.
-	sample := model.Sample{
-		Job: "websearch", Task: model.TaskID{Job: "websearch", Index: 3},
-		Platform: model.PlatformA, Timestamp: time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC),
-		CPUUsage: 1.5, CPI: 2.25, Machine: "m1",
-	}
-	traced := sample
-	traced.TraceID = "00c0ffee00c0ffee"
-	for _, msg := range []wireMsg{
-		// Old shape: no trace fields anywhere (pre-tracing agents).
-		{Type: msgSamples, Samples: []model.Sample{sample}},
-		{Type: msgSubscribe},
-		{Type: msgSubscribe, Jobs: []model.SpecKey{{Job: "websearch", Platform: model.PlatformA}}},
-		{Type: msgSpec, Spec: &model.Spec{Job: "websearch", Platform: model.PlatformA, CPIMean: 1.6, CPIStddev: 0.2}},
-		// New shape: trace context on the sample and on the envelope.
-		{Type: msgSamples, Samples: []model.Sample{traced}},
-		{Type: msgSpec, TraceID: "feedfacefeedface",
-			Spec: &model.Spec{Job: "websearch", Platform: model.PlatformA, CPIMean: 1.6, CPIStddev: 0.2}},
-	} {
-		b, err := json.Marshal(msg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
-	// Malformed and adversarial frames.
-	for _, s := range []string{
+	for _, line := range []string{
+		`{"type":"samples","samples":[{"jobname":"websearch","task":{"job":"websearch","index":3},"platforminfo":"A","timestamp":"2011-11-01T00:00:00Z","cpu_usage":1.5,"cpi":2.25,"machine":"m1"}]}`,
+		`{"type":"subscribe"}`,
+		`{"type":"subscribe","jobs":[{"jobname":"websearch","platforminfo":"A"}]}`,
+		`{"type":"spec","spec":{"jobname":"websearch","platforminfo":"A","cpi_mean":1.6,"cpi_stddev":0.2}}`,
+		`{"type":"spec","spec":{"jobname":"websearch","platforminfo":"A","cpi_mean":1.6,"cpi_stddev":0.2},"trace_id":"feedfacefeedface"}`,
+		`{"type":"hello","wire":2}`,
 		"",
 		"\n",
 		"   \t  ",
@@ -62,84 +42,98 @@ func FuzzWireDecode(f *testing.F) {
 		"\xff\xfe{}",
 		`{"type":"samples","samples":[` + strings.Repeat(`{"cpi":1},`, 100) + `{"cpi":1}]}`,
 	} {
-		f.Add([]byte(s))
+		f.Add([]byte(line))
 	}
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		msg, err := decodeFrame(frame)
-		if err != nil {
-			if msg.Type != "" || msg.Samples != nil || msg.Jobs != nil || msg.Spec != nil || msg.TraceID != "" {
-				t.Fatalf("error %v returned non-zero message %+v", err, msg)
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		fr := newFrameReader(bytes.NewReader(stream))
+		for i := 0; i < 64; i++ { // bound work per input
+			msg, err := fr.next()
+			if i == 0 && len(stream) > 0 && stream[0] != binMagic && !errors.Is(err, errBadFrame) {
+				t.Fatalf("stream starting %#02x: err = %v, want a refusal wrapping errBadFrame", stream[0], err)
 			}
-			return
-		}
-		// A successfully decoded frame must round-trip through the
-		// encoder without error (it feeds straight into bus handling).
-		if _, err := json.Marshal(msg); err != nil {
-			t.Fatalf("decoded frame does not re-encode: %v", err)
+			if err != nil {
+				if msg.Type != 0 || msg.Samples != nil || msg.Jobs != nil || msg.Spec != nil || msg.TraceID != "" {
+					t.Fatalf("error %v returned non-zero message %+v", err, msg)
+				}
+				return
+			}
 		}
 	})
 }
 
-// TestDecodeFrameLimits pins the protocol's size handling: frames over
-// MaxFrameBytes are rejected with ErrFrameTooLarge regardless of
-// content, frames at the limit are parsed, and blank lines are
-// reported as empty (and skipped by read loops).
+// limitFrame is a one-sample frame whose payload is exactly n bytes:
+// the machine name is padded to fit.
+func limitFrame(n int) []byte {
+	const overhead = 1 + 4 + minBinSampleLen // type, count, an all-empty sample
+	s := model.Sample{Machine: strings.Repeat("m", n-overhead)}
+	return appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{s}})
+}
+
+// TestDecodeFrameLimits pins the protocol's size handling: a frame
+// whose payload is exactly MaxFrameBytes is parsed, one byte more is
+// refused with ErrFrameTooLarge from the header alone, whatever
+// follows, and a stream that ends inside a header or a payload is a
+// transport error, not a clean close.
 func TestDecodeFrameLimits(t *testing.T) {
-	big := append([]byte(`{"type":"`), bytes.Repeat([]byte("a"), MaxFrameBytes)...)
-	big = append(big, []byte(`"}`)...)
-	if _, err := decodeFrame(big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized frame: err = %v, want ErrFrameTooLarge", err)
+	atLimit := limitFrame(MaxFrameBytes)
+	if len(atLimit) != binHeaderLen+MaxFrameBytes {
+		t.Fatalf("test frame payload is %d bytes, want exactly %d", len(atLimit)-binHeaderLen, MaxFrameBytes)
 	}
-	atLimit := append([]byte(`{"type":"`), bytes.Repeat([]byte("a"), MaxFrameBytes-11)...)
-	atLimit = append(atLimit, []byte(`"}`)...)
-	if len(atLimit) != MaxFrameBytes {
-		t.Fatalf("test frame is %d bytes, want exactly %d", len(atLimit), MaxFrameBytes)
+	msg, err := newFrameReader(bytes.NewReader(atLimit)).next()
+	if err != nil || len(msg.Samples) != 1 {
+		t.Errorf("frame at limit: %d samples, err = %v", len(msg.Samples), err)
 	}
-	if _, err := decodeFrame(atLimit); err != nil {
-		t.Errorf("frame at limit: %v", err)
-	}
-	for _, blank := range [][]byte{nil, {}, []byte("  "), []byte("\t\r")} {
-		if _, err := decodeFrame(blank); !errors.Is(err, errEmptyFrame) {
-			t.Errorf("blank frame %q: err = %v, want errEmptyFrame", blank, err)
+	over := limitFrame(MaxFrameBytes + 1)
+	for name, stream := range map[string][]byte{
+		"whole frame": over,
+		"header only": over[:binHeaderLen],
+	} {
+		if _, err := newFrameReader(bytes.NewReader(stream)).next(); !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("oversized frame (%s): err = %v, want ErrFrameTooLarge", name, err)
 		}
+	}
+	for name, stream := range map[string][]byte{
+		"mid-header":  atLimit[:3],
+		"mid-payload": atLimit[:len(atLimit)-1],
+	} {
+		_, err := newFrameReader(bytes.NewReader(stream)).next()
+		if !errors.Is(err, io.ErrUnexpectedEOF) || wireErrorReason(err) != "read" {
+			t.Errorf("stream cut %s: err = %v (reason %s), want unexpected EOF (read)", name, err, wireErrorReason(err))
+		}
+	}
+	if _, err := newFrameReader(bytes.NewReader(nil)).next(); err != io.EOF {
+		t.Errorf("empty stream: err = %v, want io.EOF (a clean close between frames)", err)
 	}
 }
 
 // TestFrameReaderDropsOversizedFrames: the read loop's frame reader
-// refuses frames beyond MaxFrameBytes with ErrFrameTooLarge (the
-// connection is then dropped) but passes well-formed traffic through
-// unharmed — in both framings, through the one shared code path.
+// refuses a frame beyond MaxFrameBytes with ErrFrameTooLarge (the
+// connection is then dropped, counted as "oversize") but passes the
+// well-formed traffic before it through unharmed.
 func TestFrameReaderDropsOversizedFrames(t *testing.T) {
-	good := `{"type":"subscribe"}`
-	fr := newFrameReader(strings.NewReader(good + "\n" + strings.Repeat("x", MaxFrameBytes+5) + "\n"))
+	stream := appendBinaryFrame(nil, wireMsg{Type: msgSubscribe})
+	stream = append(stream, limitFrame(MaxFrameBytes+1)...)
+	fr := newFrameReader(bytes.NewReader(stream))
 	msg, err := fr.next()
 	if err != nil || msg.Type != msgSubscribe {
 		t.Fatalf("good frame: msg=%+v err=%v", msg, err)
 	}
-	if _, err := fr.next(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized JSON frame: err = %v, want ErrFrameTooLarge", err)
+	_, err = fr.next()
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
-
-	// Binary framing: a declared payload length over the limit is
-	// rejected from the header alone, before any payload is read.
-	hdr := []byte{binMagic, binVersion, 0, 0, 0, 0}
-	n := uint32(MaxFrameBytes + 1)
-	hdr[2], hdr[3], hdr[4], hdr[5] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-	fr = newFrameReader(bytes.NewReader(hdr))
-	if _, err := fr.next(); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized binary frame: err = %v, want ErrFrameTooLarge", err)
-	}
-
-	if got := wireErrorReason(ErrFrameTooLarge); got != "oversize" {
-		t.Errorf("wireErrorReason(ErrFrameTooLarge) = %q, want oversize", got)
+	if got := wireErrorReason(err); got != "oversize" {
+		t.Errorf("wireErrorReason(%v) = %q, want oversize", err, got)
 	}
 }
 
-// FuzzWireDecodeBinary hammers the binary v2 frame path with arbitrary
-// bytes via the same streaming reader the read loops use: any input
-// must produce messages and then an error or EOF, never a panic and
-// never an over-allocation. Seeds cover well-formed frames of each
-// type, truncated length prefixes, and length/payload mismatches.
+// FuzzWireDecodeBinary hammers the frame path with arbitrary bytes via
+// the same streaming reader the read loops use: any input must produce
+// messages and then an error or EOF, never a panic and never an
+// over-allocation — a connection carries attacker-shaped data as far
+// as the decoder is concerned. Seeds cover well-formed frames of each
+// type, truncated length prefixes and length/payload mismatches. CI
+// runs this as a short fuzz smoke on every push.
 func FuzzWireDecodeBinary(f *testing.F) {
 	sample := model.Sample{
 		Job: "websearch", Task: model.TaskID{Job: "websearch", Index: 3},
@@ -170,10 +164,16 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	badStr := append([]byte{}, full...)
 	badStr[binHeaderLen+5], badStr[binHeaderLen+6] = 0xff, 0xff // first string length
 	f.Add(badStr)
-	// Unknown version, unknown message type, JSON interleaved.
+	// Unknown version, unknown message type, a v1 line after a frame.
 	f.Add([]byte{binMagic, 99, 0, 0, 0, 0})
-	f.Add(appendBinaryFrame(nil, wireMsg{Type: "unknown-future-type"}))
+	f.Add(appendBinaryFrame(nil, wireMsg{Type: 99}))
 	f.Add(append(appendBinaryFrame(nil, wireMsg{Type: msgSubscribe}), []byte("{\"type\":\"subscribe\"}\n")...))
+	// The hello, and one for a version this end does not speak.
+	hello := appendBinaryFrame(nil, wireMsg{Type: msgHello})
+	f.Add(hello)
+	hello3 := append([]byte{}, hello...)
+	hello3[len(hello3)-1] = 3
+	f.Add(hello3)
 	// The decoder carries state from frame to frame (reused sample slots,
 	// string memos), so every input also goes through a reader that has
 	// already decoded an unrelated frame sharing some of its strings; the
@@ -199,14 +199,10 @@ func FuzzWireDecodeBinary(f *testing.F) {
 			if !sameWireMsg(msg, umsg) {
 				t.Fatalf("frame %d: fresh reader decoded %+v, used reader %+v", i, msg, umsg)
 			}
-			data := msg.Type == msgSamples || msg.Type == msgSubscribe || msg.Type == msgSpec && msg.Spec != nil
-			if !data {
-				// Unknown frame type (ignored by the read loops), or a JSON
-				// frame with no binary encoding: keep reading.
-				continue
+			if msg.Type == 0 {
+				continue // unknown message type, ignored by the read loops
 			}
-			// What decoded must survive the binary encoding again. (Not
-			// JSON: a binary frame can carry NaN and years past 9999.)
+			// What decoded must survive the encoding again.
 			again, err := newFrameReader(bytes.NewReader(appendBinaryFrame(nil, msg))).next()
 			if err != nil || !sameWireMsg(msg, again) {
 				t.Fatalf("frame %d does not re-encode: %+v became %+v, %v", i, msg, again, err)
@@ -224,7 +220,7 @@ func sameSample(a, b model.Sample) bool {
 }
 
 func sameWireMsg(a, b wireMsg) bool {
-	if a.Type != b.Type || a.TraceID != b.TraceID || a.Wire != b.Wire ||
+	if a.Type != b.Type || a.TraceID != b.TraceID ||
 		len(a.Samples) != len(b.Samples) || len(a.Jobs) != len(b.Jobs) || (a.Spec == nil) != (b.Spec == nil) {
 		return false
 	}
@@ -248,8 +244,8 @@ func sameWireMsg(a, b wireMsg) bool {
 }
 
 // TestBinaryRoundTrip pins encode→decode equality for every message
-// type, including values JSON cannot carry (NaN CPI survives the
-// binary framing; the validator rejects it downstream either way).
+// type, including NaN and Inf (they survive the framing; rejecting
+// them is the validator's decision downstream).
 func TestBinaryRoundTrip(t *testing.T) {
 	ts := time.Date(2011, 11, 1, 0, 0, 10, 500, time.UTC)
 	msgs := []wireMsg{
@@ -270,16 +266,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 			NumTasks: 7, CPUUsageMean: 0.5, CPIMean: 1.6, CPIStddev: 0.2,
 			UpdatedAt: ts,
 		}},
+		{Type: msgHello},
 	}
 	for _, want := range msgs {
 		frame := appendBinaryFrame(nil, want)
 		fr := newFrameReader(bytes.NewReader(frame))
 		got, err := fr.next()
 		if err != nil {
-			t.Fatalf("%s: %v", want.Type, err)
+			t.Fatalf("type %d: %v", want.Type, err)
 		}
 		if !sameWireMsg(got, want) {
-			t.Errorf("%s: round-trip mismatch: got %+v want %+v", want.Type, got, want)
+			t.Errorf("type %d: round-trip mismatch: got %+v want %+v", want.Type, got, want)
 		}
 	}
 }

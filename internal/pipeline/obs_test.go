@@ -138,16 +138,23 @@ func TestTCPMetrics(t *testing.T) {
 
 	bus.Recompute(day0)
 	waitFor(t, "spec push", func() bool { return got.count() == 1 })
-	// Server sent hello-ack + spec = 2 messages out, 1 spec push.
+	// Server sent its hello + spec = 2 messages out, 1 spec push.
 	if m.SpecPushes.Value() != 1 || m.MessagesOut.Value() != 2 {
 		t.Errorf("push counters = %v pushes / %v msgs out",
 			m.SpecPushes.Value(), m.MessagesOut.Value())
 	}
-	// ≥ 1: the spec push is always counted; whether the hello-ack was
-	// depends on whether it raced the SetMetrics call above.
+	// ≥ 1: the spec push is always counted; whether the server's hello
+	// was depends on whether it raced the SetMetrics call above.
 	waitFor(t, "client in counters", func() bool {
 		return cm.MessagesIn.Value() >= 1 && cm.BytesIn.Value() > 0
 	})
+	for _, side := range []*Metrics{m, cm} {
+		for _, reason := range []string{"decode", "oversize", "read"} {
+			if got := side.WireErrors.With(reason).Value(); got != 0 {
+				t.Errorf("wire errors (%s) during a clean session = %v", reason, got)
+			}
+		}
+	}
 }
 
 func TestRedialerReconnects(t *testing.T) {

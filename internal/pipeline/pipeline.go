@@ -7,10 +7,9 @@
 //
 //   - In-process (Bus): the cluster simulator's fast path.
 //   - TCP (Server/Client): length-prefixed binary v2 frames over real
-//     sockets (wirebin.go; JSON lines for the hello and for pre-v2
-//     peers), used by cmd/cpi2agent and cmd/cpi2aggregator, so the
-//     distributed path is exercised honestly — batching, reconnects,
-//     and partial failure included.
+//     sockets (wirebin.go), used by cmd/cpi2agent and
+//     cmd/cpi2aggregator, so the distributed path is exercised
+//     honestly — batching, reconnects, and partial failure included.
 //
 // Delivery is at-most-once, like the real system's monitoring pipe:
 // losing a CPI sample is harmless (the spec is statistical, and local

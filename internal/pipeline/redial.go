@@ -13,9 +13,9 @@ import (
 
 // Redialer is a SampleSink that maintains a client connection to an
 // aggregation server, re-dialing with capped full-jitter backoff
-// whenever the connection drops. Batches published while no connection
-// is up are dropped (and counted) — at-most-once delivery, same as the
-// underlying pipe.
+// whenever a dial fails or the connection drops. Batches published
+// while no connection is up are dropped (and counted) — at-most-once
+// delivery, same as the underlying pipe.
 type Redialer struct {
 	addr   string
 	onSpec func(model.Spec)
@@ -256,18 +256,25 @@ func (r *Redialer) loop(ctx context.Context) {
 	defer close(r.done)
 	first := true
 	attempt := 0
+	// pause sleeps the backoff before the next dial; false means closed.
+	pause := func() bool {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(FullJitterBackoff(attempt, r.cfg.Base, r.cfg.Max, r.cfg.Rand())):
+		}
+		attempt++
+		return true
+	}
 	for {
 		c, err := Dial(ctx, r.addr, r.onSpec)
 		if err != nil {
-			select {
-			case <-ctx.Done():
+			if !pause() {
 				return
-			case <-time.After(FullJitterBackoff(attempt, r.cfg.Base, r.cfg.Max, r.cfg.Rand())):
 			}
-			attempt++
 			continue
 		}
-		attempt = 0
+		connected := time.Now()
 
 		r.mu.Lock()
 		if r.closed {
@@ -309,6 +316,17 @@ func (r *Redialer) loop(ctx context.Context) {
 			r.mu.Lock()
 			r.client = nil
 			r.mu.Unlock()
+		}
+		// A connection that outlived the longest backoff starts the pacing
+		// over. One that died young is paced like a failed dial: a peer
+		// that accepts and then drops every connection — one that speaks
+		// another wire version refuses ours at the first frame — would
+		// otherwise be re-dialed in a tight loop.
+		if time.Since(connected) >= r.cfg.Max {
+			attempt = 0
+		}
+		if !pause() {
+			return
 		}
 	}
 }

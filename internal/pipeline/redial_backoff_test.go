@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"math/rand"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -79,5 +81,43 @@ func TestRedialConfigSanitize(t *testing.T) {
 	c = RedialConfig{Base: time.Second, Max: time.Millisecond}.Sanitize()
 	if c.Max != time.Second {
 		t.Errorf("Max %v not clamped up to Base", c.Max)
+	}
+}
+
+// TestRedialerPacesRefusedConnections: a peer that accepts every dial
+// and then drops the connection — here a v1 aggregator, whose JSON the
+// client refuses at its first byte — is re-dialed at the backoff's
+// pace, one draw between each pair of connections, not in a tight
+// loop. (Counted in draws, not timed.)
+func TestRedialerPacesRefusedConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const conns = 5
+	accepted := make(chan struct{}, conns)
+	go func() {
+		for i := 0; i < conns; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = conn.Write([]byte(`{"type":"hello","wire":2}` + "\n"))
+			conn.Close()
+			accepted <- struct{}{}
+		}
+	}()
+	var draws atomic.Int64
+	rd := NewRedialerWith(ln.Addr().String(), nil, RedialConfig{
+		Base: time.Millisecond, Max: time.Hour, // no connection outlives Max
+		Rand: func() float64 { draws.Add(1); return 0.5 },
+	})
+	defer rd.Close()
+	for i := 0; i < conns; i++ {
+		<-accepted
+	}
+	if got := draws.Load(); got < conns-1 {
+		t.Errorf("%d connections refused after %d backoff draws, want one between each pair", conns, got)
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // approxSampleBytes is the budget-accounting estimate for one wire
-// sample: the JSON frame encodes task, job, platform, timestamp, and
-// two floats, which lands near this size. The spool byte budget is a
+// sample: a frame encodes task, job, platform, timestamp, machine,
+// trace id and two floats, which lands near this size. The spool byte budget is a
 // back-pressure knob, not an exact allocator, so an estimate is fine.
 const approxSampleBytes = 160
 

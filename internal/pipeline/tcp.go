@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -13,43 +12,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
-)
-
-// Wire protocol: symmetric envelope, two framings on one stream.
-//
-// JSON (v1, the fallback every peer speaks): newline-delimited
-// messages.
-//
-//	agent → aggregator:  {"type":"samples", "samples":[…]}
-//	agent → aggregator:  {"type":"subscribe", "jobs":[…]} (empty = all)
-//	agent → aggregator:  {"type":"hello", "wire":2}
-//	aggregator → agent:  {"type":"spec", "spec":{…}, "trace_id":"…"}
-//	aggregator → agent:  {"type":"hello", "wire":2}
-//
-// Binary (v2, negotiated): the same three data messages as
-// length-prefixed binary frames — see wirebin.go for the layout and
-// the negotiation rules. Readers never negotiate: every frame is
-// self-describing by its first byte.
-//
-// trace_id carries the causal-tracing context on spec frames. It (and
-// the per-sample trace_id) is optional: frames without it — from
-// pre-tracing peers — decode identically, which FuzzWireDecode pins.
-type wireMsg struct {
-	Type    string          `json:"type"`
-	Samples []model.Sample  `json:"samples,omitempty"`
-	Jobs    []model.SpecKey `json:"jobs,omitempty"`
-	Spec    *model.Spec     `json:"spec,omitempty"`
-	TraceID string          `json:"trace_id,omitempty"`
-	// Wire is the highest binary protocol version the sender speaks,
-	// on hello frames (0 otherwise).
-	Wire int `json:"wire,omitempty"`
-}
-
-const (
-	msgSamples   = "samples"
-	msgSubscribe = "subscribe"
-	msgSpec      = "spec"
-	msgHello     = "hello"
 )
 
 // Server is the TCP face of the aggregation service: it accepts agent
@@ -127,14 +89,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return // listener closed
 		}
 		m := s.bus.Metrics()
-		w := countingWriter{conn, m.BytesOut}
-		sc := &serverConn{
-			srv:  s,
-			conn: conn,
-			m:    m,
-			w:    w,
-			enc:  json.NewEncoder(w),
-		}
+		sc := &serverConn{srv: s, conn: conn, m: m, w: countingWriter{conn, m.BytesOut}}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -178,11 +133,7 @@ type serverConn struct {
 	m    *Metrics
 
 	writeMu sync.Mutex
-	enc     *json.Encoder
 	w       countingWriter
-	// binSend switches outbound frames to the binary encoding; set
-	// (under writeMu) when the agent's hello announces wire ≥ 2.
-	binSend bool
 	sendBuf []byte
 
 	subMu      sync.Mutex
@@ -234,22 +185,30 @@ func (c *serverConn) readLoop() {
 			}
 			c.subMu.Unlock()
 		case msgHello:
-			if msg.Wire >= WireV2 {
-				// Ack in JSON (the one framing the peer certainly reads
-				// right now), then switch our sends to binary.
-				c.writeMu.Lock()
-				_ = c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-				if err := c.enc.Encode(wireMsg{Type: msgHello, Wire: WireV2}); err == nil {
-					c.binSend = true
-					c.m.MessagesOut.Inc()
-				}
-				c.writeMu.Unlock()
+			// Answer with our own; a hello for another version never gets
+			// here (the decoder refuses it).
+			if err := c.send(wireMsg{Type: msgHello}); err != nil {
+				c.srv.noteWireError(c.conn.RemoteAddr().String(), err)
+				return
 			}
 		default:
 			// Unknown message types are ignored for forward
 			// compatibility.
 		}
 	}
+}
+
+// send writes one frame and counts it.
+func (c *serverConn) send(msg wireMsg) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	_ = c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	c.sendBuf = appendBinaryFrame(c.sendBuf[:0], msg)
+	if _, err := c.w.Write(c.sendBuf); err != nil {
+		return err
+	}
+	c.m.MessagesOut.Inc()
+	return nil
 }
 
 // WantSpec implements SpecWatcher.
@@ -264,27 +223,15 @@ func (c *serverConn) WantSpec(key model.SpecKey) bool {
 
 // DeliverSpec implements SpecWatcher.
 func (c *serverConn) DeliverSpec(spec model.Spec) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	msg := wireMsg{
+	err := c.send(wireMsg{
 		Type:    msgSpec,
 		Spec:    &spec,
 		TraceID: trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt),
-	}
-	var err error
-	if c.binSend {
-		c.sendBuf = appendBinaryFrame(c.sendBuf[:0], msg)
-		_, err = c.w.Write(c.sendBuf)
-	} else {
-		err = c.enc.Encode(msg)
-	}
+	})
 	if err != nil {
 		c.m.PushErrors.Inc()
 		c.conn.Close() // readLoop will clean up
-		return
 	}
-	c.m.MessagesOut.Inc()
 }
 
 // Client is the agent-side pipeline endpoint: it publishes sample
@@ -294,10 +241,6 @@ type Client struct {
 	m    atomic.Pointer[Metrics]
 
 	writeMu sync.Mutex
-	enc     *json.Encoder
-	// binSend switches outbound frames to the binary encoding; set
-	// (under writeMu) when the server acks our hello.
-	binSend bool
 	sendBuf []byte
 
 	events atomic.Pointer[obs.EventLog]
@@ -308,13 +251,11 @@ type Client struct {
 	done   chan struct{}
 }
 
-// Dial connects to an aggregation server. onSpec is invoked (on the
-// client's read goroutine) for every spec push; it may be nil.
-//
-// The client announces binary wire support with a JSON hello frame; if
-// the server acks (it speaks v2), subsequent sends switch to the
-// binary framing. A v1 server ignores the unknown hello type and the
-// connection stays on JSON throughout.
+// Dial connects to an aggregation server and says hello. onSpec is
+// invoked (on the client's read goroutine) for every spec push; it may
+// be nil. The server's hello is not waited for: a peer that is not
+// wire v2 shows as a wire_error on whichever side reads the other's
+// first frame.
 func Dial(ctx context.Context, addr string, onSpec func(model.Spec)) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -326,23 +267,17 @@ func Dial(ctx context.Context, addr string, onSpec func(model.Spec)) (*Client, e
 		onSpec: onSpec,
 		done:   make(chan struct{}),
 	}
-	c.enc = json.NewEncoder(clientWriter{c})
 	go c.readLoop()
-	_ = c.send(wireMsg{Type: msgHello, Wire: WireV2})
+	if err := c.send(wireMsg{Type: msgHello}); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("pipeline: dial %s: hello: %w", addr, err)
+	}
 	return c, nil
 }
 
 // SetEvents directs the client's wire_error events to log (nil
 // disables). Safe to call at any time.
 func (c *Client) SetEvents(log *obs.EventLog) { c.events.Store(log) }
-
-// BinaryWire reports whether outbound frames currently use the binary
-// v2 framing (i.e. the server acked our hello).
-func (c *Client) BinaryWire() bool {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.binSend
-}
 
 // SetMetrics instruments the client with m (nil disables). Safe to
 // call at any time; counting starts with the next read/write.
@@ -406,14 +341,10 @@ func (c *Client) readLoop() {
 			return
 		}
 		c.metrics().MessagesIn.Inc()
-		switch {
-		case msg.Type == msgSpec && msg.Spec != nil && c.onSpec != nil:
+		// The server's hello needs no action: one for another version
+		// never gets here (the decoder refuses it).
+		if msg.Type == msgSpec && c.onSpec != nil {
 			c.onSpec(*msg.Spec)
-		case msg.Type == msgHello && msg.Wire >= WireV2:
-			// Server acked our hello: switch sends to binary.
-			c.writeMu.Lock()
-			c.binSend = true
-			c.writeMu.Unlock()
 		}
 	}
 }
@@ -454,14 +385,8 @@ func (c *Client) send(msg wireMsg) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	_ = c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	var err error
-	if c.binSend && msg.Type != msgHello {
-		c.sendBuf = appendBinaryFrame(c.sendBuf[:0], msg)
-		_, err = clientWriter{c}.Write(c.sendBuf)
-	} else {
-		err = c.enc.Encode(msg)
-	}
-	if err != nil {
+	c.sendBuf = appendBinaryFrame(c.sendBuf[:0], msg)
+	if _, err := (clientWriter{c}).Write(c.sendBuf); err != nil {
 		return fmt.Errorf("pipeline: send: %w", err)
 	}
 	c.metrics().MessagesOut.Inc()

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -11,10 +9,9 @@ import (
 	"repro/internal/model"
 )
 
-// The codec numbers ROADMAP item 3 asks for before one data-plane
-// framing is deleted: the same two messages — a 16-sample batch (one
-// machine's sampling window) and one spec push — through the JSON
-// framing and the binary v2 framing, codec only (no socket, no bufio).
+// The codec's cost on two messages — a 16-sample batch (one machine's
+// sampling window) and one spec push — codec only (no socket, no
+// bufio).
 //
 //	go test -run '^$' -bench 'BenchmarkWire' -benchmem ./internal/pipeline
 
@@ -50,14 +47,6 @@ func wireBenchSamples(n int) []model.Sample {
 // wireBenchSink keeps the compiler from eliding the measured calls.
 var wireBenchSink int
 
-func jsonFrame(tb testing.TB, msg wireMsg) []byte {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(msg); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // reportFrame adds the frame size to a finished benchmark's results
 // (after the loop: ResetTimer discards reported metrics).
 func reportFrame(b *testing.B, frame []byte, samples int) {
@@ -71,21 +60,7 @@ func reportFrame(b *testing.B, frame []byte, samples int) {
 
 func BenchmarkWireEncode(b *testing.B) {
 	for _, m := range wireBenchMsgs {
-		b.Run(m.name+"/json", func(b *testing.B) {
-			// As Client.send and serverConn do: one long-lived encoder.
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := enc.Encode(m.msg); err != nil {
-					b.Fatal(err)
-				}
-				wireBenchSink += buf.Len()
-			}
-			reportFrame(b, buf.Bytes(), m.samples)
-		})
-		b.Run(m.name+"/binary", func(b *testing.B) {
+		b.Run(m.name, func(b *testing.B) {
 			var buf []byte
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -99,19 +74,7 @@ func BenchmarkWireEncode(b *testing.B) {
 
 func BenchmarkWireDecode(b *testing.B) {
 	for _, m := range wireBenchMsgs {
-		b.Run(m.name+"/json", func(b *testing.B) {
-			frame := jsonFrame(b, m.msg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg, err := decodeFrame(frame)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wireBenchSink += len(msg.Samples)
-			}
-			reportFrame(b, frame, m.samples)
-		})
-		b.Run(m.name+"/binary", func(b *testing.B) {
+		b.Run(m.name, func(b *testing.B) {
 			frame := appendBinaryFrame(nil, m.msg)
 			dec := new(decoder) // as frameReader: one per connection
 			b.ResetTimer()

@@ -1,35 +1,44 @@
 package pipeline
 
-// Wire protocol v2: length-prefixed binary frames.
+// Wire protocol v2: length-prefixed binary frames, the one framing of
+// the agent ↔ aggregator stream, in both directions from the first
+// byte.
 //
 // Frame layout (big-endian):
 //
-//	byte 0    magic 0xB2 — not a legal first byte of a JSON frame, so
-//	          a reader can tell the two framings apart per frame
+//	byte 0    magic 0xB2
 //	byte 1    protocol version (2)
 //	bytes 2-5 u32 payload length N (N ≤ MaxFrameBytes, else the frame
-//	          is rejected as oversized — same limit, same code path as
-//	          the JSON framing)
+//	          is refused as oversized before any payload is read)
 //	bytes 6+  payload: u8 message type, then the message body
 //
+// Messages:
+//
+//	agent → aggregator:  hello      u32 highest version spoken
+//	agent → aggregator:  samples    u32 count, then the samples
+//	agent → aggregator:  subscribe  u32 count, then job×platform keys
+//	                                (none = every spec)
+//	aggregator → agent:  hello      answers each hello received
+//	aggregator → agent:  spec       the spec, then its trace id
+//
+// A client says hello first and sends data straight after it; there is
+// nothing to wait for. A peer that is not v2 — a first byte other than
+// the magic (a v1 JSON peer's '{'), or a header or hello version other
+// than 2 — is refused with an error that wraps errBadFrame and names
+// the version, and the connection is dropped. Unknown message types
+// are skipped, so v2 can grow messages.
+//
 // Body primitives: u32/u64 big-endian; float64 as IEEE-754 bits (so
-// NaN/Inf round-trip, which JSON cannot do); strings as u32 length +
-// bytes, length-checked against the remaining payload; timestamps as
-// a presence flag byte (0 = zero time) followed by unix seconds (i64)
-// and nanoseconds (u32), decoded in UTC.
+// NaN/Inf arrive and are judged by the SampleValidator, not by the
+// codec); strings as u32 length + bytes, length-checked against the
+// remaining payload; timestamps as a presence flag byte (0 = zero
+// time) followed by unix seconds (i64) and nanoseconds (u32), decoded
+// in UTC.
 //
 // Encoding is append-style into caller-owned buffers and decoding is
 // cursor-based over the payload slice into a per-connection decoder
 // (below), so a steady-state sender allocates nothing and a receiver
 // only for strings it has not just seen: the per-batch trace id.
-//
-// Negotiation is send-side only (see tcp.go): a v2 client announces
-// itself with a JSON {"type":"hello","wire":2} frame; a v2 server acks
-// with the same frame, and each side switches its own sends to binary
-// on receipt. Readers auto-detect per frame, so mixed framings on one
-// connection are always safe and old JSON-only peers interop: an old
-// server ignores the unknown "hello" type and never acks, an old
-// client never says hello, and both sides stay on JSON.
 
 import (
 	"encoding/binary"
@@ -44,17 +53,26 @@ const (
 	binMagic     = 0xB2
 	binVersion   = 2
 	binHeaderLen = 6 // magic + version + u32 payload length
-
-	// WireV2 is the protocol version announced in hello frames.
-	WireV2 = 2
 )
 
-// Binary payload message types, mirroring the JSON "type" field.
+// Message types: the first payload byte. 0 is never sent; a decoded
+// wireMsg of type 0 is a message this end does not know.
 const (
-	binMsgSamples   = 1
-	binMsgSubscribe = 2
-	binMsgSpec      = 3
+	msgSamples   byte = 1
+	msgSubscribe byte = 2
+	msgSpec      byte = 3
+	msgHello     byte = 4
 )
+
+// wireMsg is one decoded (or to-be-encoded) message of any type.
+// TraceID carries the causal-tracing context of a spec message.
+type wireMsg struct {
+	Type    byte
+	Samples []model.Sample
+	Jobs    []model.SpecKey
+	Spec    *model.Spec
+	TraceID string
+}
 
 func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -108,36 +126,32 @@ func appendSpec(b []byte, s *model.Spec) []byte {
 }
 
 // appendBinaryFrame appends one complete v2 frame encoding msg to buf
-// and returns the extended buffer. Message types without a binary
-// encoding (hello stays JSON) encode as an empty unknown-type payload,
-// which receivers skip — but senders never do that on purpose.
+// and returns the extended buffer. A type with no body here encodes as
+// its type byte alone, which receivers skip.
 func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
 	start := len(buf)
-	buf = append(buf, binMagic, binVersion, 0, 0, 0, 0)
+	buf = append(buf, binMagic, binVersion, 0, 0, 0, 0, msg.Type)
 	switch msg.Type {
 	case msgSamples:
-		buf = append(buf, binMsgSamples)
 		buf = appendU32(buf, uint32(len(msg.Samples)))
 		for i := range msg.Samples {
 			buf = appendSample(buf, &msg.Samples[i])
 		}
 	case msgSubscribe:
-		buf = append(buf, binMsgSubscribe)
 		buf = appendU32(buf, uint32(len(msg.Jobs)))
 		for _, k := range msg.Jobs {
 			buf = appendStr(buf, string(k.Job))
 			buf = appendStr(buf, string(k.Platform))
 		}
 	case msgSpec:
-		buf = append(buf, binMsgSpec)
 		var spec model.Spec
 		if msg.Spec != nil {
 			spec = *msg.Spec
 		}
 		buf = appendSpec(buf, &spec)
 		buf = appendStr(buf, msg.TraceID)
-	default:
-		buf = append(buf, 0)
+	case msgHello:
+		buf = appendU32(buf, binVersion)
 	}
 	binary.BigEndian.PutUint32(buf[start+2:start+6], uint32(len(buf)-start-binHeaderLen))
 	return buf
@@ -310,56 +324,47 @@ func (d *decoder) sample(r *binReader, s *model.Sample) {
 }
 
 // decode parses one v2 payload (the bytes after the 6-byte frame
-// header). Malformed input returns an error wrapping errBadFrame and
-// never panics — FuzzWireDecodeBinary enforces this. Unknown message
-// types decode to a zero wireMsg, which the read loops ignore (forward
-// compatibility, like unknown JSON "type" values).
+// header). Malformed input, and a hello for any version but ours,
+// returns an error wrapping errBadFrame and never panics —
+// FuzzWireDecodeBinary enforces this. Unknown message types decode to
+// a zero wireMsg, which the read loops ignore.
 func (d *decoder) decode(p []byte) (wireMsg, error) {
 	r := binReader{b: p}
-	var msg wireMsg
-	switch t := r.u8(); t {
-	case binMsgSamples:
+	msg := wireMsg{Type: r.u8()}
+	switch msg.Type {
+	case msgSamples:
 		// An adversarial count can exceed what the payload could hold;
 		// stop at the samples the bytes actually present could encode.
 		count := int(min(int64(r.u32()), int64(len(p)/minBinSampleLen+1)))
 		if cap(d.samples) < count {
 			d.samples = make([]model.Sample, count)
 		}
-		samples := d.samples[:count]
+		msg.Samples = d.samples[:count]
 		for i := 0; i < count && r.err == nil; i++ {
-			d.sample(&r, &samples[i])
+			d.sample(&r, &msg.Samples[i])
 		}
-		if r.err == nil {
-			msg.Type = msgSamples
-			msg.Samples = samples
-		}
-	case binMsgSubscribe:
+	case msgSubscribe:
 		count := int(r.u32())
 		capN := count
 		if max := len(p)/8 + 1; capN > max { // a key is ≥ two empty strings
 			capN = max
 		}
-		keys := make([]model.SpecKey, 0, capN)
+		msg.Jobs = make([]model.SpecKey, 0, capN)
 		for i := 0; i < count && r.err == nil; i++ {
-			keys = append(keys, model.SpecKey{
+			msg.Jobs = append(msg.Jobs, model.SpecKey{
 				Job:      model.JobName(r.str()),
 				Platform: model.Platform(r.str()),
 			})
 		}
-		if r.err == nil {
-			msg.Type = msgSubscribe
-			msg.Jobs = keys
-		}
-	case binMsgSpec:
+	case msgSpec:
 		spec := r.spec()
-		tid := r.str()
-		if r.err == nil {
-			msg.Type = msgSpec
-			msg.Spec = &spec
-			msg.TraceID = tid
+		msg.Spec = &spec
+		msg.TraceID = r.str()
+	case msgHello:
+		if v := r.u32(); r.err == nil && v != binVersion {
+			return wireMsg{}, fmt.Errorf("%w: peer says hello for wire v%d, this end speaks only v%d", errBadFrame, v, binVersion)
 		}
 	default:
-		// Unknown type: ignore the payload (forward compatibility).
 		return wireMsg{}, nil
 	}
 	if r.err != nil {

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // PearsonCorrelation returns the Pearson product-moment correlation
 // coefficient between xs and ys. The slices must be the same length and
@@ -32,61 +29,4 @@ func PearsonCorrelation(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// SpearmanCorrelation returns Spearman's rank correlation coefficient,
-// a robustness check used by the experiment harness when relationships
-// are monotone but nonlinear (e.g. latency vs CPI at a root node).
-func SpearmanCorrelation(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, ErrInsufficientData
-	}
-	return PearsonCorrelation(ranks(xs), ranks(ys))
-}
-
-// ranks returns the fractional ranks of xs (ties get the mean rank).
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	r := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Mean rank for the tie group [i, j].
-		mean := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			r[idx[k]] = mean
-		}
-		i = j + 1
-	}
-	return r
-}
-
-// LinearFit returns the least-squares slope and intercept of ys on xs.
-// It is used by the experiment harness to report trend lines
-// (e.g. Figure 15(c)'s L3-miss vs CPI relationship).
-func LinearFit(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, ErrInsufficientData
-	}
-	mx := Mean(xs)
-	my := Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, my, nil
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	return slope, intercept, nil
 }

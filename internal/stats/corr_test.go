@@ -90,70 +90,3 @@ func TestPearsonBoundedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone nonlinear relation: Spearman = 1, Pearson < 1.
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x)
-	}
-	rs, err := SpearmanCorrelation(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rs, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", rs)
-	}
-	rp, _ := PearsonCorrelation(xs, ys)
-	if rp >= rs {
-		t.Errorf("Pearson %v should be below Spearman %v here", rp, rs)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	xs := []float64{1, 2, 2, 3}
-	ys := []float64{10, 20, 20, 30}
-	rs, err := SpearmanCorrelation(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rs, 1, 1e-12) {
-		t.Errorf("tied Spearman = %v, want 1", rs)
-	}
-}
-
-func TestRanks(t *testing.T) {
-	r := ranks([]float64{30, 10, 20})
-	want := []float64{3, 1, 2}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("ranks = %v, want %v", r, want)
-		}
-	}
-	// Ties share the mean rank.
-	r = ranks([]float64{5, 5, 1})
-	if r[0] != 2.5 || r[1] != 2.5 || r[2] != 1 {
-		t.Errorf("tied ranks = %v", r)
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(slope, 2, 1e-12) || !almostEqual(intercept, 1, 1e-12) {
-		t.Errorf("fit = %v, %v; want 2, 1", slope, intercept)
-	}
-	// Degenerate x: slope 0, intercept mean(y).
-	slope, intercept, err = LinearFit([]float64{2, 2}, []float64{1, 3})
-	if err != nil || slope != 0 || intercept != 2 {
-		t.Errorf("degenerate fit = %v,%v,%v", slope, intercept, err)
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("short fit should fail")
-	}
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -79,12 +78,6 @@ func (h *Histogram) Fraction(i int) float64 {
 	return float64(h.Counts[i]) / float64(h.total)
 }
 
-// Density returns the empirical probability density of bin i
-// (fraction divided by bin width), comparable against Distribution.PDF.
-func (h *Histogram) Density(i int) float64 {
-	return h.Fraction(i) / h.BinWidth()
-}
-
 // Render draws the histogram as a fixed-width text chart, one bin per
 // row, with an optional fitted distribution overlaid as '*' markers.
 // width is the number of character cells for the longest bar.
@@ -122,60 +115,4 @@ func (h *Histogram) Render(width int, fit Distribution) string {
 		fmt.Fprintf(&sb, "%7.3f |%s %6.2f%%\n", h.BinCenter(i), string(line), frac*100)
 	}
 	return sb.String()
-}
-
-// ECDF is an empirical cumulative distribution function built from a
-// sample. It backs the CDF plots in Figures 1, 14 and 16(d).
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted; xs is untouched).
-func NewECDF(xs []float64) *ECDF {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the empirical CDF value P(X ≤ x).
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th empirical quantile.
-func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	return quantileSorted(e.sorted, q)
-}
-
-// N returns the number of samples in the ECDF.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Points samples the ECDF at n evenly spaced probabilities and returns
-// (value, probability) pairs suitable for plotting a CDF curve.
-func (e *ECDF) Points(n int) (values, probs []float64) {
-	if n < 2 {
-		n = 2
-	}
-	values = make([]float64, n)
-	probs = make([]float64, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1)
-		probs[i] = p
-		values[i] = e.Quantile(p)
-	}
-	return values, probs
 }

@@ -31,9 +31,6 @@ func TestHistogramBasics(t *testing.T) {
 	if got := h.Fraction(0); !almostEqual(got, 2.0/7.0, 1e-12) {
 		t.Errorf("Fraction(0) = %v", got)
 	}
-	if got := h.Density(0); !almostEqual(got, 2.0/7.0, 1e-12) {
-		t.Errorf("Density(0) = %v", got)
-	}
 }
 
 func TestHistogramPanics(t *testing.T) {
@@ -93,71 +90,6 @@ func TestHistogramRender(t *testing.T) {
 	empty := NewHistogram(0, 1, 3)
 	if s := empty.Render(5, nil); s == "" {
 		t.Error("empty render produced nothing")
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{3, 1, 2, 4})
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-	if got := e.At(0); got != 0 {
-		t.Errorf("At(0) = %v", got)
-	}
-	if got := e.At(2); got != 0.5 {
-		t.Errorf("At(2) = %v, want 0.5", got)
-	}
-	if got := e.At(4); got != 1 {
-		t.Errorf("At(4) = %v, want 1", got)
-	}
-	if got := e.At(2.5); got != 0.5 {
-		t.Errorf("At(2.5) = %v, want 0.5", got)
-	}
-	if q := e.Quantile(0); q != 1 {
-		t.Errorf("Quantile(0) = %v", q)
-	}
-	if q := e.Quantile(1); q != 4 {
-		t.Errorf("Quantile(1) = %v", q)
-	}
-	vals, probs := e.Points(5)
-	if len(vals) != 5 || len(probs) != 5 {
-		t.Fatal("Points length")
-	}
-	if probs[0] != 0 || probs[4] != 1 {
-		t.Errorf("probs = %v", probs)
-	}
-	if vals[0] != 1 || vals[4] != 4 {
-		t.Errorf("vals = %v", vals)
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	e := NewECDF(nil)
-	if e.At(1) != 0 || e.Quantile(0.5) != 0 {
-		t.Error("empty ECDF should return zeros")
-	}
-}
-
-func TestECDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		var xs []float64
-		for _, x := range raw {
-			if x == x {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 || a != a || b != b {
-			return true
-		}
-		e := NewECDF(xs)
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return e.At(lo) <= e.At(hi)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

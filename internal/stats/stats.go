@@ -32,28 +32,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// WeightedMean returns the weighted mean of xs with weights ws.
-// Entries with non-positive weight are ignored. It returns 0 when the
-// total weight is zero or the lengths differ.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) || len(xs) == 0 {
-		return 0
-	}
-	var sum, wsum float64
-	for i, x := range xs {
-		w := ws[i]
-		if w <= 0 {
-			continue
-		}
-		sum += w * x
-		wsum += w
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return sum / wsum
-}
-
 // Variance returns the unbiased sample variance of xs.
 // It needs at least two samples.
 func Variance(xs []float64) (float64, error) {
@@ -130,21 +108,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Normalize scales xs in place so that the elements sum to 1.
-// If the sum is zero it leaves xs unchanged and returns false.
-// The antagonist-correlation algorithm (§4.2) normalizes suspect CPU
-// usage this way before scoring.
-func Normalize(xs []float64) bool {
-	s := Sum(xs)
-	if s == 0 {
-		return false
-	}
-	for i := range xs {
-		xs[i] /= s
-	}
-	return true
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics (type-7, the spreadsheet and
 // NumPy default). xs need not be sorted; it is not modified.
@@ -208,29 +171,6 @@ func (m *Moments) Add(x float64) {
 	delta := x - m.mean
 	m.mean += delta / float64(m.n)
 	m.m2 += delta * (x - m.mean)
-}
-
-// Merge combines another Moments into m (Chan et al. parallel update).
-func (m *Moments) Merge(o Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = o
-		return
-	}
-	n1, n2 := float64(m.n), float64(o.n)
-	delta := o.mean - m.mean
-	tot := n1 + n2
-	m.mean += delta * n2 / tot
-	m.m2 += o.m2 + delta*delta*n1*n2/tot
-	m.n += o.n
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
 }
 
 // N returns the number of observations folded in.

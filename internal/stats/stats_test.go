@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -28,24 +27,6 @@ func TestMean(t *testing.T) {
 				t.Errorf("Mean(%v) = %v, want %v", c.xs, got, c.want)
 			}
 		})
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	ws := []float64{1, 0, 1}
-	if got := WeightedMean(xs, ws); got != 2 {
-		t.Errorf("WeightedMean = %v, want 2", got)
-	}
-	if got := WeightedMean(xs, []float64{0, 0, 0}); got != 0 {
-		t.Errorf("zero weights: got %v, want 0", got)
-	}
-	if got := WeightedMean(xs, []float64{1, 1}); got != 0 {
-		t.Errorf("mismatched lengths: got %v, want 0", got)
-	}
-	// Negative weights are ignored.
-	if got := WeightedMean(xs, []float64{-5, 1, 1}); got != 2.5 {
-		t.Errorf("negative weight not ignored: got %v, want 2.5", got)
 	}
 }
 
@@ -103,20 +84,6 @@ func TestMinMaxSum(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 3}
-	if !Normalize(xs) {
-		t.Fatal("Normalize returned false")
-	}
-	if !almostEqual(xs[0], 0.25, 1e-15) || !almostEqual(xs[1], 0.75, 1e-15) {
-		t.Errorf("Normalize = %v", xs)
-	}
-	zs := []float64{0, 0}
-	if Normalize(zs) {
-		t.Error("Normalize of zeros should return false")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	q, err := Quantile(xs, 0.4)
@@ -158,71 +125,6 @@ func TestMomentsMatchesBatch(t *testing.T) {
 	}
 	if m.N() != 1000 {
 		t.Errorf("N = %d", m.N())
-	}
-}
-
-func TestMomentsMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var all, a, b Moments
-	for i := 0; i < 500; i++ {
-		x := rng.ExpFloat64()
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) || !almostEqual(a.Variance(), all.Variance(), 1e-9) {
-		t.Errorf("merged (%v,%v) != combined (%v,%v)", a.Mean(), a.Variance(), all.Mean(), all.Variance())
-	}
-	// Merging into empty adopts the other side.
-	var empty Moments
-	empty.Merge(all)
-	if empty.N() != all.N() || empty.Mean() != all.Mean() {
-		t.Error("merge into empty failed")
-	}
-	// Merging empty is a no-op.
-	n := all.N()
-	all.Merge(Moments{})
-	if all.N() != n {
-		t.Error("merge of empty changed state")
-	}
-}
-
-func TestMomentsMergeProperty(t *testing.T) {
-	// Property: splitting any sample at any point and merging gives the
-	// same moments as folding the whole sample.
-	f := func(raw []float64, splitRaw uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-				continue
-			}
-			xs = append(xs, x)
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		split := int(splitRaw) % len(xs)
-		var whole, left, right Moments
-		for i, x := range xs {
-			whole.Add(x)
-			if i < split {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(right)
-		scale := math.Max(1, math.Abs(whole.Variance()))
-		return left.N() == whole.N() &&
-			almostEqual(left.Mean(), whole.Mean(), 1e-6*math.Max(1, math.Abs(whole.Mean()))) &&
-			almostEqual(left.Variance(), whole.Variance(), 1e-6*scale)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -165,32 +165,3 @@ func Align(a, b *Series, period time.Duration) (av, bv []float64) {
 	}
 	return av, bv
 }
-
-// Resample aggregates the series into fixed-period buckets over
-// [from, to), applying agg to each bucket's values. Buckets with no
-// points are skipped. It returns bucket start times and aggregates.
-func (s *Series) Resample(from, to time.Time, period time.Duration, agg func([]float64) float64) ([]time.Time, []float64) {
-	if period <= 0 || !from.Before(to) {
-		return nil, nil
-	}
-	var times []time.Time
-	var vals []float64
-	var bucket []float64
-	bucketStart := from
-	flush := func() {
-		if len(bucket) > 0 {
-			times = append(times, bucketStart)
-			vals = append(vals, agg(bucket))
-			bucket = bucket[:0]
-		}
-	}
-	for _, p := range s.Window(from, to) {
-		for !p.Time.Before(bucketStart.Add(period)) {
-			flush()
-			bucketStart = bucketStart.Add(period)
-		}
-		bucket = append(bucket, p.Value)
-	}
-	flush()
-	return times, vals
-}

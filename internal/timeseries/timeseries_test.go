@@ -4,8 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"repro/internal/stats"
 )
 
 var t0 = time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -217,43 +215,5 @@ func TestAlignProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := New()
-	// Two samples per minute for 3 minutes.
-	for i := 0; i < 6; i++ {
-		_ = s.Append(at(i*30), float64(i))
-	}
-	times, vals := s.Resample(at(0), at(180), time.Minute, stats.Mean)
-	if len(times) != 3 {
-		t.Fatalf("buckets = %d, want 3", len(times))
-	}
-	if vals[0] != 0.5 || vals[1] != 2.5 || vals[2] != 4.5 {
-		t.Errorf("vals = %v", vals)
-	}
-	if !times[1].Equal(at(60)) {
-		t.Errorf("bucket time = %v", times[1])
-	}
-}
-
-func TestResampleGaps(t *testing.T) {
-	s := New()
-	_ = s.Append(at(0), 1)
-	_ = s.Append(at(300), 5) // gap of 4 empty minutes
-	times, vals := s.Resample(at(0), at(360), time.Minute, stats.Mean)
-	if len(times) != 2 {
-		t.Fatalf("buckets = %d, want 2 (gaps skipped)", len(times))
-	}
-	if vals[0] != 1 || vals[1] != 5 {
-		t.Errorf("vals = %v", vals)
-	}
-	// Degenerate args.
-	if ts, _ := s.Resample(at(10), at(10), time.Minute, stats.Mean); ts != nil {
-		t.Error("empty range should return nil")
-	}
-	if ts, _ := s.Resample(at(0), at(60), 0, stats.Mean); ts != nil {
-		t.Error("zero period should return nil")
 	}
 }
