@@ -1,8 +1,8 @@
 // Command cpi2agent is the per-machine CPI² daemon in its deployable
 // shape: it runs the sampling → detection → correlation → enforcement
 // loop against a machine, ships CPI samples to a cpi2aggregator over
-// TCP, receives spec pushes, and exposes the §5 operator interface on
-// a control port (drive it with cpi2ctl).
+// TCP, receives spec pushes for the jobs it runs, and exposes the §5
+// operator interface on a control port (drive it with cpi2ctl).
 //
 // Real hardware counters are unavailable here, so the machine is the
 // repository's simulator, populated with a configurable tenant mix:
@@ -31,6 +31,13 @@
 // gets its own redialer and spool — a dead shard costs spec staleness
 // for its keys only, while publishing to the others continues. A single
 // address is the same path over a ring of one.
+//
+// The agent subscribes each aggregator connection to job×platform for
+// every job it has a task of — frontend and tenant from the start, the
+// antagonist's job when it lands — so an aggregator pushes it those specs
+// and no others, however many jobs the fleet runs. Subscriptions are
+// replayed after a reconnect; specs arrive with the aggregator's next
+// recompute.
 //
 // Samples published while an aggregator is unreachable spool in a
 // bounded in-memory buffer (-spool-batches/-spool-bytes per shard,
@@ -169,9 +176,10 @@ func main() {
 		}
 		pm := pipeline.NewMetrics(reg)
 		// One redialer+spool chain per aggregator: the redialer survives
-		// restarts (re-dials with backoff, replays the subscription), and
-		// the spool buffers sample batches (bounded, drop-oldest) while
-		// that aggregator is down, replaying in order on reconnect.
+		// restarts (re-dials with backoff, replays the subscriptions that
+		// register makes below), and the spool buffers sample batches
+		// (bounded, drop-oldest) while that aggregator is down, replaying
+		// in order on reconnect.
 		newChain := func(ep endpoint) *pipeline.Spooler {
 			rd := pipeline.NewRedialer(ep.addr, func(s model.Spec) {
 				a.DeliverSpec(s)
@@ -180,9 +188,6 @@ func main() {
 			rd.SetMetrics(pm)
 			rd.SetEvents(events)
 			rd.SetShard(ep.name)
-			if err := rd.Subscribe(); err != nil {
-				log.Printf("cpi2agent: subscribe %s: %v", ep.addr, err)
-			}
 			sp := pipeline.NewSpooler(rd, pipeline.SpoolConfig{
 				MaxBatches: *spoolBatches,
 				MaxBytes:   *spoolBytes,
@@ -227,6 +232,18 @@ func main() {
 	a = agent.New(m, params, sink)
 	a.Instrument(reg, events)
 	a.SetTrace(tr)
+	// register tells the agent about a placed task and subscribes every
+	// aggregator connection to the task's job on this machine's platform
+	// (Fig. 6: specs go to the machines running the job). A redialer
+	// drops a key it already holds, so this is one frame per job.
+	register := func(id model.TaskID, job model.Job) {
+		a.RegisterTask(id, job)
+		for _, rd := range redialers {
+			if err := rd.Subscribe(model.SpecKey{Job: id.Job, Platform: hw.Platform}); err != nil {
+				log.Printf("cpi2agent: subscribe %s: %v", id.Job, err)
+			}
+		}
+	}
 
 	// Crash-safe actuation: journal every cap/uncap; recover and
 	// reconcile the journal from a previous run. This process's machine
@@ -299,7 +316,7 @@ func main() {
 		if err := m.AddTask(id, svcJob, svcProfile, &workload.Steady{CPU: cpu, Threads: threads}); err != nil {
 			log.Fatal(err)
 		}
-		a.RegisterTask(id, svcJob)
+		register(id, svcJob)
 	}
 	// Bootstrap spec so local detection works before the aggregator
 	// has learned anything.
@@ -319,7 +336,7 @@ func main() {
 		if err := m.AddTask(id, tenantJob, tenantProfile, w); err != nil {
 			log.Fatal(err)
 		}
-		a.RegisterTask(id, tenantJob)
+		register(id, tenantJob)
 	}
 
 	// state serializes the tick loop against the control server.
@@ -368,7 +385,7 @@ func main() {
 				Sensitivity: 0.1, BaseL3MPKI: 14, NoiseSigma: 0.05,
 			}
 			if err := m.AddTask(antagID, antagJob, prof, &workload.Steady{CPU: 6, Threads: 16}); err == nil {
-				a.RegisterTask(antagID, antagJob)
+				register(antagID, antagJob)
 				log.Printf("sim: antagonist %v landed", antagID)
 			}
 		}

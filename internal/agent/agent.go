@@ -46,6 +46,12 @@ type Agent struct {
 
 	mu    sync.Mutex
 	tasks map[string]taskInfo // cgroup name → identity
+	// jobTasks counts the entries of tasks per job (a cgroup name spells
+	// its job, so an entry never changes job), which makes WantSpec one
+	// lookup; interest is the agent's InterestVersion, bumped under mu
+	// when a job gets its first task or loses its last.
+	jobTasks map[model.JobName]int
+	interest atomic.Uint64
 	// seq counts sample batches built by this agent; together with the
 	// machine name it derives the deterministic per-batch trace ID.
 	seq uint64
@@ -81,6 +87,7 @@ func New(mach *machine.Machine, params core.Params, sink pipeline.SampleSink) *A
 		params:    p,
 		validator: core.NewSampleValidator("agent", 256),
 		tasks:     make(map[string]taskInfo),
+		jobTasks:  make(map[model.JobName]int),
 	}
 	a.readCounters = mach.ReadCounters
 	a.metrics.Store(&Metrics{})
@@ -111,6 +118,7 @@ func (a *Agent) RegisterTask(id model.TaskID, job model.Job) {
 	a.mu.Lock()
 	if _, exists := a.tasks[id.String()]; !exists {
 		a.metrics.Load().Tasks.Inc()
+		a.countJobTask(id.Job, +1)
 	}
 	a.tasks[id.String()] = taskInfo{id: id, job: job}
 	a.mu.Unlock()
@@ -122,10 +130,25 @@ func (a *Agent) TaskExited(id model.TaskID) {
 	a.mu.Lock()
 	if _, exists := a.tasks[id.String()]; exists {
 		a.metrics.Load().Tasks.Dec()
+		a.countJobTask(id.Job, -1)
 	}
 	delete(a.tasks, id.String())
 	a.mu.Unlock()
 	a.manager.TaskExited(id)
+}
+
+// countJobTask adds delta (±1) to job's task count; the set of jobs
+// changes only when a count leaves or reaches zero. Callers hold a.mu.
+func (a *Agent) countJobTask(job model.JobName, delta int) {
+	n := a.jobTasks[job] + delta
+	if n == 0 {
+		delete(a.jobTasks, job)
+	} else {
+		a.jobTasks[job] = n
+	}
+	if n == 0 || (delta > 0 && n == 1) {
+		a.interest.Add(1)
+	}
 }
 
 // WantSpec implements pipeline.SpecWatcher: the agent only needs specs
@@ -136,13 +159,13 @@ func (a *Agent) WantSpec(key model.SpecKey) bool {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, info := range a.tasks {
-		if info.id.Job == key.Job {
-			return true
-		}
-	}
-	return false
+	return a.jobTasks[key.Job] > 0
 }
+
+// InterestVersion implements pipeline.SpecWatcher: it moves when the
+// set of jobs with tasks here does, not when a task comes or goes
+// inside a job that stays.
+func (a *Agent) InterestVersion() uint64 { return a.interest.Load() }
 
 // SetTrace directs the agent's causal spans to store and forwards the
 // store to the manager (detect/decision spans). Nil disables tracing.

@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -160,8 +162,9 @@ func TestAgentVictimCPIRecoversUnderCap(t *testing.T) {
 }
 
 func TestAgentWantSpec(t *testing.T) {
-	a, _, _ := newRig(t, nil)
-	if !a.WantSpec(model.SpecKey{Job: "search", Platform: model.PlatformA}) {
+	a, _, vid := newRig(t, nil)
+	search := model.SpecKey{Job: "search", Platform: model.PlatformA}
+	if !a.WantSpec(search) {
 		t.Error("agent should want its own job's spec")
 	}
 	if a.WantSpec(model.SpecKey{Job: "search", Platform: model.PlatformB}) {
@@ -169,6 +172,114 @@ func TestAgentWantSpec(t *testing.T) {
 	}
 	if a.WantSpec(model.SpecKey{Job: "absent", Platform: model.PlatformA}) {
 		t.Error("agent wants spec for absent job")
+	}
+
+	// The version moves with the set of jobs, not with the tasks in it.
+	version := a.InterestVersion()
+	moved := func() bool {
+		v := a.InterestVersion()
+		if v < version {
+			t.Fatalf("InterestVersion went back: %d after %d", v, version)
+		}
+		was := version
+		version = v
+		return v != was
+	}
+	second := model.TaskID{Job: "search", Index: 1}
+	a.RegisterTask(second, searchJob)
+	if moved() {
+		t.Error("a second task of a job already here moved the version")
+	}
+	a.RegisterTask(vid, searchJob)
+	if moved() {
+		t.Error("registering a task again moved the version")
+	}
+	a.TaskExited(vid)
+	if moved() || !a.WantSpec(search) {
+		t.Error("one of two tasks left: the version moved, or the spec is no longer wanted")
+	}
+	a.TaskExited(vid)
+	if moved() {
+		t.Error("an exit of a task not here moved the version")
+	}
+	mr := model.TaskID{Job: "mr", Index: 0}
+	a.RegisterTask(mr, mrJob)
+	if !moved() || !a.WantSpec(model.SpecKey{Job: "mr", Platform: model.PlatformA}) {
+		t.Error("a job's first task: the version stayed, or the spec is not wanted")
+	}
+	a.TaskExited(second)
+	if !moved() || a.WantSpec(search) {
+		t.Error("a job's last task left: the version stayed, or the spec is still wanted")
+	}
+	a.TaskExited(mr)
+	if !moved() || a.WantSpec(model.SpecKey{Job: "mr", Platform: model.PlatformA}) {
+		t.Error("the last job left: the version stayed, or its spec is still wanted")
+	}
+}
+
+// TestAgentsOnBusMatchScan registers and exits tasks on real agents
+// between pushes — some while a push is running, for the race detector —
+// and checks what the bus's interest index delivers against asking every
+// agent about every spec.
+func TestAgentsOnBusMatchScan(t *testing.T) {
+	jobs := []model.Job{searchJob, mrJob, {Name: "ads", Class: model.ClassLatencySensitive}, {Name: "logs", Class: model.ClassBatch}}
+	var specs []model.Spec
+	for _, j := range jobs {
+		for _, p := range []model.Platform{model.PlatformA, model.PlatformB} {
+			specs = append(specs, model.Spec{Job: j.Name, Platform: p, NumSamples: 1000, NumTasks: 10, CPIMean: 1.5, CPIStddev: 0.1})
+		}
+	}
+	bus := pipeline.NewBus(core.NewSpecBuilder(core.DefaultParams()))
+	agents := make([]*Agent, 6)
+	for i := range agents {
+		platform := model.PlatformA
+		if i%3 == 2 {
+			platform = model.PlatformB
+		}
+		m := machine.New(fmt.Sprintf("m%d", i), interference.DefaultMachine(platform), 8, nil)
+		agents[i] = New(m, core.DefaultParams(), nil)
+		bus.Watch(agents[i])
+	}
+	rng := rand.New(rand.NewSource(1))
+	churn := func(rng *rand.Rand) {
+		a, j := agents[rng.Intn(len(agents))], jobs[rng.Intn(len(jobs))]
+		id := model.TaskID{Job: j.Name, Index: rng.Intn(3)}
+		if rng.Intn(2) == 0 {
+			a.RegisterTask(id, j)
+		} else {
+			a.TaskExited(id)
+		}
+	}
+	for round := 0; round < 200; round++ {
+		for i := rng.Intn(4); i > 0; i-- {
+			churn(rng)
+		}
+		// A push with churn under it: it may serve either state, and must
+		// leave the index right for the quiet push that follows.
+		done := make(chan struct{})
+		go func(seed int64) {
+			defer close(done)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 5; i++ {
+				churn(rng)
+			}
+		}(int64(round))
+		bus.Push(specs)
+		<-done
+
+		at := t0.Add(time.Duration(round+1) * time.Minute)
+		for i := range specs {
+			specs[i].UpdatedAt = at
+		}
+		bus.Push(specs)
+		for i, a := range agents {
+			for _, spec := range specs {
+				got, ok := a.Manager().Detector().Spec(spec.Key())
+				if fresh := ok && got.UpdatedAt.Equal(at); fresh != a.WantSpec(spec.Key()) {
+					t.Fatalf("round %d: agent %d wants %v: %v, was pushed it: %v", round, i, spec.Key(), !fresh, fresh)
+				}
+			}
+		}
 	}
 }
 

@@ -295,6 +295,7 @@ type stalenessTable struct {
 }
 
 func (s *stalenessTable) WantSpec(model.SpecKey) bool { return true }
+func (s *stalenessTable) InterestVersion() uint64     { return 0 }
 func (s *stalenessTable) DeliverSpec(spec model.Spec) {
 	s.mu.Lock()
 	s.times = append(s.times, spec.UpdatedAt)

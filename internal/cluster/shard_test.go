@@ -131,6 +131,7 @@ func TestShardRoutingMatchesRing(t *testing.T) {
 type pushLog map[model.SpecKey][]time.Time
 
 func (p pushLog) WantSpec(model.SpecKey) bool { return true }
+func (p pushLog) InterestVersion() uint64     { return 0 }
 func (p pushLog) DeliverSpec(spec model.Spec) {
 	p[spec.Key()] = append(p[spec.Key()], spec.UpdatedAt)
 }

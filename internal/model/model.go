@@ -226,4 +226,4 @@ type SpecKey struct {
 func (s Spec) Key() SpecKey { return SpecKey{Job: s.Job, Platform: s.Platform} }
 
 // String renders the key as "job@platform".
-func (k SpecKey) String() string { return fmt.Sprintf("%s@%s", k.Job, k.Platform) }
+func (k SpecKey) String() string { return string(k.Job) + "@" + string(k.Platform) }

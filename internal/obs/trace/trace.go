@@ -20,9 +20,6 @@
 package trace
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 )
@@ -218,13 +215,7 @@ func (s *Store) ByTrace(id string) []Span {
 // no clocks, no RNG — so identical simulations produce identical IDs
 // regardless of worker count or fault plan.
 func SampleTraceID(machine string, seq uint64) string {
-	h := fnv.New64a()
-	h.Write([]byte(machine))
-	h.Write([]byte{0})
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], seq)
-	h.Write(b[:])
-	return fmt.Sprintf("%016x", h.Sum64())
+	return contentID(machine, seq)
 }
 
 // SpecTraceID derives the deterministic trace ID for a spec build,
@@ -232,11 +223,27 @@ func SampleTraceID(machine string, seq uint64) string {
 // sides of the wire can compute it independently, so the spec schema
 // itself does not need a trace field.
 func SpecTraceID(key string, updatedAt time.Time) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write([]byte{0})
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(updatedAt.UnixNano()))
-	h.Write(b[:])
-	return fmt.Sprintf("%016x", h.Sum64())
+	return contentID(key, uint64(updatedAt.UnixNano()))
+}
+
+// contentID is the 64-bit FNV-1a hash of name, a zero byte and n
+// (big-endian), as 16 hex digits. Written out rather than through
+// hash/fnv and fmt: the spec push computes one per delivery, and this
+// form allocates only the result.
+func contentID(name string, n uint64) string {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime64
+	}
+	h *= prime64 // the zero byte: h ^ 0 is h
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = (h ^ (n >> shift & 0xff)) * prime64
+	}
+	const hexDigits = "0123456789abcdef"
+	var out [16]byte
+	for i := range out {
+		out[i] = hexDigits[h>>(60-4*i)&0xf]
+	}
+	return string(out[:])
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +32,35 @@ func TestDeterministicIDs(t *testing.T) {
 	}
 	if s1 == SpecTraceID("bigtable@B", at) {
 		t.Fatalf("SpecTraceID ignores key")
+	}
+}
+
+// TestIDsAreFNV1a pins the ids to what hash/fnv and %016x give — the
+// form they were first written in, which fingerprints and recorded
+// traces depend on — and to one allocation each.
+func TestIDsAreFNV1a(t *testing.T) {
+	ref := func(name string, n uint64) string {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		h.Write([]byte{0})
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], n)
+		h.Write(b[:])
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	at := time.Date(2011, 11, 1, 3, 0, 0, 123456789, time.UTC)
+	for _, name := range []string{"", "m003", "websearch-leaf@platform-B", "näme\x00with zero"} {
+		for _, n := range []uint64{0, 1, 17, 1 << 40, ^uint64(0)} {
+			if got, want := SampleTraceID(name, n), ref(name, n); got != want {
+				t.Errorf("SampleTraceID(%q, %d) = %s, want %s", name, n, got, want)
+			}
+		}
+		if got, want := SpecTraceID(name, at), ref(name, uint64(at.UnixNano())); got != want {
+			t.Errorf("SpecTraceID(%q) = %s, want %s", name, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = SpecTraceID("websearch-leaf@platform-B", at) }); n > 1 {
+		t.Errorf("SpecTraceID allocates %v times, want at most 1", n)
 	}
 }
 

@@ -52,7 +52,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("stream starting %#02x: err = %v, want a refusal wrapping errBadFrame", stream[0], err)
 			}
 			if err != nil {
-				if msg.Type != 0 || msg.Samples != nil || msg.Jobs != nil || msg.Spec != nil || msg.TraceID != "" {
+				if msg.Type != 0 || msg.Samples != nil || msg.Jobs != nil || msg.Spec != (model.Spec{}) || msg.TraceID != "" {
 					t.Fatalf("error %v returned non-zero message %+v", err, msg)
 				}
 				return
@@ -145,7 +145,7 @@ func FuzzWireDecodeBinary(f *testing.F) {
 		{Type: msgSubscribe},
 		{Type: msgSubscribe, Jobs: []model.SpecKey{{Job: "websearch", Platform: model.PlatformA}}},
 		{Type: msgSpec, TraceID: "feedfacefeedface",
-			Spec: &model.Spec{Job: "websearch", Platform: model.PlatformA, CPIMean: 1.6, CPIStddev: 0.2}},
+			Spec: model.Spec{Job: "websearch", Platform: model.PlatformA, CPIMean: 1.6, CPIStddev: 0.2}},
 	} {
 		f.Add(appendBinaryFrame(nil, msg))
 	}
@@ -174,18 +174,33 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	hello3 := append([]byte{}, hello...)
 	hello3[len(hello3)-1] = 3
 	f.Add(hello3)
+	// A spec refresh as a subscriber sees it: the same key twice (the
+	// second decode finds both names in the table), then its job on the
+	// other platform.
+	spec := model.Spec{Job: "websearch", Platform: model.PlatformA, NumSamples: 48211, NumTasks: 640,
+		CPUUsageMean: 1.37, CPIMean: 1.82, CPIStddev: 0.21, UpdatedAt: time.Date(2011, 11, 2, 12, 0, 0, 0, time.UTC)}
+	refresh := appendBinaryFrame(nil, wireMsg{Type: msgSpec, Spec: spec, TraceID: "5f1d6c0a9b3e4d27"})
+	refresh = appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: "5f1d6c0a9b3e4d28"})
+	spec.Platform = model.PlatformB
+	f.Add(appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: "5f1d6c0a9b3e4d29"}))
 	// The decoder carries state from frame to frame (reused sample slots,
 	// string memos), so every input also goes through a reader that has
-	// already decoded an unrelated frame sharing some of its strings; the
-	// two readers must agree message for message.
+	// already decoded unrelated frames sharing some of its strings — a
+	// sample batch, and a spec whose platform name is a job name of the
+	// input's; the two readers must agree message for message.
 	warm := sample
 	warm.Task.Job, warm.Machine, warm.TraceID = "elsewhere", "m0", "0123456701234567"
 	prelude := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{warm, sample, warm}})
+	prelude = appendBinaryFrame(prelude, wireMsg{Type: msgSpec, TraceID: "0123456701234568",
+		Spec: model.Spec{Job: "elsewhere", Platform: "websearch", CPIMean: 2.5}})
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
 		used := newFrameReader(io.MultiReader(bytes.NewReader(prelude), bytes.NewReader(stream)))
 		if msg, err := used.next(); err != nil || len(msg.Samples) != 3 {
-			t.Fatalf("prelude frame: %d samples, %v", len(msg.Samples), err)
+			t.Fatalf("prelude samples frame: %d samples, %v", len(msg.Samples), err)
+		}
+		if msg, err := used.next(); err != nil || msg.Spec.Job != "elsewhere" {
+			t.Fatalf("prelude spec frame: %+v, %v", msg.Spec, err)
 		}
 		for i := 0; i < 64; i++ { // bound work per input
 			msg, err := fr.next()
@@ -221,7 +236,7 @@ func sameSample(a, b model.Sample) bool {
 
 func sameWireMsg(a, b wireMsg) bool {
 	if a.Type != b.Type || a.TraceID != b.TraceID ||
-		len(a.Samples) != len(b.Samples) || len(a.Jobs) != len(b.Jobs) || (a.Spec == nil) != (b.Spec == nil) {
+		len(a.Samples) != len(b.Samples) || len(a.Jobs) != len(b.Jobs) {
 		return false
 	}
 	for i := range a.Jobs {
@@ -234,10 +249,7 @@ func sameWireMsg(a, b wireMsg) bool {
 			return false
 		}
 	}
-	if a.Spec == nil {
-		return true
-	}
-	sa, sb := *a.Spec, *b.Spec
+	sa, sb := a.Spec, b.Spec
 	return sa.Job == sb.Job && sa.Platform == sb.Platform && sa.NumSamples == sb.NumSamples &&
 		sa.NumTasks == sb.NumTasks && sa.UpdatedAt.Equal(sb.UpdatedAt) && floatEq(sa.CPUUsageMean, sb.CPUUsageMean) &&
 		floatEq(sa.CPIMean, sb.CPIMean) && floatEq(sa.CPIStddev, sb.CPIStddev)
@@ -261,7 +273,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			{Job: "websearch", Platform: model.PlatformA},
 			{Job: "batch", Platform: model.PlatformB},
 		}},
-		{Type: msgSpec, TraceID: "feedface", Spec: &model.Spec{
+		{Type: msgSpec, TraceID: "feedface", Spec: model.Spec{
 			Job: "websearch", Platform: model.PlatformA, NumSamples: 1234,
 			NumTasks: 7, CPUUsageMean: 0.5, CPIMean: 1.6, CPIStddev: 0.2,
 			UpdatedAt: ts,

@@ -17,7 +17,7 @@
 package pipeline
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -50,11 +50,25 @@ type BatchSink interface {
 }
 
 // SpecWatcher consumes spec updates (aggregator → machine direction).
-// Implementations must not block: the bus fans specs out inline.
+//
+// The bus calls all three methods inline from Push, one watcher after
+// another and with no bus lock held, so they may take the watcher's own
+// locks but what they cost is added to every push: a watcher that can
+// stall (a socket) must bound the stall itself, as serverConn does with
+// its write deadline.
 type SpecWatcher interface {
 	// WantSpec filters which job×platform specs the watcher cares
-	// about (a machine only needs specs for jobs it runs).
+	// about (a machine only needs specs for jobs it runs). The bus
+	// remembers the answer per key and asks again only after
+	// InterestVersion has moved, so between two changes of the version
+	// WantSpec must be a pure function of the key.
 	WantSpec(key model.SpecKey) bool
+	// InterestVersion is a counter that never goes back and that the
+	// watcher bumps whenever anything WantSpec reads changes — in the
+	// same critical section as that change, so that a WantSpec that
+	// sees the new state is never paired with the old version. A
+	// watcher whose interest is fixed for life returns a constant.
+	InterestVersion() uint64
 	// DeliverSpec hands over one updated spec.
 	DeliverSpec(spec model.Spec)
 }
@@ -64,11 +78,20 @@ type SpecWatcher interface {
 type Bus struct {
 	builder *core.SpecBuilder
 
-	mu       sync.Mutex
-	metrics  *Metrics     // never nil; zero Metrics = uninstrumented
-	tracer   *trace.Store // nil = untraced
-	shard    string       // aggregator shard identity; "" = unsharded
-	watchers []SpecWatcher
+	mu      sync.Mutex
+	metrics *Metrics     // never nil; zero Metrics = uninstrumented
+	tracer  *trace.Store // nil = untraced
+	shard   string       // aggregator shard identity; "" = unsharded
+	// watchers is the registration-ordered watcher list and watchGen the
+	// number of Watch and Unwatch calls so far: each registration is
+	// stamped with it, and Push compares it with the generation its
+	// index was built at. Push keeps the slice it last saw and reads it
+	// without mu (pushSaw says it holds this very array), so the elements
+	// below that slice's length are never rewritten: Watch only appends,
+	// and Unwatch moves to a copy first.
+	watchers []registration
+	watchGen uint64
+	pushSaw  bool
 	received int64
 	dropped  int64
 	// validator, when set, gates every inbound sample before the
@@ -82,6 +105,19 @@ type Bus struct {
 	// string is built once, not per batch.
 	detail   string
 	detailOf [2]int
+
+	// pushMu serialises Push and guards index, which only Push touches.
+	// Watch and Unwatch never take it: a connection arriving or dying is
+	// not held up by a push that is waiting on a slow socket.
+	pushMu sync.Mutex
+	index  interestIndex
+}
+
+// registration is one Watch call: seq orders it among all others and
+// tells two registrations of the same watcher apart.
+type registration struct {
+	w   SpecWatcher
+	seq uint64
 }
 
 // NewBus creates a pipeline around the given spec builder.
@@ -224,11 +260,13 @@ func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 	return nil
 }
 
-// Watch registers a spec watcher (e.g. one machine agent).
+// Watch registers a spec watcher (e.g. one machine agent). Its interest
+// is probed by the next Push.
 func (b *Bus) Watch(w SpecWatcher) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.watchers = append(b.watchers, w)
+	b.watchGen++
+	b.watchers = append(b.watchers, registration{w: w, seq: b.watchGen})
 	b.metrics.Watchers.Set(float64(len(b.watchers)))
 }
 
@@ -239,8 +277,12 @@ func (b *Bus) Unwatch(w SpecWatcher) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, have := range b.watchers {
-		if have == w {
-			b.watchers = append(b.watchers[:i], b.watchers[i+1:]...)
+		if have.w == w {
+			b.watchGen++
+			if b.pushSaw {
+				b.watchers, b.pushSaw = slices.Clone(b.watchers), false
+			}
+			b.watchers = slices.Delete(b.watchers, i, i+1)
 			break
 		}
 	}
@@ -266,38 +308,72 @@ func (b *Bus) Recompute(now time.Time) []model.Spec {
 // recomputing. The chaos harness uses it to model delayed spec pushes
 // (recompute now, deliver later); Recompute uses it for the normal
 // immediate path.
+//
+// Every spec handed in goes to every watcher that wants it, spec by
+// spec and within a spec in registration order. Who wants what is read
+// from the interest index (index.go), not asked: a push costs one
+// InterestVersion read per watcher, WantSpec probes only for watchers
+// that are new or whose version moved (one per indexed key each) and
+// for keys never pushed before (one per watcher each), and then the
+// deliveries. Watchers that buffer what they are given are flushed once
+// at the end. Pushes are serialised; one in flight holds up neither
+// Watch, Unwatch nor sample ingest.
 func (b *Bus) Push(specs []model.Spec) {
 	if len(specs) == 0 {
 		return
 	}
+	b.pushMu.Lock()
+	defer b.pushMu.Unlock()
+	ix := &b.index
 	b.mu.Lock()
-	watchers := make([]SpecWatcher, len(b.watchers))
-	copy(watchers, b.watchers)
 	m, tracer, shard := b.metrics, b.tracer, b.shard
+	fresh, moved := len(ix.watchers), []int32(nil)
+	if ix.gen != b.watchGen {
+		fresh, moved = ix.reconcile(b.watchers)
+		ix.gen, b.pushSaw = b.watchGen, true
+	}
 	b.mu.Unlock()
-	for _, spec := range specs {
-		delivered := 0
-		for _, w := range watchers {
-			if w.WantSpec(spec.Key()) {
-				w.DeliverSpec(spec)
-				m.SpecPushes.Inc()
-				delivered++
+	ix.renumber(moved)
+	ix.reprobe(fresh)
+
+	ix.pushes++
+	total := 0
+	for i := range specs {
+		spec := &specs[i]
+		in := ix.interest(spec.Key())
+		in.pushed = ix.pushes
+		n := len(in.slots)
+		if n == 0 {
+			continue
+		}
+		for _, s := range in.slots {
+			ix.watchers[s].w.DeliverSpec(*spec)
+		}
+		total += n
+		if tracer != nil {
+			if n != ix.detailOf {
+				ix.detail, ix.detailOf = strconv.Itoa(n)+" watchers", n
 			}
-		}
-		if shard != "" && delivered > 0 {
-			m.SpecPushesByShard.With(shard).Add(float64(delivered))
-		}
-		if tracer != nil && delivered > 0 {
 			tracer.Add(trace.Span{
-				TraceID: trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt),
+				TraceID: trace.SpecTraceID(in.name, spec.UpdatedAt),
 				Stage:   trace.StageSpecPush,
 				Shard:   shard,
-				Key:     spec.Key().String(),
+				Key:     in.name,
 				Time:    spec.UpdatedAt,
-				Detail:  fmt.Sprintf("%d watchers", delivered),
+				Detail:  ix.detail,
 			})
 		}
 	}
+	for _, f := range ix.flushers {
+		f.flushSpecs()
+	}
+	if total > 0 {
+		m.SpecPushes.Add(float64(total))
+		if shard != "" {
+			m.SpecPushesByShard.With(shard).Add(float64(total))
+		}
+	}
+	ix.forgetIdle()
 }
 
 // MaybeRecompute runs Recompute if the builder's interval has elapsed.
@@ -319,7 +395,8 @@ func (b *Bus) Stats() (received, dropped int64) {
 func (b *Bus) Builder() *core.SpecBuilder { return b.builder }
 
 // SpecTable is a SpecWatcher that simply stores the latest spec per
-// key — the client-side cache a machine agent keeps.
+// key — the client-side cache a machine agent keeps. Its interest is
+// fixed at construction.
 type SpecTable struct {
 	mu    sync.Mutex
 	specs map[model.SpecKey]model.Spec
@@ -327,6 +404,8 @@ type SpecTable struct {
 }
 
 // NewSpecTable creates a table; want may be nil to accept everything.
+// want must be a pure function of the key: the bus asks it once per key,
+// not once per push.
 func NewSpecTable(want func(model.SpecKey) bool) *SpecTable {
 	return &SpecTable{specs: make(map[model.SpecKey]model.Spec), want: want}
 }
@@ -338,6 +417,9 @@ func (t *SpecTable) WantSpec(key model.SpecKey) bool {
 	}
 	return t.want(key)
 }
+
+// InterestVersion implements SpecWatcher: want never changes.
+func (t *SpecTable) InterestVersion() uint64 { return 0 }
 
 // DeliverSpec implements SpecWatcher.
 func (t *SpecTable) DeliverSpec(spec model.Spec) {

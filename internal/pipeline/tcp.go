@@ -73,12 +73,18 @@ func (s *Server) Serve(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("pipeline: listen: %w", err)
 	}
+	s.serve(ln)
+	return ln.Addr().String(), nil
+}
+
+// serve accepts on ln until Close; tests hand it a listener whose
+// connections they can watch.
+func (s *Server) serve(ln net.Listener) {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -126,7 +132,33 @@ func (s *Server) Close() error {
 	return err
 }
 
+// Limits of one connection's state, fixed like MaxFrameBytes: what a
+// peer can make the aggregator hold or wait for is not a tuning knob.
+const (
+	// maxSubscribedKeys bounds the distinct keys a connection may
+	// subscribe to. The subscribe frame that would pass it is refused as
+	// a bad frame and the connection dropped; a peer that wants more
+	// subscribes to everything.
+	maxSubscribedKeys = 1 << 16
+	// flushBytes is how many bytes of spec frames a connection's send
+	// buffer collects inside a push before it is written out early, so a
+	// subscribe-all connection never holds a whole push.
+	flushBytes = 32 << 10
+	// writeTimeout bounds one write to a peer, and so what a peer that
+	// has stopped reading can cost whoever is writing to it.
+	writeTimeout = 5 * time.Second
+)
+
 // serverConn is one agent connection; it is a SpecWatcher.
+//
+// Sending is buffered: DeliverSpec appends its frame to out, and out is
+// written when the bus flushes the connection at the end of the push,
+// when it passes flushBytes, or when the read loop answers a hello —
+// always whole, in the order the frames were appended, under one write
+// deadline. MessagesOut counts the frames of a write that succeeded. A
+// write that fails closes the connection and adds the spec frames it
+// held to PushErrors; so does every later flush of that connection,
+// until the read loop has unwatched it.
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
@@ -134,20 +166,25 @@ type serverConn struct {
 
 	writeMu sync.Mutex
 	w       countingWriter
-	sendBuf []byte
+	out     []byte
+	// frames is the number of frames in out, specs how many of them are
+	// spec pushes.
+	frames, specs int
 
 	subMu      sync.Mutex
 	subAll     bool
 	subscribed map[model.SpecKey]bool
 	dead       bool
+	// interest is the connection's InterestVersion: bumped under subMu
+	// by every subscribe frame that adds something and by the
+	// connection's death.
+	interest atomic.Uint64
 }
 
 func (c *serverConn) readLoop() {
 	defer c.srv.wg.Done()
 	defer func() {
-		c.subMu.Lock()
-		c.dead = true
-		c.subMu.Unlock()
+		c.markDead()
 		c.conn.Close()
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
@@ -172,18 +209,10 @@ func (c *serverConn) readLoop() {
 		case msgSamples:
 			_ = c.srv.bus.Publish(msg.Samples)
 		case msgSubscribe:
-			c.subMu.Lock()
-			if len(msg.Jobs) == 0 {
-				c.subAll = true
-			} else {
-				if c.subscribed == nil {
-					c.subscribed = make(map[model.SpecKey]bool)
-				}
-				for _, k := range msg.Jobs {
-					c.subscribed[k] = true
-				}
+			if err := c.subscribe(msg.Jobs); err != nil {
+				c.srv.noteWireError(c.conn.RemoteAddr().String(), err)
+				return
 			}
-			c.subMu.Unlock()
 		case msgHello:
 			// Answer with our own; a hello for another version never gets
 			// here (the decoder refuses it).
@@ -198,17 +227,77 @@ func (c *serverConn) readLoop() {
 	}
 }
 
-// send writes one frame and counts it.
+// subscribe adds keys (none: every key) to what the connection wants.
+// The key that would take it past maxSubscribedKeys is refused with an
+// error wrapping errBadFrame; the caller drops the connection.
+func (c *serverConn) subscribe(keys []model.SpecKey) error {
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	var err error
+	changed := false
+	if len(keys) == 0 && !c.subAll {
+		c.subAll, changed = true, true
+	}
+	for _, k := range keys {
+		if c.subscribed[k] {
+			continue
+		}
+		if len(c.subscribed) >= maxSubscribedKeys {
+			err = fmt.Errorf("%w: subscription to more than %d keys", errBadFrame, maxSubscribedKeys)
+			break
+		}
+		if c.subscribed == nil {
+			c.subscribed = make(map[model.SpecKey]bool)
+		}
+		c.subscribed[k] = true
+		changed = true
+	}
+	if changed {
+		c.interest.Add(1)
+	}
+	return err
+}
+
+// markDead makes the connection want nothing from here on.
+func (c *serverConn) markDead() {
+	c.subMu.Lock()
+	c.dead = true
+	c.interest.Add(1)
+	c.subMu.Unlock()
+}
+
+// send writes one frame now, behind whatever is waiting in out.
 func (c *serverConn) send(msg wireMsg) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	c.sendBuf = appendBinaryFrame(c.sendBuf[:0], msg)
-	if _, err := c.w.Write(c.sendBuf); err != nil {
-		return err
+	c.out = appendBinaryFrame(c.out, msg)
+	c.frames++
+	return c.flushLocked()
+}
+
+// flushLocked writes out. Callers hold writeMu.
+func (c *serverConn) flushLocked() error {
+	if len(c.out) == 0 {
+		return nil
 	}
-	c.m.MessagesOut.Inc()
-	return nil
+	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, err := c.w.Write(c.out)
+	if err != nil {
+		c.m.PushErrors.Add(float64(c.specs))
+		c.conn.Close() // readLoop will clean up
+	} else {
+		c.m.MessagesOut.Add(float64(c.frames))
+	}
+	c.out, c.frames, c.specs = c.out[:0], 0, 0
+	return err
+}
+
+// flushSpecs implements specFlusher: the bus calls it once at the end of
+// every push.
+func (c *serverConn) flushSpecs() {
+	c.writeMu.Lock()
+	_ = c.flushLocked() // accounted there; the read loop sees the close
+	c.writeMu.Unlock()
 }
 
 // WantSpec implements SpecWatcher.
@@ -221,16 +310,20 @@ func (c *serverConn) WantSpec(key model.SpecKey) bool {
 	return c.subAll || c.subscribed[key]
 }
 
-// DeliverSpec implements SpecWatcher.
+// InterestVersion implements SpecWatcher.
+func (c *serverConn) InterestVersion() uint64 { return c.interest.Load() }
+
+// DeliverSpec implements SpecWatcher: the spec's frame joins the send
+// buffer and goes out with the next flush.
 func (c *serverConn) DeliverSpec(spec model.Spec) {
-	err := c.send(wireMsg{
-		Type:    msgSpec,
-		Spec:    &spec,
-		TraceID: trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt),
-	})
-	if err != nil {
-		c.m.PushErrors.Inc()
-		c.conn.Close() // readLoop will clean up
+	traceID := trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt)
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	c.out = appendBinaryFrame(c.out, wireMsg{Type: msgSpec, Spec: spec, TraceID: traceID})
+	c.frames++
+	c.specs++
+	if len(c.out) >= flushBytes {
+		_ = c.flushLocked()
 	}
 }
 
@@ -344,7 +437,7 @@ func (c *Client) readLoop() {
 		// The server's hello needs no action: one for another version
 		// never gets here (the decoder refuses it).
 		if msg.Type == msgSpec && c.onSpec != nil {
-			c.onSpec(*msg.Spec)
+			c.onSpec(msg.Spec)
 		}
 	}
 }
@@ -384,7 +477,7 @@ func (c *Client) Subscribe(keys ...model.SpecKey) error {
 func (c *Client) send(msg wireMsg) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	c.sendBuf = appendBinaryFrame(c.sendBuf[:0], msg)
 	if _, err := (clientWriter{c}).Write(c.sendBuf); err != nil {
 		return fmt.Errorf("pipeline: send: %w", err)

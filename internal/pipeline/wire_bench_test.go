@@ -1,12 +1,15 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // The codec's cost on two messages — a 16-sample batch (one machine's
@@ -21,7 +24,7 @@ var wireBenchMsgs = []struct {
 	samples int
 }{
 	{"samples16", wireMsg{Type: msgSamples, Samples: wireBenchSamples(16)}, 16},
-	{"spec", wireMsg{Type: msgSpec, TraceID: "5f1d6c0a9b3e4d27", Spec: &model.Spec{
+	{"spec", wireMsg{Type: msgSpec, TraceID: "5f1d6c0a9b3e4d27", Spec: model.Spec{
 		Job: "websearch-leaf", Platform: model.PlatformA, NumSamples: 48211, NumTasks: 640,
 		CPUUsageMean: 1.37, CPIMean: 1.8234, CPIStddev: 0.2117, UpdatedAt: day0.Add(36 * time.Hour),
 	}}, 0},
@@ -130,4 +133,102 @@ func BenchmarkIngestBatch(b *testing.B) {
 		b.Fatalf("folded %d samples, want %d", got, 16*b.N)
 	}
 	reportFrame(b, frames[0], 16)
+}
+
+// versionedTable is a SpecTable whose InterestVersion the benchmark can
+// move, as an agent's does when its job set changes.
+type versionedTable struct {
+	*SpecTable
+	version atomic.Uint64
+}
+
+func (t *versionedTable) InterestVersion() uint64 { return t.version.Load() }
+
+// BenchmarkBusPush is one spec refresh at the daemon_specpush shape:
+// 2,000 specs pushed to 5,000 watchers that each want one job's, plus
+// two loopback TCP subscribers that want them all. "steady" pushes with
+// nothing changed; "churn" moves the version of 1 % of the watchers
+// before every push, so each is asked about every key again. The clock
+// runs for the Push call only; the subscribers read the push to its end
+// before the next one starts.
+//
+//	go test -run '^$' -bench BenchmarkBusPush -benchtime 20x ./internal/pipeline
+func BenchmarkBusPush(b *testing.B) {
+	const nSpecs, nWatchers, nSubscribers = 2000, 5000, 2
+	for _, churn := range []int{0, nWatchers / 100} {
+		name := "steady"
+		if churn > 0 {
+			name = "churn"
+		}
+		b.Run(name, func(b *testing.B) {
+			bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
+			m := NewMetrics(obs.NewRegistry())
+			bus.SetMetrics(m)
+			srv := NewServer(bus)
+			addr, err := srv.Serve("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			keys := make([]model.SpecKey, nSpecs)
+			for i := range keys {
+				keys[i] = model.SpecKey{Job: model.JobName(fmt.Sprintf("job-%04d", i/2)), Platform: model.PlatformA}
+				if i%2 == 1 {
+					keys[i].Platform = model.PlatformB
+				}
+			}
+			specs := make([]model.Spec, nSpecs)
+			for i, k := range keys {
+				specs[i] = model.Spec{Job: k.Job, Platform: k.Platform, NumSamples: 48211, NumTasks: 640,
+					CPUUsageMean: 1.37, CPIMean: 1.82, CPIStddev: 0.21, UpdatedAt: day0}
+			}
+			var probes atomic.Int64
+			tables := make([]*versionedTable, nWatchers)
+			for i := range tables {
+				job := keys[2*(i%(nSpecs/2))].Job
+				tables[i] = &versionedTable{SpecTable: NewSpecTable(func(k model.SpecKey) bool {
+					probes.Add(1)
+					return k.Job == job
+				})}
+				bus.Watch(tables[i])
+			}
+			var seen atomic.Int64
+			for i := 0; i < nSubscribers; i++ {
+				client, err := Dial(context.Background(), addr, func(model.Spec) { seen.Add(1) })
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer client.Close()
+				if err := client.Subscribe(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Each subscriber's hello and subscribe frame have been read.
+			for m.MessagesIn.Value() < 2*nSubscribers {
+				time.Sleep(time.Millisecond)
+			}
+			pushed := int64(0)
+			push := func() {
+				bus.Push(specs)
+				pushed += nSpecs * nSubscribers
+				b.StopTimer()
+				for seen.Load() < pushed {
+					time.Sleep(50 * time.Microsecond)
+				}
+				b.StartTimer()
+			}
+			push() // builds the index and every buffer
+			probes.Store(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < churn; j++ {
+					tables[(i*churn+j)%nWatchers].version.Add(1)
+				}
+				push()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(probes.Load())/float64(b.N), "probes/op")
+		})
+	}
 }

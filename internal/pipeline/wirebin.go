@@ -70,7 +70,7 @@ type wireMsg struct {
 	Type    byte
 	Samples []model.Sample
 	Jobs    []model.SpecKey
-	Spec    *model.Spec
+	Spec    model.Spec
 	TraceID string
 }
 
@@ -144,11 +144,7 @@ func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
 			buf = appendStr(buf, string(k.Platform))
 		}
 	case msgSpec:
-		var spec model.Spec
-		if msg.Spec != nil {
-			spec = *msg.Spec
-		}
-		buf = appendSpec(buf, &spec)
+		buf = appendSpec(buf, &msg.Spec)
 		buf = appendStr(buf, msg.TraceID)
 	case msgHello:
 		buf = appendU32(buf, binVersion)
@@ -240,19 +236,6 @@ func (r *binReader) time() time.Time {
 	}
 }
 
-func (r *binReader) spec() model.Spec {
-	var s model.Spec
-	s.Job = model.JobName(r.str())
-	s.Platform = model.Platform(r.str())
-	s.NumSamples = int64(r.u64())
-	s.NumTasks = int(r.u64())
-	s.CPUUsageMean = r.f64()
-	s.CPIMean = r.f64()
-	s.CPIStddev = r.f64()
-	s.UpdatedAt = r.time()
-	return s
-}
-
 // minBinSampleLen is the encoded size of an all-empty sample: five
 // empty strings (4 bytes each), one u64, two f64s, one zero-time flag
 // byte. Used to bound the element-count preallocation below.
@@ -272,7 +255,8 @@ const (
 // Strings are real copies, never views of the payload buffer, but a
 // repeated one is copied once: machine, platform and trace id are
 // compared with the previous sample's, Task.Job with the Job just
-// decoded, and job names go through the bounded table.
+// decoded, and job names — and a spec's platform — go through the
+// bounded table.
 type decoder struct {
 	samples  []model.Sample
 	jobs     map[string]model.JobName
@@ -323,6 +307,20 @@ func (d *decoder) sample(r *binReader, s *model.Sample) {
 	s.TraceID = d.traceID
 }
 
+// spec decodes a spec into s. A connection is pushed the same keys
+// refresh after refresh, so both of its names go through the job-name
+// table: a spec whose key has been seen costs no string copy.
+func (d *decoder) spec(r *binReader, s *model.Spec) {
+	s.Job = d.job(r.bytes())
+	s.Platform = model.Platform(d.job(r.bytes()))
+	s.NumSamples = int64(r.u64())
+	s.NumTasks = int(r.u64())
+	s.CPUUsageMean = r.f64()
+	s.CPIMean = r.f64()
+	s.CPIStddev = r.f64()
+	s.UpdatedAt = r.time()
+}
+
 // decode parses one v2 payload (the bytes after the 6-byte frame
 // header). Malformed input, and a hello for any version but ours,
 // returns an error wrapping errBadFrame and never panics —
@@ -357,8 +355,7 @@ func (d *decoder) decode(p []byte) (wireMsg, error) {
 			})
 		}
 	case msgSpec:
-		spec := r.spec()
-		msg.Spec = &spec
+		d.spec(&r, &msg.Spec)
 		msg.TraceID = r.str()
 	case msgHello:
 		if v := r.u32(); r.err == nil && v != binVersion {
