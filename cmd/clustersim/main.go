@@ -197,10 +197,10 @@ func main() {
 	// (NewMetrics is idempotent: these are the same series every agent
 	// wrote to).
 	mm := core.NewMetrics(reg)
-	stalenessN, stalenessSum := mm.SpecStaleness.Snapshot()
+	stalenessN := mm.SpecStaleness.Count()
 	stalenessMean := 0.0
 	if stalenessN > 0 {
-		stalenessMean = stalenessSum / float64(stalenessN)
+		stalenessMean = mm.SpecStaleness.Sum() / float64(stalenessN)
 	}
 	summary := map[string]any{
 		"incidents":               len(incs),

@@ -24,41 +24,23 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// NewLocalMetrics returns an agent metric set backed by standalone
-// (unregistered) cells — a per-machine local set. Agents ticking on
-// concurrent goroutines each write their own local set instead of
-// hammering the shared registry series' cache lines; a serial
-// coordinator folds local sets into the registered one with DrainTo. The
-// cluster does this once per machine per commit phase.
-func NewLocalMetrics() *Metrics {
-	return &Metrics{
-		TickSeconds: obs.NewHistogram(obs.LatencyBuckets),
-		Tasks:       &obs.Gauge{},
-	}
-}
-
-// DrainTo moves everything accumulated in m into dst and resets m —
-// the metric analogue of obs.EventBuffer.DrainTo. The Tasks gauge
-// moves as a delta, so dst accumulates the fleet total.
-func (m *Metrics) DrainTo(dst *Metrics) {
-	if m == nil || dst == nil {
-		return
-	}
-	m.TickSeconds.Drain(dst.TickSeconds)
-	m.Tasks.Drain(dst.Tasks)
-}
-
-// SetMetrics instruments the agent itself (tick latency, task gauge).
-// A nil m disables instrumentation. The task-gauge baseline is applied
-// under a.mu so it cannot race concurrent Register/Exit updates.
-func (a *Agent) SetMetrics(m *Metrics) {
-	if m == nil {
-		m = &Metrics{}
+// SetMetrics instruments the agent (tick latency, task gauge) with am
+// and its manager, enforcer and egress validator with cm — the one
+// place an agent's metric handles are assigned, whether the sets are
+// registered ones (Instrument) or per-machine copies from obs.Stage
+// (internal/cluster). A nil set disables that half. The task-gauge
+// baseline is applied under a.mu so it cannot race concurrent
+// Register/Exit updates.
+func (a *Agent) SetMetrics(am *Metrics, cm *core.Metrics) {
+	if am == nil {
+		am = &Metrics{}
 	}
 	a.mu.Lock()
-	a.metrics.Store(m)
-	m.Tasks.Add(float64(len(a.tasks)))
+	a.metrics.Store(am)
+	am.Tasks.Add(float64(len(a.tasks)))
 	a.mu.Unlock()
+	a.manager.SetMetrics(cm)
+	a.validator.Metrics = cm
 }
 
 // Instrument wires the agent and its manager into reg and events in
@@ -70,13 +52,10 @@ func (a *Agent) SetMetrics(m *Metrics) {
 // Instrument points the agent directly at the shared registry series —
 // right for a daemon running one agent per process (cmd/cpi2agent).
 // A simulator ticking many agents in parallel should instead give each
-// agent a NewLocalMetrics set and drain the sets serially, as
-// internal/cluster does.
+// agent its own obs.Stage copies of the two sets and drain them
+// serially, as internal/cluster does.
 func (a *Agent) Instrument(reg *obs.Registry, events core.EventSink) {
-	a.SetMetrics(NewMetrics(reg))
-	cm := core.NewMetrics(reg)
-	a.manager.SetMetrics(cm)
-	a.validator.Metrics = cm
+	a.SetMetrics(NewMetrics(reg), core.NewMetrics(reg))
 	if events != nil {
 		a.manager.SetEvents(events)
 	}

@@ -147,7 +147,7 @@ func RunCase(mc *MachineClass, cs *Case, opts RunOptions) (*Verdict, error) {
 			}
 		}
 	}
-	m.SpecStalenessP95Seconds = core.NewMetrics(reg).SpecStaleness.QuantileAll(0.95)
+	m.SpecStalenessP95Seconds = core.NewMetrics(reg).SpecStaleness.Quantile(0.95)
 
 	checks, pass := cs.Budgets.evaluate(m)
 	v := &Verdict{

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/agent"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 )
@@ -714,25 +713,14 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 		bus.Unwatch(old)
 	}
 
-	a := agent.New(m, c.cfg.Params, c.queues[i])
-	// The span store survives the restart (it models central ring
-	// storage, not daemon memory); the fresh agent keeps appending to
-	// the same ring. Its batch-sequence counter does reset, like a real
-	// daemon's would.
-	a.SetTrace(c.traces[i])
-	if c.eventBufs != nil {
-		a.Manager().SetEvents(c.eventBufs[i])
-	}
-	if c.coreLocal != nil {
-		a.SetMetrics(c.agentLocal[i])
-		a.Manager().SetMetrics(c.coreLocal[i])
-		a.Validator().Metrics = c.coreLocal[i]
+	a := c.newAgent(i)
+	if c.staged != nil {
 		// The old agent's task registrations and active caps died with
 		// it, but their contribution has already been drained into the
 		// shared gauges; re-registration and re-adoption below would
 		// double-count them, so cancel the stale contribution first.
-		c.agentLocal[i].Tasks.Add(-float64(len(m.Tasks())))
-		c.coreLocal[i].CapsActive.Add(-float64(len(old.Manager().Enforcer().ActiveCaps())))
+		c.staged[i].agent.Tasks.Add(-float64(len(m.Tasks())))
+		c.staged[i].core.CapsActive.Add(-float64(len(old.Manager().Enforcer().ActiveCaps())))
 	}
 	for _, id := range m.Tasks() {
 		a.RegisterTask(id, m.Task(id).Job)
@@ -744,9 +732,7 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 			}
 		}
 	}
-	j := c.journals[i]
-	a.Manager().SetJournal(j)
-	ad, or := a.Reconcile(now, j.Entries())
+	ad, or := a.Reconcile(now, c.journals[i].Entries())
 	c.agents[i] = a
 	c.agent[m.Name()] = a
 	for _, bus := range c.buses {

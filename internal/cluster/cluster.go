@@ -210,15 +210,12 @@ type Cluster struct {
 	stepDt  time.Duration
 
 	// Metric staging (nil without Config.Registry): each machine's agent
-	// and manager write a private local set during the parallel phase; the
-	// commit phase folds the local sets into the shared registry series in
-	// machine-index order — same staging idea as eventBufs, applied to
-	// metrics, so concurrently ticking machines never contend on (or
-	// reorder float additions into) the shared series.
-	agentLocal  []*agent.Metrics
-	coreLocal   []*core.Metrics
-	agentShared *agent.Metrics
-	coreShared  *core.Metrics
+	// and manager write private copies of the metric sets during the
+	// parallel phase; the commit phase drains the copies into the shared
+	// registry series in machine-index order — same staging idea as
+	// eventBufs, applied to metrics, so concurrently ticking machines never
+	// contend on (or reorder float additions into) the shared series.
+	staged []stagedMetrics
 
 	// Chaos state, mutated only from the serial commit phase.
 	blackout bool
@@ -261,6 +258,17 @@ type Cluster struct {
 	migrations int64
 }
 
+// stagedMetrics is one machine's obs.Stage copies of the agent and core
+// metric sets, with the drains that fold them into the registered
+// series. Like the span ring and the cap journal they belong to the
+// machine, not to whichever agent currently runs on it.
+type stagedMetrics struct {
+	agent      *agent.Metrics
+	core       *core.Metrics
+	drainAgent func()
+	drainCore  func()
+}
+
 // stepSlot is one machine's parallel-phase output, applied during the
 // serial commit phase.
 type stepSlot struct {
@@ -298,20 +306,18 @@ func New(cfg Config) *Cluster {
 	if cfg.TraceCapacity >= 0 {
 		c.aggTrace = trace.NewStore(cfg.TraceCapacity)
 	}
+	var agentShared *agent.Metrics
+	var coreShared *core.Metrics
 	if cfg.Registry != nil {
-		c.agentShared = agent.NewMetrics(cfg.Registry)
-		c.coreShared = core.NewMetrics(cfg.Registry)
-		c.agentLocal = make([]*agent.Metrics, cfg.Machines)
-		c.coreLocal = make([]*core.Metrics, cfg.Machines)
+		agentShared, coreShared = agent.NewMetrics(cfg.Registry), core.NewMetrics(cfg.Registry)
+		c.staged = make([]stagedMetrics, cfg.Machines)
 	}
 	// Ingress defense in depth, same shape as cmd/cpi2aggregator:
 	// hostile samples (CorruptRate) quarantine at the bus before they
 	// can poison spec statistics. One validator is shared by every
 	// shard so quarantine totals stay fleet-wide.
 	c.validator = core.NewSampleValidator("aggregator", 256)
-	if cfg.Registry != nil {
-		c.validator.Metrics = core.NewMetrics(cfg.Registry)
-	}
+	c.validator.Metrics = coreShared
 	c.reshards = cfg.Faults.sortedReshards()
 	// A reshard chain must be continuous: each event's From matches
 	// the live shard count at its offset. A broken chain means the
@@ -356,45 +362,35 @@ func New(cfg Config) *Cluster {
 		// parallel phase; the commit phase drains queues into the bus
 		// in machine order, keeping sample arrival order — and hence
 		// the byte-exact specs — independent of the worker count.
-		q := pipeline.NewQueue()
-		a := agent.New(m, cfg.Params, q)
+		c.machs[i] = m
+		c.queues[i] = pipeline.NewQueue()
 		if cfg.TraceCapacity >= 0 {
 			c.traces[i] = trace.NewStore(cfg.TraceCapacity)
 		}
-		a.SetTrace(c.traces[i])
 		// Events go through a per-machine staging buffer: agents emit
 		// during the parallel phase, the commit phase drains buffers in
 		// machine-index order into the shared log.
-		var sink core.EventSink
 		if cfg.Events != nil {
 			c.eventBufs[i] = obs.NewEventBuffer()
-			sink = c.eventBufs[i]
 		}
 		if cfg.Registry != nil {
 			// Not a.Instrument: that points the agent straight at the
 			// shared registry series, which every concurrently ticking
 			// machine would then hammer (the shared atomics were one of
-			// the negative-scaling culprits). Each machine gets a private
-			// local set, drained serially at commit.
-			c.agentLocal[i] = agent.NewLocalMetrics()
-			a.SetMetrics(c.agentLocal[i])
-			c.coreLocal[i] = core.NewLocalMetrics()
-			a.Manager().SetMetrics(c.coreLocal[i])
-			a.Validator().Metrics = c.coreLocal[i]
-		}
-		if sink != nil {
-			a.Manager().SetEvents(sink)
+			// the negative-scaling culprits). Each machine gets private
+			// copies, drained serially at commit.
+			st := &c.staged[i]
+			st.agent, st.drainAgent = obs.Stage(agentShared)
+			st.core, st.drainCore = obs.Stage(coreShared)
 		}
 		// Every enforcement decision journals; restartAgent replays
 		// this against live cgroup state after an agent restart.
 		c.journals[i] = &core.MemCapJournal{}
-		a.Manager().SetJournal(c.journals[i])
+		a := c.newAgent(i)
 		c.midx[name] = i
 		c.mach[name] = m
 		c.agent[name] = a
-		c.machs[i] = m
 		c.agents[i] = a
-		c.queues[i] = q
 		if err := c.sched.AddMachine(name, platform, float64(cfg.CPUsPerMachine)); err != nil {
 			panic(err) // unique generated names: cannot happen
 		}
@@ -407,6 +403,26 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	return c
+}
+
+// newAgent builds an agent for machine i and wires it to everything the
+// machine keeps across agent lifetimes: its sample queue, span ring
+// (central ring storage, not daemon memory — a fresh agent keeps
+// appending to the same ring, though its batch-sequence counter resets
+// like a real daemon's would), event buffer, staged metric sets and cap
+// journal. New and restartAgent both build agents here, so a restarted
+// agent cannot be wired differently from a constructed one.
+func (c *Cluster) newAgent(i int) *agent.Agent {
+	a := agent.New(c.machs[i], c.cfg.Params, c.queues[i])
+	a.SetTrace(c.traces[i])
+	if c.eventBufs != nil {
+		a.Manager().SetEvents(c.eventBufs[i])
+	}
+	if c.staged != nil {
+		a.SetMetrics(c.staged[i].agent, c.staged[i].core)
+	}
+	a.Manager().SetJournal(c.journals[i])
+	return a
 }
 
 // Now returns the current simulation time.
@@ -747,9 +763,9 @@ func (c *Cluster) Step() {
 		if c.eventBufs != nil {
 			c.eventBufs[i].DrainTo(c.cfg.Events)
 		}
-		if c.coreLocal != nil {
-			c.agentLocal[i].DrainTo(c.agentShared)
-			c.coreLocal[i].DrainTo(c.coreShared)
+		if c.staged != nil {
+			c.staged[i].drainAgent()
+			c.staged[i].drainCore()
 		}
 		// Truncate, don't nil: the slot buffers are refilled by the next
 		// parallel phase. Incidents are zeroed first so their suspect

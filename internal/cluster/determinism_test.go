@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -55,6 +56,23 @@ type fingerprint struct {
 	DetectToCapSum   float64
 	SpecStalenessN   uint64
 	SpecStalenessSum float64
+	// The whole /metrics page, as an operator would scrape it, minus the
+	// two wall-clock histograms: every family and series that exists,
+	// every bucket, every float sum, in render order.
+	MetricsText string
+}
+
+// simTimeMetrics renders reg without the families that measure the
+// host's clock rather than the simulation's.
+func simTimeMetrics(reg *obs.Registry) string {
+	var keep []string
+	for _, line := range strings.SplitAfter(reg.Render(), "\n") {
+		if !strings.Contains(line, "cpi2_agent_tick_seconds") &&
+			!strings.Contains(line, "cpi2_correlation_seconds") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "")
 }
 
 // detRun builds a busy cluster — search tree, quiet service, batch,
@@ -134,7 +152,8 @@ func detRun(t *testing.T, workers, machines int, warm, dur time.Duration, identi
 	fp.SpansByStage = c.SpanCounts()
 	fp.SampleToSpecN, fp.SampleToSpecSum = cm.SampleToSpec.Count(), cm.SampleToSpec.Sum()
 	fp.DetectToCapN, fp.DetectToCapSum = cm.DetectToCap.Count(), cm.DetectToCap.Sum()
-	fp.SpecStalenessN, fp.SpecStalenessSum = cm.SpecStaleness.Snapshot()
+	fp.SpecStalenessN, fp.SpecStalenessSum = cm.SpecStaleness.Count(), cm.SpecStaleness.Sum()
+	fp.MetricsText = simTimeMetrics(reg)
 	b, err := json.Marshal(fp)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +216,12 @@ func TestStepDeterminismAcrossWorkerCounts(t *testing.T) {
 	if fp.SampleToSpecN == 0 || fp.SpecStalenessN == 0 || fp.DetectToCapN == 0 {
 		t.Errorf("reaction-time SLIs unobserved: sample_to_spec=%d staleness=%d detect_to_cap=%d",
 			fp.SampleToSpecN, fp.SpecStalenessN, fp.DetectToCapN)
+	}
+	for _, want := range []string{"cpi2_spec_staleness_seconds_bucket{le=", `cpi2_incidents_total{action="cap"}`,
+		"cpi2_pipeline_samples_total", "cpi2_agent_tasks"} {
+		if !strings.Contains(fp.MetricsText, want) {
+			t.Errorf("compared /metrics text has no %s line", want)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/json"
 	"net"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/pipeline"
 )
 
 // obsRun drives the end-to-end incident harness (quiet service, warm
@@ -65,6 +68,54 @@ func TestMetricNameLint(t *testing.T) {
 	}
 	for _, finding := range obs.LintMetricsText(text) {
 		t.Errorf("metric lint: %s", finding)
+	}
+}
+
+// TestReadmeListsEveryMetricFamily diffs the metric names README.md
+// documents against the families an instrumented system renders: the
+// end-to-end run's registry plus a pipeline metric set and the admin
+// server's uptime gauge. A family added without a README row fails
+// here, and so does a row whose family is gone.
+func TestReadmeListsEveryMetricFamily(t *testing.T) {
+	reg := obs.NewRegistry()
+	obsRun(t, reg)
+	obs.NewAdminServer(reg, nil)
+	// A labelled family renders only once it has a series, and a clean
+	// one-shard run has no wire error, no quarantined sample and no shard
+	// identity: name one series in each.
+	pm := pipeline.NewMetrics(reg)
+	pm.WireErrors.With("decode")
+	pm.WireErrorsByShard.With("decode", "0")
+	pm.SamplesInByShard.With("0")
+	pm.SpecPushesByShard.With("0")
+	core.NewMetrics(reg).SamplesQuarantined.With("non_finite_cpi")
+
+	registered := make(map[string]bool)
+	for _, line := range strings.Split(reg.Render(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			registered[f[2]] = true
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]bool)
+	for _, name := range regexp.MustCompile(`cpi2_[a-z0-9_]+`).FindAllString(string(readme), -1) {
+		documented[name] = true
+	}
+	if len(registered) < 40 {
+		t.Fatalf("only %d families rendered: the run registered less than a full system", len(registered))
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("%s is registered but README.md does not list it", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("README.md lists %s, which nothing registers", name)
+		}
 	}
 }
 
@@ -248,7 +299,7 @@ func TestChaosSLIHonesty(t *testing.T) {
 	}
 	take := func() snap {
 		var s snap
-		s.staleN, s.staleSum = cm.SpecStaleness.Snapshot()
+		s.staleN, s.staleSum = cm.SpecStaleness.Count(), cm.SpecStaleness.Sum()
 		s.s2sN, s.s2sSum = cm.SampleToSpec.Count(), cm.SampleToSpec.Sum()
 		return s
 	}

@@ -200,7 +200,7 @@ func (m *Manager) Observe(s model.Sample) *Incident {
 		metrics.Outliers.Inc()
 	}
 	if a.HasSpec && a.SpecAge > 0 {
-		metrics.SpecStaleness.With(string(s.Job)).Observe(a.SpecAge.Seconds())
+		metrics.SpecStaleness.Observe(a.SpecAge.Seconds())
 	}
 	if !a.Anomalous {
 		return nil

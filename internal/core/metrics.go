@@ -24,6 +24,9 @@ func (nopSink) Emit(time.Time, string, any) {}
 // obs registration is idempotent, every NewMetrics call against the
 // same registry returns handles to the same underlying series (so a
 // cluster of simulated managers aggregates into one set of counters).
+// A metric is declared here and registered in NewMetrics, nowhere else:
+// the cluster's per-machine copies are derived from this struct by
+// obs.Stage.
 type Metrics struct {
 	// Detection.
 	SamplesObserved *obs.Counter // cpi2_samples_observed_total
@@ -51,15 +54,18 @@ type Metrics struct {
 	// Input integrity.
 	SamplesQuarantined *obs.CounterVec // cpi2_samples_quarantined_total{reason}
 
-	// Spec aggregation.
+	// Spec aggregation. SpecBacklog is Set, so only the spec builder —
+	// which writes the registered set, never a staged copy — may touch it.
 	SpecsComputed *obs.Counter // cpi2_specs_computed_total
 	SpecBacklog   *obs.Gauge   // cpi2_spec_backlog_samples
 
 	// Reaction-time SLIs (simulation/decision-time durations, so they
 	// stay deterministic under the cluster's fingerprint tests).
-	SampleToSpec  *obs.Histogram    // cpi2_sample_to_spec_seconds
-	SpecStaleness *obs.HistogramVec // cpi2_spec_staleness_seconds{job}
-	DetectToCap   *obs.Histogram    // cpi2_detect_to_cap_seconds
+	// SpecStaleness merges every job: a {job} label is unbounded, and one
+	// job's spec age is read from /debug/specs (UpdatedAt) instead.
+	SampleToSpec  *obs.Histogram // cpi2_sample_to_spec_seconds
+	SpecStaleness *obs.Histogram // cpi2_spec_staleness_seconds
+	DetectToCap   *obs.Histogram // cpi2_detect_to_cap_seconds
 }
 
 // NewMetrics registers (or fetches) the core metric set on r.
@@ -104,77 +110,13 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		SampleToSpec: r.Histogram("cpi2_sample_to_spec_seconds",
 			"age of the oldest pending sample folded into a spec recompute",
 			obs.StalenessBuckets),
-		SpecStaleness: r.HistogramVec("cpi2_spec_staleness_seconds",
+		SpecStaleness: r.Histogram("cpi2_spec_staleness_seconds",
 			"age of the installed spec each time it judges a sample",
-			obs.StalenessBuckets, "job"),
+			obs.StalenessBuckets),
 		DetectToCap: r.Histogram("cpi2_detect_to_cap_seconds",
 			"latency from a task's first outlier to a cap decision",
 			obs.ReactionBuckets),
 	}
-}
-
-// NewLocalMetrics returns a core metric set backed by standalone
-// (unregistered) cells — the per-machine local set of the cluster's
-// staged metrics design. Managers running on concurrently ticking
-// machines each update a private local set (uncontended cache lines);
-// the cluster's serial commit phase folds every one into the shared registry
-// series with DrainTo, in machine-index order, so the aggregated
-// values are identical at any worker count.
-func NewLocalMetrics() *Metrics {
-	return &Metrics{
-		SamplesObserved:     &obs.Counter{},
-		SamplesFiltered:     &obs.Counter{},
-		Outliers:            &obs.Counter{},
-		Anomalies:           &obs.Counter{},
-		AnalysesRun:         &obs.Counter{},
-		AnalysesRateLimited: &obs.Counter{},
-		CorrelationSeconds:  obs.NewHistogram(obs.LatencyBuckets),
-		GroupDetections:     &obs.Counter{},
-		Incidents:           obs.NewCounterVec("action"),
-		CapsApplied:         &obs.Counter{},
-		CapsExpired:         &obs.Counter{},
-		CapsReleased:        &obs.Counter{},
-		CapsActive:          &obs.Gauge{},
-		CapsAdopted:         &obs.Counter{},
-		CapsOrphaned:        &obs.Counter{},
-		SamplesQuarantined:  obs.NewCounterVec("reason"),
-		SpecsComputed:       &obs.Counter{},
-		SpecBacklog:         &obs.Gauge{},
-		SampleToSpec:        obs.NewHistogram(obs.StalenessBuckets),
-		SpecStaleness:       obs.NewHistogramVec(obs.StalenessBuckets, "job"),
-		DetectToCap:         obs.NewHistogram(obs.ReactionBuckets),
-	}
-}
-
-// DrainTo moves everything accumulated in m into dst and resets m.
-// Gauges move as deltas (CapsActive only ever Incs/Decs, so the shared
-// gauge converges on the fleet total); SpecBacklog is Set-based and
-// only used by the spec builder, which never gets a local set — its
-// local cell stays zero and the drain is a no-op.
-func (m *Metrics) DrainTo(dst *Metrics) {
-	if m == nil || dst == nil {
-		return
-	}
-	m.SamplesObserved.Drain(dst.SamplesObserved)
-	m.SamplesFiltered.Drain(dst.SamplesFiltered)
-	m.Outliers.Drain(dst.Outliers)
-	m.Anomalies.Drain(dst.Anomalies)
-	m.AnalysesRun.Drain(dst.AnalysesRun)
-	m.AnalysesRateLimited.Drain(dst.AnalysesRateLimited)
-	m.CorrelationSeconds.Drain(dst.CorrelationSeconds)
-	m.GroupDetections.Drain(dst.GroupDetections)
-	m.Incidents.Drain(dst.Incidents)
-	m.CapsApplied.Drain(dst.CapsApplied)
-	m.CapsExpired.Drain(dst.CapsExpired)
-	m.CapsReleased.Drain(dst.CapsReleased)
-	m.CapsActive.Drain(dst.CapsActive)
-	m.CapsAdopted.Drain(dst.CapsAdopted)
-	m.CapsOrphaned.Drain(dst.CapsOrphaned)
-	m.SamplesQuarantined.Drain(dst.SamplesQuarantined)
-	m.SpecsComputed.Drain(dst.SpecsComputed)
-	m.SampleToSpec.Drain(dst.SampleToSpec)
-	m.SpecStaleness.Drain(dst.SpecStaleness)
-	m.DetectToCap.Drain(dst.DetectToCap)
 }
 
 // SuspectRecord is the JSON rendering of one ranked suspect.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 )
 
@@ -13,6 +14,10 @@ import (
 //   - counter families end in _total
 //   - histogram families measuring time end in _seconds
 //   - no family is declared twice (duplicate # TYPE lines)
+//   - every label name is one of action, reason, shard (or a histogram's
+//     le): labels whose values form a small closed set. A label valued by
+//     job, task or machine grows a family without bound — that is a
+//     question for /debug/specs or the event log, not for /metrics
 //
 // It is the CI backstop that keeps new SLI families from drifting:
 // the e2e tests feed it every registry they build.
@@ -20,6 +25,16 @@ func LintMetricsText(text string) []string {
 	var problems []string
 	seen := make(map[string]bool)
 	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "#") {
+			for _, m := range sampleLabelRE.FindAllStringSubmatch(line, -1) {
+				series, l := line[:strings.IndexByte(line, '{')], m[1]
+				if !boundedLabels[l] && !seen[series+"{"+l] {
+					seen[series+"{"+l] = true
+					problems = append(problems, fmt.Sprintf("series %s has label %q, outside the closed set action/reason/shard", series, l))
+				}
+			}
+			continue
+		}
 		if !strings.HasPrefix(line, "# TYPE ") {
 			continue
 		}
@@ -57,3 +72,12 @@ func LintMetricsText(text string) []string {
 	}
 	return problems
 }
+
+// boundedLabels is the closed label set; sampleLabelRE finds the label
+// names of one sample line, `series{k="v",…} value`. Values are escaped
+// by the exposition format (a quote inside one is \"), so `="` only
+// ever follows a label name.
+var (
+	boundedLabels = map[string]bool{"action": true, "reason": true, "shard": true, "le": true}
+	sampleLabelRE = regexp.MustCompile(`[{,]([a-zA-Z_][a-zA-Z0-9_]*)="`)
+)

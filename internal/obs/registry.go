@@ -71,20 +71,6 @@ func (c *Counter) Value() float64 {
 	return c.v.Load()
 }
 
-// Drain atomically moves everything accumulated in c into dst and
-// resets c to zero. It is the metric analogue of EventBuffer.DrainTo:
-// concurrent writers each increment a private (uncontended) local
-// cell, and a serial coordinator folds the local cells into the shared
-// registry series in a fixed order. Nil c or dst is a no-op.
-func (c *Counter) Drain(dst *Counter) {
-	if c == nil || dst == nil {
-		return
-	}
-	if v := c.v.swap(0); v > 0 {
-		dst.Add(v)
-	}
-}
-
 // Gauge is a metric that can go up and down. Nil-safe like Counter.
 type Gauge struct{ v atomicFloat }
 
@@ -116,20 +102,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Drain atomically moves the delta accumulated in g (via Inc/Dec/Add)
-// into dst and resets g to zero. A local gauge therefore holds the
-// *change* since the last drain, and the shared gauge holds the fleet
-// total. Local gauges must only use the relative mutators — Set does
-// not compose across them. Nil g or dst is a no-op.
-func (g *Gauge) Drain(dst *Gauge) {
-	if g == nil || dst == nil {
-		return
-	}
-	if v := g.v.swap(0); v != 0 {
-		dst.Add(v)
-	}
 }
 
 // Histogram is a fixed-bucket cumulative histogram with Prometheus
@@ -164,18 +136,6 @@ var ReactionBuckets = []float64{
 	1, 2, 5, 10, 30, 60, 120, 300, 600, 1200, 1800, 3600,
 }
 
-// NewHistogram creates a standalone histogram with the given bucket
-// upper bounds (sorted ascending; +Inf implicit), not attached to any
-// registry. Standalone histograms are the per-machine local cells of
-// the cluster's staged-metrics design: each concurrent context observes
-// into its own instance, and a serial coordinator Drains them into the
-// registered series.
-func NewHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
@@ -201,33 +161,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return h.sum.Load()
-}
-
-// Drain atomically moves every observation accumulated in h into dst
-// and resets h to empty. Both histograms must share the same bucket
-// layout (Drain panics otherwise — local cells are always built from
-// the same bounds as the series they fold into). The check-then-drain is
-// cheap when h is empty: one atomic load. Nil h or dst is a no-op.
-func (h *Histogram) Drain(dst *Histogram) {
-	if h == nil || dst == nil {
-		return
-	}
-	if h.count.Load() == 0 {
-		return
-	}
-	if len(h.counts) != len(dst.counts) {
-		panic(fmt.Sprintf("obs: Histogram.Drain bucket mismatch: %d vs %d",
-			len(h.counts), len(dst.counts)))
-	}
-	for i := range h.counts {
-		if n := h.counts[i].Swap(0); n != 0 {
-			dst.counts[i].Add(n)
-		}
-	}
-	if s := h.sum.swap(0); s != 0 {
-		dst.sum.Add(s)
-	}
-	dst.count.Add(h.count.Swap(0))
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
@@ -315,6 +248,9 @@ type family struct {
 	mu     sync.Mutex
 	series map[string]any // encoded label values → *Counter/*Gauge/*Histogram
 	fn     func() float64 // GaugeFunc only
+	// nseries is len(series), readable without mu: a staged drain polls
+	// it to learn that a labelled family grew (see Stage).
+	nseries atomic.Int32
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -383,14 +319,12 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{fam: r.register(name, help, "counter", labels, nil)}
 }
 
-// Gauge registers (or fetches) an unlabelled gauge.
+// Gauge registers (or fetches) an unlabelled gauge. (There is no
+// labelled gauge: nothing needed one, and every handle kind the registry
+// hands out is one Stage can copy.)
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeVec(name, help).With()
-}
-
-// GaugeVec registers (or fetches) a gauge family with labels.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{fam: r.register(name, help, "gauge", labels, nil)}
+	f := r.register(name, help, "gauge", nil, nil)
+	return f.lookup(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at render
@@ -408,15 +342,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
 	f := r.register(name, help, "histogram", nil, b)
-	return f.histogram("")
+	return f.lookup(nil, func() any { return newHistogram(f.bounds) }).(*Histogram)
 }
 
-// HistogramVec registers (or fetches) a histogram family with labels;
-// every series shares the same bucket layout.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &HistogramVec{fam: r.register(name, help, "histogram", labels, b)}
+// newHistogram returns an empty histogram over bounds, which it shares
+// rather than copies: bucket layouts are never written after creation.
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
 // CounterVec is a labelled counter family.
@@ -432,170 +364,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return s.(*Counter)
 }
 
-// NewCounterVec creates a standalone labelled counter family, not
-// attached to any registry — the vec analogue of NewHistogram, for
-// per-machine local cells of labelled series.
-func NewCounterVec(labels ...string) *CounterVec {
-	return &CounterVec{fam: &family{
-		typ:    "counter",
-		labels: append([]string(nil), labels...),
-		series: make(map[string]any),
-	}}
-}
-
-// Drain atomically moves every series accumulated in v into the
-// matching series of dst (created there on first use) and resets v's
-// series to zero. Series are visited in sorted label order so repeated
-// drains apply float additions to dst in a fixed order. Both vecs must
-// have the same label arity. Nil v or dst is a no-op.
-func (v *CounterVec) Drain(dst *CounterVec) {
-	if v == nil || dst == nil {
-		return
-	}
-	v.fam.mu.Lock()
-	keys := make([]string, 0, len(v.fam.series))
-	for k := range v.fam.series {
-		keys = append(keys, k)
-	}
-	v.fam.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		v.fam.mu.Lock()
-		c := v.fam.series[k].(*Counter)
-		v.fam.mu.Unlock()
-		vals := decodeLabels(k)
-		for len(vals) < len(v.fam.labels) {
-			vals = append(vals, "") // all-empty label values decode short
-		}
-		c.Drain(dst.With(vals...))
-	}
-}
-
-// HistogramVec is a labelled histogram family.
-type HistogramVec struct{ fam *family }
-
-// With returns the histogram for the given label values (created on
-// first use from the family's bucket layout). len(values) must match
-// the registered label names.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	f := v.fam
-	s := f.lookup(values, func() any {
-		return &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
-	})
-	return s.(*Histogram)
-}
-
-// NewHistogramVec creates a standalone labelled histogram family, not
-// attached to any registry — the vec analogue of NewHistogram, for
-// per-machine local cells of labelled latency series.
-func NewHistogramVec(bounds []float64, labels ...string) *HistogramVec {
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &HistogramVec{fam: &family{
-		typ:    "histogram",
-		labels: append([]string(nil), labels...),
-		bounds: b,
-		series: make(map[string]any),
-	}}
-}
-
-// Drain atomically moves every series accumulated in v into the
-// matching series of dst (created there on first use) and resets v's
-// series to empty, visiting series in sorted label order like
-// CounterVec.Drain. Both vecs must share bucket layout and label
-// arity. Nil v or dst is a no-op.
-func (v *HistogramVec) Drain(dst *HistogramVec) {
-	if v == nil || dst == nil {
-		return
-	}
-	v.fam.mu.Lock()
-	keys := make([]string, 0, len(v.fam.series))
-	for k := range v.fam.series {
-		keys = append(keys, k)
-	}
-	v.fam.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		v.fam.mu.Lock()
-		h := v.fam.series[k].(*Histogram)
-		v.fam.mu.Unlock()
-		vals := decodeLabels(k)
-		for len(vals) < len(v.fam.labels) {
-			vals = append(vals, "") // all-empty label values decode short
-		}
-		h.Drain(dst.With(vals...))
-	}
-}
-
-// QuantileAll estimates the q-quantile over the union of every series
-// in the family, as if all observations had landed in one histogram.
-// Every series shares the family's bucket layout, so merging is exact
-// at bucket granularity; the estimate inside the owning bucket is the
-// same linear interpolation as Histogram.Quantile. Capacity budgets
-// use this to judge e.g. p95 spec staleness across all {job} series
-// without caring how observations split per label. Returns 0 on nil
-// or with no observations.
-func (v *HistogramVec) QuantileAll(q float64) float64 {
-	if v == nil || len(v.fam.bounds) == 0 {
-		return 0
-	}
-	v.fam.mu.Lock()
-	series := make([]any, 0, len(v.fam.series))
-	for _, s := range v.fam.series {
-		series = append(series, s)
-	}
-	v.fam.mu.Unlock()
-	merged := make([]uint64, len(v.fam.bounds)+1)
-	for _, s := range series {
-		h := s.(*Histogram)
-		for i := range h.counts {
-			merged[i] += h.counts[i].Load()
-		}
-	}
-	var cum uint64
-	for i := range merged {
-		cum += merged[i]
-		merged[i] = cum
-	}
-	return QuantileFromBuckets(v.fam.bounds, merged, q)
-}
-
-// Snapshot returns the total observation count and value sum across
-// every series of the family, for fingerprinting and quick health
-// checks. Nil-safe.
-func (v *HistogramVec) Snapshot() (count uint64, sum float64) {
-	if v == nil {
-		return 0, 0
-	}
-	v.fam.mu.Lock()
-	series := make([]any, 0, len(v.fam.series))
-	for _, s := range v.fam.series {
-		series = append(series, s)
-	}
-	v.fam.mu.Unlock()
-	for _, s := range series {
-		h := s.(*Histogram)
-		count += h.Count()
-		sum += h.Sum()
-	}
-	return count, sum
-}
-
-// GaugeVec is a labelled gauge family.
-type GaugeVec struct{ fam *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	s := v.fam.lookup(values, func() any { return &Gauge{} })
-	return s.(*Gauge)
-}
-
 func (f *family) lookup(values []string, mk func() any) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d",
@@ -608,28 +376,18 @@ func (f *family) lookup(values []string, mk func() any) any {
 	if !ok {
 		s = mk()
 		f.series[key] = s
+		f.nseries.Add(1)
 	}
 	return s
-}
-
-func (f *family) histogram(key string) *Histogram {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s, ok := f.series[key]
-	if !ok {
-		h := &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
-		f.series[key] = h
-		return h
-	}
-	return s.(*Histogram)
 }
 
 // encodeLabels joins label values with an unprintable separator so the
 // map key is unambiguous.
 func encodeLabels(values []string) string { return strings.Join(values, "\x1f") }
 
-func decodeLabels(key string) []string {
-	if key == "" {
+// decodeLabels splits a series key back into its n label values.
+func decodeLabels(key string, n int) []string {
+	if n == 0 {
 		return nil
 	}
 	return strings.Split(key, "\x1f")
@@ -685,7 +443,7 @@ func (f *family) write(sb *strings.Builder) {
 		f.mu.Lock()
 		s := f.series[key]
 		f.mu.Unlock()
-		values := decodeLabels(key)
+		values := decodeLabels(key, len(f.labels))
 		switch m := s.(type) {
 		case *Counter:
 			fmt.Fprintf(sb, "%s%s %s\n", f.name, labelString(f.labels, values, "", 0), formatValue(m.Value()))
@@ -719,13 +477,9 @@ func labelString(names, values []string, extraName string, extraVal float64) str
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		v := ""
-		if i < len(values) {
-			v = values[i]
-		}
 		sb.WriteString(n)
 		sb.WriteString(`="`)
-		sb.WriteString(escapeLabelValue(v))
+		sb.WriteString(escapeLabelValue(values[i]))
 		sb.WriteByte('"')
 	}
 	if extraName != "" {

@@ -195,7 +195,7 @@ func TestQuantileEdgeCases(t *testing.T) {
 	// Histogram.Quantile goes through the same path: all mass beyond
 	// the last bound must clamp, never interpolate toward +Inf, and
 	// out-of-range q must not panic or go non-finite.
-	h := NewHistogram([]float64{1, 2})
+	h := NewRegistry().Histogram("overflow_seconds", "", []float64{1, 2})
 	h.Observe(100)
 	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
 		if got := h.Quantile(q); math.IsNaN(got) || math.IsInf(got, 0) {
@@ -319,177 +319,4 @@ func TestVecLabelCardinality(t *testing.T) {
 		}
 	}()
 	v.With("a", "b")
-}
-
-func TestCounterDrain(t *testing.T) {
-	r := NewRegistry()
-	shared := r.Counter("drain_total", "")
-	local := &Counter{}
-	local.Add(5)
-	local.Drain(shared)
-	if got := shared.Value(); got != 5 {
-		t.Errorf("shared = %v, want 5", got)
-	}
-	if got := local.Value(); got != 0 {
-		t.Errorf("local after drain = %v, want 0", got)
-	}
-	local.Drain(shared) // empty drain is a no-op
-	if got := shared.Value(); got != 5 {
-		t.Errorf("shared after empty drain = %v, want 5", got)
-	}
-	var nilC *Counter
-	nilC.Drain(shared) // nil local
-	local.Drain(nil)   // nil destination
-}
-
-func TestGaugeDrainMovesDelta(t *testing.T) {
-	r := NewRegistry()
-	shared := r.Gauge("drain_gauge", "")
-	shared.Set(10)
-	local := &Gauge{}
-	local.Inc()
-	local.Inc()
-	local.Dec()
-	local.Drain(shared)
-	if got := shared.Value(); got != 11 {
-		t.Errorf("shared = %v, want 11", got)
-	}
-	local.Add(-3)
-	local.Drain(shared) // negative deltas move too
-	if got := shared.Value(); got != 8 {
-		t.Errorf("shared after negative drain = %v, want 8", got)
-	}
-	if got := local.Value(); got != 0 {
-		t.Errorf("local after drain = %v, want 0", got)
-	}
-}
-
-func TestHistogramDrain(t *testing.T) {
-	r := NewRegistry()
-	shared := r.Histogram("drain_seconds", "", []float64{1, 10})
-	local := NewHistogram([]float64{1, 10})
-	local.Observe(0.5)
-	local.Observe(5)
-	local.Observe(100)
-	local.Drain(shared)
-	if got := shared.Count(); got != 3 {
-		t.Errorf("shared count = %d, want 3", got)
-	}
-	if got := shared.Sum(); got != 105.5 {
-		t.Errorf("shared sum = %v, want 105.5", got)
-	}
-	if got := local.Count(); got != 0 {
-		t.Errorf("local count after drain = %d, want 0", got)
-	}
-	if got := local.Sum(); got != 0 {
-		t.Errorf("local sum after drain = %v, want 0", got)
-	}
-	// Draining repeatedly accumulates.
-	local.Observe(2)
-	local.Drain(shared)
-	if got := shared.Count(); got != 4 {
-		t.Errorf("shared count after second drain = %d, want 4", got)
-	}
-}
-
-func TestHistogramDrainBucketMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bucket-layout mismatch")
-		}
-	}()
-	a := NewHistogram([]float64{1})
-	a.Observe(0.5)
-	b := NewHistogram([]float64{1, 2})
-	a.Drain(b)
-}
-
-func TestCounterVecDrain(t *testing.T) {
-	r := NewRegistry()
-	shared := r.CounterVec("drain_vec_total", "", "action")
-	local := NewCounterVec("action")
-	local.With("cap").Add(3)
-	local.With("none").Add(7)
-	local.Drain(shared)
-	if got := shared.With("cap").Value(); got != 3 {
-		t.Errorf(`shared{action="cap"} = %v, want 3`, got)
-	}
-	if got := shared.With("none").Value(); got != 7 {
-		t.Errorf(`shared{action="none"} = %v, want 7`, got)
-	}
-	if got := local.With("cap").Value(); got != 0 {
-		t.Errorf("local after drain = %v, want 0", got)
-	}
-	var nilV *CounterVec
-	nilV.Drain(shared)
-	local.Drain(nil)
-}
-
-// TestDrainUnderConcurrentWriters is the usage pattern the cluster
-// relies on: local cells written from worker goroutines, drained serially,
-// with no update lost.
-func TestDrainUnderConcurrentWriters(t *testing.T) {
-	r := NewRegistry()
-	shared := r.Counter("drain_conc_total", "")
-	const writers, per = 8, 1000
-	locals := make([]*Counter, writers)
-	var wg sync.WaitGroup
-	for i := range locals {
-		locals[i] = &Counter{}
-		wg.Add(1)
-		go func(c *Counter) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				c.Inc()
-			}
-		}(locals[i])
-	}
-	wg.Wait()
-	for _, c := range locals {
-		c.Drain(shared)
-	}
-	if got := shared.Value(); got != writers*per {
-		t.Errorf("shared = %v, want %d", got, writers*per)
-	}
-}
-
-// TestHistogramVecQuantileAll: the merged quantile must behave as if
-// every series' observations had landed in one histogram, regardless
-// of how they split across label values.
-func TestHistogramVecQuantileAll(t *testing.T) {
-	bounds := []float64{1, 2, 4, 8}
-	vec := NewHistogramVec(bounds, "job")
-	merged := NewHistogram(bounds)
-	obsv := []struct {
-		job string
-		v   float64
-	}{
-		{"a", 0.5}, {"a", 1.5}, {"a", 1.6}, {"b", 3}, {"b", 3.5},
-		{"b", 7}, {"c", 7.5}, {"c", 100}, // +Inf bucket
-	}
-	for _, o := range obsv {
-		vec.With(o.job).Observe(o.v)
-		merged.Observe(o.v)
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.95, 1} {
-		if got, want := vec.QuantileAll(q), merged.Quantile(q); got != want {
-			t.Errorf("QuantileAll(%v) = %v, want %v (single-histogram estimate)", q, got, want)
-		}
-	}
-	var nilVec *HistogramVec
-	if got := nilVec.QuantileAll(0.5); got != 0 {
-		t.Errorf("nil QuantileAll = %v, want 0", got)
-	}
-	if got := NewHistogramVec(bounds, "job").QuantileAll(0.95); got != 0 {
-		t.Errorf("empty QuantileAll = %v, want 0", got)
-	}
-	// Registered vecs (shared bucket layout enforced by the registry)
-	// take the same path.
-	r := NewRegistry()
-	rv := r.HistogramVec("quantile_all_seconds", "", bounds, "job")
-	rv.With("x").Observe(3)
-	rv.With("y").Observe(3)
-	if got := rv.QuantileAll(1); got != 4 {
-		t.Errorf("registered QuantileAll(1) = %v, want 4 (upper bound of owning bucket)", got)
-	}
 }
