@@ -29,22 +29,26 @@ import (
 	"repro/internal/workload"
 )
 
-func rootLatency(c *cluster.Cluster, over time.Duration) float64 {
-	id := model.TaskID{Job: "websearch-root", Index: 0}
-	m, ok := c.MachineOf(id)
-	if !ok {
-		return 0
+// rootLatency returns a meter of the root's mean reported latency: each
+// call returns the mean since the previous call, the difference of the
+// root task's cumulative latency totals across the interval.
+func rootLatency(c *cluster.Cluster) func() float64 {
+	var lastSum float64
+	var lastTicks int
+	return func() float64 {
+		id := model.TaskID{Job: "websearch-root", Index: 0}
+		m, ok := c.MachineOf(id)
+		if !ok {
+			return 0
+		}
+		sum, ticks := m.Task(id).Workload.(*workload.SearchTask).LatencyTotals()
+		mean := 0.0
+		if ticks > lastTicks {
+			mean = (sum - lastSum) / float64(ticks-lastTicks)
+		}
+		lastSum, lastTicks = sum, ticks
+		return mean
 	}
-	st := m.Task(id).Workload.(*workload.SearchTask)
-	pts := st.Latency().Window(c.Now().Add(-over), c.Now())
-	var sum float64
-	for _, p := range pts {
-		sum += p.Value
-	}
-	if len(pts) == 0 {
-		return 0
-	}
-	return sum / float64(len(pts))
 }
 
 func main() {
@@ -66,8 +70,10 @@ func main() {
 	if _, err := cluster.WarmUpSpecs(c, 15*time.Minute); err != nil {
 		log.Fatal(err)
 	}
+	meter := rootLatency(c)
+	meter()
 	c.Run(5 * time.Minute)
-	base := rootLatency(c, 5*time.Minute)
+	base := meter()
 	fmt.Printf("  root latency: %.1f ms\n", base)
 
 	fmt.Println("\nphase 2: MapReduce job lands on the leaf machines…")
@@ -81,7 +87,7 @@ func main() {
 	var best, worst float64 = 1e12, 0
 	for minute := 1; minute <= 14; minute++ {
 		c.Run(time.Minute)
-		lat := rootLatency(c, time.Minute)
+		lat := meter()
 		capped := 0
 		for i := 0; i < 24; i++ {
 			id := model.TaskID{Job: "mapreduce", Index: i}

@@ -145,8 +145,8 @@ func TestWebSearchJobWiring(t *testing.T) {
 	if !ok {
 		t.Fatalf("workload type %T", task.Workload)
 	}
-	if st.Latency().Len() < 100 {
-		t.Errorf("latency points = %d", st.Latency().Len())
+	if _, ticks := st.LatencyTotals(); ticks < 100 {
+		t.Errorf("latency ticks = %d", ticks)
 	}
 }
 

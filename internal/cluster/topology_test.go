@@ -55,6 +55,21 @@ func topologyRun(t *testing.T, faults *FaultPlan, shards, workers int) (*Cluster
 	return c, reg
 }
 
+// incidentsSpecsSHA256 hashes a run's incident records and spec table,
+// the outcome every pinned-hash test compares across commits.
+func incidentsSpecsSHA256(t *testing.T, c *Cluster) string {
+	t.Helper()
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	if err := enc.Encode(core.IncidentRecords(c.Incidents())); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(c.AllSpecs()); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestTopologyEquivalence: the fault plan being nil or empty, the shard
 // count, and the worker count select nothing — every combination runs
 // the same Queue → Router → Spooler → link → Bus path and must produce
@@ -80,15 +95,7 @@ func TestTopologyEquivalence(t *testing.T) {
 						t.Fatalf("%d incidents, %d specs: the comparison is vacuous",
 							len(c.Incidents()), len(c.AllSpecs()))
 					}
-					h := sha256.New()
-					enc := json.NewEncoder(h)
-					if err := enc.Encode(core.IncidentRecords(c.Incidents())); err != nil {
-						t.Fatal(err)
-					}
-					if err := enc.Encode(c.AllSpecs()); err != nil {
-						t.Fatal(err)
-					}
-					if got := hex.EncodeToString(h.Sum(nil)); got != topologyGoldenSHA256 {
+					if got := incidentsSpecsSHA256(t, c); got != topologyGoldenSHA256 {
 						t.Errorf("incidents+specs hash %s, want %s (%d incidents)",
 							got, topologyGoldenSHA256, len(c.Incidents()))
 					}

@@ -40,6 +40,11 @@ type caseRig struct {
 	plotAntag  model.TaskID
 	epoch      time.Time
 	minutes    []caseMinute
+
+	// threadsOf, when set, has its thread count captured every tick
+	// from the machine's TaskTick (Figure 12b).
+	threadsOf model.TaskID
+	threads   []float64
 }
 
 type caseMinute struct {
@@ -77,6 +82,11 @@ func (r *caseRig) run(d time.Duration) {
 	for s := 0; s < int(d/time.Second); s++ {
 		ticks, _ := r.m.Tick(r.now, time.Second)
 		r.inc = append(r.inc, r.a.Tick(r.now)...)
+		for _, tt := range ticks {
+			if tt.ID == r.threadsOf {
+				r.threads = append(r.threads, float64(tt.Threads))
+			}
+		}
 		if r.plotVictim != (model.TaskID{}) && r.now.Sub(r.epoch)%time.Minute == 0 {
 			cm := caseMinute{minute: int(r.now.Sub(r.epoch) / time.Minute)}
 			for _, tt := range ticks {
@@ -476,6 +486,7 @@ func fig12(o Options) (*Report, error) {
 			DefaultCPI: 1.4, CacheFootprint: 6, MemBandwidth: 5,
 			Sensitivity: 0.1, BaseL3MPKI: 10, NoiseSigma: 0.05,
 		}, mr)
+	r.threadsOf = antag
 
 	// Two operator capping rounds, then a long observation window.
 	caps := 0
@@ -508,7 +519,7 @@ func fig12(o Options) (*Report, error) {
 	}
 	r.run(10 * time.Minute)
 
-	threads := mr.ThreadLog().Values()
+	threads := r.threads
 	maxThreads := stats.Max(threads)
 	// Post-burst minimum (lame duck) and final value.
 	minAfterBurst := maxThreads

@@ -139,43 +139,36 @@ func fig2(o Options) (*Report, error) {
 			}
 		}
 	}
-	// Run 2 simulated hours, collecting job-aggregate TPS and IPS per
-	// 10-minute window like the paper.
+	// Run 2 simulated hours, reading the job's cumulative transactions
+	// and instructions at every 10-minute edge like the paper: a window's
+	// TPS and IPS are the differences across it.
+	jobTotals := func() (tx, instr float64) {
+		for i := 0; i < nTasks; i++ {
+			id := model.TaskID{Job: "batchjob", Index: i}
+			if m, ok := c.MachineOf(id); ok {
+				b := m.Task(id).Workload.(*workload.Batch)
+				tx += b.Completed()
+				instr += b.Instructions()
+			}
+		}
+		return tx, instr
+	}
 	total := 2 * time.Hour
 	phase := 15 * time.Minute
-	for elapsed := time.Duration(0); elapsed < total; elapsed += phase {
-		toggle((elapsed/phase)%2 == 0)
-		c.Run(phase)
-	}
-	// Aggregate TPS/IPS across tasks per window.
-	var tpsAgg, ipsAgg map[int64]float64
-	tpsAgg = make(map[int64]float64)
-	ipsAgg = make(map[int64]float64)
-	windowOf := func(ts time.Time) int64 { return ts.Unix() / 600 }
-	for i := 0; i < nTasks; i++ {
-		id := model.TaskID{Job: "batchjob", Index: i}
-		m, ok := c.MachineOf(id)
-		if !ok {
-			continue
-		}
-		b, ok := m.Task(id).Workload.(*workload.Batch)
-		if !ok || b.TPS() == nil {
-			continue
-		}
-		for j := 0; j < b.TPS().Len(); j++ {
-			p := b.TPS().At(j)
-			tpsAgg[windowOf(p.Time)] += p.Value
-		}
-		for j := 0; j < b.IPS().Len(); j++ {
-			p := b.IPS().At(j)
-			ipsAgg[windowOf(p.Time)] += p.Value
-		}
-	}
+	window := 10 * time.Minute
+	step := 5 * time.Minute // divides both the phase and the window
 	var tps, ips []float64
-	for w := range tpsAgg {
-		if _, ok := ipsAgg[w]; ok {
-			tps = append(tps, tpsAgg[w])
-			ips = append(ips, ipsAgg[w])
+	lastTx, lastInstr := jobTotals()
+	for elapsed := time.Duration(0); elapsed < total; elapsed += step {
+		if elapsed%phase == 0 {
+			toggle((elapsed/phase)%2 == 0)
+		}
+		c.Run(step)
+		if (elapsed+step)%window == 0 {
+			tx, instr := jobTotals()
+			tps = append(tps, (tx-lastTx)/window.Seconds())
+			ips = append(ips, (instr-lastInstr)/window.Seconds())
+			lastTx, lastInstr = tx, instr
 		}
 	}
 	r0, err := stats.PearsonCorrelation(tps, ips)
@@ -214,9 +207,11 @@ func fig3(o Options) (*Report, error) {
 	if err := c.AddJob(cluster.AntagonistJob("churn", machines, 3, model.PriorityBestEffort)); err != nil {
 		return nil, err
 	}
-	// 24 simulated hours at coarse ticks for speed.
+	// 24 simulated hours; each leaf's hourly mean latency and CPI are
+	// differences of its cumulative totals across the hour.
 	hours := 24
 	var lat, cpi []float64
+	marks := make([]searchMark, leaves)
 	for h := 0; h < hours; h++ {
 		// Toggle churn by hour.
 		for i := 0; i < machines; i++ {
@@ -229,38 +224,20 @@ func fig3(o Options) (*Report, error) {
 				}
 			}
 		}
+		for i := range marks {
+			marks[i] = markSearchTask(c, model.TaskID{Job: "websearch-leaf", Index: i})
+		}
 		c.Run(time.Hour)
 		// Job-level hourly means.
 		var latSum, cpiSum float64
 		var n int
-		for i := 0; i < leaves; i++ {
-			id := model.TaskID{Job: "websearch-leaf", Index: i}
-			m, ok := c.MachineOf(id)
+		for i, from := range marks {
+			l, cp, ok := markSearchTask(c, model.TaskID{Job: "websearch-leaf", Index: i}).since(from)
 			if !ok {
 				continue
 			}
-			st := m.Task(id).Workload.(*workload.SearchTask)
-			if st.Latency().Len() == 0 {
-				continue
-			}
-			vals := st.Latency().Window(c.Now().Add(-time.Hour), c.Now())
-			agentCPI := c.Agent(m.Name()).Manager().CPISeries(id)
-			if len(vals) == 0 || agentCPI == nil {
-				continue
-			}
-			cpiVals := agentCPI.Window(c.Now().Add(-time.Hour), c.Now())
-			if len(cpiVals) == 0 {
-				continue
-			}
-			var ls, cs float64
-			for _, p := range vals {
-				ls += p.Value
-			}
-			for _, p := range cpiVals {
-				cs += p.Value
-			}
-			latSum += ls / float64(len(vals))
-			cpiSum += cs / float64(len(cpiVals))
+			latSum += l
+			cpiSum += cp
 			n++
 		}
 		if n > 0 {
@@ -304,48 +281,21 @@ func fig4(o Options) (*Report, error) {
 		return nil, err
 	}
 	// 16 interference phases of 10 minutes; at each phase end, record
-	// one (mean latency, mean CPI) point per task — the paper's
-	// "5-minute sample of a task's execution" — then correlate per
-	// task across phases.
-	type pair struct{ lat, cpi []float64 }
-	points := make(map[model.TaskID]*pair)
-	collect := func(job string, count int) {
+	// one (mean latency, mean CPI) point per task over the phase's last
+	// 5 minutes — the paper's "5-minute sample of a task's execution" —
+	// then correlate per task across phases.
+	var tasks []model.TaskID
+	addTier := func(job string, count int) {
 		for i := 0; i < count; i++ {
-			id := model.TaskID{Job: model.JobName(job), Index: i}
-			m, ok := c.MachineOf(id)
-			if !ok {
-				continue
-			}
-			st, ok := m.Task(id).Workload.(*workload.SearchTask)
-			if !ok {
-				continue
-			}
-			cpiSeries := c.Agent(m.Name()).Manager().CPISeries(id)
-			if cpiSeries == nil {
-				continue
-			}
-			from := c.Now().Add(-5 * time.Minute)
-			latPts := st.Latency().Window(from, c.Now())
-			cpiPts := cpiSeries.Window(from, c.Now())
-			if len(latPts) == 0 || len(cpiPts) == 0 {
-				continue
-			}
-			var ls, cs float64
-			for _, p := range latPts {
-				ls += p.Value
-			}
-			for _, p := range cpiPts {
-				cs += p.Value
-			}
-			pp := points[id]
-			if pp == nil {
-				pp = &pair{}
-				points[id] = pp
-			}
-			pp.lat = append(pp.lat, ls/float64(len(latPts)))
-			pp.cpi = append(pp.cpi, cs/float64(len(cpiPts)))
+			tasks = append(tasks, model.TaskID{Job: model.JobName(job), Index: i})
 		}
 	}
+	addTier("websearch-leaf", leaves)
+	addTier("websearch-mixer", inter)
+	addTier("websearch-root", roots)
+	type pair struct{ lat, cpi []float64 }
+	points := make([]pair, len(tasks))
+	marks := make([]searchMark, len(tasks))
 	for seg := 0; seg < 16; seg++ {
 		for i := 0; i < machines; i++ {
 			id := model.TaskID{Job: "churn", Index: i}
@@ -366,15 +316,22 @@ func fig4(o Options) (*Report, error) {
 				}
 			}
 		}
-		c.Run(10 * time.Minute)
-		collect("websearch-leaf", leaves)
-		collect("websearch-mixer", inter)
-		collect("websearch-root", roots)
+		c.Run(5 * time.Minute)
+		for i, id := range tasks {
+			marks[i] = markSearchTask(c, id)
+		}
+		c.Run(5 * time.Minute)
+		for i, id := range tasks {
+			if l, cp, ok := markSearchTask(c, id).since(marks[i]); ok {
+				points[i].lat = append(points[i].lat, l)
+				points[i].cpi = append(points[i].cpi, cp)
+			}
+		}
 	}
 	tierCorr := func(job string) float64 {
 		var all []float64
-		for id, pp := range points {
-			if string(id.Job) != job || len(pp.lat) < 8 {
+		for i, pp := range points {
+			if string(tasks[i].Job) != job || len(pp.lat) < 8 {
 				continue
 			}
 			r0, err := stats.PearsonCorrelation(pp.lat, pp.cpi)
@@ -398,6 +355,42 @@ func fig4(o Options) (*Report, error) {
 	rep.AddMetric("intermediate correlation", interR, 0.68, "per-task mean")
 	rep.AddMetric("root correlation", rootR, 0, "paper: poor")
 	return rep, nil
+}
+
+// searchMark is one search task's cumulative totals at an interval
+// edge: reported latency and the machine's cycle and instruction
+// counters. Two marks of the same task give the interval's means.
+type searchMark struct {
+	latMS         float64
+	ticks         int
+	cycles, instr float64
+	ok            bool
+}
+
+// markSearchTask reads a search task's totals now; the mark is not ok
+// if the task is not placed.
+func markSearchTask(c *cluster.Cluster, id model.TaskID) searchMark {
+	m, ok := c.MachineOf(id)
+	if !ok {
+		return searchMark{}
+	}
+	cnt, ok := m.TaskCounters(id)
+	if !ok {
+		return searchMark{}
+	}
+	lat, ticks := m.Task(id).Workload.(*workload.SearchTask).LatencyTotals()
+	return searchMark{latMS: lat, ticks: ticks, cycles: cnt.Cycles, instr: cnt.Instructions, ok: true}
+}
+
+// since returns the mean latency (ms) and the CPI (Δcycles /
+// Δinstructions) between an earlier mark and this one; ok is false if
+// either mark is missing or the task did not run in between.
+func (to searchMark) since(from searchMark) (lat, cpi float64, ok bool) {
+	if !from.ok || !to.ok || to.ticks <= from.ticks || to.instr <= from.instr {
+		return 0, 0, false
+	}
+	return (to.latMS - from.latMS) / float64(to.ticks-from.ticks),
+		(to.cycles - from.cycles) / (to.instr - from.instr), true
 }
 
 // fig5: diurnal mean CPI of the leaf fleet over 5 days, CV ≈ 4%.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/interference"
-	"repro/internal/timeseries"
 )
 
 // Steady is the simplest workload: a constant CPU demand with a fixed
@@ -81,9 +80,10 @@ func (p *Pulse) Stop() { p.stopped = true }
 // Batch is a throughput-oriented batch worker: it demands a fixed CPU
 // rate and converts the instructions it executes into completed
 // transactions at a fixed instructions-per-transaction cost. Because
-// transactions are purely instruction-driven, its TPS tracks its IPS —
-// the Figure 2 relationship (r = 0.97) — with a small amount of
-// application-level jitter available for realism.
+// transactions are purely instruction-driven, the transaction rate over
+// any interval tracks the instruction rate — the Figure 2 relationship
+// (r = 0.97). It keeps cumulative totals only: a rate is the
+// difference of two reads divided by the time between them.
 type Batch struct {
 	// CPU is the demanded rate in CPU-sec/sec.
 	CPU float64
@@ -97,16 +97,9 @@ type Batch struct {
 	ClockGHz float64
 	// TotalTx ends the job after this many transactions (0 = endless).
 	TotalTx float64
-	// Window is the TPS/IPS reporting window (default 1 minute).
-	Window time.Duration
 
-	completed  float64
-	tps        *timeseries.Series
-	ips        *timeseries.Series
-	winTx      float64
-	winInstr   float64
-	winStart   time.Time
-	haveWindow bool
+	completed    float64
+	instructions float64
 }
 
 // NewBatch returns a Batch with sane defaults filled in.
@@ -116,7 +109,6 @@ func NewBatch(cpu float64, threads int, clockGHz float64) *Batch {
 		Threads:           threads,
 		InstructionsPerTx: 50e6,
 		ClockGHz:          clockGHz,
-		Window:            time.Minute,
 	}
 }
 
@@ -130,32 +122,14 @@ func (b *Batch) Demand(time.Time) (float64, int) {
 
 // Deliver implements machine.Workload: granted CPU time at the
 // observed CPI yields instructions, which yield transactions.
-func (b *Batch) Deliver(now time.Time, granted float64, dt time.Duration, res interference.Result) {
-	if b.Window <= 0 {
-		b.Window = time.Minute
-	}
-	if !b.haveWindow {
-		b.winStart = now
-		b.haveWindow = true
-		b.tps = timeseries.New()
-		b.ips = timeseries.New()
-	}
+func (b *Batch) Deliver(_ time.Time, granted float64, dt time.Duration, res interference.Result) {
 	cpi := res.CPI
 	if cpi <= 0 {
 		cpi = 1
 	}
 	instr := granted * dt.Seconds() * b.ClockGHz * 1e9 / cpi
-	tx := instr / b.InstructionsPerTx
-	b.completed += tx
-	b.winTx += tx
-	b.winInstr += instr
-	if now.Sub(b.winStart) >= b.Window {
-		sec := now.Sub(b.winStart).Seconds()
-		_ = b.tps.Append(now, b.winTx/sec)
-		_ = b.ips.Append(now, b.winInstr/sec)
-		b.winTx, b.winInstr = 0, 0
-		b.winStart = now
-	}
+	b.instructions += instr
+	b.completed += instr / b.InstructionsPerTx
 }
 
 // Done implements machine.Workload.
@@ -166,6 +140,9 @@ func (b *Batch) Done() bool {
 // Completed returns the number of transactions finished so far.
 func (b *Batch) Completed() float64 { return b.completed }
 
+// Instructions returns the number of instructions executed so far.
+func (b *Batch) Instructions() float64 { return b.instructions }
+
 // Progress returns completion in [0,1] (0 for endless jobs).
 func (b *Batch) Progress() float64 {
 	if b.TotalTx <= 0 {
@@ -173,11 +150,3 @@ func (b *Batch) Progress() float64 {
 	}
 	return math.Min(1, b.completed/b.TotalTx)
 }
-
-// TPS returns the per-window transactions-per-second series (nil
-// before the first Deliver).
-func (b *Batch) TPS() *timeseries.Series { return b.tps }
-
-// IPS returns the per-window instructions-per-second series (nil
-// before the first Deliver).
-func (b *Batch) IPS() *timeseries.Series { return b.ips }

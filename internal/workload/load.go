@@ -5,9 +5,9 @@
 //   - websearch.go: a three-tier web-search serving tree (leaf,
 //     intermediate, root) reporting per-task request latency under a
 //     diurnal query load (Figures 3–5).
-//   - batch.go: throughput batch jobs reporting transactions/second,
-//     whose TPS tracks IPS (Figure 2), plus a Steady workload for
-//     tests and padding tenants.
+//   - batch.go: throughput batch jobs counting transactions and
+//     instructions, whose rates track each other (Figure 2), plus a
+//     Steady workload for tests and padding tenants.
 //   - mapreduce.go: MapReduce-style workers with the cap reactions the
 //     case studies document — tolerating caps, lame-duck mode with a
 //     thread-count burst (Case 5), and self-termination under repeated
@@ -15,7 +15,12 @@
 //   - bimodal.go: the Case 3 service whose CPI swings are self-
 //     inflicted by bimodal CPU usage.
 //
-// All types implement machine.Workload.
+// All types implement machine.Workload. Application signals are
+// cumulative totals (SearchTask.LatencyTotals, Batch.Completed and
+// Batch.Instructions), never per-tick histories: a workload's memory
+// does not grow with simulated time, and a caller that wants a rate or
+// a mean over an interval reads the totals at its two edges and takes
+// the difference, as CPI² itself reads hardware counters.
 package workload
 
 import (
@@ -44,6 +49,10 @@ func (c ConstantLoad) Level(time.Time) float64 { return clamp01(float64(c)) }
 // concurrently (the draw would race) or whose tick order is not fixed
 // (the draw order would leak between tasks). Give each task its own
 // copy with its own stream — see cluster.WebSearchJob for the pattern.
+// Every call is a draw, whether or not its value is used: a SearchTask
+// calls Level twice per tick (in Demand and in Deliver), and both draws
+// belong to the seeded stream, so removing either changes every later
+// level and with it a seeded run's specs and incidents.
 type DiurnalLoad struct {
 	Trough   float64 // load level at the quietest hour
 	Peak     float64 // load level at the busiest hour
@@ -75,20 +84,3 @@ func clamp01(x float64) float64 {
 	}
 	return x
 }
-
-// windowStat accumulates a mean over a reporting window.
-type windowStat struct {
-	sum float64
-	n   int
-}
-
-func (w *windowStat) add(x float64) { w.sum += x; w.n++ }
-
-func (w *windowStat) mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.sum / float64(w.n)
-}
-
-func (w *windowStat) reset() { w.sum, w.n = 0, 0 }

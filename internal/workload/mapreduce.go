@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/interference"
-	"repro/internal/timeseries"
 )
 
 // CapReaction is how a MapReduce-style worker behaves when it notices
@@ -67,7 +66,6 @@ type MapReduce struct {
 	capEpisodes  int
 	lameDuckEnd  time.Time
 	exited       bool
-	threadLog    *timeseries.Series
 	work         float64 // completed work units (CPU-seconds)
 }
 
@@ -82,7 +80,6 @@ func NewMapReduce(cpu float64, reaction CapReaction) *MapReduce {
 		BurstThreads:    80,
 		StarvationRatio: 0.5,
 		StarvationTicks: 5,
-		threadLog:       timeseries.New(),
 	}
 }
 
@@ -112,8 +109,7 @@ func (m *MapReduce) Deliver(now time.Time, granted float64, dt time.Duration, _ 
 		return
 	}
 	m.work += granted * dt.Seconds()
-	demand, threads := m.Demand(now)
-	_ = m.threadLog.Append(now, float64(threads))
+	demand, _ := m.Demand(now)
 
 	starved := demand > 0 && granted < m.StarvationRatio*demand
 	switch m.phase {
@@ -155,9 +151,6 @@ func (m *MapReduce) Done() bool { return m.exited }
 // CapEpisodes returns how many capping episodes the worker has
 // entered.
 func (m *MapReduce) CapEpisodes() int { return m.capEpisodes }
-
-// ThreadLog returns the recorded thread-count series (Figure 12b).
-func (m *MapReduce) ThreadLog() *timeseries.Series { return m.threadLog }
 
 // Work returns completed work in CPU-seconds.
 func (m *MapReduce) Work() float64 { return m.work }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/interference"
-	"repro/internal/timeseries"
 )
 
 // Tier identifies a node's position in the web-search serving tree.
@@ -89,7 +88,8 @@ func (t *SearchTree) EndTick() {
 		if n := len(t.cur[tier]); n > 0 {
 			// Tail = 95th percentile of this tick's task latencies:
 			// discarded-reply semantics make the tail, not the mean,
-			// what upper tiers wait for.
+			// what upper tiers wait for. The accumulator is emptied
+			// right after, so the percentile may reorder it.
 			vals := t.cur[tier]
 			t.last[tier] = percentile95(vals)
 			t.cur[tier] = vals[:0]
@@ -97,19 +97,18 @@ func (t *SearchTree) EndTick() {
 	}
 }
 
+// percentile95 returns the 95th percentile of xs, sorting xs in place.
 func percentile95(xs []float64) float64 {
 	n := len(xs)
 	if n == 1 {
 		return xs[0]
 	}
-	cp := make([]float64, n)
-	copy(cp, xs)
-	sort.Float64s(cp)
+	sort.Float64s(xs)
 	rank := (n*95 + 99) / 100 // ceil(0.95n), 1-based
 	if rank < 1 {
 		rank = 1
 	}
-	return cp[rank-1]
+	return xs[rank-1]
 }
 
 // SearchTask is one task of a web-search job at a given tier. Its
@@ -140,9 +139,11 @@ type SearchTask struct {
 	// NoiseSigma is the relative service-time noise (e.g. 0.05).
 	NoiseSigma float64
 
-	latency *timeseries.Series
-	qps     *timeseries.Series
-	stopped bool
+	// latencySum and latencyTicks are the cumulative reported latency
+	// (ms) and the number of ticks it sums over.
+	latencySum   float64
+	latencyTicks int
+	stopped      bool
 }
 
 // NewSearchTask builds a search task with per-tier defaults.
@@ -171,8 +172,6 @@ func NewSearchTask(tier Tier, tree *SearchTree, load LoadCurve, maxCPU, baseCPI 
 		OwnFraction:   ownFrac,
 		RNG:           rng,
 		NoiseSigma:    0.05,
-		latency:       timeseries.New(),
-		qps:           timeseries.New(),
 	}
 }
 
@@ -217,12 +216,15 @@ func (s *SearchTask) Deliver(now time.Time, granted float64, dt time.Duration, r
 		lat = s.OwnFraction*own + (1-s.OwnFraction)*(lower+own*0.1)
 	}
 	s.Tree.publish(s.Tier, lat)
-	_ = s.latency.Append(now, lat)
-	level := 1.0
+	s.latencySum += lat
+	s.latencyTicks++
+	// The level is unused, but a jittered curve draws from the task's
+	// seeded load stream on every call: this is the stream's second draw
+	// per tick (Demand makes the first), and removing it would shift every
+	// later draw and with it every seeded run's specs and incidents.
 	if s.Load != nil {
-		level = s.Load.Level(now)
+		_ = s.Load.Level(now)
 	}
-	_ = s.qps.Append(now, level*granted*100) // ∝ served queries
 }
 
 // Done implements machine.Workload.
@@ -231,8 +233,9 @@ func (s *SearchTask) Done() bool { return s.stopped }
 // Stop drains the task (controlled shutdown).
 func (s *SearchTask) Stop() { s.stopped = true }
 
-// Latency returns the reported per-tick latency series (ms).
-func (s *SearchTask) Latency() *timeseries.Series { return s.latency }
-
-// QPS returns the served-query-rate series.
-func (s *SearchTask) QPS() *timeseries.Series { return s.qps }
+// LatencyTotals returns the cumulative reported latency (ms) and the
+// number of ticks it sums over. Read them at the two edges of an
+// interval: the differences' ratio is the interval's mean latency.
+func (s *SearchTask) LatencyTotals() (sumMS float64, ticks int) {
+	return s.latencySum, s.latencyTicks
+}
