@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/url"
 	"time"
 
 	"repro/internal/cluster"
@@ -102,13 +101,7 @@ func main() {
 		// (/debug/events?type=incident) rather than cluster state, which
 		// the simulation loop mutates without locking.
 		admin := obs.NewAdminServer(reg, events)
-		admin.HandleJSON("/debug/trace", func(q url.Values) (any, error) {
-			tr := c.AggregatorTrace()
-			if id := q.Get("id"); id != "" {
-				return tr.ByTrace(id), nil
-			}
-			return tr.Recent(obs.IntParam(q, "n", 100)), nil
-		})
+		admin.HandleTrace(c.AggregatorTrace(), nil)
 		addr, err := admin.Serve(*metricsAddr)
 		if err != nil {
 			log.Fatal(err)

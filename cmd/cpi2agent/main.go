@@ -2,7 +2,7 @@
 // shape: it runs the sampling → detection → correlation → enforcement
 // loop against a machine, ships CPI samples to a cpi2aggregator over
 // TCP, receives spec pushes for the jobs it runs, and exposes the §5
-// operator interface on a control port (drive it with cpi2ctl).
+// operator interface on its admin HTTP server (drive it with cpi2ctl).
 //
 // Real hardware counters are unavailable here, so the machine is the
 // repository's simulator, populated with a configurable tenant mix:
@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	cpi2agent [-aggregator host:7421] [-control :7422] [-metrics-addr :7423]
+//	cpi2agent [-aggregator host:7421] [-metrics-addr :7423]
 //	          [-incident-log incidents.jsonl] [-name machine-01]
 //	          [-cpus 16] [-tenants 20] [-antagonist-after 2m] [-speed 60]
 //	          [-spool-batches 4096] [-spool-bytes 67108864]
@@ -46,18 +46,20 @@
 // that does not speak wire protocol v2 is refused: the connection drops
 // with a wire_error event (reason "decode") naming the version.
 //
-// The admin HTTP server on -metrics-addr serves /metrics (Prometheus
-// text format), /healthz, /buildinfo, /debug/incidents, /debug/specs,
-// /debug/events, and /debug/trace (the causal span ring: ?id=<trace>
-// for one chain, ?n=<count> for the most recent spans); -incident-log
-// appends every structured event as one JSON line.
+// The admin HTTP server on -metrics-addr is the daemon's one listener
+// for people: /metrics (Prometheus text format), /healthz, /buildinfo
+// and /debug/events, plus the operator surface of agent.RegisterAdmin —
+// /debug/status, /debug/tasks, /debug/caps, /debug/incidents,
+// /debug/specs, /debug/quarantine, /debug/trace (?id=<trace-id|job/index>
+// for one causal chain, ?n=<count> for the most recent spans) and the
+// POST verbs /cap, /uncap and /release-all. -incident-log appends every
+// structured event as one JSON line.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -112,8 +114,7 @@ func parseAggregators(s string) ([]endpoint, error) {
 func main() {
 	aggregator := flag.String("aggregator", "",
 		"cpi2aggregator address, or comma-separated shard-name=address pairs for a sharded spec tier (empty: local detection only)")
-	control := flag.String("control", ":7422", "operator control address (empty: disabled)")
-	metricsAddr := flag.String("metrics-addr", ":7423", "admin HTTP address for /metrics and /debug (empty: disabled)")
+	metricsAddr := flag.String("metrics-addr", ":7423", "admin HTTP address for /metrics, /debug and the operator verbs (empty: disabled)")
 	incidentLog := flag.String("incident-log", "", "append structured events as JSON lines to this file (empty: in-memory only)")
 	name := flag.String("name", "machine-01", "machine name")
 	cpus := flag.Int("cpus", 16, "machine CPU count")
@@ -264,39 +265,6 @@ func main() {
 		}
 	}
 
-	if *metricsAddr != "" {
-		admin := obs.NewAdminServer(reg, events)
-		admin.HandleJSON("/debug/incidents", func(q url.Values) (any, error) {
-			recs := core.IncidentRecords(a.Manager().Incidents())
-			if n := obs.IntParam(q, "n", 0); n > 0 && n < len(recs) {
-				recs = recs[len(recs)-n:]
-			}
-			return recs, nil
-		})
-		admin.HandleJSON("/debug/specs", func(q url.Values) (any, error) {
-			return a.Manager().Detector().Specs(), nil
-		})
-		admin.HandleJSON("/debug/quarantine", func(q url.Values) (any, error) {
-			quar := a.Validator().Quarantine
-			return map[string]any{
-				"total":  quar.Total(),
-				"recent": quar.Recent(obs.IntParam(q, "n", 50)),
-			}, nil
-		})
-		admin.HandleJSON("/debug/trace", func(q url.Values) (any, error) {
-			if id := q.Get("id"); id != "" {
-				return tr.ByTrace(id), nil
-			}
-			return tr.Recent(obs.IntParam(q, "n", 100)), nil
-		})
-		addr, err := admin.Serve(*metricsAddr)
-		if err != nil {
-			log.Fatalf("cpi2agent: admin server: %v", err)
-		}
-		defer admin.Close()
-		log.Printf("cpi2agent: metrics on http://%s/metrics", addr)
-	}
-
 	// Populate the machine: one protected service + quiet tenants.
 	svcJob := model.Job{Name: "frontend", Class: model.ClassLatencySensitive, Priority: model.PriorityProduction}
 	svcProfile := &interference.Profile{
@@ -339,18 +307,6 @@ func main() {
 		register(id, tenantJob)
 	}
 
-	// state serializes the tick loop against the control server.
-	var state sync.Mutex
-	if *control != "" {
-		cs := agent.NewControlServer(a, &state)
-		addr, err := cs.Serve(*control)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cs.Close()
-		log.Printf("cpi2agent: control interface on %s", addr)
-	}
-
 	log.Printf("cpi2agent: %s (%d CPUs, %d tasks) at %dx wall speed", *name, *cpus, m.NumTasks(), *speed)
 
 	sig := make(chan os.Signal, 1)
@@ -366,6 +322,20 @@ func main() {
 			log.Printf("cpi2agent: cap journal reconciled: %d adopted, %d orphaned", len(adopted), len(orphaned))
 		}
 	}
+	// state serializes the tick loop against the operator surface, which
+	// starts only once the machine is populated and reconciled.
+	var state sync.Mutex
+	if *metricsAddr != "" {
+		admin := obs.NewAdminServer(reg, events)
+		agent.RegisterAdmin(admin, a, &state)
+		addr, err := admin.Serve(*metricsAddr)
+		if err != nil {
+			log.Fatalf("cpi2agent: admin server: %v", err)
+		}
+		defer admin.Close()
+		log.Printf("cpi2agent: metrics on http://%s/metrics", addr)
+	}
+
 	antagonistPlaced := *antagonistAfter <= 0
 	antagID := model.TaskID{Job: "video-processing", Index: 0}
 	for {

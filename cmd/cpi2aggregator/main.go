@@ -199,12 +199,7 @@ func main() {
 			}
 			return out, nil
 		})
-		admin.HandleJSON("/debug/trace", func(q url.Values) (any, error) {
-			if id := q.Get("id"); id != "" {
-				return tr.ByTrace(id), nil
-			}
-			return tr.Recent(obs.IntParam(q, "n", 100)), nil
-		})
+		admin.HandleTrace(tr, nil)
 		adminAddr, err := admin.Serve(*metricsAddr)
 		if err != nil {
 			log.Fatalf("cpi2aggregator: admin server: %v", err)

@@ -1,19 +1,28 @@
-// Command cpi2ctl is the operator CLI of §5: it talks to a cpi2agent's
-// control port to inspect a machine's CPI² state, hard-cap suspects
+// Command cpi2ctl is the operator CLI of §5: it talks to a CPI² daemon's
+// admin HTTP server to inspect a machine's CPI² state, hard-cap suspects
 // manually, release caps, and pull recent incidents.
 //
 // Usage:
 //
-//	cpi2ctl [-agent host:7422] status
-//	cpi2ctl -metrics host:7423 status
-//	cpi2ctl [-agent host:7422] tasks
-//	cpi2ctl [-agent host:7422] caps
-//	cpi2ctl [-agent host:7422] cap <job>/<index> <quota>
-//	cpi2ctl [-agent host:7422] uncap <job>/<index>
-//	cpi2ctl [-agent host:7422] release-all
-//	cpi2ctl [-agent host:7422] incidents [n]
-//	cpi2ctl [-agent host:7422] trace <trace-id|job/index>
+//	cpi2ctl [-addr host:7423] status
+//	cpi2ctl [-addr host:7423] tasks
+//	cpi2ctl [-addr host:7423] caps
+//	cpi2ctl [-addr host:7423] cap <job>/<index> <quota>
+//	cpi2ctl [-addr host:7423] uncap <job>/<index>
+//	cpi2ctl [-addr host:7423] release-all
+//	cpi2ctl [-addr host:7423] incidents [n]
+//	cpi2ctl [-addr host:7423] trace <trace-id|job/index>
 //	cpi2ctl shards <admin-addr>[,<admin-addr>…]
+//
+// status prints the machine line (when the daemon is an agent), then
+// summarises /metrics (every cpi2_* series, label sets summed per
+// family; histogram families render as p50/p95/p99 quantiles) and lists
+// the most recent records from /debug/incidents. It works against an
+// aggregator too, which has neither.
+//
+// cap, uncap and release-all are POSTs to the agent's /cap, /uncap and
+// /release-all. tasks, caps, incidents and trace print what the agent's
+// /debug endpoint of that name answers, one JSON object per line.
 //
 // trace renders the causal chain behind a trace context — sample →
 // spool → detection → decision spans plus the incidents they produced
@@ -25,123 +34,160 @@
 // keys hashing off-shard (nonzero mid-reshard), last recompute/push,
 // and checkpoint age — and warns when instances disagree about ring
 // membership, the condition that makes agents misroute.
-//
-// With -metrics, status reads the daemon's admin HTTP server instead
-// of the control port: it summarises /metrics (every cpi2_* series,
-// label sets summed per family; histogram families render as
-// p50/p95/p99 quantiles) and lists the most recent records from
-// /debug/incidents.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/agent"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cpi2ctl [-agent host:7422] [-metrics host:7423] <status|tasks|caps|cap|uncap|release-all|incidents|trace|shards> [args…]")
-	os.Exit(2)
+const usage = "usage: cpi2ctl [-addr host:7423] <status|tasks|caps|cap|uncap|release-all|incidents|trace|shards> [args…]"
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one cpi2ctl command line and returns the exit code: 0 on
+// success, 1 when the daemon refused or could not be reached, 2 on a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cpi2ctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:7423", "daemon admin HTTP address")
+	timeout := fs.Duration("timeout", 5*time.Second, "request timeout")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	args = fs.Args()
+	want := map[string][2]int{ // subcommand → [min, max] arguments
+		"status": {0, 0}, "tasks": {0, 0}, "caps": {0, 0}, "release-all": {0, 0},
+		"cap": {2, 2}, "uncap": {1, 1}, "trace": {1, 1}, "incidents": {0, 1}, "shards": {1, 1},
+	}
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	cmd := strings.ToLower(args[0])
+	n, ok := want[cmd]
+	if !ok || len(args)-1 < n[0] || len(args)-1 > n[1] {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	c := client{http: &http.Client{Timeout: *timeout}, base: "http://" + *addr, out: stdout}
+	if err := c.do(cmd, args[1:]); err != nil {
+		fmt.Fprintf(stderr, "cpi2ctl: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
-func main() {
-	agentAddr := flag.String("agent", "127.0.0.1:7422", "cpi2agent control address")
-	metrics := flag.String("metrics", "", "admin HTTP address; status then reads /metrics and /debug/incidents over HTTP")
-	timeout := flag.Duration("timeout", 5*time.Second, "dial/read timeout")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-	}
-	cmd := strings.ToUpper(args[0])
-	if cmd == "SHARDS" {
-		if len(args) != 2 {
-			usage()
-		}
-		if err := shardsStatus(strings.Split(args[1], ","), *timeout); err != nil {
-			fmt.Fprintf(os.Stderr, "cpi2ctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if cmd == "STATUS" && *metrics != "" {
-		if err := httpStatus(*metrics, *timeout); err != nil {
-			fmt.Fprintf(os.Stderr, "cpi2ctl: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
+// client is one daemon's admin HTTP server, as the subcommands see it.
+type client struct {
+	http *http.Client
+	base string
+	out  io.Writer
+}
+
+func (c client) do(cmd string, args []string) error {
 	switch cmd {
-	case "STATUS", "TASKS", "CAPS", "RELEASE-ALL":
-		if len(args) != 1 {
-			usage()
+	case "status":
+		return c.status()
+	case "tasks", "caps":
+		return c.printRows("/debug/" + cmd)
+	case "cap", "uncap", "release-all":
+		q := url.Values{} // positional: task, then quota
+		for i, key := range []string{"task", "quota"}[:len(args)] {
+			q.Set(key, args[i])
 		}
-	case "CAP":
-		if len(args) != 3 {
-			usage()
+		var msg string
+		if err := c.call(http.MethodPost, "/"+cmd+"?"+q.Encode(), &msg); err != nil {
+			return err
 		}
-	case "UNCAP", "TRACE":
-		if len(args) != 2 {
-			usage()
+		fmt.Fprintln(c.out, msg)
+	case "incidents":
+		n := 10
+		if len(args) == 1 {
+			var err error
+			if n, err = strconv.Atoi(args[0]); err != nil || n <= 0 {
+				return fmt.Errorf("incidents: bad count %q", args[0])
+			}
 		}
-	case "INCIDENTS":
-		if len(args) > 2 {
-			usage()
-		}
-	default:
-		usage()
+		return c.printRows("/debug/incidents?n=" + strconv.Itoa(n))
+	case "trace":
+		return c.printRows("/debug/trace?id=" + url.QueryEscape(args[0]))
+	case "shards":
+		return shardsStatus(c.http, c.out, strings.Split(args[0], ","))
 	}
+	return nil
+}
 
-	conn, err := net.DialTimeout("tcp", *agentAddr, *timeout)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cpi2ctl: %v\n", err)
-		os.Exit(1)
+// printRows prints the JSON array a GET of path answers one element
+// per line, compacted.
+func (c client) printRows(path string) error {
+	var rows []json.RawMessage
+	if err := c.call(http.MethodGet, path, &rows); err != nil {
+		return err
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(*timeout))
+	enc := json.NewEncoder(c.out)
+	for _, r := range rows {
+		if err := enc.Encode(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	line := strings.Join(args, " ")
-	if _, err := fmt.Fprintln(conn, line); err != nil {
-		fmt.Fprintf(os.Stderr, "cpi2ctl: send: %v\n", err)
-		os.Exit(1)
-	}
-	r := bufio.NewReader(conn)
-	first, err := r.ReadString('\n')
+// fetch sends one request and returns the body of a 200 answer. Any
+// other status is an error carrying the daemon's {"error":…} message
+// when it sent one.
+func fetch(hc *http.Client, method, url string) ([]byte, error) {
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cpi2ctl: read: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	first = strings.TrimRight(first, "\n")
-	if strings.HasPrefix(first, "err") {
-		fmt.Fprintln(os.Stderr, "cpi2ctl: "+first)
-		os.Exit(1)
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Println(first)
-	if first != "ok" { // single-line response carries the payload
-		return
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", method, url, err)
 	}
-	for {
-		l, err := r.ReadString('\n')
-		if err != nil {
-			return
+	if resp.StatusCode != http.StatusOK {
+		var e struct {
+			Error string `json:"error"`
 		}
-		l = strings.TrimRight(l, "\n")
-		if l == "." {
-			return
+		if json.Unmarshal(b, &e) == nil && e.Error != "" {
+			return nil, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, e.Error)
 		}
-		fmt.Println(l)
+		return nil, fmt.Errorf("%s %s: %s", method, url, resp.Status)
 	}
+	return b, nil
+}
+
+// call sends one request to the daemon and decodes its JSON answer.
+func (c client) call(method, path string, out any) error {
+	b, err := fetch(c.http, method, c.base+path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, out); err != nil {
+		return fmt.Errorf("%s %s: bad payload: %w", method, path, err)
+	}
+	return nil
 }
 
 // ringInfo mirrors cpi2aggregator's /debug/ring payload.
@@ -161,9 +207,8 @@ type ringInfo struct {
 // each aggregator's /debug/ring, flagging unreachable instances, keys
 // hashing off-shard (pending moves mid-reshard), and ring-membership
 // disagreement between instances.
-func shardsStatus(addrs []string, timeout time.Duration) error {
-	client := &http.Client{Timeout: timeout}
-	fmt.Printf("%-12s %-22s %6s %10s  %-20s %-20s %s\n",
+func shardsStatus(hc *http.Client, out io.Writer, addrs []string) error {
+	fmt.Fprintf(out, "%-12s %-22s %6s %10s  %-20s %-20s %s\n",
 		"SHARD", "ADDR", "KEYS", "OFF-SHARD", "LAST-RECOMPUTE", "LAST-PUSH", "CHECKPOINT")
 	var firstRing []string
 	var firstAddr string
@@ -174,13 +219,13 @@ func shardsStatus(addrs []string, timeout time.Duration) error {
 		if addr == "" {
 			continue
 		}
-		body, err := httpGet(client, "http://"+addr+"/debug/ring")
+		body, err := fetch(hc, http.MethodGet, "http://"+addr+"/debug/ring")
 		if err != nil {
-			fmt.Printf("%-12s %-22s %s\n", "?", addr, "UNREACHABLE: "+err.Error())
+			fmt.Fprintf(out, "%-12s %-22s %s\n", "?", addr, "UNREACHABLE: "+err.Error())
 			continue
 		}
 		var info ringInfo
-		if err := json.Unmarshal([]byte(body), &info); err != nil {
+		if err := json.Unmarshal(body, &info); err != nil {
 			return fmt.Errorf("%s: bad /debug/ring payload: %w", addr, err)
 		}
 		reached++
@@ -198,13 +243,13 @@ func shardsStatus(addrs []string, timeout time.Duration) error {
 		if info.Checkpoint != "" {
 			ckpt = fmt.Sprintf("%s (age %s)", info.Checkpoint, time.Duration(info.CkptAge*float64(time.Second)).Round(time.Second))
 		}
-		fmt.Printf("%-12s %-22s %6d %10d  %-20s %-20s %s\n",
+		fmt.Fprintf(out, "%-12s %-22s %6d %10d  %-20s %-20s %s\n",
 			name, addr, info.KeyCount, offShard,
 			timeCell(info.LastRecompute), timeCell(info.LastPush), ckpt)
 		if info.Sharded {
 			if firstRing == nil {
 				firstRing, firstAddr = info.Members, addr
-			} else if !equalStrings(firstRing, info.Members) {
+			} else if !slices.Equal(firstRing, info.Members) {
 				warnings = append(warnings, fmt.Sprintf(
 					"ring disagreement: %s sees %v, %s sees %v — agents will misroute until the fleet converges",
 					firstAddr, firstRing, addr, info.Members))
@@ -212,14 +257,14 @@ func shardsStatus(addrs []string, timeout time.Duration) error {
 		}
 	}
 	if firstRing != nil {
-		fmt.Printf("\nring: %s\n", strings.Join(firstRing, ", "))
+		fmt.Fprintf(out, "\nring: %s\n", strings.Join(firstRing, ", "))
 		if reached < len(firstRing) {
 			warnings = append(warnings, fmt.Sprintf(
 				"ring has %d members but only %d instance(s) were queried/reachable", len(firstRing), reached))
 		}
 	}
 	for _, w := range warnings {
-		fmt.Println("warning: " + w)
+		fmt.Fprintln(out, "warning: "+w)
 	}
 	if reached == 0 {
 		return fmt.Errorf("no aggregator reachable")
@@ -235,22 +280,14 @@ func timeCell(t time.Time) string {
 	return t.UTC().Format("2006-01-02T15:04:05Z")
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// status summarises a daemon's admin HTTP endpoints: the agent's
+// machine line, /metrics, and the recent incidents.
+func (c client) status() error {
+	var st agent.Status
+	if c.call(http.MethodGet, "/debug/status", &st) == nil {
+		fmt.Fprintln(c.out, st)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// httpStatus summarises a daemon's admin HTTP endpoints.
-func httpStatus(addr string, timeout time.Duration) error {
-	client := &http.Client{Timeout: timeout}
-	body, err := httpGet(client, "http://"+addr+"/metrics")
+	body, err := fetch(c.http, http.MethodGet, c.base+"/metrics")
 	if err != nil {
 		return err
 	}
@@ -262,7 +299,7 @@ func httpStatus(addr string, timeout time.Duration) error {
 	totals := make(map[string]float64)
 	buckets := make(map[string]map[float64]float64) // family → finite le → cumulative count
 	infs := make(map[string]float64)                // family → +Inf cumulative count (= total)
-	for _, line := range strings.Split(body, "\n") {
+	for _, line := range strings.Split(string(body), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -310,9 +347,9 @@ func httpStatus(addr string, timeout time.Duration) error {
 		}
 	}
 	sort.Strings(names)
-	fmt.Printf("metrics (%s):\n", addr)
+	fmt.Fprintf(c.out, "metrics (%s):\n", strings.TrimPrefix(c.base, "http://"))
 	for _, n := range names {
-		fmt.Printf("  %-44s %g\n", n, totals[n])
+		fmt.Fprintf(c.out, "  %-44s %g\n", n, totals[n])
 	}
 	fams := make([]string, 0, len(infs))
 	for f := range infs {
@@ -322,7 +359,7 @@ func httpStatus(addr string, timeout time.Duration) error {
 	}
 	if len(fams) > 0 {
 		sort.Strings(fams)
-		fmt.Println("\nhistograms (p50 / p95 / p99):")
+		fmt.Fprintln(c.out, "\nhistograms (p50 / p95 / p99):")
 		for _, f := range fams {
 			bounds := make([]float64, 0, len(buckets[f]))
 			for b := range buckets[f] {
@@ -334,7 +371,7 @@ func httpStatus(addr string, timeout time.Duration) error {
 				cum = append(cum, uint64(buckets[f][b]))
 			}
 			cum = append(cum, uint64(infs[f]))
-			fmt.Printf("  %-44s %g / %g / %g  (n=%g)\n", f,
+			fmt.Fprintf(c.out, "  %-44s %g / %g / %g  (n=%g)\n", f,
 				obs.QuantileFromBuckets(bounds, cum, 0.5),
 				obs.QuantileFromBuckets(bounds, cum, 0.95),
 				obs.QuantileFromBuckets(bounds, cum, 0.99),
@@ -342,23 +379,19 @@ func httpStatus(addr string, timeout time.Duration) error {
 		}
 	}
 
-	body, err = httpGet(client, "http://"+addr+"/debug/incidents?n=10")
-	if err != nil {
-		// The aggregator's admin server has no incident view; metrics
-		// alone is still a useful status.
+	// The aggregator's admin server has no incident view; metrics alone
+	// is still a useful status.
+	var recs []core.IncidentRecord
+	if c.call(http.MethodGet, "/debug/incidents?n=10", &recs) != nil {
 		return nil
 	}
-	var recs []map[string]any
-	if err := json.Unmarshal([]byte(body), &recs); err != nil {
-		return fmt.Errorf("bad /debug/incidents payload: %w", err)
-	}
-	fmt.Printf("\nrecent incidents: %d\n", len(recs))
+	fmt.Fprintf(c.out, "\nrecent incidents: %d\n", len(recs))
 	for _, r := range recs {
-		line := fmt.Sprintf("  %v victim=%v cpi=%v action=%v", r["time"], r["victim"], r["victim_cpi"], r["action"])
-		if t, ok := r["target"]; ok && t != "" {
-			line += fmt.Sprintf(" target=%v", t)
+		line := fmt.Sprintf("  %s victim=%s cpi=%g action=%s", r.Time.Format(time.RFC3339), r.Victim, r.VictimCPI, r.Action)
+		if r.Target != "" {
+			line += " target=" + r.Target
 		}
-		fmt.Println(line)
+		fmt.Fprintln(c.out, line)
 	}
 	return nil
 }
@@ -375,20 +408,4 @@ func leLabel(labels string) string {
 		return ""
 	}
 	return rest[:j]
-}
-
-func httpGet(client *http.Client, url string) (string, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return string(b), nil
 }

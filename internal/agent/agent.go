@@ -174,8 +174,8 @@ func (a *Agent) SetTrace(store *trace.Store) {
 	a.manager.SetTrace(store)
 }
 
-// Trace returns the agent's span store (nil when untraced); control
-// and admin endpoints render the causal chain from it.
+// Trace returns the agent's span store (nil when untraced); the admin
+// /debug/trace endpoint renders the causal chain from it.
 func (a *Agent) Trace() *trace.Store { return a.tracer.Load() }
 
 // DeliverSpec implements pipeline.SpecWatcher.
@@ -213,7 +213,7 @@ func (a *Agent) Tick(now time.Time) []core.Incident {
 	if timed {
 		wallStart = time.Now()
 	}
-	measurements := a.sampler.TickInto(now, a.readCounters)
+	measurements := a.sampler.Tick(now, a.readCounters)
 	var incidents []core.Incident
 	if len(measurements) > 0 {
 		samples := a.validator.Filter(a.toSamples(now, measurements))

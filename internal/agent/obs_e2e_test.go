@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,19 +20,25 @@ import (
 	"repro/internal/workload"
 )
 
-func httpGet(t *testing.T, url string) (int, string) {
+func httpDo(t *testing.T, method, url string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(url)
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("GET %s: read body: %v", url, err)
+		t.Fatalf("%s %s: read body: %v", method, url, err)
 	}
 	return resp.StatusCode, string(body)
 }
+
+func httpGet(t *testing.T, url string) (int, string) { return httpDo(t, http.MethodGet, url) }
 
 // TestObservabilityEndToEnd runs a real agent+aggregator pair over TCP
 // with admin HTTP servers on both sides, then scrapes /metrics and
@@ -78,12 +84,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	a = New(m, params, client)
 	a.Instrument(reg, events)
 	admin := obs.NewAdminServer(reg, events)
-	admin.HandleJSON("/debug/incidents", func(q url.Values) (any, error) {
-		return core.IncidentRecords(a.Manager().Incidents()), nil
-	})
-	admin.HandleJSON("/debug/specs", func(q url.Values) (any, error) {
-		return a.Manager().Detector().Specs(), nil
-	})
+	RegisterAdmin(admin, a, new(sync.Mutex))
 	adminAddr, err := admin.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,15 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
-	"net"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -121,10 +124,10 @@ func TestReadmeListsEveryMetricFamily(t *testing.T) {
 
 // TestTraceCommandReconstructsChain is the acceptance run for the
 // operator's "why was this task capped?" workflow: after an e2e run
-// that capped the antagonist, `cpi2ctl trace` (speaking the control
-// protocol over TCP) must render the full causal chain — the sample
-// batch that tripped detection, the detect and decision spans, and
-// the incident row — under the incident's one trace ID.
+// that capped the antagonist, the agent's /debug/trace (what `cpi2ctl
+// trace` reads) must render the full causal chain — the sample batch
+// that tripped detection, the detect and decision spans, and the
+// incident row — under the incident's one trace ID.
 func TestTraceCommandReconstructsChain(t *testing.T) {
 	c := obsRun(t, nil)
 
@@ -151,44 +154,35 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 		t.Fatal("cap incident carries no trace ID")
 	}
 
-	cs := agent.NewControlServer(owner, nil)
-	addr, err := cs.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
+	admin := obs.NewAdminServer(obs.NewRegistry(), nil)
+	agent.RegisterAdmin(admin, owner, new(sync.Mutex))
+	srv := httptest.NewServer(admin)
+	defer srv.Close()
 
-	query := func(arg string) []map[string]any {
+	get := func(arg string) (int, []byte) {
 		t.Helper()
-		conn, err := net.Dial("tcp", addr)
+		resp, err := http.Get(srv.URL + "/debug/trace?id=" + url.QueryEscape(arg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte("TRACE " + arg + "\n")); err != nil {
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sc := bufio.NewScanner(conn)
-		if !sc.Scan() {
-			t.Fatalf("TRACE %s: no response", arg)
-		}
-		if first := sc.Text(); first != "ok" {
-			t.Fatalf("TRACE %s: %q", arg, first)
+		return resp.StatusCode, body
+	}
+	query := func(arg string) []map[string]any {
+		t.Helper()
+		code, body := get(arg)
+		if code != http.StatusOK {
+			t.Fatalf("trace %s = %d %s", arg, code, body)
 		}
 		var rows []map[string]any
-		for sc.Scan() {
-			line := sc.Text()
-			if line == "." {
-				return rows
-			}
-			var row map[string]any
-			if err := json.Unmarshal([]byte(line), &row); err != nil {
-				t.Fatalf("TRACE %s: bad payload line %q: %v", arg, line, err)
-			}
-			rows = append(rows, row)
+		if err := json.Unmarshal(body, &rows); err != nil {
+			t.Fatalf("trace %s: bad payload: %v\n%s", arg, err, body)
 		}
-		t.Fatalf("TRACE %s: response not terminated with .", arg)
-		return nil
+		return rows
 	}
 
 	// Raw trace-ID form: the chain must contain the originating sample
@@ -209,6 +203,15 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 		if stages[want] == 0 {
 			t.Errorf("causal chain is missing a %s row (got %v)", want, order)
 		}
+	}
+	first := make(map[string]int)
+	for i := len(order) - 1; i >= 0; i-- {
+		first[order[i]] = i
+	}
+	if !(first[trace.StageSample] < first[trace.StageDetect] &&
+		first[trace.StageDetect] < first[trace.StageDecision] &&
+		first[trace.StageDecision] < first["incident"]) || order[len(order)-1] != "incident" {
+		t.Errorf("chain out of control-loop order: %v", order)
 	}
 	var incRow map[string]any
 	for _, row := range rows {
@@ -233,21 +236,15 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("TRACE %s resolved no incident row for the capped task", inc.Decision.Target)
+		t.Errorf("trace %s resolved no incident row for the capped task", inc.Decision.Target)
 	}
 
-	// Unknown tasks fail loudly instead of rendering an empty chain.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("TRACE ghost/0\n")); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() || !strings.HasPrefix(sc.Text(), "err") {
-		t.Errorf("TRACE of an unknown task did not fail: %q", sc.Text())
+	// Unknown tasks and traces fail loudly instead of rendering an
+	// empty chain.
+	for _, arg := range []string{"ghost/0", "0000000000000000"} {
+		if code, body := get(arg); code != http.StatusNotFound {
+			t.Errorf("trace of unknown %s = %d %s, want 404", arg, code, body)
+		}
 	}
 }
 

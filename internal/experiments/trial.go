@@ -251,7 +251,8 @@ func runTrial(cfg trialConfig) trialResult {
 	// Per-minute victim counter snapshots for windowed CPI/MPKI math.
 	var snaps []perfcnt.Counters
 	snapshot := func() {
-		snaps = append(snaps, m.Counters()[trialVictimID.String()])
+		c, _ := m.TaskCounters(trialVictimID)
+		snaps = append(snaps, c)
 	}
 	snapshot()
 

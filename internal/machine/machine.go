@@ -304,19 +304,8 @@ func (m *Machine) ThreadCount() int {
 	return n
 }
 
-// Counters returns a copy of the cumulative per-cgroup counters, in
-// the shape the perfcnt sampler's map path reads.
-func (m *Machine) Counters() map[string]perfcnt.Counters {
-	out := make(map[string]perfcnt.Counters, len(m.order))
-	for _, id := range m.order {
-		t := m.tasks[id]
-		out[t.cg] = m.cnts[t.slot]
-	}
-	return out
-}
-
 // ReadCounters fills dst with the cumulative per-cgroup counters — the
-// allocation-free snapshot read behind perfcnt.Sampler.TickInto.
+// allocation-free snapshot read behind perfcnt.Sampler.Tick.
 func (m *Machine) ReadCounters(dst *perfcnt.Snapshot) {
 	dst.Reset()
 	for _, id := range m.order {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/interference"
 	"repro/internal/model"
+	"repro/internal/perfcnt"
 )
 
 var t0 = time.Date(2011, 11, 1, 12, 0, 0, 0, time.UTC)
@@ -95,7 +96,7 @@ func TestTickGrantsAndCounters(t *testing.T) {
 	if len(w.granted) != 1 || !almostEqual(w.granted[0], 2.0, 1e-9) {
 		t.Errorf("delivered = %v", w.granted)
 	}
-	cs := m.Counters()[id.String()]
+	cs, _ := m.TaskCounters(id)
 	if !almostEqual(cs.CPUSeconds, 2.0, 1e-9) {
 		t.Errorf("counter cpu = %v", cs.CPUSeconds)
 	}
@@ -200,8 +201,10 @@ func TestWorkloadExitReaped(t *testing.T) {
 	if m.NumTasks() != 0 {
 		t.Error("done task not reaped")
 	}
-	if _, ok := m.Counters()[id.String()]; ok {
-		t.Error("counters not cleaned up")
+	var snap perfcnt.Snapshot
+	m.ReadCounters(&snap)
+	if len(snap.Cgroups) != 0 {
+		t.Errorf("counters not cleaned up: %v", snap.Cgroups)
 	}
 }
 

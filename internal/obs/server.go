@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/obs/trace"
 )
 
 // AdminServer is the admin HTTP endpoint every CPI² daemon exposes:
@@ -27,10 +29,12 @@ import (
 // instead of guesswork — the PR-2 negative-scaling bug went unexplained
 // precisely because no profile could be pulled from a running cluster.
 //
-// plus any component-specific JSON views registered with HandleJSON
-// (the daemons add /debug/incidents and /debug/specs). It is the HTTP
-// face of the dashboards and rollout monitoring the paper's operators
-// relied on.
+// plus the component-specific views registered with HandleJSON and
+// HandleTrace (the daemons add /debug/specs, /debug/trace and more) and
+// the operator verbs registered with HandleAction (the agent's /cap,
+// /uncap and /release-all). It is the HTTP face of the dashboards,
+// rollout monitoring and manual capping the paper's operators relied
+// on.
 type AdminServer struct {
 	reg    *Registry
 	events *EventLog
@@ -119,16 +123,78 @@ func buildInfo(start time.Time) map[string]any {
 func (s *AdminServer) HandleJSON(path string, fn func(q url.Values) (any, error)) {
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		v, err := fn(r.URL.Query())
-		w.Header().Set("Content-Type", "application/json")
-		if err != nil {
-			w.WriteHeader(http.StatusInternalServerError)
-			_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		reply(w, v, err, http.StatusInternalServerError)
+	})
+}
+
+// HandleAction registers a POST endpoint that changes state, such as an
+// operator's manual cap. Any other method answers 405 with Allow: POST,
+// so a crawler or a stray GET cannot act. An error from fn means the
+// request was malformed (a bad or unknown argument) and yields a 400
+// with {"error":…}.
+func (s *AdminServer) HandleAction(path string, fn func(q url.Values) (any, error)) {
+	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			reply(w, nil, fmt.Errorf("%s wants POST", path), http.StatusMethodNotAllowed)
 			return
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(v)
+		v, err := fn(r.URL.Query())
+		reply(w, v, err, http.StatusBadRequest)
 	})
+}
+
+// HandleTrace registers GET /debug/trace over the span store tr:
+// ?id=<trace> returns that causal chain oldest-first, ?n=<count> the
+// most recent spans. join (may be nil) lets a daemon widen the id form:
+// it maps the argument to a trace ID and returns rows to append after
+// that trace's spans, or an error when the argument names nothing. An
+// ?id= that yields no rows answers 404.
+func (s *AdminServer) HandleTrace(tr *trace.Store, join func(arg string) (id string, rows []any, err error)) {
+	s.mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		arg := q.Get("id")
+		if arg == "" {
+			reply(w, tr.Recent(IntParam(q, "n", 100)), nil, 0)
+			return
+		}
+		id, extra := arg, []any(nil)
+		if join != nil {
+			var err error
+			if id, extra, err = join(arg); err != nil {
+				reply(w, nil, err, http.StatusNotFound)
+				return
+			}
+		}
+		var rows []any
+		for _, sp := range tr.ByTrace(id) {
+			rows = append(rows, sp)
+		}
+		rows = append(rows, extra...)
+		if len(rows) == 0 {
+			reply(w, nil, fmt.Errorf("no spans or incidents for trace %s", id), http.StatusNotFound)
+			return
+		}
+		reply(w, rows, nil, 0)
+	})
+}
+
+// ServeHTTP serves the admin endpoints, so an AdminServer can be mounted
+// on any listener (httptest in tests) as well as through Serve.
+func (s *AdminServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// reply answers v as JSON with 200, or, when err is set, {"error":…}
+// with errCode.
+func reply(w http.ResponseWriter, v any, err error, errCode int) {
+	code := http.StatusOK
+	if err != nil {
+		code, v = errCode, map[string]string{"error": err.Error()}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 func (s *AdminServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -151,7 +217,7 @@ func (s *AdminServer) Serve(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("obs: admin listen: %w", err)
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s}
 	s.mu.Lock()
 	s.ln = ln
 	s.srv = srv

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs/trace"
 )
 
 func startAdmin(t *testing.T) (*AdminServer, *Registry, *EventLog, string) {
@@ -109,6 +111,58 @@ func TestAdminHandleJSON(t *testing.T) {
 	code, body, _ = httpGet(t, "http://"+addr+"/debug/fail")
 	if code != http.StatusInternalServerError || !strings.Contains(body, "boom") {
 		t.Errorf("fail: code=%d body=%s", code, body)
+	}
+}
+
+func TestAdminHandleAction(t *testing.T) {
+	s, _, _, addr := startAdmin(t)
+	acted := 0
+	s.HandleAction("/act", func(q url.Values) (any, error) {
+		if q.Get("x") == "" {
+			return nil, fmt.Errorf("want x")
+		}
+		acted++
+		return "done", nil
+	})
+	code, _, hdr := httpGet(t, "http://"+addr+"/act?x=1")
+	if code != http.StatusMethodNotAllowed || hdr.Get("Allow") != http.MethodPost || acted != 0 {
+		t.Errorf("GET: code=%d Allow=%q acted=%d, want 405 Allow POST and no action", code, hdr.Get("Allow"), acted)
+	}
+	for _, tc := range []struct {
+		query string
+		code  int
+		body  string
+	}{{"?x=1", http.StatusOK, `"done"`}, {"", http.StatusBadRequest, "want x"}} {
+		resp, err := http.Post("http://"+addr+"/act"+tc.query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || !strings.Contains(string(body), tc.body) {
+			t.Errorf("POST /act%s = %d %s, want %d %s", tc.query, resp.StatusCode, body, tc.code, tc.body)
+		}
+	}
+	if acted != 1 {
+		t.Errorf("acted %d times, want 1", acted)
+	}
+}
+
+func TestAdminHandleTrace(t *testing.T) {
+	s, _, _, addr := startAdmin(t)
+	tr := trace.NewStore(0)
+	tr.Add(trace.Span{TraceID: "t1", Stage: trace.StageIngest})
+	tr.Add(trace.Span{TraceID: "t2", Stage: trace.StageSpecBuild})
+	s.HandleTrace(tr, nil)
+	code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?id=t2")
+	if code != http.StatusOK || !strings.Contains(body, trace.StageSpecBuild) || strings.Contains(body, trace.StageIngest) {
+		t.Errorf("trace t2: %d %s", code, body)
+	}
+	if code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?n=1"); code != http.StatusOK || !strings.Contains(body, `"t2"`) || strings.Contains(body, `"t1"`) {
+		t.Errorf("recent 1: %d %s", code, body)
+	}
+	if code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?id=nope"); code != http.StatusNotFound || !strings.Contains(body, "nope") {
+		t.Errorf("unknown trace: %d %s, want 404", code, body)
 	}
 }
 

@@ -127,10 +127,9 @@ func (c *Config) sanitize() {
 
 // Snapshot is a columnar copy of the per-cgroup cumulative counters:
 // Cgroups[i] names the group whose counters are Counts[i]. It is the
-// reusable buffer behind the allocation-free sampling path — a machine
-// fills one in place instead of building a fresh map per window
-// boundary. Fill both columns to equal length, then call sort before
-// handing it to the sampler.
+// reusable buffer the sampler reads at window edges — a machine fills
+// one in place instead of building a fresh map per window boundary.
+// Fill both columns to equal length, in any order.
 type Snapshot struct {
 	Cgroups []string
 	Counts  []Counters
@@ -163,22 +162,22 @@ func (s *snapshotSorter) Swap(a, b int) {
 
 // Sampler implements the duty-cycle counting schedule. Drive it by
 // calling Tick with monotonically non-decreasing times and a reader
-// that returns the current cumulative counters per cgroup; whenever a
-// counting window completes, Tick returns one Measurement per cgroup
-// that was present for the whole window and retired instructions.
+// that fills a Snapshot with the current cumulative counters per
+// cgroup; whenever a counting window completes, Tick returns one
+// Measurement per cgroup that was present for the whole window and
+// retired instructions.
 type Sampler struct {
 	cfg      Config
 	epoch    time.Time
 	hasEpoch bool
 	inWindow bool
 	start    time.Time
-	snap     map[string]Counters
 
-	// Columnar path (TickInto): window-start and window-end snapshots
-	// plus the measurement buffer, all reused across windows.
-	snapCol Snapshot
-	curCol  Snapshot
-	meas    []Measurement
+	// Window-start and window-end snapshots plus the measurement
+	// buffer, all reused across windows.
+	snap Snapshot
+	cur  Snapshot
+	meas []Measurement
 }
 
 // NewSampler returns a sampler with the given duty cycle.
@@ -187,9 +186,14 @@ func NewSampler(cfg Config) *Sampler {
 	return &Sampler{cfg: cfg}
 }
 
-// Tick advances the sampler to now. read is invoked at window
-// boundaries only (at most twice per call), never between them.
-func (s *Sampler) Tick(now time.Time, read func() map[string]Counters) []Measurement {
+// Tick advances the sampler to now. readInto is invoked at window
+// boundaries only (at most twice per call), never between them, and
+// fills the supplied Snapshot in any order; the sampler sorts. The
+// returned Measurement slice is owned by the sampler and reused on the
+// next completed window — callers must consume it before the next
+// window closes. Measurements cover the cgroups present at both window
+// edges with positive retired-instruction deltas, sorted by cgroup.
+func (s *Sampler) Tick(now time.Time, readInto func(*Snapshot)) []Measurement {
 	if !s.hasEpoch {
 		s.epoch = now
 		s.hasEpoch = true
@@ -197,84 +201,32 @@ func (s *Sampler) Tick(now time.Time, read func() map[string]Counters) []Measure
 	phase := now.Sub(s.epoch) % s.cfg.Interval
 	var out []Measurement
 	if s.inWindow && now.Sub(s.start) >= s.cfg.Duration {
-		out = s.finish(now, read())
+		s.cur.Reset()
+		readInto(&s.cur)
+		s.cur.sort()
+		out = s.finish(now)
 		s.inWindow = false
 	}
 	if !s.inWindow && phase < s.cfg.Duration {
 		s.inWindow = true
 		s.start = now
-		s.snap = read()
+		s.snap.Reset()
+		readInto(&s.snap)
+		s.snap.sort()
 	}
 	return out
 }
 
-func (s *Sampler) finish(now time.Time, cur map[string]Counters) []Measurement {
-	// Use the actual elapsed window: with coarse Tick granularity the
-	// window may run longer than the configured duration.
-	elapsed := now.Sub(s.start)
-	out := make([]Measurement, 0, len(cur))
-	for name, c := range cur {
-		prev, ok := s.snap[name]
-		if !ok {
-			continue // appeared mid-window
-		}
-		d := c.Sub(prev)
-		if d.Instructions <= 0 {
-			continue // idle or vanished: no CPI defined
-		}
-		out = append(out, Measurement{
-			Cgroup:   name,
-			Start:    s.start,
-			Duration: elapsed,
-			CPUUsage: d.CPUSeconds / elapsed.Seconds(),
-			CPI:      d.CPI(),
-			L3MPKI:   d.L3MPKI(),
-		})
-	}
-	// Map iteration order is random; emit deterministically.
-	sort.Slice(out, func(i, j int) bool { return out[i].Cgroup < out[j].Cgroup })
-	return out
-}
-
-// TickInto is the allocation-free variant of Tick: readInto fills the
-// supplied Snapshot with the current cumulative counters (in any
-// order; the sampler sorts). The returned Measurement slice is owned
-// by the sampler and reused on the next completed window — callers
-// must consume it before the next window closes. It produces exactly
-// the measurements Tick would: cgroups present at both window edges
-// with positive retired-instruction deltas, sorted by cgroup.
-func (s *Sampler) TickInto(now time.Time, readInto func(*Snapshot)) []Measurement {
-	if !s.hasEpoch {
-		s.epoch = now
-		s.hasEpoch = true
-	}
-	phase := now.Sub(s.epoch) % s.cfg.Interval
-	var out []Measurement
-	if s.inWindow && now.Sub(s.start) >= s.cfg.Duration {
-		s.curCol.Reset()
-		readInto(&s.curCol)
-		s.curCol.sort()
-		out = s.finishCol(now)
-		s.inWindow = false
-	}
-	if !s.inWindow && phase < s.cfg.Duration {
-		s.inWindow = true
-		s.start = now
-		s.snapCol.Reset()
-		readInto(&s.snapCol)
-		s.snapCol.sort()
-	}
-	return out
-}
-
-// finishCol merges the sorted window-start and window-end snapshots
-// with two cursors, emitting a measurement per cgroup present in both
-// with instructions retired — the columnar equivalent of finish.
-func (s *Sampler) finishCol(now time.Time) []Measurement {
+// finish merges the sorted window-start and window-end snapshots with
+// two cursors, emitting a measurement per cgroup present in both with
+// instructions retired. It uses the actual elapsed window: with coarse
+// Tick granularity the window may run longer than the configured
+// duration.
+func (s *Sampler) finish(now time.Time) []Measurement {
 	elapsed := now.Sub(s.start)
 	out := s.meas[:0]
-	prevCg, prevCnt := s.snapCol.Cgroups, s.snapCol.Counts
-	curCg, curCnt := s.curCol.Cgroups, s.curCol.Counts
+	prevCg, prevCnt := s.snap.Cgroups, s.snap.Counts
+	curCg, curCnt := s.cur.Cgroups, s.cur.Counts
 	i, j := 0, 0
 	for i < len(prevCg) && j < len(curCg) {
 		switch {
@@ -284,7 +236,7 @@ func (s *Sampler) finishCol(now time.Time) []Measurement {
 			j++
 		default:
 			d := curCnt[j].Sub(prevCnt[i])
-			if d.Instructions > 0 {
+			if d.Instructions > 0 { // idle or wrapped: no CPI defined
 				out = append(out, Measurement{
 					Cgroup:   curCg[j],
 					Start:    s.start,

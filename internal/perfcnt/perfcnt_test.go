@@ -97,17 +97,22 @@ func TestConfigSanitize(t *testing.T) {
 	}
 }
 
+// reader returns a Snapshot reader over counters. It appends in map
+// order, which is random, so every test also exercises the sampler's
+// sort.
+func reader(counters map[string]Counters) func(*Snapshot) {
+	return func(s *Snapshot) {
+		for k, v := range counters {
+			s.Append(k, v)
+		}
+	}
+}
+
 // driveSampler ticks the sampler once per second for total seconds,
 // with the given per-second counter update.
 func driveSampler(s *Sampler, start time.Time, total int, update func(sec int, m map[string]Counters)) []Measurement {
 	counters := map[string]Counters{}
-	read := func() map[string]Counters {
-		cp := make(map[string]Counters, len(counters))
-		for k, v := range counters {
-			cp[k] = v
-		}
-		return cp
-	}
+	read := reader(counters)
 	var all []Measurement
 	for sec := 0; sec < total; sec++ {
 		now := start.Add(time.Duration(sec) * time.Second)
@@ -211,13 +216,7 @@ func TestSamplerCoarseTicks(t *testing.T) {
 	// measurements with the actual elapsed window.
 	s := NewSampler(DefaultConfig())
 	counters := map[string]Counters{}
-	read := func() map[string]Counters {
-		cp := make(map[string]Counters)
-		for k, v := range counters {
-			cp[k] = v
-		}
-		return cp
-	}
+	read := reader(counters)
 	start := time.Unix(0, 0).UTC()
 	var all []Measurement
 	for sec := 0; sec <= 120; sec += 30 {
@@ -245,7 +244,7 @@ func TestSamplerCoarseTicks(t *testing.T) {
 
 func TestSamplerInWindow(t *testing.T) {
 	s := NewSampler(DefaultConfig())
-	read := func() map[string]Counters { return nil }
+	read := func(*Snapshot) {}
 	start := time.Unix(0, 0).UTC()
 	s.Tick(start, read)
 	if !s.InWindow() {
@@ -342,26 +341,26 @@ func TestSamplerSkipsWrappedAndIdleWindows(t *testing.T) {
 	big := map[string]Counters{"/a": {Cycles: 1e12, Instructions: 1e11, CPUSeconds: 100}}
 	small := map[string]Counters{"/a": {Cycles: 1e9, Instructions: 1e8, CPUSeconds: 1}}
 
-	if ms := s.Tick(base, func() map[string]Counters { return big }); len(ms) != 0 {
+	if ms := s.Tick(base, reader(big)); len(ms) != 0 {
 		t.Fatalf("window open emitted %v", ms)
 	}
 	// Counters went backwards across the window: wrapped, skip.
-	if ms := s.Tick(base.Add(2*time.Second), func() map[string]Counters { return small }); len(ms) != 0 {
+	if ms := s.Tick(base.Add(2*time.Second), reader(small)); len(ms) != 0 {
 		t.Fatalf("wrapped window emitted %v", ms)
 	}
 	// Next window: no progress at all (idle) — also skipped.
-	if ms := s.Tick(base.Add(4*time.Second), func() map[string]Counters { return small }); len(ms) != 0 {
+	if ms := s.Tick(base.Add(4*time.Second), reader(small)); len(ms) != 0 {
 		t.Fatalf("window open emitted %v", ms)
 	}
-	if ms := s.Tick(base.Add(6*time.Second), func() map[string]Counters { return small }); len(ms) != 0 {
+	if ms := s.Tick(base.Add(6*time.Second), reader(small)); len(ms) != 0 {
 		t.Fatalf("idle window emitted %v", ms)
 	}
 	// Sanity: a healthy window still measures.
 	bigger := map[string]Counters{"/a": {Cycles: 2e9, Instructions: 1.5e8, CPUSeconds: 2}}
-	if ms := s.Tick(base.Add(8*time.Second), func() map[string]Counters { return small }); len(ms) != 0 {
+	if ms := s.Tick(base.Add(8*time.Second), reader(small)); len(ms) != 0 {
 		t.Fatalf("window open emitted %v", ms)
 	}
-	ms := s.Tick(base.Add(10*time.Second), func() map[string]Counters { return bigger })
+	ms := s.Tick(base.Add(10*time.Second), reader(bigger))
 	if len(ms) != 1 || ms[0].CPI <= 0 {
 		t.Fatalf("healthy window: %v", ms)
 	}

@@ -77,7 +77,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		PushErrors: r.Counter("cpi2_pipeline_spec_push_errors_total",
 			"spec pushes that failed (connection dropped mid-write)"),
 		DroppedBatches: r.Counter("cpi2_pipeline_dropped_batches_total",
-			"sample batches lost because no aggregator connection was up"),
+			"sample publishes the aggregator connection refused (not connected or send failed); a spool above re-sends them, and its losses are cpi2_pipeline_spool_dropped_total"),
 		Reconnects: r.Counter("cpi2_pipeline_reconnects_total",
 			"successful re-dials after a lost aggregator connection"),
 		SpooledBatches: r.Gauge("cpi2_pipeline_spooled_batches",

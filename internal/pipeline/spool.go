@@ -187,7 +187,6 @@ func (s *Spooler) enqueueLocked(samples []model.Sample) {
 		s.qBytes -= evicted.bytes
 		s.dropped++
 		s.metrics.SpillDropped.Inc()
-		s.metrics.DroppedBatches.Inc()
 	}
 	s.depthChangedLocked()
 }

@@ -162,6 +162,25 @@ func TestSpoolerDropsOldestOverBatchBudget(t *testing.T) {
 	}
 }
 
+// TestSpoolerEvictionCountsOnce: an evicted batch is one loss, counted
+// in cpi2_pipeline_spool_dropped_total only. dropped_batches counts the
+// publishes a redialer refused, which the spool re-sends, so an
+// eviction must not count there as well.
+func TestSpoolerEvictionCountsOnce(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	sp := NewSpooler(&gateSink{down: true}, SpoolConfig{MaxBatches: 2})
+	sp.SetMetrics(m)
+	for i := 0; i < 3; i++ {
+		_ = sp.Publish(oneBatch(i))
+	}
+	if got := m.SpillDropped.Value(); got != 1 {
+		t.Errorf("spool_dropped = %v, want 1", got)
+	}
+	if got := m.DroppedBatches.Value(); got != 0 {
+		t.Errorf("dropped_batches = %v, want 0: the eviction was counted twice", got)
+	}
+}
+
 func TestSpoolerDropsOldestOverByteBudget(t *testing.T) {
 	gate := &gateSink{down: true}
 	// Budget fits roughly two single-sample batches.
