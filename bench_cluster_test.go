@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // benchWarmupSteps is how many Steps run before the timer starts. The
@@ -76,29 +74,19 @@ func BenchmarkClusterStep100k(b *testing.B) {
 }
 
 func benchClusterStep(b *testing.B, workers, machines, traceCapacity int) {
-	c := cluster.New(cluster.Config{
-		Seed:              1,
-		Machines:          machines,
-		CPUsPerMachine:    16,
-		PlatformBFraction: 0.3,
-		Workers:           workers,
-		TraceCapacity:     traceCapacity,
-		Params:            core.Params{MinSamplesPerTask: 8},
-	})
+	c, _, err := (&cluster.Scenario{
+		Seed: 1, MinSamplesPerTask: 8,
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16, PlatformBFraction: 0.3},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "websearch", Name: "websearch", Leaves: machines, Mixers: machines/5 + 1, Roots: 2},
+			{Kind: "quiet_service", Name: "bigtable", Tasks: machines, CPU: 0.8},
+			{Kind: "batch", Name: "logproc", Tasks: machines, CPU: 0.5},
+		},
+	}).Start(cluster.Config{Workers: workers, TraceCapacity: traceCapacity})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer c.Close()
-	defs, tree := cluster.WebSearchJob("websearch", machines, machines/5+1, 2, c.RNG())
-	for _, d := range defs {
-		if err := c.AddJob(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	c.OnTick(func(time.Time) { tree.EndTick() })
-	if err := c.AddJob(cluster.QuietServiceJob("bigtable", machines, 0.8)); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.AddJob(cluster.BatchJob("logproc", machines, 0.5, model.PriorityBestEffort)); err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < benchWarmupSteps; i++ {
 		c.Step()
 	}

@@ -5,28 +5,19 @@
 //
 // Usage:
 //
-//	clustersim [-machines 50] [-duration 1h] [-seed 1] [-workers 0]
-//	           [-shards 0] [-metrics-addr :7425] [-report-only] [-feedback]
-//	           [-identifier correlation|panda]
-//	           [-query "SELECT …"] [-chaos "blackout=20m+10m,loss=0.05"]
+//	clustersim [-scenario FILE] [-duration 1h] [-workers 0]
+//	           [-metrics-addr :7425] [-feedback]
+//	           [-identifier correlation|panda] [-query "SELECT …"]
 //
-// -workers sets how many goroutines tick machines in parallel
-// (0 = GOMAXPROCS). The same seed produces byte-identical output at
-// any worker count, so -workers only changes wall-clock time.
-// -shards partitions the spec tier over a consistent-hash ring of
-// aggregator shards; like -workers it never changes the output, only
-// which failure domains exist for the chaos directives below.
-//
-// -chaos injects a deterministic failure timeline (fed from the same
-// seeded RNG streams as the rest of the simulation): comma-separated
-// directives blackout=OFFSET+DURATION, loss=FRACTION,
-// specdelay=DURATION, crash=MACHINE@OFFSET, spool=N, spoolbytes=N,
-// shardblackout=SHARD@OFFSET+DURATION, reshard=N>M@OFFSET, and
-// reconnect=DURATION (full-jitter agent reconnect spread after a
-// shard comes back). Offsets count from simulation start (warm-up
-// included). The run prints fault accounting (lost batches, spool
-// drops/replays, crash and shard tallies) alongside the usual
-// summary.
+// -scenario is a cluster.Scenario JSON file: a checks case.json without
+// name, description, duration and budgets. The default, built in, is
+// scenarios/default.json: a search tree, two services, plain batch and
+// MapReduce on 50 machines, with heavy antagonists landing on a quarter
+// of them after a 15-minute warm-up. -duration runs after the warm-up.
+// The same scenario gives byte-identical output at any -workers (0 =
+// GOMAXPROCS) and any fleet.shards. A scenario's chaos (a
+// cluster.ParseFaultPlan directive list; offsets count from simulation
+// start) adds fault accounting to the report.
 //
 // Every component shares one metric registry; -metrics-addr exposes
 // it live at /metrics during the run, and a one-line JSON summary of
@@ -34,30 +25,29 @@
 package main
 
 import (
+	_ "embed"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
+//go:embed scenarios/default.json
+var defaultScenario []byte
+
 func main() {
-	machines := flag.Int("machines", 50, "number of machines")
-	duration := flag.Duration("duration", time.Hour, "simulated duration")
-	seed := flag.Int64("seed", 1, "simulation seed")
+	scenarioFile := flag.String("scenario", "", "cluster.Scenario JSON file (empty: the built-in scenarios/default.json)")
+	duration := flag.Duration("duration", time.Hour, "simulated duration after the warm-up")
 	workers := flag.Int("workers", 0, "parallel tick workers (0 = GOMAXPROCS); output is identical at any value")
-	shards := flag.Int("shards", 0, "spec-tier aggregator shards, the members of the consistent-hash ring (0 = 1); output is identical at any value")
-	reportOnly := flag.Bool("report-only", false, "disable automatic capping")
 	feedback := flag.Bool("feedback", false, "enable §9 feedback-driven adaptive throttling")
 	query := flag.String("query", "", "extra forensics query to run at the end")
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address for live /metrics during the run (empty: disabled)")
-	chaos := flag.String("chaos", "", "fault plan, e.g. \"blackout=20m+10m,loss=0.05,crash=machine-0003@30m\" (empty: nothing injected)")
 	identifier := flag.String("identifier", "",
 		fmt.Sprintf("antagonist identifier: %v (empty: %s)", core.IdentifierNames(), core.IdentifierCorrelation))
 	flag.Parse()
@@ -68,40 +58,27 @@ func main() {
 		log.Fatalf("clustersim: -identifier: %v", err)
 	}
 
-	// An empty -chaos is the empty plan: same sample path, nothing
-	// injected.
-	faults, err := cluster.ParseFaultPlan(*chaos)
-	if err != nil {
-		log.Fatalf("clustersim: -chaos: %v", err)
+	src := defaultScenario
+	if *scenarioFile != "" {
+		var err error
+		if src, err = os.ReadFile(*scenarioFile); err != nil {
+			log.Fatalf("clustersim: -scenario: %v", err)
+		}
+	}
+	var sc cluster.Scenario
+	if err := cluster.DecodeStrict(src, &sc); err != nil {
+		log.Fatalf("clustersim: -scenario: %v", err)
 	}
 
 	reg := obs.NewRegistry()
 	events := obs.NewEventLog(4096, nil)
-	c := cluster.New(cluster.Config{
-		Seed:              *seed,
-		Machines:          *machines,
-		Workers:           *workers,
-		Shards:            *shards,
-		CPUsPerMachine:    16,
-		PlatformBFraction: 0.3,
-		Params: core.Params{
-			MinSamplesPerTask:  8,
-			ReportOnly:         *reportOnly,
-			FeedbackThrottling: *feedback,
-			Identifier:         *identifier,
-		},
-		Registry: reg,
-		Events:   events,
-		Faults:   faults,
-	})
-
+	var admin *obs.AdminServer
 	if *metricsAddr != "" {
 		// The registry and event log are concurrency-safe, so they can
-		// be scraped mid-run; incidents are served from the event log
-		// (/debug/events?type=incident) rather than cluster state, which
-		// the simulation loop mutates without locking.
-		admin := obs.NewAdminServer(reg, events)
-		admin.HandleTrace(c.AggregatorTrace(), nil)
+		// be scraped mid-run, warm-up included; incidents are served from
+		// the event log (/debug/events?type=incident) rather than cluster
+		// state, which the simulation loop mutates without locking.
+		admin = obs.NewAdminServer(reg, events)
 		addr, err := admin.Serve(*metricsAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -109,36 +86,36 @@ func main() {
 		defer admin.Close()
 		fmt.Printf("metrics: http://%s/metrics\n", addr)
 	}
-
-	// Fleet mix: a search tree, two services, plain batch, MapReduce,
-	// and heavy antagonists on a quarter of the machines.
-	defs, tree := cluster.WebSearchJob("websearch", *machines, *machines/5+1, 2, c.RNG())
-	for _, d := range defs {
-		if err := c.AddJob(d); err != nil {
-			log.Fatal(err)
-		}
-	}
-	c.OnTick(func(time.Time) { tree.EndTick() })
-	must := func(err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	must(c.AddJob(cluster.QuietServiceJob("bigtable", *machines, 0.8)))
-	must(c.AddJob(cluster.BatchJob("logproc", *machines, 0.5, model.PriorityBestEffort)))
-	must(c.AddJob(cluster.MapReduceJob("mapreduce", *machines/2, 3, workload.ReactLameDuck)))
-
-	fmt.Printf("cluster: %d machines, %d jobs; warming up specs…\n", *machines, 6)
-	specs, err := cluster.WarmUpSpecs(c, 15*time.Minute)
+	c, warm, err := sc.Start(cluster.Config{
+		Workers: *workers,
+		Params: core.Params{
+			FeedbackThrottling: *feedback,
+			Identifier:         *identifier,
+		},
+		Registry: reg,
+		Events:   events,
+	})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("clustersim: %v", err)
 	}
-	fmt.Printf("%d robust specs learned:\n", len(specs))
-	for _, s := range specs {
+	if admin != nil {
+		admin.HandleTrace(c.AggregatorTrace(), nil) // from the end of the warm-up
+	}
+
+	jobs := 0 // placed before the warm-up; a websearch entry is three
+	for _, w := range sc.Workload {
+		if !w.Lands() {
+			jobs++
+			if w.Kind == "websearch" {
+				jobs += 2
+			}
+		}
+	}
+	fmt.Printf("cluster: %d machines, %d jobs; warming up specs…\n", sc.Fleet.Machines, jobs)
+	fmt.Printf("%d robust specs learned:\n", len(warm.Specs))
+	for _, s := range warm.Specs {
 		fmt.Printf("  %-42s CPI %.2f ± %.2f\n", s.Key(), s.CPIMean, s.CPIStddev)
 	}
-
-	must(c.AddJob(cluster.AntagonistJob("video-transcode", *machines/4+1, 7, model.PriorityBatch)))
 	fmt.Printf("\nantagonists landed on ~1/4 of machines; running %v…\n", *duration)
 	start := time.Now()
 	c.Run(*duration)
@@ -153,13 +130,14 @@ func main() {
 		len(incs), actions[core.ActionCap], actions[core.ActionReport], actions[core.ActionNone])
 	exits, restarts := c.Stats()
 	fmt.Printf("task churn: %d exits, %d restarts\n", exits, restarts)
-	if *chaos != "" {
+	if sc.Chaos != "" {
+		plan, _ := cluster.ParseFaultPlan(sc.Chaos) // Start parsed it
 		fs := c.FaultStats()
 		fmt.Printf("faults (%s): %d batches lost, %d spooled→replayed, %d spool-dropped, %d still spooled,\n"+
 			"        %d blackout ticks, %d shard-blackout ticks, %d reshards (%d keys handed off),\n"+
 			"        %d delayed spec pushes, %d crashes (%d tasks lost, %d restarted),\n"+
 			"        %d agent restarts (%d caps re-adopted, %d orphaned), %d corrupt batches (%d samples quarantined)\n",
-			faults, fs.LostBatches, fs.SpoolReplayed, fs.SpoolDropped, fs.SpooledBatches,
+			plan, fs.LostBatches, fs.SpoolReplayed, fs.SpoolDropped, fs.SpooledBatches,
 			fs.BlackoutTicks, fs.ShardBlackoutTicks, fs.ReshardsApplied, fs.MovedKeys,
 			fs.DelayedSpecPushes, fs.CrashesApplied, fs.TasksLost, fs.TasksRestarted,
 			fs.RestartsApplied, fs.CapsAdopted, fs.CapsOrphaned, fs.CorruptBatches, fs.Quarantined)
@@ -213,9 +191,7 @@ func main() {
 		"spec_staleness_mean_seconds": stalenessMean,
 		"trace_spans_by_stage":        c.SpanCounts(),
 	}
-	if faults != nil {
-		summary["fault_stats"] = c.FaultStats()
-	}
+	summary["fault_stats"] = c.FaultStats()
 	b, err := json.Marshal(summary)
 	if err != nil {
 		log.Fatal(err)

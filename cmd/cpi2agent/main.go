@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	cpi2agent [-aggregator host:7421] [-metrics-addr :7423]
+//	cpi2agent [-aggregator host:7421] [-metrics-addr 127.0.0.1:7423]
 //	          [-incident-log incidents.jsonl] [-name machine-01]
 //	          [-cpus 16] [-tenants 20] [-antagonist-after 2m] [-speed 60]
 //	          [-spool-batches 4096] [-spool-bytes 67108864]
@@ -52,8 +52,9 @@
 // /debug/status, /debug/tasks, /debug/caps, /debug/incidents,
 // /debug/specs, /debug/quarantine, /debug/trace (?id=<trace-id|job/index>
 // for one causal chain, ?n=<count> for the most recent spans) and the
-// POST verbs /cap, /uncap and /release-all. -incident-log appends every
-// structured event as one JSON line.
+// POST verbs /cap, /uncap and /release-all. The verbs are
+// unauthenticated, so the default address is loopback only.
+// -incident-log appends every structured event as one JSON line.
 package main
 
 import (
@@ -78,6 +79,10 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// defaultAdminAddr is -metrics-addr's default: loopback only, the
+// address cpi2ctl -addr dials by default.
+const defaultAdminAddr = "127.0.0.1:7423"
 
 // endpoint is one -aggregator entry: a shard name (empty in the
 // unsharded single-aggregator deployment) and its dial address.
@@ -114,7 +119,7 @@ func parseAggregators(s string) ([]endpoint, error) {
 func main() {
 	aggregator := flag.String("aggregator", "",
 		"cpi2aggregator address, or comma-separated shard-name=address pairs for a sharded spec tier (empty: local detection only)")
-	metricsAddr := flag.String("metrics-addr", ":7423", "admin HTTP address for /metrics, /debug and the operator verbs (empty: disabled)")
+	metricsAddr := flag.String("metrics-addr", defaultAdminAddr, "admin HTTP address for /metrics, /debug and the operator verbs (empty: disabled)")
 	incidentLog := flag.String("incident-log", "", "append structured events as JSON lines to this file (empty: in-memory only)")
 	name := flag.String("name", "machine-01", "machine name")
 	cpus := flag.Int("cpus", 16, "machine CPU count")

@@ -60,7 +60,7 @@ func runCheck(args []string) {
 	className := fs.String("class", "", "machine class to run (default: auto-select by CPU count)")
 	caseName := fs.String("case", "", "run only this case (default: all cases of the class)")
 	outDir := fs.String("out", ".", "directory for verdict JSON files")
-	workers := fs.Int("workers", 0, "override cluster worker count (0: per-case setting)")
+	workers := fs.Int("workers", 0, "cluster worker count (0: GOMAXPROCS)")
 	quiet := fs.Bool("q", false, "suppress progress output (verdict summaries still print)")
 	fs.Parse(args)
 

@@ -22,32 +22,24 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/model"
 )
 
 func main() {
-	c := cluster.New(cluster.Config{
-		Seed:           11,
-		Machines:       16,
-		CPUsPerMachine: 16,
-		Params:         core.Params{MinSamplesPerTask: 8, ReportOnly: true},
-	})
-	// Two latency-sensitive jobs and two differently aggressive batch
-	// jobs.
-	if err := c.AddJob(cluster.QuietServiceJob("bigtable", 12, 1.0)); err != nil {
-		log.Fatal(err)
-	}
-	if err := c.AddJob(cluster.QuietServiceJob("gmail-fe", 12, 0.8)); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := cluster.WarmUpSpecs(c, 15*time.Minute); err != nil {
-		log.Fatal(err)
-	}
-	if err := c.AddJob(cluster.AntagonistJob("video-transcode", 8, 7, model.PriorityBatch)); err != nil {
-		log.Fatal(err)
-	}
-	if err := c.AddJob(cluster.BatchJob("log-compactor", 8, 2, model.PriorityBestEffort)); err != nil {
+	// Two latency-sensitive jobs, then two differently aggressive batch
+	// jobs landing on the warmed fleet.
+	landed := true
+	c, _, err := (&cluster.Scenario{
+		Seed: 11, Warmup: 15 * time.Minute, MinSamplesPerTask: 8, ReportOnly: true,
+		Fleet: cluster.Fleet{Machines: 16, CPUsPerMachine: 16},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "quiet_service", Name: "bigtable", Tasks: 12, CPU: 1.0},
+			{Kind: "quiet_service", Name: "gmail-fe", Tasks: 12, CPU: 0.8},
+			{Kind: "antagonist", Name: "video-transcode", Tasks: 8, CPU: 7},
+			{Kind: "batch", Name: "log-compactor", Tasks: 8, CPU: 2, AfterWarmup: &landed},
+		},
+	}).Start(cluster.Config{})
+	if err != nil {
 		log.Fatal(err)
 	}
 	c.Run(30 * time.Minute)

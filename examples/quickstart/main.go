@@ -17,42 +17,38 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/model"
 )
 
 func main() {
-	c := cluster.New(cluster.Config{
-		Seed:           42,
-		Machines:       10,
-		CPUsPerMachine: 16,
+	sc := cluster.Scenario{
+		Seed:   42,
+		Warmup: 15 * time.Minute,
 		// Quick spec bootstrap for the demo: the paper's gate of 100
 		// samples/task needs ~100 minutes of data; we lower it so the
 		// demo warms up in simulated minutes.
-		Params: core.Params{MinSamplesPerTask: 8},
-	})
-
-	// A well-behaved latency-sensitive service: 30 identical tasks.
-	if err := c.AddJob(cluster.QuietServiceJob("frontend", 30, 1.0)); err != nil {
-		log.Fatal(err)
+		MinSamplesPerTask: 8,
+		Fleet:             cluster.Fleet{Machines: 10, CPUsPerMachine: 16},
+		Workload: []cluster.WorkloadEntry{
+			// A well-behaved latency-sensitive service: 30 identical tasks.
+			{Kind: "quiet_service", Name: "frontend", Tasks: 30, CPU: 1.0},
+			// The antagonist arrives after the warm-up: one heavy
+			// video-processing task per machine, dragging a large working
+			// set through the shared cache.
+			{Kind: "antagonist", Name: "video-processing", Tasks: 10, CPU: 8},
+		},
 	}
 
 	fmt.Println("warming up: learning the frontend's CPI spec from its tasks…")
-	specs, err := cluster.WarmUpSpecs(c, 15*time.Minute)
+	c, warm, err := sc.Start(cluster.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range specs {
+	for _, s := range warm.Specs {
 		fmt.Printf("  spec %-12s CPI %.2f ± %.2f  (%d tasks, %d samples)\n",
 			s.Job, s.CPIMean, s.CPIStddev, s.NumTasks, s.NumSamples)
 	}
 
-	// The antagonist arrives: one heavy video-processing task per
-	// machine, dragging a large working set through the shared cache.
 	fmt.Println("\nantagonist lands: video-processing batch on every machine…")
-	if err := c.AddJob(cluster.AntagonistJob("video-processing", 10, 8, model.PriorityBatch)); err != nil {
-		log.Fatal(err)
-	}
 	c.Run(12 * time.Minute)
 
 	incidents := c.Incidents()

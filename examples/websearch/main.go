@@ -52,22 +52,13 @@ func rootLatency(c *cluster.Cluster) func() float64 {
 }
 
 func main() {
-	c := cluster.New(cluster.Config{
-		Seed:           7,
-		Machines:       24,
-		CPUsPerMachine: 16,
-		Params:         core.Params{MinSamplesPerTask: 8},
-	})
-	defs, tree := cluster.WebSearchJob("websearch", 48, 8, 2, c.RNG())
-	for _, d := range defs {
-		if err := c.AddJob(d); err != nil {
-			log.Fatal(err)
-		}
-	}
-	c.OnTick(func(time.Time) { tree.EndTick() })
-
 	fmt.Println("phase 1: healthy baseline, learning specs…")
-	if _, err := cluster.WarmUpSpecs(c, 15*time.Minute); err != nil {
+	c, _, err := (&cluster.Scenario{
+		Seed: 7, Warmup: 15 * time.Minute, MinSamplesPerTask: 8,
+		Fleet:    cluster.Fleet{Machines: 24, CPUsPerMachine: 16},
+		Workload: []cluster.WorkloadEntry{{Kind: "websearch", Name: "websearch", Leaves: 48, Mixers: 8, Roots: 2}},
+	}).Start(cluster.Config{})
+	if err != nil {
 		log.Fatal(err)
 	}
 	meter := rootLatency(c)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/model"
 )
 
 // CapacitySchemaVersion versions the capacity-search result JSON.
@@ -187,23 +186,21 @@ func SearchCapacity(cfg CapacityConfig) (*CapacityResult, error) {
 // service, a best-effort batch tier, and a small antagonist tier so
 // detection and correlation stay on the hot path.
 func capacityProbe(cfg CapacityConfig, machines int) (CapacityProbe, error) {
-	c := cluster.New(cluster.Config{
-		Seed:           cfg.Seed,
-		Machines:       machines,
-		CPUsPerMachine: cfg.CPUsPerMachine,
-		Workers:        cfg.Workers,
-		TickInterval:   cfg.Tick,
-	})
+	sc := cluster.Scenario{
+		Seed:  cfg.Seed,
+		Tick:  cfg.Tick,
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: cfg.CPUsPerMachine},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "quiet_service", Name: "cap-quiet", Tasks: machines, CPU: 0.8},
+			{Kind: "batch", Name: "cap-batch", Tasks: machines/2 + 1, CPU: 0.5},
+			{Kind: "antagonist", Name: "cap-antagonist", Tasks: machines/8 + 1, CPU: 7},
+		},
+	}
+	c, _, err := sc.Start(cluster.Config{Workers: cfg.Workers})
+	if err != nil {
+		return CapacityProbe{}, err
+	}
 	defer c.Close()
-	if err := c.AddJob(cluster.QuietServiceJob("cap-quiet", machines, 0.8)); err != nil {
-		return CapacityProbe{}, err
-	}
-	if err := c.AddJob(cluster.BatchJob("cap-batch", machines/2+1, 0.5, model.PriorityBestEffort)); err != nil {
-		return CapacityProbe{}, err
-	}
-	if err := c.AddJob(cluster.AntagonistJob("cap-antagonist", machines/8+1, 7, model.PriorityBatch)); err != nil {
-		return CapacityProbe{}, err
-	}
 	for i := 0; i < cfg.WarmupTicks; i++ {
 		c.Step()
 	}

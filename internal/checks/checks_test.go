@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 // repoChecksDir is the committed seed tree at the repository root.
@@ -256,7 +258,7 @@ func TestRunCaseDeterministicMeasures(t *testing.T) {
 
 func TestRunCaseValidation(t *testing.T) {
 	mc := &MachineClass{Name: "c", MinCPUs: 1}
-	cs := &Case{Name: "bad", Duration: time.Minute, Tick: time.Second}
+	cs := &Case{Name: "bad", Duration: time.Minute, Scenario: cluster.Scenario{Tick: time.Second}}
 	if _, err := RunCase(mc, cs, RunOptions{}); err == nil {
 		t.Error("invalid case ran without error")
 	}

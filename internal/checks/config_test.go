@@ -1,6 +1,7 @@
 package checks
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -33,8 +34,8 @@ func TestDecodeCaseDefaults(t *testing.T) {
 		t.Errorf("durations: duration=%v warmup=%v", cs.Duration, cs.Warmup)
 	}
 	w := cs.Workload[0]
-	if w.flag(w.AfterWarmup) || w.flag(w.ExpectCaps) {
-		t.Errorf("quiet_service defaults: after_warmup=%v expect_caps=%v", w.flag(w.AfterWarmup), w.flag(w.ExpectCaps))
+	if w.Lands() || w.ExpectsCaps() {
+		t.Errorf("quiet_service defaults: after_warmup=%v expect_caps=%v", w.Lands(), w.ExpectsCaps())
 	}
 }
 
@@ -46,11 +47,11 @@ func TestDecodeCaseAntagonistDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := cs.Workload[0]
-	if !w.flag(w.AfterWarmup) || !w.flag(w.ExpectCaps) {
-		t.Errorf("antagonist defaults: after_warmup=%v expect_caps=%v", w.flag(w.AfterWarmup), w.flag(w.ExpectCaps))
+	if !w.Lands() || !w.ExpectsCaps() {
+		t.Errorf("antagonist defaults: after_warmup=%v expect_caps=%v", w.Lands(), w.ExpectsCaps())
 	}
-	if w = cs.Workload[1]; w.flag(w.AfterWarmup) || w.flag(w.ExpectCaps) {
-		t.Errorf("antagonist with both flags set false: after_warmup=%v expect_caps=%v", w.flag(w.AfterWarmup), w.flag(w.ExpectCaps))
+	if w = cs.Workload[1]; w.Lands() || w.ExpectsCaps() {
+		t.Errorf("antagonist with both flags set false: after_warmup=%v expect_caps=%v", w.Lands(), w.ExpectsCaps())
 	}
 	if got := cs.expectedCapJobs(); !got["video"] || got["tame"] {
 		t.Errorf("expected cap set = %v, want video only", got)
@@ -81,6 +82,15 @@ func TestDecodeCaseErrors(t *testing.T) {
 			{"kind": "batch", "name": "b", "tasks": 1, "cpu": 0.5}]`), "duplicate"},
 		{"unknown kind", caseSrc(fleet2, `"workload": [{"kind": "mystery", "name": "m", "tasks": 1}]`), "unknown workload kind"},
 		{"websearch needs tiers", caseSrc(fleet2, `"workload": [{"kind": "websearch", "name": "ws"}]`), "leaves"},
+		{"unknown priority", caseSrc(fleet2, `"workload": [{"kind": "batch", "name": "b", "tasks": 1, "cpu": 0.5, "priority": "urgent"}]`), "priority"},
+		// A duration shorter than a tick measured zero steps and passed
+		// vacuously, with an unwritable +Inf allocs_per_step.
+		{"duration under a tick", caseSrc(`"description": "demo", "duration": "500ms", "fleet": {"machines": 4},
+			"workload": [{"kind": "quiet_service", "name": "svc", "tasks": 4, "cpu": 0.5}]`), "duration"},
+		{"duration not whole ticks", caseSrc(`"duration": "90s", "tick": "60s", "fleet": {"machines": 2},
+			"workload": [{"kind": "bimodal", "name": "b", "tasks": 1}]`), "duration"},
+		// Run truncated a warmup that was not a whole number of ticks.
+		{"warmup not whole ticks", caseSrc(minimalCase, `"warmup": "10m500ms"`), "warmup"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,7 +124,7 @@ func TestDecTypedAccess(t *testing.T) {
 	}
 	w := cs.Workload[0]
 	if cs.Seed != 7 || cs.Tick != 90*time.Second || !cs.ReportOnly || cs.Chaos != "corrupt=0.5" ||
-		cs.Fleet.PlatformBFraction != 0.25 || w.CPU != 2.5 || !w.flag(w.ExpectCaps) || w.flag(w.AfterWarmup) {
+		cs.Fleet.PlatformBFraction != 0.25 || w.CPU != 2.5 || !w.ExpectsCaps() || w.Lands() {
 		t.Errorf("decoded %+v, workload %+v", cs, w)
 	}
 	if b := cs.Budgets; b.MaxFalseCaps == nil || *b.MaxFalseCaps != 0 || b.MaxQuarantined != nil {
@@ -122,6 +132,35 @@ func TestDecTypedAccess(t *testing.T) {
 	}
 	if cs.MinSamplesPerTask != 8 || cs.Fleet.CPUsPerMachine != 16 {
 		t.Errorf("absent keys lost their defaults: %+v", cs)
+	}
+}
+
+// Case embeds cluster.Scenario, whose UnmarshalJSON would be promoted
+// to Case. Case's own keys must land in Case's fields — through the
+// strict decoder and through plain json.Unmarshal alike — and still be
+// refused when misspelt.
+func TestCaseKeysNotSwallowedByScenario(t *testing.T) {
+	src := caseSrc(`"name": "demo", "description": "d", "duration": "3m", "budgets": {"min_incidents": 2}`,
+		`"seed": 5, "warmup": "1m", "fleet": {"machines": 2}, "workload": [{"kind": "bimodal", "name": "b", "tasks": 1}]`)
+	strict, err := decodeCase("demo", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain Case
+	if err := json.Unmarshal(src, &plain); err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range []*Case{strict, &plain} {
+		if cs.Name != "demo" || cs.Description != "d" || cs.Duration != 3*time.Minute ||
+			cs.Budgets.MinIncidents == nil || *cs.Budgets.MinIncidents != 2 {
+			t.Errorf("case keys lost: name=%q description=%q duration=%v budgets=%+v", cs.Name, cs.Description, cs.Duration, cs.Budgets)
+		}
+		if cs.Seed != 5 || cs.Warmup != time.Minute || cs.Fleet.Machines != 2 || len(cs.Workload) != 1 {
+			t.Errorf("scenario keys lost: %+v", cs.Scenario)
+		}
+	}
+	if err := json.Unmarshal(caseSrc(minimalCase, `"budget": {}`), &plain); err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Errorf("misspelt case key accepted: %v", err)
 	}
 }
 

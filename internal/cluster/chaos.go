@@ -244,7 +244,7 @@ func (p *FaultPlan) String() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseFaultPlan parses the -chaos flag syntax: comma-separated
+// ParseFaultPlan parses a scenario's chaos syntax: comma-separated
 // directives, each key=value.
 //
 //	blackout=OFFSET+DURATION   aggregator blackout (repeatable)

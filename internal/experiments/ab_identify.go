@@ -59,21 +59,11 @@ func quietBaseline(o Options, machines int) []cluster.JobDef {
 }
 
 // sciAntagonistJob is the Case 4 bandwidth-heavy numeric batch
-// antagonist (the catalog only cans the Case 1 video profile).
+// antagonist: the catalog's antagonist with the scientific-sim profile.
 func sciAntagonistJob(name string, tasks int, cpuPerTask float64) cluster.JobDef {
-	return cluster.JobDef{
-		Job: model.Job{
-			Name:       model.JobName(name),
-			Class:      model.ClassBatch,
-			Priority:   model.PriorityBatch,
-			NumTasks:   tasks,
-			CPUPerTask: cpuPerTask,
-		},
-		Profile: cluster.ScientificSimProfile(),
-		NewWorkload: func(id model.TaskID, _ *stats.RNG) machine.Workload {
-			return &workload.Steady{CPU: cpuPerTask, Threads: 12}
-		},
-	}
+	def := cluster.AntagonistJob(name, tasks, cpuPerTask, model.PriorityBatch)
+	def.Profile = cluster.ScientificSimProfile()
+	return def
 }
 
 // burstyDecoyJob builds innocent bursty tenants: plenty of visible CPU

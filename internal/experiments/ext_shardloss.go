@@ -40,50 +40,36 @@ func extShardLoss(o Options) (*Report, error) {
 	down := probe.ShardOf(model.SpecKey{Job: "bigtable", Platform: model.PlatformA})
 	probe.Close()
 
-	run := func(faults *cluster.FaultPlan) (*cluster.Cluster, error) {
-		c := cluster.New(cluster.Config{
-			Seed:              o.Seed,
-			Machines:          machines,
-			CPUsPerMachine:    16,
-			PlatformBFraction: 0.5,
-			Shards:            shards,
-			Params:            core.Params{MinSamplesPerTask: 5},
-			Faults:            faults,
-		})
-		for _, def := range []cluster.JobDef{
-			cluster.QuietServiceJob("bigtable", machines*2, 0.8),
-			cluster.BatchJob("logproc", machines/2, 0.5, model.PriorityBestEffort),
-		} {
-			if err := c.AddJob(def); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		if _, err := cluster.WarmUpSpecs(c, warm); err != nil {
-			c.Close()
-			return nil, err
-		}
-		// One antagonist per machine: victims surface on BOTH platforms,
-		// which is what labels them to different shards (the same job's
-		// PlatformA and PlatformB keys hash independently).
-		if err := c.AddJob(cluster.AntagonistJob("video", machines, 7, model.PriorityBatch)); err != nil {
-			c.Close()
+	run := func(chaos string) (*cluster.Cluster, error) {
+		c, _, err := (&cluster.Scenario{
+			Seed: o.Seed, Warmup: warm, Chaos: chaos, MinSamplesPerTask: 5,
+			Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16, PlatformBFraction: 0.5, Shards: shards},
+			Workload: []cluster.WorkloadEntry{
+				{Kind: "quiet_service", Name: "bigtable", Tasks: machines * 2, CPU: 0.8},
+				{Kind: "batch", Name: "logproc", Tasks: machines / 2, CPU: 0.5},
+				// One antagonist per machine: victims surface on BOTH
+				// platforms, which is what labels them to different shards
+				// (the same job's PlatformA and PlatformB keys hash
+				// independently).
+				{Kind: "antagonist", Name: "video", Tasks: machines, CPU: 7},
+			},
+		}).Start(cluster.Config{})
+		if err != nil {
 			return nil, err
 		}
 		c.Run(dur)
 		return c, nil
 	}
 
-	baseline, err := run(&cluster.FaultPlan{})
+	baseline, err := run("")
 	if err != nil {
 		return nil, fmt.Errorf("ext-shardloss: baseline: %w", err)
 	}
 	defer baseline.Close()
-	chaos, err := run(&cluster.FaultPlan{
-		ShardBlackouts: []cluster.ShardBlackoutEvent{
-			{Shard: down, Window: cluster.Window{From: from, To: from + blackout}},
-		},
-	})
+	blackoutPlan := &cluster.FaultPlan{ShardBlackouts: []cluster.ShardBlackoutEvent{
+		{Shard: down, Window: cluster.Window{From: from, To: from + blackout}},
+	}}
+	chaos, err := run(blackoutPlan.String())
 	if err != nil {
 		return nil, fmt.Errorf("ext-shardloss: chaos: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/stats"
 )
 
@@ -24,34 +23,28 @@ func init() {
 // machine-day across the fleet.
 func sec7rate(o Options) (*Report, error) {
 	machines := o.scaleInt(200, 20)
-	c := cluster.New(cluster.Config{
-		Seed: o.Seed, Machines: machines, CPUsPerMachine: 24,
-		Params: core.Params{
-			MinSamplesPerTask: 10,
-			ReportOnly:        true,
-			// Rate-limit analyses aggressively so one long-running
-			// antagonist counts as one report stream, not hundreds.
-			AnalysisRateLimit: 45 * time.Minute,
-		},
-		TickInterval: 2 * time.Second,
-	})
-	// Fleet mix: mostly well-behaved services, occasional heavy batch.
-	if err := c.AddJob(cluster.QuietServiceJob("services", machines*4, 0.8)); err != nil {
-		return nil, err
-	}
-	if err := c.AddJob(cluster.BatchJob("logproc", machines*2, 0.6, model.PriorityBatch)); err != nil {
-		return nil, err
-	}
-	if _, err := cluster.WarmUpSpecs(c, 15*time.Minute); err != nil {
-		return nil, err
-	}
 	// A small population of real antagonists lands on a fraction of
 	// machines (severe interference is "relatively rare", §2).
 	antagonists := machines / 100
 	if antagonists < 1 {
 		antagonists = 1
 	}
-	if err := c.AddJob(cluster.AntagonistJob("video", antagonists, 7, model.PriorityBatch)); err != nil {
+	c, _, err := (&cluster.Scenario{
+		Seed: o.Seed, Warmup: 15 * time.Minute, Tick: 2 * time.Second,
+		MinSamplesPerTask: 10, ReportOnly: true,
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 24},
+		// Fleet mix: mostly well-behaved services, occasional heavy batch.
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "quiet_service", Name: "services", Tasks: machines * 4, CPU: 0.8},
+			{Kind: "batch", Name: "logproc", Tasks: machines * 2, CPU: 0.6, Priority: "batch"},
+			{Kind: "antagonist", Name: "video", Tasks: antagonists, CPU: 7},
+		},
+	}).Start(cluster.Config{Params: core.Params{
+		// Rate-limit analyses aggressively so one long-running
+		// antagonist counts as one report stream, not hundreds.
+		AnalysisRateLimit: 45 * time.Minute,
+	}})
+	if err != nil {
 		return nil, err
 	}
 	simDays := 0.5 * o.Scale

@@ -38,19 +38,16 @@ func init() {
 // fig1: CDFs of tasks and threads per machine in a packed cluster.
 func fig1(o Options) (*Report, error) {
 	machines := o.scaleInt(1000, 40)
-	c := cluster.New(cluster.Config{
-		Seed: o.Seed, Machines: machines, CPUsPerMachine: 24,
-		PlatformBFraction: 0.3,
-	})
 	// A fleet mix: a couple of search jobs, services, and lots of batch.
-	defs, tree := cluster.WebSearchJob("websearch", machines*2, machines/3+1, machines/10+1, c.RNG())
-	for _, d := range defs {
-		if err := c.AddJob(d); err != nil {
-			return nil, err
-		}
-	}
-	c.OnTick(func(time.Time) { tree.EndTick() })
-	if err := c.AddJob(cluster.QuietServiceJob("bigtable", machines*3, 0.5)); err != nil {
+	c, _, err := (&cluster.Scenario{
+		Seed:  o.Seed,
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 24, PlatformBFraction: 0.3},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "websearch", Name: "websearch", Leaves: machines * 2, Mixers: machines/3 + 1, Roots: machines/10 + 1},
+			{Kind: "quiet_service", Name: "bigtable", Tasks: machines * 3, CPU: 0.5},
+		},
+	}).Start(cluster.Config{})
+	if err != nil {
 		return nil, err
 	}
 	// Real clusters churn: waves of finite batch jobs complete and
@@ -113,16 +110,17 @@ func fig1(o Options) (*Report, error) {
 func fig2(o Options) (*Report, error) {
 	nTasks := o.scaleInt(2600, 20)
 	machines := nTasks/6 + 1
-	c := cluster.New(cluster.Config{
-		Seed: o.Seed, Machines: machines, CPUsPerMachine: 16,
-		Params: core.Params{ReportOnly: true}, // measurement only
-	})
-	if err := c.AddJob(cluster.BatchJob("batchjob", nTasks, 2.0, model.PriorityBatch)); err != nil {
-		return nil, err
-	}
-	// A varying antagonist population makes CPI move: phases of heavy
-	// co-runners arriving and leaving.
-	if err := c.AddJob(cluster.AntagonistJob("churn", machines, 4, model.PriorityBestEffort)); err != nil {
+	c, _, err := (&cluster.Scenario{
+		Seed: o.Seed, ReportOnly: true, // measurement only
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "batch", Name: "batchjob", Tasks: nTasks, CPU: 2.0, Priority: "batch"},
+			// A varying antagonist population makes CPI move: phases of
+			// heavy co-runners arriving and leaving.
+			{Kind: "antagonist", Name: "churn", Tasks: machines, CPU: 4, Priority: "best_effort"},
+		},
+	}).Start(cluster.Config{})
+	if err != nil {
 		return nil, err
 	}
 	// Toggle the antagonists on/off every 15 minutes via capping the
@@ -191,20 +189,18 @@ func fig2(o Options) (*Report, error) {
 func fig3(o Options) (*Report, error) {
 	leaves := o.scaleInt(200, 12)
 	machines := leaves/3 + 2
-	c := cluster.New(cluster.Config{
-		Seed: o.Seed, Machines: machines, CPUsPerMachine: 16,
-		Params: core.Params{ReportOnly: true},
-	})
-	defs, tree := cluster.WebSearchJob("websearch", leaves, leaves/8+1, 1, c.RNG())
-	for _, d := range defs {
-		if err := c.AddJob(d); err != nil {
-			return nil, err
-		}
-	}
-	c.OnTick(func(t time.Time) { tree.EndTick() })
-	// Interference that waxes and wanes with a different period than
-	// the diurnal load, so CPI moves for microarchitectural reasons.
-	if err := c.AddJob(cluster.AntagonistJob("churn", machines, 3, model.PriorityBestEffort)); err != nil {
+	c, _, err := (&cluster.Scenario{
+		Seed: o.Seed, ReportOnly: true,
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "websearch", Name: "websearch", Leaves: leaves, Mixers: leaves/8 + 1, Roots: 1},
+			// Interference that waxes and wanes with a different period
+			// than the diurnal load, so CPI moves for microarchitectural
+			// reasons.
+			{Kind: "antagonist", Name: "churn", Tasks: machines, CPU: 3, Priority: "best_effort"},
+		},
+	}).Start(cluster.Config{})
+	if err != nil {
 		return nil, err
 	}
 	// 24 simulated hours; each leaf's hourly mean latency and CPI are
@@ -265,19 +261,15 @@ func fig4(o Options) (*Report, error) {
 	inter := leaves/4 + 2
 	roots := 3
 	machines := leaves/3 + 4
-	c := cluster.New(cluster.Config{
-		Seed: o.Seed, Machines: machines, CPUsPerMachine: 16,
-		PlatformBFraction: 0.5,
-		Params:            core.Params{ReportOnly: true},
-	})
-	defs, tree := cluster.WebSearchJob("websearch", leaves, inter, roots, c.RNG())
-	for _, d := range defs {
-		if err := c.AddJob(d); err != nil {
-			return nil, err
-		}
-	}
-	c.OnTick(func(t time.Time) { tree.EndTick() })
-	if err := c.AddJob(cluster.AntagonistJob("churn", machines, 3, model.PriorityBestEffort)); err != nil {
+	c, _, err := (&cluster.Scenario{
+		Seed: o.Seed, ReportOnly: true,
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16, PlatformBFraction: 0.5},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "websearch", Name: "websearch", Leaves: leaves, Mixers: inter, Roots: roots},
+			{Kind: "antagonist", Name: "churn", Tasks: machines, CPU: 3, Priority: "best_effort"},
+		},
+	}).Start(cluster.Config{})
+	if err != nil {
 		return nil, err
 	}
 	// 16 interference phases of 10 minutes; at each phase end, record
@@ -400,18 +392,15 @@ func fig5(o Options) (*Report, error) {
 	// other jobs, not with each other, so their diurnal CPI swing is
 	// instruction-mix drift, not self-interference.
 	machines := leaves + 2
-	c := cluster.New(cluster.Config{
-		Seed: o.Seed, Machines: machines, CPUsPerMachine: 16,
-		Params:       core.Params{ReportOnly: true},
-		TickInterval: 5 * time.Second, // 5 days of sim: coarser ticks
-	})
-	defs, tree := cluster.WebSearchJob("websearch", leaves, leaves/8+1, 1, c.RNG())
-	for _, d := range defs {
-		if err := c.AddJob(d); err != nil {
-			return nil, err
-		}
+	c, _, err := (&cluster.Scenario{
+		Seed: o.Seed, ReportOnly: true,
+		Tick:     5 * time.Second, // 5 days of sim: coarser ticks
+		Fleet:    cluster.Fleet{Machines: machines, CPUsPerMachine: 16},
+		Workload: []cluster.WorkloadEntry{{Kind: "websearch", Name: "websearch", Leaves: leaves, Mixers: leaves/8 + 1, Roots: 1}},
+	}).Start(cluster.Config{})
+	if err != nil {
+		return nil, err
 	}
-	c.OnTick(func(t time.Time) { tree.EndTick() })
 
 	days := 5
 	var hourly []float64
