@@ -75,7 +75,8 @@ func TestCommands(t *testing.T) {
 	}
 
 	status := ctl(0, "status")
-	if !strings.HasPrefix(status[0], "machine=m1 ") || !strings.Contains(status[0], "tasks=2") {
+	if !strings.HasPrefix(status[0], "machine=m1 ") || !strings.Contains(status[0], "tasks=2") ||
+		!strings.HasSuffix(status[0], " journal_errors=0") {
 		t.Errorf("status machine line = %q", status[0])
 	}
 	for _, want := range []string{"metrics (", "cpi2_caps_applied_total", "recent incidents: "} {

@@ -21,12 +21,15 @@ type Status struct {
 	Threads  int            `json:"threads"`
 	Util     float64        `json:"util"`
 	Caps     int            `json:"caps"`
+	// JournalErrors counts cap-journal appends that failed: enforcement
+	// went ahead, but a restart cannot reconcile what was not written.
+	JournalErrors int64 `json:"journal_errors"`
 }
 
 // String renders the one-line machine summary cpi2ctl prints.
 func (s Status) String() string {
-	return fmt.Sprintf("machine=%s platform=%s cpus=%d tasks=%d threads=%d util=%.2f caps=%d",
-		s.Machine, s.Platform, s.CPUs, s.Tasks, s.Threads, s.Util, s.Caps)
+	return fmt.Sprintf("machine=%s platform=%s cpus=%d tasks=%d threads=%d util=%.2f caps=%d journal_errors=%d",
+		s.Machine, s.Platform, s.CPUs, s.Tasks, s.Threads, s.Util, s.Caps, s.JournalErrors)
 }
 
 // taskRow is one /debug/tasks or /debug/caps entry. Cap is "cpi2" for a
@@ -86,7 +89,7 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 		return Status{
 			Machine: m.Name(), Platform: m.Platform(), CPUs: m.NumCPUs(),
 			Tasks: m.NumTasks(), Threads: m.ThreadCount(), Util: m.Utilization(),
-			Caps: len(enf.ActiveCaps()),
+			Caps: len(enf.ActiveCaps()), JournalErrors: enf.JournalErrors(),
 		}, nil
 	}))
 	// The machine's cgroups are the source of truth for caps: they

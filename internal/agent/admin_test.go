@@ -2,11 +2,13 @@ package agent
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -45,6 +47,40 @@ func TestControlStatus(t *testing.T) {
 		t.Errorf("status = %+v", st)
 	}
 	if !strings.HasPrefix(st.String(), "machine=m1 ") {
+		t.Errorf("status line = %q", st.String())
+	}
+}
+
+// failingJournal refuses every append, like a journal on a dead disk.
+type failingJournal struct{}
+
+func (failingJournal) Append(core.CapJournalEntry) error { return errors.New("disk gone") }
+
+// TestControlStatusJournalErrors: a journal append that fails does not
+// stop enforcement, and /debug/status shows that it failed.
+func TestControlStatusJournalErrors(t *testing.T) {
+	url, a := adminRig(t)
+	a.Manager().SetJournal(failingJournal{})
+	installSearchSpec(a)
+	m := a.Machine()
+	aid := model.TaskID{Job: "mr", Index: 0}
+	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	a.RegisterTask(aid, mrJob)
+	// Run until the enforcer's first cap: one journalled action.
+	now := t0
+	for s := 0; s < 700 && len(a.Manager().Enforcer().ActiveCaps()) == 0; s++ {
+		runSim(a, m, now, 1)
+		now = now.Add(time.Second)
+	}
+	if !m.IsCapped(aid) {
+		t.Fatal("no cap applied; the test needs one journalled action")
+	}
+	var st Status
+	getJSON(t, url+"/debug/status", &st)
+	if st.JournalErrors != 1 || st.Caps != 1 {
+		t.Errorf("status = %+v, want journal_errors 1 beside the 1 cap", st)
+	}
+	if !strings.Contains(st.String(), " journal_errors=1") {
 		t.Errorf("status line = %q", st.String())
 	}
 }

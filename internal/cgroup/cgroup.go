@@ -1,43 +1,22 @@
-// Package cgroup simulates the Linux control-group CPU mechanisms that
-// CPI² relies on: per-task groups holding all of a task's threads,
-// proportional-share scheduling weights (cpu.shares), CFS bandwidth
-// control (cpu.cfs_quota_us / cpu.cfs_period_us — the "CPU
-// hard-capping" of Turner et al. that §5 uses to throttle antagonists),
-// and cumulative usage accounting (cpuacct).
+// Package cgroup simulates the one control-group mechanism CPI² acts
+// through: CFS bandwidth control (cpu.cfs_quota_us / cpu.cfs_period_us —
+// the "CPU hard-capping" of Turner et al. that §5 uses to throttle
+// antagonists) on a task's own group.
 //
-// Groups form a tree rooted at a machine root group; a group's
-// effective rate limit is the minimum along its ancestor chain. The
-// package also provides the proportional-share allocator the machine
-// simulator runs each tick: capacity is divided in proportion to
-// shares, bounded per group by demand and by the effective bandwidth
-// limit, with unused capacity redistributed (water-filling) exactly as
-// CFS would over a scheduling period.
+// A Group holds one task's limit and, for a leased limit, its lease.
+// AllocateInto is the allocator the machine simulator runs each tick:
+// capacity is divided equally among the demanding groups, bounded per
+// group by demand and by its bandwidth limit, with unused capacity
+// redistributed (water-filling) exactly as CFS would over a scheduling
+// period.
 package cgroup
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 )
-
-// Errors returned by Hierarchy.Remove, distinguishable with errors.Is:
-// a caller that removes an unknown group has a bookkeeping bug, while
-// removing a still-capped group is a normal lifecycle race (a capped
-// antagonist exiting) that the hierarchy resolves itself by clearing
-// the limit — but the caller may want to reconcile enforcer state.
-var (
-	// ErrNoGroup: the named group does not exist.
-	ErrNoGroup = errors.New("cgroup: no such group")
-	// ErrStillCapped: the group was removed, but it held an active
-	// bandwidth limit at the time; the limit (and any lease) has been
-	// cleared as part of the removal.
-	ErrStillCapped = errors.New("cgroup: removed group held an active limit")
-)
-
-// DefaultShares is the default cpu.shares weight, matching Linux.
-const DefaultShares = 1024
 
 // DefaultPeriod is the default CFS bandwidth-control period. The paper
 // describes caps as "25 ms in each 250 ms window" (§5), i.e. a 250 ms
@@ -88,40 +67,14 @@ func (l Limit) String() string {
 	return fmt.Sprintf("%v/%v (%.3g CPU-sec/sec)", l.Quota, l.Period, l.Rate())
 }
 
-// Group is one control group. Create groups with Hierarchy.NewGroup;
-// the zero Group is not usable.
+// Group is one task's control group. The zero Group is unlimited.
 type Group struct {
-	name   string
-	parent *Group
-
-	shares uint64
-	limit  Limit
+	limit Limit
 	// lease, when non-zero, is the instant at which the limit
 	// self-releases unless renewed — the crash-safety contract of §5
 	// enforcement: a cap whose owner vanished must limit the damage,
 	// never throttle forever.
 	lease time.Time
-
-	// cpuacct-style accounting.
-	usage          float64 // cumulative CPU-seconds consumed
-	throttledTime  float64 // cumulative seconds spent capped below demand
-	periodsTotal   int64   // accounting ticks observed while limited
-	periodsCapped  int64   // ticks in which the cap actually bit
-	lastAllocation float64 // CPU-sec/sec granted in the latest tick
-}
-
-// Name returns the group's path-like name.
-func (g *Group) Name() string { return g.name }
-
-// Shares returns the group's cpu.shares weight.
-func (g *Group) Shares() uint64 { return g.shares }
-
-// SetShares sets the proportional-share weight (minimum 2, like Linux).
-func (g *Group) SetShares(s uint64) {
-	if s < 2 {
-		s = 2
-	}
-	g.shares = s
 }
 
 // SetLimit applies a CFS bandwidth limit — this is the hard-capping
@@ -161,122 +114,29 @@ func (g *Group) LeaseExpiry() (time.Time, bool) {
 	return g.lease, !g.lease.IsZero() && g.limit.IsLimited()
 }
 
+// SweepLease clears the limit if its lease has expired at now and
+// reports whether it did. Run it once per tick: it is the
+// mechanism-level backstop that makes caps crash-safe — enforcement
+// state lost with a dead agent converges to "uncapped" within one
+// lease TTL. Unleased limits are never swept.
+func (g *Group) SweepLease(now time.Time) bool {
+	if exp, ok := g.LeaseExpiry(); ok && !now.Before(exp) {
+		g.ClearLimit()
+		return true
+	}
+	return false
+}
+
 // ClearLimit removes any bandwidth limit (and its lease).
 func (g *Group) ClearLimit() {
 	g.limit = Unlimited
 	g.lease = time.Time{}
 }
 
-// Limit returns the group's own (not effective) limit.
+// Limit returns the group's limit.
 func (g *Group) Limit() Limit { return g.limit }
 
-// EffectiveRate returns the tightest rate limit along the ancestor
-// chain, in CPU-sec/sec (+Inf when uncapped).
-func (g *Group) EffectiveRate() float64 {
-	rate := math.Inf(1)
-	for n := g; n != nil; n = n.parent {
-		if r := n.limit.Rate(); r < rate {
-			rate = r
-		}
-	}
-	return rate
-}
-
-// Usage returns cumulative CPU-seconds consumed (cpuacct.usage).
-func (g *Group) Usage() float64 { return g.usage }
-
-// ThrottledTime returns cumulative seconds during which the group
-// demanded more CPU than its cap allowed (cpu.stat throttled_time).
-func (g *Group) ThrottledTime() float64 { return g.throttledTime }
-
-// ThrottleStats returns (nr_periods, nr_throttled)-style counters.
-func (g *Group) ThrottleStats() (total, capped int64) {
-	return g.periodsTotal, g.periodsCapped
-}
-
-// LastAllocation returns the CPU rate granted in the most recent
-// accounting tick, in CPU-sec/sec.
-func (g *Group) LastAllocation() float64 { return g.lastAllocation }
-
-// Hierarchy is a machine's cgroup tree.
-type Hierarchy struct {
-	root   *Group
-	groups map[string]*Group
-}
-
-// NewHierarchy creates a tree with an unlimited root group "/".
-func NewHierarchy() *Hierarchy {
-	root := &Group{name: "/", shares: DefaultShares}
-	return &Hierarchy{root: root, groups: map[string]*Group{"/": root}}
-}
-
-// Root returns the root group.
-func (h *Hierarchy) Root() *Group { return h.root }
-
-// NewGroup creates a child group under parent (nil means root). Names
-// must be unique within the hierarchy.
-func (h *Hierarchy) NewGroup(name string, parent *Group) (*Group, error) {
-	if name == "" || name == "/" {
-		return nil, fmt.Errorf("cgroup: invalid group name %q", name)
-	}
-	if _, ok := h.groups[name]; ok {
-		return nil, fmt.Errorf("cgroup: group %q already exists", name)
-	}
-	if parent == nil {
-		parent = h.root
-	}
-	g := &Group{name: name, parent: parent, shares: DefaultShares}
-	h.groups[name] = g
-	return g, nil
-}
-
-// Lookup returns the named group, or nil.
-func (h *Hierarchy) Lookup(name string) *Group { return h.groups[name] }
-
-// Remove deletes a group (e.g. when its task exits). Removing the
-// root is an error; removing an unknown group returns ErrNoGroup.
-// Removing a group that still holds an active bandwidth limit clears
-// the limit and its lease (so no stale cap state survives the group)
-// and returns ErrStillCapped — the group IS removed, the error is a
-// signal for callers that track cap ownership elsewhere (the
-// enforcer) to reconcile their bookkeeping.
-func (h *Hierarchy) Remove(name string) error {
-	if name == "/" {
-		return fmt.Errorf("cgroup: cannot remove root")
-	}
-	g, ok := h.groups[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoGroup, name)
-	}
-	delete(h.groups, name)
-	if g.limit.IsLimited() {
-		g.ClearLimit()
-		return fmt.Errorf("%w: %q", ErrStillCapped, name)
-	}
-	return nil
-}
-
-// SweepLeases clears every limit whose lease has expired at now and
-// returns the names of the groups released, sorted. Run it once per
-// accounting tick: it is the mechanism-level backstop that makes caps
-// crash-safe — enforcement state lost with a dead agent converges to
-// "uncapped" within one lease TTL.
-func (h *Hierarchy) SweepLeases(now time.Time) []string {
-	var released []string
-	for name, g := range h.groups {
-		if exp, ok := g.LeaseExpiry(); ok && !now.Before(exp) {
-			g.ClearLimit()
-			released = append(released, name)
-		}
-	}
-	sort.Strings(released)
-	return released
-}
-
-// Len returns the number of groups including the root.
-func (h *Hierarchy) Len() int { return len(h.groups) }
-
-// Demand is one group's CPU request for an accounting tick.
+// Demand is one group's CPU request for a tick.
 type Demand struct {
 	Group *Group
 	// Want is the CPU the group would consume if unconstrained,
@@ -284,55 +144,42 @@ type Demand struct {
 	Want float64
 }
 
-// allocEntry is one group's water-filling state: its input position,
-// share weight, and ceiling (min of demand and effective cap).
+// allocEntry is one group's water-filling state: its input position
+// and ceiling (min of demand and cap).
 type allocEntry struct {
-	idx    int
-	shares float64
-	ceil   float64
+	idx  int
+	ceil float64
 }
 
 // AllocScratch holds the reusable working buffers of AllocateInto, so
 // a machine ticking once per simulated second allocates nothing for
-// CPU accounting. The zero value is ready to use.
+// CPU allocation. The zero value is ready to use.
 type AllocScratch struct {
 	entries []allocEntry
 }
 
-// entrySorter sorts an AllocScratch's entries by ceil/shares without
+// entrySorter sorts an AllocScratch's entries by ceiling without
 // allocating: the sort.Interface value is a pointer into the scratch,
 // so the interface conversion stays off the heap.
 type entrySorter AllocScratch
 
-func (s *entrySorter) Len() int      { return len(s.entries) }
-func (s *entrySorter) Swap(a, b int) { s.entries[a], s.entries[b] = s.entries[b], s.entries[a] }
-func (s *entrySorter) Less(a, b int) bool {
-	return s.entries[a].ceil*s.entries[b].shares < s.entries[b].ceil*s.entries[a].shares
-}
+func (s *entrySorter) Len() int           { return len(s.entries) }
+func (s *entrySorter) Swap(a, b int)      { s.entries[a], s.entries[b] = s.entries[b], s.entries[a] }
+func (s *entrySorter) Less(a, b int) bool { return s.entries[a].ceil < s.entries[b].ceil }
 
-// Allocate runs one accounting tick of duration dt: it divides
-// capacity (in CPUs) among the demanding groups in proportion to their
-// shares, bounding each group by its demand and its effective
-// bandwidth limit, water-filling until capacity or demand is
-// exhausted. It updates each group's usage and throttle accounting and
-// returns the granted rate (CPU-sec/sec) per demand, in input order.
+// AllocateInto runs one tick of duration dt: it divides capacity (in
+// CPUs) equally among the demanding groups, bounding each group by its
+// demand and its bandwidth limit, water-filling until capacity or
+// demand is exhausted. grants must have len(demands) entries and
+// receives the granted rate (CPU-sec/sec) per demand in input order;
+// scratch carries the working set across calls, so steady-state ticks
+// perform zero heap allocations. A non-positive capacity or dt grants
+// nothing.
 //
-// This mirrors what CFS achieves over a period: work-conserving
-// weighted fair sharing, except that bandwidth-capped groups cannot
-// exceed quota even when the machine is idle — which is exactly why
-// hard-capping protects victims regardless of load.
-func Allocate(capacity float64, dt time.Duration, demands []Demand) []float64 {
-	grants := make([]float64, len(demands))
-	var scratch AllocScratch
-	AllocateInto(capacity, dt, demands, grants, &scratch)
-	return grants
-}
-
-// AllocateInto is Allocate with caller-owned buffers: grants must have
-// len(demands) entries and receives the granted rate per demand in
-// input order; scratch carries the working set across calls. The
-// per-tick hot path uses it so steady-state CPU accounting performs
-// zero heap allocations.
+// This mirrors what CFS achieves over a period: work-conserving fair
+// sharing, except that bandwidth-capped groups cannot exceed quota even
+// when the machine is idle — which is exactly why hard-capping protects
+// victims regardless of load.
 func AllocateInto(capacity float64, dt time.Duration, demands []Demand, grants []float64, scratch *AllocScratch) {
 	if len(grants) != len(demands) {
 		panic("cgroup: AllocateInto grants/demands length mismatch")
@@ -341,64 +188,31 @@ func AllocateInto(capacity float64, dt time.Duration, demands []Demand, grants [
 		grants[i] = 0
 	}
 	if capacity <= 0 || dt <= 0 || len(demands) == 0 {
-		// Still account a tick for limited groups.
-		for _, d := range demands {
-			accountTick(d.Group, 0, d.Want, dt)
-		}
 		return
 	}
 
-	// ceil[i] = min(want, effective cap) — the most group i may get.
+	// ceil = min(want, cap) — the most group i may get.
 	entries := scratch.entries[:0]
 	for i, d := range demands {
 		ceil := d.Want
 		if ceil < 0 {
 			ceil = 0
 		}
-		if r := d.Group.EffectiveRate(); r < ceil {
+		if r := d.Group.limit.Rate(); r < ceil {
 			ceil = r
 		}
-		entries = append(entries, allocEntry{idx: i, shares: float64(d.Group.Shares()), ceil: ceil})
+		entries = append(entries, allocEntry{idx: i, ceil: ceil})
 	}
 	scratch.entries = entries
 
-	// Water-filling: groups whose ceiling is below their proportional
-	// share get exactly their ceiling; the surplus is re-divided among
-	// the rest. Sorting by ceil/shares lets us finalize groups in one
-	// pass.
+	// Water-filling: groups whose ceiling is below an equal share of
+	// what is left get exactly their ceiling; the surplus is re-divided
+	// among the rest. Sorting by ceiling finalizes groups in one pass.
 	sort.Sort((*entrySorter)(scratch))
 	remaining := capacity
-	var remainingShares float64
-	for _, e := range entries {
-		remainingShares += e.shares
-	}
-	for _, e := range entries {
-		var grant float64
-		if remainingShares > 0 {
-			fairShare := remaining * e.shares / remainingShares
-			grant = math.Min(e.ceil, fairShare)
-		}
+	for k, e := range entries {
+		grant := math.Min(e.ceil, remaining/float64(len(entries)-k))
 		grants[e.idx] = grant
 		remaining -= grant
-		remainingShares -= e.shares
-	}
-
-	for i, d := range demands {
-		accountTick(d.Group, grants[i], d.Want, dt)
-	}
-}
-
-func accountTick(g *Group, granted, want float64, dt time.Duration) {
-	sec := dt.Seconds()
-	g.usage += granted * sec
-	g.lastAllocation = granted
-	if g.EffectiveRate() < math.Inf(1) {
-		g.periodsTotal++
-		// The cap "bit" when the group wanted more than it received and
-		// the cap (not machine contention) was the binding constraint.
-		if want > granted && granted >= g.EffectiveRate()-1e-9 {
-			g.periodsCapped++
-			g.throttledTime += sec
-		}
 	}
 }

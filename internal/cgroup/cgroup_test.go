@@ -1,8 +1,9 @@
 package cgroup
 
 import (
-	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,13 +11,12 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func mustGroup(t *testing.T, h *Hierarchy, name string, parent *Group) *Group {
-	t.Helper()
-	g, err := h.NewGroup(name, parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+// allocate runs one one-second AllocateInto tick and returns the grants.
+func allocate(capacity float64, demands ...Demand) []float64 {
+	grants := make([]float64, len(demands))
+	var scratch AllocScratch
+	AllocateInto(capacity, time.Second, demands, grants, &scratch)
+	return grants
 }
 
 func TestLimitFromRate(t *testing.T) {
@@ -45,106 +45,28 @@ func TestLimitFromRate(t *testing.T) {
 	}
 }
 
-func TestHierarchyCRUD(t *testing.T) {
-	h := NewHierarchy()
-	if h.Root() == nil || h.Root().Name() != "/" {
-		t.Fatal("bad root")
-	}
-	g := mustGroup(t, h, "task1", nil)
-	if g.Shares() != DefaultShares {
-		t.Errorf("default shares = %d", g.Shares())
-	}
-	if h.Lookup("task1") != g {
-		t.Error("Lookup failed")
-	}
-	if _, err := h.NewGroup("task1", nil); err == nil {
-		t.Error("duplicate name should fail")
-	}
-	if _, err := h.NewGroup("", nil); err == nil {
-		t.Error("empty name should fail")
-	}
-	if _, err := h.NewGroup("/", nil); err == nil {
-		t.Error("root name should fail")
-	}
-	if h.Len() != 2 {
-		t.Errorf("Len = %d", h.Len())
-	}
-	if err := h.Remove("task1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Remove("task1"); err == nil {
-		t.Error("double remove should fail")
-	}
-	if err := h.Remove("/"); err == nil {
-		t.Error("removing root should fail")
-	}
-}
-
-func TestSetSharesFloor(t *testing.T) {
-	h := NewHierarchy()
-	g := mustGroup(t, h, "g", nil)
-	g.SetShares(0)
-	if g.Shares() != 2 {
-		t.Errorf("shares floor = %d, want 2", g.Shares())
-	}
-}
-
-func TestEffectiveRateInheritsTightestAncestor(t *testing.T) {
-	h := NewHierarchy()
-	parent := mustGroup(t, h, "batch", nil)
-	child := mustGroup(t, h, "batch/task", parent)
-	if !math.IsInf(child.EffectiveRate(), 1) {
-		t.Error("uncapped child should be unlimited")
-	}
-	parent.SetLimit(LimitFromRate(0.5))
-	child.SetLimit(LimitFromRate(2.0))
-	if got := child.EffectiveRate(); !almostEqual(got, 0.5, 1e-9) {
-		t.Errorf("effective rate = %v, want parent's 0.5", got)
-	}
-	child.SetLimit(LimitFromRate(0.1))
-	if got := child.EffectiveRate(); !almostEqual(got, 0.1, 1e-9) {
-		t.Errorf("effective rate = %v, want child's 0.1", got)
-	}
-	child.ClearLimit()
-	if got := child.EffectiveRate(); !almostEqual(got, 0.5, 1e-9) {
-		t.Errorf("after clear = %v", got)
-	}
-}
-
 func TestAllocateUncontended(t *testing.T) {
-	h := NewHierarchy()
-	a := mustGroup(t, h, "a", nil)
-	b := mustGroup(t, h, "b", nil)
-	grants := Allocate(8, time.Second, []Demand{{a, 2}, {b, 1.5}})
+	var a, b Group
+	grants := allocate(8, Demand{&a, 2}, Demand{&b, 1.5})
 	if !almostEqual(grants[0], 2, 1e-9) || !almostEqual(grants[1], 1.5, 1e-9) {
 		t.Errorf("grants = %v, want demands met", grants)
-	}
-	if !almostEqual(a.Usage(), 2, 1e-9) {
-		t.Errorf("usage = %v", a.Usage())
-	}
-	if !almostEqual(a.LastAllocation(), 2, 1e-9) {
-		t.Errorf("last alloc = %v", a.LastAllocation())
 	}
 }
 
 func TestAllocateContendedProportional(t *testing.T) {
-	h := NewHierarchy()
-	a := mustGroup(t, h, "a", nil)
-	b := mustGroup(t, h, "b", nil)
-	b.SetShares(DefaultShares * 3)
-	// Both want 4 CPUs but only 4 exist: 1:3 split.
-	grants := Allocate(4, time.Second, []Demand{{a, 4}, {b, 4}})
-	if !almostEqual(grants[0], 1, 1e-9) || !almostEqual(grants[1], 3, 1e-9) {
-		t.Errorf("grants = %v, want [1 3]", grants)
+	// Both want 4 CPUs but only 4 exist: every group weighs the same,
+	// so each gets half.
+	var a, b Group
+	grants := allocate(4, Demand{&a, 4}, Demand{&b, 4})
+	if grants[0] != 2 || grants[1] != 2 {
+		t.Errorf("grants = %v, want [2 2]", grants)
 	}
 }
 
 func TestAllocateWaterFilling(t *testing.T) {
-	h := NewHierarchy()
-	small := mustGroup(t, h, "small", nil)
-	big := mustGroup(t, h, "big", nil)
-	// Equal shares; small only wants 0.5 so big should get the rest.
-	grants := Allocate(4, time.Second, []Demand{{small, 0.5}, {big, 10}})
+	var small, big Group
+	// Small only wants 0.5, so big should get the rest.
+	grants := allocate(4, Demand{&small, 0.5}, Demand{&big, 10})
 	if !almostEqual(grants[0], 0.5, 1e-9) || !almostEqual(grants[1], 3.5, 1e-9) {
 		t.Errorf("grants = %v, want [0.5 3.5]", grants)
 	}
@@ -153,59 +75,39 @@ func TestAllocateWaterFilling(t *testing.T) {
 func TestAllocateHardCapBitesEvenWhenIdle(t *testing.T) {
 	// The defining property of bandwidth control: a capped group cannot
 	// exceed quota even on an otherwise idle machine.
-	h := NewHierarchy()
-	g := mustGroup(t, h, "antagonist", nil)
+	var g Group
 	g.SetLimit(LimitFromRate(0.1))
-	grants := Allocate(16, time.Second, []Demand{{g, 5}})
+	grants := allocate(16, Demand{&g, 5})
 	if !almostEqual(grants[0], 0.1, 1e-9) {
 		t.Errorf("capped grant = %v, want 0.1", grants[0])
-	}
-	total, capped := g.ThrottleStats()
-	if total != 1 || capped != 1 {
-		t.Errorf("throttle stats = %d/%d, want 1/1", capped, total)
-	}
-	if !almostEqual(g.ThrottledTime(), 1, 1e-9) {
-		t.Errorf("throttled time = %v", g.ThrottledTime())
 	}
 }
 
 func TestAllocateCapNotChargedWhenDemandLow(t *testing.T) {
-	h := NewHierarchy()
-	g := mustGroup(t, h, "g", nil)
+	// A cap above demand does not bind: the group gets what it wants.
+	var g Group
 	g.SetLimit(LimitFromRate(0.5))
-	Allocate(16, time.Second, []Demand{{g, 0.2}})
-	total, capped := g.ThrottleStats()
-	if total != 1 || capped != 0 {
-		t.Errorf("stats = %d/%d, want 1/0 (cap never bit)", capped, total)
-	}
-	if g.ThrottledTime() != 0 {
-		t.Error("throttled time should be zero")
+	if grants := allocate(16, Demand{&g, 0.2}); grants[0] != 0.2 {
+		t.Errorf("grant = %v, want the 0.2 demanded", grants[0])
 	}
 }
 
 func TestAllocateZeroCapacity(t *testing.T) {
-	h := NewHierarchy()
-	g := mustGroup(t, h, "g", nil)
-	grants := Allocate(0, time.Second, []Demand{{g, 1}})
-	if grants[0] != 0 {
+	var g Group
+	if grants := allocate(0, Demand{&g, 1}); grants[0] != 0 {
 		t.Errorf("grant = %v", grants[0])
-	}
-	if g.Usage() != 0 {
-		t.Error("usage should be 0")
 	}
 }
 
 func TestAllocateEmptyDemands(t *testing.T) {
-	if got := Allocate(4, time.Second, nil); len(got) != 0 {
+	if got := allocate(4); len(got) != 0 {
 		t.Errorf("grants = %v", got)
 	}
 }
 
 func TestAllocateNegativeDemandClamped(t *testing.T) {
-	h := NewHierarchy()
-	g := mustGroup(t, h, "g", nil)
-	grants := Allocate(4, time.Second, []Demand{{g, -3}})
-	if grants[0] != 0 {
+	var g Group
+	if grants := allocate(4, Demand{&g, -3}); grants[0] != 0 {
 		t.Errorf("negative demand grant = %v", grants[0])
 	}
 }
@@ -218,28 +120,24 @@ func TestAllocateConservationProperty(t *testing.T) {
 		if n == 0 || n > 64 {
 			return true
 		}
-		h := NewHierarchy()
+		groups := make([]Group, n)
 		demands := make([]Demand, n)
 		ceils := make([]float64, n)
 		for i := range demands {
-			g, err := h.NewGroup(string(rune('a'+i%26))+string(rune('0'+i/26)), nil)
-			if err != nil {
-				return false
-			}
 			want := float64(wantsRaw[i]) / 1000 // 0..65.5 CPUs
 			ceil := want
 			if i < len(capsRaw) && capsRaw[i]%3 == 0 { // cap some groups
 				rate := float64(capsRaw[i]) / 2000
-				g.SetLimit(LimitFromRate(rate))
+				groups[i].SetLimit(LimitFromRate(rate))
 				if rate < ceil {
 					ceil = rate
 				}
 			}
-			demands[i] = Demand{Group: g, Want: want}
+			demands[i] = Demand{Group: &groups[i], Want: want}
 			ceils[i] = ceil
 		}
 		capacity := float64(capRaw) / 1000
-		grants := Allocate(capacity, time.Second, demands)
+		grants := allocate(capacity, demands...)
 		var sum, sumCeil float64
 		for i, g := range grants {
 			if g < -1e-9 || g > ceils[i]+1e-9 {
@@ -259,27 +157,133 @@ func TestAllocateConservationProperty(t *testing.T) {
 	}
 }
 
+// refEntry and refSorter are the weighted allocator's working state,
+// kept verbatim for referenceAllocate.
+type refEntry struct {
+	idx    int
+	shares float64
+	ceil   float64
+}
+
+type refSorter []refEntry
+
+func (s refSorter) Len() int      { return len(s) }
+func (s refSorter) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
+func (s refSorter) Less(a, b int) bool {
+	return s[a].ceil*s[b].shares < s[b].ceil*s[a].shares
+}
+
+// referenceAllocate is the cpu.shares-weighted water-filling allocator
+// AllocateInto replaced, with every group at the default weight of
+// 1024, as every group always was. It is the oracle that the
+// equal-weight allocator grants bit for bit what the weighted one did.
+func referenceAllocate(capacity float64, dt time.Duration, demands []Demand) []float64 {
+	const defaultShares = 1024
+	grants := make([]float64, len(demands))
+	if capacity <= 0 || dt <= 0 || len(demands) == 0 {
+		return grants
+	}
+	entries := make(refSorter, 0, len(demands))
+	for i, d := range demands {
+		ceil := d.Want
+		if ceil < 0 {
+			ceil = 0
+		}
+		rate := math.Inf(1) // the unlimited root, then the group itself
+		if r := d.Group.Limit().Rate(); r < rate {
+			rate = r
+		}
+		if rate < ceil {
+			ceil = rate
+		}
+		entries = append(entries, refEntry{idx: i, shares: defaultShares, ceil: ceil})
+	}
+	sort.Sort(entries)
+	remaining := capacity
+	var remainingShares float64
+	for _, e := range entries {
+		remainingShares += e.shares
+	}
+	for _, e := range entries {
+		var grant float64
+		if remainingShares > 0 {
+			fairShare := remaining * e.shares / remainingShares
+			grant = math.Min(e.ceil, fairShare)
+		}
+		grants[e.idx] = grant
+		remaining -= grant
+		remainingShares -= e.shares
+	}
+	return grants
+}
+
+// TestAllocateMatchesWeightedReference pins bit-identity: on random
+// wants (negative and tied ones included), caps (zero-rate ones
+// included) and capacities (non-positive ones included), every grant of
+// AllocateInto equals the weighted reference's with ==.
+func TestAllocateMatchesWeightedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var scratch AllocScratch
+	for c := 0; c < 20000; c++ {
+		n := rng.Intn(40)
+		groups := make([]Group, n)
+		demands := make([]Demand, n)
+		for i := range demands {
+			var want float64
+			switch rng.Intn(4) {
+			case 0: // a few shared values, so ties are common
+				want = float64(rng.Intn(4)) / 2
+			case 1:
+				want = -rng.Float64() * 3
+			default:
+				want = rng.Float64() * 12
+			}
+			switch rng.Intn(5) {
+			case 0:
+				groups[i].SetLimit(LimitFromRate(0))
+			case 1:
+				groups[i].SetLimit(LimitFromRate(rng.Float64() * 2))
+			case 2:
+				groups[i].SetLimitLease(LimitFromRate(0.1), time.Unix(1, 0))
+			}
+			demands[i] = Demand{Group: &groups[i], Want: want}
+		}
+		capacity := rng.Float64() * 48
+		if rng.Intn(20) == 0 {
+			capacity = -capacity
+		}
+		dt := time.Second
+		if rng.Intn(50) == 0 {
+			dt = 0
+		}
+		want := referenceAllocate(capacity, dt, demands)
+		got := make([]float64, n)
+		AllocateInto(capacity, dt, demands, got, &scratch)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("case %d (capacity %v, %d groups): grant[%d] = %v, reference %v",
+					c, capacity, n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestCapThenUncapRestoresThroughput(t *testing.T) {
 	// Simulates the §6 case-study pattern: a batch group is capped for a
 	// while, then released, and its allocation recovers.
-	h := NewHierarchy()
-	g := mustGroup(t, h, "batch", nil)
-	unconstrained := Allocate(8, time.Second, []Demand{{g, 3}})[0]
+	var g Group
+	unconstrained := allocate(8, Demand{&g, 3})[0]
 	g.SetLimit(LimitFromRate(0.1))
-	capped := Allocate(8, time.Second, []Demand{{g, 3}})[0]
+	capped := allocate(8, Demand{&g, 3})[0]
 	g.ClearLimit()
-	restored := Allocate(8, time.Second, []Demand{{g, 3}})[0]
+	restored := allocate(8, Demand{&g, 3})[0]
 	if !almostEqual(unconstrained, 3, 1e-9) || !almostEqual(capped, 0.1, 1e-9) || !almostEqual(restored, 3, 1e-9) {
 		t.Errorf("alloc sequence = %v %v %v", unconstrained, capped, restored)
-	}
-	if !almostEqual(g.Usage(), 3+0.1+3, 1e-9) {
-		t.Errorf("cumulative usage = %v", g.Usage())
 	}
 }
 
 func TestLimitLeaseLifecycle(t *testing.T) {
-	h := NewHierarchy()
-	g := mustGroup(t, h, "task", nil)
+	var g Group
 	now := time.Date(2011, 11, 1, 12, 0, 0, 0, time.UTC)
 
 	// Operator cap: no lease, never swept.
@@ -290,8 +294,8 @@ func TestLimitLeaseLifecycle(t *testing.T) {
 	if g.RenewLease(now.Add(time.Minute)) {
 		t.Error("RenewLease on unleased cap should report false")
 	}
-	if rel := h.SweepLeases(now.Add(24 * time.Hour)); len(rel) != 0 {
-		t.Errorf("sweep released operator cap: %v", rel)
+	if g.SweepLease(now.Add(24 * time.Hour)) {
+		t.Error("sweep released operator cap")
 	}
 	if !g.Limit().IsLimited() {
 		t.Fatal("operator cap vanished")
@@ -309,17 +313,20 @@ func TestLimitLeaseLifecycle(t *testing.T) {
 	if g.RenewLease(now.Add(time.Second)); func() time.Time { e, _ := g.LeaseExpiry(); return e }().Before(now.Add(2 * time.Minute)) {
 		t.Error("RenewLease shortened the lease")
 	}
-	if rel := h.SweepLeases(now.Add(2*time.Minute - time.Second)); len(rel) != 0 {
-		t.Errorf("sweep fired before expiry: %v", rel)
+	if g.SweepLease(now.Add(2*time.Minute - time.Second)) {
+		t.Error("sweep fired before expiry")
 	}
-	if rel := h.SweepLeases(now.Add(2 * time.Minute)); len(rel) != 1 || rel[0] != "task" {
-		t.Errorf("sweep at expiry = %v, want [task]", rel)
+	if !g.SweepLease(now.Add(2 * time.Minute)) {
+		t.Error("sweep at expiry did not release the cap")
 	}
 	if g.Limit().IsLimited() {
 		t.Error("expired lease left the limit in place")
 	}
 	if _, ok := g.LeaseExpiry(); ok {
 		t.Error("expired lease not cleared")
+	}
+	if g.SweepLease(now.Add(time.Hour)) {
+		t.Error("a swept group was swept again")
 	}
 
 	// SetLimit after a lease clears the lease (operator override).
@@ -329,57 +336,4 @@ func TestLimitLeaseLifecycle(t *testing.T) {
 		t.Error("SetLimit should drop any prior lease")
 	}
 	g.ClearLimit()
-}
-
-func TestSweepLeasesSortedMulti(t *testing.T) {
-	h := NewHierarchy()
-	now := time.Date(2011, 11, 1, 12, 0, 0, 0, time.UTC)
-	for _, name := range []string{"c", "a", "b"} {
-		g := mustGroup(t, h, name, nil)
-		g.SetLimitLease(LimitFromRate(0.1), now)
-	}
-	keep := mustGroup(t, h, "keep", nil)
-	keep.SetLimitLease(LimitFromRate(0.1), now.Add(time.Hour))
-	rel := h.SweepLeases(now.Add(time.Second))
-	if len(rel) != 3 || rel[0] != "a" || rel[1] != "b" || rel[2] != "c" {
-		t.Errorf("sweep = %v, want sorted [a b c]", rel)
-	}
-	if !keep.Limit().IsLimited() {
-		t.Error("unexpired lease swept")
-	}
-}
-
-func TestRemoveDistinguishesErrors(t *testing.T) {
-	h := NewHierarchy()
-	if err := h.Remove("/"); err == nil {
-		t.Error("removing root should fail")
-	}
-	if err := h.Remove("ghost"); !errors.Is(err, ErrNoGroup) {
-		t.Errorf("unknown group err = %v, want ErrNoGroup", err)
-	}
-
-	g := mustGroup(t, h, "capped", nil)
-	g.SetLimitLease(LimitFromRate(0.1), time.Date(2011, 11, 1, 13, 0, 0, 0, time.UTC))
-	err := h.Remove("capped")
-	if !errors.Is(err, ErrStillCapped) {
-		t.Fatalf("capped remove err = %v, want ErrStillCapped", err)
-	}
-	if errors.Is(err, ErrNoGroup) {
-		t.Error("errors must be distinct")
-	}
-	if h.Lookup("capped") != nil {
-		t.Error("group should be gone despite ErrStillCapped")
-	}
-	if g.Limit().IsLimited() {
-		t.Error("limit should be cleared on removal")
-	}
-	if _, ok := g.LeaseExpiry(); ok {
-		t.Error("lease should be cleared on removal")
-	}
-
-	plain := mustGroup(t, h, "plain", nil)
-	_ = plain
-	if err := h.Remove("plain"); err != nil {
-		t.Errorf("uncapped remove err = %v", err)
-	}
 }

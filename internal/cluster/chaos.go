@@ -556,7 +556,7 @@ func (p *FaultPlan) sortedRestarts() []RestartEvent {
 }
 
 // garbageSample builds one hostile sample: structurally plausible
-// (model.Sample.Validate even passes the NaN variants — NaN compares
+// (the NaN variants even pass a bare "negative?" check — NaN compares
 // false against every bound) but numerically poisonous. The ingress
 // validator must catch every variant.
 func garbageSample(rng *rand.Rand, machineName string, now time.Time) model.Sample {

@@ -447,10 +447,10 @@ func (e *Enforcer) Tick(now time.Time) []model.TaskID {
 }
 
 // TaskExited releases the active cap on a departed task immediately,
-// without driving the mechanism (the task's cgroup is already gone —
-// Hierarchy.Remove cleared the limit with it). Without this, the cap
-// would linger in ActiveCaps until TTL/CapDuration expiry and its
-// Uncap would fail forever against the missing group. The release is
+// without driving the mechanism (the task's cgroup, and the limit on
+// it, are already gone). Without this, the cap would linger in
+// ActiveCaps until TTL/CapDuration expiry and its Uncap would fail
+// forever against the missing group. The release is
 // journalled and logged like any other; the event timestamp is the
 // enforcer's last decision time, keeping simulated-clock event logs
 // deterministic.

@@ -182,8 +182,9 @@ var (
 	ErrSampleZeroCPI    = errors.New("core: sample with zero cpi")
 )
 
-// unfoldable returns why s may not enter a spec, or nil: the rules of
-// model.Sample.Validate, plus zero-CPI garbage (no instructions retired).
+// unfoldable returns why s may not enter a spec, or nil: a missing job,
+// platform or timestamp, a negative value, or zero-CPI garbage (no
+// instructions retired).
 // Samples from tasks using almost no CPU are still aggregated — the
 // spec describes the job's whole population.
 func unfoldable(s *model.Sample) error {

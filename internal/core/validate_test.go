@@ -51,16 +51,6 @@ func TestSampleValidatorCheck(t *testing.T) {
 			t.Errorf("case %d: reason = %q, want %q", i, r, tc.reason)
 		}
 	}
-	// NaN passes model.Sample.Validate (NaN comparisons are all false)
-	// — the validator exists precisely to close that hole.
-	nan := goodSample(j0)
-	nan.CPI = math.NaN()
-	if err := nan.Validate(); err != nil {
-		t.Log("model.Validate now rejects NaN; validator is second line")
-	}
-	if v.Check(nan) == "" {
-		t.Error("validator passed NaN CPI")
-	}
 }
 
 func TestSampleValidatorTimestamps(t *testing.T) {

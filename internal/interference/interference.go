@@ -248,19 +248,3 @@ func (m Machine) Evaluate(loads []Load, self int, t time.Time, rng *rand.Rand) R
 	mpki := l.Profile.BaseL3MPKI * (1 + l.Profile.Sensitivity*pressure)
 	return Result{CPI: cpi, L3MPKI: mpki, Pressure: pressure}
 }
-
-// Instructions converts CPU-seconds consumed at a given CPI into
-// retired instructions on this machine: cycles = cpuSec × clock;
-// instructions = cycles / CPI. This is how the simulated "hardware
-// counters" in perfcnt derive INSTRUCTIONS_RETIRED.
-func (m Machine) Instructions(cpuSec, cpi float64) float64 {
-	if cpi <= 0 {
-		return 0
-	}
-	return cpuSec * m.ClockGHz * 1e9 / cpi
-}
-
-// Cycles converts CPU-seconds into unhalted reference cycles.
-func (m Machine) Cycles(cpuSec float64) float64 {
-	return cpuSec * m.ClockGHz * 1e9
-}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/perfcnt"
 	"repro/internal/stats"
 )
 
@@ -216,20 +217,19 @@ func TestCPIFloor(t *testing.T) {
 	}
 }
 
+// TestInstructionsAndCycles: the machine's clock turns CPU-seconds into
+// the cycles and instructions its counters accrue.
 func TestInstructionsAndCycles(t *testing.T) {
 	m := Machine{ClockGHz: 2.0}
-	if got := m.Cycles(3); got != 6e9 {
-		t.Errorf("Cycles = %v", got)
-	}
-	if got := m.Instructions(3, 2.0); got != 3e9 {
-		t.Errorf("Instructions = %v", got)
-	}
-	if got := m.Instructions(3, 0); got != 0 {
-		t.Errorf("Instructions at CPI 0 = %v", got)
+	var c perfcnt.Counters
+	c.Accumulate(3, 2.0, 0, m.ClockGHz)
+	if c.Cycles != 6e9 || c.Instructions != 3e9 {
+		t.Errorf("cycles, instructions = %v, %v", c.Cycles, c.Instructions)
 	}
 	// CPI is recoverable: cycles / instructions.
-	cpi := 1.7
-	if got := m.Cycles(5) / m.Instructions(5, cpi); !almostEqual(got, cpi, 1e-9) {
+	var r perfcnt.Counters
+	r.Accumulate(5, 1.7, 0, m.ClockGHz)
+	if got := r.CPI(); !almostEqual(got, 1.7, 1e-9) {
 		t.Errorf("roundtrip CPI = %v", got)
 	}
 }

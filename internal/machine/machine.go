@@ -1,6 +1,6 @@
-// Package machine simulates one multi-tenant machine: tasks live in
-// cgroups, a CFS-like proportional-share allocator divides the CPUs
-// every tick (honoring bandwidth caps), the interference model turns
+// Package machine simulates one multi-tenant machine: each task has its
+// own cgroup, a CFS-like fair-share allocator divides the CPUs every
+// tick (honoring bandwidth caps), the interference model turns
 // co-location into CPI/L3 effects, and per-cgroup performance counters
 // accumulate the results for the sampler to read.
 //
@@ -10,7 +10,6 @@
 package machine
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -46,8 +45,8 @@ type Task struct {
 	Profile  *interference.Profile
 	Workload Workload
 
-	group  *cgroup.Group
-	cg     string  // cached ID.String(): the cgroup name, hot in Tick
+	group  cgroup.Group
+	cg     string  // cached ID.String(): the cgroup name, hot in ReadCounters
 	slot   int     // index into the machine's counter column
 	skew   float64 // per-task base-CPI multiplier, drawn at placement
 	socket int     // NUMA domain, assigned at placement
@@ -73,7 +72,6 @@ type Machine struct {
 	name  string
 	hw    interference.Machine
 	ncpus int
-	hier  *cgroup.Hierarchy
 	tasks map[model.TaskID]*Task
 	order []model.TaskID // deterministic iteration order
 	rng   *rand.Rand
@@ -114,7 +112,6 @@ func New(name string, hw interference.Machine, ncpus int, rng *rand.Rand) *Machi
 		name:  name,
 		hw:    hw,
 		ncpus: ncpus,
-		hier:  cgroup.NewHierarchy(),
 		tasks: make(map[model.TaskID]*Task),
 		rng:   rng,
 	}
@@ -149,15 +146,10 @@ func (m *Machine) AddTask(id model.TaskID, job model.Job, profile *interference.
 	if _, ok := m.tasks[id]; ok {
 		return fmt.Errorf("machine %s: task %v already placed", m.name, id)
 	}
-	cg := id.String()
-	g, err := m.hier.NewGroup(cg, nil)
-	if err != nil {
-		return fmt.Errorf("machine %s: %w", m.name, err)
-	}
 	slot := m.takeSlot()
 	m.tasks[id] = &Task{
-		ID: id, Job: job, Profile: profile, Workload: w, group: g,
-		cg:     cg,
+		ID: id, Job: job, Profile: profile, Workload: w,
+		cg:     id.String(),
 		slot:   slot,
 		skew:   profile.DrawSkew(m.rng),
 		socket: m.pickSocket(),
@@ -179,7 +171,8 @@ func (m *Machine) takeSlot() int {
 	return len(m.cnts) - 1
 }
 
-// RemoveTask evicts a task (exit, preemption, or migration).
+// RemoveTask evicts a task (exit, preemption, or migration). Its
+// cgroup, and any cap on it, goes with it.
 func (m *Machine) RemoveTask(id model.TaskID) error {
 	t, ok := m.tasks[id]
 	if !ok {
@@ -193,12 +186,6 @@ func (m *Machine) RemoveTask(id model.TaskID) error {
 		}
 	}
 	m.freeSlots = append(m.freeSlots, t.slot)
-	if err := m.hier.Remove(t.cg); err != nil && !errors.Is(err, cgroup.ErrStillCapped) {
-		// A capped task exiting is a normal lifecycle race — the
-		// hierarchy already cleared the limit with the group. Anything
-		// else (unknown group) is a bookkeeping bug worth surfacing.
-		return err
-	}
 	return nil
 }
 
@@ -324,7 +311,7 @@ func (m *Machine) TaskCounters(id model.TaskID) (perfcnt.Counters, bool) {
 }
 
 // Tick advances the machine by dt ending at now: collects demands,
-// allocates CPU under shares and caps, evaluates interference, charges
+// allocates CPU under caps, evaluates interference, charges
 // counters, informs workloads, and reaps tasks whose workloads
 // finished. It returns per-task results in deterministic order,
 // followed by the IDs of tasks that exited this tick.
@@ -335,7 +322,7 @@ func (m *Machine) TaskCounters(id model.TaskID) (perfcnt.Counters, bool) {
 // second was spending a double-digit share of its profile reallocating
 // these slices and re-formatting task-ID strings.)
 //
-// Tick only touches this machine's state (its cgroup hierarchy,
+// Tick only touches this machine's state (its tasks' cgroups,
 // counters, RNG stream, and resident workloads), so DISTINCT machines
 // may tick concurrently — the cluster's parallel step relies on this.
 // The one caveat is workloads that coordinate across machines: they
@@ -346,10 +333,6 @@ func (m *Machine) TaskCounters(id model.TaskID) (perfcnt.Counters, bool) {
 // SAME machine.
 func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.TaskID) {
 	m.now = now
-	// Lease sweep first: the mechanism layer runs even when the agent
-	// that applied a cap is dead, so an orphaned cap self-releases here
-	// within one TTL of its last renewal.
-	m.leasesExpired += int64(len(m.hier.SweepLeases(now)))
 	n := len(m.order)
 	if n == 0 {
 		return nil, nil
@@ -358,11 +341,17 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 	for i, id := range m.order {
 		t := m.tasks[id]
 		tasks[i] = t
+		// Lease sweep before allocation: the mechanism layer runs even
+		// when the agent that applied a cap is dead, so an orphaned cap
+		// self-releases here within one TTL of its last renewal.
+		if t.group.SweepLease(now) {
+			m.leasesExpired++
+		}
 		cpu, th := t.Workload.Demand(now)
 		if cpu < 0 {
 			cpu = 0
 		}
-		demands[i] = cgroup.Demand{Group: t.group, Want: cpu}
+		demands[i] = cgroup.Demand{Group: &t.group, Want: cpu}
 		threads[i] = th
 	}
 	cgroup.AllocateInto(float64(m.ncpus), dt, demands, grants, &m.scratch.alloc)
@@ -386,10 +375,7 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 		t.last = tt
 		out[i] = tt
 
-		cnt := &m.cnts[t.slot]
-		cnt.Accumulate(grants[i]*dt.Seconds(), res.CPI, res.L3MPKI, m.hw.ClockGHz)
-		// Context switches scale with threads timesharing the cpus.
-		cnt.ContextSwitches += int64(threads[i]) * int64(dt/(10*time.Millisecond))
+		m.cnts[t.slot].Accumulate(grants[i]*dt.Seconds(), res.CPI, res.L3MPKI, m.hw.ClockGHz)
 
 		t.Workload.Deliver(now, grants[i], dt, res)
 		if t.Workload.Done() {

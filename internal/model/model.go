@@ -137,16 +137,6 @@ func (j Job) Protected() bool {
 // alone.
 func (j Job) Throttleable() bool { return j.Class == ClassBatch }
 
-// CapQuota returns the hard-cap quota (CPU-sec/sec) the enforcement
-// policy applies to this job when throttled: 0.01 for best-effort,
-// 0.1 for other job types (§5).
-func (j Job) CapQuota() float64 {
-	if j.Priority == PriorityBestEffort {
-		return 0.01
-	}
-	return 0.1
-}
-
 // Sample is one CPI measurement for one task, the record shipped from
 // machines to the aggregation pipeline (§3.1).
 type Sample struct {
@@ -161,23 +151,6 @@ type Sample struct {
 	// sample was reported in (obs/trace). Optional: absent on frames
 	// from older agents, and Validate deliberately ignores it.
 	TraceID string `json:"trace_id,omitempty"`
-}
-
-// Validate checks a sample for structural sanity before aggregation.
-func (s Sample) Validate() error {
-	switch {
-	case s.Job == "":
-		return fmt.Errorf("model: sample missing job name")
-	case s.Platform == "":
-		return fmt.Errorf("model: sample missing platform")
-	case s.Timestamp.IsZero():
-		return fmt.Errorf("model: sample missing timestamp")
-	case s.CPUUsage < 0:
-		return fmt.Errorf("model: negative cpu usage %g", s.CPUUsage)
-	case s.CPI < 0:
-		return fmt.Errorf("model: negative cpi %g", s.CPI)
-	}
-	return nil
 }
 
 // Spec is the aggregated CPI prediction for one job on one platform —

@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestTaskIDString(t *testing.T) {
@@ -53,33 +52,6 @@ func TestJobPolicy(t *testing.T) {
 	}
 	if !batch.Throttleable() || !be.Throttleable() {
 		t.Error("batch jobs must be throttleable")
-	}
-	// §5 cap quotas: 0.01 best-effort, 0.1 otherwise.
-	if got := be.CapQuota(); got != 0.01 {
-		t.Errorf("best-effort quota = %v, want 0.01", got)
-	}
-	if got := batch.CapQuota(); got != 0.1 {
-		t.Errorf("batch quota = %v, want 0.1", got)
-	}
-}
-
-func TestSampleValidate(t *testing.T) {
-	now := time.Now()
-	good := Sample{Job: "j", Platform: PlatformA, Timestamp: now, CPUUsage: 1.5, CPI: 1.2}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid sample rejected: %v", err)
-	}
-	bad := []Sample{
-		{Platform: PlatformA, Timestamp: now},
-		{Job: "j", Timestamp: now},
-		{Job: "j", Platform: PlatformA},
-		{Job: "j", Platform: PlatformA, Timestamp: now, CPUUsage: -1},
-		{Job: "j", Platform: PlatformA, Timestamp: now, CPI: -0.1},
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("bad sample %d accepted", i)
-		}
 	}
 }
 

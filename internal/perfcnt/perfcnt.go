@@ -5,20 +5,15 @@
 //
 // The paper's reasons for per-cgroup counting are preserved in the
 // design: counters belong to cgroups (not CPUs, which timeshare
-// unrelated tasks; not threads, which are too numerous), counters are
-// saved/restored on cross-cgroup context switches (a few microseconds
-// each, < 0.1% total overhead), and counting mode — reading totals over
-// a window rather than sampling events — keeps the cost fixed.
+// unrelated tasks; not threads, which are too numerous), and counting
+// mode — reading totals over a window rather than sampling events —
+// keeps the cost fixed.
 package perfcnt
 
 import (
 	"sort"
 	"time"
 )
-
-// SwitchCost is the modelled cost of saving/restoring the counter set
-// when a context switch crosses cgroups ("a couple of microseconds").
-const SwitchCost = 2 * time.Microsecond
 
 // Counters is a cumulative per-cgroup counter set. The zero value is
 // an empty counter set ready for use.
@@ -31,9 +26,6 @@ type Counters struct {
 	L3Misses float64
 	// CPUSeconds is cpuacct-style CPU time, used to derive CPU usage.
 	CPUSeconds float64
-	// ContextSwitches counts cross-cgroup switches charged to this
-	// group, for overhead accounting.
-	ContextSwitches int64
 }
 
 // Accumulate charges the counters for cpuSec seconds of execution at
@@ -54,11 +46,10 @@ func (c *Counters) Accumulate(cpuSec, cpi, mpki, clockGHz float64) {
 // Sub returns the counter deltas c − prev.
 func (c Counters) Sub(prev Counters) Counters {
 	return Counters{
-		Cycles:          c.Cycles - prev.Cycles,
-		Instructions:    c.Instructions - prev.Instructions,
-		L3Misses:        c.L3Misses - prev.L3Misses,
-		CPUSeconds:      c.CPUSeconds - prev.CPUSeconds,
-		ContextSwitches: c.ContextSwitches - prev.ContextSwitches,
+		Cycles:       c.Cycles - prev.Cycles,
+		Instructions: c.Instructions - prev.Instructions,
+		L3Misses:     c.L3Misses - prev.L3Misses,
+		CPUSeconds:   c.CPUSeconds - prev.CPUSeconds,
 	}
 }
 
@@ -80,12 +71,6 @@ func (c Counters) L3MPKI() float64 {
 	return c.L3Misses / c.Instructions * 1000
 }
 
-// OverheadSeconds estimates the counter save/restore time charged so
-// far, from the context-switch count.
-func (c Counters) OverheadSeconds() float64 {
-	return float64(c.ContextSwitches) * SwitchCost.Seconds()
-}
-
 // Measurement is one completed sampling window for one cgroup — the
 // raw material for a model.Sample.
 type Measurement struct {
@@ -102,18 +87,13 @@ type Measurement struct {
 }
 
 // Config sets the sampler duty cycle. The paper gathers CPI for a
-// 10-second period once a minute, leaving the counters free for other
-// measurement tools the rest of the time.
+// 10-second period once a minute (core.DefaultParams), leaving the
+// counters free for other measurement tools the rest of the time.
 type Config struct {
 	// Duration is the counting window length (default 10s).
 	Duration time.Duration
 	// Interval is the period between window starts (default 1min).
 	Interval time.Duration
-}
-
-// DefaultConfig returns the paper's sampling parameters.
-func DefaultConfig() Config {
-	return Config{Duration: 10 * time.Second, Interval: time.Minute}
 }
 
 func (c *Config) sanitize() {

@@ -32,7 +32,10 @@ import (
 )
 
 // ParseSamples reads the CSV export. Rows are returned sorted by
-// timestamp (stable for equal stamps), ready for replay.
+// timestamp (stable for equal stamps), ready for replay. A row the
+// agent's and aggregator's sample validator would refuse (NaN or Inf,
+// negative, absurd magnitude, missing field) fails the parse with its
+// line number and the validator's reason label.
 func ParseSamples(r io.Reader) ([]model.Sample, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -50,6 +53,7 @@ func ParseSamples(r io.Reader) ([]model.Sample, error) {
 		}
 	}
 	var out []model.Sample
+	var validator core.SampleValidator // default bounds, no clock: old traces are fine
 	line := 1
 	for {
 		line++
@@ -92,8 +96,8 @@ func ParseSamples(r io.Reader) ([]model.Sample, error) {
 			CPI:       cpi,
 			Machine:   get("machine"),
 		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("replay: line %d: %w", line, err)
+		if reason := validator.Check(s); reason != "" {
+			return nil, fmt.Errorf("replay: line %d: invalid sample: %s", line, reason)
 		}
 		out = append(out, s)
 	}

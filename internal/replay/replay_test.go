@@ -91,6 +91,35 @@ func TestParseSamplesErrors(t *testing.T) {
 	}
 }
 
+// TestParseSamplesRefusesNonFinite: a NaN or Inf cell parses as a
+// float, so only the sample validator stops it; one let through
+// poisons the mean and σ of every spec LearnSpecs folds it into.
+func TestParseSamplesRefusesNonFinite(t *testing.T) {
+	trace := buildTrace(3, 99) // lines 2-7
+	lines := strings.Split(trace, "\n")
+	for _, c := range []struct {
+		line   int
+		row    string
+		reason string
+	}{
+		{4, "2011-05-16T02:01:00Z,m1,frontend,0," + string(model.PlatformA) + ",1.2,NaN", "non_finite_cpi"},
+		{7, "2011-05-16T02:02:00Z,m1,transcode,0," + string(model.PlatformA) + ",0.2,+Inf", "non_finite_cpi"},
+		{2, "2011-05-16T02:00:00Z,m1,frontend,0," + string(model.PlatformA) + ",NaN,1.0", "non_finite_usage"},
+		{5, "2011-05-16T02:01:00Z,m1,transcode,0," + string(model.PlatformA) + ",-Inf,1.5", "non_finite_usage"},
+	} {
+		bad := append([]string(nil), lines...)
+		bad[c.line-1] = c.row
+		_, err := ParseSamples(strings.NewReader(strings.Join(bad, "\n")))
+		if err == nil {
+			t.Errorf("line %d %q accepted", c.line, c.row)
+			continue
+		}
+		if want := fmt.Sprintf("line %d: invalid sample: %s", c.line, c.reason); !strings.Contains(err.Error(), want) {
+			t.Errorf("line %d: err = %v, want it to contain %q", c.line, err, want)
+		}
+	}
+}
+
 func TestReplayFindsIncidents(t *testing.T) {
 	samples, err := ParseSamples(strings.NewReader(buildTrace(20, 8)))
 	if err != nil {
