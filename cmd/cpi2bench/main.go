@@ -1,14 +1,9 @@
-// Command cpi2bench runs the declarative capacity-check harness.
-//
-// Two modes:
+// Command cpi2bench runs the declarative capacity-check harness:
 //
 //	cpi2bench check    runs every case declared for this host's machine
 //	                   class under checks/ and writes one
 //	                   schema-versioned VERDICT_<class>__<case>.json per
 //	                   case; exits 1 when any budget fails.
-//	cpi2bench capacity binary-searches the largest simulated machine
-//	                   count this host steps in real time and writes a
-//	                   BENCH_capacity.json result.
 //
 // The machine class is auto-selected as the most demanding class whose
 // min_cpus the host satisfies; -class overrides.
@@ -20,7 +15,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/checks"
 )
@@ -35,8 +29,6 @@ func main() {
 	switch os.Args[1] {
 	case "check":
 		runCheck(os.Args[2:])
-	case "capacity":
-		runCapacity(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -49,8 +41,6 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   cpi2bench check [-checks DIR] [-class NAME] [-case NAME] [-out DIR] [-workers N] [-q]
-  cpi2bench capacity [-min N] [-max N] [-probe-ticks N] [-warmup-ticks N]
-                     [-tick DUR] [-cpus N] [-workers N] [-seed N] [-out FILE] [-q]
 `)
 }
 
@@ -111,41 +101,4 @@ func runCheck(args []string) {
 	if failed > 0 {
 		log.Fatalf("%d of %d cases failed", failed, ran)
 	}
-}
-
-func runCapacity(args []string) {
-	fs := flag.NewFlagSet("capacity", flag.ExitOnError)
-	minM := fs.Int("min", 64, "smallest machine count to consider")
-	maxM := fs.Int("max", 1024, "largest machine count to consider")
-	probeTicks := fs.Int("probe-ticks", 60, "timed steps per probe")
-	warmupTicks := fs.Int("warmup-ticks", 10, "untimed steps per probe before timing")
-	tick := fs.Duration("tick", time.Second, "simulated tick interval")
-	cpus := fs.Int("cpus", 16, "CPUs per simulated machine")
-	workers := fs.Int("workers", 0, "cluster worker count (0: GOMAXPROCS)")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	out := fs.String("out", "BENCH_capacity.json", "result JSON path")
-	quiet := fs.Bool("q", false, "suppress per-probe output")
-	fs.Parse(args)
-
-	cfg := checks.CapacityConfig{
-		MinMachines:    *minM,
-		MaxMachines:    *maxM,
-		ProbeTicks:     *probeTicks,
-		WarmupTicks:    *warmupTicks,
-		Tick:           *tick,
-		CPUsPerMachine: *cpus,
-		Workers:        *workers,
-		Seed:           *seed,
-	}
-	if !*quiet {
-		cfg.Log = log.Printf
-	}
-	res, err := checks.SearchCapacity(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := res.WriteFile(*out); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s -> %s\n", res.Summary(), *out)
 }

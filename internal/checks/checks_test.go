@@ -123,8 +123,9 @@ func TestLoadTreeErrors(t *testing.T) {
 }
 
 // TestRunCaseQuietFleet runs the committed quiet_fleet case end to end
-// and expects the committed budgets to hold (this is the same run CI's
-// smoke gate performs).
+// and expects its committed budgets to hold — all but the wall-clock
+// ones, which only CI's smoke step (cpi2bench check on the same case)
+// judges: tier-1 asserts nothing about the host's speed.
 func TestRunCaseQuietFleet(t *testing.T) {
 	tree := loadRepoTree(t)
 	ci := tree.Classes["ci-small"]
@@ -141,8 +142,10 @@ func TestRunCaseQuietFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v.Pass {
-		t.Fatalf("quiet_fleet failed: %s", v.Summary())
+	for _, c := range v.Checks {
+		if !c.Pass && c.Budget != "min_steps_per_sec" && c.Budget != "min_realtime_factor" {
+			t.Errorf("quiet_fleet budget %s: measured %g vs limit %g", c.Budget, c.Measured, c.Limit)
+		}
 	}
 	if v.SchemaVersion != VerdictSchemaVersion || v.Class != "ci-small" || v.Case != "quiet_fleet" {
 		t.Errorf("verdict identity: %+v", v)

@@ -74,8 +74,7 @@ type Budgets struct {
 	// Steps per second over the measured run).
 	MinStepsPerSec *float64 `json:"min_steps_per_sec,omitempty"`
 	// MinRealtimeFactor is the floor on simulated-seconds per wall
-	// second (steps/sec × tick). 1.0 = "keeps up with real time", the
-	// capacity-search criterion.
+	// second (steps/sec × tick). 1.0 = "keeps up with real time".
 	MinRealtimeFactor *float64 `json:"min_realtime_factor,omitempty"`
 	// MaxAllocsPerStep caps heap allocations per Step (runtime
 	// MemStats.Mallocs delta / steps).

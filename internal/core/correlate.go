@@ -90,12 +90,23 @@ type SuspectInput struct {
 func RankSuspects(victimCPI *timeseries.Series, threshold float64,
 	suspects []SuspectInput, now time.Time, window, period time.Duration) []Suspect {
 
+	return rankAligned(victimCPI, suspects, now, window, period,
+		func(_ model.TaskID, cpi, usage []float64) float64 { return Correlation(cpi, usage, threshold) })
+}
+
+// rankAligned is the ranking loop both identifiers share: it windows
+// the victim's CPI and each suspect's usage to [now−window, now),
+// aligns each pair at period, scores it with score, and returns the
+// scored suspects in rankedBefore order. Suspects without a usage
+// series are skipped.
+func rankAligned(victimCPI *timeseries.Series, suspects []SuspectInput, now time.Time,
+	window, period time.Duration, score func(task model.TaskID, cpi, usage []float64) float64) []Suspect {
+
 	from := now.Add(-window)
 	victimWindow := timeseries.New()
 	for _, p := range victimCPI.Window(from, now) {
 		_ = victimWindow.Append(p.Time, p.Value)
 	}
-
 	out := make([]Suspect, 0, len(suspects))
 	for _, s := range suspects {
 		if s.Usage == nil {
@@ -106,21 +117,24 @@ func RankSuspects(victimCPI *timeseries.Series, threshold float64,
 			_ = suspectWindow.Append(p.Time, p.Value)
 		}
 		cpi, usage := timeseries.Align(victimWindow, suspectWindow, period)
-		out = append(out, Suspect{
-			Task:        s.Task,
-			Job:         s.Job,
-			Class:       s.Class,
-			Priority:    s.Priority,
-			Correlation: Correlation(cpi, usage, threshold),
-		})
+		out = append(out, s.scored(score(s.Task, cpi, usage)))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Correlation != out[j].Correlation {
-			return out[i].Correlation > out[j].Correlation
-		}
-		return out[i].Task.String() < out[j].Task.String() // stable tie-break
-	})
+	sort.Slice(out, func(i, j int) bool { return rankedBefore(out[i], out[j]) })
 	return out
+}
+
+// scored is s as a Suspect with the given score.
+func (s SuspectInput) scored(score float64) Suspect {
+	return Suspect{Task: s.Task, Job: s.Job, Class: s.Class, Priority: s.Priority, Correlation: score}
+}
+
+// rankedBefore is the suspect rank order: higher score first, ties
+// broken by task name so the order never depends on input order.
+func rankedBefore(a, b Suspect) bool {
+	if a.Correlation != b.Correlation {
+		return a.Correlation > b.Correlation
+	}
+	return a.Task.String() < b.Task.String()
 }
 
 // TopSuspects returns the best k suspects whose correlation meets

@@ -101,9 +101,9 @@ type Enforcer struct {
 	mu      sync.Mutex
 	journal CapJournal // never nil; nopJournal = unjournalled
 	active  map[model.TaskID]*activeCap
-	// history remembers victim→task cap rounds even after expiry so
+	// rounds remembers victim→task cap rounds even after expiry so
 	// feedback throttling can escalate on repeat offenders.
-	rounds map[string]int
+	rounds map[taskPair]int
 	// lastNow is the most recent simulation/decision time the enforcer
 	// has seen (Decide/Tick/Reconcile). Externally triggered releases
 	// (TaskExited) stamp their events with it so event logs stay
@@ -124,7 +124,7 @@ func NewEnforcer(p Params, capper Capper) *Enforcer {
 		events:  nopSink{},
 		journal: nopJournal{},
 		active:  make(map[model.TaskID]*activeCap),
-		rounds:  make(map[string]int),
+		rounds:  make(map[taskPair]int),
 	}
 }
 
@@ -187,8 +187,8 @@ func (e *Enforcer) SetEvents(sink EventSink) {
 	e.mu.Unlock()
 }
 
-// capEvent is the payload of cap_applied / cap_expired / cap_released
-// forensics events.
+// capEvent is the payload of the cap lifecycle forensics events:
+// cap_applied, cap_adopted, cap_expired, cap_released and cap_orphaned.
 type capEvent struct {
 	Task   string     `json:"task"`
 	Victim string     `json:"victim,omitempty"`
@@ -198,54 +198,27 @@ type capEvent struct {
 	Reason string     `json:"reason,omitempty"`
 }
 
-// JobResolver supplies job metadata for suspects; provided by the
-// caller because the enforcer itself holds no job table. When it
-// returns false the enforcer falls back to the class/priority carried
-// on the Suspect.
-type JobResolver func(model.JobName) (model.Job, bool)
-
 // Decide runs one enforcement round for an anomalous victim with the
 // given ranked suspects. It picks the highest-correlated suspect that
-// (a) meets the correlation threshold and (b) is throttleable, and —
-// if the victim's job is protected and enforcement is enabled — applies a hard
-// cap via the Capper. Already-capped suspects are skipped: throttling
-// an already-throttled task cannot help, and its reduced CPU usage
-// will naturally drop it from future rankings (§5).
-func (e *Enforcer) Decide(now time.Time, victim model.TaskID, victimJob model.Job,
-	ranked []Suspect, resolve JobResolver) Decision {
-
+// meets the correlation threshold and is eligible (see eligible), and —
+// if the victim's job is protected and enforcement is enabled — caps
+// it. Already-capped suspects are skipped: throttling an
+// already-throttled task cannot help, and its reduced CPU usage will
+// naturally drop it from future rankings (§5).
+func (e *Enforcer) Decide(now time.Time, victim model.TaskID, victimJob model.Job, ranked []Suspect) Decision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lastNow = now
 
-	// Find the best eligible antagonist.
 	var chosen *Suspect
-	var chosenJob model.Job
 	for i := range ranked {
-		s := &ranked[i]
-		if s.Correlation < e.params.CorrelationThreshold {
+		if ranked[i].Correlation < e.params.CorrelationThreshold {
 			break // ranked is sorted descending; nothing below qualifies
 		}
-		if s.Task == victim {
-			continue
+		if e.eligible(victim, ranked[i]) {
+			chosen = &ranked[i]
+			break
 		}
-		if _, capped := e.active[s.Task]; capped {
-			continue
-		}
-		var job model.Job
-		var ok bool
-		if resolve != nil {
-			job, ok = resolve(s.Job)
-		}
-		if !ok {
-			job = model.Job{Name: s.Job, Class: s.Class, Priority: s.Priority}
-		}
-		if !job.Throttleable() {
-			continue
-		}
-		chosen = s
-		chosenJob = job
-		break
 	}
 	if chosen == nil {
 		return Decision{Action: ActionNone, Reason: "no throttleable suspect above correlation threshold"}
@@ -264,94 +237,25 @@ func (e *Enforcer) Decide(now time.Time, victim model.TaskID, victimJob model.Jo
 			Reason: "auto-capping disabled; reporting for operator action",
 		}
 	}
-
-	quota := e.quotaFor(chosenJob, victim, chosen.Task)
-	if err := e.applyCap(now, chosen.Task, quota); err != nil {
-		return Decision{
-			Action: ActionReport,
-			Target: chosen.Task,
-			Reason: fmt.Sprintf("cap failed: %v", err),
-		}
+	d, err := e.capLocked(now, victim, *chosen)
+	if err != nil {
+		return Decision{Action: ActionReport, Target: chosen.Task, Reason: fmt.Sprintf("cap failed: %v", err)}
 	}
-	until := now.Add(e.params.CapDuration)
-	key := victim.String() + "→" + chosen.Task.String()
-	e.rounds[key]++
-	e.active[chosen.Task] = &activeCap{
-		task:    chosen.Task,
-		victim:  victim,
-		quota:   quota,
-		expires: until,
-		round:   e.rounds[key],
-	}
-	e.appendJournal(CapJournalEntry{
-		Op: CapOpCap, Time: now, Task: chosen.Task.String(),
-		Victim: victim.String(), Quota: quota, Expires: until, Round: e.rounds[key],
-	})
-	e.metrics.CapsApplied.Inc()
-	e.metrics.CapsActive.Inc()
-	e.events.Emit(now, "cap_applied", capEvent{
-		Task: chosen.Task.String(), Victim: victim.String(),
-		Quota: quota, Until: &until, Round: e.rounds[key],
-	})
-	return Decision{
-		Action: ActionCap,
-		Target: chosen.Task,
-		Quota:  quota,
-		Until:  until,
-		Reason: fmt.Sprintf("correlation %.2f ≥ %.2f", chosen.Correlation, e.params.CorrelationThreshold),
-	}
-}
-
-// quotaFor returns the cap quota for a job: the Table 2 fixed values,
-// or — with FeedbackThrottling — a quota that halves on each repeated
-// round against the same victim, down to the best-effort floor.
-func (e *Enforcer) quotaFor(job model.Job, victim, target model.TaskID) float64 {
-	base := e.params.BatchQuota
-	if job.Priority == model.PriorityBestEffort {
-		base = e.params.BestEffortQuota
-	}
-	if !e.params.FeedbackThrottling {
-		return base
-	}
-	round := e.rounds[victim.String()+"→"+target.String()] // rounds so far
-	for i := 0; i < round; i++ {
-		base /= 2
-		if base < e.params.BestEffortQuota {
-			base = e.params.BestEffortQuota
-			break
-		}
-	}
-	return base
+	d.Reason = fmt.Sprintf("correlation %.2f ≥ %.2f", chosen.Correlation, e.params.CorrelationThreshold)
+	return d
 }
 
 // DecideGroup enforces against an antagonist group (GroupDetection):
-// every throttleable, not-already-capped member is capped, sharing one
-// expiry. The same eligibility rules as Decide apply; latency-
+// every eligible member is capped, sharing one expiry; latency-
 // sensitive members are never touched. It returns one Decision per
 // member acted on (capped or reported).
-func (e *Enforcer) DecideGroup(now time.Time, victim model.TaskID, victimJob model.Job,
-	group GroupSuspect, resolve JobResolver) []Decision {
-
+func (e *Enforcer) DecideGroup(now time.Time, victim model.TaskID, victimJob model.Job, group GroupSuspect) []Decision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lastNow = now
 	var out []Decision
 	for _, s := range group.Members {
-		if s.Task == victim {
-			continue
-		}
-		if _, capped := e.active[s.Task]; capped {
-			continue
-		}
-		var job model.Job
-		var ok bool
-		if resolve != nil {
-			job, ok = resolve(s.Job)
-		}
-		if !ok {
-			job = model.Job{Name: s.Job, Class: s.Class, Priority: s.Priority}
-		}
-		if !job.Throttleable() {
+		if !e.eligible(victim, s) {
 			continue
 		}
 		if !victimJob.Protected() || e.params.ReportOnly {
@@ -362,52 +266,81 @@ func (e *Enforcer) DecideGroup(now time.Time, victim model.TaskID, victimJob mod
 			})
 			continue
 		}
-		quota := e.quotaFor(job, victim, s.Task)
-		if err := e.applyCap(now, s.Task, quota); err != nil {
-			out = append(out, Decision{
-				Action: ActionReport,
-				Target: s.Task,
-				Reason: fmt.Sprintf("group cap failed: %v", err),
-			})
+		d, err := e.capLocked(now, victim, s)
+		if err != nil {
+			out = append(out, Decision{Action: ActionReport, Target: s.Task, Reason: fmt.Sprintf("group cap failed: %v", err)})
 			continue
 		}
-		until := now.Add(e.params.CapDuration)
-		key := victim.String() + "→" + s.Task.String()
-		e.rounds[key]++
-		e.active[s.Task] = &activeCap{
-			task: s.Task, victim: victim, quota: quota, expires: until,
-			round: e.rounds[key],
-		}
-		e.appendJournal(CapJournalEntry{
-			Op: CapOpCap, Time: now, Task: s.Task.String(),
-			Victim: victim.String(), Quota: quota, Expires: until, Round: e.rounds[key],
-		})
-		e.metrics.CapsApplied.Inc()
-		e.metrics.CapsActive.Inc()
-		e.events.Emit(now, "cap_applied", capEvent{
-			Task: s.Task.String(), Victim: victim.String(),
-			Quota: quota, Until: &until, Round: e.rounds[key],
-		})
-		out = append(out, Decision{
-			Action: ActionCap,
-			Target: s.Task,
-			Quota:  quota,
-			Until:  until,
-			Reason: fmt.Sprintf("member of %d-task group, group corr %.2f", len(group.Members), group.Correlation),
-		})
+		d.Reason = fmt.Sprintf("member of %d-task group, group corr %.2f", len(group.Members), group.Correlation)
+		out = append(out, d)
 	}
 	return out
+}
+
+// eligible is the one rule for which suspects may be capped on a
+// victim's behalf: not the victim itself, not already capped, and
+// throttleable (§5: batch work only) by the class the suspect carries.
+// Callers hold e.mu.
+func (e *Enforcer) eligible(victim model.TaskID, s Suspect) bool {
+	_, capped := e.active[s.Task]
+	return s.Task != victim && !capped && model.Job{Class: s.Class}.Throttleable()
+}
+
+// capLocked is the one place a CPI² cap starts: the quota for s's
+// priority and feedback round, the (leased) mechanism cap, the round,
+// the active entry, the journal's cap entry, CapsApplied/CapsActive
+// and the cap_applied event. A mechanism error leaves no trace. The
+// returned Decision carries no Reason; callers supply it. Callers hold
+// e.mu.
+func (e *Enforcer) capLocked(now time.Time, victim model.TaskID, s Suspect) (Decision, error) {
+	key := taskPair{victim: victim, suspect: s.Task}
+	quota := e.quotaFor(s.Priority, e.rounds[key])
+	if err := e.applyCap(now, s.Task, quota); err != nil {
+		return Decision{}, err
+	}
+	until := now.Add(e.params.CapDuration)
+	e.rounds[key]++
+	round := e.rounds[key]
+	e.active[s.Task] = &activeCap{task: s.Task, victim: victim, quota: quota, expires: until, round: round}
+	e.appendJournal(CapJournalEntry{
+		Op: CapOpCap, Time: now, Task: s.Task.String(),
+		Victim: victim.String(), Quota: quota, Expires: until, Round: round,
+	})
+	e.metrics.CapsApplied.Inc()
+	e.metrics.CapsActive.Inc()
+	e.events.Emit(now, "cap_applied", capEvent{
+		Task: s.Task.String(), Victim: victim.String(),
+		Quota: quota, Until: &until, Round: round,
+	})
+	return Decision{Action: ActionCap, Target: s.Task, Quota: quota, Until: until}, nil
+}
+
+// quotaFor returns the cap quota for a suspect of the given priority:
+// the Table 2 fixed values, or — with FeedbackThrottling — a quota
+// that halves once for each earlier round against the same victim,
+// down to the best-effort floor.
+func (e *Enforcer) quotaFor(priority model.Priority, rounds int) float64 {
+	base := e.params.BatchQuota
+	if priority == model.PriorityBestEffort {
+		base = e.params.BestEffortQuota
+	}
+	if !e.params.FeedbackThrottling {
+		return base
+	}
+	for i := 0; i < rounds; i++ {
+		base /= 2
+		if base < e.params.BestEffortQuota {
+			base = e.params.BestEffortQuota
+			break
+		}
+	}
+	return base
 }
 
 // Tick expires caps whose duration has elapsed, uncapping the tasks.
 // It returns the tasks released. Call it at least once per sampling
 // interval. A failed Uncap leaves the cap active, so it is retried on
 // every subsequent tick until the mechanism recovers.
-//
-// Expired caps are collected and sorted by task before any Uncap or
-// event emission: iterating the active map directly would emit
-// cap_expired events in map order, breaking event-log byte-identity
-// across runs whenever two caps expire on the same tick.
 func (e *Enforcer) Tick(now time.Time) []model.TaskID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -427,23 +360,7 @@ func (e *Enforcer) Tick(now time.Time) []model.TaskID {
 			}
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool {
-		return expired[i].task.String() < expired[j].task.String()
-	})
-	var released []model.TaskID
-	for _, ac := range expired {
-		if err := e.capper.Uncap(ac.task); err == nil {
-			released = append(released, ac.task)
-			delete(e.active, ac.task)
-			e.appendJournal(CapJournalEntry{
-				Op: CapOpUncap, Time: now, Task: ac.task.String(), Reason: "expired",
-			})
-			e.metrics.CapsExpired.Inc()
-			e.metrics.CapsActive.Dec()
-			e.events.Emit(now, "cap_expired", capEvent{Task: ac.task.String(), Victim: ac.victim.String()})
-		}
-	}
-	return released
+	return e.uncapLocked(now, expired, "expired")
 }
 
 // TaskExited releases the active cap on a departed task immediately,
@@ -457,19 +374,66 @@ func (e *Enforcer) Tick(now time.Time) []model.TaskID {
 func (e *Enforcer) TaskExited(task model.TaskID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ac, ok := e.active[task]
-	if !ok {
-		return
+	if ac, ok := e.active[task]; ok {
+		e.releaseLocked(e.lastNow, ac, "task_exited")
 	}
-	delete(e.active, task)
-	e.appendJournal(CapJournalEntry{
-		Op: CapOpUncap, Time: e.lastNow, Task: task.String(), Reason: "task_exited",
-	})
-	e.metrics.CapsReleased.Inc()
+}
+
+// ReleaseAll removes every active cap immediately (operator action,
+// or cluster-wide disable). It returns the released tasks. Journal
+// entries and cap_released events are stamped with the enforcer's last
+// simulation/decision time, the clock every other enforcer event uses.
+func (e *Enforcer) ReleaseAll() []model.TaskID {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	caps := make([]*activeCap, 0, len(e.active))
+	for _, ac := range e.active {
+		caps = append(caps, ac)
+	}
+	return e.uncapLocked(e.lastNow, caps, "released")
+}
+
+// uncapLocked drives Uncap on caps and releases each one the mechanism
+// accepted, returning those tasks; a failed Uncap leaves its cap
+// active. Caps are taken in task order, never map order, so caps that
+// end together emit their events in the same order on every run.
+// Callers hold e.mu.
+func (e *Enforcer) uncapLocked(now time.Time, caps []*activeCap, reason string) []model.TaskID {
+	sort.Slice(caps, func(i, j int) bool { return caps[i].task.String() < caps[j].task.String() })
+	var released []model.TaskID
+	for _, ac := range caps {
+		if err := e.capper.Uncap(ac.task); err == nil {
+			released = append(released, ac.task)
+			e.releaseLocked(now, ac, reason)
+		}
+	}
+	return released
+}
+
+// releaseLocked is the one place a CPI² cap ends: it leaves the active
+// set and CapsActive, and recordUncap journals and reports it. The
+// mechanism side is the caller's. Callers hold e.mu.
+func (e *Enforcer) releaseLocked(now time.Time, ac *activeCap, reason string) {
+	delete(e.active, ac.task)
 	e.metrics.CapsActive.Dec()
-	e.events.Emit(e.lastNow, "cap_released", capEvent{
-		Task: task.String(), Victim: ac.victim.String(), Reason: "task_exited",
-	})
+	e.recordUncap(now, ac.task, ac.victim.String(), reason)
+}
+
+// recordUncap journals the end of task's cap with its reason and
+// reports it under that reason: "expired" as cap_expired, "orphaned"
+// as cap_orphaned, any other ("task_exited", "released") as
+// cap_released, each with its counter. Callers hold e.mu.
+func (e *Enforcer) recordUncap(now time.Time, task model.TaskID, victim, reason string) {
+	e.appendJournal(CapJournalEntry{Op: CapOpUncap, Time: now, Task: task.String(), Reason: reason})
+	event, counter := "cap_released", e.metrics.CapsReleased
+	switch reason {
+	case "expired":
+		event, counter = "cap_expired", e.metrics.CapsExpired
+	case "orphaned":
+		event, counter = "cap_orphaned", e.metrics.CapsOrphaned
+	}
+	counter.Inc()
+	e.events.Emit(now, event, capEvent{Task: task.String(), Victim: victim, Reason: reason})
 }
 
 // Reconcile replays a cap journal against live mechanism state after
@@ -511,7 +475,7 @@ func (e *Enforcer) Reconcile(now time.Time, entries []CapJournalEntry) (adopted,
 			victim, _ := model.ParseTaskID(p.entry.Victim)
 			if err := e.applyCap(now, p.task, p.entry.Quota); err != nil {
 				// Mechanism refused (task raced away): orphan instead.
-				e.orphanLocked(now, p.task, false)
+				e.recordUncap(now, p.task, "", "orphaned")
 				orphaned = append(orphaned, p.task)
 				continue
 			}
@@ -519,11 +483,9 @@ func (e *Enforcer) Reconcile(now time.Time, entries []CapJournalEntry) (adopted,
 				task: p.task, victim: victim, quota: p.entry.Quota,
 				expires: p.entry.Expires, round: p.entry.Round,
 			}
-			if p.entry.Round > 0 && p.entry.Victim != "" {
-				key := p.entry.Victim + "→" + p.entry.Task
-				if e.rounds[key] < p.entry.Round {
-					e.rounds[key] = p.entry.Round
-				}
+			key := taskPair{victim: victim, suspect: p.task}
+			if p.entry.Victim != "" && e.rounds[key] < p.entry.Round {
+				e.rounds[key] = p.entry.Round
 			}
 			e.metrics.CapsAdopted.Inc()
 			e.metrics.CapsActive.Inc()
@@ -535,23 +497,13 @@ func (e *Enforcer) Reconcile(now time.Time, entries []CapJournalEntry) (adopted,
 			adopted = append(adopted, p.task)
 			continue
 		}
-		e.orphanLocked(now, p.task, liveCapped)
+		if liveCapped {
+			_ = e.capper.Uncap(p.task) // best effort; the lease sweep backstops failure
+		}
+		e.recordUncap(now, p.task, "", "orphaned")
 		orphaned = append(orphaned, p.task)
 	}
 	return adopted, orphaned
-}
-
-// orphanLocked releases one journalled cap that cannot be re-adopted.
-// Callers hold e.mu.
-func (e *Enforcer) orphanLocked(now time.Time, task model.TaskID, liveCapped bool) {
-	if liveCapped {
-		_ = e.capper.Uncap(task) // best effort; the lease sweep backstops failure
-	}
-	e.appendJournal(CapJournalEntry{
-		Op: CapOpUncap, Time: now, Task: task.String(), Reason: "orphaned",
-	})
-	e.metrics.CapsOrphaned.Inc()
-	e.events.Emit(now, "cap_orphaned", capEvent{Task: task.String(), Reason: "orphaned"})
 }
 
 // ActiveCaps returns the currently capped tasks and their quotas.
@@ -563,36 +515,4 @@ func (e *Enforcer) ActiveCaps() map[model.TaskID]float64 {
 		out[t] = c.quota
 	}
 	return out
-}
-
-// ReleaseAll removes every active cap immediately (operator action,
-// or cluster-wide disable). It returns the released tasks. Like Tick,
-// it uncaps and emits in sorted task order, not map order, so the
-// event log is reproducible. Journal entries and cap_released events are
-// stamped with the enforcer's last simulation/decision time, the clock
-// every other enforcer event uses.
-func (e *Enforcer) ReleaseAll() []model.TaskID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	caps := make([]*activeCap, 0, len(e.active))
-	for _, ac := range e.active {
-		caps = append(caps, ac)
-	}
-	sort.Slice(caps, func(i, j int) bool {
-		return caps[i].task.String() < caps[j].task.String()
-	})
-	var released []model.TaskID
-	for _, ac := range caps {
-		if err := e.capper.Uncap(ac.task); err == nil {
-			released = append(released, ac.task)
-			delete(e.active, ac.task)
-			e.appendJournal(CapJournalEntry{
-				Op: CapOpUncap, Time: e.lastNow, Task: ac.task.String(), Reason: "released",
-			})
-			e.metrics.CapsReleased.Inc()
-			e.metrics.CapsActive.Dec()
-			e.events.Emit(e.lastNow, "cap_released", capEvent{Task: ac.task.String(), Victim: ac.victim.String()})
-		}
-	}
-	return released
 }

@@ -10,14 +10,16 @@ import (
 // recordSink captures emitted events in order, for asserting the
 // enforcer's deterministic emission contract.
 type recordSink struct {
-	types []string
-	tasks []string
+	types   []string
+	tasks   []string
+	reasons []string
 }
 
 func (r *recordSink) Emit(_ time.Time, typ string, data any) {
 	r.types = append(r.types, typ)
 	if ce, ok := data.(capEvent); ok {
 		r.tasks = append(r.tasks, ce.Task)
+		r.reasons = append(r.reasons, ce.Reason)
 	}
 }
 
@@ -29,10 +31,10 @@ func capTwo(t *testing.T, e *Enforcer) {
 		{Task: batchTask, Job: "mapreduce", Correlation: 0.6},
 		{Task: beTask, Job: "bg-scan", Correlation: 0.5},
 	}
-	if d := e.Decide(day0, victimTask, victimJob, ranked, jobTable()); d.Action != ActionCap {
+	if d := e.Decide(day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("first cap: %+v", d)
 	}
-	if d := e.Decide(day0.Add(time.Minute), victimTask, victimJob, ranked, jobTable()); d.Action != ActionCap {
+	if d := e.Decide(day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("second cap: %+v", d)
 	}
 }
@@ -127,6 +129,9 @@ func TestEnforcerTickEventOrderDeterministic(t *testing.T) {
 		if released[0] != beTask || released[1] != batchTask {
 			t.Fatalf("released order = %v, want sorted", released)
 		}
+		if got := sink.reasons[2:]; got[0] != "expired" || got[1] != "expired" {
+			t.Fatalf("cap_expired reasons = %q, want the journal's \"expired\"", got)
+		}
 	}
 }
 
@@ -145,6 +150,9 @@ func TestEnforcerReleaseAllOrderDeterministic(t *testing.T) {
 		if got := sink.tasks[2:]; got[0] != beTask.String() || got[1] != batchTask.String() {
 			t.Fatalf("trial %d: cap_released order = %v, want sorted", trial, got)
 		}
+		if got := sink.reasons[2:]; got[0] != "released" || got[1] != "released" {
+			t.Fatalf("cap_released reasons = %q, want the journal's \"released\"", got)
+		}
 	}
 }
 
@@ -159,7 +167,7 @@ func TestEnforcerFeedbackQuotaFloorUnderUncapFailure(t *testing.T) {
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
 	now := day0
 	for round := 0; round < 12; round++ {
-		d := e.Decide(now, victimTask, victimJob, ranked, jobTable())
+		d := e.Decide(now, victimTask, victimJob, withJobs(ranked))
 		if d.Action != ActionCap {
 			t.Fatalf("round %d: %+v", round, d)
 		}

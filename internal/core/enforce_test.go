@@ -61,17 +61,20 @@ var (
 	lsTask     = model.TaskID{Job: "bigtable", Index: 2}
 )
 
-func jobTable() JobResolver {
+// withJobs gives each suspect its job's class and priority from the
+// fixture's job table, as Manager.analyse does from registered jobs.
+func withJobs(ranked []Suspect) []Suspect {
 	jobs := map[model.JobName]model.Job{
 		"search":    victimJob,
 		"mapreduce": {Name: "mapreduce", Class: model.ClassBatch, Priority: model.PriorityBatch},
 		"bg-scan":   {Name: "bg-scan", Class: model.ClassBatch, Priority: model.PriorityBestEffort},
 		"bigtable":  {Name: "bigtable", Class: model.ClassLatencySensitive, Priority: model.PriorityProduction},
 	}
-	return func(n model.JobName) (model.Job, bool) {
-		j, ok := jobs[n]
-		return j, ok
+	for i := range ranked {
+		j := jobs[ranked[i].Job]
+		ranked[i].Class, ranked[i].Priority = j.Class, j.Priority
 	}
+	return ranked
 }
 
 func TestEnforcerCapsBatchAntagonist(t *testing.T) {
@@ -81,7 +84,7 @@ func TestEnforcerCapsBatchAntagonist(t *testing.T) {
 		{Task: lsTask, Job: "bigtable", Correlation: 0.5},
 		{Task: batchTask, Job: "mapreduce", Correlation: 0.45},
 	}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionCap {
 		t.Fatalf("action = %v (%s)", d.Action, d.Reason)
 	}
@@ -103,7 +106,7 @@ func TestEnforcerBestEffortGetsHarsherQuota(t *testing.T) {
 	capper := newFakeCapper()
 	e := NewEnforcer(DefaultParams(), capper)
 	ranked := []Suspect{{Task: beTask, Job: "bg-scan", Correlation: 0.6}}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionCap || d.Quota != 0.01 {
 		t.Errorf("decision = %+v, want cap at 0.01", d)
 	}
@@ -112,7 +115,7 @@ func TestEnforcerBestEffortGetsHarsherQuota(t *testing.T) {
 func TestEnforcerBelowThresholdNoAction(t *testing.T) {
 	e := NewEnforcer(DefaultParams(), newFakeCapper())
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.34}}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionNone {
 		t.Errorf("action = %v, want none below 0.35", d.Action)
 	}
@@ -124,7 +127,7 @@ func TestEnforcerOnlyLatencySensitiveSuspects(t *testing.T) {
 	ranked := []Suspect{
 		{Task: lsTask, Job: "bigtable", Correlation: 0.7},
 	}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionNone {
 		t.Errorf("action = %v, want none", d.Action)
 	}
@@ -134,7 +137,7 @@ func TestEnforcerUnprotectedVictimReportsOnly(t *testing.T) {
 	e := NewEnforcer(DefaultParams(), newFakeCapper())
 	batchVictim := model.Job{Name: "other-batch", Class: model.ClassBatch}
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d := e.Decide(day0, model.TaskID{Job: "other-batch"}, batchVictim, ranked, jobTable())
+	d := e.Decide(day0, model.TaskID{Job: "other-batch"}, batchVictim, withJobs(ranked))
 	if d.Action != ActionReport {
 		t.Errorf("action = %v, want report", d.Action)
 	}
@@ -146,7 +149,7 @@ func TestEnforcerAutoCapDisabled(t *testing.T) {
 	capper := newFakeCapper()
 	e := NewEnforcer(p, capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionReport {
 		t.Errorf("action = %v, want report in conservative mode", d.Action)
 	}
@@ -159,7 +162,7 @@ func TestEnforcerCapExpires(t *testing.T) {
 	capper := newFakeCapper()
 	e := NewEnforcer(DefaultParams(), capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if released := e.Tick(day0.Add(4 * time.Minute)); len(released) != 0 {
 		t.Errorf("released early: %v", released)
 	}
@@ -184,11 +187,11 @@ func TestEnforcerSkipsAlreadyCapped(t *testing.T) {
 		{Task: batchTask, Job: "mapreduce", Correlation: 0.6},
 		{Task: beTask, Job: "bg-scan", Correlation: 0.4},
 	}
-	d1 := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d1 := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d1.Target != batchTask {
 		t.Fatalf("round 1 target = %v", d1.Target)
 	}
-	d2 := e.Decide(day0.Add(time.Minute), victimTask, victimJob, ranked, jobTable())
+	d2 := e.Decide(day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked))
 	if d2.Target != beTask {
 		t.Errorf("round 2 target = %v, want the next suspect", d2.Target)
 	}
@@ -202,7 +205,7 @@ func TestEnforcerCapFailureReports(t *testing.T) {
 	capper.failOn[batchTask] = true
 	e := NewEnforcer(DefaultParams(), capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionReport {
 		t.Errorf("action = %v, want report on mechanism failure", d.Action)
 	}
@@ -211,23 +214,9 @@ func TestEnforcerCapFailureReports(t *testing.T) {
 func TestEnforcerVictimNeverTargetsItself(t *testing.T) {
 	e := NewEnforcer(DefaultParams(), newFakeCapper())
 	ranked := []Suspect{{Task: victimTask, Job: "search", Correlation: 0.9}}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionNone {
 		t.Errorf("victim targeted itself: %+v", d)
-	}
-}
-
-func TestEnforcerNilResolverFallsBackToSuspectMetadata(t *testing.T) {
-	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
-	ranked := []Suspect{{
-		Task: batchTask, Job: "mapreduce",
-		Class: model.ClassBatch, Priority: model.PriorityBestEffort,
-		Correlation: 0.5,
-	}}
-	d := e.Decide(day0, victimTask, victimJob, ranked, nil)
-	if d.Action != ActionCap || d.Quota != 0.01 {
-		t.Errorf("decision = %+v", d)
 	}
 }
 
@@ -237,24 +226,24 @@ func TestEnforcerFeedbackThrottlingEscalates(t *testing.T) {
 	capper := newFakeCapper()
 	e := NewEnforcer(p, capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d1 := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d1 := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d1.Quota != 0.1 {
 		t.Fatalf("round 1 quota = %v", d1.Quota)
 	}
 	// Cap expires, victim still suffering, same suspect re-chosen:
 	// quota halves.
 	e.Tick(day0.Add(5 * time.Minute))
-	d2 := e.Decide(day0.Add(6*time.Minute), victimTask, victimJob, ranked, jobTable())
+	d2 := e.Decide(day0.Add(6*time.Minute), victimTask, victimJob, withJobs(ranked))
 	if d2.Quota != 0.05 {
 		t.Errorf("round 2 quota = %v, want 0.05", d2.Quota)
 	}
 	// Escalation floors at the best-effort quota.
 	for i := 0; i < 6; i++ {
 		e.Tick(day0.Add(time.Duration(11+i*6) * time.Minute))
-		e.Decide(day0.Add(time.Duration(12+i*6)*time.Minute), victimTask, victimJob, ranked, jobTable())
+		e.Decide(day0.Add(time.Duration(12+i*6)*time.Minute), victimTask, victimJob, withJobs(ranked))
 	}
 	e.Tick(day0.Add(60 * time.Minute))
-	dN := e.Decide(day0.Add(61*time.Minute), victimTask, victimJob, ranked, jobTable())
+	dN := e.Decide(day0.Add(61*time.Minute), victimTask, victimJob, withJobs(ranked))
 	if dN.Quota != p.BestEffortQuota {
 		t.Errorf("escalated quota = %v, want floor %v", dN.Quota, p.BestEffortQuota)
 	}
@@ -275,8 +264,8 @@ func TestEnforcerReleaseAll(t *testing.T) {
 			eventTimes = append(eventTimes, now)
 		}
 	}))
-	e.Decide(day0, victimTask, victimJob, ranked, jobTable())
-	e.Decide(day0.Add(time.Minute), victimTask, victimJob, ranked, jobTable())
+	e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	e.Decide(day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked))
 	released := e.ReleaseAll()
 	if len(released) != 2 {
 		t.Fatalf("released = %v", released)

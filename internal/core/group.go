@@ -63,12 +63,12 @@ func alignedUsage(victimTimes []time.Time, window []timeseries.Point, period tim
 // FindAntagonistGroup searches for the suspect group whose combined
 // CPU usage best explains the victim's CPI, using greedy forward
 // selection up to maxMembers. It returns the best group found (which
-// may be a single suspect). window/period as in RankSuspects.
-func FindAntagonistGroup(victimCPI *timeseries.Series, threshold float64,
-	suspects []SuspectInput, now time.Time, window, period time.Duration,
-	maxMembers int) GroupSuspect {
+// may be a single suspect). window/period as in RankSuspects, and so
+// is the candidates' order (rankedBefore): suspects tied on r are
+// taken by task name, never by the order they were offered in.
+func FindAntagonistGroup(victimCPI *timeseries.Series, suspects []SuspectInput,
+	now time.Time, window, period time.Duration, maxMembers int) GroupSuspect {
 
-	_ = threshold // kept for signature symmetry with RankSuspects
 	if maxMembers < 1 {
 		maxMembers = 1
 	}
@@ -105,20 +105,12 @@ func FindAntagonistGroup(victimCPI *timeseries.Series, threshold float64,
 		if err != nil {
 			continue
 		}
-		cands = append(cands, candidate{
-			suspect: Suspect{
-				Task: s.Task, Job: s.Job, Class: s.Class, Priority: s.Priority,
-				Correlation: r,
-			},
-			usage: u,
-		})
+		cands = append(cands, candidate{suspect: s.scored(r), usage: u})
 	}
 	if len(cands) == 0 {
 		return GroupSuspect{}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].suspect.Correlation > cands[j].suspect.Correlation
-	})
+	sort.Slice(cands, func(i, j int) bool { return rankedBefore(cands[i].suspect, cands[j].suspect) })
 
 	group := GroupSuspect{}
 	sum := make([]float64, len(victimVals))

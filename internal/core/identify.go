@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -125,9 +124,11 @@ const (
 	pandaSaturationSigmas = 4.0
 )
 
-// pandaPair keys cross-round evidence by colocation: the same suspect
-// can be innocent next to one victim and guilty next to another.
-type pandaPair struct {
+// taskPair keys per-colocation state by victim and suspect: the same
+// suspect can be innocent next to one victim and guilty next to
+// another. PANDA keys its evidence by it, the enforcer its feedback
+// rounds.
+type taskPair struct {
 	victim  model.TaskID
 	suspect model.TaskID
 }
@@ -160,7 +161,7 @@ type PandaIdentifier struct {
 	halfLife     time.Duration
 
 	mu       sync.Mutex
-	evidence map[pandaPair]pandaEvidence
+	evidence map[taskPair]pandaEvidence
 }
 
 // NewPandaIdentifier builds a PANDA-style identifier with tunables
@@ -170,7 +171,7 @@ func NewPandaIdentifier(p Params) *PandaIdentifier {
 	return &PandaIdentifier{
 		outlierSigma: p.OutlierSigma,
 		halfLife:     p.CorrelationWindow,
-		evidence:     make(map[pandaPair]pandaEvidence),
+		evidence:     make(map[taskPair]pandaEvidence),
 	}
 }
 
@@ -179,57 +180,29 @@ func (pi *PandaIdentifier) Name() string { return IdentifierPanda }
 
 // Identify implements Identifier.
 func (pi *PandaIdentifier) Identify(in IdentifyInput) []Suspect {
-	from := in.Now.Add(-in.Window)
-	victimWindow := timeseries.New()
-	for _, p := range in.VictimCPI.Window(from, in.Now) {
-		_ = victimWindow.Append(p.Time, p.Value)
-	}
 	sd := in.SpecStddev
 	if sd <= 0 && pi.outlierSigma > 0 && in.Threshold > in.SpecMean {
 		// The detector's threshold is spec mean + OutlierSigma·σ, so a
 		// spec that arrived without moments still implies them.
 		sd = (in.Threshold - in.SpecMean) / pi.outlierSigma
 	}
-
-	out := make([]Suspect, 0, len(in.Suspects))
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	for _, s := range in.Suspects {
-		if s.Usage == nil {
-			continue
-		}
-		suspectWindow := timeseries.New()
-		for _, p := range s.Usage.Window(from, in.Now) {
-			_ = suspectWindow.Append(p.Time, p.Value)
-		}
-		cpi, usage := timeseries.Align(victimWindow, suspectWindow, in.Period)
-		round := pi.roundScore(cpi, usage, in.Threshold, in.SpecMean, sd)
-
-		key := pandaPair{victim: in.Victim, suspect: s.Task}
-		score := pandaAlpha * round // unseen pairs start from zero evidence
-		if prev, ok := pi.evidence[key]; ok {
-			w := prev.score
-			if age := in.Now.Sub(prev.at); age > 0 && pi.halfLife > 0 {
-				w *= math.Pow(0.5, float64(age)/float64(pi.halfLife))
+	return rankAligned(in.VictimCPI, in.Suspects, in.Now, in.Window, in.Period,
+		func(task model.TaskID, cpi, usage []float64) float64 {
+			round := pi.roundScore(cpi, usage, in.Threshold, in.SpecMean, sd)
+			key := taskPair{victim: in.Victim, suspect: task}
+			score := pandaAlpha * round // unseen pairs start from zero evidence
+			if prev, ok := pi.evidence[key]; ok {
+				w := prev.score
+				if age := in.Now.Sub(prev.at); age > 0 && pi.halfLife > 0 {
+					w *= math.Pow(0.5, float64(age)/float64(pi.halfLife))
+				}
+				score = (1-pandaAlpha)*w + pandaAlpha*round
 			}
-			score = (1-pandaAlpha)*w + pandaAlpha*round
-		}
-		pi.evidence[key] = pandaEvidence{score: score, at: in.Now}
-		out = append(out, Suspect{
-			Task:        s.Task,
-			Job:         s.Job,
-			Class:       s.Class,
-			Priority:    s.Priority,
-			Correlation: score,
+			pi.evidence[key] = pandaEvidence{score: score, at: in.Now}
+			return score
 		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Correlation != out[j].Correlation {
-			return out[i].Correlation > out[j].Correlation
-		}
-		return out[i].Task.String() < out[j].Task.String() // stable tie-break
-	})
-	return out
 }
 
 // roundScore computes one window's usage-weighted evidence in [−1, 1].

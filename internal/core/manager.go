@@ -24,8 +24,9 @@ type Incident struct {
 	Suspects  []Suspect // ranked, descending correlation
 	Decision  Decision
 	// Group is set when GroupDetection found an antagonist group after
-	// no single suspect qualified; GroupDecisions records the per-
-	// member actions.
+	// no single suspect qualified. If a member was capped, Decision is
+	// the first such cap and GroupDecisions the actions on the other
+	// members, so each cap appears once across the two.
 	Group          *GroupSuspect
 	GroupDecisions []Decision
 	// TraceID is the causal-tracing context of the sample batch that
@@ -244,18 +245,11 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 		if task == s.Task {
 			continue
 		}
-		in := SuspectInput{Task: task, Job: task.Job, Usage: usage}
-		if j, ok := m.jobs[task.Job]; ok {
-			in.Class = j.Class
-			in.Priority = j.Priority
-		}
-		suspects = append(suspects, in)
+		j := m.jobLocked(task.Job)
+		suspects = append(suspects, SuspectInput{Task: task, Job: task.Job, Class: j.Class, Priority: j.Priority, Usage: usage})
 	}
-	victimJob, haveJob := m.jobs[s.Job]
+	victimJob := m.jobLocked(s.Job)
 	m.mu.Unlock()
-	if !haveJob {
-		victimJob = model.Job{Name: s.Job, Class: model.ClassLatencySensitive}
-	}
 
 	now := s.Timestamp.Add(time.Nanosecond)
 	ranked := m.identifier.Identify(IdentifyInput{
@@ -269,7 +263,7 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 		Period:     m.params.SamplingInterval,
 		Suspects:   suspects,
 	})
-	decision := m.enforcer.Decide(s.Timestamp, s.Task, victimJob, ranked, m.resolveJob)
+	decision := m.enforcer.Decide(s.Timestamp, s.Task, victimJob, ranked)
 
 	// No individual culprit: try the group hypothesis (§4.2 future
 	// work) — several tasks taking turns can hide below the threshold
@@ -277,14 +271,17 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 	var group *GroupSuspect
 	var groupDecisions []Decision
 	if decision.Action == ActionNone && m.params.GroupDetection {
-		g := FindAntagonistGroup(victimCPI, a.Threshold, suspects,
+		g := FindAntagonistGroup(victimCPI, suspects,
 			now, m.params.CorrelationWindow, m.params.SamplingInterval, m.params.MaxGroupSize)
 		if len(g.Members) >= 2 && g.Correlation >= m.params.CorrelationThreshold {
 			group = &g
-			groupDecisions = m.enforcer.DecideGroup(s.Timestamp, s.Task, victimJob, g, m.resolveJob)
-			for _, d := range groupDecisions {
+			groupDecisions = m.enforcer.DecideGroup(s.Timestamp, s.Task, victimJob, g)
+			for i, d := range groupDecisions {
 				if d.Action == ActionCap {
-					decision = d // headline decision: the first group cap
+					// The first group cap is the headline decision; it
+					// leaves GroupDecisions so each cap is listed once.
+					decision = d
+					groupDecisions = append(groupDecisions[:i], groupDecisions[i+1:]...)
 					break
 				}
 			}
@@ -340,11 +337,14 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 	return inc
 }
 
-func (m *Manager) resolveJob(name model.JobName) (model.Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[name]
-	return j, ok
+// jobLocked returns the registered job called name. A job never
+// registered here is latency-sensitive: protected as a victim, never
+// capped as a suspect. Callers hold m.mu.
+func (m *Manager) jobLocked(name model.JobName) model.Job {
+	if j, ok := m.jobs[name]; ok {
+		return j
+	}
+	return model.Job{Name: name, Class: model.ClassLatencySensitive}
 }
 
 // Tick expires caps; call once per simulated second (or wall second).

@@ -100,7 +100,7 @@ func TestEnforcerCapsCarryLeases(t *testing.T) {
 	p := DefaultParams()
 	e := NewEnforcer(p, capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
-	d := e.Decide(day0, victimTask, victimJob, ranked, jobTable())
+	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionCap {
 		t.Fatalf("decision = %+v", d)
 	}
@@ -131,7 +131,7 @@ func TestEnforcerJournalsDecisions(t *testing.T) {
 	j := &MemCapJournal{}
 	e.SetJournal(j)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
-	if d := e.Decide(day0, victimTask, victimJob, ranked, jobTable()); d.Action != ActionCap {
+	if d := e.Decide(day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("decision = %+v", d)
 	}
 	e.Tick(day0.Add(10 * time.Minute)) // past CapDuration: expires
@@ -165,7 +165,7 @@ func TestEnforcerTaskExited(t *testing.T) {
 	e.SetEvents(log)
 
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
-	if d := e.Decide(day0, victimTask, victimJob, ranked, jobTable()); d.Action != ActionCap {
+	if d := e.Decide(day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("decision = %+v", d)
 	}
 	// The task exits; machine removes its cgroup (cap cleared with it).
@@ -264,7 +264,7 @@ func TestReconcileAdoptsAndOrphans(t *testing.T) {
 	e2.Reconcile(now, entries[:1])
 	e2.Tick(day0.Add(5 * time.Minute)) // release so Decide re-caps
 	d := e2.Decide(day0.Add(6*time.Minute), victimTask, victimJob,
-		[]Suspect{{Task: liveTask, Job: "mapreduce", Correlation: 0.6}}, jobTable())
+		withJobs([]Suspect{{Task: liveTask, Job: "mapreduce", Correlation: 0.6}}))
 	if d.Action != ActionCap || d.Quota >= 0.1 {
 		t.Errorf("post-restart feedback cap = %+v, want escalated (halved) quota", d)
 	}

@@ -163,6 +163,25 @@ func TestReplayHealthyTraceIsQuiet(t *testing.T) {
 	}
 }
 
+// TestReplayUnknownJobsAreNeverCapped: with no job metadata every task
+// is latency-sensitive, as the package promises — the victim is still
+// analysed, but no suspect is throttleable.
+func TestReplayUnknownJobsAreNeverCapped(t *testing.T) {
+	samples, err := ParseSamples(strings.NewReader(buildTrace(20, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Run(samples, nil, []model.Spec{frontendSpec()}, core.DefaultParams())
+	if len(res.Incidents) == 0 {
+		t.Fatal("no incidents from a trace with obvious interference")
+	}
+	for _, inc := range res.Incidents {
+		if inc.Decision.Action == core.ActionCap {
+			t.Errorf("%v: capped %v, a task of a job with no metadata", inc.Time, inc.Decision.Target)
+		}
+	}
+}
+
 func TestReplaySkipsMachinelessSamples(t *testing.T) {
 	samples := []model.Sample{{
 		Job: "j", Task: model.TaskID{Job: "j"}, Platform: model.PlatformA,
