@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -116,7 +117,7 @@ func main() {
 	for _, s := range warm.Specs {
 		fmt.Printf("  %-42s CPI %.2f ± %.2f\n", s.Key(), s.CPIMean, s.CPIStddev)
 	}
-	fmt.Printf("\nantagonists landed on ~1/4 of machines; running %v…\n", *duration)
+	fmt.Printf("\n%s; running %v…\n", landed(sc.Workload), *duration)
 	start := time.Now()
 	c.Run(*duration)
 	fmt.Printf("simulated %v in %.1fs wall\n\n", *duration, time.Since(start).Seconds())
@@ -195,4 +196,32 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsummary: %s\n", b)
+}
+
+// landed says what the scenario's after-warm-up entries put on the
+// fleet: each job's name and task count.
+func landed(workload []cluster.WorkloadEntry) string {
+	var jobs []string
+	job := func(name string, tasks int) {
+		unit := "tasks"
+		if tasks == 1 {
+			unit = "task"
+		}
+		jobs = append(jobs, fmt.Sprintf("%s (%d %s)", name, tasks, unit))
+	}
+	for _, w := range workload {
+		switch {
+		case !w.Lands():
+		case w.Kind == "websearch":
+			job(w.Name+"-leaf", w.Leaves)
+			job(w.Name+"-mixer", w.Mixers)
+			job(w.Name+"-root", w.Roots)
+		default:
+			job(w.Name, w.Tasks)
+		}
+	}
+	if len(jobs) == 0 {
+		return "nothing lands after the warm-up"
+	}
+	return "landed after the warm-up: " + strings.Join(jobs, ", ")
 }

@@ -3,6 +3,10 @@
 // loop against a machine, ships CPI samples to a cpi2aggregator over
 // TCP, receives spec pushes for the jobs it runs, and exposes the §5
 // operator interface on its admin HTTP server (drive it with cpi2ctl).
+// Samples leave through one pipeline chain: a Router over the shard
+// ring, then per shard a Spooler over a Redialer, the agent end of the
+// TCP wire, which dials, says hello, replays subscriptions, reads spec
+// pushes and re-dials.
 //
 // Real hardware counters are unavailable here, so the machine is the
 // repository's simulator, populated with a configurable tenant mix:

@@ -173,10 +173,11 @@ func main() {
 			stateMu.Lock()
 			save, push := lastSave, lastPush
 			stateMu.Unlock()
+			keys := builder.Keys()
 			out := map[string]any{
 				"shard":          *shardID,
 				"sharded":        ring != nil,
-				"key_count":      builder.KeyCount(),
+				"key_count":      len(keys),
 				"last_recompute": builder.LastRecompute(),
 				"last_push":      push,
 			}
@@ -186,7 +187,7 @@ func main() {
 				// state every key lands on this shard; during a reshard
 				// rollout the off-shard buckets show what must move.
 				counts := make(map[string]int, ring.Size())
-				for _, k := range builder.Keys() {
+				for _, k := range keys {
 					counts[ring.Owner(k)]++
 				}
 				out["keys_by_member"] = counts

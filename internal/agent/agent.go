@@ -5,9 +5,11 @@
 // feeds them to the local CPI² manager (detect → correlate → enforce),
 // ships them up the pipeline, and expires hard caps.
 //
-// The agent is transport-agnostic: give it an in-process pipeline Bus
-// for simulation, or a TCP pipeline Client in cmd/cpi2agent for a real
-// deployment shape.
+// The agent is transport-agnostic: it publishes to any
+// pipeline.SampleSink. The simulator hands it an in-process pipeline
+// Queue; cmd/cpi2agent hands it a Router → Spooler → Redialer chain,
+// the deployable shape, whose Redialer holds the TCP connection to the
+// aggregator.
 package agent
 
 import (

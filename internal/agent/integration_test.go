@@ -2,7 +2,6 @@ package agent
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -107,6 +106,21 @@ func countV2Frames(t *testing.T, what string, stream []byte) int {
 	return frames
 }
 
+// dialAggregator returns a Redialer to addr once its connection is up.
+func dialAggregator(t *testing.T, addr string, onSpec func(model.Spec)) *pipeline.Redialer {
+	t.Helper()
+	rd := pipeline.NewRedialer(addr, onSpec)
+	t.Cleanup(func() { rd.Close() })
+	deadline := time.Now().Add(5 * time.Second)
+	for !rd.Connected() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no connection to %s", addr)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return rd
+}
+
 // TestFleetOverTCP is the distributed integration test: several
 // machines, each with its own agent, publish CPI samples to one
 // aggregation server over real TCP sockets; the server builds specs
@@ -177,27 +191,19 @@ func TestFleetOverTCP(t *testing.T) {
 	}
 
 	type node struct {
-		m      *machine.Machine
-		a      *Agent
-		client *pipeline.Client
+		m *machine.Machine
+		a *Agent
 	}
 	nodes := make([]*node, nMachines)
 	for i := range nodes {
 		m := machine.New(fmt.Sprintf("m%02d", i), interference.DefaultMachine(model.PlatformA), 16, nil)
 		n := &node{m: m}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		client, err := pipeline.Dial(ctx, addr, func(s model.Spec) {
+		client := dialAggregator(t, addr, func(s model.Spec) {
 			n.a.DeliverSpec(s) // push path: spec reaches the detector over TCP
 		})
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
 		if err := client.Subscribe(); err != nil {
 			t.Fatal(err)
 		}
-		n.client = client
 		n.a = New(m, params, client)
 		// Two svc tasks per machine → 8 tasks fleet-wide (≥ MinTasks).
 		for j := 0; j < 2; j++ {

@@ -1,7 +1,6 @@
 package agent
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,13 +70,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	events := obs.NewEventLog(256, nil)
 	m := machine.New("m00", interference.DefaultMachine(model.PlatformA), 16, nil)
 	var a *Agent
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	client, err := pipeline.Dial(ctx, addr, func(s model.Spec) { a.DeliverSpec(s) })
-	cancel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialAggregator(t, addr, func(s model.Spec) { a.DeliverSpec(s) })
 	if err := client.Subscribe(); err != nil {
 		t.Fatal(err)
 	}

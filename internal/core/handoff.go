@@ -123,23 +123,6 @@ func (b *SpecBuilder) Keys() []model.SpecKey {
 	return out
 }
 
-// KeyCount returns len(Keys()) without building the slice.
-func (b *SpecBuilder) KeyCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	set := make(map[model.SpecKey]bool, len(b.history)+len(b.pending)+len(b.specs))
-	for k := range b.history {
-		set[k] = true
-	}
-	for k := range b.pending {
-		set[k] = true
-	}
-	for k := range b.specs {
-		set[k] = true
-	}
-	return len(set)
-}
-
 // LastRecompute returns when the builder last recomputed (zero before
 // the first recompute). The /debug/ring endpoint reports it as the
 // shard's spec freshness.

@@ -75,8 +75,8 @@ func TestHandoffSpecEquivalence(t *testing.T) {
 		if err := dest.ImportCheckpoint(decoded); err != nil {
 			t.Fatal(err)
 		}
-		if got := donor.KeyCount() + dest.KeyCount(); got != njobs {
-			t.Fatalf("trial %d: keys split %d+%d, want %d total", trial, donor.KeyCount(), dest.KeyCount(), njobs)
+		if got := len(donor.Keys()) + len(dest.Keys()); got != njobs {
+			t.Fatalf("trial %d: keys split %d+%d, want %d total", trial, len(donor.Keys()), len(dest.Keys()), njobs)
 		}
 
 		recompute := day0.Add(48 * time.Hour)
@@ -146,13 +146,13 @@ func TestHandoffImportCollisionRejected(t *testing.T) {
 // yields an empty frame and leaves the builder intact.
 func TestHandoffExportUnknownKeys(t *testing.T) {
 	b := buildPopulatedBuilder(t, 3, 5)
-	n := b.KeyCount()
+	n := len(b.Keys())
 	cp := b.ExportKeys([]model.SpecKey{{Job: "nope", Platform: model.PlatformA}}, day0)
 	if len(cp.History) != 0 || len(cp.Pending) != 0 || len(cp.Specs) != 0 {
 		t.Errorf("export of unknown key carried state: %+v", cp)
 	}
-	if b.KeyCount() != n {
-		t.Errorf("export of unknown key shrank the builder: %d -> %d keys", n, b.KeyCount())
+	if len(b.Keys()) != n {
+		t.Errorf("export of unknown key shrank the builder: %d -> %d keys", n, len(b.Keys()))
 	}
 }
 

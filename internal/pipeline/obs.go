@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"io"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Metrics bundles the pipeline-layer metrics. All handles are
 // nil-safe, so a zero Metrics disables instrumentation; build one per
@@ -43,6 +39,9 @@ type Metrics struct {
 	// state means the fleet disagrees about the ring.
 	Misrouted *obs.Counter // cpi2_pipeline_misrouted_total
 }
+
+// noMetrics is the disabled set, for whatever has not been given one.
+var noMetrics = &Metrics{}
 
 // NewMetrics registers (or fetches) the pipeline metric set on r.
 func NewMetrics(r *obs.Registry) *Metrics {
@@ -85,28 +84,4 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Misrouted: r.Counter("cpi2_pipeline_misrouted_total",
 			"samples refused by a shard's ownership filter (sender has a stale ring)"),
 	}
-}
-
-// countingReader counts bytes read through it into c (nil-safe).
-type countingReader struct {
-	r io.Reader
-	c *obs.Counter
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.c.Add(float64(n))
-	return n, err
-}
-
-// countingWriter counts bytes written through it into c (nil-safe).
-type countingWriter struct {
-	w io.Writer
-	c *obs.Counter
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(float64(n))
-	return n, err
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -9,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !cond() {
@@ -69,10 +68,7 @@ func TestServerUnwatchesDeadConnections(t *testing.T) {
 	defer srv.Close()
 
 	for round := 0; round < 3; round++ {
-		client, err := Dial(context.Background(), addr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		client := dialTest(t, addr, nil)
 		_ = client.Subscribe()
 		waitFor(t, "watcher registration", func() bool { return bus.NumWatchers() == 1 })
 		if err := client.Close(); err != nil {
@@ -101,11 +97,7 @@ func TestTCPMetrics(t *testing.T) {
 	clientReg := obs.NewRegistry()
 	cm := NewMetrics(clientReg)
 	var got collectSpecs
-	client, err := Dial(context.Background(), addr, got.add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialTest(t, addr, got.add)
 	client.SetMetrics(cm)
 
 	if err := client.Subscribe(); err != nil {
@@ -130,7 +122,7 @@ func TestTCPMetrics(t *testing.T) {
 		t.Errorf("pipeline samples = %v, want 1200", m.SamplesIn.Value())
 	}
 	// Client sent subscribe + samples = 2 counted messages out (the
-	// hello went out during Dial, before SetMetrics installed cm).
+	// hello went out on connect, before SetMetrics installed cm).
 	if cm.MessagesOut.Value() != 2 || cm.BytesOut.Value() == 0 {
 		t.Errorf("client out counters = %v msgs / %v bytes",
 			cm.MessagesOut.Value(), cm.BytesOut.Value())
@@ -154,6 +146,41 @@ func TestTCPMetrics(t *testing.T) {
 				t.Errorf("wire errors (%s) during a clean session = %v", reason, got)
 			}
 		}
+	}
+}
+
+// TestRedialerInstrumentsLiveConnection: SetMetrics on a redialer
+// whose connection is already up counts that connection's next frames,
+// written and read, in the new set and no longer in the old one.
+func TestRedialerInstrumentsLiveConnection(t *testing.T) {
+	addr, bus, _, _ := wireTestServer(t)
+	var got collectSpecs
+	client := dialTest(t, addr, got.add)
+	first, second := NewMetrics(obs.NewRegistry()), NewMetrics(obs.NewRegistry())
+	client.SetMetrics(first)
+	if err := client.Subscribe(); err != nil {
+		t.Fatal(err)
+	}
+	client.SetMetrics(second)
+	if err := client.Publish(makeSamples("j", 8, 150, 1.2)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "samples", func() bool { r, _ := bus.Stats(); return r == 1200 })
+	bus.Recompute(day0)
+	waitFor(t, "spec push", func() bool { return got.count() == 1 })
+	for _, c := range []struct {
+		name string
+		m    *Metrics
+	}{{"first", first}, {"second", second}} {
+		if c.m.MessagesOut.Value() != 1 || c.m.BytesOut.Value() == 0 {
+			t.Errorf("%s set: %v messages / %v bytes out, want one frame", c.name, c.m.MessagesOut.Value(), c.m.BytesOut.Value())
+		}
+	}
+	if second.MessagesIn.Value() < 1 || second.BytesIn.Value() == 0 {
+		t.Errorf("second set: %v messages / %v bytes in, want the spec push", second.MessagesIn.Value(), second.BytesIn.Value())
+	}
+	if first.MessagesIn.Value() > 1 {
+		t.Errorf("first set: %v messages in, want at most the server's hello", first.MessagesIn.Value())
 	}
 }
 

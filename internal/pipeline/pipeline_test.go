@@ -1,13 +1,13 @@
 package pipeline
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 var day0 = time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -131,11 +131,7 @@ func TestTCPEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	var got collectSpecs
-	client, err := Dial(context.Background(), addr, got.add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialTest(t, addr, got.add)
 
 	if err := client.Subscribe(); err != nil { // all specs
 		t.Fatal(err)
@@ -180,11 +176,7 @@ func TestTCPSubscriptionFiltering(t *testing.T) {
 	defer srv.Close()
 
 	var got collectSpecs
-	client, err := Dial(context.Background(), addr, got.add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialTest(t, addr, got.add)
 	if err := client.Subscribe(model.SpecKey{Job: "mine", Platform: model.PlatformA}); err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +214,7 @@ func TestTCPClientDisconnectTolerated(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := Dial(context.Background(), addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := dialTest(t, addr, nil)
 	_ = client.Subscribe()
 	_ = client.Publish(makeSamples("j", 8, 150, 1.2))
 	deadline := time.Now().Add(5 * time.Second)
@@ -246,11 +235,19 @@ func TestTCPClientDisconnectTolerated(t *testing.T) {
 	}
 }
 
+// TestTCPDialFailure: with no connection up — here none can be, the
+// port refuses — Publish returns an error and counts the batch in
+// DroppedBatches.
 func TestTCPDialFailure(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if _, err := Dial(ctx, "127.0.0.1:1", nil); err == nil {
-		t.Error("dial to dead port succeeded")
+	rd := newRedialer("127.0.0.1:1", nil, noRedial)
+	defer rd.Close()
+	m := NewMetrics(obs.NewRegistry())
+	rd.SetMetrics(m)
+	if err := rd.Publish(makeSamples("j", 1, 1, 1.2)); err == nil {
+		t.Error("publish without a connection succeeded")
+	}
+	if rd.Connected() || m.DroppedBatches.Value() != 1 {
+		t.Errorf("connected %v, dropped batches %v, want false and 1", rd.Connected(), m.DroppedBatches.Value())
 	}
 }
 
@@ -262,11 +259,7 @@ func TestTCPPublishEmptyIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(context.Background(), addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialTest(t, addr, nil)
 	if err := client.Publish(nil); err != nil {
 		t.Errorf("empty publish errored: %v", err)
 	}

@@ -2,8 +2,8 @@ package pipeline
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -129,8 +129,7 @@ func (errTimeout) Timeout() bool { return true }
 // loop: the test plays the peer by calling subscribe and markDead.
 func newFakeServerConn(srv *Server) (*serverConn, *fakeConn) {
 	fc := &fakeConn{}
-	m := srv.bus.Metrics()
-	return &serverConn{srv: srv, conn: fc, m: m, w: countingWriter{fc, m.BytesOut}}, fc
+	return srv.newConn(fc), fc
 }
 
 // framesOf decodes writes, each of which must hold whole frames only.
@@ -709,16 +708,30 @@ func TestPushCoalescesWrites(t *testing.T) {
 	}
 }
 
-func dialTest(t *testing.T, addr string, onSpec func(model.Spec)) *Client {
+// testClient is a test's connection to a server: a connected Redialer
+// that never re-dials, so a connection the server drops stays dropped.
+type testClient struct{ *Redialer }
+
+// noRedial paces a Redialer past any test's end.
+func noRedial(int) time.Duration { return time.Hour }
+
+func dialTest(t testing.TB, addr string, onSpec func(model.Spec)) testClient {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	client, err := Dial(ctx, addr, onSpec)
-	if err != nil {
-		t.Fatal(err)
+	rd := newRedialer(addr, onSpec, noRedial)
+	t.Cleanup(func() { rd.Close() })
+	waitFor(t, "connect", rd.Connected)
+	return testClient{rd}
+}
+
+// send writes one frame on the live connection.
+func (c testClient) send(msg wireMsg) error {
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	if conn == nil {
+		return errors.New("not connected")
 	}
-	t.Cleanup(func() { client.Close() })
-	return client
+	return conn.send(msg)
 }
 
 // TestHelloBehindBufferedSpecs: a hello answered while spec frames wait

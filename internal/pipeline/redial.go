@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,20 +13,22 @@ import (
 	"repro/internal/obs"
 )
 
-// Redialer is a SampleSink that maintains a client connection to an
-// aggregation server, re-dialing with capped full-jitter backoff
-// whenever a dial fails or the connection drops. Batches published
-// while no connection is up are dropped (and counted) — at-most-once
-// delivery, same as the underlying pipe.
+// Redialer is the agent end of the wire: a SampleSink that keeps one
+// connection to an aggregation server, says hello on it, replays its
+// subscriptions, reads spec pushes off it, and re-dials with capped
+// full-jitter backoff whenever a dial fails or the connection drops.
+// Batches published while no connection is up are dropped (and
+// counted) — at-most-once delivery, same as the underlying pipe.
 type Redialer struct {
 	addr   string
 	onSpec func(model.Spec)
-	cfg    RedialConfig
+	// pace is the sleep before re-dial attempt number attempt (0-based).
+	pace func(attempt int) time.Duration
 
 	mu        sync.Mutex
 	metrics   *Metrics // never nil
 	events    *obs.EventLog
-	client    *Client
+	conn      *wireConn                  // the live connection; nil while down
 	subs      []model.SpecKey            // replay order: first-subscription order
 	subSet    map[model.SpecKey]struct{} // dedup for subs
 	subAll    bool
@@ -35,38 +39,16 @@ type Redialer struct {
 	done   chan struct{}
 }
 
-// maxRedialBackoff caps the exponential re-dial backoff.
-const maxRedialBackoff = 30 * time.Second
+// Re-dial pacing: the backoff ceiling starts at redialBase and doubles
+// per consecutive failure up to redialMax.
+const (
+	redialBase = 100 * time.Millisecond
+	redialMax  = 30 * time.Second
+)
 
-// RedialConfig tunes the re-dial backoff. The zero value gets the
-// defaults from Sanitize.
-type RedialConfig struct {
-	// Base is the backoff ceiling for the first failed dial (default
-	// 100ms); the ceiling doubles per consecutive failure up to Max
-	// (default 30s).
-	Base time.Duration
-	Max  time.Duration
-	// Rand supplies the jitter randomness in [0,1); defaults to the
-	// global math/rand source. Tests (and deterministic simulations)
-	// inject a seeded one.
-	Rand func() float64
-}
-
-// Sanitize fills defaults for unset fields.
-func (c RedialConfig) Sanitize() RedialConfig {
-	if c.Base <= 0 {
-		c.Base = 100 * time.Millisecond
-	}
-	if c.Max <= 0 {
-		c.Max = maxRedialBackoff
-	}
-	if c.Max < c.Base {
-		c.Max = c.Base
-	}
-	if c.Rand == nil {
-		c.Rand = rand.Float64
-	}
-	return c
+// redialPace is the Redialer's backoff: full jitter over the ceiling.
+func redialPace(attempt int) time.Duration {
+	return FullJitterBackoff(attempt, redialBase, redialMax, rand.Float64())
 }
 
 // FullJitterBackoff computes the sleep before re-dial attempt number
@@ -81,7 +63,7 @@ func (c RedialConfig) Sanitize() RedialConfig {
 // spin the dial loop.
 func FullJitterBackoff(attempt int, base, max time.Duration, rnd float64) time.Duration {
 	if base <= 0 {
-		base = 100 * time.Millisecond
+		base = redialBase
 	}
 	if max < base {
 		max = base
@@ -100,22 +82,21 @@ func FullJitterBackoff(attempt int, base, max time.Duration, rnd float64) time.D
 	return d
 }
 
-// NewRedialer starts a reconnecting client for addr with default
-// backoff. onSpec (may be nil) is invoked for every spec push, across
-// reconnects. The first dial happens in the background; Publish before
-// it completes counts a dropped batch.
+// NewRedialer starts a reconnecting client for addr. onSpec (may be
+// nil) is invoked on the connection's read goroutine for every spec
+// push, across reconnects. The first dial happens in the background;
+// Publish before it completes counts a dropped batch.
 func NewRedialer(addr string, onSpec func(model.Spec)) *Redialer {
-	return NewRedialerWith(addr, onSpec, RedialConfig{})
+	return newRedialer(addr, onSpec, redialPace)
 }
 
-// NewRedialerWith is NewRedialer with explicit backoff tuning.
-func NewRedialerWith(addr string, onSpec func(model.Spec), cfg RedialConfig) *Redialer {
+func newRedialer(addr string, onSpec func(model.Spec), pace func(int) time.Duration) *Redialer {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Redialer{
 		addr:    addr,
 		onSpec:  onSpec,
-		cfg:     cfg.Sanitize(),
-		metrics: &Metrics{},
+		pace:    pace,
+		metrics: noMetrics,
 		subSet:  make(map[model.SpecKey]struct{}),
 		cancel:  cancel,
 		done:    make(chan struct{}),
@@ -128,12 +109,12 @@ func NewRedialerWith(addr string, onSpec func(model.Spec), cfg RedialConfig) *Re
 // connections. A nil m disables instrumentation.
 func (r *Redialer) SetMetrics(m *Metrics) {
 	if m == nil {
-		m = &Metrics{}
+		m = noMetrics
 	}
 	r.mu.Lock()
 	r.metrics = m
-	if r.client != nil {
-		r.client.SetMetrics(m)
+	if r.conn != nil {
+		r.conn.instrument(m, r.events)
 	}
 	r.mu.Unlock()
 }
@@ -143,8 +124,8 @@ func (r *Redialer) SetMetrics(m *Metrics) {
 func (r *Redialer) SetEvents(log *obs.EventLog) {
 	r.mu.Lock()
 	r.events = log
-	if r.client != nil {
-		r.client.SetEvents(log)
+	if r.conn != nil {
+		r.conn.instrument(r.metrics, log)
 	}
 	r.mu.Unlock()
 }
@@ -159,11 +140,12 @@ func (r *Redialer) SetOnConnect(fn func()) {
 	r.mu.Unlock()
 }
 
-// Subscribe records the subscription and forwards it on the current
-// connection (if any); it is replayed after every reconnect. Keys are
-// deduplicated: re-subscribing to a key already held is a no-op, so
-// the replay list stays bounded by the number of distinct keys no
-// matter how often callers re-subscribe.
+// Subscribe asks for spec pushes for the given keys; with no keys, for
+// every spec. The subscription is sent on the current connection (if
+// any) and replayed after every reconnect. Keys are deduplicated:
+// re-subscribing to a key already held is a no-op, so the replay list
+// stays bounded by the number of distinct keys no matter how often
+// callers re-subscribe.
 func (r *Redialer) Subscribe(keys ...model.SpecKey) error {
 	r.mu.Lock()
 	var fresh []model.SpecKey
@@ -179,35 +161,30 @@ func (r *Redialer) Subscribe(keys ...model.SpecKey) error {
 			fresh = append(fresh, k)
 		}
 	}
-	c := r.client
+	c := r.conn
 	r.mu.Unlock()
-	if c == nil {
-		return nil // will be sent on connect
+	if c == nil || (len(keys) > 0 && len(fresh) == 0) {
+		return nil // sent on connect, or all duplicates the server has
 	}
-	if len(keys) == 0 {
-		return c.Subscribe()
-	}
-	if len(fresh) == 0 {
-		return nil // all duplicates; the server already has them
-	}
-	return c.Subscribe(fresh...)
+	return c.send(wireMsg{Type: msgSubscribe, Jobs: fresh})
 }
 
 // Publish implements SampleSink. With no live connection the batch is
-// dropped and counted; a send error tears the connection down so the
+// dropped and counted; a send error also closes the connection, so the
 // loop re-dials.
 func (r *Redialer) Publish(samples []model.Sample) error {
 	r.mu.Lock()
-	c := r.client
-	m := r.metrics
+	c, m := r.conn, r.metrics
 	r.mu.Unlock()
 	if c == nil {
 		m.DroppedBatches.Inc()
 		return errors.New("pipeline: not connected")
 	}
-	if err := c.Publish(samples); err != nil {
+	if len(samples) == 0 {
+		return nil
+	}
+	if err := c.send(wireMsg{Type: msgSamples, Samples: samples}); err != nil {
 		m.DroppedBatches.Inc()
-		c.conn.Close() // wake the loop to re-dial
 		return err
 	}
 	return nil
@@ -217,102 +194,106 @@ func (r *Redialer) Publish(samples []model.Sample) error {
 func (r *Redialer) Connected() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.client != nil
+	return r.conn != nil
 }
 
-// Close stops redialing and tears down any live connection.
+// Close stops redialing, tears down any live connection and waits for
+// its read loop to end.
 func (r *Redialer) Close() error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		<-r.done
-		return nil
-	}
 	r.closed = true
-	c := r.client
+	if r.conn != nil {
+		r.conn.conn.Close()
+	}
 	r.mu.Unlock()
 	r.cancel()
-	if c != nil {
-		c.Close()
-	}
 	<-r.done
 	return nil
 }
 
 func (r *Redialer) loop(ctx context.Context) {
 	defer close(r.done)
-	first := true
-	attempt := 0
-	// pause sleeps the backoff before the next dial; false means closed.
-	pause := func() bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(FullJitterBackoff(attempt, r.cfg.Base, r.cfg.Max, r.cfg.Rand())):
-		}
-		attempt++
-		return true
-	}
+	var dialer net.Dialer
+	attempt, reconnect := 0, false
 	for {
-		c, err := Dial(ctx, r.addr, r.onSpec)
-		if err != nil {
-			if !pause() {
+		if conn, err := dialer.DialContext(ctx, "tcp", r.addr); err == nil {
+			connected := time.Now()
+			if !r.serve(conn, reconnect) {
 				return
 			}
-			continue
+			reconnect = true
+			// A connection that outlived the longest backoff starts the
+			// pacing over. One that died young is paced like a failed dial:
+			// a peer that accepts and then drops every connection — one
+			// that speaks another wire version refuses ours at the first
+			// frame — would otherwise be re-dialed in a tight loop.
+			if time.Since(connected) >= redialMax {
+				attempt = 0
+			}
 		}
-		connected := time.Now()
-
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			c.Close()
-			return
-		}
-		c.SetMetrics(r.metrics)
-		c.SetEvents(r.events)
-		if !first {
-			r.metrics.Reconnects.Inc()
-		}
-		subAll, subs := r.subAll, append([]model.SpecKey(nil), r.subs...)
-		onConnect := r.onConnect
-		r.client = c
-		r.mu.Unlock()
-		first = false
-
-		// Replay subscriptions on the fresh connection.
-		if subAll {
-			_ = c.Subscribe()
-		}
-		if len(subs) > 0 {
-			_ = c.Subscribe(subs...)
-		}
-		if onConnect != nil {
-			onConnect()
-		}
-
 		select {
 		case <-ctx.Done():
-			r.mu.Lock()
-			r.client = nil
-			r.mu.Unlock()
-			c.Close()
 			return
-		case <-c.Done():
-			r.mu.Lock()
-			r.client = nil
-			r.mu.Unlock()
+		case <-time.After(r.pace(attempt)):
 		}
-		// A connection that outlived the longest backoff starts the pacing
-		// over. One that died young is paced like a failed dial: a peer
-		// that accepts and then drops every connection — one that speaks
-		// another wire version refuses ours at the first frame — would
-		// otherwise be re-dialed in a tight loop.
-		if time.Since(connected) >= r.cfg.Max {
-			attempt = 0
-		}
-		if !pause() {
-			return
-		}
+		attempt++
 	}
+}
+
+// serve makes conn the live connection until it ends: it says hello,
+// replays the subscriptions, calls the onConnect hook and reads spec
+// pushes. It reports false, with conn closed, if the redialer was
+// closed first.
+func (r *Redialer) serve(conn net.Conn, reconnect bool) bool {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		conn.Close()
+		return false
+	}
+	c := newWireConn(conn, "client", r.metrics, r.events)
+	// The hello is the connection's first frame: no Publish can find the
+	// connection before it is written, and six bytes on a fresh
+	// connection cannot wait for buffer space while r.mu is held. The
+	// server's answer is not waited for; a peer that is not wire v2 shows
+	// as a wire_error on whichever side reads the other's first frame. A
+	// failed write closes c, so the read below ends at once.
+	_ = c.send(wireMsg{Type: msgHello})
+	if reconnect {
+		r.metrics.Reconnects.Inc()
+	}
+	r.conn = c
+	subAll, subs, onConnect := r.subAll, slices.Clone(r.subs), r.onConnect
+	r.mu.Unlock()
+
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		c.readFrames(r.handle)
+	}()
+	if subAll {
+		_ = c.send(wireMsg{Type: msgSubscribe})
+	}
+	if len(subs) > 0 {
+		_ = c.send(wireMsg{Type: msgSubscribe, Jobs: subs})
+	}
+	if onConnect != nil {
+		onConnect()
+	}
+	<-read
+	conn.Close()
+	r.mu.Lock()
+	r.conn = nil
+	r.mu.Unlock()
+	return true
+}
+
+// handle serves one frame from the aggregator.
+func (r *Redialer) handle(msg wireMsg) error {
+	// The server's hello needs no action: one for another version never
+	// gets here (the decoder refuses it).
+	if msg.Type == msgSpec && r.onSpec != nil {
+		r.onSpec(msg.Spec)
+	}
+	return nil
 }

@@ -72,15 +72,17 @@ func TestFullJitterBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestRedialConfigSanitize pins the defaults and the Max>=Base clamp.
-func TestRedialConfigSanitize(t *testing.T) {
-	c := RedialConfig{}.Sanitize()
-	if c.Base != 100*time.Millisecond || c.Max != maxRedialBackoff || c.Rand == nil {
-		t.Errorf("zero config sanitized to %+v", c)
-	}
-	c = RedialConfig{Base: time.Second, Max: time.Millisecond}.Sanitize()
-	if c.Max != time.Second {
-		t.Errorf("Max %v not clamped up to Base", c.Max)
+// TestRedialPaceDefaults pins the Redialer's pacing: a first re-dial
+// within 100ms, a ceiling that doubles per attempt and stops at 30s.
+func TestRedialPaceDefaults(t *testing.T) {
+	for attempt, ceil := range map[int]time.Duration{0: 100 * time.Millisecond, 3: 800 * time.Millisecond, 20: 30 * time.Second} {
+		longest := time.Duration(0)
+		for i := 0; i < 200; i++ {
+			longest = max(longest, redialPace(attempt))
+		}
+		if longest > ceil || longest < ceil/2 {
+			t.Errorf("attempt %d: longest of 200 draws %v, want within (%v, %v]", attempt, longest, ceil/2, ceil)
+		}
 	}
 }
 
@@ -109,9 +111,9 @@ func TestRedialerPacesRefusedConnections(t *testing.T) {
 		}
 	}()
 	var draws atomic.Int64
-	rd := NewRedialerWith(ln.Addr().String(), nil, RedialConfig{
-		Base: time.Millisecond, Max: time.Hour, // no connection outlives Max
-		Rand: func() float64 { draws.Add(1); return 0.5 },
+	rd := newRedialer(ln.Addr().String(), nil, func(int) time.Duration {
+		draws.Add(1)
+		return time.Millisecond
 	})
 	defer rd.Close()
 	for i := 0; i < conns; i++ {

@@ -20,25 +20,13 @@ const approxSampleBytes = 160
 // approxBatchOverheadBytes accounts for the per-frame envelope.
 const approxBatchOverheadBytes = 48
 
-// SpoolConfig bounds and paces a Spooler. The zero value gets sane
-// defaults from Sanitize.
+// SpoolConfig bounds a Spooler. The zero value gets sane defaults from
+// Sanitize.
 type SpoolConfig struct {
 	// MaxBatches caps the number of buffered batches (default 4096).
 	MaxBatches int
 	// MaxBytes caps the approximate buffered bytes (default 64 MiB).
 	MaxBytes int64
-	// RetryBase is the initial replay backoff after a failed drain
-	// (default 200ms); it doubles per failure up to RetryMax (default
-	// 10s). Only the Start loop uses these; TryDrain is caller-paced.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// Jitter is the ± fraction applied to each backoff (default 0.2),
-	// so a fleet of agents doesn't thunder back in lockstep. Negative
-	// means explicitly no jitter; values above 1 clamp to 1.
-	Jitter float64
-	// Rand supplies jitter randomness in [0,1); defaults to the global
-	// math/rand source. Tests inject a seeded one.
-	Rand func() float64
 }
 
 // Sanitize fills defaults for unset fields.
@@ -49,25 +37,18 @@ func (c SpoolConfig) Sanitize() SpoolConfig {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 64 << 20
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 200 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 10 * time.Second
-	}
-	switch {
-	case c.Jitter == 0:
-		c.Jitter = 0.2
-	case c.Jitter < 0:
-		c.Jitter = 0
-	case c.Jitter > 1:
-		c.Jitter = 1
-	}
-	if c.Rand == nil {
-		c.Rand = rand.Float64
-	}
 	return c
 }
+
+// Replay pacing of the Start loop (TryDrain is caller-paced): the
+// backoff after a failed drain starts at spoolRetryBase and doubles per
+// failure up to spoolRetryMax, each wait spread by ±spoolJitter so a
+// fleet of agents does not thunder back in lockstep.
+const (
+	spoolRetryBase = 200 * time.Millisecond
+	spoolRetryMax  = 10 * time.Second
+	spoolJitter    = 0.2
+)
 
 // spooledBatch is one buffered Publish call.
 type spooledBatch struct {
@@ -94,6 +75,9 @@ type Spooler struct {
 	next SampleSink
 	cfg  SpoolConfig
 
+	// rand supplies the jitter randomness in [0,1).
+	rand func() float64
+
 	mu       sync.Mutex
 	metrics  *Metrics     // never nil
 	tracer   *trace.Store // nil = untraced
@@ -105,8 +89,11 @@ type Spooler struct {
 
 	// depth mirrors len(q) so the caller-paced drain of an empty spool —
 	// every machine, every tick, in the cluster simulation — is one
-	// atomic load instead of a lock round-trip.
-	depth atomic.Int64
+	// atomic load instead of a lock round-trip. With gaugedBytes it is
+	// also what this spool has added to the depth gauges, which the
+	// spools of every shard share.
+	depth       atomic.Int64
+	gaugedBytes int64
 
 	started bool
 	kick    chan struct{}
@@ -119,6 +106,7 @@ func NewSpooler(next SampleSink, cfg SpoolConfig) *Spooler {
 	return &Spooler{
 		next:    next,
 		cfg:     cfg.Sanitize(),
+		rand:    rand.Float64,
 		metrics: noMetrics,
 		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
@@ -126,14 +114,18 @@ func NewSpooler(next SampleSink, cfg SpoolConfig) *Spooler {
 	}
 }
 
-// SetMetrics instruments the spooler (nil disables).
+// SetMetrics instruments the spooler (nil disables). The spool's depth
+// moves from the old set's gauges to m's.
 func (s *Spooler) SetMetrics(m *Metrics) {
 	if m == nil {
 		m = noMetrics
 	}
 	s.mu.Lock()
+	s.metrics.SpooledBatches.Add(-float64(len(s.q)))
+	s.metrics.SpooledBytes.Add(-float64(s.qBytes))
 	s.metrics = m
-	s.depthChangedLocked()
+	m.SpooledBatches.Add(float64(len(s.q)))
+	m.SpooledBytes.Add(float64(s.qBytes))
 	s.mu.Unlock()
 }
 
@@ -274,12 +266,14 @@ func (s *Spooler) TakeAll() [][]model.Sample {
 	return out
 }
 
-// depthChangedLocked republishes the spool depth after s.q changed.
-// Caller holds s.mu.
+// depthChangedLocked republishes the spool depth after s.q changed,
+// moving the gauges by the change. Caller holds s.mu.
 func (s *Spooler) depthChangedLocked() {
-	s.depth.Store(int64(len(s.q)))
-	s.metrics.SpooledBatches.Set(float64(len(s.q)))
-	s.metrics.SpooledBytes.Set(float64(s.qBytes))
+	n := int64(len(s.q))
+	s.metrics.SpooledBatches.Add(float64(n - s.depth.Load()))
+	s.metrics.SpooledBytes.Add(float64(s.qBytes - s.gaugedBytes))
+	s.depth.Store(n)
+	s.gaugedBytes = s.qBytes
 }
 
 // Len returns the number of batches currently spooled.
@@ -325,7 +319,7 @@ func (s *Spooler) Start() {
 
 func (s *Spooler) loop() {
 	defer close(s.done)
-	backoff := s.cfg.RetryBase
+	backoff := spoolRetryBase
 	for {
 		var wait <-chan time.Time
 		if s.Len() > 0 {
@@ -335,26 +329,20 @@ func (s *Spooler) loop() {
 		case <-s.stop:
 			return
 		case <-s.kick:
-			backoff = s.cfg.RetryBase
+			backoff = spoolRetryBase
 		case <-wait:
 		}
 		if _, err := s.TryDrain(); err != nil {
-			if backoff *= 2; backoff > s.cfg.RetryMax {
-				backoff = s.cfg.RetryMax
-			}
+			backoff = min(2*backoff, spoolRetryMax)
 		} else {
-			backoff = s.cfg.RetryBase
+			backoff = spoolRetryBase
 		}
 	}
 }
 
-// jittered spreads d by ±cfg.Jitter.
+// jittered spreads d by ±spoolJitter.
 func (s *Spooler) jittered(d time.Duration) time.Duration {
-	if s.cfg.Jitter == 0 {
-		return d
-	}
-	f := 1 + s.cfg.Jitter*(2*s.cfg.Rand()-1)
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (1 + spoolJitter*(2*s.rand()-1)))
 }
 
 // Close stops the replay loop (if started). Buffered batches stay in

@@ -211,7 +211,7 @@ func TestSpoolerDropsOldestOverByteBudget(t *testing.T) {
 
 func TestSpoolerAsyncReplay(t *testing.T) {
 	gate := &gateSink{down: true}
-	sp := NewSpooler(gate, SpoolConfig{RetryBase: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond})
+	sp := NewSpooler(gate, SpoolConfig{})
 	defer sp.Close()
 	sp.Start()
 	for i := 0; i < 4; i++ {
@@ -240,7 +240,7 @@ func TestSpoolerOverRedialerSurvivesOutage(t *testing.T) {
 
 	rd := NewRedialer(addr, nil)
 	defer rd.Close()
-	sp := NewSpooler(rd, SpoolConfig{RetryBase: 5 * time.Millisecond})
+	sp := NewSpooler(rd, SpoolConfig{})
 	defer sp.Close()
 	rd.SetOnConnect(sp.Kick)
 	sp.Start()
@@ -331,24 +331,58 @@ func TestRedialerSubscribeDedup(t *testing.T) {
 
 func TestSpoolConfigSanitize(t *testing.T) {
 	c := SpoolConfig{}.Sanitize()
-	if c.MaxBatches != 4096 || c.MaxBytes != 64<<20 || c.RetryBase != 200*time.Millisecond ||
-		c.RetryMax != 10*time.Second || c.Jitter != 0.2 || c.Rand == nil {
+	if c.MaxBatches != 4096 || c.MaxBytes != 64<<20 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
-	c = SpoolConfig{MaxBatches: 7, Jitter: 2}.Sanitize()
-	if c.MaxBatches != 7 || c.Jitter != 1 {
+	c = SpoolConfig{MaxBatches: 7}.Sanitize()
+	if c.MaxBatches != 7 || c.MaxBytes != 64<<20 {
 		t.Errorf("sanitize clobbered/kept wrong fields: %+v", c)
 	}
-	if c := (SpoolConfig{Jitter: -1}).Sanitize(); c.Jitter != 0 {
-		t.Errorf("negative jitter should mean none, got %v", c.Jitter)
+	// Jitter spreads, but stays within ±0.2.
+	sp := NewSpooler(&gateSink{}, SpoolConfig{})
+	sp.rand = func() float64 { return 1 }
+	if d := sp.jittered(time.Second); d != 1200*time.Millisecond {
+		t.Errorf("jittered(1s) at rand=1 → %v, want 1.2s", d)
 	}
-	// Jitter spreads, but stays within ±J.
-	sp := NewSpooler(&gateSink{}, SpoolConfig{Jitter: 0.5, Rand: func() float64 { return 1 }})
-	if d := sp.jittered(time.Second); d != 1500*time.Millisecond {
-		t.Errorf("jittered(1s) at rand=1 → %v, want 1.5s", d)
+	sp.rand = func() float64 { return 0 }
+	if d := sp.jittered(time.Second); d != 800*time.Millisecond {
+		t.Errorf("jittered(1s) at rand=0 → %v, want 0.8s", d)
 	}
-	sp = NewSpooler(&gateSink{}, SpoolConfig{Jitter: 0.5, Rand: func() float64 { return 0 }})
-	if d := sp.jittered(time.Second); d != 500*time.Millisecond {
-		t.Errorf("jittered(1s) at rand=0 → %v, want 0.5s", d)
+}
+
+// TestSpoolDepthGaugesSumAcrossSpools: spools sharing one metric set —
+// one per shard in cpi2agent — add up in the depth gauges instead of
+// overwriting each other, and SetMetrics moves a spool's depth between
+// sets.
+func TestSpoolDepthGaugesSumAcrossSpools(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry())
+	gauges := func(m *Metrics) (float64, float64) { return m.SpooledBatches.Value(), m.SpooledBytes.Value() }
+	perBatch := float64(batchBytes(oneBatch(0)))
+	gates := []*gateSink{{down: true}, {down: true}}
+	spools := make([]*Spooler, len(gates))
+	for i, n := range []int{3, 5} {
+		spools[i] = NewSpooler(gates[i], SpoolConfig{})
+		spools[i].SetMetrics(m)
+		for j := 0; j < n; j++ {
+			_ = spools[i].Publish(oneBatch(j))
+		}
+	}
+	if b, by := gauges(m); b != 8 || by != 8*perBatch {
+		t.Errorf("two spools of 3 and 5 batches: gauges read %v batches, %v bytes, want 8 and %v", b, by, 8*perBatch)
+	}
+	gates[0].setDown(false)
+	if _, err := spools[0].TryDrain(); err != nil {
+		t.Fatal(err)
+	}
+	if b, by := gauges(m); b != 5 || by != 5*perBatch {
+		t.Errorf("after the first spool drained: gauges read %v batches, %v bytes, want 5 and %v", b, by, 5*perBatch)
+	}
+	other := NewMetrics(obs.NewRegistry())
+	spools[1].SetMetrics(other)
+	if b, _ := gauges(m); b != 0 {
+		t.Errorf("old set still reads %v batches after SetMetrics moved the spool away", b)
+	}
+	if b, by := gauges(other); b != 5 || by != 5*perBatch {
+		t.Errorf("new set reads %v batches, %v bytes, want 5 and %v", b, by, 5*perBatch)
 	}
 }

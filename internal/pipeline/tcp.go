@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -43,26 +41,6 @@ func (s *Server) SetEvents(log *obs.EventLog) {
 	s.mu.Unlock()
 }
 
-// noteWireError accounts one abnormal read-loop exit: a metric bump
-// under cpi2_wire_errors_total{reason} plus a structured event. Clean
-// closes (EOF, our own Close) are not errors and are filtered here.
-func (s *Server) noteWireError(remote string, err error) {
-	if isCleanClose(err) {
-		return
-	}
-	reason := wireErrorReason(err)
-	s.bus.Metrics().WireErrors.With(reason).Inc()
-	s.mu.Lock()
-	log := s.events
-	s.mu.Unlock()
-	log.Emit(time.Now().UTC(), "wire_error", map[string]string{
-		"side":   "server",
-		"remote": remote,
-		"reason": reason,
-		"error":  err.Error(),
-	})
-}
-
 // Serve starts accepting on addr ("host:port", port 0 for ephemeral)
 // and returns the bound address. It does not block; Close stops it.
 func (s *Server) Serve(addr string) (string, error) {
@@ -91,8 +69,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
-		m := s.bus.Metrics()
-		sc := &serverConn{srv: s, conn: conn, m: m, w: countingWriter{conn, m.BytesOut}}
+		sc := s.newConn(conn)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -102,10 +79,18 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.conns[sc] = struct{}{}
 		s.mu.Unlock()
 		s.bus.Watch(sc)
-		m.ConnectedAgents.Inc()
+		sc.metrics().ConnectedAgents.Inc()
 		s.wg.Add(1)
 		go sc.readLoop()
 	}
+}
+
+// newConn wraps conn as one of s's agent connections.
+func (s *Server) newConn(conn net.Conn) *serverConn {
+	s.mu.Lock()
+	events := s.events
+	s.mu.Unlock()
+	return &serverConn{wireConn: newWireConn(conn, "server", s.bus.Metrics(), events), srv: s}
 }
 
 // Close stops the listener and all connections.
@@ -146,27 +131,137 @@ const (
 	writeTimeout = 5 * time.Second
 )
 
-// serverConn is one agent connection; it is a SpecWatcher.
+// wireConn is what both ends of a wire v2 connection share: the framed
+// send buffer, the frame read loop, and their accounting.
 //
-// Sending is buffered: DeliverSpec appends its frame to out, and out is
-// written when the bus flushes the connection at the end of the push,
-// when it passes flushBytes, or when the read loop answers a hello —
-// always whole, in the order the frames were appended, under one write
-// deadline. MessagesOut counts the frames of a write that succeeded. A
-// write that fails closes the connection and adds the spec frames it
-// held to PushErrors; so does every later flush of that connection,
-// until the read loop has unwatched it.
-type serverConn struct {
-	srv  *Server
-	conn net.Conn
-	m    *Metrics
+// Sending is buffered: frames are appended to out and written whole, in
+// the order they were appended, under one write deadline, by
+// flushLocked. MessagesOut counts the frames of a write that succeeded.
+// A write that fails closes the connection, so its read loop ends, and
+// adds the spec frames it held to PushErrors; so does every later flush,
+// until the owner stops using the connection. Every count goes to the
+// metric set installed at the time, so instrumenting a live connection
+// takes effect at its next read or write.
+type wireConn struct {
+	conn   net.Conn
+	side   string // "server" or "client", as wire_error events name it
+	m      atomic.Pointer[Metrics]
+	events atomic.Pointer[obs.EventLog]
 
 	writeMu sync.Mutex
-	w       countingWriter
 	out     []byte
 	// frames is the number of frames in out, specs how many of them are
 	// spec pushes.
 	frames, specs int
+}
+
+func newWireConn(conn net.Conn, side string, m *Metrics, events *obs.EventLog) *wireConn {
+	c := &wireConn{conn: conn, side: side}
+	c.instrument(m, events)
+	return c
+}
+
+// instrument directs the connection's counters to m and its wire_error
+// events to events (nil disables either).
+func (c *wireConn) instrument(m *Metrics, events *obs.EventLog) {
+	if m == nil {
+		m = noMetrics
+	}
+	c.m.Store(m)
+	c.events.Store(events)
+}
+
+func (c *wireConn) metrics() *Metrics { return c.m.Load() }
+
+// Read reads from the connection, counting BytesIn.
+func (c *wireConn) Read(p []byte) (int, error) {
+	n, err := c.conn.Read(p)
+	c.metrics().BytesIn.Add(float64(n))
+	return n, err
+}
+
+// readFrames reads frames until the stream ends or handle refuses one,
+// counting MessagesIn per frame. Garbage, an oversized frame, a
+// mid-read failure and a refusal all go through noteWireError, so the
+// drop is distinguishable from a clean close.
+func (c *wireConn) readFrames(handle func(wireMsg) error) {
+	fr := newFrameReader(c)
+	for {
+		msg, err := fr.next()
+		if err == nil {
+			c.metrics().MessagesIn.Inc()
+			err = handle(msg)
+		}
+		if err != nil {
+			c.noteWireError(err)
+			return
+		}
+	}
+}
+
+// noteWireError accounts one abnormal read-loop exit: a bump of
+// cpi2_wire_errors_total{reason} plus a wire_error event naming the
+// side that saw it and the peer (on an agent, which aggregator shard's
+// connection failed). Clean closes (EOF, our own Close) are not errors
+// and are filtered here.
+func (c *wireConn) noteWireError(err error) {
+	if isCleanClose(err) {
+		return
+	}
+	reason := wireErrorReason(err)
+	c.metrics().WireErrors.With(reason).Inc()
+	c.events.Load().Emit(time.Now().UTC(), "wire_error", map[string]string{
+		"side":   c.side,
+		"remote": c.conn.RemoteAddr().String(),
+		"reason": reason,
+		"error":  err.Error(),
+	})
+}
+
+// send writes one frame now, behind whatever is waiting in out.
+func (c *wireConn) send(msg wireMsg) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	c.appendLocked(msg)
+	return c.flushLocked()
+}
+
+// appendLocked adds msg's frame to out. Callers hold writeMu.
+func (c *wireConn) appendLocked(msg wireMsg) {
+	c.out = appendBinaryFrame(c.out, msg)
+	c.frames++
+	if msg.Type == msgSpec {
+		c.specs++
+	}
+}
+
+// flushLocked writes out. Callers hold writeMu.
+func (c *wireConn) flushLocked() error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	m := c.metrics()
+	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	n, err := c.conn.Write(c.out)
+	m.BytesOut.Add(float64(n))
+	if err != nil {
+		m.PushErrors.Add(float64(c.specs))
+		c.conn.Close() // the read loop ends and its owner cleans up
+		err = fmt.Errorf("pipeline: send: %w", err)
+	} else {
+		m.MessagesOut.Add(float64(c.frames))
+	}
+	c.out, c.frames, c.specs = c.out[:0], 0, 0
+	return err
+}
+
+// serverConn is one agent connection; it is a SpecWatcher. Spec frames
+// wait in the send buffer until the bus flushes the connection at the
+// end of the push, or until they pass flushBytes; a hello is answered at
+// once, behind them.
+type serverConn struct {
+	*wireConn
+	srv *Server
 
 	subMu      sync.Mutex
 	subAll     bool
@@ -189,39 +284,25 @@ func (c *serverConn) readLoop() {
 		// Deregister from the bus, or a long-running aggregator
 		// accumulates one dead watcher per agent reconnect.
 		c.srv.bus.Unwatch(c)
-		c.m.ConnectedAgents.Dec()
+		c.metrics().ConnectedAgents.Dec()
 	}()
-	fr := newFrameReader(countingReader{c.conn, c.m.BytesIn})
-	for {
-		msg, err := fr.next()
-		if err != nil {
-			// Garbage, oversized, or mid-read failure: account it so the
-			// drop is distinguishable from a clean close (which is
-			// filtered inside noteWireError), then drop the connection.
-			c.srv.noteWireError(c.conn.RemoteAddr().String(), err)
-			return
-		}
-		c.m.MessagesIn.Inc()
-		switch msg.Type {
-		case msgSamples:
-			_ = c.srv.bus.Publish(msg.Samples)
-		case msgSubscribe:
-			if err := c.subscribe(msg.Jobs); err != nil {
-				c.srv.noteWireError(c.conn.RemoteAddr().String(), err)
-				return
-			}
-		case msgHello:
-			// Answer with our own; a hello for another version never gets
-			// here (the decoder refuses it).
-			if err := c.send(wireMsg{Type: msgHello}); err != nil {
-				c.srv.noteWireError(c.conn.RemoteAddr().String(), err)
-				return
-			}
-		default:
-			// Unknown message types are ignored for forward
-			// compatibility.
-		}
+	c.readFrames(c.handle)
+}
+
+// handle serves one frame from the agent; an error drops the connection.
+func (c *serverConn) handle(msg wireMsg) error {
+	switch msg.Type {
+	case msgSamples:
+		_ = c.srv.bus.Publish(msg.Samples)
+	case msgSubscribe:
+		return c.subscribe(msg.Jobs)
+	case msgHello:
+		// Answer with our own; a hello for another version never gets
+		// here (the decoder refuses it).
+		return c.send(wireMsg{Type: msgHello})
 	}
+	// Unknown message types are ignored for forward compatibility.
+	return nil
 }
 
 // subscribe adds keys (none: every key) to what the connection wants.
@@ -263,32 +344,6 @@ func (c *serverConn) markDead() {
 	c.subMu.Unlock()
 }
 
-// send writes one frame now, behind whatever is waiting in out.
-func (c *serverConn) send(msg wireMsg) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.out = appendBinaryFrame(c.out, msg)
-	c.frames++
-	return c.flushLocked()
-}
-
-// flushLocked writes out. Callers hold writeMu.
-func (c *serverConn) flushLocked() error {
-	if len(c.out) == 0 {
-		return nil
-	}
-	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := c.w.Write(c.out)
-	if err != nil {
-		c.m.PushErrors.Add(float64(c.specs))
-		c.conn.Close() // readLoop will clean up
-	} else {
-		c.m.MessagesOut.Add(float64(c.frames))
-	}
-	c.out, c.frames, c.specs = c.out[:0], 0, 0
-	return err
-}
-
 // flushSpecs implements specFlusher: the bus calls it once at the end of
 // every push.
 func (c *serverConn) flushSpecs() {
@@ -316,164 +371,8 @@ func (c *serverConn) DeliverSpec(spec model.Spec) {
 	traceID := trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.out = appendBinaryFrame(c.out, wireMsg{Type: msgSpec, Spec: spec, TraceID: traceID})
-	c.frames++
-	c.specs++
+	c.appendLocked(wireMsg{Type: msgSpec, Spec: spec, TraceID: traceID})
 	if len(c.out) >= flushBytes {
 		_ = c.flushLocked()
 	}
-}
-
-// Client is the agent-side pipeline endpoint: it publishes sample
-// batches and receives spec pushes.
-type Client struct {
-	conn net.Conn
-	m    atomic.Pointer[Metrics]
-
-	writeMu sync.Mutex
-	sendBuf []byte
-
-	events atomic.Pointer[obs.EventLog]
-	onSpec func(model.Spec)
-	done   chan struct{}
-}
-
-// Dial connects to an aggregation server and says hello. onSpec is
-// invoked (on the client's read goroutine) for every spec push; it may
-// be nil. The server's hello is not waited for: a peer that is not
-// wire v2 shows as a wire_error on whichever side reads the other's
-// first frame.
-func Dial(ctx context.Context, addr string, onSpec func(model.Spec)) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: dial %s: %w", addr, err)
-	}
-	c := &Client{
-		conn:   conn,
-		onSpec: onSpec,
-		done:   make(chan struct{}),
-	}
-	go c.readLoop()
-	if err := c.send(wireMsg{Type: msgHello}); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("pipeline: dial %s: hello: %w", addr, err)
-	}
-	return c, nil
-}
-
-// SetEvents directs the client's wire_error events to log (nil
-// disables). Safe to call at any time.
-func (c *Client) SetEvents(log *obs.EventLog) { c.events.Store(log) }
-
-// SetMetrics instruments the client with m (nil disables). Safe to
-// call at any time; counting starts with the next read/write.
-func (c *Client) SetMetrics(m *Metrics) {
-	if m == nil {
-		m = &Metrics{}
-	}
-	c.m.Store(m)
-}
-
-var noMetrics = &Metrics{}
-
-func (c *Client) metrics() *Metrics {
-	if m := c.m.Load(); m != nil {
-		return m
-	}
-	return noMetrics
-}
-
-// clientReader/clientWriter resolve the metric set per call so
-// SetMetrics works even after I/O has started.
-type clientReader struct{ c *Client }
-
-func (r clientReader) Read(p []byte) (int, error) {
-	n, err := r.c.conn.Read(p)
-	r.c.metrics().BytesIn.Add(float64(n))
-	return n, err
-}
-
-type clientWriter struct{ c *Client }
-
-func (w clientWriter) Write(p []byte) (int, error) {
-	n, err := w.c.conn.Write(p)
-	w.c.metrics().BytesOut.Add(float64(n))
-	return n, err
-}
-
-// Done is closed when the connection is gone and the read loop has
-// exited — the redial signal.
-func (c *Client) Done() <-chan struct{} { return c.done }
-
-func (c *Client) readLoop() {
-	defer close(c.done)
-	fr := newFrameReader(clientReader{c})
-	for {
-		msg, err := fr.next()
-		if err != nil {
-			c.noteWireError(err)
-			return
-		}
-		c.metrics().MessagesIn.Inc()
-		// The server's hello needs no action: one for another version
-		// never gets here (the decoder refuses it).
-		if msg.Type == msgSpec && c.onSpec != nil {
-			c.onSpec(msg.Spec)
-		}
-	}
-}
-
-// noteWireError mirrors Server.noteWireError for the agent side. The
-// event's remote names the aggregator, which is how a multi-shard agent
-// tells which shard's connection failed.
-func (c *Client) noteWireError(err error) {
-	if isCleanClose(err) {
-		return
-	}
-	reason := wireErrorReason(err)
-	c.metrics().WireErrors.With(reason).Inc()
-	c.events.Load().Emit(time.Now().UTC(), "wire_error", map[string]string{
-		"side":   "client",
-		"remote": c.conn.RemoteAddr().String(),
-		"reason": reason,
-		"error":  err.Error(),
-	})
-}
-
-// Publish sends one batch of samples (implements SampleSink).
-func (c *Client) Publish(samples []model.Sample) error {
-	if len(samples) == 0 {
-		return nil
-	}
-	return c.send(wireMsg{Type: msgSamples, Samples: samples})
-}
-
-// Subscribe asks for spec pushes for the given keys; with no keys, it
-// subscribes to all specs.
-func (c *Client) Subscribe(keys ...model.SpecKey) error {
-	return c.send(wireMsg{Type: msgSubscribe, Jobs: keys})
-}
-
-func (c *Client) send(msg wireMsg) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	c.sendBuf = appendBinaryFrame(c.sendBuf[:0], msg)
-	if _, err := (clientWriter{c}).Write(c.sendBuf); err != nil {
-		return fmt.Errorf("pipeline: send: %w", err)
-	}
-	c.metrics().MessagesOut.Inc()
-	return nil
-}
-
-// Close tears down the connection and waits for the read loop to end.
-// Closing an already-closed connection is not an error.
-func (c *Client) Close() error {
-	err := c.conn.Close()
-	<-c.done
-	if err != nil && !errors.Is(err, net.ErrClosed) {
-		return err
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"net"
 	"strings"
 	"testing"
@@ -96,13 +95,13 @@ func TestOversizeFrameOverTCP(t *testing.T) {
 	}
 }
 
-// dialFake dials a fake server that answers the client's hello with
-// reply and hangs up, and returns the client's metrics and event log
-// once its read loop has exited. The server reads the hello first (a
-// close with unread input turns into an RST, which the client would
-// classify as "read") and holds reply back until the metrics and event
-// log are installed — the read loop starts inside Dial, so an earlier
-// reply could be counted against nothing.
+// dialFake connects a client to a fake server that answers its hello
+// with reply and hangs up, and returns the client's metrics and event
+// log once the connection has dropped. Both are installed only after
+// the connection is up, and reply is held back until they are, so what
+// the client accounts also shows that instrumenting reaches a live
+// connection. The server reads the hello first: a close with unread
+// input turns into an RST, which the client would classify as "read".
 func dialFake(t *testing.T, reply []byte) (*Metrics, *obs.EventLog) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -125,17 +124,13 @@ func dialFake(t *testing.T, reply []byte) (*Metrics, *obs.EventLog) {
 		_, _ = conn.Write(reply)
 	}()
 
-	client, err := Dial(context.Background(), ln.Addr().String(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := dialTest(t, ln.Addr().String(), nil)
 	cm := NewMetrics(obs.NewRegistry())
 	client.SetMetrics(cm)
 	events := obs.NewEventLog(16, nil)
 	client.SetEvents(events)
 	instrumented <- struct{}{}
-	<-client.Done()
+	waitFor(t, "the connection to drop", func() bool { return !client.Connected() })
 	return cm, events
 }
 

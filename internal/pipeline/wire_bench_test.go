@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -194,11 +193,7 @@ func BenchmarkBusPush(b *testing.B) {
 			}
 			var seen atomic.Int64
 			for i := 0; i < nSubscribers; i++ {
-				client, err := Dial(context.Background(), addr, func(model.Spec) { seen.Add(1) })
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer client.Close()
+				client := dialTest(b, addr, func(model.Spec) { seen.Add(1) })
 				if err := client.Subscribe(); err != nil {
 					b.Fatal(err)
 				}
