@@ -149,7 +149,7 @@ func DefaultDiurnal(rng *stats.RNG) workload.DiurnalLoad {
 // construction.
 func WebSearchJob(name string, leaves, intermediates, roots int, rng *stats.RNG) ([]JobDef, *workload.SearchTree) {
 	tree := workload.NewSearchTree()
-	load := DefaultDiurnal(rng.Sub(name))
+	load := DefaultDiurnal(rng.Fork(name))
 	load.RNG = nil // template: each task forks its own jitter stream
 	mk := func(tier workload.Tier, suffix string, n int, profile *interference.Profile, maxCPU float64) JobDef {
 		return JobDef{

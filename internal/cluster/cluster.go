@@ -572,7 +572,7 @@ func (c *Cluster) placeTask(id model.TaskID, def *JobDef) error {
 
 func (c *Cluster) installTask(id model.TaskID, def *JobDef, machineName string) {
 	m := c.mach[machineName]
-	w := def.NewWorkload(id, c.rng.Sub("workload/"+id.String()))
+	w := def.NewWorkload(id, c.rng.Fork("workload/"+id.String()))
 	if err := m.AddTask(id, def.Job, def.Profile, w); err != nil {
 		// Scheduler and machine disagree: a bug, surface loudly.
 		panic(fmt.Sprintf("cluster: machine rejected scheduled task: %v", err))

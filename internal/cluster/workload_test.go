@@ -12,10 +12,11 @@ import (
 
 // workloadStreamGoldenSHA256 is the SHA-256 of workloadStreamRun's
 // incident records and spec table, computed while the workloads still
-// recorded per-tick telemetry series. Deleting those series had to leave
+// recorded per-tick telemetry series and re-pinned once when stats.RNG
+// streams moved to PCG generators. Deleting those series had to leave
 // every seeded draw in place, and so must every later change to a
 // workload.
-const workloadStreamGoldenSHA256 = "2475d28ce362262ea0e76ecac55a44c1f913c5e05d735653a6f87e249c78479c"
+const workloadStreamGoldenSHA256 = "a3fc19047d7ed11a8995d5c28a75aa013d018b370d52f2f9919beaaf720039d3"
 
 // TestWorkloadStreamPinned: a seeded fleet running a search job, a batch
 // job and a MapReduce job, then hit by antagonists, reproduces a pinned

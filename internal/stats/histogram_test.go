@@ -113,12 +113,12 @@ func TestRNGDeterminism(t *testing.T) {
 	if same {
 		t.Error("different-name streams identical")
 	}
-	// Sub-factories are deterministic and namespaced.
-	s1 := r.Sub("cluster").Stream("x")
-	s2 := NewRNG(1234).Sub("cluster").Stream("x")
+	// Forked factories are deterministic and namespaced.
+	s1 := r.Fork("cluster").Stream("x")
+	s2 := NewRNG(1234).Fork("cluster").Stream("x")
 	for i := 0; i < 10; i++ {
 		if s1.Float64() != s2.Float64() {
-			t.Fatal("Sub streams not reproducible")
+			t.Fatal("Fork streams not reproducible")
 		}
 	}
 	if r.Seed() != 1234 {

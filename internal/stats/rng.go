@@ -1,20 +1,44 @@
 package stats
 
 import (
-	"hash/fnv"
 	"math/rand"
+	randv2 "math/rand/v2"
 )
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix
 // whose output stream passes BigCrush. It is the standard way to
 // derive independent generator seeds from correlated inputs (seed,
-// seed+1, seed^hash, …), and what Fork uses so that sibling streams
-// are statistically non-overlapping.
+// seed+1, seed^hash, …), and the one derivation Stream and Fork share,
+// so sibling streams are statistically non-overlapping.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
+}
+
+// derive mixes a label into a seed: SplitMix64 of the seed xor the
+// mixed 64-bit FNV-1a hash of the label.
+func derive(seed int64, label string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= 1099511628211
+	}
+	return splitmix64(uint64(seed) ^ splitmix64(h))
+}
+
+// pcgSource adapts math/rand/v2's PCG (16 bytes of state) to
+// math/rand's Source64, so every stream keeps the *rand.Rand API
+// without carrying the 4.9 KB table of rand.NewSource.
+type pcgSource struct{ pcg randv2.PCG }
+
+func (s *pcgSource) Uint64() uint64 { return s.pcg.Uint64() }
+
+func (s *pcgSource) Int63() int64 { return int64(s.pcg.Uint64() & (1<<63 - 1)) }
+
+func (s *pcgSource) Seed(seed int64) {
+	s.pcg.Seed(uint64(seed), splitmix64(uint64(seed)))
 }
 
 // RNG derives independent, reproducible random streams from a single
@@ -36,35 +60,18 @@ func (r *RNG) Seed() int64 { return r.seed }
 // (root seed, name). Calling it twice with the same name yields two
 // generators producing identical sequences.
 func (r *RNG) Stream(name string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	derived := int64(h.Sum64()) ^ r.seed
-	return rand.New(rand.NewSource(derived))
+	src := &pcgSource{}
+	src.Seed(int64(derive(r.seed, name)))
+	return rand.New(src)
 }
 
-// Sub returns a child factory namespaced under name, so components can
-// hand sub-components their own seed space.
-func (r *RNG) Sub(name string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	const golden = uint64(0x9E3779B97F4A7C15)
-	return &RNG{seed: int64(h.Sum64() ^ uint64(r.seed)*golden)}
-}
-
-// Fork returns a child factory whose seed is a SplitMix64 mix of the
-// parent seed and the label hash. It is the splittable-substream
-// primitive the parallel cluster step relies on: each machine (and
-// each task workload) forks its own stream up front, every stream is a
-// pure function of (root seed, label path), and sibling streams do not
-// overlap — so ticking machines concurrently cannot perturb any
-// stream's sequence.
-//
-// Fork mixes harder than Sub (full avalanche rather than one
-// multiply-xor), which is what the stream-disjointness property test
-// exercises. Sub is kept unchanged for seed-stability of existing
-// call sites; new parallel-phase call sites should prefer Fork.
+// Fork returns a child factory whose seed is derived from the parent
+// seed and the label exactly as a stream's is. It is the splittable-
+// substream primitive the parallel cluster step relies on: each
+// machine (and each task workload) forks its own factory up front,
+// every stream is a pure function of (root seed, label path), and
+// sibling streams do not overlap — so ticking machines concurrently
+// cannot perturb any stream's sequence.
 func (r *RNG) Fork(label string) *RNG {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return &RNG{seed: int64(splitmix64(uint64(r.seed) ^ splitmix64(h.Sum64())))}
+	return &RNG{seed: int64(derive(r.seed, label))}
 }
