@@ -1,17 +1,16 @@
-// Package repro's top-level benchmark harness: one testing.B benchmark
-// per table and figure of the paper (regenerating the result at small
-// scale per iteration), plus microbenchmarks for the hot paths whose
+// Package repro's top-level micro-benchmarks: the hot paths whose
 // costs the paper quotes — the antagonist correlation analysis (§4.2:
-// "about 100µs"), outlier detection, spec aggregation, and the
-// machine-simulator tick.
+// "about 100µs"), suspect ranking, outlier detection, spec
+// aggregation, the machine-simulator tick and the Figure 7 GEV fit.
 //
-// Run everything with:
+// Run them with:
 //
-//	go test -bench=. -benchmem ./...
+//	go test -run '^$' -bench=. -benchmem .
 //
-// The per-figure benchmarks double as a one-command regeneration of
-// the whole evaluation: each reports the experiment's key metric via
-// b.ReportMetric.
+// The paper's tables and figures are regenerated by cmd/experiments
+// (go run ./cmd/experiments all) and their shapes asserted by the
+// internal/experiments tests; bench_cluster_test.go holds the fleet
+// step benchmarks.
 package repro
 
 import (
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/interference"
 	"repro/internal/machine"
 	"repro/internal/model"
@@ -28,135 +26,6 @@ import (
 	"repro/internal/timeseries"
 	"repro/internal/workload"
 )
-
-// benchExperiment runs one experiment per iteration at a small scale
-// and reports its first metric.
-func benchExperiment(b *testing.B, id string, keyMetric string, unit string) {
-	b.Helper()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		// Fixed seed: benchmarks time a known-good deterministic run
-		// (scenario experiments are calibrated per seed).
-		rep, err := experiments.Run(id, experiments.Options{Seed: 1, Scale: 0.05})
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if keyMetric != "" {
-			last = rep.Metric(keyMetric).Measured
-		}
-	}
-	if keyMetric != "" {
-		b.ReportMetric(last, unit)
-	}
-}
-
-func BenchmarkFig1TaskThreadCDF(b *testing.B) {
-	benchExperiment(b, "fig1", "median tasks/machine", "tasks")
-}
-
-func BenchmarkFig2TPSvsIPS(b *testing.B) {
-	benchExperiment(b, "fig2", "TPS/IPS correlation", "r")
-}
-
-func BenchmarkFig3LatencyVsCPI(b *testing.B) {
-	benchExperiment(b, "fig3", "latency/CPI correlation", "r")
-}
-
-func BenchmarkFig4PerTierCorrelation(b *testing.B) {
-	benchExperiment(b, "fig4", "leaf correlation", "r")
-}
-
-func BenchmarkFig5DiurnalCPI(b *testing.B) {
-	benchExperiment(b, "fig5", "coefficient of variation", "cv")
-}
-
-func BenchmarkTable1CPISpecs(b *testing.B) {
-	benchExperiment(b, "tab1", "jobA mean", "cpi")
-}
-
-func BenchmarkFig7GEVFit(b *testing.B) {
-	benchExperiment(b, "fig7", "GEV ξ", "xi")
-}
-
-func BenchmarkTable2Defaults(b *testing.B) {
-	benchExperiment(b, "tab2", "correlation threshold", "thr")
-}
-
-func BenchmarkFig8Case1(b *testing.B) {
-	benchExperiment(b, "fig8", "top suspect corr", "corr")
-}
-
-func BenchmarkFig9Case2(b *testing.B) {
-	benchExperiment(b, "fig9", "improvement ratio", "ratio")
-}
-
-func BenchmarkFig10Case3(b *testing.B) {
-	benchExperiment(b, "fig10", "caps applied", "caps")
-}
-
-func BenchmarkFig11Case4(b *testing.B) {
-	benchExperiment(b, "fig11", "relative CPI", "ratio")
-}
-
-func BenchmarkFig12LameDuck(b *testing.B) {
-	benchExperiment(b, "fig12", "burst threads", "threads")
-}
-
-func BenchmarkFig13MapReduceExit(b *testing.B) {
-	benchExperiment(b, "fig13", "capping episodes endured", "episodes")
-}
-
-func BenchmarkSec7ReportRate(b *testing.B) {
-	benchExperiment(b, "sec7rate", "reports/machine-day", "rate")
-}
-
-func BenchmarkFig14LoadIndependence(b *testing.B) {
-	benchExperiment(b, "fig14", "corr(util, victim rel CPI)", "r")
-}
-
-func BenchmarkFig15Accuracy(b *testing.B) {
-	benchExperiment(b, "fig15", "prod TP rate @0.35", "tp")
-}
-
-func BenchmarkFig16ProductionAccuracy(b *testing.B) {
-	benchExperiment(b, "fig16", "median relative CPI", "ratio")
-}
-
-// --- ablations and extensions ---
-
-func BenchmarkAblationFilter(b *testing.B) {
-	benchExperiment(b, "ablation-filter", "false incidents, filter off", "incidents")
-}
-
-func BenchmarkAblationDetector(b *testing.B) {
-	benchExperiment(b, "ablation-detector", "false alarms/h @1σ,1 violation", "alarms")
-}
-
-func BenchmarkAblationWindow(b *testing.B) {
-	benchExperiment(b, "ablation-window", "accuracy @10min window", "acc")
-}
-
-func BenchmarkAblationFeedback(b *testing.B) {
-	benchExperiment(b, "ablation-feedback", "victim mean CPI, feedback", "cpi")
-}
-
-func BenchmarkAblationAgeWeight(b *testing.B) {
-	benchExperiment(b, "ablation-ageweight", "days to adapt, weight 0.9", "days")
-}
-
-func BenchmarkExtGroup(b *testing.B) {
-	benchExperiment(b, "ext-group", "group correlation (Pearson)", "r")
-}
-
-func BenchmarkExtNUMA(b *testing.B) {
-	benchExperiment(b, "ext-numa", "victim CPI, cross socket", "cpi")
-}
-
-func BenchmarkExtStraggler(b *testing.B) {
-	benchExperiment(b, "ext-straggler", "completion ratio", "ratio")
-}
-
-// --- microbenchmarks for the paper's quoted costs ---
 
 // BenchmarkCorrelationAnalysis measures one §4.2 antagonist
 // correlation over a 10-minute window of minute samples. The paper

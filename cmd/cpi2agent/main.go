@@ -375,7 +375,10 @@ func main() {
 				log.Printf("sim: antagonist %v landed", antagID)
 			}
 		}
-		m.Tick(now, time.Second)
+		_, exited := m.Tick(now, time.Second)
+		for _, id := range exited {
+			a.TaskExited(id) // releases its cap before the next sampling round
+		}
 		tickStart := time.Now()
 		incidents := a.Tick(now)
 		tickSeconds.Observe(time.Since(tickStart).Seconds())

@@ -73,11 +73,14 @@ func scenario(name string, reaction workload.CapReaction, minutes int) (*workloa
 	lastState := ""
 	peakThreads := 0
 	for s := 0; s < minutes*60; s++ {
-		ticks, _ := m.Tick(now, time.Second)
+		ticks, exited := m.Tick(now, time.Second)
 		for _, tt := range ticks {
 			if tt.ID == mrID && tt.Threads > peakThreads {
 				peakThreads = tt.Threads
 			}
+		}
+		for _, id := range exited {
+			a.TaskExited(id) // releases its cap; its job's spec is no longer wanted
 		}
 		a.Tick(now)
 		now = now.Add(time.Second)

@@ -485,6 +485,13 @@ type chaosLink struct {
 	c       *Cluster
 	machine int
 	shard   int
+	// spool buffers what the link refuses; the commit phase drains it.
+	spool *pipeline.Spooler
+	// reconnectUntil is the link's full-jitter reconnect deadline after
+	// a shard blackout lifts: until then it refuses traffic (spooling
+	// it), so a fleet does not thunder back into a freshly recovered
+	// shard in lockstep.
+	reconnectUntil time.Time
 }
 
 func (l *chaosLink) Publish(samples []model.Sample) error {
@@ -495,7 +502,7 @@ func (l *chaosLink) Publish(samples []model.Sample) error {
 	if c.shardDown[l.shard] {
 		return errShardDown
 	}
-	if c.now.Before(c.reconnectUntil[l.machine*c.shards+l.shard]) {
+	if c.now.Before(l.reconnectUntil) {
 		return errReconnectBackoff
 	}
 	if p := c.cfg.Faults.SampleLoss; p > 0 && c.faultRNG(l.machine).Float64() < p {
@@ -643,9 +650,9 @@ func (c *Cluster) applyFaultTimeline(now time.Time) {
 				if spread <= 0 {
 					spread = 5 * time.Second
 				}
-				for i := range c.machs {
+				for i, n := range c.nodes {
 					d := pipeline.FullJitterBackoff(0, spread, spread, c.faultRNG(i).Float64())
-					c.reconnectUntil[i*c.shards+s] = now.Add(d)
+					n.links[s].reconnectUntil = now.Add(d)
 				}
 			}
 		}
@@ -701,28 +708,30 @@ func (c *Cluster) applyFaultTimeline(now time.Time) {
 // piece of in-memory agent state (spec cache, sampling windows, the
 // active-cap table) is gone, while the machine — tasks, cgroups, caps,
 // leases — survives untouched. The replacement re-registers the
-// resident tasks, refetches the current spec table (a restarted real
-// daemon re-subscribes and receives a snapshot), and reconciles the
-// machine's cap journal against live cgroup state, re-adopting caps
-// the dead agent applied and releasing orphans. Called only from the
-// serial commit phase.
+// resident tasks, is handed the current spec table at once, and
+// reconciles the machine's cap journal against live cgroup state,
+// re-adopting caps the dead agent applied and releasing orphans. The
+// immediate spec table is the sim's shortcut: cmd/cpi2agent
+// re-subscribes after a restart but receives specs only at the
+// aggregator's next recompute. Called only from the serial commit
+// phase.
 func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
-	m := c.machs[i]
-	old := c.agents[i]
+	n := c.nodes[i]
+	old := n.a
 	for _, bus := range c.buses {
 		bus.Unwatch(old)
 	}
 
-	a := c.newAgent(i)
-	if c.staged != nil {
+	a := c.newAgent(n)
+	if n.metrics != nil {
 		// The old agent's active caps died with it, but their
 		// contribution has already been drained into the shared gauge;
 		// re-adoption below would double-count them, so cancel the stale
 		// contribution first.
-		c.staged[i].core.CapsActive.Add(-float64(len(old.Manager().Enforcer().ActiveCaps())))
+		n.metrics.CapsActive.Add(-float64(len(old.Manager().Enforcer().ActiveCaps())))
 	}
-	for _, id := range m.Tasks() {
-		a.RegisterTask(id, m.Task(id).Job)
+	for _, id := range n.m.Tasks() {
+		a.RegisterTask(id, n.m.Task(id).Job)
 	}
 	for _, bus := range c.buses {
 		for _, spec := range bus.Builder().Specs() {
@@ -731,9 +740,8 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 			}
 		}
 	}
-	ad, or := a.Reconcile(now, c.journals[i].Entries())
-	c.agents[i] = a
-	c.agent[m.Name()] = a
+	ad, or := a.Reconcile(now, n.journal.Entries())
+	n.a = a
 	for _, bus := range c.buses {
 		bus.Watch(a)
 	}
@@ -747,10 +755,11 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 // blackouts — never pays for the generator state. Serial commit phase
 // only.
 func (c *Cluster) faultRNG(i int) *rand.Rand {
-	if c.faultRNGs[i] == nil {
-		c.faultRNGs[i] = c.rng.Stream("fault/" + c.machs[i].Name())
+	n := c.nodes[i]
+	if n.fault == nil {
+		n.fault = c.rng.Stream("fault/" + n.m.Name())
 	}
-	return c.faultRNGs[i]
+	return n.fault
 }
 
 // FaultStats returns the cumulative fault accounting for this run.
@@ -758,11 +767,13 @@ func (c *Cluster) faultRNG(i int) *rand.Rand {
 // not.
 func (c *Cluster) FaultStats() FaultStats {
 	st := c.fstats
-	for _, sp := range c.spools {
-		s := sp.Stats()
-		st.SpoolDropped += s.Dropped
-		st.SpoolReplayed += s.Replayed
-		st.SpooledBatches += int64(s.Batches)
+	for _, n := range c.nodes {
+		for _, l := range n.links {
+			s := l.spool.Stats()
+			st.SpoolDropped += s.Dropped
+			st.SpoolReplayed += s.Replayed
+			st.SpooledBatches += int64(s.Batches)
+		}
 	}
 	st.Quarantined = c.validator.Quarantine.Total()
 	return st

@@ -1,8 +1,8 @@
 // Package cluster is the full-system harness: a simulated compute
 // cluster of machines running the CPI² node agent, a central
 // scheduler placing jobs, the sample/spec pipeline, and the forensics
-// store. The experiment harness (cmd/experiments, bench_test.go) and
-// the examples drive everything through this package.
+// store. The experiment harness (cmd/experiments), the fleet
+// benchmarks and the examples drive everything through this package.
 package cluster
 
 import (
@@ -145,59 +145,47 @@ type JobDef struct {
 //
 // Concurrency model: Step is two-phase. The parallel phase ticks every
 // machine (machine.Tick + agent.Tick) across a bounded worker pool,
-// with each machine writing into its own preallocated result slot; the
-// serial commit phase then walks machines in index order and applies
-// everything that touches shared state — task exits and restarts via
-// the scheduler, draining per-machine sample queues into the bus,
-// forensics Store.Add, §9 automation, spec recomputation, and OnTick
-// callbacks. Cluster methods themselves are not goroutine-safe: drive
-// a Cluster from one goroutine and let Step do the fan-out.
+// with each machine writing only into its own node; the serial commit
+// phase then walks nodes in index order and applies everything that
+// touches shared state — task exits and restarts via the scheduler,
+// draining per-machine sample queues into the bus, forensics
+// Store.Add, §9 automation, spec recomputation, and OnTick callbacks.
+// Cluster methods themselves are not goroutine-safe: drive a Cluster
+// from one goroutine and let Step do the fan-out.
 type Cluster struct {
 	cfg   Config
 	rng   *stats.RNG
 	sched *scheduler.Scheduler
-	mach  map[string]*machine.Machine
-	agent map[string]*agent.Agent
 	store *forensics.Store
 	jobs  map[model.JobName]*JobDef
 	now   time.Time
 
-	// The sample path, the same on every run: machine i's agent
-	// publishes into queues[i]; the commit phase drains that into
-	// routers[i], which partitions by ring owner into the machine's
-	// per-shard spools (flattened [machine][shard]: spools[i*shards+s]);
-	// each spool forwards through a chaosLink to buses[s], shard s's
-	// aggregator (bus + spec builder). ring has one member per shard,
-	// named shardName(s); shards is the LIVE shard count — a reshard
-	// event swaps the ring, routers and spools mid-run. validator is
-	// shared across every bus so quarantine accounting stays fleet-wide.
-	// pipeCarryRecv/Drop carry the Stats of buses retired by a shrink
-	// reshard.
+	// nodes is the fleet in index order — the order the parallel phase
+	// splits work by and the commit phase applies it in, so both are
+	// deterministic. midx maps a machine's name to its index.
+	nodes []*node
+	midx  map[string]int
+
+	// The spec tier: each node's links forward through a chaosLink to
+	// buses[s], shard s's aggregator (bus + spec builder). ring has one
+	// member per shard, named shardName(s); shards is the LIVE shard
+	// count — a reshard event swaps the ring, routers and links mid-run.
+	// validator is shared across every bus so quarantine accounting
+	// stays fleet-wide. pipeCarryRecv/Drop carry the Stats of buses
+	// retired by a shrink reshard.
 	buses         []*pipeline.Bus
 	shards        int
 	ring          *pipeline.Ring
-	routers       []*pipeline.Router
-	spools        []*pipeline.Spooler
 	validator     *core.SampleValidator
 	pipeCarryRecv int64
 	pipeCarryDrop int64
 
-	// Index-ordered views of the fleet: the parallel phase iterates
-	// these, never the maps, so work distribution and commit order are
-	// deterministic.
-	machs     []*machine.Machine
-	agents    []*agent.Agent
-	queues    []*pipeline.Queue
-	slots     []stepSlot // preallocated per-machine result slots
-	eventBufs []*obs.EventBuffer
-
-	// Causal tracing is always on: per-agent span stores keep writes
+	// Causal tracing is always on: per-node span stores keep writes
 	// machine-local during the parallel phase (an agent only appends to
 	// its own ring), and the aggregator-side store is only written from
 	// the serial commit phase — so span content is as worker-count-
 	// independent as everything else. IDs are content hashes, never
 	// clocks, so fingerprints stay byte-identical (see obs/trace).
-	traces   []*trace.Store
 	aggTrace *trace.Store
 
 	// pool runs the parallel phase (nil when cfg.Workers == 1).
@@ -209,42 +197,19 @@ type Cluster struct {
 	stepNow time.Time
 	stepDt  time.Duration
 
-	// Metric staging (nil without Config.Registry): each machine's agent
-	// writes a private copy of the core metric set during the parallel
-	// phase; the commit phase drains the copies into the shared registry
-	// series in machine-index order — same staging idea as eventBufs,
-	// applied to metrics, so concurrently ticking machines never contend
-	// on (or reorder float additions into) the shared series.
-	staged []stagedMetrics
-
 	// Chaos state, mutated only from the serial commit phase.
-	blackout bool
 	// shardDown[s] mirrors the plan's ShardBlackouts for the current
-	// tick. reconnectUntil, indexed like spools, holds each (machine,
-	// shard) link's full-jitter reconnect deadline after a shard
-	// blackout lifts — links refuse traffic (spooling it) until their
-	// deadline, so a fleet does not thunder back into a freshly
-	// recovered shard in lockstep.
-	shardDown      []bool
-	reconnectUntil []time.Time
-	reshards       []ReshardEvent // sorted by At
-	reshardIdx     int
-	fstats         FaultStats
-	crashes        []CrashEvent // sorted by (At, Machine)
-	crashIdx       int
-	delayed        []delayedSpecs
-	// journals hold each machine's cap journal (crash-safe actuation:
-	// restartAgent reconciles a fresh agent against its machine's
-	// journal). faultRNGs are the per-machine fault streams, created on
-	// first draw (see faultRNG); midx maps machine name → fleet index.
-	// skewByIdx is each agent's constant clock offset (read from the
-	// parallel phase, written only at New — no races).
-	journals      []*core.MemCapJournal
-	faultRNGs     []*rand.Rand
-	midx          map[string]int
+	// tick.
+	blackout      bool
+	shardDown     []bool
+	reshards      []ReshardEvent // sorted by At
+	reshardIdx    int
+	fstats        FaultStats
+	crashes       []CrashEvent // sorted by (At, Machine)
+	crashIdx      int
+	delayed       []delayedSpecs
 	agentRestarts []RestartEvent // sorted by (At, Machine)
 	restartIdx    int
-	skewByIdx     []time.Duration
 
 	onTick    []func(now time.Time)
 	incidents []core.Incident
@@ -258,20 +223,45 @@ type Cluster struct {
 	migrations int64
 }
 
-// stagedMetrics is one machine's obs.Stage copy of the core metric set,
-// with the drain that folds it into the registered series. Like the
-// span ring and the cap journal it belongs to the machine, not to
-// whichever agent currently runs on it.
-type stagedMetrics struct {
-	core  *core.Metrics
-	drain func()
-}
+// node is one machine of the fleet: the machine, the agent currently
+// running on it, and everything the machine keeps across agent
+// lifetimes. Step's parallel phase touches only its own node.
+type node struct {
+	m *machine.Machine
+	a *agent.Agent
 
-// stepSlot is one machine's parallel-phase output, applied during the
-// serial commit phase.
-type stepSlot struct {
+	// The sample path: the agent publishes into queue during the
+	// parallel phase; the commit phase drains that into router, which
+	// partitions by ring owner into links, one per live shard, each a
+	// spool in front of a chaosLink. Draining in node order keeps
+	// sample arrival order — and hence the byte-exact specs —
+	// independent of the worker count.
+	queue  *pipeline.Queue
+	router *pipeline.Router
+	links  []*chaosLink
+
+	// exited and incidents are the parallel phase's output, applied by
+	// the commit phase; their buffers are reused tick to tick.
 	exited    []model.TaskID
 	incidents []core.Incident
+
+	// What the agent writes besides samples, all of it outliving the
+	// agent. events (nil without Config.Events) and the private metric
+	// set (nil without Config.Registry) are drained by the commit phase
+	// in node order, so shared outputs are byte-identical at any worker
+	// count and ticking machines never contend on the shared series.
+	// trace is the span ring (nil when tracing is off); restartAgent
+	// reconciles a fresh agent against journal.
+	events       *obs.EventBuffer
+	metrics      *core.Metrics
+	drainMetrics func()
+	trace        *trace.Store
+	journal      *core.MemCapJournal
+
+	// fault is the machine's fault stream, created on first draw (see
+	// faultRNG); skew is its agent's constant clock offset.
+	fault *rand.Rand
+	skew  time.Duration
 }
 
 // New builds a cluster per cfg, with machines registered but no jobs.
@@ -287,8 +277,6 @@ func New(cfg Config) *Cluster {
 		cfg:   cfg,
 		rng:   rng,
 		sched: scheduler.New(cfg.Overcommit),
-		mach:  make(map[string]*machine.Machine),
-		agent: make(map[string]*agent.Agent),
 		store: forensics.NewStore(),
 		jobs:  make(map[model.JobName]*JobDef),
 		now:   cfg.Start,
@@ -299,7 +287,8 @@ func New(cfg Config) *Cluster {
 		capCounts:  make(map[model.TaskID]int),
 		avoided:    make(map[[2]model.JobName]bool),
 
-		traces: make([]*trace.Store, cfg.Machines),
+		nodes: make([]*node, cfg.Machines),
+		midx:  make(map[string]int, cfg.Machines),
 	}
 	if cfg.TraceCapacity >= 0 {
 		c.aggTrace = trace.NewStore(cfg.TraceCapacity)
@@ -307,7 +296,6 @@ func New(cfg Config) *Cluster {
 	var coreShared *core.Metrics
 	if cfg.Registry != nil {
 		coreShared = core.NewMetrics(cfg.Registry)
-		c.staged = make([]stagedMetrics, cfg.Machines)
 	}
 	// Ingress defense in depth, same shape as cmd/cpi2aggregator:
 	// hostile samples (CorruptRate) quarantine at the bus before they
@@ -330,21 +318,10 @@ func New(cfg Config) *Cluster {
 	if cfg.Workers > 1 {
 		c.pool = newPool(cfg.Workers - 1)
 	}
-	nB := int(float64(cfg.Machines) * cfg.PlatformBFraction)
-	c.machs = make([]*machine.Machine, cfg.Machines)
-	c.agents = make([]*agent.Agent, cfg.Machines)
-	c.queues = make([]*pipeline.Queue, cfg.Machines)
-	c.slots = make([]stepSlot, cfg.Machines)
-	if cfg.Events != nil {
-		c.eventBufs = make([]*obs.EventBuffer, cfg.Machines)
-	}
 	c.crashes = cfg.Faults.sortedCrashes()
 	c.agentRestarts = cfg.Faults.sortedRestarts()
-	c.journals = make([]*core.MemCapJournal, cfg.Machines)
-	c.faultRNGs = make([]*rand.Rand, cfg.Machines)
-	c.midx = make(map[string]int, cfg.Machines)
-	c.skewByIdx = make([]time.Duration, cfg.Machines)
-	for i := 0; i < cfg.Machines; i++ {
+	nB := int(float64(cfg.Machines) * cfg.PlatformBFraction)
+	for i := range c.nodes {
 		name := fmt.Sprintf("machine-%04d", i)
 		platform := model.PlatformA
 		if i < nB {
@@ -354,39 +331,29 @@ func New(cfg Config) *Cluster {
 		// Each machine forks its own RNG stream from the cluster seed,
 		// so its noise sequence is independent of every other
 		// machine's and of tick parallelism.
-		m := machine.New(name, hw, cfg.CPUsPerMachine, rng.Stream("machine/"+name))
-		// The agent publishes into a per-machine queue during the
-		// parallel phase; the commit phase drains queues into the bus
-		// in machine order, keeping sample arrival order — and hence
-		// the byte-exact specs — independent of the worker count.
-		c.machs[i] = m
-		c.queues[i] = pipeline.NewQueue()
-		if cfg.TraceCapacity >= 0 {
-			c.traces[i] = trace.NewStore(cfg.TraceCapacity)
+		n := &node{
+			m:     machine.New(name, hw, cfg.CPUsPerMachine, rng.Stream("machine/"+name)),
+			queue: pipeline.NewQueue(),
+			// Every enforcement decision journals; restartAgent replays
+			// this against live cgroup state after an agent restart.
+			journal: &core.MemCapJournal{},
 		}
-		// Events go through a per-machine staging buffer: agents emit
-		// during the parallel phase, the commit phase drains buffers in
-		// machine-index order into the shared log.
+		if cfg.TraceCapacity >= 0 {
+			n.trace = trace.NewStore(cfg.TraceCapacity)
+		}
 		if cfg.Events != nil {
-			c.eventBufs[i] = obs.NewEventBuffer()
+			n.events = obs.NewEventBuffer()
 		}
 		if cfg.Registry != nil {
 			// Not a.Instrument: that points the agent straight at the
 			// shared registry series, which every concurrently ticking
 			// machine would then hammer (the shared atomics were one of
-			// the negative-scaling culprits). Each machine gets a private
-			// copy, drained serially at commit.
-			st := &c.staged[i]
-			st.core, st.drain = obs.Stage(coreShared)
+			// the negative-scaling culprits).
+			n.metrics, n.drainMetrics = obs.Stage(coreShared)
 		}
-		// Every enforcement decision journals; restartAgent replays
-		// this against live cgroup state after an agent restart.
-		c.journals[i] = &core.MemCapJournal{}
-		a := c.newAgent(i)
+		n.a = c.newAgent(n)
+		c.nodes[i] = n
 		c.midx[name] = i
-		c.mach[name] = m
-		c.agent[name] = a
-		c.agents[i] = a
 		if err := c.sched.AddMachine(name, platform, float64(cfg.CPUsPerMachine)); err != nil {
 			panic(err) // unique generated names: cannot happen
 		}
@@ -394,31 +361,39 @@ func New(cfg Config) *Cluster {
 	c.growBuses(cfg.Shards)
 	c.wireSamplePath(cfg.Shards)
 	for _, sk := range cfg.Faults.Skews {
-		if i, ok := c.midx[sk.Machine]; ok {
-			c.skewByIdx[i] = sk.Offset // last directive wins
+		if n := c.node(sk.Machine); n != nil {
+			n.skew = sk.Offset // last directive wins
 		}
 	}
 	return c
 }
 
-// newAgent builds an agent for machine i and wires it to everything the
+// newAgent builds an agent for machine n and wires it to everything the
 // machine keeps across agent lifetimes: its sample queue, span ring
 // (central ring storage, not daemon memory — a fresh agent keeps
 // appending to the same ring, though its batch-sequence counter resets
-// like a real daemon's would), event buffer, staged metric sets and cap
+// like a real daemon's would), event buffer, staged metric set and cap
 // journal. New and restartAgent both build agents here, so a restarted
 // agent cannot be wired differently from a constructed one.
-func (c *Cluster) newAgent(i int) *agent.Agent {
-	a := agent.New(c.machs[i], c.cfg.Params, c.queues[i])
-	a.SetTrace(c.traces[i])
-	if c.eventBufs != nil {
-		a.Manager().SetEvents(c.eventBufs[i])
+func (c *Cluster) newAgent(n *node) *agent.Agent {
+	a := agent.New(n.m, c.cfg.Params, n.queue)
+	a.SetTrace(n.trace)
+	if n.events != nil {
+		a.Manager().SetEvents(n.events)
 	}
-	if c.staged != nil {
-		a.SetMetrics(c.staged[i].core)
+	if n.metrics != nil {
+		a.SetMetrics(n.metrics)
 	}
-	a.Manager().SetJournal(c.journals[i])
+	a.Manager().SetJournal(n.journal)
 	return a
+}
+
+// node returns the named machine's node (nil if unknown).
+func (c *Cluster) node(name string) *node {
+	if i, ok := c.midx[name]; ok {
+		return c.nodes[i]
+	}
+	return nil
 }
 
 // Now returns the current simulation time.
@@ -481,20 +456,33 @@ func (c *Cluster) AggregatorTrace() *trace.Store { return c.aggTrace }
 // seed at any worker count.
 func (c *Cluster) SpanCounts() map[string]uint64 {
 	out := make(map[string]uint64, len(trace.Stages))
-	stores := append([]*trace.Store{c.aggTrace}, c.traces...)
-	for _, st := range stores {
+	add := func(st *trace.Store) {
 		for _, stage := range trace.Stages {
 			out[stage] += st.StageCount(stage)
 		}
+	}
+	add(c.aggTrace)
+	for _, n := range c.nodes {
+		add(n.trace)
 	}
 	return out
 }
 
 // Machine returns a machine by name (nil if unknown).
-func (c *Cluster) Machine(name string) *machine.Machine { return c.mach[name] }
+func (c *Cluster) Machine(name string) *machine.Machine {
+	if n := c.node(name); n != nil {
+		return n.m
+	}
+	return nil
+}
 
 // Agent returns a machine's agent (nil if unknown).
-func (c *Cluster) Agent(name string) *agent.Agent { return c.agent[name] }
+func (c *Cluster) Agent(name string) *agent.Agent {
+	if n := c.node(name); n != nil {
+		return n.a
+	}
+	return nil
+}
 
 // MachineOf returns the machine a task runs on.
 func (c *Cluster) MachineOf(id model.TaskID) (*machine.Machine, bool) {
@@ -502,7 +490,7 @@ func (c *Cluster) MachineOf(id model.TaskID) (*machine.Machine, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.mach[name], true
+	return c.node(name).m, true
 }
 
 // AgentOf returns the agent of the machine a task runs on.
@@ -511,7 +499,7 @@ func (c *Cluster) AgentOf(id model.TaskID) (*agent.Agent, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.agent[name], true
+	return c.node(name).a, true
 }
 
 // RNG returns the cluster's root random-stream factory.
@@ -547,63 +535,63 @@ func (c *Cluster) AddJob(def JobDef) error {
 	return nil
 }
 
-// placeTask schedules one task and installs it on its machine,
-// re-placing any batch tasks preempted to make room.
+// placeTask schedules one task and installs it where the scheduler
+// put it.
 func (c *Cluster) placeTask(id model.TaskID, def *JobDef) error {
 	p, err := c.sched.Place(scheduler.TaskSpec{ID: id, Job: def.Job})
 	if err != nil {
 		return err
 	}
-	c.installTask(id, def, p.Machine)
-	for _, ev := range p.Evicted {
-		c.uninstallTask(ev.ID)
-		evDef, ok := c.jobs[ev.ID.Job]
-		if !ok {
-			continue
-		}
-		// Preempted batch work restarts elsewhere — "simply another
-		// source of failures that need to be handled anyway" (§2).
-		if err := c.placeTask(ev.ID, evDef); err == nil {
-			c.restarts++
-		}
-	}
+	c.install(id, def, p)
 	return nil
 }
 
-func (c *Cluster) installTask(id model.TaskID, def *JobDef, machineName string) {
-	m := c.mach[machineName]
+// install is the one way a task gets onto a machine and its agent: a
+// fresh workload on p.Machine, registered with that machine's agent.
+// It then re-places the batch work the scheduler evicted to make room,
+// which preemption only ever takes from the placement machine.
+// Preempted work restarts elsewhere — "simply another source of
+// failures that need to be handled anyway" (§2).
+func (c *Cluster) install(id model.TaskID, def *JobDef, p scheduler.Placement) {
+	i := c.midx[p.Machine]
+	n := c.nodes[i]
 	w := def.NewWorkload(id, c.rng.Fork("workload/"+id.String()))
-	if err := m.AddTask(id, def.Job, def.Profile, w); err != nil {
+	if err := n.m.AddTask(id, def.Job, def.Profile, w); err != nil {
 		// Scheduler and machine disagree: a bug, surface loudly.
 		panic(fmt.Sprintf("cluster: machine rejected scheduled task: %v", err))
 	}
-	c.agent[machineName].RegisterTask(id, def.Job)
-}
-
-func (c *Cluster) uninstallTask(id model.TaskID) {
-	name, ok := c.sched.MachineOf(id)
-	if ok {
-		// Still on the scheduler's books (eviction path removes it
-		// before we get here, so ok is false then).
-		_ = c.sched.Remove(id)
-	}
-	if name == "" {
-		// Eviction already removed the booking; find the machine by
-		// scanning (rare path).
-		for n, m := range c.mach {
-			if m.Task(id) != nil {
-				name = n
-				break
-			}
+	n.a.RegisterTask(id, def.Job)
+	for _, ev := range p.Evicted {
+		c.remove(i, ev.ID)
+		if evDef, ok := c.jobs[ev.ID.Job]; ok && c.placeTask(ev.ID, evDef) == nil {
+			c.restarts++
 		}
 	}
-	if name == "" {
-		return
+}
+
+// remove is the one way a task is taken off machine i and its agent
+// (a task that finishes by itself leaves its machine inside
+// machine.Tick, and tickMachine tells the agent). The machine may no
+// longer hold the task — it can have exited this tick, or been evicted
+// earlier in a crash — and the agent forgets it either way.
+func (c *Cluster) remove(i int, id model.TaskID) {
+	n := c.nodes[i]
+	_ = n.m.RemoveTask(id)
+	n.a.TaskExited(id)
+}
+
+// exited books a task that has left its machine off the scheduler and,
+// if its job restarts on exit, places it again. It reports whether the
+// task restarted.
+func (c *Cluster) exited(id model.TaskID) bool {
+	c.exits++
+	_ = c.sched.Remove(id)
+	def, ok := c.jobs[id.Job]
+	if !ok || !def.RestartOnExit || c.placeTask(id, def) != nil {
+		return false
 	}
-	if m := c.mach[name]; m.Task(id) != nil {
-		_ = m.RemoveTask(id)
-	}
-	c.agent[name].TaskExited(id)
+	c.restarts++
+	return true
 }
 
 // CrashMachine simulates a machine failure: every resident task dies;
@@ -613,22 +601,15 @@ func (c *Cluster) uninstallTask(id model.TaskID) {
 // another source of the failures that need to be handled anyway".
 // It returns how many tasks were lost and how many were restarted.
 func (c *Cluster) CrashMachine(name string) (lost, restarted int, err error) {
-	m, ok := c.mach[name]
+	i, ok := c.midx[name]
 	if !ok {
 		return 0, 0, fmt.Errorf("cluster: no machine %q", name)
 	}
-	a := c.agent[name]
-	for _, id := range m.Tasks() {
+	for _, id := range c.nodes[i].m.Tasks() {
 		lost++
-		_ = m.RemoveTask(id)
-		a.TaskExited(id)
-		_ = c.sched.Remove(id)
-		c.exits++
-		if def, ok := c.jobs[id.Job]; ok && def.RestartOnExit {
-			if err := c.placeTask(id, def); err == nil {
-				restarted++
-				c.restarts++
-			}
+		c.remove(i, id)
+		if c.exited(id) {
+			restarted++
 		}
 	}
 	return lost, restarted, nil
@@ -650,17 +631,8 @@ func (c *Cluster) KillAndRestart(id model.TaskID) error {
 	if err != nil {
 		return err
 	}
-	_ = c.mach[oldName].RemoveTask(id)
-	c.agent[oldName].TaskExited(id)
-	c.installTask(id, def, p.Machine)
-	for _, ev := range p.Evicted {
-		c.uninstallTask(ev.ID)
-		if evDef, ok := c.jobs[ev.ID.Job]; ok {
-			if err := c.placeTask(ev.ID, evDef); err == nil {
-				c.restarts++
-			}
-		}
-	}
+	c.remove(c.midx[oldName], id)
+	c.install(id, def, p)
 	return nil
 }
 
@@ -698,10 +670,9 @@ func (c *Cluster) Step() {
 	// coordination cost made workers=4 slower than workers=1; see pool.)
 	// The range closure is built once and reads now/dt from step fields
 	// so steady-state stepping does not allocate a closure per Step.
-	n := len(c.machs)
 	c.stepNow, c.stepDt = now, dt
 	if c.pool == nil {
-		for i := 0; i < n; i++ {
+		for i := range c.nodes {
 			c.tickMachine(i, now, dt)
 		}
 	} else {
@@ -712,30 +683,23 @@ func (c *Cluster) Step() {
 				}
 			}
 		}
-		c.pool.run(n, c.cfg.Workers, c.stepFn)
+		c.pool.run(len(c.nodes), c.cfg.Workers, c.stepFn)
 	}
 
 	// Commit phase: machine-index order, single goroutine.
 	c.applyFaultTimeline(now)
-	for i := 0; i < n; i++ {
-		slot := &c.slots[i]
-		for _, id := range slot.exited {
-			c.exits++
-			_ = c.sched.Remove(id)
-			if def, ok := c.jobs[id.Job]; ok && def.RestartOnExit {
-				if err := c.placeTask(id, def); err == nil {
-					c.restarts++
-				}
-			}
+	for i, n := range c.nodes {
+		for _, id := range n.exited {
+			c.exited(id)
 		}
 		// Replay any spooled backlog first, then this tick's samples
 		// behind it — arrival order at each shard bus stays publish
 		// order. TryDrainAt (not TryDrain) so replayed batches get
 		// spool spans recording how long the outage delayed them.
-		for _, sp := range c.spools[i*c.shards : (i+1)*c.shards] {
-			_, _ = sp.TryDrainAt(now)
+		for _, l := range n.links {
+			_, _ = l.spool.TryDrainAt(now)
 		}
-		_ = c.queues[i].DrainTo(c.routers[i])
+		_ = n.queue.DrainTo(n.router)
 		// Hostile-writer injection: with probability CorruptRate a
 		// garbage batch arrives at the bus claiming to be from this
 		// machine. It bypasses the spool (a hostile writer doesn't
@@ -744,32 +708,30 @@ func (c *Cluster) Step() {
 		// unreachable aggregator is unreachable to attackers too,
 		// which includes the one shard owning the garbage key.
 		if p := c.cfg.Faults.CorruptRate; p > 0 && !c.blackout && c.faultRNG(i).Float64() < p {
-			g := garbageSample(c.faultRNG(i), c.machs[i].Name(), now)
+			g := garbageSample(c.faultRNG(i), n.m.Name(), now)
 			target := c.ShardOf(model.SpecKey{Job: g.Job, Platform: g.Platform})
 			if !c.shardDown[target] {
 				c.fstats.CorruptBatches++
 				_ = c.buses[target].Publish([]model.Sample{g})
 			}
 		}
-		for _, inc := range slot.incidents {
+		for _, inc := range n.incidents {
 			c.incidents = append(c.incidents, inc)
 			c.store.Add(inc)
 			c.automate(inc)
 		}
-		if c.eventBufs != nil {
-			c.eventBufs[i].DrainTo(c.cfg.Events)
+		if n.events != nil {
+			n.events.DrainTo(c.cfg.Events)
 		}
-		if c.staged != nil {
-			c.staged[i].drain()
+		if n.drainMetrics != nil {
+			n.drainMetrics()
 		}
-		// Truncate, don't nil: the slot buffers are refilled by the next
+		// Truncate, don't nil: the buffers are refilled by the next
 		// parallel phase. Incidents are zeroed first so their suspect
 		// slices don't linger past this tick.
-		for j := range slot.incidents {
-			slot.incidents[j] = core.Incident{}
-		}
-		slot.exited = slot.exited[:0]
-		slot.incidents = slot.incidents[:0]
+		clear(n.incidents)
+		n.exited = n.exited[:0]
+		n.incidents = n.incidents[:0]
 	}
 	c.maybeRecompute(now)
 	for _, f := range c.onTick {
@@ -807,24 +769,23 @@ func (c *Cluster) maybeRecompute(now time.Time) {
 }
 
 // tickMachine runs one machine's parallel-phase work and records the
-// outcome in its slot. It must only touch machine-local state; shared
-// state is deferred to the commit phase.
+// outcome in its node. It must only touch that node; shared state is
+// deferred to the commit phase.
 func (c *Cluster) tickMachine(i int, now time.Time, dt time.Duration) {
-	m, a := c.machs[i], c.agents[i]
-	_, exited := m.Tick(now, dt)
+	n := c.nodes[i]
+	_, exited := n.m.Tick(now, dt)
 	for _, id := range exited {
 		// The agent forgets the task before its sampling window next
 		// closes, exactly as in the serial loop; the scheduler-side
-		// removal happens at commit.
-		a.TaskExited(id)
+		// removal happens at commit (exited).
+		n.a.TaskExited(id)
 	}
 	// A skewed agent runs its whole cycle — sample timestamps, window
 	// boundaries, cap expiry — on its broken clock; the hardware stays
 	// on cluster time.
-	incs := a.Tick(now.Add(c.skewByIdx[i]))
-	slot := &c.slots[i]
-	slot.exited = append(slot.exited[:0], exited...)
-	slot.incidents = append(slot.incidents[:0], incs...)
+	incs := n.a.Tick(now.Add(n.skew))
+	n.exited = append(n.exited[:0], exited...)
+	n.incidents = append(n.incidents[:0], incs...)
 }
 
 // Close releases the cluster's worker pool. Optional — an abandoned

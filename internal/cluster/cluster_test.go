@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,10 +39,7 @@ func TestNewClusterShape(t *testing.T) {
 	}
 }
 
-func machineName(i int) string {
-	return map[int]string{0: "machine-0000", 1: "machine-0001", 2: "machine-0002",
-		3: "machine-0003", 4: "machine-0004", 5: "machine-0005"}[i]
-}
+func machineName(i int) string { return fmt.Sprintf("machine-%04d", i) }
 
 func TestAddJobPlacesAllTasks(t *testing.T) {
 	c := New(smallConfig(2))

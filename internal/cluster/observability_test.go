@@ -142,13 +142,13 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 	// recently recorded, so the bounded ring still retains them.
 	var inc *core.Incident
 	var owner *agent.Agent
-	for i := range c.agents {
-		incs := c.agents[i].Manager().Incidents()
+	for _, n := range c.nodes {
+		incs := n.a.Manager().Incidents()
 		for j := len(incs) - 1; j >= 0; j-- {
 			if incs[j].Decision.Action == core.ActionCap {
 				if inc == nil || incs[j].Time.After(inc.Time) {
 					cp := incs[j]
-					inc, owner = &cp, c.agents[i]
+					inc, owner = &cp, n.a
 				}
 				break
 			}
@@ -384,8 +384,8 @@ func TestChaosSLIHonesty(t *testing.T) {
 		t.Fatal("no spool spans despite a blackout-induced replay")
 	}
 	var maxDelay float64
-	for _, st := range c.traces {
-		for _, sp := range st.Recent(0) {
+	for _, n := range c.nodes {
+		for _, sp := range n.trace.Recent(0) {
 			if sp.Stage == trace.StageSpool && sp.QueueSeconds > maxDelay {
 				maxDelay = sp.QueueSeconds
 			}

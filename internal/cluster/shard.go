@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -76,8 +75,8 @@ func (c *Cluster) growBuses(n int) {
 				}
 			}
 		}
-		for _, a := range c.agents {
-			bus.Watch(a)
+		for _, nd := range c.nodes {
+			bus.Watch(nd.a)
 		}
 		c.buses = append(c.buses, bus)
 	}
@@ -91,7 +90,7 @@ func (c *Cluster) growBuses(n int) {
 	}
 }
 
-// wireSamplePath builds the ring over n shards and, for every machine,
+// wireSamplePath builds the ring over n shards and, for every node,
 // the router → per-shard spool → chaos link → shard bus chain behind
 // its queue. New and applyReshard both call it, so a resharded fleet is
 // wired exactly as one that started with n shards. The spools are
@@ -104,42 +103,36 @@ func (c *Cluster) wireSamplePath(n int) {
 	c.shards = n
 	members := shardMembers(n)
 	c.ring = pipeline.NewRing(members, pipeline.DefaultVnodes)
-	c.spools = make([]*pipeline.Spooler, c.cfg.Machines*n)
-	c.routers = make([]*pipeline.Router, c.cfg.Machines)
-	// Reconnect windows belong to links, and these links are new.
-	c.reconnectUntil = make([]time.Time, c.cfg.Machines*n)
 	// Surviving shards keep their blackout state; new ones start up.
 	down := make([]bool, n)
 	copy(down, c.shardDown)
 	c.shardDown = down
-	for i := range c.routers {
+	for i, nd := range c.nodes {
+		// Links are new, and so are their reconnect windows.
+		nd.links = make([]*chaosLink, n)
 		sinks := make(map[string]pipeline.SampleSink, n)
-		for s := 0; s < n; s++ {
-			sp := pipeline.NewSpooler(&chaosLink{c: c, machine: i, shard: s}, pipeline.SpoolConfig{
+		for s := range nd.links {
+			l := &chaosLink{c: c, machine: i, shard: s}
+			l.spool = pipeline.NewSpooler(l, pipeline.SpoolConfig{
 				MaxBatches: c.cfg.Faults.SpoolBatches,
 				MaxBytes:   c.cfg.Faults.SpoolBytes,
 			})
-			sp.SetTrace(c.traces[i])
-			c.spools[i*n+s] = sp
-			sinks[members[s]] = sp
+			l.spool.SetTrace(nd.trace)
+			nd.links[s] = l
+			sinks[members[s]] = l.spool
 		}
 		router, err := pipeline.NewRouter(c.ring, sinks)
 		if err != nil {
 			panic(err) // one sink per member by construction: cannot happen
 		}
-		c.routers[i] = router
+		nd.router = router
 	}
 }
 
 // sortSpecsByKey sorts specs by (job, platform) — the publish order of
 // a single builder, which the merged multi-shard views reproduce.
 func sortSpecsByKey(specs []model.Spec) {
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].Job != specs[j].Job {
-			return specs[i].Job < specs[j].Job
-		}
-		return specs[i].Platform < specs[j].Platform
-	})
+	slices.SortFunc(specs, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 }
 
 // applyReshard executes one live reshard event (From→To shards) in the
@@ -167,7 +160,10 @@ func (c *Cluster) applyReshard(ev ReshardEvent) {
 	// Phase 2: swap in the new ring's sample path and hand off moved
 	// keys. Old shards are visited in index order and Keys() is sorted,
 	// so the handoff sequence is deterministic.
-	oldSpools := c.spools
+	oldLinks := make([][]*chaosLink, len(c.nodes))
+	for i, n := range c.nodes {
+		oldLinks[i] = n.links
+	}
 	c.wireSamplePath(newShards)
 	moved := 0
 	for os := 0; os < oldShards; os++ {
@@ -202,14 +198,16 @@ func (c *Cluster) applyReshard(ev ReshardEvent) {
 	c.buses = c.buses[:newShards]
 
 	// Phase 4: re-route the old spools' backlog.
-	for j, old := range oldSpools {
-		// The retired spool's lifetime counters fold into the
-		// cumulative stats so FaultStats never goes backwards.
-		st := old.Stats()
-		c.fstats.SpoolDropped += st.Dropped
-		c.fstats.SpoolReplayed += st.Replayed
-		for _, batch := range old.TakeAll() {
-			_ = c.routers[j/oldShards].Publish(batch)
+	for i, links := range oldLinks {
+		for _, old := range links {
+			// The retired spool's lifetime counters fold into the
+			// cumulative stats so FaultStats never goes backwards.
+			st := old.spool.Stats()
+			c.fstats.SpoolDropped += st.Dropped
+			c.fstats.SpoolReplayed += st.Replayed
+			for _, batch := range old.spool.TakeAll() {
+				_ = c.nodes[i].router.Publish(batch)
+			}
 		}
 	}
 	c.fstats.ReshardsApplied++

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,6 +48,10 @@ type CheckpointHistory struct {
 	Tasks     int            `json:"tasks"`
 }
 
+func (h CheckpointHistory) key() model.SpecKey {
+	return model.SpecKey{Job: h.Job, Platform: h.Platform}
+}
+
 // CheckpointPending is one key's in-flight (pre-recompute) interval.
 type CheckpointPending struct {
 	Job      model.JobName      `json:"job"`
@@ -59,6 +64,10 @@ type CheckpointPending struct {
 	// restore with zero bounds and simply skip the first observation.
 	Oldest time.Time `json:"oldest,omitempty"`
 	Newest time.Time `json:"newest,omitempty"`
+}
+
+func (p CheckpointPending) key() model.SpecKey {
+	return model.SpecKey{Job: p.Job, Platform: p.Platform}
 }
 
 // CheckpointTask records a task's sample count within a pending
@@ -96,12 +105,7 @@ func (b *SpecBuilder) checkpointLocked(now time.Time, only map[model.SpecKey]boo
 			UsageMean: h.usageMean, Tasks: h.tasks,
 		})
 	}
-	sort.Slice(cp.History, func(i, j int) bool {
-		if cp.History[i].Job != cp.History[j].Job {
-			return cp.History[i].Job < cp.History[j].Job
-		}
-		return cp.History[i].Platform < cp.History[j].Platform
-	})
+	slices.SortFunc(cp.History, func(a, b CheckpointHistory) int { return a.key().Compare(b.key()) })
 	for key, agg := range b.pending {
 		if only != nil && !only[key] {
 			continue
@@ -121,24 +125,14 @@ func (b *SpecBuilder) checkpointLocked(now time.Time, only map[model.SpecKey]boo
 		})
 		cp.Pending = append(cp.Pending, p)
 	}
-	sort.Slice(cp.Pending, func(i, j int) bool {
-		if cp.Pending[i].Job != cp.Pending[j].Job {
-			return cp.Pending[i].Job < cp.Pending[j].Job
-		}
-		return cp.Pending[i].Platform < cp.Pending[j].Platform
-	})
+	slices.SortFunc(cp.Pending, func(a, b CheckpointPending) int { return a.key().Compare(b.key()) })
 	for key, s := range b.specs {
 		if only != nil && !only[key] {
 			continue
 		}
 		cp.Specs = append(cp.Specs, s)
 	}
-	sort.Slice(cp.Specs, func(i, j int) bool {
-		if cp.Specs[i].Job != cp.Specs[j].Job {
-			return cp.Specs[i].Job < cp.Specs[j].Job
-		}
-		return cp.Specs[i].Platform < cp.Specs[j].Platform
-	})
+	slices.SortFunc(cp.Specs, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 	return cp
 }
 
@@ -171,7 +165,7 @@ func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.S
 		if h.Weight < 0 || h.Variance < 0 || h.Tasks < 0 {
 			return nil, nil, nil, fmt.Errorf("core: checkpoint history for %s/%s has negative fields", h.Job, h.Platform)
 		}
-		key := model.SpecKey{Job: h.Job, Platform: h.Platform}
+		key := h.key()
 		if _, dup := history[key]; dup {
 			return nil, nil, nil, fmt.Errorf("core: duplicate checkpoint history key %s/%s", h.Job, h.Platform)
 		}
@@ -191,7 +185,7 @@ func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.S
 		if p.CPI.N < 0 || p.CPI.M2 < 0 || p.CPUUsage.N < 0 || p.CPUUsage.M2 < 0 {
 			return nil, nil, nil, fmt.Errorf("core: checkpoint pending for %s/%s has negative fields", p.Job, p.Platform)
 		}
-		key := model.SpecKey{Job: p.Job, Platform: p.Platform}
+		key := p.key()
 		if _, dup := pending[key]; dup {
 			return nil, nil, nil, fmt.Errorf("core: duplicate checkpoint pending key %s/%s", p.Job, p.Platform)
 		}
@@ -221,7 +215,7 @@ func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.S
 		if !finite(s.CPIMean, s.CPIStddev, s.CPUUsageMean) {
 			return nil, nil, nil, fmt.Errorf("core: checkpoint spec for %s/%s has non-finite fields", s.Job, s.Platform)
 		}
-		key := model.SpecKey{Job: s.Job, Platform: s.Platform}
+		key := s.Key()
 		if _, dup := specs[key]; dup {
 			return nil, nil, nil, fmt.Errorf("core: duplicate checkpoint spec key %s/%s", s.Job, s.Platform)
 		}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -99,12 +99,7 @@ func (d *Detector) Specs() []model.Spec {
 		out = append(out, s)
 	}
 	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Job != out[j].Job {
-			return out[i].Job < out[j].Job
-		}
-		return out[i].Platform < out[j].Platform
-	})
+	slices.SortFunc(out, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 	return out
 }
 

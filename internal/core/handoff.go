@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -114,12 +114,7 @@ func (b *SpecBuilder) Keys() []model.SpecKey {
 	for k := range set {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Job != out[j].Job {
-			return out[i].Job < out[j].Job
-		}
-		return out[i].Platform < out[j].Platform
-	})
+	slices.SortFunc(out, model.SpecKey.Compare)
 	return out
 }
 

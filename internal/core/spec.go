@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -306,12 +306,7 @@ func (b *SpecBuilder) Recompute(now time.Time) []model.Spec {
 	for key := range b.pending {
 		freshKeys = append(freshKeys, key)
 	}
-	sort.Slice(freshKeys, func(i, j int) bool {
-		if freshKeys[i].Job != freshKeys[j].Job {
-			return freshKeys[i].Job < freshKeys[j].Job
-		}
-		return freshKeys[i].Platform < freshKeys[j].Platform
-	})
+	slices.SortFunc(freshKeys, model.SpecKey.Compare)
 	for _, key := range freshKeys {
 		agg := b.pending[key]
 		if agg.cpi.N() == 0 || agg.oldest.IsZero() {
@@ -390,12 +385,7 @@ func (b *SpecBuilder) Recompute(now time.Time) []model.Spec {
 			out = append(out, spec)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Job != out[j].Job {
-			return out[i].Job < out[j].Job
-		}
-		return out[i].Platform < out[j].Platform
-	})
+	slices.SortFunc(out, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 	b.metrics.SpecsComputed.Add(float64(len(out)))
 	b.moveBacklog(-b.backlog)
 	return out
@@ -424,12 +414,7 @@ func (b *SpecBuilder) Specs() []model.Spec {
 	for _, s := range b.specs {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Job != out[j].Job {
-			return out[i].Job < out[j].Job
-		}
-		return out[i].Platform < out[j].Platform
-	})
+	slices.SortFunc(out, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 	return out
 }
 

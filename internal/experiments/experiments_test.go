@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/model"
 )
 
 // The tests in this file are the reproduction's regression suite: each
@@ -255,6 +258,24 @@ func TestFig13ExitsOnSecondCap(t *testing.T) {
 	}
 	if got := metric(t, rep, "capping episodes endured"); got != 2 {
 		t.Errorf("episodes = %v, want 2", got)
+	}
+}
+
+// TestFig13ExitedWorkerLeavesAgent: once the ReactExit worker has left
+// Case 6's machine, its agent holds no cap on it and no longer wants
+// its job's spec — the machine tick's exited list reaches the agent.
+func TestFig13ExitedWorkerLeavesAgent(t *testing.T) {
+	r, _, worker := newFig13Rig(1)
+	r.run(70 * time.Minute)
+	if r.m.Task(worker) != nil {
+		t.Fatal("worker still on the machine; the test is vacuous")
+	}
+	caps := r.a.Manager().Enforcer().ActiveCaps()
+	if _, ok := caps[worker]; ok {
+		t.Errorf("worker still capped after it exited: %v", caps)
+	}
+	if key := (model.SpecKey{Job: worker.Job, Platform: r.m.Platform()}); r.a.WantSpec(key) {
+		t.Errorf("agent still wants %v after its only task exited", key)
 	}
 }
 

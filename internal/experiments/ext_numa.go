@@ -63,8 +63,7 @@ func extNUMA(o Options) (*Report, error) {
 		var cpiSum float64
 		var cpiN int
 		for s := 0; s < 20*60; s++ {
-			ticks, _ := m.Tick(now, time.Second)
-			incs := a.Tick(now)
+			ticks, incs := tickNode(m, a, now)
 			incidents += len(incs)
 			for _, inc := range incs {
 				if inc.Decision.Action == core.ActionCap {

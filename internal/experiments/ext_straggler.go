@@ -84,8 +84,8 @@ func extStraggler(o Options) (*Report, error) {
 		var cpiN, caps int
 		for s := 0; s < 40*60 && !master.Done(); s++ {
 			for i := range machines {
-				ticks, _ := machines[i].Tick(now, time.Second)
-				for _, inc := range agents[i].Tick(now) {
+				ticks, incs := tickNode(machines[i], agents[i], now)
+				for _, inc := range incs {
 					if inc.Decision.Action == core.ActionCap {
 						caps++
 					}

@@ -78,10 +78,22 @@ func (r *caseRig) add(id model.TaskID, job model.Job, p *interference.Profile, w
 	r.a.RegisterTask(id, job)
 }
 
+// tickNode advances machine m and its agent a by one second, as the
+// cluster's parallel phase does: the agent forgets every task that
+// exited during the machine tick before it samples, which releases the
+// task's cap and drops its job from the specs the agent wants.
+func tickNode(m *machine.Machine, a *agent.Agent, now time.Time) ([]machine.TaskTick, []core.Incident) {
+	ticks, exited := m.Tick(now, time.Second)
+	for _, id := range exited {
+		a.TaskExited(id)
+	}
+	return ticks, a.Tick(now)
+}
+
 func (r *caseRig) run(d time.Duration) {
 	for s := 0; s < int(d/time.Second); s++ {
-		ticks, _ := r.m.Tick(r.now, time.Second)
-		r.inc = append(r.inc, r.a.Tick(r.now)...)
+		ticks, incs := tickNode(r.m, r.a, r.now)
+		r.inc = append(r.inc, incs...)
 		for _, tt := range ticks {
 			if tt.ID == r.threadsOf {
 				r.threads = append(r.threads, float64(tt.Threads))
@@ -551,27 +563,7 @@ func fig12(o Options) (*Report, error) {
 // fig13 / Case 6: a MapReduce worker survives its first capping but
 // exits during the second.
 func fig13(o Options) (*Report, error) {
-	p := core.DefaultParams()
-	r := newCaseRig(o.Seed, p)
-
-	victim := model.TaskID{Job: "latency-service", Index: 0}
-	vprof := &interference.Profile{
-		DefaultCPI: 1.0, CacheFootprint: 1.2, MemBandwidth: 0.6,
-		Sensitivity: 1.2, BaseL3MPKI: 2, NoiseSigma: 0.05,
-	}
-	r.add(victim, lsJob("latency-service"), vprof, &workload.Steady{CPU: 1.2, Threads: 12})
-	victimSpec(r, "latency-service", 1.0, 0.12)
-	quietTenants(r, 15, o.Seed)
-
-	mr := workload.NewMapReduce(5.0, workload.ReactExit)
-	antag := model.TaskID{Job: "mapreduce-worker", Index: 0}
-	r.add(antag, batchJob("mapreduce-worker", model.PriorityBatch),
-		&interference.Profile{
-			DefaultCPI: 1.4, CacheFootprint: 6, MemBandwidth: 5,
-			Sensitivity: 0.1, BaseL3MPKI: 10, NoiseSigma: 0.05,
-		}, mr)
-	r.plot(victim, antag)
-
+	r, mr, antag := newFig13Rig(o.Seed)
 	r.run(70 * time.Minute)
 
 	caps := 0
@@ -597,4 +589,29 @@ func fig13(o Options) (*Report, error) {
 	rep.AddMetric("worker exited", boolAsFloat, 1, "1 = exited")
 	rep.Body = r.timeline(25)
 	return rep, nil
+}
+
+// newFig13Rig builds Case 6's machine: a latency-sensitive victim,
+// quiet tenants, and a MapReduce worker that exits when capped twice.
+func newFig13Rig(seed int64) (*caseRig, *workload.MapReduce, model.TaskID) {
+	r := newCaseRig(seed, core.DefaultParams())
+
+	victim := model.TaskID{Job: "latency-service", Index: 0}
+	vprof := &interference.Profile{
+		DefaultCPI: 1.0, CacheFootprint: 1.2, MemBandwidth: 0.6,
+		Sensitivity: 1.2, BaseL3MPKI: 2, NoiseSigma: 0.05,
+	}
+	r.add(victim, lsJob("latency-service"), vprof, &workload.Steady{CPU: 1.2, Threads: 12})
+	victimSpec(r, "latency-service", 1.0, 0.12)
+	quietTenants(r, 15, seed)
+
+	mr := workload.NewMapReduce(5.0, workload.ReactExit)
+	antag := model.TaskID{Job: "mapreduce-worker", Index: 0}
+	r.add(antag, batchJob("mapreduce-worker", model.PriorityBatch),
+		&interference.Profile{
+			DefaultCPI: 1.4, CacheFootprint: 6, MemBandwidth: 5,
+			Sensitivity: 0.1, BaseL3MPKI: 10, NoiseSigma: 0.05,
+		}, mr)
+	r.plot(victim, antag)
+	return r, mr, antag
 }

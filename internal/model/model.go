@@ -11,6 +11,7 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -200,3 +201,12 @@ func (s Spec) Key() SpecKey { return SpecKey{Job: s.Job, Platform: s.Platform} }
 
 // String renders the key as "job@platform".
 func (k SpecKey) String() string { return string(k.Job) + "@" + string(k.Platform) }
+
+// Compare orders keys by job, then platform — the order every spec
+// table is published, checkpointed and merged in. For slices.SortFunc.
+func (k SpecKey) Compare(o SpecKey) int {
+	if c := cmp.Compare(k.Job, o.Job); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Platform, o.Platform)
+}
