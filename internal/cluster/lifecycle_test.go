@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -29,13 +30,14 @@ func churnJob(name string, tasks int) JobDef {
 // batch work, a machine crash, a KillAndRestart and an agent restart —
 // and checks after every Step, on every machine, that the scheduler,
 // the machine and the agent agree on what runs there: the scheduler's
+// committed CPU equals the sum of the resident tasks' CPU requests, its
 // TasksOn equals the machine's Tasks as a set, and the agent wants the
 // spec of exactly the jobs with a task resident (WantSpec is false for
 // a job that ran there earlier and has no task left).
 func TestFleetLifecycleInvariant(t *testing.T) {
-	const machines = 8
+	const machines, cpus = 8, 16
 	c := New(Config{
-		Seed: 7, Machines: machines, CPUsPerMachine: 16, PlatformBFraction: 0.25,
+		Seed: 7, Machines: machines, CPUsPerMachine: cpus, PlatformBFraction: 0.25,
 		Faults: &FaultPlan{
 			Crashes:  []CrashEvent{{At: 6 * time.Minute, Machine: machineName(3)}},
 			Restarts: []RestartEvent{{At: 9 * time.Minute, Machine: machineName(5)}},
@@ -56,10 +58,28 @@ func TestFleetLifecycleInvariant(t *testing.T) {
 			m, a := c.Machine(name), c.Agent(name)
 			onMachine := make(map[model.TaskID]bool)
 			resident := make(map[model.JobName]bool)
+			var reqs []float64
 			for _, id := range m.Tasks() {
 				onMachine[id] = true
 				resident[id.Job] = true
 				seen[i][id.Job] = true
+				// The scheduler's request rule: CPUPerTask, 1 when unset.
+				r := m.Task(id).Job.CPUPerTask
+				if r <= 0 {
+					r = 1
+				}
+				reqs = append(reqs, r)
+			}
+			// Summed in ascending order, as the scheduler sums; the
+			// capacity is a power of two, so Commitment × capacity is
+			// the scheduler's sum exactly.
+			sort.Float64s(reqs)
+			var placed float64
+			for _, r := range reqs {
+				placed += r
+			}
+			if committed := c.Scheduler().Commitment(name) * cpus; committed != placed {
+				t.Fatalf("%s at %s: scheduler commits %v CPUs, resident tasks request %v", name, c.Now(), committed, placed)
 			}
 			booked := c.Scheduler().TasksOn(name)
 			mismatch := len(booked) != len(onMachine)

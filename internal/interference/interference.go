@@ -183,15 +183,22 @@ func (m Machine) PressureOn(loads []Load, self int) float64 {
 	return pressure
 }
 
-// diurnalFactor returns the instruction-mix CPI multiplier at time t:
-// a sinusoid with period 24h peaking at 18:00, amplitude amp.
-func diurnalFactor(t time.Time, amp float64) float64 {
+// dayPhase returns the shape of the instruction-mix drift at time t:
+// a sinusoid of the hour of day in t's location with period 24h,
+// peaking (+1) at 18:00 and bottoming (−1) at 06:00.
+func dayPhase(t time.Time) float64 {
+	h, mi, _ := t.Clock()
+	hour := float64(h) + float64(mi)/60
+	return math.Sin((hour - 12) / 24 * 2 * math.Pi)
+}
+
+// diurnalFactor returns the instruction-mix CPI multiplier of
+// amplitude amp at day phase phase (see dayPhase).
+func diurnalFactor(phase, amp float64) float64 {
 	if amp == 0 {
 		return 1
 	}
-	hour := float64(t.Hour()) + float64(t.Minute())/60
-	// Peak at 18:00, trough at 06:00.
-	return 1 + amp*math.Sin((hour-12)/24*2*math.Pi)
+	return 1 + amp*phase
 }
 
 // noiseGEV is the unit-mean right-skewed multiplicative noise family.
@@ -219,13 +226,34 @@ func gevQuantile(p, xi float64) float64 {
 	if math.Abs(xi) < 1e-12 {
 		return -math.Log(ln)
 	}
-	return (math.Pow(ln, -xi) - 1) / xi
+	// ln^(−ξ) as exp(−ξ·log ln). For 0 < −ξ < 1/2, math.Pow(ln, −ξ)
+	// computes exactly this and returns it through Ldexp(·, 0) (its
+	// own assembly on s390x aside), so the quantile is bit-identical to
+	// the Pow form without Pow's special cases, Modf, Frexp and Ldexp;
+	// TestGEVQuantileMatchesPow pins the equality.
+	return (math.Exp(-xi*math.Log(ln)) - 1) / xi
 }
 
 // Evaluate computes the microarchitectural result for the task at
 // index self among loads at wall time t. rng supplies measurement
 // noise and may be nil for deterministic output.
 func (m Machine) Evaluate(loads []Load, self int, t time.Time, rng *rand.Rand) Result {
+	return m.evaluate(loads, self, dayPhase(t), rng)
+}
+
+// EvaluateAll computes the result of every task in loads into
+// out[:len(loads)], which must be at least that long. The results and
+// the draws from rng are those of calling Evaluate for self = 0, 1, …
+// in turn; the time of day is read once for all of them.
+func (m Machine) EvaluateAll(loads []Load, t time.Time, rng *rand.Rand, out []Result) {
+	phase := dayPhase(t)
+	for i := range loads {
+		out[i] = m.evaluate(loads, i, phase, rng)
+	}
+}
+
+// evaluate is Evaluate at day phase phase (see dayPhase).
+func (m Machine) evaluate(loads []Load, self int, phase float64, rng *rand.Rand) Result {
 	l := loads[self]
 	if l.Profile == nil {
 		return Result{CPI: 1, L3MPKI: 0}
@@ -237,7 +265,7 @@ func (m Machine) Evaluate(loads []Load, self int, t time.Time, rng *rand.Rand) R
 	}
 	cpi := base *
 		(1 + l.Profile.Sensitivity*pressure) *
-		diurnalFactor(t, l.Profile.DiurnalAmplitude) *
+		diurnalFactor(phase, l.Profile.DiurnalAmplitude) *
 		noiseFactor(rng, l.Profile.NoiseSigma)
 	if th := l.Profile.LowUsageThreshold; th > 0 && l.Usage < th {
 		cpi *= 1 + l.Profile.LowUsageInflation*(1-l.Usage/th)

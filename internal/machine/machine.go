@@ -12,6 +12,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -72,8 +73,8 @@ type Machine struct {
 	name  string
 	hw    interference.Machine
 	ncpus int
-	tasks map[model.TaskID]*Task
-	order []model.TaskID // deterministic iteration order
+	tasks map[model.TaskID]*Task // ID index of order
+	order []*Task                // resident tasks, in placement order
 	rng   *rand.Rand
 
 	// cnts is the cumulative counter column: tasks index it by slot, so
@@ -91,11 +92,11 @@ type Machine struct {
 	// ticking allocates nothing. Sized to the resident task count; the
 	// TaskTick slice returned by Tick aliases `out`.
 	scratch struct {
-		tasks   []*Task
 		demands []cgroup.Demand
 		grants  []float64
 		threads []int
 		loads   []interference.Load
+		results []interference.Result
 		out     []TaskTick
 		alloc   cgroup.AllocScratch
 	}
@@ -132,7 +133,9 @@ func (m *Machine) NumTasks() int { return len(m.tasks) }
 // Tasks returns the resident task IDs in deterministic order.
 func (m *Machine) Tasks() []model.TaskID {
 	out := make([]model.TaskID, len(m.order))
-	copy(out, m.order)
+	for i, t := range m.order {
+		out[i] = t.ID
+	}
 	return out
 }
 
@@ -146,15 +149,15 @@ func (m *Machine) AddTask(id model.TaskID, job model.Job, profile *interference.
 	if _, ok := m.tasks[id]; ok {
 		return fmt.Errorf("machine %s: task %v already placed", m.name, id)
 	}
-	slot := m.takeSlot()
-	m.tasks[id] = &Task{
+	t := &Task{
 		ID: id, Job: job, Profile: profile, Workload: w,
 		cg:     id.String(),
-		slot:   slot,
+		slot:   m.takeSlot(),
 		skew:   profile.DrawSkew(m.rng),
 		socket: m.pickSocket(),
 	}
-	m.order = append(m.order, id)
+	m.tasks[id] = t
+	m.order = append(m.order, t)
 	return nil
 }
 
@@ -179,12 +182,7 @@ func (m *Machine) RemoveTask(id model.TaskID) error {
 		return fmt.Errorf("machine %s: no task %v", m.name, id)
 	}
 	delete(m.tasks, id)
-	for i, o := range m.order {
-		if o == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	m.order = slices.DeleteFunc(m.order, func(o *Task) bool { return o == t })
 	m.freeSlots = append(m.freeSlots, t.slot)
 	return nil
 }
@@ -196,8 +194,8 @@ func (m *Machine) pickSocket() int {
 		return 0
 	}
 	counts := make([]int, m.hw.Sockets)
-	for _, id := range m.order {
-		counts[m.tasks[id].socket]++
+	for _, t := range m.order {
+		counts[t.socket]++
 	}
 	best := 0
 	for s := 1; s < len(counts); s++ {
@@ -275,8 +273,8 @@ func (m *Machine) LeasesExpired() int64 { return m.leasesExpired }
 // (granted CPU / capacity), in [0, 1].
 func (m *Machine) Utilization() float64 {
 	var used float64
-	for _, id := range m.order {
-		used += m.tasks[id].last.Usage
+	for _, t := range m.order {
+		used += t.last.Usage
 	}
 	return used / float64(m.ncpus)
 }
@@ -285,8 +283,8 @@ func (m *Machine) Utilization() float64 {
 // the quantity behind Figure 1(b).
 func (m *Machine) ThreadCount() int {
 	n := 0
-	for _, id := range m.order {
-		n += m.tasks[id].last.Threads
+	for _, t := range m.order {
+		n += t.last.Threads
 	}
 	return n
 }
@@ -295,8 +293,7 @@ func (m *Machine) ThreadCount() int {
 // allocation-free snapshot read behind perfcnt.Sampler.Tick.
 func (m *Machine) ReadCounters(dst *perfcnt.Snapshot) {
 	dst.Reset()
-	for _, id := range m.order {
-		t := m.tasks[id]
+	for _, t := range m.order {
 		dst.Append(t.cg, m.cnts[t.slot])
 	}
 }
@@ -337,10 +334,8 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 	if n == 0 {
 		return nil, nil
 	}
-	tasks, demands, grants, threads, loads, out := m.grow(n)
-	for i, id := range m.order {
-		t := m.tasks[id]
-		tasks[i] = t
+	demands, grants, threads, loads, results, out := m.grow(n)
+	for i, t := range m.order {
 		// Lease sweep before allocation: the mechanism layer runs even
 		// when the agent that applied a cap is dead, so an orphaned cap
 		// self-releases here within one TTL of its last renewal.
@@ -356,13 +351,14 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 	}
 	cgroup.AllocateInto(float64(m.ncpus), dt, demands, grants, &m.scratch.alloc)
 
-	for i, t := range tasks {
+	for i, t := range m.order {
 		loads[i] = interference.Load{Profile: t.Profile, Usage: grants[i], Skew: t.skew, Socket: t.socket}
 	}
+	m.hw.EvaluateAll(loads, now, m.rng, results)
 
 	var exited []model.TaskID
-	for i, t := range tasks {
-		res := m.hw.Evaluate(loads, i, now, m.rng)
+	for i, t := range m.order {
+		res := results[i]
 		tt := TaskTick{
 			ID:      t.ID,
 			Usage:   grants[i],
@@ -382,26 +378,28 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 			exited = append(exited, t.ID)
 		}
 	}
-	for i := range tasks {
-		tasks[i] = nil // drop refs so removed tasks are collectable
+	for i := range demands {
+		demands[i].Group = nil // drop refs so removed tasks are collectable
 	}
 	for _, id := range exited {
 		_ = m.RemoveTask(id)
 	}
-	sort.Slice(exited, func(i, j int) bool { return exited[i].String() < exited[j].String() })
+	if len(exited) > 1 {
+		sort.Slice(exited, func(i, j int) bool { return exited[i].String() < exited[j].String() })
+	}
 	return out, exited
 }
 
 // grow sizes the scratch buffers for n resident tasks and returns them.
-func (m *Machine) grow(n int) ([]*Task, []cgroup.Demand, []float64, []int, []interference.Load, []TaskTick) {
+func (m *Machine) grow(n int) ([]cgroup.Demand, []float64, []int, []interference.Load, []interference.Result, []TaskTick) {
 	s := &m.scratch
-	if cap(s.tasks) < n {
-		s.tasks = make([]*Task, n)
+	if cap(s.demands) < n {
 		s.demands = make([]cgroup.Demand, n)
 		s.grants = make([]float64, n)
 		s.threads = make([]int, n)
 		s.loads = make([]interference.Load, n)
+		s.results = make([]interference.Result, n)
 		s.out = make([]TaskTick, n)
 	}
-	return s.tasks[:n], s.demands[:n], s.grants[:n], s.threads[:n], s.loads[:n], s.out[:n]
+	return s.demands[:n], s.grants[:n], s.threads[:n], s.loads[:n], s.results[:n], s.out[:n]
 }

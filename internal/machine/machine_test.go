@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -421,5 +423,32 @@ func TestTickAllocBudget(t *testing.T) {
 	}
 	if got := m.LeasesExpired() - before; got != 101 || m.IsCapped(ant) {
 		t.Errorf("swept %d leases (capped %v), want 101 (false): one per run plus the warm-up", got, m.IsCapped(ant))
+	}
+}
+
+// BenchmarkMachineTick is one tick of a machine running 3 and 12
+// steady tasks with noisy, diurnal profiles: demand collection, the
+// CPU allocation, interference, counters and Deliver.
+func BenchmarkMachineTick(b *testing.B) {
+	for _, n := range []int{3, 12} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			m := New("bench", interference.DefaultMachine(model.PlatformA), 16, rand.New(rand.NewSource(1)))
+			p := testProfile(1.2)
+			p.NoiseSigma, p.DiurnalAmplitude, p.TaskSkewSigma = 0.08, 0.04, 0.1
+			for i := 0; i < n; i++ {
+				id := model.TaskID{Job: "j", Index: i}
+				if err := m.AddTask(id, model.Job{Name: "j", Class: model.ClassBatch}, p, steadyWorkload{cpu: 1 + float64(i%4)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			now := t0
+			m.Tick(now, time.Second) // warm the scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now = now.Add(time.Second)
+				m.Tick(now, time.Second)
+			}
+		})
 	}
 }

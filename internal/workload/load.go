@@ -65,7 +65,8 @@ type DiurnalLoad struct {
 
 // Level implements LoadCurve.
 func (d DiurnalLoad) Level(t time.Time) float64 {
-	hour := float64(t.Hour()) + float64(t.Minute())/60 + float64(t.Second())/3600
+	h, mi, sec := t.Clock()
+	hour := float64(h) + float64(mi)/60 + float64(sec)/3600
 	mid := (d.Peak + d.Trough) / 2
 	amp := (d.Peak - d.Trough) / 2
 	level := mid + amp*math.Cos((hour-d.PeakHour)/24*2*math.Pi)

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -43,15 +42,26 @@ func (t Tier) String() string {
 // of the tier below, not the mean.
 //
 // SearchTree is safe AND order-insensitive under parallel machine
-// ticking: publish only appends to the current tick's accumulator
-// (the percentile sorts, so append order cannot matter), tail reads
-// the previous tick's aggregate (stable for the whole tick), and the
-// roll-over happens in EndTick, which the cluster invokes at the
-// serial tick barrier via OnTick.
+// ticking. A task publishes into its own fields — the latency and the
+// tree's epoch, which counts EndTicks — so a steady-state publish
+// writes nothing shared. Only a task's first publish after it joins,
+// or rejoins, takes the tree's mutex, to put the task on the member
+// list. tail reads the previous tick's aggregate, which nothing writes
+// during a tick. EndTick, which the cluster invokes at the serial tick
+// barrier via OnTick, gathers the latencies of the members that
+// published in the ending epoch, takes each tier's 95th percentile (an
+// order statistic, so which machine ticked first cannot matter), and
+// drops the members that did not publish — a task that exited or was
+// evicted — so the list holds live tasks only; a dropped task that
+// publishes again rejoins. A task publishes once per tick (its machine
+// ticks it once per step): a second publish in one epoch replaces the
+// first.
 type SearchTree struct {
-	mu sync.Mutex
-	// current-tick accumulators
-	cur [3][]float64
+	mu      sync.Mutex    // guards members
+	members []*SearchTask // tasks that published since they (re)joined
+	epoch   uint64        // advanced by EndTick
+	// vals is EndTick's per-tier scratch of this epoch's latencies.
+	vals [3][]float64
 	// previous-tick aggregates (tail latency per tier)
 	last [3]float64
 }
@@ -65,50 +75,103 @@ func NewSearchTree() *SearchTree {
 	return t
 }
 
-func (t *SearchTree) publish(tier Tier, latency float64) {
-	t.mu.Lock()
-	t.cur[tier] = append(t.cur[tier], latency)
-	t.mu.Unlock()
+// publish records s's latency for the current epoch.
+func (t *SearchTree) publish(s *SearchTask, latency float64) {
+	s.published, s.epoch = latency, t.epoch
+	if !s.member {
+		s.member = true
+		t.mu.Lock()
+		t.members = append(t.members, s)
+		t.mu.Unlock()
+	}
 }
 
-// tail returns the previous tick's tail latency of a tier.
+// tail returns the previous tick's tail latency of a tier. It does not
+// lock: only EndTick writes the aggregates, between ticks.
 func (t *SearchTree) tail(tier Tier) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.last[tier]
 }
 
 // EndTick rolls the current tick's published latencies into the
-// aggregates lower tiers read next tick. Call it once per simulation
+// aggregates upper tiers read next tick. Call it once per simulation
 // tick after all machines have ticked.
 func (t *SearchTree) EndTick() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for tier := range t.cur {
-		if n := len(t.cur[tier]); n > 0 {
+	for tier := range t.vals {
+		t.vals[tier] = t.vals[tier][:0]
+	}
+	live := t.members[:0]
+	for _, s := range t.members {
+		if s.epoch != t.epoch {
+			s.member = false
+			continue
+		}
+		live = append(live, s)
+		t.vals[s.Tier] = append(t.vals[s.Tier], s.published)
+	}
+	clear(t.members[len(live):]) // let dropped tasks be collected
+	t.members = live
+	for tier, vals := range t.vals {
+		if len(vals) > 0 {
 			// Tail = 95th percentile of this tick's task latencies:
 			// discarded-reply semantics make the tail, not the mean,
-			// what upper tiers wait for. The accumulator is emptied
-			// right after, so the percentile may reorder it.
-			vals := t.cur[tier]
+			// what upper tiers wait for.
 			t.last[tier] = percentile95(vals)
-			t.cur[tier] = vals[:0]
 		}
 	}
+	t.epoch++
 }
 
-// percentile95 returns the 95th percentile of xs, sorting xs in place.
+// percentile95 returns the 95th percentile of xs — its ⌈0.95n⌉-th
+// smallest value — reordering xs in place. It selects instead of
+// sorting, in expected O(n); the value does not depend on the order of
+// xs.
 func percentile95(xs []float64) float64 {
-	n := len(xs)
-	if n == 1 {
-		return xs[0]
-	}
-	sort.Float64s(xs)
-	rank := (n*95 + 99) / 100 // ceil(0.95n), 1-based
+	rank := (len(xs)*95 + 99) / 100 // ceil(0.95n), 1-based
 	if rank < 1 {
 		rank = 1
 	}
-	return xs[rank-1]
+	return selectKth(xs, rank-1)
+}
+
+// selectKth reorders xs so that xs[k] holds the value sorting xs would
+// put there, and returns it: Hoare's selection, partitioning around
+// the median of the range's first, middle and last values.
+func selectKth(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		a, pivot, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if pivot < a {
+			a, pivot = pivot, a
+		}
+		if c < pivot {
+			pivot = max(a, c)
+		}
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] ≤ pivot ≤ xs[i..hi], and anything between equals
+		// the pivot.
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return xs[k]
 }
 
 // SearchTask is one task of a web-search job at a given tier. Its
@@ -144,6 +207,12 @@ type SearchTask struct {
 	latencySum   float64
 	latencyTicks int
 	stopped      bool
+
+	// published is the latency the task published to Tree in epoch
+	// epoch; member reports whether the task is on Tree's member list.
+	published float64
+	epoch     uint64
+	member    bool
 }
 
 // NewSearchTask builds a search task with per-tier defaults.
@@ -215,7 +284,7 @@ func (s *SearchTask) Deliver(now time.Time, granted float64, dt time.Duration, r
 	if s.Tier != TierLeaf {
 		lat = s.OwnFraction*own + (1-s.OwnFraction)*(lower+own*0.1)
 	}
-	s.Tree.publish(s.Tier, lat)
+	s.Tree.publish(s, lat)
 	s.latencySum += lat
 	s.latencyTicks++
 	// The level is unused, but a jittered curve draws from the task's

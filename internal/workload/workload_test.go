@@ -49,6 +49,26 @@ func TestDiurnalLoadShape(t *testing.T) {
 	}
 }
 
+// TestDiurnalLoadLevelClock: Level, which reads t.Clock() once, equals
+// the Hour/Minute/Second expression it replaced bit for bit, jitter
+// draws included, every 37 s across a simulated day in UTC and in a
+// zone half an hour off the hour.
+func TestDiurnalLoadLevelClock(t *testing.T) {
+	ist := time.FixedZone("UTC+5:30", 5*3600+30*60)
+	for _, loc := range []*time.Location{time.UTC, ist} {
+		d := DiurnalLoad{Trough: 0.25, Peak: 0.95, PeakHour: 17.5, Jitter: 0.05, RNG: rand.New(rand.NewSource(9))}
+		ref := rand.New(rand.NewSource(9))
+		for now := t0.In(loc); now.Before(t0.Add(24 * time.Hour)); now = now.Add(37 * time.Second) {
+			hour := float64(now.Hour()) + float64(now.Minute())/60 + float64(now.Second())/3600
+			want := (d.Peak+d.Trough)/2 + (d.Peak-d.Trough)/2*math.Cos((hour-d.PeakHour)/24*2*math.Pi)
+			want = clamp01(want * (1 + d.Jitter*(2*ref.Float64()-1)))
+			if got := d.Level(now); got != want {
+				t.Fatalf("%v: Level = %v, Hour/Minute/Second form %v", now, got, want)
+			}
+		}
+	}
+}
+
 func TestSteady(t *testing.T) {
 	s := &Steady{CPU: 1.5, Threads: 3}
 	cpu, th := s.Demand(t0)
