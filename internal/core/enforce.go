@@ -396,10 +396,13 @@ func (e *Enforcer) ReleaseAll() []model.TaskID {
 // uncapLocked drives Uncap on caps and releases each one the mechanism
 // accepted, returning those tasks; a failed Uncap leaves its cap
 // active. Caps are taken in task order, never map order, so caps that
-// end together emit their events in the same order on every run.
+// end together emit their events in the same order on every run; the
+// sort runs only when there are two or more (most ticks end none).
 // Callers hold e.mu.
 func (e *Enforcer) uncapLocked(now time.Time, caps []*activeCap, reason string) []model.TaskID {
-	sort.Slice(caps, func(i, j int) bool { return caps[i].task.String() < caps[j].task.String() })
+	if len(caps) > 1 {
+		sort.Slice(caps, func(i, j int) bool { return caps[i].task.String() < caps[j].task.String() })
+	}
 	var released []model.TaskID
 	for _, ac := range caps {
 		if err := e.capper.Uncap(ac.task); err == nil {
