@@ -16,10 +16,11 @@ import (
 // topologyGoldenSHA256 is the SHA-256 of the topology scenario's
 // incident records and spec table. The last commit that still had four
 // sample paths produced one hash for every {nil, empty plan} × {1, 3,
-// 12 shards} × workers {1, 4} combination; it was re-pinned once when
-// stats.RNG streams moved to PCG generators, and pinning it proves
-// every change to the path byte-preserving across commits.
-const topologyGoldenSHA256 = "d992d7a584fae743cffb617315d7cd39532132ac9de36ef1c195c8f22c08db67"
+// 12 shards} × workers {1, 4} combination; it was re-pinned when
+// stats.RNG streams moved to PCG generators and again when the noise
+// quantile was tabulated, and pinning it proves every change to the
+// path byte-preserving across commits.
+const topologyGoldenSHA256 = "5829f5df668e8ebc0cad1d0f6f496f963cfeee070a7582c4c40e9cefdefece91"
 
 // topologyRun is the seeded 100-machine scenario: quiet service and
 // batch noise warm the specs for 6 minutes, then 40 antagonists land

@@ -12,11 +12,12 @@ import (
 
 // workloadStreamGoldenSHA256 is the SHA-256 of workloadStreamRun's
 // incident records and spec table, computed while the workloads still
-// recorded per-tick telemetry series and re-pinned once when stats.RNG
-// streams moved to PCG generators. Deleting those series had to leave
-// every seeded draw in place, and so must every later change to a
-// workload.
-const workloadStreamGoldenSHA256 = "a3fc19047d7ed11a8995d5c28a75aa013d018b370d52f2f9919beaaf720039d3"
+// recorded per-tick telemetry series, re-pinned when stats.RNG streams
+// moved to PCG generators and again when the noise quantile was
+// tabulated and a search task stopped drawing a load level it did not
+// use. Deleting those series had to leave every seeded draw in place,
+// and so must every later change to a workload that is not a re-golden.
+const workloadStreamGoldenSHA256 = "cefa56a89ade79eb7f71b60f351be4e9213d4d921014ccf15368a76942c1693f"
 
 // TestWorkloadStreamPinned: a seeded fleet running a search job, a batch
 // job and a MapReduce job, then hit by antagonists, reproduces a pinned

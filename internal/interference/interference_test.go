@@ -389,3 +389,76 @@ func TestEvaluateAllMatchesEvaluate(t *testing.T) {
 		t.Errorf("noise streams diverged: next draws %d and %d", x, y)
 	}
 }
+
+// TestGEVNoiseTableAccuracy: the tabulated noise quantile is within
+// 2e-6 of gevQuantile at every node and every cell midpoint of both
+// halves, at 10⁶ uniform and 4·10⁵ log-uniform tail draws, and at p =
+// 0, ½ and 1 − 2⁻⁵³; below the tables' last octave, and at p = 1, it
+// is gevQuantile bit for bit.
+func TestGEVNoiseTableAccuracy(t *testing.T) {
+	const tol = 2e-6
+	check := func(what string, p float64) {
+		t.Helper()
+		got, want := noiseQuantile(p), gevQuantile(p, noiseXi)
+		if !(math.Abs(got-want) <= tol) {
+			t.Fatalf("%s: noiseQuantile(%v) = %v, gevQuantile %v (error %.3g)", what, p, got, want, got-want)
+		}
+	}
+	for n := 0; n <= noiseOctaves<<noiseCellBits; n++ {
+		x := math.Float64frombits(uint64(noiseBase+n) << noiseShift)
+		check("lower node", x)
+		check("upper node", 1-x)
+		if n < noiseOctaves<<noiseCellBits {
+			mid := math.Float64frombits(uint64(noiseBase+n)<<noiseShift | 1<<(noiseShift-1))
+			check("lower midpoint", mid)
+			check("upper midpoint", 1-mid)
+		}
+	}
+	rng := rand.New(rand.NewSource(35))
+	for i := 0; i < 1000000; i++ {
+		check("uniform", rng.Float64())
+	}
+	for i := 0; i < 200000; i++ {
+		x := math.Exp2(-1 - (noiseOctaves+1)*rng.Float64()) // log-uniform over the octaves
+		check("lower tail", x)
+		check("upper tail", 1-x)
+	}
+	for _, p := range []float64{0, 0.5, 1 - 0x1p-53} {
+		check("edge", p)
+	}
+
+	fallback := []float64{0, 5e-324, 0x1p-1022, 1e-17, math.Nextafter(noiseMin, 0), 1}
+	for i := 0; i < 10000; i++ {
+		fallback = append(fallback, noiseMin*rng.Float64())
+	}
+	for _, p := range fallback {
+		if got, want := noiseQuantile(p), gevQuantile(p, noiseXi); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fallback: noiseQuantile(%v) = %v (%#x), gevQuantile %v (%#x)",
+				p, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// BenchmarkNoiseFactor is one noise draw, rng.Float64 included, through
+// the exact quantile and through the table.
+func BenchmarkNoiseFactor(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		quantile func(float64) float64
+	}{
+		{"exact", func(p float64) float64 { return gevQuantile(p, noiseXi) }},
+		{"table", noiseQuantile},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var sum float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum += 1 + 0.05*(c.quantile(rng.Float64())-0.577)
+			}
+			benchSink = sum
+		})
+	}
+}
+
+var benchSink float64

@@ -49,10 +49,10 @@ func (c ConstantLoad) Level(time.Time) float64 { return clamp01(float64(c)) }
 // concurrently (the draw would race) or whose tick order is not fixed
 // (the draw order would leak between tasks). Give each task its own
 // copy with its own stream — see cluster.WebSearchJob for the pattern.
-// Every call is a draw, whether or not its value is used: a SearchTask
-// calls Level twice per tick (in Demand and in Deliver), and both draws
-// belong to the seeded stream, so removing either changes every later
-// level and with it a seeded run's specs and incidents.
+// Every call is a draw, whether or not its value is used, so adding or
+// removing a call moves every later level and with it a seeded run's
+// specs and incidents. A SearchTask calls Level once per tick, in
+// Demand.
 type DiurnalLoad struct {
 	Trough   float64 // load level at the quietest hour
 	Peak     float64 // load level at the busiest hour

@@ -261,7 +261,7 @@ func (s *SearchTask) Demand(now time.Time) (float64, int) {
 
 // Deliver implements machine.Workload: compute this tick's reported
 // latency from own CPI and the tier below.
-func (s *SearchTask) Deliver(now time.Time, granted float64, dt time.Duration, res interference.Result) {
+func (s *SearchTask) Deliver(_ time.Time, _ float64, _ time.Duration, res interference.Result) {
 	base := s.BaseCPI
 	if base <= 0 {
 		base = 1
@@ -287,13 +287,6 @@ func (s *SearchTask) Deliver(now time.Time, granted float64, dt time.Duration, r
 	s.Tree.publish(s, lat)
 	s.latencySum += lat
 	s.latencyTicks++
-	// The level is unused, but a jittered curve draws from the task's
-	// seeded load stream on every call: this is the stream's second draw
-	// per tick (Demand makes the first), and removing it would shift every
-	// later draw and with it every seeded run's specs and incidents.
-	if s.Load != nil {
-		_ = s.Load.Level(now)
-	}
 }
 
 // Done implements machine.Workload.
