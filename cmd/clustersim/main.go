@@ -135,11 +135,11 @@ func main() {
 		plan, _ := cluster.ParseFaultPlan(sc.Chaos) // Start parsed it
 		fs := c.FaultStats()
 		fmt.Printf("faults (%s): %d batches lost, %d spooled→replayed, %d spool-dropped, %d still spooled,\n"+
-			"        %d blackout ticks, %d shard-blackout ticks, %d reshards (%d keys handed off),\n"+
+			"        %d shard-blackout ticks, %d reshards (%d keys handed off),\n"+
 			"        %d delayed spec pushes, %d crashes (%d tasks lost, %d restarted),\n"+
 			"        %d agent restarts (%d caps re-adopted, %d orphaned), %d corrupt batches (%d samples quarantined)\n",
 			plan, fs.LostBatches, fs.SpoolReplayed, fs.SpoolDropped, fs.SpooledBatches,
-			fs.BlackoutTicks, fs.ShardBlackoutTicks, fs.ReshardsApplied, fs.MovedKeys,
+			fs.ShardBlackoutTicks, fs.ReshardsApplied, fs.MovedKeys,
 			fs.DelayedSpecPushes, fs.CrashesApplied, fs.TasksLost, fs.TasksRestarted,
 			fs.RestartsApplied, fs.CapsAdopted, fs.CapsOrphaned, fs.CorruptBatches, fs.Quarantined)
 	}

@@ -1,11 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -87,9 +88,10 @@ type SkewEvent struct {
 // phase, so a faulted run is exactly as worker-count-independent as a
 // clean one.
 type FaultPlan struct {
-	// AggregatorBlackouts are intervals during which the aggregator is
-	// unreachable: sample batches can't be delivered (they spool on each
-	// machine) and no spec recompute or push happens.
+	// AggregatorBlackouts are intervals during which every shard of the
+	// spec tier is unreachable — a ShardBlackoutEvent for each live
+	// shard: sample batches spool on each machine, and no spec recompute
+	// or push happens.
 	AggregatorBlackouts []Window
 	// SampleLoss is the per-batch probability that the machine→
 	// aggregator link silently eats a batch (at-most-once delivery,
@@ -103,8 +105,8 @@ type FaultPlan struct {
 	Crashes []CrashEvent
 	// Restarts are scheduled agent restarts: agent state is lost, the
 	// machine survives, and the replacement reconciles the cap journal.
-	// When a crash and a restart land on the same tick, crashes apply
-	// first.
+	// Reshards, crashes and restarts apply in offset order; at equal
+	// offsets reshards go first, then crashes, then restarts.
 	Restarts []RestartEvent
 	// CorruptRate is the per-machine per-tick probability that a hostile
 	// or buggy writer ships one batch of garbage samples (NaN/Inf/
@@ -112,18 +114,18 @@ type FaultPlan struct {
 	// must quarantine every one of them; specs stay byte-identical to a
 	// corruption-free run. 0 ≤ CorruptRate ≤ 1.
 	CorruptRate float64
-	// ShardBlackouts take individual aggregator shards offline (needs
-	// Config.Shards > 1 to be interesting; a shard index with no live
-	// shard behind it simply never fires).
+	// ShardBlackouts take individual aggregator shards offline (on a
+	// 1-shard fleet, shard 0's window is an aggregator blackout; a shard
+	// index with no live shard behind it simply never fires).
 	ShardBlackouts []ShardBlackoutEvent
 	// Reshards are live shard-count changes (see ReshardEvent).
 	Reshards []ReshardEvent
 	// ReconnectSpread bounds the full-jitter reconnect delay each
-	// machine draws when a blacked-out shard comes back: machine i's
-	// link to the recovered shard stays closed for uniform(0,
-	// ReconnectSpread] — decorrelated via the per-machine fault RNG
-	// stream, so the fleet does not thunder back in lockstep. Default
-	// 5s.
+	// machine draws when a shard comes back from any outage, blackout=
+	// or shardblackout=: machine i's link to the recovered shard stays
+	// closed for uniform(0, ReconnectSpread] — decorrelated via the
+	// per-machine fault RNG stream, so the fleet does not thunder back
+	// in lockstep. Default 5s.
 	ReconnectSpread time.Duration
 	// Skews are per-machine agent clock offsets.
 	Skews []SkewEvent
@@ -247,7 +249,8 @@ func (p *FaultPlan) String() string {
 // ParseFaultPlan parses a scenario's chaos syntax: comma-separated
 // directives, each key=value.
 //
-//	blackout=OFFSET+DURATION   aggregator blackout (repeatable)
+//	blackout=OFFSET+DURATION   aggregator blackout: every shard
+//	                           unreachable for the window (repeatable)
 //	loss=FRACTION              per-batch sample loss in [0,1]
 //	specdelay=DURATION         delayed spec pushes
 //	crash=MACHINE@OFFSET       machine crash (repeatable)
@@ -262,8 +265,8 @@ func (p *FaultPlan) String() string {
 //	reshard=N>M@OFFSET         live shard-count change with checkpoint
 //	                           handoff of moved keys ("N→M" also
 //	                           accepted; repeatable, must chain)
-//	reconnect=DURATION         full-jitter reconnect spread after a
-//	                           shard blackout lifts (default 5s)
+//	reconnect=DURATION         full-jitter reconnect spread after any
+//	                           outage lifts (default 5s)
 //	skew=MACHINE@±DURATION     agent clock offset (repeatable)
 //	spool=N                    per-machine spool budget, batches
 //	spoolbytes=N               per-machine spool budget, bytes
@@ -431,10 +434,9 @@ type FaultStats struct {
 	SpoolReplayed int64
 	// SpooledBatches are currently sitting in machine spools.
 	SpooledBatches int64
-	// BlackoutTicks counts simulation ticks spent inside a blackout.
-	BlackoutTicks int64
 	// ShardBlackoutTicks counts (tick × down shard) pairs spent inside
-	// shard blackouts — two shards down for one tick counts 2.
+	// blackouts of either kind — two shards down for one tick counts 2,
+	// and a blackout= tick counts once per live shard.
 	ShardBlackoutTicks int64
 	// ReshardsApplied / MovedKeys account executed ReshardEvents: how
 	// many ring changes ran and how many job×platform keys were handed
@@ -463,24 +465,22 @@ type FaultStats struct {
 	Quarantined    int64
 }
 
-// errAggregatorDown is what machine links report during a blackout;
-// spools react by buffering. errShardDown and errReconnectBackoff are
-// the per-shard analogues: the target shard is blacked out, or its
-// blackout just lifted and this machine's jittered reconnect window
-// has not opened yet.
+// errShardDown and errReconnectBackoff are what machine links report
+// while their shard is down, or its outage just lifted and this
+// machine's jittered reconnect window has not opened yet; spools react
+// by buffering.
 var (
-	errAggregatorDown   = errors.New("cluster: aggregator blackout")
 	errShardDown        = errors.New("cluster: shard blackout")
 	errReconnectBackoff = errors.New("cluster: reconnect backoff")
 )
 
 // chaosLink sits between a machine's per-shard spool and that shard's
-// bus: it refuses batches during blackouts — global, per-shard, or a
-// not-yet-elapsed reconnect backoff — so the spool buffers them, and
-// silently loses a SampleLoss fraction otherwise. It is only invoked
-// from the serial commit phase, so it may touch cluster-shared fault
-// state and its machine's fault RNG without locks — and stays
-// deterministic at any worker count.
+// bus: it refuses batches while the shard is down or a reconnect
+// backoff has not elapsed, so the spool buffers them, and silently
+// loses a SampleLoss fraction otherwise. It is only invoked from the
+// serial commit phase, so it may touch cluster-shared fault state and
+// its machine's fault RNG without locks — and stays deterministic at
+// any worker count.
 type chaosLink struct {
 	c       *Cluster
 	machine int
@@ -488,7 +488,7 @@ type chaosLink struct {
 	// spool buffers what the link refuses; the commit phase drains it.
 	spool *pipeline.Spooler
 	// reconnectUntil is the link's full-jitter reconnect deadline after
-	// a shard blackout lifts: until then it refuses traffic (spooling
+	// its shard's outage lifts: until then it refuses traffic (spooling
 	// it), so a fleet does not thunder back into a freshly recovered
 	// shard in lockstep.
 	reconnectUntil time.Time
@@ -496,9 +496,6 @@ type chaosLink struct {
 
 func (l *chaosLink) Publish(samples []model.Sample) error {
 	c := l.c
-	if c.blackout {
-		return errAggregatorDown
-	}
 	if c.shardDown[l.shard] {
 		return errShardDown
 	}
@@ -520,46 +517,61 @@ type delayedSpecs struct {
 	shard int
 }
 
-// sortedCrashes returns the plan's crashes ordered by (At, Machine) so
-// the application order is deterministic regardless of plan order.
-func (p *FaultPlan) sortedCrashes() []CrashEvent {
-	out := append([]CrashEvent(nil), p.Crashes...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Machine < out[j].Machine
+// The fault timeline's event kinds, in their application order at
+// equal offsets: a reshard first, so every later fault decision of the
+// tick (down flags, routing, spool drains) sees the new ring, then
+// crashes, then restarts.
+const (
+	faultReshard = iota
+	faultCrash
+	faultRestart
+)
+
+// faultEvent is one entry of the fault timeline: a reshard (from, to)
+// or a machine crash or agent restart (machine).
+type faultEvent struct {
+	at       time.Duration
+	kind     int
+	machine  string
+	from, to int
+}
+
+// timeline returns the plan's reshards, crashes and restarts as one
+// list ordered by (offset, kind, machine, from, to), so the application
+// order is deterministic regardless of plan order.
+func (p *FaultPlan) timeline() []faultEvent {
+	var out []faultEvent
+	for _, rs := range p.Reshards {
+		out = append(out, faultEvent{at: rs.At, kind: faultReshard, from: rs.From, to: rs.To})
+	}
+	for _, cr := range p.Crashes {
+		out = append(out, faultEvent{at: cr.At, kind: faultCrash, machine: cr.Machine})
+	}
+	for _, r := range p.Restarts {
+		out = append(out, faultEvent{at: r.At, kind: faultRestart, machine: r.Machine})
+	}
+	slices.SortFunc(out, func(a, b faultEvent) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.kind, b.kind),
+			strings.Compare(a.machine, b.machine), cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
 	})
 	return out
 }
 
-// sortedReshards orders the plan's reshard events by (At, From, To) so
-// application order is deterministic regardless of plan order.
-func (p *FaultPlan) sortedReshards() []ReshardEvent {
-	out := append([]ReshardEvent(nil), p.Reshards...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
+// shardDownAt reports whether shard s is unreachable at offset: inside
+// a blackout= window, which takes every shard down, or inside a
+// shardblackout= window for s.
+func (p *FaultPlan) shardDownAt(s int, offset time.Duration) bool {
+	for _, w := range p.AggregatorBlackouts {
+		if w.contains(offset) {
+			return true
 		}
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	}
+	for _, sb := range p.ShardBlackouts {
+		if sb.Shard == s && sb.Window.contains(offset) {
+			return true
 		}
-		return out[i].To < out[j].To
-	})
-	return out
-}
-
-// sortedRestarts orders the plan's restarts by (At, Machine), like
-// sortedCrashes.
-func (p *FaultPlan) sortedRestarts() []RestartEvent {
-	out := append([]RestartEvent(nil), p.Restarts...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Machine < out[j].Machine
-	})
-	return out
+	}
+	return false
 }
 
 // garbageSample builds one hostile sample: structurally plausible
@@ -591,103 +603,54 @@ func garbageSample(rng *rand.Rand, machineName string, now time.Time) model.Samp
 	return s
 }
 
-// applyFaultTimeline advances chaos state to now: blackout flag,
-// due machine crashes, and due delayed spec pushes. Called from the
-// commit phase, before queues drain.
+// applyFaultTimeline advances chaos state to now: the due reshards,
+// crashes and restarts in timeline order, the per-shard down flags, and
+// due delayed spec pushes. Called from the commit phase, before queues
+// drain.
 func (c *Cluster) applyFaultTimeline(now time.Time) {
 	offset := now.Sub(c.cfg.Start)
-
-	// Reshards first: every later fault decision this tick (shard
-	// blackout flags, routing, spool drains) must see the new ring.
-	for c.reshardIdx < len(c.reshards) && c.reshards[c.reshardIdx].At <= offset {
-		c.applyReshard(c.reshards[c.reshardIdx])
-		c.reshardIdx++
-	}
-
-	was := c.blackout
-	c.blackout = false
-	for _, w := range c.cfg.Faults.AggregatorBlackouts {
-		if w.contains(offset) {
-			c.blackout = true
-			break
+	for ; c.nextFault < len(c.timeline) && c.timeline[c.nextFault].at <= offset; c.nextFault++ {
+		ev := c.timeline[c.nextFault]
+		if ev.kind != faultReshard {
+			// This tick's outage transitions, on the ring the reshards
+			// before them left, precede crashes and restarts: a
+			// restarted agent fetches specs only from shards that are up.
+			c.syncShardDown(now, offset)
 		}
-	}
-	if c.blackout {
-		c.fstats.BlackoutTicks++
-	}
-	if was != c.blackout {
-		typ := "blackout_end"
-		if c.blackout {
-			typ = "blackout_start"
-		}
-		c.cfg.Events.Emit(now, typ, map[string]string{"offset": offset.String()})
-	}
-
-	// Per-shard blackout flags, with full-jitter reconnect draws on the
-	// down→up transition: every machine's link to the recovered shard
-	// stays closed for uniform(0, ReconnectSpread], drawn from its own
-	// fault RNG stream in machine-index order — deterministic at any
-	// worker count, decorrelated across machines.
-	for s := 0; s < c.shards; s++ {
-		down := false
-		for _, sb := range c.cfg.Faults.ShardBlackouts {
-			if sb.Shard == s && sb.Window.contains(offset) {
-				down = true
-				break
+		switch ev.kind {
+		case faultReshard:
+			c.applyReshard(ev.to)
+		case faultCrash:
+			lost, restarted, err := c.CrashMachine(ev.machine)
+			if err != nil {
+				continue // unknown machine name in the plan: skip, don't wedge
 			}
+			c.fstats.CrashesApplied++
+			c.fstats.TasksLost += lost
+			c.fstats.TasksRestarted += restarted
+			c.cfg.Events.Emit(now, "machine_crash", map[string]any{
+				"machine": ev.machine, "tasks_lost": lost, "tasks_restarted": restarted,
+			})
+		case faultRestart:
+			i, ok := c.midx[ev.machine]
+			if !ok {
+				continue // unknown machine name in the plan: skip, don't wedge
+			}
+			adopted, orphaned := c.restartAgent(i, now)
+			c.fstats.RestartsApplied++
+			c.fstats.CapsAdopted += adopted
+			c.fstats.CapsOrphaned += orphaned
+			c.cfg.Events.Emit(now, "agent_restart", map[string]any{
+				"machine": ev.machine, "caps_adopted": adopted, "caps_orphaned": orphaned,
+			})
 		}
+	}
+
+	c.syncShardDown(now, offset)
+	for _, down := range c.shardDown {
 		if down {
 			c.fstats.ShardBlackoutTicks++
 		}
-		if down != c.shardDown[s] {
-			typ := "shard_blackout_end"
-			if down {
-				typ = "shard_blackout_start"
-			}
-			c.cfg.Events.Emit(now, typ, map[string]any{"shard": s, "offset": offset.String()})
-			if !down {
-				spread := c.cfg.Faults.ReconnectSpread
-				if spread <= 0 {
-					spread = 5 * time.Second
-				}
-				for i, n := range c.nodes {
-					d := pipeline.FullJitterBackoff(0, spread, spread, c.faultRNG(i).Float64())
-					n.links[s].reconnectUntil = now.Add(d)
-				}
-			}
-		}
-		c.shardDown[s] = down
-	}
-
-	for c.crashIdx < len(c.crashes) && c.crashes[c.crashIdx].At <= offset {
-		cr := c.crashes[c.crashIdx]
-		c.crashIdx++
-		lost, restarted, err := c.CrashMachine(cr.Machine)
-		if err != nil {
-			continue // unknown machine name in the plan: skip, don't wedge
-		}
-		c.fstats.CrashesApplied++
-		c.fstats.TasksLost += lost
-		c.fstats.TasksRestarted += restarted
-		c.cfg.Events.Emit(now, "machine_crash", map[string]any{
-			"machine": cr.Machine, "tasks_lost": lost, "tasks_restarted": restarted,
-		})
-	}
-
-	for c.restartIdx < len(c.agentRestarts) && c.agentRestarts[c.restartIdx].At <= offset {
-		r := c.agentRestarts[c.restartIdx]
-		c.restartIdx++
-		i, ok := c.midx[r.Machine]
-		if !ok {
-			continue // unknown machine name in the plan: skip, don't wedge
-		}
-		adopted, orphaned := c.restartAgent(i, now)
-		c.fstats.RestartsApplied++
-		c.fstats.CapsAdopted += adopted
-		c.fstats.CapsOrphaned += orphaned
-		c.cfg.Events.Emit(now, "agent_restart", map[string]any{
-			"machine": r.Machine, "caps_adopted": adopted, "caps_orphaned": orphaned,
-		})
 	}
 
 	for len(c.delayed) > 0 && !c.delayed[0].at.After(now) {
@@ -703,18 +666,50 @@ func (c *Cluster) applyFaultTimeline(now time.Time) {
 	}
 }
 
+// syncShardDown sets every live shard's down flag to the plan's state
+// at offset and acts on each transition: an event, and on the down→up
+// side a full-jitter reconnect draw — every machine's link to the
+// recovered shard stays closed for uniform(0, ReconnectSpread], drawn
+// from its own fault RNG stream in machine-index order, so the draws
+// are deterministic at any worker count and decorrelated across
+// machines. It is idempotent within a tick.
+func (c *Cluster) syncShardDown(now time.Time, offset time.Duration) {
+	for s := range c.shardDown {
+		down := c.cfg.Faults.shardDownAt(s, offset)
+		if down == c.shardDown[s] {
+			continue
+		}
+		c.shardDown[s] = down
+		typ := "shard_blackout_end"
+		if down {
+			typ = "shard_blackout_start"
+		}
+		c.cfg.Events.Emit(now, typ, map[string]any{"shard": s, "offset": offset.String()})
+		if !down {
+			spread := c.cfg.Faults.ReconnectSpread
+			if spread <= 0 {
+				spread = 5 * time.Second
+			}
+			for i, n := range c.nodes {
+				d := pipeline.FullJitterBackoff(0, spread, spread, c.faultRNG(i).Float64())
+				n.links[s].reconnectUntil = now.Add(d)
+			}
+		}
+	}
+}
+
 // restartAgent replaces machine i's agent with a fresh one, as if the
 // daemon process crashed and the init system brought it back: every
 // piece of in-memory agent state (spec cache, sampling windows, the
 // active-cap table) is gone, while the machine — tasks, cgroups, caps,
 // leases — survives untouched. The replacement re-registers the
-// resident tasks, is handed the current spec table at once, and
-// reconciles the machine's cap journal against live cgroup state,
-// re-adopting caps the dead agent applied and releasing orphans. The
-// immediate spec table is the sim's shortcut: cmd/cpi2agent
-// re-subscribes after a restart but receives specs only at the
-// aggregator's next recompute. Called only from the serial commit
-// phase.
+// resident tasks, is handed the spec table of every shard that is up
+// at once — a down shard serves nothing — and reconciles the machine's
+// cap journal against live cgroup state, re-adopting caps the dead
+// agent applied and releasing orphans. The immediate spec table is the
+// sim's shortcut: cmd/cpi2agent re-subscribes after a restart but
+// receives specs only at the aggregator's next recompute. Called only
+// from the serial commit phase.
 func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 	n := c.nodes[i]
 	old := n.a
@@ -733,7 +728,10 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 	for _, id := range n.m.Tasks() {
 		a.RegisterTask(id, n.m.Task(id).Job)
 	}
-	for _, bus := range c.buses {
+	for s, bus := range c.buses {
+		if c.shardDown[s] {
+			continue // an unreachable shard serves no specs
+		}
 		for _, spec := range bus.Builder().Specs() {
 			if a.WantSpec(spec.Key()) {
 				a.DeliverSpec(spec)
@@ -751,7 +749,7 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 // faultRNG returns machine i's fault stream ("fault/<machine>"),
 // creating it on first draw: a stream is a pure function of (cluster
 // seed, name), so when it is created cannot change its sequence, and a
-// run that never draws — every run without loss, corruption or shard
+// run that never draws — every run without loss, corruption or
 // blackouts — never pays for the generator state. Serial commit phase
 // only.
 func (c *Cluster) faultRNG(i int) *rand.Rand {

@@ -87,8 +87,8 @@ func TestChaosSmoke(t *testing.T) {
 	c := chaosRun(t, 99, 8, 0, warm, dur, faults)
 
 	st := c.FaultStats()
-	if st.BlackoutTicks != int64(3*time.Minute/time.Second) {
-		t.Errorf("blackout ticks = %d, want %d", st.BlackoutTicks, 3*60)
+	if st.ShardBlackoutTicks != int64(3*time.Minute/time.Second) {
+		t.Errorf("shard blackout ticks = %d, want %d", st.ShardBlackoutTicks, 3*60)
 	}
 	if st.SpoolReplayed == 0 {
 		t.Error("no spooled batches replayed after the blackout")
@@ -418,11 +418,192 @@ func TestChaosDeterminismAcrossWorkerCounts(t *testing.T) {
 	if err := json.Unmarshal(base, &fp); err != nil {
 		t.Fatal(err)
 	}
-	if fp.Stats.LostBatches == 0 || fp.Stats.BlackoutTicks == 0 || fp.Stats.CrashesApplied != 1 {
+	if fp.Stats.LostBatches == 0 || fp.Stats.ShardBlackoutTicks == 0 || fp.Stats.CrashesApplied != 1 {
 		t.Errorf("fault machinery not exercised: %+v", fp.Stats)
 	}
 	if fp.Stats.RestartsApplied != 1 || fp.Stats.CorruptBatches == 0 || fp.Stats.Quarantined == 0 {
 		t.Errorf("restart/corrupt machinery not exercised: %+v", fp.Stats)
+	}
+}
+
+// TestBlackoutIsEveryShardDown: an aggregator blackout is one
+// shardblackout= window per live shard and nothing more. On a 3-shard
+// fleet the two spellings give byte-identical incidents, specs, fault
+// accounting and event logs — the reconnect jitter after the window,
+// the loss and corruption draws and an agent restart inside it
+// included.
+func TestBlackoutIsEveryShardDown(t *testing.T) {
+	const w, rest = "14m+3m", ",reconnect=4s,loss=0.02,corrupt=0.02,restart=machine-0001@15m"
+	run := func(outage string) ([]byte, FaultStats) {
+		t.Helper()
+		plan, err := ParseFaultPlan(outage + rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := obs.NewEventLog(1<<15, nil)
+		c := New(Config{
+			Seed:              17,
+			Machines:          12,
+			CPUsPerMachine:    16,
+			PlatformBFraction: 0.3,
+			Shards:            3,
+			Params:            core.Params{MinSamplesPerTask: 5},
+			Events:            ev,
+			Faults:            plan,
+		})
+		defer c.Close()
+		if err := c.AddJob(QuietServiceJob("bigtable", 24, 0.8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddJob(BatchJob("logproc", 6, 0.5, model.PriorityBestEffort)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WarmUpSpecs(c, 12*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddJob(AntagonistJob("video", 5, 7, model.PriorityBatch)); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(10 * time.Minute)
+		fp := struct {
+			Incidents []core.Incident
+			Specs     []model.Spec
+			Stats     FaultStats
+			Events    []obs.Event
+		}{c.Incidents(), c.AllSpecs(), c.FaultStats(), ev.Recent(0, "")}
+		b, err := json.Marshal(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, fp.Stats
+	}
+	every, st := run("blackout=" + w)
+	perShard, _ := run("shardblackout=0@" + w + ",shardblackout=1@" + w + ",shardblackout=2@" + w)
+	if string(every) != string(perShard) {
+		t.Errorf("blackout= and a shardblackout= per shard diverge\nblackout:      %.300s…\nshardblackout: %.300s…",
+			every, perShard)
+	}
+	if want := int64(3 * 3 * time.Minute / time.Second); st.ShardBlackoutTicks != want {
+		t.Errorf("shard blackout ticks = %d, want %d (3 shards × 3 min)", st.ShardBlackoutTicks, want)
+	}
+	if st.SpoolReplayed == 0 || st.LostBatches == 0 || st.CorruptBatches == 0 || st.RestartsApplied != 1 {
+		t.Errorf("outage machinery not exercised: %+v", st)
+	}
+}
+
+// TestRestartedAgentSkipsDownShards: an agent restarted during an
+// outage is handed specs only by the shards that are up. A down shard
+// serves none, whichever directive took it down.
+func TestRestartedAgentSkipsDownShards(t *testing.T) {
+	const shards, machines = 4, 10
+	warm := 12 * time.Minute
+	restartAt := warm + 2*time.Minute
+	window := (warm + time.Minute).String() + "+5m"
+	// The shardblackout= case takes down the owner of a key the fleet
+	// runs, so its specs are wanted and must still be withheld.
+	deadKey := model.SpecKey{Job: "bigtable", Platform: model.PlatformA}
+	probe := New(Config{Machines: 1, Shards: shards, Workers: 1})
+	dead := probe.ShardOf(deadKey)
+	probe.Close()
+
+	for _, tc := range []struct {
+		name   string
+		outage string
+		down   func(s int) bool
+	}{
+		{"blackout", "blackout=" + window, func(int) bool { return true }},
+		{"shardblackout", fmt.Sprintf("shardblackout=%d@%s", dead, window), func(s int) bool { return s == dead }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := ParseFaultPlan(tc.outage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < machines; i++ {
+				plan.Restarts = append(plan.Restarts, RestartEvent{At: restartAt, Machine: fmt.Sprintf("machine-%04d", i)})
+			}
+			c := New(Config{
+				Seed:              23,
+				Machines:          machines,
+				CPUsPerMachine:    16,
+				PlatformBFraction: 0.5,
+				Shards:            shards,
+				Params:            core.Params{MinSamplesPerTask: 5},
+				Faults:            plan,
+			})
+			defer c.Close()
+			if err := c.AddJob(QuietServiceJob("bigtable", 2*machines, 0.8)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddJob(BatchJob("logproc", machines/2, 0.5, model.PriorityBestEffort)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := WarmUpSpecs(c, warm); err != nil {
+				t.Fatal(err)
+			}
+			c.Run(restartAt - warm) // the last tick applies the restarts
+			if got := c.FaultStats().RestartsApplied; got != machines {
+				t.Fatalf("restarts applied = %d, want %d", got, machines)
+			}
+			wanted, fromUp := false, 0
+			for _, n := range c.nodes {
+				wanted = wanted || n.a.WantSpec(deadKey)
+				for _, spec := range n.a.Manager().Detector().Specs() {
+					if s := c.ShardOf(spec.Key()); tc.down(s) {
+						t.Errorf("%s: restarted agent got %v from shard %d, which is down", n.m.Name(), spec.Key(), s)
+					} else {
+						fromUp++
+					}
+				}
+			}
+			if !wanted {
+				t.Fatalf("no restarted agent wants %v; the test is vacuous", deadKey)
+			}
+			if tc.name == "shardblackout" && fromUp == 0 {
+				t.Error("restarted agents got no spec from the shards that are up")
+			}
+		})
+	}
+}
+
+// TestFaultTimelineOrder: reshards, crashes and restarts apply from one
+// timeline, in offset order, and at equal offsets reshard, then crash,
+// then restart — read back from the event log of a fleet stepping 10s
+// ticks. Each plan lists its events against the order they apply in.
+func TestFaultTimelineOrder(t *testing.T) {
+	order := func(plan string) []obs.Event {
+		t.Helper()
+		p, err := ParseFaultPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := obs.NewEventLog(64, nil)
+		c := New(Config{Seed: 3, Machines: 4, TickInterval: 10 * time.Second, Workers: 1, Events: ev, Faults: p})
+		defer c.Close()
+		c.Run(6 * time.Minute)
+		return ev.Recent(0, "")
+	}
+	for _, tc := range []struct {
+		name, plan string
+		want       []string
+	}{
+		{"equal offsets", "restart=machine-0002@5m,crash=machine-0001@5m,reshard=1>2@5m",
+			[]string{"reshard", "machine_crash", "agent_restart"}},
+		// All three fall in the one tick (5m, 5m10s].
+		{"offsets within one tick", "reshard=1>2@5m7s,crash=machine-0001@5m3s,restart=machine-0002@5m1s",
+			[]string{"agent_restart", "machine_crash", "reshard"}},
+	} {
+		events := order(tc.plan)
+		var got []string
+		for _, e := range events {
+			got = append(got, e.Type)
+			if !e.Time.Equal(events[0].Time) {
+				t.Errorf("%s: %s at %v, not in the tick of %v", tc.name, e.Type, e.Time, events[0].Time)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: applied %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

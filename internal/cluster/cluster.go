@@ -198,18 +198,15 @@ type Cluster struct {
 	stepDt  time.Duration
 
 	// Chaos state, mutated only from the serial commit phase.
-	// shardDown[s] mirrors the plan's ShardBlackouts for the current
-	// tick.
-	blackout      bool
-	shardDown     []bool
-	reshards      []ReshardEvent // sorted by At
-	reshardIdx    int
-	fstats        FaultStats
-	crashes       []CrashEvent // sorted by (At, Machine)
-	crashIdx      int
-	delayed       []delayedSpecs
-	agentRestarts []RestartEvent // sorted by (At, Machine)
-	restartIdx    int
+	// shardDown[s] is shard s's outage state for the current tick, the
+	// one flag blackout= and shardblackout= windows both set. timeline
+	// is the plan's reshards, crashes and restarts in application order;
+	// nextFault indexes the first not yet applied.
+	shardDown []bool
+	timeline  []faultEvent
+	nextFault int
+	fstats    FaultStats
+	delayed   []delayedSpecs
 
 	onTick    []func(now time.Time)
 	incidents []core.Incident
@@ -303,23 +300,24 @@ func New(cfg Config) *Cluster {
 	// shard so quarantine totals stay fleet-wide.
 	c.validator = core.NewSampleValidator("aggregator", 256)
 	c.validator.Metrics = coreShared
-	c.reshards = cfg.Faults.sortedReshards()
+	c.timeline = cfg.Faults.timeline()
 	// A reshard chain must be continuous: each event's From matches
 	// the live shard count at its offset. A broken chain means the
 	// plan is wrong — fail loudly, like Validate.
 	liveShards := cfg.Shards
-	for _, ev := range c.reshards {
-		if ev.From != liveShards {
-			panic(fmt.Sprintf("cluster: reshard %d>%d at %s, but the cluster has %d shards then",
-				ev.From, ev.To, ev.At, liveShards))
+	for _, ev := range c.timeline {
+		if ev.kind != faultReshard {
+			continue
 		}
-		liveShards = ev.To
+		if ev.from != liveShards {
+			panic(fmt.Sprintf("cluster: reshard %d>%d at %s, but the cluster has %d shards then",
+				ev.from, ev.to, ev.at, liveShards))
+		}
+		liveShards = ev.to
 	}
 	if cfg.Workers > 1 {
 		c.pool = newPool(cfg.Workers - 1)
 	}
-	c.crashes = cfg.Faults.sortedCrashes()
-	c.agentRestarts = cfg.Faults.sortedRestarts()
 	nB := int(float64(cfg.Machines) * cfg.PlatformBFraction)
 	for i := range c.nodes {
 		name := fmt.Sprintf("machine-%04d", i)
@@ -704,10 +702,10 @@ func (c *Cluster) Step() {
 		// garbage batch arrives at the bus claiming to be from this
 		// machine. It bypasses the spool (a hostile writer doesn't
 		// queue politely) but not ingress validation, which must
-		// quarantine every sample. Skipped during blackouts — an
-		// unreachable aggregator is unreachable to attackers too,
-		// which includes the one shard owning the garbage key.
-		if p := c.cfg.Faults.CorruptRate; p > 0 && !c.blackout && c.faultRNG(i).Float64() < p {
+		// quarantine every sample. Skipped while the shard owning the
+		// garbage key is down — an unreachable aggregator is
+		// unreachable to attackers too.
+		if p := c.cfg.Faults.CorruptRate; p > 0 && c.faultRNG(i).Float64() < p {
 			g := garbageSample(c.faultRNG(i), n.m.Name(), now)
 			target := c.ShardOf(model.SpecKey{Job: g.Job, Platform: g.Platform})
 			if !c.shardDown[target] {
@@ -740,15 +738,12 @@ func (c *Cluster) Step() {
 }
 
 // maybeRecompute runs the due spec recompute on every live shard,
-// honoring the fault plan: a blacked-out aggregator (global or
-// per-shard) computes nothing — its staleness grows, and on recovery
-// the overdue Due check fires immediately — while SpecPushDelay holds
-// freshly computed specs back before machines see them. Shards are
-// visited in index order, so spec-push ordering is deterministic.
+// honoring the fault plan: a shard that is down computes nothing — its
+// keys' staleness grows, and on recovery the overdue Due check fires
+// immediately — while SpecPushDelay holds freshly computed specs back
+// before machines see them. Shards are visited in index order, so
+// spec-push ordering is deterministic.
 func (c *Cluster) maybeRecompute(now time.Time) {
-	if c.blackout {
-		return // aggregator is down; staleness grows with the blackout
-	}
 	delay := c.cfg.Faults.SpecPushDelay
 	for s, bus := range c.buses {
 		if c.shardDown[s] {

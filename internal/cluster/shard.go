@@ -135,8 +135,8 @@ func sortSpecsByKey(specs []model.Spec) {
 	slices.SortFunc(specs, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 }
 
-// applyReshard executes one live reshard event (From→To shards) in the
-// serial commit phase:
+// applyReshard executes one live reshard event (the live shard count →
+// newShards) in the serial commit phase:
 //
 //  1. New shards (grow) get fresh buses (see growBuses).
 //  2. The sample path is rewired over the new ring, and ONLY moved
@@ -150,8 +150,8 @@ func sortSpecsByKey(specs []model.Spec) {
 //     preserving per-key arrival order (the only order specs depend
 //     on). They count as neither replayed nor dropped; a batch whose
 //     new shard is down simply spools there.
-func (c *Cluster) applyReshard(ev ReshardEvent) {
-	oldShards, newShards := c.shards, ev.To
+func (c *Cluster) applyReshard(newShards int) {
+	oldShards := c.shards
 	nowT := c.now
 
 	// Phase 1: grow the bus set.
