@@ -23,9 +23,8 @@
 //	          [-spool-batches 4096] [-spool-bytes 67108864]
 //	          [-identifier correlation|panda]
 //
-// -aggregator takes either a single address (the classic unsharded
-// deployment) or a comma-separated list of shard-name=address pairs
-// naming every shard of a sharded spec tier:
+// -aggregator takes a comma-separated list of shard-name=address pairs
+// naming every shard of the spec tier:
 //
 //	cpi2agent -aggregator shard-0=host1:7421,shard-1=host2:7421
 //
@@ -33,8 +32,9 @@
 // were started with (-shard-id/-ring), so each sample batch is
 // partitioned to the shard owning its job×platform key, and each shard
 // gets its own redialer and spool — a dead shard costs spec staleness
-// for its keys only, while publishing to the others continues. A single
-// address is the same path over a ring of one.
+// for its keys only, while publishing to the others continues. A bare
+// address is shard-0=address: the ring of one a flagless
+// cpi2aggregator runs.
 //
 // The agent subscribes each aggregator connection to job×platform for
 // every job it has a task of — frontend and tenant from the start, the
@@ -90,20 +90,21 @@ import (
 // address cpi2ctl -addr dials by default.
 const defaultAdminAddr = "127.0.0.1:7423"
 
-// endpoint is one -aggregator entry: a shard name (empty in the
-// unsharded single-aggregator deployment) and its dial address.
+// endpoint is one -aggregator entry: a shard name on the ring and its
+// dial address.
 type endpoint struct {
 	name, addr string
 }
 
 // parseAggregators parses the -aggregator flag: either one bare
-// address, or a comma-separated list of shard-name=address pairs in
-// which every entry is named and names are unique (they are the ring
-// members, so they must match the aggregators' -shard-id flags).
+// address, which is shard-0's, or a comma-separated list of
+// shard-name=address pairs in which every entry is named and names are
+// unique (they are the ring members, so they must match the
+// aggregators' -shard-id flags).
 func parseAggregators(s string) ([]endpoint, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) == 1 && !strings.Contains(parts[0], "=") {
-		return []endpoint{{addr: strings.TrimSpace(parts[0])}}, nil
+		return []endpoint{{name: "shard-0", addr: strings.TrimSpace(parts[0])}}, nil
 	}
 	seen := make(map[string]bool, len(parts))
 	eps := make([]endpoint, 0, len(parts))
@@ -124,7 +125,7 @@ func parseAggregators(s string) ([]endpoint, error) {
 
 func main() {
 	aggregator := flag.String("aggregator", "",
-		"cpi2aggregator address, or comma-separated shard-name=address pairs for a sharded spec tier (empty: local detection only)")
+		"comma-separated shard-name=address pairs naming the spec tier's shards; a bare address is shard-0's (empty: local detection only)")
 	metricsAddr := flag.String("metrics-addr", defaultAdminAddr, "admin HTTP address for /metrics, /debug and the operator verbs (empty: disabled)")
 	incidentLog := flag.String("incident-log", "", "append structured events as JSON lines to this file (empty: in-memory only)")
 	name := flag.String("name", "machine-01", "machine name")
@@ -214,16 +215,12 @@ func main() {
 		// Hash each batch over the ring of shard names (the same ring the
 		// aggregators run) so every sample reaches exactly the shard
 		// owning its job×platform key. A dead shard spools its own keys
-		// only; the rest keep flowing. A bare address has no shard name:
-		// it is the one member of its ring, under its address.
+		// only; the rest keep flowing.
 		members := make([]string, len(endpoints))
 		sinks := make(map[string]pipeline.SampleSink, len(endpoints))
 		for i, ep := range endpoints {
 			members[i] = ep.name
-			if ep.name == "" {
-				members[i] = ep.addr
-			}
-			sinks[members[i]] = newChain(ep)
+			sinks[ep.name] = newChain(ep)
 		}
 		router, err := pipeline.NewRouter(pipeline.NewRing(members, 0), sinks)
 		if err != nil {

@@ -8,27 +8,28 @@
 //
 //	cpi2aggregator [-listen :7421] [-metrics-addr :7424] [-recompute 1h]
 //	               [-min-tasks 5] [-min-samples 100] [-checkpoint state.json]
-//	               [-shard-id shard-1 -ring shard-0,shard-1,shard-2]
+//	               [-shard-id shard-0] [-ring shard-0,shard-1,shard-2]
 //
 // The paper recomputed specs every 24h with a goal of hourly; the
 // default here is hourly. The admin HTTP server on -metrics-addr
 // serves /metrics, /healthz, /buildinfo, /debug/specs (the current
 // spec table), /debug/events (structured events, including wire_error
 // drops — an agent that does not speak wire protocol v2 is refused
-// with reason "decode"), /debug/ring (shard identity, ring membership, per-member
-// key counts, checkpoint age, last push/recompute timestamps), and
-// /debug/trace (aggregator-side causal spans: ingest, spec_build,
-// spec_push; ?id=<trace> for one chain, ?n=<count> for the most
-// recent spans).
+// with reason "decode"), /debug/ring (shard identity, ring membership,
+// per-member key counts, checkpoint age, last push/recompute
+// timestamps), and /debug/trace (aggregator-side causal spans: ingest,
+// spec_build, spec_push; ?id=<trace> for one chain, ?n=<count> for the
+// most recent spans).
 //
-// -shard-id and -ring shard the spec tier: the instance becomes one
-// member of a consistent-hash ring over job×platform keys and refuses
+// Every instance is one member of a consistent-hash ring over
+// job×platform keys, named by -shard-id (default shard-0) on the ring
+// of -ring's names (default: the ring of -shard-id alone). It refuses
 // (counts as misrouted) samples for keys it does not own, so agents
 // with a stale ring cannot make two shards both aggregate a key.
 // Agents pass the same ring via their -aggregator list and route each
-// batch to the owning shard. Both flags unset (the default) runs the
-// classic single-aggregator deployment, byte-identical to before
-// sharding existed.
+// batch to the owning shard. A flagless aggregator is the ring of one,
+// shard-0, which owns every key — what a bare -aggregator host:port
+// agent expects.
 //
 // -checkpoint makes the aggregator durable across restarts: the full
 // builder state (age-weighted spec history, pending samples, current
@@ -41,11 +42,13 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io/fs"
 	"log"
 	"net/url"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -66,27 +69,13 @@ func main() {
 	minSamples := flag.Int64("min-samples", 100, "fewest samples per task a spec needs")
 	ageWeight := flag.Float64("age-weight", 0.9, "per-interval decay of historical spec data")
 	checkpoint := flag.String("checkpoint", "", "snapshot builder state to this file after every recompute and restore it on start (empty: stateless)")
-	shardID := flag.String("shard-id", "", "this instance's shard name on the ring (empty: unsharded)")
-	ringFlag := flag.String("ring", "", "comma-separated shard names forming the consistent-hash ring (requires -shard-id)")
+	shardID := flag.String("shard-id", "shard-0", "this instance's shard name on the ring")
+	ringFlag := flag.String("ring", "", "comma-separated shard names forming the consistent-hash ring (empty: the ring of -shard-id alone)")
 	flag.Parse()
 
-	var ring *pipeline.Ring
-	if (*shardID == "") != (*ringFlag == "") {
-		log.Fatal("cpi2aggregator: -shard-id and -ring must be set together")
-	}
-	if *shardID != "" {
-		members := strings.Split(*ringFlag, ",")
-		ring = pipeline.NewRing(members, 0)
-		found := false
-		for _, m := range ring.Members() {
-			if m == *shardID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			log.Fatalf("cpi2aggregator: -shard-id %q is not a member of -ring %q", *shardID, *ringFlag)
-		}
+	ring, err := shardRing(*shardID, *ringFlag)
+	if err != nil {
+		log.Fatalf("cpi2aggregator: %v", err)
 	}
 
 	params := core.Params{
@@ -106,7 +95,7 @@ func main() {
 		case err != nil:
 			log.Fatalf("cpi2aggregator: load checkpoint: %v", err)
 		default:
-			if err := builder.Restore(cp); err != nil {
+			if err := builder.ImportCheckpoint(cp); err != nil {
 				log.Fatalf("cpi2aggregator: restore checkpoint: %v", err)
 			}
 			log.Printf("cpi2aggregator: restored %s (%d specs, %d history rows, saved %s)",
@@ -131,11 +120,9 @@ func main() {
 	}
 	bus := pipeline.NewBus(builder)
 	bus.SetMetrics(pipeline.NewMetrics(reg))
-	if ring != nil {
-		bus.SetShard(*shardID)
-		self := *shardID
-		bus.SetOwner(func(k model.SpecKey) bool { return ring.Owner(k) == self })
-	}
+	self := *shardID
+	bus.SetShard(self)
+	bus.SetOwner(func(k model.SpecKey) bool { return ring.Owner(k) == self })
 	tr := trace.NewStore(0)
 	bus.SetTrace(tr)
 	// Ingress defense in depth: agents validate at egress, but a hostile
@@ -174,23 +161,20 @@ func main() {
 			save, push := lastSave, lastPush
 			stateMu.Unlock()
 			keys := builder.Keys()
+			// Hash this instance's own keys over the ring: at steady
+			// state every key lands on this shard; during a reshard
+			// rollout the off-shard buckets show what must move.
+			counts := make(map[string]int, ring.Size())
+			for _, k := range keys {
+				counts[ring.Owner(k)]++
+			}
 			out := map[string]any{
-				"shard":          *shardID,
-				"sharded":        ring != nil,
+				"shard":          self,
+				"members":        ring.Members(),
 				"key_count":      len(keys),
+				"keys_by_member": counts,
 				"last_recompute": builder.LastRecompute(),
 				"last_push":      push,
-			}
-			if ring != nil {
-				out["members"] = ring.Members()
-				// Hash this instance's own keys over the ring: at steady
-				// state every key lands on this shard; during a reshard
-				// rollout the off-shard buckets show what must move.
-				counts := make(map[string]int, ring.Size())
-				for _, k := range keys {
-					counts[ring.Owner(k)]++
-				}
-				out["keys_by_member"] = counts
 			}
 			if *checkpoint != "" {
 				out["checkpoint"] = *checkpoint
@@ -239,4 +223,18 @@ func main() {
 			return
 		}
 	}
+}
+
+// shardRing builds the ring this instance is a member of from -shard-id
+// and -ring. An empty ring flag is the ring of shardID alone; names
+// repeated in it collapse.
+func shardRing(shardID, ringFlag string) (*pipeline.Ring, error) {
+	if ringFlag == "" {
+		ringFlag = shardID
+	}
+	ring := pipeline.NewRing(strings.Split(ringFlag, ","), 0)
+	if !slices.Contains(ring.Members(), shardID) {
+		return nil, fmt.Errorf("-shard-id %s is not a member of -ring %s", shardID, ringFlag)
+	}
+	return ring, nil
 }

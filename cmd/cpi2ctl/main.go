@@ -33,7 +33,8 @@
 // and renders the spec tier in one table: shard identity, key count,
 // keys hashing off-shard (nonzero mid-reshard), last recompute/push,
 // and checkpoint age — and warns when instances disagree about ring
-// membership, the condition that makes agents misroute.
+// membership, the condition that makes agents misroute. A flagless
+// aggregator is shard-0 on the ring of one.
 package main
 
 import (
@@ -193,7 +194,6 @@ func (c client) call(method, path string, out any) error {
 // ringInfo mirrors cpi2aggregator's /debug/ring payload.
 type ringInfo struct {
 	Shard         string         `json:"shard"`
-	Sharded       bool           `json:"sharded"`
 	KeyCount      int            `json:"key_count"`
 	LastRecompute time.Time      `json:"last_recompute"`
 	LastPush      time.Time      `json:"last_push"`
@@ -203,8 +203,8 @@ type ringInfo struct {
 	CkptAge       float64        `json:"checkpoint_age_seconds"`
 }
 
-// shardsStatus renders a one-table view of the sharded spec tier from
-// each aggregator's /debug/ring, flagging unreachable instances, keys
+// shardsStatus renders a one-table view of the spec tier from each
+// aggregator's /debug/ring, flagging unreachable instances, keys
 // hashing off-shard (pending moves mid-reshard), and ring-membership
 // disagreement between instances.
 func shardsStatus(hc *http.Client, out io.Writer, addrs []string) error {
@@ -229,10 +229,6 @@ func shardsStatus(hc *http.Client, out io.Writer, addrs []string) error {
 			return fmt.Errorf("%s: bad /debug/ring payload: %w", addr, err)
 		}
 		reached++
-		name := info.Shard
-		if name == "" {
-			name = "(unsharded)"
-		}
 		offShard := 0
 		for member, n := range info.KeysByMember {
 			if member != info.Shard {
@@ -244,30 +240,26 @@ func shardsStatus(hc *http.Client, out io.Writer, addrs []string) error {
 			ckpt = fmt.Sprintf("%s (age %s)", info.Checkpoint, time.Duration(info.CkptAge*float64(time.Second)).Round(time.Second))
 		}
 		fmt.Fprintf(out, "%-12s %-22s %6d %10d  %-20s %-20s %s\n",
-			name, addr, info.KeyCount, offShard,
+			info.Shard, addr, info.KeyCount, offShard,
 			timeCell(info.LastRecompute), timeCell(info.LastPush), ckpt)
-		if info.Sharded {
-			if firstRing == nil {
-				firstRing, firstAddr = info.Members, addr
-			} else if !slices.Equal(firstRing, info.Members) {
-				warnings = append(warnings, fmt.Sprintf(
-					"ring disagreement: %s sees %v, %s sees %v — agents will misroute until the fleet converges",
-					firstAddr, firstRing, addr, info.Members))
-			}
-		}
-	}
-	if firstRing != nil {
-		fmt.Fprintf(out, "\nring: %s\n", strings.Join(firstRing, ", "))
-		if reached < len(firstRing) {
+		if reached == 1 {
+			firstRing, firstAddr = info.Members, addr
+		} else if !slices.Equal(firstRing, info.Members) {
 			warnings = append(warnings, fmt.Sprintf(
-				"ring has %d members but only %d instance(s) were queried/reachable", len(firstRing), reached))
+				"ring disagreement: %s sees %v, %s sees %v — agents will misroute until the fleet converges",
+				firstAddr, firstRing, addr, info.Members))
 		}
-	}
-	for _, w := range warnings {
-		fmt.Fprintln(out, "warning: "+w)
 	}
 	if reached == 0 {
 		return fmt.Errorf("no aggregator reachable")
+	}
+	fmt.Fprintf(out, "\nring: %s\n", strings.Join(firstRing, ", "))
+	if reached < len(firstRing) {
+		warnings = append(warnings, fmt.Sprintf(
+			"ring has %d members but only %d instance(s) were queried/reachable", len(firstRing), reached))
+	}
+	for _, w := range warnings {
+		fmt.Fprintln(out, "warning: "+w)
 	}
 	return nil
 }

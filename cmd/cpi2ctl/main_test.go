@@ -166,3 +166,70 @@ func TestCommands(t *testing.T) {
 		t.Error("GET /cap capped the task")
 	}
 }
+
+// ringServer serves one aggregator's /debug/ring payload, in the shape
+// cpi2aggregator answers it, and returns the server's address.
+func ringServer(t *testing.T, shard string, members ...string) string {
+	t.Helper()
+	payload, err := json.Marshal(map[string]any{
+		"shard":          shard,
+		"members":        members,
+		"key_count":      2,
+		"keys_by_member": map[string]int{shard: 2},
+		"last_recompute": time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC),
+		"last_push":      time.Time{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/debug/ring" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(payload)
+	}))
+	t.Cleanup(srv.Close)
+	return strings.TrimPrefix(srv.URL, "http://")
+}
+
+func TestShards(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadAddr := strings.TrimPrefix(dead.URL, "http://")
+	dead.Close()
+	cases := []struct {
+		name  string
+		addrs []string
+		code  int
+		want  []string // substrings of the output, in order
+		warn  string   // "": the output has no warning
+	}{
+		{"one default aggregator", []string{ringServer(t, "shard-0", "shard-0")}, 0,
+			[]string{"SHARD", "shard-0 ", "2011-11-01T00:00:00Z", "ring: shard-0\n"}, ""},
+		{"two agreeing rings", []string{ringServer(t, "shard-0", "shard-0", "shard-1"), ringServer(t, "shard-1", "shard-0", "shard-1")}, 0,
+			[]string{"shard-0 ", "shard-1 ", "ring: shard-0, shard-1\n"}, ""},
+		{"two disagreeing rings", []string{ringServer(t, "shard-0", "shard-0", "shard-1"), ringServer(t, "shard-1", "shard-1", "shard-2")}, 0,
+			[]string{"shard-0 ", "shard-1 ", "ring: shard-0, shard-1\n"}, "warning: ring disagreement"},
+		{"one unreachable address", []string{deadAddr}, 1,
+			[]string{"?", deadAddr, "UNREACHABLE"}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			if code := run([]string{"shards", strings.Join(c.addrs, ",")}, &out, &errOut); code != c.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, c.code, &out, &errOut)
+			}
+			rest := out.String()
+			for _, w := range c.want {
+				i := strings.Index(rest, w)
+				if i < 0 {
+					t.Fatalf("output lacks %q (in order):\n%s", w, &out)
+				}
+				rest = rest[i+len(w):]
+			}
+			if warned := strings.Contains(out.String(), "warning:"); warned != (c.warn != "") || !strings.Contains(out.String(), c.warn) {
+				t.Errorf("want warning %q, got output:\n%s", c.warn, &out)
+			}
+		})
+	}
+}

@@ -142,8 +142,8 @@ func DefaultDiurnal(rng *stats.RNG) workload.DiurnalLoad {
 // with Cluster.OnTick). Task CPU requests are sized so leaves dominate.
 //
 // Every task gets its own copy of the diurnal load curve with its own
-// jitter stream forked from the task's RNG. A single shared jittered
-// curve would be both a data race under parallel cluster stepping and
+// jitter stream forked from the task's RNG. A single shared curve with
+// one jitter stream would be both a data race under parallel cluster stepping and
 // an ordering dependence (whichever task sampled the shared stream
 // first would steal the next draw), so load jitter is per-task by
 // construction.

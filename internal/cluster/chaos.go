@@ -467,8 +467,8 @@ type FaultStats struct {
 
 // errShardDown and errReconnectBackoff are what machine links report
 // while their shard is down, or its outage just lifted and this
-// machine's jittered reconnect window has not opened yet; spools react
-// by buffering.
+// machine's randomly delayed reconnect window has not opened yet;
+// spools react by buffering.
 var (
 	errShardDown        = errors.New("cluster: shard blackout")
 	errReconnectBackoff = errors.New("cluster: reconnect backoff")

@@ -430,8 +430,8 @@ func (c *Cluster) PipelineStats() (received, dropped int64) {
 }
 
 // AllSpecs returns the union of every shard's computed spec table,
-// sorted by (job, platform) — the same order a single-shard builder
-// publishes, so sharded and unsharded runs compare byte-for-byte.
+// sorted by (job, platform) — the same order one builder publishes,
+// so runs over any number of shards compare byte-for-byte.
 func (c *Cluster) AllSpecs() []model.Spec {
 	var out []model.Spec
 	for _, bus := range c.buses {

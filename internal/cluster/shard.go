@@ -51,16 +51,18 @@ func shardMembers(n int) []string {
 	return out
 }
 
-// growBuses adds shard aggregators (bus + builder, with the cluster's
-// trace/metrics/validator wiring, watched by every agent) until there
-// are n. A shard joining a running tier adopts the recompute cadence of
-// shard 0, so every shard keeps recomputing on the same ticks — the
-// spec-equivalence guarantee depends on a shared recompute schedule;
-// adoption goes through an empty handoff frame, exercising the same
-// ImportCheckpoint path a real shard bootstrap uses.
+// growBuses adds shard aggregators (bus + builder named shardName(s),
+// with the cluster's trace/metrics/validator wiring, watched by every
+// agent) until there are n. A shard joining a running tier adopts the
+// recompute cadence of shard 0, so every shard keeps recomputing on
+// the same ticks — the spec-equivalence guarantee depends on a shared
+// recompute schedule; adoption goes through an empty handoff frame,
+// exercising the same ImportCheckpoint path a real shard bootstrap
+// uses.
 func (c *Cluster) growBuses(n int) {
 	for len(c.buses) < n {
 		bus := pipeline.NewBus(core.NewSpecBuilder(c.cfg.Params))
+		bus.SetShard(shardName(len(c.buses)))
 		bus.SetTrace(c.aggTrace)
 		if c.cfg.Registry != nil {
 			bus.SetMetrics(pipeline.NewMetrics(c.cfg.Registry))
@@ -79,14 +81,6 @@ func (c *Cluster) growBuses(n int) {
 			bus.Watch(nd.a)
 		}
 		c.buses = append(c.buses, bus)
-	}
-	// Shard identity (span Shard fields) is stamped only when there is
-	// more than one shard: a single-aggregator run's spans carry no shard.
-	// This is the one place the shard count changes what is built.
-	if len(c.buses) > 1 {
-		for s, bus := range c.buses {
-			bus.SetShard(shardName(s))
-		}
 	}
 }
 

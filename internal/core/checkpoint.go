@@ -15,13 +15,14 @@ import (
 )
 
 // CheckpointVersion is the current on-disk checkpoint format version.
-// Restore rejects checkpoints from other versions rather than guessing.
+// ImportCheckpoint rejects checkpoints from other versions rather than
+// guessing.
 const CheckpointVersion = 1
 
 // Checkpoint is a serializable snapshot of a SpecBuilder: the
 // age-weighted per-key history, the not-yet-recomputed pending
 // interval, and the published specs. An aggregator that restores one
-// resumes spec building exactly where it left off instead of
+// (ImportCheckpoint on a fresh builder) resumes spec building exactly where it left off instead of
 // re-entering the <MinTasks/<MinSamplesPerTask robustness gate for a
 // full recompute interval.
 //
@@ -148,8 +149,9 @@ func finite(fs ...float64) bool {
 
 // parseCheckpoint validates cp defensively — version mismatch,
 // non-finite moments, or negative counts are errors, never panics —
-// and materializes its maps. Restore and ImportCheckpoint share it,
-// so the handoff frame gets exactly the restore path's scrutiny.
+// and materializes its maps for ImportCheckpoint, the one way state
+// enters a builder: a restart's checkpoint and a reshard's handoff
+// frame get the same scrutiny.
 func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.SpecKey]*pendingAgg, map[model.SpecKey]model.Spec, error) {
 	if cp.Version != CheckpointVersion {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
@@ -222,28 +224,6 @@ func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.S
 		specs[key] = s
 	}
 	return history, pending, specs, nil
-}
-
-// Restore replaces the builder's state with cp's. It validates the
-// checkpoint defensively and leaves the builder untouched on failure.
-func (b *SpecBuilder) Restore(cp Checkpoint) error {
-	history, pending, specs, err := parseCheckpoint(cp)
-	if err != nil {
-		return err
-	}
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.history = history
-	b.pending = pending
-	b.specs = specs
-	b.lastRecompute = cp.LastRecompute
-	var backlog int64
-	for _, agg := range pending {
-		backlog += agg.cpi.N()
-	}
-	b.moveBacklog(backlog - b.backlog)
-	return nil
 }
 
 // SaveCheckpoint writes cp to path atomically: marshal, write to a

@@ -45,7 +45,7 @@ func TestCheckpointRoundTripIdenticalSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	restarted = NewSpecBuilder(p) // fresh process
-	if err := restarted.Restore(loaded); err != nil {
+	if err := restarted.ImportCheckpoint(loaded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +146,7 @@ func TestCheckpointRestoreRejectsInvalid(t *testing.T) {
 			tc.mutate(&cp)
 			b := NewSpecBuilder(DefaultParams())
 			feedSamples(t, b, "keep", model.PlatformB, 6, 120, 1.5, 0.1, 62)
-			if err := b.Restore(cp); err == nil {
+			if err := b.ImportCheckpoint(cp); err == nil {
 				t.Fatal("invalid checkpoint accepted")
 			}
 			// Failed restore must leave prior state untouched.
@@ -157,9 +157,10 @@ func TestCheckpointRestoreRejectsInvalid(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointRestore throws arbitrary bytes at the parse+restore
-// path: whatever the input, no panic, and a successful restore must
-// yield a builder whose own checkpoint re-marshals cleanly.
+// FuzzCheckpointRestore throws arbitrary bytes at the restore path, a
+// parse then ImportCheckpoint into a fresh builder: whatever the input,
+// no panic, and a successful restore must yield a builder whose own
+// checkpoint re-marshals cleanly.
 func FuzzCheckpointRestore(f *testing.F) {
 	b := NewSpecBuilder(DefaultParams())
 	for task := 0; task < 6; task++ {
@@ -183,7 +184,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 			return
 		}
 		nb := NewSpecBuilder(DefaultParams())
-		if err := nb.Restore(cp); err != nil {
+		if err := nb.ImportCheckpoint(cp); err != nil {
 			return
 		}
 		// A restored builder must stay serviceable.

@@ -137,7 +137,7 @@ func TestBatchFoldMatchesOneAtATime(t *testing.T) {
 					t.Fatal(err)
 				}
 				restored := NewSpecBuilder(Params{MinSamplesPerTask: 1, MinTasks: 1})
-				if err := restored.Restore(decoded); err != nil {
+				if err := restored.ImportCheckpoint(decoded); err != nil {
 					t.Fatalf("trial %d: restore: %v", trial, err)
 				}
 				if !bytes.Equal(mustJSON(t, restored.Checkpoint(at)), mustJSON(t, cp)) {

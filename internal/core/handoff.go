@@ -53,7 +53,9 @@ func (b *SpecBuilder) ExportKeys(keys []model.SpecKey, now time.Time) Checkpoint
 // the ring diff and the handoff disagree, and silently overwriting
 // either side would corrupt a spec. An empty builder adopts the
 // frame's LastRecompute, so a freshly created shard recomputes on the
-// donor's cadence instead of immediately.
+// donor's cadence instead of immediately; a fresh builder therefore
+// ends up with exactly cp's state, backlog and LastRecompute, which is
+// how a restarted aggregator restores its checkpoint.
 func (b *SpecBuilder) ImportCheckpoint(cp Checkpoint) error {
 	history, pending, specs, err := parseCheckpoint(cp)
 	if err != nil {

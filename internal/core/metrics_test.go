@@ -209,7 +209,9 @@ func TestSpecBacklogSumsAcrossBuilders(t *testing.T) {
 	want("fold", 8)
 	a.Recompute(day0.Add(time.Minute))
 	want("one builder recomputes", 3)
-	if err := a.Restore(b.Checkpoint(day0)); err != nil {
+	a = NewSpecBuilder(Params{})
+	a.SetMetrics(mm)
+	if err := a.ImportCheckpoint(b.Checkpoint(day0)); err != nil {
 		t.Fatal(err)
 	}
 	want("restore a copy of the other's state", 6)

@@ -26,7 +26,7 @@ type SpecBuilder struct {
 	params  Params
 	metrics *Metrics     // never nil
 	tracer  *trace.Store // nil = untraced
-	shard   string       // aggregator shard identity; "" = unsharded
+	shard   string       // aggregator shard identity; "" stamps none
 
 	mu            sync.Mutex
 	pending       map[model.SpecKey]*pendingAgg
@@ -166,8 +166,7 @@ func (b *SpecBuilder) SetTrace(store *trace.Store) {
 }
 
 // SetShard stamps the builder's spec_build spans with the aggregator
-// shard identity. Leave unset ("") in unsharded deployments — spans
-// then serialize exactly as before sharding existed.
+// shard identity. A builder with no identity ("") stamps none.
 func (b *SpecBuilder) SetShard(shard string) {
 	b.mu.Lock()
 	b.shard = shard

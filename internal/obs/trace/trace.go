@@ -62,9 +62,9 @@ type Span struct {
 	// Machine is the machine the span was recorded on (empty on the
 	// aggregator side).
 	Machine string `json:"machine,omitempty"`
-	// Shard is the aggregator shard that recorded the span (empty in
-	// unsharded deployments and for agent-side stages). With a sharded
-	// spec tier it answers "which shard built/pushed this spec?".
+	// Shard is the aggregator shard that recorded the span: it answers
+	// "which shard built/pushed this spec?". Empty for agent-side stages
+	// and on a bus with no shard identity, which stamps none.
 	Shard string `json:"shard,omitempty"`
 	// Key is the job×platform spec key, task ID, or other subject.
 	Key string `json:"key,omitempty"`

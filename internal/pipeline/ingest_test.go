@@ -95,27 +95,43 @@ func TestDecoderJobMemoIsBounded(t *testing.T) {
 // aggregator's ingest path: decoding a 16-sample batch from its frame,
 // validating it and folding it costs at most one allocation per batch
 // (the batch's trace id, new in every frame) — none per sample. It is
-// a count, not a timing, so it holds on any host.
+// a count, not a timing, so it holds on any host. The ring-ownership
+// filter every cpi2aggregator installs adds nothing to it, on a ring
+// of one or of four.
 func TestIngestAllocBudget(t *testing.T) {
 	frames := ingestFrames(2, false)
-	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
-	bus.SetValidator(core.NewSampleValidator("aggregator", 16))
-	dec := new(decoder)
-	n := 0
-	ingest := func() {
-		msg, err := dec.decode(frames[n%len(frames)][binHeaderLen:])
-		if err != nil {
-			t.Fatal(err)
+	measure := func(ring *Ring) float64 {
+		bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
+		bus.SetValidator(core.NewSampleValidator("aggregator", 16))
+		if ring != nil { // as cpi2aggregator installs it, on the shard owning the frames' key
+			self := ring.Owner(model.SpecKey{Job: "websearch-leaf", Platform: model.PlatformA})
+			bus.SetOwner(func(k model.SpecKey) bool { return ring.Owner(k) == self })
 		}
-		_ = bus.Publish(msg.Samples) // the bus counts rejects; it never errors
-		n++
+		dec := new(decoder)
+		n := 0
+		ingest := func() {
+			msg, err := dec.decode(frames[n%len(frames)][binHeaderLen:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = bus.Publish(msg.Samples) // the bus counts rejects; it never errors
+			n++
+		}
+		ingest() // first batch: sample slots, the key's aggregate, its task page
+		allocs := testing.AllocsPerRun(200, ingest)
+		if got, dropped := bus.Stats(); got != int64(16*n) || dropped != 0 {
+			t.Errorf("folded %d, dropped %d of %d samples", got, dropped, 16*n)
+		}
+		return allocs
 	}
-	ingest() // first batch: sample slots, the key's aggregate, its task page
-	if allocs := testing.AllocsPerRun(200, ingest); allocs > 1 {
-		t.Errorf("ingesting a 16-sample batch costs %v allocations, budget 1 per batch", allocs)
+	base := measure(nil)
+	if base > 1 {
+		t.Errorf("ingesting a 16-sample batch costs %v allocations, budget 1 per batch", base)
 	}
-	if got, dropped := bus.Stats(); got != int64(16*n) || dropped != 0 {
-		t.Errorf("folded %d, dropped %d of %d samples", got, dropped, 16*n)
+	for _, n := range []int{1, 4} {
+		if allocs := measure(NewRing(shardNames(n), 0)); allocs != base {
+			t.Errorf("with the ownership filter of a ring of %d, a batch costs %v allocations, %v without", n, allocs, base)
+		}
 	}
 }
 

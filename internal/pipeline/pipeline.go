@@ -81,7 +81,7 @@ type Bus struct {
 	mu      sync.Mutex
 	metrics *Metrics     // never nil; zero Metrics = uninstrumented
 	tracer  *trace.Store // nil = untraced
-	shard   string       // aggregator shard identity; "" = unsharded
+	shard   string       // aggregator shard identity; "" stamps none
 	// watchers is the registration-ordered watcher list and watchGen the
 	// number of Watch and Unwatch calls so far: each registration is
 	// stamped with it, and Push compares it with the generation its
@@ -159,8 +159,8 @@ func (b *Bus) SetTrace(store *trace.Store) {
 }
 
 // SetShard gives the bus (and its builder) an aggregator shard
-// identity: ingest, spec-build and spec-push spans carry it. Leave
-// unset in unsharded deployments, whose spans carry no shard.
+// identity: ingest, spec-build and spec-push spans carry it. A bus
+// with no identity stamps none.
 func (b *Bus) SetShard(shard string) {
 	b.mu.Lock()
 	b.shard = shard
@@ -168,7 +168,7 @@ func (b *Bus) SetShard(shard string) {
 	b.builder.SetShard(shard)
 }
 
-// Shard returns the bus's shard identity ("" when unsharded).
+// Shard returns the bus's shard identity ("" when it has none).
 func (b *Bus) Shard() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -177,10 +177,10 @@ func (b *Bus) Shard() string {
 
 // SetOwner installs an ownership filter: inbound samples whose
 // job×platform key the predicate rejects are dropped and counted as
-// misrouted instead of entering the builder. A sharded aggregator
-// daemon sets this to its ring-ownership check so an agent with a
-// stale ring cannot make two shards both aggregate the same key. Nil
-// (the default) admits everything.
+// misrouted instead of entering the builder. The aggregator daemon
+// sets this to its ring-ownership check so an agent with a stale ring
+// cannot make two shards both aggregate the same key. Nil (the
+// default) admits everything.
 func (b *Bus) SetOwner(owns func(model.SpecKey) bool) {
 	b.mu.Lock()
 	b.owns = owns

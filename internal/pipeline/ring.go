@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"repro/internal/model"
@@ -41,8 +40,7 @@ type ringPoint struct {
 // NewRing builds a ring over the given members with vnodes virtual
 // nodes each (vnodes <= 0 selects DefaultVnodes). Duplicate members
 // are collapsed; member order does not matter. An empty member set
-// yields a ring whose Owner returns "" — callers treat that as
-// "unsharded".
+// yields a ring that owns nothing: Owner returns "" and OwnerIndex -1.
 func NewRing(members []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
@@ -75,12 +73,28 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
 // ringHash is the ring's position hash (FNV-1a 64): deterministic,
 // dependency-free, and uniform enough for vnode placement.
-func ringHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+func ringHash(s string) uint64 { return fnvString(fnvOffset64, s) }
+
+// keyHash is ringHash(key.String()) without building the string: the
+// FNV-1a 64 of job, '@' and platform, folded in place. OwnerIndex runs
+// per sample in an aggregator's ownership filter, so it allocates
+// nothing.
+func keyHash(key model.SpecKey) uint64 {
+	h := fnvString(fnvOffset64, string(key.Job))
+	h = (h ^ '@') * fnvPrime64
+	return fnvString(h, string(key.Platform))
+}
+
+// fnvString folds s into the FNV-1a 64 state h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
 
 // Members returns the ring's member set, sorted. The slice is shared;
@@ -104,11 +118,15 @@ func (r *Ring) Owner(key model.SpecKey) string {
 // an empty ring). Members() is sorted as strings, so the index says
 // nothing about a member's name ("shard-10" sorts before "shard-2"):
 // it is for tables built in Members() order, as Router's sinks are.
+// A ring of one answers without hashing.
 func (r *Ring) OwnerIndex(key model.SpecKey) int {
-	if len(r.points) == 0 {
+	switch len(r.members) {
+	case 0:
 		return -1
+	case 1:
+		return 0
 	}
-	h := ringHash(key.String())
+	h := keyHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap: the ring is circular

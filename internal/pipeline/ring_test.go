@@ -2,6 +2,9 @@ package pipeline
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -117,4 +120,48 @@ func TestRingMinimalMovement(t *testing.T) {
 	if got := MovedKeys(old, grown, keys); len(got) != moved {
 		t.Errorf("MovedKeys found %d keys, scan found %d", len(got), moved)
 	}
+}
+
+// TestRingOwnerIndexMatchesFNVReference: OwnerIndex hashes a key in
+// place, and must place it exactly where hash/fnv over key.String()
+// does — ownership is shared by agents and aggregators of different
+// builds, so it may not move by one key.
+func TestRingOwnerIndexMatchesFNVReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	keys := make([]model.SpecKey, 10000)
+	for i := range keys {
+		job := make([]byte, rng.Intn(24))
+		for j := range job {
+			job[j] = byte(rng.Intn(256))
+		}
+		platform := model.Platform(fmt.Sprintf("platform-%d", rng.Intn(5)))
+		keys[i] = model.SpecKey{Job: model.JobName(job), Platform: platform}
+	}
+	for _, n := range []int{1, 3, 12} {
+		r := NewRing(shardNames(n), 0)
+		for _, k := range keys {
+			h := fnv.New64a()
+			h.Write([]byte(k.String()))
+			want := h.Sum64()
+			i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= want })
+			if i == len(r.points) {
+				i = 0
+			}
+			if got := r.OwnerIndex(k); got != r.points[i].member {
+				t.Fatalf("ring of %d: OwnerIndex(%q) = %d, hash/fnv reference %d", n, k, got, r.points[i].member)
+			}
+		}
+		k := keys[0]
+		if allocs := testing.AllocsPerRun(100, func() { r.OwnerIndex(k) }); allocs != 0 {
+			t.Errorf("ring of %d: OwnerIndex allocates %v times per call, want 0", n, allocs)
+		}
+	}
+}
+
+func shardNames(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("shard-%d", i)
+	}
+	return out
 }

@@ -35,7 +35,7 @@ type Router struct {
 	sinks []SampleSink // sinks[i] serves ring.Members()[i]
 
 	mu sync.Mutex
-	// memo caches ring lookups (a key.String() and a hash each). The
+	// memo caches ring lookups (a hash and a binary search each). The
 	// ring is immutable, so an entry never goes stale.
 	memo    map[model.SpecKey]int
 	buckets [][]model.Sample

@@ -41,13 +41,13 @@ func (c SpoolConfig) Sanitize() SpoolConfig {
 }
 
 // Replay pacing of the Start loop (TryDrain is caller-paced): the
-// backoff after a failed drain starts at spoolRetryBase and doubles per
-// failure up to spoolRetryMax, each wait spread by ±spoolJitter so a
-// fleet of agents does not thunder back in lockstep.
+// wait after a failed drain is a FullJitterBackoff draw whose ceiling
+// starts at spoolRetryBase and doubles per consecutive failure up to
+// spoolRetryMax, so a fleet of agents does not thunder back in
+// lockstep.
 const (
 	spoolRetryBase = 200 * time.Millisecond
 	spoolRetryMax  = 10 * time.Second
-	spoolJitter    = 0.2
 )
 
 // spooledBatch is one buffered Publish call.
@@ -68,14 +68,14 @@ type spooledBatch struct {
 //
 // Replay is driven two ways: TryDrain for caller-paced replay (the
 // deterministic cluster simulation calls it from the commit phase),
-// and Start for an asynchronous loop with jittered exponential backoff
-// (the real TCP agent path), which Kick wakes immediately on
+// and Start for an asynchronous loop with full-jitter exponential
+// backoff (the real TCP agent path), which Kick wakes immediately on
 // reconnect.
 type Spooler struct {
 	next SampleSink
 	cfg  SpoolConfig
 
-	// rand supplies the jitter randomness in [0,1).
+	// rand supplies the backoff randomness in [0,1).
 	rand func() float64
 
 	mu       sync.Mutex
@@ -305,7 +305,7 @@ func (s *Spooler) Kick() {
 }
 
 // Start launches the asynchronous replay loop: wait for a Kick (or a
-// periodic nudge), drain, and on failure retry with jittered
+// periodic nudge), drain, and on failure retry with full-jitter
 // exponential backoff. Call Close to stop it. Start is idempotent.
 func (s *Spooler) Start() {
 	s.mu.Lock()
@@ -319,30 +319,31 @@ func (s *Spooler) Start() {
 
 func (s *Spooler) loop() {
 	defer close(s.done)
-	backoff := spoolRetryBase
+	attempt := 0 // consecutive failed drains
 	for {
 		var wait <-chan time.Time
 		if s.Len() > 0 {
-			wait = time.After(s.jittered(backoff))
+			wait = time.After(s.backoff(attempt))
 		}
 		select {
 		case <-s.stop:
 			return
 		case <-s.kick:
-			backoff = spoolRetryBase
+			attempt = 0
 		case <-wait:
 		}
 		if _, err := s.TryDrain(); err != nil {
-			backoff = min(2*backoff, spoolRetryMax)
+			attempt++
 		} else {
-			backoff = spoolRetryBase
+			attempt = 0
 		}
 	}
 }
 
-// jittered spreads d by ±spoolJitter.
-func (s *Spooler) jittered(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * (1 + spoolJitter*(2*s.rand()-1)))
+// backoff is the wait before the next drain after attempt consecutive
+// failures.
+func (s *Spooler) backoff(attempt int) time.Duration {
+	return FullJitterBackoff(attempt, spoolRetryBase, spoolRetryMax, s.rand())
 }
 
 // Close stops the replay loop (if started). Buffered batches stay in

@@ -338,15 +338,18 @@ func TestSpoolConfigSanitize(t *testing.T) {
 	if c.MaxBatches != 7 || c.MaxBytes != 64<<20 {
 		t.Errorf("sanitize clobbered/kept wrong fields: %+v", c)
 	}
-	// Jitter spreads, but stays within ±0.2.
+	// Replay waits are full jitter: a draw of 1 waits the whole ceiling
+	// (200ms doubling per failure up to 10s), a draw of 0 the 1ms floor.
 	sp := NewSpooler(&gateSink{}, SpoolConfig{})
-	sp.rand = func() float64 { return 1 }
-	if d := sp.jittered(time.Second); d != 1200*time.Millisecond {
-		t.Errorf("jittered(1s) at rand=1 → %v, want 1.2s", d)
-	}
-	sp.rand = func() float64 { return 0 }
-	if d := sp.jittered(time.Second); d != 800*time.Millisecond {
-		t.Errorf("jittered(1s) at rand=0 → %v, want 0.8s", d)
+	for attempt, ceil := range map[int]time.Duration{0: 200 * time.Millisecond, 3: 1600 * time.Millisecond, 100: 10 * time.Second} {
+		sp.rand = func() float64 { return 1 }
+		if d := sp.backoff(attempt); d != ceil {
+			t.Errorf("backoff(%d) at rand=1 → %v, want %v", attempt, d, ceil)
+		}
+		sp.rand = func() float64 { return 0 }
+		if d := sp.backoff(attempt); d != time.Millisecond {
+			t.Errorf("backoff(%d) at rand=0 → %v, want 1ms", attempt, d)
+		}
 	}
 }
 
