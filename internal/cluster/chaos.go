@@ -712,6 +712,7 @@ func (c *Cluster) syncShardDown(now time.Time, offset time.Duration) {
 // from the serial commit phase.
 func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 	n := c.nodes[i]
+	c.pending[i] = true
 	old := n.a
 	for _, bus := range c.buses {
 		bus.Unwatch(old)

@@ -146,10 +146,11 @@ type JobDef struct {
 // Concurrency model: Step is two-phase. The parallel phase ticks every
 // machine (machine.Tick + agent.Tick) across a bounded worker pool,
 // with each machine writing only into its own node; the serial commit
-// phase then walks nodes in index order and applies everything that
-// touches shared state — task exits and restarts via the scheduler,
-// draining per-machine sample queues into the bus, forensics
-// Store.Add, §9 automation, spec recomputation, and OnTick callbacks.
+// phase then walks the pending nodes in index order and applies
+// everything that touches shared state — task exits and restarts via
+// the scheduler, draining per-machine sample queues into the bus,
+// forensics Store.Add, §9 automation, spec recomputation, and OnTick
+// callbacks.
 // Cluster methods themselves are not goroutine-safe: drive a Cluster
 // from one goroutine and let Step do the fan-out.
 type Cluster struct {
@@ -165,6 +166,15 @@ type Cluster struct {
 	// deterministic. midx maps a machine's name to its index.
 	nodes []*node
 	midx  map[string]int
+
+	// pending[i] says node i has something for the commit phase, which
+	// visits only those nodes. tickMachine sets it from the node's state
+	// (each worker writes only its own machines' entries); remove and
+	// restartAgent, which can stage events and metric writes on a node
+	// from the serial phase, set it too. committed counts the nodes the
+	// last commit phase visited.
+	pending   []bool
+	committed int
 
 	// The spec tier: each node's links forward through a chaosLink to
 	// buses[s], shard s's aggregator (bus + spec builder). ring has one
@@ -238,7 +248,8 @@ type node struct {
 	links  []*chaosLink
 
 	// exited and incidents are the parallel phase's output, applied by
-	// the commit phase; their buffers are reused tick to tick.
+	// the commit phase; their buffers are reused tick to tick. Either
+	// one non-empty makes the node pending.
 	exited    []model.TaskID
 	incidents []core.Incident
 
@@ -247,13 +258,16 @@ type node struct {
 	// set (nil without Config.Registry) are drained by the commit phase
 	// in node order, so shared outputs are byte-identical at any worker
 	// count and ticking machines never contend on the shared series.
-	// trace is the span ring (nil when tracing is off); restartAgent
-	// reconciles a fresh agent against journal.
-	events       *obs.EventBuffer
-	metrics      *core.Metrics
-	drainMetrics func()
-	trace        *trace.Store
-	journal      *core.MemCapJournal
+	// A staged event or a written metric set makes the node pending
+	// (metricsWritten reports the latter without draining). trace is
+	// the span ring (nil when tracing is off); restartAgent reconciles a
+	// fresh agent against journal.
+	events         *obs.EventBuffer
+	metrics        *core.Metrics
+	drainMetrics   func()
+	metricsWritten func() bool
+	trace          *trace.Store
+	journal        *core.MemCapJournal
 
 	// fault is the machine's fault stream, created on first draw (see
 	// faultRNG); skew is its agent's constant clock offset.
@@ -284,8 +298,9 @@ func New(cfg Config) *Cluster {
 		capCounts:  make(map[model.TaskID]int),
 		avoided:    make(map[[2]model.JobName]bool),
 
-		nodes: make([]*node, cfg.Machines),
-		midx:  make(map[string]int, cfg.Machines),
+		nodes:   make([]*node, cfg.Machines),
+		midx:    make(map[string]int, cfg.Machines),
+		pending: make([]bool, cfg.Machines),
 	}
 	if cfg.TraceCapacity >= 0 {
 		c.aggTrace = trace.NewStore(cfg.TraceCapacity)
@@ -347,7 +362,7 @@ func New(cfg Config) *Cluster {
 			// shared registry series, which every concurrently ticking
 			// machine would then hammer (the shared atomics were one of
 			// the negative-scaling culprits).
-			n.metrics, n.drainMetrics = obs.Stage(coreShared)
+			n.metrics, n.drainMetrics, n.metricsWritten = obs.StageTracked(coreShared)
 		}
 		n.a = c.newAgent(n)
 		c.nodes[i] = n
@@ -574,6 +589,7 @@ func (c *Cluster) install(id model.TaskID, def *JobDef, p scheduler.Placement) {
 // earlier in a crash — and the agent forgets it either way.
 func (c *Cluster) remove(i int, id model.TaskID) {
 	n := c.nodes[i]
+	c.pending[i] = true
 	_ = n.m.RemoveTask(id)
 	n.a.TaskExited(id)
 }
@@ -643,11 +659,14 @@ func (c *Cluster) KillAndRestart(id model.TaskID) error {
 // stream, manager, and sample queue), which is what makes the fan-out
 // safe.
 //
-// Commit phase: machines are visited in index order and everything
-// that touches shared state is applied serially — scheduler removals
-// and RestartOnExit re-placements, draining sample queues into the
-// bus, recording incidents in the forensics store, §9 automation,
-// spec recomputation, and OnTick callbacks.
+// Commit phase: pending machines are visited, in index order, and
+// everything that touches shared state is applied serially — scheduler
+// removals and RestartOnExit re-placements, draining sample queues into
+// the bus, recording incidents in the forensics store, §9 automation,
+// spec recomputation, and OnTick callbacks. A machine is pending when
+// it has something to commit (see needsCommit; remove and restartAgent
+// mark the machine they touch), so a Step on which a machine did
+// nothing costs the commit phase nothing for it.
 //
 // Because the commit order is fixed and every parallel-phase input is
 // a pure function of (cluster seed, state at tick start), the same
@@ -684,9 +703,17 @@ func (c *Cluster) Step() {
 		c.pool.run(len(c.nodes), c.cfg.Workers, c.stepFn)
 	}
 
-	// Commit phase: machine-index order, single goroutine.
+	// Commit phase: machine-index order, single goroutine. A node that
+	// becomes pending during the loop (a re-placement evicts from it) is
+	// visited in this loop if its index is still ahead.
 	c.applyFaultTimeline(now)
-	for i, n := range c.nodes {
+	c.committed = 0
+	for i := range c.pending {
+		if !c.pending[i] {
+			continue
+		}
+		c.committed++
+		n := c.nodes[i]
 		for _, id := range n.exited {
 			c.exited(id)
 		}
@@ -781,6 +808,26 @@ func (c *Cluster) tickMachine(i int, now time.Time, dt time.Duration) {
 	incs := n.a.Tick(now.Add(n.skew))
 	n.exited = append(n.exited[:0], exited...)
 	n.incidents = append(n.incidents[:0], incs...)
+	c.pending[i] = c.needsCommit(n)
+}
+
+// needsCommit reports whether node n has anything for the commit phase:
+// exits or incidents, a queued sample batch, a staged event, a written
+// metric set or a spool with backlog to replay. With CorruptRate set
+// every node does, because its fault stream is drawn on every Step.
+// Called at the end of the node's parallel-phase tick.
+func (c *Cluster) needsCommit(n *node) bool {
+	if len(n.exited) > 0 || len(n.incidents) > 0 || c.cfg.Faults.CorruptRate > 0 ||
+		n.queue.Len() > 0 || n.events.Len() > 0 ||
+		(n.metricsWritten != nil && n.metricsWritten()) {
+		return true
+	}
+	for _, l := range n.links {
+		if l.spool.Len() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Close releases the cluster's worker pool. Optional — an abandoned

@@ -1,0 +1,233 @@
+package cluster
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/model"
+	"repro/internal/obs"
+	"repro/internal/stats"
+	"repro/internal/workload"
+)
+
+// faultedRunSHA256 pins faultedRunHash. It was computed by a commit
+// phase that visited every machine on every Step, so a commit that
+// skips a machine with something to commit — or drains it a Step late —
+// moves it.
+const faultedRunSHA256 = "5ab2400264341154481aa752a03f2d7757a36e1dcf5e2695701aba955748ca6e"
+
+// faultedRunHash runs a fleet with registry, events and tracing on
+// through a crash, an agent restart, a shard blackout long enough for
+// spool replay, a reshard inside that blackout, a skewed agent clock,
+// sample loss and delayed spec pushes — everything but corruption, so
+// that no fault draw forces a visit to every machine — with churning
+// restarts and both §9 loops armed. It hashes the incidents, the spec
+// table, the full /metrics page, the event log, FaultStats and spans by
+// stage.
+func faultedRunHash(t *testing.T, workers int) string {
+	t.Helper()
+	const machines = 16
+	warm := 12 * time.Minute
+	ev := obs.NewEventLog(1<<16, nil)
+	reg := obs.NewRegistry()
+	c := New(Config{
+		Seed:                 7,
+		Machines:             machines,
+		CPUsPerMachine:       16,
+		PlatformBFraction:    0.25,
+		Shards:               2,
+		Workers:              workers,
+		Params:               core.Params{MinSamplesPerTask: 5, SpecRecomputeInterval: 2 * time.Minute},
+		AutoAvoidThreshold:   2,
+		AutoMigrateAfterCaps: 1,
+		Registry:             reg,
+		Events:               ev,
+		Faults: &FaultPlan{
+			SampleLoss:     0.03,
+			SpecPushDelay:  20 * time.Second,
+			ShardBlackouts: []ShardBlackoutEvent{{Shard: 0, Window: Window{From: warm + 2*time.Minute, To: warm + 6*time.Minute}}},
+			Reshards:       []ReshardEvent{{At: warm + 4*time.Minute, From: 2, To: 3}},
+			Crashes:        []CrashEvent{{At: warm + 3*time.Minute + 30*time.Second, Machine: "machine-0010"}},
+			Restarts:       []RestartEvent{{At: warm + 4*time.Minute + 30*time.Second, Machine: "machine-0009"}},
+			Skews:          []SkewEvent{{Machine: "machine-0003", Offset: -17 * time.Second}},
+			SpoolBatches:   3,
+		},
+	})
+	defer c.Close()
+	defs, tree := WebSearchJob("websearch", machines, machines/4+1, 2, c.RNG())
+	c.OnTick(func(time.Time) { tree.EndTick() })
+	defs = append(defs,
+		QuietServiceJob("bigtable", 2*machines, 0.8),
+		BatchJob("logproc", machines/2, 0.5, model.PriorityBestEffort),
+		MapReduceJob("mapreduce", machines/2, 2, workload.ReactLameDuck))
+	// Finite restarting batch tasks keep exits and re-placements flowing
+	// through the commit phase for the whole run.
+	churn := BatchJob("churn", 4, 1, model.PriorityBatch)
+	churn.RestartOnExit = true
+	churn.NewWorkload = func(model.TaskID, *stats.RNG) machine.Workload {
+		b := workload.NewBatch(1, 4, 2.6)
+		b.TotalTx = 100
+		b.InstructionsPerTx = 1e9
+		return b
+	}
+	defs = append(defs, churn)
+	for _, d := range defs {
+		if err := c.AddJob(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := WarmUpSpecs(c, warm); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddJob(AntagonistJob("video", machines/2, 9, model.PriorityBatch)); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(10 * time.Minute)
+
+	st := c.FaultStats()
+	if st.CrashesApplied != 1 || st.TasksRestarted == 0 || st.RestartsApplied != 1 || st.CapsAdopted == 0 ||
+		st.ReshardsApplied != 1 || st.SpoolReplayed == 0 || st.SpoolDropped == 0 ||
+		st.LostBatches == 0 || st.DelayedSpecPushes == 0 {
+		t.Errorf("fault machinery not exercised: %+v", st)
+	}
+	exits, _ := c.Stats()
+	avoided, migrations := c.AutoActions()
+	if exits == 0 || len(c.Incidents()) == 0 || avoided == 0 || migrations == 0 {
+		t.Errorf("%d exits, %d incidents, %d avoided pairs, %d migrations: the run does not exercise the commit phase",
+			exits, len(c.Incidents()), avoided, migrations)
+	}
+	fp := struct {
+		Incidents    []core.Incident
+		Specs        []model.Spec
+		MetricsText  string
+		Events       []obs.Event
+		Stats        FaultStats
+		SpansByStage map[string]uint64
+	}{c.Incidents(), c.AllSpecs(), reg.Render(), ev.Recent(0, ""), st, c.SpanCounts()}
+	b, err := json.Marshal(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFaultedRunPinned: a faulted, fully observed run is byte-identical
+// to the one pinned by faultedRunSHA256, at one worker and at four.
+func TestFaultedRunPinned(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		if got := faultedRunHash(t, workers); got != faultedRunSHA256 {
+			t.Errorf("workers=%d: faulted run hash %s, pinned %s", workers, got, faultedRunSHA256)
+		}
+	}
+}
+
+// TestIdleStepsCommitNothing: on a warmed fault-free fleet with
+// registry, events and tracing on, a Step on which no sampling window
+// closes gives the commit phase no machine to visit, and the Step on
+// which the windows close gives it every machine.
+func TestIdleStepsCommitNothing(t *testing.T) {
+	const machines = 20
+	c := New(Config{
+		Seed:           3,
+		Machines:       machines,
+		CPUsPerMachine: 16,
+		Workers:        2,
+		Params:         core.Params{MinSamplesPerTask: 5},
+		Registry:       obs.NewRegistry(),
+		Events:         obs.NewEventLog(1<<10, nil),
+	})
+	defer c.Close()
+	for _, d := range []JobDef{
+		QuietServiceJob("bigtable", 2*machines, 0.8),
+		BatchJob("logproc", machines, 0.5, model.PriorityBestEffort),
+	} {
+		if err := c.AddJob(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := WarmUpSpecs(c, 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var idle, full int
+	for i := 0; i < 120; i++ {
+		c.Step()
+		switch c.committed {
+		case 0:
+			idle++
+		case machines:
+			full++
+		default:
+			t.Fatalf("step %d committed %d of %d machines", i, c.committed, machines)
+		}
+	}
+	if idle != 118 || full != 2 {
+		t.Errorf("over two simulated minutes: %d idle steps, %d with every machine committed; want 118 and 2", idle, full)
+	}
+}
+
+// TestStepLeavesNothingStaged: when Step returns, no machine holds a
+// staged event or an undrained metric write, whatever produced it — a
+// cap expiring between sampling windows, or a crash and an agent
+// restart the fault timeline applies between windows to machines with
+// live caps. A commit phase that skipped such a machine would leave the
+// write for a later Step and change when it reaches the shared log and
+// series. Registry and events are checked one at a time, because either
+// alone makes a machine pending.
+func TestStepLeavesNothingStaged(t *testing.T) {
+	warm := 10 * time.Minute
+	for _, tc := range []struct {
+		name string
+		cfg  func(*Config)
+	}{
+		{"registry", func(c *Config) { c.Registry = obs.NewRegistry() }},
+		{"events", func(c *Config) { c.Events = obs.NewEventLog(1<<12, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Seed: 5, Machines: 12, CPUsPerMachine: 16, Workers: 2,
+				// 90 s caps, applied as a window closes, expire between
+				// windows.
+				Params: core.Params{MinSamplesPerTask: 5, CapDuration: 90 * time.Second},
+				Faults: &FaultPlan{
+					Crashes:  []CrashEvent{{At: warm + 4*time.Minute + 30*time.Second, Machine: "machine-0002"}},
+					Restarts: []RestartEvent{{At: warm + 4*time.Minute + 40*time.Second, Machine: "machine-0001"}},
+				},
+			}
+			tc.cfg(&cfg)
+			c := New(cfg)
+			defer c.Close()
+			if err := c.AddJob(QuietServiceJob("bigtable", 24, 0.8)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := WarmUpSpecs(c, warm); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddJob(AntagonistJob("video", 4, 9, model.PriorityBatch)); err != nil {
+				t.Fatal(err)
+			}
+			var between int
+			for step := 0; step < 8*60; step++ {
+				c.Step()
+				for i, n := range c.nodes {
+					if n.events.Len() > 0 || (n.metricsWritten != nil && n.metricsWritten()) {
+						t.Fatalf("%v: machine %d holds undrained writes after Step", c.Now().Sub(cfg.Start), i)
+					}
+				}
+				if c.Now().Sub(cfg.Start)%time.Minute != 11*time.Second && c.committed > 0 {
+					between++ // a Step between windows that committed something
+				}
+			}
+			st := c.FaultStats()
+			if between == 0 || st.TasksLost == 0 || st.CapsAdopted == 0 {
+				t.Errorf("%d between-window commits, %d tasks lost, %d caps adopted: caps must expire, die and be re-adopted between windows",
+					between, st.TasksLost, st.CapsAdopted)
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -105,5 +106,44 @@ func TestFleetAllocBudget(t *testing.T) {
 	t.Logf("%d B allocated per Step on %d machines", perStep, machines)
 	if perStep > budget {
 		t.Errorf("%d B allocated per Step, budget %d", perStep, budget)
+	}
+}
+
+// TestNewAllocBudget: building a 1,000-machine fleet allocates at most
+// 8 KB per machine, bare and with registry, events and trace rings on.
+// A machine keeps what it uses, and state that almost every machine
+// leaves empty — the agent's quarantine ring, a span ring — waits for
+// its first entry. Bytes, not timings, so it gates on any host.
+func TestNewAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	const (
+		machines = 1000
+		budget   = 8 << 10 // bytes per machine
+	)
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"bare", func() Config { return Config{TraceCapacity: -1} }},
+		{"observed", func() Config {
+			return Config{Registry: obs.NewRegistry(), Events: obs.NewEventLog(1<<10, nil)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.Seed, cfg.Machines, cfg.CPUsPerMachine, cfg.PlatformBFraction, cfg.Workers = 1, machines, 16, 0.3, 1
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c := New(cfg)
+			runtime.ReadMemStats(&after)
+			c.Close()
+			perMachine := (after.TotalAlloc - before.TotalAlloc) / machines
+			t.Logf("cluster.New: %d B per machine", perMachine)
+			if perMachine > budget {
+				t.Errorf("cluster.New allocates %d B per machine, budget %d", perMachine, budget)
+			}
+		})
 	}
 }

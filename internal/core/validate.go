@@ -41,9 +41,14 @@ type QuarantinedSample struct {
 // Quarantine is a counted ring buffer of rejected samples, exposed on
 // the admin server so "why is the quarantine counter climbing?" is
 // answerable without a debugger. Safe for concurrent use.
+//
+// The ring is allocated by the first reject and grows by append up to
+// size entries: every agent has a quarantine, and almost all of them
+// stay empty.
 type Quarantine struct {
 	mu    sync.Mutex
 	ring  []QuarantinedSample
+	size  int
 	next  int
 	total int64
 }
@@ -51,10 +56,7 @@ type Quarantine struct {
 // NewQuarantine returns a quarantine keeping the most recent capacity
 // rejects (minimum 1).
 func NewQuarantine(capacity int) *Quarantine {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Quarantine{ring: make([]QuarantinedSample, 0, capacity)}
+	return &Quarantine{size: max(capacity, 1)}
 }
 
 // Add records one rejected sample.
@@ -62,12 +64,12 @@ func (q *Quarantine) Add(qs QuarantinedSample) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.total++
-	if len(q.ring) < cap(q.ring) {
+	if len(q.ring) < q.size {
 		q.ring = append(q.ring, qs)
 		return
 	}
 	q.ring[q.next] = qs
-	q.next = (q.next + 1) % cap(q.ring)
+	q.next = (q.next + 1) % q.size
 }
 
 // Total returns the number of samples ever quarantined.
@@ -87,7 +89,7 @@ func (q *Quarantine) Recent(n int) []QuarantinedSample {
 	out := make([]QuarantinedSample, 0, n)
 	// Oldest retained entry sits at q.next once the ring has wrapped.
 	start := 0
-	if len(q.ring) == cap(q.ring) {
+	if len(q.ring) == q.size {
 		start = q.next
 	}
 	for i := len(q.ring) - n; i < len(q.ring); i++ {

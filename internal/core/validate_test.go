@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -175,4 +176,59 @@ func FuzzSampleValidator(f *testing.F) {
 			_ = fmt.Sprintf("%v", v.Quarantine.Recent(1)) // ring must stay renderable
 		}
 	})
+}
+
+// TestQuarantineWraparound: once more samples are rejected than the
+// ring holds, Recent returns the newest ones oldest first and Total
+// still counts every reject.
+func TestQuarantineWraparound(t *testing.T) {
+	q := NewQuarantine(3)
+	if got := q.Recent(0); len(got) != 0 {
+		t.Fatalf("empty quarantine returned %d entries", len(got))
+	}
+	for i := 0; i < 8; i++ {
+		q.Add(QuarantinedSample{Sample: model.Sample{Task: model.TaskID{Job: "j", Index: i}}, Reason: "r"})
+		if i == 1 {
+			if got := indices(q.Recent(0)); fmt.Sprint(got) != "[0 1]" {
+				t.Errorf("before wrapping: Recent(0) = %v, want [0 1]", got)
+			}
+		}
+	}
+	if got := q.Total(); got != 8 {
+		t.Errorf("Total = %d, want 8", got)
+	}
+	if got := indices(q.Recent(0)); fmt.Sprint(got) != "[5 6 7]" {
+		t.Errorf("Recent(0) = %v, want [5 6 7]", got)
+	}
+	if got := indices(q.Recent(2)); fmt.Sprint(got) != "[6 7]" {
+		t.Errorf("Recent(2) = %v, want [6 7]", got)
+	}
+	if got := indices(q.Recent(10)); fmt.Sprint(got) != "[5 6 7]" {
+		t.Errorf("Recent(10) = %v, want [5 6 7]", got)
+	}
+}
+
+func indices(qs []QuarantinedSample) []int {
+	out := make([]int, len(qs))
+	for i, s := range qs {
+		out[i] = s.Sample.Task.Index
+	}
+	return out
+}
+
+var quarantineSink *Quarantine
+
+// TestNewQuarantineAllocBudget: a quarantine holds no ring until its
+// first reject. Every agent has one, and almost all of them stay empty.
+func TestNewQuarantineAllocBudget(t *testing.T) {
+	const n, budget = 100, 1 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		quarantineSink = NewQuarantine(256)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= budget {
+		t.Errorf("NewQuarantine(256) allocates %d B, budget under %d", per, budget)
+	}
 }

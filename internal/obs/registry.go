@@ -47,10 +47,22 @@ func (f *atomicFloat) swap(v float64) float64 {
 	return math.Float64frombits(f.bits.Swap(math.Float64bits(v)))
 }
 
+// markWritten sets a staged copy's written flag (see Stage); w is nil
+// on a registered handle. The flag is loaded first so that a copy
+// written many times between drains stores to it once.
+func markWritten(w *atomic.Bool) {
+	if w != nil && !w.Load() {
+		w.Store(true)
+	}
+}
+
 // Counter is a monotonically increasing metric. All methods are safe
 // on a nil receiver (no-ops), so optional instrumentation costs one
 // nil check.
-type Counter struct{ v atomicFloat }
+type Counter struct {
+	v atomicFloat
+	w *atomic.Bool // written flag of the staged copy this belongs to
+}
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
@@ -61,6 +73,7 @@ func (c *Counter) Add(v float64) {
 		return
 	}
 	c.v.Add(v)
+	markWritten(c.w)
 }
 
 // Value returns the current count (0 on nil).
@@ -72,7 +85,10 @@ func (c *Counter) Value() float64 {
 }
 
 // Gauge is a metric that can go up and down. Nil-safe like Counter.
-type Gauge struct{ v atomicFloat }
+type Gauge struct {
+	v atomicFloat
+	w *atomic.Bool // as Counter.w
+}
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) {
@@ -80,6 +96,7 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.v.Set(v)
+	markWritten(g.w)
 }
 
 // Add adds v (may be negative).
@@ -88,6 +105,7 @@ func (g *Gauge) Add(v float64) {
 		return
 	}
 	g.v.Add(v)
+	markWritten(g.w)
 }
 
 // Inc adds 1.
@@ -112,6 +130,7 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
 	sum    atomicFloat
 	count  atomic.Uint64
+	w      *atomic.Bool // as Counter.w
 }
 
 // LatencyBuckets spans 1µs–10s, dense around the paper's ≈100µs
@@ -145,6 +164,7 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
+	markWritten(h.w)
 }
 
 // Count returns the total number of observations (0 on nil).
@@ -251,6 +271,9 @@ type family struct {
 	// nseries is len(series), readable without mu: a staged drain polls
 	// it to learn that a labelled family grew (see Stage).
 	nseries atomic.Int32
+	// written is the staged copy's flag, given to every counter the
+	// family creates; nil in a registered family.
+	written *atomic.Bool
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -375,6 +398,9 @@ func (f *family) lookup(values []string, mk func() any) any {
 	s, ok := f.series[key]
 	if !ok {
 		s = mk()
+		if c, isCounter := s.(*Counter); isCounter {
+			c.w = f.written
+		}
 		f.series[key] = s
 		f.nseries.Add(1)
 	}

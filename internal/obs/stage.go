@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 )
 
 // Stage derives a private copy of a metric set for one concurrent
@@ -26,10 +27,25 @@ import (
 // a component that writes the shared set directly.
 //
 // Reflection happens here only. drain walks typed pointer pairs built
-// once: an idle cell costs one atomic load (no store, no allocation), a
-// labelled counter one load per series its writer has ever touched.
+// once, and only for a copy that was written: every handle of local
+// shares one written flag, which a write sets and drain clears, so
+// draining an idle copy costs one atomic load (no store, no
+// allocation) however many cells it has. A written copy's drain costs
+// one load per cell, a labelled counter one per series its writer has
+// ever touched.
 func Stage[T any](shared *T) (local *T, drain func()) {
+	local, drain, _ = StageTracked(shared)
+	return local, drain
+}
+
+// StageTracked is Stage that also returns written, which reports
+// whether local was written since the last drain: a coordinator may
+// skip the drain of a copy for which it is false. It may be called
+// concurrently with the writer; a write it misses sets the flag after
+// the call.
+func StageTracked[T any](shared *T) (local *T, drain func(), written func() bool) {
 	local = new(T)
+	flag := new(atomic.Bool)
 	sv, lv := reflect.ValueOf(shared).Elem(), reflect.ValueOf(local).Elem()
 	cells := make([]staged, 0, sv.NumField())
 	for i := 0; i < sv.NumField(); i++ {
@@ -40,17 +56,19 @@ func Stage[T any](shared *T) (local *T, drain func()) {
 		var handle any
 		switch s := sv.Field(i).Interface().(type) {
 		case *Counter:
-			l := &Counter{}
+			l := &Counter{w: flag}
 			cell, handle = stagedFloat{&l.v, &s.v}, l
 		case *Gauge:
-			l := &Gauge{}
+			l := &Gauge{w: flag}
 			cell, handle = stagedFloat{&l.v, &s.v}, l
 		case *Histogram:
 			l := newHistogram(s.bounds)
+			l.w = flag
 			cell, handle = stagedHistogram{l, s}, l
 		case *CounterVec:
 			l := &CounterVec{fam: &family{
 				name: s.fam.name, labels: s.fam.labels, series: make(map[string]any),
+				written: flag,
 			}}
 			cell, handle = &stagedCounterVec{local: l, shared: s}, l
 		default:
@@ -60,11 +78,18 @@ func Stage[T any](shared *T) (local *T, drain func()) {
 		lv.Field(i).Set(reflect.ValueOf(handle))
 		cells = append(cells, cell)
 	}
-	return local, func() {
+	drain = func() {
+		// Clear before reading the cells: a write that lands after the
+		// clear sets the flag again and is folded by the next drain.
+		if !flag.Load() {
+			return
+		}
+		flag.Store(false)
 		for _, c := range cells {
 			c.drain()
 		}
 	}
+	return local, drain, flag.Load
 }
 
 // staged is one handle field of a staged metric set: a private cell

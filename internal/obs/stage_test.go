@@ -292,3 +292,107 @@ func TestStageIdleDrainIsFree(t *testing.T) {
 		t.Error("idle drain added to the shared gauge")
 	}
 }
+
+// TestStageWrittenFlag: every write a staged copy takes marks the copy
+// written, whichever handle takes it, and a drain clears the mark.
+func TestStageWrittenFlag(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(*testSet)
+	}{
+		{"Counter.Inc", func(s *testSet) { s.C.Inc() }},
+		{"Counter.Add", func(s *testSet) { s.C.Add(2) }},
+		{"Gauge.Inc", func(s *testSet) { s.G.Inc() }},
+		{"Gauge.Dec", func(s *testSet) { s.G.Dec() }},
+		{"Gauge.Add", func(s *testSet) { s.G.Add(-3) }},
+		{"Histogram.Observe", func(s *testSet) { s.H.Observe(5) }},
+		{"CounterVec.With.Inc", func(s *testSet) { s.V.With("cap").Inc() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local, drain, written := StageTracked(newTestSet(NewRegistry()))
+			if written() {
+				t.Fatal("a fresh copy reports written")
+			}
+			tc.write(local)
+			if !written() {
+				t.Fatal("the write did not mark the copy written")
+			}
+			drain()
+			if written() {
+				t.Error("the drain did not clear the written mark")
+			}
+			tc.write(local) // a series a drain has paired marks it too
+			if !written() {
+				t.Error("a write after a drain did not mark the copy written")
+			}
+		})
+	}
+}
+
+// TestStageNetZeroGaugeLeavesSharedUntouched: a gauge moved up and back
+// down marks its copy written, and the drain that follows adds nothing
+// to the shared gauge (a −0 there stays −0).
+func TestStageNetZeroGaugeLeavesSharedUntouched(t *testing.T) {
+	shared := newTestSet(NewRegistry())
+	shared.G.Set(math.Copysign(0, -1))
+	local, drain, written := StageTracked(shared)
+	local.G.Inc()
+	local.G.Dec()
+	if !written() {
+		t.Fatal("Inc then Dec did not mark the copy written")
+	}
+	drain()
+	if !math.Signbit(shared.G.Value()) {
+		t.Errorf("shared gauge = %v after a net-zero drain, want the untouched −0", shared.G.Value())
+	}
+	if written() {
+		t.Error("the drain did not clear the written mark")
+	}
+}
+
+// TestStageWriterRacesDrains: one writer updates its copy while the
+// coordinator drains whenever the copy reports written; whatever the
+// interleaving, one last drain after the writer stops leaves the shared
+// set holding exactly what was written. Run it under -race.
+func TestStageWriterRacesDrains(t *testing.T) {
+	shared := newTestSet(NewRegistry())
+	local, drain, written := StageTracked(shared)
+	const writes = 5000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for j := 0; j < writes; j++ {
+			local.C.Inc()
+			local.G.Add(2)
+			local.G.Dec()
+			local.H.Observe(float64(j % 20))
+			local.V.With([]string{"cap", "none"}[j%2]).Inc()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if written() {
+			drain()
+		}
+	}
+	drain()
+	if got := shared.C.Value(); got != writes {
+		t.Errorf("counter = %v, want %d", got, writes)
+	}
+	if got := shared.G.Value(); got != writes {
+		t.Errorf("gauge = %v, want %d", got, writes)
+	}
+	if got := shared.H.Count(); got != writes {
+		t.Errorf("histogram count = %d, want %d", got, writes)
+	}
+	if got := shared.V.With("cap").Value() + shared.V.With("none").Value(); got != writes {
+		t.Errorf("vec total = %v, want %d", got, writes)
+	}
+	if written() {
+		t.Error("copy still written after the final drain")
+	}
+}

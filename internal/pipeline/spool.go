@@ -87,11 +87,11 @@ type Spooler struct {
 	replayed int64
 	closed   bool
 
-	// depth mirrors len(q) so the caller-paced drain of an empty spool —
-	// every machine, every tick, in the cluster simulation — is one
-	// atomic load instead of a lock round-trip. With gaugedBytes it is
-	// also what this spool has added to the depth gauges, which the
-	// spools of every shard share.
+	// depth mirrors len(q) so Len — asked of every machine's spools on
+	// every tick by the cluster simulation — and the caller-paced drain
+	// of an empty spool are one atomic load instead of a lock
+	// round-trip. With gaugedBytes it is also what this spool has added
+	// to the depth gauges, which the spools of every shard share.
 	depth       atomic.Int64
 	gaugedBytes int64
 
