@@ -681,12 +681,10 @@ func (c *Cluster) Step() {
 	now := c.now.Add(dt)
 	c.now = now
 
-	// Parallel phase: contiguous machine ranges on the persistent pool.
-	// (The first version of this fan-out spawned fresh goroutines every
-	// Step and pulled indices one at a time off a shared atomic — the
-	// coordination cost made workers=4 slower than workers=1; see pool.)
-	// The range closure is built once and reads now/dt from step fields
-	// so steady-state stepping does not allocate a closure per Step.
+	// Parallel phase: the caller and the pool's workers claim chunks of
+	// machine indices (see pool). The range closure is built once and
+	// reads now/dt from step fields so steady-state stepping does not
+	// allocate a closure per Step.
 	c.stepNow, c.stepDt = now, dt
 	if c.pool == nil {
 		for i := range c.nodes {

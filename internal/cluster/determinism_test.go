@@ -146,16 +146,17 @@ func detRun(t *testing.T, workers, machines int, warm, dur time.Duration, identi
 // TestStepDeterminismAcrossWorkerCounts is the headline guarantee of
 // the parallel stepper: the same seed produces byte-identical
 // incidents, spec tables, and counters at ANY worker count. It runs
-// the same busy cluster serially (Workers=1), at Workers=4, and at
-// Workers=GOMAXPROCS, and byte-compares the JSON fingerprints. Run
-// under -race in CI, this doubles as the race check for the parallel
-// phase.
+// the same busy cluster serially (Workers=1), at Workers=3 (an odd
+// count: uneven chunks, and a claim order that changes from run to
+// run), at Workers=4, and at Workers=GOMAXPROCS, and byte-compares the
+// JSON fingerprints. Run under -race in CI, this doubles as the race
+// check for the parallel phase.
 func TestStepDeterminismAcrossWorkerCounts(t *testing.T) {
 	machines, warm, dur := 50, 15*time.Minute, 2*time.Hour
 	if testing.Short() {
 		machines, warm, dur = 12, 12*time.Minute, 25*time.Minute
 	}
-	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	counts := []int{1, 3, 4, runtime.GOMAXPROCS(0)}
 	base := detRun(t, counts[0], machines, warm, dur, "")
 	if len(base) == 0 {
 		t.Fatal("empty fingerprint")

@@ -122,7 +122,7 @@ func (b *SpecBuilder) checkpointLocked(now time.Time, only map[model.SpecKey]boo
 			p.Tasks = append(p.Tasks, CheckpointTask{Task: task, Samples: n})
 		})
 		sort.Slice(p.Tasks, func(i, j int) bool {
-			return p.Tasks[i].Task.String() < p.Tasks[j].Task.String()
+			return p.Tasks[i].Task.Compare(p.Tasks[j].Task) < 0
 		})
 		cp.Pending = append(cp.Pending, p)
 	}

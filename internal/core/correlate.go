@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -94,32 +95,30 @@ func RankSuspects(victimCPI *timeseries.Series, threshold float64,
 		func(_ model.TaskID, cpi, usage []float64) float64 { return Correlation(cpi, usage, threshold) })
 }
 
-// rankAligned is the ranking loop both identifiers share: it windows
-// the victim's CPI and each suspect's usage to [now−window, now),
-// aligns each pair at period, scores it with score, and returns the
-// scored suspects in rankedBefore order. Suspects without a usage
-// series are skipped.
+// rankAligned is the ranking loop both identifiers share: it aligns
+// the victim's CPI with each suspect's usage over [now−window, now) at
+// period, scores each pair with score, and returns the scored suspects
+// in rankCompare order. Suspects without a usage series are skipped.
+// Both windows are read in place and every suspect's pairs land in the
+// same two buffers, so the allocations do not grow with the number of
+// suspects; score must not retain the slices it is given.
 func rankAligned(victimCPI *timeseries.Series, suspects []SuspectInput, now time.Time,
 	window, period time.Duration, score func(task model.TaskID, cpi, usage []float64) float64) []Suspect {
 
 	from := now.Add(-window)
-	victimWindow := timeseries.New()
-	for _, p := range victimCPI.Window(from, now) {
-		_ = victimWindow.Append(p.Time, p.Value)
-	}
+	// A window has at most one pair per victim point, so buffers of that
+	// length never grow.
+	n := victimCPI.CountSince(from, now, func(float64) bool { return true })
+	buf := make([]float64, 2*n)
 	out := make([]Suspect, 0, len(suspects))
 	for _, s := range suspects {
 		if s.Usage == nil {
 			continue
 		}
-		suspectWindow := timeseries.New()
-		for _, p := range s.Usage.Window(from, now) {
-			_ = suspectWindow.Append(p.Time, p.Value)
-		}
-		cpi, usage := timeseries.Align(victimWindow, suspectWindow, period)
+		cpi, usage := timeseries.AppendAligned(buf[:0:n], buf[n:n], victimCPI, s.Usage, from, now, period)
 		out = append(out, s.scored(score(s.Task, cpi, usage)))
 	}
-	sort.Slice(out, func(i, j int) bool { return rankedBefore(out[i], out[j]) })
+	slices.SortFunc(out, rankCompare)
 	return out
 }
 
@@ -128,13 +127,13 @@ func (s SuspectInput) scored(score float64) Suspect {
 	return Suspect{Task: s.Task, Job: s.Job, Class: s.Class, Priority: s.Priority, Correlation: score}
 }
 
-// rankedBefore is the suspect rank order: higher score first, ties
+// rankCompare is the suspect rank order: higher score first, ties
 // broken by task name so the order never depends on input order.
-func rankedBefore(a, b Suspect) bool {
-	if a.Correlation != b.Correlation {
-		return a.Correlation > b.Correlation
+func rankCompare(a, b Suspect) int {
+	if c := cmp.Compare(b.Correlation, a.Correlation); c != 0 {
+		return c
 	}
-	return a.Task.String() < b.Task.String()
+	return a.Task.Compare(b.Task)
 }
 
 // TopSuspects returns the best k suspects whose correlation meets

@@ -230,6 +230,40 @@ func TestRankSuspectsTieBreakDeterministic(t *testing.T) {
 	}
 }
 
+// TestRankSuspectsAllocBudget requires RankSuspects to allocate as
+// often for 20 suspects as for 2: windows are read in place and every
+// suspect's aligned pairs reuse the same buffers. The suspects differ
+// in phase, sampling offset and missing minutes, and a victim with 30
+// retained points is ranked over its last 10 minutes.
+func TestRankSuspectsAllocBudget(t *testing.T) {
+	const n = 30
+	victimVals := make([]float64, n)
+	for i := range victimVals {
+		victimVals[i] = float64(1 + i%4)
+	}
+	victim := buildSeries(victimVals, time.Minute)
+	suspects := make([]SuspectInput, 20)
+	for k := range suspects {
+		usage := timeseries.New()
+		for i := 0; i < n; i++ {
+			if (i+k)%5 == 0 {
+				continue // a missing minute
+			}
+			_ = usage.Append(day0.Add(time.Duration(i)*time.Minute+time.Duration(k)*time.Second), float64((i*k)%3))
+		}
+		suspects[k] = SuspectInput{Task: model.TaskID{Job: "s", Index: k}, Job: "s", Usage: usage}
+	}
+	now := day0.Add(n * time.Minute)
+	allocs := func(m int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			_ = RankSuspects(victim, 2.0, suspects[:m], now, 10*time.Minute, time.Minute)
+		})
+	}
+	if few, many := allocs(2), allocs(20); many != few {
+		t.Errorf("RankSuspects allocates %v times at 20 suspects, %v at 2: want equal", many, few)
+	}
+}
+
 func TestTopSuspects(t *testing.T) {
 	ranked := []Suspect{
 		{Job: "a", Correlation: 0.9},

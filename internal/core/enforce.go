@@ -401,7 +401,7 @@ func (e *Enforcer) ReleaseAll() []model.TaskID {
 // Callers hold e.mu.
 func (e *Enforcer) uncapLocked(now time.Time, caps []*activeCap, reason string) []model.TaskID {
 	if len(caps) > 1 {
-		sort.Slice(caps, func(i, j int) bool { return caps[i].task.String() < caps[j].task.String() })
+		sort.Slice(caps, func(i, j int) bool { return caps[i].task.Compare(caps[j].task) < 0 })
 	}
 	var released []model.TaskID
 	for _, ac := range caps {
@@ -460,7 +460,7 @@ func (e *Enforcer) Reconcile(now time.Time, entries []CapJournalEntry) (adopted,
 		caps = append(caps, pending{task, entry})
 	}
 	sort.Slice(caps, func(i, j int) bool {
-		return caps[i].task.String() < caps[j].task.String()
+		return caps[i].task.Compare(caps[j].task) < 0
 	})
 
 	e.mu.Lock()

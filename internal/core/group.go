@@ -64,7 +64,7 @@ func alignedUsage(victimTimes []time.Time, window []timeseries.Point, period tim
 // CPU usage best explains the victim's CPI, using greedy forward
 // selection up to maxMembers. It returns the best group found (which
 // may be a single suspect). window/period as in RankSuspects, and so
-// is the candidates' order (rankedBefore): suspects tied on r are
+// is the candidates' order (rankCompare): suspects tied on r are
 // taken by task name, never by the order they were offered in.
 func FindAntagonistGroup(victimCPI *timeseries.Series, suspects []SuspectInput,
 	now time.Time, window, period time.Duration, maxMembers int) GroupSuspect {
@@ -110,7 +110,7 @@ func FindAntagonistGroup(victimCPI *timeseries.Series, suspects []SuspectInput,
 	if len(cands) == 0 {
 		return GroupSuspect{}
 	}
-	sort.Slice(cands, func(i, j int) bool { return rankedBefore(cands[i].suspect, cands[j].suspect) })
+	sort.Slice(cands, func(i, j int) bool { return rankCompare(cands[i].suspect, cands[j].suspect) < 0 })
 
 	group := GroupSuspect{}
 	sum := make([]float64, len(victimVals))

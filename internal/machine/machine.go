@@ -385,7 +385,7 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 		_ = m.RemoveTask(id)
 	}
 	if len(exited) > 1 {
-		sort.Slice(exited, func(i, j int) bool { return exited[i].String() < exited[j].String() })
+		sort.Slice(exited, func(i, j int) bool { return exited[i].Compare(exited[j]) < 0 })
 	}
 	return out, exited
 }

@@ -11,6 +11,7 @@
 package model
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"strconv"
@@ -42,7 +43,24 @@ type TaskID struct {
 }
 
 // String renders "job/index", the conventional task notation.
-func (t TaskID) String() string { return fmt.Sprintf("%s/%d", t.Job, t.Index) }
+func (t TaskID) String() string {
+	var buf [64]byte
+	return string(t.appendTo(buf[:0]))
+}
+
+// Compare orders task IDs exactly as comparing their String forms
+// does, without building either string. For slices.SortFunc.
+func (t TaskID) Compare(u TaskID) int {
+	var tb, ub [64]byte
+	return bytes.Compare(t.appendTo(tb[:0]), u.appendTo(ub[:0]))
+}
+
+// appendTo appends the String form of t to b.
+func (t TaskID) appendTo(b []byte) []byte {
+	b = append(b, t.Job...)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(t.Index), 10)
+}
 
 // ParseTaskID parses the "job/index" form String produces. The split
 // is on the LAST slash, so job names containing slashes round-trip.

@@ -1,7 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -9,6 +12,63 @@ func TestTaskIDString(t *testing.T) {
 	id := TaskID{Job: "websearch-leaf", Index: 42}
 	if got := id.String(); got != "websearch-leaf/42" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestTaskIDCompareMatchesString pins Compare to the order of the
+// String forms, and String to the "%s/%d" bytes, over seeded job names
+// built from '/', '-', digits and letters (so "a" vs "a-1", "a/1" vs
+// "a" and "j/12" vs "j/9" all occur), names where one is a prefix of
+// the other, negative and multi-digit indices, and names longer than
+// the stack buffer.
+func TestTaskIDCompareMatchesString(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "ab/-019"
+	name := func() JobName {
+		var b strings.Builder
+		for n := rng.Intn(6); n > 0; n-- {
+			b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+		}
+		if rng.Intn(20) == 0 {
+			b.WriteString(strings.Repeat("x", 60+rng.Intn(10)))
+		}
+		return JobName(b.String())
+	}
+	index := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Intn(10)
+		case 1:
+			return rng.Intn(1000)
+		case 2:
+			return -rng.Intn(100)
+		}
+		return rng.Int()
+	}
+	sign := func(c int) int { return max(-1, min(1, c)) }
+	for i := 0; i < 20000; i++ {
+		a := TaskID{Job: name(), Index: index()}
+		b := TaskID{Job: name(), Index: index()}
+		switch rng.Intn(4) {
+		case 0: // one name a prefix of the other
+			b.Job = a.Job + name()
+		case 1:
+			b.Job = a.Job
+		}
+		if got, want := a.String(), fmt.Sprintf("%s/%d", a.Job, a.Index); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
+		want := strings.Compare(a.String(), b.String())
+		if got := a.Compare(b); sign(got) != want {
+			t.Fatalf("%q.Compare(%q) = %d, want %d", a, b, got, want)
+		}
+		if got := b.Compare(a); sign(got) != -want {
+			t.Fatalf("%q.Compare(%q) = %d, want %d", b, a, got, -want)
+		}
+	}
+	a, b := TaskID{Job: "websearch-leaf", Index: 42}, TaskID{Job: "websearch-leaf", Index: 417}
+	if n := testing.AllocsPerRun(100, func() { _ = a.Compare(b) }); n != 0 {
+		t.Errorf("Compare allocates %v times per call, want 0", n)
 	}
 }
 

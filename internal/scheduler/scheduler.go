@@ -376,7 +376,7 @@ func (s *Scheduler) TasksOn(machine string) []model.TaskID {
 	for id := range m.tasks {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 

@@ -95,15 +95,22 @@ func (s *Series) At(i int) Point { return s.points[i] }
 
 // Window returns the points with from ≤ t < to, as a copy.
 func (s *Series) Window(from, to time.Time) []Point {
+	w := s.span(from, to)
+	out := make([]Point, len(w))
+	copy(out, w)
+	return out
+}
+
+// span returns the retained points with from ≤ t < to, sharing s's
+// storage.
+func (s *Series) span(from, to time.Time) []Point {
 	lo := sort.Search(len(s.points), func(i int) bool {
 		return !s.points[i].Time.Before(from)
 	})
 	hi := sort.Search(len(s.points), func(i int) bool {
 		return !s.points[i].Time.Before(to)
 	})
-	out := make([]Point, hi-lo)
-	copy(out, s.points[lo:hi])
-	return out
+	return s.points[lo:max(lo, hi)]
 }
 
 // Values returns all retained values in time order, as a copy.
@@ -138,30 +145,65 @@ func (s *Series) CountSince(from, to time.Time, pred func(float64) bool) int {
 // timestamps present in both, in time order. Bucketing uses
 // Time.Truncate(period), so samples taken a few seconds apart within
 // the same sampling minute align. Timestamps present in only one
-// series are dropped — CPI² correlates only time-aligned pairs.
+// series are dropped — CPI² correlates only time-aligned pairs — and
+// where a series has several points in one bucket, its first is used.
 func Align(a, b *Series, period time.Duration) (av, bv []float64) {
+	return alignPoints(nil, nil, a.points, b.points, period)
+}
+
+// AppendAligned is Align restricted to the points of a and b with
+// from ≤ t < to: it appends the aligned pairs to av and bv and returns
+// the extended slices. It reads both windows in place, so a caller
+// that passes the same buffers back for many series aligns without
+// allocating once they are large enough.
+func AppendAligned(av, bv []float64, a, b *Series, from, to time.Time,
+	period time.Duration) ([]float64, []float64) {
+
+	return alignPoints(av, bv, a.span(from, to), b.span(from, to), period)
+}
+
+// alignPoints merges two time-ordered point slices by period bucket,
+// appending the first value of each bucket present on both sides.
+// Truncate is monotone in t, so each side's bucket keys never decrease
+// and one forward pass over each finds every shared bucket in order.
+func alignPoints(av, bv []float64, a, b []Point, period time.Duration) ([]float64, []float64) {
 	if period <= 0 {
 		period = time.Nanosecond
 	}
-	bBuckets := make(map[int64]float64, len(b.points))
-	for _, p := range b.points {
-		key := p.Time.Truncate(period).UnixNano()
-		if _, ok := bBuckets[key]; ok {
-			continue // keep first observation per bucket, like the a side
-		}
-		bBuckets[key] = p.Value
+	if len(a) == 0 || len(b) == 0 {
+		return av, bv
 	}
-	seen := make(map[int64]bool, len(a.points))
-	for _, p := range a.points {
-		key := p.Time.Truncate(period).UnixNano()
-		if seen[key] {
-			continue // keep first observation per bucket
-		}
-		if bVal, ok := bBuckets[key]; ok {
-			seen[key] = true
-			av = append(av, p.Value)
-			bv = append(bv, bVal)
+	bucket := func(p Point) int64 { return p.Time.Truncate(period).UnixNano() }
+	i, j := 0, 0
+	ka, kb := bucket(a[0]), bucket(b[0])
+	for {
+		switch {
+		case ka < kb:
+			if i++; i == len(a) {
+				return av, bv
+			}
+			ka = bucket(a[i])
+		case ka > kb:
+			if j++; j == len(b) {
+				return av, bv
+			}
+			kb = bucket(b[j])
+		default:
+			av = append(av, a[i].Value)
+			bv = append(bv, b[j].Value)
+			k := ka
+			for ka == k { // skip the rest of this bucket on both sides
+				if i++; i == len(a) {
+					return av, bv
+				}
+				ka = bucket(a[i])
+			}
+			for kb == k {
+				if j++; j == len(b) {
+					return av, bv
+				}
+				kb = bucket(b[j])
+			}
 		}
 	}
-	return av, bv
 }

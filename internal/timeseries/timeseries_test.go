@@ -1,6 +1,8 @@
 package timeseries
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -215,5 +217,99 @@ func TestAlignProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// alignReference is the map-based Align the merge replaced, kept as
+// the oracle: first observation per bucket on both sides, pairs in a's
+// time order.
+func alignReference(a, b *Series, period time.Duration) (av, bv []float64) {
+	if period <= 0 {
+		period = time.Nanosecond
+	}
+	bBuckets := make(map[int64]float64, len(b.points))
+	for _, p := range b.points {
+		key := p.Time.Truncate(period).UnixNano()
+		if _, ok := bBuckets[key]; ok {
+			continue
+		}
+		bBuckets[key] = p.Value
+	}
+	seen := make(map[int64]bool, len(a.points))
+	for _, p := range a.points {
+		key := p.Time.Truncate(period).UnixNano()
+		if seen[key] {
+			continue
+		}
+		if bVal, ok := bBuckets[key]; ok {
+			seen[key] = true
+			av = append(av, p.Value)
+			bv = append(bv, bVal)
+		}
+	}
+	return av, bv
+}
+
+// sameBits reports whether x and y hold the same values bit for bit.
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAlignMatchesReference requires Align and AppendAligned to equal
+// alignReference exactly on seeded series at periods of 1 ns, 1 s and
+// 1 min. Steps between points run from 1 ns to two periods, so buckets
+// holding several points on either side, buckets on one side only and
+// empty series all occur; AppendAligned's window starts and ends
+// inside, before and after the points, and it must append behind what
+// its buffers already hold.
+func TestAlignMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randomSeries := func(period time.Duration) *Series {
+		s := New()
+		ts := t0.Add(time.Duration(rng.Int63n(int64(3 * period))))
+		for n := rng.Intn(12); n > 0; n-- {
+			ts = ts.Add(1 + time.Duration(rng.Int63n(int64(2*period))))
+			if err := s.Append(ts, rng.NormFloat64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	within := func(s *Series, from, to time.Time) *Series {
+		w := New()
+		for i := 0; i < s.Len(); i++ {
+			if p := s.At(i); !p.Time.Before(from) && p.Time.Before(to) {
+				_ = w.Append(p.Time, p.Value)
+			}
+		}
+		return w
+	}
+	for _, period := range []time.Duration{time.Nanosecond, time.Second, time.Minute} {
+		for trial := 0; trial < 2000; trial++ {
+			a, b := randomSeries(period), randomSeries(period)
+			wantA, wantB := alignReference(a, b, period)
+			gotA, gotB := Align(a, b, period)
+			if !sameBits(gotA, wantA) || !sameBits(gotB, wantB) {
+				t.Fatalf("period %v trial %d: Align = %v, %v; reference %v, %v", period, trial, gotA, gotB, wantA, wantB)
+			}
+
+			from := t0.Add(time.Duration(rng.Int63n(int64(20 * period))))
+			to := from.Add(time.Duration(rng.Int63n(int64(20 * period))))
+			wantA, wantB = alignReference(within(a, from, to), within(b, from, to), period)
+			prefix := []float64{-1}
+			gotA, gotB = AppendAligned(prefix[:1:1], prefix[:1:1], a, b, from, to, period)
+			if !sameBits(gotA[1:], wantA) || !sameBits(gotB[1:], wantB) || gotA[0] != -1 || gotB[0] != -1 {
+				t.Fatalf("period %v trial %d [%v, %v): AppendAligned = %v, %v; reference %v, %v",
+					period, trial, from, to, gotA, gotB, wantA, wantB)
+			}
+		}
 	}
 }
