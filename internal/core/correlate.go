@@ -22,8 +22,11 @@ import (
 // the suspect runs hot while the victim is fine. Each call costs
 // O(n) — the paper reports ≈100 µs per analysis.
 //
-// Pairs where cᵢ equals the threshold contribute nothing. If the
-// suspect used no CPU at all in the window the score is 0.
+// Pairs where cᵢ equals the threshold contribute nothing, and pairs
+// with uᵢ ≤ 0 or cᵢ ≤ 0 are skipped outright, normalization included:
+// rankAligned relies on that to zero-fill minutes a suspect was not
+// sampled. If the suspect used no CPU at all in the window the score
+// is 0.
 func Correlation(victimCPI, suspectUsage []float64, threshold float64) float64 {
 	n := len(victimCPI)
 	if n == 0 || len(suspectUsage) != n || threshold <= 0 {
@@ -95,28 +98,26 @@ func RankSuspects(victimCPI *timeseries.Series, threshold float64,
 		func(_ model.TaskID, cpi, usage []float64) float64 { return Correlation(cpi, usage, threshold) })
 }
 
-// rankAligned is the ranking loop both identifiers share: it aligns
-// the victim's CPI with each suspect's usage over [now−window, now) at
-// period, scores each pair with score, and returns the scored suspects
-// in rankCompare order. Suspects without a usage series are skipped.
-// Both windows are read in place and every suspect's pairs land in the
-// same two buffers, so the allocations do not grow with the number of
+// rankAligned is the ranking loop both identifiers share: it buckets
+// the victim's CPI over [now−window, now) at period once, reads each
+// suspect's usage onto those buckets, scores the pair with score, and
+// returns the scored suspects in rankCompare order. Suspects without a
+// usage series are skipped. A bucket the suspect has no sample in
+// reads 0, and both scorers skip pairs with usage ≤ 0, so only
+// time-aligned pairs are scored (§4.2). Every suspect is read into the
+// same buffer, so the allocations do not grow with the number of
 // suspects; score must not retain the slices it is given.
 func rankAligned(victimCPI *timeseries.Series, suspects []SuspectInput, now time.Time,
 	window, period time.Duration, score func(task model.TaskID, cpi, usage []float64) float64) []Suspect {
 
-	from := now.Add(-window)
-	// A window has at most one pair per victim point, so buffers of that
-	// length never grow.
-	n := victimCPI.CountSince(from, now, func(float64) bool { return true })
-	buf := make([]float64, 2*n)
+	victim := victimCPI.Bucket(now.Add(-window), now, period)
+	usage := make([]float64, victim.Len())
 	out := make([]Suspect, 0, len(suspects))
 	for _, s := range suspects {
 		if s.Usage == nil {
 			continue
 		}
-		cpi, usage := timeseries.AppendAligned(buf[:0:n], buf[n:n], victimCPI, s.Usage, from, now, period)
-		out = append(out, s.scored(score(s.Task, cpi, usage)))
+		out = append(out, s.scored(score(s.Task, victim.Values, victim.Read(usage, s.Usage))))
 	}
 	slices.SortFunc(out, rankCompare)
 	return out

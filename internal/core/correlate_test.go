@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,6 +263,133 @@ func TestRankSuspectsAllocBudget(t *testing.T) {
 	}
 	if few, many := allocs(2), allocs(20); many != few {
 		t.Errorf("RankSuspects allocates %v times at 20 suspects, %v at 2: want equal", many, few)
+	}
+}
+
+// referencePairs is the inner-join merge the ranking used before it
+// read suspects onto the victim's buckets, kept as the oracle for "no
+// score moves": over [from, to), one pair per period bucket that both
+// series hold a point in, the first point of the bucket on each side.
+func referencePairs(victim, suspect *timeseries.Series, from, to time.Time,
+	period time.Duration) (cpi, usage []float64) {
+
+	a, b := victim.Window(from, to), suspect.Window(from, to)
+	bucket := func(p timeseries.Point) int64 { return p.Time.Truncate(period).UnixNano() }
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch ka, kb := bucket(a[i]), bucket(b[j]); {
+		case ka < kb:
+			i++
+		case ka > kb:
+			j++
+		default:
+			cpi = append(cpi, a[i].Value)
+			usage = append(usage, b[j].Value)
+			for i < len(a) && bucket(a[i]) == ka {
+				i++
+			}
+			for j < len(b) && bucket(b[j]) == ka {
+				j++
+			}
+		}
+	}
+	return cpi, usage
+}
+
+// referenceRank scores every suspect of in over referencePairs and
+// returns them in rank order.
+func referenceRank(in IdentifyInput, score func(cpi, usage []float64) float64) []Suspect {
+	var out []Suspect
+	for _, s := range in.Suspects {
+		if s.Usage == nil {
+			continue
+		}
+		cpi, usage := referencePairs(in.VictimCPI, s.Usage, in.Now.Add(-in.Window), in.Now, in.Period)
+		out = append(out, s.scored(score(cpi, usage)))
+	}
+	slices.SortFunc(out, rankCompare)
+	return out
+}
+
+// gappySeries is one sample per minute for the given minutes at a
+// random second, with about one minute in five missing and one in six
+// holding a second sample later in the same minute.
+func gappySeries(rng *rand.Rand, minutes int, value func() float64) *timeseries.Series {
+	s := timeseries.New()
+	for m := 0; m < minutes; m++ {
+		if rng.Intn(5) == 0 {
+			continue
+		}
+		ts := day0.Add(time.Duration(m)*time.Minute + time.Duration(rng.Intn(30))*time.Second)
+		_ = s.Append(ts, value())
+		if rng.Intn(6) == 0 {
+			_ = s.Append(ts.Add(time.Duration(1+rng.Intn(29))*time.Second), value())
+		}
+	}
+	return s
+}
+
+// TestIdentifiersMatchReferencePairs is the guard for "no score
+// moves": both identifiers must rank exactly as scoring the inner-join
+// pairs of referencePairs does, in the same order and with the same
+// score bits. Victim and suspects both miss minutes and repeat a
+// bucket, some usage and some CPI is exactly 0, the window starts and
+// ends inside a bucket, and the period is a minute or 20 s. Reading a
+// suspect's last point in a bucket instead of its first, keeping the
+// victim's last, or leaving a bucket the suspect lacks at the previous
+// suspect's value instead of 0 fails it.
+func TestIdentifiersMatchReferencePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		cpi := func() float64 {
+			if rng.Intn(10) == 0 {
+				return 0
+			}
+			return 0.5 + 3*rng.Float64()
+		}
+		usage := func() float64 {
+			if rng.Intn(4) == 0 {
+				return 0
+			}
+			return 4 * rng.Float64()
+		}
+		in := IdentifyInput{
+			Victim:    model.TaskID{Job: "victim"},
+			VictimCPI: gappySeries(rng, 40, cpi),
+			Threshold: 2, SpecMean: 1.2, SpecStddev: 0.4,
+			Now:    day0.Add(time.Duration(10+rng.Intn(25))*time.Minute + time.Duration(rng.Intn(60))*time.Second),
+			Window: 10 * time.Minute, Period: time.Minute,
+		}
+		if trial%2 == 1 {
+			in.Period = 20 * time.Second
+		}
+		for k := rng.Intn(8); k >= 0; k-- {
+			in.Suspects = append(in.Suspects, SuspectInput{
+				Task: model.TaskID{Job: "s", Index: k}, Job: "s", Usage: gappySeries(rng, 40, usage)})
+		}
+		check := func(name string, got, want []Suspect) {
+			t.Helper()
+			same := len(got) == len(want)
+			for i := 0; same && i < len(got); i++ {
+				same = got[i].Task == want[i].Task &&
+					math.Float64bits(got[i].Correlation) == math.Float64bits(want[i].Correlation)
+			}
+			if !same {
+				t.Fatalf("trial %d, %s:\n got %+v\nwant %+v", trial, name, got, want)
+			}
+		}
+		check("correlation", CorrelationIdentifier{}.Identify(in), referenceRank(in, func(c, u []float64) float64 {
+			return Correlation(c, u, in.Threshold)
+		}))
+		// A fresh PANDA identifier has no evidence, so each score is
+		// pandaAlpha times the round score; with SpecStddev 0 and the
+		// threshold at the spec mean it falls back to Correlation.
+		pi := NewPandaIdentifier(DefaultParams())
+		if trial%3 == 2 {
+			in.SpecStddev, in.SpecMean = 0, in.Threshold
+		}
+		check("panda", pi.Identify(in), referenceRank(in, func(c, u []float64) float64 {
+			return pandaAlpha * pi.roundScore(c, u, in.Threshold, in.SpecMean, in.SpecStddev)
+		}))
 	}
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/stats"
@@ -45,63 +45,39 @@ type GroupSuspect struct {
 	Correlation float64
 }
 
-// alignedUsage buckets a suspect's usage series onto the victim's
-// sample timeline; buckets with no suspect sample count as zero usage
-// (absent means "not running", which matters when summing a group).
-func alignedUsage(victimTimes []time.Time, window []timeseries.Point, period time.Duration) []float64 {
-	byBucket := make(map[int64]float64, len(window))
-	for _, p := range window {
-		byBucket[p.Time.Truncate(period).UnixNano()] = p.Value
-	}
-	out := make([]float64, len(victimTimes))
-	for i, t := range victimTimes {
-		out[i] = byBucket[t.Truncate(period).UnixNano()]
-	}
-	return out
-}
-
 // FindAntagonistGroup searches for the suspect group whose combined
 // CPU usage best explains the victim's CPI, using greedy forward
 // selection up to maxMembers. It returns the best group found (which
 // may be a single suspect). window/period as in RankSuspects, and so
-// is the candidates' order (rankCompare): suspects tied on r are
-// taken by task name, never by the order they were offered in.
+// are the alignment (a suspect reads 0 in a victim bucket it has no
+// sample in — absent means "not running", which matters when summing a
+// group) and the candidates' order (rankCompare): suspects tied on r
+// are taken by task name, never by the order they were offered in.
 func FindAntagonistGroup(victimCPI *timeseries.Series, suspects []SuspectInput,
 	now time.Time, window, period time.Duration, maxMembers int) GroupSuspect {
 
 	if maxMembers < 1 {
 		maxMembers = 1
 	}
-	from := now.Add(-window)
-	victimPts := victimCPI.Window(from, now)
-	if len(victimPts) < 3 {
+	victim := victimCPI.Bucket(now.Add(-window), now, period)
+	n := victim.Len()
+	if n < 3 {
 		return GroupSuspect{} // Pearson needs variation to mean anything
 	}
-	victimVals := make([]float64, 0, len(victimPts))
-	victimTimes := make([]time.Time, 0, len(victimPts))
-	seen := make(map[int64]bool, len(victimPts))
-	for _, p := range victimPts {
-		key := p.Time.Truncate(period).UnixNano()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		victimVals = append(victimVals, p.Value)
-		victimTimes = append(victimTimes, p.Time)
-	}
 
-	// Pre-align every suspect once and score it individually.
+	// Read every suspect once, into one block, and score it individually.
 	type candidate struct {
 		suspect Suspect
 		usage   []float64
 	}
 	cands := make([]candidate, 0, len(suspects))
+	usage := make([]float64, len(suspects)*n)
 	for _, s := range suspects {
 		if s.Usage == nil {
 			continue
 		}
-		u := alignedUsage(victimTimes, s.Usage.Window(from, now), period)
-		r, err := stats.PearsonCorrelation(victimVals, u)
+		u := victim.Read(usage[len(cands)*n:(len(cands)+1)*n], s.Usage)
+		r, err := stats.PearsonCorrelation(victim.Values, u)
 		if err != nil {
 			continue
 		}
@@ -110,10 +86,13 @@ func FindAntagonistGroup(victimCPI *timeseries.Series, suspects []SuspectInput,
 	if len(cands) == 0 {
 		return GroupSuspect{}
 	}
-	sort.Slice(cands, func(i, j int) bool { return rankCompare(cands[i].suspect, cands[j].suspect) < 0 })
+	slices.SortFunc(cands, func(a, b candidate) int { return rankCompare(a.suspect, b.suspect) })
 
-	group := GroupSuspect{}
-	sum := make([]float64, len(victimVals))
+	group := GroupSuspect{Members: make([]Suspect, 0, min(maxMembers, len(cands)))}
+	// sum is the group's usage; trial and best are the greedy loop's
+	// two scratch buffers, swapped rather than reallocated.
+	sums := make([]float64, 3*n)
+	sum, trial, best := sums[:n], sums[n:2*n], sums[2*n:]
 	used := make([]bool, len(cands))
 	for len(group.Members) < maxMembers {
 		// After the seed member, each addition must buy a real
@@ -125,23 +104,21 @@ func FindAntagonistGroup(victimCPI *timeseries.Series, suspects []SuspectInput,
 		}
 		bestIdx := -1
 		bestScore := group.Correlation
-		var bestSum []float64
 		for i, c := range cands {
 			if used[i] {
 				continue
 			}
-			trial := make([]float64, len(sum))
 			for k := range trial {
 				trial[k] = sum[k] + c.usage[k]
 			}
-			score, err := stats.PearsonCorrelation(victimVals, trial)
+			score, err := stats.PearsonCorrelation(victim.Values, trial)
 			if err != nil {
 				continue
 			}
 			if score > bestScore+minGain {
 				bestScore = score
 				bestIdx = i
-				bestSum = trial
+				trial, best = best, trial
 			}
 		}
 		if bestIdx < 0 {
@@ -150,7 +127,7 @@ func FindAntagonistGroup(victimCPI *timeseries.Series, suspects []SuspectInput,
 		used[bestIdx] = true
 		group.Members = append(group.Members, cands[bestIdx].suspect)
 		group.Correlation = bestScore
-		sum = bestSum
+		sum, best = best, sum
 	}
 	return group
 }

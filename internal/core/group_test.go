@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
 
@@ -94,9 +98,20 @@ func TestFindAntagonistGroupDegenerate(t *testing.T) {
 	if len(g.Members) != 0 {
 		t.Errorf("group from nil-usage suspects = %+v", g)
 	}
+	// Three points in two buckets: the guard counts buckets, so a
+	// suspect that tracks both perfectly still forms no group.
+	crowded := timeseries.New()
+	for _, sec := range []int{0, 30, 60} {
+		_ = crowded.Append(day0.Add(time.Duration(sec)*time.Second), float64(1+sec))
+	}
+	tracker := SuspectInput{Task: model.TaskID{Job: "t"}, Usage: buildSeries([]float64{1, 3}, time.Minute)}
+	g = FindAntagonistGroup(crowded, []SuspectInput{tracker}, day0.Add(2*time.Minute), 10*time.Minute, time.Minute, 4)
+	if len(g.Members) != 0 {
+		t.Errorf("group over two victim buckets = %+v", g)
+	}
+	_, suspects := takeTurnsScenario(3.0)
 	// Constant victim CPI: Pearson undefined → no group.
 	flat := buildSeries([]float64{3, 3, 3, 3}, time.Minute)
-	_, suspects := takeTurnsScenario(3.0)
 	g = FindAntagonistGroup(flat, suspects, day0.Add(4*time.Minute), 10*time.Minute, time.Minute, 4)
 	if g.Correlation > 0.01 {
 		t.Errorf("flat-CPI group corr = %v, want ≈0", g.Correlation)
@@ -133,6 +148,200 @@ func TestFindAntagonistGroupIgnoresSuspectOrder(t *testing.T) {
 		if len(g.Members) != 1 || g.Members[0].Task != x1.Task {
 			t.Errorf("suspects %v %v %v: group %+v, want x/1", in[0].Task, in[1].Task, in[2].Task, g.Members)
 		}
+	}
+}
+
+// findAntagonistGroupReference is the group search as it was before it
+// shared the ranking's alignment, kept as the oracle: the victim's
+// window deduplicated per bucket through a seen map, each suspect's
+// usage bucketed through a map of its last point per bucket
+// (alignedUsage), and a fresh trial slice per candidate per round.
+func findAntagonistGroupReference(victimCPI *timeseries.Series, suspects []SuspectInput,
+	now time.Time, window, period time.Duration, maxMembers int) GroupSuspect {
+
+	alignedUsage := func(victimTimes []time.Time, window []timeseries.Point) []float64 {
+		byBucket := make(map[int64]float64, len(window))
+		for _, p := range window {
+			byBucket[p.Time.Truncate(period).UnixNano()] = p.Value
+		}
+		out := make([]float64, len(victimTimes))
+		for i, t := range victimTimes {
+			out[i] = byBucket[t.Truncate(period).UnixNano()]
+		}
+		return out
+	}
+	if maxMembers < 1 {
+		maxMembers = 1
+	}
+	from := now.Add(-window)
+	victimPts := victimCPI.Window(from, now)
+	if len(victimPts) < 3 {
+		return GroupSuspect{}
+	}
+	var victimVals []float64
+	var victimTimes []time.Time
+	seen := make(map[int64]bool, len(victimPts))
+	for _, p := range victimPts {
+		key := p.Time.Truncate(period).UnixNano()
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		victimVals = append(victimVals, p.Value)
+		victimTimes = append(victimTimes, p.Time)
+	}
+	type candidate struct {
+		suspect Suspect
+		usage   []float64
+	}
+	var cands []candidate
+	for _, s := range suspects {
+		if s.Usage == nil {
+			continue
+		}
+		u := alignedUsage(victimTimes, s.Usage.Window(from, now))
+		r, err := stats.PearsonCorrelation(victimVals, u)
+		if err != nil {
+			continue
+		}
+		cands = append(cands, candidate{suspect: s.scored(r), usage: u})
+	}
+	if len(cands) == 0 {
+		return GroupSuspect{}
+	}
+	sort.Slice(cands, func(i, j int) bool { return rankCompare(cands[i].suspect, cands[j].suspect) < 0 })
+	group := GroupSuspect{}
+	sum := make([]float64, len(victimVals))
+	used := make([]bool, len(cands))
+	for len(group.Members) < maxMembers {
+		minGain := 1e-9
+		if len(group.Members) > 0 {
+			minGain = 0.01
+		}
+		bestIdx := -1
+		bestScore := group.Correlation
+		var bestSum []float64
+		for i, c := range cands {
+			if used[i] {
+				continue
+			}
+			trial := make([]float64, len(sum))
+			for k := range trial {
+				trial[k] = sum[k] + c.usage[k]
+			}
+			score, err := stats.PearsonCorrelation(victimVals, trial)
+			if err != nil {
+				continue
+			}
+			if score > bestScore+minGain {
+				bestScore, bestIdx, bestSum = score, i, trial
+			}
+		}
+		if bestIdx < 0 {
+			break
+		}
+		used[bestIdx] = true
+		group.Members = append(group.Members, cands[bestIdx].suspect)
+		group.Correlation = bestScore
+		sum = bestSum
+	}
+	return group
+}
+
+// seededTakeTurns is a take-turns scenario drawn from rng: 2–4 rotators
+// share the pain minutes of a 40-minute history in rounds, with noisy
+// CPI and usage, plus 0–5 bystanders of random usage. Every series is
+// sampled once a minute at a random second, and each suspect misses
+// about one minute in four. The victim misses none, so its points and
+// its buckets coincide.
+func seededTakeTurns(rng *rand.Rand) (*timeseries.Series, []SuspectInput) {
+	const minutes = 40
+	rotators := 2 + rng.Intn(3)
+	turn := 2 + rng.Intn(3)
+	owner := func(m int) int {
+		if k := m % ((turn + 1) * rotators); k%(turn+1) < turn {
+			return k / (turn + 1)
+		}
+		return -1
+	}
+	victim := timeseries.New()
+	for m := 0; m < minutes; m++ {
+		cpi := 1 + 0.1*rng.Float64()
+		if owner(m) >= 0 {
+			cpi += 2
+		}
+		_ = victim.Append(day0.Add(time.Duration(m)*time.Minute+time.Duration(rng.Intn(60))*time.Second), cpi)
+	}
+	var suspects []SuspectInput
+	bystanders := rng.Intn(6)
+	for i := 0; i < rotators+bystanders; i++ {
+		usage := timeseries.New()
+		for m := 0; m < minutes; m++ {
+			if rng.Intn(4) == 0 {
+				continue // a missing minute
+			}
+			u := rng.Float64()
+			if i < rotators && owner(m) == i {
+				u += 4
+			}
+			_ = usage.Append(day0.Add(time.Duration(m)*time.Minute+time.Duration(rng.Intn(60))*time.Second), u)
+		}
+		suspects = append(suspects, SuspectInput{Task: model.TaskID{Job: "s", Index: i}, Job: "s", Usage: usage})
+	}
+	return victim, suspects
+}
+
+// TestFindAntagonistGroupMatchesReference requires the group search to
+// pick the same members, in the same order and with the same score
+// bits, as findAntagonistGroupReference on seeded take-turns scenarios.
+// The reference keeps a suspect's last point per bucket and the search
+// its first; a suspect sampled once a minute has one point per bucket,
+// so the two agree. Its early exit counts raw victim points and the
+// search's counts victim buckets; a victim sampled once a minute has as
+// many of each.
+func TestFindAntagonistGroupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		victim, suspects := seededTakeTurns(rng)
+		now := day0.Add(time.Duration(5+rng.Intn(40))*time.Minute + time.Duration(rng.Intn(60))*time.Second)
+		window := time.Duration(2+rng.Intn(20)) * time.Minute
+		maxMembers := rng.Intn(5)
+		got := FindAntagonistGroup(victim, suspects, now, window, time.Minute, maxMembers)
+		want := findAntagonistGroupReference(victim, suspects, now, window, time.Minute, maxMembers)
+		same := len(got.Members) == len(want.Members) &&
+			math.Float64bits(got.Correlation) == math.Float64bits(want.Correlation)
+		for i := 0; same && i < len(got.Members); i++ {
+			same = got.Members[i].Task == want.Members[i].Task &&
+				math.Float64bits(got.Members[i].Correlation) == math.Float64bits(want.Members[i].Correlation)
+		}
+		if !same {
+			t.Fatalf("trial %d: group %+v, reference %+v", trial, got, want)
+		}
+	}
+}
+
+// TestFindAntagonistGroupAllocBudget requires the group search to
+// allocate as often for 3 candidates and one round as for 23 candidates
+// and four rounds: every suspect is read into one block and the greedy
+// loop reuses its trial buffers.
+func TestFindAntagonistGroupAllocBudget(t *testing.T) {
+	victim, rotators := takeTurnsScenario(3.0)
+	suspects := append([]SuspectInput(nil), rotators...)
+	for k := 0; k < 20; k++ {
+		usage := timeseries.New()
+		for m := 0; m < 12; m++ {
+			_ = usage.Append(day0.Add(time.Duration(m)*time.Minute), float64((m*k)%3))
+		}
+		suspects = append(suspects, SuspectInput{Task: model.TaskID{Job: "b", Index: k}, Job: "b", Usage: usage})
+	}
+	now := day0.Add(12 * time.Minute)
+	allocs := func(in []SuspectInput, maxMembers int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			_ = FindAntagonistGroup(victim, in, now, 15*time.Minute, time.Minute, maxMembers)
+		})
+	}
+	if few, many := allocs(suspects[:3], 1), allocs(suspects, 4); many != few {
+		t.Errorf("FindAntagonistGroup allocates %v times at 23 candidates and 4 rounds, %v at 3 and 1: want equal", many, few)
 	}
 }
 

@@ -6,7 +6,7 @@
 // Two transports are provided over the same aggregation code:
 //
 //   - In-process (Bus): the cluster simulator's fast path.
-//   - TCP (Server/Client): length-prefixed binary v2 frames over real
+//   - TCP (Server/Redialer): length-prefixed binary v2 frames over real
 //     sockets (wirebin.go), used by cmd/cpi2agent and
 //     cmd/cpi2aggregator, so the distributed path is exercised
 //     honestly — batching, reconnects, and partial failure included.
@@ -18,7 +18,6 @@ package pipeline
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -39,9 +38,11 @@ type SampleSink interface {
 }
 
 // BatchSink is an optional SampleSink extension for sinks that can
-// accept many batches in one call. Queue.DrainTo uses it so a cluster
-// commit phase folds a whole machine's tick output under one sink
-// lock acquisition instead of one per batch.
+// accept many batches in one call. Queue.DrainTo uses it so a backlog
+// drained straight into a Bus folds under one bus lock acquisition
+// instead of one per batch. (The cluster's commit phase drains into
+// each machine's Router, which is not a BatchSink and forwards batch
+// by batch.)
 type BatchSink interface {
 	SampleSink
 	// PublishBatches delivers the batches in order; per-batch delivery
@@ -440,7 +441,7 @@ func (t *SpecTable) Len() int {
 	return len(t.specs)
 }
 
-// All returns the cached specs sorted by key.
+// All returns the cached specs in key order (model.SpecKey.Compare).
 func (t *SpecTable) All() []model.Spec {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -448,8 +449,6 @@ func (t *SpecTable) All() []model.Spec {
 	for _, s := range t.specs {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Key().String() < out[j].Key().String()
-	})
+	slices.SortFunc(out, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 	return out
 }

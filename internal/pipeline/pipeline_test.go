@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -57,6 +58,19 @@ func TestBusPublishAndRecompute(t *testing.T) {
 	}
 	if all := table.All(); len(all) != 1 || all[0].Job != "j" {
 		t.Errorf("All = %+v", all)
+	}
+	// All lists specs in model.SpecKey.Compare order, the order specs
+	// are published and checkpointed in: web before web-1, although
+	// "web-1@…" sorts before "web@…" as a string.
+	for _, job := range []model.JobName{"web-1", "web"} {
+		table.DeliverSpec(model.Spec{Job: job, Platform: model.PlatformA})
+	}
+	var jobs []model.JobName
+	for _, s := range table.All() {
+		jobs = append(jobs, s.Job)
+	}
+	if want := []model.JobName{"j", "web", "web-1"}; !slices.Equal(jobs, want) {
+		t.Errorf("All lists jobs %v, want %v", jobs, want)
 	}
 }
 

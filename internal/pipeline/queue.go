@@ -8,8 +8,9 @@ import (
 
 // Queue is a buffering SampleSink used by the cluster's parallel tick
 // phase. Each machine's agent publishes into its own Queue while all
-// machines tick concurrently; the serial commit phase then drains the
-// queues into the shared Bus in machine-index order.
+// machines tick concurrently; the serial commit phase then drains each
+// queue, in machine-index order, into that machine's Router, which
+// sends every sample on toward the shard bus that owns its key.
 //
 // This is what makes the pipeline order-stable under parallelism: the
 // spec builder folds samples with streaming moments, so the byte-exact

@@ -1,6 +1,6 @@
 // Package timeseries provides the small time-series toolkit CPI² needs:
 // append-only timestamped series with bounded retention, window
-// extraction, pairwise time-alignment, and fixed-period resampling.
+// extraction, and time-alignment by sampling-period bucket.
 //
 // CPI² works on coarse, regular data — one CPI sample per task per
 // minute — but samples can be missing (sampler skipped, task just
@@ -8,7 +8,9 @@
 // victim's CPI samples with a suspect's CPU-usage samples by timestamp
 // rather than by index. Alignment here is exact-match on timestamp
 // after bucketing to the sampling period, which mirrors the paper's
-// "time-aligned pair of samples" (§4.2).
+// "time-aligned pair of samples" (§4.2): the victim's window is
+// bucketed once (Bucket) and each suspect is read onto those buckets
+// (Buckets.Read).
 package timeseries
 
 import (
@@ -141,69 +143,66 @@ func (s *Series) CountSince(from, to time.Time, pred func(float64) bool) int {
 	return n
 }
 
-// Align buckets both series to period and returns the values at
-// timestamps present in both, in time order. Bucketing uses
+// Buckets is one window of a series bucketed to a sampling period:
+// the series' first point in each period bucket, in time order. CPI²
+// pairs a victim's CPI with each suspect's usage over "time-aligned
+// pairs of samples" (§4.2): the victim's window is bucketed once, and
+// Read puts every suspect onto the same buckets.
+type Buckets struct {
+	from, to time.Time
+	period   time.Duration
+	keys     []int64 // bucket starts in UnixNano, strictly increasing
+	// Values holds the bucketed series' first value in each bucket.
+	Values []float64
+}
+
+// Bucket returns s's points with from ≤ t < to grouped by
 // Time.Truncate(period), so samples taken a few seconds apart within
-// the same sampling minute align. Timestamps present in only one
-// series are dropped — CPI² correlates only time-aligned pairs — and
-// where a series has several points in one bucket, its first is used.
-func Align(a, b *Series, period time.Duration) (av, bv []float64) {
-	return alignPoints(nil, nil, a.points, b.points, period)
-}
-
-// AppendAligned is Align restricted to the points of a and b with
-// from ≤ t < to: it appends the aligned pairs to av and bv and returns
-// the extended slices. It reads both windows in place, so a caller
-// that passes the same buffers back for many series aligns without
-// allocating once they are large enough.
-func AppendAligned(av, bv []float64, a, b *Series, from, to time.Time,
-	period time.Duration) ([]float64, []float64) {
-
-	return alignPoints(av, bv, a.span(from, to), b.span(from, to), period)
-}
-
-// alignPoints merges two time-ordered point slices by period bucket,
-// appending the first value of each bucket present on both sides.
-// Truncate is monotone in t, so each side's bucket keys never decrease
-// and one forward pass over each finds every shared bucket in order.
-func alignPoints(av, bv []float64, a, b []Point, period time.Duration) ([]float64, []float64) {
+// the same sampling minute share a bucket; where several points fall
+// in one bucket, the first is kept. A period ≤ 0 buckets by the
+// nanosecond.
+func (s *Series) Bucket(from, to time.Time, period time.Duration) Buckets {
 	if period <= 0 {
 		period = time.Nanosecond
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return av, bv
+	pts := s.span(from, to)
+	b := Buckets{from: from, to: to, period: period,
+		keys: make([]int64, 0, len(pts)), Values: make([]float64, 0, len(pts))}
+	for _, p := range pts {
+		k := bucketKey(p, period)
+		if n := len(b.keys); n > 0 && b.keys[n-1] == k {
+			continue
+		}
+		b.keys = append(b.keys, k)
+		b.Values = append(b.Values, p.Value)
 	}
-	bucket := func(p Point) int64 { return p.Time.Truncate(period).UnixNano() }
-	i, j := 0, 0
-	ka, kb := bucket(a[0]), bucket(b[0])
-	for {
-		switch {
-		case ka < kb:
-			if i++; i == len(a) {
-				return av, bv
-			}
-			ka = bucket(a[i])
-		case ka > kb:
-			if j++; j == len(b) {
-				return av, bv
-			}
-			kb = bucket(b[j])
-		default:
-			av = append(av, a[i].Value)
-			bv = append(bv, b[j].Value)
-			k := ka
-			for ka == k { // skip the rest of this bucket on both sides
-				if i++; i == len(a) {
-					return av, bv
-				}
-				ka = bucket(a[i])
-			}
-			for kb == k {
-				if j++; j == len(b) {
-					return av, bv
-				}
-				kb = bucket(b[j])
-			}
+	return b
+}
+
+// Len returns the number of buckets.
+func (b Buckets) Len() int { return len(b.keys) }
+
+// Read sets dst[i] to s's first value in bucket i of b's window, or to
+// 0 where s has no point there, and returns dst, which must have length
+// b.Len(). It reads s's window in place: bucket keys never decrease
+// along either side, so one forward pass over both finds every match.
+func (b Buckets) Read(dst []float64, s *Series) []float64 {
+	clear(dst)
+	i := 0
+	for _, p := range s.span(b.from, b.to) {
+		k := bucketKey(p, b.period)
+		for i < len(b.keys) && b.keys[i] < k {
+			i++
+		}
+		if i == len(b.keys) {
+			break
+		}
+		if b.keys[i] == k {
+			dst[i] = p.Value
+			i++ // later points in this bucket are not its first
 		}
 	}
+	return dst
 }
+
+func bucketKey(p Point, period time.Duration) int64 { return p.Time.Truncate(period).UnixNano() }

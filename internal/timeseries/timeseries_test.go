@@ -125,6 +125,13 @@ func TestCountSince(t *testing.T) {
 	}
 }
 
+// align buckets all of a at period and reads all of b onto its
+// buckets.
+func align(a, b *Series, period time.Duration) (av, bv []float64) {
+	ab := a.Bucket(t0.Add(-time.Hour), t0.Add(time.Hour), period)
+	return ab.Values, ab.Read(make([]float64, ab.Len()), b)
+}
+
 func TestAlignExactAndBucketed(t *testing.T) {
 	a, b := New(), New()
 	// a sampled at :00 each minute, b at :07 each minute — same bucket.
@@ -132,7 +139,7 @@ func TestAlignExactAndBucketed(t *testing.T) {
 		_ = a.Append(at(i*60), float64(i))
 		_ = b.Append(at(i*60+7), float64(i*10))
 	}
-	av, bv := Align(a, b, time.Minute)
+	av, bv := align(a, b, time.Minute)
 	if len(av) != 5 || len(bv) != 5 {
 		t.Fatalf("aligned %d/%d, want 5/5", len(av), len(bv))
 	}
@@ -148,46 +155,53 @@ func TestAlignMissingSamples(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		_ = a.Append(at(i*60), float64(i))
 	}
-	// b is missing minutes 1 and 3.
+	// b is missing minutes 1 and 3: those buckets read 0.
 	for _, i := range []int{0, 2, 4, 5} {
 		_ = b.Append(at(i*60), float64(100+i))
 	}
-	av, bv := Align(a, b, time.Minute)
-	if len(av) != 4 {
-		t.Fatalf("aligned %d, want 4", len(av))
+	av, bv := align(a, b, time.Minute)
+	if !sameBits(av, []float64{0, 1, 2, 3, 4, 5}) || !sameBits(bv, []float64{100, 0, 102, 0, 104, 105}) {
+		t.Errorf("aligned %v, %v", av, bv)
 	}
-	if av[1] != 2 || bv[1] != 102 {
-		t.Errorf("pair 1 = (%v, %v)", av[1], bv[1])
+	// Minutes b has and a lacks are not buckets at all.
+	av, bv = align(b, a, time.Minute)
+	if !sameBits(av, []float64{100, 102, 104, 105}) || !sameBits(bv, []float64{0, 2, 4, 5}) {
+		t.Errorf("reversed: aligned %v, %v", av, bv)
 	}
 }
 
 func TestAlignEmpty(t *testing.T) {
-	av, bv := Align(New(), New(), time.Minute)
-	if len(av) != 0 || len(bv) != 0 {
+	one := New()
+	_ = one.Append(at(0), 1)
+	if av, bv := align(New(), New(), time.Minute); len(av) != 0 || len(bv) != 0 {
 		t.Error("empty align should be empty")
 	}
-	// Degenerate period falls back without panicking.
-	a := New()
-	_ = a.Append(at(0), 1)
+	if av, bv := align(New(), one, time.Minute); len(av) != 0 || len(bv) != 0 {
+		t.Error("an empty victim has no buckets")
+	}
+	if av, bv := align(one, New(), time.Minute); !sameBits(av, []float64{1}) || !sameBits(bv, []float64{0}) {
+		t.Errorf("empty suspect = %v, %v; want it to read 0", av, bv)
+	}
+	// A degenerate period buckets by the nanosecond without panicking.
 	b := New()
 	_ = b.Append(at(0), 2)
-	av, bv = Align(a, b, 0)
-	if len(av) != 1 || bv[0] != 2 {
-		t.Errorf("zero-period align = %v,%v", av, bv)
+	for _, period := range []time.Duration{0, -time.Minute} {
+		if av, bv := align(one, b, period); !sameBits(av, []float64{1}) || !sameBits(bv, []float64{2}) {
+			t.Errorf("period %v align = %v,%v", period, av, bv)
+		}
 	}
 }
 
 func TestAlignSameBucketKeepsFirstOnBothSides(t *testing.T) {
 	// Two samples per series land in the same minute bucket. Both sides
-	// must keep the FIRST observation: the b side used to keep the last
-	// (later map writes overwrote), silently pairing first-victim with
-	// last-suspect values.
+	// must keep the FIRST observation, so first-victim is never paired
+	// with last-suspect values.
 	a, b := New(), New()
 	_ = a.Append(at(5), 1)   // minute 0, first
 	_ = a.Append(at(40), 2)  // minute 0, second — dropped
 	_ = b.Append(at(10), 10) // minute 0, first
-	_ = b.Append(at(50), 20) // minute 0, second — previously won
-	av, bv := Align(a, b, time.Minute)
+	_ = b.Append(at(50), 20) // minute 0, second — dropped
+	av, bv := align(a, b, time.Minute)
 	if len(av) != 1 || len(bv) != 1 {
 		t.Fatalf("aligned %d/%d, want 1/1", len(av), len(bv))
 	}
@@ -197,7 +211,9 @@ func TestAlignSameBucketKeepsFirstOnBothSides(t *testing.T) {
 }
 
 func TestAlignProperty(t *testing.T) {
-	// Property: aligned outputs always have equal length ≤ min(lenA, lenB).
+	// Property: one value per victim bucket on both sides, at most one
+	// bucket per victim point, and no more nonzero suspect values than
+	// the suspect has points (every point here is nonzero).
 	f := func(offsetsA, offsetsB []uint8) bool {
 		a, b := New(), New()
 		tA, tB := 0, 0
@@ -209,26 +225,33 @@ func TestAlignProperty(t *testing.T) {
 			tB += int(o) + 1
 			_ = b.Append(at(tB), float64(tB))
 		}
-		av, bv := Align(a, b, time.Minute)
-		if len(av) != len(bv) {
+		av, bv := align(a, b, time.Minute)
+		if len(av) != len(bv) || len(av) > a.Len() {
 			return false
 		}
-		return len(av) <= a.Len() && len(av) <= b.Len()
+		read := 0
+		for _, v := range bv {
+			if v != 0 {
+				read++
+			}
+		}
+		return read <= b.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// alignReference is the map-based Align the merge replaced, kept as
-// the oracle: first observation per bucket on both sides, pairs in a's
-// time order.
-func alignReference(a, b *Series, period time.Duration) (av, bv []float64) {
+// alignReference is the map-based rule Bucket and Read replace, kept
+// as the oracle: over from ≤ t < to, the first observation per bucket
+// on both sides, one pair per bucket of a in a's time order, and 0
+// where b has no point in the bucket.
+func alignReference(a, b *Series, from, to time.Time, period time.Duration) (av, bv []float64) {
 	if period <= 0 {
 		period = time.Nanosecond
 	}
 	bBuckets := make(map[int64]float64, len(b.points))
-	for _, p := range b.points {
+	for _, p := range b.Window(from, to) {
 		key := p.Time.Truncate(period).UnixNano()
 		if _, ok := bBuckets[key]; ok {
 			continue
@@ -236,16 +259,14 @@ func alignReference(a, b *Series, period time.Duration) (av, bv []float64) {
 		bBuckets[key] = p.Value
 	}
 	seen := make(map[int64]bool, len(a.points))
-	for _, p := range a.points {
+	for _, p := range a.Window(from, to) {
 		key := p.Time.Truncate(period).UnixNano()
 		if seen[key] {
 			continue
 		}
-		if bVal, ok := bBuckets[key]; ok {
-			seen[key] = true
-			av = append(av, p.Value)
-			bv = append(bv, bVal)
-		}
+		seen[key] = true
+		av = append(av, p.Value)
+		bv = append(bv, bBuckets[key])
 	}
 	return av, bv
 }
@@ -263,13 +284,12 @@ func sameBits(x, y []float64) bool {
 	return true
 }
 
-// TestAlignMatchesReference requires Align and AppendAligned to equal
+// TestAlignMatchesReference requires Bucket and Read to equal
 // alignReference exactly on seeded series at periods of 1 ns, 1 s and
 // 1 min. Steps between points run from 1 ns to two periods, so buckets
 // holding several points on either side, buckets on one side only and
-// empty series all occur; AppendAligned's window starts and ends
-// inside, before and after the points, and it must append behind what
-// its buffers already hold.
+// empty series all occur; the window starts and ends inside, before and
+// after the points, and Read must overwrite whatever dst held.
 func TestAlignMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randomSeries := func(period time.Duration) *Series {
@@ -283,32 +303,21 @@ func TestAlignMatchesReference(t *testing.T) {
 		}
 		return s
 	}
-	within := func(s *Series, from, to time.Time) *Series {
-		w := New()
-		for i := 0; i < s.Len(); i++ {
-			if p := s.At(i); !p.Time.Before(from) && p.Time.Before(to) {
-				_ = w.Append(p.Time, p.Value)
-			}
-		}
-		return w
-	}
 	for _, period := range []time.Duration{time.Nanosecond, time.Second, time.Minute} {
 		for trial := 0; trial < 2000; trial++ {
 			a, b := randomSeries(period), randomSeries(period)
-			wantA, wantB := alignReference(a, b, period)
-			gotA, gotB := Align(a, b, period)
-			if !sameBits(gotA, wantA) || !sameBits(gotB, wantB) {
-				t.Fatalf("period %v trial %d: Align = %v, %v; reference %v, %v", period, trial, gotA, gotB, wantA, wantB)
-			}
-
 			from := t0.Add(time.Duration(rng.Int63n(int64(20 * period))))
 			to := from.Add(time.Duration(rng.Int63n(int64(20 * period))))
-			wantA, wantB = alignReference(within(a, from, to), within(b, from, to), period)
-			prefix := []float64{-1}
-			gotA, gotB = AppendAligned(prefix[:1:1], prefix[:1:1], a, b, from, to, period)
-			if !sameBits(gotA[1:], wantA) || !sameBits(gotB[1:], wantB) || gotA[0] != -1 || gotB[0] != -1 {
-				t.Fatalf("period %v trial %d [%v, %v): AppendAligned = %v, %v; reference %v, %v",
-					period, trial, from, to, gotA, gotB, wantA, wantB)
+			wantA, wantB := alignReference(a, b, from, to, period)
+			ab := a.Bucket(from, to, period)
+			dst := make([]float64, ab.Len())
+			for i := range dst {
+				dst[i] = math.NaN()
+			}
+			gotB := ab.Read(dst, b)
+			if ab.Len() != len(ab.Values) || !sameBits(ab.Values, wantA) || !sameBits(gotB, wantB) {
+				t.Fatalf("period %v trial %d [%v, %v): aligned %v, %v; reference %v, %v",
+					period, trial, from, to, ab.Values, gotB, wantA, wantB)
 			}
 		}
 	}
