@@ -3,9 +3,10 @@
 // loop against a machine, ships CPI samples to a cpi2aggregator over
 // TCP, receives spec pushes for the jobs it runs, and exposes the §5
 // operator interface on its admin HTTP server (drive it with cpi2ctl).
-// Samples leave through one pipeline chain: a Router over the shard
-// ring, then per shard a Spooler over a Redialer, the agent end of the
-// TCP wire, which dials, says hello, replays subscriptions, reads spec
+// Samples leave through pipeline.NewEgress, the constructor the
+// cluster simulator's machines use too: a Router over the shard ring,
+// then per shard a Spooler over a Redialer, the agent end of the TCP
+// wire, which dials, says hello, replays subscriptions, reads spec
 // pushes and re-dials.
 //
 // Real hardware counters are unavailable here, so the machine is the
@@ -179,63 +180,45 @@ func main() {
 	// One span ring for the whole daemon: sample/detect/decision spans
 	// from the agent, spec_recv from pushes, spool from replays.
 	tr := trace.NewStore(0)
-	var spoolers []*pipeline.Spooler
-	var redialers []*pipeline.Redialer
-
+	var egress *pipeline.Egress[*pipeline.Redialer]
 	if *aggregator != "" {
 		endpoints, err := parseAggregators(*aggregator)
 		if err != nil {
 			log.Fatalf("cpi2agent: -aggregator: %v", err)
 		}
-		pm := pipeline.NewMetrics(reg)
-		// One redialer+spool chain per aggregator: the redialer survives
-		// restarts (re-dials with backoff, replays the subscriptions that
-		// register makes below), and the spool buffers sample batches
-		// (bounded, drop-oldest) while that aggregator is down, replaying
-		// in order on reconnect.
-		newChain := func(ep endpoint) *pipeline.Spooler {
-			rd := pipeline.NewRedialer(ep.addr, func(s model.Spec) {
-				a.DeliverSpec(s)
-				log.Printf("spec push: %s CPI %.3f ± %.3f", s.Key(), s.CPIMean, s.CPIStddev)
-			})
-			rd.SetMetrics(pm)
-			rd.SetEvents(events)
-			sp := pipeline.NewSpooler(rd, pipeline.SpoolConfig{
-				MaxBatches: *spoolBatches,
-				MaxBytes:   *spoolBytes,
-			})
-			sp.SetMetrics(pm)
-			sp.SetTrace(tr)
-			sp.Start()
-			rd.SetOnConnect(sp.Kick)
-			redialers = append(redialers, rd)
-			spoolers = append(spoolers, sp)
-			return sp
-		}
-		// Hash each batch over the ring of shard names (the same ring the
-		// aggregators run) so every sample reaches exactly the shard
-		// owning its job×platform key. A dead shard spools its own keys
-		// only; the rest keep flowing.
 		members := make([]string, len(endpoints))
-		sinks := make(map[string]pipeline.SampleSink, len(endpoints))
+		addrs := make(map[string]string, len(endpoints))
 		for i, ep := range endpoints {
-			members[i] = ep.name
-			sinks[ep.name] = newChain(ep)
+			members[i], addrs[ep.name] = ep.name, ep.addr
 		}
-		router, err := pipeline.NewRouter(pipeline.NewRing(members, 0), sinks)
+		ring := pipeline.NewRing(members, 0)
+		pm := pipeline.NewMetrics(reg)
+		// Each batch is hashed over the ring of shard names (the same ring
+		// the aggregators run), so every sample reaches exactly the shard
+		// owning its job×platform key, through that shard's spool and
+		// redialer. The redialer survives restarts (re-dials with backoff,
+		// replays the subscriptions that register makes below, kicks the
+		// spool on connect); the spool buffers batches (bounded,
+		// drop-oldest) while its shard is down. A dead shard spools its
+		// own keys only; the rest keep flowing.
+		egress, err = pipeline.NewEgress(ring, pipeline.SpoolConfig{MaxBatches: *spoolBatches, MaxBytes: *spoolBytes},
+			pm, tr, func(member string, kick func()) *pipeline.Redialer {
+				rd := pipeline.NewRedialer(addrs[member], func(s model.Spec) {
+					a.DeliverSpec(s)
+					log.Printf("spec push: %s CPI %.3f ± %.3f", s.Key(), s.CPIMean, s.CPIStddev)
+				})
+				rd.SetMetrics(pm)
+				rd.SetEvents(events)
+				rd.SetOnConnect(kick)
+				return rd
+			})
 		if err != nil {
 			log.Fatalf("cpi2agent: -aggregator: %v", err)
 		}
-		sink = router
-		log.Printf("cpi2agent: spec tier: ring of %d (%s)", len(members), strings.Join(members, ", "))
-		defer func() {
-			for _, sp := range spoolers {
-				sp.Close()
-			}
-			for _, rd := range redialers {
-				rd.Close()
-			}
-		}()
+		egress.Start()
+		defer egress.Close()
+		sink = egress
+		log.Printf("cpi2agent: spec tier: ring of %d (%s)", ring.Size(), strings.Join(ring.Members(), ", "))
 	}
 	a = agent.New(m, params, sink)
 	a.Instrument(reg, events)
@@ -252,7 +235,10 @@ func main() {
 	// drops a key it already holds, so this is one frame per job.
 	register := func(id model.TaskID, job model.Job) {
 		a.RegisterTask(id, job)
-		for _, rd := range redialers {
+		if egress == nil {
+			return
+		}
+		for _, rd := range egress.Links() {
 			if err := rd.Subscribe(model.SpecKey{Job: id.Job, Platform: hw.Platform}); err != nil {
 				log.Printf("cpi2agent: subscribe %s: %v", id.Job, err)
 			}
@@ -385,8 +371,8 @@ func main() {
 		// spool spans with the spool-induced delay, because only the
 		// tick loop knows simulated time (sample timestamps are
 		// simulated too, so mixing in wall time would be nonsense).
-		for _, sp := range spoolers {
-			_, _ = sp.TryDrainAt(now)
+		if egress != nil {
+			egress.DrainAt(now)
 		}
 		for _, inc := range incidents {
 			top := ""

@@ -29,12 +29,15 @@
 // Agents pass the same ring via their -aggregator list and route each
 // batch to the owning shard. A flagless aggregator is the ring of one,
 // shard-0, which owns every key — what a bare -aggregator host:port
-// agent expects.
+// agent expects. The shard (spec builder, bus, ownership filter) is
+// built by pipeline.NewShardBus, as the cluster simulator's shards
+// are, and the TCP Server sits on the bus it returns.
 //
 // -checkpoint makes the aggregator durable across restarts: the full
 // builder state (age-weighted spec history, pending samples, current
 // specs) is snapshotted atomically to the given path after every
-// recompute and on shutdown, and restored on start if the file exists.
+// recompute and on shutdown (once the server has closed every
+// connection), and restored on start if the file exists.
 // A restarted aggregator therefore computes the same specs it would
 // have without the crash, instead of relearning from scratch.
 package main
@@ -42,20 +45,17 @@ package main
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"io/fs"
 	"log"
 	"net/url"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/pipeline"
@@ -73,11 +73,11 @@ func main() {
 	ringFlag := flag.String("ring", "", "comma-separated shard names forming the consistent-hash ring (empty: the ring of -shard-id alone)")
 	flag.Parse()
 
-	ring, err := shardRing(*shardID, *ringFlag)
-	if err != nil {
-		log.Fatalf("cpi2aggregator: %v", err)
+	members := []string{*shardID}
+	if *ringFlag != "" {
+		members = strings.Split(*ringFlag, ",")
 	}
-
+	ring := pipeline.NewRing(members, 0)
 	params := core.Params{
 		SpecRecomputeInterval: *recompute,
 		MinTasks:              *minTasks,
@@ -85,8 +85,19 @@ func main() {
 		AgeWeight:             *ageWeight,
 	}
 	reg := obs.NewRegistry()
-	builder := core.NewSpecBuilder(params)
-	builder.SetMetrics(core.NewMetrics(reg))
+	// Ingress defense in depth: agents validate at egress, but a hostile
+	// or buggy agent can still ship garbage — quarantine it here before
+	// it poisons spec statistics. Now stays nil: agents run simulated
+	// clocks at -speed× wall time, so wall-clock timestamp bounds would
+	// misfire; structural and numeric checks still apply.
+	validator := core.NewSampleValidator("aggregator", 256)
+	validator.Metrics = core.NewMetrics(reg)
+	tr := trace.NewStore(0)
+	bus, err := pipeline.NewShardBus(params, *shardID, ring, reg, tr, validator)
+	if err != nil {
+		log.Fatalf("cpi2aggregator: -shard-id %v", err)
+	}
+	builder := bus.Builder()
 	if *checkpoint != "" {
 		cp, err := core.LoadCheckpoint(*checkpoint)
 		switch {
@@ -118,21 +129,6 @@ func main() {
 		lastSave = now
 		stateMu.Unlock()
 	}
-	bus := pipeline.NewBus(builder)
-	bus.SetMetrics(pipeline.NewMetrics(reg))
-	self := *shardID
-	bus.SetShard(self)
-	bus.SetOwner(func(k model.SpecKey) bool { return ring.Owner(k) == self })
-	tr := trace.NewStore(0)
-	bus.SetTrace(tr)
-	// Ingress defense in depth: agents validate at egress, but a hostile
-	// or buggy agent can still ship garbage — quarantine it here before
-	// it poisons spec statistics. Now stays nil: agents run simulated
-	// clocks at -speed× wall time, so wall-clock timestamp bounds would
-	// misfire; structural and numeric checks still apply.
-	validator := core.NewSampleValidator("aggregator", 256)
-	validator.Metrics = core.NewMetrics(reg)
-	bus.SetValidator(validator)
 	// Abnormal connection drops (oversized/garbage frames, mid-read
 	// failures) land here as wire_error events, next to the
 	// cpi2_wire_errors_total counter.
@@ -169,7 +165,7 @@ func main() {
 				counts[ring.Owner(k)]++
 			}
 			out := map[string]any{
-				"shard":          self,
+				"shard":          *shardID,
 				"members":        ring.Members(),
 				"key_count":      len(keys),
 				"keys_by_member": counts,
@@ -216,25 +212,13 @@ func main() {
 			}
 		case <-sig:
 			log.Print("cpi2aggregator: shutting down")
-			save(time.Now().UTC())
+			// Close first: it waits for every connection's read loop, so
+			// the checkpoint holds every batch they folded.
 			if err := srv.Close(); err != nil {
 				log.Printf("close: %v", err)
 			}
+			save(time.Now().UTC())
 			return
 		}
 	}
-}
-
-// shardRing builds the ring this instance is a member of from -shard-id
-// and -ring. An empty ring flag is the ring of shardID alone; names
-// repeated in it collapse.
-func shardRing(shardID, ringFlag string) (*pipeline.Ring, error) {
-	if ringFlag == "" {
-		ringFlag = shardID
-	}
-	ring := pipeline.NewRing(strings.Split(ringFlag, ","), 0)
-	if !slices.Contains(ring.Members(), shardID) {
-		return nil, fmt.Errorf("-shard-id %s is not a member of -ring %s", shardID, ringFlag)
-	}
-	return ring, nil
 }

@@ -7,9 +7,9 @@
 //
 // The agent is transport-agnostic: it publishes to any
 // pipeline.SampleSink. The simulator hands it an in-process pipeline
-// Queue; cmd/cpi2agent hands it a Router → Spooler → Redialer chain,
-// the deployable shape, whose Redialer holds the TCP connection to the
-// aggregator.
+// Queue; cmd/cpi2agent hands it a pipeline.NewEgress (Router →
+// Spooler → Redialer), the deployable shape, whose Redialers hold the
+// TCP connections to the aggregator shards.
 package agent
 
 import (

@@ -284,144 +284,86 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("cluster: fault directive %q is not key=value", part)
 		}
+		// Each case appends or sets what it parsed; a directive that does
+		// not parse fails the whole plan below.
+		var err error
 		switch key {
 		case "blackout":
-			from, dur, ok := strings.Cut(val, "+")
-			if !ok {
-				return nil, fmt.Errorf("cluster: blackout %q is not OFFSET+DURATION", val)
-			}
-			f, err := time.ParseDuration(from)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: blackout offset: %w", err)
-			}
-			d, err := time.ParseDuration(dur)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: blackout duration: %w", err)
-			}
-			p.AggregatorBlackouts = append(p.AggregatorBlackouts, Window{From: f, To: f + d})
+			var w Window
+			w, err = parseWindow(val)
+			p.AggregatorBlackouts = append(p.AggregatorBlackouts, w)
 		case "loss":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: loss: %w", err)
-			}
-			p.SampleLoss = f
+			p.SampleLoss, err = strconv.ParseFloat(val, 64)
 		case "specdelay":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: specdelay: %w", err)
-			}
-			p.SpecPushDelay = d
+			p.SpecPushDelay, err = time.ParseDuration(val)
 		case "crash":
-			mach, at, ok := strings.Cut(val, "@")
-			if !ok || mach == "" {
-				return nil, fmt.Errorf("cluster: crash %q is not MACHINE@OFFSET", val)
-			}
-			d, err := time.ParseDuration(at)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: crash offset: %w", err)
-			}
-			p.Crashes = append(p.Crashes, CrashEvent{At: d, Machine: mach})
+			var ev CrashEvent
+			ev.Machine, ev.At, err = parseAt(val)
+			p.Crashes = append(p.Crashes, ev)
 		case "restart":
-			mach, at, ok := strings.Cut(val, "@")
-			if !ok || mach == "" {
-				return nil, fmt.Errorf("cluster: restart %q is not MACHINE@OFFSET", val)
-			}
-			d, err := time.ParseDuration(at)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: restart offset: %w", err)
-			}
-			p.Restarts = append(p.Restarts, RestartEvent{At: d, Machine: mach})
+			var ev RestartEvent
+			ev.Machine, ev.At, err = parseAt(val)
+			p.Restarts = append(p.Restarts, ev)
 		case "corrupt":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: corrupt: %w", err)
-			}
-			p.CorruptRate = f
+			p.CorruptRate, err = strconv.ParseFloat(val, 64)
 		case "shardblackout":
-			shard, win, ok := strings.Cut(val, "@")
-			if !ok {
-				return nil, fmt.Errorf("cluster: shardblackout %q is not SHARD@OFFSET+DURATION", val)
-			}
-			n, err := strconv.Atoi(shard)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: shardblackout shard: %w", err)
-			}
-			from, dur, ok := strings.Cut(win, "+")
-			if !ok {
-				return nil, fmt.Errorf("cluster: shardblackout window %q is not OFFSET+DURATION", win)
-			}
-			f, err := time.ParseDuration(from)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: shardblackout offset: %w", err)
-			}
-			d, err := time.ParseDuration(dur)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: shardblackout duration: %w", err)
-			}
-			p.ShardBlackouts = append(p.ShardBlackouts, ShardBlackoutEvent{
-				Shard: n, Window: Window{From: f, To: f + d},
-			})
+			shard, win, _ := strings.Cut(val, "@")
+			n, errShard := strconv.Atoi(shard)
+			w, errWin := parseWindow(win)
+			p.ShardBlackouts = append(p.ShardBlackouts, ShardBlackoutEvent{Shard: n, Window: w})
+			err = errors.Join(errShard, errWin)
 		case "reshard":
-			split, at, ok := strings.Cut(val, "@")
-			if !ok {
-				return nil, fmt.Errorf("cluster: reshard %q is not N>M@OFFSET", val)
-			}
+			split, at, errAt := parseAt(val)
 			fromS, toS, ok := strings.Cut(split, ">")
 			if !ok {
-				fromS, toS, ok = strings.Cut(split, "→")
+				fromS, toS, _ = strings.Cut(split, "→")
 			}
-			if !ok {
-				return nil, fmt.Errorf("cluster: reshard %q is not N>M@OFFSET", val)
-			}
-			from, err := strconv.Atoi(fromS)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: reshard from: %w", err)
-			}
-			to, err := strconv.Atoi(toS)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: reshard to: %w", err)
-			}
-			d, err := time.ParseDuration(at)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: reshard offset: %w", err)
-			}
-			p.Reshards = append(p.Reshards, ReshardEvent{At: d, From: from, To: to})
+			from, errFrom := strconv.Atoi(fromS)
+			to, errTo := strconv.Atoi(toS)
+			p.Reshards = append(p.Reshards, ReshardEvent{At: at, From: from, To: to})
+			err = errors.Join(errAt, errFrom, errTo)
 		case "reconnect":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: reconnect: %w", err)
-			}
-			p.ReconnectSpread = d
+			p.ReconnectSpread, err = time.ParseDuration(val)
 		case "skew":
-			mach, off, ok := strings.Cut(val, "@")
-			if !ok || mach == "" {
-				return nil, fmt.Errorf("cluster: skew %q is not MACHINE@OFFSET", val)
-			}
-			d, err := time.ParseDuration(off)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: skew offset: %w", err)
-			}
-			p.Skews = append(p.Skews, SkewEvent{Machine: mach, Offset: d})
+			var ev SkewEvent
+			ev.Machine, ev.Offset, err = parseAt(val)
+			p.Skews = append(p.Skews, ev)
 		case "spool":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: spool: %w", err)
-			}
-			p.SpoolBatches = n
+			p.SpoolBatches, err = strconv.Atoi(val)
 		case "spoolbytes":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: spoolbytes: %w", err)
-			}
-			p.SpoolBytes = n
+			p.SpoolBytes, err = strconv.ParseInt(val, 10, 64)
 		default:
 			return nil, fmt.Errorf("cluster: unknown fault directive %q", key)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %s=%s: %w", key, val, err)
 		}
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// parseAt parses a NAME@OFFSET directive value; NAME is not empty.
+func parseAt(val string) (string, time.Duration, error) {
+	name, at, ok := strings.Cut(val, "@")
+	if !ok || name == "" {
+		return "", 0, errors.New("want NAME@OFFSET")
+	}
+	d, err := time.ParseDuration(at)
+	return name, d, err
+}
+
+// parseWindow parses an OFFSET+DURATION directive value.
+func parseWindow(val string) (Window, error) {
+	from, dur, ok := strings.Cut(val, "+")
+	if !ok {
+		return Window{}, errors.New("want OFFSET+DURATION")
+	}
+	f, errFrom := time.ParseDuration(from)
+	d, errDur := time.ParseDuration(dur)
+	return Window{From: f, To: f + d}, errors.Join(errFrom, errDur)
 }
 
 // FaultStats are the observable consequences of a FaultPlan.
@@ -485,8 +427,6 @@ type chaosLink struct {
 	c       *Cluster
 	machine int
 	shard   int
-	// spool buffers what the link refuses; the commit phase drains it.
-	spool *pipeline.Spooler
 	// reconnectUntil is the link's full-jitter reconnect deadline after
 	// its shard's outage lifts: until then it refuses traffic (spooling
 	// it), so a fleet does not thunder back into a freshly recovered
@@ -690,9 +630,10 @@ func (c *Cluster) syncShardDown(now time.Time, offset time.Duration) {
 			if spread <= 0 {
 				spread = 5 * time.Second
 			}
+			link := slices.Index(c.ring.Members(), shardName(s))
 			for i, n := range c.nodes {
 				d := pipeline.FullJitterBackoff(0, spread, spread, c.faultRNG(i).Float64())
-				n.links[s].reconnectUntil = now.Add(d)
+				n.egress.Links()[link].reconnectUntil = now.Add(d)
 			}
 		}
 	}
@@ -767,12 +708,10 @@ func (c *Cluster) faultRNG(i int) *rand.Rand {
 func (c *Cluster) FaultStats() FaultStats {
 	st := c.fstats
 	for _, n := range c.nodes {
-		for _, l := range n.links {
-			s := l.spool.Stats()
-			st.SpoolDropped += s.Dropped
-			st.SpoolReplayed += s.Replayed
-			st.SpooledBatches += int64(s.Batches)
-		}
+		s := n.egress.Stats()
+		st.SpoolDropped += s.Dropped
+		st.SpoolReplayed += s.Replayed
+		st.SpooledBatches += int64(s.Batches)
 	}
 	st.Quarantined = c.validator.Quarantine.Total()
 	return st

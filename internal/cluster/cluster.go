@@ -176,15 +176,15 @@ type Cluster struct {
 	pending   []bool
 	committed int
 
-	// The spec tier: each node's links forward through a chaosLink to
-	// buses[s], shard s's aggregator (bus + spec builder). ring has one
-	// member per shard, named shardName(s); shards is the LIVE shard
-	// count — a reshard event swaps the ring, routers and links mid-run.
+	// The spec tier: each node's egress forwards through a chaosLink
+	// to buses[s], shard s's aggregator (bus + spec builder). ring has
+	// one member per shard, named shardName(s), so its size is the LIVE
+	// shard count — a reshard event swaps the ring on every surviving bus
+	// and every node's egress mid-run.
 	// validator is shared across every bus so quarantine accounting
 	// stays fleet-wide. pipeCarryRecv/Drop carry the Stats of buses
 	// retired by a shrink reshard.
 	buses         []*pipeline.Bus
-	shards        int
 	ring          *pipeline.Ring
 	validator     *core.SampleValidator
 	pipeCarryRecv int64
@@ -238,14 +238,13 @@ type node struct {
 	a *agent.Agent
 
 	// The sample path: the agent publishes into queue during the
-	// parallel phase; the commit phase drains that into router, which
-	// partitions by ring owner into links, one per live shard, each a
-	// spool in front of a chaosLink. Draining in node order keeps
-	// sample arrival order — and hence the byte-exact specs —
-	// independent of the worker count.
+	// parallel phase; the commit phase drains that into egress, which
+	// partitions by ring owner into one spool per live shard, each in
+	// front of a chaosLink. Draining in node order keeps sample arrival
+	// order — and hence the byte-exact specs — independent of the
+	// worker count.
 	queue  *pipeline.Queue
-	router *pipeline.Router
-	links  []*chaosLink
+	egress *pipeline.Egress[*chaosLink]
 
 	// exited and incidents are the parallel phase's output, applied by
 	// the commit phase; their buffers are reused tick to tick. Either
@@ -291,8 +290,6 @@ func New(cfg Config) *Cluster {
 		store: forensics.NewStore(),
 		jobs:  make(map[model.JobName]*JobDef),
 		now:   cfg.Start,
-
-		shards: cfg.Shards,
 
 		pairCounts: make(map[[2]model.JobName]int),
 		capCounts:  make(map[model.TaskID]int),
@@ -371,7 +368,6 @@ func New(cfg Config) *Cluster {
 			panic(err) // unique generated names: cannot happen
 		}
 	}
-	c.growBuses(cfg.Shards)
 	c.wireSamplePath(cfg.Shards)
 	for _, sk := range cfg.Faults.Skews {
 		if n := c.node(sk.Machine); n != nil {
@@ -422,7 +418,7 @@ func (c *Cluster) Bus() *pipeline.Bus { return c.buses[0] }
 
 // NumShards returns the live spec-tier shard count (reshard events
 // change it mid-run).
-func (c *Cluster) NumShards() int { return c.shards }
+func (c *Cluster) NumShards() int { return c.ring.Size() }
 
 // ShardBus returns shard s's pipeline (nil if out of range).
 func (c *Cluster) ShardBus(s int) *pipeline.Bus {
@@ -719,10 +715,8 @@ func (c *Cluster) Step() {
 		// behind it — arrival order at each shard bus stays publish
 		// order. TryDrainAt (not TryDrain) so replayed batches get
 		// spool spans recording how long the outage delayed them.
-		for _, l := range n.links {
-			_, _ = l.spool.TryDrainAt(now)
-		}
-		_ = n.queue.DrainTo(n.router)
+		n.egress.DrainAt(now)
+		_ = n.queue.DrainTo(n.egress)
 		// Hostile-writer injection: with probability CorruptRate a
 		// garbage batch arrives at the bus claiming to be from this
 		// machine. It bypasses the spool (a hostile writer doesn't
@@ -815,17 +809,9 @@ func (c *Cluster) tickMachine(i int, now time.Time, dt time.Duration) {
 // every node does, because its fault stream is drawn on every Step.
 // Called at the end of the node's parallel-phase tick.
 func (c *Cluster) needsCommit(n *node) bool {
-	if len(n.exited) > 0 || len(n.incidents) > 0 || c.cfg.Faults.CorruptRate > 0 ||
+	return len(n.exited) > 0 || len(n.incidents) > 0 || c.cfg.Faults.CorruptRate > 0 ||
 		n.queue.Len() > 0 || n.events.Len() > 0 ||
-		(n.metricsWritten != nil && n.metricsWritten()) {
-		return true
-	}
-	for _, l := range n.links {
-		if l.spool.Len() > 0 {
-			return true
-		}
-	}
-	return false
+		(n.metricsWritten != nil && n.metricsWritten()) || n.egress.Len() > 0
 }
 
 // Close releases the cluster's worker pool. Optional — an abandoned

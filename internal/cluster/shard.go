@@ -36,9 +36,12 @@ func shardName(s int) string { return shardPrefix + strconv.Itoa(s) }
 // members as strings ("shard-10" before "shard-2"), so a member's
 // position in Ring().Members() is not its shard number; everything in
 // the sim goes from key to shard through the member NAME, here.
-func (c *Cluster) ShardOf(key model.SpecKey) int {
-	// Members are shardName(s) by construction, so this cannot fail.
-	s, _ := strconv.Atoi(strings.TrimPrefix(c.ring.Owner(key), shardPrefix))
+func (c *Cluster) ShardOf(key model.SpecKey) int { return shardNumber(c.ring.Owner(key)) }
+
+// shardNumber is the s of the member named shardName(s). Members are
+// shard names by construction, so this cannot fail.
+func shardNumber(member string) int {
+	s, _ := strconv.Atoi(strings.TrimPrefix(member, shardPrefix))
 	return s
 }
 
@@ -51,24 +54,41 @@ func shardMembers(n int) []string {
 	return out
 }
 
-// growBuses adds shard aggregators (bus + builder named shardName(s),
-// with the cluster's trace/metrics/validator wiring, watched by every
-// agent) until there are n. A shard joining a running tier adopts the
-// recompute cadence of shard 0, so every shard keeps recomputing on
-// the same ticks — the spec-equivalence guarantee depends on a shared
-// recompute schedule; adoption goes through an empty handoff frame,
-// exercising the same ImportCheckpoint path a real shard bootstrap
-// uses.
-func (c *Cluster) growBuses(n int) {
-	for len(c.buses) < n {
-		bus := pipeline.NewBus(core.NewSpecBuilder(c.cfg.Params))
-		bus.SetShard(shardName(len(c.buses)))
-		bus.SetTrace(c.aggTrace)
-		if c.cfg.Registry != nil {
-			bus.SetMetrics(pipeline.NewMetrics(c.cfg.Registry))
-			bus.Builder().SetMetrics(core.NewMetrics(c.cfg.Registry))
+// wireSamplePath puts the spec tier on the ring of n shards, the way
+// the daemons build it: the shards already running are given the new
+// ring, shards are added with pipeline.NewShardBus (watched by every
+// agent) until there are n, and every node gets a new
+// pipeline.NewEgress over the ring — router, per-shard spool, chaos
+// link to the shard's bus. New and applyReshard both call it, so a
+// resharded fleet is wired exactly as one that started with n shards.
+//
+// A shard joining a running tier adopts the recompute cadence of shard
+// 0, so every shard keeps recomputing on the same ticks — the
+// spec-equivalence guarantee depends on a shared recompute schedule;
+// adoption goes through an empty handoff frame, exercising the same
+// ImportCheckpoint path a real shard bootstrap uses.
+//
+// The spools are drained passively from the commit phase (never
+// Started), so the whole chain stays deterministic; spool-replay spans
+// land in the owning machine's store. No registry instrumentation on
+// the spools: FaultStats aggregates them instead.
+func (c *Cluster) wireSamplePath(n int) {
+	c.ring = pipeline.NewRing(shardMembers(n), pipeline.DefaultVnodes)
+	// Surviving shards keep their blackout state; new ones start up.
+	down := make([]bool, n)
+	copy(down, c.shardDown)
+	c.shardDown = down
+	for _, bus := range c.buses[:min(len(c.buses), n)] {
+		if err := bus.SetRing(c.ring); err != nil {
+			panic(err) // shards 0..n-1 are the ring's members: cannot happen
 		}
-		bus.SetValidator(c.validator)
+	}
+	for len(c.buses) < n {
+		bus, err := pipeline.NewShardBus(c.cfg.Params, shardName(len(c.buses)), c.ring,
+			c.cfg.Registry, c.aggTrace, c.validator)
+		if err != nil {
+			panic(err) // as above
+		}
 		if len(c.buses) > 0 {
 			if last := c.buses[0].Builder().LastRecompute(); !last.IsZero() {
 				cp := core.Checkpoint{Version: core.CheckpointVersion, LastRecompute: last}
@@ -82,44 +102,16 @@ func (c *Cluster) growBuses(n int) {
 		}
 		c.buses = append(c.buses, bus)
 	}
-}
-
-// wireSamplePath builds the ring over n shards and, for every node,
-// the router → per-shard spool → chaos link → shard bus chain behind
-// its queue. New and applyReshard both call it, so a resharded fleet is
-// wired exactly as one that started with n shards. The spools are
-// drained passively from the commit phase (never Started), so the whole
-// chain stays deterministic; spool-replay spans land in the owning
-// machine's store. No registry instrumentation on the spools: many
-// spools sharing one gauge would fight over Set; FaultStats aggregates
-// instead.
-func (c *Cluster) wireSamplePath(n int) {
-	c.shards = n
-	members := shardMembers(n)
-	c.ring = pipeline.NewRing(members, pipeline.DefaultVnodes)
-	// Surviving shards keep their blackout state; new ones start up.
-	down := make([]bool, n)
-	copy(down, c.shardDown)
-	c.shardDown = down
+	spool := pipeline.SpoolConfig{MaxBatches: c.cfg.Faults.SpoolBatches, MaxBytes: c.cfg.Faults.SpoolBytes}
 	for i, nd := range c.nodes {
 		// Links are new, and so are their reconnect windows.
-		nd.links = make([]*chaosLink, n)
-		sinks := make(map[string]pipeline.SampleSink, n)
-		for s := range nd.links {
-			l := &chaosLink{c: c, machine: i, shard: s}
-			l.spool = pipeline.NewSpooler(l, pipeline.SpoolConfig{
-				MaxBatches: c.cfg.Faults.SpoolBatches,
-				MaxBytes:   c.cfg.Faults.SpoolBytes,
-			})
-			l.spool.SetTrace(nd.trace)
-			nd.links[s] = l
-			sinks[members[s]] = l.spool
-		}
-		router, err := pipeline.NewRouter(c.ring, sinks)
+		eg, err := pipeline.NewEgress(c.ring, spool, nil, nd.trace, func(member string, _ func()) *chaosLink {
+			return &chaosLink{c: c, machine: i, shard: shardNumber(member)}
+		})
 		if err != nil {
-			panic(err) // one sink per member by construction: cannot happen
+			panic(err) // a non-empty ring: cannot happen
 		}
-		nd.router = router
+		nd.egress = eg
 	}
 }
 
@@ -132,33 +124,34 @@ func sortSpecsByKey(specs []model.Spec) {
 // applyReshard executes one live reshard event (the live shard count →
 // newShards) in the serial commit phase:
 //
-//  1. New shards (grow) get fresh buses (see growBuses).
-//  2. The sample path is rewired over the new ring, and ONLY moved
-//     keys' builder state is handed off, shard-by-shard in index order,
-//     via ExportKeys → ImportCheckpoint (the checkpoint machinery). An
-//     import error is a bug (split-brain ownership) and panics.
+//  1. The tier moves onto the new ring (see wireSamplePath): surviving
+//     shards check ownership against it, new shards (grow) get fresh
+//     buses, and every machine a new egress.
+//  2. ONLY moved keys' builder state is handed off, shard-by-shard in
+//     index order, via ExportKeys → ImportCheckpoint (the checkpoint
+//     machinery). An import error is a bug (split-brain ownership) and
+//     panics.
 //  3. Retiring shards (shrink) hand off everything; their pipeline
 //     stats carry over so fleet totals never go backwards.
 //  4. Spooled-but-undelivered batches are lifted out of the old spools
-//     and re-routed through the new routers in machine-index order,
+//     and re-routed through the new egresses in machine-index order,
 //     preserving per-key arrival order (the only order specs depend
 //     on). They count as neither replayed nor dropped; a batch whose
 //     new shard is down simply spools there.
 func (c *Cluster) applyReshard(newShards int) {
-	oldShards := c.shards
+	oldShards := c.ring.Size()
 	nowT := c.now
 
-	// Phase 1: grow the bus set.
-	c.growBuses(newShards)
-
-	// Phase 2: swap in the new ring's sample path and hand off moved
-	// keys. Old shards are visited in index order and Keys() is sorted,
-	// so the handoff sequence is deterministic.
-	oldLinks := make([][]*chaosLink, len(c.nodes))
+	// Phase 1: the new ring, buses and egresses.
+	oldEgress := make([]*pipeline.Egress[*chaosLink], len(c.nodes))
 	for i, n := range c.nodes {
-		oldLinks[i] = n.links
+		oldEgress[i] = n.egress
 	}
 	c.wireSamplePath(newShards)
+
+	// Phase 2: hand off moved keys. Old shards are visited in index
+	// order and Keys() is sorted, so the handoff sequence is
+	// deterministic.
 	moved := 0
 	for os := 0; os < oldShards; os++ {
 		b := c.buses[os].Builder()
@@ -192,16 +185,14 @@ func (c *Cluster) applyReshard(newShards int) {
 	c.buses = c.buses[:newShards]
 
 	// Phase 4: re-route the old spools' backlog.
-	for i, links := range oldLinks {
-		for _, old := range links {
-			// The retired spool's lifetime counters fold into the
-			// cumulative stats so FaultStats never goes backwards.
-			st := old.spool.Stats()
-			c.fstats.SpoolDropped += st.Dropped
-			c.fstats.SpoolReplayed += st.Replayed
-			for _, batch := range old.spool.TakeAll() {
-				_ = c.nodes[i].router.Publish(batch)
-			}
+	for i, old := range oldEgress {
+		// The retired spools' lifetime counters fold into the
+		// cumulative stats so FaultStats never goes backwards.
+		st := old.Stats()
+		c.fstats.SpoolDropped += st.Dropped
+		c.fstats.SpoolReplayed += st.Replayed
+		for _, batch := range old.TakeAll() {
+			_ = c.nodes[i].egress.Publish(batch)
 		}
 	}
 	c.fstats.ReshardsApplied++

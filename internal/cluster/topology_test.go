@@ -76,7 +76,9 @@ func incidentsSpecsSHA256(t *testing.T, c *Cluster) string {
 // the same Queue → Router → Spooler → link → Bus path and must produce
 // the incident records and spec table the four-path code produced, byte
 // for byte. The same runs check sample conservation, which is live on
-// every run now that every run has spools and ingress validation.
+// every run now that every run has spools and ingress validation, and
+// that every key has one owner and no shard refused a sample as
+// misrouted.
 func TestTopologyEquivalence(t *testing.T) {
 	plans := []struct {
 		name string
@@ -119,6 +121,7 @@ func TestTopologyEquivalence(t *testing.T) {
 						t.Errorf("fault-free run: %d batches evicted, %d lost, %d still spooled",
 							fs.SpoolDropped, fs.LostBatches, fs.SpooledBatches)
 					}
+					assertKeysOnOwners(t, c, name)
 				})
 			}
 		}

@@ -96,16 +96,20 @@ func TestDecoderJobMemoIsBounded(t *testing.T) {
 // validating it and folding it costs at most one allocation per batch
 // (the batch's trace id, new in every frame) — none per sample. It is
 // a count, not a timing, so it holds on any host. The ring-ownership
-// filter every cpi2aggregator installs adds nothing to it, on a ring
-// of one or of four.
+// filter of a NewShardBus shard adds nothing to it, on a ring of one
+// or of four.
 func TestIngestAllocBudget(t *testing.T) {
 	frames := ingestFrames(2, false)
 	measure := func(ring *Ring) float64 {
+		v := core.NewSampleValidator("aggregator", 16)
 		bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
-		bus.SetValidator(core.NewSampleValidator("aggregator", 16))
-		if ring != nil { // as cpi2aggregator installs it, on the shard owning the frames' key
+		bus.SetValidator(v)
+		if ring != nil { // the shard owning the frames' key
 			self := ring.Owner(model.SpecKey{Job: "websearch-leaf", Platform: model.PlatformA})
-			bus.SetOwner(func(k model.SpecKey) bool { return ring.Owner(k) == self })
+			var err error
+			if bus, err = NewShardBus(core.DefaultParams(), self, ring, nil, nil, v); err != nil {
+				t.Fatal(err)
+			}
 		}
 		dec := new(decoder)
 		n := 0
@@ -140,14 +144,16 @@ func TestIngestAllocBudget(t *testing.T) {
 // — a batch opening with a forged or zero timestamp would put the span
 // at the wrong time.
 func TestIngestSpanStampedFromFirstAdmittedSample(t *testing.T) {
-	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
-	bus.SetValidator(core.NewSampleValidator("aggregator", 4))
-	bus.SetOwner(func(k model.SpecKey) bool { return k.Job != "not-ours" })
+	ring := NewRing(shardNames(2), 0)
+	self := ring.Owner(model.SpecKey{Job: "websearch-leaf", Platform: model.PlatformA})
 	store := trace.NewStore(8)
-	bus.SetTrace(store)
+	bus, err := NewShardBus(core.DefaultParams(), self, ring, nil, store, core.NewSampleValidator("aggregator", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := wireBenchSamples(4)
-	batch[0].Timestamp, batch[0].TraceID, batch[0].Machine = time.Time{}, "forged", "nowhere" // quarantined
-	batch[1].Job, batch[1].TraceID, batch[1].Machine = "not-ours", "forged", "nowhere"        // misrouted
+	batch[0].Timestamp, batch[0].TraceID, batch[0].Machine = time.Time{}, "forged", "nowhere"             // quarantined
+	batch[1].Job, batch[1].TraceID, batch[1].Machine = jobOwnedElsewhere(ring, self), "forged", "nowhere" // misrouted
 	batch[1].Timestamp = day0.Add(-1000 * time.Hour)
 	if err := bus.Publish(batch); err != nil {
 		t.Fatal(err)

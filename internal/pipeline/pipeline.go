@@ -11,6 +11,11 @@
 //     cmd/cpi2aggregator, so the distributed path is exercised
 //     honestly — batching, reconnects, and partial failure included.
 //
+// Both ends are assembled by two constructors (stack.go) that the
+// simulator and the daemons share: NewShardBus builds one aggregator
+// shard, a Bus that refuses keys its ring assigns elsewhere, and
+// NewEgress builds an agent's Router → per-shard Spooler → link path.
+//
 // Delivery is at-most-once, like the real system's monitoring pipe:
 // losing a CPI sample is harmless (the spec is statistical, and local
 // detection sees every local sample regardless).
@@ -41,8 +46,8 @@ type SampleSink interface {
 // accept many batches in one call. Queue.DrainTo uses it so a backlog
 // drained straight into a Bus folds under one bus lock acquisition
 // instead of one per batch. (The cluster's commit phase drains into
-// each machine's Router, which is not a BatchSink and forwards batch
-// by batch.)
+// each machine's Egress, which is not a BatchSink and routes batch by
+// batch.)
 type BatchSink interface {
 	SampleSink
 	// PublishBatches delivers the batches in order; per-batch delivery
@@ -82,7 +87,7 @@ type Bus struct {
 	mu      sync.Mutex
 	metrics *Metrics     // never nil; zero Metrics = uninstrumented
 	tracer  *trace.Store // nil = untraced
-	shard   string       // aggregator shard identity; "" stamps none
+	shard   string       // aggregator shard identity, fixed by NewShardBus; "" stamps none
 	// watchers is the registration-ordered watcher list and watchGen the
 	// number of Watch and Unwatch calls so far: each registration is
 	// stamped with it, and Push compares it with the generation its
@@ -99,8 +104,11 @@ type Bus struct {
 	// builder sees it — the aggregator-side half of defense in depth
 	// (the agent validates at egress too, but the wire is untrusted).
 	validator *core.SampleValidator
-	// owns, when set, is the shard-ownership filter (see SetOwner).
-	owns func(model.SpecKey) bool
+	// ring, when set, is the shard-ownership filter: a sample is
+	// admitted only if the ring assigns its key to member self, this
+	// bus's shard (see NewShardBus and SetRing).
+	ring *Ring
+	self int
 	// detail is the last ingest span's Detail, for detailOf = {admitted,
 	// batch size}: batch after batch admits the same n of n, so the
 	// string is built once, not per batch.
@@ -159,34 +167,8 @@ func (b *Bus) SetTrace(store *trace.Store) {
 	b.builder.SetTrace(store)
 }
 
-// SetShard gives the bus (and its builder) an aggregator shard
-// identity: ingest, spec-build and spec-push spans carry it. A bus
-// with no identity stamps none.
-func (b *Bus) SetShard(shard string) {
-	b.mu.Lock()
-	b.shard = shard
-	b.mu.Unlock()
-	b.builder.SetShard(shard)
-}
-
 // Shard returns the bus's shard identity ("" when it has none).
-func (b *Bus) Shard() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.shard
-}
-
-// SetOwner installs an ownership filter: inbound samples whose
-// job×platform key the predicate rejects are dropped and counted as
-// misrouted instead of entering the builder. The aggregator daemon
-// sets this to its ring-ownership check so an agent with a stale ring
-// cannot make two shards both aggregate the same key. Nil (the
-// default) admits everything.
-func (b *Bus) SetOwner(owns func(model.SpecKey) bool) {
-	b.mu.Lock()
-	b.owns = owns
-	b.mu.Unlock()
-}
+func (b *Bus) Shard() string { return b.shard }
 
 // SetValidator installs an ingress sample validator (nil disables).
 // Call before traffic flows; quarantined samples are counted in the
@@ -204,19 +186,19 @@ func (b *Bus) Publish(samples []model.Sample) error {
 }
 
 // PublishBatches implements BatchSink: each batch goes through the
-// builder's batch fold (one builder lock per batch) with the owner and
-// validator filter, then the stats and metrics are updated once — one
+// builder's batch fold (one builder lock per batch) with the ownership
+// and validator filter, then the stats and metrics are updated once — one
 // b.mu acquisition per drain instead of one per batch.
 func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 	b.mu.Lock()
-	v, tracer, shard, owns := b.validator, b.tracer, b.shard, b.owns
+	v, tracer, shard, ring, self := b.validator, b.tracer, b.shard, b.ring, b.self
 	detail, detailOf := b.detail, b.detailOf
 	b.mu.Unlock()
 	var received, dropped, misrouted int64
 	var admit func(*model.Sample) bool
-	if owns != nil || v != nil {
+	if ring != nil || v != nil {
 		admit = func(s *model.Sample) bool {
-			if owns != nil && !owns(model.SpecKey{Job: s.Job, Platform: s.Platform}) {
+			if ring != nil && ring.OwnerIndex(model.SpecKey{Job: s.Job, Platform: s.Platform}) != self {
 				misrouted++
 				return false
 			}

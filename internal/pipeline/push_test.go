@@ -205,12 +205,13 @@ func pushMatchesScan(t *testing.T, seed int64, steps int) {
 	keys := pushTestKeys(40)
 	jobs := func() model.JobName { return keys[rng.Intn(len(keys))].Job }
 
-	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
-	m := NewMetrics(obs.NewRegistry())
-	bus.SetMetrics(m)
+	reg := obs.NewRegistry()
+	m := NewMetrics(reg)
 	tracer := trace.NewStore(256)
-	bus.SetTrace(tracer)
-	bus.SetShard("shard-0")
+	bus, err := NewShardBus(core.DefaultParams(), "shard-0", NewRing([]string{"shard-0"}, 0), reg, tracer, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := NewServer(bus)
 
 	var log []delivery

@@ -9,7 +9,7 @@ import (
 // Queue is a buffering SampleSink used by the cluster's parallel tick
 // phase. Each machine's agent publishes into its own Queue while all
 // machines tick concurrently; the serial commit phase then drains each
-// queue, in machine-index order, into that machine's Router, which
+// queue, in machine-index order, into that machine's Egress, which
 // sends every sample on toward the shard bus that owns its key.
 //
 // This is what makes the pipeline order-stable under parallelism: the

@@ -15,9 +15,9 @@ const routerMemoMax = 4096
 
 // Router is a SampleSink that partitions every published batch across
 // per-member sinks by consistent-hash ownership of each sample's
-// job×platform key. It is the one fan-out stage of the sample path in
-// both the cluster simulator (one Router per machine) and the agent
-// daemon, over a ring that may have a single member: each sample
+// job×platform key. It is the one fan-out stage of the sample path,
+// inside every Egress (one per simulated machine, one per agent
+// daemon), over a ring that may have a single member: each sample
 // reaches exactly the member that owns its key, relative order within a
 // member is preserved, and a dead member's errors never block the
 // slices bound for healthy ones.
