@@ -167,6 +167,26 @@ func (s *entrySorter) Len() int           { return len(s.entries) }
 func (s *entrySorter) Swap(a, b int)      { s.entries[a], s.entries[b] = s.entries[b], s.entries[a] }
 func (s *entrySorter) Less(a, b int) bool { return s.entries[a].ceil < s.entries[b].ceil }
 
+// maxInsertion is the length up to which sort.Sort's pdqsort runs a
+// plain insertion sort: sortByCeil's typed copy of it, below that
+// length, yields sort.Sort's permutation with ties in the same order.
+const maxInsertion = 12
+
+// sortByCeil sorts entries by ceiling into exactly sort.Sort's order,
+// without the interface calls on the short lists a machine has.
+func sortByCeil(s *AllocScratch) {
+	e := s.entries
+	if len(e) > maxInsertion {
+		sort.Sort((*entrySorter)(s))
+		return
+	}
+	for i := 1; i < len(e); i++ {
+		for j := i; j > 0 && e[j].ceil < e[j-1].ceil; j-- {
+			e[j], e[j-1] = e[j-1], e[j]
+		}
+	}
+}
+
 // AllocateInto runs one tick of duration dt: it divides capacity (in
 // CPUs) equally among the demanding groups, bounding each group by its
 // demand and its bandwidth limit, water-filling until capacity or
@@ -208,7 +228,7 @@ func AllocateInto(capacity float64, dt time.Duration, demands []Demand, grants [
 	// Water-filling: groups whose ceiling is below an equal share of
 	// what is left get exactly their ceiling; the surplus is re-divided
 	// among the rest. Sorting by ceiling finalizes groups in one pass.
-	sort.Sort((*entrySorter)(scratch))
+	sortByCeil(scratch)
 	remaining := capacity
 	for k, e := range entries {
 		grant := math.Min(e.ceil, remaining/float64(len(entries)-k))

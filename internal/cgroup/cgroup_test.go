@@ -337,3 +337,67 @@ func TestLimitLeaseLifecycle(t *testing.T) {
 	}
 	g.ClearLimit()
 }
+
+// sortSortAllocate is AllocateInto as it was before sortByCeil: every
+// list sorted by sort.Sort through entrySorter, whatever its length.
+func sortSortAllocate(capacity float64, demands []Demand) []float64 {
+	grants := make([]float64, len(demands))
+	s := &AllocScratch{}
+	for i, d := range demands {
+		ceil := math.Max(d.Want, 0)
+		if r := d.Group.limit.Rate(); r < ceil {
+			ceil = r
+		}
+		s.entries = append(s.entries, allocEntry{idx: i, ceil: ceil})
+	}
+	sort.Sort((*entrySorter)(s))
+	remaining := capacity
+	for k, e := range s.entries {
+		grant := math.Min(e.ceil, remaining/float64(len(s.entries)-k))
+		grants[e.idx] = grant
+		remaining -= grant
+	}
+	return grants
+}
+
+// TestAllocateIntoMatchesSortSort: for n = 0…16 groups, on seeded
+// wants drawn from a few values (so ceilings tie often), zero wants
+// and caps (zero-rate, equal to a want, random), AllocateInto's grants
+// equal the sort.Sort form's bit for bit — across the typed insertion
+// sort's 12-entry limit, where the order of tied entries decides which
+// group gets which share.
+func TestAllocateIntoMatchesSortSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var scratch AllocScratch
+	for n := 0; n <= 16; n++ {
+		for c := 0; c < 2000; c++ {
+			groups := make([]Group, n)
+			demands := make([]Demand, n)
+			for i := range demands {
+				want := float64(rng.Intn(5)) / 2 // 0, 0.5, …, 2: ties and zero wants
+				if rng.Intn(3) == 0 {
+					want = rng.Float64() * 4
+				}
+				switch rng.Intn(5) {
+				case 0:
+					groups[i].SetLimit(LimitFromRate(0))
+				case 1:
+					groups[i].SetLimit(LimitFromRate(float64(rng.Intn(4)) / 2))
+				case 2:
+					groups[i].SetLimit(LimitFromRate(rng.Float64() * 2))
+				}
+				demands[i] = Demand{Group: &groups[i], Want: want}
+			}
+			capacity := float64(1 + rng.Intn(16))
+			want := sortSortAllocate(capacity, demands)
+			got := make([]float64, n)
+			AllocateInto(capacity, time.Second, demands, got, &scratch)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d case %d (capacity %v): grant[%d] = %v, sort.Sort form %v",
+						n, c, capacity, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

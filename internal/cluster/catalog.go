@@ -146,10 +146,11 @@ func DefaultDiurnal(rng *stats.RNG) workload.DiurnalLoad {
 // one jitter stream would be both a data race under parallel cluster stepping and
 // an ordering dependence (whichever task sampled the shared stream
 // first would steal the next draw), so load jitter is per-task by
-// construction.
+// construction. The jitter-free curve is shared (DiurnalLoad.Shared):
+// the job's tasks compute it once per tick between them.
 func WebSearchJob(name string, leaves, intermediates, roots int, rng *stats.RNG) ([]JobDef, *workload.SearchTree) {
 	tree := workload.NewSearchTree()
-	load := DefaultDiurnal(rng.Fork(name))
+	load := DefaultDiurnal(rng.Fork(name)).Shared()
 	load.RNG = nil // template: each task forks its own jitter stream
 	mk := func(tier workload.Tier, suffix string, n int, profile *interference.Profile, maxCPU float64) JobDef {
 		return JobDef{

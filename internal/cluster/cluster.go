@@ -199,13 +199,15 @@ type Cluster struct {
 	aggTrace *trace.Store
 
 	// pool runs the parallel phase (nil when cfg.Workers == 1).
-	// stepFn is the persistent range closure handed to the pool; it
-	// reads the current tick's time from stepNow/stepDt, which only the
-	// serial part of Step writes.
-	pool    *pool
-	stepFn  func(start, end int)
-	stepNow time.Time
-	stepDt  time.Duration
+	// stepFn is the persistent range closure handed to the pool.
+	// tickMachine reads the current tick's time, length and day phase
+	// (interference.DayPhase, shared by every machine) from stepNow,
+	// stepDt and stepPhase, which only the serial part of Step writes.
+	pool      *pool
+	stepFn    func(start, end int)
+	stepNow   time.Time
+	stepDt    time.Duration
+	stepPhase float64
 
 	// Chaos state, mutated only from the serial commit phase.
 	// shardDown[s] is shard s's outage state for the current tick, the
@@ -679,18 +681,18 @@ func (c *Cluster) Step() {
 
 	// Parallel phase: the caller and the pool's workers claim chunks of
 	// machine indices (see pool). The range closure is built once and
-	// reads now/dt from step fields so steady-state stepping does not
+	// reads the tick from step fields so steady-state stepping does not
 	// allocate a closure per Step.
-	c.stepNow, c.stepDt = now, dt
+	c.stepNow, c.stepDt, c.stepPhase = now, dt, interference.DayPhase(now)
 	if c.pool == nil {
 		for i := range c.nodes {
-			c.tickMachine(i, now, dt)
+			c.tickMachine(i)
 		}
 	} else {
 		if c.stepFn == nil {
 			c.stepFn = func(start, end int) {
 				for i := start; i < end; i++ {
-					c.tickMachine(i, c.stepNow, c.stepDt)
+					c.tickMachine(i)
 				}
 			}
 		}
@@ -782,12 +784,14 @@ func (c *Cluster) maybeRecompute(now time.Time) {
 	}
 }
 
-// tickMachine runs one machine's parallel-phase work and records the
-// outcome in its node. It must only touch that node; shared state is
-// deferred to the commit phase.
-func (c *Cluster) tickMachine(i int, now time.Time, dt time.Duration) {
+// tickMachine runs one machine's parallel-phase work for the tick in
+// c.stepNow, c.stepDt and c.stepPhase and records the outcome in its
+// node. It must only touch that node; shared state is deferred to the
+// commit phase.
+func (c *Cluster) tickMachine(i int) {
 	n := c.nodes[i]
-	_, exited := n.m.Tick(now, dt)
+	now := c.stepNow
+	_, exited := n.m.TickAt(now, c.stepDt, c.stepPhase)
 	for _, id := range exited {
 		// The agent forgets the task before its sampling window next
 		// closes, exactly as in the serial loop; the scheduler-side

@@ -171,6 +171,45 @@ func TestIdleStepsCommitNothing(t *testing.T) {
 	}
 }
 
+// TestQueuedBatchPendingAtBarrier: with no registry, events or faults,
+// the sample batch an agent queues when its window closes is all a
+// quiet machine has to commit. Workers queue it in the parallel phase
+// and the lock-free Queue.Len reports it, so at the barrier every
+// machine is pending: each window step commits the whole fleet and its
+// samples reach the bus, and the steps between commit nothing. Run
+// under -race, this also checks the queue depth is read safely.
+func TestQueuedBatchPendingAtBarrier(t *testing.T) {
+	const machines = 16
+	c := New(Config{Seed: 4, Machines: machines, CPUsPerMachine: 16, Workers: 4})
+	defer c.Close()
+	if err := c.AddJob(QuietServiceJob("bigtable", 2*machines, 0.8)); err != nil {
+		t.Fatal(err)
+	}
+	received := func() (n int64) {
+		for _, b := range c.buses {
+			r, _ := b.Stats()
+			n += r
+		}
+		return n
+	}
+	windows := 0
+	for i := 0; i < 180; i++ {
+		before := received()
+		c.Step()
+		got := received() - before
+		switch {
+		case c.committed == 0 && got == 0:
+		case c.committed == machines && got > 0:
+			windows++
+		default:
+			t.Fatalf("step %d: committed %d of %d machines, %d samples reached the bus", i, c.committed, machines, got)
+		}
+	}
+	if windows != 3 {
+		t.Errorf("over three simulated minutes: %d window steps committed the fleet, want 3", windows)
+	}
+}
+
 // TestStepLeavesNothingStaged: when Step returns, no machine holds a
 // staged event or an undrained metric write, whatever produced it — a
 // cap expiring between sampling windows, or a crash and an agent

@@ -413,6 +413,21 @@ func TestTopSuspects(t *testing.T) {
 	}
 }
 
+// TestTopSuspectsKeepsThresholdCorrelation: the paper reports suspects
+// whose correlation is ≥ 0.35, so one scoring exactly the default
+// threshold is kept and one a float step below it is not.
+func TestTopSuspectsKeepsThresholdCorrelation(t *testing.T) {
+	th := DefaultParams().CorrelationThreshold
+	ranked := []Suspect{
+		{Job: "at", Correlation: th},
+		{Job: "below", Correlation: math.Nextafter(th, 0)},
+	}
+	top := TopSuspects(ranked, 5, th)
+	if len(top) != 1 || top[0].Job != "at" {
+		t.Errorf("TopSuspects at threshold %v = %+v, want only the suspect at it", th, top)
+	}
+}
+
 func TestCorrelationCaseStudyShape(t *testing.T) {
 	// Reconstruction of Case 1's shape: victim CPI rising to ≈5 while a
 	// video-processing batch task's CPU spikes; correlation lands in

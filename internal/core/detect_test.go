@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -80,6 +81,24 @@ func TestDetectorMinCPUUsageFilter(t *testing.T) {
 		if a.Outlier || a.Anomalous {
 			t.Fatal("filtered sample flagged")
 		}
+	}
+}
+
+// TestDetectorKeepsMinCPUUsageSample: the filter drops samples below
+// MinCPUUsage (the paper keeps ≥ 0.25 CPU-sec/sec), so a sample at
+// exactly MinCPUUsage is judged — an outlier here — and one a float step
+// below it is filtered.
+func TestDetectorKeepsMinCPUUsageSample(t *testing.T) {
+	p := DefaultParams()
+	d := NewDetector(p)
+	d.UpdateSpec(robustSpec("j", 1.0, 0.1))
+	at := d.Observe(sampleAt("j", 0, day0, p.MinCPUUsage, 10))
+	if at.Filtered || !at.Outlier {
+		t.Errorf("sample at MinCPUUsage %v: %+v, want judged and an outlier", p.MinCPUUsage, at)
+	}
+	below := d.Observe(sampleAt("j", 1, day0, math.Nextafter(p.MinCPUUsage, 0), 10))
+	if !below.Filtered {
+		t.Errorf("sample just below MinCPUUsage: %+v, want filtered", below)
 	}
 }
 

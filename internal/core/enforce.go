@@ -345,6 +345,9 @@ func (e *Enforcer) Tick(now time.Time) []model.TaskID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lastNow = now
+	if len(e.active) == 0 {
+		return nil // the common tick: nothing to expire or renew
+	}
 	lc, leased := e.capper.(LeaseCapper)
 	var expired []*activeCap
 	for _, ac := range e.active {

@@ -73,6 +73,21 @@ type Profile struct {
 	TaskSkewSigma float64
 }
 
+// BaseOn returns a task's uncontended CPI on platform pl: the
+// profile's base there times the task's skew (a skew ≤ 0 means 1). A
+// machine resolves it once, when the task is placed, and hands it to
+// every evaluation in Load.Base. A nil profile has base 0.
+func (p *Profile) BaseOn(pl model.Platform, skew float64) float64 {
+	if p == nil {
+		return 0
+	}
+	base := p.baseCPIOn(pl)
+	if skew > 0 {
+		base *= skew
+	}
+	return base
+}
+
 // baseCPIOn returns the uncontended CPI on a platform.
 func (p *Profile) baseCPIOn(pl model.Platform) float64 {
 	if c, ok := p.BaseCPI[pl]; ok {
@@ -122,9 +137,10 @@ func DefaultMachine(pl model.Platform) Machine {
 type Load struct {
 	Profile *Profile
 	Usage   float64
-	// Skew is the task's fixed base-CPI multiplier (0 means 1.0); see
-	// Profile.TaskSkewSigma.
-	Skew float64
+	// Base is the task's uncontended CPI on this machine, skew included
+	// (Profile.BaseOn, resolved at placement). 0 means the profile's
+	// unskewed base on the machine's platform.
+	Base float64
 	// Socket is the NUMA domain the task runs in (ignored unless the
 	// machine has Sockets > 1).
 	Socket int
@@ -183,17 +199,19 @@ func (m Machine) PressureOn(loads []Load, self int) float64 {
 	return pressure
 }
 
-// dayPhase returns the shape of the instruction-mix drift at time t:
+// DayPhase returns the shape of the instruction-mix drift at time t:
 // a sinusoid of the hour of day in t's location with period 24h,
-// peaking (+1) at 18:00 and bottoming (−1) at 06:00.
-func dayPhase(t time.Time) float64 {
+// peaking (+1) at 18:00 and bottoming (−1) at 06:00. It depends on t
+// alone, so a fleet stepping every machine to one instant computes it
+// once for all of them (see machine.TickAt).
+func DayPhase(t time.Time) float64 {
 	h, mi, _ := t.Clock()
 	hour := float64(h) + float64(mi)/60
 	return math.Sin((hour - 12) / 24 * 2 * math.Pi)
 }
 
 // diurnalFactor returns the instruction-mix CPI multiplier of
-// amplitude amp at day phase phase (see dayPhase).
+// amplitude amp at day phase phase (see DayPhase).
 func diurnalFactor(phase, amp float64) float64 {
 	if amp == 0 {
 		return 1
@@ -297,30 +315,29 @@ func noiseQuantile(p float64) float64 {
 // index self among loads at wall time t. rng supplies measurement
 // noise and may be nil for deterministic output.
 func (m Machine) Evaluate(loads []Load, self int, t time.Time, rng *rand.Rand) Result {
-	return m.evaluate(loads, self, dayPhase(t), rng)
+	return m.evaluate(loads, self, DayPhase(t), rng)
 }
 
-// EvaluateAll computes the result of every task in loads into
-// out[:len(loads)], which must be at least that long. The results and
-// the draws from rng are those of calling Evaluate for self = 0, 1, …
-// in turn; the time of day is read once for all of them.
-func (m Machine) EvaluateAll(loads []Load, t time.Time, rng *rand.Rand, out []Result) {
-	phase := dayPhase(t)
+// EvaluateAll computes the result of every task in loads at day phase
+// phase (DayPhase of the evaluation time) into out[:len(loads)], which
+// must be at least that long. The results and the draws from rng are
+// those of calling Evaluate for self = 0, 1, … in turn.
+func (m Machine) EvaluateAll(loads []Load, phase float64, rng *rand.Rand, out []Result) {
 	for i := range loads {
 		out[i] = m.evaluate(loads, i, phase, rng)
 	}
 }
 
-// evaluate is Evaluate at day phase phase (see dayPhase).
+// evaluate is Evaluate at day phase phase (see DayPhase).
 func (m Machine) evaluate(loads []Load, self int, phase float64, rng *rand.Rand) Result {
 	l := loads[self]
 	if l.Profile == nil {
 		return Result{CPI: 1, L3MPKI: 0}
 	}
 	pressure := m.PressureOn(loads, self)
-	base := l.Profile.baseCPIOn(m.Platform)
-	if l.Skew > 0 {
-		base *= l.Skew
+	base := l.Base
+	if base == 0 {
+		base = l.Profile.baseCPIOn(m.Platform)
 	}
 	cpi := base *
 		(1 + l.Profile.Sensitivity*pressure) *

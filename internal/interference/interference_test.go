@@ -356,11 +356,11 @@ func TestEvaluateAllMatchesEvaluate(t *testing.T) {
 	lowUse := victimProfile()
 	lowUse.LowUsageInflation, lowUse.LowUsageThreshold, lowUse.DiurnalAmplitude = 2, 0.5, 0.1
 	loads := []Load{
-		{Profile: noisy, Usage: 1.5, Skew: 1.1},
+		{Profile: noisy, Usage: 1.5, Base: noisy.BaseOn(m.Platform, 1.1)},
 		{Profile: flat, Usage: 3, Socket: 1},
 		{Profile: nil, Usage: 2},
 		{Profile: lowUse, Usage: 0.2, Socket: 1},
-		{Profile: noisy, Usage: 0, Skew: 0.9},
+		{Profile: noisy, Usage: 0, Base: noisy.BaseOn(m.Platform, 0.9)},
 		{Profile: flat, Usage: 0.7},
 	}
 	a := rand.New(rand.NewSource(3))
@@ -375,10 +375,10 @@ func TestEvaluateAllMatchesEvaluate(t *testing.T) {
 		// The phase read once from t.Clock() is the per-call
 		// Hour/Minute form it replaced.
 		hour := float64(now.Hour()) + float64(now.Minute())/60
-		if got, want := diurnalFactor(dayPhase(now), 0.04), 1+0.04*math.Sin((hour-12)/24*2*math.Pi); got != want {
+		if got, want := diurnalFactor(DayPhase(now), 0.04), 1+0.04*math.Sin((hour-12)/24*2*math.Pi); got != want {
 			t.Fatalf("%v: diurnal factor %v, Hour/Minute form %v", now, got, want)
 		}
-		m.EvaluateAll(loads, now, a, out)
+		m.EvaluateAll(loads, DayPhase(now), a, out)
 		for self := range loads {
 			if want := m.Evaluate(loads, self, now, b); out[self] != want {
 				t.Fatalf("%v task %d: EvaluateAll %+v, Evaluate %+v", now, self, out[self], want)

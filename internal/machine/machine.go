@@ -49,9 +49,12 @@ type Task struct {
 	group  cgroup.Group
 	cg     string  // cached ID.String(): the cgroup name, hot in ReadCounters
 	slot   int     // index into the machine's counter column
-	skew   float64 // per-task base-CPI multiplier, drawn at placement
+	base   float64 // uncontended CPI here, skew included: resolved at placement
 	socket int     // NUMA domain, assigned at placement
-	last   TaskTick
+	// usage and threads are the last tick's grant and runnable threads,
+	// the two TaskTick fields Utilization and ThreadCount read.
+	usage   float64
+	threads int
 }
 
 // Socket returns the task's NUMA domain.
@@ -153,7 +156,7 @@ func (m *Machine) AddTask(id model.TaskID, job model.Job, profile *interference.
 		ID: id, Job: job, Profile: profile, Workload: w,
 		cg:     id.String(),
 		slot:   m.takeSlot(),
-		skew:   profile.DrawSkew(m.rng),
+		base:   profile.BaseOn(m.hw.Platform, profile.DrawSkew(m.rng)),
 		socket: m.pickSocket(),
 	}
 	m.tasks[id] = t
@@ -274,7 +277,7 @@ func (m *Machine) LeasesExpired() int64 { return m.leasesExpired }
 func (m *Machine) Utilization() float64 {
 	var used float64
 	for _, t := range m.order {
-		used += t.last.Usage
+		used += t.usage
 	}
 	return used / float64(m.ncpus)
 }
@@ -284,7 +287,7 @@ func (m *Machine) Utilization() float64 {
 func (m *Machine) ThreadCount() int {
 	n := 0
 	for _, t := range m.order {
-		n += t.last.Threads
+		n += t.threads
 	}
 	return n
 }
@@ -329,6 +332,13 @@ func (m *Machine) TaskCounters(id model.TaskID) (perfcnt.Counters, bool) {
 // non-conforming one). Tick must not be called concurrently on the
 // SAME machine.
 func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.TaskID) {
+	return m.TickAt(now, dt, interference.DayPhase(now))
+}
+
+// TickAt is Tick with the day phase of now (interference.DayPhase)
+// supplied by the caller, which computes it once for every machine it
+// steps to the same instant.
+func (m *Machine) TickAt(now time.Time, dt time.Duration, phase float64) ([]TaskTick, []model.TaskID) {
 	m.now = now
 	n := len(m.order)
 	if n == 0 {
@@ -352,9 +362,9 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 	cgroup.AllocateInto(float64(m.ncpus), dt, demands, grants, &m.scratch.alloc)
 
 	for i, t := range m.order {
-		loads[i] = interference.Load{Profile: t.Profile, Usage: grants[i], Skew: t.skew, Socket: t.socket}
+		loads[i] = interference.Load{Profile: t.Profile, Usage: grants[i], Base: t.base, Socket: t.socket}
 	}
-	m.hw.EvaluateAll(loads, now, m.rng, results)
+	m.hw.EvaluateAll(loads, phase, m.rng, results)
 
 	var exited []model.TaskID
 	for i, t := range m.order {
@@ -368,7 +378,7 @@ func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.Tas
 			Threads: threads[i],
 			Capped:  t.group.Limit().IsLimited(),
 		}
-		t.last = tt
+		t.usage, t.threads = tt.Usage, tt.Threads
 		out[i] = tt
 
 		m.cnts[t.slot].Accumulate(grants[i]*dt.Seconds(), res.CPI, res.L3MPKI, m.hw.ClockGHz)

@@ -426,6 +426,47 @@ func TestTickAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPlacementBaseMatchesLookup: the uncontended CPI a task gets at
+// placement is its profile's base on the machine's platform times the
+// skew drawn for it — on both platforms in BaseCPI, on a platform
+// missing from it (DefaultCPI, or 1 without one) and without skew.
+func TestPlacementBaseMatchesLookup(t *testing.T) {
+	lookup := func(p *interference.Profile, pl model.Platform) float64 {
+		if c, ok := p.BaseCPI[pl]; ok {
+			return c
+		}
+		if p.DefaultCPI > 0 {
+			return p.DefaultCPI
+		}
+		return 1.0
+	}
+	skewed := &interference.Profile{
+		BaseCPI:       map[model.Platform]float64{model.PlatformA: 1.3, model.PlatformB: 1.7},
+		DefaultCPI:    1.1,
+		TaskSkewSigma: 0.2,
+	}
+	noDefault := &interference.Profile{BaseCPI: map[model.Platform]float64{model.PlatformA: 0.9}, TaskSkewSigma: 0.1}
+	unskewed := &interference.Profile{BaseCPI: map[model.Platform]float64{model.PlatformB: 2.2}, DefaultCPI: 1.4}
+	for _, pl := range []model.Platform{model.PlatformA, model.PlatformB, "other-platform"} {
+		m := New("m-"+string(pl), interference.Machine{Platform: pl, CacheMB: 12, MemBWGBs: 32, ClockGHz: 2}, 8, rand.New(rand.NewSource(5)))
+		twin := rand.New(rand.NewSource(5)) // replays the machine's skew draws
+		for i := 0; i < 30; i++ {
+			p := []*interference.Profile{skewed, noDefault, unskewed}[i%3]
+			id := model.TaskID{Job: "j", Index: i}
+			if err := m.AddTask(id, model.Job{Name: "j"}, p, steadyWorkload{cpu: 1}); err != nil {
+				t.Fatal(err)
+			}
+			want := lookup(p, pl)
+			if skew := p.DrawSkew(twin); skew > 0 {
+				want *= skew
+			}
+			if got := m.Task(id).base; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s task %d: base at placement %v, lookup × skew %v", pl, i, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkMachineTick is one tick of a machine running 3 and 12
 // steady tasks with noisy, diurnal profiles: demand collection, the
 // CPU allocation, interference, counters and Deliver.

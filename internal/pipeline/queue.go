@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -35,6 +36,10 @@ type Queue struct {
 	// batches list itself.
 	free    [][]model.Sample
 	drained [][][]model.Sample
+	// depth mirrors len(batches) so Len — asked of every machine's
+	// queue on every tick, to decide whether it has anything to commit
+	// — is one atomic load instead of a lock round trip.
+	depth atomic.Int64
 }
 
 // NewQueue returns an empty queue.
@@ -51,6 +56,7 @@ func (q *Queue) Publish(samples []model.Sample) error {
 	cp := q.takeLocked(len(samples))
 	copy(cp, samples)
 	q.batches = append(q.batches, cp)
+	q.depth.Store(int64(len(q.batches)))
 	q.mu.Unlock()
 	return nil
 }
@@ -69,11 +75,7 @@ func (q *Queue) takeLocked(n int) []model.Sample {
 }
 
 // Len returns the number of queued batches.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.batches)
-}
+func (q *Queue) Len() int { return int(q.depth.Load()) }
 
 // DrainTo publishes every queued batch to dst in FIFO order and
 // empties the queue. It returns the first error dst reported (the
@@ -92,6 +94,7 @@ func (q *Queue) DrainTo(dst SampleSink) error {
 	} else {
 		q.batches = nil
 	}
+	q.depth.Store(0)
 	q.mu.Unlock()
 	if len(batches) == 0 {
 		if batches != nil {

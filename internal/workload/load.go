@@ -26,6 +26,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
 
@@ -53,6 +54,9 @@ func (c ConstantLoad) Level(time.Time) float64 { return clamp01(float64(c)) }
 // removing a call moves every later level and with it a seeded run's
 // specs and incidents. A SearchTask calls Level once per tick, in
 // Demand.
+//
+// The jitter-free curve, unlike the draw, may be shared: copies of a
+// Shared value compute it once per instant between them.
 type DiurnalLoad struct {
 	Trough   float64 // load level at the quietest hour
 	Peak     float64 // load level at the busiest hour
@@ -61,19 +65,87 @@ type DiurnalLoad struct {
 	// RNG must be non-nil when Jitter > 0.
 	Jitter float64
 	RNG    *rand.Rand
+
+	shared *levelCache // see Shared; nil computes every level
+}
+
+// Shared returns d with a cache of its jitter-free level that every
+// copy of the result shares, so the tasks built from one template (a
+// job's tasks, each with its own RNG) evaluate the curve once per
+// instant between them instead of once each. The cache is safe for
+// concurrent use and does not allocate; it does not change any level
+// or any draw. Copies must keep the template's Trough, Peak and
+// PeakHour.
+func (d DiurnalLoad) Shared() DiurnalLoad {
+	d.shared = new(levelCache)
+	return d
 }
 
 // Level implements LoadCurve.
 func (d DiurnalLoad) Level(t time.Time) float64 {
-	h, mi, sec := t.Clock()
-	hour := float64(h) + float64(mi)/60 + float64(sec)/3600
-	mid := (d.Peak + d.Trough) / 2
-	amp := (d.Peak - d.Trough) / 2
-	level := mid + amp*math.Cos((hour-d.PeakHour)/24*2*math.Pi)
+	var level float64
+	if c := d.shared; c == nil {
+		level = d.curve(t)
+	} else if v, ok := c.load(t); ok {
+		level = v
+	} else {
+		level = d.curve(t)
+		c.store(t, level)
+	}
 	if d.Jitter > 0 && d.RNG != nil {
 		level *= 1 + d.Jitter*(2*d.RNG.Float64()-1)
 	}
 	return clamp01(level)
+}
+
+// curve is the jitter-free level at t.
+func (d DiurnalLoad) curve(t time.Time) float64 {
+	h, mi, sec := t.Clock()
+	hour := float64(h) + float64(mi)/60 + float64(sec)/3600
+	mid := (d.Peak + d.Trough) / 2
+	amp := (d.Peak - d.Trough) / 2
+	return mid + amp*math.Cos((hour-d.PeakHour)/24*2*math.Pi)
+}
+
+// levelCache holds one jitter-free level and the instant it is for, as
+// a seqlock of atomics: seq is odd while a writer fills the other
+// fields, and a reader trusts what it read only if seq was even and
+// unchanged around its reads. The instant is t's Unix second and
+// Location, which fix t.Clock() and so the level. Writers that find
+// the lock taken skip the store: the level is a pure function of the
+// instant, so every task gets the same value whoever computes it.
+type levelCache struct {
+	seq   atomic.Uint64
+	sec   atomic.Int64
+	loc   atomic.Pointer[time.Location]
+	level atomic.Uint64 // math.Float64bits of the level
+}
+
+// load returns the cached level if it is the one for t's instant.
+func (c *levelCache) load(t time.Time) (float64, bool) {
+	s := c.seq.Load()
+	if s&1 != 0 {
+		return 0, false
+	}
+	hit := c.sec.Load() == t.Unix() && c.loc.Load() == t.Location()
+	v := c.level.Load()
+	if !hit || c.seq.Load() != s {
+		return 0, false
+	}
+	return math.Float64frombits(v), true
+}
+
+// store caches level as the one for t's instant, unless another writer
+// holds the lock.
+func (c *levelCache) store(t time.Time, level float64) {
+	s := c.seq.Load()
+	if s&1 != 0 || !c.seq.CompareAndSwap(s, s+1) {
+		return
+	}
+	c.sec.Store(t.Unix())
+	c.loc.Store(t.Location())
+	c.level.Store(math.Float64bits(level))
+	c.seq.Store(s + 2)
 }
 
 func clamp01(x float64) float64 {

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -66,6 +67,62 @@ func TestDiurnalLoadLevelClock(t *testing.T) {
 				t.Fatalf("%v: Level = %v, Hour/Minute/Second form %v", now, got, want)
 			}
 		}
+	}
+}
+
+// TestDiurnalSharedLevelMatchesLevel: four copies of one Shared
+// template, each with its own jitter stream, read the level at the same
+// instant from four goroutines, every 37 s across a simulated day, in
+// UTC and then in a zone half an hour off the hour. Each gets what an
+// unshared copy with the same stream gets, bit for bit, and the streams
+// end where the unshared ones do. A warm read hits the cache and
+// allocates nothing.
+func TestDiurnalSharedLevelMatchesLevel(t *testing.T) {
+	const workers = 4
+	tmpl := DiurnalLoad{Trough: 0.25, Peak: 0.95, PeakHour: 17.5, Jitter: 0.05}.Shared()
+	shared := make([]DiurnalLoad, workers)
+	plain := make([]DiurnalLoad, workers)
+	for g := range shared {
+		shared[g], plain[g] = tmpl, tmpl
+		shared[g].RNG = rand.New(rand.NewSource(int64(g)))
+		plain[g].shared, plain[g].RNG = nil, rand.New(rand.NewSource(int64(g)))
+	}
+	ist := time.FixedZone("UTC+5:30", 5*3600+30*60)
+	got := make([]float64, workers)
+	var wg sync.WaitGroup
+	for at := t0; at.Before(t0.Add(24 * time.Hour)); at = at.Add(37 * time.Second) {
+		// One instant in two zones: the second must not read the
+		// first's level, whose hour differs.
+		for _, loc := range []*time.Location{time.UTC, ist} {
+			now := at.In(loc)
+			wg.Add(workers)
+			for g := range shared {
+				go func(g int) {
+					defer wg.Done()
+					got[g] = shared[g].Level(now)
+				}(g)
+			}
+			wg.Wait()
+			for g := range plain {
+				if want := plain[g].Level(now); math.Float64bits(got[g]) != math.Float64bits(want) {
+					t.Fatalf("%v copy %d: shared level %v, Level %v", now, g, got[g], want)
+				}
+			}
+			if _, ok := tmpl.shared.load(now); !ok {
+				t.Fatalf("%v: the shared level was not cached", now)
+			}
+		}
+	}
+	for g := range shared {
+		if x, y := shared[g].RNG.Int63(), plain[g].RNG.Int63(); x != y {
+			t.Errorf("copy %d: jitter streams diverged: next draws %d and %d", g, x, y)
+		}
+	}
+	now := t0.Add(time.Hour)
+	l := shared[0]
+	l.Level(now) // warm: the cache holds now
+	if allocs := testing.AllocsPerRun(100, func() { l.Level(now) }); allocs != 0 {
+		t.Errorf("warm shared Level: %v allocs, want 0", allocs)
 	}
 }
 
