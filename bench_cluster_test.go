@@ -45,7 +45,7 @@ func BenchmarkClusterStep(b *testing.B) {
 	}
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			benchClusterStep(b, w, machines, 0)
+			benchClusterStep(b, w, machines)
 		})
 	}
 }
@@ -57,23 +57,21 @@ func BenchmarkClusterStep10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("10k-machine row skipped in short mode")
 	}
-	benchClusterStep(b, runtime.GOMAXPROCS(0), 10_000, 0)
+	benchClusterStep(b, runtime.GOMAXPROCS(0), 10_000)
 }
 
 // BenchmarkClusterStep100k is the non-gating nightly scale row:
-// 100,000 machines, workers=GOMAXPROCS, per-machine trace rings
-// disabled (TraceCapacity -1) — at this fleet size the span rings, not
-// the hot path, would dominate memory, and the row exists to measure
-// stepping. The tracing_disabled field in the JSON records that.
-// Skipped in -short mode.
+// 100,000 machines, workers=GOMAXPROCS, traced like every other row
+// (span stores keep per-sample spans for the correlation look-back, so
+// their memory does not grow with the run). Skipped in -short mode.
 func BenchmarkClusterStep100k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k-machine row skipped in short mode")
 	}
-	benchClusterStep(b, runtime.GOMAXPROCS(0), 100_000, -1)
+	benchClusterStep(b, runtime.GOMAXPROCS(0), 100_000)
 }
 
-func benchClusterStep(b *testing.B, workers, machines, traceCapacity int) {
+func benchClusterStep(b *testing.B, workers, machines int) {
 	c, _, err := (&cluster.Scenario{
 		Seed: 1, MinSamplesPerTask: 8,
 		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16, PlatformBFraction: 0.3},
@@ -82,7 +80,7 @@ func benchClusterStep(b *testing.B, workers, machines, traceCapacity int) {
 			{Kind: "quiet_service", Name: "bigtable", Tasks: machines, CPU: 0.8},
 			{Kind: "batch", Name: "logproc", Tasks: machines, CPU: 0.5},
 		},
-	}).Start(cluster.Config{Workers: workers, TraceCapacity: traceCapacity})
+	}).Start(cluster.Config{Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -113,16 +111,15 @@ func benchClusterStep(b *testing.B, workers, machines, traceCapacity int) {
 	b.ReportMetric(machPerSec, "machines/sec")
 	b.ReportMetric(float64(percentile(durs, 95).Nanoseconds()), "p95-ns/step")
 	recordClusterStep(clusterStepResult{
-		Workers:         workers,
-		Machines:        machines,
-		Iterations:      b.N,
-		NsPerOp:         float64(elapsed.Nanoseconds()) / float64(b.N),
-		P50StepNs:       float64(percentile(durs, 50).Nanoseconds()),
-		P95StepNs:       float64(percentile(durs, 95).Nanoseconds()),
-		AllocsPerOp:     float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N),
-		BytesPerOp:      float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N),
-		MachinesPerSec:  machPerSec,
-		TracingDisabled: traceCapacity < 0,
+		Workers:        workers,
+		Machines:       machines,
+		Iterations:     b.N,
+		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(b.N),
+		P50StepNs:      float64(percentile(durs, 50).Nanoseconds()),
+		P95StepNs:      float64(percentile(durs, 95).Nanoseconds()),
+		AllocsPerOp:    float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N),
+		BytesPerOp:     float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N),
+		MachinesPerSec: machPerSec,
 	})
 }
 
@@ -151,10 +148,6 @@ type clusterStepResult struct {
 	AllocsPerOp    float64 `json:"allocs_per_op"`
 	BytesPerOp     float64 `json:"bytes_per_op"`
 	MachinesPerSec float64 `json:"machines_per_sec"`
-	// TracingDisabled marks rows measured with TraceCapacity -1 (the
-	// 100k row): comparable for stepping throughput, not for trace
-	// overhead.
-	TracingDisabled bool `json:"tracing_disabled,omitempty"`
 }
 
 // benchKey identifies one matrix cell: a (workers, machines) pair.

@@ -177,9 +177,11 @@ func main() {
 		log.Fatalf("cpi2agent: -identifier: %v", err)
 	}
 	var a *agent.Agent
-	// One span ring for the whole daemon: sample/detect/decision spans
-	// from the agent, spec_recv from pushes, spool from replays.
+	// One span store for the whole daemon: sample/detect/decision spans
+	// from the agent, spec_recv from pushes, spool from replays. It keeps
+	// per-sample spans as far back as the manager's series reach.
 	tr := trace.NewStore(0)
+	tr.SetHorizon(params.LookBack())
 	var egress *pipeline.Egress[*pipeline.Redialer]
 	if *aggregator != "" {
 		endpoints, err := parseAggregators(*aggregator)

@@ -93,6 +93,7 @@ func main() {
 	validator := core.NewSampleValidator("aggregator", 256)
 	validator.Metrics = core.NewMetrics(reg)
 	tr := trace.NewStore(0)
+	tr.SetHorizon(params.LookBack())
 	bus, err := pipeline.NewShardBus(params, *shardID, ring, reg, tr, validator)
 	if err != nil {
 		log.Fatalf("cpi2aggregator: -shard-id %v", err)

@@ -13,7 +13,6 @@
 package agent
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,11 +47,11 @@ type Agent struct {
 
 	mu    sync.Mutex
 	tasks map[string]taskInfo // cgroup name → identity
-	// jobTasks counts the entries of tasks per job (a cgroup name spells
-	// its job, so an entry never changes job), which makes WantSpec one
+	// jobs counts the entries of tasks per job (a cgroup name spells its
+	// job, so an entry never changes job), which makes WantSpec one
 	// lookup; interest is the agent's InterestVersion, bumped under mu
 	// when a job gets its first task or loses its last.
-	jobTasks map[model.JobName]int
+	jobs     map[model.JobName]jobState
 	interest atomic.Uint64
 	// seq counts sample batches built by this agent; together with the
 	// machine name it derives the deterministic per-batch trace ID.
@@ -67,6 +66,14 @@ type Agent struct {
 type taskInfo struct {
 	id  model.TaskID
 	job model.Job
+}
+
+// jobState is what the agent keeps per job with tasks here.
+type jobState struct {
+	tasks int
+	// spec is the Name of the job's spec key (on this machine's
+	// platform) on spec_recv spans, made on the first traced receipt.
+	spec trace.Name
 }
 
 // New creates an agent for mach. sink may be nil (no sample export —
@@ -86,7 +93,7 @@ func New(mach *machine.Machine, params core.Params, sink pipeline.SampleSink) *A
 		params:    p,
 		validator: core.NewSampleValidator("agent", 256),
 		tasks:     make(map[string]taskInfo),
-		jobTasks:  make(map[model.JobName]int),
+		jobs:      make(map[model.JobName]jobState),
 	}
 	a.readCounters = mach.ReadCounters
 	return a
@@ -136,13 +143,14 @@ func (a *Agent) TaskExited(id model.TaskID) {
 // countJobTask adds delta (±1) to job's task count; the set of jobs
 // changes only when a count leaves or reaches zero. Callers hold a.mu.
 func (a *Agent) countJobTask(job model.JobName, delta int) {
-	n := a.jobTasks[job] + delta
-	if n == 0 {
-		delete(a.jobTasks, job)
+	js := a.jobs[job]
+	js.tasks += delta
+	if js.tasks == 0 {
+		delete(a.jobs, job)
 	} else {
-		a.jobTasks[job] = n
+		a.jobs[job] = js
 	}
-	if n == 0 || (delta > 0 && n == 1) {
+	if n := js.tasks; n == 0 || (delta > 0 && n == 1) {
 		a.interest.Add(1)
 	}
 }
@@ -155,7 +163,7 @@ func (a *Agent) WantSpec(key model.SpecKey) bool {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.jobTasks[key.Job] > 0
+	return a.jobs[key.Job].tasks > 0
 }
 
 // InterestVersion implements pipeline.SpecWatcher: it moves when the
@@ -177,16 +185,27 @@ func (a *Agent) Trace() *trace.Store { return a.tracer.Load() }
 // DeliverSpec implements pipeline.SpecWatcher.
 func (a *Agent) DeliverSpec(spec model.Spec) {
 	if tr := a.tracer.Load(); tr != nil && !spec.UpdatedAt.IsZero() {
-		tr.Add(trace.Span{
-			TraceID: trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt),
-			Stage:   trace.StageSpecRecv,
-			Machine: a.mach.Name(),
-			Key:     spec.Key().String(),
-			Time:    spec.UpdatedAt,
-			Detail:  fmt.Sprintf("cpi mean %.3f stddev %.3f", spec.CPIMean, spec.CPIStddev),
-		})
+		tr.SpecRecv(trace.SpecID(string(spec.Job), string(spec.Platform), spec.UpdatedAt),
+			a.mach.Name(), a.specName(spec.Key()), spec.UpdatedAt, spec.CPIMean, spec.CPIStddev)
 	}
 	a.manager.UpdateSpec(spec)
+}
+
+// specName returns the Name spec_recv spans give key: kept while the
+// agent runs tasks of the key's job on its platform, made afresh
+// otherwise.
+func (a *Agent) specName(key model.SpecKey) trace.Name {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	js, ok := a.jobs[key.Job]
+	if !ok || key.Platform != a.mach.Platform() {
+		return trace.NewName(key.String())
+	}
+	if js.spec == (trace.Name{}) {
+		js.spec = trace.NewName(key.String())
+		a.jobs[key.Job] = js
+	}
+	return js.spec
 }
 
 // Tick runs one agent cycle at now: sample counters, analyse, publish,
@@ -227,7 +246,8 @@ func (a *Agent) toSamples(now time.Time, ms []perfcnt.Measurement) []model.Sampl
 	// agent ticks are serial per machine, so the ID sequence is
 	// identical at any cluster worker count and under any fault plan.
 	a.seq++
-	tid := trace.SampleTraceID(a.mach.Name(), a.seq)
+	id := trace.SampleID(a.mach.Name(), a.seq)
+	tid := id.String()
 	out := a.sampleBuf[:0]
 	for _, m := range ms {
 		info, ok := a.tasks[m.Cgroup]
@@ -246,13 +266,7 @@ func (a *Agent) toSamples(now time.Time, ms []perfcnt.Measurement) []model.Sampl
 		})
 	}
 	if tr := a.tracer.Load(); tr != nil && len(out) > 0 {
-		tr.Add(trace.Span{
-			TraceID: tid,
-			Stage:   trace.StageSample,
-			Machine: a.mach.Name(),
-			Time:    now,
-			Detail:  fmt.Sprintf("%d samples", len(out)),
-		})
+		tr.Sample(id, a.mach.Name(), now, len(out))
 	}
 	a.sampleBuf = out
 	return out

@@ -86,13 +86,25 @@ type Config struct {
 	// included — is the same on every run, a plan only decides what goes
 	// wrong on it. The plan must pass Validate; New panics otherwise.
 	Faults *FaultPlan
-	// TraceCapacity bounds each machine's causal-trace span ring
-	// (0 selects the trace package default of 4096; rings grow lazily
-	// either way). Negative disables tracing entirely — the 100k-machine
-	// benchmark uses this, since even lazy per-machine rings are real
-	// memory at that scale. Determinism is unaffected: traces are either
-	// identically present or identically absent at any worker count.
+	// TraceCapacity bounds each span store, the aggregator's and every
+	// machine's (0 selects the trace package default of 4096; stores
+	// grow as spans arrive). Within it a store keeps per-sample spans
+	// for Params.LookBack and each spec key's newest spec spans. Negative
+	// disables tracing entirely. Determinism is unaffected: traces are
+	// either identically present or identically absent at any worker
+	// count.
 	TraceCapacity int
+}
+
+// newTraceStore returns a span store of TraceCapacity spans that keeps
+// per-sample spans for the Params' LookBack (nil when tracing is off).
+func (c Config) newTraceStore() *trace.Store {
+	if c.TraceCapacity < 0 {
+		return nil
+	}
+	st := trace.NewStore(c.TraceCapacity)
+	st.SetHorizon(c.Params.LookBack())
+	return st
 }
 
 func (c Config) withDefaults() Config {
@@ -301,9 +313,7 @@ func New(cfg Config) *Cluster {
 		midx:    make(map[string]int, cfg.Machines),
 		pending: make([]bool, cfg.Machines),
 	}
-	if cfg.TraceCapacity >= 0 {
-		c.aggTrace = trace.NewStore(cfg.TraceCapacity)
-	}
+	c.aggTrace = cfg.newTraceStore()
 	var coreShared *core.Metrics
 	if cfg.Registry != nil {
 		coreShared = core.NewMetrics(cfg.Registry)
@@ -350,9 +360,7 @@ func New(cfg Config) *Cluster {
 			// this against live cgroup state after an agent restart.
 			journal: &core.MemCapJournal{},
 		}
-		if cfg.TraceCapacity >= 0 {
-			n.trace = trace.NewStore(cfg.TraceCapacity)
-		}
+		n.trace = cfg.newTraceStore()
 		if cfg.Events != nil {
 			n.events = obs.NewEventBuffer()
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -61,11 +60,18 @@ type Manager struct {
 
 	mu           sync.Mutex
 	jobs         map[model.JobName]model.Job
-	cpi          map[model.TaskID]*timeseries.Series
-	usage        map[model.TaskID]*timeseries.Series
+	tasks        map[model.TaskID]taskSeries
 	lastAnalysis time.Time
 	incidents    []Incident
 	maxIncidents int
+}
+
+// taskSeries is what the manager keeps per task: its CPI and CPU-usage
+// series over LookBack, and the Name its detect and decision spans
+// carry, made on the first.
+type taskSeries struct {
+	cpi, usage *timeseries.Series
+	name       trace.Name
 }
 
 // NewManager creates a per-machine manager named machine, applying
@@ -87,8 +93,7 @@ func NewManager(machine string, p Params, capper Capper) *Manager {
 		metrics:      &Metrics{},
 		events:       nopSink{},
 		jobs:         make(map[model.JobName]model.Job),
-		cpi:          make(map[model.TaskID]*timeseries.Series),
-		usage:        make(map[model.TaskID]*timeseries.Series),
+		tasks:        make(map[model.TaskID]taskSeries),
 		maxIncidents: 4096,
 	}
 	if f, ok := ident.(interface{ Forget(model.TaskID) }); ok {
@@ -159,8 +164,7 @@ func (m *Manager) Enforcer() *Enforcer { return m.enforcer }
 // failing to uncap a cgroup that no longer exists.
 func (m *Manager) TaskExited(task model.TaskID) {
 	m.mu.Lock()
-	delete(m.cpi, task)
-	delete(m.usage, task)
+	delete(m.tasks, task)
 	m.mu.Unlock()
 	m.detector.Forget(task)
 	if m.identifierForget != nil {
@@ -177,18 +181,16 @@ func (m *Manager) SetJournal(j CapJournal) { m.enforcer.SetJournal(j) }
 // non-nil Incident when an anomaly was analysed this round.
 func (m *Manager) Observe(s model.Sample) *Incident {
 	m.mu.Lock()
-	cs, ok := m.cpi[s.Task]
+	ts, ok := m.tasks[s.Task]
 	if !ok {
-		cs = timeseries.NewBounded(2*m.params.CorrelationWindow, 0)
-		m.cpi[s.Task] = cs
+		ts = taskSeries{
+			cpi:   timeseries.NewBounded(m.params.LookBack(), 0),
+			usage: timeseries.NewBounded(m.params.LookBack(), 0),
+		}
+		m.tasks[s.Task] = ts
 	}
-	us, ok := m.usage[s.Task]
-	if !ok {
-		us = timeseries.NewBounded(2*m.params.CorrelationWindow, 0)
-		m.usage[s.Task] = us
-	}
-	_ = cs.Append(s.Timestamp, s.CPI)
-	_ = us.Append(s.Timestamp, s.CPUUsage)
+	_ = ts.cpi.Append(s.Timestamp, s.CPI)
+	_ = ts.usage.Append(s.Timestamp, s.CPUUsage)
 	metrics, tracer := m.metrics, m.tracer // snapshot under m.mu; setters may race otherwise
 	m.mu.Unlock()
 
@@ -207,16 +209,26 @@ func (m *Manager) Observe(s model.Sample) *Incident {
 		return nil
 	}
 	metrics.Anomalies.Inc()
-	tracer.Add(trace.Span{
-		TraceID:      s.TraceID,
-		Stage:        trace.StageDetect,
-		Machine:      m.machine,
-		Key:          s.Task.String(),
-		Time:         s.Timestamp,
-		QueueSeconds: a.SpecAge.Seconds(),
-		Detail:       fmt.Sprintf("cpi %.3f > threshold %.3f", s.CPI, a.Threshold),
-	})
+	if tracer != nil {
+		tracer.Detect(trace.ParseID(s.TraceID), m.machine, m.spanName(s.Task), s.Timestamp, a.SpecAge.Seconds(), s.CPI, a.Threshold)
+	}
 	return m.analyse(s, a, tracer)
+}
+
+// spanName returns the Name detect and decision spans give task: kept
+// with the task's series while it has them, made afresh otherwise.
+func (m *Manager) spanName(task model.TaskID) trace.Name {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ts, live := m.tasks[task]
+	if !live {
+		return trace.NewName(task.String())
+	}
+	if ts.name == (trace.Name{}) {
+		ts.name = trace.NewName(task.String())
+		m.tasks[task] = ts
+	}
+	return ts.name
 }
 
 // analyse runs one rate-limited antagonist-identification round.
@@ -239,14 +251,14 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 	m.lastAnalysis = s.Timestamp
 	metrics.AnalysesRun.Inc()
 
-	victimCPI := m.cpi[s.Task]
-	suspects := make([]SuspectInput, 0, len(m.usage))
-	for task, usage := range m.usage {
+	victimCPI := m.tasks[s.Task].cpi
+	suspects := make([]SuspectInput, 0, len(m.tasks))
+	for task, ts := range m.tasks {
 		if task == s.Task {
 			continue
 		}
 		j := m.jobLocked(task.Job)
-		suspects = append(suspects, SuspectInput{Task: task, Job: task.Job, Class: j.Class, Priority: j.Priority, Usage: usage})
+		suspects = append(suspects, SuspectInput{Task: task, Job: task.Job, Class: j.Class, Priority: j.Priority, Usage: ts.usage})
 	}
 	victimJob := m.jobLocked(s.Job)
 	m.mu.Unlock()
@@ -314,19 +326,13 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 			metrics.DetectToCap.Observe(reaction.Seconds())
 		}
 	}
-	detail := decision.Action.String()
-	if decision.Action != ActionNone {
-		detail = fmt.Sprintf("%s %s", detail, decision.Target)
+	if tracer != nil {
+		var target trace.Name
+		if decision.Action != ActionNone {
+			target = m.spanName(decision.Target)
+		}
+		tracer.Decision(trace.ParseID(s.TraceID), m.machine, m.spanName(s.Task), s.Timestamp, reaction.Seconds(), decision.Action.String(), target)
 	}
-	tracer.Add(trace.Span{
-		TraceID:      s.TraceID,
-		Stage:        trace.StageDecision,
-		Machine:      m.machine,
-		Key:          s.Task.String(),
-		Time:         s.Timestamp,
-		QueueSeconds: reaction.Seconds(),
-		Detail:       detail,
-	})
 	events.Emit(inc.Time, "incident", inc.Record())
 	m.mu.Lock()
 	m.incidents = append(m.incidents, *inc)
@@ -366,7 +372,7 @@ func (m *Manager) Incidents() []Incident {
 func (m *Manager) UsageSeries(task model.TaskID) *timeseries.Series {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.usage[task]
+	return m.tasks[task].usage
 }
 
 // CPISeries returns the recorded CPI series for a task (nil if
@@ -374,5 +380,5 @@ func (m *Manager) UsageSeries(task model.TaskID) *timeseries.Series {
 func (m *Manager) CPISeries(task model.TaskID) *timeseries.Series {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.cpi[task]
+	return m.tasks[task].cpi
 }

@@ -172,3 +172,14 @@ func (p Params) Sanitize() Params {
 	}
 	return p
 }
+
+// LookBack is how far back the per-task series the manager correlates
+// reach: twice the correlation window (at the defaults, that covers a
+// cap's CapDuration too). Span stores keep sample-side spans as long.
+func (p Params) LookBack() time.Duration {
+	w := p.CorrelationWindow
+	if w <= 0 {
+		w = DefaultParams().CorrelationWindow
+	}
+	return 2 * w
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -122,6 +121,8 @@ type specHistory struct {
 	variance  float64
 	usageMean float64
 	tasks     int
+	// name is the key's Name on spec_build spans, made on the first.
+	name trace.Name
 }
 
 // NewSpecBuilder returns a builder using p (sanitized).
@@ -316,15 +317,17 @@ func (b *SpecBuilder) Recompute(now time.Time) []model.Spec {
 			age = 0
 		}
 		b.metrics.SampleToSpec.Observe(age.Seconds())
-		b.tracer.Add(trace.Span{
-			TraceID:      trace.SpecTraceID(key.String(), now),
-			Stage:        trace.StageSpecBuild,
-			Shard:        b.shard,
-			Key:          key.String(),
-			Time:         now,
-			QueueSeconds: age.Seconds(),
-			Detail:       fmt.Sprintf("%d samples", agg.cpi.N()),
-		})
+		if b.tracer != nil {
+			h := b.history[key]
+			if h == nil {
+				h = &specHistory{}
+				b.history[key] = h
+			}
+			if h.name == (trace.Name{}) {
+				h.name = trace.NewName(key.String())
+			}
+			b.tracer.SpecBuild(trace.SpecID(string(key.Job), string(key.Platform), now), b.shard, h.name, now, age.Seconds(), agg.cpi.N())
+		}
 	}
 
 	for key, agg := range b.pending {

@@ -151,14 +151,15 @@ func TestAdminHandleAction(t *testing.T) {
 func TestAdminHandleTrace(t *testing.T) {
 	s, _, _, addr := startAdmin(t)
 	tr := trace.NewStore(0)
-	tr.Add(trace.Span{TraceID: "t1", Stage: trace.StageIngest})
-	tr.Add(trace.Span{TraceID: "t2", Stage: trace.StageSpecBuild})
+	t1, t2 := trace.SampleID("m", 1), trace.SampleID("m", 2)
+	tr.Ingest(t1, "m", "", time.Time{}, 1, 1)
+	tr.SpecBuild(t2, "", trace.NewName("j@p"), time.Time{}, 0, 1)
 	s.HandleTrace(tr, nil)
-	code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?id=t2")
+	code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?id="+t2.String())
 	if code != http.StatusOK || !strings.Contains(body, trace.StageSpecBuild) || strings.Contains(body, trace.StageIngest) {
 		t.Errorf("trace t2: %d %s", code, body)
 	}
-	if code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?n=1"); code != http.StatusOK || !strings.Contains(body, `"t2"`) || strings.Contains(body, `"t1"`) {
+	if code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?n=1"); code != http.StatusOK || !strings.Contains(body, `"`+t2.String()+`"`) || strings.Contains(body, `"`+t1.String()+`"`) {
 		t.Errorf("recent 1: %d %s", code, body)
 	}
 	if code, body, _ := httpGet(t, "http://"+addr+"/debug/trace?id=nope"); code != http.StatusNotFound || !strings.Contains(body, "nope") {

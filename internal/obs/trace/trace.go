@@ -13,12 +13,20 @@
 // QueueSeconds are simulation/decision time, so a span is the same
 // whichever host recorded it and however busy that host was.
 //
+// A store keeps spans as fixed-size records built from typed fields —
+// the ID's hash, Unix time, counts and CPI values, names the producer
+// already holds — so recording one allocates nothing. The Span view,
+// with its hex ID and human-readable Detail, is rendered only when the
+// store is read.
+//
 // The package is stdlib-only and deliberately does not import
 // internal/model: IDs are derived from plain strings so every layer
 // (pipeline, core, agent, cluster) can use it without cycles.
 package trace
 
 import (
+	"math"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -55,7 +63,26 @@ var Stages = []string{
 	StageSpecPush, StageSpecRecv, StageDetect, StageDecision,
 }
 
-// Span is one recorded hop of the control loop.
+// stage is a record's index into Stages.
+type stage uint8
+
+const (
+	stSample stage = iota
+	stSpool
+	stIngest
+	stSpecBuild
+	stSpecPush
+	stSpecRecv
+	stDetect
+	stDecision
+	numStages
+)
+
+// specSide says whether spans of st describe a spec rather than a
+// sample batch: a store keeps the newest one per key however old.
+func (st stage) specSide() bool { return st >= stSpecBuild && st <= stSpecRecv }
+
+// Span is one recorded hop of the control loop, as a store renders it.
 type Span struct {
 	TraceID string `json:"trace_id"`
 	Stage   string `json:"stage"`
@@ -78,29 +105,206 @@ type Span struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// Store is a bounded ring of spans, one per daemon (and, in the
-// cluster simulator, one per simulated agent so the parallel tick
-// phase never shares write state across machines). A nil *Store is a
-// valid no-op sink, which is how the uninstrumented path stays free.
+// ID is a trace ID as a store keeps it: the 64-bit FNV-1a content
+// hash, rendered as 16 lowercase hex digits. The zero ID is "no ID" and
+// renders "".
+type ID struct {
+	hash uint64
+	ok   bool
+}
+
+// FNV-1a, 64-bit.
+const offset64, prime64 = 14695981039346656037, 1099511628211
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * prime64
+	}
+	return h
+}
+
+// hashSeq folds a zero byte, then n big-endian, into h.
+func hashSeq(h, n uint64) ID {
+	h *= prime64 // the zero byte: h ^ 0 is h
+	for shift := 56; shift >= 0; shift -= 8 {
+		h = (h ^ (n >> shift & 0xff)) * prime64
+	}
+	return ID{hash: h, ok: true}
+}
+
+// SampleID is the trace ID of the seq-th sample batch built on
+// machine: the FNV-1a hash of machine, a zero byte and seq (big-endian).
+// No clocks, no RNG, so identical simulations produce identical IDs
+// regardless of worker count or fault plan.
+func SampleID(machine string, seq uint64) ID {
+	return hashSeq(hashString(offset64, machine), seq)
+}
+
+// SpecID is the trace ID of a spec build: the hash of its key
+// ("job@platform", hashed from the two parts without building it) and
+// its UpdatedAt stamp. Both sides of the wire can compute it, so the
+// spec schema itself needs no trace field.
+func SpecID(job, platform string, updatedAt time.Time) ID {
+	h := hashString(offset64, job)
+	h = (h ^ '@') * prime64
+	return hashSeq(hashString(h, platform), uint64(updatedAt.UnixNano()))
+}
+
+// SampleTraceID is SampleID as a string, the form a sample carries.
+func SampleTraceID(machine string, seq uint64) string {
+	return SampleID(machine, seq).String()
+}
+
+// SpecTraceID is the string form of the spec trace ID for key
+// ("job@platform"), equal to SpecID of its parts.
+func SpecTraceID(key string, updatedAt time.Time) string {
+	return hashSeq(hashString(offset64, key), uint64(updatedAt.UnixNano())).String()
+}
+
+// ParseID reads the 16-lowercase-hex-digit form. Anything else — the
+// empty string, a legacy or hostile ID off the wire — is no ID.
+func ParseID(s string) ID {
+	if len(s) != 16 {
+		return ID{}
+	}
+	var h uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= '0' && c <= '9':
+			c -= '0'
+		case c >= 'a' && c <= 'f':
+			c -= 'a' - 10
+		default:
+			return ID{}
+		}
+		h = h<<4 | uint64(c)
+	}
+	return ID{hash: h, ok: true}
+}
+
+// AppendTo appends the ID's 16 hex digits to b (nothing for no ID).
+func (id ID) AppendTo(b []byte) []byte {
+	if !id.ok {
+		return b
+	}
+	const hexDigits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hexDigits[id.hash>>shift&0xf])
+	}
+	return b
+}
+
+// String renders the ID as 16 hex digits, or "" for no ID.
+func (id ID) String() string {
+	var buf [16]byte
+	return string(id.AppendTo(buf[:0]))
+}
+
+// Name is a span's key or peer as its producer keeps it: a pointer to
+// one string the producer built once, so that a record holds 8 bytes
+// and no copy. The zero Name renders "".
+type Name struct{ p *string }
+
+// NewName makes a Name for s; producers make one per subject and keep it.
+func NewName(s string) Name { return Name{&s} }
+
+// String returns the named string.
+func (n Name) String() string {
+	if n.p == nil {
+		return ""
+	}
+	return *n.p
+}
+
+// record is one stored span: 64 bytes, no string of its own. What its
+// operands and names mean depends on the stage; render turns it back
+// into a Span.
+type record struct {
+	id    uint64
+	sec   int64   // Time, Unix seconds
+	queue float64 // QueueSeconds
+	// x and y are the Detail's operands: counts, float64 bits, or (for a
+	// decision) the action's local-name index.
+	x, y uint64
+	// key is the Span's Key. other is an ingest batch's machine or a
+	// decision's target.
+	key, other Name
+	nsec       int32
+	// place is the recording machine or shard, an index+1 into
+	// Store.local (0: none).
+	place uint16
+	stage stage
+	flags uint8
+}
+
+const (
+	flagID    = 1 << iota // id holds a trace ID
+	flagLocal             // Time is rendered in time.Local, not UTC
+)
+
+func (r *record) time() time.Time {
+	t := time.Unix(r.sec, int64(r.nsec))
+	if r.flags&flagLocal != 0 {
+		return t
+	}
+	return t.UTC()
+}
+
+func (r *record) sameKey(o *record) bool {
+	return r.stage == o.stage && (r.key == o.key || r.key.String() == o.key.String())
+}
+
+// Local-name and ingest-machine table bounds. Local names are the
+// recording side's own few (its machine, its shard, decision actions).
+// Ingest machines arrive from outside, so like the wire decoder's name
+// table theirs is flushed when full, and only short names are kept.
+const (
+	maxLocalNames  = 1<<16 - 1
+	maxMachines    = 1 << 17
+	maxMachineName = 128
+)
+
+// Store holds the spans one daemon records (and, in the cluster
+// simulator, one per simulated agent so the parallel tick phase never
+// shares write state across machines). A nil *Store is a valid no-op
+// sink, which is how the uninstrumented path stays free.
+//
+// Retention: with a horizon set, sample, spool, ingest, detect and
+// decision spans leave once they are more than the horizon older than
+// the newest span the store has seen; spec_build, spec_push and
+// spec_recv spans leave too, except the newest of each stage and key,
+// which stays however old. The capacity caps the spans held either way;
+// at the cap the oldest span goes, one the horizon keeps going last.
+// With no horizon the store is a plain ring of capacity spans.
 type Store struct {
 	mu       sync.Mutex
 	capacity int
-	// buf grows lazily (by append) up to capacity, then wraps as a
-	// ring. A freshly created store therefore costs a few words, not
-	// capacity×sizeof(Span) — a 100k-machine cluster creates one store
-	// per machine and most record only a handful of spans.
-	buf   []Span
-	next  int
-	full  bool
-	total uint64
+	horizon  time.Duration
+	// ring holds retained spans in the order they were added: n of them
+	// from head, wrapping. It grows by a quarter (8 records at least) up
+	// to capacity, so a store costs about the records it holds: a
+	// machine's store holds a few dozen.
+	ring    []record
+	head, n int
+	// kept holds the spec-side spans the horizon (or the capacity) took
+	// out of ring that are still their stage and key's newest, oldest
+	// first: all of them were added before anything in ring.
+	kept   []record
+	newest time.Time
+	// local is the store's table of local names (record.place and a
+	// decision's action); machines memoises ingest machines' Names.
+	local    []string
+	machines map[string]Name
+	total    uint64
 	// perStage counts spans ever added by stage; unlike the ring it
-	// never forgets, so counters survive wraparound.
-	perStage map[string]uint64
+	// never forgets, so counters survive eviction.
+	perStage [numStages]uint64
 }
 
-// NewStore returns a ring store holding up to capacity spans
-// (capacity <= 0 selects 4096). Ring memory is allocated lazily as
-// spans arrive.
+// NewStore returns a store holding up to capacity spans (capacity <= 0
+// selects 4096) with no horizon: a ring. Its memory grows as spans
+// arrive.
 func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = 4096
@@ -108,37 +312,269 @@ func NewStore(capacity int) *Store {
 	return &Store{capacity: capacity}
 }
 
-// Add records one span. Nil-safe.
-func (s *Store) Add(sp Span) {
+// SetHorizon makes the store drop per-sample spans once they are d
+// older than its newest span (see Store). The store's owner derives d
+// from the control loop's windows; 0 keeps spans by capacity alone.
+// Nil-safe.
+func (s *Store) SetHorizon(d time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if !s.full && len(s.buf) < s.capacity {
-		s.buf = append(s.buf, sp)
-		s.next = len(s.buf)
-		if s.next == s.capacity {
-			s.next = 0
-			s.full = true
-		}
-	} else {
-		s.buf[s.next] = sp
-		s.next++
-		if s.next == len(s.buf) {
-			s.next = 0
-			s.full = true
-		}
-	}
-	s.total++
-	if s.perStage == nil {
-		s.perStage = make(map[string]uint64)
-	}
-	s.perStage[sp.Stage]++
+	s.horizon = max(d, 0)
 	s.mu.Unlock()
 }
 
+// Sample records an agent's batch of n samples.
+func (s *Store) Sample(id ID, machine string, at time.Time, n int) {
+	if s != nil {
+		s.add(record{stage: stSample, x: uint64(n)}, id, at, machine)
+	}
+}
+
+// Spool records the replay of a spooled batch of n samples, delay
+// seconds after its newest sample.
+func (s *Store) Spool(id ID, machine string, at time.Time, delay float64, n int) {
+	if s != nil {
+		s.add(record{stage: stSpool, queue: delay, x: uint64(n)}, id, at, machine)
+	}
+}
+
+// Ingest records a shard admitting admitted of a batch's of samples,
+// from machine.
+func (s *Store) Ingest(id ID, machine, shard string, at time.Time, admitted, of int) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.addLocked(record{stage: stIngest, x: uint64(admitted), y: uint64(of), other: s.machineLocked(machine)}, id, at, shard)
+}
+
+// SpecBuild records a shard folding n samples, the oldest age seconds
+// old, into key's spec.
+func (s *Store) SpecBuild(id ID, shard string, key Name, at time.Time, age float64, n int64) {
+	if s != nil {
+		s.add(record{stage: stSpecBuild, key: key, queue: age, x: uint64(n)}, id, at, shard)
+	}
+}
+
+// SpecPush records a shard pushing key's spec to watchers watchers.
+func (s *Store) SpecPush(id ID, shard string, key Name, at time.Time, watchers int) {
+	if s != nil {
+		s.add(record{stage: stSpecPush, key: key, x: uint64(watchers)}, id, at, shard)
+	}
+}
+
+// SpecRecv records machine receiving key's spec with the given CPI
+// mean and standard deviation.
+func (s *Store) SpecRecv(id ID, machine string, key Name, at time.Time, mean, stddev float64) {
+	if s != nil {
+		s.add(record{stage: stSpecRecv, key: key, x: math.Float64bits(mean), y: math.Float64bits(stddev)}, id, at, machine)
+	}
+}
+
+// Detect records machine's detector flagging task key's sample: CPI
+// cpi over threshold, judged by a spec specAge seconds old.
+func (s *Store) Detect(id ID, machine string, key Name, at time.Time, specAge, cpi, threshold float64) {
+	if s != nil {
+		s.add(record{stage: stDetect, key: key, queue: specAge, x: math.Float64bits(cpi), y: math.Float64bits(threshold)}, id, at, machine)
+	}
+}
+
+// Decision records machine's enforcer ruling on task key's anomaly,
+// reaction seconds into the episode: action (a short constant such as
+// "cap") on target (the zero Name for none).
+func (s *Store) Decision(id ID, machine string, key Name, at time.Time, reaction float64, action string, target Name) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.addLocked(record{stage: stDecision, key: key, queue: reaction, x: uint64(s.localLocked(action)), other: target}, id, at, machine)
+}
+
+func (s *Store) add(r record, id ID, at time.Time, place string) {
+	s.mu.Lock()
+	s.addLocked(r, id, at, place)
+	s.mu.Unlock()
+}
+
+func (s *Store) addLocked(r record, id ID, at time.Time, place string) {
+	if id.ok {
+		r.id, r.flags = id.hash, flagID
+	}
+	r.sec, r.nsec = at.Unix(), int32(at.Nanosecond())
+	if at.Location() == time.Local {
+		r.flags |= flagLocal
+	}
+	r.place = s.localLocked(place)
+	s.total++
+	s.perStage[r.stage]++
+	if s.horizon > 0 {
+		if at.After(s.newest) {
+			s.newest = at
+		}
+		if r.stage.specSide() {
+			s.supersedeLocked(&r)
+		}
+		cutoff := s.newest.Add(-s.horizon)
+		for s.n > 0 && s.ring[s.head].time().Before(cutoff) {
+			s.popLocked()
+		}
+	}
+	for s.n+len(s.kept) >= s.capacity {
+		if s.n == 0 {
+			s.kept = append(s.kept[:0], s.kept[1:]...)
+			break
+		}
+		if s.popLocked() {
+			break
+		}
+	}
+	if s.n == len(s.ring) {
+		grown := make([]record, min(len(s.ring)+max(8, len(s.ring)/4), s.capacity))
+		copy(grown, s.ring[s.head:])
+		copy(grown[len(s.ring)-s.head:], s.ring[:s.head])
+		s.ring, s.head = grown, 0
+	}
+	s.ring[(s.head+s.n)%len(s.ring)] = r
+	s.n++
+}
+
+// popLocked takes the oldest span out of ring. A spec-side span that is
+// still its stage and key's newest moves to kept (when a horizon is
+// set); otherwise it is dropped, and popLocked says so.
+func (s *Store) popLocked() (dropped bool) {
+	r := s.ring[s.head]
+	s.ring[s.head] = record{}
+	s.head = (s.head + 1) % len(s.ring)
+	s.n--
+	if s.horizon == 0 || !r.stage.specSide() {
+		return true
+	}
+	for i := 0; i < s.n; i++ {
+		if s.at(i).sameKey(&r) {
+			return true
+		}
+	}
+	s.kept = append(s.kept, r)
+	return false
+}
+
+// supersedeLocked drops the kept span r replaces as its stage and key's
+// newest: kept spans are past the horizon or were pushed out by the
+// capacity, so nothing else keeps them.
+func (s *Store) supersedeLocked(r *record) {
+	for i := range s.kept {
+		if s.kept[i].sameKey(r) {
+			s.kept = append(s.kept[:i], s.kept[i+1:]...)
+			return
+		}
+	}
+}
+
+func (s *Store) at(i int) *record { return &s.ring[(s.head+i)%len(s.ring)] }
+
+// localLocked returns name's index+1 in the local table, adding it if
+// new; "" (and anything past a full table) is 0.
+func (s *Store) localLocked(name string) uint16 {
+	if name == "" {
+		return 0
+	}
+	for i, n := range s.local {
+		if n == name {
+			return uint16(i + 1)
+		}
+	}
+	if len(s.local) == maxLocalNames {
+		return 0
+	}
+	s.local = append(s.local, name)
+	return uint16(len(s.local))
+}
+
+// machineLocked returns the Name of an ingest batch's machine.
+func (s *Store) machineLocked(machine string) Name {
+	if machine == "" {
+		return Name{}
+	}
+	if n, ok := s.machines[machine]; ok {
+		return n
+	}
+	n := NewName(machine)
+	if len(machine) <= maxMachineName {
+		if s.machines == nil || len(s.machines) >= maxMachines {
+			s.machines = make(map[string]Name)
+		}
+		s.machines[machine] = n
+	}
+	return n
+}
+
+func (s *Store) localName(i uint16) string {
+	if i == 0 {
+		return ""
+	}
+	return s.local[i-1]
+}
+
+// renderLocked turns r back into the Span its producer described.
+func (s *Store) renderLocked(r *record) Span {
+	sp := Span{
+		Stage:        Stages[r.stage],
+		Key:          r.key.String(),
+		Time:         r.time(),
+		QueueSeconds: r.queue,
+	}
+	if r.flags&flagID != 0 {
+		sp.TraceID = ID{hash: r.id, ok: true}.String()
+	}
+	place := s.localName(r.place)
+	count := func(n uint64, unit string) string { return strconv.FormatUint(n, 10) + unit }
+	switch r.stage {
+	case stSample:
+		sp.Machine, sp.Detail = place, count(r.x, " samples")
+	case stSpool:
+		sp.Machine, sp.Detail = place, "replayed "+count(r.x, " samples")
+	case stIngest:
+		sp.Machine, sp.Shard = r.other.String(), place
+		sp.Detail = count(r.x, "/") + count(r.y, " samples admitted")
+	case stSpecBuild:
+		sp.Shard, sp.Detail = place, count(r.x, " samples")
+	case stSpecPush:
+		sp.Shard, sp.Detail = place, count(r.x, " watchers")
+	case stSpecRecv:
+		sp.Machine, sp.Detail = place, "cpi mean "+fixed3(r.x)+" stddev "+fixed3(r.y)
+	case stDetect:
+		sp.Machine, sp.Detail = place, "cpi "+fixed3(r.x)+" > threshold "+fixed3(r.y)
+	case stDecision:
+		sp.Machine, sp.Detail = place, s.localName(uint16(r.x))
+		if r.other.p != nil {
+			sp.Detail += " " + r.other.String()
+		}
+	}
+	return sp
+}
+
+// fixed3 renders float64 bits as %.3f does.
+func fixed3(bits uint64) string {
+	return strconv.FormatFloat(math.Float64frombits(bits), 'f', 3, 64)
+}
+
+// eachLocked calls f on retained spans oldest-first, skipping the
+// oldest skip of them.
+func (s *Store) eachLocked(skip int, f func(*record)) {
+	for i := skip; i < len(s.kept); i++ {
+		f(&s.kept[i])
+	}
+	for i := max(skip-len(s.kept), 0); i < s.n; i++ {
+		f(s.at(i))
+	}
+}
+
 // Total returns the number of spans ever added (including ones the
-// ring has since evicted). Nil-safe.
+// store has since dropped). Nil-safe.
 func (s *Store) Total() uint64 {
 	if s == nil {
 		return 0
@@ -150,94 +586,63 @@ func (s *Store) Total() uint64 {
 
 // StageCount returns how many spans of the given stage were ever
 // added. Nil-safe.
-func (s *Store) StageCount(stage string) uint64 {
+func (s *Store) StageCount(stageName string) uint64 {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.perStage[stage]
-}
-
-// snapshot returns the retained spans oldest-first. Caller holds no
-// lock; the result is a copy.
-func (s *Store) snapshotLocked() []Span {
-	var out []Span
-	if s.full {
-		out = append(out, s.buf[s.next:]...)
+	for i, name := range Stages {
+		if name == stageName {
+			return s.perStage[i]
+		}
 	}
-	out = append(out, s.buf[:s.next]...)
-	cp := make([]Span, len(out))
-	copy(cp, out)
-	return cp
+	return 0
 }
 
-// Recent returns up to n retained spans, oldest-first (n <= 0 returns
-// all retained spans). Nil-safe.
+// Len returns how many spans the store holds. Nil-safe.
+func (s *Store) Len() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.kept) + s.n
+}
+
+// Recent returns up to n retained spans, the newest ones, oldest-first
+// (n <= 0 returns all retained spans); only those are rendered.
+// Nil-safe.
 func (s *Store) Recent(n int) []Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	all := s.snapshotLocked()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
+	held := len(s.kept) + s.n
+	skip := 0
+	if n > 0 && held > n {
+		skip = held - n
 	}
-	return all
+	out := make([]Span, 0, held-skip)
+	s.eachLocked(skip, func(r *record) { out = append(out, s.renderLocked(r)) })
+	return out
 }
 
 // ByTrace returns every retained span carrying the given trace ID,
 // oldest-first. Nil-safe.
 func (s *Store) ByTrace(id string) []Span {
-	if s == nil || id == "" {
+	want := ParseID(id)
+	if s == nil || !want.ok {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Span
-	for _, sp := range s.snapshotLocked() {
-		if sp.TraceID == id {
-			out = append(out, sp)
+	s.eachLocked(0, func(r *record) {
+		if r.flags&flagID != 0 && r.id == want.hash {
+			out = append(out, s.renderLocked(r))
 		}
-	}
+	})
 	return out
-}
-
-// SampleTraceID derives the deterministic trace ID for the seq-th
-// sample batch built on machine. It is a pure FNV-1a content hash —
-// no clocks, no RNG — so identical simulations produce identical IDs
-// regardless of worker count or fault plan.
-func SampleTraceID(machine string, seq uint64) string {
-	return contentID(machine, seq)
-}
-
-// SpecTraceID derives the deterministic trace ID for a spec build,
-// from the spec key ("job@platform") and its UpdatedAt stamp. Both
-// sides of the wire can compute it independently, so the spec schema
-// itself does not need a trace field.
-func SpecTraceID(key string, updatedAt time.Time) string {
-	return contentID(key, uint64(updatedAt.UnixNano()))
-}
-
-// contentID is the 64-bit FNV-1a hash of name, a zero byte and n
-// (big-endian), as 16 hex digits. Written out rather than through
-// hash/fnv and fmt: the spec push computes one per delivery, and this
-// form allocates only the result.
-func contentID(name string, n uint64) string {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * prime64
-	}
-	h *= prime64 // the zero byte: h ^ 0 is h
-	for shift := 56; shift >= 0; shift -= 8 {
-		h = (h ^ (n >> shift & 0xff)) * prime64
-	}
-	const hexDigits = "0123456789abcdef"
-	var out [16]byte
-	for i := range out {
-		out[i] = hexDigits[h>>(60-4*i)&0xf]
-	}
-	return string(out[:])
 }

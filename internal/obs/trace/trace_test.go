@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestDeterministicIDs(t *testing.T) {
@@ -37,7 +38,8 @@ func TestDeterministicIDs(t *testing.T) {
 
 // TestIDsAreFNV1a pins the ids to what hash/fnv and %016x give — the
 // form they were first written in, which fingerprints and recorded
-// traces depend on — and to one allocation each.
+// traces depend on — SpecID's hash of a key's parts to the hash of the
+// key, and the ID forms to no allocation (the strings to one).
 func TestIDsAreFNV1a(t *testing.T) {
 	ref := func(name string, n uint64) string {
 		h := fnv.New64a()
@@ -59,15 +61,134 @@ func TestIDsAreFNV1a(t *testing.T) {
 			t.Errorf("SpecTraceID(%q) = %s, want %s", name, got, want)
 		}
 	}
+	for _, k := range [][2]string{{"", ""}, {"websearch-leaf", "platform-B"}, {"a@b", "c"}, {"näme", "\x00"}} {
+		if got, want := SpecID(k[0], k[1], at).String(), ref(k[0]+"@"+k[1], uint64(at.UnixNano())); got != want {
+			t.Errorf("SpecID(%q, %q) = %s, want %s", k[0], k[1], got, want)
+		}
+	}
 	if n := testing.AllocsPerRun(100, func() { _ = SpecTraceID("websearch-leaf@platform-B", at) }); n > 1 {
 		t.Errorf("SpecTraceID allocates %v times, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = SpecID("websearch-leaf", "platform-B", at) }); n != 0 {
+		t.Errorf("SpecID allocates %v times, want 0", n)
+	}
+}
+
+// TestParseID: only 16 lowercase hex digits are an ID; anything else is
+// recorded as no ID and renders "". A real all-zero hash still renders.
+func TestParseID(t *testing.T) {
+	for _, s := range []string{"0123456789abcdef", "0000000000000000", "ffffffffffffffff", SampleTraceID("m", 3)} {
+		if got := ParseID(s).String(); got != s {
+			t.Errorf("ParseID(%q) renders %q", s, got)
+		}
+	}
+	for _, s := range []string{"", "t1", "forged", "0123456789ABCDEF", "0123456789abcde", "0123456789abcdef0", "0123456789abcdeg", "feedface"} {
+		if id := ParseID(s); id != (ID{}) || id.String() != "" {
+			t.Errorf("ParseID(%q) = %+v, want no ID", s, id)
+		}
+	}
+	s := NewStore(4)
+	at := time.Date(2011, 11, 1, 3, 0, 0, 0, time.UTC)
+	s.Ingest(ParseID("forged"), "m", "shard-0", at, 1, 1)
+	s.Ingest(ParseID("0000000000000000"), "m", "shard-0", at, 1, 1)
+	got := s.Recent(0)
+	if got[0].TraceID != "" || got[1].TraceID != "0000000000000000" {
+		t.Errorf("trace ids %q and %q, want \"\" and the zero hash", got[0].TraceID, got[1].TraceID)
+	}
+	if sp := s.ByTrace("0000000000000000"); len(sp) != 1 {
+		t.Errorf("ByTrace(zero hash) = %+v", sp)
+	}
+	if sp := s.ByTrace("forged"); sp != nil {
+		t.Errorf("ByTrace(forged) = %+v", sp)
+	}
+}
+
+func TestRecordIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(record{}); n > 64 {
+		t.Errorf("a record is %d bytes, want at most 64", n)
+	}
+}
+
+// addEvery records one span of every stage at at, with the typed
+// operands the producers pass.
+func addEvery(s *Store, at time.Time, key, target Name) {
+	id := SampleID("machine-0001", 7)
+	spec := SpecID("websearch", "platform-B", at)
+	s.Sample(id, "machine-0001", at, 37)
+	s.Spool(id, "machine-0001", at, 12.5, 37)
+	s.Ingest(id, "machine-0001", "shard-1", at, 35, 37)
+	s.SpecBuild(spec, "shard-1", key, at, 61, 2048)
+	s.SpecPush(spec, "shard-1", key, at, 3)
+	s.SpecRecv(spec, "machine-0001", key, at, 1.23456, 0.0005)
+	s.Detect(id, "machine-0001", target, at, 300, 2.3456, 1.9999)
+	s.Decision(id, "machine-0001", target, at, 42, "cap", target)
+	s.Decision(id, "machine-0001", target, at, 0, "none", Name{})
+}
+
+// TestRenderMatchesProducerFormats: the Span view renders each stage's
+// Detail exactly as its producer used to format it.
+func TestRenderMatchesProducerFormats(t *testing.T) {
+	s := NewStore(0)
+	at := time.Date(2011, 11, 1, 3, 0, 0, 5, time.UTC)
+	key, task := NewName("websearch@platform-B"), NewName("video/3")
+	addEvery(s, at, key, task)
+	id, spec := SampleTraceID("machine-0001", 7), SpecTraceID("websearch@platform-B", at)
+	want := []Span{
+		{TraceID: id, Stage: StageSample, Machine: "machine-0001", Time: at, Detail: fmt.Sprintf("%d samples", 37)},
+		{TraceID: id, Stage: StageSpool, Machine: "machine-0001", Time: at, QueueSeconds: 12.5, Detail: fmt.Sprintf("replayed %d samples", 37)},
+		{TraceID: id, Stage: StageIngest, Machine: "machine-0001", Shard: "shard-1", Time: at, Detail: "35/37 samples admitted"},
+		{TraceID: spec, Stage: StageSpecBuild, Shard: "shard-1", Key: "websearch@platform-B", Time: at, QueueSeconds: 61, Detail: fmt.Sprintf("%d samples", 2048)},
+		{TraceID: spec, Stage: StageSpecPush, Shard: "shard-1", Key: "websearch@platform-B", Time: at, Detail: "3 watchers"},
+		{TraceID: spec, Stage: StageSpecRecv, Machine: "machine-0001", Key: "websearch@platform-B", Time: at,
+			Detail: fmt.Sprintf("cpi mean %.3f stddev %.3f", 1.23456, 0.0005)},
+		{TraceID: id, Stage: StageDetect, Machine: "machine-0001", Key: "video/3", Time: at, QueueSeconds: 300,
+			Detail: fmt.Sprintf("cpi %.3f > threshold %.3f", 2.3456, 1.9999)},
+		{TraceID: id, Stage: StageDecision, Machine: "machine-0001", Key: "video/3", Time: at, QueueSeconds: 42, Detail: "cap video/3"},
+		{TraceID: id, Stage: StageDecision, Machine: "machine-0001", Key: "video/3", Time: at, Detail: "none"},
+	}
+	got := s.Recent(0)
+	if len(got) != len(want) {
+		t.Fatalf("%d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("span %d\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+	local := time.Date(2011, 11, 1, 3, 0, 0, 5, time.Local)
+	s.Sample(ParseID(id), "machine-0001", local, 1)
+	if sp := s.Recent(1)[0]; sp.Time != local {
+		t.Errorf("a local time renders as %v, want %v", sp.Time, local)
+	}
+}
+
+// TestStoreAddAllocatesNothing: on a warm store, recording a span of
+// any stage allocates nothing.
+func TestStoreAddAllocatesNothing(t *testing.T) {
+	s := NewStore(64)
+	key, task := NewName("websearch@platform-B"), NewName("video/3")
+	at := time.Date(2011, 11, 1, 3, 0, 0, 0, time.UTC)
+	for i := 0; i < 20; i++ {
+		addEvery(s, at, key, task)
+	}
+	if n := testing.AllocsPerRun(100, func() { addEvery(s, at, key, task) }); n != 0 {
+		t.Errorf("a span of every stage costs %v allocations, want 0", n)
+	}
+	s.SetHorizon(time.Minute)
+	if n := testing.AllocsPerRun(100, func() {
+		at = at.Add(time.Second)
+		addEvery(s, at, key, task)
+	}); n != 0 {
+		t.Errorf("with a horizon, a span of every stage costs %v allocations, want 0", n)
 	}
 }
 
 func TestStoreRingAndLookup(t *testing.T) {
 	s := NewStore(4)
+	at := time.Date(2011, 11, 1, 3, 0, 0, 0, time.UTC)
+	id := func(i int) ID { return SampleID("m", uint64(i)) }
 	for i := 0; i < 6; i++ {
-		s.Add(Span{TraceID: fmt.Sprintf("t%d", i), Stage: StageSample})
+		s.Sample(id(i), "m", at, i)
 	}
 	if got := s.Total(); got != 6 {
 		t.Fatalf("Total = %d, want 6", got)
@@ -76,22 +197,22 @@ func TestStoreRingAndLookup(t *testing.T) {
 	if len(all) != 4 {
 		t.Fatalf("Recent(0) kept %d spans, want 4 (ring capacity)", len(all))
 	}
-	// Oldest two evicted; survivors in order t2..t5.
+	// Oldest two evicted; survivors in order 2..5.
 	for i, sp := range all {
-		if want := fmt.Sprintf("t%d", i+2); sp.TraceID != want {
+		if want := id(i + 2).String(); sp.TraceID != want {
 			t.Fatalf("span %d = %q, want %q", i, sp.TraceID, want)
 		}
 	}
-	if got := s.Recent(2); len(got) != 2 || got[1].TraceID != "t5" {
+	if got := s.Recent(2); len(got) != 2 || got[1].TraceID != id(5).String() || got[0] != all[2] {
 		t.Fatalf("Recent(2) = %+v", got)
 	}
-	if got := s.ByTrace("t0"); got != nil {
+	if got := s.ByTrace(id(0).String()); got != nil {
 		t.Fatalf("evicted trace still found: %+v", got)
 	}
-	s.Add(Span{TraceID: "t5", Stage: StageDecision})
-	byT := s.ByTrace("t5")
+	s.Decision(id(5), "m", NewName("j/0"), at, 0, "none", Name{})
+	byT := s.ByTrace(id(5).String())
 	if len(byT) != 2 || byT[0].Stage != StageSample || byT[1].Stage != StageDecision {
-		t.Fatalf("ByTrace(t5) = %+v", byT)
+		t.Fatalf("ByTrace(5) = %+v", byT)
 	}
 	if got := s.StageCount(StageSample); got != 6 {
 		t.Fatalf("StageCount(sample) = %d, want 6", got)
@@ -100,28 +221,155 @@ func TestStoreRingAndLookup(t *testing.T) {
 
 func TestNilStoreSafe(t *testing.T) {
 	var s *Store
-	s.Add(Span{TraceID: "x"})
-	if s.Total() != 0 || s.Recent(5) != nil || s.ByTrace("x") != nil || s.StageCount(StageSample) != 0 {
+	s.SetHorizon(time.Minute)
+	addEvery(s, time.Time{}, Name{}, Name{})
+	if s.Total() != 0 || s.Len() != 0 || s.Recent(5) != nil || s.ByTrace(SampleTraceID("m", 1)) != nil || s.StageCount(StageSample) != 0 {
 		t.Fatalf("nil store misbehaved")
 	}
 }
 
 func TestStoreConcurrent(t *testing.T) {
 	s := NewStore(128)
+	s.SetHorizon(time.Minute)
+	at := time.Date(2011, 11, 1, 3, 0, 0, 0, time.UTC)
+	key := NewName("websearch@platform-B")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Add(Span{TraceID: SampleTraceID("m", uint64(g*1000+i)), Stage: StageIngest})
+				when := at.Add(time.Duration(i) * time.Second)
+				s.Ingest(SampleID("m", uint64(g*1000+i)), fmt.Sprintf("m%d", g), "shard-0", when, 1, 1)
+				s.SpecPush(SpecID("websearch", "platform-B", when), "shard-0", key, when, g)
 				s.Recent(10)
+				s.ByTrace(SampleTraceID("m", uint64(i)))
 				s.Total()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Total() != 1600 {
-		t.Fatalf("Total = %d, want 1600", s.Total())
+	if s.Total() != 3200 {
+		t.Fatalf("Total = %d, want 3200", s.Total())
+	}
+}
+
+// day is a retention test's clock: minute m of a day.
+func day(m int) time.Time {
+	return time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(m) * time.Minute)
+}
+
+// TestHorizonDropsSampleSideSpans: a sample, spool, ingest, detect or
+// decision span leaves once it is more than the horizon older than the
+// newest span, and not before.
+func TestHorizonDropsSampleSideSpans(t *testing.T) {
+	s := NewStore(0)
+	s.SetHorizon(20 * time.Minute)
+	task := NewName("video/3")
+	id := SampleID("m", 1)
+	s.Sample(id, "m", day(0), 5)
+	s.Spool(id, "m", day(0), 1, 5)
+	s.Ingest(id, "m", "shard-0", day(0), 5, 5)
+	s.Detect(id, "m", task, day(0), 0, 2, 1)
+	s.Decision(id, "m", task, day(0), 0, "cap", task)
+	s.Sample(SampleID("m", 2), "m", day(20), 5) // exactly the horizon: all stay
+	if got := len(s.ByTrace(id.String())); got != 5 {
+		t.Fatalf("at the horizon %d of 5 spans remain", got)
+	}
+	s.Sample(SampleID("m", 3), "m", day(20).Add(time.Nanosecond), 5)
+	if got := s.ByTrace(id.String()); got != nil {
+		t.Fatalf("past the horizon, spans remain: %+v", got)
+	}
+	if got := s.Len(); got != 2 {
+		t.Fatalf("store holds %d spans, want 2", got)
+	}
+}
+
+// TestSpecSideKeepsNewestPerKey: a spec_build, spec_push or spec_recv
+// span past the horizon stays while it is its stage and key's newest,
+// however old, and leaves once a newer one of the same stage and key
+// arrives. In insertion order, it reads before everything younger.
+func TestSpecSideKeepsNewestPerKey(t *testing.T) {
+	s := NewStore(0)
+	s.SetHorizon(20 * time.Minute)
+	ws, bt := NewName("websearch@B"), NewName("bigtable@B")
+	push := func(key Name, job string, m int) ID {
+		id := SpecID(job, "B", day(m))
+		s.SpecBuild(id, "shard-0", key, day(m), 1, 10)
+		s.SpecPush(id, "shard-0", key, day(m), 2)
+		return id
+	}
+	old := push(ws, "websearch", 0)
+	first := push(bt, "bigtable", 1)
+	second := push(bt, "bigtable", 2)
+	s.SpecRecv(old, "m", ws, day(3), 1, 0.1)
+	for m := 0; m < 24*60; m += 10 {
+		s.Sample(SampleID("m", uint64(m)), "m", day(m), 5)
+	}
+	if got := len(s.ByTrace(old.String())); got != 3 {
+		t.Errorf("a day on, %d of websearch's 3 newest spec spans remain", got)
+	}
+	if got := len(s.ByTrace(second.String())); got != 2 {
+		t.Errorf("a day on, %d of bigtable's 2 newest spec spans remain", got)
+	}
+	if got := s.ByTrace(first.String()); got != nil {
+		t.Errorf("bigtable's superseded spec spans remain: %+v", got)
+	}
+	all := s.Recent(0)
+	if len(all) != 5+3 || all[0].Key != "websearch@B" || all[4].Stage != StageSpecRecv || all[5].Stage != StageSample {
+		t.Fatalf("retained %+v", all)
+	}
+	// A newer push of websearch supersedes the kept ones of its stages.
+	push(ws, "websearch", 24*60)
+	if got := len(s.ByTrace(old.String())); got != 1 {
+		t.Errorf("after a newer build and push, %d of websearch's old spans remain, want its spec_recv", got)
+	}
+}
+
+// TestCapacityCapsWithHorizon: the capacity is a hard ceiling, with or
+// without a horizon, and the spans the horizon keeps go last.
+func TestCapacityCapsWithHorizon(t *testing.T) {
+	s := NewStore(8)
+	s.SetHorizon(time.Hour)
+	key := NewName("websearch@B")
+	spec := SpecID("websearch", "B", day(0))
+	s.SpecPush(spec, "shard-0", key, day(0), 1)
+	for i := 0; i < 100; i++ {
+		s.Ingest(SampleID("m", uint64(i)), "m", "shard-0", day(0), 1, 1)
+		if n := s.Len(); n > 8 {
+			t.Fatalf("store holds %d spans, capacity 8", n)
+		}
+	}
+	all := s.Recent(0)
+	if len(all) != 8 || all[0].Stage != StageSpecPush || all[7].TraceID != SampleTraceID("m", 99) {
+		t.Fatalf("at capacity: %+v", all)
+	}
+	for i := 0; i < 100; i++ {
+		s.SpecPush(SpecID(fmt.Sprint(i), "B", day(0)), "shard-0", NewName(fmt.Sprint(i)), day(0), 1)
+	}
+	if n := s.Len(); n != 8 {
+		t.Fatalf("store of spec pushes holds %d spans, capacity 8", n)
+	}
+}
+
+// TestCountsNeverForget: Total and StageCount count every span added,
+// whatever the horizon or the capacity dropped.
+func TestCountsNeverForget(t *testing.T) {
+	s := NewStore(4)
+	s.SetHorizon(time.Minute)
+	key := NewName("j/0")
+	for m := 0; m < 50; m++ {
+		id := SampleID("m", uint64(m))
+		s.Sample(id, "m", day(m), 1)
+		s.Detect(id, "m", key, day(m), 0, 2, 1)
+	}
+	if s.Total() != 100 || s.StageCount(StageSample) != 50 || s.StageCount(StageDetect) != 50 || s.StageCount(StageIngest) != 0 {
+		t.Fatalf("Total %d, sample %d, detect %d", s.Total(), s.StageCount(StageSample), s.StageCount(StageDetect))
+	}
+	if s.StageCount("nonsense") != 0 {
+		t.Fatal("an unknown stage has a count")
+	}
+	if n := s.Len(); n != 4 {
+		t.Fatalf("store holds %d spans, want 4", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/model"
+	"repro/internal/obs/trace"
 )
 
 // interestIndex is Bus.Push's memo of the WantSpec matrix: for every key
@@ -35,17 +36,13 @@ type interestIndex struct {
 	flushers []specFlusher
 	// pushes counts Push calls; forgetIdle reads it.
 	pushes uint64
-	// detail is the last spec_push span's Detail, for detailOf watchers:
-	// built once per distinct count, not once per spec.
-	detail   string
-	detailOf int
 }
 
 // keyInterest is who wants one key.
 type keyInterest struct {
-	// name is the key's String(), kept because every span of every push
-	// of the key carries it.
-	name string
+	// name is the key's Name on spec_push spans, made on the first: every
+	// traced push of the key carries it.
+	name trace.Name
 	// slots lists the interested watchers, ascending: delivery order is
 	// registration order.
 	slots []int32
@@ -150,7 +147,7 @@ func (ix *interestIndex) interest(key model.SpecKey) *keyInterest {
 	if in != nil {
 		return in
 	}
-	in = &keyInterest{name: key.String()}
+	in = &keyInterest{}
 	for slot, r := range ix.watchers {
 		if r.w.WantSpec(key) {
 			in.slots = append(in.slots, int32(slot))

@@ -185,3 +185,35 @@ func TestIngestSpanStampedFromFirstAdmittedSample(t *testing.T) {
 		t.Errorf("details = %q, want %q", details, want)
 	}
 }
+
+// TestIngestSpanAddsNoAllocation: a traced bus records each batch's
+// ingest span without an allocation the untraced bus does not make.
+func TestIngestSpanAddsNoAllocation(t *testing.T) {
+	frames := ingestFrames(2, false)
+	measure := func(tr *trace.Store) float64 {
+		bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
+		bus.SetTrace(tr)
+		dec := new(decoder)
+		n := 0
+		ingest := func() {
+			msg, err := dec.decode(frames[n%len(frames)][binHeaderLen:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = bus.Publish(msg.Samples)
+			n++
+		}
+		for i := 0; i < 100; i++ { // the key's aggregate, a full store
+			ingest()
+		}
+		return testing.AllocsPerRun(200, ingest)
+	}
+	st := trace.NewStore(64)
+	st.SetHorizon(time.Hour)
+	if off, on := measure(nil), measure(st); on != off {
+		t.Errorf("a traced batch costs %v allocations, an untraced one %v", on, off)
+	}
+	if got := st.StageCount(trace.StageIngest); got != 100+201 {
+		t.Errorf("%d ingest spans, want %d", got, 100+201)
+	}
+}

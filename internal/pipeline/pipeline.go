@@ -23,7 +23,6 @@ package pipeline
 
 import (
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -109,11 +108,6 @@ type Bus struct {
 	// bus's shard (see NewShardBus and SetRing).
 	ring *Ring
 	self int
-	// detail is the last ingest span's Detail, for detailOf = {admitted,
-	// batch size}: batch after batch admits the same n of n, so the
-	// string is built once, not per batch.
-	detail   string
-	detailOf [2]int
 
 	// pushMu serialises Push and guards index, which only Push touches.
 	// Watch and Unwatch never take it: a connection arriving or dying is
@@ -192,7 +186,6 @@ func (b *Bus) Publish(samples []model.Sample) error {
 func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 	b.mu.Lock()
 	v, tracer, shard, ring, self := b.validator, b.tracer, b.shard, b.ring, b.self
-	detail, detailOf := b.detail, b.detailOf
 	b.mu.Unlock()
 	var received, dropped, misrouted int64
 	var admit func(*model.Sample) bool
@@ -213,17 +206,7 @@ func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 			// Stamped from the first sample that got in: a refused one
 			// may carry a forged timestamp or trace id.
 			from := &samples[first]
-			if of := [2]int{admitted, len(samples)}; of != detailOf {
-				detail, detailOf = strconv.Itoa(admitted)+"/"+strconv.Itoa(len(samples))+" samples admitted", of
-			}
-			tracer.Add(trace.Span{
-				TraceID: from.TraceID,
-				Stage:   trace.StageIngest,
-				Machine: from.Machine,
-				Shard:   shard,
-				Time:    from.Timestamp,
-				Detail:  detail,
-			})
+			tracer.Ingest(trace.ParseID(from.TraceID), from.Machine, shard, from.Timestamp, admitted, len(samples))
 		}
 	}
 	if received == 0 && dropped == 0 {
@@ -232,7 +215,6 @@ func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 	b.mu.Lock()
 	b.received += received
 	b.dropped += dropped
-	b.detail, b.detailOf = detail, detailOf
 	m := b.metrics
 	b.mu.Unlock()
 	m.SamplesIn.Add(float64(received))
@@ -334,17 +316,10 @@ func (b *Bus) Push(specs []model.Spec) {
 		}
 		total += n
 		if tracer != nil {
-			if n != ix.detailOf {
-				ix.detail, ix.detailOf = strconv.Itoa(n)+" watchers", n
+			if in.name == (trace.Name{}) {
+				in.name = trace.NewName(spec.Key().String())
 			}
-			tracer.Add(trace.Span{
-				TraceID: trace.SpecTraceID(in.name, spec.UpdatedAt),
-				Stage:   trace.StageSpecPush,
-				Shard:   shard,
-				Key:     in.name,
-				Time:    spec.UpdatedAt,
-				Detail:  ix.detail,
-			})
+			tracer.SpecPush(trace.SpecID(string(spec.Job), string(spec.Platform), spec.UpdatedAt), shard, in.name, spec.UpdatedAt, n)
 		}
 	}
 	for _, f := range ix.flushers {

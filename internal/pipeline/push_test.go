@@ -415,11 +415,11 @@ func TestPushProbeBudget(t *testing.T) {
 }
 
 // TestPushAllocBudget is the steady-state allocation budget of one
-// pushed spec, end to end in this process: traced on the bus (the
-// span's trace id), framed for one connection (the key's name and the
-// trace id again) and decoded by that connection's client (the trace id
-// once more) — four, none of them per in-process watcher. A count, not a
-// timing.
+// pushed spec, end to end in this process: traced on the bus and framed
+// for one connection (the trace id's digits go straight into the frame)
+// at no allocation, and decoded by that connection's client (the trace
+// id's string) at one — none of them per in-process watcher. A count,
+// not a timing.
 func TestPushAllocBudget(t *testing.T) {
 	keys := pushTestKeys(100)
 	specs := specsFor(keys, day0)
@@ -455,8 +455,8 @@ func TestPushAllocBudget(t *testing.T) {
 	perPush := testing.AllocsPerRun(runs, push)
 	// fakeConn keeps a copy of every write; that is the test's, not the
 	// push's: one per write, a handful per push.
-	if perSpec := perPush / float64(len(specs)); perSpec > 4.1 {
-		t.Errorf("a pushed spec costs %.2f allocations, budget 4", perSpec)
+	if perSpec := perPush / float64(len(specs)); perSpec > 1.1 {
+		t.Errorf("a pushed spec costs %.2f allocations, budget 1", perSpec)
 	}
 	if want := (runs + 2) * len(specs); decoded != want {
 		t.Errorf("decoded %d spec frames, want %d", decoded, want)
@@ -921,5 +921,19 @@ func TestPushConcurrentChurn(t *testing.T) {
 	}
 	if len(wantLog) == 0 || len(wantFrames) == 0 {
 		t.Errorf("the hammering left nothing to deliver: %d deliveries, %d frames", len(wantLog), len(wantFrames))
+	}
+}
+
+// TestSpecFrameMatchesBinaryFrame: the frame serverConn.DeliverSpec
+// builds from a spec's trace id hash is, byte for byte, the frame of a
+// spec message carrying that id as a string — and of one with no id.
+func TestSpecFrameMatchesBinaryFrame(t *testing.T) {
+	spec := model.Spec{Job: "websearch-leaf", Platform: model.PlatformB, NumSamples: 1200, NumTasks: 40,
+		CPUUsageMean: 0.7, CPIMean: 1.21, CPIStddev: 0.08, UpdatedAt: day0.Add(90 * time.Second)}
+	for _, id := range []trace.ID{trace.SpecID(string(spec.Job), string(spec.Platform), spec.UpdatedAt), {}} {
+		want := appendBinaryFrame([]byte("prefix"), wireMsg{Type: msgSpec, Spec: spec, TraceID: id.String()})
+		if got := appendSpecFrame([]byte("prefix"), &spec, id); !bytes.Equal(got, want) {
+			t.Errorf("trace id %q: frame\n got %x\nwant %x", id, got, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -226,14 +225,8 @@ func (s *Spooler) TryDrainAt(now time.Time) (int, error) {
 			if delay < 0 {
 				delay = 0
 			}
-			s.tracer.Add(trace.Span{
-				TraceID:      head.samples[0].TraceID,
-				Stage:        trace.StageSpool,
-				Machine:      head.samples[0].Machine,
-				Time:         now,
-				QueueSeconds: delay.Seconds(),
-				Detail:       fmt.Sprintf("replayed %d samples", len(head.samples)),
-			})
+			first := &head.samples[0]
+			s.tracer.Spool(trace.ParseID(first.TraceID), first.Machine, now, delay.Seconds(), len(head.samples))
 		}
 	}
 	if len(s.q) == 0 {

@@ -235,6 +235,14 @@ func (c *wireConn) appendLocked(msg wireMsg) {
 	}
 }
 
+// appendSpecLocked adds a spec frame carrying trace id to out. Callers
+// hold writeMu.
+func (c *wireConn) appendSpecLocked(spec *model.Spec, id trace.ID) {
+	c.out = appendSpecFrame(c.out, spec, id)
+	c.frames++
+	c.specs++
+}
+
 // flushLocked writes out. Callers hold writeMu.
 func (c *wireConn) flushLocked() error {
 	if len(c.out) == 0 {
@@ -368,10 +376,10 @@ func (c *serverConn) InterestVersion() uint64 { return c.interest.Load() }
 // DeliverSpec implements SpecWatcher: the spec's frame joins the send
 // buffer and goes out with the next flush.
 func (c *serverConn) DeliverSpec(spec model.Spec) {
-	traceID := trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt)
+	id := trace.SpecID(string(spec.Job), string(spec.Platform), spec.UpdatedAt)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.appendLocked(wireMsg{Type: msgSpec, Spec: spec, TraceID: traceID})
+	c.appendSpecLocked(&spec, id)
 	if len(c.out) >= flushBytes {
 		_ = c.flushLocked()
 	}

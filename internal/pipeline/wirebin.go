@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs/trace"
 )
 
 const (
@@ -149,6 +150,24 @@ func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
 	case msgHello:
 		buf = appendU32(buf, binVersion)
 	}
+	return endFrame(buf, start)
+}
+
+// appendSpecFrame appends the frame appendBinaryFrame makes of a spec
+// message whose TraceID is id.String(), writing id's hex digits straight
+// into buf.
+func appendSpecFrame(buf []byte, spec *model.Spec, id trace.ID) []byte {
+	start := len(buf)
+	buf = append(buf, binMagic, binVersion, 0, 0, 0, 0, msgSpec)
+	buf = appendSpec(buf, spec)
+	at := len(buf)
+	buf = id.AppendTo(appendU32(buf, 0))
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	return endFrame(buf, start)
+}
+
+// endFrame fills in the payload length of the frame starting at start.
+func endFrame(buf []byte, start int) []byte {
 	binary.BigEndian.PutUint32(buf[start+2:start+6], uint32(len(buf)-start-binHeaderLen))
 	return buf
 }
