@@ -271,12 +271,14 @@ const (
 // sink, which is how the uninstrumented path stays free.
 //
 // Retention: with a horizon set, sample, spool, ingest, detect and
-// decision spans leave once they are more than the horizon older than
-// the newest span the store has seen; spec_build, spec_push and
-// spec_recv spans leave too, except the newest of each stage and key,
-// which stays however old. The capacity caps the spans held either way;
-// at the cap the oldest span goes, one the horizon keeps going last.
-// With no horizon the store is a plain ring of capacity spans.
+// decision spans leave once the store records a span more than the
+// horizon newer — timed by the span just recorded, so one far-off
+// timestamp (a skewed clock, a hostile batch) does not hold the cutoff
+// forever; spec_build, spec_push and spec_recv spans leave too, except
+// the newest of each stage and key, which stays however old. The
+// capacity caps the spans held either way; at the cap the oldest span
+// goes, one the horizon keeps going last. With no horizon the store is
+// a plain ring of capacity spans.
 type Store struct {
 	mu       sync.Mutex
 	capacity int
@@ -290,8 +292,7 @@ type Store struct {
 	// kept holds the spec-side spans the horizon (or the capacity) took
 	// out of ring that are still their stage and key's newest, oldest
 	// first: all of them were added before anything in ring.
-	kept   []record
-	newest time.Time
+	kept []record
 	// local is the store's table of local names (record.place and a
 	// decision's action); machines memoises ingest machines' Names.
 	local    []string
@@ -312,8 +313,8 @@ func NewStore(capacity int) *Store {
 	return &Store{capacity: capacity}
 }
 
-// SetHorizon makes the store drop per-sample spans once they are d
-// older than its newest span (see Store). The store's owner derives d
+// SetHorizon makes the store drop per-sample spans once it records one
+// d newer (see Store). The store's owner derives d
 // from the control loop's windows; 0 keeps spans by capacity alone.
 // Nil-safe.
 func (s *Store) SetHorizon(d time.Duration) {
@@ -412,13 +413,10 @@ func (s *Store) addLocked(r record, id ID, at time.Time, place string) {
 	s.total++
 	s.perStage[r.stage]++
 	if s.horizon > 0 {
-		if at.After(s.newest) {
-			s.newest = at
-		}
 		if r.stage.specSide() {
 			s.supersedeLocked(&r)
 		}
-		cutoff := s.newest.Add(-s.horizon)
+		cutoff := at.Add(-s.horizon)
 		for s.n > 0 && s.ring[s.head].time().Before(cutoff) {
 			s.popLocked()
 		}

@@ -285,6 +285,28 @@ func TestHorizonDropsSampleSideSpans(t *testing.T) {
 	}
 }
 
+// TestHorizonFollowsTheSpanJustAdded: one span stamped far ahead (a
+// skewed or hostile clock) drops what is older than it by more than the
+// horizon, but does not hold the cutoff: spans recorded after it at the
+// usual times are kept for the horizon again.
+func TestHorizonFollowsTheSpanJustAdded(t *testing.T) {
+	s := NewStore(0)
+	s.SetHorizon(20 * time.Minute)
+	s.Sample(SampleID("m", 0), "m", day(0), 5)
+	s.Ingest(SampleID("far", 0), "far", "shard-0", day(100*24*60), 5, 5)
+	if got := s.ByTrace(SampleTraceID("m", 0)); got != nil {
+		t.Fatalf("a span a hundred days older than the one just added remains: %+v", got)
+	}
+	for m := 1; m <= 10; m++ {
+		s.Sample(SampleID("m", uint64(m)), "m", day(m), 5)
+	}
+	for m := 1; m <= 10; m++ {
+		if got := s.ByTrace(SampleTraceID("m", uint64(m))); len(got) != 1 {
+			t.Fatalf("minute %d's span, within the horizon of the newest at minute 10, is gone", m)
+		}
+	}
+}
+
 // TestSpecSideKeepsNewestPerKey: a spec_build, spec_push or spec_recv
 // span past the horizon stays while it is its stage and key's newest,
 // however old, and leaves once a newer one of the same stage and key
