@@ -38,7 +38,7 @@ func retentionRun(t *testing.T, unbounded bool) (hour1, hour24 []int, keys int, 
 	held := func() []int {
 		out := make([]int, len(stores))
 		for i, st := range stores {
-			out[i] = st.Len()
+			out[i] = len(st.Recent(0))
 		}
 		return out
 	}

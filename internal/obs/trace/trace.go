@@ -168,20 +168,29 @@ func ParseID(s string) ID {
 		return ID{}
 	}
 	var h uint64
+	var bad byte
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-			c -= '0'
-		case c >= 'a' && c <= 'f':
-			c -= 'a' - 10
-		default:
-			return ID{}
-		}
-		h = h<<4 | uint64(c)
+		v := hexValue[s[i]]
+		bad |= v
+		h = h<<4 | uint64(v&0xf)
+	}
+	if bad&0x10 != 0 {
+		return ID{}
 	}
 	return ID{hash: h, ok: true}
 }
+
+// hexValue is each byte's value as a lowercase hex digit, or 0x10 for
+// any other byte: ParseID decodes without a branch per digit.
+var hexValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0x10
+	}
+	for i, c := range "0123456789abcdef" {
+		t[c] = byte(i)
+	}
+	return t
+}()
 
 // AppendTo appends the ID's 16 hex digits to b (nothing for no ID).
 func (id ID) AppendTo(b []byte) []byte {
@@ -314,9 +323,8 @@ func NewStore(capacity int) *Store {
 }
 
 // SetHorizon makes the store drop per-sample spans once it records one
-// d newer (see Store). The store's owner derives d
-// from the control loop's windows; 0 keeps spans by capacity alone.
-// Nil-safe.
+// d newer (see Store). The store's owner derives d from the control
+// loop's windows; 0 keeps spans by capacity alone. Nil-safe.
 func (s *Store) SetHorizon(d time.Duration) {
 	if s == nil {
 		return
@@ -596,16 +604,6 @@ func (s *Store) StageCount(stageName string) uint64 {
 		}
 	}
 	return 0
-}
-
-// Len returns how many spans the store holds. Nil-safe.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.kept) + s.n
 }
 
 // Recent returns up to n retained spans, the newest ones, oldest-first

@@ -223,7 +223,7 @@ func TestNilStoreSafe(t *testing.T) {
 	var s *Store
 	s.SetHorizon(time.Minute)
 	addEvery(s, time.Time{}, Name{}, Name{})
-	if s.Total() != 0 || s.Len() != 0 || s.Recent(5) != nil || s.ByTrace(SampleTraceID("m", 1)) != nil || s.StageCount(StageSample) != 0 {
+	if s.Total() != 0 || s.Recent(5) != nil || s.ByTrace(SampleTraceID("m", 1)) != nil || s.StageCount(StageSample) != 0 {
 		t.Fatalf("nil store misbehaved")
 	}
 }
@@ -280,7 +280,7 @@ func TestHorizonDropsSampleSideSpans(t *testing.T) {
 	if got := s.ByTrace(id.String()); got != nil {
 		t.Fatalf("past the horizon, spans remain: %+v", got)
 	}
-	if got := s.Len(); got != 2 {
+	if got := len(s.Recent(0)); got != 2 {
 		t.Fatalf("store holds %d spans, want 2", got)
 	}
 }
@@ -358,7 +358,7 @@ func TestCapacityCapsWithHorizon(t *testing.T) {
 	s.SpecPush(spec, "shard-0", key, day(0), 1)
 	for i := 0; i < 100; i++ {
 		s.Ingest(SampleID("m", uint64(i)), "m", "shard-0", day(0), 1, 1)
-		if n := s.Len(); n > 8 {
+		if n := len(s.Recent(0)); n > 8 {
 			t.Fatalf("store holds %d spans, capacity 8", n)
 		}
 	}
@@ -369,7 +369,7 @@ func TestCapacityCapsWithHorizon(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.SpecPush(SpecID(fmt.Sprint(i), "B", day(0)), "shard-0", NewName(fmt.Sprint(i)), day(0), 1)
 	}
-	if n := s.Len(); n != 8 {
+	if n := len(s.Recent(0)); n != 8 {
 		t.Fatalf("store of spec pushes holds %d spans, capacity 8", n)
 	}
 }
@@ -391,7 +391,7 @@ func TestCountsNeverForget(t *testing.T) {
 	if s.StageCount("nonsense") != 0 {
 		t.Fatal("an unknown stage has a count")
 	}
-	if n := s.Len(); n != 4 {
+	if n := len(s.Recent(0)); n != 4 {
 		t.Fatalf("store holds %d spans, want 4", n)
 	}
 }
