@@ -155,12 +155,6 @@ func SampleTraceID(machine string, seq uint64) string {
 	return SampleID(machine, seq).String()
 }
 
-// SpecTraceID is the string form of the spec trace ID for key
-// ("job@platform"), equal to SpecID of its parts.
-func SpecTraceID(key string, updatedAt time.Time) string {
-	return hashSeq(hashString(offset64, key), uint64(updatedAt.UnixNano())).String()
-}
-
 // ParseID reads the 16-lowercase-hex-digit form. Anything else — the
 // empty string, a legacy or hostile ID off the wire — is no ID.
 func ParseID(s string) ID {
@@ -244,32 +238,78 @@ type record struct {
 	// Store.local (0: none).
 	place uint16
 	stage stage
+	// flags holds the flag bits and, above them, the Time's zone: an
+	// index+1 into Store.zones (0: UTC).
 	flags uint8
 }
 
 const (
-	flagID    = 1 << iota // id holds a trace ID
-	flagLocal             // Time is rendered in time.Local, not UTC
+	flagID         = 1 << iota // id holds a trace ID
+	flagSuperseded             // a newer span of its spec stage and key was added
+	flagKept                   // on the kept list
+	zoneShift      = iota      // flags>>zoneShift is the zone
 )
 
-func (r *record) time() time.Time {
-	t := time.Unix(r.sec, int64(r.nsec))
-	if r.flags&flagLocal != 0 {
-		return t
+func (r *record) before(t time.Time) bool {
+	return time.Unix(r.sec, int64(r.nsec)).Before(t)
+}
+
+// specKey is what a spec-side span is the newest of: its stage and key.
+type specKey struct {
+	stage stage
+	key   string
+}
+
+func (r *record) specKey() specKey { return specKey{r.stage, r.key.String()} }
+
+// node holds one retained span, on one of a store's lists.
+type node struct {
+	record
+	prev, next int32 // neighbours on its list (next: on the free list)
+}
+
+const none = -1
+
+// list is a doubly linked list of nodes, first to last.
+type list struct {
+	first, last int32
+	n           int
+}
+
+func (l *list) push(nodes []node, i int32) {
+	nodes[i].prev, nodes[i].next = l.last, none
+	if l.last == none {
+		l.first = i
+	} else {
+		nodes[l.last].next = i
 	}
-	return t.UTC()
+	l.last = i
+	l.n++
 }
 
-func (r *record) sameKey(o *record) bool {
-	return r.stage == o.stage && (r.key == o.key || r.key.String() == o.key.String())
+func (l *list) unlink(nodes []node, i int32) {
+	nd := &nodes[i]
+	if nd.prev == none {
+		l.first = nd.next
+	} else {
+		nodes[nd.prev].next = nd.next
+	}
+	if nd.next == none {
+		l.last = nd.prev
+	} else {
+		nodes[nd.next].prev = nd.prev
+	}
+	l.n--
 }
 
-// Local-name and ingest-machine table bounds. Local names are the
-// recording side's own few (its machine, its shard, decision actions).
-// Ingest machines arrive from outside, so like the wire decoder's name
-// table theirs is flushed when full, and only short names are kept.
+// Local-name, zone and ingest-machine table bounds. Local names are the
+// recording side's own few (its machine, its shard, decision actions),
+// zones the few its clocks stamp in. Ingest machines arrive from
+// outside, so like the wire decoder's name table theirs is flushed when
+// full, and only short names are kept.
 const (
 	maxLocalNames  = 1<<16 - 1
+	maxZones       = 1<<(8-zoneShift) - 1
 	maxMachines    = 1 << 17
 	maxMachineName = 128
 )
@@ -279,32 +319,36 @@ const (
 // shares write state across machines). A nil *Store is a valid no-op
 // sink, which is how the uninstrumented path stays free.
 //
-// Retention: with a horizon set, sample, spool, ingest, detect and
-// decision spans leave once the store records a span more than the
-// horizon newer — timed by the span just recorded, so one far-off
-// timestamp (a skewed clock, a hostile batch) does not hold the cutoff
-// forever; spec_build, spec_push and spec_recv spans leave too, except
-// the newest of each stage and key, which stays however old. The
-// capacity caps the spans held either way; at the cap the oldest span
-// goes, one the horizon keeps going last. With no horizon the store is
-// a plain ring of capacity spans.
+// Retention: spans are held in the order they were added, and the
+// oldest leave first — once the store records a span more than the
+// horizon newer (timed by the span just recorded, so one far-off
+// timestamp, a skewed clock or a hostile batch, does not hold the
+// cutoff forever), or to make room under the capacity. A spec_build,
+// spec_push or spec_recv span that is still the newest of its stage and
+// key stays instead, however old, until a newer one arrives; at the
+// capacity these go last, oldest first. However many keys the store
+// holds, recording a span does O(1) retention work.
 type Store struct {
 	mu       sync.Mutex
 	capacity int
 	horizon  time.Duration
-	// ring holds retained spans in the order they were added: n of them
-	// from head, wrapping. It grows by a quarter (8 records at least) up
-	// to capacity, so a store costs about the records it holds: a
-	// machine's store holds a few dozen.
-	ring    []record
-	head, n int
-	// kept holds the spec-side spans the horizon (or the capacity) took
-	// out of ring that are still their stage and key's newest, oldest
-	// first: all of them were added before anything in ring.
-	kept []record
+	// nodes holds the retained spans, each on one list: window, the
+	// spans in the order they were added, or kept, the spec-side spans
+	// that left window while their stage and key's newest (in the same
+	// order, and all added before anything in window). Free nodes are
+	// listed from free. nodes grows by a quarter (8 at least) up to
+	// capacity, so a store costs about the spans it holds: a machine's
+	// store holds a few dozen.
+	nodes        []node
+	window, kept list
+	free         int32
+	// newest is each spec-side stage and key's newest span's node.
+	newest map[specKey]int32
 	// local is the store's table of local names (record.place and a
-	// decision's action); machines memoises ingest machines' Names.
+	// decision's action), zones its table of time zones; machines
+	// memoises ingest machines' Names.
 	local    []string
+	zones    []*time.Location
 	machines map[string]Name
 	total    uint64
 	// perStage counts spans ever added by stage; unlike the ring it
@@ -313,18 +357,23 @@ type Store struct {
 }
 
 // NewStore returns a store holding up to capacity spans (capacity <= 0
-// selects 4096) with no horizon: a ring. Its memory grows as spans
-// arrive.
+// selects 4096) with no horizon. Its memory grows as spans arrive.
 func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Store{capacity: capacity}
+	return &Store{
+		capacity: capacity,
+		window:   list{first: none, last: none},
+		kept:     list{first: none, last: none},
+		free:     none,
+	}
 }
 
-// SetHorizon makes the store drop per-sample spans once it records one
-// d newer (see Store). The store's owner derives d from the control
-// loop's windows; 0 keeps spans by capacity alone. Nil-safe.
+// SetHorizon makes the store drop spans once it records one d newer,
+// but for each spec-side stage and key's newest (see Store). The
+// store's owner derives d from the control loop's windows; with 0, only
+// the capacity bounds the store. Nil-safe.
 func (s *Store) SetHorizon(d time.Duration) {
 	if s == nil {
 		return
@@ -414,73 +463,99 @@ func (s *Store) addLocked(r record, id ID, at time.Time, place string) {
 		r.id, r.flags = id.hash, flagID
 	}
 	r.sec, r.nsec = at.Unix(), int32(at.Nanosecond())
-	if at.Location() == time.Local {
-		r.flags |= flagLocal
-	}
+	r.flags |= s.zoneLocked(at) << zoneShift
 	r.place = s.localLocked(place)
 	s.total++
 	s.perStage[r.stage]++
-	if s.horizon > 0 {
-		if r.stage.specSide() {
-			s.supersedeLocked(&r)
+	var k specKey
+	if r.stage.specSide() {
+		k = r.specKey()
+		if old, ok := s.newest[k]; ok {
+			s.supersedeLocked(old)
 		}
+	}
+	if s.horizon > 0 {
 		cutoff := at.Add(-s.horizon)
-		for s.n > 0 && s.ring[s.head].time().Before(cutoff) {
+		for s.window.n > 0 && s.nodes[s.window.first].before(cutoff) {
 			s.popLocked()
 		}
 	}
-	for s.n+len(s.kept) >= s.capacity {
-		if s.n == 0 {
-			s.kept = append(s.kept[:0], s.kept[1:]...)
+	for s.window.n+s.kept.n >= s.capacity {
+		if s.window.n == 0 {
+			s.dropKeptLocked()
 			break
 		}
 		if s.popLocked() {
 			break
 		}
 	}
-	if s.n == len(s.ring) {
-		grown := make([]record, min(len(s.ring)+max(8, len(s.ring)/4), s.capacity))
-		copy(grown, s.ring[s.head:])
-		copy(grown[len(s.ring)-s.head:], s.ring[:s.head])
-		s.ring, s.head = grown, 0
+	i := s.allocLocked()
+	s.nodes[i].record = r
+	s.window.push(s.nodes, i)
+	if r.stage.specSide() {
+		if s.newest == nil {
+			s.newest = make(map[specKey]int32)
+		}
+		s.newest[k] = i
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = r
-	s.n++
 }
 
-// popLocked takes the oldest span out of ring. A spec-side span that is
-// still its stage and key's newest moves to kept (when a horizon is
-// set); otherwise it is dropped, and popLocked says so.
+// supersedeLocked retires node i, the newest span of its stage and key
+// until the one being added: off the kept list it is dropped now; on
+// window, when it leaves.
+func (s *Store) supersedeLocked(i int32) {
+	if s.nodes[i].flags&flagKept != 0 {
+		s.kept.unlink(s.nodes, i)
+		s.freeLocked(i)
+		return
+	}
+	s.nodes[i].flags |= flagSuperseded
+}
+
+// popLocked takes the first span off window. A spec-side span that is
+// still its stage and key's newest goes on the kept list; any other is
+// dropped, and popLocked says so.
 func (s *Store) popLocked() (dropped bool) {
-	r := s.ring[s.head]
-	s.ring[s.head] = record{}
-	s.head = (s.head + 1) % len(s.ring)
-	s.n--
-	if s.horizon == 0 || !r.stage.specSide() {
-		return true
+	i := s.window.first
+	s.window.unlink(s.nodes, i)
+	if r := &s.nodes[i].record; r.stage.specSide() && r.flags&flagSuperseded == 0 {
+		r.flags |= flagKept
+		s.kept.push(s.nodes, i)
+		return false
 	}
-	for i := 0; i < s.n; i++ {
-		if s.at(i).sameKey(&r) {
-			return true
-		}
-	}
-	s.kept = append(s.kept, r)
-	return false
+	s.freeLocked(i)
+	return true
 }
 
-// supersedeLocked drops the kept span r replaces as its stage and key's
-// newest: kept spans are past the horizon or were pushed out by the
-// capacity, so nothing else keeps them.
-func (s *Store) supersedeLocked(r *record) {
-	for i := range s.kept {
-		if s.kept[i].sameKey(r) {
-			s.kept = append(s.kept[:i], s.kept[i+1:]...)
-			return
-		}
-	}
+// dropKeptLocked drops the first kept span, which leaves its stage and
+// key with no span.
+func (s *Store) dropKeptLocked() {
+	i := s.kept.first
+	s.kept.unlink(s.nodes, i)
+	delete(s.newest, s.nodes[i].specKey())
+	s.freeLocked(i)
 }
 
-func (s *Store) at(i int) *record { return &s.ring[(s.head+i)%len(s.ring)] }
+// allocLocked returns a free node, growing nodes if there is none: then
+// every node holds a span, and the store holds fewer than capacity.
+func (s *Store) allocLocked() int32 {
+	if i := s.free; i != none {
+		s.free = s.nodes[i].next
+		return i
+	}
+	if len(s.nodes) == cap(s.nodes) {
+		grown := make([]node, len(s.nodes), min(len(s.nodes)+max(8, len(s.nodes)/4), s.capacity))
+		copy(grown, s.nodes)
+		s.nodes = grown
+	}
+	s.nodes = append(s.nodes, node{})
+	return int32(len(s.nodes) - 1)
+}
+
+func (s *Store) freeLocked(i int32) {
+	s.nodes[i] = node{next: s.free}
+	s.free = i
+}
 
 // localLocked returns name's index+1 in the local table, adding it if
 // new; "" (and anything past a full table) is 0.
@@ -498,6 +573,34 @@ func (s *Store) localLocked(name string) uint16 {
 	}
 	s.local = append(s.local, name)
 	return uint16(len(s.local))
+}
+
+// zoneLocked returns the index+1 of at's zone in the zone table, adding
+// it if new (0: UTC). A time parsed from text carries a new Location
+// each time: one with the same name and, at that instant, the same
+// offset renders the same, so it shares the entry. Past a full table a
+// time renders in UTC.
+func (s *Store) zoneLocked(at time.Time) uint8 {
+	loc := at.Location()
+	if loc == time.UTC {
+		return 0
+	}
+	for i, z := range s.zones {
+		if z == loc {
+			return uint8(i + 1)
+		}
+	}
+	name, offset := at.Zone()
+	for i, z := range s.zones {
+		if n, o := at.In(z).Zone(); n == name && o == offset && z.String() == loc.String() {
+			return uint8(i + 1)
+		}
+	}
+	if len(s.zones) == maxZones {
+		return 0
+	}
+	s.zones = append(s.zones, loc)
+	return uint8(len(s.zones))
 }
 
 // machineLocked returns the Name of an ingest batch's machine.
@@ -527,10 +630,14 @@ func (s *Store) localName(i uint16) string {
 
 // renderLocked turns r back into the Span its producer described.
 func (s *Store) renderLocked(r *record) Span {
+	t := time.Unix(r.sec, int64(r.nsec)).UTC()
+	if z := r.flags >> zoneShift; z != 0 {
+		t = t.In(s.zones[z-1])
+	}
 	sp := Span{
 		Stage:        Stages[r.stage],
 		Key:          r.key.String(),
-		Time:         r.time(),
+		Time:         t,
 		QueueSeconds: r.queue,
 	}
 	if r.flags&flagID != 0 {
@@ -571,11 +678,14 @@ func fixed3(bits uint64) string {
 // eachLocked calls f on retained spans oldest-first, skipping the
 // oldest skip of them.
 func (s *Store) eachLocked(skip int, f func(*record)) {
-	for i := skip; i < len(s.kept); i++ {
-		f(&s.kept[i])
-	}
-	for i := max(skip-len(s.kept), 0); i < s.n; i++ {
-		f(s.at(i))
+	for _, l := range [2]*list{&s.kept, &s.window} {
+		for i := l.first; i != none; i = s.nodes[i].next {
+			if skip > 0 {
+				skip--
+				continue
+			}
+			f(&s.nodes[i].record)
+		}
 	}
 }
 
@@ -615,7 +725,7 @@ func (s *Store) Recent(n int) []Span {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	held := len(s.kept) + s.n
+	held := s.kept.n + s.window.n
 	skip := 0
 	if n > 0 && held > n {
 		skip = held - n

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,22 +26,22 @@ func TestDeterministicIDs(t *testing.T) {
 	}
 
 	at := time.Date(2011, 11, 1, 3, 0, 0, 0, time.UTC)
-	s1 := SpecTraceID("websearch@B", at)
-	if s1 != SpecTraceID("websearch@B", at) {
-		t.Fatalf("SpecTraceID not deterministic")
+	s1 := SpecID("websearch", "B", at)
+	if s1 != SpecID("websearch", "B", at) {
+		t.Fatalf("SpecID not deterministic")
 	}
-	if s1 == SpecTraceID("websearch@B", at.Add(time.Second)) {
-		t.Fatalf("SpecTraceID ignores UpdatedAt")
+	if s1 == SpecID("websearch", "B", at.Add(time.Second)) {
+		t.Fatalf("SpecID ignores UpdatedAt")
 	}
-	if s1 == SpecTraceID("bigtable@B", at) {
-		t.Fatalf("SpecTraceID ignores key")
+	if s1 == SpecID("bigtable", "B", at) || s1 == SpecID("websearch", "C", at) {
+		t.Fatalf("SpecID ignores key")
 	}
 }
 
 // TestIDsAreFNV1a pins the ids to what hash/fnv and %016x give — the
 // form they were first written in, which fingerprints and recorded
 // traces depend on — SpecID's hash of a key's parts to the hash of the
-// key, and the ID forms to no allocation (the strings to one).
+// key, and SpecID to no allocation.
 func TestIDsAreFNV1a(t *testing.T) {
 	ref := func(name string, n uint64) string {
 		h := fnv.New64a()
@@ -57,17 +59,11 @@ func TestIDsAreFNV1a(t *testing.T) {
 				t.Errorf("SampleTraceID(%q, %d) = %s, want %s", name, n, got, want)
 			}
 		}
-		if got, want := SpecTraceID(name, at), ref(name, uint64(at.UnixNano())); got != want {
-			t.Errorf("SpecTraceID(%q) = %s, want %s", name, got, want)
-		}
 	}
 	for _, k := range [][2]string{{"", ""}, {"websearch-leaf", "platform-B"}, {"a@b", "c"}, {"näme", "\x00"}} {
 		if got, want := SpecID(k[0], k[1], at).String(), ref(k[0]+"@"+k[1], uint64(at.UnixNano())); got != want {
 			t.Errorf("SpecID(%q, %q) = %s, want %s", k[0], k[1], got, want)
 		}
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = SpecTraceID("websearch-leaf@platform-B", at) }); n > 1 {
-		t.Errorf("SpecTraceID allocates %v times, want at most 1", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = SpecID("websearch-leaf", "platform-B", at) }); n != 0 {
 		t.Errorf("SpecID allocates %v times, want 0", n)
@@ -132,7 +128,7 @@ func TestRenderMatchesProducerFormats(t *testing.T) {
 	at := time.Date(2011, 11, 1, 3, 0, 0, 5, time.UTC)
 	key, task := NewName("websearch@platform-B"), NewName("video/3")
 	addEvery(s, at, key, task)
-	id, spec := SampleTraceID("machine-0001", 7), SpecTraceID("websearch@platform-B", at)
+	id, spec := SampleTraceID("machine-0001", 7), SpecID("websearch", "platform-B", at).String()
 	want := []Span{
 		{TraceID: id, Stage: StageSample, Machine: "machine-0001", Time: at, Detail: fmt.Sprintf("%d samples", 37)},
 		{TraceID: id, Stage: StageSpool, Machine: "machine-0001", Time: at, QueueSeconds: 12.5, Detail: fmt.Sprintf("replayed %d samples", 37)},
@@ -159,6 +155,23 @@ func TestRenderMatchesProducerFormats(t *testing.T) {
 	s.Sample(ParseID(id), "machine-0001", local, 1)
 	if sp := s.Recent(1)[0]; sp.Time != local {
 		t.Errorf("a local time renders as %v, want %v", sp.Time, local)
+	}
+	// A time parsed from text with an offset carries a new Location each
+	// time; its span renders the same RFC 3339 text, and one zone entry
+	// serves them all.
+	const stamp = `"2011-11-01T05:00:00.000000005+02:00"`
+	for i := 0; i < 2*maxZones; i++ {
+		var zoned time.Time
+		if err := zoned.UnmarshalJSON([]byte(stamp)); err != nil {
+			t.Fatal(err)
+		}
+		s.Sample(ParseID(id), "machine-0001", zoned, 1)
+		if got, err := s.Recent(1)[0].Time.MarshalJSON(); err != nil || string(got) != stamp {
+			t.Fatalf("a time stamped %s renders as %s (%v)", stamp, got, err)
+		}
+	}
+	if len(s.zones) > 2 {
+		t.Errorf("%d zone entries for time.Local and one offset", len(s.zones))
 	}
 }
 
@@ -348,29 +361,213 @@ func TestSpecSideKeepsNewestPerKey(t *testing.T) {
 	}
 }
 
-// TestCapacityCapsWithHorizon: the capacity is a hard ceiling, with or
-// without a horizon, and the spans the horizon keeps go last.
-func TestCapacityCapsWithHorizon(t *testing.T) {
-	s := NewStore(8)
-	s.SetHorizon(time.Hour)
-	key := NewName("websearch@B")
-	spec := SpecID("websearch", "B", day(0))
-	s.SpecPush(spec, "shard-0", key, day(0), 1)
-	for i := 0; i < 100; i++ {
-		s.Ingest(SampleID("m", uint64(i)), "m", "shard-0", day(0), 1, 1)
-		if n := len(s.Recent(0)); n > 8 {
-			t.Fatalf("store holds %d spans, capacity 8", n)
+// TestCapacityCaps: the capacity is a hard ceiling, with or without a
+// horizon, and each key's newest spec spans go last.
+func TestCapacityCaps(t *testing.T) {
+	for _, horizon := range []time.Duration{0, time.Hour} {
+		s := NewStore(8)
+		s.SetHorizon(horizon)
+		key := NewName("websearch@B")
+		spec := SpecID("websearch", "B", day(0))
+		s.SpecPush(spec, "shard-0", key, day(0), 1)
+		for i := 0; i < 100; i++ {
+			s.Ingest(SampleID("m", uint64(i)), "m", "shard-0", day(0), 1, 1)
+			if n := len(s.Recent(0)); n > 8 {
+				t.Fatalf("horizon %v: store holds %d spans, capacity 8", horizon, n)
+			}
+		}
+		all := s.Recent(0)
+		if len(all) != 8 || all[0].Stage != StageSpecPush || all[7].TraceID != SampleTraceID("m", 99) {
+			t.Fatalf("horizon %v: at capacity: %+v", horizon, all)
+		}
+		for i := 0; i < 100; i++ {
+			s.SpecPush(SpecID(fmt.Sprint(i), "B", day(0)), "shard-0", NewName(fmt.Sprint(i)), day(0), 1)
+		}
+		all = s.Recent(0)
+		if len(all) != 8 || all[0].Key != "92" || all[7].Key != "99" {
+			t.Fatalf("horizon %v: a store of spec pushes holds %+v, want the newest 8", horizon, all)
 		}
 	}
-	all := s.Recent(0)
-	if len(all) != 8 || all[0].Stage != StageSpecPush || all[7].TraceID != SampleTraceID("m", 99) {
-		t.Fatalf("at capacity: %+v", all)
+}
+
+// TestManySpecKeys: an aggregator pushing 1,000 jobs on 2 platforms
+// records 4,000 spec spans a round against a capacity of 4,096. Each
+// round supersedes every key's spans; the store keeps the newest of
+// each, adds with no allocation, and holds no more nodes than its
+// capacity and one map entry per key and stage; an add does O(1) work
+// whatever the number of keys (BenchmarkStoreAdd times it).
+func TestManySpecKeys(t *testing.T) {
+	const keys = 2000
+	s := NewStore(0)
+	s.SetHorizon(20 * time.Minute)
+	jobs, names := make([]string, keys), make([]Name, keys)
+	for i := range jobs {
+		jobs[i] = fmt.Sprintf("job%04d", i/2)
+		names[i] = NewName(jobs[i] + "@" + "AB"[i%2:i%2+1])
 	}
-	for i := 0; i < 100; i++ {
-		s.SpecPush(SpecID(fmt.Sprint(i), "B", day(0)), "shard-0", NewName(fmt.Sprint(i)), day(0), 1)
+	r := 0
+	round := func() {
+		at := day(10 * r)
+		for i, job := range jobs {
+			id := SpecID(job, "AB"[i%2:i%2+1], at)
+			s.SpecBuild(id, "shard-0", names[i], at, 1, 10)
+			s.SpecPush(id, "shard-0", names[i], at, 2)
+		}
+		for m := 0; m < 100; m++ {
+			s.Ingest(SampleID("m", uint64(100*r+m)), "m", "shard-0", at, 1, 1)
+		}
+		r++
 	}
-	if n := len(s.Recent(0)); n != 8 {
-		t.Fatalf("store of spec pushes holds %d spans, capacity 8", n)
+	for r < 5 {
+		round()
+	}
+	if n := testing.AllocsPerRun(5, round); n != 0 {
+		t.Errorf("a round costs %v allocations, want 0", n)
+	}
+	if n := len(s.Recent(0)); n != 4096 {
+		t.Errorf("store holds %d spans, want its capacity 4096", n)
+	}
+	last := day(10 * (r - 1))
+	for _, i := range []int{0, keys / 2, keys - 1} {
+		if got := s.ByTrace(SpecID(jobs[i], "AB"[i%2:i%2+1], last).String()); len(got) != 2 {
+			t.Errorf("key %s: %d of its newest build and push remain", names[i], len(got))
+		}
+	}
+	if len(s.nodes) > s.capacity || len(s.newest) > keys*2 {
+		t.Errorf("%d nodes and %d keys for a capacity of %d and %d spec keys and stages", len(s.nodes), len(s.newest), s.capacity, keys*2)
+	}
+}
+
+// BenchmarkStoreAdd times one span added to a store at its capacity, as
+// a spec build and push for each of keys spec keys and 100 ingests a
+// round: the cost per span should not grow with keys.
+func BenchmarkStoreAdd(b *testing.B) {
+	for _, keys := range []int{16, 2000} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			s := NewStore(0)
+			s.SetHorizon(20 * time.Minute)
+			names := make([]Name, keys)
+			for i := range names {
+				names[i] = NewName(fmt.Sprintf("job%04d@B", i))
+			}
+			spans := 2*keys + 100
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, j := i/spans, i%spans
+				at := day(10 * r)
+				switch {
+				case j < 2*keys && j%2 == 0:
+					s.SpecBuild(SpecID("job", "B", at), "shard-0", names[j/2], at, 1, 10)
+				case j < 2*keys:
+					s.SpecPush(SpecID("job", "B", at), "shard-0", names[j/2], at, 2)
+				default:
+					s.Ingest(SampleID("m", uint64(i)), "m", "shard-0", at, 1, 1)
+				}
+			}
+		})
+	}
+}
+
+// refStore is the retention rule written plainly, at O(held) a span:
+// a FIFO of spans, where one leaving it past the horizon or for room
+// is kept instead while it is its spec stage and key's newest.
+type refStore struct {
+	capacity   int
+	horizon    time.Duration
+	ring, kept []refSpan
+	newest     map[specKey]string
+}
+
+type refSpan struct {
+	id  string
+	st  stage
+	key string
+	at  time.Time
+}
+
+func (s *refStore) add(sp refSpan) {
+	if sp.st.specSide() {
+		s.newest[specKey{sp.st, sp.key}] = sp.id
+		s.kept = slices.DeleteFunc(s.kept, func(o refSpan) bool { return o.st == sp.st && o.key == sp.key })
+	}
+	for s.horizon > 0 && len(s.ring) > 0 && s.ring[0].at.Before(sp.at.Add(-s.horizon)) {
+		s.pop()
+	}
+	for len(s.ring)+len(s.kept) >= s.capacity {
+		if len(s.ring) == 0 {
+			s.kept = s.kept[1:]
+			break
+		}
+		if s.pop() {
+			break
+		}
+	}
+	s.ring = append(s.ring, sp)
+}
+
+func (s *refStore) pop() (dropped bool) {
+	r := s.ring[0]
+	s.ring = s.ring[1:]
+	if !r.st.specSide() || s.newest[specKey{r.st, r.key}] != r.id {
+		return true
+	}
+	s.kept = append(s.kept, r)
+	return false
+}
+
+// TestStoreMatchesReference: over random spans of every stage — few
+// keys, a clock that mostly creeps and sometimes leaps — a store holds
+// exactly the spans, in the order, that the plain rule does.
+func TestStoreMatchesReference(t *testing.T) {
+	keys := []Name{NewName("a@B"), NewName("b@B"), NewName("c@B"), NewName("a@C")}
+	for _, capacity := range []int{1, 5, 16, 64} {
+		for _, horizon := range []time.Duration{0, 10 * time.Minute} {
+			rng := rand.New(rand.NewPCG(uint64(capacity), uint64(horizon)))
+			s := NewStore(capacity)
+			s.SetHorizon(horizon)
+			ref := &refStore{capacity: capacity, horizon: horizon, newest: map[specKey]string{}}
+			at := day(0)
+			for i := 0; i < 3000; i++ {
+				if rng.IntN(50) == 0 {
+					at = at.Add(time.Duration(rng.IntN(120)-30) * time.Minute)
+				} else {
+					at = at.Add(time.Duration(rng.IntN(60)) * time.Second)
+				}
+				id := SampleID("x", uint64(i))
+				key := keys[rng.IntN(len(keys))]
+				st := stage(rng.IntN(int(numStages)))
+				switch st {
+				case stSample:
+					s.Sample(id, "m", at, 1)
+				case stSpool:
+					s.Spool(id, "m", at, 1, 1)
+				case stIngest:
+					s.Ingest(id, "m", "shard-0", at, 1, 1)
+				case stSpecBuild:
+					s.SpecBuild(id, "shard-0", key, at, 1, 1)
+				case stSpecPush:
+					s.SpecPush(id, "shard-0", key, at, 1)
+				case stSpecRecv:
+					s.SpecRecv(id, "m", key, at, 1, 1)
+				case stDetect:
+					s.Detect(id, "m", key, at, 1, 1, 1)
+				case stDecision:
+					s.Decision(id, "m", key, at, 1, "none", Name{})
+				}
+				ref.add(refSpan{id: id.String(), st: st, key: key.String(), at: at})
+				var want []string
+				for _, sp := range append(slices.Clip(ref.kept), ref.ring...) {
+					want = append(want, sp.id)
+				}
+				var got []string
+				for _, sp := range s.Recent(0) {
+					got = append(got, sp.TraceID)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("capacity %d, horizon %v, span %d: store holds\n%v\nthe rule holds\n%v", capacity, horizon, i, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -173,7 +173,7 @@ func TestIngestSpanStampedFromFirstAdmittedSample(t *testing.T) {
 	if got, dropped := bus.Stats(); got != 2 || dropped != 2 {
 		t.Errorf("stats = %d received, %d dropped, want 2, 2", got, dropped)
 	}
-	// The detail string is cached between batches; it must follow the counts.
+	// Each batch's Detail follows its own counts.
 	_ = bus.Publish(batch[2:])
 	_ = bus.Publish(batch[2:])
 	_ = bus.Publish(batch)

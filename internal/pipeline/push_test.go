@@ -302,7 +302,7 @@ func pushMatchesScan(t *testing.T, seed int64, steps int) {
 			for sc, fc := range conns {
 				var got []delivery
 				for _, msg := range framesOf(t, fc.taken()) {
-					if msg.Type != msgSpec || msg.TraceID != trace.SpecTraceID(msg.Spec.Key().String(), msg.Spec.UpdatedAt) {
+					if msg.Type != msgSpec || msg.TraceID != trace.SpecID(string(msg.Spec.Job), string(msg.Spec.Platform), msg.Spec.UpdatedAt).String() {
 						t.Fatalf("step %d: frame %+v", step, msg)
 					}
 					got = append(got, delivery{0, msg.Spec.Key(), msg.Spec.UpdatedAt})
@@ -321,7 +321,7 @@ func pushMatchesScan(t *testing.T, seed int64, steps int) {
 			for _, spec := range specs {
 				if n := perSpec[spec.Key()]; n > 0 {
 					wantSpans = append(wantSpans, trace.Span{
-						TraceID: trace.SpecTraceID(spec.Key().String(), spec.UpdatedAt),
+						TraceID: trace.SpecID(string(spec.Job), string(spec.Platform), spec.UpdatedAt).String(),
 						Stage:   trace.StageSpecPush,
 						Shard:   "shard-0",
 						Key:     spec.Key().String(),
