@@ -82,6 +82,8 @@ const (
 // sample batch: a store keeps the newest one per key however old.
 func (st stage) specSide() bool { return st >= stSpecBuild && st <= stSpecRecv }
 
+const numSpecStages = stSpecRecv - stSpecBuild + 1
+
 // Span is one recorded hop of the control loop, as a store renders it.
 type Span struct {
 	TraceID string `json:"trace_id"`
@@ -254,14 +256,6 @@ func (r *record) before(t time.Time) bool {
 	return time.Unix(r.sec, int64(r.nsec)).Before(t)
 }
 
-// specKey is what a spec-side span is the newest of: its stage and key.
-type specKey struct {
-	stage stage
-	key   string
-}
-
-func (r *record) specKey() specKey { return specKey{r.stage, r.key.String()} }
-
 // node holds one retained span, on one of a store's lists.
 type node struct {
 	record
@@ -342,8 +336,12 @@ type Store struct {
 	nodes        []node
 	window, kept list
 	free         int32
-	// newest is each spec-side stage and key's newest span's node.
-	newest map[specKey]int32
+	// keys maps each spec-side stage's keys to a slot of heads, which
+	// holds that stage and key's newest span's node. The slot of a key
+	// whose last span was dropped is listed in freeHeads.
+	keys      [numSpecStages]map[string]int32
+	heads     []int32
+	freeHeads []int32
 	// local is the store's table of local names (record.place and a
 	// decision's action), zones its table of time zones; machines
 	// memoises ingest machines' Names.
@@ -351,19 +349,20 @@ type Store struct {
 	zones    []*time.Location
 	machines map[string]Name
 	total    uint64
-	// perStage counts spans ever added by stage; unlike the ring it
+	// perStage counts spans ever added by stage; unlike the lists it
 	// never forgets, so counters survive eviction.
 	perStage [numStages]uint64
 }
 
 // NewStore returns a store holding up to capacity spans (capacity <= 0
-// selects 4096) with no horizon. Its memory grows as spans arrive.
+// selects 4096, and nodes are numbered by int32) with no horizon. Its
+// memory grows as spans arrive.
 func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = 4096
 	}
 	return &Store{
-		capacity: capacity,
+		capacity: min(capacity, math.MaxInt32),
 		window:   list{first: none, last: none},
 		kept:     list{first: none, last: none},
 		free:     none,
@@ -467,11 +466,12 @@ func (s *Store) addLocked(r record, id ID, at time.Time, place string) {
 	r.place = s.localLocked(place)
 	s.total++
 	s.perStage[r.stage]++
-	var k specKey
+	h := int32(none)
 	if r.stage.specSide() {
-		k = r.specKey()
-		if old, ok := s.newest[k]; ok {
+		h = s.headLocked(&r)
+		if old := s.heads[h]; old != none {
 			s.supersedeLocked(old)
+			s.heads[h] = none
 		}
 	}
 	if s.horizon > 0 {
@@ -492,12 +492,30 @@ func (s *Store) addLocked(r record, id ID, at time.Time, place string) {
 	i := s.allocLocked()
 	s.nodes[i].record = r
 	s.window.push(s.nodes, i)
-	if r.stage.specSide() {
-		if s.newest == nil {
-			s.newest = make(map[specKey]int32)
-		}
-		s.newest[k] = i
+	if h != none {
+		s.heads[h] = i
 	}
+}
+
+// headLocked returns the slot of heads for r's stage and key, taking a
+// free one for a key with no span.
+func (s *Store) headLocked(r *record) int32 {
+	keys := &s.keys[r.stage-stSpecBuild]
+	if h, ok := (*keys)[r.key.String()]; ok {
+		return h
+	}
+	var h int32
+	if n := len(s.freeHeads); n > 0 {
+		h, s.freeHeads = s.freeHeads[n-1], s.freeHeads[:n-1]
+	} else {
+		h = int32(len(s.heads))
+		s.heads = append(s.heads, none)
+	}
+	if *keys == nil {
+		*keys = make(map[string]int32)
+	}
+	(*keys)[r.key.String()] = h
+	return h
 }
 
 // supersedeLocked retires node i, the newest span of its stage and key
@@ -532,7 +550,11 @@ func (s *Store) popLocked() (dropped bool) {
 func (s *Store) dropKeptLocked() {
 	i := s.kept.first
 	s.kept.unlink(s.nodes, i)
-	delete(s.newest, s.nodes[i].specKey())
+	keys, key := s.keys[s.nodes[i].stage-stSpecBuild], s.nodes[i].key.String()
+	h := keys[key]
+	delete(keys, key)
+	s.heads[h] = none
+	s.freeHeads = append(s.freeHeads, h)
 	s.freeLocked(i)
 }
 

@@ -394,7 +394,7 @@ func TestCapacityCaps(t *testing.T) {
 // records 4,000 spec spans a round against a capacity of 4,096. Each
 // round supersedes every key's spans; the store keeps the newest of
 // each, adds with no allocation, and holds no more nodes than its
-// capacity and one map entry per key and stage; an add does O(1) work
+// capacity and one slot per key and stage; an add does O(1) work
 // whatever the number of keys (BenchmarkStoreAdd times it).
 func TestManySpecKeys(t *testing.T) {
 	const keys = 2000
@@ -433,8 +433,8 @@ func TestManySpecKeys(t *testing.T) {
 			t.Errorf("key %s: %d of its newest build and push remain", names[i], len(got))
 		}
 	}
-	if len(s.nodes) > s.capacity || len(s.newest) > keys*2 {
-		t.Errorf("%d nodes and %d keys for a capacity of %d and %d spec keys and stages", len(s.nodes), len(s.newest), s.capacity, keys*2)
+	if len(s.nodes) > s.capacity || len(s.heads) > keys*2 {
+		t.Errorf("%d nodes and %d key slots for a capacity of %d and %d spec keys and stages", len(s.nodes), len(s.heads), s.capacity, keys*2)
 	}
 }
 
@@ -475,7 +475,12 @@ type refStore struct {
 	capacity   int
 	horizon    time.Duration
 	ring, kept []refSpan
-	newest     map[specKey]string
+	newest     map[refKey]string
+}
+
+type refKey struct {
+	st  stage
+	key string
 }
 
 type refSpan struct {
@@ -487,7 +492,7 @@ type refSpan struct {
 
 func (s *refStore) add(sp refSpan) {
 	if sp.st.specSide() {
-		s.newest[specKey{sp.st, sp.key}] = sp.id
+		s.newest[refKey{sp.st, sp.key}] = sp.id
 		s.kept = slices.DeleteFunc(s.kept, func(o refSpan) bool { return o.st == sp.st && o.key == sp.key })
 	}
 	for s.horizon > 0 && len(s.ring) > 0 && s.ring[0].at.Before(sp.at.Add(-s.horizon)) {
@@ -508,7 +513,7 @@ func (s *refStore) add(sp refSpan) {
 func (s *refStore) pop() (dropped bool) {
 	r := s.ring[0]
 	s.ring = s.ring[1:]
-	if !r.st.specSide() || s.newest[specKey{r.st, r.key}] != r.id {
+	if !r.st.specSide() || s.newest[refKey{r.st, r.key}] != r.id {
 		return true
 	}
 	s.kept = append(s.kept, r)
@@ -525,7 +530,7 @@ func TestStoreMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(capacity), uint64(horizon)))
 			s := NewStore(capacity)
 			s.SetHorizon(horizon)
-			ref := &refStore{capacity: capacity, horizon: horizon, newest: map[specKey]string{}}
+			ref := &refStore{capacity: capacity, horizon: horizon, newest: map[refKey]string{}}
 			at := day(0)
 			for i := 0; i < 3000; i++ {
 				if rng.IntN(50) == 0 {
