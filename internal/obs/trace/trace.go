@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Span stages, in control-loop order. The values appear on the wire
@@ -229,13 +230,16 @@ type record struct {
 	id    uint64
 	sec   int64   // Time, Unix seconds
 	queue float64 // QueueSeconds
-	// x and y are the Detail's operands: counts, float64 bits, or (for a
-	// decision) the action's local-name index.
+	// x and y are the Detail's operands: counts, float64 bits, a
+	// decision's action as a local-name index, or an ingest's admitted
+	// and of counts packed in x and its machine's length in y.
 	x, y uint64
-	// key is the Span's Key. other is an ingest batch's machine or a
-	// decision's target.
-	key, other Name
-	nsec       int32
+	// key is the Span's Key. other is a decision's target (a Name's
+	// string) or an ingest's machine: the bytes of the string its samples
+	// carried, shared, not copied.
+	key   Name
+	other unsafe.Pointer
+	nsec  int32
 	// place is the recording machine or shard, an index+1 into
 	// Store.local (0: none).
 	place uint16
@@ -296,16 +300,12 @@ func (l *list) unlink(nodes []node, i int32) {
 	l.n--
 }
 
-// Local-name, zone and ingest-machine table bounds. Local names are the
-// recording side's own few (its machine, its shard, decision actions),
-// zones the few its clocks stamp in. Ingest machines arrive from
-// outside, so like the wire decoder's name table theirs is flushed when
-// full, and only short names are kept.
+// Local-name and zone table bounds: the recording side's own few names
+// (its machine, its shard, decision actions) and the few zones its
+// clocks stamp in.
 const (
-	maxLocalNames  = 1<<16 - 1
-	maxZones       = 1<<(8-zoneShift) - 1
-	maxMachines    = 1 << 17
-	maxMachineName = 128
+	maxLocalNames = 1<<16 - 1
+	maxZones      = 1<<(8-zoneShift) - 1
 )
 
 // Store holds the spans one daemon records (and, in the cluster
@@ -343,12 +343,10 @@ type Store struct {
 	heads     []int32
 	freeHeads []int32
 	// local is the store's table of local names (record.place and a
-	// decision's action), zones its table of time zones; machines
-	// memoises ingest machines' Names.
-	local    []string
-	zones    []*time.Location
-	machines map[string]Name
-	total    uint64
+	// decision's action), zones its table of time zones.
+	local []string
+	zones []*time.Location
+	total uint64
 	// perStage counts spans ever added by stage; unlike the lists it
 	// never forgets, so counters survive eviction.
 	perStage [numStages]uint64
@@ -397,15 +395,14 @@ func (s *Store) Spool(id ID, machine string, at time.Time, delay float64, n int)
 	}
 }
 
-// Ingest records a shard admitting admitted of a batch's of samples,
-// from machine.
+// Ingest records a shard admitting admitted of a batch's of samples
+// (fewer than 2³²), from machine.
 func (s *Store) Ingest(id ID, machine, shard string, at time.Time, admitted, of int) {
-	if s == nil {
-		return
+	if s != nil {
+		r := record{stage: stIngest, x: uint64(admitted)<<32 | uint64(uint32(of)), y: uint64(len(machine))}
+		r.other = unsafe.Pointer(unsafe.StringData(machine))
+		s.add(r, id, at, shard)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(record{stage: stIngest, x: uint64(admitted), y: uint64(of), other: s.machineLocked(machine)}, id, at, shard)
 }
 
 // SpecBuild records a shard folding n samples, the oldest age seconds
@@ -448,7 +445,7 @@ func (s *Store) Decision(id ID, machine string, key Name, at time.Time, reaction
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.addLocked(record{stage: stDecision, key: key, queue: reaction, x: uint64(s.localLocked(action)), other: target}, id, at, machine)
+	s.addLocked(record{stage: stDecision, key: key, queue: reaction, x: uint64(s.localLocked(action)), other: unsafe.Pointer(target.p)}, id, at, machine)
 }
 
 func (s *Store) add(r record, id ID, at time.Time, place string) {
@@ -625,24 +622,6 @@ func (s *Store) zoneLocked(at time.Time) uint8 {
 	return uint8(len(s.zones))
 }
 
-// machineLocked returns the Name of an ingest batch's machine.
-func (s *Store) machineLocked(machine string) Name {
-	if machine == "" {
-		return Name{}
-	}
-	if n, ok := s.machines[machine]; ok {
-		return n
-	}
-	n := NewName(machine)
-	if len(machine) <= maxMachineName {
-		if s.machines == nil || len(s.machines) >= maxMachines {
-			s.machines = make(map[string]Name)
-		}
-		s.machines[machine] = n
-	}
-	return n
-}
-
 func (s *Store) localName(i uint16) string {
 	if i == 0 {
 		return ""
@@ -673,8 +652,8 @@ func (s *Store) renderLocked(r *record) Span {
 	case stSpool:
 		sp.Machine, sp.Detail = place, "replayed "+count(r.x, " samples")
 	case stIngest:
-		sp.Machine, sp.Shard = r.other.String(), place
-		sp.Detail = count(r.x, "/") + count(r.y, " samples admitted")
+		sp.Machine, sp.Shard = unsafe.String((*byte)(r.other), r.y), place
+		sp.Detail = count(r.x>>32, "/") + count(r.x&math.MaxUint32, " samples admitted")
 	case stSpecBuild:
 		sp.Shard, sp.Detail = place, count(r.x, " samples")
 	case stSpecPush:
@@ -685,8 +664,8 @@ func (s *Store) renderLocked(r *record) Span {
 		sp.Machine, sp.Detail = place, "cpi "+fixed3(r.x)+" > threshold "+fixed3(r.y)
 	case stDecision:
 		sp.Machine, sp.Detail = place, s.localName(uint16(r.x))
-		if r.other.p != nil {
-			sp.Detail += " " + r.other.String()
+		if r.other != nil {
+			sp.Detail += " " + *(*string)(r.other)
 		}
 	}
 	return sp
