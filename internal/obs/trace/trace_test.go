@@ -472,10 +472,10 @@ func BenchmarkStoreAdd(b *testing.B) {
 // a FIFO of spans, where one leaving it past the horizon or for room
 // is kept instead while it is its spec stage and key's newest.
 type refStore struct {
-	capacity   int
-	horizon    time.Duration
-	ring, kept []refSpan
-	newest     map[refKey]string
+	capacity     int
+	horizon      time.Duration
+	window, kept []refSpan
+	newest       map[refKey]string
 }
 
 type refKey struct {
@@ -495,11 +495,11 @@ func (s *refStore) add(sp refSpan) {
 		s.newest[refKey{sp.st, sp.key}] = sp.id
 		s.kept = slices.DeleteFunc(s.kept, func(o refSpan) bool { return o.st == sp.st && o.key == sp.key })
 	}
-	for s.horizon > 0 && len(s.ring) > 0 && s.ring[0].at.Before(sp.at.Add(-s.horizon)) {
+	for s.horizon > 0 && len(s.window) > 0 && s.window[0].at.Before(sp.at.Add(-s.horizon)) {
 		s.pop()
 	}
-	for len(s.ring)+len(s.kept) >= s.capacity {
-		if len(s.ring) == 0 {
+	for len(s.window)+len(s.kept) >= s.capacity {
+		if len(s.window) == 0 {
 			s.kept = s.kept[1:]
 			break
 		}
@@ -507,12 +507,12 @@ func (s *refStore) add(sp refSpan) {
 			break
 		}
 	}
-	s.ring = append(s.ring, sp)
+	s.window = append(s.window, sp)
 }
 
 func (s *refStore) pop() (dropped bool) {
-	r := s.ring[0]
-	s.ring = s.ring[1:]
+	r := s.window[0]
+	s.window = s.window[1:]
 	if !r.st.specSide() || s.newest[refKey{r.st, r.key}] != r.id {
 		return true
 	}
@@ -561,7 +561,7 @@ func TestStoreMatchesReference(t *testing.T) {
 				}
 				ref.add(refSpan{id: id.String(), st: st, key: key.String(), at: at})
 				var want []string
-				for _, sp := range append(slices.Clip(ref.kept), ref.ring...) {
+				for _, sp := range append(slices.Clip(ref.kept), ref.window...) {
 					want = append(want, sp.id)
 				}
 				var got []string
