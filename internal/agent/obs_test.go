@@ -22,7 +22,7 @@ func TestLocalMetricsDrainTo(t *testing.T) {
 // staged copy of shared, drains, and expects to read exactly that
 // amount from the same field of shared and nothing from the copy.
 func everyFieldDrains[T any](t *testing.T, shared *T) {
-	local, drain := obs.Stage(shared)
+	local, drain, _ := obs.Stage(shared)
 	sv, lv := reflect.ValueOf(shared).Elem(), reflect.ValueOf(local).Elem()
 	// read returns what a handle holds, as one number.
 	read := func(handle any) float64 {

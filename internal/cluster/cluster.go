@@ -232,10 +232,9 @@ type Cluster struct {
 	fstats    FaultStats
 	delayed   []delayedSpecs
 
-	onTick    []func(now time.Time)
-	incidents []core.Incident
-	exits     int64
-	restarts  int64
+	onTick   []func(now time.Time)
+	exits    int64
+	restarts int64
 
 	// §9 automation state.
 	pairCounts map[[2]model.JobName]int
@@ -369,7 +368,7 @@ func New(cfg Config) *Cluster {
 			// shared registry series, which every concurrently ticking
 			// machine would then hammer (the shared atomics were one of
 			// the negative-scaling culprits).
-			n.metrics, n.drainMetrics, n.metricsWritten = obs.StageTracked(coreShared)
+			n.metrics, n.drainMetrics, n.metricsWritten = obs.Stage(coreShared)
 		}
 		n.a = c.newAgent(n)
 		c.nodes[i] = n
@@ -743,7 +742,6 @@ func (c *Cluster) Step() {
 			}
 		}
 		for _, inc := range n.incidents {
-			c.incidents = append(c.incidents, inc)
 			c.store.Add(inc)
 			c.automate(inc)
 		}
@@ -890,12 +888,9 @@ func (c *Cluster) AutoActions() (avoidPairs int, migrations int64) {
 	return len(c.avoided), c.migrations
 }
 
-// Incidents returns all incidents raised so far.
-func (c *Cluster) Incidents() []core.Incident {
-	out := make([]core.Incident, len(c.incidents))
-	copy(out, c.incidents)
-	return out
-}
+// Incidents returns a copy of all incidents raised so far, as logged
+// in the forensics store.
+func (c *Cluster) Incidents() []core.Incident { return c.store.Incidents() }
 
 // Stats returns counters of task exits and restarts.
 func (c *Cluster) Stats() (exits, restarts int64) { return c.exits, c.restarts }

@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/forensics"
 	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -21,15 +24,14 @@ import (
 // moves it.
 const faultedRunSHA256 = "5ab2400264341154481aa752a03f2d7757a36e1dcf5e2695701aba955748ca6e"
 
-// faultedRunHash runs a fleet with registry, events and tracing on
+// faultedRun runs a fleet with registry, events and tracing on
 // through a crash, an agent restart, a shard blackout long enough for
 // spool replay, a reshard inside that blackout, a skewed agent clock,
 // sample loss and delayed spec pushes — everything but corruption, so
 // that no fault draw forces a visit to every machine — with churning
-// restarts and both §9 loops armed. It hashes the incidents, the spec
-// table, the full /metrics page, the event log, FaultStats and spans by
-// stage.
-func faultedRunHash(t *testing.T, workers int) string {
+// restarts and both §9 loops armed. The cluster closes when the test
+// ends.
+func faultedRun(t *testing.T, workers int) (*Cluster, *obs.Registry, *obs.EventLog) {
 	t.Helper()
 	const machines = 16
 	warm := 12 * time.Minute
@@ -58,7 +60,7 @@ func faultedRunHash(t *testing.T, workers int) string {
 			SpoolBatches:   3,
 		},
 	})
-	defer c.Close()
+	t.Cleanup(c.Close)
 	defs, tree := WebSearchJob("websearch", machines, machines/4+1, 2, c.RNG())
 	c.OnTick(func(time.Time) { tree.EndTick() })
 	defs = append(defs,
@@ -88,7 +90,14 @@ func faultedRunHash(t *testing.T, workers int) string {
 		t.Fatal(err)
 	}
 	c.Run(10 * time.Minute)
+	return c, reg, ev
+}
 
+// faultedRunHash hashes faultedRun's incidents, spec table, full
+// /metrics page, event log, FaultStats and spans by stage.
+func faultedRunHash(t *testing.T, workers int) string {
+	t.Helper()
+	c, reg, ev := faultedRun(t, workers)
 	st := c.FaultStats()
 	if st.CrashesApplied != 1 || st.TasksRestarted == 0 || st.RestartsApplied != 1 || st.CapsAdopted == 0 ||
 		st.ReshardsApplied != 1 || st.SpoolReplayed == 0 || st.SpoolDropped == 0 ||
@@ -124,6 +133,34 @@ func TestFaultedRunPinned(t *testing.T) {
 		if got := faultedRunHash(t, workers); got != faultedRunSHA256 {
 			t.Errorf("workers=%d: faulted run hash %s, pinned %s", workers, got, faultedRunSHA256)
 		}
+	}
+}
+
+// TestIncidentsAreTheStoreLog: the cluster keeps no incident log of its
+// own. On a faulted run Incidents equals the forensics store's log, and
+// it is a copy: writing to it leaves the store as it was.
+func TestIncidentsAreTheStoreLog(t *testing.T) {
+	c, _, _ := faultedRun(t, 1)
+	got, logged := c.Incidents(), c.Store().Incidents()
+	if len(got) == 0 || !reflect.DeepEqual(got, logged) {
+		t.Fatalf("Cluster.Incidents has %d incidents, the store %d, and they differ", len(got), len(logged))
+	}
+	all := "SELECT " + strings.Join(forensics.Columns, ", ") + " FROM incidents"
+	before, err := c.Store().Query(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[0].Machine, got[0].Decision.Action, got[0].Suspects = "elsewhere", core.ActionReport, nil
+	got[len(got)-1] = core.Incident{Machine: "extra"}
+	if after := c.Store().Incidents(); !reflect.DeepEqual(after, logged) {
+		t.Error("writing to the returned incidents changed the store's log")
+	}
+	after, err := c.Store().Query(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Error("writing to the returned incidents changed the store's rows")
 	}
 }
 

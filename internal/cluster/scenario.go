@@ -247,7 +247,7 @@ func (s *Scenario) Start(base Config) (*Cluster, Warm, error) {
 		c.Close()
 		return nil, Warm{}, err
 	}
-	w.At, w.Incidents = c.Now(), len(c.Incidents())
+	w.At, w.Incidents = c.Now(), c.Store().Len()
 	return c, w, nil
 }
 

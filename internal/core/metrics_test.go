@@ -236,7 +236,7 @@ func TestSpecBacklogSumsAcrossBuilders(t *testing.T) {
 func TestLocalMetricsDrainTo(t *testing.T) {
 	reg := obs.NewRegistry()
 	shared := NewMetrics(reg)
-	local, drain := obs.Stage(shared)
+	local, drain, _ := obs.Stage(shared)
 
 	local.SamplesObserved.Add(10)
 	local.Outliers.Inc()
@@ -292,7 +292,7 @@ func TestLocalMetricsDrainTo(t *testing.T) {
 func TestManagerOnLocalMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	shared := NewMetrics(reg)
-	local, drain := obs.Stage(shared)
+	local, drain, _ := obs.Stage(shared)
 	m := NewManager("m0", Params{}, newFakeCapper())
 	m.SetMetrics(local)
 

@@ -14,7 +14,7 @@ import (
 // the cluster simulation Add only ever runs from the serial commit
 // phase, but the admin/forensics surface (cpi2ctl, the examples, a
 // replay session) may query a live store from other goroutines. Run
-// with -race in CI, this pins Add/Query/Len/Save-free concurrency.
+// with -race in CI, this pins Add/Query/Len/Incidents concurrency.
 func TestStoreConcurrentAddAndQuery(t *testing.T) {
 	t.Parallel()
 	s := NewStore()
@@ -52,6 +52,7 @@ func TestStoreConcurrentAddAndQuery(t *testing.T) {
 					return
 				}
 				_ = s.Len()
+				_ = s.Incidents()
 			}
 		}()
 	}

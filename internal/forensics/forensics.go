@@ -6,7 +6,10 @@
 // feed those pairs to the scheduler as anti-affinity constraints.
 //
 // The package provides an append-only incident store and a small
-// query engine over it supporting:
+// query engine over it. The store keeps the incidents themselves and
+// builds the table's rows per query. It lives in memory: the durable
+// incident stream is the event log's JSONL (cpi2agent -incident-log).
+// Queries support:
 //
 //	SELECT col[, col…] | agg(col)[, …]
 //	FROM incidents
@@ -18,16 +21,12 @@
 // with aggregates COUNT(*), COUNT(col), SUM, AVG, MIN, MAX, operators
 // = != > >= < <=, and boolean predicates combining comparisons with
 // AND, OR and parentheses (AND binds tighter). Strings are
-// single-quoted; timestamps are stored as RFC3339 UTC strings, which
-// order lexicographically. Stores serialize to JSON with Save/Load
-// so incident logs survive restarts and can be shipped for offline
-// analysis.
+// single-quoted; timestamps are rendered as RFC3339 UTC strings, which
+// order lexicographically.
 package forensics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -51,22 +50,53 @@ var Columns = []string{
 	"trace_id",    // causal trace context ("" on pre-tracing incidents)
 }
 
-// Store is an append-only incident log with a fixed schema.
+// Store is an append-only incident log queried as a table with a
+// fixed schema.
 type Store struct {
 	mu   sync.RWMutex
-	rows [][]interface{}
+	incs []core.Incident
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store { return &Store{} }
 
-// Add logs one incident. The suspect columns record the actionable
-// antagonist: the task the decision targeted when there is one
-// (capping or reporting), otherwise the top-ranked suspect. Top-ranked
-// alone would be misleading: in a fully anomalous window every steady
-// co-tenant ties at the same correlation, and the policy layer is what
-// singles out the throttleable culprit.
+// Add logs one incident.
 func (s *Store) Add(inc core.Incident) {
+	s.mu.Lock()
+	s.incs = append(s.incs, inc)
+	s.mu.Unlock()
+}
+
+// AddAll logs a batch of incidents.
+func (s *Store) AddAll(incs []core.Incident) {
+	for _, inc := range incs {
+		s.Add(inc)
+	}
+}
+
+// Len returns the number of logged incidents.
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.incs)
+}
+
+// Incidents returns a copy of the logged incidents, oldest first.
+func (s *Store) Incidents() []core.Incident {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]core.Incident, len(s.incs))
+	copy(out, s.incs)
+	return out
+}
+
+// row renders inc as a row of the incidents table. The suspect columns
+// record the actionable antagonist: the task the decision targeted
+// when there is one (capping or reporting), otherwise the top-ranked
+// suspect. Top-ranked alone would be misleading: in a fully anomalous
+// window every steady co-tenant ties at the same correlation, and the
+// policy layer is what singles out the throttleable culprit.
+func row(inc core.Incident) []interface{} {
 	var suspectJob, suspectTask string
 	var correlation float64
 	if len(inc.Suspects) > 0 {
@@ -83,7 +113,7 @@ func (s *Store) Add(inc core.Incident) {
 		suspectTask = pick.Task.String()
 		correlation = pick.Correlation
 	}
-	row := []interface{}{
+	return []interface{}{
 		inc.Time.UTC().Format(time.RFC3339),
 		inc.Machine,
 		string(inc.VictimJob),
@@ -97,23 +127,6 @@ func (s *Store) Add(inc core.Incident) {
 		inc.Decision.Quota,
 		inc.TraceID,
 	}
-	s.mu.Lock()
-	s.rows = append(s.rows, row)
-	s.mu.Unlock()
-}
-
-// AddAll logs a batch of incidents.
-func (s *Store) AddAll(incs []core.Incident) {
-	for _, inc := range incs {
-		s.Add(inc)
-	}
-}
-
-// Len returns the number of logged incidents.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.rows)
 }
 
 // Result is a query result: column headers plus rows.
@@ -163,56 +176,20 @@ func formatValue(v interface{}) string {
 	}
 }
 
-// storeSnapshot is the JSON wire form of a store.
-type storeSnapshot struct {
-	Columns []string        `json:"columns"`
-	Rows    [][]interface{} `json:"rows"`
-}
-
-// Save serializes the store as JSON.
-func (s *Store) Save(w io.Writer) error {
-	s.mu.RLock()
-	snap := storeSnapshot{Columns: Columns, Rows: s.rows}
-	defer s.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
-}
-
-// Load replaces the store's contents with a snapshot written by Save.
-// Numeric cells arrive as float64 (JSON numbers); the schema must
-// match this build's Columns.
-func (s *Store) Load(r io.Reader) error {
-	var snap storeSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("forensics: load: %w", err)
-	}
-	if len(snap.Columns) != len(Columns) {
-		return fmt.Errorf("forensics: load: snapshot has %d columns, want %d", len(snap.Columns), len(Columns))
-	}
-	for i, c := range snap.Columns {
-		if c != Columns[i] {
-			return fmt.Errorf("forensics: load: column %d is %q, want %q", i, c, Columns[i])
-		}
-	}
-	for i, row := range snap.Rows {
-		if len(row) != len(Columns) {
-			return fmt.Errorf("forensics: load: row %d has %d cells", i, len(row))
-		}
-	}
-	s.mu.Lock()
-	s.rows = snap.Rows
-	s.mu.Unlock()
-	return nil
-}
-
 // Query parses and executes q against the store.
 func (s *Store) Query(q string) (Result, error) {
 	stmt, err := parse(q)
 	if err != nil {
 		return Result{}, err
 	}
+	// The log is append-only, so the snapshot's incidents never change
+	// and can be rendered outside the lock.
 	s.mu.RLock()
-	rows := s.rows
+	incs := s.incs
 	s.mu.RUnlock()
+	rows := make([][]interface{}, len(incs))
+	for i, inc := range incs {
+		rows[i] = row(inc)
+	}
 	return stmt.run(rows)
 }

@@ -268,50 +268,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := loadedStore()
-	var buf strings.Builder
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if err := restored.Load(strings.NewReader(buf.String())); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != s.Len() {
-		t.Fatalf("restored %d rows, want %d", restored.Len(), s.Len())
-	}
-	// Queries behave identically on the restored store.
-	q := "SELECT suspect_job, count(*), avg(correlation) FROM incidents GROUP BY suspect_job ORDER BY count(*) DESC"
-	a, err := s.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := restored.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("query results differ:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
-func TestLoadRejectsBadSnapshots(t *testing.T) {
-	s := NewStore()
-	cases := []string{
-		"",
-		"{not json",
-		`{"columns":["a"],"rows":[]}`,
-		`{"columns":["time","machine","victim_job","victim_task","victim_cpi","threshold","suspect_job","suspect_task","correlation","action","WRONG"],"rows":[]}`,
-		`{"columns":["time","machine","victim_job","victim_task","victim_cpi","threshold","suspect_job","suspect_task","correlation","action","quota"],"rows":[["short"]]}`,
-	}
-	for i, c := range cases {
-		if err := s.Load(strings.NewReader(c)); err == nil {
-			t.Errorf("snapshot %d accepted", i)
-		}
-	}
-}
-
 func TestEmptyStoreQueries(t *testing.T) {
 	s := NewStore()
 	res, err := s.Query("SELECT count(*) FROM incidents")

@@ -33,17 +33,12 @@ import (
 // allocation) however many cells it has. A written copy's drain costs
 // one load per cell, a labelled counter one per series its writer has
 // ever touched.
-func Stage[T any](shared *T) (local *T, drain func()) {
-	local, drain, _ = StageTracked(shared)
-	return local, drain
-}
-
-// StageTracked is Stage that also returns written, which reports
-// whether local was written since the last drain: a coordinator may
-// skip the drain of a copy for which it is false. It may be called
-// concurrently with the writer; a write it misses sets the flag after
-// the call.
-func StageTracked[T any](shared *T) (local *T, drain func(), written func() bool) {
+//
+// written reports whether local was written since the last drain: a
+// coordinator may skip the drain of a copy for which it is false. It
+// may be called concurrently with the writer; a write it misses sets
+// the flag after the call.
+func Stage[T any](shared *T) (local *T, drain func(), written func() bool) {
 	local = new(T)
 	flag := new(atomic.Bool)
 	sv, lv := reflect.ValueOf(shared).Elem(), reflect.ValueOf(local).Elem()

@@ -27,7 +27,7 @@ func newTestSet(r *Registry) *testSet {
 
 func TestCounterDrain(t *testing.T) {
 	shared := newTestSet(NewRegistry())
-	local, drain := Stage(shared)
+	local, drain, _ := Stage(shared)
 	local.C.Add(5)
 	if got := shared.C.Value(); got != 0 {
 		t.Errorf("shared before drain = %v, want 0 (the local cell is private)", got)
@@ -50,7 +50,7 @@ func TestCounterDrain(t *testing.T) {
 // nothing for the drain to do.
 func TestStageSkipsNilHandles(t *testing.T) {
 	shared := &testSet{C: NewRegistry().Counter("only_total", "")}
-	local, drain := Stage(shared)
+	local, drain, _ := Stage(shared)
 	if local.G != nil || local.H != nil || local.V != nil {
 		t.Fatalf("nil shared handles staged as %+v, want nil", local)
 	}
@@ -79,7 +79,7 @@ func TestStageRejectsNonHandleFields(t *testing.T) {
 func TestGaugeDrainMovesDelta(t *testing.T) {
 	shared := newTestSet(NewRegistry())
 	shared.G.Set(10)
-	local, drain := Stage(shared)
+	local, drain, _ := Stage(shared)
 	local.G.Inc()
 	local.G.Inc()
 	local.G.Dec()
@@ -99,7 +99,7 @@ func TestGaugeDrainMovesDelta(t *testing.T) {
 
 func TestHistogramDrain(t *testing.T) {
 	shared := newTestSet(NewRegistry())
-	local, drain := Stage(shared)
+	local, drain, _ := Stage(shared)
 	local.H.Observe(0.5)
 	local.H.Observe(5)
 	local.H.Observe(100)
@@ -146,8 +146,8 @@ func TestStagedSetRendersLikeDirectWrites(t *testing.T) {
 	write(direct, 2)
 
 	shared := newTestSet(stagedReg)
-	l1, d1 := Stage(shared)
-	l2, d2 := Stage(shared)
+	l1, d1, _ := Stage(shared)
+	l2, d2, _ := Stage(shared)
 	write(l1, 1)
 	write(l2, 2)
 	d1()
@@ -163,7 +163,7 @@ func TestCounterVecDrain(t *testing.T) {
 		V: r.CounterVec("drain_vec_total", "", "action"),
 		W: r.CounterVec("drain_pair_total", "", "action", "reason"),
 	}
-	local, drain := Stage(shared)
+	local, drain, _ := Stage(shared)
 	drain() // no series yet
 	local.V.With("cap").Add(3)
 	local.V.With("none").Add(7)
@@ -210,7 +210,7 @@ func TestDrainUnderConcurrentWriters(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := range drains {
 		var local *testSet
-		local, drains[i] = Stage(shared)
+		local, drains[i], _ = Stage(shared)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -258,7 +258,7 @@ func TestDrainUnderConcurrentWriters(t *testing.T) {
 // a shared gauge holding −0 is not rewritten to +0 by an add of nothing.
 func TestStageIdleDrainIsFree(t *testing.T) {
 	shared := newTestSet(NewRegistry())
-	local, drain := Stage(shared)
+	local, drain, _ := Stage(shared)
 	if n := testing.AllocsPerRun(100, drain); n != 0 {
 		t.Errorf("drain of a never-written copy: %v allocs, want 0", n)
 	}
@@ -309,7 +309,7 @@ func TestStageWrittenFlag(t *testing.T) {
 		{"CounterVec.With.Inc", func(s *testSet) { s.V.With("cap").Inc() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			local, drain, written := StageTracked(newTestSet(NewRegistry()))
+			local, drain, written := Stage(newTestSet(NewRegistry()))
 			if written() {
 				t.Fatal("a fresh copy reports written")
 			}
@@ -335,7 +335,7 @@ func TestStageWrittenFlag(t *testing.T) {
 func TestStageNetZeroGaugeLeavesSharedUntouched(t *testing.T) {
 	shared := newTestSet(NewRegistry())
 	shared.G.Set(math.Copysign(0, -1))
-	local, drain, written := StageTracked(shared)
+	local, drain, written := Stage(shared)
 	local.G.Inc()
 	local.G.Dec()
 	if !written() {
@@ -356,7 +356,7 @@ func TestStageNetZeroGaugeLeavesSharedUntouched(t *testing.T) {
 // set holding exactly what was written. Run it under -race.
 func TestStageWriterRacesDrains(t *testing.T) {
 	shared := newTestSet(NewRegistry())
-	local, drain, written := StageTracked(shared)
+	local, drain, written := Stage(shared)
 	const writes = 5000
 	done := make(chan struct{})
 	go func() {

@@ -11,6 +11,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -142,12 +143,10 @@ type Scheduler struct {
 	Overcommit float64
 
 	machines map[string]*machineState
-	names    []string // sorted, for determinism
-	// ordered mirrors names with the states themselves: the placement
-	// scan is O(machines) per task, and indexing a slice instead of
-	// hashing 100k names per placement is what keeps fleet construction
-	// tractable at that scale. Same order as names, so behavior is
-	// byte-identical to scanning names.
+	// ordered holds the machine states sorted by name, for determinism:
+	// the placement scan is O(machines) per task, and indexing a slice
+	// instead of hashing 100k names per placement is what keeps fleet
+	// construction tractable at that scale.
 	ordered []*machineState
 	where   map[model.TaskID]string
 	avoid   map[model.JobName]map[model.JobName]bool
@@ -186,13 +185,8 @@ func (s *Scheduler) AddMachine(name string, platform model.Platform, cpus float6
 	// Insert at the sorted position instead of re-sorting: registering
 	// a fleet of n machines is O(n log n) total when names arrive in
 	// order (the common case) instead of n full sorts.
-	i := sort.SearchStrings(s.names, name)
-	s.names = append(s.names, "")
-	copy(s.names[i+1:], s.names[i:])
-	s.names[i] = name
-	s.ordered = append(s.ordered, nil)
-	copy(s.ordered[i+1:], s.ordered[i:])
-	s.ordered[i] = m
+	i := sort.Search(len(s.ordered), func(i int) bool { return s.ordered[i].name >= name })
+	s.ordered = slices.Insert(s.ordered, i, m)
 	return nil
 }
 
@@ -393,9 +387,9 @@ func (s *Scheduler) Commitment(machine string) float64 {
 // TasksPerMachine returns the task-count distribution across all
 // machines — the raw data of Figure 1(a).
 func (s *Scheduler) TasksPerMachine() []int {
-	out := make([]int, 0, len(s.names))
-	for _, name := range s.names {
-		out = append(out, len(s.machines[name].tasks))
+	out := make([]int, 0, len(s.ordered))
+	for _, m := range s.ordered {
+		out = append(out, len(m.tasks))
 	}
 	return out
 }
