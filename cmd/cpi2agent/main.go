@@ -56,12 +56,14 @@
 // the wall time of each agent tick, is registered by this daemon and
 // no other process), /healthz, /buildinfo
 // and /debug/events, plus the operator surface of agent.RegisterAdmin —
-// /debug/status, /debug/tasks, /debug/caps, /debug/incidents,
+// /debug/status, /debug/tasks, /debug/caps, /debug/incidents (the
+// incident events of the same in-memory log /debug/events serves),
 // /debug/specs, /debug/quarantine, /debug/trace (?id=<trace-id|job/index>
 // for one causal chain, ?n=<count> for the most recent spans) and the
 // POST verbs /cap, /uncap and /release-all. The verbs are
 // unauthenticated, so the default address is loopback only.
-// -incident-log appends every structured event as one JSON line.
+// -incident-log appends every structured event as one JSON line: the
+// durable stream, where the in-memory log keeps the newest 4096 events.
 package main
 
 import (

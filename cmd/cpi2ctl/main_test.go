@@ -22,13 +22,14 @@ import (
 
 // capturedAgent runs a traced agent on one machine until CPI² has
 // capped a cache-hammering antagonist, then serves its operator surface
-// from httptest.
-func capturedAgent(t *testing.T) (*httptest.Server, *agent.Agent, model.TaskID) {
+// from httptest, over the event log the agent emitted into as the
+// daemon does. It returns the incidents the agent's ticks raised.
+func capturedAgent(t *testing.T) (*httptest.Server, *agent.Agent, model.TaskID, []core.Incident) {
 	t.Helper()
 	m := machine.New("m1", interference.DefaultMachine(model.PlatformA), 8, nil)
-	reg := obs.NewRegistry()
+	reg, events := obs.NewRegistry(), obs.NewEventLog(0, nil)
 	a := agent.New(m, core.DefaultParams(), nil)
-	a.Instrument(reg, nil)
+	a.Instrument(reg, events)
 	a.SetTrace(trace.NewStore(0))
 	search := model.Job{Name: "search", Class: model.ClassLatencySensitive, Priority: model.PriorityProduction}
 	mr := model.Job{Name: "mr", Class: model.ClassBatch, Priority: model.PriorityBatch}
@@ -46,23 +47,24 @@ func capturedAgent(t *testing.T) (*httptest.Server, *agent.Agent, model.TaskID) 
 	a.DeliverSpec(model.Spec{Job: "search", Platform: model.PlatformA,
 		NumSamples: 100000, NumTasks: 300, CPIMean: 1.0, CPIStddev: 0.08})
 	now := time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
+	var incs []core.Incident
 	for s := 0; s < 700; s++ {
 		m.Tick(now, time.Second)
-		a.Tick(now)
+		incs = append(incs, a.Tick(now)...)
 		now = now.Add(time.Second)
 	}
 	if !m.IsCapped(aid) {
 		t.Fatal("the run capped nothing; there is nothing to operate on")
 	}
-	admin := obs.NewAdminServer(reg, nil)
+	admin := obs.NewAdminServer(reg, events)
 	agent.RegisterAdmin(admin, a, new(sync.Mutex))
 	srv := httptest.NewServer(admin)
 	t.Cleanup(srv.Close)
-	return srv, a, aid
+	return srv, a, aid, incs
 }
 
 func TestCommands(t *testing.T) {
-	srv, a, aid := capturedAgent(t)
+	srv, a, aid, incs := capturedAgent(t)
 	m := a.Machine()
 	ctl := func(wantCode int, args ...string) []string {
 		t.Helper()
@@ -92,7 +94,6 @@ func TestCommands(t *testing.T) {
 		t.Errorf("caps = %q", caps)
 	}
 
-	incs := a.Manager().Incidents()
 	if lines := ctl(0, "incidents"); len(lines) != min(10, len(incs)) {
 		t.Errorf("incidents printed %d lines, want %d", len(lines), min(10, len(incs)))
 	}

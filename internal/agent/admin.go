@@ -66,8 +66,13 @@ type incidentRow struct {
 //	POST /uncap?task=<job/index>
 //	POST /release-all                          release every CPI²-owned cap
 //
-// A job/index trace argument resolves to the newest incident naming the
-// task as victim or cap target: "why was this task capped?".
+// The manager keeps no incident log of its own: /debug/incidents and
+// /debug/trace read the "incident" events of the event log admin serves
+// at /debug/events, which Instrument hands the manager. /debug/incidents
+// is that endpoint's ?type=incident view without the envelopes, so it
+// covers what the log's ring still holds. A job/index trace argument
+// resolves to the newest incident naming the task as victim or cap
+// target: "why was this task capped?".
 //
 // The machine simulator is not safe for concurrent use, so the machine
 // views and the verbs hold state, the lock the daemon's tick loop holds
@@ -77,6 +82,7 @@ type incidentRow struct {
 func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 	m := a.Machine()
 	enf := a.Manager().Enforcer()
+	events := admin.Events()
 	locked := func(fn func(q url.Values) (any, error)) func(q url.Values) (any, error) {
 		return func(q url.Values) (any, error) {
 			state.Lock()
@@ -117,11 +123,7 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 	admin.HandleJSON("/debug/tasks", tasks(false))
 	admin.HandleJSON("/debug/caps", tasks(true))
 	admin.HandleJSON("/debug/incidents", func(q url.Values) (any, error) {
-		recs := core.IncidentRecords(a.Manager().Incidents())
-		if n := obs.IntParam(q, "n", 0); n > 0 && n < len(recs) {
-			recs = recs[len(recs)-n:]
-		}
-		return recs, nil
+		return incidentRecords(events, obs.IntParam(q, "n", 0)), nil
 	})
 	admin.HandleJSON("/debug/specs", func(url.Values) (any, error) {
 		return a.Manager().Detector().Specs(), nil
@@ -133,7 +135,7 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 			"recent": quar.Recent(obs.IntParam(q, "n", 50)),
 		}, nil
 	})
-	admin.HandleTrace(a.Trace(), a.traceJoin)
+	admin.HandleTrace(a.Trace(), traceJoin(events))
 
 	admin.HandleAction("/cap", locked(func(q url.Values) (any, error) {
 		task, err := model.ParseTaskID(q.Get("task"))
@@ -164,29 +166,46 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 	}))
 }
 
-// traceJoin is the agent's /debug/trace hook: it resolves a job/index
-// argument to the trace of the newest incident involving the task, and
-// returns the trace's incidents as rows to follow its spans.
-func (a *Agent) traceJoin(arg string) (string, []any, error) {
-	incs := a.Manager().Incidents()
-	id := arg
-	if task, err := model.ParseTaskID(arg); err == nil {
-		id = ""
-		for i := len(incs) - 1; i >= 0; i-- {
-			if incs[i].Victim == task || incs[i].Decision.Target == task {
-				id = incs[i].TraceID
-				break
+// incidentRecords returns the records of the newest n "incident"
+// events in events (every one it holds when n ≤ 0), oldest first.
+func incidentRecords(events *obs.EventLog, n int) []core.IncidentRecord {
+	evs := events.Recent(n, "incident")
+	recs := make([]core.IncidentRecord, 0, len(evs))
+	for _, ev := range evs {
+		if rec, ok := ev.Data.(core.IncidentRecord); ok {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// traceJoin is the agent's /debug/trace hook over its event log: it
+// resolves a job/index argument to the trace of the newest incident
+// involving the task, and returns the trace's incidents as rows to
+// follow its spans.
+func traceJoin(events *obs.EventLog) func(arg string) (string, []any, error) {
+	return func(arg string) (string, []any, error) {
+		recs := incidentRecords(events, 0)
+		id := arg
+		if task, err := model.ParseTaskID(arg); err == nil {
+			id = ""
+			name := task.String()
+			for i := len(recs) - 1; i >= 0; i-- {
+				if recs[i].Victim == name || recs[i].Target == name {
+					id = recs[i].TraceID
+					break
+				}
+			}
+			if id == "" {
+				return "", nil, fmt.Errorf("no incident involves %v", task)
 			}
 		}
-		if id == "" {
-			return "", nil, fmt.Errorf("no incident involves %v", task)
+		var rows []any
+		for _, rec := range recs {
+			if rec.TraceID == id {
+				rows = append(rows, incidentRow{Stage: "incident", IncidentRecord: rec})
+			}
 		}
+		return id, rows, nil
 	}
-	var rows []any
-	for _, inc := range incs {
-		if inc.TraceID == id {
-			rows = append(rows, incidentRow{Stage: "incident", IncidentRecord: inc.Record()})
-		}
-	}
-	return id, rows, nil
 }

@@ -1,8 +1,10 @@
 package agent
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,11 +18,15 @@ import (
 	"repro/internal/workload"
 )
 
-// adminRig serves a one-task agent's operator surface over HTTP.
+// adminRig serves a one-task agent's operator surface over HTTP, wired
+// like the daemon: the admin server serves the event log the agent
+// emits into.
 func adminRig(t *testing.T) (string, *Agent) {
 	t.Helper()
 	a, _, _ := newRig(t, nil)
-	admin := obs.NewAdminServer(obs.NewRegistry(), nil)
+	reg, events := obs.NewRegistry(), obs.NewEventLog(0, nil)
+	a.Instrument(reg, events)
+	admin := obs.NewAdminServer(reg, events)
 	RegisterAdmin(admin, a, new(sync.Mutex))
 	srv := httptest.NewServer(admin)
 	t.Cleanup(srv.Close)
@@ -166,6 +172,71 @@ func TestControlIncidents(t *testing.T) {
 	}
 	if m.IsCapped(aid) {
 		t.Error("release-all left the cap in place")
+	}
+}
+
+// TestControlIncidentsFromEventLog: /debug/incidents is the event log's
+// incident view without envelopes, and a job/index trace resolves from
+// the same log.
+func TestControlIncidentsFromEventLog(t *testing.T) {
+	url, a := adminRig(t)
+	installSearchSpec(a)
+	m := a.Machine()
+	aid := model.TaskID{Job: "mr", Index: 0}
+	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	a.RegisterTask(aid, mrJob)
+	incs := runSim(a, m, t0, 700)
+	if len(incs) < 2 {
+		t.Fatalf("%d incidents; the comparison needs several", len(incs))
+	}
+	for _, k := range []int{1, 2, len(incs), len(incs) + 3} {
+		var recs []json.RawMessage
+		getJSON(t, fmt.Sprintf("%s/debug/incidents?n=%d", url, k), &recs)
+		var evs []struct {
+			Type string          `json:"type"`
+			Data json.RawMessage `json:"data"`
+		}
+		getJSON(t, fmt.Sprintf("%s/debug/events?type=incident&n=%d", url, k), &evs)
+		if want := min(k, len(incs)); len(recs) != want || len(evs) != want {
+			t.Fatalf("n=%d: %d incidents, %d incident events; want %d", k, len(recs), len(evs), want)
+		}
+		for i := range recs {
+			var rec, data bytes.Buffer
+			_ = json.Compact(&rec, recs[i])
+			_ = json.Compact(&data, evs[i].Data)
+			if evs[i].Type != "incident" || rec.String() != data.String() {
+				t.Errorf("n=%d #%d: incident %s, event %s %s", k, i, &rec, evs[i].Type, &data)
+			}
+		}
+	}
+
+	// The newest incident naming the antagonist as its cap target gives
+	// the trace; its incident rows follow the (here absent) spans.
+	var capInc core.Incident
+	for _, inc := range incs {
+		if inc.Decision.Target == aid {
+			capInc = inc
+		}
+	}
+	if capInc.TraceID == "" {
+		t.Fatalf("no incident targets %v", aid)
+	}
+	var rows []struct {
+		Stage   string `json:"stage"`
+		TraceID string `json:"trace_id"`
+		Target  string `json:"target"`
+	}
+	getJSON(t, url+"/debug/trace?id=mr/0", &rows)
+	if len(rows) == 0 {
+		t.Fatal("trace mr/0: no rows")
+	}
+	for _, r := range rows {
+		if r.Stage != "incident" || r.TraceID != capInc.TraceID {
+			t.Errorf("trace mr/0 row %+v, want incident rows of trace %s", r, capInc.TraceID)
+		}
+	}
+	if code, body := httpDo(t, http.MethodGet, url+"/debug/trace?id=ghost/0"); code != http.StatusNotFound {
+		t.Errorf("trace ghost/0 = %d %s, want 404", code, body)
 	}
 }
 

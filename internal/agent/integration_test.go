@@ -191,8 +191,9 @@ func TestFleetOverTCP(t *testing.T) {
 	}
 
 	type node struct {
-		m *machine.Machine
-		a *Agent
+		m    *machine.Machine
+		a    *Agent
+		incs []core.Incident // every incident its ticks raised
 	}
 	nodes := make([]*node, nMachines)
 	for i := range nodes {
@@ -222,7 +223,7 @@ func TestFleetOverTCP(t *testing.T) {
 		for s := 0; s < seconds; s++ {
 			for _, n := range nodes {
 				n.m.Tick(now, time.Second)
-				n.a.Tick(now)
+				n.incs = append(n.incs, n.a.Tick(now)...)
 			}
 			now = now.Add(time.Second)
 		}
@@ -298,7 +299,9 @@ func TestFleetOverTCP(t *testing.T) {
 	for s := 0; s < 12*60 && capInc == nil; s++ {
 		for _, n := range nodes {
 			n.m.Tick(now, time.Second)
-			for _, inc := range n.a.Tick(now) {
+			incs := n.a.Tick(now)
+			n.incs = append(n.incs, incs...)
+			for _, inc := range incs {
 				if inc.Decision.Action == core.ActionCap && capInc == nil {
 					ic := inc
 					capInc = &ic
@@ -326,7 +329,7 @@ func TestFleetOverTCP(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		for _, other := range n.a.Manager().Incidents() {
+		for _, other := range n.incs {
 			if other.Decision.Action == core.ActionCap {
 				t.Errorf("machine %d capped %v with no antagonist present", i, other.Decision.Target)
 			}

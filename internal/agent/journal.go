@@ -16,21 +16,21 @@ import (
 	"repro/internal/core"
 )
 
-// journalCompactAt is the entry count at which the journal is folded
-// down to its live caps and rewritten. Appends between compactions are
-// O(1); compaction itself is the same atomic temp+fsync+rename
-// discipline as core.SaveCheckpoint, so a crash mid-compaction leaves
-// the previous journal intact.
-const journalCompactAt = 4096
-
 // FileCapJournal is a durable core.CapJournal: one JSON entry per
 // line, fsynced per append (an actuation record that vanishes in a
 // crash defeats the point). Safe for concurrent use.
+//
+// Its entries are also kept in a core.MemCapJournal, and the file is
+// rewritten whenever that copy folds (at core.CapJournalFoldAt
+// entries), so the file stays as bounded as the copy. Appends between
+// compactions are O(1); compaction is the same atomic
+// temp+fsync+rename discipline as core.SaveCheckpoint, so a crash
+// mid-compaction leaves the previous journal intact.
 type FileCapJournal struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	entries []core.CapJournalEntry // in-memory mirror, for compaction
+	mu   sync.Mutex
+	path string
+	f    *os.File
+	mem  core.MemCapJournal
 }
 
 // OpenCapJournal opens (or creates) the journal at path and returns it
@@ -62,7 +62,15 @@ func OpenCapJournal(path string) (j *FileCapJournal, recovered []core.CapJournal
 		return nil, nil, 0, fmt.Errorf("agent: open cap journal: %w", err)
 	}
 	j = &FileCapJournal{path: path, f: f}
-	j.entries = append(j.entries, recovered...)
+	for _, e := range recovered {
+		_ = j.mem.Append(e)
+	}
+	if j.mem.Len() < len(recovered) { // the copy folded
+		if err := j.compactLocked(); err != nil {
+			f.Close()
+			return nil, nil, 0, err
+		}
+	}
 	return j, recovered, torn, nil
 }
 
@@ -84,8 +92,12 @@ func (j *FileCapJournal) Append(e core.CapJournalEntry) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("agent: sync cap journal: %w", err)
 	}
-	j.entries = append(j.entries, e)
-	if len(j.entries) >= journalCompactAt {
+	// The copy folds at core.CapJournalFoldAt entries; a fold that
+	// shrank it is the file's cue to compact. (One that did not kept
+	// every entry live, which the file already holds.)
+	n := j.mem.Len()
+	_ = j.mem.Append(e)
+	if j.mem.Len() <= n {
 		return j.compactLocked()
 	}
 	return nil
@@ -96,23 +108,15 @@ func (j *FileCapJournal) Append(e core.CapJournalEntry) error {
 func (j *FileCapJournal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries)
+	return j.mem.Len()
 }
 
-// compactLocked folds the journal down to its live caps and atomically
-// replaces the file. Callers hold j.mu.
+// compactLocked folds the journal down to its live caps (folding an
+// already folded copy changes nothing) and atomically replaces the
+// file with them. Callers hold j.mu.
 func (j *FileCapJournal) compactLocked() error {
-	live, _ := core.ReplayCapEntries(j.entries)
-	compacted := make([]core.CapJournalEntry, 0, len(live))
-	for _, e := range live {
-		compacted = append(compacted, e)
-	}
-	// Stable order: by task string, for reproducible files.
-	for i := 1; i < len(compacted); i++ {
-		for k := i; k > 0 && compacted[k].Task < compacted[k-1].Task; k-- {
-			compacted[k], compacted[k-1] = compacted[k-1], compacted[k]
-		}
-	}
+	j.mem.Fold()
+	compacted := j.mem.Entries()
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, ".capjournal-*.tmp")
 	if err != nil {
@@ -155,7 +159,6 @@ func (j *FileCapJournal) compactLocked() error {
 	}
 	old.Close()
 	j.f = f
-	j.entries = compacted
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package agent
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,10 +101,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// Phase 1: healthy run, build the spec from published samples.
 	now := time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
+	var incs []core.Incident // every incident the agent's ticks raised
 	step := func(seconds int) {
 		for s := 0; s < seconds; s++ {
 			m.Tick(now, time.Second)
-			a.Tick(now)
+			incs = append(incs, a.Tick(now)...)
 			now = now.Add(time.Second)
 		}
 	}
@@ -143,7 +145,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	capped := false
 	for s := 0; s < 12*60 && !capped; s++ {
 		m.Tick(now, time.Second)
-		for _, inc := range a.Tick(now) {
+		raised := a.Tick(now)
+		incs = append(incs, raised...)
+		for _, inc := range raised {
 			if inc.Decision.Action == core.ActionCap {
 				capped = true
 			}
@@ -189,7 +193,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("/metrics does not contain %q", wantLine)
 	}
 
-	// /debug/incidents must match Manager.Incidents() exactly.
+	// /debug/incidents serves exactly the incidents the ticks raised.
 	status, body = httpGet(t, "http://"+adminAddr+"/debug/incidents")
 	if status != http.StatusOK {
 		t.Fatalf("/debug/incidents status = %d", status)
@@ -198,9 +202,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &recs); err != nil {
 		t.Fatalf("/debug/incidents not valid JSON: %v\n%s", err, body)
 	}
-	incs := a.Manager().Incidents()
-	if len(recs) != len(incs) {
-		t.Errorf("/debug/incidents has %d records, Manager.Incidents has %d", len(recs), len(incs))
+	got, _ := json.Marshal(recs)
+	want, _ := json.Marshal(core.IncidentRecords(incs))
+	if !bytes.Equal(got, want) {
+		t.Errorf("/debug/incidents has %d records, the ticks raised %d:\n%s\nwant\n%s", len(recs), len(incs), got, want)
 	}
 	nCap := 0
 	for _, r := range recs {

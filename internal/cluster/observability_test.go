@@ -140,18 +140,11 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 
 	// Newest cap incident on any machine: its spans are the most
 	// recently recorded, so the bounded ring still retains them.
+	incs := c.Incidents()
 	var inc *core.Incident
-	var owner *agent.Agent
-	for _, n := range c.nodes {
-		incs := n.a.Manager().Incidents()
-		for j := len(incs) - 1; j >= 0; j-- {
-			if incs[j].Decision.Action == core.ActionCap {
-				if inc == nil || incs[j].Time.After(inc.Time) {
-					cp := incs[j]
-					inc, owner = &cp, n.a
-				}
-				break
-			}
+	for j := range incs {
+		if incs[j].Decision.Action == core.ActionCap && (inc == nil || !incs[j].Time.Before(inc.Time)) {
+			inc = &incs[j]
 		}
 	}
 	if inc == nil {
@@ -161,7 +154,21 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 		t.Fatal("cap incident carries no trace ID")
 	}
 
-	admin := obs.NewAdminServer(obs.NewRegistry(), nil)
+	// The owner's admin server reads incidents from an event log, as a
+	// daemon's does: give it the machine's incident events.
+	var owner *agent.Agent
+	for _, n := range c.nodes {
+		if n.a.Machine().Name() == inc.Machine {
+			owner = n.a
+		}
+	}
+	events := obs.NewEventLog(len(incs), nil)
+	for _, other := range incs {
+		if other.Machine == inc.Machine {
+			events.Emit(other.Time, "incident", other.Record())
+		}
+	}
+	admin := obs.NewAdminServer(obs.NewRegistry(), events)
 	agent.RegisterAdmin(admin, owner, new(sync.Mutex))
 	srv := httptest.NewServer(admin)
 	defer srv.Close()

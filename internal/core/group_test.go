@@ -416,8 +416,9 @@ func TestEnforcerDecideGroupSkipsCapped(t *testing.T) {
 // rotatorManager feeds 24 minutes of the take-turns schedule through a
 // journalled manager: three rotators cause mild per-minute pain (CPI
 // 1.5 against threshold 1.2) that no single suspect explains well
-// enough to reach the 0.35 §4.2 bar.
-func rotatorManager(groupDetection bool) (*Manager, *fakeCapper, *MemCapJournal) {
+// enough to reach the 0.35 §4.2 bar. It returns the incidents Observe
+// raised.
+func rotatorManager(groupDetection bool) ([]Incident, *fakeCapper, *MemCapJournal) {
 	p := DefaultParams()
 	p.GroupDetection = groupDetection
 	capper := newFakeCapper()
@@ -430,6 +431,12 @@ func rotatorManager(groupDetection bool) (*Manager, *fakeCapper, *MemCapJournal)
 		Job: "search", Platform: model.PlatformA,
 		NumSamples: 100000, NumTasks: 300, CPIMean: 1.0, CPIStddev: 0.1,
 	})
+	var incs []Incident
+	observe := func(s model.Sample) {
+		if inc := m.Observe(s); inc != nil {
+			incs = append(incs, *inc)
+		}
+	}
 	for min := 0; min < 24; min++ {
 		ts := day0.Add(time.Duration(min) * time.Minute)
 		who := rotatorOwner(min)
@@ -438,7 +445,7 @@ func rotatorManager(groupDetection bool) (*Manager, *fakeCapper, *MemCapJournal)
 			if who == i {
 				u = 4.0
 			}
-			m.Observe(model.Sample{
+			observe(model.Sample{
 				Job: "rotator", Task: model.TaskID{Job: "rotator", Index: i},
 				Platform: model.PlatformA, Timestamp: ts, CPUUsage: u, CPI: 1.5,
 			})
@@ -447,20 +454,20 @@ func rotatorManager(groupDetection bool) (*Manager, *fakeCapper, *MemCapJournal)
 		if who >= 0 {
 			cpi = 1.5
 		}
-		m.Observe(model.Sample{
+		observe(model.Sample{
 			Job: "search", Task: model.TaskID{Job: "search", Index: 0},
 			Platform: model.PlatformA, Timestamp: ts, CPUUsage: 1.2, CPI: cpi,
 		})
 	}
-	return m, capper, journal
+	return incs, capper, journal
 }
 
 func TestManagerGroupDetectionEndToEnd(t *testing.T) {
 	// The plain enforcer does nothing on the rotator fixture; the group
 	// hypothesis catches all three once GroupDetection is on.
 	run := func(groupDetection bool) (caps int, sawGroup bool) {
-		m, capper, _ := rotatorManager(groupDetection)
-		for _, inc := range m.Incidents() {
+		incs, capper, _ := rotatorManager(groupDetection)
+		for _, inc := range incs {
 			if inc.Group == nil {
 				continue
 			}
@@ -491,9 +498,9 @@ func TestManagerGroupDetectionEndToEnd(t *testing.T) {
 // GroupDecisions, as the checks harness and the chaos tests do, counts
 // each applied cap once.
 func TestManagerGroupCapsListedOnce(t *testing.T) {
-	m, _, journal := rotatorManager(true)
+	incs, _, journal := rotatorManager(true)
 	listed := 0
-	for _, inc := range m.Incidents() {
+	for _, inc := range incs {
 		for _, d := range append([]Decision{inc.Decision}, inc.GroupDecisions...) {
 			if d.Action == ActionCap {
 				listed++

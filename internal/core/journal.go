@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,6 +79,10 @@ type nopJournal struct{}
 
 func (nopJournal) Append(CapJournalEntry) error { return nil }
 
+// CapJournalFoldAt is the entry count at which a MemCapJournal folds,
+// so a journal stays bounded however long its machine churns caps.
+const CapJournalFoldAt = 4096
+
 // MemCapJournal is an in-memory CapJournal: the cluster simulator
 // attaches one per machine so restart faults can replay it, and tests
 // inspect it directly.
@@ -85,12 +91,30 @@ type MemCapJournal struct {
 	entries []CapJournalEntry
 }
 
-// Append implements CapJournal.
+// Append implements CapJournal, folding the journal once it holds
+// CapJournalFoldAt entries.
 func (j *MemCapJournal) Append(e CapJournalEntry) error {
 	j.mu.Lock()
 	j.entries = append(j.entries, e)
+	full := len(j.entries) >= CapJournalFoldAt
 	j.mu.Unlock()
+	if full {
+		j.Fold()
+	}
 	return nil
+}
+
+// Fold replaces the journal by its live caps (ReplayCapEntries), one
+// entry per task sorted by task.
+func (j *MemCapJournal) Fold() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	live, _ := ReplayCapEntries(j.entries)
+	j.entries = make([]CapJournalEntry, 0, len(live))
+	for _, e := range live {
+		j.entries = append(j.entries, e)
+	}
+	slices.SortFunc(j.entries, func(a, b CapJournalEntry) int { return strings.Compare(a.Task, b.Task) })
 }
 
 // Entries returns a copy of the journal contents, oldest first.
@@ -102,7 +126,7 @@ func (j *MemCapJournal) Entries() []CapJournalEntry {
 	return out
 }
 
-// Len returns the number of entries appended so far.
+// Len returns the number of entries held (a fold keeps the live caps).
 func (j *MemCapJournal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

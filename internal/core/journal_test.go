@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,5 +111,46 @@ func TestMemCapJournal(t *testing.T) {
 	got[0].Task = "tampered/0"
 	if j.Entries()[0].Task != "a/1" {
 		t.Error("Entries exposed internal storage")
+	}
+}
+
+// TestMemCapJournalBounded: a machine churning caps for ever keeps a
+// bounded journal, and folding it loses no live cap.
+func TestMemCapJournalBounded(t *testing.T) {
+	j := &MemCapJournal{}
+	var all []CapJournalEntry
+	folds := 0
+	for i := 0; i < 3*CapJournalFoldAt; i++ {
+		task := model.TaskID{Job: "mr", Index: i % 37}.String()
+		e := capEntry(task, j0.Add(time.Duration(i)*time.Second))
+		if i%3 == 2 { // two caps, then an uncap, per task in turn
+			e = CapJournalEntry{Op: CapOpUncap, Time: e.Time, Task: task, Reason: "expired"}
+		}
+		all = append(all, e)
+		n := j.Len()
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+		if j.Len() <= n {
+			folds++
+		}
+		if n := j.Len(); n > CapJournalFoldAt {
+			t.Fatalf("after %d appends the journal holds %d entries, over %d", i+1, n, CapJournalFoldAt)
+		}
+	}
+	if folds < 2 {
+		t.Errorf("%d folds over %d appends", folds, len(all))
+	}
+	got, _ := ReplayCapEntries(j.Entries())
+	want, _ := ReplayCapEntries(all)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("folded journal replays to %d caps, the appended entries to %d", len(got), len(want))
+	}
+	// A fold keeps one entry per live cap, sorted by task.
+	j.Fold()
+	folded := j.Entries()
+	byTask := func(a, b CapJournalEntry) int { return strings.Compare(a.Task, b.Task) }
+	if len(folded) != len(want) || !slices.IsSortedFunc(folded, byTask) {
+		t.Errorf("folded journal = %+v, want %d live caps sorted by task", folded, len(want))
 	}
 }

@@ -62,8 +62,6 @@ type Manager struct {
 	jobs         map[model.JobName]model.Job
 	tasks        map[model.TaskID]taskSeries
 	lastAnalysis time.Time
-	incidents    []Incident
-	maxIncidents int
 }
 
 // taskSeries is what the manager keeps per task: its CPI and CPU-usage
@@ -85,16 +83,15 @@ func NewManager(machine string, p Params, capper Capper) *Manager {
 		panic(err)
 	}
 	m := &Manager{
-		params:       p,
-		machine:      machine,
-		detector:     NewDetector(p),
-		enforcer:     NewEnforcer(p, capper),
-		identifier:   ident,
-		metrics:      &Metrics{},
-		events:       nopSink{},
-		jobs:         make(map[model.JobName]model.Job),
-		tasks:        make(map[model.TaskID]taskSeries),
-		maxIncidents: 4096,
+		params:     p,
+		machine:    machine,
+		detector:   NewDetector(p),
+		enforcer:   NewEnforcer(p, capper),
+		identifier: ident,
+		metrics:    &Metrics{},
+		events:     nopSink{},
+		jobs:       make(map[model.JobName]model.Job),
+		tasks:      make(map[model.TaskID]taskSeries),
 	}
 	if f, ok := ident.(interface{ Forget(model.TaskID) }); ok {
 		m.identifierForget = f.Forget
@@ -178,7 +175,8 @@ func (m *Manager) SetJournal(j CapJournal) { m.enforcer.SetJournal(j) }
 
 // Observe ingests one CPI sample and runs the full local loop:
 // record → detect → (maybe) correlate → (maybe) enforce. It returns a
-// non-nil Incident when an anomaly was analysed this round.
+// non-nil Incident, also emitted as an "incident" event, when an anomaly
+// was analysed this round; the manager keeps no incident log.
 func (m *Manager) Observe(s model.Sample) *Incident {
 	m.mu.Lock()
 	ts, ok := m.tasks[s.Task]
@@ -334,12 +332,6 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 		tracer.Decision(trace.ParseID(s.TraceID), m.machine, m.spanName(s.Task), s.Timestamp, reaction.Seconds(), decision.Action.String(), target)
 	}
 	events.Emit(inc.Time, "incident", inc.Record())
-	m.mu.Lock()
-	m.incidents = append(m.incidents, *inc)
-	if len(m.incidents) > m.maxIncidents {
-		m.incidents = m.incidents[len(m.incidents)-m.maxIncidents:]
-	}
-	m.mu.Unlock()
 	return inc
 }
 
@@ -356,23 +348,6 @@ func (m *Manager) jobLocked(name model.JobName) model.Job {
 // Tick expires caps; call once per simulated second (or wall second).
 func (m *Manager) Tick(now time.Time) []model.TaskID {
 	return m.enforcer.Tick(now)
-}
-
-// Incidents returns a copy of the recorded incidents.
-func (m *Manager) Incidents() []Incident {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Incident, len(m.incidents))
-	copy(out, m.incidents)
-	return out
-}
-
-// UsageSeries returns the recorded CPU-usage series for a task (nil
-// if unknown); the experiment harness uses it for case-study plots.
-func (m *Manager) UsageSeries(task model.TaskID) *timeseries.Series {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tasks[task].usage
 }
 
 // CPISeries returns the recorded CPI series for a task (nil if

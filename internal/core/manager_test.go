@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // managerFixture builds a manager with a victim job spec and two
@@ -39,9 +40,12 @@ func feed(m *Manager, job model.JobName, idx, minute int, usage, cpi float64) *I
 
 func TestManagerEndToEndIncident(t *testing.T) {
 	m, capper := managerFixture(t)
+	events := obs.NewEventLog(64, nil)
+	m.SetEvents(events)
 	// Build up co-runner usage history: the antagonist is hot exactly
 	// when the victim's CPI is high.
 	var inc *Incident
+	raised := 0
 	for min := 0; min < 10; min++ {
 		victimCPI := 1.0
 		antagUsage := 0.2
@@ -51,8 +55,11 @@ func TestManagerEndToEndIncident(t *testing.T) {
 		}
 		feed(m, "mapreduce", 0, min, antagUsage, 1.5)
 		feed(m, "bigtable", 0, min, 1.0, 0.9)
-		if got := feed(m, "search", 0, min, 1.2, victimCPI); got != nil && inc == nil {
-			inc = got // first incident: later rounds see the cap in place
+		if got := feed(m, "search", 0, min, 1.2, victimCPI); got != nil {
+			raised++
+			if inc == nil {
+				inc = got // first incident: later rounds see the cap in place
+			}
 		}
 	}
 	if inc == nil {
@@ -70,8 +77,9 @@ func TestManagerEndToEndIncident(t *testing.T) {
 	if q, ok := capper.quota(model.TaskID{Job: "mapreduce", Index: 0}); !ok || q != 0.1 {
 		t.Errorf("cap = %v,%v", q, ok)
 	}
-	if len(m.Incidents()) == 0 {
-		t.Error("incident not logged")
+	// The manager keeps no incident log: each incident is an event.
+	if logged := len(events.Recent(0, "incident")); logged != raised {
+		t.Errorf("%d incident events for %d incidents", logged, raised)
 	}
 }
 
@@ -167,11 +175,11 @@ func TestManagerTaskExitedClearsState(t *testing.T) {
 	m, _ := managerFixture(t)
 	feed(m, "search", 0, 0, 1.2, 1.0)
 	task := model.TaskID{Job: "search", Index: 0}
-	if m.CPISeries(task) == nil || m.UsageSeries(task) == nil {
+	if m.CPISeries(task) == nil {
 		t.Fatal("series not recorded")
 	}
 	m.TaskExited(task)
-	if m.CPISeries(task) != nil || m.UsageSeries(task) != nil {
+	if m.CPISeries(task) != nil { // the usage series goes with it: one map entry
 		t.Error("series not cleared")
 	}
 	if m.Detector().TrackedTasks() != 0 {
@@ -196,17 +204,5 @@ func TestManagerUnknownVictimJobDefaultsProtected(t *testing.T) {
 	}
 	if len(capper.caps) == 0 {
 		t.Error("unknown victim job was not protected")
-	}
-}
-
-func TestManagerIncidentLogBounded(t *testing.T) {
-	m, _ := managerFixture(t)
-	m.maxIncidents = 3
-	for min := 0; min < 20; min++ {
-		feed(m, "mapreduce", 0, min, 4.0, 1.5)
-		feed(m, "search", 0, min, 1.2, 3.0)
-	}
-	if got := len(m.Incidents()); got > 3 {
-		t.Errorf("incident log grew to %d", got)
 	}
 }

@@ -127,8 +127,8 @@ type SuspectRecord struct {
 }
 
 // IncidentRecord is the machine-readable rendering of an Incident:
-// the schema of the forensics event stream ("incident" events) and of
-// the admin /debug/incidents endpoint.
+// the payload of an "incident" event, which the agent's
+// /debug/incidents serves from its event log.
 type IncidentRecord struct {
 	Time             time.Time       `json:"time"`
 	Machine          string          `json:"machine"`
@@ -191,8 +191,8 @@ func (inc Incident) Record() IncidentRecord {
 	return rec
 }
 
-// IncidentRecords converts a slice of incidents (as returned by
-// Manager.Incidents) for JSON endpoints.
+// IncidentRecords converts a slice of incidents to the records the
+// "incident" events carry.
 func IncidentRecords(incs []Incident) []IncidentRecord {
 	out := make([]IncidentRecord, len(incs))
 	for i, inc := range incs {

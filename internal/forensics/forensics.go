@@ -27,6 +27,7 @@ package forensics
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -155,14 +156,14 @@ func (r Result) String() string {
 		}
 		cells = append(cells, line)
 	}
-	out := ""
+	var out strings.Builder
 	for _, line := range cells {
 		for i, cell := range line {
-			out += fmt.Sprintf("%-*s", widths[i]+2, cell)
+			fmt.Fprintf(&out, "%-*s", widths[i]+2, cell)
 		}
-		out += "\n"
+		out.WriteByte('\n')
 	}
-	return out
+	return out.String()
 }
 
 func formatValue(v interface{}) string {

@@ -117,6 +117,10 @@ func buildInfo(start time.Time) map[string]any {
 	return out
 }
 
+// Events returns the event log served at /debug/events (nil when the
+// server has none), for endpoints that serve views of it.
+func (s *AdminServer) Events() *EventLog { return s.events }
+
 // HandleJSON registers a GET endpoint whose result is marshalled as
 // JSON. fn receives the parsed query parameters; returning an error
 // yields a 500 with {"error":…}.
