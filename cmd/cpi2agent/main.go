@@ -179,9 +179,10 @@ func main() {
 		log.Fatalf("cpi2agent: -identifier: %v", err)
 	}
 	var a *agent.Agent
-	// One span store for the whole daemon: sample/detect/decision spans
-	// from the agent, spec_recv from pushes, spool from replays. It keeps
-	// per-sample spans as far back as the manager's series reach.
+	// One span store for the whole daemon: sample/detect spans from the
+	// agent, spec_recv from pushes, spool from replays. It keeps
+	// per-sample spans as far back as the manager's series reach; the
+	// trace's decision rows come from the event log's incidents.
 	tr := trace.NewStore(0)
 	tr.SetHorizon(params.LookBack())
 	var egress *pipeline.Egress[*pipeline.Redialer]
@@ -379,12 +380,21 @@ func main() {
 			egress.DrainAt(now)
 		}
 		for _, inc := range incidents {
-			top := ""
-			if len(inc.Suspects) > 0 {
-				top = fmt.Sprintf(" top-suspect=%v corr=%.2f", inc.Suspects[0].Task, inc.Suspects[0].Correlation)
-			}
-			log.Printf("incident: victim=%v cpi=%.2f threshold=%.2f action=%s target=%v%s",
-				inc.Victim, inc.VictimCPI, inc.Threshold, inc.Decision.Action, inc.Decision.Target, top)
+			log.Print(incidentLine(inc))
 		}
 	}
+}
+
+// incidentLine is an incident as the daemon logs it. Like
+// Incident.Record, it names a target only when the action has one.
+func incidentLine(inc core.Incident) string {
+	line := fmt.Sprintf("incident: victim=%v cpi=%.2f threshold=%.2f action=%s",
+		inc.Victim, inc.VictimCPI, inc.Threshold, inc.Decision.Action)
+	if inc.Decision.Action != core.ActionNone {
+		line += fmt.Sprintf(" target=%v", inc.Decision.Target)
+	}
+	if len(inc.Suspects) > 0 {
+		line += fmt.Sprintf(" top-suspect=%v corr=%.2f", inc.Suspects[0].Task, inc.Suspects[0].Correlation)
+	}
+	return line
 }

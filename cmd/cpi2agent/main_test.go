@@ -4,6 +4,9 @@ import (
 	"net"
 	"slices"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/model"
 )
 
 // The admin server takes unauthenticated POST /cap, /uncap and
@@ -45,6 +48,31 @@ func TestParseAggregators(t *testing.T) {
 		}
 		if err != nil || !slices.Equal(got, c.want) {
 			t.Errorf("parseAggregators(%q) = %v, %v; want %v", c.flag, got, err, c.want)
+		}
+	}
+}
+
+// TestIncidentLine: an incident's log line names a target only when
+// its action has one, so a no-action incident prints no zero task.
+func TestIncidentLine(t *testing.T) {
+	victim, mr := model.TaskID{Job: "frontend", Index: 1}, model.TaskID{Job: "mr", Index: 0}
+	suspects := []core.Suspect{{Task: mr, Correlation: 0.87}}
+	cases := []struct {
+		inc  core.Incident
+		want string
+	}{
+		{core.Incident{Victim: victim, VictimCPI: 2.5, Threshold: 1.75, Suspects: suspects},
+			"incident: victim=frontend/1 cpi=2.50 threshold=1.75 action=none top-suspect=mr/0 corr=0.87"},
+		{core.Incident{Victim: victim, VictimCPI: 2.5, Threshold: 1.75},
+			"incident: victim=frontend/1 cpi=2.50 threshold=1.75 action=none"},
+		{core.Incident{Victim: victim, VictimCPI: 2.5, Threshold: 1.75, Suspects: suspects, Decision: core.Decision{Action: core.ActionCap, Target: mr}},
+			"incident: victim=frontend/1 cpi=2.50 threshold=1.75 action=cap target=mr/0 top-suspect=mr/0 corr=0.87"},
+		{core.Incident{Victim: victim, VictimCPI: 2.5, Threshold: 1.75, Decision: core.Decision{Action: core.ActionReport, Target: mr}},
+			"incident: victim=frontend/1 cpi=2.50 threshold=1.75 action=report target=mr/0"},
+	}
+	for _, c := range cases {
+		if got := incidentLine(c.inc); got != c.want {
+			t.Errorf("incidentLine = %q\nwant           %q", got, c.want)
 		}
 	}
 }

@@ -25,8 +25,9 @@
 // /debug endpoint of that name answers, one JSON object per line.
 //
 // trace renders the causal chain behind a trace context — sample →
-// spool → detection → decision spans plus the incidents they produced
-// — answering "why was this task capped?". Given a task ID it starts
+// spool → detection spans, then a decision row and the incident for
+// each incident they produced, both from the agent's incident log —
+// answering "why was this task capped?". Given a task ID it starts
 // from the most recent incident involving that task.
 //
 // shards queries each listed aggregator's /debug/ring admin endpoint

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 )
 
 // Status is the /debug/status view of an agent's machine.
@@ -61,7 +62,7 @@ type incidentRow struct {
 //	GET  /debug/incidents?n=                   recent incidents (core.IncidentRecord)
 //	GET  /debug/specs                          the spec table detection uses
 //	GET  /debug/quarantine?n=                  samples the egress validator refused
-//	GET  /debug/trace?id=<trace-id|job/index>  a causal chain: spans, then incidents
+//	GET  /debug/trace?id=<trace-id|job/index>  a causal chain: spans, decisions, incidents
 //	POST /cap?task=<job/index>&quota=<cpu>     an operator cap (machine.Cap)
 //	POST /uncap?task=<job/index>
 //	POST /release-all                          release every CPI²-owned cap
@@ -181,8 +182,9 @@ func incidentRecords(events *obs.EventLog, n int) []core.IncidentRecord {
 
 // traceJoin is the agent's /debug/trace hook over its event log: it
 // resolves a job/index argument to the trace of the newest incident
-// involving the task, and returns the trace's incidents as rows to
-// follow its spans.
+// involving the task, and returns rows to follow the trace's spans: a
+// decision row per incident, then the incidents. Read from the log, a
+// cap's decision row outlives its spans.
 func traceJoin(events *obs.EventLog) func(arg string) (string, []any, error) {
 	return func(arg string) (string, []any, error) {
 		recs := incidentRecords(events, 0)
@@ -200,12 +202,32 @@ func traceJoin(events *obs.EventLog) func(arg string) (string, []any, error) {
 				return "", nil, fmt.Errorf("no incident involves %v", task)
 			}
 		}
-		var rows []any
+		var decisions, incidents []any
 		for _, rec := range recs {
 			if rec.TraceID == id {
-				rows = append(rows, incidentRow{Stage: "incident", IncidentRecord: rec})
+				decisions = append(decisions, decisionSpan(rec))
+				incidents = append(incidents, incidentRow{Stage: "incident", IncidentRecord: rec})
 			}
 		}
-		return id, rows, nil
+		return id, append(decisions, incidents...), nil
+	}
+}
+
+// decisionSpan renders an incident's decision as the span it reads as
+// in a chain: the victim's key, the reaction as its queue, and the
+// action and its target as its detail.
+func decisionSpan(rec core.IncidentRecord) trace.Span {
+	detail := rec.Action
+	if rec.Target != "" {
+		detail += " " + rec.Target
+	}
+	return trace.Span{
+		TraceID:      rec.TraceID,
+		Stage:        trace.StageDecision,
+		Machine:      rec.Machine,
+		Key:          rec.Victim,
+		Time:         rec.Time,
+		QueueSeconds: rec.Reaction.Seconds(),
+		Detail:       detail,
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 	"repro/internal/workload"
 )
 
@@ -23,7 +24,15 @@ import (
 // emits into.
 func adminRig(t *testing.T) (string, *Agent) {
 	t.Helper()
-	a, _, _ := newRig(t, nil)
+	return adminRigWith(t, core.DefaultParams(), nil)
+}
+
+// adminRigWith is adminRig with the agent's params p and span store tr
+// (nil: untraced).
+func adminRigWith(t *testing.T, p core.Params, tr *trace.Store) (string, *Agent) {
+	t.Helper()
+	a, _, _ := newRigWith(t, p, nil)
+	a.SetTrace(tr)
 	reg, events := obs.NewRegistry(), obs.NewEventLog(0, nil)
 	a.Instrument(reg, events)
 	admin := obs.NewAdminServer(reg, events)
@@ -211,7 +220,8 @@ func TestControlIncidentsFromEventLog(t *testing.T) {
 	}
 
 	// The newest incident naming the antagonist as its cap target gives
-	// the trace; its incident rows follow the (here absent) spans.
+	// the trace; its decision rows, then its incident rows, follow the
+	// (here absent) spans.
 	var capInc core.Incident
 	for _, inc := range incs {
 		if inc.Decision.Target == aid {
@@ -227,16 +237,85 @@ func TestControlIncidentsFromEventLog(t *testing.T) {
 		Target  string `json:"target"`
 	}
 	getJSON(t, url+"/debug/trace?id=mr/0", &rows)
-	if len(rows) == 0 {
-		t.Fatal("trace mr/0: no rows")
+	if len(rows) == 0 || len(rows)%2 != 0 {
+		t.Fatalf("trace mr/0: %d rows, want a decision row and an incident row per incident", len(rows))
 	}
-	for _, r := range rows {
-		if r.Stage != "incident" || r.TraceID != capInc.TraceID {
-			t.Errorf("trace mr/0 row %+v, want incident rows of trace %s", r, capInc.TraceID)
+	for i, r := range rows {
+		stage := "incident"
+		if i < len(rows)/2 {
+			stage = trace.StageDecision
+		}
+		if r.Stage != stage || r.TraceID != capInc.TraceID {
+			t.Errorf("trace mr/0 row %d %+v, want a %s row of trace %s", i, r, stage, capInc.TraceID)
 		}
 	}
 	if code, body := httpDo(t, http.MethodGet, url+"/debug/trace?id=ghost/0"); code != http.StatusNotFound {
 		t.Errorf("trace ghost/0 = %d %s, want 404", code, body)
+	}
+}
+
+// TestTraceDecisionOutlivesItsSpans: a cap that lives longer than the
+// span store's horizon keeps its chain's decision row, with its
+// reaction time, and its incident row after the sample and detect
+// spans have left, by trace ID and by task.
+func TestTraceDecisionOutlivesItsSpans(t *testing.T) {
+	p := core.DefaultParams()
+	p.CapDuration = 2 * p.LookBack()
+	tr := trace.NewStore(0)
+	tr.SetHorizon(p.LookBack())
+	url, a := adminRigWith(t, p, tr)
+	installSearchSpec(a)
+	m := a.Machine()
+	aid := model.TaskID{Job: "mr", Index: 0}
+	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	a.RegisterTask(aid, mrJob)
+	var capInc core.Incident
+	now := t0
+	for ; now.Before(t0.Add(time.Hour)) && capInc.TraceID == ""; now = now.Add(time.Second) {
+		for _, inc := range runSim(a, m, now, 1) {
+			if inc.Decision.Action == core.ActionCap {
+				capInc = inc
+			}
+		}
+	}
+	if capInc.TraceID == "" || capInc.Reaction <= 0 || len(tr.ByTrace(capInc.TraceID)) == 0 {
+		t.Fatalf("cap incident %+v with %d spans; the test needs a traced cap with a reaction time", capInc, len(tr.ByTrace(capInc.TraceID)))
+	}
+	runSim(a, m, now, int((p.LookBack() + 5*time.Minute).Seconds()))
+	if sp := tr.ByTrace(capInc.TraceID); sp != nil || !m.IsCapped(aid) {
+		t.Fatalf("past the horizon: %d spans remain, capped %v; want none and the cap live", len(sp), m.IsCapped(aid))
+	}
+	for _, arg := range []string{capInc.TraceID, aid.String()} {
+		var rows []map[string]any
+		getJSON(t, url+"/debug/trace?id="+arg, &rows)
+		if len(rows) != 2 || rows[0]["stage"] != trace.StageDecision || rows[1]["stage"] != "incident" {
+			t.Fatalf("trace %s = %v, want the decision row and the incident row", arg, rows)
+		}
+		if rows[0]["queue_seconds"] != capInc.Reaction.Seconds() || rows[0]["detail"] != "cap mr/0" || rows[1]["trace_id"] != capInc.TraceID {
+			t.Errorf("trace %s = %v, want queue_seconds %v and detail \"cap mr/0\" of trace %s", arg, rows, capInc.Reaction.Seconds(), capInc.TraceID)
+		}
+	}
+}
+
+// TestDecisionSpan: an incident renders as the decision span a store
+// used to record for it: the victim's key, the reaction as queue
+// seconds, and the action with its target, if any, as detail.
+func TestDecisionSpan(t *testing.T) {
+	at := time.Date(2011, 11, 1, 3, 0, 0, 5, time.UTC)
+	id, task := trace.SampleTraceID("machine-0001", 7), model.TaskID{Job: "video", Index: 3}
+	inc := core.Incident{Time: at, Machine: "machine-0001", Victim: task, TraceID: id}
+	capped := inc
+	capped.Decision, capped.Reaction = core.Decision{Action: core.ActionCap, Target: task}, 42*time.Second
+	for _, c := range []struct {
+		inc  core.Incident
+		want trace.Span
+	}{
+		{capped, trace.Span{TraceID: id, Stage: trace.StageDecision, Machine: "machine-0001", Key: "video/3", Time: at, QueueSeconds: 42, Detail: "cap video/3"}},
+		{inc, trace.Span{TraceID: id, Stage: trace.StageDecision, Machine: "machine-0001", Key: "video/3", Time: at, Detail: "none"}},
+	} {
+		if got := decisionSpan(c.inc.Record()); got != c.want {
+			t.Errorf("decision span\n got %+v\nwant %+v", got, c.want)
+		}
 	}
 }
 

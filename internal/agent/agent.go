@@ -172,7 +172,7 @@ func (a *Agent) WantSpec(key model.SpecKey) bool {
 func (a *Agent) InterestVersion() uint64 { return a.interest.Load() }
 
 // SetTrace directs the agent's causal spans to store and forwards the
-// store to the manager (detect/decision spans). Nil disables tracing.
+// store to the manager (detect spans). Nil disables tracing.
 func (a *Agent) SetTrace(store *trace.Store) {
 	a.tracer.Store(store)
 	a.manager.SetTrace(store)

@@ -42,8 +42,14 @@ func installSearchSpec(a *Agent) {
 // newRig builds a machine+agent with a victim search task.
 func newRig(t *testing.T, sink pipeline.SampleSink) (*Agent, *machine.Machine, model.TaskID) {
 	t.Helper()
+	return newRigWith(t, core.DefaultParams(), sink)
+}
+
+// newRigWith is newRig with the agent's params p.
+func newRigWith(t *testing.T, p core.Params, sink pipeline.SampleSink) (*Agent, *machine.Machine, model.TaskID) {
+	t.Helper()
 	m := machine.New("m1", interference.DefaultMachine(model.PlatformA), 8, nil)
-	a := New(m, core.DefaultParams(), sink)
+	a := New(m, p, sink)
 	vid := model.TaskID{Job: "search", Index: 0}
 	err := m.AddTask(vid, searchJob, victimProfile(), &workload.Steady{CPU: 1.2, Threads: 16})
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 // phase that visited every machine on every Step, so a commit that
 // skips a machine with something to commit — or drains it a Step late —
 // moves it.
-const faultedRunSHA256 = "5ab2400264341154481aa752a03f2d7757a36e1dcf5e2695701aba955748ca6e"
+const faultedRunSHA256 = "9f73b080790dbf2cd563610a5c95b7e49866c100aaeb7436b7c197f5d5b9200b"
 
 // faultedRun runs a fleet with registry, events and tracing on
 // through a crash, an agent restart, a shard blackout long enough for

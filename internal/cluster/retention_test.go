@@ -13,9 +13,10 @@ import (
 // retentionRun runs about 20 machines with default tracing for a
 // simulated day — a warm-up, specs, an antagonist wave that detects and
 // caps — and returns how many spans each store holds after hour 1 and
-// after hour 24, the number of spec keys, and the cluster's SpanCounts.
-// unbounded lifts every store's horizon, so only capacity bounds them.
-func retentionRun(t *testing.T, unbounded bool) (hour1, hour24 []int, keys int, counts map[string]uint64) {
+// after hour 24, the number of spec keys, the cluster's SpanCounts and
+// its number of incidents. unbounded lifts every store's horizon, so
+// only capacity bounds them.
+func retentionRun(t *testing.T, unbounded bool) (hour1, hour24 []int, keys int, counts map[string]uint64, incidents int) {
 	t.Helper()
 	const machines = 20
 	c := New(Config{
@@ -59,7 +60,7 @@ func retentionRun(t *testing.T, unbounded bool) (hour1, hour24 []int, keys int, 
 	c.Run(30 * time.Minute)
 	hour1 = held()
 	c.Run(23 * time.Hour)
-	return hour1, held(), len(c.AllSpecs()), c.SpanCounts()
+	return hour1, held(), len(c.AllSpecs()), c.SpanCounts(), len(c.Incidents())
 }
 
 // TestTraceRetentionFlatOverADay: with the default horizon a store holds
@@ -68,9 +69,9 @@ func retentionRun(t *testing.T, unbounded bool) (hour1, hour24 []int, keys int, 
 // however old); and what the run records is what it records with no
 // horizon at all.
 func TestTraceRetentionFlatOverADay(t *testing.T) {
-	hour1, hour24, keys, counts := retentionRun(t, false)
-	if counts[trace.StageDecision] == 0 || counts[trace.StageSpecRecv] == 0 {
-		t.Fatalf("the run records no decision or spec_recv spans: %v", counts)
+	hour1, hour24, keys, counts, incidents := retentionRun(t, false)
+	if incidents == 0 || counts[trace.StageSpecRecv] == 0 {
+		t.Fatalf("the run raises no incidents (%d) or records no spec_recv spans: %v", incidents, counts)
 	}
 	for i := range hour1 {
 		specStages := 1 // spec_recv on a machine
@@ -81,7 +82,7 @@ func TestTraceRetentionFlatOverADay(t *testing.T) {
 			t.Errorf("store %d holds %d spans at hour 24, %d at hour 1 (%d spec keys)", i, hour24[i], hour1[i], keys)
 		}
 	}
-	_, unbounded, _, want := retentionRun(t, true)
+	_, unbounded, _, want, _ := retentionRun(t, true)
 	if !maps.Equal(counts, want) {
 		t.Errorf("SpanCounts %v, %v with no horizon", counts, want)
 	}

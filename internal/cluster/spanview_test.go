@@ -13,10 +13,11 @@ import (
 )
 
 // spanViewSHA256 pins spanViewHash: the rendered span view of a run that
-// records every stage, computed before spans were stored as records.
-const spanViewSHA256 = "abadc6795d702558119c25245307221367cec17ab0b4bf5721ce51270b8a9417"
+// records every stage, computed before spans were stored as records,
+// less the decision spans, which no store records.
+const spanViewSHA256 = "6c82309c571783f38012b6a19bd77548428846a692d63043c74ef846e9a28ffd"
 
-// spanViewHash runs a small faulted fleet that records all eight span
+// spanViewHash runs a small faulted fleet that records all seven span
 // stages — a shard blackout long enough for spool replay, delayed spec
 // pushes and a landing antagonist — and stays inside the stores'
 // retention horizon. It hashes the JSON of every store's Recent(0) and

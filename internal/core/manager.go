@@ -22,6 +22,10 @@ type Incident struct {
 	Threshold float64
 	Suspects  []Suspect // ranked, descending correlation
 	Decision  Decision
+	// Reaction is a cap's detect-to-cap time (first outlier of the
+	// episode → this decision, in simulation time; DetectToCap observes
+	// it unless negative), zero for any other action.
+	Reaction time.Duration
 	// Group is set when GroupDetection found an antagonist group after
 	// no single suspect qualified. If a member was capped, Decision is
 	// the first such cap and GroupDecisions the actions on the other
@@ -65,8 +69,8 @@ type Manager struct {
 }
 
 // taskSeries is what the manager keeps per task: its CPI and CPU-usage
-// series over LookBack, and the Name its detect and decision spans
-// carry, made on the first.
+// series over LookBack, and the Name its detect spans carry, made on
+// the first.
 type taskSeries struct {
 	cpi, usage *timeseries.Series
 	name       trace.Name
@@ -127,9 +131,9 @@ func (m *Manager) SetEvents(sink EventSink) {
 	m.enforcer.SetEvents(sink)
 }
 
-// SetTrace directs the manager's causal spans (detect, decision) to
-// store. Nil disables tracing (the default). Locked like SetMetrics —
-// Observe/analyse snapshot the field under m.mu.
+// SetTrace directs the manager's detect spans to store; its decisions
+// are the incidents it emits. Nil disables tracing (the default).
+// Locked like SetMetrics — Observe snapshots the field under m.mu.
 func (m *Manager) SetTrace(store *trace.Store) {
 	m.mu.Lock()
 	m.tracer = store
@@ -210,11 +214,11 @@ func (m *Manager) Observe(s model.Sample) *Incident {
 	if tracer != nil {
 		tracer.Detect(trace.ParseID(s.TraceID), m.machine, m.spanName(s.Task), s.Timestamp, a.SpecAge.Seconds(), s.CPI, a.Threshold)
 	}
-	return m.analyse(s, a, tracer)
+	return m.analyse(s, a)
 }
 
-// spanName returns the Name detect and decision spans give task: kept
-// with the task's series while it has them, made afresh otherwise.
+// spanName returns the Name detect spans give task: kept with the
+// task's series while it has them, made afresh otherwise.
 func (m *Manager) spanName(task model.TaskID) trace.Name {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -230,7 +234,7 @@ func (m *Manager) spanName(task model.TaskID) trace.Name {
 }
 
 // analyse runs one rate-limited antagonist-identification round.
-func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *Incident {
+func (m *Manager) analyse(s model.Sample, a Assessment) *Incident {
 	m.mu.Lock()
 	metrics, events := m.metrics, m.events // snapshot under m.mu
 	// §4.2: at most one analysis per AnalysisRateLimit per machine, so
@@ -298,6 +302,14 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 		}
 	}
 
+	// Detect-to-cap reaction time: first outlier of the episode → this
+	// cap decision, in simulation time.
+	var reaction time.Duration
+	if decision.Action == ActionCap && !a.FirstOutlierAt.IsZero() {
+		if reaction = s.Timestamp.Sub(a.FirstOutlierAt); reaction >= 0 {
+			metrics.DetectToCap.Observe(reaction.Seconds())
+		}
+	}
 	inc := &Incident{
 		Time:           s.Timestamp,
 		Machine:        m.machine,
@@ -307,6 +319,7 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 		Threshold:      a.Threshold,
 		Suspects:       ranked,
 		Decision:       decision,
+		Reaction:       reaction,
 		Group:          group,
 		GroupDecisions: groupDecisions,
 		TraceID:        s.TraceID,
@@ -316,21 +329,6 @@ func (m *Manager) analyse(s model.Sample, a Assessment, tracer *trace.Store) *In
 		metrics.GroupDetections.Inc()
 	}
 	metrics.Incidents.With(decision.Action.String()).Inc()
-	// Detect-to-cap reaction time: first outlier of the episode → this
-	// cap decision, in simulation time.
-	var reaction time.Duration
-	if decision.Action == ActionCap && !a.FirstOutlierAt.IsZero() {
-		if reaction = s.Timestamp.Sub(a.FirstOutlierAt); reaction >= 0 {
-			metrics.DetectToCap.Observe(reaction.Seconds())
-		}
-	}
-	if tracer != nil {
-		var target trace.Name
-		if decision.Action != ActionNone {
-			target = m.spanName(decision.Target)
-		}
-		tracer.Decision(trace.ParseID(s.TraceID), m.machine, m.spanName(s.Task), s.Timestamp, reaction.Seconds(), decision.Action.String(), target)
-	}
 	events.Emit(inc.Time, "incident", inc.Record())
 	return inc
 }

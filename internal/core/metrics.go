@@ -146,6 +146,10 @@ type IncidentRecord struct {
 	GroupCorrelation float64         `json:"group_correlation,omitempty"`
 	TraceID          string          `json:"trace_id,omitempty"`
 	Identifier       string          `json:"identifier,omitempty"`
+	// Reaction is the incident's, for the agent's trace decision row. It
+	// stays out of the JSON, the schema /debug/incidents and "incident"
+	// events serve and recorded runs hash.
+	Reaction time.Duration `json:"-"`
 }
 
 // maxRecordSuspects bounds the suspects carried in one record (the §6
@@ -165,6 +169,7 @@ func (inc Incident) Record() IncidentRecord {
 		Reason:     inc.Decision.Reason,
 		TraceID:    inc.TraceID,
 		Identifier: inc.Identifier,
+		Reaction:   inc.Reaction,
 	}
 	if inc.Decision.Action != ActionNone {
 		rec.Target = inc.Decision.Target.String()

@@ -1,9 +1,9 @@
 // Package trace is the causal-tracing subsystem for the CPI² control
 // loop. It answers "why was this task capped?" by joining the stages a
 // sample batch flows through — agent sampling, spool replay, wire
-// transfer, aggregator ingest, spec build, spec push, agent receipt,
-// outlier detection, and the enforcer's cap decision — under one
-// deterministic trace ID.
+// transfer, aggregator ingest, spec build, spec push, agent receipt and
+// outlier detection — under one deterministic trace ID. The enforcer's
+// decision is the incident the process logs, not a span.
 //
 // Determinism contract: trace IDs are pure content hashes (machine
 // name × per-agent batch sequence for samples; spec key × UpdatedAt
@@ -53,15 +53,16 @@ const (
 	// StageDetect: the detector flagged a sample as anomalous;
 	// QueueSeconds is the staleness of the spec used for the call.
 	StageDetect = "detect"
-	// StageDecision: the enforcer ruled on the anomaly; QueueSeconds
-	// is outlier-episode-start → decision (the detect-to-cap SLI).
+	// StageDecision: a chain's row for the enforcer's ruling, rendered
+	// from its incident, never stored; QueueSeconds is outlier-episode
+	// start → decision (the detect-to-cap SLI).
 	StageDecision = "decision"
 )
 
-// Stages lists every span stage in control-loop order.
+// Stages lists every span stage a store records, in control-loop order.
 var Stages = []string{
 	StageSample, StageSpool, StageIngest, StageSpecBuild,
-	StageSpecPush, StageSpecRecv, StageDetect, StageDecision,
+	StageSpecPush, StageSpecRecv, StageDetect,
 }
 
 // stage is a record's index into Stages.
@@ -75,7 +76,6 @@ const (
 	stSpecPush
 	stSpecRecv
 	stDetect
-	stDecision
 	numStages
 )
 
@@ -230,13 +230,12 @@ type record struct {
 	id    uint64
 	sec   int64   // Time, Unix seconds
 	queue float64 // QueueSeconds
-	// x and y are the Detail's operands: counts, float64 bits, a
-	// decision's action as a local-name index, or an ingest's admitted
-	// and of counts packed in x and its machine's length in y.
+	// x and y are the Detail's operands: counts, float64 bits, or an
+	// ingest's admitted and of counts packed in x and its machine's
+	// length in y.
 	x, y uint64
-	// key is the Span's Key. other is a decision's target (a Name's
-	// string) or an ingest's machine: the bytes of the string its samples
-	// carried, shared, not copied.
+	// key is the Span's Key. other is an ingest's machine: the bytes of
+	// the string its samples carried, shared, not copied.
 	key   Name
 	other unsafe.Pointer
 	nsec  int32
@@ -301,8 +300,7 @@ func (l *list) unlink(nodes []node, i int32) {
 }
 
 // Local-name and zone table bounds: the recording side's own few names
-// (its machine, its shard, decision actions) and the few zones its
-// clocks stamp in.
+// (its machine, its shard) and the few zones its clocks stamp in.
 const (
 	maxLocalNames = 1<<16 - 1
 	maxZones      = 1<<(8-zoneShift) - 1
@@ -319,9 +317,11 @@ const (
 // timestamp, a skewed clock or a hostile batch, does not hold the
 // cutoff forever), or to make room under the capacity. A spec_build,
 // spec_push or spec_recv span that is still the newest of its stage and
-// key stays instead, however old, until a newer one arrives; at the
-// capacity these go last, oldest first. However many keys the store
-// holds, recording a span does O(1) retention work.
+// key stays instead, however old, until a newer one arrives, on a kept
+// list of at most half the capacity: when it is full, the oldest kept
+// span leaves to make room, so spec keys never crowd out the window's
+// spans. However many keys the store holds, recording a span does O(1)
+// retention work.
 type Store struct {
 	mu       sync.Mutex
 	capacity int
@@ -342,11 +342,10 @@ type Store struct {
 	keys      [numSpecStages]map[string]int32
 	heads     []int32
 	freeHeads []int32
-	// local is the store's table of local names (record.place and a
-	// decision's action), zones its table of time zones.
+	// local is the store's table of local names (record.place), zones
+	// its table of time zones.
 	local []string
 	zones []*time.Location
-	total uint64
 	// perStage counts spans ever added by stage; unlike the lists it
 	// never forgets, so counters survive eviction.
 	perStage [numStages]uint64
@@ -436,32 +435,15 @@ func (s *Store) Detect(id ID, machine string, key Name, at time.Time, specAge, c
 	}
 }
 
-// Decision records machine's enforcer ruling on task key's anomaly,
-// reaction seconds into the episode: action (a short constant such as
-// "cap") on target (the zero Name for none).
-func (s *Store) Decision(id ID, machine string, key Name, at time.Time, reaction float64, action string, target Name) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(record{stage: stDecision, key: key, queue: reaction, x: uint64(s.localLocked(action)), other: unsafe.Pointer(target.p)}, id, at, machine)
-}
-
 func (s *Store) add(r record, id ID, at time.Time, place string) {
 	s.mu.Lock()
-	s.addLocked(r, id, at, place)
-	s.mu.Unlock()
-}
-
-func (s *Store) addLocked(r record, id ID, at time.Time, place string) {
+	defer s.mu.Unlock()
 	if id.ok {
 		r.id, r.flags = id.hash, flagID
 	}
 	r.sec, r.nsec = at.Unix(), int32(at.Nanosecond())
 	r.flags |= s.zoneLocked(at) << zoneShift
 	r.place = s.localLocked(place)
-	s.total++
 	s.perStage[r.stage]++
 	h := int32(none)
 	if r.stage.specSide() {
@@ -477,11 +459,8 @@ func (s *Store) addLocked(r record, id ID, at time.Time, place string) {
 			s.popLocked()
 		}
 	}
+	// kept holds at most capacity/2 spans, so window is never empty here.
 	for s.window.n+s.kept.n >= s.capacity {
-		if s.window.n == 0 {
-			s.dropKeptLocked()
-			break
-		}
 		if s.popLocked() {
 			break
 		}
@@ -528,24 +507,23 @@ func (s *Store) supersedeLocked(i int32) {
 }
 
 // popLocked takes the first span off window. A spec-side span that is
-// still its stage and key's newest goes on the kept list; any other is
-// dropped, and popLocked says so.
+// still its stage and key's newest goes on the kept list, whose oldest
+// span leaves if that puts it over capacity/2 (at capacity 1, the span
+// itself), leaving its stage and key with no span; any other is
+// dropped. popLocked says whether a span left.
 func (s *Store) popLocked() (dropped bool) {
 	i := s.window.first
 	s.window.unlink(s.nodes, i)
-	if r := &s.nodes[i].record; r.stage.specSide() && r.flags&flagSuperseded == 0 {
-		r.flags |= flagKept
-		s.kept.push(s.nodes, i)
+	if r := &s.nodes[i].record; !r.stage.specSide() || r.flags&flagSuperseded != 0 {
+		s.freeLocked(i)
+		return true
+	}
+	s.nodes[i].flags |= flagKept
+	s.kept.push(s.nodes, i)
+	if s.kept.n <= s.capacity/2 {
 		return false
 	}
-	s.freeLocked(i)
-	return true
-}
-
-// dropKeptLocked drops the first kept span, which leaves its stage and
-// key with no span.
-func (s *Store) dropKeptLocked() {
-	i := s.kept.first
+	i = s.kept.first
 	s.kept.unlink(s.nodes, i)
 	keys, key := s.keys[s.nodes[i].stage-stSpecBuild], s.nodes[i].key.String()
 	h := keys[key]
@@ -553,6 +531,7 @@ func (s *Store) dropKeptLocked() {
 	s.heads[h] = none
 	s.freeHeads = append(s.freeHeads, h)
 	s.freeLocked(i)
+	return true
 }
 
 // allocLocked returns a free node, growing nodes if there is none: then
@@ -622,13 +601,6 @@ func (s *Store) zoneLocked(at time.Time) uint8 {
 	return uint8(len(s.zones))
 }
 
-func (s *Store) localName(i uint16) string {
-	if i == 0 {
-		return ""
-	}
-	return s.local[i-1]
-}
-
 // renderLocked turns r back into the Span its producer described.
 func (s *Store) renderLocked(r *record) Span {
 	t := time.Unix(r.sec, int64(r.nsec)).UTC()
@@ -644,7 +616,10 @@ func (s *Store) renderLocked(r *record) Span {
 	if r.flags&flagID != 0 {
 		sp.TraceID = ID{hash: r.id, ok: true}.String()
 	}
-	place := s.localName(r.place)
+	var place string
+	if r.place != 0 {
+		place = s.local[r.place-1]
+	}
 	count := func(n uint64, unit string) string { return strconv.FormatUint(n, 10) + unit }
 	switch r.stage {
 	case stSample:
@@ -662,11 +637,6 @@ func (s *Store) renderLocked(r *record) Span {
 		sp.Machine, sp.Detail = place, "cpi mean "+fixed3(r.x)+" stddev "+fixed3(r.y)
 	case stDetect:
 		sp.Machine, sp.Detail = place, "cpi "+fixed3(r.x)+" > threshold "+fixed3(r.y)
-	case stDecision:
-		sp.Machine, sp.Detail = place, s.localName(uint16(r.x))
-		if r.other != nil {
-			sp.Detail += " " + *(*string)(r.other)
-		}
 	}
 	return sp
 }
@@ -688,17 +658,6 @@ func (s *Store) eachLocked(skip int, f func(*record)) {
 			f(&s.nodes[i].record)
 		}
 	}
-}
-
-// Total returns the number of spans ever added (including ones the
-// store has since dropped). Nil-safe.
-func (s *Store) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
 }
 
 // StageCount returns how many spans of the given stage were ever

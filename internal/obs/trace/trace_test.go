@@ -117,8 +117,6 @@ func addEvery(s *Store, at time.Time, key, target Name) {
 	s.SpecPush(spec, "shard-1", key, at, 3)
 	s.SpecRecv(spec, "machine-0001", key, at, 1.23456, 0.0005)
 	s.Detect(id, "machine-0001", target, at, 300, 2.3456, 1.9999)
-	s.Decision(id, "machine-0001", target, at, 42, "cap", target)
-	s.Decision(id, "machine-0001", target, at, 0, "none", Name{})
 }
 
 // TestRenderMatchesProducerFormats: the Span view renders each stage's
@@ -139,8 +137,6 @@ func TestRenderMatchesProducerFormats(t *testing.T) {
 			Detail: fmt.Sprintf("cpi mean %.3f stddev %.3f", 1.23456, 0.0005)},
 		{TraceID: id, Stage: StageDetect, Machine: "machine-0001", Key: "video/3", Time: at, QueueSeconds: 300,
 			Detail: fmt.Sprintf("cpi %.3f > threshold %.3f", 2.3456, 1.9999)},
-		{TraceID: id, Stage: StageDecision, Machine: "machine-0001", Key: "video/3", Time: at, QueueSeconds: 42, Detail: "cap video/3"},
-		{TraceID: id, Stage: StageDecision, Machine: "machine-0001", Key: "video/3", Time: at, Detail: "none"},
 	}
 	got := s.Recent(0)
 	if len(got) != len(want) {
@@ -196,6 +192,16 @@ func TestStoreAddAllocatesNothing(t *testing.T) {
 	}
 }
 
+// total is the number of spans s ever added: the sum of its stage
+// counts.
+func total(s *Store) uint64 {
+	var n uint64
+	for _, stage := range Stages {
+		n += s.StageCount(stage)
+	}
+	return n
+}
+
 func TestStoreRingAndLookup(t *testing.T) {
 	s := NewStore(4)
 	at := time.Date(2011, 11, 1, 3, 0, 0, 0, time.UTC)
@@ -203,8 +209,8 @@ func TestStoreRingAndLookup(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Sample(id(i), "m", at, i)
 	}
-	if got := s.Total(); got != 6 {
-		t.Fatalf("Total = %d, want 6", got)
+	if got := total(s); got != 6 {
+		t.Fatalf("total = %d, want 6", got)
 	}
 	all := s.Recent(0)
 	if len(all) != 4 {
@@ -222,9 +228,9 @@ func TestStoreRingAndLookup(t *testing.T) {
 	if got := s.ByTrace(id(0).String()); got != nil {
 		t.Fatalf("evicted trace still found: %+v", got)
 	}
-	s.Decision(id(5), "m", NewName("j/0"), at, 0, "none", Name{})
+	s.Detect(id(5), "m", NewName("j/0"), at, 0, 2, 1)
 	byT := s.ByTrace(id(5).String())
-	if len(byT) != 2 || byT[0].Stage != StageSample || byT[1].Stage != StageDecision {
+	if len(byT) != 2 || byT[0].Stage != StageSample || byT[1].Stage != StageDetect {
 		t.Fatalf("ByTrace(5) = %+v", byT)
 	}
 	if got := s.StageCount(StageSample); got != 6 {
@@ -236,7 +242,7 @@ func TestNilStoreSafe(t *testing.T) {
 	var s *Store
 	s.SetHorizon(time.Minute)
 	addEvery(s, time.Time{}, Name{}, Name{})
-	if s.Total() != 0 || s.Recent(5) != nil || s.ByTrace(SampleTraceID("m", 1)) != nil || s.StageCount(StageSample) != 0 {
+	if total(s) != 0 || s.Recent(5) != nil || s.ByTrace(SampleTraceID("m", 1)) != nil || s.StageCount(StageSample) != 0 {
 		t.Fatalf("nil store misbehaved")
 	}
 }
@@ -257,13 +263,13 @@ func TestStoreConcurrent(t *testing.T) {
 				s.SpecPush(SpecID("websearch", "platform-B", when), "shard-0", key, when, g)
 				s.Recent(10)
 				s.ByTrace(SampleTraceID("m", uint64(i)))
-				s.Total()
+				s.StageCount(StageIngest)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if s.Total() != 3200 {
-		t.Fatalf("Total = %d, want 3200", s.Total())
+	if got := total(s); got != 3200 {
+		t.Fatalf("total = %d, want 3200", got)
 	}
 }
 
@@ -272,9 +278,9 @@ func day(m int) time.Time {
 	return time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(m) * time.Minute)
 }
 
-// TestHorizonDropsSampleSideSpans: a sample, spool, ingest, detect or
-// decision span leaves once it is more than the horizon older than the
-// newest span, and not before.
+// TestHorizonDropsSampleSideSpans: a sample, spool, ingest or detect
+// span leaves once it is more than the horizon older than the newest
+// span, and not before.
 func TestHorizonDropsSampleSideSpans(t *testing.T) {
 	s := NewStore(0)
 	s.SetHorizon(20 * time.Minute)
@@ -284,10 +290,9 @@ func TestHorizonDropsSampleSideSpans(t *testing.T) {
 	s.Spool(id, "m", day(0), 1, 5)
 	s.Ingest(id, "m", "shard-0", day(0), 5, 5)
 	s.Detect(id, "m", task, day(0), 0, 2, 1)
-	s.Decision(id, "m", task, day(0), 0, "cap", task)
 	s.Sample(SampleID("m", 2), "m", day(20), 5) // exactly the horizon: all stay
-	if got := len(s.ByTrace(id.String())); got != 5 {
-		t.Fatalf("at the horizon %d of 5 spans remain", got)
+	if got := len(s.ByTrace(id.String())); got != 4 {
+		t.Fatalf("at the horizon %d of 4 spans remain", got)
 	}
 	s.Sample(SampleID("m", 3), "m", day(20).Add(time.Nanosecond), 5)
 	if got := s.ByTrace(id.String()); got != nil {
@@ -390,11 +395,40 @@ func TestCapacityCaps(t *testing.T) {
 	}
 }
 
+// TestKeptSpansLeaveRoomForIngests: an aggregator store whose spec keys
+// outnumber half its capacity still holds the window's ingest spans.
+// Kept spec spans take at most half the capacity; the newest of them
+// stay.
+func TestKeptSpansLeaveRoomForIngests(t *testing.T) {
+	s := NewStore(64)
+	s.SetHorizon(20 * time.Minute)
+	for k := 0; k < 32; k++ {
+		job := fmt.Sprintf("job%02d", k)
+		id := SpecID(job, "B", day(0))
+		s.SpecBuild(id, "shard-0", NewName(job+"@B"), day(0), 1, 10)
+		s.SpecPush(id, "shard-0", NewName(job+"@B"), day(0), 2)
+	}
+	for i := 0; i < 200; i++ {
+		s.Ingest(SampleID("m", uint64(i)), "m", "shard-0", day(0).Add(time.Duration(i)*time.Second), 1, 1)
+	}
+	counts := map[string]int{}
+	for _, sp := range s.Recent(0) {
+		counts[sp.Stage]++
+	}
+	if counts[StageIngest] < 31 || counts[StageSpecBuild]+counts[StageSpecPush] > 32 {
+		t.Errorf("a 64-span store holds %v, want at least 31 ingest spans and at most 32 spec spans", counts)
+	}
+	if got := s.ByTrace(SpecID("job31", "B", day(0)).String()); len(got) != 2 {
+		t.Errorf("the newest key's build and push: %d remain, want 2", len(got))
+	}
+}
+
 // TestManySpecKeys: an aggregator pushing 1,000 jobs on 2 platforms
 // records 4,000 spec spans a round against a capacity of 4,096. Each
-// round supersedes every key's spans; the store keeps the newest of
-// each, adds with no allocation, and holds no more nodes than its
-// capacity and one slot per key and stage; an add does O(1) work
+// round supersedes every key's spans; the store holds the round's
+// newest 4,096 spans, its ingests among them, with at most half its
+// capacity kept, adds with no allocation, and holds no more nodes than
+// its capacity and one slot per key and stage; an add does O(1) work
 // whatever the number of keys (BenchmarkStoreAdd times it).
 func TestManySpecKeys(t *testing.T) {
 	const keys = 2000
@@ -424,14 +458,19 @@ func TestManySpecKeys(t *testing.T) {
 	if n := testing.AllocsPerRun(5, round); n != 0 {
 		t.Errorf("a round costs %v allocations, want 0", n)
 	}
-	if n := len(s.Recent(0)); n != 4096 {
-		t.Errorf("store holds %d spans, want its capacity 4096", n)
+	all := s.Recent(0)
+	if len(all) != 4096 || s.kept.n > 2048 {
+		t.Errorf("store holds %d spans, %d of them kept; want its capacity 4096, at most 2048 kept", len(all), s.kept.n)
 	}
+	// The round added 4,100 spans: the oldest 4, keys 0 and 1's, left.
 	last := day(10 * (r - 1))
-	for _, i := range []int{0, keys / 2, keys - 1} {
-		if got := s.ByTrace(SpecID(jobs[i], "AB"[i%2:i%2+1], last).String()); len(got) != 2 {
-			t.Errorf("key %s: %d of its newest build and push remain", names[i], len(got))
+	for i, want := range map[int]int{0: 0, 1: 0, 2: 2, keys / 2: 2, keys - 1: 2} {
+		if got := s.ByTrace(SpecID(jobs[i], "AB"[i%2:i%2+1], last).String()); len(got) != want {
+			t.Errorf("key %s: %d of its newest build and push remain, want %d", names[i], len(got), want)
 		}
+	}
+	if got := all[len(all)-100:]; got[0].TraceID != SampleTraceID("m", uint64(100*(r-1))) || got[99].Stage != StageIngest {
+		t.Errorf("the round's 100 ingests are not the newest spans held: %+v", got[0])
 	}
 	if len(s.nodes) > s.capacity || len(s.heads) > keys*2 {
 		t.Errorf("%d nodes and %d key slots for a capacity of %d and %d spec keys and stages", len(s.nodes), len(s.heads), s.capacity, keys*2)
@@ -470,7 +509,8 @@ func BenchmarkStoreAdd(b *testing.B) {
 
 // refStore is the retention rule written plainly, at O(held) a span:
 // a FIFO of spans, where one leaving it past the horizon or for room
-// is kept instead while it is its spec stage and key's newest.
+// is kept instead while it is its spec stage and key's newest, on a
+// list of at most capacity/2 that drops its oldest when over.
 type refStore struct {
 	capacity     int
 	horizon      time.Duration
@@ -499,10 +539,6 @@ func (s *refStore) add(sp refSpan) {
 		s.pop()
 	}
 	for len(s.window)+len(s.kept) >= s.capacity {
-		if len(s.window) == 0 {
-			s.kept = s.kept[1:]
-			break
-		}
 		if s.pop() {
 			break
 		}
@@ -517,7 +553,11 @@ func (s *refStore) pop() (dropped bool) {
 		return true
 	}
 	s.kept = append(s.kept, r)
-	return false
+	if len(s.kept) <= s.capacity/2 {
+		return false
+	}
+	s.kept = s.kept[1:]
+	return true
 }
 
 // TestStoreMatchesReference: over random spans of every stage — few
@@ -556,8 +596,6 @@ func TestStoreMatchesReference(t *testing.T) {
 					s.SpecRecv(id, "m", key, at, 1, 1)
 				case stDetect:
 					s.Detect(id, "m", key, at, 1, 1, 1)
-				case stDecision:
-					s.Decision(id, "m", key, at, 1, "none", Name{})
 				}
 				ref.add(refSpan{id: id.String(), st: st, key: key.String(), at: at})
 				var want []string
@@ -576,8 +614,8 @@ func TestStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCountsNeverForget: Total and StageCount count every span added,
-// whatever the horizon or the capacity dropped.
+// TestCountsNeverForget: StageCount counts every span added, whatever
+// the horizon or the capacity dropped.
 func TestCountsNeverForget(t *testing.T) {
 	s := NewStore(4)
 	s.SetHorizon(time.Minute)
@@ -587,8 +625,8 @@ func TestCountsNeverForget(t *testing.T) {
 		s.Sample(id, "m", day(m), 1)
 		s.Detect(id, "m", key, day(m), 0, 2, 1)
 	}
-	if s.Total() != 100 || s.StageCount(StageSample) != 50 || s.StageCount(StageDetect) != 50 || s.StageCount(StageIngest) != 0 {
-		t.Fatalf("Total %d, sample %d, detect %d", s.Total(), s.StageCount(StageSample), s.StageCount(StageDetect))
+	if total(s) != 100 || s.StageCount(StageSample) != 50 || s.StageCount(StageDetect) != 50 || s.StageCount(StageIngest) != 0 {
+		t.Fatalf("total %d, sample %d, detect %d", total(s), s.StageCount(StageSample), s.StageCount(StageDetect))
 	}
 	if s.StageCount("nonsense") != 0 {
 		t.Fatal("an unknown stage has a count")
