@@ -11,7 +11,6 @@ package scheduler
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/model"
@@ -39,57 +38,39 @@ type placement struct {
 
 // machineState is the scheduler's book-keeping for one machine.
 //
-// The committed/prod-reserved sums are cached and recomputed lazily
-// after mutations. The recompute always re-sums the FULL sorted
-// multiset (never incrementally adds/subtracts one request): float
-// addition is not associative, so an incremental sum would drift an
-// ULP away from the from-scratch sum and flip least-committed ties —
-// breaking the cluster's bit-reproducibility guarantee. Caching only
-// changes when the sum is computed, never its value.
+// The committed/prod-reserved sums are recomputed after every mutation,
+// always by re-summing the FULL sorted multiset (never by adding or
+// subtracting one request): float addition is not associative, so an
+// incremental sum would drift an ULP away from the from-scratch sum and
+// flip least-committed ties — breaking the cluster's
+// bit-reproducibility guarantee.
 type machineState struct {
 	name     string
 	platform model.Platform
 	capacity float64
 	tasks    map[model.TaskID]*placement
 
-	jobs  map[model.JobName]int // resident task count per job
-	dirty bool
-	// committedSum/prodSum are valid when !dirty; reqs/prodReqs are the
-	// recompute scratch, reused across refreshes.
-	committedSum float64
-	prodSum      float64
+	jobs map[model.JobName]int // resident task count per job
+	// committed and prodReserved are the sums of all resident requests
+	// and of the production ones; reqs/prodReqs are the re-sum scratch.
+	committed    float64
+	prodReserved float64
 	reqs         []float64
 	prodReqs     []float64
+
+	// The machine's node in the placement index: the score it is keyed
+	// on (committed / capacity when last indexed), its heap priority
+	// and its children.
+	key         float64
+	prio        uint64
+	left, right *machineState
 }
 
-// insert books a placement on the machine.
-func (m *machineState) insert(p *placement) {
-	m.tasks[p.spec.ID] = p
-	if m.jobs == nil {
-		m.jobs = make(map[model.JobName]int)
-	}
-	m.jobs[p.spec.Job.Name]++
-	m.dirty = true
-}
-
-// erase releases a placement.
-func (m *machineState) erase(id model.TaskID) {
-	p, ok := m.tasks[id]
-	if !ok {
-		return
-	}
-	delete(m.tasks, id)
-	if m.jobs[p.spec.Job.Name]--; m.jobs[p.spec.Job.Name] <= 0 {
-		delete(m.jobs, p.spec.Job.Name)
-	}
-	m.dirty = true
-}
-
-// refresh recomputes the cached sums if a mutation invalidated them.
-func (m *machineState) refresh() {
-	if !m.dirty {
-		return
-	}
+// resum recomputes committed and prodReserved from every resident
+// request, summed in sorted-value order: summing in Go's randomized
+// map-iteration order would make placement scores differ across runs
+// by an ULP.
+func (m *machineState) resum() {
 	m.reqs = m.reqs[:0]
 	m.prodReqs = m.prodReqs[:0]
 	for _, p := range m.tasks {
@@ -99,24 +80,8 @@ func (m *machineState) refresh() {
 			m.prodReqs = append(m.prodReqs, r)
 		}
 	}
-	m.committedSum = sumSorted(m.reqs)
-	m.prodSum = sumSorted(m.prodReqs)
-	m.dirty = false
-}
-
-// committed returns the machine's committed CPU. The requests are
-// summed in sorted-value order: float addition is not associative, so
-// summing in Go's randomized map-iteration order would make placement
-// scores differ across runs by an ULP — enough to flip least-committed
-// ties and break the cluster's bit-reproducibility guarantee.
-func (m *machineState) committed() float64 {
-	m.refresh()
-	return m.committedSum
-}
-
-func (m *machineState) prodReserved() float64 {
-	m.refresh()
-	return m.prodSum
+	m.committed = sumSorted(m.reqs)
+	m.prodReserved = sumSorted(m.prodReqs)
 }
 
 // sumSorted adds values in ascending order, giving a deterministic
@@ -143,14 +108,17 @@ type Scheduler struct {
 	Overcommit float64
 
 	machines map[string]*machineState
-	// ordered holds the machine states sorted by name, for determinism:
-	// the placement scan is O(machines) per task, and indexing a slice
-	// instead of hashing 100k names per placement is what keeps fleet
-	// construction tractable at that scale.
-	ordered []*machineState
-	where   map[model.TaskID]string
-	avoid   map[model.JobName]map[model.JobName]bool
-	seq     int64
+	// index orders the machines by score for placement; every
+	// mutation of a machine's books goes through book or release,
+	// which re-key it.
+	index index
+	where map[model.TaskID]string
+	avoid map[model.JobName]map[model.JobName]bool
+	seq   int64
+
+	// placements and probes count place calls and the machines they
+	// examined; see Probes.
+	placements, probes int64
 }
 
 // New returns a scheduler with the given batch overcommit factor
@@ -167,7 +135,8 @@ func New(overcommit float64) *Scheduler {
 	}
 }
 
-// AddMachine registers a machine with the given CPU capacity.
+// AddMachine registers a machine with the given CPU capacity. It may
+// be called at any time, also after placement has begun.
 func (s *Scheduler) AddMachine(name string, platform model.Platform, cpus float64) error {
 	if _, ok := s.machines[name]; ok {
 		return fmt.Errorf("scheduler: machine %q already registered", name)
@@ -180,13 +149,11 @@ func (s *Scheduler) AddMachine(name string, platform model.Platform, cpus float6
 		platform: platform,
 		capacity: cpus,
 		tasks:    make(map[model.TaskID]*placement),
+		jobs:     make(map[model.JobName]int),
+		prio:     treapPriority(uint64(len(s.machines))),
 	}
 	s.machines[name] = m
-	// Insert at the sorted position instead of re-sorting: registering
-	// a fleet of n machines is O(n log n) total when names arrive in
-	// order (the common case) instead of n full sorts.
-	i := sort.Search(len(s.ordered), func(i int) bool { return s.ordered[i].name >= name })
-	s.ordered = slices.Insert(s.ordered, i, m)
+	s.index.insert(m)
 	return nil
 }
 
@@ -235,16 +202,12 @@ func (s *Scheduler) Migrate(task TaskSpec) (Placement, error) {
 	if !ok {
 		return Placement{}, fmt.Errorf("scheduler: migrate: %v is not placed", task.ID)
 	}
-	if err := s.Remove(task.ID); err != nil {
-		return Placement{}, err
-	}
+	m := s.machines[cur]
+	s.release(m, task.ID)
 	p, err := s.place(task, cur)
 	if err != nil {
 		// Roll back to the original machine.
-		m := s.machines[cur]
-		s.seq++
-		m.insert(&placement{spec: task, seq: s.seq})
-		s.where[task.ID] = cur
+		s.book(m, task)
 		return Placement{}, err
 	}
 	return p, nil
@@ -256,41 +219,27 @@ func (s *Scheduler) place(task TaskSpec, exclude string) (Placement, error) {
 	}
 	req := task.cpuRequest()
 	isProd := task.Job.Priority.IsProduction()
-
 	avoid := s.avoid[task.Job.Name]
-	var best *machineState
-	var bestScore float64
-	for _, m := range s.ordered {
-		if m.name == exclude {
-			continue
-		}
-		if len(avoid) > 0 && violatesAffinity(m, avoid) {
-			continue
+
+	// Least-committed-first keeps load spread (and tasks-per-machine
+	// distributed like Figure 1); the index yields machines in that
+	// order, ties on name, so the first that fits is the pick.
+	best, probes := s.index.first(func(m *machineState) bool {
+		if m.name == exclude || len(avoid) > 0 && violatesAffinity(m, avoid) {
+			return false
 		}
 		if isProd {
-			if m.prodReserved()+req > m.capacity {
-				continue
-			}
-		} else {
-			if m.committed()+req > m.capacity*s.Overcommit {
-				continue
-			}
+			return m.prodReserved+req <= m.capacity
 		}
-		// Least-committed-first keeps load spread (and tasks-per-machine
-		// distributed like Figure 1); ties break on name order.
-		score := m.committed() / m.capacity
-		if best == nil || score < bestScore {
-			best, bestScore = m, score
-		}
-	}
+		return m.committed+req <= m.capacity*s.Overcommit
+	})
+	s.placements++
+	s.probes += int64(probes)
 	if best == nil {
 		return Placement{}, fmt.Errorf("scheduler: no feasible machine for %v (req %.2f CPU, %s)",
 			task.ID, req, task.Job.Priority)
 	}
-
-	s.seq++
-	best.insert(&placement{spec: task, seq: s.seq})
-	s.where[task.ID] = best.name
+	s.book(best, task)
 
 	// A production arrival may push the machine past its overcommit
 	// ceiling; preempt batch work (lowest priority, newest first) to
@@ -301,6 +250,30 @@ func (s *Scheduler) place(task TaskSpec, exclude string) (Placement, error) {
 		evicted = s.preemptIfOvercommitted(best)
 	}
 	return Placement{Machine: best.name, Evicted: evicted}, nil
+}
+
+// book places task on m and re-keys m in the index.
+func (s *Scheduler) book(m *machineState, task TaskSpec) {
+	s.index.remove(m)
+	s.seq++
+	m.tasks[task.ID] = &placement{spec: task, seq: s.seq}
+	m.jobs[task.Job.Name]++
+	m.resum()
+	s.where[task.ID] = m.name
+	s.index.insert(m)
+}
+
+// release takes placed task id off m and re-keys m in the index.
+func (s *Scheduler) release(m *machineState, id model.TaskID) {
+	s.index.remove(m)
+	job := m.tasks[id].spec.Job.Name
+	delete(m.tasks, id)
+	if m.jobs[job]--; m.jobs[job] <= 0 {
+		delete(m.jobs, job)
+	}
+	m.resum()
+	delete(s.where, id)
+	s.index.insert(m)
 }
 
 func violatesAffinity(m *machineState, avoid map[model.JobName]bool) bool {
@@ -314,7 +287,7 @@ func violatesAffinity(m *machineState, avoid map[model.JobName]bool) bool {
 
 func (s *Scheduler) preemptIfOvercommitted(m *machineState) []TaskSpec {
 	limit := m.capacity * s.Overcommit
-	if m.committed() <= limit {
+	if m.committed <= limit {
 		return nil
 	}
 	// Candidates: non-production tasks, lowest priority first, then
@@ -333,11 +306,10 @@ func (s *Scheduler) preemptIfOvercommitted(m *machineState) []TaskSpec {
 	})
 	var evicted []TaskSpec
 	for _, p := range cands {
-		if m.committed() <= limit {
+		if m.committed <= limit {
 			break
 		}
-		m.erase(p.spec.ID)
-		delete(s.where, p.spec.ID)
+		s.release(m, p.spec.ID)
 		evicted = append(evicted, p.spec)
 	}
 	return evicted
@@ -349,9 +321,16 @@ func (s *Scheduler) Remove(id model.TaskID) error {
 	if !ok {
 		return fmt.Errorf("scheduler: %v is not placed", id)
 	}
-	s.machines[name].erase(id)
-	delete(s.where, id)
+	s.release(s.machines[name], id)
 	return nil
+}
+
+// Probes returns how many placements (Place and Migrate calls that got
+// as far as choosing a machine) have run, and how many machines they
+// examined in total. A full scan examines every machine per placement;
+// the index examines machines only until one fits.
+func (s *Scheduler) Probes() (placements, probes int64) {
+	return s.placements, s.probes
 }
 
 // MachineOf returns the machine a task is placed on.
@@ -381,15 +360,20 @@ func (s *Scheduler) Commitment(machine string) float64 {
 	if !ok {
 		return 0
 	}
-	return m.committed() / m.capacity
+	return m.committed / m.capacity
 }
 
 // TasksPerMachine returns the task-count distribution across all
-// machines — the raw data of Figure 1(a).
+// machines, in machine-name order — the raw data of Figure 1(a).
 func (s *Scheduler) TasksPerMachine() []int {
-	out := make([]int, 0, len(s.ordered))
-	for _, m := range s.ordered {
-		out = append(out, len(m.tasks))
+	names := make([]string, 0, len(s.machines))
+	for name := range s.machines {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]int, len(names))
+	for i, name := range names {
+		out[i] = len(s.machines[name].tasks)
 	}
 	return out
 }
