@@ -136,7 +136,11 @@ func (d *Detector) Observe(s model.Sample) Assessment {
 
 	fl, ok := d.flags[s.Task]
 	if !ok {
-		fl = timeseries.NewBounded(2*d.params.ViolationWindow, 0)
+		// The window holds at most 2·ViolationWindow/SamplingInterval
+		// + 1 flags at the sampling period; one more leaves room for
+		// jitter.
+		hint := int(2*d.params.ViolationWindow/d.params.SamplingInterval) + 2
+		fl = timeseries.NewBounded(2*d.params.ViolationWindow, 0, hint)
 		d.flags[s.Task] = fl
 	}
 	outlier := s.CPI > a.Threshold

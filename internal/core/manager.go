@@ -64,15 +64,15 @@ type Manager struct {
 
 	mu           sync.Mutex
 	jobs         map[model.JobName]model.Job
-	tasks        map[model.TaskID]taskSeries
+	tasks        map[model.TaskID]*taskSeries
 	lastAnalysis time.Time
 }
 
-// taskSeries is what the manager keeps per task: its CPI and CPU-usage
-// series over LookBack, and the Name its detect spans carry, made on
-// the first.
+// taskSeries is what the manager keeps per task, in one allocation: its
+// CPI and CPU-usage series over LookBack, and the Name its detect spans
+// carry, made on the first.
 type taskSeries struct {
-	cpi, usage *timeseries.Series
+	cpi, usage timeseries.Series
 	name       trace.Name
 }
 
@@ -95,7 +95,7 @@ func NewManager(machine string, p Params, capper Capper) *Manager {
 		metrics:    &Metrics{},
 		events:     nopSink{},
 		jobs:       make(map[model.JobName]model.Job),
-		tasks:      make(map[model.TaskID]taskSeries),
+		tasks:      make(map[model.TaskID]*taskSeries),
 	}
 	if f, ok := ident.(interface{ Forget(model.TaskID) }); ok {
 		m.identifierForget = f.Forget
@@ -185,9 +185,12 @@ func (m *Manager) Observe(s model.Sample) *Incident {
 	m.mu.Lock()
 	ts, ok := m.tasks[s.Task]
 	if !ok {
-		ts = taskSeries{
-			cpi:   timeseries.NewBounded(m.params.LookBack(), 0),
-			usage: timeseries.NewBounded(m.params.LookBack(), 0),
+		// A series holds at most LookBack/SamplingInterval + 1 points
+		// at its sampling period; one more leaves room for jitter.
+		hint := int(m.params.LookBack()/m.params.SamplingInterval) + 2
+		ts = &taskSeries{
+			cpi:   timeseries.Bounded(m.params.LookBack(), 0, hint),
+			usage: timeseries.Bounded(m.params.LookBack(), 0, hint),
 		}
 		m.tasks[s.Task] = ts
 	}
@@ -228,7 +231,6 @@ func (m *Manager) spanName(task model.TaskID) trace.Name {
 	}
 	if ts.name == (trace.Name{}) {
 		ts.name = trace.NewName(task.String())
-		m.tasks[task] = ts
 	}
 	return ts.name
 }
@@ -253,14 +255,14 @@ func (m *Manager) analyse(s model.Sample, a Assessment) *Incident {
 	m.lastAnalysis = s.Timestamp
 	metrics.AnalysesRun.Inc()
 
-	victimCPI := m.tasks[s.Task].cpi
+	victimCPI := &m.tasks[s.Task].cpi
 	suspects := make([]SuspectInput, 0, len(m.tasks))
 	for task, ts := range m.tasks {
 		if task == s.Task {
 			continue
 		}
 		j := m.jobLocked(task.Job)
-		suspects = append(suspects, SuspectInput{Task: task, Job: task.Job, Class: j.Class, Priority: j.Priority, Usage: ts.usage})
+		suspects = append(suspects, SuspectInput{Task: task, Job: task.Job, Class: j.Class, Priority: j.Priority, Usage: &ts.usage})
 	}
 	victimJob := m.jobLocked(s.Job)
 	m.mu.Unlock()
@@ -353,5 +355,8 @@ func (m *Manager) Tick(now time.Time) []model.TaskID {
 func (m *Manager) CPISeries(task model.TaskID) *timeseries.Series {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.tasks[task].cpi
+	if ts, ok := m.tasks[task]; ok {
+		return &ts.cpi
+	}
+	return nil
 }

@@ -320,6 +320,22 @@ func TestRedialerSubscribeDedup(t *testing.T) {
 	}
 	defer srv2.Close()
 	waitFor(t, "reconnect", rd.Connected)
+	// The bus pushes to connections subscribed when it recomputes and
+	// replays nothing on subscribe, so recompute only once srv2 has
+	// applied the replayed subscription.
+	waitFor(t, "replayed subscribe", func() bool {
+		srv2.mu.Lock()
+		defer srv2.mu.Unlock()
+		for c := range srv2.conns {
+			c.subMu.Lock()
+			subscribed := c.subscribed[key]
+			c.subMu.Unlock()
+			if subscribed {
+				return true
+			}
+		}
+		return false
+	})
 
 	bus.Recompute(day0)
 	waitFor(t, "spec push", func() bool { return got.count() >= 1 })

@@ -15,6 +15,8 @@ package timeseries
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -25,59 +27,116 @@ type Point struct {
 	Value float64
 }
 
+// sample is how a Series stores a Point: its time in Unix nanoseconds
+// beside its value, 16 bytes where a Point takes 32. The series keeps
+// the location once.
+type sample struct {
+	ns int64
+	v  float64
+}
+
+// The instants UnixNano can represent: about 1678 to 2262. The zero
+// Time lies outside them.
+var (
+	minTime = time.Unix(0, math.MinInt64)
+	maxTime = time.Unix(0, math.MaxInt64)
+)
+
 // Series is an append-only time series with optional bounded
 // retention. It requires non-decreasing timestamps on Append, which is
 // what the per-machine sampler produces; out-of-order ingestion is the
 // pipeline's job to sort before constructing a Series.
+//
+// Points come back in the location of the first point appended, at
+// instants Equal to the ones appended.
 type Series struct {
-	points  []Point
-	maxAge  time.Duration // 0 = unbounded
-	maxSize int           // 0 = unbounded
+	points  []sample
+	loc     *time.Location // the first point's; nil while empty
+	maxAge  time.Duration  // 0 = unbounded
+	maxSize int            // 0 = unbounded
+	capHint int            // storage stops doubling here; 0 = no hint
 }
 
 // New returns an empty, unbounded series.
 func New() *Series { return &Series{} }
 
-// NewBounded returns a series that retains at most maxSize points and
-// drops points older than maxAge relative to the newest point. A zero
-// value for either bound disables it.
-func NewBounded(maxAge time.Duration, maxSize int) *Series {
-	return &Series{maxAge: maxAge, maxSize: maxSize}
+// Bounded returns an empty series that retains at most maxSize points
+// and drops points older than maxAge relative to the newest point. A
+// zero value for either bound disables it. Its storage doubles as
+// points arrive but stops at capHint points, the most its bounds keep
+// at its sampling period, so a series that reaches its bounds never
+// reallocates and a short-lived one never pays for the whole window. A
+// capHint of 0 sets no limit; past capHint the storage doubles again.
+// Store the result by value only while it is empty: copies share
+// storage once points arrive.
+func Bounded(maxAge time.Duration, maxSize, capHint int) Series {
+	return Series{maxAge: maxAge, maxSize: maxSize, capHint: capHint}
+}
+
+// NewBounded is Bounded on the heap.
+func NewBounded(maxAge time.Duration, maxSize, capHint int) *Series {
+	s := Bounded(maxAge, maxSize, capHint)
+	return &s
 }
 
 // Append adds a point. It returns an error if t is before the last
 // appended timestamp (equal timestamps replace the previous value,
-// which lets a sampler re-emit a corrected reading).
+// which lets a sampler re-emit a corrected reading), or if t is outside
+// the years UnixNano represents (1678 to 2262), which includes the zero
+// Time.
 func (s *Series) Append(t time.Time, v float64) error {
+	if t.Before(minTime) || t.After(maxTime) {
+		return fmt.Errorf("timeseries: %v is outside the years 1678 to 2262", t)
+	}
+	ns := t.UnixNano()
 	if n := len(s.points); n > 0 {
-		last := s.points[n-1].Time
-		if t.Before(last) {
-			return fmt.Errorf("timeseries: out-of-order append: %v before %v", t, last)
+		last := s.points[n-1].ns
+		if ns < last {
+			return fmt.Errorf("timeseries: out-of-order append: %v before %v", t, s.point(n-1).Time)
 		}
-		if t.Equal(last) {
-			s.points[n-1].Value = v
+		if ns == last {
+			s.points[n-1].v = v
 			return nil
 		}
+	} else { // the first point: a series never empties once it has one
+		s.loc = t.Location()
 	}
-	s.points = append(s.points, Point{Time: t, Value: v})
-	s.trim()
+	s.trim(ns)
+	if len(s.points) == cap(s.points) && cap(s.points) < s.capHint {
+		grown := make([]sample, len(s.points), min(max(2*cap(s.points), 1), s.capHint))
+		copy(grown, s.points)
+		s.points = grown
+	}
+	s.points = append(s.points, sample{ns, v})
 	return nil
 }
 
-func (s *Series) trim() {
-	if s.maxSize > 0 && len(s.points) > s.maxSize {
-		drop := len(s.points) - s.maxSize
-		s.points = append(s.points[:0], s.points[drop:]...)
+// trim drops the points that appending one at newest pushes out of the
+// bounds. It runs before the append, so the series never holds a point
+// more than its bounds keep.
+func (s *Series) trim(newest int64) {
+	drop := 0
+	if s.maxSize > 0 {
+		drop = max(0, len(s.points)+1-s.maxSize)
 	}
-	if s.maxAge > 0 && len(s.points) > 0 {
-		cutoff := s.points[len(s.points)-1].Time.Add(-s.maxAge)
-		i := sort.Search(len(s.points), func(i int) bool {
-			return !s.points[i].Time.Before(cutoff)
-		})
-		if i > 0 {
-			s.points = append(s.points[:0], s.points[i:]...)
+	if s.maxAge > 0 {
+		cutoff := newest - int64(s.maxAge)
+		if cutoff > newest { // wrapped below the earliest instant: keep all
+			cutoff = math.MinInt64
+		}
+		for drop < len(s.points) && s.points[drop].ns < cutoff {
+			drop++
 		}
 	}
+	if drop > 0 {
+		s.points = append(s.points[:0], s.points[drop:]...)
+	}
+}
+
+// point returns the i-th oldest retained point as a Point.
+func (s *Series) point(i int) Point {
+	p := s.points[i]
+	return Point{Time: time.Unix(0, p.ns).In(s.loc), Value: p.v}
 }
 
 // Len returns the number of retained points.
@@ -89,37 +148,46 @@ func (s *Series) Last() (Point, bool) {
 	if len(s.points) == 0 {
 		return Point{}, false
 	}
-	return s.points[len(s.points)-1], true
+	return s.point(len(s.points) - 1), true
 }
 
 // At returns the i-th oldest retained point.
-func (s *Series) At(i int) Point { return s.points[i] }
+func (s *Series) At(i int) Point { return s.point(i) }
 
 // Window returns the points with from ≤ t < to, as a copy.
 func (s *Series) Window(from, to time.Time) []Point {
-	w := s.span(from, to)
-	out := make([]Point, len(w))
-	copy(out, w)
+	lo, hi := s.span(from, to)
+	out := make([]Point, hi-lo)
+	for i := range out {
+		out[i] = s.point(lo + i)
+	}
 	return out
 }
 
-// span returns the retained points with from ≤ t < to, sharing s's
-// storage.
-func (s *Series) span(from, to time.Time) []Point {
-	lo := sort.Search(len(s.points), func(i int) bool {
-		return !s.points[i].Time.Before(from)
-	})
-	hi := sort.Search(len(s.points), func(i int) bool {
-		return !s.points[i].Time.Before(to)
-	})
-	return s.points[lo:max(lo, hi)]
+// span returns the index range [lo, hi) of the retained points with
+// from ≤ t < to.
+func (s *Series) span(from, to time.Time) (lo, hi int) {
+	lo, hi = s.search(from), s.search(to)
+	return lo, max(lo, hi)
+}
+
+// search returns the index of the first retained point at or after t.
+func (s *Series) search(t time.Time) int {
+	switch {
+	case t.Before(minTime):
+		return 0
+	case t.After(maxTime):
+		return len(s.points)
+	}
+	ns := t.UnixNano()
+	return sort.Search(len(s.points), func(i int) bool { return s.points[i].ns >= ns })
 }
 
 // Values returns all retained values in time order, as a copy.
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.points))
 	for i, p := range s.points {
-		out[i] = p.Value
+		out[i] = p.v
 	}
 	return out
 }
@@ -129,14 +197,9 @@ func (s *Series) Values() []float64 {
 // CountSince over the outlier indicator.
 func (s *Series) CountSince(from, to time.Time, pred func(float64) bool) int {
 	n := 0
-	lo := sort.Search(len(s.points), func(i int) bool {
-		return !s.points[i].Time.Before(from)
-	})
-	for _, p := range s.points[lo:] {
-		if !p.Time.Before(to) {
-			break
-		}
-		if pred(p.Value) {
+	lo, hi := s.span(from, to)
+	for _, p := range s.points[lo:hi] {
+		if pred(p.v) {
 			n++
 		}
 	}
@@ -150,11 +213,16 @@ func (s *Series) CountSince(from, to time.Time, pred func(float64) bool) int {
 // Read puts every suspect onto the same buckets.
 type Buckets struct {
 	from, to time.Time
-	period   time.Duration
+	period   uint64  // nanoseconds, ≥ 1
+	shift    uint64  // the zero Time's offset before the Unix epoch, mod period
 	keys     []int64 // bucket starts in UnixNano, strictly increasing
 	// Values holds the bucketed series' first value in each bucket.
 	Values []float64
 }
+
+// zeroTimeBeforeUnix is how many seconds the zero Time (1 January of
+// year 1, UTC) lies before the Unix epoch.
+const zeroTimeBeforeUnix = 62135596800
 
 // Bucket returns s's points with from ≤ t < to grouped by
 // Time.Truncate(period), so samples taken a few seconds apart within
@@ -165,16 +233,18 @@ func (s *Series) Bucket(from, to time.Time, period time.Duration) Buckets {
 	if period <= 0 {
 		period = time.Nanosecond
 	}
-	pts := s.span(from, to)
-	b := Buckets{from: from, to: to, period: period,
-		keys: make([]int64, 0, len(pts)), Values: make([]float64, 0, len(pts))}
-	for _, p := range pts {
-		k := bucketKey(p, period)
+	lo, hi := s.span(from, to)
+	hiShift, loShift := bits.Mul64(zeroTimeBeforeUnix, uint64(time.Second))
+	b := Buckets{from: from, to: to, period: uint64(period),
+		shift: bits.Rem64(hiShift, loShift, uint64(period)),
+		keys:  make([]int64, 0, hi-lo), Values: make([]float64, 0, hi-lo)}
+	for _, p := range s.points[lo:hi] {
+		k := b.key(p.ns)
 		if n := len(b.keys); n > 0 && b.keys[n-1] == k {
 			continue
 		}
 		b.keys = append(b.keys, k)
-		b.Values = append(b.Values, p.Value)
+		b.Values = append(b.Values, p.v)
 	}
 	return b
 }
@@ -189,8 +259,9 @@ func (b Buckets) Len() int { return len(b.keys) }
 func (b Buckets) Read(dst []float64, s *Series) []float64 {
 	clear(dst)
 	i := 0
-	for _, p := range s.span(b.from, b.to) {
-		k := bucketKey(p, b.period)
+	lo, hi := s.span(b.from, b.to)
+	for _, p := range s.points[lo:hi] {
+		k := b.key(p.ns)
 		for i < len(b.keys) && b.keys[i] < k {
 			i++
 		}
@@ -198,11 +269,21 @@ func (b Buckets) Read(dst []float64, s *Series) []float64 {
 			break
 		}
 		if b.keys[i] == k {
-			dst[i] = p.Value
+			dst[i] = p.v
 			i++ // later points in this bucket are not its first
 		}
 	}
 	return dst
 }
 
-func bucketKey(p Point, period time.Duration) int64 { return p.Time.Truncate(period).UnixNano() }
+// key returns time.Unix(0, ns).Truncate(period).UnixNano(). Truncate
+// counts periods from the zero Time, not from the Unix epoch, so the
+// remainder is taken after shifting ns by the zero Time's offset; for a
+// period that does not divide that offset the two give other keys.
+func (b *Buckets) key(ns int64) int64 {
+	m := ns % int64(b.period)
+	if m < 0 {
+		m += int64(b.period)
+	}
+	return ns - int64((uint64(m)+b.shift)%b.period)
+}

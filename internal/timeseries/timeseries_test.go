@@ -1,8 +1,11 @@
 package timeseries
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,7 +50,7 @@ func TestLastEmpty(t *testing.T) {
 }
 
 func TestBoundedBySize(t *testing.T) {
-	s := NewBounded(0, 3)
+	s := NewBounded(0, 3, 0)
 	for i := 0; i < 10; i++ {
 		if err := s.Append(at(i), float64(i)); err != nil {
 			t.Fatal(err)
@@ -62,7 +65,7 @@ func TestBoundedBySize(t *testing.T) {
 }
 
 func TestBoundedByAge(t *testing.T) {
-	s := NewBounded(10*time.Second, 0)
+	s := NewBounded(10*time.Second, 0, 0)
 	for i := 0; i <= 30; i += 5 {
 		if err := s.Append(at(i), float64(i)); err != nil {
 			t.Fatal(err)
@@ -320,5 +323,369 @@ func TestAlignMatchesReference(t *testing.T) {
 					period, trial, from, to, ab.Values, gotB, wantA, wantB)
 			}
 		}
+	}
+}
+
+// refSeries is the reference Series: a []Point holding each point's
+// full time.Time, appended and then trimmed, with no capacity hint.
+// TestSeriesMatchesReference holds Series to it.
+type refSeries struct {
+	points  []Point
+	maxAge  time.Duration
+	maxSize int
+}
+
+func (s *refSeries) Append(t time.Time, v float64) error {
+	if n := len(s.points); n > 0 {
+		last := s.points[n-1].Time
+		if t.Before(last) {
+			return errOutOfOrder
+		}
+		if t.Equal(last) {
+			s.points[n-1].Value = v
+			return nil
+		}
+	}
+	s.points = append(s.points, Point{Time: t, Value: v})
+	if s.maxSize > 0 && len(s.points) > s.maxSize {
+		s.points = s.points[len(s.points)-s.maxSize:]
+	}
+	if s.maxAge > 0 {
+		cutoff := s.points[len(s.points)-1].Time.Add(-s.maxAge)
+		for len(s.points) > 0 && s.points[0].Time.Before(cutoff) {
+			s.points = s.points[1:]
+		}
+	}
+	return nil
+}
+
+var errOutOfOrder = errors.New("out of order")
+
+func (s *refSeries) Window(from, to time.Time) []Point {
+	var out []Point
+	for _, p := range s.points {
+		if !p.Time.Before(from) && p.Time.Before(to) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// bucket returns the first point's bucket key and value per
+// Time.Truncate(period) bucket of the window, as Bucket did.
+func (s *refSeries) bucket(from, to time.Time, period time.Duration) (keys []int64, vals []float64) {
+	if period <= 0 {
+		period = time.Nanosecond
+	}
+	for _, p := range s.Window(from, to) {
+		k := p.Time.Truncate(period).UnixNano()
+		if n := len(keys); n > 0 && keys[n-1] == k {
+			continue
+		}
+		keys = append(keys, k)
+		vals = append(vals, p.Value)
+	}
+	return keys, vals
+}
+
+// samePoint reports whether p and q are the same instant in the same
+// location with the same value bits.
+func samePoint(p, q Point) bool {
+	return p.Time.Equal(q.Time) && p.Time.Location() == q.Time.Location() &&
+		math.Float64bits(p.Value) == math.Float64bits(q.Value)
+}
+
+func samePoints(x, y []Point) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if !samePoint(x[i], y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSeriesMatchesReference drives Series and refSeries with the same
+// seeded streams and requires identical answers from every reader after
+// every step. A stream samples once a minute, on the minute or each
+// point up to a sampling duration (10 s) late, and mixes in equal-timestamp
+// overwrites, out-of-order appends (refused by both), gaps of several
+// minutes, and bursts seconds apart; bounds are by age, by size, both
+// or neither, with and without a capacity hint, in UTC and in a zone
+// whose offset is not a whole hour.
+func TestSeriesMatchesReference(t *testing.T) {
+	const interval = time.Minute
+	rng := rand.New(rand.NewSource(7))
+	zones := []*time.Location{time.UTC, time.FixedZone("IST", 5*3600+1800)}
+	periods := []time.Duration{0, time.Nanosecond, 7 * time.Second, time.Minute, 90 * time.Second, time.Hour}
+	type pair struct {
+		s    *Series
+		ref  *refSeries
+		slot int       // the sampling slot of the newest append
+		last time.Time // the newest appended time
+	}
+	for trial := 0; trial < 200; trial++ {
+		loc := zones[trial%len(zones)]
+		start := time.Date(2011, 11, 1, 0, 0, 0, 0, loc).Add(time.Duration(rng.Int63n(int64(time.Hour))))
+		var maxAge time.Duration
+		var maxSize, hint int
+		if rng.Intn(3) > 0 {
+			maxAge = time.Duration(1+rng.Intn(20)) * interval
+		}
+		if rng.Intn(3) == 0 {
+			maxSize = 1 + rng.Intn(15)
+		}
+		if rng.Intn(2) == 0 {
+			hint = int(maxAge/interval) + 2
+		}
+		// Every other pair of trials samples on the minute, so points
+		// land exactly on an age bound.
+		jitter := time.Duration(0)
+		if trial%4 >= 2 {
+			jitter = 10 * time.Second
+		}
+		var sides [2]*pair
+		for i := range sides {
+			sides[i] = &pair{s: NewBounded(maxAge, maxSize, hint),
+				ref: &refSeries{maxAge: maxAge, maxSize: maxSize}}
+		}
+		for step := 0; step < 80; step++ {
+			for _, p := range sides {
+				var ts time.Time
+				switch r := rng.Intn(20); {
+				case r == 0 && step > 0: // a corrected reading
+					ts = p.last
+				case r == 1 && step > 0: // out of order
+					ts = p.last.Add(-time.Duration(1 + rng.Int63n(int64(3*interval))))
+				case r == 2: // a burst: the next point seconds later
+					ts = p.last.Add(time.Duration(1 + rng.Int63n(int64(10*time.Second))))
+					if step == 0 {
+						ts = start
+					}
+				default: // the next sampling slot, or a gap of several
+					p.slot++
+					if r == 3 {
+						p.slot += rng.Intn(10)
+					}
+					ts = start.Add(time.Duration(p.slot) * interval)
+					if jitter > 0 {
+						ts = ts.Add(time.Duration(rng.Int63n(int64(jitter))))
+					}
+				}
+				v := rng.NormFloat64()
+				if rng.Intn(4) == 0 {
+					v = 0
+				}
+				err, refErr := p.s.Append(ts, v), p.ref.Append(ts, v)
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("trial %d step %d: Append(%v) = %v, reference %v", trial, step, ts, err, refErr)
+				}
+				if err == nil && ts.After(p.last) {
+					p.last = ts
+				}
+			}
+			for side, p := range sides {
+				s, ref := p.s, p.ref
+				where := func() string { return fmt.Sprintf("trial %d step %d side %d", trial, step, side) }
+				if s.Len() != len(ref.points) {
+					t.Fatalf("%s: Len = %d, reference %d", where(), s.Len(), len(ref.points))
+				}
+				for i, want := range ref.points {
+					if got := s.At(i); !samePoint(got, want) {
+						t.Fatalf("%s: At(%d) = %v, reference %v", where(), i, got, want)
+					}
+				}
+				last, ok := s.Last()
+				if ok != (len(ref.points) > 0) || ok && !samePoint(last, ref.points[len(ref.points)-1]) {
+					t.Fatalf("%s: Last = %v, %v", where(), last, ok)
+				}
+				wantVals := make([]float64, len(ref.points))
+				for i, q := range ref.points {
+					wantVals[i] = q.Value
+				}
+				if !sameBits(s.Values(), wantVals) {
+					t.Fatalf("%s: Values = %v, reference %v", where(), s.Values(), wantVals)
+				}
+				from := start.Add(time.Duration(rng.Int63n(int64(time.Duration(p.slot+2) * interval))))
+				to := from.Add(time.Duration(rng.Int63n(int64(25 * interval))))
+				if rng.Intn(8) == 0 {
+					from, to = to, from // an empty or inverted window
+				}
+				if got, want := s.Window(from, to), ref.Window(from, to); !samePoints(got, want) {
+					t.Fatalf("%s: Window(%v, %v) = %v, reference %v", where(), from, to, got, want)
+				}
+				pos := func(v float64) bool { return v > 0 }
+				wantCount := 0
+				for _, q := range ref.Window(from, to) {
+					if pos(q.Value) {
+						wantCount++
+					}
+				}
+				if got := s.CountSince(from, to, pos); got != wantCount {
+					t.Fatalf("%s: CountSince(%v, %v) = %d, reference %d", where(), from, to, got, wantCount)
+				}
+				period := periods[rng.Intn(len(periods))]
+				b := s.Bucket(from, to, period)
+				wantKeys, wantVals := ref.bucket(from, to, period)
+				if len(b.keys) != len(wantKeys) || b.Len() != len(wantKeys) || !sameBits(b.Values, wantVals) {
+					t.Fatalf("%s: Bucket(%v, %v, %v) = %v, reference %v", where(), from, to, period, b.Values, wantVals)
+				}
+				for i := range wantKeys {
+					if b.keys[i] != wantKeys[i] {
+						t.Fatalf("%s: bucket key %d = %d, reference %d", where(), i, b.keys[i], wantKeys[i])
+					}
+				}
+				// Read the other side onto these buckets.
+				other := sides[1-side].ref
+				otherKeys, otherVals := other.bucket(from, to, period)
+				want := make([]float64, len(wantKeys))
+				for i, k := range wantKeys {
+					if j := slices.Index(otherKeys, k); j >= 0 {
+						want[i] = otherVals[j]
+					}
+				}
+				dst := make([]float64, b.Len())
+				for i := range dst {
+					dst[i] = math.NaN()
+				}
+				if got := b.Read(dst, sides[1-side].s); !sameBits(got, want) {
+					t.Fatalf("%s: Read = %v, reference %v", where(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBucketKeyMatchesTruncate requires Buckets.key to equal
+// Time.Truncate(period).UnixNano() for periods that divide the zero
+// Time's offset from the Unix epoch and periods that do not, over the
+// whole range of Unix nanoseconds.
+func TestBucketKeyMatchesTruncate(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	periods := []time.Duration{time.Nanosecond, 7, time.Second, 13 * time.Second, time.Minute,
+		time.Hour, 24 * time.Hour, 7 * 24 * time.Hour, 1<<40 + 1, math.MaxInt64}
+	for _, period := range periods {
+		b := New().Bucket(t0, t0, period)
+		for i := 0; i < 2000; i++ {
+			ns := rng.Int63() - rng.Int63()
+			switch i {
+			case 0:
+				ns = math.MinInt64
+			case 1:
+				ns = math.MaxInt64
+			case 2:
+				ns = 0
+			}
+			if got, want := b.key(ns), time.Unix(0, ns).Truncate(period).UnixNano(); got != want {
+				t.Fatalf("period %v: key(%d) = %d, Truncate gives %d", period, ns, got, want)
+			}
+		}
+	}
+}
+
+// TestSeriesSteadyStateAllocatesNothing fills series sized as the
+// manager sizes its CPI and usage series (look-back 20 minutes: a hint
+// of LookBack/SamplingInterval + 2 = 22) and the detector its flags
+// (2 × a 5-minute violation window: 12), sampled once a minute exactly
+// or up to a sampling duration (10 s) late. After three look-backs, an
+// Append allocates nothing, and no series' capacity ever exceeds its
+// hint.
+func TestSeriesSteadyStateAllocatesNothing(t *testing.T) {
+	const interval = time.Minute
+	for _, c := range []struct {
+		name   string
+		maxAge time.Duration
+		hint   int
+	}{
+		{"manager", 20 * time.Minute, 22},
+		{"detector", 10 * time.Minute, 12},
+	} {
+		for _, jitter := range []time.Duration{0, 10 * time.Second} {
+			rng := rand.New(rand.NewSource(1))
+			s := NewBounded(c.maxAge, 0, c.hint)
+			slot := 0
+			next := func() {
+				slot++
+				ts := t0.Add(time.Duration(slot) * interval)
+				if jitter > 0 {
+					ts = ts.Add(time.Duration(rng.Int63n(int64(jitter))))
+				}
+				if err := s.Append(ts, float64(slot)); err != nil {
+					t.Fatal(err)
+				}
+				if cap(s.points) > c.hint {
+					t.Fatalf("%s jitter %v: capacity %d after %d appends, hint %d", c.name, jitter, cap(s.points), slot, c.hint)
+				}
+			}
+			for slot < 3*int(c.maxAge/interval) {
+				next()
+			}
+			if allocs := testing.AllocsPerRun(200, next); allocs != 0 {
+				t.Errorf("%s jitter %v: steady-state Append allocates %.1f times", c.name, jitter, allocs)
+			}
+		}
+	}
+}
+
+// TestAppendRejectsOutOfRange: UnixNano is undefined outside the years
+// 1678 to 2262, so Append refuses such times, the zero Time among them,
+// instead of storing a wrapped instant; the edges themselves are kept.
+func TestAppendRejectsOutOfRange(t *testing.T) {
+	s := New()
+	for _, ts := range []time.Time{
+		{},
+		time.Date(1677, 9, 21, 0, 0, 0, 0, time.UTC),
+		minTime.Add(-time.Nanosecond),
+		maxTime.Add(time.Nanosecond),
+		time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		if err := s.Append(ts, 1); err == nil {
+			t.Errorf("Append(%v) accepted a time UnixNano cannot represent", ts)
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after refused appends, want 0", s.Len())
+	}
+	for _, ts := range []time.Time{minTime, t0, maxTime} {
+		if err := s.Append(ts, 2); err != nil {
+			t.Fatalf("Append(%v): %v", ts, err)
+		}
+	}
+	if s.Len() != 3 || !s.At(0).Time.Equal(minTime) || !s.At(2).Time.Equal(maxTime) {
+		t.Errorf("edges not kept: %v .. %v", s.At(0), s.At(s.Len()-1))
+	}
+	if w := s.Window(time.Time{}, maxTime.Add(time.Hour)); len(w) != 3 {
+		t.Errorf("a window wider than the range holds %d points, want 3", len(w))
+	}
+}
+
+// TestSeriesKeepsLocation: points come back at the instants appended,
+// in the location they were appended in, from At, Last and Window.
+func TestSeriesKeepsLocation(t *testing.T) {
+	loc := time.FixedZone("UTC-3:30", -(3*3600 + 1800))
+	s := NewBounded(time.Hour, 0, 0)
+	var want []time.Time
+	for i := 0; i < 5; i++ {
+		ts := time.Date(2011, 11, 1, 23, 59, 30+i, 5, loc)
+		want = append(want, ts)
+		if err := s.Append(ts, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(how string, got time.Time, i int) {
+		t.Helper()
+		if !got.Equal(want[i]) || got.Location() != loc || got.String() != want[i].String() {
+			t.Errorf("%s: %v, want %v", how, got, want[i])
+		}
+	}
+	for i := range want {
+		check("At", s.At(i).Time, i)
+	}
+	last, _ := s.Last()
+	check("Last", last.Time, len(want)-1)
+	for i, p := range s.Window(want[1], want[4]) {
+		check("Window", p.Time, i+1)
 	}
 }
