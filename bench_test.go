@@ -74,19 +74,20 @@ func BenchmarkRankSuspects(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorObserve measures the per-sample cost of local
+// BenchmarkManagerObserve measures the per-sample cost of local
 // outlier detection — this runs once per task per minute on every
-// machine in the fleet, so it must be cheap.
-func BenchmarkDetectorObserve(b *testing.B) {
-	d := core.NewDetector(core.DefaultParams())
-	d.UpdateSpec(model.Spec{
+// machine in the fleet, so it must be cheap. The stream stays within
+// its spec, so no sample starts an analysis.
+func BenchmarkManagerObserve(b *testing.B) {
+	m := core.NewManager("m", core.DefaultParams(), nopCapper{})
+	m.UpdateSpec(model.Spec{
 		Job: "j", Platform: model.PlatformA,
 		NumSamples: 100000, NumTasks: 100, CPIMean: 1.8, CPIStddev: 0.16,
 	})
 	day0 := time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Observe(model.Sample{
+		m.Observe(model.Sample{
 			Job: "j", Task: model.TaskID{Job: "j", Index: i % 16},
 			Platform:  model.PlatformA,
 			Timestamp: day0.Add(time.Duration(i) * time.Minute),
@@ -94,6 +95,12 @@ func BenchmarkDetectorObserve(b *testing.B) {
 		})
 	}
 }
+
+// nopCapper caps nothing; BenchmarkManagerObserve never reaches it.
+type nopCapper struct{}
+
+func (nopCapper) Cap(model.TaskID, float64) error { return nil }
+func (nopCapper) Uncap(model.TaskID) error        { return nil }
 
 // BenchmarkSpecBuilderAddSample measures sample ingestion in the
 // aggregation pipeline (thousands per second per cluster).

@@ -77,8 +77,8 @@ type incidentRow struct {
 //
 // The machine simulator is not safe for concurrent use, so the machine
 // views and the verbs hold state, the lock the daemon's tick loop holds
-// around every tick. The manager, detector, validator and span store
-// lock themselves. Call it after SetTrace: /debug/trace reads the store
+// around every tick. The manager, validator and span store lock
+// themselves. Call it after SetTrace: /debug/trace reads the store
 // the agent has at registration.
 func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 	m := a.Machine()
@@ -127,7 +127,7 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 		return incidentRecords(events, obs.IntParam(q, "n", 0)), nil
 	})
 	admin.HandleJSON("/debug/specs", func(url.Values) (any, error) {
-		return a.Manager().Detector().Specs(), nil
+		return a.Manager().Specs(), nil
 	})
 	admin.HandleJSON("/debug/quarantine", func(q url.Values) (any, error) {
 		quar := a.Validator().Quarantine

@@ -120,22 +120,24 @@ func (a *Agent) Reconcile(now time.Time, entries []core.CapJournalEntry) (adopte
 // RegisterTask tells the agent about a placed task; the scheduler (or
 // cluster harness) calls this alongside machine.AddTask.
 func (a *Agent) RegisterTask(id model.TaskID, job model.Job) {
+	name := id.String()
 	a.mu.Lock()
-	if _, exists := a.tasks[id.String()]; !exists {
+	if _, exists := a.tasks[name]; !exists {
 		a.countJobTask(id.Job, +1)
 	}
-	a.tasks[id.String()] = taskInfo{id: id, job: job}
+	a.tasks[name] = taskInfo{id: id, job: job}
 	a.mu.Unlock()
 	a.manager.RegisterJob(job)
 }
 
 // TaskExited clears agent state for a departed task.
 func (a *Agent) TaskExited(id model.TaskID) {
+	name := id.String()
 	a.mu.Lock()
-	if _, exists := a.tasks[id.String()]; exists {
+	if _, exists := a.tasks[name]; exists {
 		a.countJobTask(id.Job, -1)
 	}
-	delete(a.tasks, id.String())
+	delete(a.tasks, name)
 	a.mu.Unlock()
 	a.manager.TaskExited(id)
 }

@@ -280,7 +280,7 @@ func TestAgentsOnBusMatchScan(t *testing.T) {
 		bus.Push(specs)
 		for i, a := range agents {
 			for _, spec := range specs {
-				got, ok := a.Manager().Detector().Spec(spec.Key())
+				got, ok := a.Manager().Spec(spec.Key())
 				if fresh := ok && got.UpdatedAt.Equal(at); fresh != a.WantSpec(spec.Key()) {
 					t.Fatalf("round %d: agent %d wants %v: %v, was pushed it: %v", round, i, spec.Key(), !fresh, fresh)
 				}

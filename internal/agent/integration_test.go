@@ -250,7 +250,7 @@ func TestFleetOverTCP(t *testing.T) {
 	}
 	for {
 		n := nodes[0]
-		if _, ok := n.a.Manager().Detector().Spec(model.SpecKey{Job: "svc", Platform: model.PlatformA}); ok {
+		if _, ok := n.a.Manager().Spec(model.SpecKey{Job: "svc", Platform: model.PlatformA}); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -261,7 +261,7 @@ func TestFleetOverTCP(t *testing.T) {
 	// All agents must have it before the interference phase starts.
 	for i, n := range nodes {
 		for {
-			if _, ok := n.a.Manager().Detector().Spec(model.SpecKey{Job: "svc", Platform: model.PlatformA}); ok {
+			if _, ok := n.a.Manager().Spec(model.SpecKey{Job: "svc", Platform: model.PlatformA}); ok {
 				break
 			}
 			if time.Now().After(deadline) {

@@ -122,7 +122,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	bus.Recompute(now)
 	for {
-		if _, ok := a.Manager().Detector().Spec(model.SpecKey{Job: "svc", Platform: model.PlatformA}); ok {
+		if _, ok := a.Manager().Spec(model.SpecKey{Job: "svc", Platform: model.PlatformA}); ok {
 			break
 		}
 		if time.Now().After(deadline) {

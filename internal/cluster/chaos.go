@@ -16,7 +16,7 @@ import (
 )
 
 // Window is a half-open interval of simulation time, as offsets from
-// the simulation epoch (Config.Start): [From, To).
+// the simulation epoch: [From, To).
 type Window struct {
 	From time.Duration
 	To   time.Duration
@@ -548,7 +548,7 @@ func garbageSample(rng *rand.Rand, machineName string, now time.Time) model.Samp
 // due delayed spec pushes. Called from the commit phase, before queues
 // drain.
 func (c *Cluster) applyFaultTimeline(now time.Time) {
-	offset := now.Sub(c.cfg.Start)
+	offset := now.Sub(epoch)
 	for ; c.nextFault < len(c.timeline) && c.timeline[c.nextFault].at <= offset; c.nextFault++ {
 		ev := c.timeline[c.nextFault]
 		if ev.kind != faultReshard {

@@ -111,7 +111,7 @@ func TestChaosSmoke(t *testing.T) {
 	// Local detection runs from the last pushed specs: the blackout
 	// window must still contain detections.
 	bl := faults.AggregatorBlackouts[0]
-	during := incidentsInWindow(c, c.cfg.Start.Add(bl.From), c.cfg.Start.Add(bl.To))
+	during := incidentsInWindow(c, epoch.Add(bl.From), epoch.Add(bl.To))
 	if len(during) == 0 {
 		t.Error("no victim detections during the blackout — degradation is not graceful")
 	}
@@ -148,8 +148,8 @@ func TestChaosDegradation(t *testing.T) {
 	bj, _ := json.Marshal(baseline.Incidents())
 	cj, _ := json.Marshal(chaos.Incidents())
 	if string(bj) != string(cj) {
-		bw := incidentsInWindow(baseline, baseline.cfg.Start.Add(bl.From), baseline.cfg.Start.Add(bl.To))
-		cw := incidentsInWindow(chaos, chaos.cfg.Start.Add(bl.From), chaos.cfg.Start.Add(bl.To))
+		bw := incidentsInWindow(baseline, epoch.Add(bl.From), epoch.Add(bl.To))
+		cw := incidentsInWindow(chaos, epoch.Add(bl.From), epoch.Add(bl.To))
 		missed := 0
 		for k := range bw {
 			if !cw[k] {
@@ -162,7 +162,7 @@ func TestChaosDegradation(t *testing.T) {
 	if len(baseline.Incidents()) == 0 {
 		t.Fatal("baseline raised no incidents; comparison is vacuous")
 	}
-	bw := incidentsInWindow(baseline, baseline.cfg.Start.Add(bl.From), baseline.cfg.Start.Add(bl.To))
+	bw := incidentsInWindow(baseline, epoch.Add(bl.From), epoch.Add(bl.To))
 	if len(bw) == 0 {
 		t.Fatal("no baseline detections inside the blackout window; experiment is vacuous")
 	}
@@ -548,7 +548,7 @@ func TestRestartedAgentSkipsDownShards(t *testing.T) {
 			wanted, fromUp := false, 0
 			for _, n := range c.nodes {
 				wanted = wanted || n.a.WantSpec(deadKey)
-				for _, spec := range n.a.Manager().Detector().Specs() {
+				for _, spec := range n.a.Manager().Specs() {
 					if s := c.ShardOf(spec.Key()); tc.down(s) {
 						t.Errorf("%s: restarted agent got %v from shard %d, which is down", n.m.Name(), spec.Key(), s)
 					} else {

@@ -24,6 +24,10 @@ import (
 	"repro/internal/stats"
 )
 
+// epoch is when every simulation starts: 2011-11-01 00:00 UTC, the
+// first day of the paper's Figure 5 trace.
+var epoch = time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
+
 // Config sizes and seeds a cluster.
 type Config struct {
 	// Seed roots all randomness; equal seeds give identical runs.
@@ -41,9 +45,6 @@ type Config struct {
 	// Overcommit is the scheduler's batch overcommit factor
 	// (default 1.5).
 	Overcommit float64
-	// Start is the simulation epoch (default 2011-11-01 00:00 UTC,
-	// the first day of the paper's Figure 5 trace).
-	Start time.Time
 	// TickInterval is the simulation step (default 1s).
 	TickInterval time.Duration
 	// AutoAvoidThreshold, when > 0, enables the §9 future-work loop
@@ -116,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Overcommit <= 0 {
 		c.Overcommit = 1.5
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = time.Second
@@ -302,7 +300,7 @@ func New(cfg Config) *Cluster {
 		sched: scheduler.New(cfg.Overcommit),
 		store: forensics.NewStore(),
 		jobs:  make(map[model.JobName]*JobDef),
-		now:   cfg.Start,
+		now:   epoch,
 
 		pairCounts: make(map[[2]model.JobName]int),
 		capCounts:  make(map[model.TaskID]int),

@@ -288,7 +288,7 @@ func TestPreemptionReplacesEvictedBatch(t *testing.T) {
 	}
 	// The sim keeps running consistently after the shuffle.
 	c.Run(2 * time.Minute)
-	if c.Now().Sub(time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)) != 2*time.Minute {
+	if c.Now().Sub(epoch) != 2*time.Minute {
 		t.Errorf("Now = %v", c.Now())
 	}
 }

@@ -292,10 +292,10 @@ func TestStepLeavesNothingStaged(t *testing.T) {
 				c.Step()
 				for i, n := range c.nodes {
 					if n.events.Len() > 0 || (n.metricsWritten != nil && n.metricsWritten()) {
-						t.Fatalf("%v: machine %d holds undrained writes after Step", c.Now().Sub(cfg.Start), i)
+						t.Fatalf("%v: machine %d holds undrained writes after Step", c.Now().Sub(epoch), i)
 					}
 				}
-				if c.Now().Sub(cfg.Start)%time.Minute != 11*time.Second && c.committed > 0 {
+				if c.Now().Sub(epoch)%time.Minute != 11*time.Second && c.committed > 0 {
 					between++ // a Step between windows that committed something
 				}
 			}

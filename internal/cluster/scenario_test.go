@@ -101,7 +101,6 @@ func TestScenarioStartMatchesHandBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
 	if !warm.At.Equal(epoch.Add(10*time.Minute)) || len(warm.Specs) == 0 || warm.Incidents != len(c.Incidents()) {
 		t.Errorf("warm boundary: at %v, %d specs, %d incidents (cluster has %d)",
 			warm.At, len(warm.Specs), warm.Incidents, len(c.Incidents()))

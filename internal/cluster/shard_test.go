@@ -404,7 +404,7 @@ func TestShardBlackoutDegradation(t *testing.T) {
 	if len(baseline.Incidents()) == 0 {
 		t.Fatal("baseline raised no incidents; comparison is vacuous")
 	}
-	from, to := chaos.cfg.Start.Add(w.From), chaos.cfg.Start.Add(w.To)
+	from, to := epoch.Add(w.From), epoch.Add(w.To)
 	if len(incidentsInWindow(chaos, from, to)) == 0 {
 		t.Error("no detections during the shard blackout — degradation is not graceful")
 	}

@@ -44,14 +44,14 @@ type Incident struct {
 
 // Manager is the per-machine CPI² engine: it ingests the local
 // sampler's measurements, maintains per-task CPI and CPU-usage
-// history, runs the detector, and — when a task goes anomalous and the
-// per-machine analysis rate limit allows — ranks suspects and lets the
-// enforcer act. It is the component labelled "agent" in Figure 6,
-// minus the transport (package agent adds that).
+// history, judges each sample against the pushed specs (detect.go),
+// and — when a task goes anomalous and the per-machine analysis rate
+// limit allows — ranks suspects and lets the enforcer act. It is the
+// component labelled "agent" in Figure 6, minus the transport (package
+// agent adds that).
 type Manager struct {
 	params   Params
 	machine  string
-	detector *Detector
 	enforcer *Enforcer
 	// identifier ranks suspects each analysis round (Params.Identifier
 	// selects it). identifierForget is non-nil when the identifier
@@ -64,16 +64,23 @@ type Manager struct {
 
 	mu           sync.Mutex
 	jobs         map[model.JobName]model.Job
+	specs        map[model.SpecKey]model.Spec
 	tasks        map[model.TaskID]*taskSeries
 	lastAnalysis time.Time
 }
 
 // taskSeries is what the manager keeps per task, in one allocation: its
-// CPI and CPU-usage series over LookBack, and the Name its detect spans
-// carry, made on the first.
+// CPI and CPU-usage series over LookBack, its outlier flags over twice
+// the ViolationWindow, when its open outlier episode began, and the
+// Name its detect spans carry, made on the first.
 type taskSeries struct {
 	cpi, usage timeseries.Series
-	name       trace.Name
+	flags      timeseries.Series // 1 for an outlier, 0 for a judged normal sample
+	// episode is the first outlier of the current run of violations,
+	// the anchor of the detect-to-cap SLI; zero while none is open
+	// (samples carry no zero timestamp: the validator drops them).
+	episode time.Time
+	name    trace.Name
 }
 
 // NewManager creates a per-machine manager named machine, applying
@@ -89,12 +96,12 @@ func NewManager(machine string, p Params, capper Capper) *Manager {
 	m := &Manager{
 		params:     p,
 		machine:    machine,
-		detector:   NewDetector(p),
 		enforcer:   NewEnforcer(p, capper),
 		identifier: ident,
 		metrics:    &Metrics{},
 		events:     nopSink{},
 		jobs:       make(map[model.JobName]model.Job),
+		specs:      make(map[model.SpecKey]model.Spec),
 		tasks:      make(map[model.TaskID]*taskSeries),
 	}
 	if f, ok := ident.(interface{ Forget(model.TaskID) }); ok {
@@ -148,13 +155,6 @@ func (m *Manager) RegisterJob(j model.Job) {
 	m.jobs[j.Name] = j
 }
 
-// UpdateSpec forwards a pushed CPI spec to the local detector.
-func (m *Manager) UpdateSpec(s model.Spec) { m.detector.UpdateSpec(s) }
-
-// Detector exposes the manager's detector (read-mostly; used by tests
-// and by the agent for spec introspection).
-func (m *Manager) Detector() *Detector { return m.detector }
-
 // Enforcer exposes the manager's enforcer for operator tooling
 // (manual capping, release-all).
 func (m *Manager) Enforcer() *Enforcer { return m.enforcer }
@@ -167,7 +167,6 @@ func (m *Manager) TaskExited(task model.TaskID) {
 	m.mu.Lock()
 	delete(m.tasks, task)
 	m.mu.Unlock()
-	m.detector.Forget(task)
 	if m.identifierForget != nil {
 		m.identifierForget(task)
 	}
@@ -183,23 +182,17 @@ func (m *Manager) SetJournal(j CapJournal) { m.enforcer.SetJournal(j) }
 // was analysed this round; the manager keeps no incident log.
 func (m *Manager) Observe(s model.Sample) *Incident {
 	m.mu.Lock()
-	ts, ok := m.tasks[s.Task]
-	if !ok {
-		// A series holds at most LookBack/SamplingInterval + 1 points
-		// at its sampling period; one more leaves room for jitter.
-		hint := int(m.params.LookBack()/m.params.SamplingInterval) + 2
-		ts = &taskSeries{
-			cpi:   timeseries.Bounded(m.params.LookBack(), 0, hint),
-			usage: timeseries.Bounded(m.params.LookBack(), 0, hint),
-		}
-		m.tasks[s.Task] = ts
-	}
-	_ = ts.cpi.Append(s.Timestamp, s.CPI)
-	_ = ts.usage.Append(s.Timestamp, s.CPUUsage)
+	ts, a := m.observeLocked(s)
 	metrics, tracer := m.metrics, m.tracer // snapshot under m.mu; setters may race otherwise
+	var name trace.Name
+	if a.Anomalous && tracer != nil {
+		if ts.name == (trace.Name{}) {
+			ts.name = trace.NewName(s.Task.String())
+		}
+		name = ts.name
+	}
 	m.mu.Unlock()
 
-	a := m.detector.Observe(s)
 	metrics.SamplesObserved.Inc()
 	if a.Filtered {
 		metrics.SamplesFiltered.Inc()
@@ -215,24 +208,31 @@ func (m *Manager) Observe(s model.Sample) *Incident {
 	}
 	metrics.Anomalies.Inc()
 	if tracer != nil {
-		tracer.Detect(trace.ParseID(s.TraceID), m.machine, m.spanName(s.Task), s.Timestamp, a.SpecAge.Seconds(), s.CPI, a.Threshold)
+		tracer.Detect(trace.ParseID(s.TraceID), m.machine, name, s.Timestamp, a.SpecAge.Seconds(), s.CPI, a.Threshold)
 	}
 	return m.analyse(s, a)
 }
 
-// spanName returns the Name detect spans give task: kept with the
-// task's series while it has them, made afresh otherwise.
-func (m *Manager) spanName(task model.TaskID) trace.Name {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts, live := m.tasks[task]
-	if !live {
-		return trace.NewName(task.String())
+// observeLocked records s in its task's record, made on the task's
+// first sample, and judges it. Callers hold m.mu.
+func (m *Manager) observeLocked(s model.Sample) (*taskSeries, Assessment) {
+	ts, ok := m.tasks[s.Task]
+	if !ok {
+		// A series over age holds at most age/SamplingInterval + 1
+		// points at its sampling period; one more leaves room for jitter.
+		bounded := func(age time.Duration) timeseries.Series {
+			return timeseries.Bounded(age, 0, int(age/m.params.SamplingInterval)+2)
+		}
+		ts = &taskSeries{
+			cpi:   bounded(m.params.LookBack()),
+			usage: bounded(m.params.LookBack()),
+			flags: bounded(2 * m.params.ViolationWindow),
+		}
+		m.tasks[s.Task] = ts
 	}
-	if ts.name == (trace.Name{}) {
-		ts.name = trace.NewName(task.String())
-	}
-	return ts.name
+	_ = ts.cpi.Append(s.Timestamp, s.CPI)
+	_ = ts.usage.Append(s.Timestamp, s.CPUUsage)
+	return ts, m.judgeLocked(ts, s)
 }
 
 // analyse runs one rate-limited antagonist-identification round.

@@ -173,8 +173,12 @@ func TestManagerCapExpiryViaTick(t *testing.T) {
 
 func TestManagerTaskExitedClearsState(t *testing.T) {
 	m, _ := managerFixture(t)
-	feed(m, "search", 0, 0, 1.2, 1.0)
 	task := model.TaskID{Job: "search", Index: 0}
+	outlier := func(minute int) Assessment {
+		return assess(m, sampleAt("search", 0, day0.Add(time.Duration(minute)*time.Minute), 1.2, 3.0))
+	}
+	outlier(0)
+	outlier(1) // two flags: one short of anomalous
 	if m.CPISeries(task) == nil {
 		t.Fatal("series not recorded")
 	}
@@ -182,8 +186,11 @@ func TestManagerTaskExitedClearsState(t *testing.T) {
 	if m.CPISeries(task) != nil { // the usage series goes with it: one map entry
 		t.Error("series not cleared")
 	}
-	if m.Detector().TrackedTasks() != 0 {
-		t.Error("detector state not cleared")
+	// The flags went too: the task back needs three fresh outliers.
+	for minute := 2; minute <= 4; minute++ {
+		if a := outlier(minute); a.Anomalous != (minute == 4) {
+			t.Errorf("re-entered task at its outlier %d: anomalous %v", minute-1, a.Anomalous)
+		}
 	}
 }
 
@@ -204,5 +211,35 @@ func TestManagerUnknownVictimJobDefaultsProtected(t *testing.T) {
 	}
 	if len(capper.caps) == 0 {
 		t.Error("unknown victim job was not protected")
+	}
+}
+
+// TestManagerObserveSteadyStateAllocatesNothing: once a task's CPI,
+// usage and flag windows have filled, a sample that is not anomalous —
+// normal or filtered, judged against a spec with an age — costs the
+// manager no allocation, metrics on.
+func TestManagerObserveSteadyStateAllocatesNothing(t *testing.T) {
+	m, _ := managerFixture(t)
+	m.SetMetrics(NewMetrics(obs.NewRegistry()))
+	spec, _ := m.Spec(model.SpecKey{Job: "search", Platform: model.PlatformA})
+	spec.UpdatedAt = day0
+	m.UpdateSpec(spec)
+	minute := 0
+	next := func() {
+		minute++
+		usage := 1.2
+		if minute%4 == 0 {
+			usage = 0.1 // filtered
+		}
+		feed(m, "mapreduce", 0, minute, 2.0, 1.5) // no spec: recorded only
+		if inc := feed(m, "search", 0, minute, usage, 1.05); inc != nil {
+			t.Fatalf("incident on healthy CPI: %+v", inc)
+		}
+	}
+	for minute < 3*int(m.params.LookBack()/time.Minute) {
+		next()
+	}
+	if allocs := testing.AllocsPerRun(200, next); allocs != 0 {
+		t.Errorf("steady-state Observe allocates %.1f times per two samples", allocs)
 	}
 }

@@ -1,9 +1,11 @@
 // Package core implements CPI², the paper's contribution: building CPI
-// specs from fleet-wide samples (spec.go), detecting per-task CPI
-// anomalies locally on each machine (detect.go), identifying likely
+// specs from fleet-wide samples (spec.go), identifying likely
 // antagonists by passive cross-correlation (correlate.go), and acting
-// on them with CPU hard-capping (enforce.go). manager.go ties the
-// pieces into the per-machine CPI² manager the node agent embeds.
+// on them with CPU hard-capping (enforce.go). manager.go is the
+// per-machine CPI² manager the node agent embeds: it keeps one record
+// per task — CPI and usage history, outlier flags, open episode — and
+// detects per-task CPI anomalies against the spec table it holds
+// (detect.go) before running the other pieces.
 package core
 
 import "time"

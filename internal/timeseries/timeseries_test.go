@@ -587,7 +587,7 @@ func TestBucketKeyMatchesTruncate(t *testing.T) {
 
 // TestSeriesSteadyStateAllocatesNothing fills series sized as the
 // manager sizes its CPI and usage series (look-back 20 minutes: a hint
-// of LookBack/SamplingInterval + 2 = 22) and the detector its flags
+// of LookBack/SamplingInterval + 2 = 22) and its outlier flags
 // (2 × a 5-minute violation window: 12), sampled once a minute exactly
 // or up to a sampling duration (10 s) late. After three look-backs, an
 // Append allocates nothing, and no series' capacity ever exceeds its
@@ -600,7 +600,7 @@ func TestSeriesSteadyStateAllocatesNothing(t *testing.T) {
 		hint   int
 	}{
 		{"manager", 20 * time.Minute, 22},
-		{"detector", 10 * time.Minute, 12},
+		{"flags", 10 * time.Minute, 12},
 	} {
 		for _, jitter := range []time.Duration{0, 10 * time.Second} {
 			rng := rand.New(rand.NewSource(1))
