@@ -4,7 +4,7 @@
 // CPI² learns the service's CPI spec from its task population. Then a
 // cache-hammering batch job lands, the victim's CPI blows through its
 // 2σ threshold, the antagonist-correlation analysis names the culprit,
-// and the enforcer hard-caps it — after which the victim recovers.
+// and CPI² hard-caps it — after which the victim recovers.
 //
 // Run with:
 //

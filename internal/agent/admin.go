@@ -34,8 +34,8 @@ func (s Status) String() string {
 }
 
 // taskRow is one /debug/tasks or /debug/caps entry. Cap is "cpi2" for a
-// cap the enforcer owns (it expires on its own; Quota is its
-// CPU-sec/sec), "operator" for a manual cap, which the enforcer neither
+// cap the manager owns (it expires on its own; Quota is its
+// CPU-sec/sec), "operator" for a manual cap, which the manager neither
 // owns nor expires, and empty for an uncapped task.
 type taskRow struct {
 	Task     string  `json:"task"`
@@ -82,7 +82,7 @@ type incidentRow struct {
 // the agent has at registration.
 func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 	m := a.Machine()
-	enf := a.Manager().Enforcer()
+	mgr := a.Manager()
 	events := admin.Events()
 	locked := func(fn func(q url.Values) (any, error)) func(q url.Values) (any, error) {
 		return func(q url.Values) (any, error) {
@@ -96,14 +96,14 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 		return Status{
 			Machine: m.Name(), Platform: m.Platform(), CPUs: m.NumCPUs(),
 			Tasks: m.NumTasks(), Threads: m.ThreadCount(), Util: m.Utilization(),
-			Caps: len(enf.ActiveCaps()), JournalErrors: enf.JournalErrors(),
+			Caps: len(mgr.ActiveCaps()), JournalErrors: mgr.JournalErrors(),
 		}, nil
 	}))
 	// The machine's cgroups are the source of truth for caps: they
-	// include operator caps the enforcer does not own.
+	// include operator caps the manager does not own.
 	tasks := func(cappedOnly bool) func(url.Values) (any, error) {
 		return locked(func(url.Values) (any, error) {
-			owned := enf.ActiveCaps()
+			owned := mgr.ActiveCaps()
 			rows := []taskRow{}
 			for _, id := range m.Tasks() {
 				job := m.Task(id).Job
@@ -127,7 +127,7 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 		return incidentRecords(events, obs.IntParam(q, "n", 0)), nil
 	})
 	admin.HandleJSON("/debug/specs", func(url.Values) (any, error) {
-		return a.Manager().Specs(), nil
+		return mgr.Specs(), nil
 	})
 	admin.HandleJSON("/debug/quarantine", func(q url.Values) (any, error) {
 		quar := a.Validator().Quarantine
@@ -163,7 +163,7 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 		return fmt.Sprintf("uncapped %v", task), nil
 	}))
 	admin.HandleAction("/release-all", locked(func(url.Values) (any, error) {
-		return fmt.Sprintf("released %d caps", len(enf.ReleaseAll())), nil
+		return fmt.Sprintf("released %d caps", len(mgr.ReleaseAll())), nil
 	}))
 }
 

@@ -81,9 +81,9 @@ func TestControlStatusJournalErrors(t *testing.T) {
 	aid := model.TaskID{Job: "mr", Index: 0}
 	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
 	a.RegisterTask(aid, mrJob)
-	// Run until the enforcer's first cap: one journalled action.
+	// Run until the manager's first cap: one journalled action.
 	now := t0
-	for s := 0; s < 700 && len(a.Manager().Enforcer().ActiveCaps()) == 0; s++ {
+	for s := 0; s < 700 && len(a.Manager().ActiveCaps()) == 0; s++ {
 		runSim(a, m, now, 1)
 		now = now.Add(time.Second)
 	}
@@ -174,7 +174,7 @@ func TestControlIncidents(t *testing.T) {
 	var caps []taskRow
 	getJSON(t, url+"/debug/caps", &caps)
 	if len(caps) != 1 || caps[0].Task != "mr/0" || caps[0].Cap != "cpi2" || caps[0].Quota <= 0 {
-		t.Errorf("caps = %+v, want the enforcer's cap on mr/0", caps)
+		t.Errorf("caps = %+v, want the manager's cap on mr/0", caps)
 	}
 	if code, body := httpDo(t, http.MethodPost, url+"/release-all"); code != http.StatusOK || !strings.Contains(body, "released 1 caps") {
 		t.Errorf("POST /release-all = %d %s", code, body)

@@ -110,13 +110,6 @@ func (a *Agent) Manager() *core.Manager { return a.manager }
 // metrics/clock and inspecting the quarantine.
 func (a *Agent) Validator() *core.SampleValidator { return a.validator }
 
-// Reconcile replays a cap journal against the machine's live cgroup
-// state (see Enforcer.Reconcile). Call once at startup, after tasks
-// are registered and before the first Tick.
-func (a *Agent) Reconcile(now time.Time, entries []core.CapJournalEntry) (adopted, orphaned []model.TaskID) {
-	return a.manager.Enforcer().Reconcile(now, entries)
-}
-
 // RegisterTask tells the agent about a placed task; the scheduler (or
 // cluster harness) calls this alongside machine.AddTask.
 func (a *Agent) RegisterTask(id model.TaskID, job model.Job) {

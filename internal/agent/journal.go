@@ -1,7 +1,7 @@
 // Cap journal persistence: the durable, append-only record of every
-// cap/uncap the enforcer performs, replayed at startup so a restarted
+// cap/uncap the manager performs, replayed at startup so a restarted
 // agent re-adopts the caps it owns and releases the ones it no longer
-// should hold (see core.CapJournal / Enforcer.Reconcile).
+// should hold (see core.CapJournal / core.Manager.Reconcile).
 package agent
 
 import (

@@ -5,9 +5,9 @@ import (
 	"repro/internal/obs"
 )
 
-// SetMetrics instruments the agent's manager, enforcer and egress
-// validator with cm — the one place an agent's metric handles are
-// assigned, whether the set is a registered one (Instrument) or a
+// SetMetrics instruments the agent's manager and egress validator
+// with cm — the one place an agent's metric handles are assigned,
+// whether the set is a registered one (Instrument) or a
 // per-machine copy from obs.Stage (internal/cluster). A nil set disables
 // instrumentation. The agent keeps no metric of its own: it is
 // simulated code, and timing its tick is the daemon's business

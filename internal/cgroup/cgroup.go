@@ -86,7 +86,7 @@ func (g *Group) SetLimit(l Limit) {
 }
 
 // SetLimitLease applies a bandwidth limit that self-releases at
-// expires unless renewed. The enforcer uses this so a cap survives
+// expires unless renewed. CPI²'s cap policy uses this so a cap survives
 // only as long as its owner keeps renewing it: if the owning agent
 // crashes, the next lease sweep clears the cap instead of throttling
 // the task indefinitely.

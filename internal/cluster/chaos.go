@@ -665,7 +665,7 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 		// contribution has already been drained into the shared gauge;
 		// re-adoption below would double-count them, so cancel the stale
 		// contribution first.
-		n.metrics.CapsActive.Add(-float64(len(old.Manager().Enforcer().ActiveCaps())))
+		n.metrics.CapsActive.Add(-float64(len(old.Manager().ActiveCaps())))
 	}
 	for _, id := range n.m.Tasks() {
 		a.RegisterTask(id, n.m.Task(id).Job)
@@ -680,7 +680,7 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 			}
 		}
 	}
-	ad, or := a.Reconcile(now, n.journal.Entries())
+	ad, or := a.Manager().Reconcile(now, n.journal.Entries())
 	n.a = a
 	for _, bus := range c.buses {
 		bus.Watch(a)

@@ -220,7 +220,7 @@ func TestChaosAgentRestartReconciliation(t *testing.T) {
 	stranded, phantom := 0, 0
 	for i := 0; i < machines; i++ {
 		m, a := c.nodes[i].m, c.nodes[i].a
-		active := a.Manager().Enforcer().ActiveCaps()
+		active := a.Manager().ActiveCaps()
 		for _, id := range m.Tasks() {
 			_, owned := active[id]
 			switch {

@@ -200,12 +200,14 @@ type Cluster struct {
 	pipeCarryRecv int64
 	pipeCarryDrop int64
 
-	// Causal tracing is always on: per-node span stores keep writes
-	// machine-local during the parallel phase (an agent only appends to
-	// its own ring), and the aggregator-side store is only written from
-	// the serial commit phase — so span content is as worker-count-
-	// independent as everything else. IDs are content hashes, never
-	// clocks, so fingerprints stay byte-identical (see obs/trace).
+	// Causal tracing is on unless Config.TraceCapacity is negative (then
+	// aggTrace and every node's store are nil): per-node span stores keep
+	// writes machine-local during the parallel phase (an agent only
+	// appends to its own ring), and the aggregator-side store is only
+	// written from the serial commit phase — so span content is as
+	// worker-count-independent as everything else. IDs are content
+	// hashes, never clocks, so fingerprints stay byte-identical (see
+	// obs/trace).
 	aggTrace *trace.Store
 
 	// pool runs the parallel phase (nil when cfg.Workers == 1).

@@ -90,7 +90,8 @@ type SuspectInput struct {
 //
 // All suspects are returned (the §6 case studies list the top-5
 // including latency-sensitive ones); filtering by the correlation
-// threshold and by throttle eligibility is the enforcer's job.
+// threshold and by throttle eligibility is the cap policy's job
+// (enforce.go).
 func RankSuspects(victimCPI *timeseries.Series, threshold float64,
 	suspects []SuspectInput, now time.Time, window, period time.Duration) []Suspect {
 

@@ -279,7 +279,8 @@ func (d *referenceDetector) Observe(s model.Sample) Assessment {
 	fl, ok := d.flags[s.Task]
 	if !ok {
 		hint := int(2*d.params.ViolationWindow/d.params.SamplingInterval) + 2
-		fl = timeseries.NewBounded(2*d.params.ViolationWindow, 0, hint)
+		fl = new(timeseries.Series)
+		*fl = timeseries.Bounded(2*d.params.ViolationWindow, 0, hint)
 		d.flags[s.Task] = fl
 	}
 	outlier := s.CPI > a.Threshold

@@ -8,7 +8,7 @@ import (
 )
 
 // recordSink captures emitted events in order, for asserting the
-// enforcer's deterministic emission contract.
+// cap policy's deterministic emission contract.
 type recordSink struct {
 	types   []string
 	tasks   []string
@@ -25,16 +25,16 @@ func (r *recordSink) Emit(_ time.Time, typ string, data any) {
 
 // capTwo puts two caps (batchTask, beTask) in force at day0 with the
 // default 5-minute duration.
-func capTwo(t *testing.T, e *Enforcer) {
+func capTwo(t *testing.T, m *Manager) {
 	t.Helper()
 	ranked := []Suspect{
 		{Task: batchTask, Job: "mapreduce", Correlation: 0.6},
 		{Task: beTask, Job: "bg-scan", Correlation: 0.5},
 	}
-	if d := e.Decide(day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
+	if d := decide(m, day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("first cap: %+v", d)
 	}
-	if d := e.Decide(day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
+	if d := decide(m, day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("second cap: %+v", d)
 	}
 }
@@ -47,9 +47,9 @@ func TestEnforcerUncapRetryUntilSuccess(t *testing.T) {
 	reg := obs.NewRegistry()
 	mm := NewMetrics(reg)
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
-	e.SetMetrics(mm)
-	capTwo(t, e)
+	m := NewManager("m", DefaultParams(), capper)
+	m.SetMetrics(mm)
+	capTwo(t, m)
 	if got := mm.CapsActive.Value(); got != 2 {
 		t.Fatalf("CapsActive = %v, want 2", got)
 	}
@@ -60,7 +60,7 @@ func TestEnforcerUncapRetryUntilSuccess(t *testing.T) {
 	capper.mu.Unlock()
 
 	expiry := day0.Add(6 * time.Minute) // both caps are past due
-	if released := e.Tick(expiry); len(released) != 0 {
+	if released := m.Tick(expiry); len(released) != 0 {
 		t.Fatalf("released %v despite Uncap failing", released)
 	}
 	if got := mm.CapsActive.Value(); got != 2 {
@@ -69,13 +69,13 @@ func TestEnforcerUncapRetryUntilSuccess(t *testing.T) {
 	if got := mm.CapsExpired.Value(); got != 0 {
 		t.Errorf("CapsExpired = %v after failed uncaps, want 0", got)
 	}
-	if len(e.ActiveCaps()) != 2 {
-		t.Errorf("active caps = %d, want 2 (failed uncap must not drop bookkeeping)", len(e.ActiveCaps()))
+	if len(m.ActiveCaps()) != 2 {
+		t.Errorf("active caps = %d, want 2 (failed uncap must not drop bookkeeping)", len(m.ActiveCaps()))
 	}
 
 	// Next tick: one more failure is budgeted, so exactly one of the two
 	// sorted uncap attempts fails and the other succeeds.
-	released := e.Tick(expiry.Add(time.Second))
+	released := m.Tick(expiry.Add(time.Second))
 	if len(released) != 1 {
 		t.Fatalf("released = %v, want exactly 1", released)
 	}
@@ -84,7 +84,7 @@ func TestEnforcerUncapRetryUntilSuccess(t *testing.T) {
 	}
 
 	// Mechanism healthy again: the straggler is released on the next tick.
-	released = e.Tick(expiry.Add(2 * time.Second))
+	released = m.Tick(expiry.Add(2 * time.Second))
 	if len(released) != 1 {
 		t.Fatalf("straggler not released: %v", released)
 	}
@@ -110,10 +110,10 @@ func TestEnforcerUncapRetryUntilSuccess(t *testing.T) {
 func TestEnforcerTickEventOrderDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		sink := &recordSink{}
-		e := NewEnforcer(DefaultParams(), newFakeCapper())
-		e.SetEvents(sink)
-		capTwo(t, e)
-		released := e.Tick(day0.Add(10 * time.Minute))
+		m := NewManager("m", DefaultParams(), newFakeCapper())
+		m.SetEvents(sink)
+		capTwo(t, m)
+		released := m.Tick(day0.Add(10 * time.Minute))
 		if len(released) != 2 {
 			t.Fatalf("released = %v", released)
 		}
@@ -140,10 +140,10 @@ func TestEnforcerTickEventOrderDeterministic(t *testing.T) {
 func TestEnforcerReleaseAllOrderDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		sink := &recordSink{}
-		e := NewEnforcer(DefaultParams(), newFakeCapper())
-		e.SetEvents(sink)
-		capTwo(t, e)
-		released := e.ReleaseAll()
+		m := NewManager("m", DefaultParams(), newFakeCapper())
+		m.SetEvents(sink)
+		capTwo(t, m)
+		released := m.ReleaseAll()
 		if len(released) != 2 || released[0] != beTask || released[1] != batchTask {
 			t.Fatalf("trial %d: ReleaseAll order = %v, want sorted", trial, released)
 		}
@@ -163,11 +163,11 @@ func TestEnforcerFeedbackQuotaFloorUnderUncapFailure(t *testing.T) {
 	p := DefaultParams()
 	p.FeedbackThrottling = true
 	capper := newFakeCapper()
-	e := NewEnforcer(p, capper)
+	m := NewManager("m", p, capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
 	now := day0
 	for round := 0; round < 12; round++ {
-		d := e.Decide(now, victimTask, victimJob, withJobs(ranked))
+		d := decide(m, now, victimTask, victimJob, withJobs(ranked))
 		if d.Action != ActionCap {
 			t.Fatalf("round %d: %+v", round, d)
 		}
@@ -181,12 +181,12 @@ func TestEnforcerFeedbackQuotaFloorUnderUncapFailure(t *testing.T) {
 			capper.mu.Lock()
 			capper.failUncaps = 1
 			capper.mu.Unlock()
-			if rel := e.Tick(now); len(rel) != 0 {
+			if rel := m.Tick(now); len(rel) != 0 {
 				t.Fatalf("round %d: released %v through wedged capper", round, rel)
 			}
 			now = now.Add(time.Second)
 		}
-		if rel := e.Tick(now); len(rel) != 1 {
+		if rel := m.Tick(now); len(rel) != 1 {
 			t.Fatalf("round %d: release failed: %v", round, rel)
 		}
 		now = now.Add(time.Second)

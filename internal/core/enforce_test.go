@@ -61,6 +61,22 @@ var (
 	lsTask     = model.TaskID{Job: "bigtable", Index: 2}
 )
 
+// decide runs one enforcement round on m for victim over ranked, as
+// analyse does once Identify has ranked the suspects.
+func decide(m *Manager, now time.Time, victim model.TaskID, victimJob model.Job, ranked []Suspect) Decision {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.decideLocked(now, victim, victimJob, ranked)
+}
+
+// decideGroup enforces on m against group, as analyse does once
+// FindAntagonistGroup has found one.
+func decideGroup(m *Manager, now time.Time, victim model.TaskID, victimJob model.Job, group GroupSuspect) []Decision {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.decideGroupLocked(now, victim, victimJob, group)
+}
+
 // withJobs gives each suspect its job's class and priority from the
 // fixture's job table, as Manager.analyse does from registered jobs.
 func withJobs(ranked []Suspect) []Suspect {
@@ -79,12 +95,12 @@ func withJobs(ranked []Suspect) []Suspect {
 
 func TestEnforcerCapsBatchAntagonist(t *testing.T) {
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	ranked := []Suspect{
 		{Task: lsTask, Job: "bigtable", Correlation: 0.5},
 		{Task: batchTask, Job: "mapreduce", Correlation: 0.45},
 	}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionCap {
 		t.Fatalf("action = %v (%s)", d.Action, d.Reason)
 	}
@@ -104,18 +120,18 @@ func TestEnforcerCapsBatchAntagonist(t *testing.T) {
 
 func TestEnforcerBestEffortGetsHarsherQuota(t *testing.T) {
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	ranked := []Suspect{{Task: beTask, Job: "bg-scan", Correlation: 0.6}}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionCap || d.Quota != 0.01 {
 		t.Errorf("decision = %+v, want cap at 0.01", d)
 	}
 }
 
 func TestEnforcerBelowThresholdNoAction(t *testing.T) {
-	e := NewEnforcer(DefaultParams(), newFakeCapper())
+	m := NewManager("m", DefaultParams(), newFakeCapper())
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.34}}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionNone {
 		t.Errorf("action = %v, want none below 0.35", d.Action)
 	}
@@ -123,21 +139,21 @@ func TestEnforcerBelowThresholdNoAction(t *testing.T) {
 
 func TestEnforcerOnlyLatencySensitiveSuspects(t *testing.T) {
 	// Case 3-like: all suspects latency-sensitive → nothing to throttle.
-	e := NewEnforcer(DefaultParams(), newFakeCapper())
+	m := NewManager("m", DefaultParams(), newFakeCapper())
 	ranked := []Suspect{
 		{Task: lsTask, Job: "bigtable", Correlation: 0.7},
 	}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionNone {
 		t.Errorf("action = %v, want none", d.Action)
 	}
 }
 
 func TestEnforcerUnprotectedVictimReportsOnly(t *testing.T) {
-	e := NewEnforcer(DefaultParams(), newFakeCapper())
+	m := NewManager("m", DefaultParams(), newFakeCapper())
 	batchVictim := model.Job{Name: "other-batch", Class: model.ClassBatch}
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d := e.Decide(day0, model.TaskID{Job: "other-batch"}, batchVictim, withJobs(ranked))
+	d := decide(m, day0, model.TaskID{Job: "other-batch"}, batchVictim, withJobs(ranked))
 	if d.Action != ActionReport {
 		t.Errorf("action = %v, want report", d.Action)
 	}
@@ -147,9 +163,9 @@ func TestEnforcerAutoCapDisabled(t *testing.T) {
 	p := DefaultParams()
 	p.ReportOnly = true
 	capper := newFakeCapper()
-	e := NewEnforcer(p, capper)
+	m := NewManager("m", p, capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionReport {
 		t.Errorf("action = %v, want report in conservative mode", d.Action)
 	}
@@ -160,20 +176,20 @@ func TestEnforcerAutoCapDisabled(t *testing.T) {
 
 func TestEnforcerCapExpires(t *testing.T) {
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	e.Decide(day0, victimTask, victimJob, withJobs(ranked))
-	if released := e.Tick(day0.Add(4 * time.Minute)); len(released) != 0 {
+	decide(m, day0, victimTask, victimJob, withJobs(ranked))
+	if released := m.Tick(day0.Add(4 * time.Minute)); len(released) != 0 {
 		t.Errorf("released early: %v", released)
 	}
-	released := e.Tick(day0.Add(5 * time.Minute))
+	released := m.Tick(day0.Add(5 * time.Minute))
 	if len(released) != 1 || released[0] != batchTask {
 		t.Errorf("released = %v", released)
 	}
 	if _, ok := capper.quota(batchTask); ok {
 		t.Error("task still capped after expiry")
 	}
-	if len(e.ActiveCaps()) != 0 {
+	if len(m.ActiveCaps()) != 0 {
 		t.Error("active caps not cleared")
 	}
 }
@@ -182,39 +198,39 @@ func TestEnforcerSkipsAlreadyCapped(t *testing.T) {
 	// Re-analysis (§5): if the victim stays anomalous, the next round
 	// must pick a different suspect, not re-cap the same one.
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	ranked := []Suspect{
 		{Task: batchTask, Job: "mapreduce", Correlation: 0.6},
 		{Task: beTask, Job: "bg-scan", Correlation: 0.4},
 	}
-	d1 := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d1 := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d1.Target != batchTask {
 		t.Fatalf("round 1 target = %v", d1.Target)
 	}
-	d2 := e.Decide(day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked))
+	d2 := decide(m, day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked))
 	if d2.Target != beTask {
 		t.Errorf("round 2 target = %v, want the next suspect", d2.Target)
 	}
-	if len(e.ActiveCaps()) != 2 {
-		t.Errorf("active caps = %d", len(e.ActiveCaps()))
+	if len(m.ActiveCaps()) != 2 {
+		t.Errorf("active caps = %d", len(m.ActiveCaps()))
 	}
 }
 
 func TestEnforcerCapFailureReports(t *testing.T) {
 	capper := newFakeCapper()
 	capper.failOn[batchTask] = true
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionReport {
 		t.Errorf("action = %v, want report on mechanism failure", d.Action)
 	}
 }
 
 func TestEnforcerVictimNeverTargetsItself(t *testing.T) {
-	e := NewEnforcer(DefaultParams(), newFakeCapper())
+	m := NewManager("m", DefaultParams(), newFakeCapper())
 	ranked := []Suspect{{Task: victimTask, Job: "search", Correlation: 0.9}}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionNone {
 		t.Errorf("victim targeted itself: %+v", d)
 	}
@@ -224,26 +240,26 @@ func TestEnforcerFeedbackThrottlingEscalates(t *testing.T) {
 	p := DefaultParams()
 	p.FeedbackThrottling = true
 	capper := newFakeCapper()
-	e := NewEnforcer(p, capper)
+	m := NewManager("m", p, capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.5}}
-	d1 := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d1 := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d1.Quota != 0.1 {
 		t.Fatalf("round 1 quota = %v", d1.Quota)
 	}
 	// Cap expires, victim still suffering, same suspect re-chosen:
 	// quota halves.
-	e.Tick(day0.Add(5 * time.Minute))
-	d2 := e.Decide(day0.Add(6*time.Minute), victimTask, victimJob, withJobs(ranked))
+	m.Tick(day0.Add(5 * time.Minute))
+	d2 := decide(m, day0.Add(6*time.Minute), victimTask, victimJob, withJobs(ranked))
 	if d2.Quota != 0.05 {
 		t.Errorf("round 2 quota = %v, want 0.05", d2.Quota)
 	}
 	// Escalation floors at the best-effort quota.
 	for i := 0; i < 6; i++ {
-		e.Tick(day0.Add(time.Duration(11+i*6) * time.Minute))
-		e.Decide(day0.Add(time.Duration(12+i*6)*time.Minute), victimTask, victimJob, withJobs(ranked))
+		m.Tick(day0.Add(time.Duration(11+i*6) * time.Minute))
+		decide(m, day0.Add(time.Duration(12+i*6)*time.Minute), victimTask, victimJob, withJobs(ranked))
 	}
-	e.Tick(day0.Add(60 * time.Minute))
-	dN := e.Decide(day0.Add(61*time.Minute), victimTask, victimJob, withJobs(ranked))
+	m.Tick(day0.Add(60 * time.Minute))
+	dN := decide(m, day0.Add(61*time.Minute), victimTask, victimJob, withJobs(ranked))
 	if dN.Quota != p.BestEffortQuota {
 		t.Errorf("escalated quota = %v, want floor %v", dN.Quota, p.BestEffortQuota)
 	}
@@ -251,26 +267,26 @@ func TestEnforcerFeedbackThrottlingEscalates(t *testing.T) {
 
 func TestEnforcerReleaseAll(t *testing.T) {
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	ranked := []Suspect{
 		{Task: batchTask, Job: "mapreduce", Correlation: 0.6},
 		{Task: beTask, Job: "bg-scan", Correlation: 0.5},
 	}
 	j := &MemCapJournal{}
-	e.SetJournal(j)
+	m.SetJournal(j)
 	var eventTimes []time.Time
-	e.SetEvents(sinkFunc(func(now time.Time, typ string, _ any) {
+	m.SetEvents(sinkFunc(func(now time.Time, typ string, _ any) {
 		if typ == "cap_released" {
 			eventTimes = append(eventTimes, now)
 		}
 	}))
-	e.Decide(day0, victimTask, victimJob, withJobs(ranked))
-	e.Decide(day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked))
-	released := e.ReleaseAll()
+	decide(m, day0, victimTask, victimJob, withJobs(ranked))
+	decide(m, day0.Add(time.Minute), victimTask, victimJob, withJobs(ranked))
+	released := m.ReleaseAll()
 	if len(released) != 2 {
 		t.Fatalf("released = %v", released)
 	}
-	if len(e.ActiveCaps()) != 0 {
+	if len(m.ActiveCaps()) != 0 {
 		t.Error("caps remain after ReleaseAll")
 	}
 	// Events and journal tell one clock: each cap_released carries the

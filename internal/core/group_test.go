@@ -347,7 +347,7 @@ func TestFindAntagonistGroupAllocBudget(t *testing.T) {
 
 func TestEnforcerDecideGroup(t *testing.T) {
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	group := GroupSuspect{
 		Correlation: 0.6,
 		Members: []Suspect{
@@ -357,7 +357,7 @@ func TestEnforcerDecideGroup(t *testing.T) {
 			{Task: victimTask, Job: "search"}, // never cap the victim
 		},
 	}
-	ds := e.DecideGroup(day0, victimTask, victimJob, group)
+	ds := decideGroup(m, day0, victimTask, victimJob, group)
 	if len(ds) != 2 {
 		t.Fatalf("decisions = %+v, want 2 (only throttleable members)", ds)
 	}
@@ -374,7 +374,7 @@ func TestEnforcerDecideGroup(t *testing.T) {
 		t.Errorf("best-effort member quota = %v", q)
 	}
 	// All expire together via Tick.
-	released := e.Tick(day0.Add(5 * time.Minute))
+	released := m.Tick(day0.Add(5 * time.Minute))
 	if len(released) != 2 {
 		t.Errorf("released = %v", released)
 	}
@@ -384,14 +384,14 @@ func TestEnforcerDecideGroupReportOnly(t *testing.T) {
 	p := DefaultParams()
 	p.ReportOnly = true
 	capper := newFakeCapper()
-	e := NewEnforcer(p, capper)
+	m := NewManager("m", p, capper)
 	group := GroupSuspect{
 		Correlation: 0.5,
 		Members: []Suspect{
 			{Task: batchTask, Job: "mapreduce", Class: model.ClassBatch, Priority: model.PriorityBatch},
 		},
 	}
-	ds := e.DecideGroup(day0, victimTask, victimJob, group)
+	ds := decideGroup(m, day0, victimTask, victimJob, group)
 	if len(ds) != 1 || ds[0].Action != ActionReport {
 		t.Errorf("decisions = %+v", ds)
 	}
@@ -402,13 +402,13 @@ func TestEnforcerDecideGroupReportOnly(t *testing.T) {
 
 func TestEnforcerDecideGroupSkipsCapped(t *testing.T) {
 	capper := newFakeCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	member := Suspect{Task: batchTask, Job: "mapreduce", Class: model.ClassBatch, Priority: model.PriorityBatch}
 	group := GroupSuspect{Correlation: 0.5, Members: []Suspect{member}}
-	if ds := e.DecideGroup(day0, victimTask, victimJob, group); len(ds) != 1 {
+	if ds := decideGroup(m, day0, victimTask, victimJob, group); len(ds) != 1 {
 		t.Fatalf("first round = %+v", ds)
 	}
-	if ds := e.DecideGroup(day0.Add(time.Minute), victimTask, victimJob, group); len(ds) != 0 {
+	if ds := decideGroup(m, day0.Add(time.Minute), victimTask, victimJob, group); len(ds) != 0 {
 		t.Errorf("second round re-capped: %+v", ds)
 	}
 }

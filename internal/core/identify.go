@@ -64,7 +64,7 @@ type IdentifyInput struct {
 
 // Identifier ranks a victim's co-located suspects. Implementations
 // must return every scoreable suspect in descending score order with a
-// deterministic tie-break (enforcement filtering is the enforcer's
+// deterministic tie-break (enforcement filtering is the cap policy's
 // job, exactly as with RankSuspects), and must be deterministic: the
 // same input sequence yields the same output sequence, regardless of
 // goroutine interleaving elsewhere. Stateful implementations key any
@@ -126,7 +126,7 @@ const (
 
 // taskPair keys per-colocation state by victim and suspect: the same
 // suspect can be innocent next to one victim and guilty next to
-// another. PANDA keys its evidence by it, the enforcer its feedback
+// another. PANDA keys its evidence by it, the cap policy its feedback
 // rounds.
 type taskPair struct {
 	victim  model.TaskID

@@ -11,7 +11,7 @@ import (
 	"repro/internal/model"
 )
 
-// Cap-journal operations. The journal is the enforcer's write-ahead
+// Cap-journal operations. The journal is the manager's write-ahead
 // record of actuation: every cap and uncap decision is appended before
 // (caps) or as (uncaps) the mechanism is driven, so a restarted agent
 // can reconstruct which caps it owns and reconcile them against live
@@ -66,7 +66,7 @@ func (e CapJournalEntry) Validate() error {
 
 // CapJournal is the append-only sink for actuation records. Append
 // must be durable before the caller proceeds (file implementations
-// fsync); errors are surfaced so the enforcer can count write
+// fsync); errors are surfaced so the manager can count write
 // failures, but enforcement itself never blocks on a broken journal —
 // losing the journal degrades restart reconciliation, not safety,
 // because cgroup leases still bound every cap's lifetime.

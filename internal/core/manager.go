@@ -46,13 +46,14 @@ type Incident struct {
 // sampler's measurements, maintains per-task CPI and CPU-usage
 // history, judges each sample against the pushed specs (detect.go),
 // and — when a task goes anomalous and the per-machine analysis rate
-// limit allows — ranks suspects and lets the enforcer act. It is the
-// component labelled "agent" in Figure 6, minus the transport (package
-// agent adds that).
+// limit allows — ranks suspects and caps an antagonist under the §5
+// policy (enforce.go). It is the component labelled "agent" in Figure
+// 6, minus the transport (package agent adds that). A machine's task
+// records and caps sit under one mutex.
 type Manager struct {
-	params   Params
-	machine  string
-	enforcer *Enforcer
+	params  Params
+	machine string
+	capper  Capper
 	// identifier ranks suspects each analysis round (Params.Identifier
 	// selects it). identifierForget is non-nil when the identifier
 	// keeps per-task state that must drop on task exit.
@@ -67,6 +68,22 @@ type Manager struct {
 	specs        map[model.SpecKey]model.Spec
 	tasks        map[model.TaskID]*taskSeries
 	lastAnalysis time.Time
+
+	// The caps in force (enforce.go).
+	journal CapJournal // never nil; nopJournal = unjournalled
+	active  map[model.TaskID]*activeCap
+	// rounds remembers victim→task cap rounds even after expiry so
+	// feedback throttling can escalate on repeat offenders.
+	rounds map[taskPair]int
+	// lastNow is the most recent decision time the manager has seen
+	// (a decision, Tick or Reconcile). Externally triggered releases
+	// (TaskExited, ReleaseAll) stamp their events with it so event logs
+	// stay deterministic under simulated clocks.
+	lastNow time.Time
+	// journalErrs counts failed journal appends; enforcement proceeds
+	// regardless (leases bound the damage), but the count is surfaced
+	// so a dead disk is visible.
+	journalErrs int64
 }
 
 // taskSeries is what the manager keeps per task, in one allocation: its
@@ -96,13 +113,16 @@ func NewManager(machine string, p Params, capper Capper) *Manager {
 	m := &Manager{
 		params:     p,
 		machine:    machine,
-		enforcer:   NewEnforcer(p, capper),
+		capper:     capper,
 		identifier: ident,
 		metrics:    &Metrics{},
 		events:     nopSink{},
 		jobs:       make(map[model.JobName]model.Job),
 		specs:      make(map[model.SpecKey]model.Spec),
 		tasks:      make(map[model.TaskID]*taskSeries),
+		journal:    nopJournal{},
+		active:     make(map[model.TaskID]*activeCap),
+		rounds:     make(map[taskPair]int),
 	}
 	if f, ok := ident.(interface{ Forget(model.TaskID) }); ok {
 		m.identifierForget = f.Forget
@@ -110,10 +130,10 @@ func NewManager(machine string, p Params, capper Capper) *Manager {
 	return m
 }
 
-// SetMetrics instruments the manager (and its enforcer) with m. A nil
-// m disables instrumentation. The field write is locked — Observe and
-// analyse read m.metrics under m.mu from the agent's tick goroutine,
-// so the setter must not race them.
+// SetMetrics instruments the manager with m. A nil m disables
+// instrumentation. The field write is locked — Observe, analyse and
+// the cap paths read m.metrics under m.mu from the agent's tick
+// goroutine, so the setter must not race them.
 func (m *Manager) SetMetrics(mm *Metrics) {
 	if mm == nil {
 		mm = &Metrics{}
@@ -121,13 +141,11 @@ func (m *Manager) SetMetrics(mm *Metrics) {
 	m.mu.Lock()
 	m.metrics = mm
 	m.mu.Unlock()
-	m.enforcer.SetMetrics(mm)
 }
 
-// SetEvents directs the manager's (and its enforcer's) structured
-// forensics events — incidents and cap lifecycle — to sink. A nil
-// sink disables event logging. Locked for the same reason as
-// SetMetrics.
+// SetEvents directs the manager's structured forensics events —
+// incidents and cap lifecycle — to sink. A nil sink disables event
+// logging. Locked for the same reason as SetMetrics.
 func (m *Manager) SetEvents(sink EventSink) {
 	if sink == nil {
 		sink = nopSink{}
@@ -135,7 +153,6 @@ func (m *Manager) SetEvents(sink EventSink) {
 	m.mu.Lock()
 	m.events = sink
 	m.mu.Unlock()
-	m.enforcer.SetEvents(sink)
 }
 
 // SetTrace directs the manager's detect spans to store; its decisions
@@ -155,26 +172,24 @@ func (m *Manager) RegisterJob(j model.Job) {
 	m.jobs[j.Name] = j
 }
 
-// Enforcer exposes the manager's enforcer for operator tooling
-// (manual capping, release-all).
-func (m *Manager) Enforcer() *Enforcer { return m.enforcer }
-
 // TaskExited clears all state for a departed task, including any
 // active cap on it — an exited antagonist's cap must drop out of
 // ActiveCaps (and the journal) immediately, not linger until expiry
-// failing to uncap a cgroup that no longer exists.
+// failing to uncap a cgroup that no longer exists. The cap is released
+// without driving the mechanism (the task's cgroup, and the limit on
+// it, are already gone), journalled and logged like any other, stamped
+// with the last decision time.
 func (m *Manager) TaskExited(task model.TaskID) {
 	m.mu.Lock()
 	delete(m.tasks, task)
+	if ac, ok := m.active[task]; ok {
+		m.releaseLocked(m.lastNow, ac, "task_exited")
+	}
 	m.mu.Unlock()
 	if m.identifierForget != nil {
 		m.identifierForget(task)
 	}
-	m.enforcer.TaskExited(task)
 }
-
-// SetJournal directs the enforcer's actuation records to j.
-func (m *Manager) SetJournal(j CapJournal) { m.enforcer.SetJournal(j) }
 
 // Observe ingests one CPI sample and runs the full local loop:
 // record → detect → (maybe) correlate → (maybe) enforce. It returns a
@@ -279,7 +294,9 @@ func (m *Manager) analyse(s model.Sample, a Assessment) *Incident {
 		Period:     m.params.SamplingInterval,
 		Suspects:   suspects,
 	})
-	decision := m.enforcer.Decide(s.Timestamp, s.Task, victimJob, ranked)
+	m.mu.Lock()
+	decision := m.decideLocked(s.Timestamp, s.Task, victimJob, ranked)
+	m.mu.Unlock()
 
 	// No individual culprit: try the group hypothesis (§4.2 future
 	// work) — several tasks taking turns can hide below the threshold
@@ -291,7 +308,9 @@ func (m *Manager) analyse(s model.Sample, a Assessment) *Incident {
 			now, m.params.CorrelationWindow, m.params.SamplingInterval, m.params.MaxGroupSize)
 		if len(g.Members) >= 2 && g.Correlation >= m.params.CorrelationThreshold {
 			group = &g
-			groupDecisions = m.enforcer.DecideGroup(s.Timestamp, s.Task, victimJob, g)
+			m.mu.Lock()
+			groupDecisions = m.decideGroupLocked(s.Timestamp, s.Task, victimJob, g)
+			m.mu.Unlock()
 			for i, d := range groupDecisions {
 				if d.Action == ActionCap {
 					// The first group cap is the headline decision; it
@@ -343,11 +362,6 @@ func (m *Manager) jobLocked(name model.JobName) model.Job {
 		return j
 	}
 	return model.Job{Name: name, Class: model.ClassLatencySensitive}
-}
-
-// Tick expires caps; call once per simulated second (or wall second).
-func (m *Manager) Tick(now time.Time) []model.TaskID {
-	return m.enforcer.Tick(now)
 }
 
 // CPISeries returns the recorded CPI series for a task (nil if

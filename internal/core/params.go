@@ -2,10 +2,10 @@
 // specs from fleet-wide samples (spec.go), identifying likely
 // antagonists by passive cross-correlation (correlate.go), and acting
 // on them with CPU hard-capping (enforce.go). manager.go is the
-// per-machine CPI² manager the node agent embeds: it keeps one record
-// per task — CPI and usage history, outlier flags, open episode — and
-// detects per-task CPI anomalies against the spec table it holds
-// (detect.go) before running the other pieces.
+// per-machine CPI² manager the node agent embeds. Under one mutex it
+// keeps one record per task — CPI and usage history, outlier flags,
+// open episode — the spec table it detects anomalies against
+// (detect.go), and the caps in force with their journal (enforce.go).
 package core
 
 import "time"
@@ -51,7 +51,7 @@ type Params struct {
 	// CapDuration is how long a hard cap stays applied.
 	CapDuration time.Duration
 	// CapLeaseTTL is the cgroup-layer lease granted on each cap and
-	// renewed every enforcer Tick. If the enforcer vanishes (agent
+	// renewed every manager Tick. If the manager vanishes (agent
 	// crash) the machine self-releases the cap within one TTL — the
 	// crash-safety bound on stranded caps. Must exceed the tick
 	// interval comfortably; it is a backstop, not the expiry mechanism.
@@ -66,7 +66,7 @@ type Params struct {
 	// The zero value — enforcement on — is the library default.
 	ReportOnly bool
 	// FeedbackThrottling enables the §9 future-work extension: the
-	// enforcer adapts the cap quota per round based on whether the
+	// manager adapts the cap quota per round based on whether the
 	// victim recovered.
 	FeedbackThrottling bool
 	// Identifier selects the antagonist-identification algorithm:

@@ -98,9 +98,9 @@ func (f *leaseCapper) markGone(task model.TaskID) {
 func TestEnforcerCapsCarryLeases(t *testing.T) {
 	capper := newLeaseCapper()
 	p := DefaultParams()
-	e := NewEnforcer(p, capper)
+	m := NewManager("m", p, capper)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
-	d := e.Decide(day0, victimTask, victimJob, withJobs(ranked))
+	d := decide(m, day0, victimTask, victimJob, withJobs(ranked))
 	if d.Action != ActionCap {
 		t.Fatalf("decision = %+v", d)
 	}
@@ -109,7 +109,7 @@ func TestEnforcerCapsCarryLeases(t *testing.T) {
 		t.Fatalf("lease = %v,%v, want TTL from decision time", exp, ok)
 	}
 	// Every Tick renews the lease while the cap is live.
-	e.Tick(day0.Add(30 * time.Second))
+	m.Tick(day0.Add(30 * time.Second))
 	if exp, _ := capper.lease(batchTask); !exp.Equal(day0.Add(30*time.Second + p.CapLeaseTTL)) {
 		t.Errorf("lease after tick = %v", exp)
 	}
@@ -119,7 +119,7 @@ func TestEnforcerCapsCarryLeases(t *testing.T) {
 	delete(capper.caps, batchTask)
 	delete(capper.leases, batchTask)
 	capper.mu.Unlock()
-	e.Tick(day0.Add(time.Minute))
+	m.Tick(day0.Add(time.Minute))
 	if !capper.IsCapped(batchTask) {
 		t.Error("Tick did not re-assert a swept cap")
 	}
@@ -127,14 +127,14 @@ func TestEnforcerCapsCarryLeases(t *testing.T) {
 
 func TestEnforcerJournalsDecisions(t *testing.T) {
 	capper := newLeaseCapper()
-	e := NewEnforcer(DefaultParams(), capper)
+	m := NewManager("m", DefaultParams(), capper)
 	j := &MemCapJournal{}
-	e.SetJournal(j)
+	m.SetJournal(j)
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
-	if d := e.Decide(day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
+	if d := decide(m, day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("decision = %+v", d)
 	}
-	e.Tick(day0.Add(10 * time.Minute)) // past CapDuration: expires
+	m.Tick(day0.Add(10 * time.Minute)) // past CapDuration: expires
 	entries := j.Entries()
 	if len(entries) != 2 {
 		t.Fatalf("journal = %+v", entries)
@@ -157,25 +157,25 @@ func TestEnforcerJournalsDecisions(t *testing.T) {
 func TestEnforcerTaskExited(t *testing.T) {
 	capper := newLeaseCapper()
 	reg := obs.NewRegistry()
-	e := NewEnforcer(DefaultParams(), capper)
-	e.SetMetrics(NewMetrics(reg))
+	m := NewManager("m", DefaultParams(), capper)
+	m.SetMetrics(NewMetrics(reg))
 	j := &MemCapJournal{}
-	e.SetJournal(j)
+	m.SetJournal(j)
 	log := obs.NewEventLog(16, nil)
-	e.SetEvents(log)
+	m.SetEvents(log)
 
 	ranked := []Suspect{{Task: batchTask, Job: "mapreduce", Correlation: 0.6}}
-	if d := e.Decide(day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
+	if d := decide(m, day0, victimTask, victimJob, withJobs(ranked)); d.Action != ActionCap {
 		t.Fatalf("decision = %+v", d)
 	}
 	// The task exits; machine removes its cgroup (cap cleared with it).
 	capper.markGone(batchTask)
-	e.TaskExited(batchTask)
-	if len(e.ActiveCaps()) != 0 {
+	m.TaskExited(batchTask)
+	if len(m.ActiveCaps()) != 0 {
 		t.Fatal("cap lingers in ActiveCaps after task exit")
 	}
 	// Idempotent for tasks without caps.
-	e.TaskExited(lsTask)
+	m.TaskExited(lsTask)
 
 	entries := j.Entries()
 	if len(entries) != 2 || entries[1].Op != CapOpUncap || entries[1].Reason != "task_exited" {
@@ -186,8 +186,8 @@ func TestEnforcerTaskExited(t *testing.T) {
 		t.Errorf("cap_released events = %v, want 1", released)
 	}
 	// Subsequent ticks must not try to uncap the departed task.
-	e.Tick(day0.Add(10 * time.Minute))
-	if got := len(e.ActiveCaps()); got != 0 {
+	m.Tick(day0.Add(10 * time.Minute))
+	if got := len(m.ActiveCaps()); got != 0 {
 		t.Errorf("active after tick = %d", got)
 	}
 }
@@ -218,11 +218,11 @@ func TestReconcileAdoptsAndOrphans(t *testing.T) {
 	_ = capper.CapLease(expiredTask, 0.01, day0.Add(time.Minute))
 	capper.markGone(goneTask)
 
-	e := NewEnforcer(p, capper)
-	e.SetMetrics(NewMetrics(reg))
+	m := NewManager("m", p, capper)
+	m.SetMetrics(NewMetrics(reg))
 	j := &MemCapJournal{}
-	e.SetJournal(j)
-	adopted, orphaned := e.Reconcile(now, entries)
+	m.SetJournal(j)
+	adopted, orphaned := m.Reconcile(now, entries)
 
 	if len(adopted) != 1 || adopted[0] != liveTask {
 		t.Fatalf("adopted = %v, want [%v]", adopted, liveTask)
@@ -235,7 +235,7 @@ func TestReconcileAdoptsAndOrphans(t *testing.T) {
 		t.Errorf("orphan order = %v", orphaned)
 	}
 	// The adopted cap resumes its original expiry and round.
-	caps := e.ActiveCaps()
+	caps := m.ActiveCaps()
 	if q, ok := caps[liveTask]; !ok || q != 0.1 {
 		t.Fatalf("adopted cap = %v,%v", q, ok)
 	}
@@ -253,17 +253,17 @@ func TestReconcileAdoptsAndOrphans(t *testing.T) {
 		t.Errorf("journal after reconcile folds to %d caps, want 1", len(live))
 	}
 	// Original expiry preserved: one tick past it releases the cap.
-	e.Tick(day0.Add(5 * time.Minute))
-	if len(e.ActiveCaps()) != 0 {
+	m.Tick(day0.Add(5 * time.Minute))
+	if len(m.ActiveCaps()) != 0 {
 		t.Error("adopted cap did not expire at its original deadline")
 	}
 	// Feedback-throttling round survived the restart: the next cap of
 	// the same victim→task pair escalates from round 2.
 	_ = capper.CapLease(liveTask, 0.1, now.Add(time.Minute)) // cap live again
-	e2 := NewEnforcer(Params{FeedbackThrottling: true}, capper)
-	e2.Reconcile(now, entries[:1])
-	e2.Tick(day0.Add(5 * time.Minute)) // release so Decide re-caps
-	d := e2.Decide(day0.Add(6*time.Minute), victimTask, victimJob,
+	m2 := NewManager("m", Params{FeedbackThrottling: true}, capper)
+	m2.Reconcile(now, entries[:1])
+	m2.Tick(day0.Add(5 * time.Minute)) // release so Decide re-caps
+	d := decide(m2, day0.Add(6*time.Minute), victimTask, victimJob,
 		withJobs([]Suspect{{Task: liveTask, Job: "mapreduce", Correlation: 0.6}}))
 	if d.Action != ActionCap || d.Quota >= 0.1 {
 		t.Errorf("post-restart feedback cap = %+v, want escalated (halved) quota", d)
@@ -272,8 +272,8 @@ func TestReconcileAdoptsAndOrphans(t *testing.T) {
 
 func TestReconcileEmptyAndCorruptJournal(t *testing.T) {
 	capper := newLeaseCapper()
-	e := NewEnforcer(DefaultParams(), capper)
-	adopted, orphaned := e.Reconcile(day0, nil)
+	m := NewManager("m", DefaultParams(), capper)
+	adopted, orphaned := m.Reconcile(day0, nil)
 	if len(adopted) != 0 || len(orphaned) != 0 {
 		t.Errorf("empty journal: adopted=%v orphaned=%v", adopted, orphaned)
 	}
@@ -282,8 +282,8 @@ func TestReconcileEmptyAndCorruptJournal(t *testing.T) {
 		{Op: "cap", Task: "???", Quota: 0.1},
 		{Op: "launch-missiles", Task: "a/1"},
 	}
-	adopted, orphaned = e.Reconcile(day0, garbage)
-	if len(adopted) != 0 || len(orphaned) != 0 || len(e.ActiveCaps()) != 0 {
+	adopted, orphaned = m.Reconcile(day0, garbage)
+	if len(adopted) != 0 || len(orphaned) != 0 || len(m.ActiveCaps()) != 0 {
 		t.Errorf("garbage journal acted: adopted=%v orphaned=%v", adopted, orphaned)
 	}
 }
@@ -309,11 +309,11 @@ func FuzzCapJournalReplay(f *testing.F) {
 			}
 		}
 		capper := newLeaseCapper()
-		e := NewEnforcer(DefaultParams(), capper)
+		m := NewManager("m", DefaultParams(), capper)
 		now := day0.Add(time.Duration(nowOffset) * time.Second)
-		adopted, _ := e.Reconcile(now, entries)
+		adopted, _ := m.Reconcile(now, entries)
 		for _, task := range adopted {
-			q := e.ActiveCaps()[task]
+			q := m.ActiveCaps()[task]
 			if q <= 0 {
 				t.Fatalf("adopted cap with quota %g", q)
 			}

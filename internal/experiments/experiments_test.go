@@ -270,7 +270,7 @@ func TestFig13ExitedWorkerLeavesAgent(t *testing.T) {
 	if r.m.Task(worker) != nil {
 		t.Fatal("worker still on the machine; the test is vacuous")
 	}
-	caps := r.a.Manager().Enforcer().ActiveCaps()
+	caps := r.a.Manager().ActiveCaps()
 	if _, ok := caps[worker]; ok {
 		t.Errorf("worker still capped after it exited: %v", caps)
 	}

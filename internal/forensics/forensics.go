@@ -30,6 +30,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -159,7 +160,11 @@ func (r Result) String() string {
 	var out strings.Builder
 	for _, line := range cells {
 		for i, cell := range line {
-			fmt.Fprintf(&out, "%-*s", widths[i]+2, cell)
+			// Pad to the width in runes, as fmt's %-*s does.
+			out.WriteString(cell)
+			for pad := widths[i] + 2 - utf8.RuneCountInString(cell); pad > 0; pad-- {
+				out.WriteByte(' ')
+			}
 		}
 		out.WriteByte('\n')
 	}

@@ -2,7 +2,7 @@
 // loop. It answers "why was this task capped?" by joining the stages a
 // sample batch flows through — agent sampling, spool replay, wire
 // transfer, aggregator ingest, spec build, spec push, agent receipt and
-// outlier detection — under one deterministic trace ID. The enforcer's
+// outlier detection — under one deterministic trace ID. The manager's
 // decision is the incident the process logs, not a span.
 //
 // Determinism contract: trace IDs are pure content hashes (machine
@@ -53,7 +53,7 @@ const (
 	// StageDetect: the detector flagged a sample as anomalous;
 	// QueueSeconds is the staleness of the spec used for the call.
 	StageDetect = "detect"
-	// StageDecision: a chain's row for the enforcer's ruling, rendered
+	// StageDecision: a chain's row for the manager's ruling, rendered
 	// from its incident, never stored; QueueSeconds is outlier-episode
 	// start → decision (the detect-to-cap SLI).
 	StageDecision = "decision"

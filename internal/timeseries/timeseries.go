@@ -73,12 +73,6 @@ func Bounded(maxAge time.Duration, maxSize, capHint int) Series {
 	return Series{maxAge: maxAge, maxSize: maxSize, capHint: capHint}
 }
 
-// NewBounded is Bounded on the heap.
-func NewBounded(maxAge time.Duration, maxSize, capHint int) *Series {
-	s := Bounded(maxAge, maxSize, capHint)
-	return &s
-}
-
 // Append adds a point. It returns an error if t is before the last
 // appended timestamp (equal timestamps replace the previous value,
 // which lets a sampler re-emit a corrected reading), or if t is outside

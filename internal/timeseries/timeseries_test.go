@@ -50,7 +50,7 @@ func TestLastEmpty(t *testing.T) {
 }
 
 func TestBoundedBySize(t *testing.T) {
-	s := NewBounded(0, 3, 0)
+	s := Bounded(0, 3, 0)
 	for i := 0; i < 10; i++ {
 		if err := s.Append(at(i), float64(i)); err != nil {
 			t.Fatal(err)
@@ -65,7 +65,7 @@ func TestBoundedBySize(t *testing.T) {
 }
 
 func TestBoundedByAge(t *testing.T) {
-	s := NewBounded(10*time.Second, 0, 0)
+	s := Bounded(10*time.Second, 0, 0)
 	for i := 0; i <= 30; i += 5 {
 		if err := s.Append(at(i), float64(i)); err != nil {
 			t.Fatal(err)
@@ -421,7 +421,7 @@ func TestSeriesMatchesReference(t *testing.T) {
 	zones := []*time.Location{time.UTC, time.FixedZone("IST", 5*3600+1800)}
 	periods := []time.Duration{0, time.Nanosecond, 7 * time.Second, time.Minute, 90 * time.Second, time.Hour}
 	type pair struct {
-		s    *Series
+		s    Series
 		ref  *refSeries
 		slot int       // the sampling slot of the newest append
 		last time.Time // the newest appended time
@@ -448,7 +448,7 @@ func TestSeriesMatchesReference(t *testing.T) {
 		}
 		var sides [2]*pair
 		for i := range sides {
-			sides[i] = &pair{s: NewBounded(maxAge, maxSize, hint),
+			sides[i] = &pair{s: Bounded(maxAge, maxSize, hint),
 				ref: &refSeries{maxAge: maxAge, maxSize: maxSize}}
 		}
 		for step := 0; step < 80; step++ {
@@ -487,7 +487,7 @@ func TestSeriesMatchesReference(t *testing.T) {
 				}
 			}
 			for side, p := range sides {
-				s, ref := p.s, p.ref
+				s, ref := &p.s, p.ref
 				where := func() string { return fmt.Sprintf("trial %d step %d side %d", trial, step, side) }
 				if s.Len() != len(ref.points) {
 					t.Fatalf("%s: Len = %d, reference %d", where(), s.Len(), len(ref.points))
@@ -550,7 +550,7 @@ func TestSeriesMatchesReference(t *testing.T) {
 				for i := range dst {
 					dst[i] = math.NaN()
 				}
-				if got := b.Read(dst, sides[1-side].s); !sameBits(got, want) {
+				if got := b.Read(dst, &sides[1-side].s); !sameBits(got, want) {
 					t.Fatalf("%s: Read = %v, reference %v", where(), got, want)
 				}
 			}
@@ -604,7 +604,7 @@ func TestSeriesSteadyStateAllocatesNothing(t *testing.T) {
 	} {
 		for _, jitter := range []time.Duration{0, 10 * time.Second} {
 			rng := rand.New(rand.NewSource(1))
-			s := NewBounded(c.maxAge, 0, c.hint)
+			s := Bounded(c.maxAge, 0, c.hint)
 			slot := 0
 			next := func() {
 				slot++
@@ -665,7 +665,7 @@ func TestAppendRejectsOutOfRange(t *testing.T) {
 // in the location they were appended in, from At, Last and Window.
 func TestSeriesKeepsLocation(t *testing.T) {
 	loc := time.FixedZone("UTC-3:30", -(3*3600 + 1800))
-	s := NewBounded(time.Hour, 0, 0)
+	s := Bounded(time.Hour, 0, 0)
 	var want []time.Time
 	for i := 0; i < 5; i++ {
 		ts := time.Date(2011, 11, 1, 23, 59, 30+i, 5, loc)
