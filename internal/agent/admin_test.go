@@ -324,7 +324,7 @@ func TestParseTaskID(t *testing.T) {
 	if err != nil || id.Job != "websearch-leaf" || id.Index != 42 {
 		t.Errorf("parse = %v, %v", id, err)
 	}
-	for _, bad := range []string{"", "noslash", "/3", "job/", "job/x"} {
+	for _, bad := range []string{"", "noslash", "/3", "job/", "job/x", "job/07", "job/+7", "job/-0"} {
 		if _, err := model.ParseTaskID(bad); err == nil {
 			t.Errorf("ParseTaskID(%q) accepted", bad)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/interference"
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/perfcnt"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -167,59 +168,16 @@ func TestAgentVictimCPIRecoversUnderCap(t *testing.T) {
 	}
 }
 
+// TestAgentWantSpec: the agent wants the specs its manager's jobs have
+// on its own machine's platform only; which jobs those are, and when
+// the interest version moves, is core's TestManagerTaskTable.
 func TestAgentWantSpec(t *testing.T) {
-	a, _, vid := newRig(t, nil)
-	search := model.SpecKey{Job: "search", Platform: model.PlatformA}
-	if !a.WantSpec(search) {
+	a, _, _ := newRig(t, nil)
+	if !a.WantSpec(model.SpecKey{Job: "search", Platform: model.PlatformA}) {
 		t.Error("agent should want its own job's spec")
 	}
 	if a.WantSpec(model.SpecKey{Job: "search", Platform: model.PlatformB}) {
 		t.Error("agent wants wrong-platform spec")
-	}
-	if a.WantSpec(model.SpecKey{Job: "absent", Platform: model.PlatformA}) {
-		t.Error("agent wants spec for absent job")
-	}
-
-	// The version moves with the set of jobs, not with the tasks in it.
-	version := a.InterestVersion()
-	moved := func() bool {
-		v := a.InterestVersion()
-		if v < version {
-			t.Fatalf("InterestVersion went back: %d after %d", v, version)
-		}
-		was := version
-		version = v
-		return v != was
-	}
-	second := model.TaskID{Job: "search", Index: 1}
-	a.RegisterTask(second, searchJob)
-	if moved() {
-		t.Error("a second task of a job already here moved the version")
-	}
-	a.RegisterTask(vid, searchJob)
-	if moved() {
-		t.Error("registering a task again moved the version")
-	}
-	a.TaskExited(vid)
-	if moved() || !a.WantSpec(search) {
-		t.Error("one of two tasks left: the version moved, or the spec is no longer wanted")
-	}
-	a.TaskExited(vid)
-	if moved() {
-		t.Error("an exit of a task not here moved the version")
-	}
-	mr := model.TaskID{Job: "mr", Index: 0}
-	a.RegisterTask(mr, mrJob)
-	if !moved() || !a.WantSpec(model.SpecKey{Job: "mr", Platform: model.PlatformA}) {
-		t.Error("a job's first task: the version stayed, or the spec is not wanted")
-	}
-	a.TaskExited(second)
-	if !moved() || a.WantSpec(search) {
-		t.Error("a job's last task left: the version stayed, or the spec is still wanted")
-	}
-	a.TaskExited(mr)
-	if !moved() || a.WantSpec(model.SpecKey{Job: "mr", Platform: model.PlatformA}) {
-		t.Error("the last job left: the version stayed, or its spec is still wanted")
 	}
 }
 
@@ -326,5 +284,55 @@ func TestAgentUnregisteredTaskSamplesSkipped(t *testing.T) {
 	received, _ := bus.Stats()
 	if received != 0 {
 		t.Errorf("samples for unregistered task: %d", received)
+	}
+}
+
+// recordingSink keeps every sample published to it.
+type recordingSink struct{ samples []model.Sample }
+
+func (r *recordingSink) Publish(samples []model.Sample) error {
+	r.samples = append(r.samples, samples...)
+	return nil
+}
+
+// TestAgentSkipsUnjoinedMeasurements: a measurement joins to a task
+// only through the manager's table. A cgroup whose name is no task ID,
+// and the cgroup of a task registered and then exited, yield no
+// sample: nothing is quarantined, observed or published for them.
+func TestAgentSkipsUnjoinedMeasurements(t *testing.T) {
+	sink := &recordingSink{}
+	a, m, vid := newRig(t, sink)
+	aid := model.TaskID{Job: "mr", Index: 0}
+	if err := m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 1, Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	a.RegisterTask(aid, mrJob)
+	a.TaskExited(aid) // the machine still counts its cgroup
+	// Cgroups that are no task: each counts as the victim does, so a
+	// join would make a valid sample of it.
+	a.readCounters = func(s *perfcnt.Snapshot) {
+		m.ReadCounters(s)
+		c, _ := m.TaskCounters(vid)
+		for _, cg := range []string{"system.slice", "search", "/0", "search/", "search/x"} {
+			s.Append(cg, c)
+		}
+	}
+	runSim(a, m, t0, 190)
+	if len(sink.samples) != 3 {
+		t.Errorf("%d samples published over three windows, want the victim's 3", len(sink.samples))
+	}
+	for _, s := range sink.samples {
+		if s.Task != vid {
+			t.Errorf("published a sample of %v", s.Task)
+		}
+	}
+	if q := a.Validator().Quarantine.Total(); q != 0 {
+		t.Errorf("%d samples quarantined", q)
+	}
+	if a.Manager().CPISeries(aid) != nil {
+		t.Error("the exited task was observed")
+	}
+	if s := a.Manager().CPISeries(vid); s == nil || s.Len() != 3 {
+		t.Error("the victim's three samples were not observed")
 	}
 }

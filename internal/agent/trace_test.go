@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs/trace"
 	"repro/internal/perfcnt"
 )
@@ -25,7 +26,7 @@ func TestToSamplesTracedAllocatesAsUntraced(t *testing.T) {
 	build()
 	off := testing.AllocsPerRun(100, build)
 	st := trace.NewStore(0)
-	st.SetHorizon(a.params.LookBack())
+	st.SetHorizon(core.DefaultParams().LookBack())
 	a.SetTrace(st)
 	for i := 0; i < 64; i++ { // past the horizon: the store holds what it will
 		build()

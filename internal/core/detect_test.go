@@ -405,7 +405,7 @@ func TestManagerAssessMatchesDetector(t *testing.T) {
 				}
 			}
 			s := model.Sample{Job: task.Job, Task: task, Platform: model.PlatformA, Timestamp: ts, CPUUsage: usage, CPI: cpi}
-			wasOpen := m.tasks[task] != nil && !m.tasks[task].episode.IsZero()
+			wasOpen := m.tasks[task].rec != nil && !m.tasks[task].rec.episode.IsZero()
 			want := ref.Observe(s)
 			got := assess(m, s)
 			if got != want {
@@ -420,7 +420,7 @@ func TestManagerAssessMatchesDetector(t *testing.T) {
 			if want.Filtered {
 				seen.filtered++
 			}
-			if wasOpen && m.tasks[task].episode.IsZero() {
+			if wasOpen && m.tasks[task].rec.episode.IsZero() {
 				seen.closed++
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -48,8 +49,8 @@ type Incident struct {
 // and — when a task goes anomalous and the per-machine analysis rate
 // limit allows — ranks suspects and caps an antagonist under the §5
 // policy (enforce.go). It is the component labelled "agent" in Figure
-// 6, minus the transport (package agent adds that). A machine's task
-// records and caps sit under one mutex.
+// 6, minus the transport (package agent adds that), and the machine's
+// one task table: registrations, records and caps sit under one mutex.
 type Manager struct {
 	params  Params
 	machine string
@@ -59,15 +60,16 @@ type Manager struct {
 	// keeps per-task state that must drop on task exit.
 	identifier       Identifier
 	identifierForget func(model.TaskID)
-	metrics          *Metrics     // never nil; zero Metrics = uninstrumented
-	events           EventSink    // never nil; nopSink = unlogged
-	tracer           *trace.Store // nil = untraced
+	metrics          *Metrics                    // never nil; zero Metrics = uninstrumented
+	events           EventSink                   // never nil; nopSink = unlogged
+	tracer           atomic.Pointer[trace.Store] // nil inside = untraced; read without mu
 
 	mu           sync.Mutex
-	jobs         map[model.JobName]model.Job
+	jobs         map[model.JobName]*jobEntry
 	specs        map[model.SpecKey]model.Spec
-	tasks        map[model.TaskID]*taskSeries
+	tasks        map[model.TaskID]taskEntry
 	lastAnalysis time.Time
+	interest     atomic.Uint64 // InterestVersion: written under mu, read without
 
 	// The caps in force (enforce.go).
 	journal CapJournal // never nil; nopJournal = unjournalled
@@ -86,7 +88,24 @@ type Manager struct {
 	journalErrs int64
 }
 
-// taskSeries is what the manager keeps per task, in one allocation: its
+// jobEntry is what the manager keeps per job: its metadata, how many
+// registered tasks it has here, and the Name spec_recv spans give its
+// spec key while it has any.
+type jobEntry struct {
+	model.Job
+	tasks int
+	spec  trace.Name
+}
+
+// taskEntry is the manager's row for one task: the job it is
+// registered under (nil for a task only observed, as replay's are) and
+// its record, made on its first sample: until then it is no suspect.
+type taskEntry struct {
+	job *jobEntry
+	rec *taskSeries
+}
+
+// taskSeries is a task's record, in one allocation: its
 // CPI and CPU-usage series over LookBack, its outlier flags over twice
 // the ViolationWindow, when its open outlier episode began, and the
 // Name its detect spans carry, made on the first.
@@ -117,9 +136,9 @@ func NewManager(machine string, p Params, capper Capper) *Manager {
 		identifier: ident,
 		metrics:    &Metrics{},
 		events:     nopSink{},
-		jobs:       make(map[model.JobName]model.Job),
+		jobs:       make(map[model.JobName]*jobEntry),
 		specs:      make(map[model.SpecKey]model.Spec),
-		tasks:      make(map[model.TaskID]*taskSeries),
+		tasks:      make(map[model.TaskID]taskEntry),
 		journal:    nopJournal{},
 		active:     make(map[model.TaskID]*activeCap),
 		rounds:     make(map[taskPair]int),
@@ -155,21 +174,80 @@ func (m *Manager) SetEvents(sink EventSink) {
 	m.mu.Unlock()
 }
 
-// SetTrace directs the manager's detect spans to store; its decisions
-// are the incidents it emits. Nil disables tracing (the default).
-// Locked like SetMetrics — Observe snapshots the field under m.mu.
-func (m *Manager) SetTrace(store *trace.Store) {
-	m.mu.Lock()
-	m.tracer = store
-	m.mu.Unlock()
-}
+// SetTrace directs the manager's detect spans, and its agent's sample
+// and spec_recv spans, to store; its decisions are the incidents it
+// emits. Nil disables tracing (the default).
+func (m *Manager) SetTrace(store *trace.Store) { m.tracer.Store(store) }
 
-// RegisterJob installs job metadata for tasks on this machine. The
-// cluster scheduler calls this when placing a task.
+// Trace returns the manager's span store, nil when untraced.
+func (m *Manager) Trace() *trace.Store { return m.tracer.Load() }
+
+// RegisterJob installs job metadata for tasks on this machine without
+// registering a task: the job's specs stay unwanted (Runs).
 func (m *Manager) RegisterJob(j model.Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.jobs[j.Name] = j
+	m.jobLocked(j.Name).Job = j
+}
+
+// RegisterTask records a placed task and installs its job's metadata:
+// until TaskExited its samples join to it (RegisteredTask) and its
+// job's specs are wanted (Runs). A second call only updates the job.
+func (m *Manager) RegisterTask(id model.TaskID, job model.Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.jobLocked(job.Name).Job = job
+	if t := m.tasks[id]; t.job == nil {
+		t.job = m.jobLocked(id.Job)
+		if t.job.tasks++; t.job.tasks == 1 {
+			m.interest.Add(1)
+		}
+		m.tasks[id] = t
+	}
+}
+
+// RegisteredTask returns the task registered here whose cgroup is
+// named cgroup (by its TaskID's String), with the job name it was
+// registered under; false for any other name.
+func (m *Manager) RegisteredTask(cgroup string) (model.TaskID, bool) {
+	id, err := model.ParseTaskID(cgroup)
+	if err != nil {
+		return model.TaskID{}, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if j := m.tasks[id].job; j != nil {
+		return model.TaskID{Job: j.Name, Index: id.Index}, true
+	}
+	return model.TaskID{}, false
+}
+
+// Runs reports whether a registered task of job is here.
+func (m *Manager) Runs(job model.JobName) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.jobs[job]
+	return j != nil && j.tasks > 0
+}
+
+// InterestVersion moves when, and only when, the set of jobs Runs
+// reports does (pipeline.SpecWatcher's contract).
+func (m *Manager) InterestVersion() uint64 { return m.interest.Load() }
+
+// SpecName returns the Name a spec_recv span on this machine, whose
+// platform is here, gives key: kept while key is on here and its job
+// has registered tasks, made afresh otherwise.
+func (m *Manager) SpecName(key model.SpecKey, here model.Platform) trace.Name {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.jobs[key.Job]
+	if j == nil || j.tasks == 0 || key.Platform != here {
+		return trace.NewName(key.String())
+	}
+	if j.spec == (trace.Name{}) {
+		j.spec = trace.NewName(key.String())
+	}
+	return j.spec
 }
 
 // TaskExited clears all state for a departed task, including any
@@ -181,6 +259,12 @@ func (m *Manager) RegisterJob(j model.Job) {
 // with the last decision time.
 func (m *Manager) TaskExited(task model.TaskID) {
 	m.mu.Lock()
+	if j := m.tasks[task].job; j != nil {
+		if j.tasks--; j.tasks == 0 {
+			j.spec = trace.Name{}
+			m.interest.Add(1)
+		}
+	}
 	delete(m.tasks, task)
 	if ac, ok := m.active[task]; ok {
 		m.releaseLocked(m.lastNow, ac, "task_exited")
@@ -198,7 +282,7 @@ func (m *Manager) TaskExited(task model.TaskID) {
 func (m *Manager) Observe(s model.Sample) *Incident {
 	m.mu.Lock()
 	ts, a := m.observeLocked(s)
-	metrics, tracer := m.metrics, m.tracer // snapshot under m.mu; setters may race otherwise
+	metrics, tracer := m.metrics, m.tracer.Load() // metrics under m.mu: SetMetrics may race otherwise
 	var name trace.Name
 	if a.Anomalous && tracer != nil {
 		if ts.name == (trace.Name{}) {
@@ -231,20 +315,21 @@ func (m *Manager) Observe(s model.Sample) *Incident {
 // observeLocked records s in its task's record, made on the task's
 // first sample, and judges it. Callers hold m.mu.
 func (m *Manager) observeLocked(s model.Sample) (*taskSeries, Assessment) {
-	ts, ok := m.tasks[s.Task]
-	if !ok {
+	t := m.tasks[s.Task]
+	if t.rec == nil {
 		// A series over age holds at most age/SamplingInterval + 1
 		// points at its sampling period; one more leaves room for jitter.
 		bounded := func(age time.Duration) timeseries.Series {
 			return timeseries.Bounded(age, 0, int(age/m.params.SamplingInterval)+2)
 		}
-		ts = &taskSeries{
+		t.rec = &taskSeries{
 			cpi:   bounded(m.params.LookBack()),
 			usage: bounded(m.params.LookBack()),
 			flags: bounded(2 * m.params.ViolationWindow),
 		}
-		m.tasks[s.Task] = ts
+		m.tasks[s.Task] = t
 	}
+	ts := t.rec
 	_ = ts.cpi.Append(s.Timestamp, s.CPI)
 	_ = ts.usage.Append(s.Timestamp, s.CPUUsage)
 	return ts, m.judgeLocked(ts, s)
@@ -270,16 +355,16 @@ func (m *Manager) analyse(s model.Sample, a Assessment) *Incident {
 	m.lastAnalysis = s.Timestamp
 	metrics.AnalysesRun.Inc()
 
-	victimCPI := &m.tasks[s.Task].cpi
+	victimCPI := &m.tasks[s.Task].rec.cpi
 	suspects := make([]SuspectInput, 0, len(m.tasks))
-	for task, ts := range m.tasks {
-		if task == s.Task {
+	for task, t := range m.tasks {
+		if task == s.Task || t.rec == nil {
 			continue
 		}
-		j := m.jobLocked(task.Job)
-		suspects = append(suspects, SuspectInput{Task: task, Job: task.Job, Class: j.Class, Priority: j.Priority, Usage: &ts.usage})
+		j := m.jobLocked(task.Job).Job
+		suspects = append(suspects, SuspectInput{Task: task, Job: task.Job, Class: j.Class, Priority: j.Priority, Usage: &t.rec.usage})
 	}
-	victimJob := m.jobLocked(s.Job)
+	victimJob := m.jobLocked(s.Job).Job
 	m.mu.Unlock()
 
 	now := s.Timestamp.Add(time.Nanosecond)
@@ -354,14 +439,17 @@ func (m *Manager) analyse(s model.Sample, a Assessment) *Incident {
 	return inc
 }
 
-// jobLocked returns the registered job called name. A job never
+// jobLocked returns the entry of the job called name, made on first
+// use and never deleted (registered tasks point at it). A job never
 // registered here is latency-sensitive: protected as a victim, never
 // capped as a suspect. Callers hold m.mu.
-func (m *Manager) jobLocked(name model.JobName) model.Job {
-	if j, ok := m.jobs[name]; ok {
-		return j
+func (m *Manager) jobLocked(name model.JobName) *jobEntry {
+	j := m.jobs[name]
+	if j == nil {
+		j = &jobEntry{Job: model.Job{Name: name, Class: model.ClassLatencySensitive}}
+		m.jobs[name] = j
 	}
-	return model.Job{Name: name, Class: model.ClassLatencySensitive}
+	return j
 }
 
 // CPISeries returns the recorded CPI series for a task (nil if
@@ -369,7 +457,7 @@ func (m *Manager) jobLocked(name model.JobName) model.Job {
 func (m *Manager) CPISeries(task model.TaskID) *timeseries.Series {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ts, ok := m.tasks[task]; ok {
+	if ts := m.tasks[task].rec; ts != nil {
 		return &ts.cpi
 	}
 	return nil

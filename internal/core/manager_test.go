@@ -243,3 +243,130 @@ func TestManagerObserveSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("steady-state Observe allocates %.1f times per two samples", allocs)
 	}
 }
+
+// TestManagerTaskTable: the manager is the machine's one task table.
+// The set of jobs it runs, and the InterestVersion that follows that
+// set, move only when a job gets its first registered task or loses its
+// last; a registered task is no suspect before its first sample; a job
+// known only from RegisterJob is not run here but still classes its
+// observed tasks; and a job's spec_recv Name lasts while it has tasks.
+func TestManagerTaskTable(t *testing.T) {
+	batch := model.Job{Name: "mapreduce", Class: model.ClassBatch, Priority: model.PriorityBatch}
+	search0, search1 := model.TaskID{Job: "search", Index: 0}, model.TaskID{Job: "search", Index: 1}
+	mr0 := model.TaskID{Job: "mapreduce", Index: 0}
+
+	t.Run("version", func(t *testing.T) {
+		m := NewManager("m", DefaultParams(), newFakeCapper())
+		version := m.InterestVersion()
+		moved := func() bool {
+			v := m.InterestVersion()
+			if v < version {
+				t.Fatalf("InterestVersion went back: %d after %d", v, version)
+			}
+			was := version
+			version = v
+			return v != was
+		}
+		count := func(job model.JobName) int {
+			if j := m.jobs[job]; j != nil {
+				return j.tasks
+			}
+			return 0
+		}
+		m.RegisterTask(search0, victimJob)
+		if !moved() || !m.Runs("search") || count("search") != 1 {
+			t.Error("a job's first task: the version stayed, or the job is not run here")
+		}
+		m.RegisterTask(search1, victimJob)
+		if moved() || count("search") != 2 {
+			t.Error("a second task of a job already here moved the version, or was not counted")
+		}
+		m.RegisterTask(search0, victimJob)
+		if moved() || count("search") != 2 {
+			t.Errorf("registering a task again moved the version or the count (%d)", count("search"))
+		}
+		m.TaskExited(search0)
+		if moved() || !m.Runs("search") || count("search") != 1 {
+			t.Error("one of two tasks left: the version moved, or the job is no longer run here")
+		}
+		m.TaskExited(search0)
+		m.TaskExited(model.TaskID{Job: "ghost", Index: 3})
+		if moved() || count("search") != 1 || count("ghost") != 0 {
+			t.Error("an exit of a task not here moved the version or a count")
+		}
+		// A task only ever observed (replay's) has a record but no
+		// registration: its exit moves nothing either.
+		m.Observe(sampleAt("search", 7, day0, 1.2, 1.0))
+		m.TaskExited(model.TaskID{Job: "search", Index: 7})
+		if moved() || count("search") != 1 {
+			t.Error("an exit of an observed, unregistered task moved the version or the count")
+		}
+		m.RegisterJob(model.Job{Name: "bigtable", Class: model.ClassLatencySensitive})
+		if moved() || m.Runs("bigtable") {
+			t.Error("a job installed by RegisterJob alone moved the version, or is run here")
+		}
+		m.RegisterTask(mr0, batch)
+		if !moved() || !m.Runs("mapreduce") {
+			t.Error("a second job's first task: the version stayed, or the job is not run here")
+		}
+		m.TaskExited(search1)
+		if !moved() || m.Runs("search") {
+			t.Error("a job's last task left: the version stayed, or the job is still run here")
+		}
+		m.TaskExited(mr0)
+		if !moved() || m.Runs("mapreduce") {
+			t.Error("the last job left: the version stayed, or the job is still run here")
+		}
+	})
+
+	t.Run("suspects", func(t *testing.T) {
+		m, _ := managerFixture(t)
+		// logs/0 is registered as a batch task but never sampled; the
+		// mapreduce job is known only from the fixture's RegisterJob,
+		// and its task is observed without being registered.
+		idle := model.TaskID{Job: "logs", Index: 0}
+		m.RegisterTask(idle, model.Job{Name: "logs", Class: model.ClassBatch, Priority: model.PriorityBestEffort})
+		m.RegisterTask(search0, victimJob)
+		var inc *Incident
+		for min := 0; min < 10 && inc == nil; min++ {
+			feed(m, "mapreduce", 0, min, 4.0, 1.5)
+			inc = feed(m, "search", 0, min, 1.2, 3.0)
+		}
+		if inc == nil {
+			t.Fatal("no incident")
+		}
+		if len(inc.Suspects) != 1 || inc.Suspects[0].Task != mr0 || inc.Suspects[0].Class != model.ClassBatch {
+			t.Errorf("suspects %+v, want only mapreduce/0, batch", inc.Suspects)
+		}
+		if m.CPISeries(idle) != nil {
+			t.Error("a registered task has a CPI series before its first sample")
+		}
+	})
+
+	t.Run("spec name", func(t *testing.T) {
+		m := NewManager("m", DefaultParams(), newFakeCapper())
+		key := model.SpecKey{Job: "search", Platform: model.PlatformA}
+		here := model.PlatformA
+		if m.SpecName(key, here) == m.SpecName(key, here) {
+			t.Error("a job with no tasks here kept its spec Name")
+		}
+		m.RegisterTask(search0, victimJob)
+		name := m.SpecName(key, here)
+		if name.String() != key.String() {
+			t.Errorf("spec Name %q, want %q", name, key)
+		}
+		if m.SpecName(key, model.PlatformB) == name {
+			t.Error("a machine of another platform kept the key's spec Name")
+		}
+		m.RegisterTask(search1, victimJob)
+		m.TaskExited(search0)
+		if m.SpecName(key, here) != name {
+			t.Error("the spec Name changed while the job kept tasks here")
+		}
+		m.TaskExited(search1)
+		m.RegisterTask(search0, victimJob)
+		if m.SpecName(key, here) == name {
+			t.Error("the job's spec Name outlived its last task here")
+		}
+	})
+}

@@ -2,9 +2,10 @@
 // specs from fleet-wide samples (spec.go), identifying likely
 // antagonists by passive cross-correlation (correlate.go), and acting
 // on them with CPU hard-capping (enforce.go). manager.go is the
-// per-machine CPI² manager the node agent embeds. Under one mutex it
-// keeps one record per task — CPI and usage history, outlier flags,
-// open episode — the spec table it detects anomalies against
+// per-machine CPI² manager the node agent embeds, the machine's one
+// task table. Under one mutex it keeps each task's registration and
+// record — CPI and usage history, outlier flags, open episode — the
+// spec table it detects anomalies against
 // (detect.go), and the caps in force with their journal (enforce.go).
 package core
 

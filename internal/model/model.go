@@ -62,15 +62,19 @@ func (t TaskID) appendTo(b []byte) []byte {
 	return strconv.AppendInt(b, int64(t.Index), 10)
 }
 
-// ParseTaskID parses the "job/index" form String produces. The split
-// is on the LAST slash, so job names containing slashes round-trip.
+// ParseTaskID parses the "job/index" form String produces, and only
+// that form: an index with a sign or leading zeros String would not
+// write ("j/07", "j/+7") is refused, so a name that parses is its
+// task's name. The split is on the LAST slash, so job names containing
+// slashes round-trip.
 func ParseTaskID(s string) (TaskID, error) {
 	i := strings.LastIndexByte(s, '/')
 	if i <= 0 || i == len(s)-1 {
 		return TaskID{}, fmt.Errorf("model: bad task id %q (want job/index)", s)
 	}
 	idx, err := strconv.Atoi(s[i+1:])
-	if err != nil {
+	var canon [20]byte
+	if err != nil || string(strconv.AppendInt(canon[:0], int64(idx), 10)) != s[i+1:] {
 		return TaskID{}, fmt.Errorf("model: bad task index in %q", s)
 	}
 	return TaskID{Job: JobName(s[:i]), Index: idx}, nil

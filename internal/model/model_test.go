@@ -72,6 +72,37 @@ func TestTaskIDCompareMatchesString(t *testing.T) {
 	}
 }
 
+// FuzzTaskIDRoundTrip: a task's cgroup is named by its ID's String
+// form, and the agent joins each measurement to its task by parsing
+// that name back, so the name is input from outside the program. For
+// any task with a job name the parse gives the task back, without
+// allocating; no string makes ParseTaskID panic, and a string it
+// accepts is its task's String form.
+func FuzzTaskIDRoundTrip(f *testing.F) {
+	f.Add("websearch-leaf", 42)
+	f.Add("a/b", 0)
+	f.Add("j/", -7)
+	f.Add("/", math.MaxInt)
+	f.Add("x", math.MinInt)
+	f.Add("j/+1", 1)
+	f.Fuzz(func(t *testing.T, job string, index int) {
+		if got, err := ParseTaskID(job); err == nil && got.String() != job {
+			t.Fatalf("ParseTaskID(%q) accepted %+v, whose name is %q", job, got, got.String())
+		}
+		if job == "" {
+			return
+		}
+		id := TaskID{Job: JobName(job), Index: index}
+		name := id.String()
+		if got, err := ParseTaskID(name); err != nil || got != id {
+			t.Fatalf("ParseTaskID(%q) = %+v, %v; want %+v", name, got, err, id)
+		}
+		if n := testing.AllocsPerRun(1, func() { _, _ = ParseTaskID(name) }); n != 0 {
+			t.Errorf("ParseTaskID(%q) allocates %v times", name, n)
+		}
+	})
+}
+
 func TestPriorityString(t *testing.T) {
 	cases := map[Priority]string{
 		PriorityBestEffort: "best-effort",
