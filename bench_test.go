@@ -129,7 +129,7 @@ func BenchmarkMachineTick(b *testing.B) {
 	}
 	for i := 0; i < 40; i++ {
 		id := model.TaskID{Job: "j", Index: i}
-		if err := m.AddTask(id, model.Job{Name: "j"}, prof, &workload.Steady{CPU: 0.3, Threads: 4}); err != nil {
+		if err := m.AddTask(id, prof, &workload.Steady{CPU: 0.3, Threads: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -285,7 +285,7 @@ func main() {
 		if i > 0 {
 			cpu, threads = 0.6, 8
 		}
-		if err := m.AddTask(id, svcJob, svcProfile, &workload.Steady{CPU: cpu, Threads: threads}); err != nil {
+		if err := m.AddTask(id, svcProfile, &workload.Steady{CPU: cpu, Threads: threads}); err != nil {
 			log.Fatal(err)
 		}
 		register(id, svcJob)
@@ -305,7 +305,7 @@ func main() {
 	for i := 0; i < *tenants; i++ {
 		id := model.TaskID{Job: "tenant", Index: i}
 		w := &workload.Steady{CPU: 0.1 + 0.3*trng.Float64(), Threads: 2 + trng.Intn(6)}
-		if err := m.AddTask(id, tenantJob, tenantProfile, w); err != nil {
+		if err := m.AddTask(id, tenantProfile, w); err != nil {
 			log.Fatal(err)
 		}
 		register(id, tenantJob)
@@ -358,7 +358,7 @@ func main() {
 				DefaultCPI: 1.5, CacheFootprint: 8, MemBandwidth: 6,
 				Sensitivity: 0.1, BaseL3MPKI: 14, NoiseSigma: 0.05,
 			}
-			if err := m.AddTask(antagID, antagJob, prof, &workload.Steady{CPU: 6, Threads: 16}); err == nil {
+			if err := m.AddTask(antagID, prof, &workload.Steady{CPU: 6, Threads: 16}); err == nil {
 				register(antagID, antagJob)
 				log.Printf("sim: antagonist %v landed", antagID)
 			}

@@ -34,11 +34,11 @@ func capturedAgent(t *testing.T) (*httptest.Server, *agent.Agent, model.TaskID, 
 	search := model.Job{Name: "search", Class: model.ClassLatencySensitive, Priority: model.PriorityProduction}
 	mr := model.Job{Name: "mr", Class: model.ClassBatch, Priority: model.PriorityBatch}
 	vid, aid := model.TaskID{Job: "search", Index: 0}, model.TaskID{Job: "mr", Index: 0}
-	if err := m.AddTask(vid, search, &interference.Profile{DefaultCPI: 1.0, CacheFootprint: 1, MemBandwidth: 0.5, Sensitivity: 1.2, BaseL3MPKI: 2},
+	if err := m.AddTask(vid, &interference.Profile{DefaultCPI: 1.0, CacheFootprint: 1, MemBandwidth: 0.5, Sensitivity: 1.2, BaseL3MPKI: 2},
 		&workload.Steady{CPU: 1.2, Threads: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddTask(aid, mr, &interference.Profile{DefaultCPI: 1.5, CacheFootprint: 10, MemBandwidth: 8, Sensitivity: 0.2, BaseL3MPKI: 12},
+	if err := m.AddTask(aid, &interference.Profile{DefaultCPI: 1.5, CacheFootprint: 10, MemBandwidth: 8, Sensitivity: 0.2, BaseL3MPKI: 12},
 		&workload.Steady{CPU: 5, Threads: 40}); err != nil {
 		t.Fatal(err)
 	}

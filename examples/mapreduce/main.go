@@ -47,7 +47,7 @@ func scenario(name string, reaction workload.CapReaction, minutes int) (*workloa
 		DefaultCPI: 1.0, CacheFootprint: 1.2, MemBandwidth: 0.6,
 		Sensitivity: 1.2, BaseL3MPKI: 2,
 	}
-	if err := m.AddTask(victim, victimJob, vprof, &workload.Steady{CPU: 1.2, Threads: 12}); err != nil {
+	if err := m.AddTask(victim, vprof, &workload.Steady{CPU: 1.2, Threads: 12}); err != nil {
 		log.Fatal(err)
 	}
 	a.RegisterTask(victim, victimJob)
@@ -64,7 +64,7 @@ func scenario(name string, reaction workload.CapReaction, minutes int) (*workloa
 		DefaultCPI: 1.4, CacheFootprint: 6, MemBandwidth: 5,
 		Sensitivity: 0.1, BaseL3MPKI: 10,
 	}
-	if err := m.AddTask(mrID, mrJob, mrProf, worker); err != nil {
+	if err := m.AddTask(mrID, mrProf, worker); err != nil {
 		log.Fatal(err)
 	}
 	a.RegisterTask(mrID, mrJob)

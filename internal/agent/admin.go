@@ -106,7 +106,7 @@ func RegisterAdmin(admin *obs.AdminServer, a *Agent, state sync.Locker) {
 			owned := mgr.ActiveCaps()
 			rows := []taskRow{}
 			for _, id := range m.Tasks() {
-				job := m.Task(id).Job
+				job := mgr.Job(id.Job)
 				row := taskRow{Task: id.String(), Class: job.Class.String(), Priority: job.Priority.String()}
 				if m.IsCapped(id) {
 					row.Cap = "operator"

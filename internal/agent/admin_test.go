@@ -79,7 +79,7 @@ func TestControlStatusJournalErrors(t *testing.T) {
 	installSearchSpec(a)
 	m := a.Machine()
 	aid := model.TaskID{Job: "mr", Index: 0}
-	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	_ = m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
 	a.RegisterTask(aid, mrJob)
 	// Run until the manager's first cap: one journalled action.
 	now := t0
@@ -103,7 +103,7 @@ func TestControlStatusJournalErrors(t *testing.T) {
 func TestControlTasksAndCaps(t *testing.T) {
 	url, a := adminRig(t)
 	aid := model.TaskID{Job: "mr", Index: 0}
-	_ = a.Machine().AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 2, Threads: 4})
+	_ = a.Machine().AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 2, Threads: 4})
 	a.RegisterTask(aid, mrJob)
 
 	var tasks []taskRow
@@ -159,7 +159,7 @@ func TestControlIncidents(t *testing.T) {
 	installSearchSpec(a)
 	m := a.Machine()
 	aid := model.TaskID{Job: "mr", Index: 0}
-	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	_ = m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
 	a.RegisterTask(aid, mrJob)
 	runSim(a, m, t0, 700)
 
@@ -192,7 +192,7 @@ func TestControlIncidentsFromEventLog(t *testing.T) {
 	installSearchSpec(a)
 	m := a.Machine()
 	aid := model.TaskID{Job: "mr", Index: 0}
-	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	_ = m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
 	a.RegisterTask(aid, mrJob)
 	incs := runSim(a, m, t0, 700)
 	if len(incs) < 2 {
@@ -267,7 +267,7 @@ func TestTraceDecisionOutlivesItsSpans(t *testing.T) {
 	installSearchSpec(a)
 	m := a.Machine()
 	aid := model.TaskID{Job: "mr", Index: 0}
-	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	_ = m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
 	a.RegisterTask(aid, mrJob)
 	var capInc core.Incident
 	now := t0

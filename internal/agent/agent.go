@@ -142,8 +142,9 @@ func (a *Agent) Tick(now time.Time) []core.Incident {
 	return incidents
 }
 
-// toSamples joins each measurement to its task through the manager's
-// table: a cgroup is named by its task's ID.
+// toSamples turns each measurement into a sample of its task, keeping
+// those of tasks registered with the manager: a task that exited
+// between window end and now, or was never registered, has none.
 func (a *Agent) toSamples(now time.Time, ms []perfcnt.Measurement) []model.Sample {
 	// One trace context per batch, derived from (machine, batch seq):
 	// agent ticks are serial per machine, so the ID sequence is
@@ -153,13 +154,9 @@ func (a *Agent) toSamples(now time.Time, ms []perfcnt.Measurement) []model.Sampl
 	tid := id.String()
 	out := a.sampleBuf[:0]
 	for _, m := range ms {
-		task, ok := a.manager.RegisteredTask(m.Cgroup)
-		if !ok {
-			continue // not a task's cgroup, or its task exited between window end and now
-		}
 		out = append(out, model.Sample{
-			Job:       task.Job,
-			Task:      task,
+			Job:       m.Task.Job,
+			Task:      m.Task,
 			Platform:  a.mach.Platform(),
 			Timestamp: now,
 			CPUUsage:  m.CPUUsage,
@@ -168,6 +165,7 @@ func (a *Agent) toSamples(now time.Time, ms []perfcnt.Measurement) []model.Sampl
 			TraceID:   tid,
 		})
 	}
+	out = a.manager.KeepRegistered(out)
 	if tr := a.manager.Trace(); tr != nil && len(out) > 0 {
 		tr.Sample(id, a.mach.Name(), now, len(out))
 	}

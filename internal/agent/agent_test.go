@@ -20,6 +20,9 @@ var t0 = time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
 var (
 	searchJob = model.Job{Name: "search", Class: model.ClassLatencySensitive, Priority: model.PriorityProduction}
 	mrJob     = model.Job{Name: "mr", Class: model.ClassBatch, Priority: model.PriorityBatch}
+	// rigJobs is the scheduler's view of the rigs' jobs, which a
+	// restarted agent re-registers the machine's tasks under.
+	rigJobs = map[model.JobName]model.Job{searchJob.Name: searchJob, mrJob.Name: mrJob}
 )
 
 func victimProfile() *interference.Profile {
@@ -52,7 +55,7 @@ func newRigWith(t *testing.T, p core.Params, sink pipeline.SampleSink) (*Agent, 
 	m := machine.New("m1", interference.DefaultMachine(model.PlatformA), 8, nil)
 	a := New(m, p, sink)
 	vid := model.TaskID{Job: "search", Index: 0}
-	err := m.AddTask(vid, searchJob, victimProfile(), &workload.Steady{CPU: 1.2, Threads: 16})
+	err := m.AddTask(vid, victimProfile(), &workload.Steady{CPU: 1.2, Threads: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,7 @@ func TestAgentDetectsAndCapsAntagonist(t *testing.T) {
 	// arrives and hammers the cache.
 	runSim(a, m, t0, 180)
 	aid := model.TaskID{Job: "mr", Index: 0}
-	if err := m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40}); err != nil {
+	if err := m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40}); err != nil {
 		t.Fatal(err)
 	}
 	a.RegisterTask(aid, mrJob)
@@ -138,7 +141,7 @@ func TestAgentVictimCPIRecoversUnderCap(t *testing.T) {
 	installSearchSpec(a)
 	runSim(a, m, t0, 120)
 	aid := model.TaskID{Job: "mr", Index: 0}
-	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	_ = m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
 	a.RegisterTask(aid, mrJob)
 	runSim(a, m, t0.Add(120*time.Second), 900)
 
@@ -264,7 +267,7 @@ func TestAgentNoSinkStillDetects(t *testing.T) {
 	a, m, _ := newRig(t, nil)
 	installSearchSpec(a)
 	aid := model.TaskID{Job: "mr", Index: 0}
-	_ = m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
+	_ = m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40})
 	a.RegisterTask(aid, mrJob)
 	incidents := runSim(a, m, t0, 700)
 	if len(incidents) == 0 {
@@ -279,7 +282,7 @@ func TestAgentUnregisteredTaskSamplesSkipped(t *testing.T) {
 	m := machine.New("m1", interference.DefaultMachine(model.PlatformA), 8, nil)
 	a := New(m, core.DefaultParams(), bus)
 	id := model.TaskID{Job: "stealth", Index: 0}
-	_ = m.AddTask(id, mrJob, antagonistProfile(), &workload.Steady{CPU: 1, Threads: 2})
+	_ = m.AddTask(id, antagonistProfile(), &workload.Steady{CPU: 1, Threads: 2})
 	runSim(a, m, t0, 130)
 	received, _ := bus.Stats()
 	if received != 0 {
@@ -296,25 +299,28 @@ func (r *recordingSink) Publish(samples []model.Sample) error {
 }
 
 // TestAgentSkipsUnjoinedMeasurements: a measurement joins to a task
-// only through the manager's table. A cgroup whose name is no task ID,
-// and the cgroup of a task registered and then exited, yield no
-// sample: nothing is quarantined, observed or published for them.
+// only through the manager's table. The counters of a task registered
+// and then exited, of a task placed but never registered, and of IDs
+// never placed nor registered yield no sample: nothing is quarantined,
+// observed or published for them.
 func TestAgentSkipsUnjoinedMeasurements(t *testing.T) {
 	sink := &recordingSink{}
 	a, m, vid := newRig(t, sink)
-	aid := model.TaskID{Job: "mr", Index: 0}
-	if err := m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 1, Threads: 2}); err != nil {
-		t.Fatal(err)
+	aid, unreg := model.TaskID{Job: "mr", Index: 0}, model.TaskID{Job: "mr", Index: 1}
+	for _, id := range []model.TaskID{aid, unreg} {
+		if err := m.AddTask(id, antagonistProfile(), &workload.Steady{CPU: 1, Threads: 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	a.RegisterTask(aid, mrJob)
 	a.TaskExited(aid) // the machine still counts its cgroup
-	// Cgroups that are no task: each counts as the victim does, so a
-	// join would make a valid sample of it.
+	// IDs no task here has: each counts as the victim does, so a join
+	// would make a valid sample of it.
 	a.readCounters = func(s *perfcnt.Snapshot) {
 		m.ReadCounters(s)
 		c, _ := m.TaskCounters(vid)
-		for _, cg := range []string{"system.slice", "search", "/0", "search/", "search/x"} {
-			s.Append(cg, c)
+		for _, id := range []model.TaskID{{Job: "search", Index: 1}, {Job: "searc"}, {Job: "search/0"}, {Job: "ghost", Index: 7}} {
+			s.Append(id, c)
 		}
 	}
 	runSim(a, m, t0, 190)
@@ -329,8 +335,8 @@ func TestAgentSkipsUnjoinedMeasurements(t *testing.T) {
 	if q := a.Validator().Quarantine.Total(); q != 0 {
 		t.Errorf("%d samples quarantined", q)
 	}
-	if a.Manager().CPISeries(aid) != nil {
-		t.Error("the exited task was observed")
+	if a.Manager().CPISeries(aid) != nil || a.Manager().CPISeries(unreg) != nil {
+		t.Error("the exited or the unregistered task was observed")
 	}
 	if s := a.Manager().CPISeries(vid); s == nil || s.Len() != 3 {
 		t.Error("the victim's three samples were not observed")

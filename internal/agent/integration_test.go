@@ -209,7 +209,7 @@ func TestFleetOverTCP(t *testing.T) {
 		// Two svc tasks per machine → 8 tasks fleet-wide (≥ MinTasks).
 		for j := 0; j < 2; j++ {
 			id := model.TaskID{Job: "svc", Index: i*2 + j}
-			if err := m.AddTask(id, svcJob, svcProfile, &workload.Steady{CPU: 1.0, Threads: 8}); err != nil {
+			if err := m.AddTask(id, svcProfile, &workload.Steady{CPU: 1.0, Threads: 8}); err != nil {
 				t.Fatal(err)
 			}
 			n.a.RegisterTask(id, svcJob)
@@ -285,11 +285,10 @@ func TestFleetOverTCP(t *testing.T) {
 	// Phase 2: an antagonist lands on machine 2 only.
 	antagJob := model.Job{Name: "hog", Class: model.ClassBatch, Priority: model.PriorityBatch}
 	antagID := model.TaskID{Job: "hog", Index: 0}
-	err = nodes[2].m.AddTask(antagID, antagJob,
-		&interference.Profile{
-			DefaultCPI: 1.5, CacheFootprint: 8, MemBandwidth: 6,
-			Sensitivity: 0.1, BaseL3MPKI: 12, NoiseSigma: 0.05,
-		}, &workload.Steady{CPU: 6, Threads: 16})
+	err = nodes[2].m.AddTask(antagID, &interference.Profile{
+		DefaultCPI: 1.5, CacheFootprint: 8, MemBandwidth: 6,
+		Sensitivity: 0.1, BaseL3MPKI: 12, NoiseSigma: 0.05,
+	}, &workload.Steady{CPU: 6, Threads: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

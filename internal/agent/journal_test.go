@@ -155,7 +155,7 @@ func TestAgentJournalRestartReconciliation(t *testing.T) {
 	a.Manager().SetJournal(j)
 	installSearchSpec(a)
 	aid := model.TaskID{Job: "mr", Index: 0}
-	if err := m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40}); err != nil {
+	if err := m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40}); err != nil {
 		t.Fatal(err)
 	}
 	a.RegisterTask(aid, mrJob)
@@ -186,7 +186,7 @@ func TestAgentJournalRestartReconciliation(t *testing.T) {
 	a2 := New(m, core.DefaultParams(), nil)
 	a2.Manager().SetJournal(j2)
 	for _, id := range m.Tasks() {
-		a2.RegisterTask(id, m.Task(id).Job)
+		a2.RegisterTask(id, rigJobs[id.Job])
 	}
 	installSearchSpec(a2)
 	adopted, orphaned := a2.Manager().Reconcile(now, recovered)

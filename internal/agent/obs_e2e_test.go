@@ -93,7 +93,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	for j := 0; j < 6; j++ {
 		id := model.TaskID{Job: "svc", Index: j}
-		if err := m.AddTask(id, svcJob, svcProfile, &workload.Steady{CPU: 1.0, Threads: 8}); err != nil {
+		if err := m.AddTask(id, svcProfile, &workload.Steady{CPU: 1.0, Threads: 8}); err != nil {
 			t.Fatal(err)
 		}
 		a.RegisterTask(id, svcJob)
@@ -134,7 +134,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// Phase 2: antagonist lands; run until a cap incident fires.
 	antagJob := model.Job{Name: "hog", Class: model.ClassBatch, Priority: model.PriorityBatch}
 	antagID := model.TaskID{Job: "hog", Index: 0}
-	err = m.AddTask(antagID, antagJob, &interference.Profile{
+	err = m.AddTask(antagID, &interference.Profile{
 		DefaultCPI: 1.5, CacheFootprint: 8, MemBandwidth: 6,
 		Sensitivity: 0.1, BaseL3MPKI: 12, NoiseSigma: 0.05,
 	}, &workload.Steady{CPU: 6, Threads: 16})

@@ -19,7 +19,7 @@ func TestAgentRestartRecovers(t *testing.T) {
 	a, m, _ := newRig(t, nil)
 	installSearchSpec(a)
 	aid := model.TaskID{Job: "mr", Index: 0}
-	if err := m.AddTask(aid, mrJob, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40}); err != nil {
+	if err := m.AddTask(aid, antagonistProfile(), &workload.Steady{CPU: 5, Threads: 40}); err != nil {
 		t.Fatal(err)
 	}
 	a.RegisterTask(aid, mrJob)
@@ -40,11 +40,12 @@ func TestAgentRestartRecovers(t *testing.T) {
 	// Daemon restart: a fresh agent takes over the same machine. The
 	// stale cap it no longer tracks is released (the real agent clears
 	// caps it does not own at startup), specs are re-pushed by the
-	// aggregator, and tasks re-registered from the machine's state.
+	// aggregator, and the machine's tasks re-registered under their
+	// jobs.
 	_ = m.Uncap(aid)
 	a2 := New(m, core.DefaultParams(), nil)
 	for _, id := range m.Tasks() {
-		a2.RegisterTask(id, m.Task(id).Job)
+		a2.RegisterTask(id, rigJobs[id.Job])
 	}
 	installSearchSpec(a2)
 

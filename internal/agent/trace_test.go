@@ -15,7 +15,7 @@ import (
 // record.
 func TestToSamplesTracedAllocatesAsUntraced(t *testing.T) {
 	a, _, vid := newRig(t, nil)
-	ms := []perfcnt.Measurement{{Cgroup: vid.String(), CPUUsage: 1.2, CPI: 1.1}}
+	ms := []perfcnt.Measurement{{Task: vid, CPUUsage: 1.2, CPI: 1.1}}
 	now := t0
 	build := func() {
 		now = now.Add(time.Minute)

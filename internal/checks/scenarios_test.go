@@ -108,7 +108,7 @@ func TestCommittedScenarios(t *testing.T) {
 					if !ok {
 						t.Fatalf("%v not placed", id)
 					}
-					if job := m.Task(id).Job; job.Class != k.class || job.Priority != want || job.NumTasks != tasks {
+					if job := c.Agent(m.Name()).Manager().Job(id.Job); job.Class != k.class || job.Priority != want || job.NumTasks != tasks {
 						t.Errorf("%s: class %v priority %v tasks %d, want %v %v %d",
 							id.Job, job.Class, job.Priority, job.NumTasks, k.class, want, tasks)
 					}

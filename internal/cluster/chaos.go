@@ -668,7 +668,7 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 		n.metrics.CapsActive.Add(-float64(len(old.Manager().ActiveCaps())))
 	}
 	for _, id := range n.m.Tasks() {
-		a.RegisterTask(id, n.m.Task(id).Job)
+		a.RegisterTask(id, c.jobs[id.Job].Job)
 	}
 	for s, bus := range c.buses {
 		if c.shardDown[s] {

@@ -574,7 +574,7 @@ func (c *Cluster) install(id model.TaskID, def *JobDef, p scheduler.Placement) {
 	i := c.midx[p.Machine]
 	n := c.nodes[i]
 	w := def.NewWorkload(id, c.rng.Fork("workload/"+id.String()))
-	if err := n.m.AddTask(id, def.Job, def.Profile, w); err != nil {
+	if err := n.m.AddTask(id, def.Profile, w); err != nil {
 		// Scheduler and machine disagree: a bug, surface loudly.
 		panic(fmt.Sprintf("cluster: machine rejected scheduled task: %v", err))
 	}

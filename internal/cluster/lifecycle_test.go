@@ -64,7 +64,7 @@ func TestFleetLifecycleInvariant(t *testing.T) {
 				resident[id.Job] = true
 				seen[i][id.Job] = true
 				// The scheduler's request rule: CPUPerTask, 1 when unset.
-				r := m.Task(id).Job.CPUPerTask
+				r := a.Manager().Job(id.Job).CPUPerTask
 				if r <= 0 {
 					r = 1
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -191,7 +192,7 @@ func (m *Manager) RegisterJob(j model.Job) {
 }
 
 // RegisterTask records a placed task and installs its job's metadata:
-// until TaskExited its samples join to it (RegisteredTask) and its
+// until TaskExited its samples are kept (KeepRegistered) and its
 // job's specs are wanted (Runs). A second call only updates the job.
 func (m *Manager) RegisterTask(id model.TaskID, job model.Job) {
 	m.mu.Lock()
@@ -206,20 +207,20 @@ func (m *Manager) RegisterTask(id model.TaskID, job model.Job) {
 	}
 }
 
-// RegisteredTask returns the task registered here whose cgroup is
-// named cgroup (by its TaskID's String), with the job name it was
-// registered under; false for any other name.
-func (m *Manager) RegisteredTask(cgroup string) (model.TaskID, bool) {
-	id, err := model.ParseTaskID(cgroup)
-	if err != nil {
-		return model.TaskID{}, false
-	}
+// KeepRegistered keeps, in place and in order, the samples of ss whose
+// task is registered here, under one lock for the batch.
+func (m *Manager) KeepRegistered(ss []model.Sample) []model.Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j := m.tasks[id].job; j != nil {
-		return model.TaskID{Job: j.Name, Index: id.Index}, true
-	}
-	return model.TaskID{}, false
+	return slices.DeleteFunc(ss, func(s model.Sample) bool { return m.tasks[s.Task].job == nil })
+}
+
+// Job returns the job called name as registered here, or jobLocked's
+// default (latency-sensitive) for a job never registered.
+func (m *Manager) Job(name model.JobName) model.Job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.jobLocked(name).Job
 }
 
 // Runs reports whether a registered task of job is here.
@@ -452,8 +453,7 @@ func (m *Manager) jobLocked(name model.JobName) *jobEntry {
 	return j
 }
 
-// CPISeries returns the recorded CPI series for a task (nil if
-// unknown).
+// CPISeries returns a task's recorded CPI series, nil if unknown.
 func (m *Manager) CPISeries(task model.TaskID) *timeseries.Series {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -316,6 +317,28 @@ func TestManagerTaskTable(t *testing.T) {
 		m.TaskExited(mr0)
 		if !moved() || m.Runs("mapreduce") {
 			t.Error("the last job left: the version stayed, or the job is still run here")
+		}
+	})
+
+	// The agent's join: one batch, one call, kept in order. Only the
+	// samples of tasks registered and not exited survive.
+	t.Run("join", func(t *testing.T) {
+		m := NewManager("m", DefaultParams(), newFakeCapper())
+		m.RegisterTask(search0, victimJob)
+		m.RegisterTask(mr0, batch)
+		m.TaskExited(mr0)
+		m.Observe(sampleAt("search", 7, day0, 1.0, 1.2)) // observed, never registered
+		m.RegisterJob(model.Job{Name: "bigtable", Class: model.ClassLatencySensitive})
+		var ss []model.Sample
+		for i, id := range []model.TaskID{search1, search0, mr0, {Job: "search", Index: 7}, {Job: "bigtable"}, search0} {
+			ss = append(ss, sampleAt(id.Job, id.Index, day0.Add(time.Duration(i)*time.Minute), 1.0, 1.2))
+		}
+		want := []model.Sample{ss[1], ss[5]}
+		if got := m.KeepRegistered(ss); !slices.Equal(got, want) {
+			t.Errorf("kept %+v, want %v's two samples in order", got, search0)
+		}
+		if len(m.KeepRegistered(nil)) != 0 {
+			t.Error("an empty batch kept a sample")
 		}
 	})
 

@@ -37,7 +37,7 @@ func extNUMA(o Options) (*Report, error) {
 			Sensitivity: 1.2, BaseL3MPKI: 2, NoiseSigma: 0.05,
 		}
 		vjob := model.Job{Name: "svc", Class: model.ClassLatencySensitive, Priority: model.PriorityProduction}
-		if err := m.AddTask(victim, vjob, vprof, &workload.Steady{CPU: 1.2, Threads: 12}); err != nil {
+		if err := m.AddTask(victim, vprof, &workload.Steady{CPU: 1.2, Threads: 12}); err != nil {
 			panic(err)
 		}
 		a.RegisterTask(victim, vjob)
@@ -51,7 +51,7 @@ func extNUMA(o Options) (*Report, error) {
 		// not the cache.
 		antag := model.TaskID{Job: "hog", Index: 0}
 		ajob := model.Job{Name: "hog", Class: model.ClassBatch, Priority: model.PriorityBatch}
-		if err := m.AddTask(antag, ajob, &interference.Profile{
+		if err := m.AddTask(antag, &interference.Profile{
 			DefaultCPI: 1.5, CacheFootprint: 8, MemBandwidth: 6,
 			Sensitivity: 0.1, BaseL3MPKI: 12, NoiseSigma: 0.05,
 		}, &workload.Steady{CPU: 6, Threads: 16}); err != nil {

@@ -52,7 +52,7 @@ func extStraggler(o Options) (*Report, error) {
 			DefaultCPI: 1.0, CacheFootprint: 1.2, MemBandwidth: 0.6,
 			Sensitivity: 1.2, BaseL3MPKI: 2, NoiseSigma: 0.05,
 		}
-		if err := machines[0].AddTask(victim, vjob, vprof, &workload.Steady{CPU: 1.2, Threads: 12}); err != nil {
+		if err := machines[0].AddTask(victim, vprof, &workload.Steady{CPU: 1.2, Threads: 12}); err != nil {
 			panic(err)
 		}
 		agents[0].RegisterTask(victim, vjob)
@@ -72,7 +72,7 @@ func extStraggler(o Options) (*Report, error) {
 		}
 		for i := 0; i < nMachines; i++ {
 			id := model.TaskID{Job: "mr", Index: i}
-			if err := machines[i].AddTask(id, mrJob, mrProf, master.NewWorker(4)); err != nil {
+			if err := machines[i].AddTask(id, mrProf, master.NewWorker(4)); err != nil {
 				panic(err)
 			}
 			agents[i].RegisterTask(id, mrJob)

@@ -72,7 +72,7 @@ func (r *caseRig) plot(victim, antag model.TaskID) {
 }
 
 func (r *caseRig) add(id model.TaskID, job model.Job, p *interference.Profile, w machine.Workload) {
-	if err := r.m.AddTask(id, job, p, w); err != nil {
+	if err := r.m.AddTask(id, p, w); err != nil {
 		panic(err)
 	}
 	r.a.RegisterTask(id, job)

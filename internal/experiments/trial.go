@@ -158,7 +158,7 @@ func runTrial(cfg trialConfig) trialResult {
 		ProtectionEligible: true,
 	}
 	vprof := trialVictimProfile(cfg.production)
-	if err := m.AddTask(trialVictimID, victimJob, vprof, trialVictimWorkload(cfg.production)); err != nil {
+	if err := m.AddTask(trialVictimID, vprof, trialVictimWorkload(cfg.production)); err != nil {
 		panic(err)
 	}
 	a.RegisterTask(trialVictimID, victimJob)
@@ -193,7 +193,7 @@ func runTrial(cfg trialConfig) trialResult {
 	for i := 0; i < cfg.background; i++ {
 		id := model.TaskID{Job: "bg", Index: i}
 		cpu := cfg.backgroundCPU * (0.5 + bgRng.Float64())
-		if err := m.AddTask(id, bgJob, bgProfile,
+		if err := m.AddTask(id, bgProfile,
 			&workload.Steady{CPU: cpu, Threads: 4 + bgRng.Intn(8)}); err != nil {
 			panic(err)
 		}
@@ -215,7 +215,7 @@ func runTrial(cfg trialConfig) trialResult {
 			Phase:   time.Duration(bgRng.Intn(600)) * time.Second,
 			Threads: 6,
 		}
-		if err := m.AddTask(id, burstyJob, bgProfile, w); err != nil {
+		if err := m.AddTask(id, bgProfile, w); err != nil {
 			panic(err)
 		}
 		a.RegisterTask(id, burstyJob)
@@ -268,7 +268,7 @@ func runTrial(cfg trialConfig) trialResult {
 	}
 	// Phase 2: the antagonist arrives (if configured).
 	if cfg.withAntagonist {
-		if err := m.AddTask(trialAntagID, antagJob, antagProfile,
+		if err := m.AddTask(trialAntagID, antagProfile,
 			&workload.Steady{CPU: antagCPU, Threads: 16}); err != nil {
 			panic(err)
 		}
@@ -292,7 +292,7 @@ func runTrial(cfg trialConfig) trialResult {
 	}
 	for s := 0; s < 25*60; s++ {
 		if cfg.secondAntagonist && s == 6*60 {
-			if err := m.AddTask(secondID, secondJob, secondProfile,
+			if err := m.AddTask(secondID, secondProfile,
 				&workload.Pulse{OnCPU: 4, OffCPU: 0.3, OnFor: 4 * time.Minute,
 					OffFor: 3 * time.Minute, Phase: 5 * time.Minute, Threads: 12}); err != nil {
 				panic(err)

@@ -39,15 +39,14 @@ type Workload interface {
 	Done() bool
 }
 
-// Task is one task instance placed on the machine.
+// Task is one task instance placed on the machine. Its job's metadata
+// is not the machine's: the node's CPI² manager keeps it, once per job.
 type Task struct {
 	ID       model.TaskID
-	Job      model.Job
 	Profile  *interference.Profile
 	Workload Workload
 
 	group  cgroup.Group
-	cg     string  // cached ID.String(): the cgroup name, hot in ReadCounters
 	slot   int     // index into the machine's counter column
 	base   float64 // uncontended CPI here, skew included: resolved at placement
 	socket int     // NUMA domain, assigned at placement
@@ -148,13 +147,12 @@ func (m *Machine) Task(id model.TaskID) *Task {
 }
 
 // AddTask places a task on the machine, creating its cgroup.
-func (m *Machine) AddTask(id model.TaskID, job model.Job, profile *interference.Profile, w Workload) error {
+func (m *Machine) AddTask(id model.TaskID, profile *interference.Profile, w Workload) error {
 	if _, ok := m.tasks[id]; ok {
 		return fmt.Errorf("machine %s: task %v already placed", m.name, id)
 	}
 	t := &Task{
-		ID: id, Job: job, Profile: profile, Workload: w,
-		cg:     id.String(),
+		ID: id, Profile: profile, Workload: w,
 		slot:   m.takeSlot(),
 		base:   profile.BaseOn(m.hw.Platform, profile.DrawSkew(m.rng)),
 		socket: m.pickSocket(),
@@ -292,12 +290,12 @@ func (m *Machine) ThreadCount() int {
 	return n
 }
 
-// ReadCounters fills dst with the cumulative per-cgroup counters — the
-// allocation-free snapshot read behind perfcnt.Sampler.Tick.
+// ReadCounters fills dst with each task's cumulative cgroup counters —
+// the allocation-free snapshot read behind perfcnt.Sampler.Tick.
 func (m *Machine) ReadCounters(dst *perfcnt.Snapshot) {
 	dst.Reset()
 	for _, t := range m.order {
-		dst.Append(t.cg, m.cnts[t.slot])
+		dst.Append(t.ID, m.cnts[t.slot])
 	}
 }
 

@@ -48,7 +48,7 @@ func addTask(t *testing.T, m *Machine, job string, idx int, cpu float64) (*fixed
 	t.Helper()
 	w := &fixedWorkload{cpu: cpu, threads: 4}
 	id := model.TaskID{Job: model.JobName(job), Index: idx}
-	err := m.AddTask(id, model.Job{Name: model.JobName(job), Class: model.ClassBatch}, testProfile(1.2), w)
+	err := m.AddTask(id, testProfile(1.2), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAddRemoveTask(t *testing.T) {
 	if m.Task(id) == nil {
 		t.Error("Task lookup failed")
 	}
-	if err := m.AddTask(id, model.Job{}, nil, &fixedWorkload{}); err == nil {
+	if err := m.AddTask(id, nil, &fixedWorkload{}); err == nil {
 		t.Error("duplicate placement should fail")
 	}
 	if err := m.RemoveTask(id); err != nil {
@@ -105,6 +105,11 @@ func TestTickGrantsAndCounters(t *testing.T) {
 	if cs.CPI() <= 0 {
 		t.Error("counter CPI missing")
 	}
+	var snap perfcnt.Snapshot
+	m.ReadCounters(&snap)
+	if len(snap.Tasks) != 1 || snap.Tasks[0] != id || snap.Counts[0] != cs {
+		t.Errorf("snapshot %+v, want %v's counters %+v", snap, id, cs)
+	}
 }
 
 func TestCapReducesUsageAndCPIOfVictimRecovers(t *testing.T) {
@@ -112,13 +117,13 @@ func TestCapReducesUsageAndCPIOfVictimRecovers(t *testing.T) {
 	victim := &fixedWorkload{cpu: 1, threads: 2}
 	vid := model.TaskID{Job: "victim", Index: 0}
 	vprof := &interference.Profile{DefaultCPI: 1.0, CacheFootprint: 1, MemBandwidth: 0.5, Sensitivity: 1.5, BaseL3MPKI: 2}
-	if err := m.AddTask(vid, model.Job{Name: "victim", Class: model.ClassLatencySensitive}, vprof, victim); err != nil {
+	if err := m.AddTask(vid, vprof, victim); err != nil {
 		t.Fatal(err)
 	}
 	antag := &fixedWorkload{cpu: 5, threads: 8}
 	aid := model.TaskID{Job: "antag", Index: 0}
 	aprof := &interference.Profile{DefaultCPI: 1.5, CacheFootprint: 10, MemBandwidth: 8, Sensitivity: 0.2, BaseL3MPKI: 12}
-	if err := m.AddTask(aid, model.Job{Name: "antag", Class: model.ClassBatch}, aprof, antag); err != nil {
+	if err := m.AddTask(aid, aprof, antag); err != nil {
 		t.Fatal(err)
 	}
 
@@ -202,8 +207,8 @@ func TestWorkloadExitReaped(t *testing.T) {
 	}
 	var snap perfcnt.Snapshot
 	m.ReadCounters(&snap)
-	if len(snap.Cgroups) != 0 {
-		t.Errorf("counters not cleaned up: %v", snap.Cgroups)
+	if len(snap.Tasks) != 0 {
+		t.Errorf("counters not cleaned up: %v", snap.Tasks)
 	}
 }
 
@@ -241,7 +246,7 @@ func TestSocketAssignmentBalances(t *testing.T) {
 	counts := map[int]int{}
 	for i := 0; i < 8; i++ {
 		id := model.TaskID{Job: "j", Index: i}
-		if err := m.AddTask(id, model.Job{Name: "j"}, testProfile(1.2), &fixedWorkload{cpu: 1, threads: 2}); err != nil {
+		if err := m.AddTask(id, testProfile(1.2), &fixedWorkload{cpu: 1, threads: 2}); err != nil {
 			t.Fatal(err)
 		}
 		counts[m.Task(id).Socket()]++
@@ -257,13 +262,13 @@ func TestCrossSocketTasksDoNotInterfere(t *testing.T) {
 	m := New("numa", hw, 16, nil)
 	victim := model.TaskID{Job: "victim", Index: 0}
 	vprof := &interference.Profile{DefaultCPI: 1.0, CacheFootprint: 1, MemBandwidth: 0.5, Sensitivity: 1.5, BaseL3MPKI: 2}
-	if err := m.AddTask(victim, model.Job{Name: "victim"}, vprof, &fixedWorkload{cpu: 1, threads: 2}); err != nil {
+	if err := m.AddTask(victim, vprof, &fixedWorkload{cpu: 1, threads: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Second placement balances onto socket 1.
 	antag := model.TaskID{Job: "antag", Index: 0}
 	aprof := &interference.Profile{DefaultCPI: 1.5, CacheFootprint: 10, MemBandwidth: 8, Sensitivity: 0.2, BaseL3MPKI: 12}
-	if err := m.AddTask(antag, model.Job{Name: "antag"}, aprof, &fixedWorkload{cpu: 6, threads: 8}); err != nil {
+	if err := m.AddTask(antag, aprof, &fixedWorkload{cpu: 6, threads: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Task(victim).Socket() == m.Task(antag).Socket() {
@@ -279,7 +284,7 @@ func TestNegativeDemandClamped(t *testing.T) {
 	m := newTestMachine(4)
 	w := &fixedWorkload{cpu: -5, threads: 1}
 	id := model.TaskID{Job: "j", Index: 0}
-	if err := m.AddTask(id, model.Job{}, testProfile(1), w); err != nil {
+	if err := m.AddTask(id, testProfile(1), w); err != nil {
 		t.Fatal(err)
 	}
 	ticks, _ := m.Tick(t0, time.Second)
@@ -390,7 +395,7 @@ func TestTickAllocBudget(t *testing.T) {
 	ids := make([]model.TaskID, 3)
 	for i, cpu := range []float64{2, 6, 3} {
 		ids[i] = model.TaskID{Job: model.JobName("j"), Index: i}
-		if err := m.AddTask(ids[i], model.Job{Name: "j", Class: model.ClassBatch}, testProfile(1.2), steadyWorkload{cpu}); err != nil {
+		if err := m.AddTask(ids[i], testProfile(1.2), steadyWorkload{cpu}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +458,7 @@ func TestPlacementBaseMatchesLookup(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			p := []*interference.Profile{skewed, noDefault, unskewed}[i%3]
 			id := model.TaskID{Job: "j", Index: i}
-			if err := m.AddTask(id, model.Job{Name: "j"}, p, steadyWorkload{cpu: 1}); err != nil {
+			if err := m.AddTask(id, p, steadyWorkload{cpu: 1}); err != nil {
 				t.Fatal(err)
 			}
 			want := lookup(p, pl)
@@ -478,7 +483,7 @@ func BenchmarkMachineTick(b *testing.B) {
 			p.NoiseSigma, p.DiurnalAmplitude, p.TaskSkewSigma = 0.08, 0.04, 0.1
 			for i := 0; i < n; i++ {
 				id := model.TaskID{Job: "j", Index: i}
-				if err := m.AddTask(id, model.Job{Name: "j", Class: model.ClassBatch}, p, steadyWorkload{cpu: 1 + float64(i%4)}); err != nil {
+				if err := m.AddTask(id, p, steadyWorkload{cpu: 1 + float64(i%4)}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -49,9 +49,19 @@ func (t TaskID) String() string {
 }
 
 // Compare orders task IDs exactly as comparing their String forms
-// does, without building either string. For slices.SortFunc.
+// does, without building either string. Equal IDs and jobs that differ
+// before the shorter ends decide alone; equal jobs leave the indices'
+// decimal forms; only a job that is a proper prefix of the other
+// writes both forms.
 func (t TaskID) Compare(u TaskID) int {
+	n := min(len(t.Job), len(u.Job))
+	if c := strings.Compare(string(t.Job[:n]), string(u.Job[:n])); c != 0 || t == u {
+		return c
+	}
 	var tb, ub [64]byte
+	if len(t.Job) == len(u.Job) {
+		return bytes.Compare(strconv.AppendInt(tb[:0], int64(t.Index), 10), strconv.AppendInt(ub[:0], int64(u.Index), 10))
+	}
 	return bytes.Compare(t.appendTo(tb[:0]), u.appendTo(ub[:0]))
 }
 

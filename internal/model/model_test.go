@@ -73,29 +73,42 @@ func TestTaskIDCompareMatchesString(t *testing.T) {
 }
 
 // FuzzTaskIDRoundTrip: a task's cgroup is named by its ID's String
-// form, and the agent joins each measurement to its task by parsing
-// that name back, so the name is input from outside the program. For
-// any task with a job name the parse gives the task back, without
-// allocating; no string makes ParseTaskID panic, and a string it
-// accepts is its task's String form.
+// form, and names read from outside the program (operator verbs, the
+// cap journal) are parsed back. For any task with a job name the parse
+// gives the task back, without allocating; no string makes ParseTaskID
+// panic, and a string it accepts is its task's String form. The
+// sampler orders counters by Compare, so on every fuzzed pair, on the
+// pair whose second job extends the first, and on the pair sharing the
+// first's job, Compare orders as the String forms do.
 func FuzzTaskIDRoundTrip(f *testing.F) {
-	f.Add("websearch-leaf", 42)
-	f.Add("a/b", 0)
-	f.Add("j/", -7)
-	f.Add("/", math.MaxInt)
-	f.Add("x", math.MinInt)
-	f.Add("j/+1", 1)
-	f.Fuzz(func(t *testing.T, job string, index int) {
+	f.Add("websearch-leaf", 42, "websearch", 417)
+	f.Add("a/b", 0, "a", 10)
+	f.Add("j/", -7, "j-", 7)
+	f.Add("/", math.MaxInt, "//", 0)
+	f.Add("x", math.MinInt, "x/1", 9)
+	f.Add("j/+1", 1, "/1", 10)
+	f.Add("web", 9, "-x", 10)
+	f.Fuzz(func(t *testing.T, job string, index int, other string, otherIndex int) {
 		if got, err := ParseTaskID(job); err == nil && got.String() != job {
 			t.Fatalf("ParseTaskID(%q) accepted %+v, whose name is %q", job, got, got.String())
+		}
+		a := TaskID{Job: JobName(job), Index: index}
+		for _, b := range []TaskID{
+			{Job: JobName(other), Index: otherIndex},
+			{Job: JobName(job + other), Index: otherIndex},
+			{Job: JobName(job), Index: otherIndex},
+		} {
+			want := strings.Compare(a.String(), b.String())
+			if got := a.Compare(b); max(-1, min(1, got)) != want {
+				t.Fatalf("%q.Compare(%q) = %d, want %d", a, b, got, want)
+			}
 		}
 		if job == "" {
 			return
 		}
-		id := TaskID{Job: JobName(job), Index: index}
-		name := id.String()
-		if got, err := ParseTaskID(name); err != nil || got != id {
-			t.Fatalf("ParseTaskID(%q) = %+v, %v; want %+v", name, got, err, id)
+		name := a.String()
+		if got, err := ParseTaskID(name); err != nil || got != a {
+			t.Fatalf("ParseTaskID(%q) = %+v, %v; want %+v", name, got, err, a)
 		}
 		if n := testing.AllocsPerRun(1, func() { _, _ = ParseTaskID(name) }); n != 0 {
 			t.Errorf("ParseTaskID(%q) allocates %v times", name, n)

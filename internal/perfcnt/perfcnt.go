@@ -1,18 +1,18 @@
 // Package perfcnt simulates the hardware performance-counter
 // infrastructure CPI² reads: per-cgroup counting-mode counters for
-// CPU_CLK_UNHALTED.REF, INSTRUCTIONS_RETIRED and L3 misses, plus the
-// duty-cycle sampler that counts for 10 seconds once a minute (§3.1).
-//
-// The paper's reasons for per-cgroup counting are preserved in the
-// design: counters belong to cgroups (not CPUs, which timeshare
-// unrelated tasks; not threads, which are too numerous), and counting
-// mode — reading totals over a window rather than sampling events —
-// keeps the cost fixed.
+// CPU_CLK_UNHALTED.REF, INSTRUCTIONS_RETIRED, L3 misses and CPU time,
+// read per task by its model.TaskID (each task has its own cgroup),
+// plus the duty-cycle sampler that counts for 10 s once a minute (§3.1).
+// Counters belong to cgroups, not CPUs (which timeshare unrelated
+// tasks) nor threads (too numerous); counting mode — totals over a
+// window, not sampled events — keeps the cost fixed.
 package perfcnt
 
 import (
 	"sort"
 	"time"
+
+	"repro/internal/model"
 )
 
 // Counters is a cumulative per-cgroup counter set. The zero value is
@@ -71,10 +71,10 @@ func (c Counters) L3MPKI() float64 {
 	return c.L3Misses / c.Instructions * 1000
 }
 
-// Measurement is one completed sampling window for one cgroup — the
-// raw material for a model.Sample.
+// Measurement is one completed sampling window for one task's cgroup
+// — the raw material for a model.Sample.
 type Measurement struct {
-	Cgroup string
+	Task model.TaskID
 	// Start and Duration delimit the sampling window.
 	Start    time.Time
 	Duration time.Duration
@@ -105,46 +105,46 @@ func (c *Config) sanitize() {
 	}
 }
 
-// Snapshot is a columnar copy of the per-cgroup cumulative counters:
-// Cgroups[i] names the group whose counters are Counts[i]. It is the
+// Snapshot is a columnar copy of the per-task cumulative counters:
+// Tasks[i] is the task whose cgroup's counters are Counts[i]. It is the
 // reusable buffer the sampler reads at window edges — a machine fills
 // one in place instead of building a fresh map per window boundary.
-// Fill both columns to equal length, in any order.
+// Fill both columns to equal length, in any order, one row per task.
 type Snapshot struct {
-	Cgroups []string
-	Counts  []Counters
+	Tasks  []model.TaskID
+	Counts []Counters
 }
 
 // Reset empties the snapshot, keeping capacity.
 func (s *Snapshot) Reset() {
-	s.Cgroups = s.Cgroups[:0]
+	s.Tasks = s.Tasks[:0]
 	s.Counts = s.Counts[:0]
 }
 
-// Append adds one cgroup's counters to the snapshot.
-func (s *Snapshot) Append(cg string, c Counters) {
-	s.Cgroups = append(s.Cgroups, cg)
+// Append adds one task's counters to the snapshot.
+func (s *Snapshot) Append(task model.TaskID, c Counters) {
+	s.Tasks = append(s.Tasks, task)
 	s.Counts = append(s.Counts, c)
 }
 
-// sort orders the snapshot columns by cgroup name. The sorter is a
-// pointer receiver so the sort.Interface conversion does not allocate.
+// sort orders the columns by task, as their String names order. The
+// pointer-receiver sorter keeps the sort.Interface conversion free.
 func (s *Snapshot) sort() { sort.Sort((*snapshotSorter)(s)) }
 
 type snapshotSorter Snapshot
 
-func (s *snapshotSorter) Len() int           { return len(s.Cgroups) }
-func (s *snapshotSorter) Less(a, b int) bool { return s.Cgroups[a] < s.Cgroups[b] }
+func (s *snapshotSorter) Len() int           { return len(s.Tasks) }
+func (s *snapshotSorter) Less(a, b int) bool { return s.Tasks[a].Compare(s.Tasks[b]) < 0 }
 func (s *snapshotSorter) Swap(a, b int) {
-	s.Cgroups[a], s.Cgroups[b] = s.Cgroups[b], s.Cgroups[a]
+	s.Tasks[a], s.Tasks[b] = s.Tasks[b], s.Tasks[a]
 	s.Counts[a], s.Counts[b] = s.Counts[b], s.Counts[a]
 }
 
 // Sampler implements the duty-cycle counting schedule. Drive it by
 // calling Tick with monotonically non-decreasing times and a reader
 // that fills a Snapshot with the current cumulative counters per
-// cgroup; whenever a counting window completes, Tick returns one
-// Measurement per cgroup that was present for the whole window and
+// task; whenever a counting window completes, Tick returns one
+// Measurement per task that was present for the whole window and
 // retired instructions.
 type Sampler struct {
 	cfg      Config
@@ -171,8 +171,8 @@ func NewSampler(cfg Config) *Sampler {
 // fills the supplied Snapshot in any order; the sampler sorts. The
 // returned Measurement slice is owned by the sampler and reused on the
 // next completed window — callers must consume it before the next
-// window closes. Measurements cover the cgroups present at both window
-// edges with positive retired-instruction deltas, sorted by cgroup.
+// window closes. Measurements cover the tasks present at both window
+// edges with positive retired-instruction deltas, sorted by task.
 func (s *Sampler) Tick(now time.Time, readInto func(*Snapshot)) []Measurement {
 	if !s.hasEpoch {
 		s.epoch = now
@@ -198,27 +198,27 @@ func (s *Sampler) Tick(now time.Time, readInto func(*Snapshot)) []Measurement {
 }
 
 // finish merges the sorted window-start and window-end snapshots with
-// two cursors, emitting a measurement per cgroup present in both with
+// two cursors, emitting a measurement per task present in both with
 // instructions retired. It uses the actual elapsed window: with coarse
 // Tick granularity the window may run longer than the configured
 // duration.
 func (s *Sampler) finish(now time.Time) []Measurement {
 	elapsed := now.Sub(s.start)
 	out := s.meas[:0]
-	prevCg, prevCnt := s.snap.Cgroups, s.snap.Counts
-	curCg, curCnt := s.cur.Cgroups, s.cur.Counts
+	prevID, prevCnt := s.snap.Tasks, s.snap.Counts
+	curID, curCnt := s.cur.Tasks, s.cur.Counts
 	i, j := 0, 0
-	for i < len(prevCg) && j < len(curCg) {
-		switch {
-		case prevCg[i] < curCg[j]: // vanished mid-window
+	for i < len(prevID) && j < len(curID) {
+		switch c := prevID[i].Compare(curID[j]); {
+		case c < 0: // vanished mid-window
 			i++
-		case prevCg[i] > curCg[j]: // appeared mid-window
+		case c > 0: // appeared mid-window
 			j++
 		default:
 			d := curCnt[j].Sub(prevCnt[i])
 			if d.Instructions > 0 { // idle or wrapped: no CPI defined
 				out = append(out, Measurement{
-					Cgroup:   curCg[j],
+					Task:     curID[j],
 					Start:    s.start,
 					Duration: elapsed,
 					CPUUsage: d.CPUSeconds / elapsed.Seconds(),

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -92,10 +93,13 @@ func TestConfigSanitize(t *testing.T) {
 	}
 }
 
+// task names a test task by its job, index 0.
+func task(job string) model.TaskID { return model.TaskID{Job: model.JobName(job)} }
+
 // reader returns a Snapshot reader over counters. It appends in map
 // order, which is random, so every test also exercises the sampler's
 // sort.
-func reader(counters map[string]Counters) func(*Snapshot) {
+func reader(counters map[model.TaskID]Counters) func(*Snapshot) {
 	return func(s *Snapshot) {
 		for k, v := range counters {
 			s.Append(k, v)
@@ -105,8 +109,8 @@ func reader(counters map[string]Counters) func(*Snapshot) {
 
 // driveSampler ticks the sampler once per second for total seconds,
 // with the given per-second counter update.
-func driveSampler(s *Sampler, start time.Time, total int, update func(sec int, m map[string]Counters)) []Measurement {
-	counters := map[string]Counters{}
+func driveSampler(s *Sampler, start time.Time, total int, update func(sec int, m map[model.TaskID]Counters)) []Measurement {
+	counters := map[model.TaskID]Counters{}
 	read := reader(counters)
 	var all []Measurement
 	for sec := 0; sec < total; sec++ {
@@ -120,10 +124,10 @@ func driveSampler(s *Sampler, start time.Time, total int, update func(sec int, m
 func TestSamplerDutyCycle(t *testing.T) {
 	s := NewSampler(paperConfig)
 	start := time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
-	ms := driveSampler(s, start, 180, func(sec int, m map[string]Counters) {
-		c := m["task"]
+	ms := driveSampler(s, start, 180, func(sec int, m map[model.TaskID]Counters) {
+		c := m[task("task")]
 		c.Accumulate(0.5, 2.0, 4, 2.6) // steady 0.5 CPU at CPI 2.0
-		m["task"] = c
+		m[task("task")] = c
 	})
 	// 3 minutes → 3 windows, but the last closes at t=190 (unseen), so
 	// expect 2 completed measurements at t≈10s and t≈70s... the third
@@ -133,8 +137,8 @@ func TestSamplerDutyCycle(t *testing.T) {
 		t.Fatalf("measurements = %d, want 3", len(ms))
 	}
 	for _, m := range ms {
-		if m.Cgroup != "task" {
-			t.Errorf("cgroup = %q", m.Cgroup)
+		if m.Task != task("task") {
+			t.Errorf("task = %v", m.Task)
 		}
 		if !almostEqual(m.CPUUsage, 0.5, 1e-9) {
 			t.Errorf("usage = %v, want 0.5", m.CPUUsage)
@@ -158,15 +162,15 @@ func TestSamplerDutyCycle(t *testing.T) {
 func TestSamplerSkipsIdleCgroups(t *testing.T) {
 	s := NewSampler(paperConfig)
 	start := time.Unix(0, 0).UTC()
-	ms := driveSampler(s, start, 61, func(sec int, m map[string]Counters) {
-		busy := m["busy"]
+	ms := driveSampler(s, start, 61, func(sec int, m map[model.TaskID]Counters) {
+		busy := m[task("busy")]
 		busy.Accumulate(1, 1.5, 2, 2.6)
-		m["busy"] = busy
-		if _, ok := m["idle"]; !ok {
-			m["idle"] = Counters{}
+		m[task("busy")] = busy
+		if _, ok := m[task("idle")]; !ok {
+			m[task("idle")] = Counters{}
 		}
 	})
-	if len(ms) != 1 || ms[0].Cgroup != "busy" {
+	if len(ms) != 1 || ms[0].Task != task("busy") {
 		t.Fatalf("measurements = %+v, want only busy", ms)
 	}
 }
@@ -174,11 +178,11 @@ func TestSamplerSkipsIdleCgroups(t *testing.T) {
 func TestSamplerSkipsMidWindowArrivals(t *testing.T) {
 	s := NewSampler(paperConfig)
 	start := time.Unix(0, 0).UTC()
-	ms := driveSampler(s, start, 61, func(sec int, m map[string]Counters) {
+	ms := driveSampler(s, start, 61, func(sec int, m map[model.TaskID]Counters) {
 		if sec >= 5 { // appears mid-window
-			c := m["late"]
+			c := m[task("late")]
 			c.Accumulate(1, 1.0, 1, 2.6)
-			m["late"] = c
+			m[task("late")] = c
 		}
 	})
 	// late appeared during [0,10) so that window skips it; it is
@@ -188,21 +192,60 @@ func TestSamplerSkipsMidWindowArrivals(t *testing.T) {
 	}
 }
 
+// TestSamplerDeterministicOrder: measurements come out in the order
+// of their tasks' String names, whatever order the reader appends in:
+// jobs that share a prefix, contain '-' or '/', and indices whose
+// numeric order is not their names' order.
 func TestSamplerDeterministicOrder(t *testing.T) {
+	want := []model.TaskID{
+		{Job: "alpha"}, {Job: "web-x"}, {Job: "web", Index: 10},
+		{Job: "web", Index: 9}, {Job: "web/a", Index: 1}, {Job: "zeta"},
+	}
 	s := NewSampler(paperConfig)
 	start := time.Unix(0, 0).UTC()
-	ms := driveSampler(s, start, 11, func(sec int, m map[string]Counters) {
-		for _, name := range []string{"zeta", "alpha", "mid"} {
-			c := m[name]
+	ms := driveSampler(s, start, 11, func(sec int, m map[model.TaskID]Counters) {
+		for _, id := range want {
+			c := m[id]
 			c.Accumulate(0.3, 1.2, 2, 2.6)
-			m[name] = c
+			m[id] = c
 		}
 	})
-	if len(ms) != 3 {
+	if len(ms) != len(want) {
 		t.Fatalf("got %d measurements", len(ms))
 	}
-	if ms[0].Cgroup != "alpha" || ms[1].Cgroup != "mid" || ms[2].Cgroup != "zeta" {
-		t.Errorf("order = %v %v %v", ms[0].Cgroup, ms[1].Cgroup, ms[2].Cgroup)
+	for i, m := range ms {
+		if m.Task != want[i] {
+			t.Errorf("measurement %d is of %v, want %v", i, m.Task, want[i])
+		}
+	}
+}
+
+// TestSamplerWindowAllocatesNothing: once its buffers are warm, a
+// counting window — two reads, two sorts and the merge — allocates
+// nothing.
+func TestSamplerWindowAllocatesNothing(t *testing.T) {
+	ids := []model.TaskID{{Job: "web", Index: 10}, {Job: "web", Index: 9}, {Job: "logproc"}, {Job: "bigtable", Index: 3}}
+	var c Counters
+	read := func(s *Snapshot) {
+		c.Accumulate(1, 1.5, 2, 2.6)
+		for i := len(ids) - 1; i >= 0; i-- { // reversed: the sort has work
+			s.Append(ids[i], c)
+		}
+	}
+	s := NewSampler(paperConfig)
+	now := time.Unix(0, 0).UTC()
+	var n int
+	window := func() {
+		s.Tick(now, read) // opens
+		n = len(s.Tick(now.Add(10*time.Second), read))
+		now = now.Add(time.Minute)
+	}
+	window()
+	if n != len(ids) {
+		t.Fatalf("a window measured %d tasks, want %d", n, len(ids))
+	}
+	if allocs := testing.AllocsPerRun(100, window); allocs != 0 {
+		t.Errorf("a warm window allocates %v times, want 0", allocs)
 	}
 }
 
@@ -210,15 +253,15 @@ func TestSamplerCoarseTicks(t *testing.T) {
 	// Driving the sampler at 30s granularity still yields sane
 	// measurements with the actual elapsed window.
 	s := NewSampler(paperConfig)
-	counters := map[string]Counters{}
+	counters := map[model.TaskID]Counters{}
 	read := reader(counters)
 	start := time.Unix(0, 0).UTC()
 	var all []Measurement
 	for sec := 0; sec <= 120; sec += 30 {
 		now := start.Add(time.Duration(sec) * time.Second)
-		c := counters["t"]
+		c := counters[task("t")]
 		c.Accumulate(30*0.5, 2.0, 3, 2.6)
-		counters["t"] = c
+		counters[task("t")] = c
 		all = append(all, s.Tick(now, read)...)
 	}
 	if len(all) == 0 {
@@ -333,8 +376,8 @@ func TestNegativeCycleDelta(t *testing.T) {
 func TestSamplerSkipsWrappedAndIdleWindows(t *testing.T) {
 	s := NewSampler(Config{Duration: 2 * time.Second, Interval: 4 * time.Second})
 	base := time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
-	big := map[string]Counters{"/a": {Cycles: 1e12, Instructions: 1e11, CPUSeconds: 100}}
-	small := map[string]Counters{"/a": {Cycles: 1e9, Instructions: 1e8, CPUSeconds: 1}}
+	big := map[model.TaskID]Counters{task("a"): {Cycles: 1e12, Instructions: 1e11, CPUSeconds: 100}}
+	small := map[model.TaskID]Counters{task("a"): {Cycles: 1e9, Instructions: 1e8, CPUSeconds: 1}}
 
 	if ms := s.Tick(base, reader(big)); len(ms) != 0 {
 		t.Fatalf("window open emitted %v", ms)
@@ -351,7 +394,7 @@ func TestSamplerSkipsWrappedAndIdleWindows(t *testing.T) {
 		t.Fatalf("idle window emitted %v", ms)
 	}
 	// Sanity: a healthy window still measures.
-	bigger := map[string]Counters{"/a": {Cycles: 2e9, Instructions: 1.5e8, CPUSeconds: 2}}
+	bigger := map[model.TaskID]Counters{task("a"): {Cycles: 2e9, Instructions: 1.5e8, CPUSeconds: 2}}
 	if ms := s.Tick(base.Add(8*time.Second), reader(small)); len(ms) != 0 {
 		t.Fatalf("window open emitted %v", ms)
 	}
