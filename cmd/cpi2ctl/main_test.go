@@ -104,7 +104,7 @@ func TestCommands(t *testing.T) {
 	var rec core.IncidentRecord
 	newest := incs[len(incs)-1]
 	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil || rec.Victim != "search/0" ||
-		rec.TraceID != newest.TraceID || !rec.Time.Equal(newest.Time) {
+		rec.TraceID != newest.TraceID.String() || !rec.Time.Equal(newest.Time) {
 		t.Errorf("incident line %q is not the newest incident record (%v)", lines[1], err)
 	}
 	ctl(1, "incidents", "x")
@@ -116,7 +116,7 @@ func TestCommands(t *testing.T) {
 			capInc = inc
 		}
 	}
-	for _, arg := range []string{capInc.TraceID, aid.String()} {
+	for _, arg := range []string{capInc.TraceID.String(), aid.String()} {
 		rows := ctl(0, "trace", arg)
 		var last map[string]any
 		if err := json.Unmarshal([]byte(rows[len(rows)-1]), &last); err != nil {

@@ -228,7 +228,7 @@ func TestControlIncidentsFromEventLog(t *testing.T) {
 			capInc = inc
 		}
 	}
-	if capInc.TraceID == "" {
+	if capInc.TraceID == (trace.ID{}) {
 		t.Fatalf("no incident targets %v", aid)
 	}
 	var rows []struct {
@@ -245,7 +245,7 @@ func TestControlIncidentsFromEventLog(t *testing.T) {
 		if i < len(rows)/2 {
 			stage = trace.StageDecision
 		}
-		if r.Stage != stage || r.TraceID != capInc.TraceID {
+		if r.Stage != stage || r.TraceID != capInc.TraceID.String() {
 			t.Errorf("trace mr/0 row %d %+v, want a %s row of trace %s", i, r, stage, capInc.TraceID)
 		}
 	}
@@ -271,28 +271,29 @@ func TestTraceDecisionOutlivesItsSpans(t *testing.T) {
 	a.RegisterTask(aid, mrJob)
 	var capInc core.Incident
 	now := t0
-	for ; now.Before(t0.Add(time.Hour)) && capInc.TraceID == ""; now = now.Add(time.Second) {
+	for ; now.Before(t0.Add(time.Hour)) && capInc.TraceID == (trace.ID{}); now = now.Add(time.Second) {
 		for _, inc := range runSim(a, m, now, 1) {
 			if inc.Decision.Action == core.ActionCap {
 				capInc = inc
 			}
 		}
 	}
-	if capInc.TraceID == "" || capInc.Reaction <= 0 || len(tr.ByTrace(capInc.TraceID)) == 0 {
-		t.Fatalf("cap incident %+v with %d spans; the test needs a traced cap with a reaction time", capInc, len(tr.ByTrace(capInc.TraceID)))
+	id := capInc.TraceID.String()
+	if id == "" || capInc.Reaction <= 0 || len(tr.ByTrace(id)) == 0 {
+		t.Fatalf("cap incident %+v with %d spans; the test needs a traced cap with a reaction time", capInc, len(tr.ByTrace(id)))
 	}
 	runSim(a, m, now, int((p.LookBack() + 5*time.Minute).Seconds()))
-	if sp := tr.ByTrace(capInc.TraceID); sp != nil || !m.IsCapped(aid) {
+	if sp := tr.ByTrace(id); sp != nil || !m.IsCapped(aid) {
 		t.Fatalf("past the horizon: %d spans remain, capped %v; want none and the cap live", len(sp), m.IsCapped(aid))
 	}
-	for _, arg := range []string{capInc.TraceID, aid.String()} {
+	for _, arg := range []string{id, aid.String()} {
 		var rows []map[string]any
 		getJSON(t, url+"/debug/trace?id="+arg, &rows)
 		if len(rows) != 2 || rows[0]["stage"] != trace.StageDecision || rows[1]["stage"] != "incident" {
 			t.Fatalf("trace %s = %v, want the decision row and the incident row", arg, rows)
 		}
-		if rows[0]["queue_seconds"] != capInc.Reaction.Seconds() || rows[0]["detail"] != "cap mr/0" || rows[1]["trace_id"] != capInc.TraceID {
-			t.Errorf("trace %s = %v, want queue_seconds %v and detail \"cap mr/0\" of trace %s", arg, rows, capInc.Reaction.Seconds(), capInc.TraceID)
+		if rows[0]["queue_seconds"] != capInc.Reaction.Seconds() || rows[0]["detail"] != "cap mr/0" || rows[1]["trace_id"] != id {
+			t.Errorf("trace %s = %v, want queue_seconds %v and detail \"cap mr/0\" of trace %s", arg, rows, capInc.Reaction.Seconds(), id)
 		}
 	}
 }
@@ -302,8 +303,9 @@ func TestTraceDecisionOutlivesItsSpans(t *testing.T) {
 // seconds, and the action with its target, if any, as detail.
 func TestDecisionSpan(t *testing.T) {
 	at := time.Date(2011, 11, 1, 3, 0, 0, 5, time.UTC)
-	id, task := trace.SampleTraceID("machine-0001", 7), model.TaskID{Job: "video", Index: 3}
-	inc := core.Incident{Time: at, Machine: "machine-0001", Victim: task, TraceID: id}
+	tid, task := trace.SampleID("machine-0001", 7), model.TaskID{Job: "video", Index: 3}
+	inc := core.Incident{Time: at, Machine: "machine-0001", Victim: task, TraceID: tid}
+	id := tid.String()
 	capped := inc
 	capped.Decision, capped.Reaction = core.Decision{Action: core.ActionCap, Target: task}, 42*time.Second
 	for _, c := range []struct {

@@ -151,7 +151,6 @@ func (a *Agent) toSamples(now time.Time, ms []perfcnt.Measurement) []model.Sampl
 	// identical at any cluster worker count and under any fault plan.
 	a.seq++
 	id := trace.SampleID(a.mach.Name(), a.seq)
-	tid := id.String()
 	out := a.sampleBuf[:0]
 	for _, m := range ms {
 		out = append(out, model.Sample{
@@ -162,7 +161,7 @@ func (a *Agent) toSamples(now time.Time, ms []perfcnt.Measurement) []model.Sampl
 			CPUUsage:  m.CPUUsage,
 			CPI:       m.CPI,
 			Machine:   a.mach.Name(),
-			TraceID:   tid,
+			TraceID:   id,
 		})
 	}
 	out = a.manager.KeepRegistered(out)

@@ -9,10 +9,9 @@ import (
 	"repro/internal/perfcnt"
 )
 
-// TestToSamplesTracedAllocatesAsUntraced: building a sample batch makes
-// as many allocations with tracing on as with it off — the batch's trace
-// id string, which the samples carry either way. The sample span is a
-// record.
+// TestToSamplesTracedAllocatesAsUntraced: building a warm sample batch
+// allocates nothing, with tracing on or off: the samples carry the
+// batch's trace id as a value, and the sample span is a record.
 func TestToSamplesTracedAllocatesAsUntraced(t *testing.T) {
 	a, _, vid := newRig(t, nil)
 	ms := []perfcnt.Measurement{{Task: vid, CPUUsage: 1.2, CPI: 1.1}}
@@ -31,8 +30,8 @@ func TestToSamplesTracedAllocatesAsUntraced(t *testing.T) {
 	for i := 0; i < 64; i++ { // past the horizon: the store holds what it will
 		build()
 	}
-	if on := testing.AllocsPerRun(100, build); on != off {
-		t.Errorf("a traced batch costs %v allocations, an untraced one %v", on, off)
+	if on := testing.AllocsPerRun(100, build); on != 0 || off != 0 {
+		t.Errorf("a traced batch costs %v allocations, an untraced one %v; want 0", on, off)
 	}
 	if st.StageCount(trace.StageSample) != 64+101 {
 		t.Errorf("%d sample spans, want %d", st.StageCount(trace.StageSample), 64+101)

@@ -150,7 +150,8 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 	if inc == nil {
 		t.Fatal("no cap incident in the run; the experiment is vacuous")
 	}
-	if inc.TraceID == "" {
+	traceID := inc.TraceID.String()
+	if traceID == "" {
 		t.Fatal("cap incident carries no trace ID")
 	}
 
@@ -202,15 +203,15 @@ func TestTraceCommandReconstructsChain(t *testing.T) {
 	// Raw trace-ID form: the chain must contain the originating sample
 	// span, the detection, the decision, and the incident itself, in
 	// control-loop order, all under the same trace ID.
-	rows := query(inc.TraceID)
+	rows := query(traceID)
 	stages := make(map[string]int)
 	order := make([]string, 0, len(rows))
 	for _, row := range rows {
 		stage, _ := row["stage"].(string)
 		stages[stage]++
 		order = append(order, stage)
-		if id, _ := row["trace_id"].(string); id != inc.TraceID {
-			t.Errorf("row %v carries trace %q, want %q", row, id, inc.TraceID)
+		if id, _ := row["trace_id"].(string); id != traceID {
+			t.Errorf("row %v carries trace %q, want %q", row, id, traceID)
 		}
 	}
 	for _, want := range []string{trace.StageSample, trace.StageDetect, trace.StageDecision, "incident"} {

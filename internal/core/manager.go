@@ -37,7 +37,7 @@ type Incident struct {
 	// TraceID is the causal-tracing context of the sample batch that
 	// triggered the incident, joining it to the obs/trace span stores
 	// and the forensics table ("why was this task capped?").
-	TraceID string
+	TraceID trace.ID
 	// Identifier names the identification algorithm that ranked the
 	// suspects (see NewIdentifier), so incident streams mixing
 	// algorithms — A/B rollouts, per-cell configs — stay attributable.
@@ -308,7 +308,7 @@ func (m *Manager) Observe(s model.Sample) *Incident {
 	}
 	metrics.Anomalies.Inc()
 	if tracer != nil {
-		tracer.Detect(trace.ParseID(s.TraceID), m.machine, name, s.Timestamp, a.SpecAge.Seconds(), s.CPI, a.Threshold)
+		tracer.Detect(s.TraceID, m.machine, name, s.Timestamp, a.SpecAge.Seconds(), s.CPI, a.Threshold)
 	}
 	return m.analyse(s, a)
 }

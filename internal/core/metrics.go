@@ -167,7 +167,7 @@ func (inc Incident) Record() IncidentRecord {
 		Threshold:  inc.Threshold,
 		Action:     inc.Decision.Action.String(),
 		Reason:     inc.Decision.Reason,
-		TraceID:    inc.TraceID,
+		TraceID:    inc.TraceID.String(),
 		Identifier: inc.Identifier,
 		Reaction:   inc.Reaction,
 	}

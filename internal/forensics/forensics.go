@@ -127,7 +127,7 @@ func row(inc core.Incident) []interface{} {
 		correlation,
 		inc.Decision.Action.String(),
 		inc.Decision.Quota,
-		inc.TraceID,
+		inc.TraceID.String(),
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs/trace"
 )
 
 // eagerRow is the row the store used to build at Add time, kept
@@ -45,7 +46,7 @@ func eagerRow(inc core.Incident) []interface{} {
 		correlation,
 		inc.Decision.Action.String(),
 		inc.Decision.Quota,
-		inc.TraceID,
+		inc.TraceID.String(),
 	}
 }
 
@@ -121,7 +122,7 @@ func incidentStream(seed uint64, n int) ([]core.Incident, streamCoverage) {
 			cov.group++
 		}
 		if r.IntN(3) > 0 {
-			inc.TraceID = fmt.Sprintf("%016x", r.Uint64())
+			inc.TraceID = trace.ParseID(fmt.Sprintf("%016x", r.Uint64()))
 		} else {
 			cov.emptyTrace++
 		}

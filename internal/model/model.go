@@ -17,6 +17,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/obs/trace"
 )
 
 // Platform identifies a hardware platform (CPU type). CPI is a
@@ -181,9 +183,9 @@ type Sample struct {
 	CPI       float64   `json:"cpi"`
 	Machine   string    `json:"machine"`
 	// TraceID is the causal-tracing context stamped on the batch the
-	// sample was reported in (obs/trace). Optional: absent on frames
-	// from older agents, and Validate deliberately ignores it.
-	TraceID string `json:"trace_id,omitempty"`
+	// sample was reported in (obs/trace); the zero ID is none. Validate
+	// deliberately ignores it.
+	TraceID trace.ID `json:"trace_id"`
 }
 
 // Spec is the aggregated CPI prediction for one job on one platform —

@@ -21,7 +21,7 @@
 //
 // The package is stdlib-only and deliberately does not import
 // internal/model: IDs are derived from plain strings so every layer
-// (pipeline, core, agent, cluster) can use it without cycles.
+// (model, pipeline, core, agent, cluster) can use it without cycles.
 package trace
 
 import (
@@ -153,10 +153,8 @@ func SpecID(job, platform string, updatedAt time.Time) ID {
 	return hashSeq(hashString(h, platform), uint64(updatedAt.UnixNano()))
 }
 
-// SampleTraceID is SampleID as a string, the form a sample carries.
-func SampleTraceID(machine string, seq uint64) string {
-	return SampleID(machine, seq).String()
-}
+// SampleTraceID is SampleID; only the benchmark generator still calls it.
+func SampleTraceID(machine string, seq uint64) ID { return SampleID(machine, seq) }
 
 // ParseID reads the 16-lowercase-hex-digit form. Anything else — the
 // empty string, a legacy or hostile ID off the wire — is no ID.
@@ -206,6 +204,12 @@ func (id ID) String() string {
 	var buf [16]byte
 	return string(id.AppendTo(buf[:0]))
 }
+
+// MarshalText renders the ID as String does, so JSON shows the hex.
+func (id ID) MarshalText() ([]byte, error) { return id.AppendTo(nil), nil }
+
+// UnmarshalText reads the ID as ParseID does.
+func (id *ID) UnmarshalText(b []byte) error { *id = ParseID(string(b)); return nil }
 
 // Name is a span's key or peer as its producer keeps it: a pointer to
 // one string the producer built once, so that a record holds 8 bytes

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
@@ -13,16 +14,19 @@ import (
 )
 
 func TestDeterministicIDs(t *testing.T) {
-	a := SampleTraceID("m003", 17)
-	b := SampleTraceID("m003", 17)
+	a := SampleID("m003", 17).String()
+	b := SampleID("m003", 17).String()
 	if a != b {
-		t.Fatalf("SampleTraceID not deterministic: %q vs %q", a, b)
+		t.Fatalf("SampleID not deterministic: %q vs %q", a, b)
 	}
-	if a == SampleTraceID("m004", 17) || a == SampleTraceID("m003", 18) {
-		t.Fatalf("SampleTraceID collides across machine/seq")
+	if a == SampleID("m004", 17).String() || a == SampleID("m003", 18).String() {
+		t.Fatalf("SampleID collides across machine/seq")
 	}
 	if len(a) != 16 {
-		t.Fatalf("SampleTraceID length = %d, want 16", len(a))
+		t.Fatalf("SampleID length = %d, want 16", len(a))
+	}
+	if SampleTraceID("m003", 17) != SampleID("m003", 17) {
+		t.Fatalf("SampleTraceID is not SampleID")
 	}
 
 	at := time.Date(2011, 11, 1, 3, 0, 0, 0, time.UTC)
@@ -55,8 +59,8 @@ func TestIDsAreFNV1a(t *testing.T) {
 	at := time.Date(2011, 11, 1, 3, 0, 0, 123456789, time.UTC)
 	for _, name := range []string{"", "m003", "websearch-leaf@platform-B", "näme\x00with zero"} {
 		for _, n := range []uint64{0, 1, 17, 1 << 40, ^uint64(0)} {
-			if got, want := SampleTraceID(name, n), ref(name, n); got != want {
-				t.Errorf("SampleTraceID(%q, %d) = %s, want %s", name, n, got, want)
+			if got, want := SampleID(name, n).String(), ref(name, n); got != want {
+				t.Errorf("SampleID(%q, %d) = %s, want %s", name, n, got, want)
 			}
 		}
 	}
@@ -73,7 +77,7 @@ func TestIDsAreFNV1a(t *testing.T) {
 // TestParseID: only 16 lowercase hex digits are an ID; anything else is
 // recorded as no ID and renders "". A real all-zero hash still renders.
 func TestParseID(t *testing.T) {
-	for _, s := range []string{"0123456789abcdef", "0000000000000000", "ffffffffffffffff", SampleTraceID("m", 3)} {
+	for _, s := range []string{"0123456789abcdef", "0000000000000000", "ffffffffffffffff", SampleID("m", 3).String()} {
 		if got := ParseID(s).String(); got != s {
 			t.Errorf("ParseID(%q) renders %q", s, got)
 		}
@@ -96,6 +100,21 @@ func TestParseID(t *testing.T) {
 	}
 	if sp := s.ByTrace("forged"); sp != nil {
 		t.Errorf("ByTrace(forged) = %+v", sp)
+	}
+}
+
+// TestIDText: an ID is its hex digits as JSON, "" for no ID, and reads
+// back as ParseID reads them.
+func TestIDText(t *testing.T) {
+	id := SampleID("m", 3)
+	b, err := json.Marshal(struct{ A, B ID }{A: id})
+	if want := `{"A":"` + id.String() + `","B":""}`; err != nil || string(b) != want {
+		t.Fatalf("json = %s, %v, want %s", b, err, want)
+	}
+	var got struct{ A, B, C ID }
+	if err := json.Unmarshal([]byte(`{"A":"`+id.String()+`","B":"","C":"0123456789ABCDEF"}`), &got); err != nil ||
+		got.A != id || got.B != (ID{}) || got.C != (ID{}) {
+		t.Errorf("unmarshal = %+v, %v, want %v and two no-IDs", got, err, id)
 	}
 }
 
@@ -126,7 +145,7 @@ func TestRenderMatchesProducerFormats(t *testing.T) {
 	at := time.Date(2011, 11, 1, 3, 0, 0, 5, time.UTC)
 	key, task := NewName("websearch@platform-B"), NewName("video/3")
 	addEvery(s, at, key, task)
-	id, spec := SampleTraceID("machine-0001", 7), SpecID("websearch", "platform-B", at).String()
+	id, spec := SampleID("machine-0001", 7).String(), SpecID("websearch", "platform-B", at).String()
 	want := []Span{
 		{TraceID: id, Stage: StageSample, Machine: "machine-0001", Time: at, Detail: fmt.Sprintf("%d samples", 37)},
 		{TraceID: id, Stage: StageSpool, Machine: "machine-0001", Time: at, QueueSeconds: 12.5, Detail: fmt.Sprintf("replayed %d samples", 37)},
@@ -242,7 +261,7 @@ func TestNilStoreSafe(t *testing.T) {
 	var s *Store
 	s.SetHorizon(time.Minute)
 	addEvery(s, time.Time{}, Name{}, Name{})
-	if total(s) != 0 || s.Recent(5) != nil || s.ByTrace(SampleTraceID("m", 1)) != nil || s.StageCount(StageSample) != 0 {
+	if total(s) != 0 || s.Recent(5) != nil || s.ByTrace(SampleID("m", 1).String()) != nil || s.StageCount(StageSample) != 0 {
 		t.Fatalf("nil store misbehaved")
 	}
 }
@@ -262,7 +281,7 @@ func TestStoreConcurrent(t *testing.T) {
 				s.Ingest(SampleID("m", uint64(g*1000+i)), fmt.Sprintf("m%d", g), "shard-0", when, 1, 1)
 				s.SpecPush(SpecID("websearch", "platform-B", when), "shard-0", key, when, g)
 				s.Recent(10)
-				s.ByTrace(SampleTraceID("m", uint64(i)))
+				s.ByTrace(SampleID("m", uint64(i)).String())
 				s.StageCount(StageIngest)
 			}
 		}(g)
@@ -312,14 +331,14 @@ func TestHorizonFollowsTheSpanJustAdded(t *testing.T) {
 	s.SetHorizon(20 * time.Minute)
 	s.Sample(SampleID("m", 0), "m", day(0), 5)
 	s.Ingest(SampleID("far", 0), "far", "shard-0", day(100*24*60), 5, 5)
-	if got := s.ByTrace(SampleTraceID("m", 0)); got != nil {
+	if got := s.ByTrace(SampleID("m", 0).String()); got != nil {
 		t.Fatalf("a span a hundred days older than the one just added remains: %+v", got)
 	}
 	for m := 1; m <= 10; m++ {
 		s.Sample(SampleID("m", uint64(m)), "m", day(m), 5)
 	}
 	for m := 1; m <= 10; m++ {
-		if got := s.ByTrace(SampleTraceID("m", uint64(m))); len(got) != 1 {
+		if got := s.ByTrace(SampleID("m", uint64(m)).String()); len(got) != 1 {
 			t.Fatalf("minute %d's span, within the horizon of the newest at minute 10, is gone", m)
 		}
 	}
@@ -382,7 +401,7 @@ func TestCapacityCaps(t *testing.T) {
 			}
 		}
 		all := s.Recent(0)
-		if len(all) != 8 || all[0].Stage != StageSpecPush || all[7].TraceID != SampleTraceID("m", 99) {
+		if len(all) != 8 || all[0].Stage != StageSpecPush || all[7].TraceID != SampleID("m", 99).String() {
 			t.Fatalf("horizon %v: at capacity: %+v", horizon, all)
 		}
 		for i := 0; i < 100; i++ {
@@ -469,7 +488,7 @@ func TestManySpecKeys(t *testing.T) {
 			t.Errorf("key %s: %d of its newest build and push remain, want %d", names[i], len(got), want)
 		}
 	}
-	if got := all[len(all)-100:]; got[0].TraceID != SampleTraceID("m", uint64(100*(r-1))) || got[99].Stage != StageIngest {
+	if got := all[len(all)-100:]; got[0].TraceID != SampleID("m", uint64(100*(r-1))).String() || got[99].Stage != StageIngest {
 		t.Errorf("the round's 100 ingests are not the newest spans held: %+v", got[0])
 	}
 	if len(s.nodes) > s.capacity || len(s.heads) > keys*2 {

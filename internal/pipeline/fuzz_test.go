@@ -5,11 +5,13 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/obs/trace"
 )
 
 // FuzzWireDecode feeds the frame reader what a peer that is not wire v2
@@ -52,7 +54,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("stream starting %#02x: err = %v, want a refusal wrapping errBadFrame", stream[0], err)
 			}
 			if err != nil {
-				if msg.Type != 0 || msg.Samples != nil || msg.Jobs != nil || msg.Spec != (model.Spec{}) || msg.TraceID != "" {
+				if msg.Type != 0 || msg.Samples != nil || msg.Jobs != nil || msg.Spec != (model.Spec{}) || msg.TraceID != (trace.ID{}) {
 					t.Fatalf("error %v returned non-zero message %+v", err, msg)
 				}
 				return
@@ -138,13 +140,13 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	sample := model.Sample{
 		Job: "websearch", Task: model.TaskID{Job: "websearch", Index: 3},
 		Platform: model.PlatformA, Timestamp: time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC),
-		CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: "00c0ffee00c0ffee",
+		CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: trace.ParseID("00c0ffee00c0ffee"),
 	}
 	for _, msg := range []wireMsg{
 		{Type: msgSamples, Samples: []model.Sample{sample}},
 		{Type: msgSubscribe},
 		{Type: msgSubscribe, Jobs: []model.SpecKey{{Job: "websearch", Platform: model.PlatformA}}},
-		{Type: msgSpec, TraceID: "feedfacefeedface",
+		{Type: msgSpec, TraceID: trace.ParseID("feedfacefeedface"),
 			Spec: model.Spec{Job: "websearch", Platform: model.PlatformA, CPIMean: 1.6, CPIStddev: 0.2}},
 	} {
 		f.Add(appendBinaryFrame(nil, msg))
@@ -179,20 +181,26 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	// other platform.
 	spec := model.Spec{Job: "websearch", Platform: model.PlatformA, NumSamples: 48211, NumTasks: 640,
 		CPUUsageMean: 1.37, CPIMean: 1.82, CPIStddev: 0.21, UpdatedAt: time.Date(2011, 11, 2, 12, 0, 0, 0, time.UTC)}
-	refresh := appendBinaryFrame(nil, wireMsg{Type: msgSpec, Spec: spec, TraceID: "5f1d6c0a9b3e4d27"})
-	refresh = appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: "5f1d6c0a9b3e4d28"})
+	refresh := appendBinaryFrame(nil, wireMsg{Type: msgSpec, Spec: spec, TraceID: trace.ParseID("5f1d6c0a9b3e4d27")})
+	refresh = appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: trace.ParseID("5f1d6c0a9b3e4d28")})
 	spec.Platform = model.PlatformB
-	f.Add(appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: "5f1d6c0a9b3e4d29"}))
+	f.Add(appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: trace.ParseID("5f1d6c0a9b3e4d29")}))
 	// The decoder carries state from frame to frame (reused sample slots,
 	// string memos), so every input also goes through a reader that has
 	// already decoded unrelated frames sharing some of its strings — a
 	// sample batch, and a spec whose platform name is a job name of the
 	// input's; the two readers must agree message for message.
 	warm := sample
-	warm.Task.Job, warm.Machine, warm.TraceID = "elsewhere", "m0", "0123456701234567"
+	warm.Task.Job, warm.Machine, warm.TraceID = "elsewhere", "m0", trace.ParseID("0123456701234567")
 	prelude := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{warm, sample, warm}})
-	prelude = appendBinaryFrame(prelude, wireMsg{Type: msgSpec, TraceID: "0123456701234568",
+	prelude = appendBinaryFrame(prelude, wireMsg{Type: msgSpec, TraceID: trace.ParseID("0123456701234568"),
 		Spec: model.Spec{Job: "elsewhere", Platform: "websearch", CPIMean: 2.5}})
+	// A sample whose trace id is 16 bytes but not hex, one byte off the
+	// prelude's last: both readers must decode it as no ID, so the used
+	// reader's trace id memo cannot hand back the prelude's.
+	forged := sample
+	forged.TraceID = trace.ID{}
+	f.Add(rawTraceID(appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{forged}}), "012345670123456X"))
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
 		used := newFrameReader(io.MultiReader(bytes.NewReader(prelude), bytes.NewReader(stream)))
@@ -255,16 +263,25 @@ func sameWireMsg(a, b wireMsg) bool {
 		floatEq(sa.CPIMean, sb.CPIMean) && floatEq(sa.CPIStddev, sb.CPIStddev)
 }
 
+// rawTraceID returns frame, a samples or spec frame that ends in an
+// empty trace id, with raw written there instead: the wire form of an
+// id that no trace.ID encodes to.
+func rawTraceID(frame []byte, raw string) []byte {
+	return endFrame(appendStr(slices.Clip(frame[:len(frame)-4]), raw), 0)
+}
+
 // TestBinaryRoundTrip pins encode→decode equality for every message
 // type, including NaN and Inf (they survive the framing; rejecting
-// them is the validator's decision downstream).
+// them is the validator's decision downstream). A trace id is on the
+// wire as its hex string; any other string decodes to no ID, which
+// encodes again as the empty string.
 func TestBinaryRoundTrip(t *testing.T) {
 	ts := time.Date(2011, 11, 1, 0, 0, 10, 500, time.UTC)
 	msgs := []wireMsg{
 		{Type: msgSamples, Samples: []model.Sample{
 			{Job: "websearch", Task: model.TaskID{Job: "websearch", Index: 3},
 				Platform: model.PlatformA, Timestamp: ts,
-				CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: "00c0ffee"},
+				CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: trace.ParseID("00c0ffee00c0ffee")},
 			{Job: "batch", Task: model.TaskID{Job: "batch", Index: 0},
 				CPUUsage: math.NaN(), CPI: math.Inf(1)},
 		}},
@@ -273,7 +290,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			{Job: "websearch", Platform: model.PlatformA},
 			{Job: "batch", Platform: model.PlatformB},
 		}},
-		{Type: msgSpec, TraceID: "feedface", Spec: model.Spec{
+		{Type: msgSpec, TraceID: trace.ParseID("feedfacefeedface"), Spec: model.Spec{
 			Job: "websearch", Platform: model.PlatformA, NumSamples: 1234,
 			NumTasks: 7, CPUUsageMean: 0.5, CPIMean: 1.6, CPIStddev: 0.2,
 			UpdatedAt: ts,
@@ -289,6 +306,29 @@ func TestBinaryRoundTrip(t *testing.T) {
 		}
 		if !sameWireMsg(got, want) {
 			t.Errorf("type %d: round-trip mismatch: got %+v want %+v", want.Type, got, want)
+		}
+	}
+	id := trace.ParseID("00c0ffee00c0ffee")
+	for _, msg := range []func(trace.ID) wireMsg{
+		func(tid trace.ID) wireMsg {
+			return wireMsg{Type: msgSamples, Samples: []model.Sample{{Job: "websearch", Machine: "m1", TraceID: tid}}}
+		},
+		func(tid trace.ID) wireMsg {
+			return wireMsg{Type: msgSpec, TraceID: tid, Spec: model.Spec{Job: "websearch"}}
+		},
+	} {
+		untraced := msg(trace.ID{})
+		frame := appendBinaryFrame(nil, untraced)
+		if got, want := appendBinaryFrame(nil, msg(id)), rawTraceID(frame, id.String()); !bytes.Equal(got, want) {
+			t.Errorf("type %d: trace id frame\n got %x\nwant %x", untraced.Type, got, want)
+		}
+		for _, raw := range []string{"00C0FFEE00C0FFEE", "00c0ffee", "00c0ffee00c0ffee0", ""} {
+			got, err := newFrameReader(bytes.NewReader(rawTraceID(frame, raw))).next()
+			if err != nil || !sameWireMsg(got, untraced) {
+				t.Errorf("type %d, trace id %q: decoded %+v, %v; want no ID", untraced.Type, raw, got, err)
+			} else if again := appendBinaryFrame(nil, got); !bytes.Equal(again, frame) {
+				t.Errorf("type %d, trace id %q: re-encoded\n got %x\nwant %x", untraced.Type, raw, again, frame)
+			}
 		}
 	}
 }

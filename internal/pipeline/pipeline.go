@@ -206,7 +206,7 @@ func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 			// Stamped from the first sample that got in: a refused one
 			// may carry a forged timestamp or trace id.
 			from := &samples[first]
-			tracer.Ingest(trace.ParseID(from.TraceID), from.Machine, shard, from.Timestamp, admitted, len(samples))
+			tracer.Ingest(from.TraceID, from.Machine, shard, from.Timestamp, admitted, len(samples))
 		}
 	}
 	if received == 0 && dropped == 0 {

@@ -226,7 +226,7 @@ func (s *Spooler) TryDrainAt(now time.Time) (int, error) {
 				delay = 0
 			}
 			first := &head.samples[0]
-			s.tracer.Spool(trace.ParseID(first.TraceID), first.Machine, now, delay.Seconds(), len(head.samples))
+			s.tracer.Spool(first.TraceID, first.Machine, now, delay.Seconds(), len(head.samples))
 		}
 	}
 	if len(s.q) == 0 {

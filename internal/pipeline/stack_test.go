@@ -147,7 +147,7 @@ func TestEgress(t *testing.T) {
 
 	var batch []model.Sample
 	for _, job := range []model.JobName{"websearch", "bigtable", "logproc", "video", "memkv", "ads"} {
-		batch = append(batch, model.Sample{Job: job, Platform: model.PlatformA, Timestamp: day0, TraceID: "t"})
+		batch = append(batch, model.Sample{Job: job, Platform: model.PlatformA, Timestamp: day0})
 	}
 	for i := 0; i < 2; i++ {
 		if err := eg.Publish(batch); err != nil {

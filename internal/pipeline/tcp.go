@@ -235,14 +235,6 @@ func (c *wireConn) appendLocked(msg wireMsg) {
 	}
 }
 
-// appendSpecLocked adds a spec frame carrying trace id to out. Callers
-// hold writeMu.
-func (c *wireConn) appendSpecLocked(spec *model.Spec, id trace.ID) {
-	c.out = appendSpecFrame(c.out, spec, id)
-	c.frames++
-	c.specs++
-}
-
 // flushLocked writes out. Callers hold writeMu.
 func (c *wireConn) flushLocked() error {
 	if len(c.out) == 0 {
@@ -379,7 +371,7 @@ func (c *serverConn) DeliverSpec(spec model.Spec) {
 	id := trace.SpecID(string(spec.Job), string(spec.Platform), spec.UpdatedAt)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.appendSpecLocked(&spec, id)
+	c.appendLocked(wireMsg{Type: msgSpec, Spec: spec, TraceID: id})
 	if len(c.out) >= flushBytes {
 		_ = c.flushLocked()
 	}

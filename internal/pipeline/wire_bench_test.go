@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 )
 
 // The codec's cost on two messages — a 16-sample batch (one machine's
@@ -23,7 +24,7 @@ var wireBenchMsgs = []struct {
 	samples int
 }{
 	{"samples16", wireMsg{Type: msgSamples, Samples: wireBenchSamples(16)}, 16},
-	{"spec", wireMsg{Type: msgSpec, TraceID: "5f1d6c0a9b3e4d27", Spec: model.Spec{
+	{"spec", wireMsg{Type: msgSpec, TraceID: trace.ParseID("5f1d6c0a9b3e4d27"), Spec: model.Spec{
 		Job: "websearch-leaf", Platform: model.PlatformA, NumSamples: 48211, NumTasks: 640,
 		CPUUsageMean: 1.37, CPIMean: 1.8234, CPIStddev: 0.2117, UpdatedAt: day0.Add(36 * time.Hour),
 	}}, 0},
@@ -40,7 +41,7 @@ func wireBenchSamples(n int) []model.Sample {
 			CPUUsage:  0.8 + float64(i)*0.013,
 			CPI:       1.7 + float64(i)*0.0171,
 			Machine:   "machine-0421",
-			TraceID:   "9c41e07ab2d85f63",
+			TraceID:   trace.ParseID("9c41e07ab2d85f63"),
 		}
 	}
 	return out
@@ -100,7 +101,7 @@ func ingestFrames(n int, machines bool) [][]byte {
 	for i := range frames {
 		samples := wireBenchSamples(16)
 		for j := range samples {
-			samples[j].TraceID = fmt.Sprintf("9c41e07ab2d85f6%d", i)
+			samples[j].TraceID = trace.ParseID(fmt.Sprintf("9c41e07ab2d85f6%d", i))
 			if machines {
 				samples[j].Machine = fmt.Sprintf("machine-%04d", i)
 			}
@@ -112,8 +113,9 @@ func ingestFrames(n int, machines bool) [][]byte {
 
 // BenchmarkIngestBatch is the aggregator's cost of one 16-sample batch
 // once its frame is in memory: decode, owner/validator filter, fold.
-// Every fourth frame is a different machine's, with its own trace id,
-// so the per-batch string copies are paid as on a real connection.
+// Each of its four frames is a different machine's, with its own trace
+// id, so the per-batch machine copy and trace id parse are paid as on a
+// real connection.
 func BenchmarkIngestBatch(b *testing.B) {
 	frames := ingestFrames(4, true)
 	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))

@@ -38,7 +38,7 @@ package pipeline
 // Encoding is append-style into caller-owned buffers and decoding is
 // cursor-based over the payload slice into a per-connection decoder
 // (below), so a steady-state sender allocates nothing and a receiver
-// only for strings it has not just seen: the per-batch trace id.
+// only for names it has not seen.
 
 import (
 	"encoding/binary"
@@ -66,13 +66,13 @@ const (
 )
 
 // wireMsg is one decoded (or to-be-encoded) message of any type.
-// TraceID carries the causal-tracing context of a spec message.
+// TraceID is a spec message's trace id; a sample carries its own.
 type wireMsg struct {
 	Type    byte
 	Samples []model.Sample
 	Jobs    []model.SpecKey
 	Spec    model.Spec
-	TraceID string
+	TraceID trace.ID
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -94,6 +94,14 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// appendID appends id as appendStr(b, id.String()) would.
+func appendID(b []byte, id trace.ID) []byte {
+	at := len(b)
+	b = id.AppendTo(appendU32(b, 0))
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
+}
+
 func appendTime(b []byte, t time.Time) []byte {
 	if t.IsZero() {
 		return append(b, 0)
@@ -112,7 +120,7 @@ func appendSample(b []byte, s *model.Sample) []byte {
 	b = appendF64(b, s.CPUUsage)
 	b = appendF64(b, s.CPI)
 	b = appendStr(b, s.Machine)
-	return appendStr(b, s.TraceID)
+	return appendID(b, s.TraceID)
 }
 
 func appendSpec(b []byte, s *model.Spec) []byte {
@@ -146,23 +154,10 @@ func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
 		}
 	case msgSpec:
 		buf = appendSpec(buf, &msg.Spec)
-		buf = appendStr(buf, msg.TraceID)
+		buf = appendID(buf, msg.TraceID)
 	case msgHello:
 		buf = appendU32(buf, binVersion)
 	}
-	return endFrame(buf, start)
-}
-
-// appendSpecFrame appends the frame appendBinaryFrame makes of a spec
-// message whose TraceID is id.String(), writing id's hex digits straight
-// into buf.
-func appendSpecFrame(buf []byte, spec *model.Spec, id trace.ID) []byte {
-	start := len(buf)
-	buf = append(buf, binMagic, binVersion, 0, 0, 0, 0, msgSpec)
-	buf = appendSpec(buf, spec)
-	at := len(buf)
-	buf = id.AppendTo(appendU32(buf, 0))
-	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	return endFrame(buf, start)
 }
 
@@ -272,16 +267,18 @@ const (
 // decoded in place into one reused slice, valid until the next decode —
 // which SampleSink's "must not retain" already requires of consumers.
 // Strings are real copies, never views of the payload buffer, but a
-// repeated one is copied once: machine, platform and trace id are
-// compared with the previous sample's, Task.Job with the Job just
-// decoded, and job names — and a spec's platform — go through the
-// bounded table.
+// repeated one is copied once: machine and platform are compared with
+// the previous sample's, Task.Job with the Job just decoded, and job
+// names — and a spec's platform — go through the bounded table. A trace
+// id is parsed: 16 lowercase hex digits, or else no ID. A batch's samples
+// share one, so the last sample's is memoised by its bytes.
 type decoder struct {
 	samples  []model.Sample
 	jobs     map[string]model.JobName
 	machine  string
 	platform string
-	traceID  string
+	rawID    [16]byte // the last 16-byte trace id; zero bytes parse to no ID
+	id       trace.ID // what rawID parses to
 }
 
 // same returns last when b spells it, and a copy of b otherwise.
@@ -290,6 +287,17 @@ func same(last string, b []byte) string {
 		return last
 	}
 	return string(b)
+}
+
+// traceID parses a sample's trace id; only 16 bytes can be one.
+func (d *decoder) traceID(b []byte) trace.ID {
+	if len(b) != len(d.rawID) {
+		return trace.ID{}
+	}
+	if string(b) != string(d.rawID[:]) {
+		d.rawID, d.id = [16]byte(b), trace.ParseID(string(b))
+	}
+	return d.id
 }
 
 func (d *decoder) job(b []byte) model.JobName {
@@ -322,8 +330,7 @@ func (d *decoder) sample(r *binReader, s *model.Sample) {
 	s.CPI = r.f64()
 	d.machine = same(d.machine, r.bytes())
 	s.Machine = d.machine
-	d.traceID = same(d.traceID, r.bytes())
-	s.TraceID = d.traceID
+	s.TraceID = d.traceID(r.bytes())
 }
 
 // spec decodes a spec into s. A connection is pushed the same keys
@@ -362,11 +369,7 @@ func (d *decoder) decode(p []byte) (wireMsg, error) {
 		}
 	case msgSubscribe:
 		count := int(r.u32())
-		capN := count
-		if max := len(p)/8 + 1; capN > max { // a key is ≥ two empty strings
-			capN = max
-		}
-		msg.Jobs = make([]model.SpecKey, 0, capN)
+		msg.Jobs = make([]model.SpecKey, 0, min(count, len(p)/8+1)) // a key is ≥ two empty strings
 		for i := 0; i < count && r.err == nil; i++ {
 			msg.Jobs = append(msg.Jobs, model.SpecKey{
 				Job:      model.JobName(r.str()),
@@ -375,7 +378,7 @@ func (d *decoder) decode(p []byte) (wireMsg, error) {
 		}
 	case msgSpec:
 		d.spec(&r, &msg.Spec)
-		msg.TraceID = r.str()
+		msg.TraceID = trace.ParseID(string(r.bytes()))
 	case msgHello:
 		if v := r.u32(); r.err == nil && v != binVersion {
 			return wireMsg{}, fmt.Errorf("%w: peer says hello for wire v%d, this end speaks only v%d", errBadFrame, v, binVersion)
