@@ -321,7 +321,7 @@ func main() {
 	now := time.Now().UTC().Truncate(time.Second)
 	start := now
 	if *capJournal != "" {
-		adopted, orphaned := a.Manager().Reconcile(now, recovered)
+		adopted, orphaned := a.Reconcile(now, recovered)
 		if len(adopted)+len(orphaned) > 0 {
 			log.Printf("cpi2agent: cap journal reconciled: %d adopted, %d orphaned", len(adopted), len(orphaned))
 		}

@@ -73,11 +73,10 @@ func scenario(name string, reaction workload.CapReaction, minutes int) (*workloa
 	lastState := ""
 	peakThreads := 0
 	for s := 0; s < minutes*60; s++ {
-		ticks, exited := m.Tick(now, time.Second)
-		for _, tt := range ticks {
-			if tt.ID == mrID && tt.Threads > peakThreads {
-				peakThreads = tt.Threads
-			}
+		mr := m.Task(mrID) // before the tick: the worker may exit in it
+		_, exited := m.Tick(now, time.Second)
+		if mr != nil && mr.Last().Threads > peakThreads {
+			peakThreads = mr.Last().Threads
 		}
 		for _, id := range exited {
 			a.TaskExited(id) // releases its cap; its job's spec is no longer wanted

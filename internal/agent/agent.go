@@ -45,6 +45,12 @@ type Agent struct {
 	// seq counts sample batches built by this agent; together with the
 	// machine name it derives the deterministic per-batch trace ID.
 	seq uint64
+	// wake is the sampler's next window edge while no cap is in force,
+	// zero otherwise: a Tick before it has nothing to sample, observe,
+	// expire or renew, so it returns at once. fullTicks counts the
+	// Ticks that ran.
+	wake      time.Time
+	fullTicks int64
 }
 
 // New creates an agent for mach. sink may be nil (no sample export —
@@ -113,8 +119,9 @@ func (a *Agent) DeliverSpec(spec model.Spec) {
 
 // Tick runs one agent cycle at now: sample counters, analyse, publish,
 // and expire caps. It returns the incidents raised this tick. Call it
-// once per simulated second; the duty-cycle sampler internally limits
-// real work to window boundaries.
+// once per simulated second: while no cap is in force, a Tick between
+// the sampler's window edges returns before touching the sampler or
+// the manager.
 //
 // Tick must not be called concurrently on the SAME agent, but DISTINCT
 // agents may tick concurrently as long as each agent's sample sink is
@@ -125,6 +132,10 @@ func (a *Agent) DeliverSpec(spec model.Spec) {
 // Tick reads no wall clock: a daemon that wants its tick timed wraps
 // the call (cmd/cpi2agent's cpi2_agent_tick_seconds).
 func (a *Agent) Tick(now time.Time) []core.Incident {
+	if now.Before(a.wake) {
+		return nil
+	}
+	a.fullTicks++
 	measurements := a.sampler.Tick(now, a.readCounters)
 	var incidents []core.Incident
 	if len(measurements) > 0 {
@@ -139,7 +150,22 @@ func (a *Agent) Tick(now time.Time) []core.Incident {
 		}
 	}
 	a.manager.Tick(now)
+	a.wake = time.Time{}
+	if a.manager.CapsInForce() == 0 {
+		a.wake = a.sampler.Next()
+	}
 	return incidents
+}
+
+// FullTicks returns how many Ticks ran in full rather than returning
+// at once: a count, not a timing, of the agent's per-tick work.
+func (a *Agent) FullTicks() int64 { return a.fullTicks }
+
+// Reconcile runs the manager's Reconcile (core.Manager.Reconcile) and
+// clears the wake time: a cap it adopts is renewed on every Tick.
+func (a *Agent) Reconcile(now time.Time, entries []core.CapJournalEntry) (adopted, orphaned []model.TaskID) {
+	a.wake = time.Time{}
+	return a.manager.Reconcile(now, entries)
 }
 
 // toSamples turns each measurement into a sample of its task, keeping

@@ -189,7 +189,7 @@ func TestAgentJournalRestartReconciliation(t *testing.T) {
 		a2.RegisterTask(id, rigJobs[id.Job])
 	}
 	installSearchSpec(a2)
-	adopted, orphaned := a2.Manager().Reconcile(now, recovered)
+	adopted, orphaned := a2.Reconcile(now, recovered)
 	if len(adopted) != 1 || adopted[0] != aid {
 		t.Fatalf("adopted = %v, want [%v] (orphaned %v)", adopted, aid, orphaned)
 	}
@@ -219,7 +219,7 @@ func TestAgentJournalRestartReconciliation(t *testing.T) {
 	// resurrecting the cap.
 	ghost := journalEntry("ghost/0", now)
 	ghost.Expires = now.Add(time.Hour)
-	adopted, orphaned = a2.Manager().Reconcile(now, []core.CapJournalEntry{ghost})
+	adopted, orphaned = a2.Reconcile(now, []core.CapJournalEntry{ghost})
 	if len(adopted) != 0 || len(orphaned) != 1 {
 		t.Errorf("ghost reconcile: adopted=%v orphaned=%v", adopted, orphaned)
 	}

@@ -204,15 +204,13 @@ func AllocateInto(capacity float64, dt time.Duration, demands []Demand, grants [
 	if len(grants) != len(demands) {
 		panic("cgroup: AllocateInto grants/demands length mismatch")
 	}
-	for i := range grants {
-		grants[i] = 0
-	}
-	if capacity <= 0 || dt <= 0 || len(demands) == 0 {
+	if capacity <= 0 || dt <= 0 {
+		clear(grants)
 		return
 	}
 
 	// ceil = min(want, cap) — the most group i may get.
-	entries := scratch.entries[:0]
+	sum := 0.0
 	for i, d := range demands {
 		ceil := d.Want
 		if ceil < 0 {
@@ -221,6 +219,19 @@ func AllocateInto(capacity float64, dt time.Duration, demands []Demand, grants [
 		if r := d.Group.limit.Rate(); r < ceil {
 			ceil = r
 		}
+		grants[i] = ceil
+		sum += ceil
+	}
+	// Ceilings that fit with a margin are every group's water-filled
+	// grant: taken in ascending order, each is at most the equal share
+	// of what is left, and the margin dwarfs the rounding of the
+	// running remainder, so the loop below would grant each its
+	// ceiling bit for bit.
+	if sum <= capacity*(1-1e-9) {
+		return
+	}
+	entries := scratch.entries[:0]
+	for i, ceil := range grants {
 		entries = append(entries, allocEntry{idx: i, ceil: ceil})
 	}
 	scratch.entries = entries

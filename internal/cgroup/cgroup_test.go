@@ -344,7 +344,10 @@ func sortSortAllocate(capacity float64, demands []Demand) []float64 {
 	grants := make([]float64, len(demands))
 	s := &AllocScratch{}
 	for i, d := range demands {
-		ceil := math.Max(d.Want, 0)
+		ceil := d.Want
+		if ceil < 0 {
+			ceil = 0
+		}
 		if r := d.Group.limit.Rate(); r < ceil {
 			ceil = r
 		}
@@ -399,5 +402,93 @@ func TestAllocateIntoMatchesSortSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAllocateIntoEarlyExitMatchesWaterFilling: AllocateInto's grants
+// equal those of sortSortAllocate, which always water-fills, bit for
+// bit when the ceilings sum to just under, exactly at, and just over
+// capacity·(1−1e-9), where the early exit starts and stops, and when
+// they sum to within a few ulps of capacity itself, where rounding can
+// leave a group short of its ceiling and only the margin keeps the exit
+// out. Wants include zero, negative and negative-zero ones, and groups
+// are capped at zero, at a want or at a random rate. Both sides of the
+// margin must be reached.
+func TestAllocateIntoEarlyExitMatchesWaterFilling(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	var scratch AllocScratch
+	var under, over int
+	for c := 0; c < 20000; c++ {
+		n := 1 + rng.Intn(16)
+		groups := make([]Group, n)
+		demands := make([]Demand, n)
+		for i := range demands {
+			var want float64
+			switch rng.Intn(6) {
+			case 0:
+				want = 0
+			case 1:
+				want = -rng.Float64()
+			case 2:
+				want = math.Copysign(0, -1)
+			case 3:
+				want = float64(rng.Intn(5)) / 2
+			default:
+				want = rng.Float64() * 4
+			}
+			switch rng.Intn(5) {
+			case 0:
+				groups[i].SetLimit(LimitFromRate(0))
+			case 1:
+				groups[i].SetLimit(LimitFromRate(math.Max(want, 0)))
+			case 2:
+				groups[i].SetLimit(LimitFromRate(rng.Float64() * 2))
+			}
+			demands[i] = Demand{Group: &groups[i], Want: want}
+		}
+		// The capacity at which the ceilings' sum sits at the margin,
+		// nudged a few ulps either way.
+		sum := 0.0
+		for _, d := range demands {
+			ceil := math.Max(d.Want, 0)
+			if r := d.Group.limit.Rate(); r < ceil {
+				ceil = r
+			}
+			sum += ceil
+		}
+		if sum == 0 {
+			sum = 1
+		}
+		capacity := sum / (1 - 1e-9)
+		if c%2 == 1 {
+			capacity = sum
+		}
+		for k := rng.Intn(9) - 4; k != 0; {
+			if k > 0 {
+				capacity, k = math.Nextafter(capacity, math.Inf(1)), k-1
+			} else {
+				capacity, k = math.Nextafter(capacity, 0), k+1
+			}
+		}
+		if rng.Intn(4) == 0 {
+			capacity *= 1 + (rng.Float64()-0.5)*1e-8 // around the margin, not on it
+		}
+		want := sortSortAllocate(capacity, demands)
+		got := make([]float64, n)
+		AllocateInto(capacity, time.Second, demands, got, &scratch)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d (capacity %v, %d groups): grant[%d] = %v, water-filling %v",
+					c, capacity, n, i, got[i], want[i])
+			}
+		}
+		if sum <= capacity*(1-1e-9) {
+			under++
+		} else {
+			over++
+		}
+	}
+	if under == 0 || over == 0 {
+		t.Errorf("%d cases fit under the margin and %d did not; want both", under, over)
 	}
 }

@@ -680,7 +680,7 @@ func (c *Cluster) restartAgent(i int, now time.Time) (adopted, orphaned int) {
 			}
 		}
 	}
-	ad, or := a.Manager().Reconcile(now, n.journal.Entries())
+	ad, or := a.Reconcile(now, n.journal.Entries())
 	n.a = a
 	for _, bus := range c.buses {
 		bus.Watch(a)

@@ -255,9 +255,11 @@ type node struct {
 	// partitions by ring owner into one spool per live shard, each in
 	// front of a chaosLink. Draining in node order keeps sample arrival
 	// order — and hence the byte-exact specs — independent of the
-	// worker count.
-	queue  *pipeline.Queue
-	egress *pipeline.Egress[*chaosLink]
+	// worker count. backlog is whether egress's spools hold batches; the
+	// commit phase and applyReshard, the only writers of egress, set it.
+	queue   *pipeline.Queue
+	egress  *pipeline.Egress[*chaosLink]
+	backlog bool
 
 	// exited and incidents are the parallel phase's output, applied by
 	// the commit phase; their buffers are reused tick to tick. Either
@@ -726,6 +728,7 @@ func (c *Cluster) Step() {
 		// spool spans recording how long the outage delayed them.
 		n.egress.DrainAt(now)
 		_ = n.queue.DrainTo(n.egress)
+		n.backlog = n.egress.Len() > 0
 		// Hostile-writer injection: with probability CorruptRate a
 		// garbage batch arrives at the bus claiming to be from this
 		// machine. It bypasses the spool (a hostile writer doesn't
@@ -821,7 +824,7 @@ func (c *Cluster) tickMachine(i int) {
 func (c *Cluster) needsCommit(n *node) bool {
 	return len(n.exited) > 0 || len(n.incidents) > 0 || c.cfg.Faults.CorruptRate > 0 ||
 		n.queue.Len() > 0 || n.events.Len() > 0 ||
-		(n.metricsWritten != nil && n.metricsWritten()) || n.egress.Len() > 0
+		(n.metricsWritten != nil && n.metricsWritten()) || n.backlog
 }
 
 // Close releases the cluster's worker pool. Optional — an abandoned

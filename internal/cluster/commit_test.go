@@ -208,6 +208,80 @@ func TestIdleStepsCommitNothing(t *testing.T) {
 	}
 }
 
+// TestIdleAgentTicksOnlyAtWindowEdges pins, as a count, the agent
+// ticks that run in full rather than return at once. On a 100-machine
+// fleet with no cap in force an agent runs only its two window-edge
+// ticks a minute (the 10 s window opens and closes), 200 in all. A cap
+// adopted mid-interval (Agent.Reconcile, the one way a cap is made
+// outside a tick) makes its agent run every tick, 60 a minute, while
+// the other 99 stay at two; once it is released, its agent runs one
+// tick more (the first after the release) and is back at two.
+func TestIdleAgentTicksOnlyAtWindowEdges(t *testing.T) {
+	const machines = 100
+	c := New(Config{Seed: 6, Machines: machines, CPUsPerMachine: 16, Workers: 2})
+	defer c.Close()
+	for _, d := range []JobDef{
+		QuietServiceJob("bigtable", 2*machines, 0.8),
+		BatchJob("logproc", machines, 0.5, model.PriorityBestEffort),
+	} {
+		if err := c.AddJob(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fullTicks := func() (n int64) {
+		for _, nd := range c.nodes {
+			n += nd.a.FullTicks()
+		}
+		return n
+	}
+	minute := func() int64 {
+		before := fullTicks()
+		c.Run(time.Minute)
+		return fullTicks() - before
+	}
+	c.Run(90 * time.Second) // mid-interval: every agent is between edges
+	if got := minute(); got != 2*machines {
+		t.Fatalf("no cap in force: %d full agent ticks in a minute, want %d", got, 2*machines)
+	}
+	if caps := len(c.Incidents()); caps != 0 {
+		t.Fatalf("%d incidents on a fleet with no specs", caps)
+	}
+
+	n := c.nodes[0]
+	var task model.TaskID
+	for _, id := range n.m.Tasks() {
+		if id.Job == "logproc" {
+			task = id
+		}
+	}
+	if task == (model.TaskID{}) {
+		t.Fatal("machine 0 runs no batch task")
+	}
+	now := c.Now()
+	if err := n.m.CapLease(task, 0.1, now.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	adopted, _ := n.a.Reconcile(now, []core.CapJournalEntry{{
+		Op: core.CapOpCap, Time: now, Task: task.String(),
+		Quota: 0.1, Expires: now.Add(time.Hour), Round: 1,
+	}})
+	if len(adopted) != 1 {
+		t.Fatalf("adopted %v, want %v", adopted, task)
+	}
+	if got := minute(); got != 2*(machines-1)+60 {
+		t.Errorf("one cap in force: %d full agent ticks in a minute, want %d", got, 2*(machines-1)+60)
+	}
+	if !n.m.IsCapped(task) {
+		t.Error("the adopted cap's lease was not renewed")
+	}
+	if released := n.a.Manager().ReleaseAll(); len(released) != 1 {
+		t.Fatalf("released %v, want %v", released, task)
+	}
+	if got := minute(); got != 2*machines+1 {
+		t.Errorf("after the release: %d full agent ticks in a minute, want %d", got, 2*machines+1)
+	}
+}
+
 // TestQueuedBatchPendingAtBarrier: with no registry, events or faults,
 // the sample batch an agent queues when its window closes is all a
 // quiet machine has to commit. Workers queue it in the parallel phase

@@ -191,9 +191,11 @@ func (c *Cluster) applyReshard(newShards int) {
 		st := old.Stats()
 		c.fstats.SpoolDropped += st.Dropped
 		c.fstats.SpoolReplayed += st.Replayed
+		n := c.nodes[i]
 		for _, batch := range old.TakeAll() {
-			_ = c.nodes[i].egress.Publish(batch)
+			_ = n.egress.Publish(batch)
 		}
+		n.backlog = n.egress.Len() > 0
 	}
 	c.fstats.ReshardsApplied++
 	c.fstats.MovedKeys += moved

@@ -238,6 +238,7 @@ func (m *Manager) capLocked(now time.Time, victim model.TaskID, s Suspect) (Deci
 	m.rounds[key]++
 	round := m.rounds[key]
 	m.active[s.Task] = &activeCap{task: s.Task, victim: victim, quota: quota, expires: until, round: round}
+	m.caps.Store(int32(len(m.active)))
 	m.appendJournal(CapJournalEntry{
 		Op: CapOpCap, Time: now, Task: s.Task.String(),
 		Victim: victim.String(), Quota: quota, Expires: until, Round: round,
@@ -279,12 +280,12 @@ func (m *Manager) quotaFor(priority model.Priority, rounds int) float64 {
 // sampling interval. A failed Uncap leaves the cap active, so it is
 // retried on every subsequent tick until the mechanism recovers.
 func (m *Manager) Tick(now time.Time) []model.TaskID {
+	if m.caps.Load() == 0 {
+		return nil // the common tick: nothing to expire or renew
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.lastNow = now
-	if len(m.active) == 0 {
-		return nil // the common tick: nothing to expire or renew
-	}
 	lc, leased := m.capper.(LeaseCapper)
 	var expired []*activeCap
 	for _, ac := range m.active {
@@ -342,6 +343,7 @@ func (m *Manager) uncapLocked(now time.Time, caps []*activeCap, reason string) [
 // mechanism side is the caller's. Callers hold m.mu.
 func (m *Manager) releaseLocked(now time.Time, ac *activeCap, reason string) {
 	delete(m.active, ac.task)
+	m.caps.Store(int32(len(m.active)))
 	m.metrics.CapsActive.Dec()
 	m.recordUncap(now, ac.task, ac.victim.String(), reason)
 }
@@ -372,7 +374,9 @@ func (m *Manager) recordUncap(now time.Time, task model.TaskID, victim, reason s
 //
 // Reconcile is for startup, after tasks are registered and before the
 // first Tick or decision; already-active in-memory caps are left alone
-// (a journalled cap never downgrades a live one).
+// (a journalled cap never downgrades a live one). An agent's manager is
+// reconciled through agent.Agent.Reconcile, which also ends the
+// agent's idle ticks so adopted caps are renewed.
 func (m *Manager) Reconcile(now time.Time, entries []CapJournalEntry) (adopted, orphaned []model.TaskID) {
 	live, _ := ReplayCapEntries(entries)
 	type pending struct {
@@ -410,6 +414,7 @@ func (m *Manager) Reconcile(now time.Time, entries []CapJournalEntry) (adopted, 
 				task: p.task, victim: victim, quota: p.entry.Quota,
 				expires: p.entry.Expires, round: p.entry.Round,
 			}
+			m.caps.Store(int32(len(m.active)))
 			key := taskPair{victim: victim, suspect: p.task}
 			if p.entry.Victim != "" && m.rounds[key] < p.entry.Round {
 				m.rounds[key] = p.entry.Round
@@ -432,6 +437,9 @@ func (m *Manager) Reconcile(now time.Time, entries []CapJournalEntry) (adopted, 
 	}
 	return adopted, orphaned
 }
+
+// CapsInForce returns how many caps are active, without the lock.
+func (m *Manager) CapsInForce() int { return int(m.caps.Load()) }
 
 // ActiveCaps returns the currently capped tasks and their quotas.
 func (m *Manager) ActiveCaps() map[model.TaskID]float64 {

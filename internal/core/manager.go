@@ -72,16 +72,20 @@ type Manager struct {
 	lastAnalysis time.Time
 	interest     atomic.Uint64 // InterestVersion: written under mu, read without
 
-	// The caps in force (enforce.go).
+	// The caps in force (enforce.go). caps is len(active): written
+	// under mu, read without it by Tick and CapsInForce.
 	journal CapJournal // never nil; nopJournal = unjournalled
 	active  map[model.TaskID]*activeCap
+	caps    atomic.Int32
 	// rounds remembers victim→task cap rounds even after expiry so
 	// feedback throttling can escalate on repeat offenders.
 	rounds map[taskPair]int
-	// lastNow is the most recent decision time the manager has seen
-	// (a decision, Tick or Reconcile). Externally triggered releases
-	// (TaskExited, ReleaseAll) stamp their events with it so event logs
-	// stay deterministic under simulated clocks.
+	// lastNow is the most recent decision time the manager has seen:
+	// a decision, Reconcile, or a Tick with a cap in force (an idle
+	// Tick returns before the lock, and there is no cap for it to
+	// stamp). Externally triggered releases (TaskExited, ReleaseAll)
+	// stamp their events with it so event logs stay deterministic under
+	// simulated clocks.
 	lastNow time.Time
 	// journalErrs counts failed journal appends; enforcement proceeds
 	// regardless (leases bound the damage), but the count is surfaced

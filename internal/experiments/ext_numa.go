@@ -63,7 +63,7 @@ func extNUMA(o Options) (*Report, error) {
 		var cpiSum float64
 		var cpiN int
 		for s := 0; s < 20*60; s++ {
-			ticks, incs := tickNode(m, a, now)
+			incs := tickNode(m, a, now)
 			incidents += len(incs)
 			for _, inc := range incs {
 				if inc.Decision.Action == core.ActionCap {
@@ -71,7 +71,7 @@ func extNUMA(o Options) (*Report, error) {
 				}
 			}
 			if s%60 == 0 {
-				cpiSum += ticks[0].CPI
+				cpiSum += m.Task(victim).Last().CPI
 				cpiN++
 			}
 			now = now.Add(time.Second)

@@ -84,14 +84,13 @@ func extStraggler(o Options) (*Report, error) {
 		var cpiN, caps int
 		for s := 0; s < 40*60 && !master.Done(); s++ {
 			for i := range machines {
-				ticks, incs := tickNode(machines[i], agents[i], now)
-				for _, inc := range incs {
+				for _, inc := range tickNode(machines[i], agents[i], now) {
 					if inc.Decision.Action == core.ActionCap {
 						caps++
 					}
 				}
-				if i == 0 && len(ticks) > 0 && ticks[0].ID == victim && s%30 == 0 {
-					cpiSum += ticks[0].CPI
+				if i == 0 && s%30 == 0 {
+					cpiSum += machines[0].Task(victim).Last().CPI
 					cpiN++
 				}
 			}

@@ -42,7 +42,7 @@ type caseRig struct {
 	minutes    []caseMinute
 
 	// threadsOf, when set, has its thread count captured every tick
-	// from the machine's TaskTick (Figure 12b).
+	// from its task record (Figure 12b).
 	threadsOf model.TaskID
 	threads   []float64
 }
@@ -82,33 +82,30 @@ func (r *caseRig) add(id model.TaskID, job model.Job, p *interference.Profile, w
 // cluster's parallel phase does: the agent forgets every task that
 // exited during the machine tick before it samples, which releases the
 // task's cap and drops its job from the specs the agent wants.
-func tickNode(m *machine.Machine, a *agent.Agent, now time.Time) ([]machine.TaskTick, []core.Incident) {
-	ticks, exited := m.Tick(now, time.Second)
+func tickNode(m *machine.Machine, a *agent.Agent, now time.Time) []core.Incident {
+	_, exited := m.Tick(now, time.Second)
 	for _, id := range exited {
 		a.TaskExited(id)
 	}
-	return ticks, a.Tick(now)
+	return a.Tick(now)
 }
 
 func (r *caseRig) run(d time.Duration) {
 	for s := 0; s < int(d/time.Second); s++ {
-		ticks, incs := tickNode(r.m, r.a, r.now)
-		r.inc = append(r.inc, incs...)
-		for _, tt := range ticks {
-			if tt.ID == r.threadsOf {
-				r.threads = append(r.threads, float64(tt.Threads))
-			}
+		// Looked up before the tick: a task that exits in it keeps
+		// that tick's outcome on its record.
+		threadsOf, victim, antag := r.m.Task(r.threadsOf), r.m.Task(r.plotVictim), r.m.Task(r.plotAntag)
+		r.inc = append(r.inc, tickNode(r.m, r.a, r.now)...)
+		if threadsOf != nil {
+			r.threads = append(r.threads, float64(threadsOf.Last().Threads))
 		}
 		if r.plotVictim != (model.TaskID{}) && r.now.Sub(r.epoch)%time.Minute == 0 {
 			cm := caseMinute{minute: int(r.now.Sub(r.epoch) / time.Minute)}
-			for _, tt := range ticks {
-				switch tt.ID {
-				case r.plotVictim:
-					cm.victimCPI = tt.CPI
-				case r.plotAntag:
-					cm.antagUsage = tt.Usage
-					cm.capped = tt.Capped
-				}
+			if victim != nil {
+				cm.victimCPI = victim.Last().CPI
+			}
+			if antag != nil {
+				cm.antagUsage, cm.capped = antag.Last().Usage, antag.Last().Capped
 			}
 			r.minutes = append(r.minutes, cm)
 		}

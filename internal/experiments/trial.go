@@ -242,7 +242,7 @@ func runTrial(cfg trialConfig) trialResult {
 	start := time.Date(2011, 11, 1, 12, 0, 0, 0, time.UTC)
 	now := start
 	tick := func() []core.Incident {
-		_, incs := tickNode(m, a, now)
+		incs := tickNode(m, a, now)
 		now = now.Add(time.Second)
 		return incs
 	}

@@ -50,18 +50,18 @@ type Task struct {
 	slot   int     // index into the machine's counter column
 	base   float64 // uncontended CPI here, skew included: resolved at placement
 	socket int     // NUMA domain, assigned at placement
-	// usage and threads are the last tick's grant and runnable threads,
-	// the two TaskTick fields Utilization and ThreadCount read.
-	usage   float64
-	threads int
+	last   TaskTick
 }
 
 // Socket returns the task's NUMA domain.
 func (t *Task) Socket() int { return t.socket }
 
+// Last returns the task's outcome of the machine's last tick, zero
+// before its first. A task that exited keeps the tick it exited on.
+func (t *Task) Last() TaskTick { return t.last }
+
 // TaskTick is the per-task outcome of one simulation tick.
 type TaskTick struct {
-	ID      model.TaskID
 	Usage   float64 // granted CPU-sec/sec
 	Demand  float64 // wanted CPU-sec/sec
 	CPI     float64
@@ -91,15 +91,12 @@ type Machine struct {
 	leasesExpired int64
 
 	// Per-tick scratch buffers, reused across Ticks so steady-state
-	// ticking allocates nothing. Sized to the resident task count; the
-	// TaskTick slice returned by Tick aliases `out`.
+	// ticking allocates nothing. Sized to the resident task count.
 	scratch struct {
 		demands []cgroup.Demand
 		grants  []float64
-		threads []int
 		loads   []interference.Load
 		results []interference.Result
-		out     []TaskTick
 		alloc   cgroup.AllocScratch
 	}
 }
@@ -275,7 +272,7 @@ func (m *Machine) LeasesExpired() int64 { return m.leasesExpired }
 func (m *Machine) Utilization() float64 {
 	var used float64
 	for _, t := range m.order {
-		used += t.usage
+		used += t.last.Usage
 	}
 	return used / float64(m.ncpus)
 }
@@ -285,7 +282,7 @@ func (m *Machine) Utilization() float64 {
 func (m *Machine) ThreadCount() int {
 	n := 0
 	for _, t := range m.order {
-		n += t.threads
+		n += t.last.Threads
 	}
 	return n
 }
@@ -311,14 +308,9 @@ func (m *Machine) TaskCounters(id model.TaskID) (perfcnt.Counters, bool) {
 // Tick advances the machine by dt ending at now: collects demands,
 // allocates CPU under caps, evaluates interference, charges
 // counters, informs workloads, and reaps tasks whose workloads
-// finished. It returns per-task results in deterministic order,
-// followed by the IDs of tasks that exited this tick.
-//
-// The returned TaskTick slice is backed by a scratch buffer reused on
-// the next Tick — callers must consume or copy it before ticking this
-// machine again. (A 1000-machine cluster stepping once per simulated
-// second was spending a double-digit share of its profile reallocating
-// these slices and re-formatting task-ID strings.)
+// finished. It returns how many tasks ran, and the IDs of those that
+// exited this tick, sorted. Each task that ran keeps its outcome on
+// its record (Task.Last); look up one that may exit before the tick.
 //
 // Tick only touches this machine's state (its tasks' cgroups,
 // counters, RNG stream, and resident workloads), so DISTINCT machines
@@ -329,20 +321,20 @@ func (m *Machine) TaskCounters(id model.TaskID) (perfcnt.Counters, bool) {
 // conforming design and workload.MRMaster's determinism note for a
 // non-conforming one). Tick must not be called concurrently on the
 // SAME machine.
-func (m *Machine) Tick(now time.Time, dt time.Duration) ([]TaskTick, []model.TaskID) {
+func (m *Machine) Tick(now time.Time, dt time.Duration) (ran int, exited []model.TaskID) {
 	return m.TickAt(now, dt, interference.DayPhase(now))
 }
 
 // TickAt is Tick with the day phase of now (interference.DayPhase)
 // supplied by the caller, which computes it once for every machine it
 // steps to the same instant.
-func (m *Machine) TickAt(now time.Time, dt time.Duration, phase float64) ([]TaskTick, []model.TaskID) {
+func (m *Machine) TickAt(now time.Time, dt time.Duration, phase float64) (ran int, exited []model.TaskID) {
 	m.now = now
 	n := len(m.order)
 	if n == 0 {
-		return nil, nil
+		return 0, nil
 	}
-	demands, grants, threads, loads, results, out := m.grow(n)
+	demands, grants, loads, results := m.grow(n)
 	for i, t := range m.order {
 		// Lease sweep before allocation: the mechanism layer runs even
 		// when the agent that applied a cap is dead, so an orphaned cap
@@ -355,7 +347,7 @@ func (m *Machine) TickAt(now time.Time, dt time.Duration, phase float64) ([]Task
 			cpu = 0
 		}
 		demands[i] = cgroup.Demand{Group: &t.group, Want: cpu}
-		threads[i] = th
+		t.last.Demand, t.last.Threads = cpu, th
 	}
 	cgroup.AllocateInto(float64(m.ncpus), dt, demands, grants, &m.scratch.alloc)
 
@@ -364,20 +356,10 @@ func (m *Machine) TickAt(now time.Time, dt time.Duration, phase float64) ([]Task
 	}
 	m.hw.EvaluateAll(loads, phase, m.rng, results)
 
-	var exited []model.TaskID
 	for i, t := range m.order {
 		res := results[i]
-		tt := TaskTick{
-			ID:      t.ID,
-			Usage:   grants[i],
-			Demand:  demands[i].Want,
-			CPI:     res.CPI,
-			L3MPKI:  res.L3MPKI,
-			Threads: threads[i],
-			Capped:  t.group.Limit().IsLimited(),
-		}
-		t.usage, t.threads = tt.Usage, tt.Threads
-		out[i] = tt
+		t.last.Usage, t.last.CPI, t.last.L3MPKI = grants[i], res.CPI, res.L3MPKI
+		t.last.Capped = t.group.Limit().IsLimited()
 
 		m.cnts[t.slot].Accumulate(grants[i]*dt.Seconds(), res.CPI, res.L3MPKI, m.hw.ClockGHz)
 
@@ -395,19 +377,17 @@ func (m *Machine) TickAt(now time.Time, dt time.Duration, phase float64) ([]Task
 	if len(exited) > 1 {
 		sort.Slice(exited, func(i, j int) bool { return exited[i].Compare(exited[j]) < 0 })
 	}
-	return out, exited
+	return n, exited
 }
 
 // grow sizes the scratch buffers for n resident tasks and returns them.
-func (m *Machine) grow(n int) ([]cgroup.Demand, []float64, []int, []interference.Load, []interference.Result, []TaskTick) {
+func (m *Machine) grow(n int) ([]cgroup.Demand, []float64, []interference.Load, []interference.Result) {
 	s := &m.scratch
 	if cap(s.demands) < n {
 		s.demands = make([]cgroup.Demand, n)
 		s.grants = make([]float64, n)
-		s.threads = make([]int, n)
 		s.loads = make([]interference.Load, n)
 		s.results = make([]interference.Result, n)
-		s.out = make([]TaskTick, n)
 	}
-	return s.demands[:n], s.grants[:n], s.threads[:n], s.loads[:n], s.results[:n], s.out[:n]
+	return s.demands[:n], s.grants[:n], s.loads[:n], s.results[:n]
 }

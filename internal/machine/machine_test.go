@@ -81,15 +81,15 @@ func TestAddRemoveTask(t *testing.T) {
 func TestTickGrantsAndCounters(t *testing.T) {
 	m := newTestMachine(8)
 	w, id := addTask(t, m, "j", 0, 2.0)
-	ticks, exited := m.Tick(t0, time.Second)
+	ran, exited := m.Tick(t0, time.Second)
 	if len(exited) != 0 {
 		t.Errorf("exited = %v", exited)
 	}
-	if len(ticks) != 1 {
-		t.Fatalf("ticks = %d", len(ticks))
+	if ran != 1 {
+		t.Fatalf("ran = %d", ran)
 	}
-	tt := ticks[0]
-	if tt.ID != id || !almostEqual(tt.Usage, 2.0, 1e-9) {
+	tt := m.Task(id).Last()
+	if !almostEqual(tt.Usage, 2.0, 1e-9) {
 		t.Errorf("tick = %+v", tt)
 	}
 	if tt.CPI <= 0 || tt.Threads != 4 {
@@ -127,8 +127,9 @@ func TestCapReducesUsageAndCPIOfVictimRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ticks, _ := m.Tick(t0, time.Second)
-	victimCPIBefore := ticks[0].CPI
+	vt, at := m.Task(vid), m.Task(aid)
+	m.Tick(t0, time.Second)
+	victimCPIBefore := vt.Last().CPI
 	if victimCPIBefore <= 1.0 {
 		t.Fatalf("victim CPI = %v, want inflated", victimCPIBefore)
 	}
@@ -139,13 +140,13 @@ func TestCapReducesUsageAndCPIOfVictimRecovers(t *testing.T) {
 	if !m.IsCapped(aid) {
 		t.Error("IsCapped false after Cap")
 	}
-	ticks, _ = m.Tick(t0.Add(time.Second), time.Second)
-	victimCPIDuring := ticks[0].CPI
-	antagUsage := ticks[1].Usage
+	m.Tick(t0.Add(time.Second), time.Second)
+	victimCPIDuring := vt.Last().CPI
+	antagUsage := at.Last().Usage
 	if !almostEqual(antagUsage, 0.1, 1e-9) {
 		t.Errorf("capped antagonist usage = %v", antagUsage)
 	}
-	if !ticks[1].Capped {
+	if !at.Last().Capped {
 		t.Error("tick not marked capped")
 	}
 	if victimCPIDuring >= victimCPIBefore {
@@ -155,8 +156,8 @@ func TestCapReducesUsageAndCPIOfVictimRecovers(t *testing.T) {
 	if err := m.Uncap(aid); err != nil {
 		t.Fatal(err)
 	}
-	ticks, _ = m.Tick(t0.Add(2*time.Second), time.Second)
-	if got := ticks[0].CPI; !almostEqual(got, victimCPIBefore, 1e-9) {
+	m.Tick(t0.Add(2*time.Second), time.Second)
+	if got := vt.Last().CPI; !almostEqual(got, victimCPIBefore, 1e-9) {
 		t.Errorf("victim CPI after uncap = %v, want %v again", got, victimCPIBefore)
 	}
 }
@@ -179,11 +180,11 @@ func TestContention(t *testing.T) {
 	// Two equal-share tasks wanting 6 CPUs each on an 8-CPU machine
 	// split it 4/4.
 	m := newTestMachine(8)
-	addTask(t, m, "a", 0, 6)
-	addTask(t, m, "b", 0, 6)
-	ticks, _ := m.Tick(t0, time.Second)
-	if !almostEqual(ticks[0].Usage, 4, 1e-9) || !almostEqual(ticks[1].Usage, 4, 1e-9) {
-		t.Errorf("grants = %v, %v", ticks[0].Usage, ticks[1].Usage)
+	_, a := addTask(t, m, "a", 0, 6)
+	_, b := addTask(t, m, "b", 0, 6)
+	m.Tick(t0, time.Second)
+	if ga, gb := m.Task(a).Last().Usage, m.Task(b).Last().Usage; !almostEqual(ga, 4, 1e-9) || !almostEqual(gb, 4, 1e-9) {
+		t.Errorf("grants = %v, %v", ga, gb)
 	}
 	if !almostEqual(m.Utilization(), 1.0, 1e-9) {
 		t.Errorf("utilization = %v", m.Utilization())
@@ -198,9 +199,13 @@ func TestWorkloadExitReaped(t *testing.T) {
 	w, id := addTask(t, m, "j", 0, 1)
 	m.Tick(t0, time.Second)
 	w.done = true
+	task := m.Task(id)
 	_, exited := m.Tick(t0.Add(time.Second), time.Second)
 	if len(exited) != 1 || exited[0] != id {
 		t.Errorf("exited = %v", exited)
+	}
+	if got := task.Last().Usage; !almostEqual(got, 1, 1e-9) {
+		t.Errorf("exited task's last usage = %v, want its exit tick's 1", got)
 	}
 	if m.NumTasks() != 0 {
 		t.Error("done task not reaped")
@@ -214,9 +219,9 @@ func TestWorkloadExitReaped(t *testing.T) {
 
 func TestEmptyMachineTick(t *testing.T) {
 	m := newTestMachine(4)
-	ticks, exited := m.Tick(t0, time.Second)
-	if ticks != nil || exited != nil {
-		t.Error("empty tick should be nil")
+	ran, exited := m.Tick(t0, time.Second)
+	if ran != 0 || exited != nil {
+		t.Error("empty tick should run nothing")
 	}
 	if m.Utilization() != 0 {
 		t.Error("empty utilization nonzero")
@@ -228,13 +233,9 @@ func TestDeterministicOrder(t *testing.T) {
 	addTask(t, m, "z", 0, 1)
 	addTask(t, m, "a", 0, 1)
 	addTask(t, m, "m", 0, 1)
-	ticks, _ := m.Tick(t0, time.Second)
 	// Order is placement order, not alphabetical.
-	if ticks[0].ID.Job != "z" || ticks[1].ID.Job != "a" || ticks[2].ID.Job != "m" {
-		t.Errorf("order = %v %v %v", ticks[0].ID, ticks[1].ID, ticks[2].ID)
-	}
 	got := m.Tasks()
-	if len(got) != 3 || got[0].Job != "z" {
+	if len(got) != 3 || got[0].Job != "z" || got[1].Job != "a" || got[2].Job != "m" {
 		t.Errorf("Tasks() = %v", got)
 	}
 }
@@ -274,8 +275,8 @@ func TestCrossSocketTasksDoNotInterfere(t *testing.T) {
 	if m.Task(victim).Socket() == m.Task(antag).Socket() {
 		t.Fatal("tasks landed on the same socket")
 	}
-	ticks, _ := m.Tick(t0, time.Second)
-	if got := ticks[0].CPI; !almostEqual(got, 1.0, 1e-9) {
+	m.Tick(t0, time.Second)
+	if got := m.Task(victim).Last().CPI; !almostEqual(got, 1.0, 1e-9) {
 		t.Errorf("cross-socket victim CPI = %v, want uncontended 1.0", got)
 	}
 }
@@ -287,9 +288,9 @@ func TestNegativeDemandClamped(t *testing.T) {
 	if err := m.AddTask(id, testProfile(1), w); err != nil {
 		t.Fatal(err)
 	}
-	ticks, _ := m.Tick(t0, time.Second)
-	if ticks[0].Usage != 0 || ticks[0].Demand != 0 {
-		t.Errorf("tick = %+v", ticks[0])
+	m.Tick(t0, time.Second)
+	if tt := m.Task(id).Last(); tt.Usage != 0 || tt.Demand != 0 {
+		t.Errorf("tick = %+v", tt)
 	}
 }
 

@@ -145,13 +145,17 @@ func (s *snapshotSorter) Swap(a, b int) {
 // that fills a Snapshot with the current cumulative counters per
 // task; whenever a counting window completes, Tick returns one
 // Measurement per task that was present for the whole window and
-// retired instructions.
+// retired instructions. A Tick before Next does nothing, so a caller
+// may skip those.
 type Sampler struct {
 	cfg      Config
 	epoch    time.Time
 	hasEpoch bool
 	inWindow bool
 	start    time.Time
+	// next is the next window edge: the open window's end, or the
+	// start of the next interval.
+	next time.Time
 
 	// Window-start and window-end snapshots plus the measurement
 	// buffer, all reused across windows.
@@ -194,8 +198,17 @@ func (s *Sampler) Tick(now time.Time, readInto func(*Snapshot)) []Measurement {
 		readInto(&s.snap)
 		s.snap.sort()
 	}
+	if s.inWindow {
+		s.next = s.start.Add(s.cfg.Duration)
+	} else {
+		s.next = now.Add(s.cfg.Interval - phase) // phase ≥ Duration: no window opened
+	}
 	return out
 }
+
+// Next returns the first time at which Tick can do anything: the next
+// window edge after the last Tick, or the zero time before the first.
+func (s *Sampler) Next() time.Time { return s.next }
 
 // finish merges the sorted window-start and window-end snapshots with
 // two cursors, emitting a measurement per task present in both with

@@ -273,8 +273,10 @@ func rawTraceID(frame []byte, raw string) []byte {
 // TestBinaryRoundTrip pins encode→decode equality for every message
 // type, including NaN and Inf (they survive the framing; rejecting
 // them is the validator's decision downstream). A trace id is on the
-// wire as its hex string; any other string decodes to no ID, which
-// encodes again as the empty string.
+// wire as its hex string. A sample's decodes back; any other string
+// decodes to no ID, which encodes again as the empty string. A spec's
+// is skipped unparsed, so every spec frame decodes to no ID; one whose
+// length overruns the frame is refused either way.
 func TestBinaryRoundTrip(t *testing.T) {
 	ts := time.Date(2011, 11, 1, 0, 0, 10, 500, time.UTC)
 	msgs := []wireMsg{
@@ -304,6 +306,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("type %d: %v", want.Type, err)
 		}
+		if want.Type == msgSpec {
+			want.TraceID = trace.ID{}
+		}
 		if !sameWireMsg(got, want) {
 			t.Errorf("type %d: round-trip mismatch: got %+v want %+v", want.Type, got, want)
 		}
@@ -322,7 +327,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if got, want := appendBinaryFrame(nil, msg(id)), rawTraceID(frame, id.String()); !bytes.Equal(got, want) {
 			t.Errorf("type %d: trace id frame\n got %x\nwant %x", untraced.Type, got, want)
 		}
-		for _, raw := range []string{"00C0FFEE00C0FFEE", "00c0ffee", "00c0ffee00c0ffee0", ""} {
+		// Skipped or parsed, an id whose length runs past the payload is
+		// a malformed frame.
+		short := endFrame(append(slices.Clip(frame[:len(frame)-4]), 0, 0, 0, 9, 'a'), 0)
+		if _, err := newFrameReader(bytes.NewReader(short)).next(); !errors.Is(err, errBadFrame) {
+			t.Errorf("type %d: a trace id cut short decoded with %v, want a refusal", untraced.Type, err)
+		}
+		raws := []string{"00C0FFEE00C0FFEE", "00c0ffee", "00c0ffee00c0ffee0", ""}
+		if untraced.Type == msgSpec {
+			raws = append(raws, id.String())
+		}
+		for _, raw := range raws {
 			got, err := newFrameReader(bytes.NewReader(rawTraceID(frame, raw))).next()
 			if err != nil || !sameWireMsg(got, untraced) {
 				t.Errorf("type %d, trace id %q: decoded %+v, %v; want no ID", untraced.Type, raw, got, err)

@@ -301,11 +301,20 @@ func pushMatchesScan(t *testing.T, seed int64, steps int) {
 			}
 			for sc, fc := range conns {
 				var got []delivery
-				for _, msg := range framesOf(t, fc.taken()) {
-					if msg.Type != msgSpec || msg.TraceID != trace.SpecID(string(msg.Spec.Job), string(msg.Spec.Platform), msg.Spec.UpdatedAt) {
+				writes := fc.taken()
+				// Every frame is its spec's, under the spec's trace id:
+				// re-encoded so, the frames equal the bytes written.
+				var frames []byte
+				for _, msg := range framesOf(t, writes) {
+					if msg.Type != msgSpec {
 						t.Fatalf("step %d: frame %+v", step, msg)
 					}
+					frames = appendBinaryFrame(frames, wireMsg{Type: msgSpec, Spec: msg.Spec,
+						TraceID: trace.SpecID(string(msg.Spec.Job), string(msg.Spec.Platform), msg.Spec.UpdatedAt)})
 					got = append(got, delivery{0, msg.Spec.Key(), msg.Spec.UpdatedAt})
+				}
+				if written := bytes.Join(writes, nil); !bytes.Equal(written, frames) {
+					t.Fatalf("step %d: written frames\n got %x\nwant %x", step, written, frames)
 				}
 				if !slices.Equal(got, wantFrames[sc]) {
 					t.Fatalf("step %d: frames on a connection\n got %v\nwant %v", step, got, wantFrames[sc])

@@ -66,7 +66,8 @@ const (
 )
 
 // wireMsg is one decoded (or to-be-encoded) message of any type.
-// TraceID is a spec message's trace id; a sample carries its own.
+// TraceID is a spec message's trace id, encoded but not decoded (a
+// decoded one is zero); a sample carries its own.
 type wireMsg struct {
 	Type    byte
 	Samples []model.Sample
@@ -378,7 +379,7 @@ func (d *decoder) decode(p []byte) (wireMsg, error) {
 		}
 	case msgSpec:
 		d.spec(&r, &msg.Spec)
-		msg.TraceID = trace.ParseID(string(r.bytes()))
+		r.bytes() // the trace id, skipped: a receiver derives it (trace.SpecID)
 	case msgHello:
 		if v := r.u32(); r.err == nil && v != binVersion {
 			return wireMsg{}, fmt.Errorf("%w: peer says hello for wire v%d, this end speaks only v%d", errBadFrame, v, binVersion)

@@ -56,13 +56,21 @@ func NewRNG(seed int64) *RNG { return &RNG{seed: seed} }
 // Seed returns the root seed.
 func (r *RNG) Seed() int64 { return r.seed }
 
+// stream is a generator and its source in one allocation: 48 bytes of
+// rand.Rand and 16 of PCG state.
+type stream struct {
+	rand.Rand
+	src pcgSource
+}
+
 // Stream returns a new *rand.Rand whose sequence is a pure function of
 // (root seed, name). Calling it twice with the same name yields two
 // generators producing identical sequences.
 func (r *RNG) Stream(name string) *rand.Rand {
-	src := &pcgSource{}
-	src.Seed(int64(derive(r.seed, name)))
-	return rand.New(src)
+	s := &stream{}
+	s.src.Seed(int64(derive(r.seed, name)))
+	s.Rand = *rand.New(&s.src)
+	return &s.Rand
 }
 
 // Fork returns a child factory whose seed is derived from the parent

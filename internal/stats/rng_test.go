@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -54,5 +55,38 @@ func TestStreamBudget(t *testing.T) {
 	}
 	if differ == 0 {
 		t.Error("two names gave identical sequences")
+	}
+}
+
+var streamSink *rand.Rand
+
+// TestStreamMatchesRandNew: a stream, its generator and source made in
+// one allocation, draws what rand.New over its own pcgSource draws, bit
+// for bit, for the first 10,000 draws of each kind the simulator makes.
+func TestStreamMatchesRandNew(t *testing.T) {
+	r := NewRNG(56)
+	draws := []struct {
+		kind string
+		draw func(*rand.Rand) uint64
+	}{
+		{"Float64", func(g *rand.Rand) uint64 { return math.Float64bits(g.Float64()) }},
+		{"NormFloat64", func(g *rand.Rand) uint64 { return math.Float64bits(g.NormFloat64()) }},
+		{"Intn", func(g *rand.Rand) uint64 { return uint64(g.Intn(1000)) }},
+		{"Int63", func(g *rand.Rand) uint64 { return uint64(g.Int63()) }},
+	}
+	for _, name := range []string{"machine/machine-0001", "fault/machine-0042", ""} {
+		for _, d := range draws {
+			src := &pcgSource{}
+			src.Seed(int64(derive(r.Seed(), name)))
+			want, got := rand.New(src), r.Stream(name)
+			for i := 0; i < 10000; i++ {
+				if w, g := d.draw(want), d.draw(got); w != g {
+					t.Fatalf("stream %q, %s draw %d: %#x, rand.New form %#x", name, d.kind, i, g, w)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { streamSink = r.Stream("machine/machine-0001") }); n != 1 {
+		t.Errorf("Stream allocates %v times, want 1", n)
 	}
 }
