@@ -8,8 +8,9 @@
 //
 // This example runs a multi-tenant cluster long enough to accumulate
 // incidents, then walks through the queries an operator would run,
-// ending with the §9 future-work loop: automatically teaching the
-// scheduler to keep the worst antagonist away from its victims.
+// ending with the §5 operator actions: teaching the scheduler to keep
+// the worst antagonist away from its victims, and migrating the
+// offending tasks off their machines.
 //
 // Run with:
 //
@@ -84,9 +85,9 @@ func main() {
 		fmt.Println()
 	}
 
-	// Close the loop (§9 future work): take the top antagonist of
-	// bigtable and register an anti-affinity constraint, then migrate
-	// the offending tasks away from bigtable machines.
+	// Close the loop by hand (§5): take the top antagonist of bigtable
+	// and register an anti-affinity constraint, then migrate the
+	// offending tasks away from bigtable machines.
 	res, err := store.Query("SELECT suspect_job, count(*) FROM incidents " +
 		"WHERE victim_job = 'bigtable' GROUP BY suspect_job ORDER BY count(*) DESC LIMIT 1")
 	if err != nil || len(res.Rows) == 0 {

@@ -116,7 +116,7 @@ func TestChaosSmoke(t *testing.T) {
 		t.Error("no victim detections during the blackout — degradation is not graceful")
 	}
 	assertNoFalseCaps(t, c, "chaos")
-	if r, _ := c.Bus().Stats(); r == 0 {
+	if r, _ := c.PipelineStats(); r == 0 {
 		t.Error("bus received nothing")
 	}
 }
@@ -179,8 +179,8 @@ func TestChaosDegradation(t *testing.T) {
 	if st.SpooledBatches != 0 {
 		t.Errorf("%d batches still spooled at run end", st.SpooledBatches)
 	}
-	br, _ := baseline.Bus().Stats()
-	cr, _ := chaos.Bus().Stats()
+	br, _ := baseline.PipelineStats()
+	cr, _ := chaos.PipelineStats()
 	if br != cr {
 		t.Errorf("aggregator sample counts differ: baseline %d, chaos %d", br, cr)
 	}
@@ -279,8 +279,8 @@ func TestChaosCorruptQuarantined(t *testing.T) {
 	if string(bs) != string(cs) {
 		t.Errorf("specs diverge under corruption:\nbaseline: %.300s\ncorrupt:  %.300s", bs, cs)
 	}
-	br, _ := baseline.Bus().Stats()
-	cr, _ := corrupt.Bus().Stats()
+	br, _ := baseline.PipelineStats()
+	cr, _ := corrupt.PipelineStats()
 	if br != cr {
 		t.Errorf("accepted sample counts differ: baseline %d, corrupt %d", br, cr)
 	}
@@ -319,7 +319,7 @@ func TestChaosSpecStalenessBounded(t *testing.T) {
 		Faults:         &FaultPlan{AggregatorBlackouts: []Window{bl}},
 	})
 	watch := &stalenessTable{}
-	c.Bus().Watch(watch)
+	c.ShardBus(0).Watch(watch)
 	if err := c.AddJob(QuietServiceJob("bigtable", 16, 0.8)); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func chaosFingerprint(t *testing.T, workers int) []byte {
 		Events:    ev.Recent(0, ""),
 		Stats:     c.FaultStats(),
 	}
-	fp.Received, _ = c.Bus().Stats()
+	fp.Received, _ = c.PipelineStats()
 	b, err := json.Marshal(fp)
 	if err != nil {
 		t.Fatal(err)

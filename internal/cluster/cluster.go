@@ -28,6 +28,10 @@ import (
 // first day of the paper's Figure 5 trace.
 var epoch = time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC)
 
+// overcommit is the scheduler's batch overcommit factor: batch work
+// may commit up to 1.5× a machine's CPUs.
+const overcommit = 1.5
+
 // Config sizes and seeds a cluster.
 type Config struct {
 	// Seed roots all randomness; equal seeds give identical runs.
@@ -42,20 +46,8 @@ type Config struct {
 	// Params are the CPI² parameters (zero fields take Table 2
 	// defaults).
 	Params core.Params
-	// Overcommit is the scheduler's batch overcommit factor
-	// (default 1.5).
-	Overcommit float64
 	// TickInterval is the simulation step (default 1s).
 	TickInterval time.Duration
-	// AutoAvoidThreshold, when > 0, enables the §9 future-work loop
-	// "provide this information to the scheduler automatically": after
-	// a (victim job, antagonist job) pair appears in that many capped
-	// incidents, the pair becomes a scheduler anti-affinity constraint.
-	AutoAvoidThreshold int
-	// AutoMigrateAfterCaps, when > 0, enables the other §9 loop: a
-	// task capped that many times is killed and restarted on a
-	// different machine ("our version of task migration").
-	AutoMigrateAfterCaps int
 	// Shards is the number of spec-aggregator shards (default 1). The
 	// spec tier always sits behind a consistent-hash ring over
 	// job×platform keys, with one member per shard: each shard runs its
@@ -115,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.CPUsPerMachine <= 0 {
 		c.CPUsPerMachine = 16
 	}
-	if c.Overcommit <= 0 {
-		c.Overcommit = 1.5
-	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = time.Second
 	}
@@ -159,8 +148,7 @@ type JobDef struct {
 // phase then walks the pending nodes in index order and applies
 // everything that touches shared state — task exits and restarts via
 // the scheduler, draining per-machine sample queues into the bus,
-// forensics Store.Add, §9 automation, spec recomputation, and OnTick
-// callbacks.
+// forensics Store.Add, spec recomputation, and OnTick callbacks.
 // Cluster methods themselves are not goroutine-safe: drive a Cluster
 // from one goroutine and let Step do the fan-out.
 type Cluster struct {
@@ -235,12 +223,6 @@ type Cluster struct {
 	onTick   []func(now time.Time)
 	exits    int64
 	restarts int64
-
-	// §9 automation state.
-	pairCounts map[[2]model.JobName]int
-	capCounts  map[model.TaskID]int
-	avoided    map[[2]model.JobName]bool
-	migrations int64
 }
 
 // node is one machine of the fleet: the machine, the agent currently
@@ -301,14 +283,10 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:   cfg,
 		rng:   rng,
-		sched: scheduler.New(cfg.Overcommit),
+		sched: scheduler.New(overcommit),
 		store: forensics.NewStore(),
 		jobs:  make(map[model.JobName]*JobDef),
 		now:   epoch,
-
-		pairCounts: make(map[[2]model.JobName]int),
-		capCounts:  make(map[model.TaskID]int),
-		avoided:    make(map[[2]model.JobName]bool),
 
 		nodes:   make([]*node, cfg.Machines),
 		midx:    make(map[string]int, cfg.Machines),
@@ -421,11 +399,6 @@ func (c *Cluster) Now() time.Time { return c.now }
 
 // Scheduler returns the central scheduler.
 func (c *Cluster) Scheduler() *scheduler.Scheduler { return c.sched }
-
-// Bus returns the in-process pipeline of shard 0 — with the default
-// single shard, THE pipeline. Sharded callers use ShardBus/NumShards
-// or the merged views (AllSpecs, PipelineStats).
-func (c *Cluster) Bus() *pipeline.Bus { return c.buses[0] }
 
 // NumShards returns the live spec-tier shard count (reshard events
 // change it mid-run).
@@ -637,8 +610,9 @@ func (c *Cluster) CrashMachine(name string) (lost, restarted int, err error) {
 }
 
 // KillAndRestart migrates a task to a different machine — the §5
-// operator action for persistent offenders. The restarted task loses
-// its progress (a fresh workload is built).
+// operator action for persistent offenders, taken by the caller (the
+// cluster never migrates on its own). The restarted task loses its
+// progress (a fresh workload is built).
 func (c *Cluster) KillAndRestart(id model.TaskID) error {
 	def, ok := c.jobs[id.Job]
 	if !ok {
@@ -669,8 +643,8 @@ func (c *Cluster) KillAndRestart(id model.TaskID) error {
 // Commit phase: pending machines are visited, in index order, and
 // everything that touches shared state is applied serially — scheduler
 // removals and RestartOnExit re-placements, draining sample queues into
-// the bus, recording incidents in the forensics store, §9 automation,
-// spec recomputation, and OnTick callbacks. A machine is pending when
+// the bus, recording incidents in the forensics store, spec
+// recomputation, and OnTick callbacks. A machine is pending when
 // it has something to commit (see needsCommit; remove and restartAgent
 // mark the machine they touch), so a Step on which a machine did
 // nothing costs the commit phase nothing for it.
@@ -746,7 +720,6 @@ func (c *Cluster) Step() {
 		}
 		for _, inc := range n.incidents {
 			c.store.Add(inc)
-			c.automate(inc)
 		}
 		if n.events != nil {
 			n.events.DrainTo(c.cfg.Events)
@@ -857,38 +830,6 @@ func (c *Cluster) RecomputeSpecs() []model.Spec {
 	}
 	sortSpecsByKey(out)
 	return out
-}
-
-// automate applies the §9 feedback loops to one incident.
-func (c *Cluster) automate(inc core.Incident) {
-	if inc.Decision.Action != core.ActionCap {
-		return
-	}
-	target := inc.Decision.Target
-
-	if c.cfg.AutoAvoidThreshold > 0 {
-		pair := [2]model.JobName{inc.VictimJob, target.Job}
-		c.pairCounts[pair]++
-		if c.pairCounts[pair] >= c.cfg.AutoAvoidThreshold && !c.avoided[pair] {
-			c.avoided[pair] = true
-			c.sched.AvoidColocation(pair[0], pair[1])
-		}
-	}
-	if c.cfg.AutoMigrateAfterCaps > 0 {
-		c.capCounts[target]++
-		if c.capCounts[target] >= c.cfg.AutoMigrateAfterCaps {
-			if err := c.KillAndRestart(target); err == nil {
-				c.migrations++
-				c.capCounts[target] = 0
-			}
-		}
-	}
-}
-
-// AutoActions returns counters for the §9 automation: anti-affinity
-// pairs registered and automatic migrations performed.
-func (c *Cluster) AutoActions() (avoidPairs int, migrations int64) {
-	return len(c.avoided), c.migrations
 }
 
 // Incidents returns a copy of all incidents raised so far, as logged

@@ -70,7 +70,7 @@ func TestRunProducesSamplesAndSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(11 * time.Minute)
-	received, _ := c.Bus().Stats()
+	received, _ := c.PipelineStats()
 	if received < 8*10 {
 		t.Errorf("samples = %d, want ≥80", received)
 	}
@@ -203,68 +203,14 @@ func TestKillAndRestart(t *testing.T) {
 	}
 }
 
-func TestAutoAvoid(t *testing.T) {
-	// §9 automation: repeated caps of the same (victim, antagonist)
-	// job pair teach the scheduler an anti-affinity constraint. Two
-	// machines force the antagonist to co-locate with its victims.
-	c := New(Config{
-		Seed: 9, Machines: 2, CPUsPerMachine: 16,
-		Params:             core.Params{MinSamplesPerTask: 5},
-		AutoAvoidThreshold: 2,
-	})
-	if err := c.AddJob(QuietServiceJob("bigtable", 6, 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WarmUpSpecs(c, 12*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddJob(AntagonistJob("video", 2, 8, model.PriorityBatch)); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(30 * time.Minute)
-	pairs, _ := c.AutoActions()
-	if pairs == 0 {
-		t.Fatal("no anti-affinity pairs registered")
-	}
-	if !c.Scheduler().Avoids("bigtable", "video") {
-		t.Error("scheduler not taught the antagonist pair")
-	}
-}
-
-func TestAutoMigrate(t *testing.T) {
-	// §9 automation: a persistently capped antagonist is killed and
-	// restarted on a different machine.
-	c := New(Config{
-		Seed: 10, Machines: 2, CPUsPerMachine: 16,
-		Params:               core.Params{MinSamplesPerTask: 5},
-		AutoMigrateAfterCaps: 2,
-	})
-	if err := c.AddJob(QuietServiceJob("bigtable", 6, 1.0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WarmUpSpecs(c, 12*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddJob(AntagonistJob("video", 1, 8, model.PriorityBatch)); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(45 * time.Minute)
-	_, migrations := c.AutoActions()
-	if migrations == 0 {
-		t.Fatal("no automatic migrations")
-	}
-	if _, ok := c.Scheduler().MachineOf(model.TaskID{Job: "video", Index: 0}); !ok {
-		t.Fatal("antagonist lost after migration")
-	}
-}
-
 func TestPreemptionReplacesEvictedBatch(t *testing.T) {
-	// No overcommit headroom: a production job's arrival preempts batch
-	// tasks, which the cluster re-places elsewhere.
-	c := New(Config{Seed: 12, Machines: 3, CPUsPerMachine: 8, Overcommit: 1.0,
+	// A cluster full to its overcommit ceiling: a production job's
+	// arrival preempts batch tasks, which the cluster re-places
+	// elsewhere.
+	c := New(Config{Seed: 12, Machines: 3, CPUsPerMachine: 8,
 		Params: core.Params{MinSamplesPerTask: 5}})
-	if err := c.AddJob(BatchJob("filler", 6, 4, model.PriorityBestEffort)); err != nil {
-		t.Fatal(err) // 24 CPU of batch: the cluster is full
+	if err := c.AddJob(BatchJob("filler", 9, 4, model.PriorityBestEffort)); err != nil {
+		t.Fatal(err) // 36 CPU of batch: 3 × 8 CPUs × 1.5, the cluster is full
 	}
 	if err := c.AddJob(QuietServiceJob("prod", 2, 4)); err != nil {
 		t.Fatal(err)
@@ -278,13 +224,13 @@ func TestPreemptionReplacesEvictedBatch(t *testing.T) {
 		}
 	}
 	placedFiller := 0
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 9; i++ {
 		if _, ok := c.MachineOf(model.TaskID{Job: "filler", Index: i}); ok {
 			placedFiller++
 		}
 	}
-	if placedFiller != 4 {
-		t.Errorf("filler tasks remaining = %d, want 4 (2 displaced for good)", placedFiller)
+	if placedFiller != 7 {
+		t.Errorf("filler tasks remaining = %d, want 7 (2 displaced for good)", placedFiller)
 	}
 	// The sim keeps running consistently after the shuffle.
 	c.Run(2 * time.Minute)
@@ -390,7 +336,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Run(8 * time.Minute)
-		received, _ := c.Bus().Stats()
+		received, _ := c.PipelineStats()
 		specs := c.RecomputeSpecs()
 		var mean float64
 		if len(specs) > 0 {

@@ -18,20 +18,18 @@ import (
 
 // fingerprint serializes everything the determinism contract promises
 // is worker-count-independent: incidents (every field, including float
-// correlations and cap quotas), the full spec table, churn counters,
-// pipeline counters, and the §9 automation counters. Byte-comparing
+// correlations and cap quotas), the full spec table, churn counters
+// and pipeline counters. Byte-comparing
 // two fingerprints therefore checks float-exact equality, not "close
 // enough".
 type fingerprint struct {
-	Incidents  []core.Incident
-	Events     []obs.Event
-	Specs      []model.Spec
-	Exits      int64
-	Restarts   int64
-	Received   int64
-	Dropped    int64
-	AvoidPairs int
-	Migrations int64
+	Incidents []core.Incident
+	Events    []obs.Event
+	Specs     []model.Spec
+	Exits     int64
+	Restarts  int64
+	Received  int64
+	Dropped   int64
 	// Shared registry series fed by the per-machine local metric sets.
 	// The commit phase drains them in machine-index order, so these float
 	// sums must be bit-identical at any worker count.
@@ -59,8 +57,7 @@ type fingerprint struct {
 }
 
 // detRun builds a busy cluster — search tree, quiet service, batch,
-// restarting MapReduce, heavy antagonists, with both §9 automation
-// loops armed — and runs it for warm+dur at the given worker count,
+// restarting MapReduce, heavy antagonists — and runs it for warm+dur at the given worker count,
 // returning the JSON fingerprint of everything that happened. The
 // identifier argument selects the antagonist-identification algorithm
 // ("" = the correlation default).
@@ -69,16 +66,14 @@ func detRun(t *testing.T, workers, machines int, warm, dur time.Duration, identi
 	ev := obs.NewEventLog(1<<16, nil)
 	reg := obs.NewRegistry()
 	c := New(Config{
-		Seed:                 1234,
-		Machines:             machines,
-		CPUsPerMachine:       16,
-		PlatformBFraction:    0.3,
-		Workers:              workers,
-		Params:               core.Params{MinSamplesPerTask: 5, Identifier: identifier},
-		AutoAvoidThreshold:   3,
-		AutoMigrateAfterCaps: 3,
-		Registry:             reg,
-		Events:               ev,
+		Seed:              1234,
+		Machines:          machines,
+		CPUsPerMachine:    16,
+		PlatformBFraction: 0.3,
+		Workers:           workers,
+		Params:            core.Params{MinSamplesPerTask: 5, Identifier: identifier},
+		Registry:          reg,
+		Events:            ev,
 	})
 	defer c.Close()
 	defs, tree := WebSearchJob("websearch", machines, machines/5+1, 2, c.RNG())
@@ -124,8 +119,7 @@ func detRun(t *testing.T, workers, machines int, warm, dur time.Duration, identi
 	fp.Events = ev.Recent(0, "")
 	fp.Specs = c.RecomputeSpecs()
 	fp.Exits, fp.Restarts = c.Stats()
-	fp.Received, fp.Dropped = c.Bus().Stats()
-	fp.AvoidPairs, fp.Migrations = c.AutoActions()
+	fp.Received, fp.Dropped = c.PipelineStats()
 	cm := core.NewMetrics(reg)
 	fp.MetricSamples = cm.SamplesObserved.Value()
 	fp.MetricAnomalies = cm.Anomalies.Value()
@@ -209,7 +203,7 @@ func TestStepDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestCommitPhaseSerial pins down the documented contract that
-// forensics Store.Add, §9 automation, and OnTick callbacks run only
+// forensics Store.Add and OnTick callbacks run only
 // from the serial commit phase: the OnTick callback below mutates
 // plain unsynchronized state and queries the forensics store while
 // machines tick with a full worker pool. Under -race (CI tier 1) any

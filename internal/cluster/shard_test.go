@@ -124,9 +124,6 @@ func TestShardRoutingMatchesRing(t *testing.T) {
 	if got := c.NumShards(); got != 4 {
 		t.Fatalf("NumShards = %d, want 4", got)
 	}
-	if c.Bus() != c.ShardBus(0) {
-		t.Error("Bus() must alias shard 0")
-	}
 	if assertKeysOnOwners(t, c, "4 shards") == 0 {
 		t.Fatal("no keys anywhere; the routing check is vacuous")
 	}

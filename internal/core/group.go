@@ -33,6 +33,9 @@ import (
 // Pearson r the most, stop when nothing improves it or the size cap
 // is hit.
 
+// maxGroupSize bounds the group search the manager runs.
+const maxGroupSize = 4
+
 // GroupSuspect is the result of a group-antagonist search.
 type GroupSuspect struct {
 	// Members are the group's tasks, in the order greedy selection

@@ -395,7 +395,7 @@ func (m *Manager) analyse(s model.Sample, a Assessment) *Incident {
 	var groupDecisions []Decision
 	if decision.Action == ActionNone && m.params.GroupDetection {
 		g := FindAntagonistGroup(victimCPI, suspects,
-			now, m.params.CorrelationWindow, m.params.SamplingInterval, m.params.MaxGroupSize)
+			now, m.params.CorrelationWindow, m.params.SamplingInterval, maxGroupSize)
 		if len(g.Members) >= 2 && g.Correlation >= m.params.CorrelationThreshold {
 			group = &g
 			m.mu.Lock()

@@ -83,8 +83,6 @@ type Params struct {
 	// CPI (antagonists taking turns), and throttle its throttleable
 	// members together.
 	GroupDetection bool
-	// MaxGroupSize bounds the group search (default 4).
-	MaxGroupSize int
 }
 
 // DefaultParams returns Table 2's values. Enforcement is on by
@@ -166,9 +164,6 @@ func (p Params) Sanitize() Params {
 	}
 	if p.BatchQuota <= 0 {
 		p.BatchQuota = d.BatchQuota
-	}
-	if p.MaxGroupSize <= 0 {
-		p.MaxGroupSize = 4
 	}
 	if p.Identifier == "" {
 		p.Identifier = d.Identifier

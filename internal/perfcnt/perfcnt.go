@@ -246,7 +246,3 @@ func (s *Sampler) finish(now time.Time) []Measurement {
 	s.meas = out
 	return out
 }
-
-// InWindow reports whether the sampler is currently counting, for
-// tests and for tools that want to avoid concurrent counter use.
-func (s *Sampler) InWindow() bool { return s.inWindow }

@@ -280,21 +280,21 @@ func TestSamplerCoarseTicks(t *testing.T) {
 	}
 }
 
+// TestSamplerInWindow: the window opens at t=0 and closes at t=10 s,
+// and the next opens at t=60 s; Next names each edge.
 func TestSamplerInWindow(t *testing.T) {
 	s := NewSampler(paperConfig)
 	read := func(*Snapshot) {}
 	start := time.Unix(0, 0).UTC()
-	s.Tick(start, read)
-	if !s.InWindow() {
-		t.Error("should be in window at t=0")
-	}
-	s.Tick(start.Add(10*time.Second), read)
-	if s.InWindow() {
-		t.Error("should be out of window at t=10")
-	}
-	s.Tick(start.Add(60*time.Second), read)
-	if !s.InWindow() {
-		t.Error("should be in window at t=60")
+	for _, step := range []struct{ at, next time.Duration }{
+		{0, 10 * time.Second},                // in window: it closes at t=10
+		{10 * time.Second, 60 * time.Second}, // out of window: the next opens at t=60
+		{60 * time.Second, 70 * time.Second}, // in window again
+	} {
+		s.Tick(start.Add(step.at), read)
+		if got := s.Next().Sub(start); got != step.next {
+			t.Errorf("after the t=%v tick, Next = t=%v, want t=%v", step.at, got, step.next)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("stream starting %#02x: err = %v, want a refusal wrapping errBadFrame", stream[0], err)
 			}
 			if err != nil {
-				if msg.Type != 0 || msg.Samples != nil || msg.Jobs != nil || msg.Spec != (model.Spec{}) || msg.TraceID != (trace.ID{}) {
+				if msg.Type != 0 || msg.Samples != nil || msg.Jobs != nil || msg.Spec != (model.Spec{}) {
 					t.Fatalf("error %v returned non-zero message %+v", err, msg)
 				}
 				return
@@ -146,8 +146,7 @@ func FuzzWireDecodeBinary(f *testing.F) {
 		{Type: msgSamples, Samples: []model.Sample{sample}},
 		{Type: msgSubscribe},
 		{Type: msgSubscribe, Jobs: []model.SpecKey{{Job: "websearch", Platform: model.PlatformA}}},
-		{Type: msgSpec, TraceID: trace.ParseID("feedfacefeedface"),
-			Spec: model.Spec{Job: "websearch", Platform: model.PlatformA, CPIMean: 1.6, CPIStddev: 0.2}},
+		{Type: msgSpec, Spec: model.Spec{Job: "websearch", Platform: model.PlatformA, CPIMean: 1.6, CPIStddev: 0.2}},
 	} {
 		f.Add(appendBinaryFrame(nil, msg))
 	}
@@ -173,18 +172,18 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	// The hello, and one for a version this end does not speak.
 	hello := appendBinaryFrame(nil, wireMsg{Type: msgHello})
 	f.Add(hello)
-	hello3 := append([]byte{}, hello...)
-	hello3[len(hello3)-1] = 3
-	f.Add(hello3)
+	hello2 := append([]byte{}, hello...)
+	hello2[len(hello2)-1] = 2
+	f.Add(hello2)
 	// A spec refresh as a subscriber sees it: the same key twice (the
 	// second decode finds both names in the table), then its job on the
 	// other platform.
 	spec := model.Spec{Job: "websearch", Platform: model.PlatformA, NumSamples: 48211, NumTasks: 640,
 		CPUUsageMean: 1.37, CPIMean: 1.82, CPIStddev: 0.21, UpdatedAt: time.Date(2011, 11, 2, 12, 0, 0, 0, time.UTC)}
-	refresh := appendBinaryFrame(nil, wireMsg{Type: msgSpec, Spec: spec, TraceID: trace.ParseID("5f1d6c0a9b3e4d27")})
-	refresh = appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: trace.ParseID("5f1d6c0a9b3e4d28")})
+	refresh := appendBinaryFrame(nil, wireMsg{Type: msgSpec, Spec: spec})
+	refresh = appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec})
 	spec.Platform = model.PlatformB
-	f.Add(appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec, TraceID: trace.ParseID("5f1d6c0a9b3e4d29")}))
+	f.Add(appendBinaryFrame(refresh, wireMsg{Type: msgSpec, Spec: spec}))
 	// The decoder carries state from frame to frame (reused sample slots,
 	// string memos), so every input also goes through a reader that has
 	// already decoded unrelated frames sharing some of its strings — a
@@ -193,7 +192,7 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	warm := sample
 	warm.Task.Job, warm.Machine, warm.TraceID = "elsewhere", "m0", trace.ParseID("0123456701234567")
 	prelude := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{warm, sample, warm}})
-	prelude = appendBinaryFrame(prelude, wireMsg{Type: msgSpec, TraceID: trace.ParseID("0123456701234568"),
+	prelude = appendBinaryFrame(prelude, wireMsg{Type: msgSpec,
 		Spec: model.Spec{Job: "elsewhere", Platform: "websearch", CPIMean: 2.5}})
 	// A sample whose trace id is 16 bytes but not hex, one byte off the
 	// prelude's last: both readers must decode it as no ID, so the used
@@ -243,8 +242,7 @@ func sameSample(a, b model.Sample) bool {
 }
 
 func sameWireMsg(a, b wireMsg) bool {
-	if a.Type != b.Type || a.TraceID != b.TraceID ||
-		len(a.Samples) != len(b.Samples) || len(a.Jobs) != len(b.Jobs) {
+	if a.Type != b.Type || len(a.Samples) != len(b.Samples) || len(a.Jobs) != len(b.Jobs) {
 		return false
 	}
 	for i := range a.Jobs {
@@ -263,20 +261,20 @@ func sameWireMsg(a, b wireMsg) bool {
 		floatEq(sa.CPIMean, sb.CPIMean) && floatEq(sa.CPIStddev, sb.CPIStddev)
 }
 
-// rawTraceID returns frame, a samples or spec frame that ends in an
-// empty trace id, with raw written there instead: the wire form of an
-// id that no trace.ID encodes to.
+// rawTraceID returns frame, a samples frame that ends in an empty trace
+// id, with raw written there instead: the wire form of an id that no
+// trace.ID encodes to.
 func rawTraceID(frame []byte, raw string) []byte {
 	return endFrame(appendStr(slices.Clip(frame[:len(frame)-4]), raw), 0)
 }
 
 // TestBinaryRoundTrip pins encode→decode equality for every message
 // type, including NaN and Inf (they survive the framing; rejecting
-// them is the validator's decision downstream). A trace id is on the
-// wire as its hex string. A sample's decodes back; any other string
-// decodes to no ID, which encodes again as the empty string. A spec's
-// is skipped unparsed, so every spec frame decodes to no ID; one whose
-// length overruns the frame is refused either way.
+// them is the validator's decision downstream). A sample's trace id is
+// on the wire as its hex string and decodes back; any other string
+// decodes to no ID, which encodes again as the empty string, and one
+// whose length overruns the frame is refused. A spec frame carries no
+// trace id: a receiver derives it (trace.SpecID).
 func TestBinaryRoundTrip(t *testing.T) {
 	ts := time.Date(2011, 11, 1, 0, 0, 10, 500, time.UTC)
 	msgs := []wireMsg{
@@ -292,7 +290,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			{Job: "websearch", Platform: model.PlatformA},
 			{Job: "batch", Platform: model.PlatformB},
 		}},
-		{Type: msgSpec, TraceID: trace.ParseID("feedfacefeedface"), Spec: model.Spec{
+		{Type: msgSpec, Spec: model.Spec{
 			Job: "websearch", Platform: model.PlatformA, NumSamples: 1234,
 			NumTasks: 7, CPUUsageMean: 0.5, CPIMean: 1.6, CPIStddev: 0.2,
 			UpdatedAt: ts,
@@ -301,49 +299,37 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	for _, want := range msgs {
 		frame := appendBinaryFrame(nil, want)
+		if body := len(appendSpec(nil, &want.Spec)); want.Type == msgSpec && len(frame) != binHeaderLen+1+body {
+			t.Errorf("spec frame is %d bytes, want the header, the type byte and the spec's %d", len(frame), body)
+		}
 		fr := newFrameReader(bytes.NewReader(frame))
 		got, err := fr.next()
 		if err != nil {
 			t.Fatalf("type %d: %v", want.Type, err)
-		}
-		if want.Type == msgSpec {
-			want.TraceID = trace.ID{}
 		}
 		if !sameWireMsg(got, want) {
 			t.Errorf("type %d: round-trip mismatch: got %+v want %+v", want.Type, got, want)
 		}
 	}
 	id := trace.ParseID("00c0ffee00c0ffee")
-	for _, msg := range []func(trace.ID) wireMsg{
-		func(tid trace.ID) wireMsg {
-			return wireMsg{Type: msgSamples, Samples: []model.Sample{{Job: "websearch", Machine: "m1", TraceID: tid}}}
-		},
-		func(tid trace.ID) wireMsg {
-			return wireMsg{Type: msgSpec, TraceID: tid, Spec: model.Spec{Job: "websearch"}}
-		},
-	} {
-		untraced := msg(trace.ID{})
-		frame := appendBinaryFrame(nil, untraced)
-		if got, want := appendBinaryFrame(nil, msg(id)), rawTraceID(frame, id.String()); !bytes.Equal(got, want) {
-			t.Errorf("type %d: trace id frame\n got %x\nwant %x", untraced.Type, got, want)
-		}
-		// Skipped or parsed, an id whose length runs past the payload is
-		// a malformed frame.
-		short := endFrame(append(slices.Clip(frame[:len(frame)-4]), 0, 0, 0, 9, 'a'), 0)
-		if _, err := newFrameReader(bytes.NewReader(short)).next(); !errors.Is(err, errBadFrame) {
-			t.Errorf("type %d: a trace id cut short decoded with %v, want a refusal", untraced.Type, err)
-		}
-		raws := []string{"00C0FFEE00C0FFEE", "00c0ffee", "00c0ffee00c0ffee0", ""}
-		if untraced.Type == msgSpec {
-			raws = append(raws, id.String())
-		}
-		for _, raw := range raws {
-			got, err := newFrameReader(bytes.NewReader(rawTraceID(frame, raw))).next()
-			if err != nil || !sameWireMsg(got, untraced) {
-				t.Errorf("type %d, trace id %q: decoded %+v, %v; want no ID", untraced.Type, raw, got, err)
-			} else if again := appendBinaryFrame(nil, got); !bytes.Equal(again, frame) {
-				t.Errorf("type %d, trace id %q: re-encoded\n got %x\nwant %x", untraced.Type, raw, again, frame)
-			}
+	sampleMsg := func(tid trace.ID) wireMsg {
+		return wireMsg{Type: msgSamples, Samples: []model.Sample{{Job: "websearch", Machine: "m1", TraceID: tid}}}
+	}
+	untraced := sampleMsg(trace.ID{})
+	frame := appendBinaryFrame(nil, untraced)
+	if got, want := appendBinaryFrame(nil, sampleMsg(id)), rawTraceID(frame, id.String()); !bytes.Equal(got, want) {
+		t.Errorf("trace id frame\n got %x\nwant %x", got, want)
+	}
+	short := endFrame(append(slices.Clip(frame[:len(frame)-4]), 0, 0, 0, 9, 'a'), 0)
+	if _, err := newFrameReader(bytes.NewReader(short)).next(); !errors.Is(err, errBadFrame) {
+		t.Errorf("a trace id cut short decoded with %v, want a refusal", err)
+	}
+	for _, raw := range []string{"00C0FFEE00C0FFEE", "00c0ffee", "00c0ffee00c0ffee0", ""} {
+		got, err := newFrameReader(bytes.NewReader(rawTraceID(frame, raw))).next()
+		if err != nil || !sameWireMsg(got, untraced) {
+			t.Errorf("trace id %q: decoded %+v, %v; want no ID", raw, got, err)
+		} else if again := appendBinaryFrame(nil, got); !bytes.Equal(again, frame) {
+			t.Errorf("trace id %q: re-encoded\n got %x\nwant %x", raw, again, frame)
 		}
 	}
 }

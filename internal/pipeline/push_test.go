@@ -302,15 +302,14 @@ func pushMatchesScan(t *testing.T, seed int64, steps int) {
 			for sc, fc := range conns {
 				var got []delivery
 				writes := fc.taken()
-				// Every frame is its spec's, under the spec's trace id:
-				// re-encoded so, the frames equal the bytes written.
+				// Every frame is its spec's: re-encoded, the frames equal
+				// the bytes written.
 				var frames []byte
 				for _, msg := range framesOf(t, writes) {
 					if msg.Type != msgSpec {
 						t.Fatalf("step %d: frame %+v", step, msg)
 					}
-					frames = appendBinaryFrame(frames, wireMsg{Type: msgSpec, Spec: msg.Spec,
-						TraceID: trace.SpecID(string(msg.Spec.Job), string(msg.Spec.Platform), msg.Spec.UpdatedAt)})
+					frames = appendBinaryFrame(frames, wireMsg{Type: msgSpec, Spec: msg.Spec})
 					got = append(got, delivery{0, msg.Spec.Key(), msg.Spec.UpdatedAt})
 				}
 				if written := bytes.Join(writes, nil); !bytes.Equal(written, frames) {

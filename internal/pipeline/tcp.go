@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 )
 
 // Server is the TCP face of the aggregation service: it accepts agent
@@ -131,7 +130,7 @@ const (
 	writeTimeout = 5 * time.Second
 )
 
-// wireConn is what both ends of a wire v2 connection share: the framed
+// wireConn is what both ends of a wire v3 connection share: the framed
 // send buffer, the frame read loop, and their accounting.
 //
 // Sending is buffered: frames are appended to out and written whole, in
@@ -368,10 +367,9 @@ func (c *serverConn) InterestVersion() uint64 { return c.interest.Load() }
 // DeliverSpec implements SpecWatcher: the spec's frame joins the send
 // buffer and goes out with the next flush.
 func (c *serverConn) DeliverSpec(spec model.Spec) {
-	id := trace.SpecID(string(spec.Job), string(spec.Platform), spec.UpdatedAt)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.appendLocked(wireMsg{Type: msgSpec, Spec: spec, TraceID: id})
+	c.appendLocked(wireMsg{Type: msgSpec, Spec: spec})
 	if len(c.out) >= flushBytes {
 		_ = c.flushLocked()
 	}

@@ -139,11 +139,11 @@ func dialFake(t *testing.T, reply []byte) (*Metrics, *obs.EventLog) {
 // does not speak — must show up in the client's cpi2_wire_errors_total
 // and event log instead of a silent read-loop exit.
 func TestClientCountsWireErrors(t *testing.T) {
-	cm, events := dialFake(t, []byte{binMagic, 3, 0, 0, 0, 0})
+	cm, events := dialFake(t, []byte{binMagic, 2, 0, 0, 0, 0})
 	if got := cm.WireErrors.With("decode").Value(); got != 1 {
 		t.Errorf("client decode errors = %v, want 1", got)
 	}
-	if data := oneWireError(t, events, "client", "decode"); !strings.Contains(data["error"], "wire v3") {
+	if data := oneWireError(t, events, "client", "decode"); !strings.Contains(data["error"], "wire v2") {
 		t.Errorf("wire_error does not name the frame's version: %q", data["error"])
 	}
 }
@@ -166,7 +166,7 @@ func TestV1PeerRefused(t *testing.T) {
 		waitFor(t, "connection drop", func() bool {
 			return m.WireErrors.With("decode").Value() == 1 && m.ConnectedAgents.Value() == 0
 		})
-		if data := oneWireError(t, events, "server", "decode"); !strings.Contains(data["error"], "wire v2") {
+		if data := oneWireError(t, events, "server", "decode"); !strings.Contains(data["error"], "wire v3") {
 			t.Errorf("wire_error does not name the version: %q", data["error"])
 		}
 		if received, dropped := bus.Stats(); received != 0 || dropped != 0 || m.MessagesIn.Value() != 0 {
@@ -178,7 +178,7 @@ func TestV1PeerRefused(t *testing.T) {
 		if got := cm.WireErrors.With("decode").Value(); got != 1 {
 			t.Errorf("client decode errors = %v, want 1", got)
 		}
-		if data := oneWireError(t, events, "client", "decode"); !strings.Contains(data["error"], "wire v2") {
+		if data := oneWireError(t, events, "client", "decode"); !strings.Contains(data["error"], "wire v3") {
 			t.Errorf("wire_error does not name the version: %q", data["error"])
 		}
 	})

@@ -24,7 +24,7 @@ var wireBenchMsgs = []struct {
 	samples int
 }{
 	{"samples16", wireMsg{Type: msgSamples, Samples: wireBenchSamples(16)}, 16},
-	{"spec", wireMsg{Type: msgSpec, TraceID: trace.ParseID("5f1d6c0a9b3e4d27"), Spec: model.Spec{
+	{"spec", wireMsg{Type: msgSpec, Spec: model.Spec{
 		Job: "websearch-leaf", Platform: model.PlatformA, NumSamples: 48211, NumTasks: 640,
 		CPUUsageMean: 1.37, CPIMean: 1.8234, CPIStddev: 0.2117, UpdatedAt: day0.Add(36 * time.Hour),
 	}}, 0},

@@ -1,13 +1,13 @@
 package pipeline
 
-// Wire protocol v2: length-prefixed binary frames, the one framing of
+// Wire protocol v3: length-prefixed binary frames, the one framing of
 // the agent ↔ aggregator stream, in both directions from the first
 // byte.
 //
 // Frame layout (big-endian):
 //
 //	byte 0    magic 0xB2
-//	byte 1    protocol version (2)
+//	byte 1    protocol version (3)
 //	bytes 2-5 u32 payload length N (N ≤ MaxFrameBytes, else the frame
 //	          is refused as oversized before any payload is read)
 //	bytes 6+  payload: u8 message type, then the message body
@@ -19,14 +19,16 @@ package pipeline
 //	agent → aggregator:  subscribe  u32 count, then job×platform keys
 //	                                (none = every spec)
 //	aggregator → agent:  hello      answers each hello received
-//	aggregator → agent:  spec       the spec, then its trace id
+//	aggregator → agent:  spec       the spec (no trace id: a receiver
+//	                                derives it, trace.SpecID)
 //
 // A client says hello first and sends data straight after it; there is
-// nothing to wait for. A peer that is not v2 — a first byte other than
+// nothing to wait for. A peer that is not v3 — a first byte other than
 // the magic (a v1 JSON peer's '{'), or a header or hello version other
-// than 2 — is refused with an error that wraps errBadFrame and names
-// the version, and the connection is dropped. Unknown message types
-// are skipped, so v2 can grow messages.
+// than 3 (a v2 peer, whose spec frames end in a trace id) — is refused
+// with an error that wraps errBadFrame and names the version, and the
+// connection is dropped. Unknown message types are skipped, so v3 can
+// grow messages.
 //
 // Body primitives: u32/u64 big-endian; float64 as IEEE-754 bits (so
 // NaN/Inf arrive and are judged by the SampleValidator, not by the
@@ -52,7 +54,7 @@ import (
 
 const (
 	binMagic     = 0xB2
-	binVersion   = 2
+	binVersion   = 3
 	binHeaderLen = 6 // magic + version + u32 payload length
 )
 
@@ -66,14 +68,11 @@ const (
 )
 
 // wireMsg is one decoded (or to-be-encoded) message of any type.
-// TraceID is a spec message's trace id, encoded but not decoded (a
-// decoded one is zero); a sample carries its own.
 type wireMsg struct {
 	Type    byte
 	Samples []model.Sample
 	Jobs    []model.SpecKey
 	Spec    model.Spec
-	TraceID trace.ID
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -135,7 +134,7 @@ func appendSpec(b []byte, s *model.Spec) []byte {
 	return appendTime(b, s.UpdatedAt)
 }
 
-// appendBinaryFrame appends one complete v2 frame encoding msg to buf
+// appendBinaryFrame appends one complete v3 frame encoding msg to buf
 // and returns the extended buffer. A type with no body here encodes as
 // its type byte alone, which receivers skip.
 func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
@@ -155,7 +154,6 @@ func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
 		}
 	case msgSpec:
 		buf = appendSpec(buf, &msg.Spec)
-		buf = appendID(buf, msg.TraceID)
 	case msgHello:
 		buf = appendU32(buf, binVersion)
 	}
@@ -348,7 +346,7 @@ func (d *decoder) spec(r *binReader, s *model.Spec) {
 	s.UpdatedAt = r.time()
 }
 
-// decode parses one v2 payload (the bytes after the 6-byte frame
+// decode parses one v3 payload (the bytes after the 6-byte frame
 // header). Malformed input, and a hello for any version but ours,
 // returns an error wrapping errBadFrame and never panics —
 // FuzzWireDecodeBinary enforces this. Unknown message types decode to
@@ -379,7 +377,6 @@ func (d *decoder) decode(p []byte) (wireMsg, error) {
 		}
 	case msgSpec:
 		d.spec(&r, &msg.Spec)
-		r.bytes() // the trace id, skipped: a receiver derives it (trace.SpecID)
 	case msgHello:
 		if v := r.u32(); r.err == nil && v != binVersion {
 			return wireMsg{}, fmt.Errorf("%w: peer says hello for wire v%d, this end speaks only v%d", errBadFrame, v, binVersion)

@@ -3,10 +3,12 @@
 // controller that keeps latency-sensitive reservations from being
 // oversubscribed while speculatively over-committing resources for
 // batch work. It supports priority bands, preemption of batch work
-// when machines run too hot, kill-and-restart migration of persistent
-// antagonists, and the cross-job anti-affinity constraints that §5/§9
-// describe ("ask the cluster scheduler to avoid co-locating their job
-// and these antagonists in the future").
+// when machines run too hot, and the two §5 operator actions against
+// persistent antagonists: kill-and-restart migration (Migrate) and
+// cross-job anti-affinity ("ask the cluster scheduler to avoid
+// co-locating their job and these antagonists in the future",
+// AvoidColocation). Operators call both; nothing here takes them
+// automatically, which §9 leaves to future work.
 package scheduler
 
 import (
@@ -103,9 +105,9 @@ func (m *machineState) hasJob(job model.JobName) bool {
 // use; the cluster harness drives it from a single goroutine, as the
 // real system's scheduler is a single logical component.
 type Scheduler struct {
-	// Overcommit is the batch over-commit factor: total committed CPU
-	// on a machine may reach capacity × Overcommit (default 1.5).
-	Overcommit float64
+	// overcommit is the batch over-commit factor: total committed CPU
+	// on a machine may reach capacity × overcommit.
+	overcommit float64
 
 	machines map[string]*machineState
 	// index orders the machines by score for placement; every
@@ -128,7 +130,7 @@ func New(overcommit float64) *Scheduler {
 		overcommit = 1
 	}
 	return &Scheduler{
-		Overcommit: overcommit,
+		overcommit: overcommit,
 		machines:   make(map[string]*machineState),
 		where:      make(map[model.TaskID]string),
 		avoid:      make(map[model.JobName]map[model.JobName]bool),
@@ -171,11 +173,6 @@ func (s *Scheduler) AvoidColocation(job, antagonist model.JobName) {
 	}
 	add(job, antagonist)
 	add(antagonist, job)
-}
-
-// Avoids reports whether job must avoid machines running other.
-func (s *Scheduler) Avoids(job, other model.JobName) bool {
-	return s.avoid[job][other]
 }
 
 // Placement is the result of a successful Place or Migrate call.
@@ -231,7 +228,7 @@ func (s *Scheduler) place(task TaskSpec, exclude string) (Placement, error) {
 		if isProd {
 			return m.prodReserved+req <= m.capacity
 		}
-		return m.committed+req <= m.capacity*s.Overcommit
+		return m.committed+req <= m.capacity*s.overcommit
 	})
 	s.placements++
 	s.probes += int64(probes)
@@ -286,7 +283,7 @@ func violatesAffinity(m *machineState, avoid map[model.JobName]bool) bool {
 }
 
 func (s *Scheduler) preemptIfOvercommitted(m *machineState) []TaskSpec {
-	limit := m.capacity * s.Overcommit
+	limit := m.capacity * s.overcommit
 	if m.committed <= limit {
 		return nil
 	}
