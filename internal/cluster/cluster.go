@@ -344,10 +344,15 @@ func New(cfg Config) *Cluster {
 			n.events = obs.NewEventBuffer()
 		}
 		if cfg.Registry != nil {
-			// Not a.Instrument: that points the agent straight at the
-			// shared registry series, which every concurrently ticking
-			// machine would then hammer (the shared atomics were one of
-			// the negative-scaling culprits).
+			// Not a.Instrument, which points the agent straight at the
+			// shared registry series, for two reasons. Every concurrently
+			// ticking machine would then hammer the shared atomics (one
+			// of the negative-scaling culprits). And the commit phase
+			// drains the staged copies in node order, so a histogram's
+			// float sum adds its terms in one order at any worker count;
+			// written directly, the order is the workers' and the sum's
+			// last bits move with it. Dropping the copies to save their
+			// memory fails TestConcurrentStagedMetricsRenderAlike.
 			n.metrics, n.drainMetrics, n.metricsWritten = obs.Stage(coreShared)
 		}
 		n.a = c.newAgent(n)

@@ -121,9 +121,10 @@ func faultedRunHash(t *testing.T, workers int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestFaultedRunPinned: a faulted, fully observed run is byte-identical
-// to the one pinned by faultedRunSHA256, at one worker and at four.
-func TestFaultedRunPinned(t *testing.T) {
+// TestConcurrentFaultedRunPinned: a faulted, fully observed run is
+// byte-identical to the one pinned by faultedRunSHA256, at one worker
+// and at four.
+func TestConcurrentFaultedRunPinned(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		if got := faultedRunHash(t, workers); got != faultedRunSHA256 {
 			t.Errorf("workers=%d: faulted run hash %s, pinned %s", workers, got, faultedRunSHA256)
@@ -159,11 +160,11 @@ func TestIncidentsAreTheStoreLog(t *testing.T) {
 	}
 }
 
-// TestIdleStepsCommitNothing: on a warmed fault-free fleet with
+// TestConcurrentIdleStepsCommitNothing: on a warmed fault-free fleet with
 // registry, events and tracing on, a Step on which no sampling window
 // closes gives the commit phase no machine to visit, and the Step on
 // which the windows close gives it every machine.
-func TestIdleStepsCommitNothing(t *testing.T) {
+func TestConcurrentIdleStepsCommitNothing(t *testing.T) {
 	const machines = 20
 	c := New(Config{
 		Seed:           3,
@@ -203,15 +204,15 @@ func TestIdleStepsCommitNothing(t *testing.T) {
 	}
 }
 
-// TestIdleAgentTicksOnlyAtWindowEdges pins, as a count, the agent
-// ticks that run in full rather than return at once. On a 100-machine
-// fleet with no cap in force an agent runs only its two window-edge
-// ticks a minute (the 10 s window opens and closes), 200 in all. A cap
-// adopted mid-interval (Agent.Reconcile, the one way a cap is made
-// outside a tick) makes its agent run every tick, 60 a minute, while
-// the other 99 stay at two; once it is released, its agent runs one
-// tick more (the first after the release) and is back at two.
-func TestIdleAgentTicksOnlyAtWindowEdges(t *testing.T) {
+// TestConcurrentIdleAgentTicksOnlyAtWindowEdges pins, as a count, the
+// agent ticks that run in full rather than return at once. On a
+// 100-machine fleet with no cap in force an agent runs only its two
+// window-edge ticks a minute (the 10 s window opens and closes), 200 in
+// all. A cap adopted mid-interval (Agent.Reconcile, the one way a cap
+// is made outside a tick) makes its agent run every tick, 60 a minute,
+// while the other 99 stay at two; once it is released, its agent runs
+// one tick more (the first after the release) and is back at two.
+func TestConcurrentIdleAgentTicksOnlyAtWindowEdges(t *testing.T) {
 	const machines = 100
 	c := New(Config{Seed: 6, Machines: machines, CPUsPerMachine: 16, Workers: 2})
 	defer c.Close()
@@ -277,14 +278,14 @@ func TestIdleAgentTicksOnlyAtWindowEdges(t *testing.T) {
 	}
 }
 
-// TestQueuedBatchPendingAtBarrier: with no registry, events or faults,
-// the sample batch an agent queues when its window closes is all a
-// quiet machine has to commit. Workers queue it in the parallel phase
-// and the lock-free Queue.Len reports it, so at the barrier every
+// TestConcurrentQueuedBatchPendingAtBarrier: with no registry, events
+// or faults, the sample batch an agent queues when its window closes is
+// all a quiet machine has to commit. Workers queue it in the parallel
+// phase and the lock-free Queue.Len reports it, so at the barrier every
 // machine is pending: each window step commits the whole fleet and its
 // samples reach the bus, and the steps between commit nothing. Run
 // under -race, this also checks the queue depth is read safely.
-func TestQueuedBatchPendingAtBarrier(t *testing.T) {
+func TestConcurrentQueuedBatchPendingAtBarrier(t *testing.T) {
 	const machines = 16
 	c := New(Config{Seed: 4, Machines: machines, CPUsPerMachine: 16, Workers: 4})
 	defer c.Close()

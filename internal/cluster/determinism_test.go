@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -137,15 +138,15 @@ func detRun(t *testing.T, workers, machines int, warm, dur time.Duration, identi
 	return b
 }
 
-// TestStepDeterminismAcrossWorkerCounts is the headline guarantee of
-// the parallel stepper: the same seed produces byte-identical
-// incidents, spec tables, and counters at ANY worker count. It runs
-// the same busy cluster serially (Workers=1), at Workers=3 (an odd
-// count: uneven chunks, and a claim order that changes from run to
-// run), at Workers=4, and at Workers=GOMAXPROCS, and byte-compares the
-// JSON fingerprints. Run under -race in CI, this doubles as the race
-// check for the parallel phase.
-func TestStepDeterminismAcrossWorkerCounts(t *testing.T) {
+// TestConcurrentStepDeterminismAcrossWorkerCounts is the headline
+// guarantee of the parallel stepper: the same seed produces
+// byte-identical incidents, spec tables, and counters at ANY worker
+// count. It runs the same busy cluster serially (Workers=1), at
+// Workers=3 (an odd count: uneven chunks, and a claim order that
+// changes from run to run), at Workers=4, and at Workers=GOMAXPROCS,
+// and byte-compares the JSON fingerprints. Run under -race in CI, this
+// doubles as the race check for the parallel phase.
+func TestConcurrentStepDeterminismAcrossWorkerCounts(t *testing.T) {
 	machines, warm, dur := 50, 15*time.Minute, 2*time.Hour
 	if testing.Short() {
 		machines, warm, dur = 12, 12*time.Minute, 25*time.Minute
@@ -200,6 +201,78 @@ func TestStepDeterminismAcrossWorkerCounts(t *testing.T) {
 			t.Errorf("compared /metrics text has no %s line", want)
 		}
 	}
+}
+
+// TestConcurrentStagedMetricsRenderAlike: machine k's agent clock runs
+// k·10ms/3 ahead, so every spec age it observes has a fraction of a
+// second, and cpi2_spec_staleness_seconds_sum depends on the order its
+// terms are added in. (The other determinism runs skew by whole seconds
+// or not at all; their sums come out the same in any order.) The whole
+// /metrics page of a 100-machine fleet must still render byte for byte
+// alike at 1, 2 and 4 workers: each agent writes its own staged copy,
+// and the commit phase drains the copies in machine order. An agent
+// writing the shared set directly adds in whatever order the workers
+// run. Without -race about one parallel render in seven still matches
+// machine order, so each parallel count renders twice there; under
+// -race none of 20 did.
+func TestConcurrentStagedMetricsRenderAlike(t *testing.T) {
+	const machines = 100
+	render := func(workers int) string {
+		skews := make([]SkewEvent, machines)
+		for k := range skews {
+			skews[k] = SkewEvent{Machine: fmt.Sprintf("machine-%04d", k), Offset: time.Duration(k) * 10 * time.Millisecond / 3}
+		}
+		reg := obs.NewRegistry()
+		c := New(Config{
+			Seed:           11,
+			Machines:       machines,
+			CPUsPerMachine: 16,
+			Workers:        workers,
+			Params:         core.Params{MinSamplesPerTask: 5},
+			Registry:       reg,
+			Faults:         &FaultPlan{Skews: skews},
+		})
+		defer c.Close()
+		// Eight tasks a machine: the more a window-closing tick observes,
+		// the more often two workers' writes interleave.
+		for _, d := range []JobDef{
+			QuietServiceJob("bigtable", 6*machines, 0.8),
+			BatchJob("logproc", 2*machines, 0.5, model.PriorityBestEffort),
+		} {
+			if err := c.AddJob(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := WarmUpSpecs(c, 6*time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(10 * time.Minute)
+		if n := core.NewMetrics(reg).SpecStaleness.Count(); n == 0 {
+			t.Fatalf("workers=%d: no spec age observed", workers)
+		}
+		return reg.Render()
+	}
+	base := render(1)
+	counts := []int{2, 4, 2, 4}
+	if raceEnabled {
+		counts = counts[:2]
+	}
+	for _, w := range counts {
+		if got := render(w); got != base {
+			t.Errorf("workers=%d: /metrics differs from workers=1\n%s", w, firstDiff(base, got))
+		}
+	}
+}
+
+// firstDiff returns the first line on which a and b differ, from each.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return "workers=1: " + al[i] + "\nthis run:  " + bl[i]
+		}
+	}
+	return "one page is a prefix of the other"
 }
 
 // TestCommitPhaseSerial pins down the documented contract that

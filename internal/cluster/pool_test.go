@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// TestPoolRunCoversRange checks every index is processed exactly once
-// for a spread of sizes and partition counts, including n < parts,
-// parts above GOMAXPROCS and the pool's own worker count, n that the
-// chunk size does not divide, and repeated runs on the same pool.
-func TestPoolRunCoversRange(t *testing.T) {
+// TestConcurrentPoolRunCoversRange checks every index is processed
+// exactly once for a spread of sizes and partition counts, including
+// n < parts, parts above GOMAXPROCS and the pool's own worker count, n
+// that the chunk size does not divide, and repeated runs on the same
+// pool.
+func TestConcurrentPoolRunCoversRange(t *testing.T) {
 	p := newPool(3)
 	defer p.stop()
 	over := 2*runtime.GOMAXPROCS(0) + 3
@@ -37,15 +38,15 @@ func TestPoolRunCoversRange(t *testing.T) {
 	}
 }
 
-// TestPoolLateWorkerOffCriticalPath blocks the pool's only worker
-// inside a job sent straight to its channel. run must still return,
-// the caller having processed every index once; the wake it sent the
-// busy worker stays queued. The next run releases the worker from
-// inside its first chunk and waits until the worker has taken that
+// TestConcurrentPoolLateWorkerOffCriticalPath blocks the pool's only
+// worker inside a job sent straight to its channel. run must still
+// return, the caller having processed every index once; the wake it
+// sent the busy worker stays queued. The next run releases the worker
+// from inside its first chunk and waits until the worker has taken that
 // stale wake, so the worker finishes its old job and tries the stale
 // one while the new run is in progress: neither may count or claim
 // anything in it, and no index may be processed twice.
-func TestPoolLateWorkerOffCriticalPath(t *testing.T) {
+func TestConcurrentPoolLateWorkerOffCriticalPath(t *testing.T) {
 	p := newPool(1)
 	defer p.stop()
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -107,10 +108,10 @@ func TestPoolLateWorkerOffCriticalPath(t *testing.T) {
 	}
 }
 
-// TestPoolRunAllocFree checks a run on a warm pool allocates nothing:
-// the job travels by value and completion is one channel, so there is
-// no closure or WaitGroup per call.
-func TestPoolRunAllocFree(t *testing.T) {
+// TestConcurrentPoolRunAllocFree checks a run on a warm pool allocates
+// nothing: the job travels by value and completion is one channel, so
+// there is no closure or WaitGroup per call.
+func TestConcurrentPoolRunAllocFree(t *testing.T) {
 	for _, parts := range []int{2, 4} {
 		p := newPool(parts - 1)
 		var sum atomic.Int64
@@ -123,9 +124,10 @@ func TestPoolRunAllocFree(t *testing.T) {
 	}
 }
 
-// TestPoolStoppedRunsInline checks run still completes (on the calling
-// goroutine) after stop — stepping a closed Cluster must not panic.
-func TestPoolStoppedRunsInline(t *testing.T) {
+// TestConcurrentPoolStoppedRunsInline checks run still completes (on
+// the calling goroutine) after stop — stepping a closed Cluster must
+// not panic.
+func TestConcurrentPoolStoppedRunsInline(t *testing.T) {
 	p := newPool(2)
 	p.stop()
 	p.stop() // idempotent

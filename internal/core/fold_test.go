@@ -165,10 +165,10 @@ func TestBatchFoldMatchesOneAtATime(t *testing.T) {
 	}
 }
 
-// TestFoldRefusesWithSentinels: a refused sample costs the builder no
-// allocation — a flood of them must not be an allocation storm — and
-// AddSample names the reason with a sentinel.
-func TestFoldRefusesWithSentinels(t *testing.T) {
+// TestFoldRefusesAllocFreeWithSentinels: a refused sample costs the
+// builder no allocation — a flood of them must not be an allocation
+// storm — and AddSample names the reason with a sentinel.
+func TestFoldRefusesAllocFreeWithSentinels(t *testing.T) {
 	b := NewSpecBuilder(DefaultParams())
 	good := model.Sample{Job: "j", Task: model.TaskID{Job: "j"}, Platform: model.PlatformA, Timestamp: day0, CPUUsage: 1, CPI: 1}
 	cases := []struct {
@@ -200,10 +200,10 @@ func TestFoldRefusesWithSentinels(t *testing.T) {
 	}
 }
 
-// TestHostileTaskIndexBoundedMemory: whatever Task.Index a sample
+// TestHostileTaskIndexMemoryBudget: whatever Task.Index a sample
 // carries, folding it allocates a bounded amount — the page table plus
 // one page at most — and it is still counted as one task.
-func TestHostileTaskIndexBoundedMemory(t *testing.T) {
+func TestHostileTaskIndexMemoryBudget(t *testing.T) {
 	const perSampleLimit = 32 << 10 // page table is 8 KiB, a page 512 B
 	indexes := []int{-1, -1 << 62, 1 << 40, 1<<62 + 12345, maxDenseTask, maxDenseTask - 1}
 	b := NewSpecBuilder(Params{MinSamplesPerTask: 1, MinTasks: 1})

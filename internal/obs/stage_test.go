@@ -250,13 +250,13 @@ func TestDrainUnderConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestStageIdleDrainIsFree is the budget the fleet's commit phase is
+// TestStageIdleDrainAllocFree is the budget the fleet's commit phase is
 // built on: draining a copy nobody wrote since the last drain allocates
 // nothing and only loads. The loads-only half is checked where a store
 // would show: a histogram whose writer is between its bucket add and
 // its count add keeps that bucket (the drain saw count 0 and left), and
 // a shared gauge holding −0 is not rewritten to +0 by an add of nothing.
-func TestStageIdleDrainIsFree(t *testing.T) {
+func TestStageIdleDrainAllocFree(t *testing.T) {
 	shared := newTestSet(NewRegistry())
 	local, drain, _ := Stage(shared)
 	if n := testing.AllocsPerRun(100, drain); n != 0 {

@@ -70,14 +70,14 @@ func TestDiurnalLoadLevelClock(t *testing.T) {
 	}
 }
 
-// TestDiurnalSharedLevelMatchesLevel: four copies of one Shared
+// TestConcurrentDiurnalSharedLevelMatchesLevel: four copies of one Shared
 // template, each with its own jitter stream, read the level at the same
 // instant from four goroutines, every 37 s across a simulated day, in
 // UTC and then in a zone half an hour off the hour. Each gets what an
 // unshared copy with the same stream gets, bit for bit, and the streams
 // end where the unshared ones do. A warm read hits the cache and
 // allocates nothing.
-func TestDiurnalSharedLevelMatchesLevel(t *testing.T) {
+func TestConcurrentDiurnalSharedLevelMatchesLevel(t *testing.T) {
 	const workers = 4
 	tmpl := DiurnalLoad{Trough: 0.25, Peak: 0.95, PeakHour: 17.5, Jitter: 0.05}.Shared()
 	shared := make([]DiurnalLoad, workers)
