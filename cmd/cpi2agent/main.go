@@ -48,7 +48,7 @@
 // bounded in-memory buffer (-spool-batches/-spool-bytes per shard,
 // drop-oldest) and replay in order when the redialer reconnects, so an
 // aggregator outage costs nothing but spec staleness. An aggregator
-// that does not speak wire protocol v3 is refused: the connection drops
+// that does not speak wire protocol v4 is refused: the connection drops
 // with a wire_error event (reason "decode") naming the version.
 //
 // The admin HTTP server on -metrics-addr is the daemon's one listener

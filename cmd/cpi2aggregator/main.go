@@ -14,7 +14,7 @@
 // default here is hourly. The admin HTTP server on -metrics-addr
 // serves /metrics, /healthz, /buildinfo, /debug/specs (the current
 // spec table), /debug/events (structured events, including wire_error
-// drops — an agent that does not speak wire protocol v3 is refused
+// drops — an agent that does not speak wire protocol v4 is refused
 // with reason "decode"), /debug/ring (shard identity, ring membership,
 // per-member key counts, checkpoint age, last push/recompute
 // timestamps), and /debug/trace (aggregator-side causal spans: ingest,

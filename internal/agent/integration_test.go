@@ -83,15 +83,15 @@ func newRecordingProxy(t *testing.T, upstream string) *recordingProxy {
 	return p
 }
 
-// countV3Frames walks stream as wire v3 frames — magic 0xB2, version
-// 3, u32 payload length — and returns how many whole ones it holds.
+// countV4Frames walks stream as wire v4 frames — magic 0xB2, version
+// 4, u32 payload length — and returns how many whole ones it holds.
 // The last may be cut short: it was in flight when the record was read.
-func countV3Frames(t *testing.T, what string, stream []byte) int {
+func countV4Frames(t *testing.T, what string, stream []byte) int {
 	t.Helper()
 	frames := 0
 	for len(stream) > 0 {
-		if start := stream[:min(2, len(stream))]; !bytes.HasPrefix([]byte{0xB2, 0x03}, start) {
-			t.Fatalf("%s: frame %d starts % x, want b2 03", what, frames, start)
+		if start := stream[:min(2, len(stream))]; !bytes.HasPrefix([]byte{0xB2, 0x04}, start) {
+			t.Fatalf("%s: frame %d starts % x, want b2 04", what, frames, start)
 		}
 		if len(stream) < 6 {
 			break
@@ -128,7 +128,7 @@ func dialAggregator(t *testing.T, addr string, onSpec func(model.Spec)) *pipelin
 // then suffers interference detects and caps using the *pushed* spec,
 // never a locally installed one. This is Figure 6 end to end. Every
 // connection runs through a recording proxy: all that crosses it, in
-// both directions and from the first byte, must be wire v3 frames.
+// both directions and from the first byte, must be wire v4 frames.
 func TestFleetOverTCP(t *testing.T) {
 	params := core.Params{MinSamplesPerTask: 5}
 	bus := pipeline.NewBus(core.NewSpecBuilder(params))
@@ -336,7 +336,7 @@ func TestFleetOverTCP(t *testing.T) {
 	}
 
 	// What crossed the wire: a hello each way at least, and nothing
-	// that is not a v3 frame, on every connection.
+	// that is not a v4 frame, on every connection.
 	for _, reason := range []string{"decode", "oversize", "read"} {
 		if got := metrics.WireErrors.With(reason).Value(); got != 0 {
 			t.Errorf("aggregator wire errors (%s) = %v", reason, got)
@@ -349,8 +349,8 @@ func TestFleetOverTCP(t *testing.T) {
 	}
 	for i, rc := range proxy.conns {
 		rc.mu.Lock()
-		up := countV3Frames(t, fmt.Sprintf("conn %d, agent → aggregator", i), rc.read)
-		down := countV3Frames(t, fmt.Sprintf("conn %d, aggregator → agent", i), rc.wrote)
+		up := countV4Frames(t, fmt.Sprintf("conn %d, agent → aggregator", i), rc.read)
+		down := countV4Frames(t, fmt.Sprintf("conn %d, aggregator → agent", i), rc.wrote)
 		rc.mu.Unlock()
 		if up < 2 || down < 2 {
 			t.Errorf("conn %d: %d frames up, %d down; want a hello and data each way", i, up, down)

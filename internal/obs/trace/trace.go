@@ -153,11 +153,17 @@ func SpecID(job, platform string, updatedAt time.Time) ID {
 	return hashSeq(hashString(h, platform), uint64(updatedAt.UnixNano()))
 }
 
+// HashID is the ID whose 64-bit hash is h, as Hash returns it.
+func HashID(h uint64) ID { return ID{hash: h, ok: true} }
+
+// Hash returns the ID's 64-bit hash, and false for no ID.
+func (id ID) Hash() (uint64, bool) { return id.hash, id.ok }
+
 // SampleTraceID is SampleID; only the benchmark generator still calls it.
 func SampleTraceID(machine string, seq uint64) ID { return SampleID(machine, seq) }
 
 // ParseID reads the 16-lowercase-hex-digit form. Anything else — the
-// empty string, a legacy or hostile ID off the wire — is no ID.
+// empty string, a malformed ID in JSON or a query — is no ID.
 func ParseID(s string) ID {
 	if len(s) != 16 {
 		return ID{}
@@ -187,8 +193,8 @@ var hexValue = func() (t [256]byte) {
 	return t
 }()
 
-// AppendTo appends the ID's 16 hex digits to b (nothing for no ID).
-func (id ID) AppendTo(b []byte) []byte {
+// appendTo appends the ID's 16 hex digits to b (nothing for no ID).
+func (id ID) appendTo(b []byte) []byte {
 	if !id.ok {
 		return b
 	}
@@ -202,11 +208,11 @@ func (id ID) AppendTo(b []byte) []byte {
 // String renders the ID as 16 hex digits, or "" for no ID.
 func (id ID) String() string {
 	var buf [16]byte
-	return string(id.AppendTo(buf[:0]))
+	return string(id.appendTo(buf[:0]))
 }
 
 // MarshalText renders the ID as String does, so JSON shows the hex.
-func (id ID) MarshalText() ([]byte, error) { return id.AppendTo(nil), nil }
+func (id ID) MarshalText() ([]byte, error) { return id.appendTo(nil), nil }
 
 // UnmarshalText reads the ID as ParseID does.
 func (id *ID) UnmarshalText(b []byte) error { *id = ParseID(string(b)); return nil }

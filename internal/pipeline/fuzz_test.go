@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -14,12 +16,13 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// FuzzWireDecode feeds the frame reader what a peer that is not wire v2
-// sends — the corpus is the v1 newline-delimited JSON framing, frames
-// well-formed and not — and arbitrary bytes grown from it: a stream
-// must produce messages or an error, never a panic; an error never
-// comes with a message; and a stream whose first byte is not the magic
-// is refused there and then, with an error wrapping errBadFrame.
+// FuzzWireDecode feeds the frame reader what a peer that speaks no
+// binary wire version sends — the corpus is the v1 newline-delimited
+// JSON framing, frames well-formed and not — and arbitrary bytes grown
+// from it: a stream must produce messages or an error, never a panic;
+// an error never comes with a message; and a stream whose first byte
+// is not the magic is refused there and then, with an error wrapping
+// errBadFrame.
 func FuzzWireDecode(f *testing.F) {
 	for _, line := range []string{
 		`{"type":"samples","samples":[{"jobname":"websearch","task":{"job":"websearch","index":3},"platforminfo":"A","timestamp":"2011-11-01T00:00:00Z","cpu_usage":1.5,"cpi":2.25,"machine":"m1"}]}`,
@@ -64,9 +67,9 @@ func FuzzWireDecode(f *testing.F) {
 }
 
 // limitFrame is a one-sample frame whose payload is exactly n bytes:
-// the machine name is padded to fit.
+// the machine name, the one field its sample sends, is padded to fit.
 func limitFrame(n int) []byte {
-	const overhead = 1 + 4 + minBinSampleLen // type, count, an all-empty sample
+	const overhead = 1 + 4 + minBinSampleLen + 4 // type, count, the smallest sample, the machine's length
 	s := model.Sample{Machine: strings.Repeat("m", n-overhead)}
 	return appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{s}})
 }
@@ -140,7 +143,7 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	sample := model.Sample{
 		Job: "websearch", Task: model.TaskID{Job: "websearch", Index: 3},
 		Platform: model.PlatformA, Timestamp: time.Date(2011, 11, 1, 0, 0, 0, 0, time.UTC),
-		CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: trace.ParseID("00c0ffee00c0ffee"),
+		CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: trace.HashID(0x00c0ffee00c0ffee),
 	}
 	for _, msg := range []wireMsg{
 		{Type: msgSamples, Samples: []model.Sample{sample}},
@@ -163,7 +166,7 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	huge[binHeaderLen+1], huge[binHeaderLen+2] = 0xff, 0xff // element count
 	f.Add(huge)
 	badStr := append([]byte{}, full...)
-	badStr[binHeaderLen+5], badStr[binHeaderLen+6] = 0xff, 0xff // first string length
+	badStr[binHeaderLen+6], badStr[binHeaderLen+7] = 0xff, 0xff // first string length, after the mask
 	f.Add(badStr)
 	// Unknown version, unknown message type, a v1 line after a frame.
 	f.Add([]byte{binMagic, 99, 0, 0, 0, 0})
@@ -190,16 +193,36 @@ func FuzzWireDecodeBinary(f *testing.F) {
 	// sample batch, and a spec whose platform name is a job name of the
 	// input's; the two readers must agree message for message.
 	warm := sample
-	warm.Task.Job, warm.Machine, warm.TraceID = "elsewhere", "m0", trace.ParseID("0123456701234567")
+	warm.Task.Job, warm.Machine, warm.TraceID = "elsewhere", "m0", trace.HashID(0x0123456701234567)
 	prelude := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{warm, sample, warm}})
 	prelude = appendBinaryFrame(prelude, wireMsg{Type: msgSpec,
 		Spec: model.Spec{Job: "elsewhere", Platform: "websearch", CPIMean: 2.5}})
-	// A sample whose trace id is 16 bytes but not hex, one byte off the
-	// prelude's last: both readers must decode it as no ID, so the used
-	// reader's trace id memo cannot hand back the prelude's.
-	forged := sample
-	forged.TraceID = trace.ID{}
-	f.Add(rawTraceID(appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{forged}}), "012345670123456X"))
+	// A trace id whose presence byte is neither 0 nor 1 (it sits before
+	// the id's 8 bytes, the task index and the two floats).
+	badID := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{sample}})
+	badID[len(badID)-9-(minBinSampleLen-1)] = 2
+	f.Add(badID)
+	// A frame whose samples send only what changed: the first sends
+	// nothing but its task index and numbers (a reader that took the
+	// fields it leaves out from the previous frame would disagree with a
+	// fresh one), the third repeats all but its task and numbers, the
+	// fourth has another task job, another machine and no trace id, the
+	// fifth goes back to the first machine with a zero timestamp.
+	second, third, fourth := sample, sample, sample
+	second.Task.Index, second.CPI = 4, 1.75
+	third.Task.Job, third.Machine, third.TraceID = "batch", "m2", trace.ID{}
+	fourth.Timestamp = time.Time{}
+	bare := model.Sample{Task: model.TaskID{Index: 1}, CPI: 1}
+	deltas := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{bare, sample, second, third, fourth}})
+	f.Add(deltas)
+	// A mask byte with a bit this end does not know.
+	unknownBit := append([]byte{}, full...)
+	unknownBit[binHeaderLen+5] |= sampleKnown + 1
+	f.Add(unknownBit)
+	// A count of 2³²−1 in a payload that holds one sample.
+	maxCount := append([]byte{}, full...)
+	copy(maxCount[binHeaderLen+1:], []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(maxCount)
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
 		used := newFrameReader(io.MultiReader(bytes.NewReader(prelude), bytes.NewReader(stream)))
@@ -261,29 +284,26 @@ func sameWireMsg(a, b wireMsg) bool {
 		floatEq(sa.CPIMean, sb.CPIMean) && floatEq(sa.CPIStddev, sb.CPIStddev)
 }
 
-// rawTraceID returns frame, a samples frame that ends in an empty trace
-// id, with raw written there instead: the wire form of an id that no
-// trace.ID encodes to.
-func rawTraceID(frame []byte, raw string) []byte {
-	return endFrame(appendStr(slices.Clip(frame[:len(frame)-4]), raw), 0)
-}
-
 // TestBinaryRoundTrip pins encode→decode equality for every message
 // type, including NaN and Inf (they survive the framing; rejecting
-// them is the validator's decision downstream). A sample's trace id is
-// on the wire as its hex string and decodes back; any other string
-// decodes to no ID, which encodes again as the empty string, and one
-// whose length overruns the frame is refused. A spec frame carries no
-// trace id: a receiver derives it (trace.SpecID).
+// them is the validator's decision downstream), and the bytes of a
+// samples frame: each sample sends a mask byte, the fields it names and
+// then its task index and numbers; a trace id is a presence byte and
+// the id's 8 bytes. A mask bit this end does not know, a trace id
+// presence byte other than 0 or 1 and a trace id cut short are refused.
+// A spec frame carries no trace id: a receiver derives it
+// (trace.SpecID).
 func TestBinaryRoundTrip(t *testing.T) {
 	ts := time.Date(2011, 11, 1, 0, 0, 10, 500, time.UTC)
 	msgs := []wireMsg{
 		{Type: msgSamples, Samples: []model.Sample{
 			{Job: "websearch", Task: model.TaskID{Job: "websearch", Index: 3},
 				Platform: model.PlatformA, Timestamp: ts,
-				CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: trace.ParseID("00c0ffee00c0ffee")},
+				CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: trace.HashID(0x00c0ffee00c0ffee)},
 			{Job: "batch", Task: model.TaskID{Job: "batch", Index: 0},
 				CPUUsage: math.NaN(), CPI: math.Inf(1)},
+			{Job: "batch", Task: model.TaskID{Job: "websearch", Index: 7},
+				Platform: model.PlatformB, Timestamp: ts, CPUUsage: 0.5, CPI: 1},
 		}},
 		{Type: msgSubscribe},
 		{Type: msgSubscribe, Jobs: []model.SpecKey{
@@ -311,27 +331,129 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Errorf("type %d: round-trip mismatch: got %+v want %+v", want.Type, got, want)
 		}
 	}
-	id := trace.ParseID("00c0ffee00c0ffee")
-	sampleMsg := func(tid trace.ID) wireMsg {
-		return wireMsg{Type: msgSamples, Samples: []model.Sample{{Job: "websearch", Machine: "m1", TraceID: tid}}}
+
+	traced := model.Sample{Job: "j", Task: model.TaskID{Job: "j", Index: 3}, Platform: "p",
+		Timestamp: ts, CPUUsage: 1.5, CPI: 2.25, Machine: "m1", TraceID: trace.HashID(0x00c0ffee00c0ffee)}
+	untraced := traced
+	untraced.Task.Index, untraced.CPI, untraced.TraceID = 4, 2, trace.ID{}
+	frame := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: []model.Sample{traced, untraced}})
+	want := "b204" + "0000005e" + // magic, version, payload length 94
+		"01" + "00000002" + // samples, count
+		"3d" + // job, platform, timestamp, machine and trace id follow
+		"00000001" + "6a" + "00000001" + "70" + // job "j", platform "p"
+		"01" + "000000004eaf368a" + "000001f4" + // timestamp: present, unix seconds, nanoseconds
+		"00000002" + "6d31" + // machine "m1"
+		"01" + "00c0ffee00c0ffee" + // trace id: present, its hash
+		"0000000000000003" + "3ff8000000000000" + "4002000000000000" + // index 3, CPU usage 1.5, CPI 2.25
+		"20" + "00" + // only the trace id follows: none
+		"0000000000000004" + "3ff8000000000000" + "4000000000000000" // index 4, CPU usage 1.5, CPI 2
+	if got := hex.EncodeToString(frame); got != want {
+		t.Errorf("samples frame\n got %s\nwant %s", got, want)
 	}
-	untraced := sampleMsg(trace.ID{})
-	frame := appendBinaryFrame(nil, untraced)
-	if got, want := appendBinaryFrame(nil, sampleMsg(id)), rawTraceID(frame, id.String()); !bytes.Equal(got, want) {
-		t.Errorf("trace id frame\n got %x\nwant %x", got, want)
+	refused := map[string][]byte{}
+	for _, bit := range []byte{0x40, 0x80} {
+		b := slices.Clone(frame)
+		b[binHeaderLen+5] |= bit
+		refused[fmt.Sprintf("mask bit %#02x", bit)] = b
 	}
-	short := endFrame(append(slices.Clip(frame[:len(frame)-4]), 0, 0, 0, 9, 'a'), 0)
-	if _, err := newFrameReader(bytes.NewReader(short)).next(); !errors.Is(err, errBadFrame) {
-		t.Errorf("a trace id cut short decoded with %v, want a refusal", err)
-	}
-	for _, raw := range []string{"00C0FFEE00C0FFEE", "00c0ffee", "00c0ffee00c0ffee0", ""} {
-		got, err := newFrameReader(bytes.NewReader(rawTraceID(frame, raw))).next()
-		if err != nil || !sameWireMsg(got, untraced) {
-			t.Errorf("trace id %q: decoded %+v, %v; want no ID", raw, got, err)
-		} else if again := appendBinaryFrame(nil, got); !bytes.Equal(again, frame) {
-			t.Errorf("trace id %q: re-encoded\n got %x\nwant %x", raw, again, frame)
+	traceAt := binHeaderLen + 1 + 4 + 1 + 5 + 5 + 13 + 6 // the first sample's trace id
+	presence := slices.Clone(frame)
+	presence[traceAt] = 2
+	refused["trace id presence 2"] = presence
+	refused["trace id cut short"] = endFrame(slices.Clone(frame[:traceAt+5]), 0)
+	for name, b := range refused {
+		if got, err := newFrameReader(bytes.NewReader(b)).next(); !errors.Is(err, errBadFrame) {
+			t.Errorf("%s: decoded %+v, %v; want a refusal", name, got, err)
 		}
 	}
+}
+
+// The values FuzzWireSampleRoundTrip draws sample fields from. Each
+// list starts with the field's zero value, and the times hold one
+// instant in two zones.
+var (
+	rtJobs      = []model.JobName{"", "websearch", "batch"}
+	rtPlatforms = []model.Platform{"", model.PlatformA, model.PlatformB}
+	rtMachines  = []string{"", "m1", "machine-0421"}
+	rtTimes     = []time.Time{{},
+		time.Date(2011, 11, 1, 0, 0, 10, 500, time.UTC),
+		time.Date(2011, 11, 1, 0, 0, 10, 500, time.UTC).In(time.FixedZone("PST", -8*3600)),
+		time.Date(2011, 11, 1, 0, 1, 10, 0, time.UTC),
+		time.Unix(-1, 5)}
+	rtIDs     = []trace.ID{{}, trace.HashID(0), trace.HashID(math.MaxUint64), trace.SampleID("m1", 7)}
+	rtNumbers = []float64{0, 1.5, -2.25, math.NaN(), math.Inf(1)}
+)
+
+// rtSamples turns script into a sample sequence, four bytes a sample:
+// which of job, task job, platform, timestamp, machine and trace id
+// repeat the previous sample (bits 0-5; the first sample's previous is
+// the zero sample), then the picks for the fields that do not, and the
+// task index and numbers. Every sequence ends in a traced, timed sample
+// and one with neither, so each input has a zero timestamp and a
+// change back to no trace id after an id.
+func rtSamples(script []byte) []model.Sample {
+	var out []model.Sample
+	var prev model.Sample
+	for ; len(script) >= 4; script = script[4:] {
+		repeat, a, b, c := script[0], int(script[1]), int(script[2]), script[3]
+		s := model.Sample{
+			Job:       rtJobs[a&3%len(rtJobs)],
+			Task:      model.TaskID{Job: rtJobs[a>>2&3%len(rtJobs)], Index: int(int8(c))},
+			Platform:  rtPlatforms[a>>4&3%len(rtPlatforms)],
+			Timestamp: rtTimes[b&7%len(rtTimes)],
+			CPUUsage:  rtNumbers[int(c)%len(rtNumbers)],
+			CPI:       rtNumbers[int(c>>3)%len(rtNumbers)],
+			Machine:   rtMachines[a>>6%len(rtMachines)],
+			TraceID:   rtIDs[b>>3&3],
+		}
+		for bit, keep := range []func(){
+			func() { s.Job = prev.Job },
+			func() { s.Task.Job = prev.Task.Job },
+			func() { s.Platform = prev.Platform },
+			func() { s.Timestamp = prev.Timestamp },
+			func() { s.Machine = prev.Machine },
+			func() { s.TraceID = prev.TraceID },
+		} {
+			if repeat&(1<<bit) != 0 {
+				keep()
+			}
+		}
+		out = append(out, s)
+		prev = s
+	}
+	traced := prev
+	traced.Timestamp, traced.TraceID = rtTimes[1], rtIDs[3]
+	plain := traced
+	plain.Timestamp, plain.TraceID = time.Time{}, trace.ID{}
+	return append(out, traced, plain)
+}
+
+// FuzzWireSampleRoundTrip: whatever a sample sequence repeats from one
+// sample to the next, decode(appendBinaryFrame(x)) is x, timestamps
+// compared in UTC — decoded by a fresh decoder and again by the same
+// one, so nothing of one frame's samples reaches the next frame's.
+func FuzzWireSampleRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x55, 0x09, 0x21})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x55, 0x09, 0x21}) // the first sample is all zero fields
+	f.Add([]byte{0x00, 0x55, 0x09, 0x21, 0x3f, 0x00, 0x00, 0x7f, 0x20, 0x00, 0x00, 0x80})
+	f.Add([]byte{0x00, 0x96, 0x1a, 0x02, 0x08, 0x29, 0x02, 0x13, 0x37, 0x06, 0x0c, 0xff, 0x00, 0x00, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		want := rtSamples(script)
+		frame := appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: want})
+		var dec decoder
+		for pass := 0; pass < 2; pass++ {
+			msg, err := dec.decode(frame[binHeaderLen:])
+			if err != nil || msg.Type != msgSamples || len(msg.Samples) != len(want) {
+				t.Fatalf("pass %d: type %d, %d samples, %v; want %d samples", pass, msg.Type, len(msg.Samples), err, len(want))
+			}
+			for i, got := range msg.Samples {
+				if !sameSample(got, want[i]) || got.Timestamp != want[i].Timestamp.UTC() {
+					t.Fatalf("pass %d, sample %d: decoded %+v, want %+v", pass, i, got, want[i])
+				}
+			}
+		}
+	})
 }
 
 // floatEq treats NaN as equal to itself (bit-level wire equality).

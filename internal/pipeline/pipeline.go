@@ -6,7 +6,7 @@
 // Two transports are provided over the same aggregation code:
 //
 //   - In-process (Bus): the cluster simulator's fast path.
-//   - TCP (Server/Redialer): length-prefixed binary v3 frames over real
+//   - TCP (Server/Redialer): length-prefixed binary v4 frames over real
 //     sockets (wirebin.go), used by cmd/cpi2agent and
 //     cmd/cpi2aggregator, so the distributed path is exercised
 //     honestly — batching, reconnects, and partial failure included.

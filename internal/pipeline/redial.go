@@ -255,7 +255,7 @@ func (r *Redialer) serve(conn net.Conn, reconnect bool) bool {
 	// The hello is the connection's first frame: no Publish can find the
 	// connection before it is written, and six bytes on a fresh
 	// connection cannot wait for buffer space while r.mu is held. The
-	// server's answer is not waited for; a peer that is not wire v3 shows
+	// server's answer is not waited for; a peer that is not wire v4 shows
 	// as a wire_error on whichever side reads the other's first frame. A
 	// failed write closes c, so the read below ends at once.
 	_ = c.send(wireMsg{Type: msgHello})

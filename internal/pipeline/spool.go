@@ -10,13 +10,14 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// approxSampleBytes is the budget-accounting estimate for one wire
-// sample: a frame encodes task, job, platform, timestamp, machine,
-// trace id and two floats, which lands near this size. The spool byte budget is a
-// back-pressure knob, not an exact allocator, so an estimate is fine.
+// approxSampleBytes is the budget-accounting estimate for one spooled
+// sample. The spool holds decoded model.Sample values, not wire bytes:
+// a 128-byte value on a 64-bit host, plus a share of the names it points
+// at, lands near this size. The spool byte budget is a back-pressure
+// knob, not an exact allocator, so an estimate is fine.
 const approxSampleBytes = 160
 
-// approxBatchOverheadBytes accounts for the per-frame envelope.
+// approxBatchOverheadBytes accounts for each spooled batch's own record.
 const approxBatchOverheadBytes = 48
 
 // SpoolConfig bounds a Spooler. The zero value gets sane defaults from

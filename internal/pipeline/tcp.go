@@ -130,7 +130,7 @@ const (
 	writeTimeout = 5 * time.Second
 )
 
-// wireConn is what both ends of a wire v3 connection share: the framed
+// wireConn is what both ends of a wire v4 connection share: the framed
 // send buffer, the frame read loop, and their accounting.
 //
 // Sending is buffered: frames are appended to out and written whole, in

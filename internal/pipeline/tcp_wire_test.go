@@ -148,6 +148,43 @@ func TestClientCountsWireErrors(t *testing.T) {
 	}
 }
 
+// TestV3PeerRefused: a v3 peer (every sample field sent, the trace id
+// as hex) is refused by the version of its first frame, a hello for
+// v3, in both directions: its frames are never decoded as v4 samples.
+func TestV3PeerRefused(t *testing.T) {
+	hello := appendBinaryFrame(nil, wireMsg{Type: msgHello})
+	hello[1], hello[len(hello)-1] = 3, 3 // a v3 header, a hello for v3
+	t.Run("v3_client", func(t *testing.T) {
+		addr, bus, m, events := wireTestServer(t)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "connection drop", func() bool {
+			return m.WireErrors.With("decode").Value() == 1 && m.ConnectedAgents.Value() == 0
+		})
+		if data := oneWireError(t, events, "server", "decode"); !strings.Contains(data["error"], "wire v3") {
+			t.Errorf("wire_error does not name the peer's version: %q", data["error"])
+		}
+		if received, _ := bus.Stats(); received != 0 || m.MessagesIn.Value() != 0 {
+			t.Errorf("a v3 frame was taken in: %d samples, %v messages", received, m.MessagesIn.Value())
+		}
+	})
+	t.Run("v3_server", func(t *testing.T) {
+		cm, events := dialFake(t, hello)
+		if got := cm.WireErrors.With("decode").Value(); got != 1 {
+			t.Errorf("client decode errors = %v, want 1", got)
+		}
+		if data := oneWireError(t, events, "client", "decode"); !strings.Contains(data["error"], "wire v3") {
+			t.Errorf("wire_error does not name the peer's version: %q", data["error"])
+		}
+	})
+}
+
 // TestV1PeerRefused: a peer speaking the v1 newline-delimited JSON
 // framing is disconnected at its first byte, counted once under
 // reason="decode", with an event that names the version — in both
@@ -166,7 +203,7 @@ func TestV1PeerRefused(t *testing.T) {
 		waitFor(t, "connection drop", func() bool {
 			return m.WireErrors.With("decode").Value() == 1 && m.ConnectedAgents.Value() == 0
 		})
-		if data := oneWireError(t, events, "server", "decode"); !strings.Contains(data["error"], "wire v3") {
+		if data := oneWireError(t, events, "server", "decode"); !strings.Contains(data["error"], "wire v4") {
 			t.Errorf("wire_error does not name the version: %q", data["error"])
 		}
 		if received, dropped := bus.Stats(); received != 0 || dropped != 0 || m.MessagesIn.Value() != 0 {
@@ -178,7 +215,7 @@ func TestV1PeerRefused(t *testing.T) {
 		if got := cm.WireErrors.With("decode").Value(); got != 1 {
 			t.Errorf("client decode errors = %v, want 1", got)
 		}
-		if data := oneWireError(t, events, "client", "decode"); !strings.Contains(data["error"], "wire v3") {
+		if data := oneWireError(t, events, "client", "decode"); !strings.Contains(data["error"], "wire v4") {
 			t.Errorf("wire_error does not name the version: %q", data["error"])
 		}
 	})

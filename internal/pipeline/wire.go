@@ -20,11 +20,11 @@ const MaxFrameBytes = 1 << 20
 var ErrFrameTooLarge = errors.New("pipeline: wire frame exceeds size limit")
 
 // errBadFrame is the sentinel wrapped by every malformed-frame error
-// and every refusal of a peer that is not wire v3, so read loops can
+// and every refusal of a peer that is not wire v4, so read loops can
 // classify decode failures apart from transport failures.
 var errBadFrame = errors.New("pipeline: bad wire frame")
 
-// frameReader reads a stream of binary v3 frames (wirebin.go).
+// frameReader reads a stream of binary v4 frames (wirebin.go).
 type frameReader struct {
 	br *bufio.Reader
 	// hdr (the header after its magic byte) and payload are the

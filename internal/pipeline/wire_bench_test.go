@@ -47,6 +47,23 @@ func wireBenchSamples(n int) []model.Sample {
 	return out
 }
 
+// TestWireSampleBytesBudget pins the wire's size on its two fixtures,
+// whatever the host: the 16-sample batch, which shares its job,
+// platform, timestamp, machine and trace id as an agent's does, in at
+// most 48 B a sample (wire v3 sent every field, 134.7 B), and the spec
+// frame at 103 B.
+func TestWireSampleBytesBudget(t *testing.T) {
+	for _, m := range wireBenchMsgs {
+		n := len(appendBinaryFrame(nil, m.msg))
+		switch {
+		case m.samples > 0 && float64(n)/float64(m.samples) > 48:
+			t.Errorf("%s: %.1f B a sample, budget 48", m.name, float64(n)/float64(m.samples))
+		case m.samples == 0 && n != 103:
+			t.Errorf("%s: %d B, want 103", m.name, n)
+		}
+	}
+}
+
 // wireBenchSink keeps the compiler from eliding the measured calls.
 var wireBenchSink int
 
@@ -114,8 +131,7 @@ func ingestFrames(n int, machines bool) [][]byte {
 // BenchmarkIngestBatch is the aggregator's cost of one 16-sample batch
 // once its frame is in memory: decode, owner/validator filter, fold.
 // Each of its four frames is a different machine's, with its own trace
-// id, so the per-batch machine copy and trace id parse are paid as on a
-// real connection.
+// id, so the per-batch machine copy is paid as on a real connection.
 func BenchmarkIngestBatch(b *testing.B) {
 	frames := ingestFrames(4, true)
 	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))

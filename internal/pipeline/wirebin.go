@@ -1,13 +1,13 @@
 package pipeline
 
-// Wire protocol v3: length-prefixed binary frames, the one framing of
+// Wire protocol v4: length-prefixed binary frames, the one framing of
 // the agent ↔ aggregator stream, in both directions from the first
 // byte.
 //
 // Frame layout (big-endian):
 //
 //	byte 0    magic 0xB2
-//	byte 1    protocol version (3)
+//	byte 1    protocol version (4)
 //	bytes 2-5 u32 payload length N (N ≤ MaxFrameBytes, else the frame
 //	          is refused as oversized before any payload is read)
 //	bytes 6+  payload: u8 message type, then the message body
@@ -22,12 +22,22 @@ package pipeline
 //	aggregator → agent:  spec       the spec (no trace id: a receiver
 //	                                derives it, trace.SpecID)
 //
+// A samples body is delta-coded. Each sample starts with a mask byte
+// whose bits (sampleJob … sampleTraceID below) name the fields that
+// follow; the task index, CPU usage and CPI follow always, in that
+// order. A field whose bit is clear repeats the previous sample of the
+// same frame, except the task's job, which is then the sample's own
+// job. The first sample of a frame is compared with the zero sample, so
+// every frame decodes alone. A mask bit this end does not know refuses
+// the frame.
+//
 // A client says hello first and sends data straight after it; there is
-// nothing to wait for. A peer that is not v3 — a first byte other than
+// nothing to wait for. A peer that is not v4 — a first byte other than
 // the magic (a v1 JSON peer's '{'), or a header or hello version other
-// than 3 (a v2 peer, whose spec frames end in a trace id) — is refused
+// than 4 (a v3 peer, whose samples carry every field and a hex trace
+// id, or a v2 peer, whose spec frames end in a trace id) — is refused
 // with an error that wraps errBadFrame and names the version, and the
-// connection is dropped. Unknown message types are skipped, so v3 can
+// connection is dropped. Unknown message types are skipped, so v4 can
 // grow messages.
 //
 // Body primitives: u32/u64 big-endian; float64 as IEEE-754 bits (so
@@ -35,7 +45,8 @@ package pipeline
 // codec); strings as u32 length + bytes, length-checked against the
 // remaining payload; timestamps as a presence flag byte (0 = zero
 // time) followed by unix seconds (i64) and nanoseconds (u32), decoded
-// in UTC.
+// in UTC; trace ids as a presence flag byte (0 = no ID) followed by the
+// ID's 64-bit hash.
 //
 // Encoding is append-style into caller-owned buffers and decoding is
 // cursor-based over the payload slice into a per-connection decoder
@@ -54,7 +65,7 @@ import (
 
 const (
 	binMagic     = 0xB2
-	binVersion   = 3
+	binVersion   = 4
 	binHeaderLen = 6 // magic + version + u32 payload length
 )
 
@@ -67,6 +78,19 @@ const (
 	msgHello     byte = 4
 )
 
+// The mask bits of a sample: the fields that follow it. sampleTaskJob
+// says the task's job is not the sample's job; the others say the field
+// differs from the previous sample's.
+const (
+	sampleJob byte = 1 << iota
+	sampleTaskJob
+	samplePlatform
+	sampleTimestamp
+	sampleMachine
+	sampleTraceID
+	sampleKnown = sampleTraceID<<1 - 1
+)
+
 // wireMsg is one decoded (or to-be-encoded) message of any type.
 type wireMsg struct {
 	Type    byte
@@ -75,15 +99,9 @@ type wireMsg struct {
 	Spec    model.Spec
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
 func appendF64(b []byte, v float64) []byte {
 	return appendU64(b, math.Float64bits(v))
@@ -92,14 +110,6 @@ func appendF64(b []byte, v float64) []byte {
 func appendStr(b []byte, s string) []byte {
 	b = appendU32(b, uint32(len(s)))
 	return append(b, s...)
-}
-
-// appendID appends id as appendStr(b, id.String()) would.
-func appendID(b []byte, id trace.ID) []byte {
-	at := len(b)
-	b = id.AppendTo(appendU32(b, 0))
-	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
-	return b
 }
 
 func appendTime(b []byte, t time.Time) []byte {
@@ -111,16 +121,51 @@ func appendTime(b []byte, t time.Time) []byte {
 	return appendU32(b, uint32(t.Nanosecond()))
 }
 
-func appendSample(b []byte, s *model.Sample) []byte {
-	b = appendStr(b, string(s.Job))
-	b = appendStr(b, string(s.Task.Job))
+func appendTraceID(b []byte, id trace.ID) []byte {
+	h, ok := id.Hash()
+	if !ok {
+		return append(b, 0)
+	}
+	return appendU64(append(b, 1), h)
+}
+
+// zeroSample is what the first sample of a frame is compared with.
+var zeroSample model.Sample
+
+// appendSample appends s as the fields that differ from prev, the
+// previous sample of its frame, behind the mask byte that names them.
+func appendSample(b []byte, s, prev *model.Sample) []byte {
+	at := len(b)
+	b = append(b, 0)
+	var mask byte
+	if s.Job != prev.Job {
+		mask |= sampleJob
+		b = appendStr(b, string(s.Job))
+	}
+	if s.Task.Job != s.Job {
+		mask |= sampleTaskJob
+		b = appendStr(b, string(s.Task.Job))
+	}
+	if s.Platform != prev.Platform {
+		mask |= samplePlatform
+		b = appendStr(b, string(s.Platform))
+	}
+	if !s.Timestamp.Equal(prev.Timestamp) {
+		mask |= sampleTimestamp
+		b = appendTime(b, s.Timestamp)
+	}
+	if s.Machine != prev.Machine {
+		mask |= sampleMachine
+		b = appendStr(b, s.Machine)
+	}
+	if s.TraceID != prev.TraceID {
+		mask |= sampleTraceID
+		b = appendTraceID(b, s.TraceID)
+	}
+	b[at] = mask
 	b = appendU64(b, uint64(s.Task.Index))
-	b = appendStr(b, string(s.Platform))
-	b = appendTime(b, s.Timestamp)
 	b = appendF64(b, s.CPUUsage)
-	b = appendF64(b, s.CPI)
-	b = appendStr(b, s.Machine)
-	return appendID(b, s.TraceID)
+	return appendF64(b, s.CPI)
 }
 
 func appendSpec(b []byte, s *model.Spec) []byte {
@@ -134,7 +179,7 @@ func appendSpec(b []byte, s *model.Spec) []byte {
 	return appendTime(b, s.UpdatedAt)
 }
 
-// appendBinaryFrame appends one complete v3 frame encoding msg to buf
+// appendBinaryFrame appends one complete v4 frame encoding msg to buf
 // and returns the extended buffer. A type with no body here encodes as
 // its type byte alone, which receivers skip.
 func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
@@ -143,8 +188,10 @@ func appendBinaryFrame(buf []byte, msg wireMsg) []byte {
 	switch msg.Type {
 	case msgSamples:
 		buf = appendU32(buf, uint32(len(msg.Samples)))
+		prev := &zeroSample
 		for i := range msg.Samples {
-			buf = appendSample(buf, &msg.Samples[i])
+			buf = appendSample(buf, &msg.Samples[i], prev)
+			prev = &msg.Samples[i]
 		}
 	case msgSubscribe:
 		buf = appendU32(buf, uint32(len(msg.Jobs)))
@@ -249,10 +296,22 @@ func (r *binReader) time() time.Time {
 	}
 }
 
-// minBinSampleLen is the encoded size of an all-empty sample: five
-// empty strings (4 bytes each), one u64, two f64s, one zero-time flag
-// byte. Used to bound the element-count preallocation below.
-const minBinSampleLen = 5*4 + 8 + 2*8 + 1
+func (r *binReader) traceID() trace.ID {
+	switch r.u8() {
+	case 0:
+		return trace.ID{}
+	case 1:
+		return trace.HashID(r.u64())
+	default:
+		r.fail()
+		return trace.ID{}
+	}
+}
+
+// minBinSampleLen is the encoded size of the smallest sample: a mask
+// byte, the u64 task index and two f64s. Used to bound the
+// element-count preallocation below.
+const minBinSampleLen = 1 + 8 + 2*8
 
 // A decoder's job-name table holds at most jobMemoMax names of at most
 // maxMemoNameLen bytes; like the Router's memo it is flushed when full,
@@ -266,18 +325,15 @@ const (
 // decoded in place into one reused slice, valid until the next decode —
 // which SampleSink's "must not retain" already requires of consumers.
 // Strings are real copies, never views of the payload buffer, but a
-// repeated one is copied once: machine and platform are compared with
-// the previous sample's, Task.Job with the Job just decoded, and job
-// names — and a spec's platform — go through the bounded table. A trace
-// id is parsed: 16 lowercase hex digits, or else no ID. A batch's samples
-// share one, so the last sample's is memoised by its bytes.
+// repeated one is copied once: a field the mask does not send is the
+// previous sample's, machine and platform are compared with the last
+// ones sent on the connection, and job names — and a spec's platform —
+// go through the bounded table.
 type decoder struct {
 	samples  []model.Sample
 	jobs     map[string]model.JobName
 	machine  string
 	platform string
-	rawID    [16]byte // the last 16-byte trace id; zero bytes parse to no ID
-	id       trace.ID // what rawID parses to
 }
 
 // same returns last when b spells it, and a copy of b otherwise.
@@ -286,17 +342,6 @@ func same(last string, b []byte) string {
 		return last
 	}
 	return string(b)
-}
-
-// traceID parses a sample's trace id; only 16 bytes can be one.
-func (d *decoder) traceID(b []byte) trace.ID {
-	if len(b) != len(d.rawID) {
-		return trace.ID{}
-	}
-	if string(b) != string(d.rawID[:]) {
-		d.rawID, d.id = [16]byte(b), trace.ParseID(string(b))
-	}
-	return d.id
 }
 
 func (d *decoder) job(b []byte) model.JobName {
@@ -313,23 +358,39 @@ func (d *decoder) job(b []byte) model.JobName {
 	return j
 }
 
-// sample decodes the next sample into s, overwriting every field.
-func (d *decoder) sample(r *binReader, s *model.Sample) {
-	s.Job = d.job(r.bytes())
-	if tj := r.bytes(); string(tj) == string(s.Job) {
-		s.Task.Job = s.Job
-	} else {
-		s.Task.Job = d.job(tj)
+// sample decodes the next sample into s, overwriting every field; prev
+// is the previous sample of the frame (or the zero sample).
+func (d *decoder) sample(r *binReader, s, prev *model.Sample) {
+	mask := r.u8()
+	if mask&^sampleKnown != 0 {
+		r.err = fmt.Errorf("sample mask %#02x has unknown bits", mask)
+		return
+	}
+	*s = *prev
+	if mask&sampleJob != 0 {
+		s.Job = d.job(r.bytes())
+	}
+	s.Task.Job = s.Job
+	if mask&sampleTaskJob != 0 {
+		s.Task.Job = d.job(r.bytes())
+	}
+	if mask&samplePlatform != 0 {
+		d.platform = same(d.platform, r.bytes())
+		s.Platform = model.Platform(d.platform)
+	}
+	if mask&sampleTimestamp != 0 {
+		s.Timestamp = r.time()
+	}
+	if mask&sampleMachine != 0 {
+		d.machine = same(d.machine, r.bytes())
+		s.Machine = d.machine
+	}
+	if mask&sampleTraceID != 0 {
+		s.TraceID = r.traceID()
 	}
 	s.Task.Index = int(r.u64())
-	d.platform = same(d.platform, r.bytes())
-	s.Platform = model.Platform(d.platform)
-	s.Timestamp = r.time()
 	s.CPUUsage = r.f64()
 	s.CPI = r.f64()
-	d.machine = same(d.machine, r.bytes())
-	s.Machine = d.machine
-	s.TraceID = d.traceID(r.bytes())
 }
 
 // spec decodes a spec into s. A connection is pushed the same keys
@@ -346,7 +407,7 @@ func (d *decoder) spec(r *binReader, s *model.Spec) {
 	s.UpdatedAt = r.time()
 }
 
-// decode parses one v3 payload (the bytes after the 6-byte frame
+// decode parses one v4 payload (the bytes after the 6-byte frame
 // header). Malformed input, and a hello for any version but ours,
 // returns an error wrapping errBadFrame and never panics —
 // FuzzWireDecodeBinary enforces this. Unknown message types decode to
@@ -363,8 +424,10 @@ func (d *decoder) decode(p []byte) (wireMsg, error) {
 			d.samples = make([]model.Sample, count)
 		}
 		msg.Samples = d.samples[:count]
+		prev := &zeroSample
 		for i := 0; i < count && r.err == nil; i++ {
-			d.sample(&r, &msg.Samples[i])
+			d.sample(&r, &msg.Samples[i], prev)
+			prev = &msg.Samples[i]
 		}
 	case msgSubscribe:
 		count := int(r.u32())
