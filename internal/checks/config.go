@@ -160,17 +160,6 @@ func (cs *Case) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// expectedCapJobs returns the set of job names legitimately capped.
-func (cs *Case) expectedCapJobs() map[string]bool {
-	out := map[string]bool{}
-	for _, w := range cs.Workload {
-		if w.ExpectsCaps() {
-			out[w.Name] = true
-		}
-	}
-	return out
-}
-
 // Validate checks the case for structural sanity beyond what decoding
 // already enforced.
 func (cs *Case) Validate() error {

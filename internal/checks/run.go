@@ -93,22 +93,10 @@ func RunCase(mc *MachineClass, cs *Case, opts RunOptions) (*Verdict, error) {
 	m.SpoolDrops = fs.SpoolDropped
 	m.Quarantined = fs.Quarantined
 
-	expected := cs.expectedCapJobs()
 	// Only what happens inside the measured window is judged: incidents
 	// (and caps) raised during warmup belong to an unwarmed fleet.
-	incidents := c.Incidents()[warm.Incidents:]
-	m.Incidents = len(incidents)
-	for _, inc := range incidents {
-		for _, d := range append([]core.Decision{inc.Decision}, inc.GroupDecisions...) {
-			if d.Action != core.ActionCap {
-				continue
-			}
-			m.CapsTotal++
-			if !expected[string(d.Target.Job)] {
-				m.FalseCaps++
-			}
-		}
-	}
+	score := cs.Score(c, warm)
+	m.Incidents, m.CapsTotal, m.FalseCaps = score.Incidents, score.Caps, score.FalseCaps
 	m.SpecStalenessP95Seconds = core.NewMetrics(reg).SpecStaleness.Quantile(0.95)
 
 	checks, pass := cs.Budgets.evaluate(m)

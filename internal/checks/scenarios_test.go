@@ -78,7 +78,9 @@ func TestCommittedScenarios(t *testing.T) {
 		{cluster.WorkloadEntry{Kind: "batch", Tasks: 3, CPU: 0.5}, batch, model.PriorityBestEffort, map[string]int{"": 3}},
 		{cluster.WorkloadEntry{Kind: "mapreduce", Tasks: 3, CPU: 0.5}, batch, model.PriorityBatch, map[string]int{"": 3}},
 		{cluster.WorkloadEntry{Kind: "bimodal", Tasks: 3}, lsc, model.PriorityProduction, map[string]int{"": 3}},
+		{cluster.WorkloadEntry{Kind: "decoy", Tasks: 3}, batch, model.PriorityBatch, map[string]int{"": 3}},
 		{cluster.WorkloadEntry{Kind: "antagonist", Tasks: 3, CPU: 1}, batch, model.PriorityBatch, map[string]int{"": 3}},
+		{cluster.WorkloadEntry{Kind: "sci_antagonist", Tasks: 3, CPU: 1}, batch, model.PriorityBatch, map[string]int{"": 3}},
 	}
 	priorities := map[string]model.Priority{
 		"production": model.PriorityProduction, "batch": model.PriorityBatch, "best_effort": model.PriorityBestEffort,

@@ -268,6 +268,36 @@ func BimodalJob(name string, tasks int) JobDef {
 	}
 }
 
+// DecoyJob builds innocent bursty tenants: plenty of visible CPU in
+// on/off pulses, but a near-zero interference footprint — they cannot
+// be causing anyone's CPI spikes, so convicting one is always a false
+// positive. Per-task phases come from the task's own RNG stream, so
+// some decoy somewhere is always chance-aligned with a victim.
+func DecoyJob(name string, tasks int) JobDef {
+	return JobDef{
+		Job: model.Job{
+			Name:       model.JobName(name),
+			Class:      model.ClassBatch,
+			Priority:   model.PriorityBatch,
+			NumTasks:   tasks,
+			CPUPerTask: 2,
+		},
+		Profile: &interference.Profile{
+			DefaultCPI: 1.0, CacheFootprint: 0.05, MemBandwidth: 0.02,
+			Sensitivity: 0.1, BaseL3MPKI: 0.5, NoiseSigma: 0.05,
+		},
+		NewWorkload: func(id model.TaskID, rng *stats.RNG) machine.Workload {
+			r := rng.Stream("phase")
+			return &workload.Pulse{
+				OnCPU: 2, OffCPU: 0.05,
+				OnFor: 4 * time.Minute, OffFor: 4 * time.Minute,
+				Threads: 8,
+				Phase:   time.Duration(r.Float64() * float64(8*time.Minute)),
+			}
+		},
+	}
+}
+
 // WarmUpSpecs runs the cluster for warm sim-time and then forces a
 // spec recompute, giving every robust job a pushed spec. Experiments
 // use this instead of simulating a full 24-hour aggregation cycle.

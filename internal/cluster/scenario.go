@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -56,7 +57,10 @@ type Fleet struct {
 //	batch          BatchJob (Tasks, CPU)                   best_effort
 //	mapreduce      MapReduceJob, lame-duck (Tasks, CPU)    batch
 //	bimodal        BimodalJob (Tasks)                      production
+//	decoy          DecoyJob (Tasks)                        batch
 //	antagonist     AntagonistJob (Tasks, CPU)              batch
+//	sci_antagonist AntagonistJob with ScientificSimProfile batch
+//	               (Tasks, CPU)
 type WorkloadEntry struct {
 	Kind string `json:"kind"`
 	// Name is the job name (websearch derives -leaf/-mixer/-root job
@@ -74,10 +78,11 @@ type WorkloadEntry struct {
 	Priority string `json:"priority"`
 	// AfterWarmup places the entry after the warm-up and its spec push —
 	// the "antagonist lands on a warmed fleet" shape. Unset: true for
-	// antagonist only.
+	// the two antagonist kinds only.
 	AfterWarmup *bool `json:"after_warmup"`
-	// ExpectCaps marks the job as a legitimate cap target, for judges of
-	// the run (checks' false-cap budget). Unset: true for antagonist only.
+	// ExpectCaps marks the entry's jobs as legitimate cap targets and
+	// rightful convictions, the labels Score judges a run by. Unset: true
+	// for the two antagonist kinds only.
 	ExpectCaps *bool `json:"expect_caps"`
 }
 
@@ -92,7 +97,7 @@ func (w *WorkloadEntry) flag(set *bool) bool {
 	if set != nil {
 		return *set
 	}
-	return w.Kind == "antagonist"
+	return w.Kind == "antagonist" || w.Kind == "sci_antagonist"
 }
 
 // Lands reports whether the entry is placed after the warm-up.
@@ -118,8 +123,14 @@ func (w *WorkloadEntry) defs(c *Cluster) []JobDef {
 		defs = []JobDef{MapReduceJob(w.Name, w.Tasks, w.CPU, workload.ReactLameDuck)}
 	case "bimodal":
 		defs = []JobDef{BimodalJob(w.Name, w.Tasks)}
+	case "decoy":
+		defs = []JobDef{DecoyJob(w.Name, w.Tasks)}
 	case "antagonist":
 		defs = []JobDef{AntagonistJob(w.Name, w.Tasks, w.CPU, model.PriorityBatch)}
+	case "sci_antagonist":
+		d := AntagonistJob(w.Name, w.Tasks, w.CPU, model.PriorityBatch)
+		d.Profile = ScientificSimProfile()
+		defs = []JobDef{d}
 	}
 	if p, ok := priorityNames[w.Priority]; ok {
 		for i := range defs {
@@ -176,12 +187,12 @@ func (s *Scenario) Validate() error {
 			if w.Leaves <= 0 || w.Mixers <= 0 || w.Roots <= 0 {
 				bad("%s: leaves/mixers/roots must be positive", where)
 			}
-		case "quiet_service", "batch", "mapreduce", "antagonist":
+		case "quiet_service", "batch", "mapreduce", "antagonist", "sci_antagonist":
 			if w.CPU <= 0 {
 				bad("%s: cpu must be positive", where)
 			}
 			fallthrough
-		case "bimodal":
+		case "bimodal", "decoy":
 			if w.Tasks <= 0 {
 				bad("%s: tasks must be positive", where)
 			}
@@ -197,12 +208,15 @@ func (s *Scenario) Validate() error {
 
 // Warm is the warm-up boundary Start returns: when the after_warmup
 // entries landed, how many incidents had been raised by then
-// (c.Incidents()[Incidents:] is the warmed fleet's), and the forced
-// recompute's spec table (nil without a warm-up).
+// (c.Incidents()[Incidents:] is the warmed fleet's), the forced
+// recompute's spec table (nil without a warm-up), and each machine an
+// ExpectsCaps entry's tasks were placed on, with when the first of them
+// was.
 type Warm struct {
 	At        time.Time
 	Incidents int
 	Specs     []model.Spec
+	Landed    map[string]time.Time
 }
 
 // Start builds the scenario's cluster and runs it to the warm-up
@@ -219,7 +233,8 @@ type Warm struct {
 //     error if no spec is robust);
 //  4. land the after_warmup entries, in declaration order.
 //
-// On error the cluster is closed.
+// Placing an ExpectsCaps entry records its tasks' machines in
+// Warm.Landed. On error the cluster is closed.
 func (s *Scenario) Start(base Config) (*Cluster, Warm, error) {
 	if err := s.Validate(); err != nil {
 		return nil, Warm{}, err
@@ -235,13 +250,13 @@ func (s *Scenario) Start(base Config) (*Cluster, Warm, error) {
 	cfg.Params.ReportOnly = s.ReportOnly
 	cfg.Faults, _ = ParseFaultPlan(s.Chaos) // Validate parsed it
 	c := New(cfg)
-	var w Warm
-	err := s.place(c, false)
+	w := Warm{Landed: map[string]time.Time{}}
+	err := s.place(c, false, w.Landed)
 	if err == nil && s.Warmup > 0 {
 		w.Specs, err = WarmUpSpecs(c, s.Warmup)
 	}
 	if err == nil {
-		err = s.place(c, true)
+		err = s.place(c, true, w.Landed)
 	}
 	if err != nil {
 		c.Close()
@@ -251,8 +266,9 @@ func (s *Scenario) Start(base Config) (*Cluster, Warm, error) {
 	return c, w, nil
 }
 
-// place adds the entries whose Lands matches landing.
-func (s *Scenario) place(c *Cluster, landing bool) error {
+// place adds the entries whose Lands matches landing, recording in
+// landed the machines an ExpectsCaps entry's tasks go to.
+func (s *Scenario) place(c *Cluster, landing bool, landed map[string]time.Time) error {
 	for i := range s.Workload {
 		w := &s.Workload[i]
 		if w.Lands() != landing {
@@ -262,9 +278,115 @@ func (s *Scenario) place(c *Cluster, landing bool) error {
 			if err := c.AddJob(d); err != nil {
 				return err
 			}
+			for t := 0; w.ExpectsCaps() && t < d.Job.NumTasks; t++ {
+				if m, ok := c.MachineOf(model.TaskID{Job: d.Job.Name, Index: t}); ok {
+					if _, seen := landed[m.Name()]; !seen {
+						landed[m.Name()] = c.Now()
+					}
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// Score judges a run of the scenario by its labels: a job is a
+// legitimate target when its entry ExpectsCaps. Only the incidents
+// raised after the warm-up count.
+type Score struct {
+	Incidents int
+	// Caps counts cap decisions, group decisions included; FalseCaps
+	// those whose target's job is not a legitimate target.
+	Caps, FalseCaps int
+	// TrueConvictions and FalseConvictions count the unique (victim, top
+	// suspect) pairs at the run's correlation threshold, by whether the
+	// suspect's job is a legitimate target (the paper's §7 grading).
+	TrueConvictions, FalseConvictions int
+	// Landed is how many machines the targets were placed on
+	// (Warm.Landed), Found how many of those have a true conviction,
+	// and MeanIdentify the mean time from a found machine's landing to
+	// its first one.
+	Landed, Found int
+	MeanIdentify  time.Duration
+}
+
+// Precision is the share of convictions that are true (1 when nothing
+// was convicted).
+func (r Score) Precision() float64 {
+	if r.TrueConvictions+r.FalseConvictions == 0 {
+		return 1
+	}
+	return float64(r.TrueConvictions) / float64(r.TrueConvictions+r.FalseConvictions)
+}
+
+// Recall is the share of landed machines found (1 when nothing landed).
+func (r Score) Recall() float64 {
+	if r.Landed == 0 {
+		return 1
+	}
+	return float64(r.Found) / float64(r.Landed)
+}
+
+// Score judges c, a cluster s.Start built and returned w for.
+func (s *Scenario) Score(c *Cluster, w Warm) Score {
+	target := map[model.JobName]bool{}
+	for i := range s.Workload {
+		e := &s.Workload[i]
+		if !e.ExpectsCaps() {
+			continue
+		}
+		if e.Kind == "websearch" {
+			for _, tier := range []string{"-leaf", "-mixer", "-root"} {
+				target[model.JobName(e.Name+tier)] = true
+			}
+		} else {
+			target[model.JobName(e.Name)] = true
+		}
+	}
+	incidents := c.Incidents()[w.Incidents:]
+	r := Score{Incidents: len(incidents), Landed: len(w.Landed)}
+	type pair struct{ victim, suspect model.TaskID }
+	convicted := map[pair]bool{}
+	first := map[string]time.Time{} // machine → its first true conviction
+	for _, inc := range incidents {
+		for _, d := range append([]core.Decision{inc.Decision}, inc.GroupDecisions...) {
+			if d.Action == core.ActionCap {
+				r.Caps++
+				if !target[d.Target.Job] {
+					r.FalseCaps++
+				}
+			}
+		}
+		top := core.TopSuspects(inc.Suspects, 1, c.cfg.Params.CorrelationThreshold)
+		if len(top) == 0 {
+			continue
+		}
+		guilty := target[top[0].Job]
+		if t, ok := first[inc.Machine]; guilty && (!ok || inc.Time.Before(t)) {
+			first[inc.Machine] = inc.Time
+		}
+		p := pair{inc.Victim, top[0].Task}
+		if convicted[p] {
+			continue
+		}
+		convicted[p] = true
+		if guilty {
+			r.TrueConvictions++
+		} else {
+			r.FalseConvictions++
+		}
+	}
+	var sum time.Duration
+	for m, at := range w.Landed {
+		if t, ok := first[m]; ok {
+			r.Found++
+			sum += t.Sub(at)
+		}
+	}
+	if r.Found > 0 {
+		r.MeanIdentify = sum / time.Duration(r.Found)
+	}
+	return r
 }
 
 // UnmarshalJSON decodes a scenario file: durations are Go duration

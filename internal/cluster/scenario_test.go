@@ -121,3 +121,99 @@ func TestScenarioStartErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioScore checks Score against a hand count over the
+// warmed fleet's incidents, and that the expect_caps label alone
+// decides which caps and convictions are false.
+func TestScenarioScore(t *testing.T) {
+	sc := &Scenario{
+		Seed: 3, Warmup: 10 * time.Minute, MinSamplesPerTask: 5,
+		Fleet: Fleet{Machines: 12},
+		Workload: []WorkloadEntry{
+			{Kind: "quiet_service", Name: "bigtable", Tasks: 24, CPU: 0.8},
+			{Kind: "batch", Name: "logproc", Tasks: 12, CPU: 0.5},
+			{Kind: "antagonist", Name: "video", Tasks: 4, CPU: 7},
+		},
+	}
+	// Above the default threshold and inside the run's range of top
+	// correlations (about 0.68–0.76), so some incidents fall short of a
+	// conviction.
+	const threshold = 0.74
+	c, warm, err := sc.Start(Config{Params: core.Params{CorrelationThreshold: threshold}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	landed := map[string]bool{}
+	for i := 0; i < 4; i++ {
+		m, _ := c.MachineOf(model.TaskID{Job: "video", Index: i})
+		landed[m.Name()] = true
+		if at := warm.Landed[m.Name()]; !at.Equal(warm.At) {
+			t.Errorf("%s landed at %v, want the warm-up's end %v", m.Name(), at, warm.At)
+		}
+	}
+	c.Run(20 * time.Minute)
+
+	var caps, falseCaps, truePairs, falsePairs, short int
+	pairs := map[string]bool{}
+	found := map[string]time.Time{}
+	for _, inc := range c.Incidents()[warm.Incidents:] {
+		for _, d := range append([]core.Decision{inc.Decision}, inc.GroupDecisions...) {
+			if d.Action == core.ActionCap {
+				caps++
+				if d.Target.Job != "video" {
+					falseCaps++
+				}
+			}
+		}
+		if len(inc.Suspects) == 0 || inc.Suspects[0].Correlation < threshold {
+			short++
+			continue
+		}
+		top := inc.Suspects[0]
+		if _, ok := found[inc.Machine]; !ok && top.Job == "video" {
+			found[inc.Machine] = inc.Time
+		}
+		if key := inc.Victim.String() + " " + top.Task.String(); !pairs[key] {
+			pairs[key] = true
+			if top.Job == "video" {
+				truePairs++
+			} else {
+				falsePairs++
+			}
+		}
+	}
+	want := Score{
+		Incidents: len(c.Incidents()) - warm.Incidents, Caps: caps, FalseCaps: falseCaps,
+		TrueConvictions: truePairs, FalseConvictions: falsePairs, Landed: len(landed),
+	}
+	var sum time.Duration
+	for m := range landed {
+		if at, ok := found[m]; ok {
+			want.Found++
+			sum += at.Sub(warm.At)
+		}
+	}
+	if want.Found > 0 {
+		want.MeanIdentify = sum / time.Duration(want.Found)
+	}
+	got := sc.Score(c, warm)
+	if got != want {
+		t.Errorf("Score = %+v\nhand count %+v", got, want)
+	}
+	if got.Caps == 0 || got.TrueConvictions == 0 || got.Found == 0 || short == 0 {
+		t.Errorf("Score = %+v, %d incidents short of a conviction: the run must cap and convict the antagonist, and not on every incident",
+			got, short)
+	}
+
+	if got := sc.Score(c, Warm{Incidents: len(c.Incidents())}); got != (Score{}) {
+		t.Errorf("Score of an empty window = %+v, want zero", got)
+	}
+	// Unlabelled, the same antagonist's caps and convictions are all false.
+	no := false
+	sc.Workload[2].ExpectCaps = &no
+	got = sc.Score(c, Warm{Incidents: warm.Incidents})
+	if got.FalseCaps != got.Caps || got.TrueConvictions != 0 || got.FalseConvictions != truePairs+falsePairs || got.Recall() != 1 {
+		t.Errorf("unlabelled Score = %+v, want every cap and conviction false and recall 1", got)
+	}
+}

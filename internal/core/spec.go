@@ -256,8 +256,10 @@ func (b *SpecBuilder) foldChunk(chunk []model.Sample, skip uint64) {
 			continue
 		}
 		s := &chunk[i]
-		// Batches come in runs of one key (a machine's tasks of one
-		// job); look the aggregate up once per run.
+		// Look the aggregate up only when the key differs from the
+		// previous sample's: a run of one key (a machine's tasks of one
+		// job, where a batch has them) costs one map lookup. Batches
+		// that interleave jobs pay one lookup per sample.
 		if agg == nil || s.Job != key.Job || s.Platform != key.Platform {
 			key = model.SpecKey{Job: s.Job, Platform: s.Platform}
 			if agg = b.pending[key]; agg == nil {

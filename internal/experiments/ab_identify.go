@@ -8,105 +8,53 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/interference"
-	"repro/internal/machine"
 	"repro/internal/model"
-	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
-// This file is the antagonist-identifier A/B testbed: every scenario
-// is a labelled fleet (ground-truth antagonist jobs are known by
-// construction) run twice on the same seed — once per identifier —
-// with ReportOnly on, so both runs observe IDENTICAL machine dynamics
-// and differ only in how suspects are scored. Reported per scenario
-// and identifier: precision, recall, and time-to-identify against the
-// interference-model ground truth.
+// This file is the antagonist-identifier A/B testbed: every leg is a
+// labelled cluster.Scenario (its expect_caps entries are the
+// ground-truth antagonists) run twice on the same seed — once per
+// identifier — with ReportOnly on, so both runs observe IDENTICAL
+// machine dynamics and differ only in how suspects are scored.
+// Scenario.Score reports per leg and identifier: precision, recall,
+// and time-to-identify.
 
 func init() {
 	register("abident", abIdentify)
 }
 
-// abScenario is one labelled fleet. Jobs in baseline are present from
-// the start and warm up specs; jobs in antagonists land after warm-up
-// (the sec7rate pattern) and are the ground truth: any conviction of
-// another job is a false positive. An empty antagonists list makes the
-// scenario a pure false-alarm probe.
-type abScenario struct {
-	name     string
-	baseline func(o Options, machines int) []cluster.JobDef
-	// antagonists are added after WarmUpSpecs; their job names are the
-	// ground-truth guilty set.
-	antagonists func(o Options, machines int) []cluster.JobDef
-	// faults is a ParseFaultPlan directive string ("" = no chaos).
-	faults string
-	// postWarm, when set, runs after WarmUpSpecs and before the
-	// antagonists land (spec surgery, extra setup).
-	postWarm func(c *cluster.Cluster, machines int)
+// abLeg is one labelled fleet. Any conviction of a job its scenario
+// does not expect caps on is a false positive; a leg without an
+// antagonist is a pure false-alarm probe.
+type abLeg struct {
+	name string
+	sc   cluster.Scenario
 	// minCPUUsage overrides Params.MinCPUUsage when > 0. The bimodal
-	// scenario weakens the Case 3 filter on purpose: with the filter at
-	// its default the self-inflicted spikes never reach identification
-	// and neither identifier can be graded on them.
+	// leg weakens the Case 3 filter on purpose: with the filter at its
+	// default the self-inflicted spikes never reach identification and
+	// neither identifier can be graded on them.
 	minCPUUsage float64
+	// postWarm, when set, runs after Start (spec surgery).
+	postWarm func(c *cluster.Cluster)
 }
 
-// quietBaseline is the shared well-behaved tenant mix.
-func quietBaseline(o Options, machines int) []cluster.JobDef {
-	return []cluster.JobDef{
-		cluster.QuietServiceJob("bigtable", machines*3, 0.8),
-		cluster.BatchJob("logproc", machines, 0.5, model.PriorityBatch),
+// abLegs is the labelled suite. Chaos legs reuse the Case 1 fleet
+// under the fault injectors: lossy sample links, agent clock skew, and
+// corrupt-batch injection. Every leg runs with ReportOnly on.
+func abLegs(o Options, machines int) []abLeg {
+	leg := func(name, chaos string, workload ...cluster.WorkloadEntry) abLeg {
+		return abLeg{name: name, sc: cluster.Scenario{
+			Seed: o.Seed, Warmup: 14 * time.Minute, Tick: 2 * time.Second, Chaos: chaos,
+			MinSamplesPerTask: 8, ReportOnly: true,
+			Fleet:    cluster.Fleet{Machines: machines, CPUsPerMachine: 24},
+			Workload: workload,
+		}}
 	}
-}
+	bigtable := cluster.WorkloadEntry{Kind: "quiet_service", Name: "bigtable", Tasks: machines * 3, CPU: 0.8}
+	logproc := cluster.WorkloadEntry{Kind: "batch", Name: "logproc", Tasks: machines, CPU: 0.5, Priority: "batch"}
+	video := cluster.WorkloadEntry{Kind: "antagonist", Name: "video", Tasks: machines/4 + 1, CPU: 7}
+	sci := cluster.WorkloadEntry{Kind: "sci_antagonist", Name: "scisim", Tasks: machines/4 + 1, CPU: 7}
 
-// sciAntagonistJob is the Case 4 bandwidth-heavy numeric batch
-// antagonist: the catalog's antagonist with the scientific-sim profile.
-func sciAntagonistJob(name string, tasks int, cpuPerTask float64) cluster.JobDef {
-	def := cluster.AntagonistJob(name, tasks, cpuPerTask, model.PriorityBatch)
-	def.Profile = cluster.ScientificSimProfile()
-	return def
-}
-
-// burstyDecoyJob builds innocent bursty tenants: plenty of visible CPU
-// in on/off pulses, but a near-zero interference footprint — they
-// cannot be causing anyone's CPI spikes, so convicting one is always a
-// false positive. Per-task phases come from the task's own RNG stream,
-// so some decoy somewhere is always chance-aligned with a victim.
-func burstyDecoyJob(name string, tasks int) cluster.JobDef {
-	profile := &interference.Profile{
-		DefaultCPI: 1.0, CacheFootprint: 0.05, MemBandwidth: 0.02,
-		Sensitivity: 0.1, BaseL3MPKI: 0.5, NoiseSigma: 0.05,
-	}
-	return cluster.JobDef{
-		Job: model.Job{
-			Name:       model.JobName(name),
-			Class:      model.ClassBatch,
-			Priority:   model.PriorityBatch,
-			NumTasks:   tasks,
-			CPUPerTask: 2,
-		},
-		Profile: profile,
-		NewWorkload: func(id model.TaskID, rng *stats.RNG) machine.Workload {
-			r := rng.Stream("phase")
-			return &workload.Pulse{
-				OnCPU: 2, OffCPU: 0.05,
-				OnFor: 4 * time.Minute, OffFor: 4 * time.Minute,
-				Threads: 8,
-				Phase:   time.Duration(r.Float64() * float64(8*time.Minute)),
-			}
-		},
-	}
-}
-
-// videoAntagonists places Case 1 antagonists on about a quarter of the
-// machines.
-func videoAntagonists(o Options, machines int) []cluster.JobDef {
-	return []cluster.JobDef{cluster.AntagonistJob("video", machines/4+1, 7, model.PriorityBatch)}
-}
-
-// abScenarios is the labelled suite. Chaos legs reuse the Case 1 fleet
-// under the PR 3/PR 5 fault injectors: lossy sample links, agent clock
-// skew, and corrupt-batch injection.
-func abScenarios(machines int) []abScenario {
 	var skews []string
 	for i := 0; i < machines; i += 3 {
 		off := "90s"
@@ -115,180 +63,60 @@ func abScenarios(machines int) []abScenario {
 		}
 		skews = append(skews, fmt.Sprintf("skew=machine-%04d@%s", i, off))
 	}
-	return []abScenario{
-		{name: "quiet", baseline: quietBaseline},
-		{name: "antag-video", baseline: quietBaseline, antagonists: videoAntagonists},
-		{name: "antag-sci", baseline: quietBaseline,
-			antagonists: func(o Options, machines int) []cluster.JobDef {
-				return []cluster.JobDef{sciAntagonistJob("scisim", machines/4+1, 7)}
-			}},
-		{name: "bimodal-falsealarm", minCPUUsage: 0.02,
-			baseline: func(o Options, machines int) []cluster.JobDef {
-				return []cluster.JobDef{
-					cluster.BimodalJob("shardsvc", machines*2),
-					cluster.QuietServiceJob("bigtable", machines*2, 0.8),
-					burstyDecoyJob("compiler", machines*2),
-				}
-			},
-			// In the paper, the Case 3 victim's spec comes from a fleet
-			// dominated by normal-phase samples, so the self-inflicted
-			// low-usage spikes look like 10σ excursions. This toy fleet is
-			// ALL bimodal tasks, so warm-up instead learns the bimodality
-			// into a wide, useless spec; restore the paper's conditions by
-			// installing the normal-phase spec everywhere.
-			postWarm: func(c *cluster.Cluster, machines int) {
-				for i := 0; i < machines; i++ {
-					a := c.Agent(fmt.Sprintf("machine-%04d", i))
-					if a == nil {
-						continue
-					}
-					for _, pl := range []model.Platform{model.PlatformA, model.PlatformB} {
-						a.DeliverSpec(model.Spec{
-							Job: "shardsvc", Platform: pl,
-							NumSamples: 100000, NumTasks: 500,
-							CPIMean: 3.0, CPIStddev: 0.4,
-						})
-					}
-				}
-			}},
-		{name: "chaos-loss", baseline: quietBaseline, antagonists: videoAntagonists,
-			faults: "loss=0.25"},
-		{name: "chaos-skew", baseline: quietBaseline, antagonists: videoAntagonists,
-			faults: strings.Join(skews, ",")},
-		{name: "chaos-corrupt", baseline: quietBaseline, antagonists: videoAntagonists,
-			faults: "corrupt=0.3"},
-	}
-}
-
-// abResult is one (scenario, identifier) measurement.
-type abResult struct {
-	truePositives  int // unique (victim, suspect) convictions of a ground-truth antagonist
-	falsePositives int // unique (victim, suspect) convictions of anything else
-	antagMachines  int // machines hosting at least one antagonist task
-	foundMachines  int // of those, machines with at least one true conviction
-	meanIdentify   time.Duration
-}
-
-func (r abResult) precision() float64 {
-	if r.truePositives+r.falsePositives == 0 {
-		return 1 // nothing convicted, nothing wrong
-	}
-	return float64(r.truePositives) / float64(r.truePositives+r.falsePositives)
-}
-
-func (r abResult) recall() float64 {
-	if r.antagMachines == 0 {
-		return 1 // no antagonists to find
-	}
-	return float64(r.foundMachines) / float64(r.antagMachines)
-}
-
-// abRun executes one scenario under one identifier. Both identifier
-// runs of a scenario share the seed and ReportOnly, so the simulated
-// fleet evolves identically and the comparison isolates the scorer.
-func abRun(o Options, sc abScenario, machines int, warm, dur time.Duration, identifier string) (abResult, error) {
-	var res abResult
-	var faults *cluster.FaultPlan
-	if sc.faults != "" {
-		var err error
-		faults, err = cluster.ParseFaultPlan(sc.faults)
-		if err != nil {
-			return res, fmt.Errorf("abident %s: %w", sc.name, err)
+	bimodal := leg("bimodal-falsealarm", "",
+		cluster.WorkloadEntry{Kind: "bimodal", Name: "shardsvc", Tasks: machines * 2},
+		cluster.WorkloadEntry{Kind: "quiet_service", Name: "bigtable", Tasks: machines * 2, CPU: 0.8},
+		cluster.WorkloadEntry{Kind: "decoy", Name: "compiler", Tasks: machines * 2})
+	bimodal.minCPUUsage = 0.02
+	// In the paper, the Case 3 victim's spec comes from a fleet dominated
+	// by normal-phase samples, so the self-inflicted low-usage spikes
+	// look like 10σ excursions. This toy fleet is ALL bimodal tasks, so
+	// warm-up instead learns the bimodality into a wide, useless spec;
+	// restore the paper's conditions by installing the normal-phase spec
+	// everywhere.
+	bimodal.postWarm = func(c *cluster.Cluster) {
+		for i := 0; i < machines; i++ {
+			a := c.Agent(fmt.Sprintf("machine-%04d", i))
+			if a == nil {
+				continue
+			}
+			for _, pl := range []model.Platform{model.PlatformA, model.PlatformB} {
+				a.DeliverSpec(model.Spec{
+					Job: "shardsvc", Platform: pl,
+					NumSamples: 100000, NumTasks: 500,
+					CPIMean: 3.0, CPIStddev: 0.4,
+				})
+			}
 		}
 	}
-	c := cluster.New(cluster.Config{
-		Seed:           o.Seed,
-		Machines:       machines,
-		CPUsPerMachine: 24,
-		Params: core.Params{
-			MinSamplesPerTask: 8,
-			ReportOnly:        true,
-			Identifier:        identifier,
-			MinCPUUsage:       sc.minCPUUsage,
-		},
-		TickInterval: 2 * time.Second,
-		Faults:       faults,
-	})
+	return []abLeg{
+		leg("quiet", "", bigtable, logproc),
+		leg("antag-video", "", bigtable, logproc, video),
+		leg("antag-sci", "", bigtable, logproc, sci),
+		bimodal,
+		leg("chaos-loss", "loss=0.25", bigtable, logproc, video),
+		leg("chaos-skew", strings.Join(skews, ","), bigtable, logproc, video),
+		leg("chaos-corrupt", "corrupt=0.3", bigtable, logproc, video),
+	}
+}
+
+// abRunLeg runs one leg for dur past its warm-up under one identifier
+// and scores it. Both identifier runs of a leg share the seed and
+// ReportOnly, so the simulated fleet evolves identically and the
+// comparison isolates the scorer.
+func abRunLeg(l abLeg, dur time.Duration, identifier string) (cluster.Score, error) {
+	c, warm, err := l.sc.Start(cluster.Config{Params: core.Params{
+		Identifier: identifier, MinCPUUsage: l.minCPUUsage,
+	}})
+	if err != nil {
+		return cluster.Score{}, fmt.Errorf("abident %s: %w", l.name, err)
+	}
 	defer c.Close()
-	for _, def := range sc.baseline(o, machines) {
-		if err := c.AddJob(def); err != nil {
-			return res, err
-		}
+	if l.postWarm != nil {
+		l.postWarm(c)
 	}
-	if _, err := cluster.WarmUpSpecs(c, 14*time.Minute); err != nil {
-		return res, fmt.Errorf("abident %s: %w", sc.name, err)
-	}
-	if sc.postWarm != nil {
-		sc.postWarm(c, machines)
-	}
-
-	guilty := map[model.JobName]bool{}
-	var antagDefs []cluster.JobDef
-	if sc.antagonists != nil {
-		antagDefs = sc.antagonists(o, machines)
-	}
-	antagStart := c.Now()
-	for _, def := range antagDefs {
-		if err := c.AddJob(def); err != nil {
-			return res, err
-		}
-		guilty[def.Job.Name] = true
-	}
-	// Ground-truth machine set: where the scheduler actually put the
-	// antagonist tasks.
-	antagMachines := map[string]bool{}
-	for _, def := range antagDefs {
-		for i := 0; i < def.Job.NumTasks; i++ {
-			if m, ok := c.MachineOf(model.TaskID{Job: def.Job.Name, Index: i}); ok {
-				antagMachines[m.Name()] = true
-			}
-		}
-	}
-	res.antagMachines = len(antagMachines)
-
 	c.Run(dur)
-
-	// A conviction is an incident whose top-ranked suspect clears the
-	// reporting threshold; count unique (victim, suspect) pairs so a
-	// long-running antagonist is one conviction, not hundreds.
-	type pair struct{ victim, suspect string }
-	convicted := map[pair]bool{}
-	firstTP := map[string]time.Time{}
-	thr := core.DefaultParams().CorrelationThreshold
-	for _, inc := range c.Incidents() {
-		top := core.TopSuspects(inc.Suspects, 1, thr)
-		if len(top) == 0 {
-			continue
-		}
-		s := top[0]
-		p := pair{victim: inc.Victim.String(), suspect: s.Task.String()}
-		isTP := guilty[s.Job]
-		if isTP {
-			if t, ok := firstTP[inc.Machine]; !ok || inc.Time.Before(t) {
-				firstTP[inc.Machine] = inc.Time
-			}
-		}
-		if convicted[p] {
-			continue
-		}
-		convicted[p] = true
-		if isTP {
-			res.truePositives++
-		} else {
-			res.falsePositives++
-		}
-	}
-	var ttiSum time.Duration
-	for m := range antagMachines {
-		if t, ok := firstTP[m]; ok {
-			res.foundMachines++
-			ttiSum += t.Sub(antagStart)
-		}
-	}
-	if res.foundMachines > 0 {
-		res.meanIdentify = ttiSum / time.Duration(res.foundMachines)
-	}
-	return res, nil
+	return l.sc.Score(c, warm), nil
 }
 
 // abIdentify runs the full labelled suite under both identifiers and
@@ -300,7 +128,6 @@ func abIdentify(o Options) (*Report, error) {
 	if dur < 36*time.Minute {
 		dur = 36 * time.Minute
 	}
-	warm := 14 * time.Minute
 
 	rep := &Report{
 		ID:    "abident",
@@ -313,17 +140,17 @@ func abIdentify(o Options) (*Report, error) {
 	}
 
 	idents := []string{core.IdentifierCorrelation, core.IdentifierPanda}
-	results := map[string]map[string]abResult{}
+	results := map[string]map[string]cluster.Score{}
 	var names []string
-	for _, sc := range abScenarios(machines) {
-		names = append(names, sc.name)
-		results[sc.name] = map[string]abResult{}
+	for _, l := range abLegs(o, machines) {
+		names = append(names, l.name)
+		results[l.name] = map[string]cluster.Score{}
 		for _, ident := range idents {
-			r, err := abRun(o, sc, machines, warm, dur, ident)
+			r, err := abRunLeg(l, dur, ident)
 			if err != nil {
 				return nil, err
 			}
-			results[sc.name][ident] = r
+			results[l.name][ident] = r
 		}
 	}
 	sort.Strings(names)
@@ -336,31 +163,28 @@ func abIdentify(o Options) (*Report, error) {
 		for _, ident := range idents {
 			r := results[name][ident]
 			tti := "-"
-			if r.meanIdentify > 0 {
-				tti = r.meanIdentify.Truncate(time.Second).String()
+			if r.MeanIdentify > 0 {
+				tti = r.MeanIdentify.Truncate(time.Second).String()
 			}
 			fmt.Fprintf(&b, "  %-20s %-12s %4d %4d %5.0f%% %5.0f%% %10s\n",
-				name, ident, r.truePositives, r.falsePositives,
-				r.precision()*100, r.recall()*100, tti)
+				name, ident, r.TrueConvictions, r.FalseConvictions,
+				r.Precision()*100, r.Recall()*100, tti)
 		}
 	}
 	rep.Body = b.String()
 
-	// Headline metrics: the gates CI holds this PR's claim to.
-	addPer := func(name string) {
-		corr, panda := results[name][core.IdentifierCorrelation], results[name][core.IdentifierPanda]
-		rep.AddMetric(name+" corr FP", float64(corr.falsePositives), 0, "")
-		rep.AddMetric(name+" panda FP", float64(panda.falsePositives), 0, "must not exceed corr FP")
-		rep.AddMetric(name+" corr recall", corr.recall(), 0, "")
-		rep.AddMetric(name+" panda recall", panda.recall(), 0, "must not trail corr recall")
-	}
+	// Headline metrics: the gates TestIdentifierABGates holds.
 	for _, name := range names {
-		addPer(name)
+		corr, panda := results[name][core.IdentifierCorrelation], results[name][core.IdentifierPanda]
+		rep.AddMetric(name+" corr FP", float64(corr.FalseConvictions), 0, "")
+		rep.AddMetric(name+" panda FP", float64(panda.FalseConvictions), 0, "must not exceed corr FP")
+		rep.AddMetric(name+" corr recall", corr.Recall(), 0, "")
+		rep.AddMetric(name+" panda recall", panda.Recall(), 0, "must not trail corr recall")
 	}
 	var corrFPNoise, pandaFPNoise int
 	for _, name := range []string{"bimodal-falsealarm", "chaos-loss", "chaos-skew", "chaos-corrupt"} {
-		corrFPNoise += results[name][core.IdentifierCorrelation].falsePositives
-		pandaFPNoise += results[name][core.IdentifierPanda].falsePositives
+		corrFPNoise += results[name][core.IdentifierCorrelation].FalseConvictions
+		pandaFPNoise += results[name][core.IdentifierPanda].FalseConvictions
 	}
 	rep.AddMetric("noise-scenario FP, corr", float64(corrFPNoise), 0, "bimodal + chaos legs")
 	rep.AddMetric("noise-scenario FP, panda", float64(pandaFPNoise), 0, "claim: strictly fewer than corr")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"time"
 
@@ -32,44 +33,41 @@ func extShardLoss(o Options) (*Report, error) {
 	dur := blackout + 12*time.Minute
 	from := warm + 2*time.Minute
 
-	// Aim the blackout at whichever shard owns the victim service's
-	// PlatformA key. The ring is a pure function of membership, so a
-	// one-machine probe cluster reads the ownership map cheaply.
-	probe := cluster.New(cluster.Config{Seed: o.Seed, Machines: 1, Shards: shards})
-	epoch := probe.Now()
-	down := probe.ShardOf(model.SpecKey{Job: "bigtable", Platform: model.PlatformA})
-	probe.Close()
-
-	run := func(chaos string) (*cluster.Cluster, error) {
-		c, _, err := (&cluster.Scenario{
-			Seed: o.Seed, Warmup: warm, Chaos: chaos, MinSamplesPerTask: 5,
-			Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16, PlatformBFraction: 0.5, Shards: shards},
-			Workload: []cluster.WorkloadEntry{
-				{Kind: "quiet_service", Name: "bigtable", Tasks: machines * 2, CPU: 0.8},
-				{Kind: "batch", Name: "logproc", Tasks: machines / 2, CPU: 0.5},
-				// One antagonist per machine: victims surface on BOTH
-				// platforms, which is what labels them to different shards
-				// (the same job's PlatformA and PlatformB keys hash
-				// independently).
-				{Kind: "antagonist", Name: "video", Tasks: machines, CPU: 7},
-			},
-		}).Start(cluster.Config{})
-		if err != nil {
-			return nil, err
+	sc := cluster.Scenario{
+		Seed: o.Seed, Warmup: warm, MinSamplesPerTask: 5,
+		Fleet: cluster.Fleet{Machines: machines, CPUsPerMachine: 16, PlatformBFraction: 0.5, Shards: shards},
+		Workload: []cluster.WorkloadEntry{
+			{Kind: "quiet_service", Name: "bigtable", Tasks: machines * 2, CPU: 0.8},
+			{Kind: "batch", Name: "logproc", Tasks: machines / 2, CPU: 0.5},
+			// One antagonist per machine: victims surface on BOTH
+			// platforms, which is what labels them to different shards
+			// (the same job's PlatformA and PlatformB keys hash
+			// independently).
+			{Kind: "antagonist", Name: "video", Tasks: machines, CPU: 7},
+		},
+	}
+	run := func(chaos string) (*cluster.Cluster, cluster.Warm, error) {
+		sc.Chaos = chaos
+		c, w, err := sc.Start(cluster.Config{})
+		if err == nil {
+			c.Run(dur)
 		}
-		c.Run(dur)
-		return c, nil
+		return c, w, err
 	}
 
-	baseline, err := run("")
+	baseline, _, err := run("")
 	if err != nil {
 		return nil, fmt.Errorf("ext-shardloss: baseline: %w", err)
 	}
 	defer baseline.Close()
+	// Aim the blackout at whichever shard owns the victim service's
+	// PlatformA key. The ring is a pure function of membership, so the
+	// baseline's ring is the chaos run's.
+	down := baseline.ShardOf(model.SpecKey{Job: "bigtable", Platform: model.PlatformA})
 	blackoutPlan := &cluster.FaultPlan{ShardBlackouts: []cluster.ShardBlackoutEvent{
 		{Shard: down, Window: cluster.Window{From: from, To: from + blackout}},
 	}}
-	chaos, err := run(blackoutPlan.String())
+	chaos, chaosWarm, err := run(blackoutPlan.String())
 	if err != nil {
 		return nil, fmt.Errorf("ext-shardloss: chaos: %w", err)
 	}
@@ -77,15 +75,10 @@ func extShardLoss(o Options) (*Report, error) {
 
 	// Label every blackout-window detection by the shard owning the
 	// victim's job×platform key.
-	wFrom, wTo := epoch.Add(from), epoch.Add(from+blackout)
+	wFrom := chaosWarm.At.Add(from - warm)
+	wTo := wFrom.Add(blackout)
 	byShard := make([]int, shards)
-	falseCaps := 0
 	for _, inc := range chaos.Incidents() {
-		for _, d := range append([]core.Decision{inc.Decision}, inc.GroupDecisions...) {
-			if d.Action == core.ActionCap && d.Target.Job != "video" {
-				falseCaps++
-			}
-		}
 		if inc.Time.Before(wFrom) || !inc.Time.Before(wTo) {
 			continue
 		}
@@ -100,7 +93,7 @@ func extShardLoss(o Options) (*Report, error) {
 	}
 
 	diverged := 0.0
-	if len(baseline.Incidents()) != len(chaos.Incidents()) {
+	if !reflect.DeepEqual(core.IncidentRecords(baseline.Incidents()), core.IncidentRecords(chaos.Incidents())) {
 		diverged = 1.0
 	}
 	st := chaos.FaultStats()
@@ -117,7 +110,7 @@ func extShardLoss(o Options) (*Report, error) {
 		"blackout-window victims on live shards' keys; >0 = blast radius scoped")
 	r.AddMetric("incident_divergence", diverged, 0,
 		"1 if the incident stream differs from the no-fault run (want 0)")
-	r.AddMetric("false_caps", float64(falseCaps), 0, "caps on anything but the antagonist (want 0)")
+	r.AddMetric("false_caps", float64(sc.Score(chaos, chaosWarm).FalseCaps), 0, "caps on anything but the antagonist (want 0)")
 	r.AddMetric("spool_dropped", float64(st.SpoolDropped), 0, "batches lost to spool overflow (want 0)")
 	r.AddMetric("spool_replayed", float64(st.SpoolReplayed), 0, "batches replayed in order on shard recovery")
 
