@@ -96,43 +96,41 @@ func (b *SpecBuilder) checkpointLocked(now time.Time, only map[model.SpecKey]boo
 		SavedAt:       now,
 		LastRecompute: b.lastRecompute,
 	}
-	for key, h := range b.history {
-		if only != nil && !only[key] {
+	for i := range b.slots {
+		s := &b.slots[i]
+		key := s.key()
+		if s.has == 0 || only != nil && !only[key] {
 			continue
 		}
-		cp.History = append(cp.History, CheckpointHistory{
-			Job: key.Job, Platform: key.Platform,
-			Weight: h.weight, Mean: h.mean, Variance: h.variance,
-			UsageMean: h.usageMean, Tasks: h.tasks,
-		})
+		if h := &s.history; s.has&hasHistory != 0 {
+			cp.History = append(cp.History, CheckpointHistory{
+				Job: key.Job, Platform: key.Platform,
+				Weight: h.weight, Mean: h.mean, Variance: h.variance,
+				UsageMean: h.usageMean, Tasks: h.tasks,
+			})
+		}
+		if agg := &s.pending; s.has&hasPending != 0 {
+			p := CheckpointPending{
+				Job: key.Job, Platform: key.Platform,
+				CPI:      agg.cpi.State(),
+				CPUUsage: agg.cpuUsage.State(),
+				Oldest:   agg.oldest,
+				Newest:   agg.newest,
+			}
+			agg.tasks.each(key.Job, func(task model.TaskID, n int64) {
+				p.Tasks = append(p.Tasks, CheckpointTask{Task: task, Samples: n})
+			})
+			sort.Slice(p.Tasks, func(i, j int) bool {
+				return p.Tasks[i].Task.Compare(p.Tasks[j].Task) < 0
+			})
+			cp.Pending = append(cp.Pending, p)
+		}
+		if s.has&hasSpec != 0 {
+			cp.Specs = append(cp.Specs, s.spec)
+		}
 	}
 	slices.SortFunc(cp.History, func(a, b CheckpointHistory) int { return a.key().Compare(b.key()) })
-	for key, agg := range b.pending {
-		if only != nil && !only[key] {
-			continue
-		}
-		p := CheckpointPending{
-			Job: key.Job, Platform: key.Platform,
-			CPI:      agg.cpi.State(),
-			CPUUsage: agg.cpuUsage.State(),
-			Oldest:   agg.oldest,
-			Newest:   agg.newest,
-		}
-		agg.tasks.each(key.Job, func(task model.TaskID, n int64) {
-			p.Tasks = append(p.Tasks, CheckpointTask{Task: task, Samples: n})
-		})
-		sort.Slice(p.Tasks, func(i, j int) bool {
-			return p.Tasks[i].Task.Compare(p.Tasks[j].Task) < 0
-		})
-		cp.Pending = append(cp.Pending, p)
-	}
 	slices.SortFunc(cp.Pending, func(a, b CheckpointPending) int { return a.key().Compare(b.key()) })
-	for key, s := range b.specs {
-		if only != nil && !only[key] {
-			continue
-		}
-		cp.Specs = append(cp.Specs, s)
-	}
 	slices.SortFunc(cp.Specs, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 	return cp
 }
@@ -152,11 +150,11 @@ func finite(fs ...float64) bool {
 // and materializes its maps for ImportCheckpoint, the one way state
 // enters a builder: a restart's checkpoint and a reshard's handoff
 // frame get the same scrutiny.
-func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.SpecKey]*pendingAgg, map[model.SpecKey]model.Spec, error) {
+func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]specHistory, map[model.SpecKey]pendingAgg, map[model.SpecKey]model.Spec, error) {
 	if cp.Version != CheckpointVersion {
 		return nil, nil, nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, CheckpointVersion)
 	}
-	history := make(map[model.SpecKey]*specHistory, len(cp.History))
+	history := make(map[model.SpecKey]specHistory, len(cp.History))
 	for _, h := range cp.History {
 		if h.Job == "" {
 			return nil, nil, nil, fmt.Errorf("core: checkpoint history entry with empty job")
@@ -171,12 +169,12 @@ func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.S
 		if _, dup := history[key]; dup {
 			return nil, nil, nil, fmt.Errorf("core: duplicate checkpoint history key %s/%s", h.Job, h.Platform)
 		}
-		history[key] = &specHistory{
+		history[key] = specHistory{
 			weight: h.Weight, mean: h.Mean, variance: h.Variance,
 			usageMean: h.UsageMean, tasks: h.Tasks,
 		}
 	}
-	pending := make(map[model.SpecKey]*pendingAgg, len(cp.Pending))
+	pending := make(map[model.SpecKey]pendingAgg, len(cp.Pending))
 	for _, p := range cp.Pending {
 		if p.Job == "" {
 			return nil, nil, nil, fmt.Errorf("core: checkpoint pending entry with empty job")
@@ -191,7 +189,7 @@ func parseCheckpoint(cp Checkpoint) (map[model.SpecKey]*specHistory, map[model.S
 		if _, dup := pending[key]; dup {
 			return nil, nil, nil, fmt.Errorf("core: duplicate checkpoint pending key %s/%s", p.Job, p.Platform)
 		}
-		agg := &pendingAgg{
+		agg := pendingAgg{
 			cpi:      stats.MomentsFromState(p.CPI),
 			cpuUsage: stats.MomentsFromState(p.CPUUsage),
 			oldest:   p.Oldest,

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,7 +108,7 @@ func TestBatchFoldMatchesOneAtATime(t *testing.T) {
 					}
 					wantTasks[key][s.Task]++
 				}
-				folded, first := batched.AddBatch(batch, admit)
+				folded, first := batched.AddBatch(batch, admit, nil)
 				if folded != wantFolded || first != wantFirst {
 					t.Fatalf("trial %d: AddBatch = (%d, %d), one at a time (%d, %d)", trial, folded, first, wantFolded, wantFirst)
 				}
@@ -233,4 +235,123 @@ func TestHostileTaskIndexMemoryBudget(t *testing.T) {
 	if spec, _ := b.Spec(key); spec.NumTasks != len(indexes)+1 || spec.NumSamples != int64(3*len(indexes)+1) {
 		t.Errorf("spec = %d tasks / %d samples, want %d / %d", spec.NumTasks, spec.NumSamples, len(indexes)+1, 3*len(indexes)+1)
 	}
+}
+
+// TestKeyMemoFoldsMatch: folding a stream through two interleaved
+// connection memos leaves a builder exactly where AddSample and the
+// memo-less AddBatch leave it, while keys move under the memos: every
+// Recompute, keys handed off and back (ExportKeys, a newcomer key taking
+// the freed slots, ImportCheckpoint) and a key whose history dies and
+// which then comes back. A memo entry that outlived its slot would fold
+// into another key's, and the checkpoints would part.
+func TestKeyMemoFoldsMatch(t *testing.T) {
+	admit := func(s *model.Sample) bool { return s.Machine != "deny" }
+	params := Params{MinSamplesPerTask: 1, MinTasks: 1, AgeWeight: 0.5}
+	const ephemeral = model.JobName("ephemeral")
+	for trial := int64(0); trial < 10; trial++ {
+		rng := rand.New(rand.NewSource(8800 + trial))
+		single, plain, memoed := NewSpecBuilder(params), NewSpecBuilder(params), NewSpecBuilder(params)
+		var memos [2]KeyMemo
+		batches := 0
+		at := day0
+		fold := func(batch []model.Sample) {
+			for i := range batch {
+				if admit(&batch[i]) {
+					_ = single.AddSample(batch[i])
+				}
+			}
+			plain.AddBatch(batch, admit, nil)
+			memoed.AddBatch(batch, admit, &memos[batches%2])
+			batches++
+		}
+		check := func(round int, step string) {
+			t.Helper()
+			want, wantSpecs := mustJSON(t, single.Checkpoint(at)), single.Specs()
+			for name, b := range map[string]*SpecBuilder{"AddBatch": plain, "memo": memoed} {
+				if got := mustJSON(t, b.Checkpoint(at)); !bytes.Equal(got, want) {
+					t.Fatalf("trial %d round %d after %s: %s checkpoint differs: %s", trial, round, step, name, jsonDiff(got, want))
+				}
+				if got := b.Specs(); !reflect.DeepEqual(got, wantSpecs) {
+					t.Fatalf("trial %d round %d after %s: %s specs differ", trial, round, step, name)
+				}
+			}
+		}
+		hasEphemeral := func() bool {
+			for _, k := range single.Keys() {
+				if k.Job == ephemeral {
+					return true
+				}
+			}
+			return false
+		}
+		for round := 0; round < 8; round++ {
+			for nb := 0; nb < 10; nb++ {
+				batch := randomFoldBatch(rng, 1+rng.Intn(2*foldChunkLen))
+				for i := range batch {
+					s := &batch[i]
+					if (round == 0 || round == 5) && nb == 0 && i < 2 { // dies two idle recomputes on
+						s.Job, s.Task.Job, s.Platform, s.Machine = ephemeral, ephemeral, model.PlatformA, "m0"
+						s.Timestamp, s.CPI = at.Add(time.Minute), 1.5
+					}
+					if nb%4 == 3 { // the same names at new addresses
+						s.Job = model.JobName(strings.Clone(string(s.Job)))
+						s.Platform = model.Platform(strings.Clone(string(s.Platform)))
+					}
+				}
+				fold(batch)
+			}
+			check(round, "fold")
+			if round%2 == 1 {
+				keys := single.Keys()
+				rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+				keys = keys[:len(keys)/2]
+				var frames [3]Checkpoint
+				for i, b := range []*SpecBuilder{single, plain, memoed} {
+					frames[i] = b.ExportKeys(keys, at)
+				}
+				if a, b, c := mustJSON(t, frames[0]), mustJSON(t, frames[1]), mustJSON(t, frames[2]); !bytes.Equal(a, b) || !bytes.Equal(a, c) {
+					t.Fatalf("trial %d round %d: handoff frames differ", trial, round)
+				}
+				newcomer := model.JobName(fmt.Sprintf("newcomer-%d", round))
+				var batch []model.Sample
+				for i := 0; i < 2*len(keys); i++ {
+					pl := []model.Platform{model.PlatformA, model.PlatformB}[i%2]
+					job := newcomer + model.JobName(fmt.Sprint(i/2))
+					batch = append(batch, model.Sample{Job: job, Task: model.TaskID{Job: job, Index: i}, Platform: pl,
+						Timestamp: at.Add(time.Duration(i) * time.Second), CPUUsage: 1, CPI: 1 + float64(i)/10})
+				}
+				fold(batch)
+				for i, b := range []*SpecBuilder{single, plain, memoed} {
+					if err := b.ImportCheckpoint(frames[i]); err != nil {
+						t.Fatalf("trial %d round %d: import back: %v", trial, round, err)
+					}
+				}
+				check(round, "handoff")
+			}
+			at = at.Add(24 * time.Hour)
+			robust := [3][]model.Spec{single.Recompute(at), plain.Recompute(at), memoed.Recompute(at)}
+			if !reflect.DeepEqual(robust[0], robust[1]) || !reflect.DeepEqual(robust[0], robust[2]) {
+				t.Fatalf("trial %d round %d: robust specs differ", trial, round)
+			}
+			check(round, "recompute")
+			switch {
+			case round == 0 && !hasEphemeral():
+				t.Fatalf("trial %d: the ephemeral key never arrived", trial)
+			case round == 4 && hasEphemeral():
+				t.Fatalf("trial %d: the ephemeral key's history did not die", trial)
+			case round == 5 && !hasEphemeral():
+				t.Fatalf("trial %d: the ephemeral key did not come back", trial)
+			}
+		}
+	}
+}
+
+// jsonDiff shows where got first departs from want.
+func jsonDiff(got, want []byte) string {
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	from := max(0, i-60)
+	return fmt.Sprintf("at byte %d: …%s… want …%s…", i, got[from:min(len(got), i+60)], want[from:min(len(want), i+60)])
 }

@@ -35,12 +35,10 @@ func (b *SpecBuilder) ExportKeys(keys []model.SpecKey, now time.Time) Checkpoint
 	cp := b.checkpointLocked(now, only)
 	var backlog int64
 	for k := range only {
-		if agg, ok := b.pending[k]; ok {
-			backlog += agg.cpi.N()
+		if i, ok := b.index[k]; ok {
+			backlog += b.slots[i].pending.cpi.N()
+			b.release(i)
 		}
-		delete(b.history, k)
-		delete(b.pending, k)
-		delete(b.specs, k)
 	}
 	b.moveBacklog(-backlog)
 	return cp
@@ -64,30 +62,33 @@ func (b *SpecBuilder) ImportCheckpoint(cp Checkpoint) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for k := range history {
-		if _, dup := b.history[k]; dup {
+		if s := b.lookup(k); s != nil && s.has&hasHistory != 0 {
 			return fmt.Errorf("core: handoff import: history for %s already present", k)
 		}
 	}
 	for k := range pending {
-		if _, dup := b.pending[k]; dup {
+		if s := b.lookup(k); s != nil && s.has&hasPending != 0 {
 			return fmt.Errorf("core: handoff import: pending for %s already present", k)
 		}
 	}
 	for k := range specs {
-		if _, dup := b.specs[k]; dup {
+		if s := b.lookup(k); s != nil && s.has&hasSpec != 0 {
 			return fmt.Errorf("core: handoff import: spec for %s already present", k)
 		}
 	}
 	for k, h := range history {
-		b.history[k] = h
+		s := &b.slots[b.slotFor(k)]
+		s.history, s.has = h, s.has|hasHistory
 	}
 	var backlog int64
 	for k, agg := range pending {
-		b.pending[k] = agg
+		s := &b.slots[b.slotFor(k)]
+		s.pending, s.has = agg, s.has|hasPending
 		backlog += agg.cpi.N()
 	}
-	for k, s := range specs {
-		b.specs[k] = s
+	for k, spec := range specs {
+		s := &b.slots[b.slotFor(k)]
+		s.spec, s.has = spec, s.has|hasSpec
 	}
 	if b.lastRecompute.IsZero() {
 		b.lastRecompute = cp.LastRecompute
@@ -102,18 +103,8 @@ func (b *SpecBuilder) ImportCheckpoint(cp Checkpoint) error {
 func (b *SpecBuilder) Keys() []model.SpecKey {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	set := make(map[model.SpecKey]bool, len(b.history)+len(b.pending)+len(b.specs))
-	for k := range b.history {
-		set[k] = true
-	}
-	for k := range b.pending {
-		set[k] = true
-	}
-	for k := range b.specs {
-		set[k] = true
-	}
-	out := make([]model.SpecKey, 0, len(set))
-	for k := range set {
+	out := make([]model.SpecKey, 0, len(b.index))
+	for k := range b.index {
 		out = append(out, k)
 	}
 	slices.SortFunc(out, model.SpecKey.Compare)

@@ -27,15 +27,46 @@ type SpecBuilder struct {
 	tracer  *trace.Store // nil = untraced
 	shard   string       // aggregator shard identity; "" stamps none
 
-	mu            sync.Mutex
-	pending       map[model.SpecKey]*pendingAgg
-	history       map[model.SpecKey]*specHistory
-	specs         map[model.SpecKey]model.Spec
+	mu sync.Mutex
+	// index gives every key the builder holds state for its slot in
+	// slots. A key keeps its slot from the first sample or import until
+	// its state is gone — its history dies, or ExportKeys hands it off —
+	// and free lists the slots so let go, for the next new key.
+	index         map[model.SpecKey]int32
+	slots         []keySlot
+	free          []int32
 	lastRecompute time.Time
 	// backlog is this builder's share of the SpecBacklog gauge (the
 	// samples in pending); moveBacklog keeps the two in step.
 	backlog int64
 }
+
+// keySlot is all the builder holds for one key: the pending interval,
+// the age-weighted history and the last spec computed, each present
+// when its bit in has is set. A slot with none of them is free.
+//
+// spec's Job and Platform name the slot's key whether or not a spec is
+// present, which keeps a slot at 320 bytes; what the fold touches
+// comes first, in 176 of them.
+type keySlot struct {
+	// gen counts the times the slot has been freed: a KeyMemo entry
+	// made before the last time is stale.
+	gen     uint32
+	has     slotState
+	pending pendingAgg
+	history specHistory
+	spec    model.Spec
+}
+
+func (s *keySlot) key() model.SpecKey { return s.spec.Key() }
+
+type slotState uint8
+
+const (
+	hasPending slotState = 1 << iota
+	hasHistory
+	hasSpec
+)
 
 // pendingAgg accumulates the current (not yet recomputed) interval.
 type pendingAgg struct {
@@ -93,6 +124,13 @@ func (c *taskCounts) add(own model.JobName, t model.TaskID, n int64) (prev int64
 	return prev
 }
 
+// reset empties the interval in place for the next one. The task
+// pages go; the table that held them stays.
+func (a *pendingAgg) reset() {
+	clear(a.tasks.pages)
+	*a = pendingAgg{tasks: taskCounts{pages: a.tasks.pages}}
+}
+
 // len returns the number of distinct tasks counted.
 func (c *taskCounts) len() int { return c.paged + len(c.sparse) }
 
@@ -130,10 +168,44 @@ func NewSpecBuilder(p Params) *SpecBuilder {
 	return &SpecBuilder{
 		params:  p.Sanitize(),
 		metrics: &Metrics{},
-		pending: make(map[model.SpecKey]*pendingAgg),
-		history: make(map[model.SpecKey]*specHistory),
-		specs:   make(map[model.SpecKey]model.Spec),
+		index:   make(map[model.SpecKey]int32),
 	}
+}
+
+// slotFor returns key's slot, giving the key one if it has none: the
+// one way a key is resolved when no KeyMemo knows it. The caller puts
+// state in a new slot before it lets go of b.mu. Callers hold b.mu.
+func (b *SpecBuilder) slotFor(key model.SpecKey) int32 {
+	if i, ok := b.index[key]; ok {
+		return i
+	}
+	var i int32
+	if n := len(b.free); n > 0 {
+		i, b.free = b.free[n-1], b.free[:n-1]
+	} else {
+		i = int32(len(b.slots))
+		b.slots = append(b.slots, keySlot{})
+	}
+	b.slots[i].spec.Job, b.slots[i].spec.Platform = key.Job, key.Platform
+	b.index[key] = i
+	return i
+}
+
+// lookup returns key's slot, or nil when the builder holds nothing for
+// it. Callers hold b.mu.
+func (b *SpecBuilder) lookup(key model.SpecKey) *keySlot {
+	if i, ok := b.index[key]; ok {
+		return &b.slots[i]
+	}
+	return nil
+}
+
+// release frees slot i, whose key's state is gone. Callers hold b.mu.
+func (b *SpecBuilder) release(i int32) {
+	s := &b.slots[i]
+	delete(b.index, s.key())
+	*s = keySlot{gen: s.gen + 1}
+	b.free = append(b.free, i)
 }
 
 // SetMetrics instruments the builder with m (nil disables): specs
@@ -206,7 +278,7 @@ func (b *SpecBuilder) AddSample(s model.Sample) error {
 	if err := unfoldable(&s); err != nil {
 		return err
 	}
-	b.foldChunk([]model.Sample{s}, 0)
+	b.foldChunk([]model.Sample{s}, 0, nil)
 	return nil
 }
 
@@ -220,8 +292,9 @@ const foldChunkLen = 64
 // lock — and a sample it refuses is skipped; one it admits must still
 // pass the fold's own structural check. AddBatch returns how many
 // samples were folded and the index of the first one (-1 if none).
-// samples is only read, and not retained.
-func (b *SpecBuilder) AddBatch(samples []model.Sample, admit func(*model.Sample) bool) (folded, first int) {
+// samples is only read, and not retained. memo, when non-nil, is the
+// key memo of the stream the batch came from (see KeyMemo).
+func (b *SpecBuilder) AddBatch(samples []model.Sample, admit func(*model.Sample) bool, memo *KeyMemo) (folded, first int) {
 	first = -1
 	for base := 0; base < len(samples); base += foldChunkLen {
 		chunk := samples[base:min(base+foldChunkLen, len(samples))]
@@ -238,7 +311,7 @@ func (b *SpecBuilder) AddBatch(samples []model.Sample, admit func(*model.Sample)
 		if first < 0 {
 			first = base + bits.TrailingZeros64(^skip)
 		}
-		b.foldChunk(chunk, skip)
+		b.foldChunk(chunk, skip, memo)
 		folded += n
 	}
 	return folded, first
@@ -246,30 +319,34 @@ func (b *SpecBuilder) AddBatch(samples []model.Sample, admit func(*model.Sample)
 
 // foldChunk folds the samples of chunk (at most foldChunkLen of them, not
 // all skipped) whose bit in skip is clear, under one lock acquisition.
-func (b *SpecBuilder) foldChunk(chunk []model.Sample, skip uint64) {
+//
+// A sample's key is resolved to its slot only when it differs from the
+// previous sample's, so a run of one key costs one resolution. A batch
+// from an agent interleaves jobs (a machine's tasks are mostly of
+// different jobs), so most samples are resolved: through memo, which
+// compares names by identity and hashes no string, and through the
+// builder's index, hashing both names, when memo is nil or does not
+// know the key yet.
+func (b *SpecBuilder) foldChunk(chunk []model.Sample, skip uint64, memo *KeyMemo) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var key model.SpecKey
-	var agg *pendingAgg
+	var job model.JobName
+	var platform model.Platform
+	var slot *keySlot
 	for i := range chunk {
 		if skip&(1<<i) != 0 {
 			continue
 		}
 		s := &chunk[i]
-		// Look the aggregate up only when the key differs from the
-		// previous sample's: a run of one key (a machine's tasks of one
-		// job, where a batch has them) costs one map lookup. Batches
-		// that interleave jobs pay one lookup per sample.
-		if agg == nil || s.Job != key.Job || s.Platform != key.Platform {
-			key = model.SpecKey{Job: s.Job, Platform: s.Platform}
-			if agg = b.pending[key]; agg == nil {
-				agg = &pendingAgg{}
-				b.pending[key] = agg
-			}
+		if slot == nil || s.Job != job || s.Platform != platform {
+			job, platform = s.Job, s.Platform
+			slot = &b.slots[memo.slot(b, job, platform)]
+			slot.has |= hasPending
 		}
+		agg := &slot.pending
 		agg.cpi.Add(s.CPI)
 		agg.cpuUsage.Add(s.CPUUsage)
-		agg.tasks.add(key.Job, s.Task, 1)
+		agg.tasks.add(job, s.Task, 1)
 		if agg.oldest.IsZero() || s.Timestamp.Before(agg.oldest) {
 			agg.oldest = s.Timestamp
 		}
@@ -285,8 +362,8 @@ func (b *SpecBuilder) foldChunk(chunk []model.Sample, skip uint64) {
 func (b *SpecBuilder) PendingSamples(key model.SpecKey) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if agg, ok := b.pending[key]; ok {
-		return agg.cpi.N()
+	if s := b.lookup(key); s != nil {
+		return s.pending.cpi.N()
 	}
 	return 0
 }
@@ -303,14 +380,17 @@ func (b *SpecBuilder) Recompute(now time.Time) []model.Spec {
 
 	// Reaction-time SLI and spec_build spans, in sorted key order so
 	// float accumulation and span ordering are deterministic regardless
-	// of map iteration order.
-	freshKeys := make([]model.SpecKey, 0, len(b.pending))
-	for key := range b.pending {
-		freshKeys = append(freshKeys, key)
+	// of slot order.
+	fresh := make([]int32, 0, len(b.index))
+	for i := range b.slots {
+		if b.slots[i].has&hasPending != 0 {
+			fresh = append(fresh, int32(i))
+		}
 	}
-	slices.SortFunc(freshKeys, model.SpecKey.Compare)
-	for _, key := range freshKeys {
-		agg := b.pending[key]
+	slices.SortFunc(fresh, func(x, y int32) int { return b.slots[x].key().Compare(b.slots[y].key()) })
+	for _, i := range fresh {
+		s := &b.slots[i]
+		agg := &s.pending
 		if agg.cpi.N() == 0 || agg.oldest.IsZero() {
 			continue
 		}
@@ -320,63 +400,61 @@ func (b *SpecBuilder) Recompute(now time.Time) []model.Spec {
 		}
 		b.metrics.SampleToSpec.Observe(age.Seconds())
 		if b.tracer != nil {
-			h := b.history[key]
-			if h == nil {
-				h = &specHistory{}
-				b.history[key] = h
+			if s.history.name == (trace.Name{}) {
+				s.history.name = trace.NewName(s.key().String())
 			}
-			if h.name == (trace.Name{}) {
-				h.name = trace.NewName(key.String())
-			}
-			b.tracer.SpecBuild(trace.SpecID(string(key.Job), string(key.Platform), now), b.shard, h.name, now, age.Seconds(), agg.cpi.N())
+			b.tracer.SpecBuild(trace.SpecID(string(s.spec.Job), string(s.spec.Platform), now), b.shard, s.history.name, now, age.Seconds(), agg.cpi.N())
 		}
 	}
 
-	for key, agg := range b.pending {
-		h := b.history[key]
-		if h == nil {
-			h = &specHistory{}
-			b.history[key] = h
-		}
-		n := float64(agg.cpi.N())
-		if n == 0 {
+	// Decay the history of keys with no fresh samples too, so an idle
+	// job's stale spec loses influence over time; the key goes when its
+	// weight drops below one sample.
+	for i := range b.slots {
+		s := &b.slots[i]
+		if s.has&(hasHistory|hasPending) != hasHistory {
 			continue
 		}
-		// Age-weight the carried history, then merge the fresh interval
-		// as a weighted combination of two populations.
-		w := h.weight * b.params.AgeWeight
-		freshMean := agg.cpi.Mean()
-		freshVar := agg.cpi.Variance()
-		tot := w + n
-		delta := freshMean - h.mean
-		mean := h.mean + delta*n/tot
-		// Combine variances about the new mean (parallel-variance form).
-		variance := (w*(h.variance+(mean-h.mean)*(mean-h.mean)) +
-			n*(freshVar+(mean-freshMean)*(mean-freshMean))) / tot
-		h.mean = mean
-		h.variance = variance
-		h.weight = tot
-		h.usageMean = (w*h.usageMean + n*agg.cpuUsage.Mean()) / tot
-		h.tasks = agg.tasks.len()
-	}
-	// Decay history for keys with no fresh samples too, so an idle
-	// job's stale spec loses influence over time.
-	for key, h := range b.history {
-		if _, fresh := b.pending[key]; !fresh {
-			h.weight *= b.params.AgeWeight
-			if h.weight < 1 {
-				delete(b.history, key)
-				delete(b.specs, key)
-			}
+		if s.history.weight *= b.params.AgeWeight; s.history.weight < 1 {
+			b.release(int32(i))
 		}
 	}
-	b.pending = make(map[model.SpecKey]*pendingAgg)
+	for _, i := range fresh {
+		s := &b.slots[i]
+		s.has |= hasHistory
+		h, agg := &s.history, &s.pending
+		if n := float64(agg.cpi.N()); n != 0 {
+			// Age-weight the carried history, then merge the fresh
+			// interval as a weighted combination of two populations.
+			w := h.weight * b.params.AgeWeight
+			freshMean := agg.cpi.Mean()
+			freshVar := agg.cpi.Variance()
+			tot := w + n
+			delta := freshMean - h.mean
+			mean := h.mean + delta*n/tot
+			// Combine variances about the new mean (parallel-variance form).
+			variance := (w*(h.variance+(mean-h.mean)*(mean-h.mean)) +
+				n*(freshVar+(mean-freshMean)*(mean-freshMean))) / tot
+			h.mean = mean
+			h.variance = variance
+			h.weight = tot
+			h.usageMean = (w*h.usageMean + n*agg.cpuUsage.Mean()) / tot
+			h.tasks = agg.tasks.len()
+		}
+		agg.reset()
+		s.has &^= hasPending
+	}
 
 	var out []model.Spec
-	for key, h := range b.history {
-		spec := model.Spec{
-			Job:          key.Job,
-			Platform:     key.Platform,
+	for i := range b.slots {
+		s := &b.slots[i]
+		if s.has&hasHistory == 0 {
+			continue
+		}
+		h := &s.history
+		s.spec = model.Spec{
+			Job:          s.spec.Job,
+			Platform:     s.spec.Platform,
 			NumSamples:   int64(h.weight + 0.5),
 			NumTasks:     h.tasks,
 			CPUUsageMean: h.usageMean,
@@ -384,9 +462,9 @@ func (b *SpecBuilder) Recompute(now time.Time) []model.Spec {
 			CPIStddev:    sqrt(h.variance),
 			UpdatedAt:    now,
 		}
-		b.specs[key] = spec
-		if spec.Robust(b.params.MinTasks, b.params.MinSamplesPerTask) {
-			out = append(out, spec)
+		s.has |= hasSpec
+		if s.spec.Robust(b.params.MinTasks, b.params.MinSamplesPerTask) {
+			out = append(out, s.spec)
 		}
 	}
 	slices.SortFunc(out, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
@@ -406,17 +484,21 @@ func sqrt(x float64) float64 {
 func (b *SpecBuilder) Spec(key model.SpecKey) (model.Spec, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s, ok := b.specs[key]
-	return s, ok
+	if s := b.lookup(key); s != nil && s.has&hasSpec != 0 {
+		return s.spec, true
+	}
+	return model.Spec{}, false
 }
 
 // Specs returns all computed specs, sorted by key.
 func (b *SpecBuilder) Specs() []model.Spec {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]model.Spec, 0, len(b.specs))
-	for _, s := range b.specs {
-		out = append(out, s)
+	out := make([]model.Spec, 0, len(b.index))
+	for i := range b.slots {
+		if s := &b.slots[i]; s.has&hasSpec != 0 {
+			out = append(out, s.spec)
+		}
 	}
 	slices.SortFunc(out, func(a, b model.Spec) int { return a.Key().Compare(b.Key()) })
 	return out

@@ -241,7 +241,7 @@ func TestSpecBuilderConcurrentAdds(t *testing.T) {
 				if w%2 == 0 {
 					_ = b.AddSample(s)
 				} else if batch = append(batch, s); len(batch) == 100 {
-					b.AddBatch(batch, nil)
+					b.AddBatch(batch, nil, nil)
 					batch = batch[:0]
 				}
 			}

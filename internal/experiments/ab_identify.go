@@ -166,9 +166,13 @@ func abIdentify(o Options) (*Report, error) {
 			if r.MeanIdentify > 0 {
 				tti = r.MeanIdentify.Truncate(time.Second).String()
 			}
-			fmt.Fprintf(&b, "  %-20s %-12s %4d %4d %5.0f%% %5.0f%% %10s\n",
+			recall := "—" // nothing landed: no recall was measured
+			if r.Landed > 0 {
+				recall = fmt.Sprintf("%.0f%%", r.Recall()*100)
+			}
+			fmt.Fprintf(&b, "  %-20s %-12s %4d %4d %5.0f%% %6s %10s\n",
 				name, ident, r.TrueConvictions, r.FalseConvictions,
-				r.Precision()*100, r.Recall()*100, tti)
+				r.Precision()*100, recall, tti)
 		}
 	}
 	rep.Body = b.String()
@@ -178,8 +182,13 @@ func abIdentify(o Options) (*Report, error) {
 		corr, panda := results[name][core.IdentifierCorrelation], results[name][core.IdentifierPanda]
 		rep.AddMetric(name+" corr FP", float64(corr.FalseConvictions), 0, "")
 		rep.AddMetric(name+" panda FP", float64(panda.FalseConvictions), 0, "must not exceed corr FP")
-		rep.AddMetric(name+" corr recall", corr.Recall(), 0, "")
-		rep.AddMetric(name+" panda recall", panda.Recall(), 0, "must not trail corr recall")
+		// Recall is measured only where a target landed.
+		if corr.Landed > 0 {
+			rep.AddMetric(name+" corr recall", corr.Recall(), 0, "")
+		}
+		if panda.Landed > 0 {
+			rep.AddMetric(name+" panda recall", panda.Recall(), 0, "must not trail corr recall")
+		}
 	}
 	var corrFPNoise, pandaFPNoise int
 	for _, name := range []string{"bimodal-falsealarm", "chaos-loss", "chaos-skew", "chaos-corrupt"} {

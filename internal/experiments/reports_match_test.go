@@ -11,7 +11,7 @@ import (
 // any experiment's output keeps them all; one that re-goldens an
 // experiment on purpose updates its pin and says why.
 var reportHashes = map[string]string{
-	"abident":            "2371afe14283a30c5b09ee1d443c57fd080b89c7580b8a0c48dd2ed5ee14ef4a",
+	"abident":            "4a2d60164b1f71512edd4a4e305165382433ec607d707bb57397a671c3b83b21",
 	"ablation-filter":    "f8b19f280581c92dd8572f3e10508d590297d32ed7ce0c509affe158102f60cc",
 	"ablation-detector":  "e00399fbf8c9ce7186eab6f91eef24c430231d23e1cd993c895ce522ebb0a621",
 	"ablation-window":    "d11c62c80f776748c0f8480d14408732a556a5bc8397c07b9332751b38a17a16",

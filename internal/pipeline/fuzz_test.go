@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs/trace"
 )
@@ -459,4 +460,68 @@ func FuzzWireSampleRoundTrip(f *testing.F) {
 // floatEq treats NaN as equal to itself (bit-level wire equality).
 func floatEq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// FuzzIngestMemo: whatever frames a connection sends, folding them as
+// the server does (one decoder, the connection's key memo, the bus)
+// leaves the builder where AddSample, one decoded sample at a time,
+// leaves another. A Recompute of both follows every second frame and
+// the hand-off of one key out and back (ExportKeys, ImportCheckpoint)
+// every third, so keys die, leave and come back under the memo.
+func FuzzIngestMemo(f *testing.F) {
+	var agents []byte
+	for _, fr := range agentFrames(6, true) {
+		agents = append(agents, fr...)
+	}
+	f.Add(agents)
+	// Keys that come and go: a one-sample key dies at its first idle
+	// Recompute, and here comes back two frames later.
+	var churn []byte
+	for i, jobs := range [][]model.JobName{{"a", "b"}, {"b"}, {"b", "c"}, {"b"}, {"a", "c"}, {"a"}} {
+		batch := wireBenchSamples(len(jobs))
+		for j := range batch {
+			batch[j].Job, batch[j].Task.Job, batch[j].Task.Index = jobs[j], jobs[j], i
+		}
+		churn = appendBinaryFrame(churn, wireMsg{Type: msgSamples, Samples: batch})
+	}
+	f.Add(churn)
+	f.Add(appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: rtSamples([]byte{0x00, 0x96, 0x1a, 0x02, 0x08, 0x29, 0x02, 0x13, 0x37, 0x06, 0x0c, 0xff})}))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		viaMemo, oneByOne := core.NewSpecBuilder(core.DefaultParams()), core.NewSpecBuilder(core.DefaultParams())
+		bus := NewBus(viaMemo)
+		var memo core.KeyMemo
+		fr := newFrameReader(bytes.NewReader(stream))
+		at := day0
+		for n := 0; n < 64; n++ { // bound work per input
+			msg, err := fr.next()
+			if err != nil {
+				break
+			}
+			if msg.Type != msgSamples {
+				continue
+			}
+			_ = bus.publish(&memo, msg.Samples)
+			for _, s := range msg.Samples {
+				_ = oneByOne.AddSample(s) // refused as AddBatch refuses it
+			}
+			if n%2 == 1 {
+				at = at.Add(24 * time.Hour)
+				viaMemo.Recompute(at)
+				oneByOne.Recompute(at)
+			}
+			if keys := oneByOne.Keys(); n%3 == 2 && len(keys) > 0 {
+				k := []model.SpecKey{keys[n%len(keys)]}
+				// A non-finite moment fails the import on both sides.
+				errA := viaMemo.ImportCheckpoint(viaMemo.ExportKeys(k, at))
+				errB := oneByOne.ImportCheckpoint(oneByOne.ExportKeys(k, at))
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("frame %d: handing %v off and back: %v via the memo, %v one by one", n, k[0], errA, errB)
+				}
+			}
+		}
+		// %+v, not JSON: a NaN that got folded must compare too.
+		if got, want := fmt.Sprintf("%+v", viaMemo.Checkpoint(at)), fmt.Sprintf("%+v", oneByOne.Checkpoint(at)); got != want {
+			t.Fatalf("checkpoints differ:\nvia the memo %s\none by one   %s", got, want)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -78,17 +79,21 @@ func TestDecoderJobMemoIsBounded(t *testing.T) {
 				t.Fatalf("sample %d: decoded %+v, want %+v", n+i, msg.Samples[i], batch[i])
 			}
 		}
-		if len(dec.jobs) > jobMemoMax {
-			t.Fatalf("after %d names the memo holds %d entries, cap %d", n+len(batch), len(dec.jobs), jobMemoMax)
+		if dec.names.n > jobMemoMax {
+			t.Fatalf("after %d names the memo holds %d entries, cap %d", n+len(batch), dec.names.n, jobMemoMax)
 		}
 	}
-	for name := range dec.jobs {
+	held := 0
+	for _, name := range dec.names.names {
+		if name != "" {
+			held++
+		}
 		if len(name) > maxMemoNameLen {
 			t.Fatalf("memo holds a %d-byte name, limit %d", len(name), maxMemoNameLen)
 		}
 	}
-	if len(dec.jobs) == 0 {
-		t.Fatal("memo is empty: nothing was memoised")
+	if held != dec.names.n || held == 0 {
+		t.Fatalf("memo holds %d names and counts %d: want the same, and not none", held, dec.names.n)
 	}
 }
 
@@ -137,6 +142,53 @@ func TestIngestAllocBudget(t *testing.T) {
 		if allocs := measure(NewRing(shardNames(n), 0)); allocs != base {
 			t.Errorf("with the ownership filter of a ring of %d, a batch costs %v allocations, %v without", n, allocs, base)
 		}
+	}
+}
+
+// TestIngestAgentBatchAllocBudget is the same budget on an agent's
+// batch (agentFrames: sixteen jobs, two platforms), driven as a server
+// connection drives it: decoder, the connection's key memo, bus. Nearly
+// every sample resolves its key, and steady state still allocates
+// nothing, before and after a Recompute. A Recompute keeps every key's
+// slot, aggregate and memo entry, so after one a key's first batch
+// allocates only its task page.
+func TestIngestAgentBatchAllocBudget(t *testing.T) {
+	frames := agentFrames(4, false)
+	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
+	bus.SetValidator(core.NewSampleValidator("aggregator", 16))
+	dec, memo := new(decoder), new(core.KeyMemo)
+	n := 0
+	pass := func() {
+		for range frames {
+			msg, err := dec.decode(frames[n%len(frames)][binHeaderLen:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = bus.publish(memo, msg.Samples)
+			n++
+		}
+	}
+	pass() // every key's slot, memo entry and task page
+	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
+		t.Errorf("ingesting %d agent batches costs %v allocations, budget 0", len(frames), allocs)
+	}
+	keys := len(bus.Builder().Keys())
+	if keys != 32 {
+		t.Fatalf("%d keys, want 32", keys)
+	}
+	bus.Builder().Recompute(day0.Add(24 * time.Hour))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > uint64(keys) {
+		t.Errorf("after a Recompute, the first batch of each of %d keys made %d allocations, budget one task page a key", keys, got)
+	}
+	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
+		t.Errorf("after a Recompute, %d agent batches cost %v allocations, budget 0", len(frames), allocs)
+	}
+	if got, dropped := bus.Stats(); got != int64(16*n) || dropped != 0 {
+		t.Errorf("folded %d, dropped %d of %d samples", got, dropped, 16*n)
 	}
 }
 

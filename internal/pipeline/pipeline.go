@@ -176,7 +176,7 @@ func (b *Bus) SetValidator(v *core.SampleValidator) {
 // Publish implements SampleSink: invalid samples are counted and
 // dropped, valid ones are folded into the builder.
 func (b *Bus) Publish(samples []model.Sample) error {
-	return b.PublishBatches([][]model.Sample{samples})
+	return b.publish(nil, samples)
 }
 
 // PublishBatches implements BatchSink: each batch goes through the
@@ -184,6 +184,13 @@ func (b *Bus) Publish(samples []model.Sample) error {
 // and validator filter, then the stats and metrics are updated once — one
 // b.mu acquisition per drain instead of one per batch.
 func (b *Bus) PublishBatches(batches [][]model.Sample) error {
+	return b.publish(nil, batches...)
+}
+
+// publish is PublishBatches for batches of one stream, whose keys memo
+// resolves (nil: the builder's index does, as for in-process
+// publishers). A server connection passes its own.
+func (b *Bus) publish(memo *core.KeyMemo, batches ...[]model.Sample) error {
 	b.mu.Lock()
 	v, tracer, shard, ring, self := b.validator, b.tracer, b.shard, b.ring, b.self
 	b.mu.Unlock()
@@ -199,7 +206,7 @@ func (b *Bus) PublishBatches(batches [][]model.Sample) error {
 		}
 	}
 	for _, samples := range batches {
-		admitted, first := b.builder.AddBatch(samples, admit)
+		admitted, first := b.builder.AddBatch(samples, admit, memo)
 		received += int64(admitted)
 		dropped += int64(len(samples) - admitted)
 		if tracer != nil && admitted > 0 {

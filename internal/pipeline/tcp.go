@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -261,6 +262,9 @@ func (c *wireConn) flushLocked() error {
 type serverConn struct {
 	*wireConn
 	srv *Server
+	// memo resolves the keys of the connection's samples to the
+	// builder's slots; only the read loop uses it.
+	memo core.KeyMemo
 
 	subMu      sync.Mutex
 	subAll     bool
@@ -292,7 +296,7 @@ func (c *serverConn) readLoop() {
 func (c *serverConn) handle(msg wireMsg) error {
 	switch msg.Type {
 	case msgSamples:
-		_ = c.srv.bus.Publish(msg.Samples)
+		_ = c.srv.bus.publish(&c.memo, msg.Samples)
 	case msgSubscribe:
 		return c.subscribe(msg.Jobs)
 	case msgHello:

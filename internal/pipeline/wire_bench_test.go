@@ -128,28 +128,67 @@ func ingestFrames(n int, machines bool) [][]byte {
 	return frames
 }
 
+// agentFrames encodes n 16-sample batches in an agent's shape: the
+// sixteen samples are of sixteen jobs, frames alternate between the two
+// platforms, and each has its own trace id and, when machines is set,
+// its own machine. The connection sees 32 keys.
+func agentFrames(n int, machines bool) [][]byte {
+	frames := make([][]byte, n)
+	for i := range frames {
+		samples := wireBenchSamples(16)
+		for j := range samples {
+			s := &samples[j]
+			s.Job = model.JobName(fmt.Sprintf("job-%02d", j))
+			s.Task = model.TaskID{Job: s.Job, Index: i}
+			s.TraceID = trace.ParseID(fmt.Sprintf("9c41e07ab2d85f6%d", i%10))
+			if i%2 == 1 {
+				s.Platform = model.PlatformB
+			}
+			if machines {
+				s.Machine = fmt.Sprintf("machine-%04d", i)
+			}
+		}
+		frames[i] = appendBinaryFrame(nil, wireMsg{Type: msgSamples, Samples: samples})
+	}
+	return frames
+}
+
 // BenchmarkIngestBatch is the aggregator's cost of one 16-sample batch
 // once its frame is in memory: decode, owner/validator filter, fold.
 // Each of its four frames is a different machine's, with its own trace
 // id, so the per-batch machine copy is paid as on a real connection.
+// jobs1 is a batch of one job, published as an in-process publisher
+// does; jobs16 is an agent's batch (agentFrames) on the connection
+// path, through the connection's key memo, where nearly every sample
+// resolves its key.
 func BenchmarkIngestBatch(b *testing.B) {
-	frames := ingestFrames(4, true)
-	bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
-	bus.SetValidator(core.NewSampleValidator("aggregator", 16))
-	dec := new(decoder)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg, err := dec.decode(frames[i%len(frames)][binHeaderLen:])
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = bus.Publish(msg.Samples) // the bus counts rejects; it never errors
+	for _, bc := range []struct {
+		name   string
+		frames [][]byte
+		memo   *core.KeyMemo
+	}{
+		{"jobs1", ingestFrames(4, true), nil},
+		{"jobs16", agentFrames(4, true), new(core.KeyMemo)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bus := NewBus(core.NewSpecBuilder(core.DefaultParams()))
+			bus.SetValidator(core.NewSampleValidator("aggregator", 16))
+			dec := new(decoder)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				msg, err := dec.decode(bc.frames[i%len(bc.frames)][binHeaderLen:])
+				if err != nil {
+					b.Fatal(err)
+				}
+				_ = bus.publish(bc.memo, msg.Samples) // the bus counts rejects; it never errors
+			}
+			b.StopTimer()
+			if got, _ := bus.Stats(); got != int64(16*b.N) {
+				b.Fatalf("folded %d samples, want %d", got, 16*b.N)
+			}
+			reportFrame(b, bc.frames[0], 16)
+		})
 	}
-	b.StopTimer()
-	if got, _ := bus.Stats(); got != int64(16*b.N) {
-		b.Fatalf("folded %d samples, want %d", got, 16*b.N)
-	}
-	reportFrame(b, frames[0], 16)
 }
 
 // versionedTable is a SpecTable whose InterestVersion the benchmark can

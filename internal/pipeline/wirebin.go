@@ -57,6 +57,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/model"
@@ -313,7 +314,7 @@ func (r *binReader) traceID() trace.ID {
 // element-count preallocation below.
 const minBinSampleLen = 1 + 8 + 2*8
 
-// A decoder's job-name table holds at most jobMemoMax names of at most
+// A decoder's name table holds at most jobMemoMax names of at most
 // maxMemoNameLen bytes; like the Router's memo it is flushed when full,
 // because names arrive from outside.
 const (
@@ -326,12 +327,13 @@ const (
 // which SampleSink's "must not retain" already requires of consumers.
 // Strings are real copies, never views of the payload buffer, but a
 // repeated one is copied once: a field the mask does not send is the
-// previous sample's, machine and platform are compared with the last
-// ones sent on the connection, and job names — and a spec's platform —
-// go through the bounded table.
+// previous sample's, the machine is compared with the last one sent on
+// the connection, and job and platform names go through the bounded
+// table. A name the table holds is the same string every time it
+// arrives, which is what the connection's core.KeyMemo relies on.
 type decoder struct {
 	samples  []model.Sample
-	jobs     map[string]model.JobName
+	names    nameTable
 	machine  string
 	platform string
 }
@@ -344,18 +346,73 @@ func same(last string, b []byte) string {
 	return string(b)
 }
 
-func (d *decoder) job(b []byte) model.JobName {
-	if j, ok := d.jobs[string(b)]; ok {
-		return j
+// nameTable interns the names one connection sends, so a name arrives
+// as the same string every time. It is an open-addressed table placed
+// by a multiply of the name's first and last eight bytes, not a string
+// hash: a lookup reads one entry and the name's bytes.
+type nameTable struct {
+	names []model.JobName // len 0 or a power of two; "" = empty
+	shift uint            // 64 − log2(len(names))
+	n     int
+}
+
+// intern returns the table's copy of the name b spells, adding one if
+// it has none and b is short enough.
+func (t *nameTable) intern(b []byte) model.JobName {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(t.names) > 0 {
+		if e := t.find(b); *e != "" {
+			return *e
+		}
 	}
 	j := model.JobName(b)
 	if len(b) <= maxMemoNameLen {
-		if d.jobs == nil || len(d.jobs) >= jobMemoMax {
-			d.jobs = make(map[string]model.JobName)
+		if t.n >= jobMemoMax {
+			clear(t.names)
+			t.n = 0
 		}
-		d.jobs[string(j)] = j
+		if 2*(t.n+1) > len(t.names) {
+			t.grow()
+		}
+		*t.find(b) = j
+		t.n++
 	}
 	return j
+}
+
+// find returns the entry holding the name b spells, or the empty entry
+// where it would go. The table is never full.
+func (t *nameTable) find(b []byte) *model.JobName {
+	var x uint64
+	if n := len(b); n >= 8 {
+		x = binary.LittleEndian.Uint64(b)*0x9e3779b97f4a7c15 ^ binary.LittleEndian.Uint64(b[n-8:])
+	} else {
+		for _, c := range b {
+			x = x<<8 | uint64(c)
+		}
+	}
+	mask := uint64(len(t.names) - 1)
+	for i := (x ^ uint64(len(b))) * 0x9e3779b97f4a7c15 >> t.shift; ; i = (i + 1) & mask {
+		if e := &t.names[i]; *e == "" || string(*e) == string(b) {
+			return e
+		}
+	}
+}
+
+// grow doubles the table (to 16 entries from empty) and re-places the
+// names.
+func (t *nameTable) grow() {
+	old := t.names
+	n := max(16, 2*len(old))
+	t.names = make([]model.JobName, n)
+	t.shift = uint(64 - bits.Len(uint(n-1)))
+	for _, j := range old {
+		if j != "" {
+			*t.find([]byte(j)) = j
+		}
+	}
 }
 
 // sample decodes the next sample into s, overwriting every field; prev
@@ -368,14 +425,16 @@ func (d *decoder) sample(r *binReader, s, prev *model.Sample) {
 	}
 	*s = *prev
 	if mask&sampleJob != 0 {
-		s.Job = d.job(r.bytes())
+		s.Job = d.names.intern(r.bytes())
 	}
 	s.Task.Job = s.Job
 	if mask&sampleTaskJob != 0 {
-		s.Task.Job = d.job(r.bytes())
+		s.Task.Job = d.names.intern(r.bytes())
 	}
 	if mask&samplePlatform != 0 {
-		d.platform = same(d.platform, r.bytes())
+		if b := r.bytes(); string(b) != d.platform {
+			d.platform = string(d.names.intern(b))
+		}
 		s.Platform = model.Platform(d.platform)
 	}
 	if mask&sampleTimestamp != 0 {
@@ -397,8 +456,8 @@ func (d *decoder) sample(r *binReader, s, prev *model.Sample) {
 // refresh after refresh, so both of its names go through the job-name
 // table: a spec whose key has been seen costs no string copy.
 func (d *decoder) spec(r *binReader, s *model.Spec) {
-	s.Job = d.job(r.bytes())
-	s.Platform = model.Platform(d.job(r.bytes()))
+	s.Job = d.names.intern(r.bytes())
+	s.Platform = model.Platform(d.names.intern(r.bytes()))
 	s.NumSamples = int64(r.u64())
 	s.NumTasks = int(r.u64())
 	s.CPUUsageMean = r.f64()
